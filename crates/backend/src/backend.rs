@@ -1,6 +1,6 @@
 //! The [`ExecutionBackend`] trait and its CPU implementations.
 
-use an5d_gpusim::{execute_plan_on, temporal_chunks, BlockedRun, TileContext, TileRun};
+use an5d_gpusim::{execute_plan_with, BlockedRun};
 use an5d_grid::{Element, Grid};
 use an5d_plan::KernelPlan;
 use an5d_stencil::StencilProblem;
@@ -48,17 +48,17 @@ impl BackendElement for f64 {
     }
 }
 
-/// An execution strategy for blocked kernel plans.
+/// A schedule for executing blocked kernel plans.
 ///
 /// A backend takes a [`KernelPlan`] plus a [`StencilProblem`] and produces
 /// the final grid and the [`an5d_gpusim::TrafficCounters`] of the run.
 /// Every implementation must be *semantically transparent*: for the same
-/// inputs it must return bit-identical grids and identical counter totals
-/// as the reference serial driver ([`an5d_gpusim::execute_plan_on`]) —
-/// backends may only change *how fast* the answer arrives, never the
-/// answer.
+/// inputs it must return a grid bit-identical to the naive reference sweep
+/// ([`an5d_stencil::exec::run_reference`]) and the counter totals of
+/// [`an5d_gpusim::execute_plan_on`] — backends may only change *how fast*
+/// the answer arrives, never the answer.
 pub trait ExecutionBackend: Send + Sync {
-    /// Registry name of this backend (e.g. `"serial"`, `"parallel"`).
+    /// Registry name of this backend (e.g. `"serial"`, `"vector"`).
     fn name(&self) -> &'static str;
 
     /// Human-readable description of the schedule (worker count etc.).
@@ -83,8 +83,32 @@ pub trait ExecutionBackend: Send + Sync {
     ) -> BlockedRun<f64>;
 }
 
-/// The reference backend: one thread, tiles in canonical order, exactly
-/// the behaviour of [`an5d_gpusim::execute_plan_on`].
+/// Run the blocked executor with at most `threads` threads — pool workers
+/// plus the driving thread — executing tiles at once.
+///
+/// Within each temporal block the spatial tiles are independent, so they
+/// fan out across the shared persistent worker pool
+/// ([`an5d_runtime::global`]), claimed one at a time (dynamic scheduling,
+/// so an expensive tile never serialises a static chunk behind it). The
+/// slot index doubles as the tile index and
+/// [`an5d_gpusim::execute_plan_with`] applies the detached tile runs in
+/// that order on the driving thread, so grids and counter totals do not
+/// depend on `threads`; a cap of 1 runs every tile inline on the caller.
+fn execute_blocked<T: Element>(
+    threads: usize,
+    plan: &KernelPlan,
+    problem: &StencilProblem,
+    initial: Grid<T>,
+) -> BlockedRun<T> {
+    let _span = an5d_obs::Span::enter("backend.execute");
+    let pool = an5d_runtime::global();
+    execute_plan_with(plan, problem, initial, |tiles, run_tile| {
+        pool.map_indexed_limited(threads, tiles, run_tile)
+    })
+}
+
+/// The blocked executor on the calling thread alone: [`VectorCpuBackend`]
+/// with a concurrency cap of one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SerialBackend;
 
@@ -99,8 +123,7 @@ impl ExecutionBackend for SerialBackend {
         problem: &StencilProblem,
         initial: Grid<f32>,
     ) -> BlockedRun<f32> {
-        let _span = an5d_obs::Span::enter("backend.execute");
-        execute_plan_on(plan, problem, initial)
+        execute_blocked(1, plan, problem, initial)
     }
 
     fn execute_f64(
@@ -109,162 +132,26 @@ impl ExecutionBackend for SerialBackend {
         problem: &StencilProblem,
         initial: Grid<f64>,
     ) -> BlockedRun<f64> {
-        let _span = an5d_obs::Span::enter("backend.execute");
-        execute_plan_on(plan, problem, initial)
+        execute_blocked(1, plan, problem, initial)
     }
 }
 
-/// Tile-parallel CPU backend.
+/// The blocked executor with its tiles fanned out over the worker pool.
 ///
-/// Within each temporal block the spatial tiles are independent: every
-/// tile reads only the immutable input grid and owns a disjoint write-back
-/// region of the output grid. This backend fans the tiles of each temporal
-/// block across the shared persistent worker pool
-/// ([`an5d_runtime::global`]), with tiles claimed one at a time (dynamic
-/// scheduling, so an expensive tile never serialises a static chunk
-/// behind it), collects the detached [`TileRun`]s, and applies them
-/// **in canonical tile order** on the driving thread.
+/// Each tile runs the row kernels of
+/// [`an5d_gpusim::TileContext::execute_tile_rows`]: the stencil expression
+/// compiled into a postfix tape over flat neighbour offsets and evaluated
+/// a whole row at a time over contiguous stride-1 slices, with all
+/// halo/bounds logic hoisted out of the inner loops — the shape the
+/// compiler autovectorizes, monomorphic per precision.
 ///
-/// Determinism: each `f64` cell value is produced by exactly one tile
-/// running exactly the serial executor's per-tile code, so grids are
-/// bit-identical to [`SerialBackend`] regardless of thread count or
-/// scheduling; counters are aggregated in tile order, so totals are
-/// identical too. Temporal blocks stay sequential (block *k + 1* consumes
-/// the grid block *k* produced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelCpuBackend {
-    threads: usize,
-}
-
-impl ParallelCpuBackend {
-    /// A backend with an explicit tile-execution concurrency cap
-    /// (clamped to ≥ 1): at most `threads` threads — pool workers plus
-    /// the driving thread — execute tiles at once.
-    ///
-    /// The clamp is a convenience for programmatic construction only; the
-    /// string registry treats `"parallel:0"` as an invalid spec and
-    /// rejects it (see [`crate::create_backend`]) instead of masking the
-    /// zero.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-
-    /// A backend with one executor per available CPU.
-    #[must_use]
-    pub fn with_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(threads)
-    }
-
-    /// The tile-execution concurrency cap.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn execute<T: BackendElement>(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        initial: Grid<T>,
-    ) -> BlockedRun<T> {
-        let _span = an5d_obs::Span::enter("backend.execute");
-        assert_eq!(
-            initial.shape(),
-            problem.grid_shape().as_slice(),
-            "initial grid shape does not match the problem"
-        );
-
-        let ctx = TileContext::new(plan, problem);
-        let tiles = ctx.tiles();
-        let pool = an5d_runtime::global();
-        let mut counters = an5d_gpusim::TrafficCounters::new();
-        let mut current = initial;
-        for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
-            // Fan the tiles of this temporal block across the shared
-            // pool; the slot index doubles as the tile index, keeping
-            // aggregation order canonical no matter which thread ran
-            // which tile.
-            let current_ref = &current;
-            let ctx_ref = &ctx;
-            let runs: Vec<TileRun<T>> = pool.map_indexed_limited(self.threads, tiles.len(), |k| {
-                ctx_ref.execute_tile(current_ref, &tiles[k], chunk)
-            });
-
-            // Deterministic aggregation: apply write-backs and sum counters
-            // in canonical tile order on the driving thread.
-            let mut next = current.clone();
-            for run in runs {
-                run.apply_to(&mut next);
-                counters += run.counters;
-            }
-            counters.kernel_launches += 1;
-            current = next;
-        }
-        BlockedRun {
-            grid: current,
-            counters,
-        }
-    }
-}
-
-impl Default for ParallelCpuBackend {
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
-}
-
-impl ExecutionBackend for ParallelCpuBackend {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn describe(&self) -> String {
-        format!("parallel ({} pool executors)", self.threads)
-    }
-
-    fn execute_f32(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        initial: Grid<f32>,
-    ) -> BlockedRun<f32> {
-        self.execute(plan, problem, initial)
-    }
-
-    fn execute_f64(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        initial: Grid<f64>,
-    ) -> BlockedRun<f64> {
-        self.execute(plan, problem, initial)
-    }
-}
-
-/// Vectorized CPU backend: tile-parallel like [`ParallelCpuBackend`], but
-/// each tile runs through the row-major fast path
-/// ([`TileContext::execute_tile_rows`]) instead of the scalar per-cell
-/// executor.
-///
-/// The fast path compiles the stencil expression into a postfix tape over
-/// flat neighbour offsets and evaluates it a whole row at a time over
-/// contiguous stride-1 slices, with all halo/bounds logic hoisted out of
-/// the inner loops — the shape the compiler autovectorizes. Monomorphic
-/// `f32`/`f64` specialization comes from the [`BackendElement`] seal, so
-/// both precisions get their own vector code.
-///
-/// Determinism: every cell value is produced by the identical scalar
-/// operation sequence as [`SerialBackend`] (the tape evaluates the
-/// expression tree in the recursive evaluator's order and lanes never
-/// interact), and counters are aggregated in canonical tile order — grids
-/// *and* counter totals are bit-identical to the serial driver for any
-/// thread count.
+/// Determinism: every cell value is produced by exactly one tile through
+/// the scalar operation sequence of the naive reference sweep (the tape
+/// evaluates the expression tree in the recursive evaluator's order and
+/// lanes never interact), and counters are aggregated in canonical tile
+/// order — grids *and* counter totals are the same for any thread count.
+/// Temporal blocks stay sequential (block *k + 1* consumes the grid block
+/// *k* produced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorCpuBackend {
     threads: usize,
@@ -274,10 +161,9 @@ impl VectorCpuBackend {
     /// A backend with an explicit tile-execution concurrency cap
     /// (clamped to ≥ 1).
     ///
-    /// As with [`ParallelCpuBackend::new`], the clamp is for programmatic
-    /// construction only; the string registry rejects `"vector:0"` as an
-    /// invalid spec (see [`crate::create_backend`]) instead of masking
-    /// the zero.
+    /// The clamp is a convenience for programmatic construction only; the
+    /// string registry rejects `"vector:0"` as an invalid spec (see
+    /// [`crate::create_backend`]) instead of masking the zero.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         Self {
@@ -298,45 +184,6 @@ impl VectorCpuBackend {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    fn execute<T: BackendElement>(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        initial: Grid<T>,
-    ) -> BlockedRun<T> {
-        let _span = an5d_obs::Span::enter("backend.execute");
-        assert_eq!(
-            initial.shape(),
-            problem.grid_shape().as_slice(),
-            "initial grid shape does not match the problem"
-        );
-
-        let ctx = TileContext::new(plan, problem);
-        let tiles = ctx.tiles();
-        let pool = an5d_runtime::global();
-        let mut counters = an5d_gpusim::TrafficCounters::new();
-        let mut current = initial;
-        for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
-            let current_ref = &current;
-            let ctx_ref = &ctx;
-            let runs: Vec<TileRun<T>> = pool.map_indexed_limited(self.threads, tiles.len(), |k| {
-                ctx_ref.execute_tile_rows(current_ref, &tiles[k], chunk)
-            });
-
-            let mut next = current.clone();
-            for run in runs {
-                run.apply_to(&mut next);
-                counters += run.counters;
-            }
-            counters.kernel_launches += 1;
-            current = next;
-        }
-        BlockedRun {
-            grid: current,
-            counters,
-        }
     }
 }
 
@@ -361,7 +208,7 @@ impl ExecutionBackend for VectorCpuBackend {
         problem: &StencilProblem,
         initial: Grid<f32>,
     ) -> BlockedRun<f32> {
-        self.execute(plan, problem, initial)
+        execute_blocked(self.threads, plan, problem, initial)
     }
 
     fn execute_f64(
@@ -370,7 +217,7 @@ impl ExecutionBackend for VectorCpuBackend {
         problem: &StencilProblem,
         initial: Grid<f64>,
     ) -> BlockedRun<f64> {
-        self.execute(plan, problem, initial)
+        execute_blocked(self.threads, plan, problem, initial)
     }
 }
 
@@ -378,89 +225,86 @@ impl ExecutionBackend for VectorCpuBackend {
 mod tests {
     use super::*;
     use an5d_grid::{GridInit, Precision};
+    use an5d_model::analytic_counters;
     use an5d_plan::{BlockConfig, FrameworkScheme};
-    use an5d_stencil::suite;
+    use an5d_stencil::exec::run_reference;
+    use an5d_stencil::{suite, StencilDef};
 
     fn setup(
+        def: StencilDef,
         interior: &[usize],
         steps: usize,
-        bt: usize,
-        bs: &[usize],
-        hsn: Option<usize>,
-    ) -> (KernelPlan, StencilProblem, Grid<f64>) {
-        let def = suite::j2d5pt();
+        config: &BlockConfig,
+    ) -> (KernelPlan, StencilProblem) {
         let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
-        let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
-        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let initial = Grid::<f64>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 77 });
-        (plan, problem, initial)
+        let plan = KernelPlan::build(&def, &problem, config, FrameworkScheme::an5d()).unwrap();
+        (plan, problem)
+    }
+
+    /// The run of `backend` from a hashed initial grid must equal the
+    /// naive reference sweep bit for bit and count what the analytic walk
+    /// counts.
+    fn assert_matches_oracles<T: BackendElement>(
+        backend: &dyn ExecutionBackend,
+        plan: &KernelPlan,
+        problem: &StencilProblem,
+    ) {
+        let init = GridInit::Hash { seed: 77 };
+        let initial = Grid::<T>::from_init(&problem.grid_shape(), init);
+        let run = T::execute_on(backend, plan, problem, initial);
+        let what = backend.describe();
+        assert_eq!(run.grid, run_reference::<T>(problem, init), "{what}: grid");
+        assert_eq!(
+            run.counters,
+            analytic_counters(plan, problem),
+            "{what}: counters"
+        );
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise_across_thread_counts() {
-        let (plan, problem, initial) = setup(&[32, 28], 7, 3, &[12], Some(12));
-        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
+    fn vector_matches_serial_bitwise_across_thread_counts() {
+        let config = BlockConfig::new(3, &[12], Some(12), Precision::Double).unwrap();
+        let (plan, problem) = setup(suite::j2d5pt(), &[32, 28], 7, &config);
+        assert_matches_oracles::<f64>(&SerialBackend, &plan, &problem);
         for threads in [1, 2, 3, 8] {
-            let parallel =
-                ParallelCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
-            assert_eq!(serial.grid, parallel.grid, "{threads} threads");
-            assert_eq!(serial.counters, parallel.counters, "{threads} threads");
+            assert_matches_oracles::<f64>(&VectorCpuBackend::new(threads), &plan, &problem);
         }
     }
 
     #[test]
     fn parallel_handles_more_workers_than_tiles() {
-        let (plan, problem, initial) = setup(&[16, 16], 3, 3, &[16], None);
-        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-        let parallel = ParallelCpuBackend::new(64).execute_f64(&plan, &problem, initial);
-        assert_eq!(serial.grid, parallel.grid);
-        assert_eq!(serial.counters, parallel.counters);
+        let config = BlockConfig::new(3, &[16], None, Precision::Double).unwrap();
+        let (plan, problem) = setup(suite::j2d5pt(), &[16, 16], 3, &config);
+        assert_matches_oracles::<f64>(&VectorCpuBackend::new(64), &plan, &problem);
     }
 
     #[test]
     fn generic_dispatch_reaches_the_right_method() {
-        let (plan, problem, initial) = setup(&[20, 20], 4, 2, &[10], None);
-        let backend: &dyn ExecutionBackend = &ParallelCpuBackend::new(2);
+        let config = BlockConfig::new(2, &[10], None, Precision::Double).unwrap();
+        let (plan, problem) = setup(suite::j2d5pt(), &[20, 20], 4, &config);
+        let initial = Grid::<f64>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 77 });
+        let backend: &dyn ExecutionBackend = &VectorCpuBackend::new(2);
         let via_trait = f64::execute_on(backend, &plan, &problem, initial.clone());
-        let direct = ParallelCpuBackend::new(2).execute_f64(&plan, &problem, initial);
+        let direct = VectorCpuBackend::new(2).execute_f64(&plan, &problem, initial);
         assert_eq!(via_trait.grid, direct.grid);
     }
 
     #[test]
     fn thread_count_is_clamped_to_at_least_one() {
-        assert_eq!(ParallelCpuBackend::new(0).threads(), 1);
         assert_eq!(VectorCpuBackend::new(0).threads(), 1);
     }
 
     #[test]
     fn describe_mentions_the_worker_count() {
-        assert!(ParallelCpuBackend::new(3).describe().contains('3'));
         assert!(VectorCpuBackend::new(4).describe().contains('4'));
         assert_eq!(SerialBackend.describe(), "serial");
     }
 
     #[test]
-    fn vector_matches_serial_bitwise_across_thread_counts() {
-        let (plan, problem, initial) = setup(&[32, 28], 7, 3, &[12], Some(12));
-        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-        for threads in [1, 2, 3, 8] {
-            let vector =
-                VectorCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
-            assert_eq!(serial.grid, vector.grid, "{threads} threads");
-            assert_eq!(serial.counters, vector.counters, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn vector_matches_serial_bitwise_in_single_precision() {
-        let def = suite::gradient2d();
-        let problem = StencilProblem::new(def.clone(), &[26, 22], 5).unwrap();
         let config = BlockConfig::new(2, &[10], None, Precision::Single).unwrap();
-        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let initial = Grid::<f32>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 31 });
-        let serial = SerialBackend.execute_f32(&plan, &problem, initial.clone());
-        let vector = VectorCpuBackend::new(3).execute_f32(&plan, &problem, initial);
-        assert_eq!(serial.grid, vector.grid);
-        assert_eq!(serial.counters, vector.counters);
+        let (plan, problem) = setup(suite::gradient2d(), &[26, 22], 5, &config);
+        assert_matches_oracles::<f32>(&SerialBackend, &plan, &problem);
+        assert_matches_oracles::<f32>(&VectorCpuBackend::new(3), &plan, &problem);
     }
 }

@@ -262,7 +262,7 @@ impl BatchDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParallelCpuBackend;
+    use crate::VectorCpuBackend;
     use an5d_stencil::suite;
 
     fn jobs() -> Vec<BatchJob> {
@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn serial_and_parallel_backends_agree_on_batch_checksums() {
         let serial = BatchDriver::new(Arc::new(SerialBackend)).with_workers(1);
-        let parallel = BatchDriver::new(Arc::new(ParallelCpuBackend::new(3))).with_workers(2);
+        let parallel = BatchDriver::new(Arc::new(VectorCpuBackend::new(3))).with_workers(2);
         let a = serial.run(&jobs());
         let b = parallel.run(&jobs());
         for (x, y) in a.iter().zip(&b) {

@@ -11,19 +11,20 @@
 //!
 //! Three building blocks:
 //!
-//! * [`ExecutionBackend`] implementations:
-//!   [`SerialBackend`] (the reference driver, one tile at a time),
-//!   [`ParallelCpuBackend`] (the independent spatial tiles of each
-//!   temporal block fan out across the shared persistent worker pool of
-//!   `an5d-runtime`) and [`VectorCpuBackend`] (tile-parallel like
-//!   `parallel`, but each tile runs the row-major fast path: the stencil
-//!   expression compiled into a postfix tape evaluated over contiguous
-//!   stride-1 row slices, the shape the compiler autovectorizes). Because
-//!   each tile reads only the immutable input grid, writes a disjoint
-//!   region of the output grid, and computes every cell through the
-//!   identical scalar operation sequence, every backend produces
-//!   **bit-identical** grids (for `f32` and `f64` alike) and identical
-//!   counter totals;
+//! * [`ExecutionBackend`] implementations. There is one executor — the
+//!   row-kernel tile executor of `an5d-gpusim` (the stencil expression
+//!   compiled into a postfix tape evaluated over contiguous stride-1 row
+//!   slices, the shape the compiler autovectorizes) under one
+//!   temporal-block driver — and the only choice is how many threads run
+//!   tiles at once: [`VectorCpuBackend`] fans the independent spatial
+//!   tiles of each temporal block out across the shared persistent
+//!   worker pool of `an5d-runtime` with a concurrency cap of N, and
+//!   [`SerialBackend`] is the same backend with a cap of one (every tile
+//!   inline on the caller). Because each tile reads only the immutable
+//!   input grid, writes a disjoint region of the output grid, and
+//!   computes every cell through the scalar operation sequence of the
+//!   naive reference sweep, every thread count produces **bit-identical**
+//!   grids (for `f32` and `f64` alike) and identical counter totals;
 //! * [`PlanCache`] — an LRU plan/codegen cache keyed by
 //!   (stencil fingerprint, problem extents, [`BlockConfig`],
 //!   [`FrameworkScheme`]) so repeated tuner and benchmark queries skip
@@ -43,17 +44,15 @@
 //! the process-wide default consumed by [`backend_from_env`]:
 //!
 //! ```text
-//! AN5D_BACKEND=serial        # reference serial driver (default)
-//! AN5D_BACKEND=parallel      # tile-parallel, one worker per CPU
-//! AN5D_BACKEND=parallel:8    # tile-parallel with exactly 8 workers
-//! AN5D_BACKEND=vector        # vectorized row kernels, one worker per CPU
-//! AN5D_BACKEND=vector:8      # vectorized row kernels with 8 workers
+//! AN5D_BACKEND=serial        # tiles inline on the caller (default)
+//! AN5D_BACKEND=vector        # tiles over the pool, one worker per CPU
+//! AN5D_BACKEND=vector:8      # tiles over the pool, exactly 8 workers
 //! ```
 //!
 //! # Example
 //!
 //! ```
-//! use an5d_backend::{BackendElement, ExecutionBackend, ParallelCpuBackend, SerialBackend};
+//! use an5d_backend::{BackendElement, ExecutionBackend, SerialBackend, VectorCpuBackend};
 //! use an5d_grid::{Grid, GridInit, Precision};
 //! use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan};
 //! use an5d_stencil::{suite, StencilProblem};
@@ -65,9 +64,9 @@
 //! let initial = Grid::<f64>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 1 });
 //!
 //! let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-//! let parallel = ParallelCpuBackend::new(4).execute_f64(&plan, &problem, initial);
-//! assert_eq!(serial.grid, parallel.grid);          // bit-identical
-//! assert_eq!(serial.counters, parallel.counters);  // deterministic counters
+//! let pooled = VectorCpuBackend::new(4).execute_f64(&plan, &problem, initial);
+//! assert_eq!(serial.grid, pooled.grid);          // bit-identical
+//! assert_eq!(serial.counters, pooled.counters);  // deterministic counters
 //! ```
 
 #![forbid(unsafe_code)]
@@ -79,9 +78,7 @@ mod cache;
 mod registry;
 mod sharded;
 
-pub use backend::{
-    BackendElement, ExecutionBackend, ParallelCpuBackend, SerialBackend, VectorCpuBackend,
-};
+pub use backend::{BackendElement, ExecutionBackend, SerialBackend, VectorCpuBackend};
 pub use batch::{BatchDriver, BatchError, BatchFailure, BatchJob, BatchOutcome};
 pub use cache::{CacheStats, PlanCache, WarmRequest, WarmStats};
 pub use registry::{available_backends, backend_from_env, create_backend, BACKEND_ENV};

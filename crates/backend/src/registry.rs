@@ -1,6 +1,6 @@
 //! Name-based backend registry and environment-variable selection.
 
-use crate::{ExecutionBackend, ParallelCpuBackend, SerialBackend, VectorCpuBackend};
+use crate::{ExecutionBackend, SerialBackend, VectorCpuBackend};
 use std::sync::Arc;
 
 /// Environment variable consulted by [`backend_from_env`].
@@ -8,32 +8,26 @@ pub const BACKEND_ENV: &str = "AN5D_BACKEND";
 
 /// The registered backend family names.
 ///
-/// `"parallel"` and `"vector"` also accept an explicit worker count as
-/// `"parallel:<threads>"` / `"vector:<threads>"`.
+/// `"vector"` also accepts an explicit worker count as
+/// `"vector:<threads>"`; `"serial"` is `"vector:1"` under its own name.
 #[must_use]
 pub fn available_backends() -> &'static [&'static str] {
-    &["serial", "parallel", "vector"]
+    &["serial", "vector"]
 }
 
 /// Instantiate a backend from its registry spec.
 ///
-/// Accepted specs: `"serial"`, `"parallel"` / `"vector"` (one worker per
-/// CPU) and `"parallel:<threads>"` / `"vector:<threads>"` with
-/// `threads ≥ 1`. Returns `None` for anything else — including
-/// `"parallel:0"` and `"vector:0"`: a zero worker count is an invalid
-/// spec and is rejected (with the stderr fallback note in
+/// Accepted specs: `"serial"`, `"vector"` (one worker per CPU) and
+/// `"vector:<threads>"` with `threads ≥ 1`. Returns `None` for anything
+/// else — including `"vector:0"`: a zero worker count is an invalid spec
+/// and is rejected (with the stderr fallback note in
 /// [`backend_from_env`]) rather than silently clamped to one thread.
 #[must_use]
 pub fn create_backend(spec: &str) -> Option<Arc<dyn ExecutionBackend>> {
     match spec.trim() {
         "serial" => Some(Arc::new(SerialBackend)),
-        "parallel" => Some(Arc::new(ParallelCpuBackend::with_available_parallelism())),
         "vector" => Some(Arc::new(VectorCpuBackend::with_available_parallelism())),
         other => {
-            if let Some(threads) = other.strip_prefix("parallel:") {
-                let threads = threads.parse::<std::num::NonZeroUsize>().ok()?;
-                return Some(Arc::new(ParallelCpuBackend::new(threads.get())));
-            }
             let threads = other
                 .strip_prefix("vector:")?
                 .parse::<std::num::NonZeroUsize>()
@@ -55,7 +49,7 @@ pub fn backend_from_env() -> Arc<dyn ExecutionBackend> {
         Ok(spec) => create_backend(&spec).unwrap_or_else(|| {
             eprintln!(
                 "warning: {BACKEND_ENV}={spec} is not a registered backend \
-                 (expected one of {:?}, optionally with :<threads>); using serial",
+                 (expected one of {:?}, or vector:<threads>); using serial",
                 available_backends()
             );
             Arc::new(SerialBackend)
@@ -70,17 +64,9 @@ mod tests {
 
     #[test]
     fn registry_knows_all_families() {
-        assert_eq!(available_backends(), &["serial", "parallel", "vector"]);
+        assert_eq!(available_backends(), &["serial", "vector"]);
         assert_eq!(create_backend("serial").unwrap().name(), "serial");
-        assert_eq!(create_backend("parallel").unwrap().name(), "parallel");
         assert_eq!(create_backend("vector").unwrap().name(), "vector");
-    }
-
-    #[test]
-    fn parallel_spec_accepts_an_explicit_thread_count() {
-        let backend = create_backend("parallel:7").unwrap();
-        assert_eq!(backend.name(), "parallel");
-        assert!(backend.describe().contains('7'));
     }
 
     #[test]
@@ -93,16 +79,15 @@ mod tests {
     #[test]
     fn unknown_specs_are_rejected() {
         assert!(create_backend("gpu").is_none());
-        assert!(create_backend("parallel:").is_none());
-        assert!(create_backend("parallel:x").is_none());
+        // `serial` and `vector` are the only families.
+        assert!(create_backend("parallel").is_none());
+        assert!(create_backend("parallel:4").is_none());
         assert!(create_backend("vector:").is_none());
         assert!(create_backend("vector:x").is_none());
         assert!(create_backend("serial:2").is_none());
         assert!(create_backend("").is_none());
         // A zero worker count is invalid, not "one thread": it must take
         // the rejected-spec path instead of being silently clamped.
-        assert!(create_backend("parallel:0").is_none());
-        assert!(create_backend(" parallel:0 ").is_none());
         assert!(create_backend("vector:0").is_none());
         assert!(create_backend(" vector:0 ").is_none());
     }

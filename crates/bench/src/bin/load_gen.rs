@@ -13,7 +13,7 @@
 //!          [--batch]
 //! ```
 //!
-//! `--backend SPEC` (`serial`, `parallel[:threads]`, `vector[:threads]`)
+//! `--backend SPEC` (`serial`, `vector[:threads]`)
 //! selects the execution backend the in-process server runs `/execute`
 //! on; an unknown spec is a startup error. Backends are semantically
 //! transparent, so the byte-identity assertions are unchanged — the

@@ -80,9 +80,8 @@ pub use an5d_gpusim::{
 
 pub use an5d_backend::{
     available_backends, backend_from_env, create_backend, BackendElement, BatchDriver, BatchError,
-    BatchFailure, BatchJob, BatchOutcome, CacheStats, ExecutionBackend, ParallelCpuBackend,
-    PlanCache, SerialBackend, ShardedPlanCache, VectorCpuBackend, WarmRequest, WarmStats,
-    BACKEND_ENV,
+    BatchFailure, BatchJob, BatchOutcome, CacheStats, ExecutionBackend, PlanCache, SerialBackend,
+    ShardedPlanCache, VectorCpuBackend, WarmRequest, WarmStats, BACKEND_ENV,
 };
 
 pub use an5d_runtime::{global as global_pool, PoolStats, WorkerPool, POOL_THREADS_ENV};

@@ -7,43 +7,43 @@
 //! region, constant boundary cells, and the host-side splitting of the time
 //! loop into temporal blocks with a shorter final block when
 //! `I_T mod bT ≠ 0` (Section 4.3.1). Its numerical output is therefore
-//! comparable (bit-for-bit in `f64`) with the naive reference executor,
-//! and its counters measure the real redundant work and memory traffic of
-//! the chosen configuration.
+//! comparable bit-for-bit (`f32` and `f64`) with the naive reference
+//! executor, and its counters measure the real redundant work and memory
+//! traffic of the chosen configuration.
 //!
 //! # Tile-level API
 //!
 //! The tiles of one temporal block are independent: each reads only the
 //! immutable input grid and writes a disjoint compute region of the output
-//! grid. [`TileContext`] exposes that seam so execution backends (see the
-//! `an5d-backend` crate) can distribute tiles across worker threads:
-//! [`TileContext::tiles`] enumerates the tiles of one temporal block and
-//! [`TileContext::execute_tile`] runs a single tile into a detached
+//! grid. [`TileContext`] exposes that seam: [`TileContext::tiles`]
+//! enumerates the tiles of one temporal block and
+//! [`TileContext::execute_tile_rows`] runs a single tile into a detached
 //! [`TileRun`] that is later applied to the output grid with
-//! [`TileRun::apply_to`]. [`execute_plan_on`] is the serial driver built
-//! from the same pieces, so every backend produces bit-identical grids and
-//! counter totals by construction.
+//! [`TileRun::apply_to`]. [`execute_plan_with`] is the one temporal-block
+//! driver built from those pieces; its caller only chooses how the tiles
+//! of a block are mapped ([`execute_plan_on`] maps them inline, the
+//! `an5d-backend` crate over its worker pool), so every schedule produces
+//! bit-identical grids and counter totals by construction.
 //!
-//! # Row-major fast path
+//! # Row kernels
 //!
-//! [`TileContext::execute_tile_rows`] executes the same tile through a
-//! vectorization-friendly kernel: the stencil expression is compiled once
-//! per tile into a postfix tape whose cell loads are *flat* offsets in the
-//! local row-major layout, and the tape is evaluated a whole row at a time
-//! over contiguous stride-1 slices. All halo/bounds logic is hoisted out
-//! of the inner loop into per-dimension updatable ranges, so the inner
-//! loops are plain elementwise passes the compiler can autovectorize.
-//! Because every cell still goes through the exact scalar operation
-//! sequence of [`eval_expr`] (a postfix tape evaluates a tree in the same
-//! order the recursive evaluator does, and lanes never interact), the
-//! resulting grid and counters are bit-identical to
-//! [`TileContext::execute_tile`] for both `f32` and `f64`.
+//! A tile is executed through a vectorization-friendly kernel: the stencil
+//! expression is compiled once per tile into a postfix tape whose cell
+//! loads are *flat* offsets in the local row-major layout, and the tape is
+//! evaluated a whole row at a time over contiguous stride-1 slices. All
+//! halo/bounds logic is hoisted out of the inner loop into per-dimension
+//! updatable ranges, so the inner loops are plain elementwise passes the
+//! compiler can autovectorize. Every cell still goes through the exact
+//! scalar operation sequence of [`an5d_stencil::exec::eval_expr`] (a
+//! postfix tape evaluates a tree in the same order the recursive evaluator
+//! does, and lanes never interact), which is what keeps the result
+//! bit-identical to the naive per-cell reference sweep for both `f32` and
+//! `f64`.
 
 use crate::TrafficCounters;
 use an5d_expr::{BinOp, Expr, UnOp};
 use an5d_grid::{Element, Grid, GridInit};
 use an5d_plan::{practical_shared_reads, KernelPlan};
-use an5d_stencil::exec::eval_expr;
 use an5d_stencil::StencilProblem;
 
 /// Result of a blocked run: the final grid plus the work/traffic counters.
@@ -214,120 +214,11 @@ impl<'a> TileContext<'a> {
     /// write-back region plus its counter deltas) is returned detached so
     /// the caller decides when and where to apply it. `current` must have
     /// the problem's padded grid shape.
-    #[must_use]
-    pub fn execute_tile<T: Element>(
-        &self,
-        current: &Grid<T>,
-        tile: &TileSpec,
-        chunk: usize,
-    ) -> TileRun<T> {
-        let def = self.plan.def();
-        let rad = def.radius();
-        let shape = &self.shape;
-        let ndim = shape.len();
-        let mut counters = TrafficCounters::new();
-
-        // Local box bounds in stored-grid coordinates: the compute region
-        // plus the recomputation halo plus one stencil radius of read-only
-        // data, clipped to the stored grid.
-        let mut lo = vec![0usize; ndim];
-        let mut hi = vec![0usize; ndim];
-        for d in 0..ndim {
-            let (origin, len, halo) = tile.dims[d];
-            lo[d] = origin.saturating_sub(halo);
-            hi[d] = (origin + len + halo + 2 * rad).min(shape[d]);
-        }
-        let local_shape: Vec<usize> = (0..ndim).map(|d| hi[d] - lo[d]).collect();
-
-        // Load the tile from global memory (one read per cell per temporal
-        // block — the defining property of N.5D blocking).
-        let mut src = Grid::<T>::from_fn(&local_shape, |l| {
-            let g: Vec<usize> = l.iter().zip(&lo).map(|(&a, &b)| a + b).collect();
-            current.get(&g)
-        });
-        counters.gm_reads += src.len() as u128;
-        counters.thread_blocks += 1;
-        counters.syncs += self.syncs_per_plane * local_shape[0] as u128;
-
-        let expr = def.expr();
-        for _step in 0..chunk {
-            let mut dst = src.clone();
-            let mut idx = vec![0usize; ndim];
-            let total: usize = local_shape.iter().product();
-            for flat in 0..total {
-                // Decode the flat index (row-major).
-                let mut rem = flat;
-                for d in (0..ndim).rev() {
-                    idx[d] = rem % local_shape[d];
-                    rem /= local_shape[d];
-                }
-                // (a) all neighbours available within the local box,
-                // (b) the cell is in the global interior (never update the
-                //     boundary ring).
-                let locally_updatable =
-                    (0..ndim).all(|d| idx[d] >= rad && idx[d] + rad < local_shape[d]);
-                if !locally_updatable {
-                    continue;
-                }
-                let globally_interior = (0..ndim).all(|d| {
-                    let g = idx[d] + lo[d];
-                    g >= rad && g + rad < shape[d]
-                });
-                if !globally_interior {
-                    continue;
-                }
-                let resolve = |offset: an5d_expr::Offset| {
-                    let mut n = [0isize; 3];
-                    for (d, (&i, &o)) in idx.iter().zip(offset.components()).enumerate() {
-                        n[d] = i as isize + o as isize;
-                    }
-                    src.at(&n[..ndim]).expect("neighbour inside the local box")
-                };
-                let value = eval_expr(expr, &resolve);
-                dst.set(&idx, value);
-                counters.cell_updates += 1;
-                counters.flops += self.flops_per_update;
-                counters.sm_reads += self.sm_reads_per_update;
-                counters.sm_writes += self.sm_writes_per_update;
-            }
-            src = dst;
-        }
-
-        // Extract the compute region (which always lies in the interior).
-        let origin: Vec<usize> = (0..ndim).map(|d| tile.dims[d].0 + rad).collect();
-        let region: Vec<usize> = (0..ndim).map(|d| tile.dims[d].1).collect();
-        let total: usize = region.iter().product();
-        let mut values = Vec::with_capacity(total);
-        let mut idx = vec![0usize; ndim];
-        for flat in 0..total {
-            let mut rem = flat;
-            for d in (0..ndim).rev() {
-                idx[d] = rem % region[d];
-                rem /= region[d];
-            }
-            let l: Vec<usize> = (0..ndim).map(|d| origin[d] + idx[d] - lo[d]).collect();
-            values.push(src.get(&l));
-        }
-        counters.gm_writes += total as u128;
-        counters.valid_updates += total as u128 * chunk as u128;
-
-        TileRun {
-            origin,
-            region,
-            values,
-            counters,
-        }
-    }
-
-    /// Execute one tile through the row-major fast path.
     ///
-    /// Produces a [`TileRun`] bit-identical (values *and* counters) to
-    /// [`TileContext::execute_tile`] for the same inputs, but restructured
-    /// for autovectorization: the stencil expression is compiled into a
-    /// postfix tape over flat neighbour offsets, halo/bounds checks are
-    /// hoisted into per-dimension updatable ranges, and every inner loop
-    /// (load, update, write-back extraction) runs over contiguous
-    /// stride-1 row slices.
+    /// The stencil expression is compiled into a postfix tape over flat
+    /// neighbour offsets, halo/bounds checks are hoisted into
+    /// per-dimension updatable ranges, and every inner loop (load, update,
+    /// write-back extraction) runs over contiguous stride-1 row slices.
     #[must_use]
     pub fn execute_tile_rows<T: Element>(
         &self,
@@ -342,9 +233,9 @@ impl<'a> TileContext<'a> {
         let inner = ndim - 1;
         let mut counters = TrafficCounters::new();
 
-        // Local box bounds in stored-grid coordinates — identical to the
-        // scalar path: compute region + recomputation halo + one stencil
-        // radius of read-only data, clipped to the stored grid.
+        // Local box bounds in stored-grid coordinates: the compute region
+        // plus the recomputation halo plus one stencil radius of read-only
+        // data, clipped to the stored grid.
         let mut lo = vec![0usize; ndim];
         let mut hi = vec![0usize; ndim];
         for d in 0..ndim {
@@ -377,16 +268,15 @@ impl<'a> TileContext<'a> {
 
         // Updatable range per dimension: the cell's whole neighbourhood
         // must lie inside the local box and the cell itself in the global
-        // interior. Both conditions are per-dimension separable, so the
-        // scalar path's per-cell checks collapse into one interval
+        // interior (never update the boundary ring). Both conditions are
+        // per-dimension separable, so they collapse into one interval
         // intersection per dimension, hoisted out of every inner loop.
         let upd: Vec<(usize, usize)> = (0..ndim)
             .map(|d| {
-                let lo_bound = rad.max(rad.saturating_sub(lo[d]));
                 let hi_bound = local_shape[d]
                     .saturating_sub(rad)
                     .min((shape[d] - rad).saturating_sub(lo[d]));
-                (lo_bound, hi_bound)
+                (rad, hi_bound)
             })
             .collect();
         let updates_per_step: u128 = upd
@@ -468,10 +358,11 @@ enum TapeOp {
 /// whose cell loads are flat deltas in the local row-major layout.
 ///
 /// A postfix tape evaluates the expression tree in exactly the order the
-/// recursive [`eval_expr`] does (left operand, right operand, combine),
-/// and rows are evaluated lane-by-lane with no cross-lane interaction, so
-/// every cell's value is produced by the identical scalar operation
-/// sequence — results are bit-identical for `f32` and `f64` alike.
+/// recursive [`an5d_stencil::exec::eval_expr`] does (left operand, right
+/// operand, combine), and rows are evaluated lane-by-lane with no
+/// cross-lane interaction, so every cell's value is produced by the
+/// identical scalar operation sequence — results are bit-identical for
+/// `f32` and `f64` alike.
 #[derive(Debug, Clone, PartialEq)]
 struct RowKernel {
     ops: Vec<TapeOp>,
@@ -665,7 +556,7 @@ pub fn execute_plan<T: Element>(
 
 /// Execute a kernel plan starting from an explicit initial grid (used by
 /// the equivalence tests to feed the exact same state to the reference and
-/// blocked executors).
+/// blocked executors), one tile after the other on the calling thread.
 ///
 /// # Panics
 ///
@@ -676,6 +567,31 @@ pub fn execute_plan_on<T: Element>(
     problem: &StencilProblem,
     initial: Grid<T>,
 ) -> BlockedRun<T> {
+    execute_plan_with(plan, problem, initial, |tiles, run_tile| {
+        (0..tiles).map(run_tile).collect()
+    })
+}
+
+/// The temporal-block driver behind every blocked run: one kernel launch
+/// per temporal block, each launch being map tiles → clone the grid →
+/// apply the write-backs and sum the counters in canonical tile order.
+///
+/// `map_tiles(n, run_tile)` must return `run_tile(k)` for every `k < n`
+/// in index order; it is free to evaluate them on any threads, because the
+/// tiles of one temporal block only read the block's input grid. Applying
+/// and summing in index order on the calling thread is what makes grids
+/// and counter totals independent of that choice.
+///
+/// # Panics
+///
+/// Panics if the initial grid's shape does not match the problem.
+#[must_use]
+pub fn execute_plan_with<T: Element>(
+    plan: &KernelPlan,
+    problem: &StencilProblem,
+    initial: Grid<T>,
+    map_tiles: impl Fn(usize, &(dyn Fn(usize) -> TileRun<T> + Sync)) -> Vec<TileRun<T>>,
+) -> BlockedRun<T> {
     assert_eq!(
         initial.shape(),
         problem.grid_shape().as_slice(),
@@ -683,13 +599,15 @@ pub fn execute_plan_on<T: Element>(
     );
 
     let ctx = TileContext::new(plan, problem);
+    let tiles = ctx.tiles();
     let mut counters = TrafficCounters::new();
     let mut current = initial;
     for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
-        // Host code: one kernel launch per temporal block.
+        let runs = map_tiles(tiles.len(), &|k| {
+            ctx.execute_tile_rows(&current, &tiles[k], chunk)
+        });
         let mut next = current.clone();
-        for tile in ctx.tiles() {
-            let run = ctx.execute_tile(&current, tile, chunk);
+        for run in runs {
             run.apply_to(&mut next);
             counters += run.counters;
         }
@@ -709,6 +627,34 @@ mod tests {
     use an5d_plan::{BlockConfig, FrameworkScheme};
     use an5d_stencil::{exec::run_reference, suite, StencilDef};
 
+    /// Blocked execution in precision `T` must reproduce the naive
+    /// reference sweep bit for bit; returns the blocked run's counters.
+    fn check_equivalence_in<T: Element>(
+        def: &StencilDef,
+        interior: &[usize],
+        steps: usize,
+        bt: usize,
+        bs: &[usize],
+        hsn: Option<usize>,
+    ) -> TrafficCounters {
+        let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
+        let config = BlockConfig::new(bt, bs, hsn, T::PRECISION).unwrap();
+        let plan = KernelPlan::build(def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+        let init = GridInit::Hash { seed: 42 };
+        let reference = run_reference::<T>(&problem, init);
+        let blocked = execute_plan::<T>(&plan, &problem, init);
+        let diff = GridDiff::compute(&reference, &blocked.grid).unwrap();
+        assert!(
+            diff.is_exact(),
+            "{} ({:?}): blocked execution diverged (max abs {:.3e} at {})",
+            def.name(),
+            T::PRECISION,
+            diff.max_abs,
+            diff.worst_flat_index
+        );
+        blocked.counters
+    }
+
     fn check_equivalence(
         def: StencilDef,
         interior: &[usize],
@@ -717,21 +663,7 @@ mod tests {
         bs: &[usize],
         hsn: Option<usize>,
     ) -> TrafficCounters {
-        let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
-        let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
-        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let init = GridInit::Hash { seed: 42 };
-        let reference = run_reference::<f64>(&problem, init);
-        let blocked = execute_plan::<f64>(&plan, &problem, init);
-        let diff = GridDiff::compute(&reference, &blocked.grid).unwrap();
-        assert!(
-            diff.is_exact(),
-            "{}: blocked execution diverged (max abs {:.3e} at {})",
-            def.name(),
-            diff.max_abs,
-            diff.worst_flat_index
-        );
-        blocked.counters
+        check_equivalence_in::<f64>(&def, interior, steps, bt, bs, hsn)
     }
 
     #[test]
@@ -797,7 +729,7 @@ mod tests {
         let runs: Vec<TileRun<f64>> = ctx
             .tiles()
             .iter()
-            .map(|tile| ctx.execute_tile(&current, tile, 3))
+            .map(|tile| ctx.execute_tile_rows(&current, tile, 3))
             .collect();
 
         // Applying the detached runs in forward and reverse order gives the
@@ -812,7 +744,7 @@ mod tests {
         }
         assert_eq!(forward, reverse);
 
-        // And the serial driver built on the same pieces agrees with a
+        // And the driver built on the same pieces agrees with a
         // one-temporal-block execution.
         let serial = execute_plan_on::<f64>(&plan, &problem, current);
         assert_eq!(serial.grid, forward);
@@ -828,7 +760,7 @@ mod tests {
         let reference = run_reference::<f32>(&problem, init);
         let blocked = execute_plan::<f32>(&plan, &problem, init);
         let diff = GridDiff::compute(&reference, &blocked.grid).unwrap();
-        assert!(diff.max_abs <= 1e-5, "f32 divergence too large: {diff:?}");
+        assert!(diff.is_exact(), "f32 blocked run diverged: {diff:?}");
     }
 
     #[test]
@@ -896,6 +828,8 @@ mod tests {
         assert_eq!(divided.valid_updates, undivided.valid_updates);
     }
 
+    /// The row kernels against the scalar path that remains — the naive
+    /// per-cell reference sweep — in both precisions.
     fn check_rows_path_matches_scalar_path(
         def: StencilDef,
         interior: &[usize],
@@ -904,23 +838,16 @@ mod tests {
         bs: &[usize],
         hsn: Option<usize>,
     ) {
-        let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
-        let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
-        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let ctx = TileContext::new(&plan, &problem);
-        let init = GridInit::Hash { seed: 23 };
-        let current64 = Grid::<f64>::from_init(&problem.grid_shape(), init);
-        let current32 = Grid::<f32>::from_init(&problem.grid_shape(), init);
-        for chunk in temporal_chunks(problem.time_steps(), bt) {
-            for tile in ctx.tiles() {
-                let scalar = ctx.execute_tile(&current64, tile, chunk);
-                let rows = ctx.execute_tile_rows(&current64, tile, chunk);
-                assert_eq!(scalar, rows, "{}: f64 tile diverged", def.name());
-                let scalar32 = ctx.execute_tile(&current32, tile, chunk);
-                let rows32 = ctx.execute_tile_rows(&current32, tile, chunk);
-                assert_eq!(scalar32, rows32, "{}: f32 tile diverged", def.name());
-            }
-        }
+        let double = check_equivalence_in::<f64>(&def, interior, steps, bt, bs, hsn);
+        let single = check_equivalence_in::<f32>(&def, interior, steps, bt, bs, hsn);
+        // Work and traffic are counted in cells, not bytes: the precision
+        // must not move them.
+        assert_eq!(
+            double,
+            single,
+            "{}: counters depend on precision",
+            def.name()
+        );
     }
 
     #[test]

@@ -36,7 +36,8 @@ pub mod timing;
 pub use counters::TrafficCounters;
 pub use device::GpuDevice;
 pub use exec::{
-    execute_plan, execute_plan_on, temporal_chunks, BlockedRun, TileContext, TileRun, TileSpec,
+    execute_plan, execute_plan_on, execute_plan_with, temporal_chunks, BlockedRun, TileContext,
+    TileRun, TileSpec,
 };
 pub use occupancy::{Occupancy, OccupancyLimit};
 pub use profile::WorkloadProfile;

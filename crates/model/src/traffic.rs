@@ -1,11 +1,12 @@
 //! Analytic thread classification and traffic counting (Section 5, step 1).
 //!
-//! The functional executor in `an5d-gpusim` counts work by actually doing
-//! it; that is exact but infeasible at the paper's 16,384² × 1,000-step
-//! scale. This module computes the *same* counts purely from the blocking
-//! geometry (it walks tiles, not cells), so the two agree exactly on small
-//! problems (covered by tests) and the analytic path scales to paper-size
-//! problems in microseconds.
+//! The functional executor in `an5d-gpusim` counts the work of a run
+//! while doing it, tile by tile (each tile adds its updatable box times
+//! its steps); that is exact but infeasible at the paper's 16,384² ×
+//! 1,000-step scale. This module computes the *same* counts purely from
+//! the blocking geometry, without touching grid data, so the two agree
+//! exactly on small problems (covered by tests) and the analytic path
+//! scales to paper-size problems in microseconds.
 
 use an5d_gpusim::TrafficCounters;
 use an5d_plan::{practical_shared_reads, KernelPlan};

@@ -1,7 +1,7 @@
 //! A shared, persistent worker pool for the AN5D workspace.
 //!
 //! Before this crate existed, every parallel site in the workspace —
-//! tuner candidate ranking, `ParallelCpuBackend` tile fan-out, the
+//! tuner candidate ranking, the CPU backend's tile fan-out, the
 //! `BatchDriver` job queue and plan-cache warming — spawned fresh OS
 //! threads through `std::thread::scope` on **every call**. That is
 //! correct but wasteful: a tuning sweep over a paper-scale search space
@@ -566,8 +566,8 @@ fn worker_loop(shared: &PoolShared) {
 
 static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
-/// The process-wide shared pool used by the tuner, the parallel CPU
-/// backend, the batch driver and plan-cache warming.
+/// The process-wide shared pool used by the tuner, the CPU execution
+/// backends, the batch driver and plan-cache warming.
 ///
 /// Created on first use with [`default_threads`] workers; the pool lives
 /// for the rest of the process (its threads park on a condvar while

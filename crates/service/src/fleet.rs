@@ -359,29 +359,6 @@ impl Fleet {
         }
     }
 
-    /// Run one device's shard on its own execution backend (the rest of
-    /// the fleet keeps the backend it was built with). The shard's batch
-    /// driver is rebuilt on the new backend over the same cache shard —
-    /// backends are semantically transparent, so routing is unaffected;
-    /// only that shard's `/execute` speed (and its `"backend"` entry in
-    /// `/stats`) changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` names no shard — a per-shard backend override is
-    /// startup configuration, and a typo'd device must fail loudly.
-    #[must_use]
-    pub fn with_shard_backend(mut self, id: &DeviceId, backend: Arc<dyn ExecutionBackend>) -> Self {
-        let shard = self
-            .shards
-            .get_mut(id)
-            .unwrap_or_else(|| panic!("no shard for device {id}"));
-        shard.driver = BatchDriver::new(backend)
-            .with_cache(Arc::clone(&shard.cache))
-            .with_workers(1);
-        self
-    }
-
     /// The attached tuning database, if any.
     #[must_use]
     pub fn tune_db(&self) -> Option<&Arc<TuneDb>> {
@@ -682,28 +659,6 @@ mod tests {
         assert_eq!(fleet.tunedb_json().render(), r#"{"enabled":false}"#);
         let shard = fleet.shard(&DeviceId::new("v100")).unwrap();
         assert_eq!(shard.tunedb_stats(), ShardTuneDbStats::default());
-    }
-
-    #[test]
-    fn shard_backend_overrides_rebuild_only_that_shard() {
-        use an5d::VectorCpuBackend;
-        let p100 = DeviceId::new("p100");
-        let fleet = fleet().with_shard_backend(&p100, Arc::new(VectorCpuBackend::new(2)));
-        assert_eq!(fleet.shard(&p100).unwrap().backend().name(), "vector");
-        assert_eq!(
-            fleet
-                .shard(&DeviceId::new("v100"))
-                .unwrap()
-                .backend()
-                .name(),
-            "serial",
-            "the rest of the fleet keeps its backend"
-        );
-        // The override rebuilt the driver over the same cache shard.
-        let shard = fleet.shard(&p100).unwrap();
-        assert!(Arc::ptr_eq(shard.cache(), shard.driver().cache()));
-        let rendered = fleet.stats_json().render();
-        assert!(rendered.contains("vector (2 pool executors"), "{rendered}");
     }
 
     #[test]

@@ -107,24 +107,6 @@ impl ServiceState {
         }
     }
 
-    /// Run one device's shard on its own execution backend (metered like
-    /// the default one); see [`Fleet::with_shard_backend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` names no registered device.
-    #[must_use]
-    pub fn with_shard_backend(
-        mut self,
-        id: &an5d::DeviceId,
-        backend: Arc<dyn ExecutionBackend>,
-    ) -> Self {
-        let metered: Arc<dyn ExecutionBackend> =
-            Arc::new(MeteredBackend::new(backend, Arc::clone(&self.metrics)));
-        self.fleet = self.fleet.with_shard_backend(id, metered);
-        self
-    }
-
     /// Retain at most `capacity` completed traces for `GET /trace`.
     #[must_use]
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {

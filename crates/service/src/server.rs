@@ -96,7 +96,7 @@ pub struct ServerConfig {
     pub slow_request_threshold: Duration,
     /// Completed request traces retained for `GET /trace`.
     pub trace_capacity: usize,
-    /// Execution backend spec (`serial`, `parallel[:N]`, `vector[:N]` —
+    /// Execution backend spec (`serial`, `vector[:N]` —
     /// see [`an5d::create_backend`]). `None` (the default) falls back to
     /// the `AN5D_BACKEND` environment variable; the `an5d-serve` binary
     /// resolves `--backend` into this field. Unlike the env fallback, an
@@ -373,7 +373,7 @@ impl Server {
                     io::ErrorKind::InvalidInput,
                     format!(
                         "unknown backend spec {spec:?} (expected one of {:?}, \
-                         optionally with :<threads>)",
+                         or vector:<threads>)",
                         an5d::available_backends()
                     ),
                 )

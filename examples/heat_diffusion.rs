@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example heat_diffusion`. The blocked execution
 //! goes through the registered execution backend, so
-//! `AN5D_BACKEND=parallel cargo run --example heat_diffusion` runs the
+//! `AN5D_BACKEND=vector cargo run --example heat_diffusion` runs the
 //! tiles of each temporal block across all CPUs — with bit-identical
 //! output.
 

@@ -1,173 +1,156 @@
-//! The backend-subsystem contract: every execution backend produces
-//! bit-identical `f64` grids and identical counters to the naive
-//! reference executor and to the serial backend, across suite stencils
-//! and thread counts — and the plan cache answers repeated keys with the
-//! identical plan.
+//! The backend-subsystem contract: the one blocked executor, at any
+//! thread count, returns the grid of the naive reference sweep bit for
+//! bit (`f32` and `f64`) and the counters of the analytic tile walk,
+//! across suite stencils, tuned configurations and random odd geometries
+//! — and the plan cache answers repeated keys with the identical plan.
 
 use an5d::reference::run_reference;
 use an5d::{
-    create_backend, BatchDriver, BatchJob, BlockConfig, ExecutionBackend, FrameworkScheme, Grid,
-    GridDiff, GridInit, KernelPlan, ParallelCpuBackend, PlanCache, Precision, SerialBackend,
-    StencilDef, StencilProblem, VectorCpuBackend,
+    analytic_counters, create_backend, BackendElement, BatchDriver, BatchJob, BlockConfig,
+    ExecutionBackend, FrameworkScheme, Grid, GridDiff, GridInit, KernelPlan, PlanCache, Precision,
+    SerialBackend, StencilDef, StencilProblem, VectorCpuBackend,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Representative suite slice: 2D star, 2D box (non-associative path) and
-/// a 3D star with streaming division.
-fn workloads() -> Vec<(StencilDef, Vec<usize>, usize, BlockConfig)> {
-    use an5d::suite;
-    vec![
-        (
-            suite::j2d5pt(),
-            vec![28, 26],
-            7,
-            BlockConfig::new(3, &[12], Some(12), Precision::Double).unwrap(),
-        ),
-        (
-            suite::box2d(1),
-            vec![20, 24],
-            5,
-            BlockConfig::new(2, &[10], None, Precision::Double).unwrap(),
-        ),
-        (
-            suite::star3d(1),
-            vec![12, 10, 14],
-            5,
-            BlockConfig::new(2, &[8, 10], Some(6), Precision::Double).unwrap(),
-        ),
-    ]
-}
-
-#[test]
-fn parallel_backend_is_bit_identical_to_reference_and_serial() {
-    for (def, interior, steps, config) in workloads() {
-        let problem = StencilProblem::new(def.clone(), &interior, steps).unwrap();
-        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let init = GridInit::Hash { seed: 2020 };
-        let reference = run_reference::<f64>(&problem, init);
-        let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);
-
-        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-        let diff = GridDiff::compute(&reference, &serial.grid).unwrap();
+/// One row of the equivalence table: `backend` executing
+/// (def, interior, steps, config) from the `seed`ed initial grid in
+/// `precision` must return the naive double-buffered sweep's grid bit for
+/// bit and count exactly what the analytic tile walk counts.
+fn assert_matches_oracles(
+    backend: &dyn ExecutionBackend,
+    def: &StencilDef,
+    interior: &[usize],
+    steps: usize,
+    config: &BlockConfig,
+    precision: Precision,
+    seed: u64,
+) {
+    fn check<T: BackendElement>(
+        backend: &dyn ExecutionBackend,
+        def: &StencilDef,
+        interior: &[usize],
+        steps: usize,
+        config: &BlockConfig,
+        seed: u64,
+    ) {
+        let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
+        let plan = KernelPlan::build(def, &problem, config, FrameworkScheme::an5d()).unwrap();
+        let init = GridInit::Hash { seed };
+        let initial = Grid::<T>::from_init(&problem.grid_shape(), init);
+        let run = T::execute_on(backend, &plan, &problem, initial);
+        let what = format!(
+            "{} {interior:?}x{steps} with {config} in {:?} on {}",
+            def.name(),
+            T::PRECISION,
+            backend.describe()
+        );
+        let diff = GridDiff::compute(&run_reference::<T>(&problem, init), &run.grid).unwrap();
         assert!(
             diff.is_exact(),
-            "{}: serial diverged from reference",
-            def.name()
+            "{what}: diverged from the reference sweep (max {:.3e} at {})",
+            diff.max_abs,
+            diff.worst_flat_index
         );
-
-        for threads in [2usize, 5] {
-            let parallel =
-                ParallelCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
-            assert_eq!(
-                serial.grid,
-                parallel.grid,
-                "{}: parallel[{threads}] grid differs from serial",
-                def.name()
-            );
-            let diff = GridDiff::compute(&reference, &parallel.grid).unwrap();
-            assert!(
-                diff.is_exact(),
-                "{}: parallel[{threads}] diverged from reference (max {:.3e})",
-                def.name(),
-                diff.max_abs
-            );
-            assert_eq!(
-                serial.counters,
-                parallel.counters,
-                "{}: parallel[{threads}] counters differ",
-                def.name()
-            );
-        }
+        assert_eq!(
+            run.counters,
+            analytic_counters(&plan, &problem),
+            "{what}: counters differ from the analytic walk"
+        );
     }
+    match precision {
+        Precision::Single => check::<f32>(backend, def, interior, steps, config, seed),
+        Precision::Double => check::<f64>(backend, def, interior, steps, config, seed),
+    }
+}
+
+/// Representative suite slice — 2D star, 2D box (non-associative path)
+/// and a 3D star with streaming division — followed by the tile
+/// geometries of the executor's own unit tests: second-order and
+/// non-linear (sqrt, division) expressions, a 27-point 3D box, tile
+/// lengths that do not divide the interior, radius-2 halos and a
+/// remainder temporal block.
+fn workloads() -> Vec<(StencilDef, Vec<usize>, usize, BlockConfig)> {
+    use an5d::suite;
+    let row = |def, interior: &[usize], steps, bt, bs: &[usize], hsn| {
+        let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
+        (def, interior.to_vec(), steps, config)
+    };
+    vec![
+        row(suite::j2d5pt(), &[28, 26], 7, 3, &[12], Some(12)),
+        row(suite::box2d(1), &[20, 24], 5, 2, &[10], None),
+        row(suite::star3d(1), &[12, 10, 14], 5, 2, &[8, 10], Some(6)),
+        row(suite::j2d5pt(), &[24, 30], 7, 3, &[16], None),
+        row(suite::j2d9pt(), &[20, 26], 6, 2, &[18], None),
+        row(suite::box2d(1), &[16, 16], 5, 2, &[12], None),
+        row(suite::gradient2d(), &[18, 18], 4, 2, &[14], None),
+        row(suite::j2d5pt(), &[32, 20], 6, 2, &[16], Some(8)),
+        row(suite::star3d(1), &[10, 12, 14], 5, 2, &[10, 12], None),
+        row(suite::j3d27pt(), &[12, 10, 10], 4, 1, &[8, 8], Some(6)),
+        row(suite::star2d(2), &[17, 13], 5, 2, &[13], None),
+        row(suite::j2d5pt(), &[9, 25], 4, 3, &[11], Some(5)),
+    ]
 }
 
 #[test]
 fn vector_backend_is_bit_identical_to_reference_and_serial() {
     for (def, interior, steps, config) in workloads() {
+        for precision in [Precision::Single, Precision::Double] {
+            let check = |backend: &dyn ExecutionBackend| {
+                assert_matches_oracles(backend, &def, &interior, steps, &config, precision, 2020);
+            };
+            check(&SerialBackend);
+            for threads in [1usize, 2, 3, 5, 8] {
+                check(&VectorCpuBackend::new(threads));
+            }
+        }
+    }
+}
+
+#[test]
+fn serial_backend_is_the_vector_backend_at_one_thread() {
+    fn runs_are_equal<T: BackendElement>(plan: &KernelPlan, problem: &StencilProblem) {
+        let vector1 = create_backend("vector:1").unwrap();
+        let initial = Grid::<T>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 11 });
+        assert_eq!(
+            T::execute_on(&SerialBackend, plan, problem, initial.clone()),
+            T::execute_on(vector1.as_ref(), plan, problem, initial),
+            "{} in {:?}",
+            plan.def().name(),
+            T::PRECISION
+        );
+    }
+    for (def, interior, steps, config) in workloads() {
         let problem = StencilProblem::new(def.clone(), &interior, steps).unwrap();
         let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let init = GridInit::Hash { seed: 2020 };
-        let reference = run_reference::<f64>(&problem, init);
-        let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);
-        let initial32 = Grid::<f32>::from_init(&problem.grid_shape(), init);
-
-        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-        let serial32 = SerialBackend.execute_f32(&plan, &problem, initial32.clone());
-        for threads in [1usize, 2, 5] {
-            let vector =
-                VectorCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
-            assert_eq!(
-                serial.grid,
-                vector.grid,
-                "{}: vector[{threads}] f64 grid differs from serial",
-                def.name()
-            );
-            let diff = GridDiff::compute(&reference, &vector.grid).unwrap();
-            assert!(
-                diff.is_exact(),
-                "{}: vector[{threads}] diverged from reference (max {:.3e})",
-                def.name(),
-                diff.max_abs
-            );
-            assert_eq!(
-                serial.counters,
-                vector.counters,
-                "{}: vector[{threads}] counters differ",
-                def.name()
-            );
-            let vector32 =
-                VectorCpuBackend::new(threads).execute_f32(&plan, &problem, initial32.clone());
-            assert_eq!(
-                serial32.grid,
-                vector32.grid,
-                "{}: vector[{threads}] f32 grid differs from serial",
-                def.name()
-            );
-            assert_eq!(
-                serial32.counters,
-                vector32.counters,
-                "{}: vector[{threads}] f32 counters differ",
-                def.name()
-            );
-        }
+        runs_are_equal::<f32>(&plan, &problem);
+        runs_are_equal::<f64>(&plan, &problem);
     }
 }
 
 #[test]
 fn vector_backend_matches_serial_for_tuned_configs_on_every_registry_device() {
     // Each registry profile tunes to a different winning configuration;
-    // whatever geometry a device's tuner picks, the vector backend must
-    // execute it bit-for-bit like the serial backend (both precisions).
+    // whatever geometry a device's tuner picks, the executor must run it
+    // bit-for-bit like the reference sweep, inline and over the pool.
     use an5d::{SearchSpace, Tuner};
     let def = an5d::suite::star2d(1);
-    let problem = StencilProblem::new(def.clone(), &[40, 36], 6).unwrap();
+    let interior = [40, 36];
+    let problem = StencilProblem::new(def.clone(), &interior, 6).unwrap();
     let registry = an5d::standard_registry();
     assert!(registry.len() >= 4, "expected the four standard profiles");
-    for (id, device) in registry.devices() {
+    for (_, device) in registry.devices() {
         for precision in [Precision::Single, Precision::Double] {
             let space = SearchSpace::quick(2, precision);
             let result = Tuner::new(device.clone(), precision)
                 .tune(&def, &problem, &space)
                 .unwrap();
-            let config = result.best.config.clone();
-            let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-            let init = GridInit::Hash { seed: 9 };
-            match precision {
-                Precision::Single => {
-                    let initial = Grid::<f32>::from_init(&problem.grid_shape(), init);
-                    let serial = SerialBackend.execute_f32(&plan, &problem, initial.clone());
-                    let vector = VectorCpuBackend::new(3).execute_f32(&plan, &problem, initial);
-                    assert_eq!(serial.grid, vector.grid, "{id}: f32 grid with {config}");
-                    assert_eq!(serial.counters, vector.counters, "{id}: f32 counters");
-                }
-                Precision::Double => {
-                    let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);
-                    let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-                    let vector = VectorCpuBackend::new(3).execute_f64(&plan, &problem, initial);
-                    assert_eq!(serial.grid, vector.grid, "{id}: f64 grid with {config}");
-                    assert_eq!(serial.counters, vector.counters, "{id}: f64 counters");
-                }
+            let config = &result.best.config;
+            for backend in [
+                &SerialBackend as &dyn ExecutionBackend,
+                &VectorCpuBackend::new(3),
+            ] {
+                assert_matches_oracles(backend, &def, &interior, 6, config, precision, 9);
             }
         }
     }
@@ -176,10 +159,11 @@ fn vector_backend_matches_serial_for_tuned_configs_on_every_registry_device() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Randomised vector-vs-serial equivalence over odd tile/halo
-    /// geometries: random star/box stencil and radius, random temporal
-    /// degree, deliberately odd-capable block sizes, optional streaming
-    /// division, random thread counts and both precisions.
+    /// Randomised equivalence over odd tile/halo geometries: random
+    /// star/box stencil and radius, random temporal degree (with
+    /// remainder blocks), deliberately odd-capable block sizes, optional
+    /// streaming division, random thread counts (often more than there
+    /// are tiles) and both precisions.
     #[test]
     fn vector_backend_matches_serial_on_random_odd_geometries(
         star in any::<bool>(),
@@ -200,21 +184,8 @@ proptest! {
         let bs = 2 * bt * radius + 3 + extra_block;
         let precision = if double { Precision::Double } else { Precision::Single };
         let config = BlockConfig::new(bt, &[bs], stream_div, precision).unwrap();
-        let problem = StencilProblem::new(def.clone(), &[height, width], steps).unwrap();
-        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let init = GridInit::Hash { seed };
-        if double {
-            let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);
-            let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-            let vector = VectorCpuBackend::new(threads).execute_f64(&plan, &problem, initial);
-            prop_assert_eq!(&serial.grid, &vector.grid, "{} with {}: f64 grid", def.name(), config);
-            prop_assert_eq!(serial.counters, vector.counters, "{} with {}: f64 counters", def.name(), config);
-        } else {
-            let initial = Grid::<f32>::from_init(&problem.grid_shape(), init);
-            let serial = SerialBackend.execute_f32(&plan, &problem, initial.clone());
-            let vector = VectorCpuBackend::new(threads).execute_f32(&plan, &problem, initial);
-            prop_assert_eq!(&serial.grid, &vector.grid, "{} with {}: f32 grid", def.name(), config);
-            prop_assert_eq!(serial.counters, vector.counters, "{} with {}: f32 counters", def.name(), config);
+        for backend in [&SerialBackend as &dyn ExecutionBackend, &VectorCpuBackend::new(threads)] {
+            assert_matches_oracles(backend, &def, &[height, width], steps, &config, precision, seed);
         }
     }
 
@@ -232,23 +203,19 @@ proptest! {
         width in 8usize..15,
         steps in 1usize..=5,
         threads in 2usize..=5,
+        double in any::<bool>(),
         seed in any::<u64>(),
     ) {
         use an5d::suite;
         let def = suite::star3d(1);
         let bs_y = 2 * bt + 3 + extra_y;
         let bs_x = 2 * bt + 3 + extra_x;
-        let config =
-            BlockConfig::new(bt, &[bs_y, bs_x], stream_div, Precision::Double).unwrap();
-        let problem =
-            StencilProblem::new(def.clone(), &[depth, height, width], steps).unwrap();
-        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        let init = GridInit::Hash { seed };
-        let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);
-        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-        let vector = VectorCpuBackend::new(threads).execute_f64(&plan, &problem, initial);
-        prop_assert_eq!(&serial.grid, &vector.grid, "star3d1r with {}: grid", config);
-        prop_assert_eq!(serial.counters, vector.counters, "star3d1r with {}: counters", config);
+        let precision = if double { Precision::Double } else { Precision::Single };
+        let config = BlockConfig::new(bt, &[bs_y, bs_x], stream_div, precision).unwrap();
+        let interior = [depth, height, width];
+        for backend in [&SerialBackend as &dyn ExecutionBackend, &VectorCpuBackend::new(threads)] {
+            assert_matches_oracles(backend, &def, &interior, steps, &config, precision, seed);
+        }
     }
 }
 
@@ -259,7 +226,8 @@ fn registry_backends_agree_through_the_facade() {
     let an5d = an5d::An5d::benchmark("j2d9pt").unwrap();
     let problem = an5d.problem(&[24, 22], 5).unwrap();
     let config = BlockConfig::new(2, &[14], None, Precision::Double).unwrap();
-    for spec in ["serial", "parallel", "parallel:3", "vector", "vector:3"] {
+    assert!(create_backend("parallel").is_none());
+    for spec in ["serial", "vector", "vector:3"] {
         let backend = create_backend(spec).unwrap();
         let report = an5d
             .clone()
@@ -303,11 +271,11 @@ fn batch_driver_runs_a_suite_identically_on_both_backends() {
         .map(|(def, interior, steps, config)| BatchJob::new(def, &interior, steps, config))
         .collect();
     let serial = BatchDriver::new(Arc::new(SerialBackend)).run(&jobs);
-    let parallel = BatchDriver::new(Arc::new(ParallelCpuBackend::new(4)))
+    let pooled = BatchDriver::new(Arc::new(VectorCpuBackend::new(4)))
         .with_workers(2)
         .run(&jobs);
     assert_eq!(serial.len(), jobs.len());
-    for (a, b) in serial.iter().zip(&parallel) {
+    for (a, b) in serial.iter().zip(&pooled) {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(a.name, b.name);
         assert_eq!(a.checksum, b.checksum, "{}", a.name);
