@@ -91,9 +91,11 @@ pub trait ExecutionBackend: Send + Sync {
 /// ([`an5d_runtime::global`]), claimed one at a time (dynamic scheduling,
 /// so an expensive tile never serialises a static chunk behind it). The
 /// slot index doubles as the tile index and
-/// [`an5d_gpusim::execute_plan_with`] applies the detached tile runs in
-/// that order on the driving thread, so grids and counter totals do not
-/// depend on `threads`; a cap of 1 runs every tile inline on the caller.
+/// [`an5d_gpusim::execute_plan_with`] — which ping-pongs two grids across
+/// the temporal blocks, cloning the input once per run — row-copies the
+/// detached tile runs into the other grid and sums their counters in that
+/// order on the driving thread, so grids and counter totals do not depend
+/// on `threads`; a cap of 1 runs every tile inline on the caller.
 fn execute_blocked<T: Element>(
     threads: usize,
     plan: &KernelPlan,
@@ -140,15 +142,16 @@ impl ExecutionBackend for SerialBackend {
 ///
 /// Each tile runs the row kernels of
 /// [`an5d_gpusim::TileContext::execute_tile_rows`]: the stencil expression
-/// compiled into a postfix tape over flat neighbour offsets and evaluated
-/// a whole row at a time over contiguous stride-1 slices, with all
-/// halo/bounds logic hoisted out of the inner loops — the shape the
-/// compiler autovectorizes, monomorphic per precision.
+/// compiled into a tape of one instruction per operation, constants and
+/// neighbour rows (slices of the tile at flat offsets, read in place)
+/// being operands of the instruction that consumes them, evaluated a
+/// whole row at a time over contiguous stride-1 slices straight into the
+/// output row, with all halo/bounds logic hoisted out of the inner loops —
+/// the shape the compiler autovectorizes, monomorphic per precision.
 ///
 /// Determinism: every cell value is produced by exactly one tile through
-/// the scalar operation sequence of the naive reference sweep (the tape
-/// evaluates the expression tree in the recursive evaluator's order and
-/// lanes never interact), and counters are aggregated in canonical tile
+/// the scalar operations of the naive reference sweep, operand for operand
+/// (lanes never interact), and counters are aggregated in canonical tile
 /// order — grids *and* counter totals are the same for any thread count.
 /// Temporal blocks stay sequential (block *k + 1* consumes the grid block
 /// *k* produced).

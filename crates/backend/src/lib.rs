@@ -13,9 +13,9 @@
 //!
 //! * [`ExecutionBackend`] implementations. There is one executor — the
 //!   row-kernel tile executor of `an5d-gpusim` (the stencil expression
-//!   compiled into a postfix tape evaluated over contiguous stride-1 row
-//!   slices, the shape the compiler autovectorizes) under one
-//!   temporal-block driver — and the only choice is how many threads run
+//!   compiled into a fused-operand tape evaluated over contiguous
+//!   stride-1 row slices, the shape the compiler autovectorizes) under
+//!   one temporal-block driver — and the only choice is how many threads run
 //!   tiles at once: [`VectorCpuBackend`] fans the independent spatial
 //!   tiles of each temporal block out across the shared persistent
 //!   worker pool of `an5d-runtime` with a concurrency cap of N, and

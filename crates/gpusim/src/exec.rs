@@ -19,30 +19,44 @@
 //! enumerates the tiles of one temporal block and
 //! [`TileContext::execute_tile_rows`] runs a single tile into a detached
 //! [`TileRun`] that is later applied to the output grid with
-//! [`TileRun::apply_to`]. [`execute_plan_with`] is the one temporal-block
-//! driver built from those pieces; its caller only chooses how the tiles
-//! of a block are mapped ([`execute_plan_on`] maps them inline, the
-//! `an5d-backend` crate over its worker pool), so every schedule produces
-//! bit-identical grids and counter totals by construction.
+//! [`TileRun::apply_to`] — one contiguous row copy per innermost row of
+//! the region. [`execute_plan_with`] is the one temporal-block driver built
+//! from those pieces: it ping-pongs two grids like the generated host loop
+//! ping-pongs `A[t % 2]` (one grid clone per run; a launch's write-backs
+//! overwrite the whole interior of the other grid and the boundary ring
+//! never changes), and its caller only chooses how the tiles of a block
+//! are mapped ([`execute_plan_on`] maps them inline, the `an5d-backend`
+//! crate over its worker pool), so every schedule produces bit-identical
+//! grids and counter totals by construction.
 //!
 //! # Row kernels
 //!
-//! A tile is executed through a vectorization-friendly kernel: the stencil
-//! expression is compiled once per tile into a postfix tape whose cell
-//! loads are *flat* offsets in the local row-major layout, and the tape is
-//! evaluated a whole row at a time over contiguous stride-1 slices. All
-//! halo/bounds logic is hoisted out of the inner loop into per-dimension
-//! updatable ranges, so the inner loops are plain elementwise passes the
-//! compiler can autovectorize. Every cell still goes through the exact
-//! scalar operation sequence of [`an5d_stencil::exec::eval_expr`] (a
-//! postfix tape evaluates a tree in the same order the recursive evaluator
-//! does, and lanes never interact), which is what keeps the result
-//! bit-identical to the naive per-cell reference sweep for both `f32` and
-//! `f64`.
+//! A tile is executed through a vectorization-friendly kernel. The stencil
+//! expression is compiled once per tile into a tape with one instruction
+//! per *operation* node, in postfix order; the leaves are not instructions
+//! but operands of the instruction that consumes them — a constant is a
+//! broadcast scalar, a neighbour access a slice of the source buffer at a
+//! *flat* offset in the local row-major layout, read in place. The tape is
+//! evaluated a whole row at a time: each instruction is one stride-1 pass
+//! (`leaf ∘ leaf` pushes a row, `top ∘ leaf` / `leaf ∘ top` / unary update
+//! the top row in place, `top ∘ top` folds the top row into the one below),
+//! and the bottom row of the operand stack is the output row itself, so the
+//! last instruction leaves the result where it belongs. j2d5pt is ten
+//! passes over a row and one scratch row. All halo/bounds logic is hoisted
+//! out of the inner loop into per-dimension updatable ranges, and because a
+//! temporal block updates the same box of the tile at every step, its two
+//! local buffers need no copy between steps: outside that box they never
+//! differ from the values loaded.
+//!
+//! Every cell still goes through the exact scalar operations of
+//! [`an5d_stencil::exec::eval_expr`], operand for operand (the value of a
+//! subtree does not depend on when it is computed, and lanes never
+//! interact), which is what keeps the result bit-identical to the naive
+//! per-cell reference sweep for both `f32` and `f64`.
 
 use crate::TrafficCounters;
 use an5d_expr::{BinOp, Expr, UnOp};
-use an5d_grid::{Element, Grid, GridInit};
+use an5d_grid::{DoubleBuffer, Element, Grid, GridInit};
 use an5d_plan::{practical_shared_reads, KernelPlan};
 use an5d_stencil::StencilProblem;
 
@@ -90,19 +104,45 @@ pub struct TileRun<T> {
 }
 
 impl<T: Element> TileRun<T> {
-    /// Write this tile's compute region into the output grid.
+    /// Write this tile's compute region into the output grid: one
+    /// contiguous row copy per innermost row of the region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` has a different rank than the region or the region
+    /// does not fit inside it — flat row copies into a mis-shaped grid
+    /// would otherwise land in the wrong cells silently.
     pub fn apply_to(&self, next: &mut Grid<T>) {
-        let ndim = self.region.len();
-        let mut idx = vec![0usize; ndim];
-        for (flat, &value) in self.values.iter().enumerate() {
-            let mut rem = flat;
-            for d in (0..ndim).rev() {
-                idx[d] = rem % self.region[d];
-                rem /= self.region[d];
-            }
-            let g: Vec<usize> = (0..ndim).map(|d| self.origin[d] + idx[d]).collect();
-            next.set(&g, value);
+        let shape = next.shape();
+        assert_eq!(
+            shape.len(),
+            self.region.len(),
+            "write-back region has rank {} but the grid has rank {}",
+            self.region.len(),
+            shape.len()
+        );
+        for (d, &extent) in shape.iter().enumerate() {
+            assert!(
+                self.origin[d] + self.region[d] <= extent,
+                "write-back region [{}, {}) exceeds grid extent {extent} in dimension {d}",
+                self.origin[d],
+                self.origin[d] + self.region[d]
+            );
         }
+        let inner = shape.len() - 1;
+        let width = self.region[inner];
+        let strides = row_major_strides(shape);
+        let bounds: Vec<(usize, usize)> = self.region[..inner].iter().map(|&e| (0, e)).collect();
+        let cells = next.as_mut_slice();
+        let mut taken = 0usize;
+        for_each_row(&bounds, |outer| {
+            let mut g = self.origin[inner];
+            for d in 0..inner {
+                g += (self.origin[d] + outer[d]) * strides[d];
+            }
+            cells[g..g + width].copy_from_slice(&self.values[taken..taken + width]);
+            taken += width;
+        });
     }
 }
 
@@ -215,10 +255,11 @@ impl<'a> TileContext<'a> {
     /// the caller decides when and where to apply it. `current` must have
     /// the problem's padded grid shape.
     ///
-    /// The stencil expression is compiled into a postfix tape over flat
-    /// neighbour offsets, halo/bounds checks are hoisted into
-    /// per-dimension updatable ranges, and every inner loop (load, update,
-    /// write-back extraction) runs over contiguous stride-1 row slices.
+    /// The stencil expression is compiled into a fused-operand tape over
+    /// flat neighbour offsets (see the module docs), halo/bounds checks
+    /// are hoisted into per-dimension updatable ranges, and every inner
+    /// loop (load, update, write-back extraction) runs over contiguous
+    /// stride-1 row slices.
     #[must_use]
     pub fn execute_tile_rows<T: Element>(
         &self,
@@ -286,22 +327,23 @@ impl<'a> TileContext<'a> {
         let lanes = upd[inner].1.saturating_sub(upd[inner].0);
 
         // Compile the stencil expression for this local geometry and run
-        // the temporal block over a double buffer.
+        // the temporal block over a double buffer. Every step writes the
+        // same updatable box and nothing else, so the two buffers — equal
+        // at the start — stay equal outside it with no per-step copy.
         let kernel = RowKernel::compile(def.expr(), &local_strides);
-        let mut stack: Vec<Vec<T>> = (0..kernel.depth).map(|_| vec![T::ZERO; lanes]).collect();
+        let mut scratch: Vec<Vec<T>> = (1..kernel.depth).map(|_| vec![T::ZERO; lanes]).collect();
         let mut dst = src.clone();
-        for _step in 0..chunk {
-            dst.copy_from_slice(&src);
-            if lanes > 0 {
+        if lanes > 0 {
+            for _step in 0..chunk {
                 for_each_row(&upd[..inner], |outer| {
                     let mut base = upd[inner].0;
                     for d in 0..inner {
                         base += outer[d] * local_strides[d];
                     }
-                    kernel.eval_into(&src, base, &mut stack, &mut dst[base..base + lanes]);
+                    kernel.eval_into(&src, base, &mut scratch, &mut dst[base..base + lanes]);
                 });
+                std::mem::swap(&mut src, &mut dst);
             }
-            std::mem::swap(&mut src, &mut dst);
         }
         let steps = chunk as u128;
         counters.cell_updates += updates_per_step * steps;
@@ -335,34 +377,145 @@ impl<'a> TileContext<'a> {
     }
 }
 
-/// One instruction of a compiled row kernel: a postfix-encoded step of the
-/// stencil expression applied to a whole row of independent cells.
+/// Where an instruction of a compiled row kernel takes an input from.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum TapeOp {
-    /// Push the constant (rounded to `T`), broadcast across the row.
-    PushConst(f64),
-    /// Push the neighbour row at a fixed flat offset from the output row.
-    PushCell(isize),
-    /// Negate the top row in place.
-    Neg,
-    /// Square-root the top row in place.
-    Sqrt,
-    /// Pop two rows, push their elementwise combination.
-    Add,
-    Sub,
-    Mul,
-    Div,
+enum Operand {
+    /// The constant (rounded to `T`), broadcast across the row.
+    Const(f64),
+    /// The neighbour row at a fixed flat offset from the output row, read
+    /// in place from the source buffer.
+    Cell(isize),
+    /// The row on top of the operand stack, which the instruction pops.
+    Top,
 }
 
-/// A stencil expression compiled for one local-box geometry: postfix ops
-/// whose cell loads are flat deltas in the local row-major layout.
+/// One instruction of a compiled row kernel: one operation node of the
+/// stencil expression applied to a whole row of independent cells, its
+/// result pushed on the operand stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum TapeOp {
+    /// The expression is a single leaf. Only ever the sole instruction of
+    /// a tape: everywhere else a leaf is an operand of its consumer.
+    Leaf(Operand),
+    Unary(UnOp, Operand),
+    /// `left ∘ right`; with two [`Operand::Top`]s the right one is the
+    /// topmost row.
+    Binary(BinOp, Operand, Operand),
+}
+
+impl TapeOp {
+    /// How many stack rows the instruction pops before pushing its result.
+    fn pops(&self) -> usize {
+        let popped = |operand: &Operand| usize::from(*operand == Operand::Top);
+        match self {
+            TapeOp::Leaf(a) | TapeOp::Unary(_, a) => popped(a),
+            TapeOp::Binary(_, a, b) => popped(a) + popped(b),
+        }
+    }
+}
+
+/// A resolved instruction input: a broadcast scalar or a row as long as
+/// the output row.
+enum Src<'a, T> {
+    Scalar(T),
+    Row(&'a [T]),
+}
+
+/// The two shapes a row-wise unary operation takes.
+enum Map<'a, T> {
+    /// `dst[i] = f(a[i])`.
+    Into(&'a mut [T], Src<'a, T>),
+    /// `acc[i] = f(acc[i])`.
+    InPlace(&'a mut [T]),
+}
+
+impl<T: Element> Map<'_, T> {
+    #[inline]
+    fn run(self, f: impl Fn(T) -> T) {
+        match self {
+            Map::Into(dst, Src::Row(a)) => {
+                for (d, &x) in dst.iter_mut().zip(a) {
+                    *d = f(x);
+                }
+            }
+            Map::Into(dst, Src::Scalar(x)) => dst.fill(f(x)),
+            Map::InPlace(acc) => {
+                for x in acc {
+                    *x = f(*x);
+                }
+            }
+        }
+    }
+}
+
+/// The three shapes a row-wise binary operation takes, by where its result
+/// lives relative to its inputs (an accumulator row is updated in place).
+enum Zip<'a, T> {
+    /// `dst[i] = f(a[i], b[i])`.
+    Into(&'a mut [T], Src<'a, T>, Src<'a, T>),
+    /// `acc[i] = f(acc[i], b[i])`.
+    Left(&'a mut [T], Src<'a, T>),
+    /// `acc[i] = f(a[i], acc[i])`.
+    Right(Src<'a, T>, &'a mut [T]),
+}
+
+impl<T: Element> Zip<'_, T> {
+    /// Every arm is a stride-1 loop with no bounds logic over rows of one
+    /// length, monomorphic in `f` — the shape the compiler vectorizes.
+    #[inline]
+    fn run(self, f: impl Fn(T, T) -> T) {
+        match self {
+            Zip::Into(dst, Src::Row(a), Src::Row(b)) => {
+                for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                    *d = f(x, y);
+                }
+            }
+            Zip::Into(dst, Src::Row(a), Src::Scalar(y)) => {
+                for (d, &x) in dst.iter_mut().zip(a) {
+                    *d = f(x, y);
+                }
+            }
+            Zip::Into(dst, Src::Scalar(x), Src::Row(b)) => {
+                for (d, &y) in dst.iter_mut().zip(b) {
+                    *d = f(x, y);
+                }
+            }
+            Zip::Into(dst, Src::Scalar(x), Src::Scalar(y)) => dst.fill(f(x, y)),
+            Zip::Left(acc, Src::Row(b)) => {
+                for (x, &y) in acc.iter_mut().zip(b) {
+                    *x = f(*x, y);
+                }
+            }
+            Zip::Left(acc, Src::Scalar(y)) => {
+                for x in acc {
+                    *x = f(*x, y);
+                }
+            }
+            Zip::Right(Src::Row(a), acc) => {
+                for (y, &x) in acc.iter_mut().zip(a) {
+                    *y = f(x, *y);
+                }
+            }
+            Zip::Right(Src::Scalar(x), acc) => {
+                for y in acc {
+                    *y = f(x, *y);
+                }
+            }
+        }
+    }
+}
+
+/// A stencil expression compiled for one local-box geometry: one
+/// instruction per operation node, in postfix order, whose leaf inputs —
+/// constants and cells at flat deltas in the local row-major layout — are
+/// operands of the instruction that consumes them rather than rows pushed
+/// on the stack first.
 ///
-/// A postfix tape evaluates the expression tree in exactly the order the
-/// recursive [`an5d_stencil::exec::eval_expr`] does (left operand, right
-/// operand, combine), and rows are evaluated lane-by-lane with no
-/// cross-lane interaction, so every cell's value is produced by the
-/// identical scalar operation sequence — results are bit-identical for
-/// `f32` and `f64` alike.
+/// Every lane goes through the scalar operations of the recursive
+/// [`an5d_stencil::exec::eval_expr`] with the same operands on the same
+/// sides (a subtree's value does not depend on when it is computed, and
+/// lanes never interact), so results are bit-identical for `f32` and `f64`
+/// alike.
 #[derive(Debug, Clone, PartialEq)]
 struct RowKernel {
     ops: Vec<TapeOp>,
@@ -372,50 +525,42 @@ struct RowKernel {
 
 impl RowKernel {
     fn compile(expr: &Expr, local_strides: &[usize]) -> Self {
-        fn emit(expr: &Expr, strides: &[usize], ops: &mut Vec<TapeOp>) {
+        /// Emit the instructions of a subtree; returns how its consumer
+        /// refers to its value.
+        fn emit(expr: &Expr, strides: &[usize], ops: &mut Vec<TapeOp>) -> Operand {
             match expr {
-                Expr::Const(c) => ops.push(TapeOp::PushConst(*c)),
-                Expr::Cell(offset) => {
-                    let delta: isize = offset
+                Expr::Const(c) => Operand::Const(*c),
+                Expr::Cell(offset) => Operand::Cell(
+                    offset
                         .components()
                         .iter()
                         .zip(strides)
                         .map(|(&o, &s)| o as isize * s as isize)
-                        .sum();
-                    ops.push(TapeOp::PushCell(delta));
-                }
+                        .sum(),
+                ),
                 Expr::Unary(op, a) => {
-                    emit(a, strides, ops);
-                    ops.push(match op {
-                        UnOp::Neg => TapeOp::Neg,
-                        UnOp::Sqrt => TapeOp::Sqrt,
-                    });
+                    let a = emit(a, strides, ops);
+                    ops.push(TapeOp::Unary(*op, a));
+                    Operand::Top
                 }
                 Expr::Binary(op, a, b) => {
-                    emit(a, strides, ops);
-                    emit(b, strides, ops);
-                    ops.push(match op {
-                        BinOp::Add => TapeOp::Add,
-                        BinOp::Sub => TapeOp::Sub,
-                        BinOp::Mul => TapeOp::Mul,
-                        BinOp::Div => TapeOp::Div,
-                    });
+                    let a = emit(a, strides, ops);
+                    let b = emit(b, strides, ops);
+                    ops.push(TapeOp::Binary(*op, a, b));
+                    Operand::Top
                 }
             }
         }
         let mut ops = Vec::new();
-        emit(expr, local_strides, &mut ops);
+        let root = emit(expr, local_strides, &mut ops);
+        if root != Operand::Top {
+            ops.push(TapeOp::Leaf(root));
+        }
         let mut depth = 0usize;
         let mut max_depth = 0usize;
         for op in &ops {
-            match op {
-                TapeOp::PushConst(_) | TapeOp::PushCell(_) => {
-                    depth += 1;
-                    max_depth = max_depth.max(depth);
-                }
-                TapeOp::Neg | TapeOp::Sqrt => {}
-                TapeOp::Add | TapeOp::Sub | TapeOp::Mul | TapeOp::Div => depth -= 1,
-            }
+            depth = depth - op.pops() + 1;
+            max_depth = max_depth.max(depth);
         }
         Self {
             ops,
@@ -424,68 +569,78 @@ impl RowKernel {
     }
 
     /// Evaluate the tape for the row of cells whose first output lane sits
-    /// at flat index `base` in `src`, writing `out.len()` results to `out`.
+    /// at flat index `base` in `src`, leaving `out.len()` results in `out`.
     ///
-    /// Every neighbour access is a contiguous slice copy at `base + delta`
-    /// and every operation an elementwise pass over the row — stride-1
-    /// loops with no bounds logic, which is what lets the compiler
-    /// vectorize them.
-    fn eval_into<T: Element>(&self, src: &[T], base: usize, stack: &mut [Vec<T>], out: &mut [T]) {
+    /// `out` is the bottom row of the operand stack and `scratch` (at
+    /// least `depth − 1` rows of `out.len()` lanes) the rows above it, so
+    /// the value of the whole expression — the one row left on the stack —
+    /// is produced in `out` directly. Neighbour rows are slices of `src`
+    /// at `base + delta`, read in place.
+    fn eval_into<T: Element>(&self, src: &[T], base: usize, scratch: &mut [Vec<T>], out: &mut [T]) {
         let lanes = out.len();
+        let leaf = |operand: Operand| match operand {
+            Operand::Const(c) => Src::Scalar(T::from_f64(c)),
+            Operand::Cell(delta) => {
+                let start = (base as isize + delta) as usize;
+                Src::Row(&src[start..start + lanes])
+            }
+            Operand::Top => unreachable!("a popped row is not a leaf"),
+        };
+        // Stack row `k`: `out` for the bottom one, `scratch[k − 1]` above.
+        fn row<'s, T>(out: &'s mut [T], scratch: &'s mut [Vec<T>], k: usize) -> &'s mut [T] {
+            match k {
+                0 => out,
+                _ => &mut scratch[k - 1],
+            }
+        }
         let mut sp = 0usize;
         for op in &self.ops {
             match *op {
-                TapeOp::PushConst(c) => {
-                    stack[sp].fill(T::from_f64(c));
+                TapeOp::Leaf(a) => {
                     sp += 1;
+                    Map::Into(row(out, scratch, sp - 1), leaf(a)).run(|x| x);
                 }
-                TapeOp::PushCell(delta) => {
-                    let start = (base as isize + delta) as usize;
-                    stack[sp].copy_from_slice(&src[start..start + lanes]);
-                    sp += 1;
-                }
-                TapeOp::Neg => {
-                    for v in stack[sp - 1].iter_mut() {
-                        *v = -*v;
+                TapeOp::Unary(op, a) => {
+                    let map = if a == Operand::Top {
+                        Map::InPlace(row(out, scratch, sp - 1))
+                    } else {
+                        sp += 1;
+                        Map::Into(row(out, scratch, sp - 1), leaf(a))
+                    };
+                    match op {
+                        UnOp::Neg => map.run(|x| -x),
+                        UnOp::Sqrt => map.run(T::sqrt),
                     }
                 }
-                TapeOp::Sqrt => {
-                    for v in stack[sp - 1].iter_mut() {
-                        *v = v.sqrt();
+                TapeOp::Binary(op, a, b) => {
+                    let zip = match (a, b) {
+                        (Operand::Top, Operand::Top) => {
+                            sp -= 1;
+                            let (below, top) = match sp {
+                                1 => (&mut *out, scratch[0].as_slice()),
+                                _ => {
+                                    let (below, top) = scratch.split_at_mut(sp - 1);
+                                    (below[sp - 2].as_mut_slice(), top[0].as_slice())
+                                }
+                            };
+                            Zip::Left(below, Src::Row(top))
+                        }
+                        (Operand::Top, b) => Zip::Left(row(out, scratch, sp - 1), leaf(b)),
+                        (a, Operand::Top) => Zip::Right(leaf(a), row(out, scratch, sp - 1)),
+                        (a, b) => {
+                            sp += 1;
+                            Zip::Into(row(out, scratch, sp - 1), leaf(a), leaf(b))
+                        }
+                    };
+                    match op {
+                        BinOp::Add => zip.run(|x, y| x + y),
+                        BinOp::Sub => zip.run(|x, y| x - y),
+                        BinOp::Mul => zip.run(|x, y| x * y),
+                        BinOp::Div => zip.run(|x, y| x / y),
                     }
-                }
-                TapeOp::Add | TapeOp::Sub | TapeOp::Mul | TapeOp::Div => {
-                    let (below, top) = stack.split_at_mut(sp - 1);
-                    let a = below[sp - 2].as_mut_slice();
-                    let b = top[0].as_slice();
-                    match *op {
-                        TapeOp::Add => {
-                            for (x, &y) in a.iter_mut().zip(b) {
-                                *x += y;
-                            }
-                        }
-                        TapeOp::Sub => {
-                            for (x, &y) in a.iter_mut().zip(b) {
-                                *x = *x - y;
-                            }
-                        }
-                        TapeOp::Mul => {
-                            for (x, &y) in a.iter_mut().zip(b) {
-                                *x = *x * y;
-                            }
-                        }
-                        TapeOp::Div => {
-                            for (x, &y) in a.iter_mut().zip(b) {
-                                *x = *x / y;
-                            }
-                        }
-                        _ => unreachable!(),
-                    }
-                    sp -= 1;
                 }
             }
         }
-        out.copy_from_slice(&stack[0]);
     }
 }
 
@@ -573,8 +728,15 @@ pub fn execute_plan_on<T: Element>(
 }
 
 /// The temporal-block driver behind every blocked run: one kernel launch
-/// per temporal block, each launch being map tiles → clone the grid →
-/// apply the write-backs and sum the counters in canonical tile order.
+/// per temporal block over a pair of ping-pong grids (the host loop's
+/// `A[t % 2]`), each launch being map tiles → row-copy the write-backs into
+/// the other grid and sum the counters in canonical tile order → swap.
+///
+/// The grid is cloned once per run, not once per launch: the boundary
+/// ring never changes, so both grids hold it from the start, and the
+/// write-back regions of one launch tile the interior exactly once, so
+/// every other cell of the grid being written — whatever it held two
+/// launches ago — is overwritten before the swap.
 ///
 /// `map_tiles(n, run_tile)` must return `run_tile(k)` for every `k < n`
 /// in index order; it is free to evaluate them on any threads, because the
@@ -601,21 +763,22 @@ pub fn execute_plan_with<T: Element>(
     let ctx = TileContext::new(plan, problem);
     let tiles = ctx.tiles();
     let mut counters = TrafficCounters::new();
-    let mut current = initial;
+    let mut grids = DoubleBuffer::new(initial);
     for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
+        let current = grids.current();
         let runs = map_tiles(tiles.len(), &|k| {
-            ctx.execute_tile_rows(&current, &tiles[k], chunk)
+            ctx.execute_tile_rows(current, &tiles[k], chunk)
         });
-        let mut next = current.clone();
+        let (_, next) = grids.split_mut();
         for run in runs {
-            run.apply_to(&mut next);
+            run.apply_to(next);
             counters += run.counters;
         }
         counters.kernel_launches += 1;
-        current = next;
+        grids.swap();
     }
     BlockedRun {
-        grid: current,
+        grid: grids.into_current(),
         counters,
     }
 }
@@ -625,7 +788,8 @@ mod tests {
     use super::*;
     use an5d_grid::{GridDiff, Precision};
     use an5d_plan::{BlockConfig, FrameworkScheme};
-    use an5d_stencil::{exec::run_reference, suite, StencilDef};
+    use an5d_stencil::exec::{eval_expr, run_reference};
+    use an5d_stencil::{suite, StencilDef};
 
     /// Blocked execution in precision `T` must reproduce the naive
     /// reference sweep bit for bit; returns the blocked run's counters.
@@ -887,6 +1051,319 @@ mod tests {
         // degenerate one-cell-wide remainders.
         check_rows_path_matches_scalar_path(suite::star2d(2), &[17, 13], 5, 2, &[13], None);
         check_rows_path_matches_scalar_path(suite::j2d5pt(), &[9, 25], 4, 3, &[11], Some(5));
+    }
+
+    /// A detached run with recognisable values, as `execute_tile_rows`
+    /// would hand it out.
+    fn run_over(origin: &[usize], region: &[usize], first: f64) -> TileRun<f64> {
+        let cells: usize = region.iter().product();
+        TileRun {
+            origin: origin.to_vec(),
+            region: region.to_vec(),
+            values: (0..cells).map(|k| first + k as f64).collect(),
+            counters: TrafficCounters::new(),
+        }
+    }
+
+    /// The half-open stored-grid index range of a run's write-back region
+    /// in every dimension.
+    fn write_back_bounds(run: &TileRun<f64>) -> Vec<(usize, usize)> {
+        let extents = run.origin.iter().zip(&run.region);
+        extents.map(|(&o, &e)| (o, o + e)).collect()
+    }
+
+    /// What `apply_to` means: one bounds-checked `Grid::set` per cell of
+    /// the region, in row-major order.
+    fn apply_per_cell(run: &TileRun<f64>, next: &mut Grid<f64>) {
+        let mut values = run.values.iter();
+        for_each_row(&write_back_bounds(run), |index| {
+            next.set(index, *values.next().expect("one value per region cell"));
+        });
+        assert!(values.next().is_none());
+    }
+
+    #[test]
+    fn apply_to_equals_a_per_cell_write_back() {
+        // An 8 × 9 stored grid of radius 1 (interior rows 1..=6, columns
+        // 1..=7) and a 5 × 6 × 7 one, each split into regions that include
+        // width-1 remainder columns, a single cell, and rows that touch the
+        // last interior row and column.
+        let runs_2d = vec![
+            run_over(&[1, 1], &[3, 6], 100.0),
+            run_over(&[1, 7], &[3, 1], 200.0),
+            run_over(&[4, 1], &[3, 6], 300.0),
+            run_over(&[4, 7], &[2, 1], 400.0),
+            run_over(&[6, 7], &[1, 1], 500.0),
+        ];
+        let runs_3d = vec![
+            run_over(&[1, 1, 1], &[2, 4, 4], 100.0),
+            run_over(&[1, 1, 5], &[3, 4, 1], 200.0),
+            run_over(&[3, 1, 1], &[1, 2, 4], 300.0),
+            run_over(&[3, 3, 1], &[1, 2, 4], 400.0),
+        ];
+        for (shape, runs) in [(vec![8, 9], runs_2d), (vec![5, 6, 7], runs_3d)] {
+            let blank = Grid::<f64>::from_init(&shape, GridInit::Constant(-1.0));
+            let mut expected = blank.clone();
+            for run in &runs {
+                apply_per_cell(run, &mut expected);
+            }
+            let mut forward = blank.clone();
+            for run in &runs {
+                run.apply_to(&mut forward);
+            }
+            let mut reverse = blank.clone();
+            for run in runs.iter().rev() {
+                run.apply_to(&mut reverse);
+            }
+            assert_eq!(forward, expected, "{shape:?}: forward order");
+            assert_eq!(reverse, expected, "{shape:?}: reverse order");
+            // Exactly the interior was written, nothing of the ring.
+            let written = expected.as_slice().iter().filter(|&&v| v >= 0.0).count();
+            assert_eq!(written, blank.interior_len(1), "{shape:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds grid extent 8 in dimension 1")]
+    fn apply_to_rejects_a_grid_the_region_does_not_fit() {
+        // Rows of a narrower grid are shorter: flat copies would wrap.
+        run_over(&[1, 1], &[3, 8], 0.0).apply_to(&mut Grid::<f64>::zeros(&[8, 8]));
+    }
+
+    #[test]
+    #[should_panic(expected = "region has rank 2 but the grid has rank 3")]
+    fn apply_to_rejects_a_grid_of_another_rank() {
+        run_over(&[1, 1], &[2, 2], 0.0).apply_to(&mut Grid::<f64>::zeros(&[4, 4, 4]));
+    }
+
+    /// One blocked-execution geometry: stencil, interior, steps, `bT`,
+    /// `bS`, `hS_N`.
+    type Geometry = (
+        StencilDef,
+        &'static [usize],
+        usize,
+        usize,
+        &'static [usize],
+        Option<usize>,
+    );
+
+    /// The nine tile geometries of the `rows_path_matches_scalar_path_*`
+    /// tests.
+    fn tile_geometries() -> Vec<Geometry> {
+        vec![
+            (suite::j2d5pt(), &[24, 30], 7, 3, &[16], None),
+            (suite::j2d9pt(), &[20, 26], 6, 2, &[18], None),
+            (suite::box2d(1), &[16, 16], 5, 2, &[12], None),
+            (suite::gradient2d(), &[18, 18], 4, 2, &[14], None),
+            (suite::j2d5pt(), &[32, 20], 6, 2, &[16], Some(8)),
+            (suite::star3d(1), &[10, 12, 14], 5, 2, &[10, 12], None),
+            (suite::j3d27pt(), &[12, 10, 10], 4, 1, &[8, 8], Some(6)),
+            (suite::star2d(2), &[17, 13], 5, 2, &[13], None),
+            (suite::j2d5pt(), &[9, 25], 4, 3, &[11], Some(5)),
+        ]
+    }
+
+    #[test]
+    fn write_back_regions_of_a_block_tile_the_interior_exactly_once() {
+        // What lets the driver ping-pong two grids instead of cloning one
+        // per launch: a launch overwrites every interior cell, once.
+        for (def, interior, steps, bt, bs, hsn) in tile_geometries() {
+            let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
+            let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
+            let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+            let ctx = TileContext::new(&plan, &problem);
+            let shape = problem.grid_shape();
+            let current = Grid::<f64>::from_init(&shape, GridInit::Hash { seed: 2 });
+            let mut writes = Grid::<f64>::zeros(&shape);
+            for tile in ctx.tiles() {
+                let run = ctx.execute_tile_rows(&current, tile, bt);
+                for_each_row(&write_back_bounds(&run), |index| {
+                    writes.set(index, writes.get(index) + 1.0);
+                });
+            }
+            let rad = def.radius();
+            let expected = Grid::<f64>::from_fn(&shape, |index| {
+                let interior = index
+                    .iter()
+                    .zip(&shape)
+                    .all(|(&i, &extent)| i >= rad && i < extent - rad);
+                f64::from(u8::from(interior))
+            });
+            assert_eq!(writes, expected, "{}: writes per cell", def.name());
+        }
+    }
+
+    #[test]
+    fn ping_pong_grids_match_reference_for_any_number_of_blocks() {
+        // 1 block (bT > steps), 2 (even), 3 (odd, with a remainder block)
+        // and 4: from the third launch on, the grid being written still
+        // holds the interior of two launches ago.
+        for (steps, bt, launches) in [(2, 3, 1), (6, 3, 2), (7, 3, 3), (8, 2, 4)] {
+            for (def, interior, bs, hsn) in [
+                (suite::j2d5pt(), &[20, 23][..], &[12][..], Some(8)),
+                (suite::gradient2d(), &[18, 18][..], &[14][..], None),
+                (suite::star3d(1), &[9, 10, 11][..], &[8, 9][..], None),
+            ] {
+                let double = check_equivalence_in::<f64>(&def, interior, steps, bt, bs, hsn);
+                let single = check_equivalence_in::<f32>(&def, interior, steps, bt, bs, hsn);
+                assert_eq!(double.kernel_launches, launches);
+                assert_eq!(single.kernel_launches, launches);
+            }
+        }
+    }
+
+    /// SplitMix64: the seeded generator of the tape tests.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A value in `[0.5, 2.5)` with a full mantissa.
+        fn value(&mut self) -> f64 {
+            0.5 + 2.0 * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn leaf(&mut self) -> Expr {
+            if self.below(3) == 0 {
+                Expr::constant(self.value())
+            } else {
+                Expr::cell(&[self.below(5) as i32 - 2, self.below(5) as i32 - 2])
+            }
+        }
+
+        /// A random tree of at most `depth` operation levels over 2D
+        /// offsets of radius ≤ 2.
+        fn tree(&mut self, depth: usize) -> Expr {
+            if depth == 0 || self.below(5) == 0 {
+                return self.leaf();
+            }
+            match self.below(6) {
+                0 => Expr::Unary(UnOp::Neg, self.tree(depth - 1).into()),
+                1 => Expr::Unary(UnOp::Sqrt, self.tree(depth - 1).into()),
+                k => {
+                    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][k as usize - 2];
+                    Expr::Binary(op, self.tree(depth - 1).into(), self.tree(depth - 1).into())
+                }
+            }
+        }
+    }
+
+    /// `RowKernel` must give every lane the bits `eval_expr` gives it.
+    fn check_tape_against_eval_expr<T: Element>(expr: &Expr, lanes: usize, rng: &mut SplitMix) {
+        // A 5-row local box with two halo cells on every side.
+        let rad = 2usize;
+        let strides = [lanes + 2 * rad, 1];
+        let src: Vec<T> = (0..5 * strides[0])
+            .map(|_| T::from_f64(rng.value()))
+            .collect();
+        let base = rad * strides[0] + rad;
+        let kernel = RowKernel::compile(expr, &strides);
+        let mut scratch: Vec<Vec<T>> = (1..kernel.depth).map(|_| vec![T::ZERO; lanes]).collect();
+        // Poisoned: the tape must overwrite every lane of `out`.
+        let mut out = vec![T::from_f64(f64::NAN); lanes];
+        kernel.eval_into(&src, base, &mut scratch, &mut out);
+        for (lane, &got) in out.iter().enumerate() {
+            let want: T = eval_expr(expr, &|offset: an5d_expr::Offset| {
+                let delta = offset.component(0) as isize * strides[0] as isize
+                    + offset.component(1) as isize;
+                src[((base + lane) as isize + delta) as usize]
+            });
+            let (got, want) = (got.into_f64(), want.into_f64());
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "{:?} lane {lane}/{lanes}: tape {got:e}, eval_expr {want:e} for {expr:?}",
+                T::PRECISION
+            );
+        }
+    }
+
+    #[test]
+    fn tape_matches_eval_expr_bitwise_on_random_trees() {
+        let c = || Expr::constant(1.7);
+        let x = || Expr::cell(&[0, 1]);
+        let y = || Expr::cell(&[-1, 0]);
+        let inner = || x() * y() + c();
+        // Every operand form by hand — leaf on the left of the
+        // non-commutative operations included — then seeded random trees.
+        let mut exprs = vec![
+            x(),
+            c(),
+            c() - x(),
+            c() / x(),
+            x() / c(),
+            x() - c(),
+            c() / c(),
+            c() - c(),
+            x() - y(),
+            x() / y(),
+            c() - inner(),
+            c() / inner(),
+            x() / inner(),
+            inner() / x(),
+            inner() - c(),
+            inner() / inner(),
+            inner() - Expr::sqrt(inner()),
+            Expr::Unary(UnOp::Neg, x().into()),
+            Expr::Unary(UnOp::Neg, c().into()),
+            Expr::sqrt(x()),
+            Expr::Unary(UnOp::Neg, Expr::sqrt(inner()).into()),
+        ];
+        let mut rng = SplitMix(0x5EED);
+        exprs.extend((0..200).map(|k| rng.tree(1 + k % 5)));
+        for expr in &exprs {
+            for lanes in [0, 1, 7, 32, 257] {
+                check_tape_against_eval_expr::<f64>(expr, lanes, &mut rng);
+                check_tape_against_eval_expr::<f32>(expr, lanes, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_tapes_fuse_their_leaves() {
+        // j2d5pt: five c·x products, four sums, one division — ten row
+        // passes, every constant and neighbour row an operand of its
+        // consumer, the running sum in `out` and one product beside it.
+        let strides = [100usize, 1];
+        let j2d5pt = RowKernel::compile(suite::j2d5pt().expr(), &strides);
+        let mul = |c: f64, delta: isize| {
+            TapeOp::Binary(BinOp::Mul, Operand::Const(c), Operand::Cell(delta))
+        };
+        let add = TapeOp::Binary(BinOp::Add, Operand::Top, Operand::Top);
+        assert_eq!(
+            j2d5pt.ops,
+            vec![
+                mul(5.1, -100),
+                mul(12.1, -1),
+                add,
+                mul(15.0, 0),
+                add,
+                mul(12.2, 1),
+                add,
+                mul(5.2, 100),
+                add,
+                TapeOp::Binary(BinOp::Div, Operand::Top, Operand::Const(118.0)),
+            ]
+        );
+        assert_eq!(j2d5pt.depth, 2);
+
+        // gradient2d: 0.5·f, the running sum, and the two differences of
+        // the square being formed.
+        let gradient2d = RowKernel::compile(suite::gradient2d().expr(), &strides);
+        assert_eq!(gradient2d.depth, 4);
+        assert_eq!(gradient2d.ops.len(), 20);
+        for kernel in [&j2d5pt, &gradient2d] {
+            assert!(!kernel.ops.iter().any(|op| matches!(op, TapeOp::Leaf(_))));
+        }
     }
 
     #[test]
