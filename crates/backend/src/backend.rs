@@ -142,12 +142,14 @@ impl ExecutionBackend for SerialBackend {
 ///
 /// Each tile runs the row kernels of
 /// [`an5d_gpusim::TileContext::execute_tile_rows`]: the stencil expression
-/// compiled into a tape of one instruction per operation, constants and
-/// neighbour rows (slices of the tile at flat offsets, read in place)
-/// being operands of the instruction that consumes them, evaluated a
-/// whole row at a time over contiguous stride-1 slices straight into the
-/// output row, with all halo/bounds logic hoisted out of the inner loops —
-/// the shape the compiler autovectorizes, monomorphic per precision.
+/// compiled into a tape of one instruction per operation (a whole sum of
+/// products being one instruction that keeps its partial sum in a
+/// register), constants and neighbour rows (slices of the tile at flat
+/// offsets, read in place) being operands of the instruction that consumes
+/// them, evaluated a run of rows at a time over contiguous stride-1 slices
+/// straight into the output, with all halo/bounds logic hoisted out of the
+/// inner loops — the shape the compiler autovectorizes, monomorphic per
+/// precision.
 ///
 /// Determinism: every cell value is produced by exactly one tile through
 /// the scalar operations of the naive reference sweep, operand for operand

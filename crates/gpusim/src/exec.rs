@@ -36,23 +36,54 @@
 //! per *operation* node, in postfix order; the leaves are not instructions
 //! but operands of the instruction that consumes them — a constant is a
 //! broadcast scalar, a neighbour access a slice of the source buffer at a
-//! *flat* offset in the local row-major layout, read in place. The tape is
-//! evaluated a whole row at a time: each instruction is one stride-1 pass
-//! (`leaf ∘ leaf` pushes a row, `top ∘ leaf` / `leaf ∘ top` / unary update
-//! the top row in place, `top ∘ top` folds the top row into the one below),
-//! and the bottom row of the operand stack is the output row itself, so the
-//! last instruction leaves the result where it belongs. j2d5pt is ten
-//! passes over a row and one scratch row. All halo/bounds logic is hoisted
-//! out of the inner loop into per-dimension updatable ranges, and because a
-//! temporal block updates the same box of the tile at every step, its two
-//! local buffers need no copy between steps: outside that box they never
+//! *flat* offset in the local row-major layout, read in place. Each
+//! instruction is one stride-1 pass (`leaf ∘ leaf` pushes a row,
+//! `top ∘ leaf` / `leaf ∘ top` / unary update the top row in place,
+//! `top ∘ top` folds the top row into the one below), and the bottom row
+//! of the operand stack is the output itself, so the last instruction
+//! leaves the result where it belongs.
+//!
+//! **Chains.** A pass per operation stores and reloads one intermediate
+//! row per operation, and that traffic — not cache misses, not lane width —
+//! bounds the kernel. A peephole over the compiled tape therefore folds
+//! every maximal run `c₀·x₀ (± cₖ·xₖ | ± xₖ)* [∘ const]`, or the same run
+//! continuing from the row on top of the stack, into one *chain*
+//! instruction: the paper's associative stencils (20 of the 21 in Table 3)
+//! become a single pass that keeps the partial sum in a register, loads
+//! each neighbour once and stores only the finished value (j2d5pt: ten
+//! passes → one, star3d1r: thirteen → one, no scratch row). The pass is
+//! const-generic in its term count up to eight; a longer chain (box3d4r has
+//! 729 terms) continues in place in groups of eight. Instructions that are
+//! not part of such a run (gradient2d's differences, squares, `sqrt`,
+//! `1/x`) are untouched, and there is no second, linear-only path: the
+//! chain is one more instruction of the one tape.
+//!
+//! **Runs.** One tape evaluation covers not one row but a *run* of
+//! consecutive rows of a plane (about a thousand lanes, so the output and
+//! scratch rows stay in L1). The buffers are row-major and every operand a
+//! flat delta, so the `2·rad` cells between the updatable parts of two
+//! rows are simply computed along and then restored from the source
+//! buffer. This removes the per-pass overhead that dominated tiles with
+//! short rows (a 32×32 block of a 3D stencil has 32-lane rows).
+//!
+//! All halo/bounds logic is hoisted out of the inner loops: the updatable
+//! box of a tile is `rad` cells in from every face of its local box, and
+//! because a temporal block updates the same box at every step, its two
+//! local buffers need no copy between steps — outside that box they never
 //! differ from the values loaded.
 //!
-//! Every cell still goes through the exact scalar operations of
-//! [`an5d_stencil::exec::eval_expr`], operand for operand (the value of a
-//! subtree does not depend on when it is computed, and lanes never
-//! interact), which is what keeps the result bit-identical to the naive
-//! per-cell reference sweep for both `f32` and `f64`.
+//! **Bit-identity.** Every cell still goes through the exact scalar
+//! operations of [`an5d_stencil::exec::eval_expr`], operand for operand:
+//! the value of a subtree does not depend on when it is computed, lanes
+//! never interact, and a chain adds its terms in source order, each
+//! product rounded before it is added (no `mul_add`, no reassociation, a
+//! division stays a division). The two rewrites a chain does make are
+//! exact in IEEE 754: `a − c·x` is evaluated as `a + (−c)·x` (negation is
+//! exact and subtraction *is* addition of the negated operand), a bare
+//! `± x` as `+ (±1)·x`, and a fresh chain starts from `c₀·x₀` itself, not
+//! from `0 + c₀·x₀` (which would lose the sign of a negative zero). That
+//! keeps the result bit-identical to the naive per-cell reference sweep for
+//! both `f32` and `f64`.
 
 use crate::TrafficCounters;
 use an5d_expr::{BinOp, Expr, UnOp};
@@ -248,18 +279,38 @@ impl<'a> TileContext<'a> {
         &self.tiles
     }
 
+    /// A tile's local box as `(low corner, shape)` in stored-grid
+    /// coordinates: the compute region plus the recomputation halo plus one
+    /// stencil radius of read-only data, clipped to the stored grid.
+    fn local_box(&self, tile: &TileSpec) -> (Vec<usize>, Vec<usize>) {
+        let rad = self.plan.def().radius();
+        let bounds = tile.dims.iter().zip(&self.shape);
+        bounds
+            .map(|(&(origin, len, halo), &extent)| {
+                let lo = origin.saturating_sub(halo);
+                let hi = (origin + len + halo + 2 * rad).min(extent);
+                (lo, hi - lo)
+            })
+            .unzip()
+    }
+
     /// Execute one tile for a temporal block of `chunk` combined time-steps.
     ///
     /// The tile reads only `current`; its output (the values of its
     /// write-back region plus its counter deltas) is returned detached so
-    /// the caller decides when and where to apply it. `current` must have
-    /// the problem's padded grid shape.
+    /// the caller decides when and where to apply it.
     ///
     /// The stencil expression is compiled into a fused-operand tape over
     /// flat neighbour offsets (see the module docs), halo/bounds checks
     /// are hoisted into per-dimension updatable ranges, and every inner
     /// loop (load, update, write-back extraction) runs over contiguous
-    /// stride-1 row slices.
+    /// stride-1 slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `current` does not have the problem's padded grid shape —
+    /// the tile is loaded through flat offsets into that shape, which on
+    /// any other grid would read the wrong cells silently.
     #[must_use]
     pub fn execute_tile_rows<T: Element>(
         &self,
@@ -267,6 +318,13 @@ impl<'a> TileContext<'a> {
         tile: &TileSpec,
         chunk: usize,
     ) -> TileRun<T> {
+        assert_eq!(
+            current.shape(),
+            self.shape.as_slice(),
+            "tile input grid has shape {:?} but the problem's padded grid has shape {:?}",
+            current.shape(),
+            self.shape
+        );
         let def = self.plan.def();
         let rad = def.radius();
         let shape = &self.shape;
@@ -274,26 +332,19 @@ impl<'a> TileContext<'a> {
         let inner = ndim - 1;
         let mut counters = TrafficCounters::new();
 
-        // Local box bounds in stored-grid coordinates: the compute region
-        // plus the recomputation halo plus one stencil radius of read-only
-        // data, clipped to the stored grid.
-        let mut lo = vec![0usize; ndim];
-        let mut hi = vec![0usize; ndim];
-        for d in 0..ndim {
-            let (origin, len, halo) = tile.dims[d];
-            lo[d] = origin.saturating_sub(halo);
-            hi[d] = (origin + len + halo + 2 * rad).min(shape[d]);
-        }
-        let local_shape: Vec<usize> = (0..ndim).map(|d| hi[d] - lo[d]).collect();
+        let (lo, local_shape) = self.local_box(tile);
         let local_strides = row_major_strides(&local_shape);
         let global_strides = row_major_strides(shape);
         let total: usize = local_shape.iter().product();
 
         // Load the local box from global memory with one contiguous row
         // copy per innermost row (one read per cell per temporal block —
-        // the defining property of N.5D blocking).
+        // the defining property of N.5D blocking), into both buffers of
+        // the temporal block at once.
         let data = current.as_slice();
+        let width = local_shape[inner];
         let mut src: Vec<T> = Vec::with_capacity(total);
+        let mut dst: Vec<T> = Vec::with_capacity(total);
         let load_bounds: Vec<(usize, usize)> =
             local_shape[..inner].iter().map(|&e| (0, e)).collect();
         for_each_row(&load_bounds, |outer| {
@@ -301,47 +352,28 @@ impl<'a> TileContext<'a> {
             for d in 0..inner {
                 g += (outer[d] + lo[d]) * global_strides[d];
             }
-            src.extend_from_slice(&data[g..g + local_shape[inner]]);
+            src.extend_from_slice(&data[g..g + width]);
+            dst.extend_from_slice(&data[g..g + width]);
         });
         counters.gm_reads += total as u128;
         counters.thread_blocks += 1;
         counters.syncs += self.syncs_per_plane * local_shape[0] as u128;
 
-        // Updatable range per dimension: the cell's whole neighbourhood
-        // must lie inside the local box and the cell itself in the global
-        // interior (never update the boundary ring). Both conditions are
-        // per-dimension separable, so they collapse into one interval
-        // intersection per dimension, hoisted out of every inner loop.
-        let upd: Vec<(usize, usize)> = (0..ndim)
-            .map(|d| {
-                let hi_bound = local_shape[d]
-                    .saturating_sub(rad)
-                    .min((shape[d] - rad).saturating_sub(lo[d]));
-                (rad, hi_bound)
-            })
-            .collect();
+        let upd = updatable_ranges(&local_shape, rad);
         let updates_per_step: u128 = upd
             .iter()
             .map(|&(l, h)| h.saturating_sub(l) as u128)
             .product();
-        let lanes = upd[inner].1.saturating_sub(upd[inner].0);
 
         // Compile the stencil expression for this local geometry and run
-        // the temporal block over a double buffer. Every step writes the
-        // same updatable box and nothing else, so the two buffers — equal
-        // at the start — stay equal outside it with no per-step copy.
+        // the temporal block over the two buffers. Every step writes the
+        // same updatable box and nothing else, so the buffers — equal at
+        // the start — stay equal outside it with no per-step copy.
         let kernel = RowKernel::compile(def.expr(), &local_strides);
-        let mut scratch: Vec<Vec<T>> = (1..kernel.depth).map(|_| vec![T::ZERO; lanes]).collect();
-        let mut dst = src.clone();
-        if lanes > 0 {
+        if updates_per_step > 0 {
+            let mut scratch = Vec::new();
             for _step in 0..chunk {
-                for_each_row(&upd[..inner], |outer| {
-                    let mut base = upd[inner].0;
-                    for d in 0..inner {
-                        base += outer[d] * local_strides[d];
-                    }
-                    kernel.eval_into(&src, base, &mut scratch, &mut dst[base..base + lanes]);
-                });
+                kernel.step(&src, &mut dst, &local_shape, rad, RUN_LANES, &mut scratch);
                 std::mem::swap(&mut src, &mut dst);
             }
         }
@@ -389,10 +421,26 @@ enum Operand {
     Top,
 }
 
-/// One instruction of a compiled row kernel: one operation node of the
-/// stencil expression applied to a whole row of independent cells, its
-/// result pushed on the operand stack.
+/// One `± c·x` term of a [`TapeOp::Chain`], held as `+ coef·x`: a
+/// subtracted product `− c·x` is `+ (−c)·x` and a bare `± x` is `+ (±1)·x`,
+/// both bit-identical (negation and multiplication by one are exact, and
+/// IEEE 754 subtraction *is* the addition of the negated operand).
 #[derive(Debug, Clone, Copy, PartialEq)]
+struct Term {
+    coef: f64,
+    /// Flat offset of the neighbour row from the output row.
+    delta: isize,
+}
+
+/// Lanes one instruction pass covers when a plane has rows to spare: long
+/// enough to amortise the per-pass overhead of short rows, short enough
+/// that the output run and the scratch rows stay L1-resident.
+const RUN_LANES: usize = 1024;
+
+/// One instruction of a compiled row kernel: one operation node of the
+/// stencil expression — or one folded sum of products — applied to a whole
+/// row of independent cells, its result pushed on the operand stack.
+#[derive(Debug, Clone, PartialEq)]
 enum TapeOp {
     /// The expression is a single leaf. Only ever the sole instruction of
     /// a tape: everywhere else a leaf is an operand of its consumer.
@@ -401,6 +449,16 @@ enum TapeOp {
     /// `left ∘ right`; with two [`Operand::Top`]s the right one is the
     /// topmost row.
     Binary(BinOp, Operand, Operand),
+    /// The left-to-right sum `((acc + t₀) + t₁) + …` of product terms,
+    /// optionally followed by `∘ const`, with `acc` starting as the first
+    /// term's product (`fresh`, pushes a row) or as the top row (updated
+    /// in place). The running sum lives in a register: one load per term
+    /// and one store per lane instead of a row pass per operation.
+    Chain {
+        fresh: bool,
+        terms: Vec<Term>,
+        tail: Option<(BinOp, f64)>,
+    },
 }
 
 impl TapeOp {
@@ -410,8 +468,73 @@ impl TapeOp {
         match self {
             TapeOp::Leaf(a) | TapeOp::Unary(_, a) => popped(a),
             TapeOp::Binary(_, a, b) => popped(a) + popped(b),
+            TapeOp::Chain { fresh, .. } => usize::from(!fresh),
         }
     }
+}
+
+/// Fold every maximal run `c₀·x₀ (± cₖ·xₖ | ± xₖ)* [∘ const]` of a tape —
+/// or the same run continuing from whatever row is on top — into one
+/// [`TapeOp::Chain`], when that replaces at least two instructions. Terms
+/// stay in source order, so the association order is untouched.
+fn fold_chains(ops: &[TapeOp]) -> Vec<TapeOp> {
+    let product = |at: usize| match ops.get(at) {
+        Some(&TapeOp::Binary(BinOp::Mul, Operand::Const(coef), Operand::Cell(delta)))
+        | Some(&TapeOp::Binary(BinOp::Mul, Operand::Cell(delta), Operand::Const(coef))) => {
+            Some(Term { coef, delta })
+        }
+        _ => None,
+    };
+    let signed = |op: BinOp, term: Term| match op {
+        BinOp::Add => Some(term),
+        BinOp::Sub => Some(Term {
+            coef: -term.coef,
+            ..term
+        }),
+        BinOp::Mul | BinOp::Div => None,
+    };
+    // The term added to the top row by the instructions starting at `at`,
+    // and how many instructions that takes: `top ± x`, or a product pushed
+    // and at once folded into the row below it.
+    let term_at = |at: usize| match (ops.get(at), ops.get(at + 1)) {
+        (Some(&TapeOp::Binary(op, Operand::Top, Operand::Cell(delta))), _) => {
+            Some((signed(op, Term { coef: 1.0, delta })?, 1))
+        }
+        (Some(_), Some(&TapeOp::Binary(op, Operand::Top, Operand::Top))) => {
+            Some((signed(op, product(at)?)?, 2))
+        }
+        _ => None,
+    };
+    let mut folded = Vec::with_capacity(ops.len());
+    let mut at = 0usize;
+    while at < ops.len() {
+        let mut end = at;
+        let mut terms = Vec::new();
+        let fresh = term_at(at).is_none();
+        if let (true, Some(first)) = (fresh, product(at)) {
+            terms.push(first);
+            end += 1;
+        }
+        while let Some((term, len)) = term_at(end) {
+            terms.push(term);
+            end += len;
+        }
+        let tail = match ops.get(end) {
+            Some(&TapeOp::Binary(op, Operand::Top, Operand::Const(c))) if !terms.is_empty() => {
+                end += 1;
+                Some((op, c))
+            }
+            _ => None,
+        };
+        if end - at >= 2 {
+            folded.push(TapeOp::Chain { fresh, terms, tail });
+            at = end;
+        } else {
+            folded.push(ops[at].clone());
+            at += 1;
+        }
+    }
+    folded
 }
 
 /// A resolved instruction input: a broadcast scalar or a row as long as
@@ -505,6 +628,75 @@ impl<T: Element> Zip<'_, T> {
     }
 }
 
+/// Terms a chain adds in one pass; longer chains continue in place.
+const CHAIN_GROUP: usize = 8;
+
+/// One pass of a chain over the `N` terms of `group`:
+/// `out[i] = tail(acc + Σ cₖ·xₖ[i])` summed left to right, every product
+/// rounded before it is added, with `acc` the first product when `fresh`
+/// and `out[i]` otherwise. `cells` resolves a flat delta to its neighbour
+/// row, as long as `out`.
+#[inline]
+fn chain_pass<'s, T: Element, const N: usize>(
+    out: &mut [T],
+    fresh: bool,
+    group: &[Term],
+    cells: &impl Fn(isize) -> &'s [T],
+    tail: impl Fn(T) -> T,
+) {
+    let lanes = out.len();
+    let coefs: [T; N] = std::array::from_fn(|k| T::from_f64(group[k].coef));
+    let rows: [&[T]; N] = std::array::from_fn(|k| &cells(group[k].delta)[..lanes]);
+    let finish = |mut acc: T, from: usize, i: usize| {
+        for k in from..N {
+            acc += coefs[k] * rows[k][i];
+        }
+        tail(acc)
+    };
+    if fresh {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = finish(coefs[0] * rows[0][i], 1, i);
+        }
+    } else {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = finish(*o, 0, i);
+        }
+    }
+}
+
+/// Dispatch one group of `1..=CHAIN_GROUP` terms to the [`chain_pass`]
+/// compiled for its term count and tail operation.
+fn chain_group<'s, T: Element>(
+    out: &mut [T],
+    fresh: bool,
+    group: &[Term],
+    cells: &impl Fn(isize) -> &'s [T],
+    tail: Option<(BinOp, f64)>,
+) {
+    macro_rules! with_tail {
+        ($tail:expr) => {
+            match group.len() {
+                1 => chain_pass::<T, 1>(out, fresh, group, cells, $tail),
+                2 => chain_pass::<T, 2>(out, fresh, group, cells, $tail),
+                3 => chain_pass::<T, 3>(out, fresh, group, cells, $tail),
+                4 => chain_pass::<T, 4>(out, fresh, group, cells, $tail),
+                5 => chain_pass::<T, 5>(out, fresh, group, cells, $tail),
+                6 => chain_pass::<T, 6>(out, fresh, group, cells, $tail),
+                7 => chain_pass::<T, 7>(out, fresh, group, cells, $tail),
+                8 => chain_pass::<T, 8>(out, fresh, group, cells, $tail),
+                n => unreachable!("a chain group has 1..={CHAIN_GROUP} terms, not {n}"),
+            }
+        };
+    }
+    match tail.map(|(op, c)| (op, T::from_f64(c))) {
+        None => with_tail!(|x| x),
+        Some((BinOp::Add, c)) => with_tail!(|x| x + c),
+        Some((BinOp::Sub, c)) => with_tail!(|x| x - c),
+        Some((BinOp::Mul, c)) => with_tail!(|x| x * c),
+        Some((BinOp::Div, c)) => with_tail!(|x| x / c),
+    }
+}
+
 /// A stencil expression compiled for one local-box geometry: one
 /// instruction per operation node, in postfix order, whose leaf inputs —
 /// constants and cells at flat deltas in the local row-major layout — are
@@ -556,6 +748,7 @@ impl RowKernel {
         if root != Operand::Top {
             ops.push(TapeOp::Leaf(root));
         }
+        let ops = fold_chains(&ops);
         let mut depth = 0usize;
         let mut max_depth = 0usize;
         for op in &ops {
@@ -568,29 +761,80 @@ impl RowKernel {
         }
     }
 
-    /// Evaluate the tape for the row of cells whose first output lane sits
+    /// One time step of a temporal block: update every cell of the
+    /// updatable box — `rad` cells in from every face of the row-major
+    /// local box `local_shape` — of `dst` from `src`.
+    ///
+    /// One tape evaluation covers a *run* of consecutive rows of a plane,
+    /// about `run_lanes` lanes in all: the buffers are row-major and every
+    /// operand is a flat delta, so the `2·rad` non-updatable cells between
+    /// two rows are computed like any lane (their neighbourhoods lie
+    /// between those of the run's first and last cell, inside the buffer)
+    /// and then restored from `src`, which holds the same loaded values
+    /// there as `dst` does. `scratch` is grown to the tape's needs.
+    fn step<T: Element>(
+        &self,
+        src: &[T],
+        dst: &mut [T],
+        local_shape: &[usize],
+        rad: usize,
+        run_lanes: usize,
+        scratch: &mut Vec<Vec<T>>,
+    ) {
+        let inner = local_shape.len() - 1;
+        let width = local_shape[inner];
+        let strides = row_major_strides(local_shape);
+        let upd = updatable_ranges(local_shape, rad);
+        // Rows of one plane, and the first lane of a plane's first row.
+        let (rows, first_row) = match inner {
+            0 => (1, rad),
+            _ => (upd[inner - 1].1 - upd[inner - 1].0, rad * width + rad),
+        };
+        let rows_per_run = (run_lanes / width).clamp(1, rows);
+        scratch.resize_with(self.depth - 1, Vec::new);
+        for above in scratch.iter_mut() {
+            above.resize(rows_per_run * width - 2 * rad, T::ZERO);
+        }
+        for_each_row(&upd[..inner.saturating_sub(1)], |outer| {
+            let plane: usize = outer.iter().zip(&strides).map(|(&o, &s)| o * s).sum();
+            let mut row = 0usize;
+            while row < rows {
+                let count = rows_per_run.min(rows - row);
+                let base = plane + first_row + row * width;
+                let lanes = count * width - 2 * rad;
+                self.eval_into(src, base, scratch, &mut dst[base..base + lanes]);
+                for gap in (1..count).map(|r| base + r * width - 2 * rad) {
+                    dst[gap..gap + 2 * rad].copy_from_slice(&src[gap..gap + 2 * rad]);
+                }
+                row += count;
+            }
+        });
+    }
+
+    /// Evaluate the tape for the run of cells whose first output lane sits
     /// at flat index `base` in `src`, leaving `out.len()` results in `out`.
     ///
     /// `out` is the bottom row of the operand stack and `scratch` (at
-    /// least `depth − 1` rows of `out.len()` lanes) the rows above it, so
-    /// the value of the whole expression — the one row left on the stack —
-    /// is produced in `out` directly. Neighbour rows are slices of `src`
-    /// at `base + delta`, read in place.
+    /// least `depth − 1` rows of at least `out.len()` lanes) the rows
+    /// above it, so the value of the whole expression — the one row left
+    /// on the stack — is produced in `out` directly. Neighbour rows are
+    /// slices of `src` at `base + delta`, read in place.
     fn eval_into<T: Element>(&self, src: &[T], base: usize, scratch: &mut [Vec<T>], out: &mut [T]) {
         let lanes = out.len();
+        let cells = |delta: isize| {
+            let start = (base as isize + delta) as usize;
+            &src[start..start + lanes]
+        };
         let leaf = |operand: Operand| match operand {
             Operand::Const(c) => Src::Scalar(T::from_f64(c)),
-            Operand::Cell(delta) => {
-                let start = (base as isize + delta) as usize;
-                Src::Row(&src[start..start + lanes])
-            }
+            Operand::Cell(delta) => Src::Row(cells(delta)),
             Operand::Top => unreachable!("a popped row is not a leaf"),
         };
         // Stack row `k`: `out` for the bottom one, `scratch[k − 1]` above.
         fn row<'s, T>(out: &'s mut [T], scratch: &'s mut [Vec<T>], k: usize) -> &'s mut [T] {
             match k {
                 0 => out,
-                _ => &mut scratch[k - 1],
+                _ => &mut scratch[k - 1][..out.len()],
             }
         }
         let mut sp = 0usize;
@@ -617,10 +861,10 @@ impl RowKernel {
                         (Operand::Top, Operand::Top) => {
                             sp -= 1;
                             let (below, top) = match sp {
-                                1 => (&mut *out, scratch[0].as_slice()),
+                                1 => (&mut *out, &scratch[0][..lanes]),
                                 _ => {
                                     let (below, top) = scratch.split_at_mut(sp - 1);
-                                    (below[sp - 2].as_mut_slice(), top[0].as_slice())
+                                    (&mut below[sp - 2][..lanes], &top[0][..lanes])
                                 }
                             };
                             Zip::Left(below, Src::Row(top))
@@ -639,9 +883,36 @@ impl RowKernel {
                         BinOp::Div => zip.run(|x, y| x / y),
                     }
                 }
+                TapeOp::Chain {
+                    fresh,
+                    ref terms,
+                    tail,
+                } => {
+                    sp += usize::from(fresh);
+                    let acc = row(out, scratch, sp - 1);
+                    // Groups of at most `CHAIN_GROUP` terms, each one pass
+                    // continuing the sum where the last left it in `acc`.
+                    let last = terms.len().div_ceil(CHAIN_GROUP) - 1;
+                    for (g, group) in terms.chunks(CHAIN_GROUP).enumerate() {
+                        let tail = tail.filter(|_| g == last);
+                        chain_group(acc, fresh && g == 0, group, &cells, tail);
+                    }
+                }
             }
         }
     }
+}
+
+/// Updatable range per dimension of a tile's local box: the cell's whole
+/// neighbourhood must lie inside the box, i.e. `rad` cells in from either
+/// face. That also keeps the cell in the global interior (the boundary
+/// ring is never updated): the box is clipped to the stored grid, so
+/// `rad` in from its faces is at least `rad` in from the grid's.
+fn updatable_ranges(local_shape: &[usize], rad: usize) -> Vec<(usize, usize)> {
+    local_shape
+        .iter()
+        .map(|&extent| (rad, extent.saturating_sub(rad)))
+        .collect()
 }
 
 /// Row-major strides of a shape (innermost dimension has stride 1).
@@ -1258,13 +1529,30 @@ mod tests {
         }
     }
 
-    /// `RowKernel` must give every lane the bits `eval_expr` gives it.
+    /// Values that tell a wrong start or a reassociated sum apart: signed
+    /// zeros, subnormals, infinities and NaN.
+    const SPECIALS: [f64; 8] = [
+        -0.0,
+        0.0,
+        5e-324,
+        -1e-310,
+        1e-45,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+
+    /// `RowKernel` must give every lane the bits `eval_expr` gives it, on
+    /// ordinary values and — every fourth cell — on [`SPECIALS`].
     fn check_tape_against_eval_expr<T: Element>(expr: &Expr, lanes: usize, rng: &mut SplitMix) {
         // A 5-row local box with two halo cells on every side.
         let rad = 2usize;
         let strides = [lanes + 2 * rad, 1];
         let src: Vec<T> = (0..5 * strides[0])
-            .map(|_| T::from_f64(rng.value()))
+            .map(|_| match rng.below(4) {
+                0 => T::from_f64(SPECIALS[rng.below(8) as usize]),
+                _ => T::from_f64(rng.value()),
+            })
             .collect();
         let base = rad * strides[0] + rad;
         let kernel = RowKernel::compile(expr, &strides);
@@ -1284,6 +1572,31 @@ mod tests {
                 "{:?} lane {lane}/{lanes}: tape {got:e}, eval_expr {want:e} for {expr:?}",
                 T::PRECISION
             );
+        }
+    }
+
+    impl SplitMix {
+        /// One chain term over a random cell: `c·x`, `x·c` or a bare `x`.
+        fn term(&mut self) -> Expr {
+            let x = Expr::cell(&[self.below(5) as i32 - 2, self.below(5) as i32 - 2]);
+            match self.below(3) {
+                0 => Expr::constant(self.value()) * x,
+                1 => x * Expr::constant(self.value()),
+                _ => x,
+            }
+        }
+
+        /// A left-associated sum of `terms` terms that starts with a
+        /// product, its terms joined by `+` or — when `mixed` — `−` too.
+        fn chain(&mut self, terms: usize, mixed: bool) -> Expr {
+            let first = Expr::constant(self.value()) * self.term();
+            (1..terms).fold(first, |sum, _| {
+                if mixed && self.below(2) == 0 {
+                    sum - self.term()
+                } else {
+                    sum + self.term()
+                }
+            })
         }
     }
 
@@ -1320,6 +1633,22 @@ mod tests {
         ];
         let mut rng = SplitMix(0x5EED);
         exprs.extend((0..200).map(|k| rng.tree(1 + k % 5)));
+        // Chain shapes: term counts on either side of every group
+        // boundary, each alone, under each trailing `∘ const`, as the
+        // right operand of a non-commutative operation, and continuing
+        // from a row that is not a product.
+        for terms in [1, 2, 7, 8, 9, 16, 17, 40] {
+            for mixed in [false, true] {
+                exprs.push(rng.chain(terms, mixed));
+                exprs.push(rng.chain(terms, mixed) + c());
+                exprs.push(rng.chain(terms, mixed) - c());
+                exprs.push(rng.chain(terms, mixed) * c());
+                exprs.push(rng.chain(terms, mixed) / c());
+                exprs.push(c() - rng.chain(terms, mixed));
+                exprs.push(c() / rng.chain(terms, mixed));
+                exprs.push(Expr::sqrt(x()) - rng.term() + rng.chain(terms, mixed));
+            }
+        }
         for expr in &exprs {
             for lanes in [0, 1, 7, 32, 257] {
                 check_tape_against_eval_expr::<f64>(expr, lanes, &mut rng);
@@ -1330,40 +1659,174 @@ mod tests {
 
     #[test]
     fn compiled_tapes_fuse_their_leaves() {
-        // j2d5pt: five c·x products, four sums, one division — ten row
-        // passes, every constant and neighbour row an operand of its
-        // consumer, the running sum in `out` and one product beside it.
+        // j2d5pt: five c·x products, four sums, one division — one chain,
+        // every constant and neighbour row an operand of it, the running
+        // sum in a register and no scratch row.
         let strides = [100usize, 1];
+        let term = |coef: f64, delta: isize| Term { coef, delta };
         let j2d5pt = RowKernel::compile(suite::j2d5pt().expr(), &strides);
-        let mul = |c: f64, delta: isize| {
-            TapeOp::Binary(BinOp::Mul, Operand::Const(c), Operand::Cell(delta))
-        };
-        let add = TapeOp::Binary(BinOp::Add, Operand::Top, Operand::Top);
         assert_eq!(
             j2d5pt.ops,
+            vec![TapeOp::Chain {
+                fresh: true,
+                terms: vec![
+                    term(5.1, -100),
+                    term(12.1, -1),
+                    term(15.0, 0),
+                    term(12.2, 1),
+                    term(5.2, 100),
+                ],
+                tail: Some((BinOp::Div, 118.0)),
+            }]
+        );
+        assert_eq!(j2d5pt.depth, 1);
+
+        // star3d1r: the centre and the six axial neighbours, no tail.
+        let star3d1r = RowKernel::compile(suite::star3d(1).expr(), &[10_000, 100, 1]);
+        match star3d1r.ops.as_slice() {
+            [TapeOp::Chain {
+                fresh: true,
+                terms,
+                tail: None,
+            }] => {
+                let mut deltas: Vec<isize> = terms.iter().map(|t| t.delta).collect();
+                deltas.sort_unstable();
+                assert_eq!(deltas, [-10_000, -100, -1, 0, 1, 100, 10_000]);
+            }
+            ops => panic!("star3d1r is one chain of seven terms, not {ops:?}"),
+        }
+        assert_eq!(star3d1r.depth, 1);
+
+        // A subtracted product is the negated coefficient added, a bare
+        // cell the coefficient one; a chain continues from a row that is
+        // not a product, and stops at anything that is not a term.
+        let x = |j: i32| Expr::cell(&[0, j]);
+        let mixed = Expr::sqrt(x(0)) - Expr::constant(2.0) * x(1) + x(2) - x(3);
+        assert_eq!(
+            RowKernel::compile(&(mixed * x(4)), &strides).ops,
             vec![
-                mul(5.1, -100),
-                mul(12.1, -1),
-                add,
-                mul(15.0, 0),
-                add,
-                mul(12.2, 1),
-                add,
-                mul(5.2, 100),
-                add,
-                TapeOp::Binary(BinOp::Div, Operand::Top, Operand::Const(118.0)),
+                TapeOp::Unary(UnOp::Sqrt, Operand::Cell(0)),
+                TapeOp::Chain {
+                    fresh: false,
+                    terms: vec![term(-2.0, 1), term(1.0, 2), term(-1.0, 3)],
+                    tail: None,
+                },
+                TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Cell(4)),
             ]
         );
-        assert_eq!(j2d5pt.depth, 2);
 
         // gradient2d: 0.5·f, the running sum, and the two differences of
-        // the square being formed.
+        // the square being formed — no sum of products, the generic
+        // instructions as they were.
         let gradient2d = RowKernel::compile(suite::gradient2d().expr(), &strides);
-        assert_eq!(gradient2d.depth, 4);
-        assert_eq!(gradient2d.ops.len(), 20);
-        for kernel in [&j2d5pt, &gradient2d] {
-            assert!(!kernel.ops.iter().any(|op| matches!(op, TapeOp::Leaf(_))));
+        let sub = |delta: isize| TapeOp::Binary(BinOp::Sub, Operand::Cell(0), Operand::Cell(delta));
+        let mul_tops = TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Top);
+        let add_tops = TapeOp::Binary(BinOp::Add, Operand::Top, Operand::Top);
+        let mut expected = vec![
+            TapeOp::Binary(BinOp::Mul, Operand::Const(0.5), Operand::Cell(0)),
+            sub(100),
+            sub(100),
+            mul_tops.clone(),
+            TapeOp::Binary(BinOp::Add, Operand::Const(1.0), Operand::Top),
+        ];
+        for delta in [-100, 1, -1] {
+            expected.extend([sub(delta), sub(delta), mul_tops.clone(), add_tops.clone()]);
         }
+        expected.extend([
+            TapeOp::Unary(UnOp::Sqrt, Operand::Top),
+            TapeOp::Binary(BinOp::Div, Operand::Const(1.0), Operand::Top),
+            add_tops,
+        ]);
+        assert_eq!(gradient2d.ops, expected);
+        assert_eq!(gradient2d.depth, 4);
+    }
+
+    #[test]
+    fn multi_row_runs_match_row_at_a_time_and_leave_the_gaps_alone() {
+        // Local boxes whose plane has 7 updatable rows, taken three at a
+        // time (3 + 3 + 1): two dimensions are a single plane, the 3D
+        // boxes have one plane and three.
+        let cases: [(StencilDef, &[usize]); 4] = [
+            (suite::j2d5pt(), &[9, 13]),
+            (suite::star2d(2), &[11, 14]),
+            (suite::star3d(1), &[3, 9, 8]),
+            (suite::star3d(2), &[7, 11, 9]),
+        ];
+        for (def, local_shape) in cases {
+            let rad = def.radius();
+            let width = local_shape[local_shape.len() - 1];
+            let kernel = RowKernel::compile(def.expr(), &row_major_strides(local_shape));
+            let upd = updatable_ranges(local_shape, rad);
+            let mut rng = SplitMix(0xA11);
+            let cells: usize = local_shape.iter().product();
+            let loaded: Vec<f32> = (0..cells).map(|_| rng.value() as f32).collect();
+            let (mut src, mut dst) = (loaded.clone(), loaded.clone());
+            let (mut by_row_src, mut by_row_dst) = (loaded.clone(), loaded.clone());
+            let (mut scratch, mut by_row_scratch) = (Vec::new(), Vec::new());
+            for step in 0..3 {
+                kernel.step(&src, &mut dst, local_shape, rad, 3 * width, &mut scratch);
+                let (from, to) = (&by_row_src, &mut by_row_dst);
+                kernel.step(from, to, local_shape, rad, 0, &mut by_row_scratch);
+                let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dst), bits(&by_row_dst), "{} step {step}", def.name());
+                // Everything outside the updatable box — the gaps between
+                // the rows of a run included — still holds what was loaded.
+                let all: Vec<(usize, usize)> = local_shape.iter().map(|&e| (0, e)).collect();
+                let mut flat = 0usize;
+                for_each_row(&all, |index| {
+                    let updatable = index.iter().zip(&upd).all(|(&i, &(l, h))| i >= l && i < h);
+                    if !updatable {
+                        assert_eq!(dst[flat], loaded[flat], "{} {index:?}", def.name());
+                    }
+                    flat += 1;
+                });
+                std::mem::swap(&mut src, &mut dst);
+                std::mem::swap(&mut by_row_src, &mut by_row_dst);
+            }
+            assert_ne!(src, loaded, "{}: the steps updated something", def.name());
+        }
+    }
+
+    #[test]
+    fn updatable_box_is_rad_in_from_every_face_and_inside_the_interior() {
+        // The runs rely on the gap between two rows of a plane being
+        // exactly `2·rad`; the boundary ring relies on `rad` in from the
+        // local box never being closer than `rad` to the grid's faces.
+        for (def, interior, steps, bt, bs, hsn) in tile_geometries() {
+            let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
+            let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
+            let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+            let ctx = TileContext::new(&plan, &problem);
+            let rad = def.radius();
+            for tile in ctx.tiles() {
+                let (lo, local_shape) = ctx.local_box(tile);
+                let upd = updatable_ranges(&local_shape, rad);
+                for (d, &(first, end)) in upd.iter().enumerate() {
+                    assert_eq!((first, end), (rad, local_shape[d] - rad));
+                    assert!(first < end, "{}: empty updatable range", def.name());
+                    assert!(lo[d] + first >= rad, "{}: updates the ring", def.name());
+                    assert!(
+                        lo[d] + end <= ctx.shape[d] - rad,
+                        "{}: updates the ring",
+                        def.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile input grid has shape [18, 19]")]
+    fn execute_tile_rows_rejects_a_grid_of_another_shape() {
+        // Same cell count per row pair, other row length: flat offsets
+        // would read the wrong cells without a panic.
+        let def = suite::j2d5pt();
+        let problem = StencilProblem::new(def.clone(), &[16, 16], 2).unwrap();
+        let config = BlockConfig::new(1, &[8], None, Precision::Double).unwrap();
+        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+        let ctx = TileContext::new(&plan, &problem);
+        let wrong = Grid::<f64>::zeros(&[18, 19]);
+        let _ = ctx.execute_tile_rows(&wrong, &ctx.tiles()[0], 1);
     }
 
     #[test]

@@ -4,23 +4,33 @@
 
 use an5d::reference::run_reference;
 use an5d::{
-    analytic_counters, execute_plan_on, suite, BlockConfig, FrameworkScheme, Grid, GridDiff,
-    GridInit, KernelPlan, Precision, StencilDef, StencilProblem,
+    analytic_counters, execute_plan_on, suite, BlockConfig, Element, FrameworkScheme, Grid,
+    GridDiff, GridInit, KernelPlan, Precision, StencilDef, StencilProblem,
 };
 use proptest::prelude::*;
 
-fn check(def: &StencilDef, interior: &[usize], steps: usize, config: &BlockConfig, seed: u64) {
+/// Blocked execution in precision `T` must return the reference's grid bit
+/// for bit and the analytic walk's counters.
+fn check<T: Element>(
+    def: &StencilDef,
+    interior: &[usize],
+    steps: usize,
+    (bt, bs, hsn): (usize, &[usize], Option<usize>),
+    seed: u64,
+) {
     let problem = StencilProblem::new(def.clone(), interior, steps).expect("valid problem");
-    let plan = KernelPlan::build(def, &problem, config, FrameworkScheme::an5d()).expect("plan");
+    let config = BlockConfig::new(bt, bs, hsn, T::PRECISION).expect("valid blocking");
+    let plan = KernelPlan::build(def, &problem, &config, FrameworkScheme::an5d()).expect("plan");
     let init = GridInit::Hash { seed };
-    let reference = run_reference::<f64>(&problem, init);
-    let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);
+    let reference = run_reference::<T>(&problem, init);
+    let initial = Grid::<T>::from_init(&problem.grid_shape(), init);
     let blocked = execute_plan_on(&plan, &problem, initial);
     let diff = GridDiff::compute(&reference, &blocked.grid).expect("same shape");
     assert!(
         diff.is_exact(),
-        "{} with {config}: max |diff| = {:.3e}",
+        "{} ({:?}) with {config}: max |diff| = {:.3e}",
         def.name(),
+        T::PRECISION,
         diff.max_abs
     );
     // The analytic traffic model must agree exactly with the counted run.
@@ -40,8 +50,8 @@ fn every_2d_benchmark_matches_the_reference_under_deep_temporal_blocking() {
     {
         let bt = if def.radius() >= 3 { 2 } else { 4 };
         let bs = 16 + 2 * bt * def.radius();
-        let config = BlockConfig::new(bt, &[bs], Some(16), Precision::Double).unwrap();
-        check(&def, &[30, 26], 2 * bt + 1, &config, 7);
+        check::<f64>(&def, &[30, 26], 2 * bt + 1, (bt, &[bs], Some(16)), 7);
+        check::<f32>(&def, &[30, 26], 2 * bt + 1, (bt, &[bs], Some(16)), 7);
     }
 }
 
@@ -53,8 +63,8 @@ fn every_3d_benchmark_matches_the_reference() {
     {
         let bt = if def.radius() >= 2 { 1 } else { 2 };
         let bs = 6 + 2 * bt * def.radius();
-        let config = BlockConfig::new(bt, &[bs, bs], None, Precision::Double).unwrap();
-        check(&def, &[10, 9, 8], 2 * bt + 1, &config, 11);
+        check::<f64>(&def, &[10, 9, 8], 2 * bt + 1, (bt, &[bs, bs], None), 11);
+        check::<f32>(&def, &[10, 9, 8], 2 * bt + 1, (bt, &[bs, bs], None), 11);
     }
 }
 
@@ -95,7 +105,6 @@ proptest! {
     ) {
         let def = if star { suite::star2d(radius) } else { suite::box2d(radius) };
         let bs = 2 * bt * radius + 4 + extra_block;
-        let config = BlockConfig::new(bt, &[bs], stream_div, Precision::Double).unwrap();
-        check(&def, &[height, width], steps, &config, seed);
+        check::<f64>(&def, &[height, width], steps, (bt, &[bs], stream_div), seed);
     }
 }
