@@ -1,11 +1,10 @@
 //! The batch driver: fan a suite of (stencil, config) jobs across a
-//! bounded worker pool, planning through a shared [`PlanCache`] and
-//! executing through any [`ExecutionBackend`].
+//! bounded worker pool, executing through any [`ExecutionBackend`].
 
-use crate::{BackendElement, ExecutionBackend, PlanCache, SerialBackend};
+use crate::{BackendElement, ExecutionBackend, SerialBackend};
 use an5d_gpusim::TrafficCounters;
 use an5d_grid::{Grid, GridInit, Precision};
-use an5d_plan::{BlockConfig, FrameworkScheme, PlanError};
+use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, PlanError};
 use an5d_stencil::{StencilDef, StencilError, StencilProblem};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,8 +64,6 @@ pub struct BatchOutcome {
     /// Sum of every cell of the final grid (an order-independent digest
     /// for cross-backend comparisons).
     pub checksum: f64,
-    /// Whether planning was answered from the shared plan cache.
-    pub plan_cache_hit: bool,
     /// Wall-clock time of planning + execution for this job.
     pub elapsed: Duration,
 }
@@ -110,17 +107,15 @@ impl std::error::Error for BatchError {}
 /// ([`an5d_runtime::global`]), bounded by a per-driver concurrency cap.
 ///
 /// Jobs are claimed one at a time from the pool's dynamic queue, planned
-/// through the shared [`PlanCache`] and executed on the configured
-/// [`ExecutionBackend`]; results are returned **in input order**
-/// regardless of completion order, so batch output is deterministic.
+/// and executed on the configured [`ExecutionBackend`]; results are
+/// returned **in input order** regardless of completion order, so batch
+/// output is deterministic.
 ///
-/// Cloning is cheap and shares the backend and plan cache — a clone
-/// sees (and warms) the same cache as its original, so a streamed
-/// `/batch` body can own a driver without forking cache state.
+/// Cloning is cheap and shares the backend, so a streamed `/batch` body
+/// can own a driver.
 #[derive(Clone)]
 pub struct BatchDriver {
     backend: Arc<dyn ExecutionBackend>,
-    cache: Arc<PlanCache>,
     scheme: FrameworkScheme,
     workers: usize,
 }
@@ -130,7 +125,6 @@ impl std::fmt::Debug for BatchDriver {
         f.debug_struct("BatchDriver")
             .field("backend", &self.backend.describe())
             .field("workers", &self.workers)
-            .field("cache", &self.cache)
             .finish()
     }
 }
@@ -143,7 +137,7 @@ impl Default for BatchDriver {
 
 impl BatchDriver {
     /// A driver executing through `backend` with one pool worker per
-    /// available CPU and a fresh default-capacity plan cache.
+    /// available CPU.
     #[must_use]
     pub fn new(backend: Arc<dyn ExecutionBackend>) -> Self {
         let workers = std::thread::available_parallelism()
@@ -151,7 +145,6 @@ impl BatchDriver {
             .unwrap_or(1);
         Self {
             backend,
-            cache: Arc::new(PlanCache::default()),
             scheme: FrameworkScheme::an5d(),
             workers,
         }
@@ -164,24 +157,11 @@ impl BatchDriver {
         self
     }
 
-    /// Share an existing plan cache (e.g. with a tuner).
-    #[must_use]
-    pub fn with_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// Plan under a different framework scheme.
     #[must_use]
     pub fn with_scheme(mut self, scheme: FrameworkScheme) -> Self {
         self.scheme = scheme;
         self
-    }
-
-    /// The shared plan cache (for statistics or reuse).
-    #[must_use]
-    pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.cache
     }
 
     /// The execution backend jobs run on.
@@ -208,13 +188,14 @@ impl BatchDriver {
                     error: BatchFailure::Problem(e),
                 }
             })?;
-        let (plan, plan_cache_hit) = self
-            .cache
-            .get_or_build_traced(&job.def, &problem, &job.config, self.scheme)
-            .map_err(|e| BatchError {
-                name: job.name.clone(),
-                error: BatchFailure::Plan(e),
-            })?;
+        let plan = {
+            let _span = an5d_obs::Span::enter("plan.build");
+            KernelPlan::build(&job.def, &problem, &job.config, self.scheme)
+        }
+        .map_err(|e| BatchError {
+            name: job.name.clone(),
+            error: BatchFailure::Plan(e),
+        })?;
 
         let (counters, checksum) = match job.config.precision() {
             Precision::Single => {
@@ -234,7 +215,6 @@ impl BatchDriver {
             name: job.name.clone(),
             counters,
             checksum,
-            plan_cache_hit,
             elapsed: started.elapsed(),
         })
     }
@@ -271,13 +251,13 @@ mod tests {
             BatchJob::new(suite::j2d5pt(), &[20, 20], 4, config2d(2)),
             BatchJob::new(suite::star2d(1), &[18, 22], 5, config2d(1)),
             BatchJob::new(suite::box2d(1), &[16, 16], 3, config2d(2)),
-            // Repeat of the first job: must hit the plan cache.
+            // Repeat of the first job.
             BatchJob::new(suite::j2d5pt(), &[20, 20], 4, config2d(2)),
         ]
     }
 
     #[test]
-    fn batch_results_preserve_input_order_and_hit_the_cache() {
+    fn batch_results_preserve_input_order() {
         let driver = BatchDriver::new(Arc::new(SerialBackend)).with_workers(3);
         let results = driver.run(&jobs());
         assert_eq!(results.len(), 4);
@@ -291,9 +271,6 @@ mod tests {
         // Identical duplicate job: identical counters and checksum.
         assert_eq!(outcomes[0].counters, outcomes[3].counters);
         assert_eq!(outcomes[0].checksum, outcomes[3].checksum);
-        let stats = driver.cache().stats();
-        assert_eq!(stats.hits + stats.misses, 4);
-        assert!(stats.hits >= 1, "duplicate job must reuse the cached plan");
     }
 
     #[test]

@@ -1,55 +1,26 @@
-//! An LRU plan cache keyed by (stencil fingerprint, problem, config,
-//! scheme).
+//! An LRU plan cache keyed by (stencil name, problem, config, scheme).
 //!
 //! Planning is pure — the same `(StencilDef, StencilProblem, BlockConfig,
-//! FrameworkScheme)` inputs always derive the same [`KernelPlan`] — so
-//! repeated tuner sweeps, benchmark harness queries and `an5d-serve`
-//! request handlers can reuse plans instead of re-deriving geometry,
-//! resources and schedules. The cache is `Mutex`-protected and shared via
-//! `Arc`, so the batch driver's worker pool, the tuner's ranking threads
-//! and the service's connection workers all hit one instance.
+//! FrameworkScheme)` inputs always derive the same [`KernelPlan`] — and
+//! cheap (microseconds), so the library layers call [`KernelPlan::build`]
+//! directly. The one user is `an5d-serve`, whose `/plan`, `/predict` and
+//! `/codegen` handlers share a single instance behind a `Mutex`.
 //!
-//! Two properties matter under concurrent load:
-//!
-//! * **Miss coalescing** — when N threads miss on the same key at once,
-//!   exactly one of them builds the plan; the others block on a per-key
-//!   in-flight slot and receive the finished `Arc` (or the build error).
-//!   Without this, a thundering herd of identical requests did N
-//!   identical builds.
-//! * **Ordered eviction** — recency is tracked in a tick-ordered
-//!   `BTreeMap` index, so an insert evicts the least-recently-used entry
-//!   in `O(log n)` instead of re-scanning the whole map (`O(n)` per
-//!   insert, `O(n²)` under churn).
+//! The build runs outside the lock, so threads that miss on the same key
+//! at once each build the plan; the copies are equal and the last insert
+//! wins. Recency is tracked in a tick-ordered `BTreeMap` index, so an
+//! insert evicts the least-recently-used entry in `O(log n)`.
 
 use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, PlanError};
 use an5d_stencil::{StencilDef, StencilProblem};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
-/// Default number of cached plans.
-const DEFAULT_CAPACITY: usize = 256;
-
-/// A stable fingerprint of a stencil definition.
-///
-/// [`StencilDef`] stores `f64` coefficients, so it cannot derive `Hash`;
-/// the fingerprint hashes the name, rank, radius and the debug rendering
-/// of the update expression (which prints `f64`s in shortest-round-trip
-/// form, i.e. injectively for the finite values stencils use).
-#[must_use]
-pub(crate) fn stencil_fingerprint(def: &StencilDef) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    def.name().hash(&mut hasher);
-    def.ndim().hash(&mut hasher);
-    def.radius().hash(&mut hasher);
-    format!("{:?}", def.expr()).hash(&mut hasher);
-    hasher.finish()
-}
-
+/// The lookup key. It names the stencil rather than hashing its update
+/// expression, so a hit additionally compares the cached plan's full
+/// definition with the requested one.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
-    def_fingerprint: u64,
     def_name: String,
     interior: Vec<usize>,
     time_steps: usize,
@@ -57,79 +28,9 @@ struct PlanKey {
     scheme: FrameworkScheme,
 }
 
-impl PlanKey {
-    fn new(
-        def: &StencilDef,
-        problem: &StencilProblem,
-        config: &BlockConfig,
-        scheme: FrameworkScheme,
-    ) -> Self {
-        Self {
-            def_fingerprint: stencil_fingerprint(def),
-            def_name: def.name().to_string(),
-            interior: problem.interior().to_vec(),
-            time_steps: problem.time_steps(),
-            config: config.clone(),
-            scheme,
-        }
-    }
-}
-
 struct Entry {
     plan: Arc<KernelPlan>,
     last_used: u64,
-}
-
-/// State of an in-flight build slot.
-enum SlotState {
-    /// The builder is still running.
-    Pending,
-    /// The builder finished (successfully or with a plan error).
-    Done(Result<Arc<KernelPlan>, PlanError>),
-    /// The builder panicked and unwound without a result; waiters must
-    /// fall back to building for themselves.
-    Abandoned,
-}
-
-/// A per-key slot shared by the thread building a plan and every thread
-/// waiting for that build.
-struct InFlight {
-    state: Mutex<SlotState>,
-    done: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(SlotState::Pending),
-            done: Condvar::new(),
-        }
-    }
-
-    fn publish(&self, result: Result<Arc<KernelPlan>, PlanError>) {
-        *self.state.lock().expect("in-flight slot poisoned") = SlotState::Done(result);
-        self.done.notify_all();
-    }
-
-    fn abandon(&self) {
-        *self.state.lock().expect("in-flight slot poisoned") = SlotState::Abandoned;
-        self.done.notify_all();
-    }
-
-    /// Block until the builder publishes; `None` means it unwound and
-    /// the waiter must build for itself.
-    fn wait(&self) -> Option<Result<Arc<KernelPlan>, PlanError>> {
-        let mut state = self.state.lock().expect("in-flight slot poisoned");
-        loop {
-            match &*state {
-                SlotState::Pending => {
-                    state = self.done.wait(state).expect("in-flight slot poisoned");
-                }
-                SlotState::Done(result) => return Some(result.clone()),
-                SlotState::Abandoned => return None,
-            }
-        }
-    }
 }
 
 struct Inner {
@@ -138,13 +39,9 @@ struct Inner {
     /// lookup takes a fresh one under the lock), so this is an exact
     /// mirror of `map` ordered oldest-first.
     lru: BTreeMap<u64, PlanKey>,
-    /// Builds currently running outside the lock, keyed so racing misses
-    /// can coalesce onto them.
-    in_flight: HashMap<PlanKey, Arc<InFlight>>,
     tick: u64,
     hits: u64,
     misses: u64,
-    coalesced: u64,
 }
 
 impl Inner {
@@ -157,14 +54,10 @@ impl Inner {
 /// Point-in-time cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered without building: true cache hits plus coalesced
-    /// waits on another thread's in-flight build.
+    /// Lookups answered without building.
     pub hits: u64,
     /// Lookups that had to build a plan.
     pub misses: u64,
-    /// Lookups (already counted in `hits`) that were answered by waiting
-    /// on a concurrent in-flight build of the same key.
-    pub coalesced: u64,
     /// Plans currently cached.
     pub entries: usize,
     /// Maximum number of cached plans.
@@ -183,94 +76,10 @@ impl CacheStats {
     }
 }
 
-/// Cleanup for a builder that unwinds: removes the in-flight slot and
-/// marks it abandoned so coalesced waiters wake up and build for
-/// themselves instead of blocking forever. Disarmed with `mem::forget`
-/// once the build returns normally.
-struct AbandonGuard<'a> {
-    cache: &'a PlanCache,
-    key: &'a PlanKey,
-}
-
-impl Drop for AbandonGuard<'_> {
-    fn drop(&mut self) {
-        // The build runs without the cache lock held, so the unwinding
-        // panic cannot have poisoned it; if it somehow is, waiters are
-        // already panicking on the same lock.
-        if let Ok(mut inner) = self.cache.inner.lock() {
-            if let Some(slot) = inner.in_flight.remove(self.key) {
-                drop(inner);
-                slot.abandon();
-            }
-        }
-    }
-}
-
-/// One plan to pre-build during [`PlanCache::warm`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmRequest {
-    /// The stencil to plan for.
-    pub def: StencilDef,
-    /// The problem extents/time-steps.
-    pub problem: StencilProblem,
-    /// The blocking configuration.
-    pub config: BlockConfig,
-    /// The framework scheme.
-    pub scheme: FrameworkScheme,
-}
-
-impl WarmRequest {
-    /// Convenience constructor.
-    #[must_use]
-    pub fn new(
-        def: StencilDef,
-        problem: StencilProblem,
-        config: BlockConfig,
-        scheme: FrameworkScheme,
-    ) -> Self {
-        Self {
-            def,
-            problem,
-            config,
-            scheme,
-        }
-    }
-}
-
-/// Outcome of a [`PlanCache::warm`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmStats {
-    /// Plans newly built by this pass.
-    pub built: usize,
-    /// Requests already answered by the cache (or coalesced onto a
-    /// concurrent build).
-    pub already_cached: usize,
-    /// Requests whose plan failed validation.
-    pub failed: usize,
-}
-
 /// A bounded, thread-safe LRU cache of built [`KernelPlan`]s.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("PlanCache")
-            .field("capacity", &self.capacity)
-            .field("entries", &stats.entries)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .finish()
-    }
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        Self::new(DEFAULT_CAPACITY)
-    }
 }
 
 impl PlanCache {
@@ -282,11 +91,9 @@ impl PlanCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 lru: BTreeMap::new(),
-                in_flight: HashMap::new(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
-                coalesced: 0,
             }),
         }
     }
@@ -309,214 +116,56 @@ impl PlanCache {
         config: &BlockConfig,
         scheme: FrameworkScheme,
     ) -> Result<Arc<KernelPlan>, PlanError> {
-        self.get_or_build_traced(def, problem, config, scheme)
-            .map(|(plan, _)| plan)
-    }
-
-    /// Like [`PlanCache::get_or_build`], additionally reporting whether
-    /// this particular lookup was answered from the cache (a coalesced
-    /// wait on another thread's build counts as a cache answer).
-    ///
-    /// Concurrent misses on the same key coalesce: the first miss builds
-    /// outside the lock while later misses block on the in-flight slot,
-    /// so each key is built exactly once no matter how many threads race.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlanError`] from [`KernelPlan::build`]; failed builds
-    /// are not cached (waiters coalesced onto a failed build receive a
-    /// clone of the same error).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn get_or_build_traced(
-        &self,
-        def: &StencilDef,
-        problem: &StencilProblem,
-        config: &BlockConfig,
-        scheme: FrameworkScheme,
-    ) -> Result<(Arc<KernelPlan>, bool), PlanError> {
-        let key = PlanKey::new(def, problem, config, scheme);
-        let in_flight = {
-            let mut inner = self.inner.lock().expect("plan cache poisoned");
+        let key = PlanKey {
+            def_name: def.name().to_string(),
+            interior: problem.interior().to_vec(),
+            time_steps: problem.time_steps(),
+            config: config.clone(),
+            scheme,
+        };
+        {
+            let mut guard = self.inner.lock().expect("plan cache poisoned");
+            let inner = &mut *guard;
             let tick = inner.next_tick();
-            let cached = match inner.map.get(&key) {
-                // The key carries only a fingerprint of the stencil, so a
-                // hit must still compare the full definition: a colliding
-                // fingerprint (same name/config, different expression) is
-                // rejected here and rebuilt.
+            match inner.map.get_mut(&key) {
+                // Same name, different update expression (two C sources
+                // sharing a name): not this entry — rebuild and replace.
                 Some(entry) if entry.plan.def() == def => {
-                    Some((Arc::clone(&entry.plan), entry.last_used))
+                    inner.lru.remove(&entry.last_used);
+                    inner.lru.insert(tick, key);
+                    entry.last_used = tick;
+                    inner.hits += 1;
+                    return Ok(Arc::clone(&entry.plan));
                 }
-                _ => None,
-            };
-            if let Some((plan, last_used)) = cached {
-                inner.lru.remove(&last_used);
-                inner.lru.insert(tick, key.clone());
-                inner
-                    .map
-                    .get_mut(&key)
-                    .expect("entry checked above")
-                    .last_used = tick;
-                inner.hits += 1;
-                return Ok((plan, true));
+                _ => inner.misses += 1,
             }
-            if let Some(slot) = inner.in_flight.get(&key).map(Arc::clone) {
-                // Another thread is already building this key: wait for
-                // its result instead of duplicating the build.
-                inner.hits += 1;
-                inner.coalesced += 1;
-                Some(slot)
-            } else {
-                inner.misses += 1;
-                inner
-                    .in_flight
-                    .insert(key.clone(), Arc::new(InFlight::new()));
-                None
-            }
-        };
-
-        if let Some(slot) = in_flight {
-            let _span = an5d_obs::Span::enter("plan.coalesce_wait");
-            return match slot.wait() {
-                Some(Ok(plan)) if plan.def() == def => Ok((plan, true)),
-                // Fingerprint collision raced in flight: the finished
-                // build is for a different definition with the same key.
-                // Build directly (uncached) rather than poison the entry.
-                Some(Ok(_)) => Ok((
-                    Arc::new(KernelPlan::build(def, problem, config, scheme)?),
-                    false,
-                )),
-                Some(Err(e)) => Err(e),
-                // The builder panicked and unwound: fall back to building
-                // for ourselves (uncached) instead of hanging forever.
-                None => Ok((
-                    Arc::new(KernelPlan::build(def, problem, config, scheme)?),
-                    false,
-                )),
-            };
         }
 
-        // Build outside the lock: planning is pure, so holding the lock
-        // would only serialise unrelated keys. Racing misses on this key
-        // are parked on the in-flight slot registered above. The guard
-        // covers a panicking `KernelPlan::build`: without it an unwind
-        // would strand the slot in `Pending`, wedging every current and
-        // future lookup of this key on a condvar that never fires.
-        let guard = AbandonGuard {
-            cache: self,
-            key: &key,
-        };
-        let built = {
+        // Build outside the lock: holding it would serialise every other
+        // key behind this build.
+        let plan = {
             let _span = an5d_obs::Span::enter("plan.build");
-            KernelPlan::build(def, problem, config, scheme).map(Arc::new)
+            Arc::new(KernelPlan::build(def, problem, config, scheme)?)
         };
-        std::mem::forget(guard);
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        let slot = inner
-            .in_flight
-            .remove(&key)
-            .expect("builder owns the in-flight slot");
-        if let Ok(plan) = &built {
-            let tick = inner.next_tick();
-            if let Some(old) = inner.map.insert(
-                key.clone(),
-                Entry {
-                    plan: Arc::clone(plan),
-                    last_used: tick,
-                },
-            ) {
-                inner.lru.remove(&old.last_used);
-            }
-            inner.lru.insert(tick, key);
-            while inner.map.len() > self.capacity {
-                let (&oldest_tick, _) = inner
-                    .lru
-                    .iter()
-                    .next()
-                    .expect("lru mirrors the non-empty map");
-                let oldest_key = inner
-                    .lru
-                    .remove(&oldest_tick)
-                    .expect("tick fetched from the index");
-                inner.map.remove(&oldest_key);
-            }
+        let mut guard = self.inner.lock().expect("plan cache poisoned");
+        let inner = &mut *guard;
+        let tick = inner.next_tick();
+        let entry = Entry {
+            plan: Arc::clone(&plan),
+            last_used: tick,
+        };
+        if let Some(old) = inner.map.insert(key.clone(), entry) {
+            inner.lru.remove(&old.last_used);
         }
-        drop(inner);
-        slot.publish(built.clone());
-        built.map(|plan| (plan, false))
-    }
-
-    /// `true` when the key is already cached with this exact definition.
-    /// A read-only probe: no statistics are counted and the entry's LRU
-    /// recency is left untouched.
-    fn contains(&self, key: &PlanKey, def: &StencilDef) -> bool {
-        let inner = self.inner.lock().expect("plan cache poisoned");
-        matches!(inner.map.get(key), Some(entry) if entry.plan.def() == def)
-    }
-
-    /// Pre-build a set of plans on the shared persistent worker pool
-    /// ([`an5d_runtime::global`]), so later lookups (service startup
-    /// traffic, tuner sweeps, batch runs) hit a warm cache instead of
-    /// paying first-build latency.
-    ///
-    /// The request list is deduplicated *before* dispatch: repeated keys
-    /// and keys already resident (e.g. a DB-warmed entry, or the tuning
-    /// winner appearing in both the `best` and `measured` lists of a
-    /// stored result) are counted in [`WarmStats::already_cached`]
-    /// without ever reaching the pool — they used to take a pool slot
-    /// and a counted cache lookup each, polluting the hit/coalesce
-    /// statistics warm-path regression tests observe. Only genuinely
-    /// new keys are claimed by the pool; invalid configurations are
-    /// tallied in [`WarmStats::failed`] without aborting the pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn warm(&self, requests: &[WarmRequest]) -> WarmStats {
-        use std::collections::HashSet;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let mut seen: HashSet<PlanKey> = HashSet::new();
-        let mut already_cached = 0usize;
-        let mut pending: Vec<&WarmRequest> = Vec::new();
-        for request in requests {
-            let key = PlanKey::new(
-                &request.def,
-                &request.problem,
-                &request.config,
-                request.scheme,
-            );
-            if !seen.insert(key.clone()) || self.contains(&key, &request.def) {
-                already_cached += 1;
-                continue;
-            }
-            pending.push(request);
+        inner.lru.insert(tick, key);
+        while inner.map.len() > self.capacity {
+            let (_, oldest) = inner
+                .lru
+                .pop_first()
+                .expect("lru mirrors the non-empty map");
+            inner.map.remove(&oldest);
         }
-
-        let built = AtomicUsize::new(0);
-        let raced = AtomicUsize::new(0);
-        let failed = AtomicUsize::new(0);
-        an5d_runtime::global().for_each(pending, |request| {
-            match self.get_or_build_traced(
-                &request.def,
-                &request.problem,
-                &request.config,
-                request.scheme,
-            ) {
-                // Another thread (a concurrent warm pass or live lookup)
-                // cached the key between the pre-check and the build.
-                Ok((_, true)) => raced.fetch_add(1, Ordering::Relaxed),
-                Ok((_, false)) => built.fetch_add(1, Ordering::Relaxed),
-                Err(_) => failed.fetch_add(1, Ordering::Relaxed),
-            };
-        });
-        WarmStats {
-            built: built.into_inner(),
-            already_cached: already_cached + raced.into_inner(),
-            failed: failed.into_inner(),
-        }
+        Ok(plan)
     }
 
     /// Current hit/miss/occupancy statistics.
@@ -530,22 +179,9 @@ impl PlanCache {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
-            coalesced: inner.coalesced,
             entries: inner.map.len(),
             capacity: self.capacity,
         }
-    }
-
-    /// Drop every cached plan (statistics are kept; in-flight builds are
-    /// unaffected and will insert when they finish).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking thread.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        inner.map.clear();
-        inner.lru.clear();
     }
 }
 
@@ -583,24 +219,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn traced_lookup_reports_hit_or_miss_per_call() {
-        let cache = PlanCache::new(8);
-        let def = suite::j2d5pt();
-        let problem = problem(&def);
-        let config = BlockConfig::new(2, &[16], None, Precision::Double).unwrap();
-
-        let (first, was_hit) = cache
-            .get_or_build_traced(&def, &problem, &config, FrameworkScheme::an5d())
-            .unwrap();
-        assert!(!was_hit, "first lookup builds");
-        let (second, was_hit) = cache
-            .get_or_build_traced(&def, &problem, &config, FrameworkScheme::an5d())
-            .unwrap();
-        assert!(was_hit, "second lookup is served from the cache");
-        assert!(Arc::ptr_eq(&first, &second));
     }
 
     #[test]
@@ -668,17 +286,24 @@ mod tests {
 
     #[test]
     fn distinct_defs_with_same_name_are_distinguished() {
-        let a = suite::star2d(1);
-        let b = suite::star2d(2);
-        assert_ne!(stencil_fingerprint(&a), stencil_fingerprint(&b));
-        assert_eq!(
-            stencil_fingerprint(&a),
-            stencil_fingerprint(&suite::star2d(1))
-        );
+        // Two sources submitted under one name share a key; a lookup
+        // must never be answered with the other definition's plan.
+        let cache = PlanCache::new(4);
+        let a = StencilDef::new("mine", suite::star2d(1).expr().clone()).unwrap();
+        let b = StencilDef::new("mine", suite::box2d(1).expr().clone()).unwrap();
+        let config = BlockConfig::new(2, &[16], None, Precision::Double).unwrap();
+        for def in [&a, &b, &a] {
+            let plan = cache
+                .get_or_build(def, &problem(def), &config, FrameworkScheme::an5d())
+                .unwrap();
+            assert_eq!(plan.def(), def);
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 3, 1));
     }
 
     #[test]
-    fn concurrent_misses_on_one_key_coalesce_into_a_single_build() {
+    fn concurrent_misses_on_one_key_end_with_one_entry_and_equal_plans() {
         let cache = PlanCache::new(8);
         let def = suite::j2d5pt();
         let problem = problem(&def);
@@ -703,91 +328,15 @@ mod tests {
                 .collect()
         });
 
-        // Exactly one thread built; everyone else hit the cache or waited
-        // on the in-flight build — and all received the same Arc, which
-        // proves a single build produced every answer.
+        // Racing misses may each build, but the copies are equal and the
+        // cache keeps exactly one.
         let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "exactly one coalesced build per key");
-        assert_eq!(stats.hits, (THREADS - 1) as u64);
         assert_eq!(stats.hits + stats.misses, THREADS as u64);
+        assert!(stats.misses >= 1);
+        assert_eq!(stats.entries, 1);
         for plan in &plans[1..] {
-            assert!(Arc::ptr_eq(&plans[0], plan));
+            assert_eq!(**plan, *plans[0]);
         }
-    }
-
-    #[test]
-    fn coalesced_waiters_receive_the_builders_error() {
-        let cache = PlanCache::new(8);
-        let def = suite::j2d9pt();
-        let problem = problem(&def);
-        // Block far too small for bT = 16: every build fails validation.
-        let config = BlockConfig::new(16, &[32], None, Precision::Double).unwrap();
-
-        const THREADS: usize = 4;
-        let barrier = std::sync::Barrier::new(THREADS);
-        let errors: Vec<PlanError> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        cache
-                            .get_or_build(&def, &problem, &config, FrameworkScheme::an5d())
-                            .unwrap_err()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("lookup thread panicked"))
-                .collect()
-        });
-        assert_eq!(errors.len(), THREADS);
-        for e in &errors[1..] {
-            assert_eq!(errors[0], *e, "waiters see a clone of the same error");
-        }
-        assert_eq!(cache.stats().entries, 0, "failed builds are not cached");
-    }
-
-    #[test]
-    fn abandoned_builds_unblock_waiters_instead_of_hanging() {
-        // Simulate a builder that panicked mid-build: its in-flight slot
-        // is registered but the result never arrives. Waiters must fall
-        // back to building for themselves once the guard abandons the
-        // slot — not block forever on the condvar.
-        let cache = PlanCache::new(8);
-        let def = suite::j2d5pt();
-        let problem = problem(&def);
-        let config = BlockConfig::new(2, &[16], None, Precision::Double).unwrap();
-        let key = PlanKey::new(&def, &problem, &config, FrameworkScheme::an5d());
-
-        cache
-            .inner
-            .lock()
-            .unwrap()
-            .in_flight
-            .insert(key.clone(), Arc::new(InFlight::new()));
-
-        let plan = std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| {
-                // Coalesces onto the dead slot and parks.
-                cache
-                    .get_or_build(&def, &problem, &config, FrameworkScheme::an5d())
-                    .unwrap()
-            });
-            // Let the waiter reach the condvar, then run the unwind-path
-            // cleanup the builder's guard would have performed.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            drop(AbandonGuard {
-                cache: &cache,
-                key: &key,
-            });
-            waiter.join().expect("waiter must not hang or panic")
-        });
-        assert_eq!(plan.def(), &def);
-        assert!(
-            cache.inner.lock().unwrap().in_flight.is_empty(),
-            "abandoned slot must be cleaned up"
-        );
     }
 
     #[test]
@@ -829,104 +378,5 @@ mod tests {
             misses_before + 1,
             "least-recently-used bt=2 must have been evicted"
         );
-    }
-
-    #[test]
-    fn warming_pre_builds_plans_on_the_pool() {
-        let cache = PlanCache::new(64);
-        let def = suite::j2d5pt();
-        let problem = problem(&def);
-        let scheme = FrameworkScheme::an5d();
-        let mut requests: Vec<WarmRequest> = (1..=4)
-            .map(|bt| {
-                WarmRequest::new(
-                    def.clone(),
-                    problem.clone(),
-                    BlockConfig::new(bt, &[16], None, Precision::Double).unwrap(),
-                    scheme,
-                )
-            })
-            .collect();
-        // A duplicate and an invalid config ride along.
-        requests.push(requests[0].clone());
-        requests.push(WarmRequest::new(
-            suite::j2d9pt(),
-            StencilProblem::new(suite::j2d9pt(), &[32, 32], 8).unwrap(),
-            BlockConfig::new(16, &[32], None, Precision::Double).unwrap(),
-            scheme,
-        ));
-
-        let stats = cache.warm(&requests);
-        assert_eq!(stats.built, 4);
-        assert_eq!(stats.already_cached, 1);
-        assert_eq!(stats.failed, 1);
-        assert_eq!(cache.stats().entries, 4);
-
-        // Warm lookups afterwards: all hits, no further builds.
-        let misses_before = cache.stats().misses;
-        for request in &requests[..4] {
-            cache
-                .get_or_build(&request.def, &request.problem, &request.config, scheme)
-                .unwrap();
-        }
-        assert_eq!(cache.stats().misses, misses_before);
-
-        // A second warm pass is a no-op build-wise.
-        let again = cache.warm(&requests[..4]);
-        assert_eq!(again.built, 0);
-        assert_eq!(again.already_cached, 4);
-    }
-
-    #[test]
-    fn warming_dedupes_duplicates_before_the_pool_sees_them() {
-        // Regression: a warm list full of duplicates (a DB-warmed shard
-        // submits each stored winner via both `best` and `measured`)
-        // used to push every copy through a counted cache lookup — one
-        // miss plus N−1 hits, skewing the hit-rate the service reports
-        // and burning pool slots. Deduped, the cache sees exactly one
-        // lookup per distinct key.
-        let cache = PlanCache::new(16);
-        let def = suite::j2d5pt();
-        let problem = problem(&def);
-        let request = WarmRequest::new(
-            def.clone(),
-            problem.clone(),
-            BlockConfig::new(2, &[16], None, Precision::Double).unwrap(),
-            FrameworkScheme::an5d(),
-        );
-        let requests = vec![request; 8];
-
-        let stats = cache.warm(&requests);
-        assert_eq!(stats.built, 1);
-        assert_eq!(stats.already_cached, 7);
-        let cache_stats = cache.stats();
-        assert_eq!(cache_stats.misses, 1, "one build per distinct key");
-        assert_eq!(
-            cache_stats.hits, 0,
-            "duplicates must be deduped before dispatch, not served as hits"
-        );
-        assert_eq!(cache_stats.coalesced, 0);
-
-        // Re-warming an already-resident key is also invisible to the
-        // hit/miss counters: the pre-check is a read-only probe.
-        let again = cache.warm(&requests[..1]);
-        assert_eq!(again.built, 0);
-        assert_eq!(again.already_cached, 1);
-        let cache_stats = cache.stats();
-        assert_eq!(cache_stats.misses, 1);
-        assert_eq!(cache_stats.hits, 0);
-    }
-
-    #[test]
-    fn clear_empties_the_cache() {
-        let cache = PlanCache::new(4);
-        let def = suite::j2d5pt();
-        let problem = problem(&def);
-        let config = BlockConfig::new(2, &[16], None, Precision::Double).unwrap();
-        cache
-            .get_or_build(&def, &problem, &config, FrameworkScheme::an5d())
-            .unwrap();
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
     }
 }

@@ -25,17 +25,14 @@
 //!   computes every cell through the scalar operation sequence of the
 //!   naive reference sweep, every thread count produces **bit-identical**
 //!   grids (for `f32` and `f64` alike) and identical counter totals;
-//! * [`PlanCache`] — an LRU plan/codegen cache keyed by
-//!   (stencil fingerprint, problem extents, [`BlockConfig`],
-//!   [`FrameworkScheme`]) so repeated tuner and benchmark queries skip
-//!   re-planning, with pool-parallel pre-warming ([`PlanCache::warm`]);
-//!   [`ShardedPlanCache`] adds a device dimension to the key — one
-//!   shard per [`an5d_gpusim::DeviceId`], so a fleet-serving process
-//!   holds per-device working sets with no cross-device eviction;
 //! * [`BatchDriver`] — fans a whole suite of (stencil, config) jobs across
-//!   the shared pool (bounded by a per-driver concurrency cap), planning
-//!   through a shared [`PlanCache`] and executing through any
-//!   [`ExecutionBackend`].
+//!   the shared pool (bounded by a per-driver concurrency cap), building
+//!   each job's plan and executing it through any [`ExecutionBackend`];
+//! * [`PlanCache`] — a plain `Mutex`-guarded LRU over built plans, keyed
+//!   by (stencil name, problem extents, [`BlockConfig`],
+//!   [`FrameworkScheme`]). A plan costs microseconds to build, so nothing
+//!   in the library plans through it; `an5d-serve` keeps one behind
+//!   `/plan`, `/predict` and `/codegen`.
 //!
 //! # Backend selection
 //!
@@ -76,13 +73,11 @@ mod backend;
 mod batch;
 mod cache;
 mod registry;
-mod sharded;
 
 pub use backend::{BackendElement, ExecutionBackend, SerialBackend, VectorCpuBackend};
 pub use batch::{BatchDriver, BatchError, BatchFailure, BatchJob, BatchOutcome};
-pub use cache::{CacheStats, PlanCache, WarmRequest, WarmStats};
+pub use cache::{CacheStats, PlanCache};
 pub use registry::{available_backends, backend_from_env, create_backend, BACKEND_ENV};
-pub use sharded::ShardedPlanCache;
 
 // Re-exported so backend users can name the key/config types without an
 // extra dependency edge.

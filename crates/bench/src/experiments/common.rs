@@ -1,24 +1,15 @@
 //! Shared helpers for the experiment harnesses.
 //!
-//! All plan construction goes through one process-wide [`PlanCache`]
-//! (repeated device/precision sweeps re-request the same plans), and all
-//! functional execution goes through the [`ExecutionBackend`] selected by
-//! the `AN5D_BACKEND` environment variable — so every experiment,
-//! example and test switches backends without code changes.
+//! All functional execution goes through the [`ExecutionBackend`]
+//! selected by the `AN5D_BACKEND` environment variable — so every
+//! experiment, example and test switches backends without code changes.
 
 use an5d::{
     backend_from_env, measure_best_cap, predict, standard_registry, BlockConfig, DeviceRegistry,
     ExecutionBackend, FrameworkScheme, GpuDevice, KernelPlan, Measurement, ModelPrediction,
-    PlanCache, Precision, SearchSpace, StencilDef, StencilProblem, TrafficCounters, Tuner,
-    TuningResult,
+    Precision, SearchSpace, StencilDef, StencilProblem, TrafficCounters, Tuner, TuningResult,
 };
-use std::sync::{Arc, OnceLock};
-
-/// The process-wide plan cache shared by every experiment harness.
-pub fn plan_cache() -> Arc<PlanCache> {
-    static CACHE: OnceLock<Arc<PlanCache>> = OnceLock::new();
-    Arc::clone(CACHE.get_or_init(|| Arc::new(PlanCache::new(512))))
-}
+use std::sync::Arc;
 
 /// The execution backend selected for this process (`AN5D_BACKEND`).
 #[must_use]
@@ -26,16 +17,14 @@ pub fn execution_backend() -> Arc<dyn ExecutionBackend> {
     backend_from_env()
 }
 
-/// Build (or fetch from the shared cache) a plan under the AN5D scheme.
+/// Build a plan under the AN5D scheme.
 #[must_use]
-pub fn cached_plan(
+pub fn an5d_plan(
     def: &StencilDef,
     problem: &StencilProblem,
     config: &BlockConfig,
-) -> Option<Arc<KernelPlan>> {
-    plan_cache()
-        .get_or_build(def, problem, config, FrameworkScheme::an5d())
-        .ok()
+) -> Option<KernelPlan> {
+    KernelPlan::build(def, problem, config, FrameworkScheme::an5d()).ok()
 }
 
 /// Execute a plan functionally on the selected backend and return its
@@ -49,7 +38,7 @@ pub fn counted_run(
 ) -> Option<TrafficCounters> {
     use an5d::{Grid, GridInit};
     let problem = StencilProblem::new(def.clone(), interior, time_steps).ok()?;
-    let plan = cached_plan(def, &problem, config)?;
+    let plan = an5d_plan(def, &problem, config)?;
     let initial = Grid::<f64>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 0x5EED });
     Some(
         execution_backend()
@@ -101,20 +90,14 @@ pub fn paper_problem(def: &StencilDef) -> StencilProblem {
 /// happens for stencils whose radius × bT exceeds the Sconf block — the
 /// paper never runs Sconf on those either.
 #[must_use]
-pub fn sconf_plan(
-    def: &StencilDef,
-    problem: &StencilProblem,
-    precision: Precision,
-) -> Arc<KernelPlan> {
+pub fn sconf_plan(def: &StencilDef, problem: &StencilProblem, precision: Precision) -> KernelPlan {
     let config = BlockConfig::sconf(def.ndim(), precision);
     let scheme = if def.ndim() == 2 {
         FrameworkScheme::an5d_no_associative()
     } else {
         FrameworkScheme::an5d()
     };
-    plan_cache()
-        .get_or_build(def, problem, &config, scheme)
-        .expect("Sconf configuration is valid")
+    KernelPlan::build(def, problem, &config, scheme).expect("Sconf configuration is valid")
 }
 
 /// Simulated `Sconf` measurement.
@@ -135,7 +118,6 @@ pub fn tuned(def: &StencilDef, device: &GpuDevice, precision: Precision) -> Opti
     let problem = paper_problem(def);
     let space = SearchSpace::paper(def.ndim(), precision);
     Tuner::new(device.clone(), precision)
-        .with_plan_cache(plan_cache())
         .tune(def, &problem, &space)
         .ok()
 }
@@ -148,7 +130,7 @@ pub fn prediction_for(
     device: &GpuDevice,
 ) -> Option<ModelPrediction> {
     let problem = paper_problem(def);
-    let plan = cached_plan(def, &problem, config)?;
+    let plan = an5d_plan(def, &problem, config)?;
     Some(predict(&plan, &problem, device))
 }
 
@@ -160,7 +142,7 @@ pub fn measurement_for(
     device: &GpuDevice,
 ) -> Option<Measurement> {
     let problem = paper_problem(def);
-    let plan = cached_plan(def, &problem, config)?;
+    let plan = an5d_plan(def, &problem, config)?;
     measure_best_cap(&plan, &problem, device).ok()
 }
 

@@ -52,7 +52,7 @@ pub fn row(stencil: &str, device: &GpuDevice, precision: Precision) -> Option<Fi
     let tuned_result = tuned(&def, device, precision);
     let an5d_tuned = tuned_result.as_ref().map(|t| t.best.measured_gflops);
     let model = tuned_result.as_ref().and_then(|t| {
-        let plan = super::common::cached_plan(&def, &problem, &t.best.config)?;
+        let plan = super::common::an5d_plan(&def, &problem, &t.best.config)?;
         Some(predict(&plan, &problem, device).gflops)
     });
 

@@ -48,7 +48,7 @@ pub fn rows_for(device: &GpuDevice, precision: Precision) -> Vec<Table5Row> {
             let result = tuned(def, device, precision)?;
             let best = &result.best;
             let problem = paper_problem(def);
-            let plan = super::common::cached_plan(def, &problem, &best.config)?;
+            let plan = super::common::an5d_plan(def, &problem, &best.config)?;
             let model = predict(&plan, &problem, device);
             Some(Table5Row {
                 pattern: def.name().to_string(),

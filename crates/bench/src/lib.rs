@@ -3,13 +3,15 @@
 //!
 //! Each experiment is a pure function returning structured rows plus a
 //! `print_*` helper that renders the same rows/series the paper reports.
-//! Three front-ends reuse the same functions:
+//! Two front-ends reuse the same functions:
 //!
 //! * the `table1…table5` / `fig6…fig9` binaries (`cargo run -p an5d-bench
-//!   --bin table5`),
+//!   --bin table5`), and
 //! * the `exp_tables` / `exp_figures` bench targets (so
-//!   `cargo bench --workspace` regenerates every table and figure), and
-//! * the criterion benches, which measure the library itself.
+//!   `cargo bench --workspace` regenerates every table and figure).
+//!
+//! The library's own speed is measured by the repo benchmark
+//! (`benchmark/`), not here.
 //!
 //! Absolute numbers come from the simulated GPU substrate (see
 //! `DESIGN.md`); the quantities that are exact by construction are the

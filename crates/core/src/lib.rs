@@ -81,7 +81,7 @@ pub use an5d_gpusim::{
 pub use an5d_backend::{
     available_backends, backend_from_env, create_backend, BackendElement, BatchDriver, BatchError,
     BatchFailure, BatchJob, BatchOutcome, CacheStats, ExecutionBackend, PlanCache, SerialBackend,
-    ShardedPlanCache, VectorCpuBackend, WarmRequest, WarmStats, BACKEND_ENV,
+    VectorCpuBackend, BACKEND_ENV,
 };
 
 pub use an5d_runtime::{global as global_pool, PoolStats, WorkerPool, POOL_THREADS_ENV};

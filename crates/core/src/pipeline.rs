@@ -1,7 +1,7 @@
 //! The end-to-end AN5D pipeline.
 
 use crate::An5dError;
-use an5d_backend::{backend_from_env, ExecutionBackend, PlanCache};
+use an5d_backend::{backend_from_env, ExecutionBackend};
 use an5d_codegen::CudaCode;
 use an5d_frontend::{emit_c_source, parse_stencil};
 use an5d_gpusim::{DeviceId, GpuDevice, TrafficCounters};
@@ -304,28 +304,6 @@ impl An5d {
         Ok(tuner.tune(&self.def, problem, space)?)
     }
 
-    /// Like [`An5d::tune`], but planning through a shared [`PlanCache`] so
-    /// repeated tuning queries (e.g. the `an5d-serve` request handlers)
-    /// skip re-planning. Caching never changes the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`An5dError::Tuner`] when no feasible candidate exists.
-    pub fn tune_with_cache(
-        &self,
-        problem: &StencilProblem,
-        device: &GpuDevice,
-        space: &SearchSpace,
-        cache: Arc<PlanCache>,
-    ) -> Result<TuningResult, An5dError> {
-        let _span = an5d_obs::Span::enter("pipeline.tune");
-        let tuner = Tuner::new(device.clone(), space.precision())
-            .with_scheme(self.scheme)
-            .with_plan_cache(cache)
-            .with_measurement_source(Arc::clone(&self.source));
-        Ok(tuner.tune(&self.def, problem, space)?)
-    }
-
     /// The persistence key a tuning query of this pipeline maps to:
     /// canonical stencil/space fingerprints plus the problem descriptor,
     /// the device id and the scheme's canonical name.
@@ -346,7 +324,7 @@ impl An5d {
         )
     }
 
-    /// Like [`An5d::tune_with_cache`], but *read-through* a persisted
+    /// Like [`An5d::tune`], but *read-through* a persisted
     /// [`TuneDb`]: a stored result for this exact
     /// `(stencil, problem, device, precision, space, scheme)` key is
     /// returned without invoking the tuner; a miss runs the tuner and
@@ -376,17 +354,12 @@ impl An5d {
     /// it is returned with the failure reported in
     /// [`DbTuneOutcome::persist_error`] — durability degrades (and the
     /// service counts it) instead of a good answer being thrown away.
-    // One parameter per independent axis of the persisted key plus the
-    // two collaborators (cache, db) — bundling them into a struct would
-    // only move the eight names one level down.
-    #[allow(clippy::too_many_arguments)]
     pub fn tune_with_db(
         &self,
         problem: &StencilProblem,
         device_id: &DeviceId,
         device: &GpuDevice,
         space: &SearchSpace,
-        cache: Arc<PlanCache>,
         db: &TuneDb,
         refresh: bool,
     ) -> Result<DbTuneOutcome, An5dError> {
@@ -405,7 +378,7 @@ impl An5d {
                 // which overwrites the entry.
             }
         }
-        let result = self.tune_with_cache(problem, device, space, cache)?;
+        let result = self.tune(problem, device, space)?;
         let persist_error = db
             .put(&key, Some(self.def.name()), &result)
             .err()
@@ -526,39 +499,22 @@ mod tests {
         let space = SearchSpace::quick(2, Precision::Single);
         let device_id = DeviceId::new("v100");
         let device = GpuDevice::tesla_v100();
-        let cache = Arc::new(PlanCache::new(64));
 
         let cold = an5d
-            .tune_with_db(
-                &problem,
-                &device_id,
-                &device,
-                &space,
-                Arc::clone(&cache),
-                &db,
-                false,
-            )
+            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
             .unwrap();
         assert!(!cold.from_db, "first query must run the tuner");
         assert_eq!(db.len(), 1, "the fresh result was appended");
 
         let warm = an5d
-            .tune_with_db(
-                &problem,
-                &device_id,
-                &device,
-                &space,
-                Arc::clone(&cache),
-                &db,
-                false,
-            )
+            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
             .unwrap();
         assert!(warm.from_db, "second query must come from the DB");
         assert_eq!(warm.result, cold.result, "bit-identical results");
 
         // refresh=true bypasses the stored record and overwrites it.
         let refreshed = an5d
-            .tune_with_db(&problem, &device_id, &device, &space, cache, &db, true)
+            .tune_with_db(&problem, &device_id, &device, &space, &db, true)
             .unwrap();
         assert!(!refreshed.from_db);
         assert_eq!(refreshed.result, cold.result);
@@ -587,18 +543,9 @@ mod tests {
         let space = SearchSpace::quick(2, Precision::Single);
         let device_id = DeviceId::new("v100");
         let device = GpuDevice::tesla_v100();
-        let cache = Arc::new(PlanCache::new(64));
 
         let cold = measured_pipeline
-            .tune_with_db(
-                &problem,
-                &device_id,
-                &device,
-                &space,
-                Arc::clone(&cache),
-                &db,
-                false,
-            )
+            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
             .unwrap();
         assert!(!cold.from_db);
         assert!(
@@ -610,15 +557,7 @@ mod tests {
         // Warm start: the stored measured winner comes back byte-identical
         // without re-running the (non-deterministic) backend measurements.
         let warm = measured_pipeline
-            .tune_with_db(
-                &problem,
-                &device_id,
-                &device,
-                &space,
-                Arc::clone(&cache),
-                &db,
-                false,
-            )
+            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
             .unwrap();
         assert!(warm.from_db, "matching provenance answers from the DB");
         assert_eq!(warm.result, cold.result, "byte-identical round trip");
@@ -627,15 +566,7 @@ mod tests {
         // measured entry: provenance mismatch is a miss and overwrites.
         let simulated_pipeline = An5d::benchmark("star2d1r").unwrap();
         let sim = simulated_pipeline
-            .tune_with_db(
-                &problem,
-                &device_id,
-                &device,
-                &space,
-                Arc::clone(&cache),
-                &db,
-                false,
-            )
+            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
             .unwrap();
         assert!(!sim.from_db, "provenance mismatch re-tunes");
         assert!(!sim.result.measured_on_backend);

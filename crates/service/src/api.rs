@@ -228,8 +228,8 @@ pub fn config_from(body: &Json) -> Result<BlockConfig, ApiError> {
 
 /// Extract the optional `"device"` field, resolving any accepted
 /// spelling (canonical id or alias, case-insensitive) through the
-/// fleet's [`DeviceRegistry`]. `None` means the request named no device
-/// and the router picks the shard.
+/// fleet's [`DeviceRegistry`]. `None` means the request named no
+/// device.
 ///
 /// # Errors
 ///
@@ -450,9 +450,9 @@ fn counters_json(counters: &TrafficCounters) -> Json {
 
 /// Response body for `/execute`.
 ///
-/// Deliberately excludes the per-call plan-cache-hit flag and elapsed
-/// time: those are operational metadata (visible in `/stats`), and
-/// including them would break the bit-identical-response guarantee.
+/// Deliberately excludes the per-call elapsed time: it is operational
+/// metadata (visible in `/stats`), and including it would break the
+/// bit-identical-response guarantee.
 #[must_use]
 pub fn execute_response(outcome: &BatchOutcome) -> Json {
     Json::obj(vec![
@@ -468,7 +468,6 @@ pub fn cache_stats_json(stats: &CacheStats) -> Json {
     Json::obj(vec![
         ("hits", Json::Int(i128::from(stats.hits))),
         ("misses", Json::Int(i128::from(stats.misses))),
-        ("coalesced", Json::Int(i128::from(stats.coalesced))),
         ("entries", int(stats.entries)),
         ("capacity", int(stats.capacity)),
         ("hit_rate", Json::Num(stats.hit_rate())),
@@ -520,7 +519,6 @@ pub fn shard_tunedb_json(stats: &crate::fleet::ShardTuneDbStats) -> Json {
         ("misses", Json::Int(i128::from(stats.misses))),
         ("refreshes", Json::Int(i128::from(stats.refreshes))),
         ("warmed", Json::Int(i128::from(stats.warmed))),
-        ("warmed_plans", Json::Int(i128::from(stats.warmed_plans))),
         ("tuner_runs", Json::Int(i128::from(stats.tuner_runs))),
     ])
 }

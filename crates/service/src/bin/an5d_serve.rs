@@ -14,7 +14,8 @@
 //! count: a single reactor thread owns every connection (parking idle
 //! keep-alives for free), and `--queue` bounds the dispatch queue of
 //! complete parsed requests — when it is full the overflowing request
-//! is answered with an immediate 503.
+//! is answered with an immediate 503. `--cache` is the capacity of the
+//! one plan cache behind `/plan`, `/predict` and `/codegen`.
 //!
 //! `/execute` runs one tile executor; `--backend` only sets how many
 //! threads run tiles at once (`serial`: the request's worker alone,

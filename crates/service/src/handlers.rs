@@ -1,17 +1,17 @@
 //! Endpoint handlers: JSON request → `An5d` facade → JSON response.
 //!
-//! Every handler routes through the server's [`Fleet`]: the request's
-//! `"device"` (resolved through the [`an5d::DeviceRegistry`]) picks a
-//! per-device shard whose plan/tuning cache coalesces concurrent
-//! identical requests onto one build, and device-agnostic requests go
-//! to the least-loaded shard. Latency is recorded per endpoint in the
-//! shared [`Metrics`] and per device in the shard. Handlers are plain
+//! Every handler goes through the server's [`Fleet`]: the request's
+//! `"device"` (resolved through the [`an5d::DeviceRegistry`]) picks the
+//! profile `/predict` and `/tune` answer for and the shard the request
+//! is counted on; `/plan`, `/predict` and `/codegen` plan through the
+//! fleet's one plan cache. Latency is recorded per endpoint in the
+//! shared [`Metrics`] and per named device in its shard. Handlers are plain
 //! functions over [`ServiceState`] — the integration tests and the
 //! `load_gen` harness call [`dispatch`] directly to compute the exact
 //! bytes the server must produce.
 
 use crate::api::{self, ApiError};
-use crate::fleet::{Fleet, FleetShard, RoutePolicy};
+use crate::fleet::{Fleet, FleetShard};
 use crate::http::{ChunkSource, Request, Response, ResponseBody};
 use crate::json::{self, Json};
 use crate::metrics::{MeteredBackend, Metrics};
@@ -71,8 +71,7 @@ impl std::fmt::Debug for ServiceState {
 
 impl ServiceState {
     /// State executing on `backend`, serving the standard device fleet
-    /// (V100, P100, A100, small) with a per-device plan cache of
-    /// `cache_capacity`.
+    /// (V100, P100, A100, small) with one plan cache of `cache_capacity`.
     #[must_use]
     pub fn new(backend: Arc<dyn ExecutionBackend>, cache_capacity: usize) -> Self {
         Self::with_registry(backend, cache_capacity, DeviceRegistry::standard())
@@ -129,18 +128,17 @@ impl ServiceState {
         self
     }
 
-    /// Attach a persisted tuning database: every device shard warms its
-    /// plan cache and read-through state from it (see
-    /// [`Fleet::with_tune_db`]), `/tune` reads through it and appends
-    /// fresh results, and `/stats` reports per-device hit/miss/warm
-    /// counts plus the database-wide log counters.
+    /// Attach a persisted tuning database (see [`Fleet::with_tune_db`]):
+    /// `/tune` reads through it and appends fresh results, and `/stats`
+    /// reports per-device hit/miss/warm counts plus the database-wide
+    /// log counters.
     #[must_use]
     pub fn with_tune_db(mut self, db: Arc<an5d::TuneDb>) -> Self {
         self.fleet = self.fleet.with_tune_db(db);
         self
     }
 
-    /// The device fleet (registry, per-device cache shards, router).
+    /// The device fleet (registry, per-device shards, plan cache).
     #[must_use]
     pub fn fleet(&self) -> &Fleet {
         &self.fleet
@@ -321,16 +319,13 @@ fn trace_endpoint(state: &ServiceState, request: &Request) -> Response {
 fn stats(state: &ServiceState) -> Response {
     ok(Json::obj(vec![
         ("backend", Json::Str(state.backend.describe())),
-        // Fleet-wide totals, kept at the top level for compatibility
-        // with pre-fleet consumers; per-device breakdowns live under
-        // "devices".
         (
             "cache",
             api::cache_stats_json(&state.fleet.aggregate_cache_stats()),
         ),
         ("devices", state.fleet.stats_json()),
         // backend.execute latency per backend name (fed by the metered
-        // backend wrappers around every shard's backend).
+        // wrapper around the backend).
         ("backends", state.metrics.backends_json()),
         ("tunedb", state.fleet.tunedb_json()),
         ("pool", api::pool_stats_json(&an5d::global_pool().stats())),
@@ -353,51 +348,77 @@ fn parse_endpoint(body: &Json) -> Result<Json, ApiError> {
     Ok(api::parse_response(&detected))
 }
 
-/// Resolve the request's device (if any) and dispatch to a fleet shard.
+/// The shard of the device the request names; `None` when it names
+/// none.
 ///
-/// `policy` decides where device-agnostic requests go: endpoints whose
-/// bytes do not depend on the device balance to the least-loaded shard;
-/// `/predict` and `/tune` default to the registry's default device so
-/// their responses stay deterministic.
-fn routed<'a>(
+/// # Errors
+///
+/// An unknown `"device"` is rejected on every endpoint, also on those
+/// whose response does not depend on it.
+fn named_shard<'a>(
     state: &'a ServiceState,
     body: &Json,
-    policy: RoutePolicy,
+) -> Result<Option<&'a FleetShard>, ApiError> {
+    let id = api::device_from(body, state.fleet.registry())?;
+    Ok(id.map(|id| {
+        state
+            .fleet
+            .shard(&id)
+            .expect("the fleet has a shard for every registry id")
+    }))
+}
+
+/// The shard `/predict` and `/tune` answer for: the named device, or the
+/// registry's default so their responses stay deterministic.
+fn named_or_default_shard<'a>(
+    state: &'a ServiceState,
+    body: &Json,
 ) -> Result<&'a FleetShard, ApiError> {
-    let requested = api::device_from(body, state.fleet.registry())?;
-    state.fleet.route(requested.as_ref(), policy)
+    Ok(named_shard(state, body)?.unwrap_or_else(|| state.fleet.default_shard()))
+}
+
+/// Run a handler whose response does not depend on the device, counted
+/// on a shard only when the request named one.
+fn observed<T>(
+    state: &ServiceState,
+    body: &Json,
+    f: impl FnOnce() -> Result<T, ApiError>,
+) -> Result<T, ApiError> {
+    match named_shard(state, body)? {
+        Some(shard) => shard.observe(f),
+        None => f(),
+    }
 }
 
 /// The shared front half of `/plan`, `/predict` and `/codegen`: extract
-/// stencil + problem + config + scheme and plan through the shard's
+/// stencil + problem + config + scheme and plan through the fleet's
 /// cache.
 fn planned(
-    shard: &FleetShard,
+    state: &ServiceState,
     body: &Json,
 ) -> Result<(an5d::StencilProblem, Arc<an5d::KernelPlan>), ApiError> {
     let pipeline = api::pipeline_from(body)?;
     let problem = api::problem_from(body, &pipeline)?;
     let config = api::config_from(body)?;
     let scheme = api::scheme_from(body)?;
-    let plan = shard
-        .cache()
-        .get_or_build(pipeline.def(), &problem, &config, scheme)
+    let plan = state
+        .fleet
+        .plan(pipeline.def(), &problem, &config, scheme)
         .map_err(|e| ApiError::new(e.to_string()))?;
     Ok((problem, plan))
 }
 
 fn plan_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError> {
-    let shard = routed(state, body, RoutePolicy::LeastLoaded)?;
-    shard.observe(|| {
-        let (_, plan) = planned(shard, body)?;
+    observed(state, body, || {
+        let (_, plan) = planned(state, body)?;
         Ok(api::plan_response(&plan))
     })
 }
 
 fn predict_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError> {
-    let shard = routed(state, body, RoutePolicy::DefaultDevice)?;
+    let shard = named_or_default_shard(state, body)?;
     shard.observe(|| {
-        let (problem, plan) = planned(shard, body)?;
+        let (problem, plan) = planned(state, body)?;
         Ok(api::predict_response(&predict(
             &plan,
             &problem,
@@ -421,7 +442,7 @@ fn tune_error(e: an5d::An5dError) -> ApiError {
 /// record codec round-trips every `f64`); a miss tunes and appends.
 /// `?refresh=true` bypasses the stored record and overwrites it.
 fn tune_endpoint(state: &ServiceState, body: &Json, refresh: bool) -> Result<Json, ApiError> {
-    let shard = routed(state, body, RoutePolicy::DefaultDevice)?;
+    let shard = named_or_default_shard(state, body)?;
     shard.observe(|| {
         let pipeline = api::pipeline_from(body)?;
         let problem = api::problem_from(body, &pipeline)?;
@@ -430,15 +451,7 @@ fn tune_endpoint(state: &ServiceState, body: &Json, refresh: bool) -> Result<Jso
         let result = match state.fleet.tune_db() {
             Some(db) => {
                 let outcome = pipeline
-                    .tune_with_db(
-                        &problem,
-                        shard.id(),
-                        shard.device(),
-                        &space,
-                        Arc::clone(shard.cache()),
-                        db,
-                        refresh,
-                    )
+                    .tune_with_db(&problem, shard.id(), shard.device(), &space, db, refresh)
                     .map_err(tune_error)?;
                 shard.record_tune(outcome.from_db, refresh);
                 if let Some(err) = &outcome.persist_error {
@@ -452,7 +465,7 @@ fn tune_endpoint(state: &ServiceState, body: &Json, refresh: bool) -> Result<Jso
             None => {
                 shard.record_dbless_tune();
                 pipeline
-                    .tune_with_cache(&problem, shard.device(), &space, Arc::clone(shard.cache()))
+                    .tune(&problem, shard.device(), &space)
                     .map_err(tune_error)?
             }
         };
@@ -506,9 +519,8 @@ fn metered_stream(
 }
 
 fn codegen_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<Response, ApiError> {
-    let shard = routed(state, body, RoutePolicy::LeastLoaded)?;
-    shard.observe(|| {
-        let (_, plan) = planned(shard, body)?;
+    observed(state, body, || {
+        let (_, plan) = planned(state, body)?;
         let code = generate_cuda_for_plan(&plan);
         if stream {
             // The JSON body is rendered lazily chunk by chunk — the
@@ -527,8 +539,7 @@ fn codegen_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<R
 }
 
 fn execute_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<Response, ApiError> {
-    let shard = routed(state, body, RoutePolicy::LeastLoaded)?;
-    shard.observe(|| {
+    observed(state, body, || {
         let pipeline = api::pipeline_from(body)?;
         let problem = api::problem_from(body, &pipeline)?;
         let config = api::config_from(body)?;
@@ -540,7 +551,7 @@ fn execute_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<R
             config,
         )
         .with_init(GridInit::Hash { seed });
-        let mut results = shard.driver().run(&[job]);
+        let mut results = state.fleet.driver().run(&[job]);
         let outcome = results
             .pop()
             .expect("one job in yields one result out")
@@ -567,16 +578,15 @@ fn execute_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<R
 }
 
 /// `POST /batch`: run a list of `/execute`-style jobs through the
-/// routed shard's [`an5d::BatchDriver`]. Streaming (the default) emits
+/// fleet's [`an5d::BatchDriver`]. Streaming (the default) emits
 /// one NDJSON line per job *as each job finishes* — jobs run one at a
 /// time inside the chunk source, so early results reach the client
 /// while later jobs are still executing. The buffered opt-out
 /// (`?stream=0`) produces byte-identical lines in one body.
 fn batch_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<Response, ApiError> {
-    let shard = routed(state, body, RoutePolicy::LeastLoaded)?;
-    shard.observe(|| {
+    observed(state, body, || {
         let jobs = api::batch_jobs_from(body)?;
-        let driver = shard.driver().clone();
+        let driver = state.fleet.driver().clone();
         if stream {
             let source = api::batch_chunk_source(driver, jobs);
             Ok(Response::stream(
@@ -641,9 +651,7 @@ mod tests {
         assert_eq!(post(&state, "/plan", body).status, 200);
         let misses = state.fleet().aggregate_cache_stats().misses;
         assert_eq!(misses, 1);
-        // Same key through a different endpoint: both requests are
-        // device-agnostic, so the idle-fleet router sends them to the
-        // same shard and the second is served from its cache.
+        // Same key through a different endpoint: served from the cache.
         let response = post(&state, "/codegen", body);
         assert_eq!(response.status, 200);
         assert!(response.body.contains("__global__"));
@@ -661,25 +669,66 @@ mod tests {
                      "config":{{"bt":2,"bs":[32],"precision":"double"}}}}"#
             )
         };
-        assert_eq!(post(&state, "/predict", &request("v100")).status, 200);
-        assert_eq!(post(&state, "/predict", &request("p100")).status, 200);
-        let shard = |id: &str| {
-            state
-                .fleet()
-                .shard(&an5d::DeviceId::new(id))
-                .expect("registered")
-        };
-        // The identical plan key was built once per device shard — that
-        // is the per-device keying, not a shared flat cache.
-        assert_eq!(shard("v100").cache().stats().misses, 1);
-        assert_eq!(shard("p100").cache().stats().misses, 1);
-        assert_eq!(shard("v100").stats().requests, 1);
-        assert_eq!(shard("p100").stats().requests, 1);
-        assert_eq!(shard("a100").stats().requests, 0);
-        // Predictions differ across devices: the shard's profile was used.
         let v = post(&state, "/predict", &request("v100"));
         let p = post(&state, "/predict", &request("p100"));
+        assert_eq!((v.status, p.status), (200, 200));
+        // A plan has no device in it: the one built for v100 answers p100.
+        let cache = state.fleet().aggregate_cache_stats();
+        assert_eq!((cache.misses, cache.hits, cache.entries), (1, 1, 1));
+        let requests = |id: &str| {
+            let shard = state.fleet().shard(&an5d::DeviceId::new(id));
+            shard.expect("registered").stats().requests
+        };
+        assert_eq!(requests("v100"), 1);
+        assert_eq!(requests("p100"), 1);
+        assert_eq!(requests("a100"), 0);
+        // Predictions differ across devices: the shard's profile was used.
         assert_ne!(v.body, p.body, "device-specific predictions");
+    }
+
+    #[test]
+    fn only_named_devices_are_counted_and_unknown_ones_are_rejected_everywhere() {
+        let state = state();
+        let body = |device: &str| {
+            format!(
+                r#"{{"benchmark":"j2d5pt","interior":[24,24],"steps":5,{device}
+                     "precision":"single","space":"quick",
+                     "config":{{"bt":2,"bs":[12],"precision":"double"}},
+                     "jobs":[{{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
+                               "config":{{"bt":2,"bs":[12],"precision":"double"}}}}]}}"#
+            )
+        };
+        let counted = || -> Vec<u64> {
+            let shards = state.fleet().shards();
+            shards.map(|shard| shard.stats().requests).collect()
+        };
+        // Shards in id order: a100, p100, small, v100.
+        for path in ["/plan", "/codegen", "/execute", "/batch"] {
+            assert_eq!(post(&state, path, &body("")).status, 200, "{path}");
+        }
+        assert_eq!(counted(), [0, 0, 0, 0], "device-agnostic requests");
+        for path in ["/predict", "/tune"] {
+            assert_eq!(post(&state, path, &body("")).status, 200, "{path}");
+        }
+        assert_eq!(counted(), [0, 0, 0, 2], "the default device answers");
+        let paths = [
+            "/plan", "/predict", "/tune", "/codegen", "/execute", "/batch",
+        ];
+        for path in paths {
+            let named = body(r#""device":"P100","#);
+            assert_eq!(post(&state, path, &named).status, 200, "{path}");
+        }
+        assert_eq!(
+            counted(),
+            [0, 6, 0, 2],
+            "named requests count on their device"
+        );
+        for path in paths {
+            let unknown = post(&state, path, &body(r#""device":"h100","#));
+            assert_eq!(unknown.status, 400, "{path}");
+            assert!(unknown.body.contains("a100"), "{}", unknown.body);
+        }
+        assert_eq!(counted(), [0, 6, 0, 2], "a rejected device counts nowhere");
     }
 
     #[test]
@@ -751,20 +800,17 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!((hit_rate - 0.5).abs() < 1e-12, "hit rate {hit_rate}");
-        // The fleet breakdown and pool observability ride along.
+        // The fleet breakdown and pool observability ride along; plans
+        // are not per device, so no device carries a cache of its own.
         let devices = parsed.get("devices").expect("per-device stats");
-        let busy: Vec<u64> = state
-            .fleet()
-            .shards()
-            .map(|s| {
-                devices
-                    .get(s.id().as_str())
-                    .and_then(|d| d.get("requests"))
-                    .and_then(Json::as_usize)
-                    .unwrap() as u64
-            })
-            .collect();
-        assert_eq!(busy.iter().sum::<u64>(), 2, "both /plan requests tracked");
+        for shard in state.fleet().shards() {
+            let device = devices.get(shard.id().as_str()).expect("every device");
+            assert_eq!(device.get("requests").and_then(Json::as_usize), Some(0));
+            assert!(device.get("profile").is_some() && device.get("tunedb").is_some());
+            for gone in ["cache", "backend", "in_flight"] {
+                assert!(device.get(gone).is_none(), "{gone}");
+            }
+        }
         let pool = parsed.get("pool").expect("pool stats");
         assert!(pool.get("workers").is_some());
         assert!(pool.get("queued_batches").is_some());
@@ -822,12 +868,8 @@ mod tests {
         assert_eq!(response.status, 200, "{}", response.body);
         let parsed = json::parse(&response.body).unwrap();
         assert!(parsed.get("best").is_some());
-        let v100 = state
-            .fleet()
-            .shard(&an5d::DeviceId::new("v100"))
-            .unwrap()
-            .cache()
-            .stats();
-        assert!(v100.misses > 0, "tuner planned via the v100 shard cache");
+        let v100 = state.fleet().shard(&an5d::DeviceId::new("v100")).unwrap();
+        assert_eq!(v100.tunedb_stats().tuner_runs, 1);
+        assert_eq!(v100.stats().requests, 1);
     }
 }

@@ -5,16 +5,15 @@
 //! traffic; this crate is that serving layer. Instead of every consumer
 //! linking the crates and driving the [`an5d::An5d`] facade in-process,
 //! a long-running `an5d-serve` process exposes the Section 6.3 flow as
-//! JSON-over-HTTP endpoints, sharded across a **device fleet**
+//! JSON-over-HTTP endpoints in front of a **device fleet**
 //! ([`fleet::Fleet`]): every GPU profile in the
-//! [`an5d::DeviceRegistry`] gets its own plan/tuning cache shard
-//! (concurrent identical misses coalesce onto a single plan build, and
-//! one device's traffic can never evict another device's working set)
-//! and its own [`an5d::BatchDriver`]; requests naming a `"device"` are
-//! dispatched to that shard, device-agnostic requests to the
-//! least-loaded one. Tuning results are device-specific, so repeated
-//! per-device tuning queries are exactly the traffic a fleet of
-//! cache-backed shards absorbs.
+//! [`an5d::DeviceRegistry`] gets a shard holding what is per device —
+//! its profile, its tune-DB counters and its request counters — and a
+//! request naming a `"device"` is answered for, and counted on, that
+//! device. Plans do not depend on the device, so the fleet keeps one
+//! plan cache and one [`an5d::BatchDriver`] for all of them. Tuning
+//! results *are* device-specific; repeated per-device tuning queries are
+//! what the persisted tune DB absorbs.
 //!
 //! Everything is std-only: the build environment has no crates.io
 //! access, so the crate carries its own minimal [`json`] codec and
@@ -32,9 +31,9 @@
 //! | `/tune` | POST | Section 6.3 tuner over a search space |
 //! | `/codegen` | POST | CUDA kernel + host source (`?stream=1` for a chunked body) |
 //! | `/execute` | POST | blocked run: checksum + traffic counters (`?stream=1` chunked) |
-//! | `/batch` | POST | job list through the shard's `BatchDriver`; streams NDJSON, one line per job as it finishes (`?stream=0` buffers) |
+//! | `/batch` | POST | job list through the fleet's `BatchDriver`; streams NDJSON, one line per job as it finishes (`?stream=0` buffers) |
 //! | `/devices` | GET | registered GPU profiles + routing default |
-//! | `/stats` | GET | fleet-wide + per-device cache stats, pool and endpoint latencies |
+//! | `/stats` | GET | plan-cache stats, per-device counters, pool and endpoint latencies |
 //! | `/metrics` | GET | Prometheus text: latency histograms, cache/fleet/pool/tunedb series |
 //! | `/trace` | GET | recently completed request traces; `?id=` for one span tree |
 //! | `/shutdown` | POST | graceful shutdown (drains the queue) |
@@ -130,7 +129,7 @@ pub use an5d_tunedb::json;
 pub use an5d_tunedb::TUNE_DB_ENV;
 
 pub use client::{HttpResponse, KeepAliveClient, RetryPolicy};
-pub use fleet::{Fleet, FleetShard, RoutePolicy, ShardStats, ShardTuneDbStats};
+pub use fleet::{Fleet, FleetShard, ShardStats, ShardTuneDbStats};
 pub use handlers::{
     dispatch, ServiceState, DEFAULT_SLOW_THRESHOLD, DEFAULT_STREAM_CHUNK, DEFAULT_TRACE_CAPACITY,
     ENDPOINTS,

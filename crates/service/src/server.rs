@@ -62,8 +62,8 @@ pub struct ServerConfig {
     /// Bounded dispatch-queue depth; parsed requests beyond it are
     /// answered 503.
     pub queue_depth: usize,
-    /// Per-device plan-cache shard capacity (each registered device gets
-    /// its own shard of this size).
+    /// Capacity of the service's one plan cache (behind `/plan`,
+    /// `/predict` and `/codegen`).
     pub cache_capacity: usize,
     /// How long a persistent connection may sit idle between requests
     /// before the server closes it.
@@ -73,8 +73,8 @@ pub struct ServerConfig {
     /// connection's server-side state).
     pub max_requests_per_connection: usize,
     /// Path of the persisted tuning database: `/tune` reads through it,
-    /// fresh results are appended, and every device shard warms its
-    /// caches from it at startup. `None` (the default) disables
+    /// fresh results are appended, and every device shard counts the
+    /// entries it starts from. `None` (the default) disables
     /// persistence. The `an5d-serve` binary resolves the `AN5D_TUNE_DB`
     /// environment variable into this field; the library default stays
     /// `None` so embedders and tests never pick up a DB implicitly.

@@ -255,8 +255,8 @@ pub fn render_prometheus(state: &ServiceState) -> String {
         &state.metrics().connections().loop_snapshot(),
     );
 
-    // Fleet: per-device shard load, plan cache and tune-DB counters.
-    out.push_str("# HELP an5d_shard_requests_total Requests routed to each device shard.\n");
+    // Fleet: per-device request and tune-DB counters, the one plan cache.
+    out.push_str("# HELP an5d_shard_requests_total Requests counted on each device shard.\n");
     out.push_str("# TYPE an5d_shard_requests_total counter\n");
     for shard in state.fleet().shards() {
         let stats = shard.stats();
@@ -277,58 +277,30 @@ pub fn render_prometheus(state: &ServiceState) -> String {
             shard.stats().errors
         );
     }
-    out.push_str("# HELP an5d_shard_in_flight Requests currently executing per device shard.\n");
-    out.push_str("# TYPE an5d_shard_in_flight gauge\n");
-    for shard in state.fleet().shards() {
-        let id = shard.id().as_str();
-        let _ = writeln!(
-            out,
-            "an5d_shard_in_flight{{device=\"{id}\"}} {}",
-            shard.stats().in_flight
-        );
-    }
-    for (metric, help, kind, pick) in [
+    let cache = state.fleet().aggregate_cache_stats();
+    for (metric, help, kind, value) in [
         (
             "an5d_plan_cache_hits_total",
             "Plan-cache lookups answered without building.",
             "counter",
-            0usize,
+            cache.hits,
         ),
         (
             "an5d_plan_cache_misses_total",
             "Plan-cache lookups that built a plan.",
             "counter",
-            1,
-        ),
-        (
-            "an5d_plan_cache_coalesced_total",
-            "Plan-cache lookups coalesced onto an in-flight build.",
-            "counter",
-            2,
+            cache.misses,
         ),
         (
             "an5d_plan_cache_entries",
             "Plans currently cached.",
             "gauge",
-            3,
+            cache.entries as u64,
         ),
     ] {
         let _ = writeln!(out, "# HELP {metric} {help}");
         let _ = writeln!(out, "# TYPE {metric} {kind}");
-        for shard in state.fleet().shards() {
-            let stats = shard.cache().stats();
-            let value = match pick {
-                0 => stats.hits,
-                1 => stats.misses,
-                2 => stats.coalesced,
-                _ => stats.entries as u64,
-            };
-            let _ = writeln!(
-                out,
-                "{metric}{{device=\"{}\"}} {value}",
-                shard.id().as_str()
-            );
-        }
+        let _ = writeln!(out, "{metric} {value}");
     }
     for (metric, help, pick) in [
         (

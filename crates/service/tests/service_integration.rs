@@ -38,8 +38,7 @@ fn workload() -> Vec<(&'static str, String)> {
 /// Compute the exact bytes the server must return for each workload
 /// entry via direct facade calls (no server, fresh uncached state).
 fn expected_bodies() -> Vec<String> {
-    // /tune via the plain facade tuner (no shared cache): caching must
-    // not change tuning results, so the service body must match.
+    // /tune via the plain facade tuner.
     let tune = {
         let pipeline = An5d::benchmark("j2d5pt").unwrap();
         let problem = pipeline.problem(&[512, 512], 50).unwrap();
@@ -58,7 +57,7 @@ fn expected_bodies() -> Vec<String> {
     };
     let execute = {
         // A fresh driver (not the server's): the checksum and counters
-        // must match regardless of whose cache/backend executed.
+        // must match regardless of whose backend executed.
         let driver = BatchDriver::new(Arc::new(SerialBackend));
         let def = an5d::suite::by_name("j2d5pt").unwrap();
         let config = BlockConfig::new(2, &[12], None, Precision::Double).unwrap();

@@ -106,10 +106,6 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     let addr = second.addr();
     let (shard, top) = tunedb_stats(addr);
     assert_eq!(counter(&shard, "warmed"), 1, "v100 warm-started");
-    assert!(
-        counter(&shard, "warmed_plans") > 0,
-        "stored winners pre-planned"
-    );
     assert_eq!(counter(&top, "records"), 1);
     assert_eq!(counter(&top, "recovered"), 1);
 

@@ -238,10 +238,33 @@ pub fn figure6_benchmarks() -> Vec<StencilDef> {
     ]
 }
 
-/// Look a benchmark up by its Table 3 name (e.g. `"box3d2r"`).
+/// Look a benchmark up by its Table 3 name (e.g. `"box3d2r"`),
+/// constructing only the stencil asked for.
 #[must_use]
 pub fn by_name(name: &str) -> Option<StencilDef> {
-    all_benchmarks().into_iter().find(|d| d.name() == name)
+    match name {
+        "j2d5pt" => return Some(j2d5pt()),
+        "j2d9pt" => return Some(j2d9pt()),
+        "j2d9pt-gol" => return Some(j2d9pt_gol()),
+        "gradient2d" => return Some(gradient2d()),
+        "j3d27pt" => return Some(j3d27pt()),
+        _ => {}
+    }
+    // Synthetic names: `star|box` × `2d|3d` × one radius digit `1..=4` × `r`.
+    let (star, rest) = match name.strip_prefix("star") {
+        Some(rest) => (true, rest),
+        None => (false, name.strip_prefix("box")?),
+    };
+    let &[rank @ (b'2' | b'3'), b'd', digit @ b'1'..=b'4', b'r'] = rest.as_bytes() else {
+        return None;
+    };
+    let radius = usize::from(digit - b'0');
+    Some(match (star, rank) {
+        (true, b'2') => star2d(radius),
+        (true, _) => star3d(radius),
+        (false, b'2') => box2d(radius),
+        (false, _) => box3d(radius),
+    })
 }
 
 #[cfg(test)]
@@ -351,9 +374,20 @@ mod tests {
 
     #[test]
     fn lookup_by_name() {
-        assert_eq!(by_name("box3d2r").unwrap().name(), "box3d2r");
-        assert_eq!(by_name("j2d9pt-gol").unwrap().name(), "j2d9pt-gol");
-        assert!(by_name("nonexistent").is_none());
+        for def in all_benchmarks() {
+            assert_eq!(by_name(def.name()), Some(def));
+        }
+        for name in [
+            "nonexistent",
+            "star2d0r",
+            "star2d5r",
+            "box3d",
+            "star2d1",
+            "j2d5pt ",
+            "",
+        ] {
+            assert!(by_name(name).is_none(), "{name:?}");
+        }
     }
 
     #[test]

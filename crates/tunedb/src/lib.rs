@@ -26,8 +26,8 @@
 //! `an5d-tuner` ([`an5d_tuner::stencil_fingerprint`],
 //! [`an5d_tuner::SearchSpace::fingerprint`]) and the stable
 //! [`an5d_gpusim::DeviceId`], so entries survive benchmark and device
-//! profile renames and map 1:1 onto the per-device
-//! `ShardedPlanCache` shards.
+//! profile renames and map 1:1 onto the service's per-device fleet
+//! shards.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,10 @@
 //! The model-guided tuning flow of Section 6.3.
 
-use an5d_backend::{BackendElement, ExecutionBackend, PlanCache};
+use an5d_backend::{BackendElement, ExecutionBackend};
 use an5d_gpusim::GpuDevice;
 use an5d_grid::{Grid, GridInit, Precision};
 use an5d_model::{measure, predict};
-use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, PlanError, RegisterCap, ResourceUsage};
+use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, RegisterCap, ResourceUsage};
 use an5d_stencil::{StencilDef, StencilProblem};
 use std::error::Error;
 use std::fmt;
@@ -321,7 +321,6 @@ pub struct Tuner {
     precision: Precision,
     scheme: FrameworkScheme,
     top_k: usize,
-    cache: Option<Arc<PlanCache>>,
     source: Arc<dyn MeasurementSource>,
 }
 
@@ -335,18 +334,8 @@ impl Tuner {
             precision,
             scheme: FrameworkScheme::an5d(),
             top_k: DEFAULT_TOP_K,
-            cache: None,
             source: Arc::new(SimulatedMeasurement),
         }
-    }
-
-    /// Plan through a shared [`PlanCache`] so repeated tuning queries
-    /// (same stencil/problem/space, e.g. across devices or register caps)
-    /// skip re-planning.
-    #[must_use]
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// Use a different framework scheme (e.g. STENCILGEN for comparisons).
@@ -381,19 +370,6 @@ impl Tuner {
     #[must_use]
     pub fn device(&self) -> &GpuDevice {
         &self.device
-    }
-
-    /// Build (or fetch from the shared cache) the plan for one candidate.
-    fn plan_for(
-        &self,
-        def: &StencilDef,
-        problem: &StencilProblem,
-        config: &BlockConfig,
-    ) -> Result<Arc<KernelPlan>, PlanError> {
-        match &self.cache {
-            Some(cache) => cache.get_or_build(def, problem, config, self.scheme),
-            None => KernelPlan::build(def, problem, config, self.scheme).map(Arc::new),
-        }
     }
 
     /// Prune a candidate by the Section 6.3 register heuristic: the expected
@@ -491,7 +467,11 @@ impl Tuner {
             if !self.survives_analytic_pruning(def, &config) {
                 return;
             }
-            let Ok(plan) = self.plan_for(def, problem, &config) else {
+            let built = {
+                let _span = an5d_obs::Span::enter("plan.build");
+                KernelPlan::build(def, problem, &config, self.scheme)
+            };
+            let Ok(plan) = built.map(Arc::new) else {
                 return;
             };
             debug_assert!(
@@ -595,6 +575,21 @@ mod tests {
         StencilProblem::new(def.clone(), &interior, 100).unwrap()
     }
 
+    /// Run `f` under a trace and count its `plan.build` spans: one per
+    /// `KernelPlan::build` the tuner performed, on any pool thread.
+    fn counting_plan_builds<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let trace = an5d_obs::ActiveTrace::begin();
+        let out = f();
+        let trace = trace.finish();
+        assert_eq!(trace.dropped, 0, "the trace must hold every span");
+        let builds = trace
+            .spans
+            .iter()
+            .filter(|span| span.name == "plan.build")
+            .count();
+        (out, builds)
+    }
+
     #[test]
     fn tuner_finds_a_configuration_for_2d_star() {
         let def = suite::star2d(1);
@@ -614,30 +609,14 @@ mod tests {
     }
 
     #[test]
-    fn repeated_tuning_through_a_shared_cache_skips_replanning() {
+    fn repeated_identical_sweeps_return_equal_results() {
         let def = suite::star2d(1);
         let problem = small_problem(&def);
         let space = SearchSpace::quick(2, Precision::Single);
-        let cache = Arc::new(PlanCache::new(1024));
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
-            .with_plan_cache(Arc::clone(&cache));
-
+        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
         let first = tuner.tune(&def, &problem, &space).unwrap();
-        let after_first = cache.stats();
-        assert!(after_first.misses > 0, "first run populates the cache");
-
-        // The second identical query re-requests the same plans: only hits.
         let second = tuner.tune(&def, &problem, &space).unwrap();
-        let after_second = cache.stats();
-        assert_eq!(
-            after_second.misses, after_first.misses,
-            "second run must not re-plan"
-        );
-        assert!(after_second.hits > after_first.hits);
-        assert_eq!(
-            first.best, second.best,
-            "caching must not change the result"
-        );
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -780,8 +759,8 @@ mod tests {
         // (halo 4·bT must stay below 32); bs=[512] with bT=30 passes the
         // geometry check but busts the 65,536-register SM budget
         // ((4·30+20+10)·512 regs). Every such candidate must be rejected
-        // *before* planning, which the plan-cache miss counter observes
-        // directly: one miss == one KernelPlan::build.
+        // *before* planning, which the `plan.build` span count observes
+        // directly: one span == one KernelPlan::build.
         let def = suite::j2d9pt();
         let problem = StencilProblem::new(def.clone(), &[2048, 2048], 50).unwrap();
         let space = SearchSpace::new(
@@ -790,28 +769,50 @@ mod tests {
             vec![None],
             Precision::Single,
         );
-        let cache = Arc::new(PlanCache::new(1024));
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
-            .with_plan_cache(Arc::clone(&cache));
-        let result = tuner.tune(&def, &problem, &space).unwrap();
+        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let (result, builds) = counting_plan_builds(|| tuner.tune(&def, &problem, &space).unwrap());
         assert_eq!(result.total_candidates, 16);
         assert_eq!(result.ranked_candidates, 7, "bT 1..=7 survive");
-        let stats = cache.stats();
         assert_eq!(
-            stats.misses, 7,
+            builds, 7,
             "analytically pruned candidates must skip KernelPlan::build"
         );
-        assert_eq!(stats.hits, 0);
 
         // Register-budget pruning (not geometry) also skips planning.
         let def = suite::star2d(1);
         let space = SearchSpace::new(vec![1, 30], vec![vec![512]], vec![None], Precision::Single);
-        let cache = Arc::new(PlanCache::new(1024));
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
-            .with_plan_cache(Arc::clone(&cache));
-        let result = tuner.tune(&def, &problem, &space).unwrap();
+        let (result, builds) = counting_plan_builds(|| tuner.tune(&def, &problem, &space).unwrap());
         assert_eq!(result.ranked_candidates, 1, "bT=30 busts the SM budget");
-        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(builds, 1);
+    }
+
+    #[test]
+    fn analytic_pruning_is_exactly_plan_validity_and_register_pruning() {
+        // The property the build counter above only samples: over the
+        // whole paper space, the closed-form pre-prune accepts a
+        // candidate exactly when its plan builds and passes the
+        // plan-based register heuristic.
+        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        for def in [
+            suite::star2d(1),
+            suite::j2d9pt(),
+            suite::box2d(4),
+            suite::star3d(1),
+            suite::star3d(2),
+            suite::box3d(4),
+        ] {
+            let problem = small_problem(&def);
+            for config in SearchSpace::paper(def.ndim(), Precision::Single).iter() {
+                let by_plan = KernelPlan::build(&def, &problem, &config, tuner.scheme)
+                    .is_ok_and(|plan| tuner.survives_register_pruning(&plan));
+                assert_eq!(
+                    tuner.survives_analytic_pruning(&def, &config),
+                    by_plan,
+                    "{} {config:?}",
+                    def.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! candidates deterministically; the plan-installing tests serialize
 //! on a local mutex so their rules never interleave.
 
-use an5d_backend::PlanCache;
 use an5d_fault::{uninstall, Deadline, FaultPlan};
 use an5d_gpusim::GpuDevice;
 use an5d_grid::Precision;
 use an5d_stencil::{suite, StencilDef, StencilProblem};
 use an5d_tuner::{SearchSpace, Tuner, TunerError};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
@@ -27,10 +26,9 @@ fn problem(def: &StencilDef) -> StencilProblem {
 fn zero_budget_returns_deadline_error_without_building_a_single_plan() {
     let def = suite::star2d(1);
     let space = SearchSpace::quick(2, Precision::Single);
-    let cache = Arc::new(PlanCache::new(1024));
-    let tuner =
-        Tuner::new(GpuDevice::tesla_v100(), Precision::Single).with_plan_cache(Arc::clone(&cache));
+    let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
 
+    let trace = an5d_obs::ActiveTrace::begin();
     let _deadline = Deadline::in_ms(0).install();
     let err = tuner.tune(&def, &problem(&def), &space).unwrap_err();
     match err {
@@ -40,12 +38,12 @@ fn zero_budget_returns_deadline_error_without_building_a_single_plan() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    assert_eq!(
-        cache.stats().misses,
-        0,
+    let trace = trace.finish();
+    assert!(
+        trace.spans.iter().all(|span| span.name != "plan.build"),
         "an expired budget must not build a single KernelPlan"
     );
-    assert_eq!(cache.stats().hits, 0);
+    assert_eq!(trace.dropped, 0);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use an5d::reference::run_reference;
 use an5d::{
     analytic_counters, create_backend, BackendElement, BatchDriver, BatchJob, BlockConfig,
-    ExecutionBackend, FrameworkScheme, Grid, GridDiff, GridInit, KernelPlan, PlanCache, Precision,
+    ExecutionBackend, FrameworkScheme, Grid, GridDiff, GridInit, KernelPlan, Precision,
     SerialBackend, StencilDef, StencilProblem, VectorCpuBackend,
 };
 use proptest::prelude::*;
@@ -240,31 +240,6 @@ fn registry_backends_agree_through_the_facade() {
 }
 
 #[test]
-fn plan_cache_hits_on_repeated_keys_with_identical_plans() {
-    let cache = PlanCache::new(16);
-    let (def, interior, steps, config) = workloads().remove(0);
-    let problem = StencilProblem::new(def.clone(), &interior, steps).unwrap();
-
-    let first = cache
-        .get_or_build(&def, &problem, &config, FrameworkScheme::an5d())
-        .unwrap();
-    for _ in 0..3 {
-        let again = cache
-            .get_or_build(&def, &problem, &config, FrameworkScheme::an5d())
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &again),
-            "hit must return the cached plan"
-        );
-        assert_eq!(*first, *again);
-    }
-    let stats = cache.stats();
-    assert_eq!(stats.misses, 1);
-    assert_eq!(stats.hits, 3);
-    assert_eq!(stats.entries, 1);
-}
-
-#[test]
 fn batch_driver_runs_a_suite_identically_on_both_backends() {
     let jobs: Vec<BatchJob> = workloads()
         .into_iter()
@@ -392,36 +367,4 @@ fn streaming_pool_backed_tuner_matches_a_serial_reference_sweep() {
         );
         assert_eq!(result.best, expected[0]);
     }
-}
-
-#[test]
-fn warmed_cache_serves_the_same_plans_it_would_build_on_demand() {
-    use an5d::WarmRequest;
-    let scheme = FrameworkScheme::an5d();
-    let requests: Vec<WarmRequest> = workloads()
-        .into_iter()
-        .map(|(def, interior, steps, config)| {
-            let problem = StencilProblem::new(def.clone(), &interior, steps).unwrap();
-            WarmRequest::new(def, problem, config, scheme)
-        })
-        .collect();
-
-    let warmed = PlanCache::new(32);
-    let stats = warmed.warm(&requests);
-    assert_eq!(stats.built, requests.len());
-    assert_eq!(stats.failed, 0);
-
-    let cold = PlanCache::new(32);
-    for request in &requests {
-        let from_warm = warmed
-            .get_or_build(&request.def, &request.problem, &request.config, scheme)
-            .unwrap();
-        let from_cold = cold
-            .get_or_build(&request.def, &request.problem, &request.config, scheme)
-            .unwrap();
-        assert_eq!(*from_warm, *from_cold, "{}", request.def.name());
-    }
-    // Every post-warm lookup was a hit.
-    assert_eq!(warmed.stats().misses, requests.len() as u64);
-    assert_eq!(warmed.stats().hits, requests.len() as u64);
 }

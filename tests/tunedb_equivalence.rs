@@ -4,8 +4,8 @@
 //! single `f64`, not the generated kernel name, not the executed grid.
 
 use an5d::{
-    kernel_name_for, An5d, BatchDriver, BatchJob, DeviceId, GridInit, PlanCache, Precision,
-    SearchSpace, SerialBackend, TuneDb,
+    kernel_name_for, An5d, BatchDriver, BatchJob, DeviceId, GridInit, Precision, SearchSpace,
+    SerialBackend, TuneDb,
 };
 use std::sync::Arc;
 
@@ -41,15 +41,7 @@ fn cold_and_db_warmed_results_are_bit_identical_across_the_registry() {
         let db = TuneDb::open(&db_file.0).unwrap();
         for (id, device) in registry.devices() {
             let outcome = an5d
-                .tune_with_db(
-                    &problem,
-                    id,
-                    device,
-                    &space,
-                    Arc::new(PlanCache::new(64)),
-                    &db,
-                    false,
-                )
+                .tune_with_db(&problem, id, device, &space, &db, false)
                 .unwrap();
             assert!(!outcome.from_db, "{id}: first tune must run the search");
             cold.push((id.clone(), outcome.result));
@@ -64,15 +56,7 @@ fn cold_and_db_warmed_results_are_bit_identical_across_the_registry() {
     for (id, cold_result) in &cold {
         let device = registry.get(id).unwrap();
         let warmed = an5d
-            .tune_with_db(
-                &problem,
-                id,
-                device,
-                &space,
-                Arc::new(PlanCache::new(64)),
-                &db,
-                false,
-            )
+            .tune_with_db(&problem, id, device, &space, &db, false)
             .unwrap();
         assert!(warmed.from_db, "{id}: second process must hit the DB");
         assert_eq!(
@@ -125,16 +109,8 @@ fn the_db_never_leaks_results_across_lookup_axes() {
     let space = SearchSpace::quick(2, Precision::Single);
     let (id, device) = registry.resolve("v100").unwrap();
 
-    an5d.tune_with_db(
-        &problem,
-        &id,
-        device,
-        &space,
-        Arc::new(PlanCache::new(64)),
-        &db,
-        false,
-    )
-    .unwrap();
+    an5d.tune_with_db(&problem, &id, device, &space, &db, false)
+        .unwrap();
 
     // Same device, different problem → miss.
     let other_problem = an5d.problem(&[512, 512], 100).unwrap();
