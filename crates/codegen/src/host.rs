@@ -1,6 +1,8 @@
 //! Host-side CUDA driver generation (Section 4.3.1).
 
+use crate::write_list;
 use an5d_plan::KernelPlan;
+use std::fmt::{self, Write};
 
 /// Generate the host driver for a plan.
 ///
@@ -12,6 +14,12 @@ use an5d_plan::KernelPlan;
 /// launches would leave the result in the wrong buffer.
 #[must_use]
 pub fn generate_host(plan: &KernelPlan, kernel_name: &str) -> String {
+    let mut out = String::new();
+    write_host(&mut out, plan, kernel_name).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Result {
     let def = plan.def();
     let config = plan.config();
     let scalar = config.precision().cuda_type();
@@ -19,83 +27,95 @@ pub fn generate_host(plan: &KernelPlan, kernel_name: &str) -> String {
     let ndim = def.ndim();
     let rad = def.radius();
     let nthr = plan.geometry().nthr;
-
-    let extent_params: Vec<String> = (0..ndim)
-        .map(|d| format!("const int i_s{}", ndim - d))
-        .collect();
-    let extent_args: Vec<String> = (0..ndim).map(|d| format!("i_s{}", ndim - d)).collect();
-    let padded_size: Vec<String> = (0..ndim)
-        .map(|d| format!("(size_t)(i_s{} + {})", ndim - d, 2 * rad))
-        .collect();
-
-    let block_dims = match config.bs() {
-        [bs1] => format!("dim3 block({bs1}, 1, 1);"),
-        [bs2, bs1] => format!("dim3 block({bs1}, {bs2}, 1);"),
-        other => format!(
-            "dim3 block({}, 1, 1); // unexpected rank {}",
-            nthr,
-            other.len()
-        ),
-    };
     let grid_dim = plan.geometry().total_thread_blocks;
 
-    let mut out = String::new();
-    out.push_str(&format!(
-        "// Generated by AN5D-rs: host driver for {} ({})\n",
+    // `i_s{ndim}, …, i_s1`, each prefixed with `prefix`.
+    let extents = |prefix: &'static str| {
+        (0..ndim).map(move |d| fmt::from_fn(move |f| write!(f, "{prefix}i_s{}", ndim - d)))
+    };
+    // One launch advancing `steps` time-steps from buffer `t % 2`.
+    let launch = |out: &mut String, kernel: &str, steps: usize| -> fmt::Result {
+        write!(
+            out,
+            "        {kernel}<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {steps}) % 2], "
+        )?;
+        write_list(out, extents(""))?;
+        writeln!(out, ", 0, i_s{ndim});")
+    };
+
+    writeln!(
+        out,
+        "// Generated by AN5D-rs: host driver for {} ({})",
         def.name(),
         config
-    ));
+    )?;
     out.push_str("#include <cuda_runtime.h>\n#include <cstdio>\n\n");
-    out.push_str(&format!(
-        "extern __global__ void {kernel_name}(const {scalar}*, {scalar}*, {}, const int, const int);\n\n",
-        (0..ndim).map(|_| "const int".to_string()).collect::<Vec<_>>().join(", ")
-    ));
+    write!(
+        out,
+        "extern __global__ void {kernel_name}(const {scalar}*, {scalar}*, "
+    )?;
+    write_list(out, (0..ndim).map(|_| "const int"))?;
+    out.push_str(", const int, const int);\n\n");
 
-    out.push_str(&format!(
+    write!(
+        out,
         "/* Advances the solution by i_t time-steps; the result ends up in h_a,\n   exactly as the original double-buffered C code would leave it. */\n\
-         int {kernel_name}_host({scalar}* h_a, {params}, const int i_t)\n{{\n",
-        params = extent_params.join(", ")
-    ));
-    out.push_str(&format!(
-        "    const size_t cells = {};\n",
-        padded_size.join(" * ")
-    ));
-    out.push_str(&format!(
-        "    const size_t bytes = cells * sizeof({scalar});\n"
-    ));
-    out.push_str(&format!(
+         int {kernel_name}_host({scalar}* h_a, "
+    )?;
+    write_list(out, extents("const int "))?;
+    out.push_str(", const int i_t)\n{\n");
+    out.push_str("    const size_t cells = ");
+    for d in 0..ndim {
+        if d > 0 {
+            out.push_str(" * ");
+        }
+        write!(out, "(size_t)(i_s{} + {})", ndim - d, 2 * rad)?;
+    }
+    out.push_str(";\n");
+    writeln!(out, "    const size_t bytes = cells * sizeof({scalar});")?;
+    write!(
+        out,
         "    {scalar}* d_buf[2];\n    cudaMalloc(&d_buf[0], bytes);\n    cudaMalloc(&d_buf[1], bytes);\n"
-    ));
+    )?;
     out.push_str("    cudaMemcpy(d_buf[0], h_a, bytes, cudaMemcpyHostToDevice);\n");
     out.push_str("    cudaMemcpy(d_buf[1], h_a, bytes, cudaMemcpyHostToDevice);\n\n");
-    out.push_str(&format!(
-        "    {block_dims}\n    dim3 grid({grid_dim}, 1, 1);\n\n"
-    ));
+    match config.bs() {
+        [bs1] => writeln!(out, "    dim3 block({bs1}, 1, 1);")?,
+        [bs2, bs1] => writeln!(out, "    dim3 block({bs1}, {bs2}, 1);")?,
+        other => writeln!(
+            out,
+            "    dim3 block({nthr}, 1, 1); // unexpected rank {}",
+            other.len()
+        )?,
+    }
+    write!(out, "    dim3 grid({grid_dim}, 1, 1);\n\n")?;
 
-    out.push_str(&format!(
-        "    /* One kernel launch per temporal block of bT = {bt} time-steps. */\n"
-    ));
+    writeln!(
+        out,
+        "    /* One kernel launch per temporal block of bT = {bt} time-steps. */"
+    )?;
     out.push_str("    int t = 0;\n");
-    out.push_str(&format!(
-        "    for (; t + {bt} <= i_t; t += {bt}) {{\n        {kernel_name}<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {bt}) % 2], {args}, 0, i_s{ndim});\n    }}\n\n",
-        args = extent_args.join(", ")
-    ));
+    writeln!(out, "    for (; t + {bt} <= i_t; t += {bt}) {{")?;
+    launch(out, kernel_name, bt)?;
+    out.push_str("    }\n\n");
 
     out.push_str("    /* Remainder handling (Section 4.3.1): statically generated branches\n");
     out.push_str("       shorten the final temporal block when (i_t % bT) != 0 or the launch\n");
     out.push_str("       parity would leave the result in the wrong buffer. */\n");
     for remainder in 1..bt {
-        out.push_str(&format!(
-            "    if (i_t - t == {remainder}) {{\n        {kernel}<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {remainder}) % 2], {args}, 0, i_s{ndim});\n        t += {remainder};\n    }}\n",
-            kernel = kernel_name.replace(&format!("_bt{bt}"), &format!("_bt{remainder}")),
-            args = extent_args.join(", ")
-        ));
+        writeln!(out, "    if (i_t - t == {remainder}) {{")?;
+        launch(
+            out,
+            &kernel_name.replace(&format!("_bt{bt}"), &format!("_bt{remainder}")),
+            remainder,
+        )?;
+        write!(out, "        t += {remainder};\n    }}\n")?;
     }
     out.push('\n');
     out.push_str("    cudaMemcpy(h_a, d_buf[t % 2], bytes, cudaMemcpyDeviceToHost);\n");
     out.push_str("    cudaFree(d_buf[0]);\n    cudaFree(d_buf[1]);\n");
     out.push_str("    return cudaGetLastError() == cudaSuccess ? 0 : -1;\n}\n");
-    out
+    Ok(())
 }
 
 #[cfg(test)]

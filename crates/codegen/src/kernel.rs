@@ -1,7 +1,9 @@
 //! Kernel-side CUDA code generation (Fig. 5 structure).
 
+use crate::write_list;
 use an5d_expr::Offset;
 use an5d_plan::{KernelPlan, MacroOp, OptimizationClass, Phase, RegSlot};
+use std::fmt::{self, Write};
 
 /// Generate the kernel source for a plan.
 ///
@@ -12,6 +14,12 @@ use an5d_plan::{KernelPlan, MacroOp, OptimizationClass, Phase, RegSlot};
 /// and tail phases.
 #[must_use]
 pub fn generate_kernel(plan: &KernelPlan, kernel_name: &str) -> String {
+    let mut out = String::new();
+    write_kernel(&mut out, plan, kernel_name).expect("writing to a String cannot fail");
+    out
+}
+
+fn write_kernel(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Result {
     let def = plan.def();
     let config = plan.config();
     let scalar = config.precision().cuda_type();
@@ -21,49 +29,55 @@ pub fn generate_kernel(plan: &KernelPlan, kernel_name: &str) -> String {
     let nthr = plan.geometry().nthr;
     let buffers = plan.resources().shared_buffers;
     let smem_words_per_buffer = nthr * plan.class().resident_planes(rad);
+    let schedule = plan.schedule();
 
-    let mut out = String::new();
-    out.push_str(&format!(
-        "// Generated by AN5D-rs: stencil {} ({}), {}\n",
+    writeln!(
+        out,
+        "// Generated by AN5D-rs: stencil {} ({}), {}",
         def.name(),
         plan.class(),
         config
-    ));
+    )?;
     out.push_str(
         "// Kernel structure: head / inner / tail phases with fixed register allocation\n",
     );
     out.push_str("// and double-buffered shared memory (CGO 2020, Sections 4.1-4.3).\n");
     out.push_str("#include <cuda_runtime.h>\n\n");
 
-    out.push_str(&format!("#define AN5D_BT {bt}\n"));
-    out.push_str(&format!("#define AN5D_RAD {rad}\n"));
-    out.push_str(&format!("#define AN5D_NTHR {nthr}\n"));
+    writeln!(out, "#define AN5D_BT {bt}")?;
+    writeln!(out, "#define AN5D_RAD {rad}")?;
+    writeln!(out, "#define AN5D_NTHR {nthr}")?;
     for (d, &bs) in config.bs().iter().enumerate() {
-        out.push_str(&format!("#define AN5D_BS{} {}\n", d + 1, bs));
+        writeln!(out, "#define AN5D_BS{} {}", d + 1, bs)?;
     }
     out.push('\n');
 
     // Shared-memory access wrapper (disables NVCC's vectorised shared loads).
-    out.push_str(&format!(
+    write!(
+        out,
         "__device__ __forceinline__ {scalar} an5d_sm_load(const {scalar}* buf, int idx) {{\n    return buf[idx];\n}}\n\n"
-    ));
+    )?;
 
-    out.push_str(&generate_macros(plan, scalar));
+    write_macros(out, plan, scalar)?;
 
     // Kernel signature.
-    let extents: Vec<String> = (0..def.ndim())
-        .map(|d| format!("const int i_s{}", def.ndim() - d))
-        .collect();
-    out.push_str(&format!(
-        "__global__ void {kernel_name}(const {scalar}* __restrict__ a_in, {scalar}* __restrict__ a_out, {}, const int stream_begin, const int stream_end)\n{{\n",
-        extents.join(", ")
-    ));
+    write!(
+        out,
+        "__global__ void {kernel_name}(const {scalar}* __restrict__ a_in, {scalar}* __restrict__ a_out, "
+    )?;
+    write_list(
+        out,
+        (0..def.ndim())
+            .map(|d| fmt::from_fn(move |f| write!(f, "const int i_s{}", def.ndim() - d))),
+    )?;
+    out.push_str(", const int stream_begin, const int stream_end)\n{\n");
 
     // Shared memory: two buffers for AN5D, bT for the STENCILGEN scheme.
     for b in 0..buffers {
-        out.push_str(&format!(
-            "    __shared__ {scalar} sm{b}[{smem_words_per_buffer}];\n"
-        ));
+        writeln!(
+            out,
+            "    __shared__ {scalar} sm{b}[{smem_words_per_buffer}];"
+        )?;
     }
     out.push_str("    const int tx = threadIdx.x;\n");
     if def.ndim() == 3 {
@@ -73,47 +87,50 @@ pub fn generate_kernel(plan: &KernelPlan, kernel_name: &str) -> String {
 
     // Fixed register file: bT streams × (2·rad + 1) slots, never shifted.
     out.push_str("    /* Fixed per-stream register windows (no shifting, Fig. 3 (b)) */\n");
-    for t in 0..bt {
-        let regs: Vec<String> = (0..unroll).map(|m| format!("reg_{t}_{m}")).collect();
-        out.push_str(&format!("    {scalar} {};\n", regs.join(", ")));
+    for time_step in 0..bt {
+        write!(out, "    {scalar} ")?;
+        write_list(out, (0..unroll).map(|slot| RegSlot { time_step, slot }))?;
+        out.push_str(";\n");
     }
     out.push('\n');
 
     // Head phase.
     out.push_str("    /* Head phase: statically generated pipeline fill (Section 4.3.2) */\n");
-    for op in plan.schedule().head() {
-        out.push_str(&render_op(op, Phase::Head, plan));
+    for op in schedule.head() {
+        write_op(out, &op, Phase::Head)?;
     }
     out.push('\n');
 
     // Inner phase.
     out.push_str("    /* Inner phase: steady state, unrolled by the register window */\n");
-    let head_planes = plan.schedule().count_in(Phase::Head, MacroOp::is_load);
-    out.push_str(&format!(
-        "    int s = stream_begin + {head_planes};\n    for (; s + {unroll} <= stream_end; s += {unroll}) {{\n"
-    ));
-    for op in plan.schedule().inner() {
-        out.push_str(&format!("    {}", render_op(op, Phase::Inner, plan)));
+    write!(
+        out,
+        "    int s = stream_begin + {};\n    for (; s + {unroll} <= stream_end; s += {unroll}) {{\n",
+        schedule.head_planes()
+    )?;
+    for op in schedule.inner() {
+        out.push_str("    ");
+        write_op(out, &op, Phase::Inner)?;
     }
     out.push_str("    }\n\n");
 
     // Tail phase.
     out.push_str("    /* Tail phase: statically generated pipeline drain */\n");
-    for op in plan.schedule().tail() {
-        out.push_str(&render_op(op, Phase::Tail, plan));
+    for op in schedule.tail() {
+        write_op(out, &op, Phase::Tail)?;
     }
 
     out.push_str("}\n");
-    out
+    Ok(())
 }
 
 /// Emit the `LOAD`, `CALC1..bT` and `STORE` macro definitions.
-fn generate_macros(plan: &KernelPlan, scalar: &str) -> String {
+fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) -> fmt::Result {
     let def = plan.def();
     let rad = def.radius();
     let unroll = 2 * rad + 1;
     let bt = plan.config().bt();
-    let mut out = String::new();
+    let params = || (0..unroll).map(|m| fmt::from_fn(move |f| write!(f, "r{m}")));
 
     out.push_str("/* LOAD: fetch one sub-plane cell of the T = 0 stream from global memory */\n");
     out.push_str(
@@ -121,100 +138,93 @@ fn generate_macros(plan: &KernelPlan, scalar: &str) -> String {
     );
 
     // One CALC macro per combined time-step; all go through the same
-    // double-buffered shared memory.
-    let src_params: Vec<String> = (0..unroll).map(|m| format!("r{m}")).collect();
+    // double-buffered shared memory, so the update expression differs only
+    // in which of the two buffers it reads and is rendered once per buffer.
+    let bodies: Vec<String> = (0..bt.min(2))
+        .map(|buffer| render_update_expression(plan, buffer))
+        .collect();
     for t in 1..=bt {
         let buffer = (t + 1) % 2;
-        out.push_str(&format!(
-            "/* CALC{t}: compute one sub-plane of time-step {t} from the {unroll} source registers of time-step {} */\n",
+        writeln!(
+            out,
+            "/* CALC{t}: compute one sub-plane of time-step {t} from the {unroll} source registers of time-step {} */",
             t - 1
-        ));
-        let body = render_update_expression(plan, &src_params, buffer);
+        )?;
         if plan.class() == OptimizationClass::Associative {
             out.push_str(
                 "/* associative stencil: evaluated as per-sub-plane partial summations */\n",
             );
         }
-        out.push_str(&format!(
-            "#define CALC{t}(dst, {params}) do {{ \\\n    {scalar} an5d_result = {body}; \\\n    sm{buffer}[tx] = an5d_result; \\\n    dst = an5d_result; \\\n}} while (0)\n\n",
-            params = src_params.join(", ")
-        ));
+        write!(out, "#define CALC{t}(dst, ")?;
+        write_list(out, params())?;
+        write!(
+            out,
+            ") do {{ \\\n    {scalar} an5d_result = {body}; \\\n    sm{buffer}[tx] = an5d_result; \\\n    dst = an5d_result; \\\n}} while (0)\n\n",
+            body = bodies[buffer]
+        )?;
     }
 
     out.push_str("/* STORE: write one finished sub-plane of time-step bT to global memory */\n");
-    let store_params: Vec<String> = (0..unroll).map(|m| format!("r{m}")).collect();
-    out.push_str(&format!(
-        "#define STORE(sidx, {params}) do {{ \\\n    if (an5d_in_compute_region(tx)) a_out[an5d_global_index((sidx), tx)] = r{rad}; \\\n}} while (0)\n\n",
-        params = store_params.join(", ")
-    ));
-    out
+    out.push_str("#define STORE(sidx, ");
+    write_list(out, params())?;
+    write!(
+        out,
+        ") do {{ \\\n    if (an5d_in_compute_region(tx)) a_out[an5d_global_index((sidx), tx)] = r{rad}; \\\n}} while (0)\n\n"
+    )
 }
 
-/// Render the stencil update expression for a CALC macro: streaming-column
-/// neighbours come from the macro's register parameters, in-plane
-/// neighbours from shared memory.
-fn render_update_expression(plan: &KernelPlan, src_params: &[String], buffer: usize) -> String {
+/// Render the stencil update expression of a CALC macro reading shared
+/// buffer `sm{buffer}`: streaming-column neighbours come from the macro's
+/// register parameters `r0..`, in-plane neighbours from shared memory.
+fn render_update_expression(plan: &KernelPlan, buffer: usize) -> String {
     let def = plan.def();
     let rad = def.radius() as i32;
     let ndim = def.ndim();
     let access = |offset: Offset| -> String {
         let in_plane_zero = offset.in_plane_components().iter().all(|&c| c == 0);
         if in_plane_zero {
-            let slot = (offset.streaming_component() + rad) as usize;
-            src_params[slot].clone()
+            format!("r{}", offset.streaming_component() + rad)
+        } else if ndim == 2 {
+            format!("an5d_sm_load(sm{buffer}, tx + ({}))", offset.component(1))
         } else {
-            let index = if ndim == 2 {
-                format!("tx + ({})", offset.component(1))
-            } else {
-                format!(
-                    "(ty + ({})) * AN5D_BS2 + tx + ({})",
-                    offset.component(1),
-                    offset.component(2)
-                )
-            };
-            format!("an5d_sm_load(sm{buffer}, {index})")
+            format!(
+                "an5d_sm_load(sm{buffer}, (ty + ({})) * AN5D_BS2 + tx + ({}))",
+                offset.component(1),
+                offset.component(2)
+            )
         }
     };
     def.expr().to_c(&access).replace('\n', " ")
 }
 
-/// Render one macro call of the schedule as a source line.
-fn render_op(op: &MacroOp, phase: Phase, plan: &KernelPlan) -> String {
-    let plane = |p: i64| -> String {
-        match phase {
-            Phase::Inner => {
-                if p == 0 {
-                    "s".to_string()
-                } else {
-                    format!("s + {p}")
-                }
-            }
-            Phase::Head => format!("stream_begin + {p}"),
-            Phase::Tail => format!("stream_end + {p}"),
-        }
+/// Write one macro call of the schedule as a source line.
+fn write_op(out: &mut String, op: &MacroOp, phase: Phase) -> fmt::Result {
+    let plane = |p: i64| {
+        fmt::from_fn(move |f| match phase {
+            Phase::Inner if p == 0 => f.write_str("s"),
+            Phase::Inner => write!(f, "s + {p}"),
+            Phase::Head => write!(f, "stream_begin + {p}"),
+            Phase::Tail => write!(f, "stream_end + {p}"),
+        })
     };
-    let reg = |r: &RegSlot| r.cuda_name();
     match op {
-        MacroOp::Load { dst, plane: p } => {
-            format!("    LOAD({}, {});\n", reg(dst), plane(*p))
-        }
+        MacroOp::Load { dst, plane: p } => writeln!(out, "    LOAD({dst}, {});", plane(*p)),
         MacroOp::Calc {
             time_step,
             dst,
             srcs,
             ..
         } => {
-            let args: Vec<String> = srcs.iter().map(&reg).collect();
-            format!("    CALC{time_step}({}, {});\n", reg(dst), args.join(", "))
+            write!(out, "    CALC{time_step}({dst}, ")?;
+            write_list(out, srcs)?;
+            out.write_str(");\n")
         }
         MacroOp::Store { plane: p, regs } => {
-            let args: Vec<String> = regs.iter().map(&reg).collect();
-            format!("    STORE({}, {});\n", plane(*p), args.join(", "))
+            write!(out, "    STORE({}, ", plane(*p))?;
+            write_list(out, regs)?;
+            out.write_str(");\n")
         }
-        MacroOp::Sync => {
-            let _ = plan;
-            "    __syncthreads();\n".to_string()
-        }
+        MacroOp::Sync => out.write_str("    __syncthreads();\n"),
     }
 }
 

@@ -47,6 +47,21 @@ pub use host::generate_host;
 pub use kernel::generate_kernel;
 
 use an5d_plan::KernelPlan;
+use std::fmt::{self, Write};
+
+/// Write `items` separated by `", "`.
+fn write_list<T: fmt::Display>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+) -> fmt::Result {
+    for (index, item) in items.into_iter().enumerate() {
+        if index > 0 {
+            out.push_str(", ");
+        }
+        write!(out, "{item}")?;
+    }
+    Ok(())
+}
 
 /// Generated CUDA sources for one stencil/configuration pair.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]

@@ -212,31 +212,39 @@ impl Expr {
     where
         F: Fn(Offset) -> String,
     {
-        self.render(access, /* float_literals = */ true)
+        let mut out = String::new();
+        self.render_into(&mut out, access);
+        out
     }
 
-    fn render<F>(&self, access: &F, float_literals: bool) -> String
+    /// Append the C rendering to `out` (one buffer for the whole tree: a
+    /// left-nested sum must not re-copy its prefix at every level).
+    fn render_into<F>(&self, out: &mut String, access: &F)
     where
         F: Fn(Offset) -> String,
     {
         match self {
-            Expr::Const(c) => format_literal(*c, float_literals),
-            Expr::Cell(o) => access(*o),
-            Expr::Unary(UnOp::Neg, a) => format!("(-{})", a.render(access, float_literals)),
-            Expr::Unary(UnOp::Sqrt, a) => format!("sqrt({})", a.render(access, float_literals)),
+            Expr::Const(c) => out.push_str(&format_literal(*c)),
+            Expr::Cell(o) => out.push_str(&access(*o)),
+            Expr::Unary(op, a) => {
+                out.push_str(match op {
+                    UnOp::Neg => "(-",
+                    UnOp::Sqrt => "sqrt(",
+                });
+                a.render_into(out, access);
+                out.push(')');
+            }
             Expr::Binary(op, a, b) => {
-                let sym = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                };
-                format!(
-                    "({} {} {})",
-                    a.render(access, float_literals),
-                    sym,
-                    b.render(access, float_literals)
-                )
+                out.push('(');
+                a.render_into(out, access);
+                out.push_str(match op {
+                    BinOp::Add => " + ",
+                    BinOp::Sub => " - ",
+                    BinOp::Mul => " * ",
+                    BinOp::Div => " / ",
+                });
+                b.render_into(out, access);
+                out.push(')');
             }
         }
     }
@@ -268,16 +276,13 @@ impl Expr {
     }
 }
 
-fn format_literal(value: f64, float_suffix: bool) -> String {
-    let mut s = if value == value.trunc() && value.abs() < 1e15 {
-        format!("{value:.1}")
+/// A C float literal: `2.0f`, `0.25f`.
+fn format_literal(value: f64) -> String {
+    if value == value.trunc() && value.abs() < 1e15 {
+        format!("{value:.1}f")
     } else {
-        format!("{value}")
-    };
-    if float_suffix {
-        s.push('f');
+        format!("{value}f")
     }
-    s
 }
 
 impl Add for Expr {

@@ -26,6 +26,6 @@ pub mod measure;
 pub mod predict;
 pub mod traffic;
 
-pub use measure::{measure, measure_best_cap, Measurement};
+pub use measure::{measure, measure_best_cap, measure_each_cap, Measurement};
 pub use predict::{predict, ModelPrediction};
 pub use traffic::{analytic_counters, thread_classes, ThreadClasses};

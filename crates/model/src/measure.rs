@@ -2,7 +2,9 @@
 //! generated CUDA on a physical GPU.
 
 use crate::traffic::analytic_counters;
-use an5d_gpusim::{simulate, GpuDevice, InfeasibleConfig, SimulatedTime, WorkloadProfile};
+use an5d_gpusim::{
+    simulate, GpuDevice, InfeasibleConfig, SimulatedTime, TrafficCounters, WorkloadProfile,
+};
 use an5d_plan::{KernelPlan, RegisterCap};
 use an5d_stencil::StencilProblem;
 
@@ -39,8 +41,37 @@ pub fn measure(
     device: &GpuDevice,
     cap: RegisterCap,
 ) -> Result<Measurement, InfeasibleConfig> {
+    measure_counted(
+        plan,
+        problem,
+        device,
+        cap,
+        &analytic_counters(plan, problem),
+    )
+}
+
+/// Measure under every register cap of Section 6.3, in
+/// [`RegisterCap::tuning_candidates`] order. The counters do not depend on
+/// the cap, so they are evaluated once and shared by the four profiles;
+/// each entry equals what [`measure`] returns for that cap.
+pub fn measure_each_cap(
+    plan: &KernelPlan,
+    problem: &StencilProblem,
+    device: &GpuDevice,
+) -> [Result<Measurement, InfeasibleConfig>; 4] {
     let counters = analytic_counters(plan, problem);
-    let profile = WorkloadProfile::from_counters(plan, &counters, cap);
+    RegisterCap::tuning_candidates()
+        .map(|cap| measure_counted(plan, problem, device, cap, &counters))
+}
+
+fn measure_counted(
+    plan: &KernelPlan,
+    problem: &StencilProblem,
+    device: &GpuDevice,
+    cap: RegisterCap,
+    counters: &TrafficCounters,
+) -> Result<Measurement, InfeasibleConfig> {
+    let profile = WorkloadProfile::from_counters(plan, counters, cap);
     let time = simulate(&profile, device)?;
     Ok(Measurement {
         seconds: time.seconds,
@@ -66,8 +97,8 @@ pub fn measure_best_cap(
 ) -> Result<Measurement, InfeasibleConfig> {
     let mut best: Option<Measurement> = None;
     let mut last_err: Option<InfeasibleConfig> = None;
-    for cap in RegisterCap::tuning_candidates() {
-        match measure(plan, problem, device, cap) {
+    for measured in measure_each_cap(plan, problem, device) {
+        match measured {
             Ok(m) => {
                 if best.as_ref().is_none_or(|b| m.seconds < b.seconds) {
                     best = Some(m);
@@ -131,6 +162,19 @@ mod tests {
         for cap in RegisterCap::tuning_candidates() {
             if let Ok(m) = measure(&plan, &problem, &device, cap) {
                 assert!(best.seconds <= m.seconds + 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn each_cap_from_shared_counters_equals_a_measure_per_cap() {
+        let device = GpuDevice::tesla_p100();
+        for precision in [Precision::Single, Precision::Double] {
+            let (plan, problem) = tuned(10, precision);
+            let caps = RegisterCap::tuning_candidates();
+            let shared = measure_each_cap(&plan, &problem, &device);
+            for (cap, shared) in caps.into_iter().zip(shared) {
+                assert_eq!(shared, measure(&plan, &problem, &device, cap), "{cap:?}");
             }
         }
     }

@@ -1,4 +1,10 @@
 //! The complete kernel plan: configuration + scheme + derived artefacts.
+//!
+//! Everything a plan carries is closed-form in `(stencil, problem, bT,
+//! bS, hS_N)` — geometry, resources, and a schedule that is three
+//! integers until the code generator asks for its macro listing — so
+//! building one costs a fraction of a microsecond plus the clones, and
+//! the tuner can afford a plan per candidate.
 
 use crate::{
     BlockConfig, BlockGeometry, FrameworkScheme, KernelSchedule, OptimizationClass, PlanError,
@@ -44,7 +50,7 @@ impl KernelPlan {
             scheme.registers,
             scheme.shared_memory,
         );
-        let schedule = KernelSchedule::build(config, def.radius(), class);
+        let schedule = KernelSchedule::build(config, def.radius());
         Ok(Self {
             def: def.clone(),
             config: config.clone(),
@@ -92,7 +98,8 @@ impl KernelPlan {
         &self.resources
     }
 
-    /// The head / inner / tail macro schedule.
+    /// The head / inner / tail macro schedule (its listing is generated
+    /// when asked for, see [`KernelSchedule`]).
     #[must_use]
     pub fn schedule(&self) -> &KernelSchedule {
         &self.schedule

@@ -1,7 +1,13 @@
 //! The head / inner / tail macro schedule of the generated kernel (Fig. 5).
+//!
+//! The schedule is determined by `(bT, rad)` alone. [`KernelSchedule`]
+//! stores just that; what the model and the executor need from it
+//! (`syncs_per_plane`, `head_planes`) is closed-form, and the O(bT²·rad)
+//! macro listing is generated when the code generator prints it.
 
-use crate::{BlockConfig, OptimizationClass};
+use crate::BlockConfig;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// A register slot `reg_T_M`: register `M` of the window belonging to
 /// computational stream (combined time-step) `T`.
@@ -21,7 +27,13 @@ impl RegSlot {
     /// CUDA identifier used by the code generator (`reg_T_M`).
     #[must_use]
     pub fn cuda_name(&self) -> String {
-        format!("reg_{}_{}", self.time_step, self.slot)
+        self.to_string()
+    }
+}
+
+impl fmt::Display for RegSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "reg_{}_{}", self.time_step, self.slot)
     }
 }
 
@@ -104,58 +116,28 @@ pub enum Phase {
     Tail,
 }
 
-/// The complete macro schedule of one AN5D kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The complete macro schedule of one AN5D kernel: `(bT, rad)` and the
+/// listing generated from them on demand ([`head`](Self::head) /
+/// [`inner`](Self::inner) / [`tail`](Self::tail)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelSchedule {
     bt: usize,
     radius: usize,
     unroll: usize,
-    head: Vec<MacroOp>,
-    inner: Vec<MacroOp>,
-    tail: Vec<MacroOp>,
 }
 
 impl KernelSchedule {
-    /// Build the schedule for a configuration and stencil radius/class.
+    /// The schedule for a configuration and stencil radius.
     ///
     /// The schedule realises the pipeline of Fig. 1: after the T = 0 stream
     /// has loaded `T·rad` planes, stream `T` starts computing; a finished
     /// plane of stream `bT` is stored `bT·rad` planes behind the load front.
     #[must_use]
-    pub fn build(config: &BlockConfig, radius: usize, _class: OptimizationClass) -> Self {
-        let bt = config.bt();
-        let unroll = 2 * radius + 1;
-        let lag = (bt * radius) as i64;
-
-        let mut head = Vec::new();
-        // Pipeline fill: load planes 0 .. lag + unroll − 1 and run every
-        // stream that already has its dependencies available.
-        let head_planes = lag + unroll as i64;
-        for s in 0..head_planes {
-            push_plane_step(&mut head, s, bt, radius, unroll, lag, true);
-        }
-
-        // One steady-state loop iteration, unrolled over the register window;
-        // plane indices are relative to the loop variable `i`.
-        let mut inner = Vec::new();
-        for u in 0..unroll as i64 {
-            push_plane_step(&mut inner, u, bt, radius, unroll, lag, false);
-        }
-
-        // Pipeline drain: the last `lag` planes have been loaded already;
-        // streams T ≥ 1 still need to finish and store.
-        let mut tail = Vec::new();
-        for s in 0..lag {
-            push_drain_step(&mut tail, s, bt, radius, unroll, lag);
-        }
-
+    pub fn build(config: &BlockConfig, radius: usize) -> Self {
         Self {
-            bt,
+            bt: config.bt(),
             radius,
-            unroll,
-            head,
-            inner,
-            tail,
+            unroll: 2 * radius + 1,
         }
     }
 
@@ -177,145 +159,108 @@ impl KernelSchedule {
         self.unroll
     }
 
-    /// Macro calls of the head (pipeline fill) phase.
-    #[must_use]
-    pub fn head(&self) -> &[MacroOp] {
-        &self.head
+    /// Planes between the load front and the store front (`bT·rad`).
+    fn lag(&self) -> i64 {
+        (self.bt * self.radius) as i64
     }
 
-    /// Macro calls of one unrolled inner-loop iteration.
+    /// Planes the head phase loads before the steady state takes over
+    /// (`bT·rad + 2·rad + 1`): the pipeline lag plus one register window.
     #[must_use]
-    pub fn inner(&self) -> &[MacroOp] {
-        &self.inner
+    pub fn head_planes(&self) -> usize {
+        self.lag() as usize + self.unroll
     }
 
-    /// Macro calls of the tail (pipeline drain) phase.
+    /// Macro calls of the head (pipeline fill) phase: load planes
+    /// `0 .. head_planes` and run every stream that already has its
+    /// dependencies available.
     #[must_use]
-    pub fn tail(&self) -> &[MacroOp] {
-        &self.tail
+    pub fn head(&self) -> Vec<MacroOp> {
+        let mut head = Vec::new();
+        for s in 0..self.head_planes() as i64 {
+            self.push_plane_step(&mut head, s, true);
+        }
+        head
+    }
+
+    /// Macro calls of one steady-state loop iteration, unrolled over the
+    /// register window; plane indices are relative to the loop variable.
+    #[must_use]
+    pub fn inner(&self) -> Vec<MacroOp> {
+        let mut inner = Vec::new();
+        for u in 0..self.unroll as i64 {
+            self.push_plane_step(&mut inner, u, false);
+        }
+        inner
+    }
+
+    /// Macro calls of the tail (pipeline drain) phase: the last `bT·rad`
+    /// planes have been loaded already; streams T ≥ 1 still need to finish
+    /// and store.
+    #[must_use]
+    pub fn tail(&self) -> Vec<MacroOp> {
+        let mut tail = Vec::new();
+        for s in 0..self.lag() {
+            self.push_drain_step(&mut tail, s);
+        }
+        tail
+    }
+
+    fn phase(&self, phase: Phase) -> Vec<MacroOp> {
+        match phase {
+            Phase::Head => self.head(),
+            Phase::Inner => self.inner(),
+            Phase::Tail => self.tail(),
+        }
     }
 
     /// All macro calls tagged with their phase, in program order.
     #[must_use]
     pub fn flattened(&self) -> Vec<MacroCall> {
-        let mut out = Vec::new();
-        for op in &self.head {
-            out.push(MacroCall {
-                phase: Phase::Head,
-                op: op.clone(),
-            });
-        }
-        for op in &self.inner {
-            out.push(MacroCall {
-                phase: Phase::Inner,
-                op: op.clone(),
-            });
-        }
-        for op in &self.tail {
-            out.push(MacroCall {
-                phase: Phase::Tail,
-                op: op.clone(),
-            });
-        }
-        out
+        [Phase::Head, Phase::Inner, Phase::Tail]
+            .into_iter()
+            .flat_map(|phase| {
+                self.phase(phase)
+                    .into_iter()
+                    .map(move |op| MacroCall { phase, op })
+            })
+            .collect()
     }
 
     /// Count macro calls of a given kind across one phase.
     #[must_use]
     pub fn count_in(&self, phase: Phase, pred: impl Fn(&MacroOp) -> bool) -> usize {
-        let ops = match phase {
-            Phase::Head => &self.head,
-            Phase::Inner => &self.inner,
-            Phase::Tail => &self.tail,
-        };
-        ops.iter().filter(|op| pred(op)).count()
+        self.phase(phase).iter().filter(|op| pred(op)).count()
     }
 
     /// Number of block synchronisations per streamed plane in the steady
-    /// state (one per combined time-step thanks to double buffering,
-    /// Section 4.2.2).
+    /// state: one after the load and one per combined time-step thanks to
+    /// double buffering (Section 4.2.2).
     #[must_use]
     pub fn syncs_per_plane(&self) -> usize {
-        self.count_in(Phase::Inner, |op| matches!(op, MacroOp::Sync)) / self.unroll
+        self.bt + 1
     }
-}
 
-/// Emit the macro calls for advancing the pipeline by one plane at load
-/// front `s` (absolute in the head, loop-relative in the inner phase).
-fn push_plane_step(
-    out: &mut Vec<MacroOp>,
-    s: i64,
-    bt: usize,
-    radius: usize,
-    unroll: usize,
-    lag: i64,
-    absolute: bool,
-) {
-    let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
-    out.push(MacroOp::Load {
-        dst: RegSlot {
-            time_step: 0,
-            slot: slot_of(s),
-        },
-        plane: s,
-    });
-    out.push(MacroOp::Sync);
-    for t in 1..=bt {
-        let dst_plane = s - (t * radius) as i64;
-        if absolute && dst_plane < 0 {
-            // This stream's dependencies are not yet available during the
-            // pipeline fill.
-            continue;
-        }
-        let srcs: Vec<RegSlot> = (-(radius as i64)..=radius as i64)
-            .map(|d| RegSlot {
-                time_step: t - 1,
-                slot: slot_of(dst_plane + d),
-            })
-            .collect();
-        out.push(MacroOp::Calc {
-            time_step: t,
+    /// Emit the macro calls for advancing the pipeline by one plane at load
+    /// front `s` (absolute in the head, loop-relative in the inner phase).
+    fn push_plane_step(&self, out: &mut Vec<MacroOp>, s: i64, absolute: bool) {
+        let (bt, radius, unroll, lag) = (self.bt, self.radius, self.unroll, self.lag());
+        let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
+        out.push(MacroOp::Load {
             dst: RegSlot {
-                time_step: t.min(bt - 1),
-                slot: slot_of(dst_plane),
+                time_step: 0,
+                slot: slot_of(s),
             },
-            srcs,
-            shared_buffer: (t + 1) % 2,
+            plane: s,
         });
         out.push(MacroOp::Sync);
-    }
-    let store_plane = s - lag;
-    if !absolute || store_plane >= 0 {
-        let regs: Vec<RegSlot> = (0..unroll)
-            .map(|m| RegSlot {
-                time_step: bt - 1,
-                slot: (slot_of(store_plane) + m) % unroll,
-            })
-            .collect();
-        out.push(MacroOp::Store {
-            plane: store_plane,
-            regs,
-        });
-    }
-}
-
-/// Emit the macro calls for one drain step: no more loads, the remaining
-/// streams finish and store.
-fn push_drain_step(
-    out: &mut Vec<MacroOp>,
-    s: i64,
-    bt: usize,
-    radius: usize,
-    unroll: usize,
-    lag: i64,
-) {
-    let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
-    for t in 1..=bt {
-        // Streams progressively run out of input; stream t has rad·(bT − t)
-        // planes left to compute after the last load.
-        let remaining = (radius * (bt - t)) as i64;
-        if s < remaining {
+        for t in 1..=bt {
             let dst_plane = s - (t * radius) as i64;
+            if absolute && dst_plane < 0 {
+                // This stream's dependencies are not yet available during the
+                // pipeline fill.
+                continue;
+            }
             let srcs: Vec<RegSlot> = (-(radius as i64)..=radius as i64)
                 .map(|d| RegSlot {
                     time_step: t - 1,
@@ -333,17 +278,61 @@ fn push_drain_step(
             });
             out.push(MacroOp::Sync);
         }
+        let store_plane = s - lag;
+        if !absolute || store_plane >= 0 {
+            let regs: Vec<RegSlot> = (0..unroll)
+                .map(|m| RegSlot {
+                    time_step: bt - 1,
+                    slot: (slot_of(store_plane) + m) % unroll,
+                })
+                .collect();
+            out.push(MacroOp::Store {
+                plane: store_plane,
+                regs,
+            });
+        }
     }
-    let regs: Vec<RegSlot> = (0..unroll)
-        .map(|m| RegSlot {
-            time_step: bt - 1,
-            slot: (slot_of(s - lag) + m) % unroll,
-        })
-        .collect();
-    out.push(MacroOp::Store {
-        plane: s - lag,
-        regs,
-    });
+
+    /// Emit the macro calls for one drain step: no more loads, the remaining
+    /// streams finish and store.
+    fn push_drain_step(&self, out: &mut Vec<MacroOp>, s: i64) {
+        let (bt, radius, unroll, lag) = (self.bt, self.radius, self.unroll, self.lag());
+        let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
+        for t in 1..=bt {
+            // Streams progressively run out of input; stream t has rad·(bT − t)
+            // planes left to compute after the last load.
+            let remaining = (radius * (bt - t)) as i64;
+            if s < remaining {
+                let dst_plane = s - (t * radius) as i64;
+                let srcs: Vec<RegSlot> = (-(radius as i64)..=radius as i64)
+                    .map(|d| RegSlot {
+                        time_step: t - 1,
+                        slot: slot_of(dst_plane + d),
+                    })
+                    .collect();
+                out.push(MacroOp::Calc {
+                    time_step: t,
+                    dst: RegSlot {
+                        time_step: t.min(bt - 1),
+                        slot: slot_of(dst_plane),
+                    },
+                    srcs,
+                    shared_buffer: (t + 1) % 2,
+                });
+                out.push(MacroOp::Sync);
+            }
+        }
+        let regs: Vec<RegSlot> = (0..unroll)
+            .map(|m| RegSlot {
+                time_step: bt - 1,
+                slot: (slot_of(s - lag) + m) % unroll,
+            })
+            .collect();
+        out.push(MacroOp::Store {
+            plane: s - lag,
+            regs,
+        });
+    }
 }
 
 #[cfg(test)]
@@ -353,7 +342,101 @@ mod tests {
 
     fn schedule(bt: usize, radius: usize) -> KernelSchedule {
         let config = BlockConfig::new(bt, &[256], None, Precision::Single).unwrap();
-        KernelSchedule::build(&config, radius, OptimizationClass::DiagonalAccessFree)
+        KernelSchedule::build(&config, radius)
+    }
+
+    /// The listing (head, inner, tail) as the eager builder produced it
+    /// while the schedule still stored its macro calls: the reference the
+    /// on-demand generators are compared against.
+    fn eager_reference(bt: usize, radius: usize) -> [Vec<MacroOp>; 3] {
+        let unroll = 2 * radius + 1;
+        let lag = (bt * radius) as i64;
+        let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
+        let calc = |t: usize, dst_plane: i64| MacroOp::Calc {
+            time_step: t,
+            dst: RegSlot {
+                time_step: t.min(bt - 1),
+                slot: slot_of(dst_plane),
+            },
+            srcs: (-(radius as i64)..=radius as i64)
+                .map(|d| RegSlot {
+                    time_step: t - 1,
+                    slot: slot_of(dst_plane + d),
+                })
+                .collect(),
+            shared_buffer: (t + 1) % 2,
+        };
+        let store = |plane: i64| MacroOp::Store {
+            plane,
+            regs: (0..unroll)
+                .map(|m| RegSlot {
+                    time_step: bt - 1,
+                    slot: (slot_of(plane) + m) % unroll,
+                })
+                .collect(),
+        };
+        let plane_step = |out: &mut Vec<MacroOp>, s: i64, absolute: bool| {
+            out.push(MacroOp::Load {
+                dst: RegSlot {
+                    time_step: 0,
+                    slot: slot_of(s),
+                },
+                plane: s,
+            });
+            out.push(MacroOp::Sync);
+            for t in 1..=bt {
+                let dst_plane = s - (t * radius) as i64;
+                if absolute && dst_plane < 0 {
+                    continue;
+                }
+                out.push(calc(t, dst_plane));
+                out.push(MacroOp::Sync);
+            }
+            if !absolute || s - lag >= 0 {
+                out.push(store(s - lag));
+            }
+        };
+
+        let mut head = Vec::new();
+        for s in 0..lag + unroll as i64 {
+            plane_step(&mut head, s, true);
+        }
+        let mut inner = Vec::new();
+        for u in 0..unroll as i64 {
+            plane_step(&mut inner, u, false);
+        }
+        let mut tail = Vec::new();
+        for s in 0..lag {
+            for t in 1..=bt {
+                if s < (radius * (bt - t)) as i64 {
+                    tail.push(calc(t, s - (t * radius) as i64));
+                    tail.push(MacroOp::Sync);
+                }
+            }
+            tail.push(store(s - lag));
+        }
+        [head, inner, tail]
+    }
+
+    #[test]
+    fn on_demand_listing_and_closed_forms_match_the_eager_builder() {
+        for bt in 1..=16 {
+            for radius in 1..=4 {
+                let s = schedule(bt, radius);
+                let [head, inner, tail] = eager_reference(bt, radius);
+                assert_eq!(s.head(), head, "head bT={bt} rad={radius}");
+                assert_eq!(s.inner(), inner, "inner bT={bt} rad={radius}");
+                assert_eq!(s.tail(), tail, "tail bT={bt} rad={radius}");
+                let inner_syncs = inner
+                    .iter()
+                    .filter(|op| matches!(op, MacroOp::Sync))
+                    .count();
+                assert_eq!(s.syncs_per_plane(), inner_syncs / s.unroll());
+                assert_eq!(inner_syncs % s.unroll(), 0);
+                assert_eq!(s.head_planes(), s.count_in(Phase::Head, MacroOp::is_load));
+                assert_eq!(s.head_planes(), bt * radius + 2 * radius + 1);
+            }
+        }
     }
 
     #[test]

@@ -566,8 +566,8 @@ fn worker_loop(shared: &PoolShared) {
 
 static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
-/// The process-wide shared pool used by the tuner, the CPU execution
-/// backends, the batch driver and plan-cache warming.
+/// The process-wide shared pool used by the CPU execution backends and
+/// the batch driver.
 ///
 /// Created on first use with [`default_threads`] workers; the pool lives
 /// for the rest of the process (its threads park on a condvar while

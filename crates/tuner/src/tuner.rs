@@ -1,14 +1,21 @@
 //! The model-guided tuning flow of Section 6.3.
+//!
+//! The paper tunes by model because a candidate's geometry, resources and
+//! traffic are closed-form, so ranking hundreds of them costs next to
+//! nothing. That holds here: a survivor is one `KernelPlan::build` plus one
+//! `predict` (a microsecond or two), so the ranking sweep runs inline on
+//! the calling thread, in candidate order, with a deadline checkpoint
+//! before every candidate.
 
 use an5d_backend::{BackendElement, ExecutionBackend};
 use an5d_gpusim::GpuDevice;
 use an5d_grid::{Grid, GridInit, Precision};
-use an5d_model::{measure, predict};
+use an5d_model::{measure_each_cap, predict};
 use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, RegisterCap, ResourceUsage};
 use an5d_stencil::{StencilDef, StencilProblem};
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::SearchSpace;
 
@@ -70,10 +77,6 @@ impl fmt::Display for TunerError {
 }
 
 impl Error for TunerError {}
-
-/// A ranking-stage survivor: candidate index (for deterministic
-/// tie-breaking), configuration, built plan and model score.
-type RankedCandidate = (usize, BlockConfig, Arc<KernelPlan>, f64);
 
 /// One fully evaluated candidate configuration.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -195,20 +198,18 @@ impl MeasurementSource for SimulatedMeasurement {
         config: &BlockConfig,
         predicted_gflops: f64,
     ) -> Option<TunedCandidate> {
+        // The simulated stand-in for executing the candidate on the
+        // backend device under every register cap (see
+        // `an5d_model::measure_each_cap`).
+        let measured_runs = {
+            let _span = an5d_obs::Span::enter("tuner.measure");
+            measure_each_cap(plan, problem, device)
+        };
         let mut best_for_candidate: Option<TunedCandidate> = None;
-        for cap in RegisterCap::tuning_candidates() {
-            // The simulated stand-in for executing the candidate on the
-            // backend device (see `an5d_model::measure`).
-            let measured_run = {
-                let _span = an5d_obs::Span::enter("tuner.measure");
-                measure(plan, problem, device, cap)
-            };
-            let Ok(m) = measured_run else {
-                continue;
-            };
+        for m in measured_runs.into_iter().flatten() {
             let candidate = TunedCandidate {
                 config: config.clone(),
-                register_cap: cap,
+                register_cap: m.register_cap,
                 predicted_gflops,
                 measured_gflops: m.gflops,
                 measured_gcells: m.gcells,
@@ -440,69 +441,54 @@ impl Tuner {
         // Step 1: stream the search space, analytically pre-prune, build
         // plans only for survivors and rank them with the Section 5
         // model. Candidates are generated lazily (no up-front
-        // materialisation of the space) and claimed one at a time by the
-        // shared worker pool, so expensive plans cannot serialise a whole
-        // static chunk behind one thread. Survivors carry their candidate
-        // index so the final ordering is identical to a serial sweep.
-        // The pre-prune runs inside the task (not as an iterator
-        // adapter): the pool claims items with the iterator mutex held,
-        // so pruning there would serialise exactly the mostly-rejected
-        // mega-sweeps the pre-prune exists for.
-        let evaluated: Mutex<Vec<RankedCandidate>> = Mutex::new(Vec::new());
+        // materialisation of the space) and evaluated inline on the
+        // calling thread, in candidate order: a survivor costs a plan
+        // build plus a closed-form prediction (a microsecond or two),
+        // which is less than handing it to another thread would.
+        let mut ranked: Vec<(BlockConfig, Arc<KernelPlan>, f64)> = Vec::new();
         let sweep_span = an5d_obs::Span::enter("tuner.rank_sweep");
-        an5d_runtime::global().for_each(space.iter().enumerate(), |(index, config)| {
+        for config in space.iter() {
             // Deadline checkpoint per candidate, ahead of the analytic
-            // prune and the plan build: once the budget is gone the
-            // remaining items drain as no-ops (the pool has no abort)
-            // and the expiry check after the sweep turns the partial
-            // ranking into an error instead of a winner. The fault
-            // point lets the chaos soak and tests stretch individual
-            // candidates deterministically.
+            // prune and the plan build: once the budget is gone the sweep
+            // stops and the partial ranking becomes an error instead of a
+            // winner. The fault point lets the chaos soak and tests
+            // stretch individual candidates deterministically.
             if let Some(an5d_fault::FaultAction::Delay(d)) = an5d_fault::point("tuner.candidate") {
                 std::thread::sleep(d);
             }
+            // A sweep the deadline interrupted is a *partial* ranking: the
+            // best candidate may be among the items that were skipped, so
+            // returning a winner from it would be silently wrong.
             if an5d_fault::deadline_expired() {
-                return;
+                return Err(TunerError::DeadlineExceeded {
+                    completed: ranked.len(),
+                    total: total_candidates,
+                });
             }
             if !self.survives_analytic_pruning(def, &config) {
-                return;
+                continue;
             }
             let built = {
                 let _span = an5d_obs::Span::enter("plan.build");
                 KernelPlan::build(def, problem, &config, self.scheme)
             };
             let Ok(plan) = built.map(Arc::new) else {
-                return;
+                continue;
             };
             debug_assert!(
                 self.survives_register_pruning(&plan),
                 "analytic pre-prune must subsume the plan-based register prune"
             );
             let prediction = predict(&plan, problem, &self.device);
-            evaluated
-                .lock()
-                .expect("tuner ranking buffer poisoned")
-                .push((index, config, plan, prediction.gflops));
-        });
-        drop(sweep_span);
-        let mut ranked = evaluated
-            .into_inner()
-            .expect("tuner ranking buffer poisoned");
-        // A sweep the deadline interrupted is a *partial* ranking: the
-        // best candidate may be among the items that were skipped, so
-        // returning a winner from it would be silently wrong.
-        if an5d_fault::deadline_expired() {
-            return Err(TunerError::DeadlineExceeded {
-                completed: ranked.len(),
-                total: total_candidates,
-            });
+            ranked.push((config, plan, prediction.gflops));
         }
+        drop(sweep_span);
         if ranked.is_empty() {
             return Err(TunerError::NoFeasibleCandidate);
         }
-        // Score-descending with candidate order breaking ties: exactly
-        // the order the old stable sort over an in-order Vec produced.
-        ranked.sort_by(|a, b| cmp_scores_desc(a.3, b.3).then_with(|| a.0.cmp(&b.0)));
+        // Score-descending; the sort is stable, so candidate order breaks
+        // ties.
+        ranked.sort_by(|a, b| cmp_scores_desc(a.2, b.2));
         let ranked_candidates = ranked.len();
 
         // Step 2: "run" the model-ranked top-k through the measurement
@@ -512,7 +498,7 @@ impl Tuner {
         let mut measured: Vec<TunedCandidate> = Vec::new();
         let _measure_span = an5d_obs::Span::enter("tuner.measure_topk");
         let measure_count = ranked.len().min(self.top_k);
-        for (_, config, plan, predicted_gflops) in ranked.into_iter().take(self.top_k) {
+        for (config, plan, predicted_gflops) in ranked.into_iter().take(self.top_k) {
             // Checkpoint between top-k measurements: abort with the
             // partial count rather than measuring past the budget.
             if an5d_fault::deadline_expired() {
@@ -576,7 +562,7 @@ mod tests {
     }
 
     /// Run `f` under a trace and count its `plan.build` spans: one per
-    /// `KernelPlan::build` the tuner performed, on any pool thread.
+    /// `KernelPlan::build` the tuner performed.
     fn counting_plan_builds<T>(f: impl FnOnce() -> T) -> (T, usize) {
         let trace = an5d_obs::ActiveTrace::begin();
         let out = f();
@@ -638,7 +624,7 @@ mod tests {
         let bt1 = BlockConfig::new(1, &[256], Some(256), Precision::Single).unwrap();
         let plan = KernelPlan::build(&def, &problem, &bt1, FrameworkScheme::an5d()).unwrap();
         let bt1_measured =
-            measure(&plan, &problem, tuner.device(), RegisterCap::Unlimited).unwrap();
+            an5d_model::measure(&plan, &problem, tuner.device(), RegisterCap::Unlimited).unwrap();
         assert!(result.best.measured_gflops > bt1_measured.gflops);
     }
 
@@ -831,8 +817,8 @@ mod tests {
 
     #[test]
     fn concurrent_tuning_on_the_shared_pool_is_deterministic() {
-        // Four threads tuning simultaneously contend for the same global
-        // pool; every run must produce the identical result.
+        // Four threads tuning simultaneously (each sweep inline on its own
+        // thread); every run must produce the identical result.
         let def = suite::star2d(1);
         let problem = small_problem(&def);
         let space = SearchSpace::quick(2, Precision::Single);

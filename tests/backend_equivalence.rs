@@ -284,14 +284,14 @@ fn batch_driver_is_deterministic_across_pool_concurrency_caps() {
 
 /// A from-scratch serial re-implementation of the Section 6.3 tuning
 /// flow: enumerate → plan → register-prune → rank by model → measure the
-/// top-5 under every register cap → pick the best. The pool-backed
-/// streaming tuner must reproduce it bit for bit.
+/// top-5 under every register cap → pick the best. The streaming tuner
+/// must reproduce it bit for bit.
 fn serial_tune_reference(
     def: &an5d::StencilDef,
     problem: &StencilProblem,
     device: &an5d::GpuDevice,
     space: &an5d::SearchSpace,
-) -> Vec<an5d::TunedCandidate> {
+) -> an5d::TuningResult {
     use an5d::{measure, predict, RegisterCap};
     let mut ranked: Vec<(BlockConfig, KernelPlan, f64)> = Vec::new();
     for config in space.iter() {
@@ -308,6 +308,7 @@ fn serial_tune_reference(
         ranked.push((config, plan, score));
     }
     ranked.sort_by(|a, b| b.2.total_cmp(&a.2));
+    let ranked_candidates = ranked.len();
     let mut measured: Vec<an5d::TunedCandidate> = Vec::new();
     for (config, plan, predicted_gflops) in ranked.into_iter().take(5) {
         let mut best: Option<an5d::TunedCandidate> = None;
@@ -333,11 +334,17 @@ fn serial_tune_reference(
         measured.extend(best);
     }
     measured.sort_by(|a, b| b.measured_gflops.total_cmp(&a.measured_gflops));
-    measured
+    an5d::TuningResult {
+        best: measured[0].clone(),
+        measured,
+        ranked_candidates,
+        total_candidates: space.len(),
+        measured_on_backend: false,
+    }
 }
 
 #[test]
-fn streaming_pool_backed_tuner_matches_a_serial_reference_sweep() {
+fn streaming_tuner_matches_a_serial_reference_sweep() {
     use an5d::{GpuDevice, SearchSpace, Tuner};
     let device = GpuDevice::tesla_v100();
     for (def, space) in [
@@ -361,10 +368,44 @@ fn streaming_pool_backed_tuner_matches_a_serial_reference_sweep() {
             .unwrap();
         assert_eq!(
             result.measured,
-            expected,
-            "{}: pool-backed tuner diverged from the serial reference",
+            expected.measured,
+            "{}: tuner diverged from the serial reference",
             def.name()
         );
-        assert_eq!(result.best, expected[0]);
+        assert_eq!(result.best, expected.best);
+    }
+}
+
+/// The whole `TuningResult` — winner, `measured` order, `ranked_candidates`
+/// — equals the reference's for every Table-3 stencil (radius 1 to 4, 2D
+/// and 3D) on every registry device, in both precisions, over the quick
+/// and the paper search space at the paper's problem scale.
+#[test]
+fn tuning_results_equal_the_reference_across_suite_devices_and_spaces() {
+    use an5d::{SearchSpace, Tuner};
+    let registry = an5d::standard_registry();
+    assert!(registry.len() >= 4);
+    for def in an5d::suite::all_benchmarks() {
+        let problem = StencilProblem::paper_scale(def.clone());
+        for (id, device) in registry.devices() {
+            for precision in [Precision::Single, Precision::Double] {
+                for space in [
+                    SearchSpace::quick(def.ndim(), precision),
+                    SearchSpace::paper(def.ndim(), precision),
+                ] {
+                    let result = Tuner::new(device.clone(), precision)
+                        .tune(&def, &problem, &space)
+                        .unwrap();
+                    assert_eq!(
+                        result,
+                        serial_tune_reference(&def, &problem, device, &space),
+                        "{} on {} ({precision:?}, {} candidates)",
+                        def.name(),
+                        id.as_str(),
+                        space.len()
+                    );
+                }
+            }
+        }
     }
 }
