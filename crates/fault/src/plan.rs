@@ -3,8 +3,8 @@
 //! # Plan specs
 //!
 //! A plan is parsed from a `;`-separated spec (the `AN5D_FAULTS`
-//! environment variable, a `ServerConfig` field, or `load_gen
-//! --chaos`):
+//! environment variable or a `ServerConfig` field — which is how the
+//! service's `chaos` test installs one):
 //!
 //! ```text
 //! seed=42;reactor.write=error@1/40;tunedb.append=short:6@every:3;tuner.sweep=delay:2@1/8

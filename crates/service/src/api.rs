@@ -5,16 +5,16 @@
 //! same pipeline value always renders to the same bytes, and no
 //! per-call operational metadata (cache hits, latency) leaks into the
 //! body — that lives in `/stats`. The integration tests and the
-//! `load_gen` harness exploit this to assert that server responses are
-//! bit-identical to direct [`An5d`] facade calls.
+//! `serve` workload of `benchmark/` exploit this to assert that server
+//! responses are bit-identical to direct [`An5d`] facade calls.
 
 use crate::http::ChunkSource;
 use crate::json::Json;
 use an5d::{
-    suite, An5d, BatchDriver, BatchError, BatchJob, BatchOutcome, BlockConfig, CacheStats,
-    CudaCode, DetectedStencil, DeviceId, DeviceRegistry, FrameworkScheme, GpuDevice, GridInit,
-    KernelPlan, ModelPrediction, PoolStats, Precision, RegisterCap, SearchSpace, StencilProblem,
-    TrafficCounters, TunedCandidate, TuningResult,
+    suite, An5d, BatchDriver, BatchError, BatchJob, BatchOutcome, BlockConfig, CudaCode,
+    DetectedStencil, DeviceId, DeviceRegistry, FrameworkScheme, GpuDevice, GridInit, KernelPlan,
+    ModelPrediction, Precision, RegisterCap, SearchSpace, StencilProblem, TrafficCounters,
+    TunedCandidate, TuningResult,
 };
 use std::collections::VecDeque;
 
@@ -462,18 +462,6 @@ pub fn execute_response(outcome: &BatchOutcome) -> Json {
     ])
 }
 
-/// The `"cache"` object of `/stats`.
-#[must_use]
-pub fn cache_stats_json(stats: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("hits", Json::Int(i128::from(stats.hits))),
-        ("misses", Json::Int(i128::from(stats.misses))),
-        ("entries", int(stats.entries)),
-        ("capacity", int(stats.capacity)),
-        ("hit_rate", Json::Num(stats.hit_rate())),
-    ])
-}
-
 /// One profile of the `/devices` listing.
 #[must_use]
 pub fn device_json(id: &DeviceId, device: &GpuDevice) -> Json {
@@ -506,45 +494,6 @@ pub fn devices_response(registry: &DeviceRegistry) -> Json {
                     .map(|(id, device)| device_json(id, device))
                     .collect(),
             ),
-        ),
-    ])
-}
-
-/// The per-device `"tunedb"` object of `/stats`: read-through hit/miss
-/// counters, warm-start counts and tuner invocations for one shard.
-#[must_use]
-pub fn shard_tunedb_json(stats: &crate::fleet::ShardTuneDbStats) -> Json {
-    Json::obj(vec![
-        ("hits", Json::Int(i128::from(stats.hits))),
-        ("misses", Json::Int(i128::from(stats.misses))),
-        ("refreshes", Json::Int(i128::from(stats.refreshes))),
-        ("warmed", Json::Int(i128::from(stats.warmed))),
-        ("tuner_runs", Json::Int(i128::from(stats.tuner_runs))),
-    ])
-}
-
-/// The `"pool"` object of `/stats`: shared worker-pool observability
-/// (queue depth, items executed, batch wall times).
-#[must_use]
-pub fn pool_stats_json(stats: &PoolStats) -> Json {
-    Json::obj(vec![
-        ("workers", int(stats.workers)),
-        ("queued_batches", int(stats.queued_batches)),
-        (
-            "items_executed",
-            Json::Int(i128::from(stats.items_executed)),
-        ),
-        (
-            "batches_executed",
-            Json::Int(i128::from(stats.batches_executed)),
-        ),
-        (
-            "mean_batch_us",
-            Json::Int(i128::from(stats.mean_batch_micros())),
-        ),
-        (
-            "max_batch_us",
-            Json::Int(i128::from(stats.max_batch_micros)),
         ),
     ])
 }
@@ -864,22 +813,6 @@ mod tests {
             devices_response(&registry).render(),
             rendered,
             "deterministic"
-        );
-    }
-
-    #[test]
-    fn pool_stats_render() {
-        let stats = PoolStats {
-            workers: 4,
-            queued_batches: 1,
-            items_executed: 10,
-            batches_executed: 2,
-            total_batch_micros: 300,
-            max_batch_micros: 200,
-        };
-        assert_eq!(
-            pool_stats_json(&stats).render(),
-            r#"{"workers":4,"queued_batches":1,"items_executed":10,"batches_executed":2,"mean_batch_us":150,"max_batch_us":200}"#
         );
     }
 

@@ -8,7 +8,8 @@
 //! * [`KeepAliveClient`] holds a persistent connection and reuses it
 //!   across requests, reconnecting transparently when the server closes
 //!   it (idle timeout, per-connection request bound, shutdown). This is
-//!   the high-throughput path the `load_gen` harness measures.
+//!   the high-throughput path the `serve` workload of `benchmark/`
+//!   measures.
 //!
 //! Both use socket timeouts so a wedged server fails a test instead of
 //! hanging it; production consumers would use any real HTTP client.

@@ -4,11 +4,13 @@
 //! One `an5d-serve` deployment fronts a heterogeneous cluster. Tuning
 //! and prediction results are device-specific — tuned temporal-blocking
 //! configurations shift materially across GPU generations — so every
-//! device in the [`DeviceRegistry`] gets a [`FleetShard`]: its profile,
-//! its request/error/latency counters and its tune-DB counters. A
+//! device in the [`DeviceRegistry`] gets a [`FleetShard`]: its profile
+//! plus handles to its `device`-labelled series in the metrics
+//! [`Registry`] (request latency, errors, tune-DB counters). A
 //! [`KernelPlan`] is *not* device-specific (no device enters its key),
 //! so the fleet holds one [`PlanCache`] and one [`BatchDriver`] for
-//! every request.
+//! every request. The cache and the attached tune DB keep their own
+//! counts; the fleet registers those as series sampled at scrape.
 //!
 //! Which shard a request is counted on:
 //!
@@ -22,37 +24,15 @@
 //!   (whose responses do not depend on the device) touches no shard.
 
 use crate::api::ApiError;
-use crate::json::Json;
 use an5d::{
     BatchDriver, BlockConfig, CacheStats, DeviceId, DeviceRegistry, ExecutionBackend,
     FrameworkScheme, GpuDevice, KernelPlan, PlanCache, PlanError, StencilDef, StencilProblem,
-    TuneDb,
+    TuneDb, TuneDbStats,
 };
+use an5d_obs::{Counter, Gauge, Histogram, Registry};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Point-in-time request/latency snapshot of one shard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Requests counted on this shard (including failed ones).
-    pub requests: u64,
-    /// Requests answered with an error.
-    pub errors: u64,
-    /// Total handler latency in microseconds.
-    pub total_micros: u64,
-    /// Worst handler latency in microseconds.
-    pub max_micros: u64,
-}
-
-impl ShardStats {
-    /// Mean handler latency in microseconds (0 with no requests).
-    #[must_use]
-    pub fn mean_micros(&self) -> u64 {
-        self.total_micros.checked_div(self.requests).unwrap_or(0)
-    }
-}
 
 /// Point-in-time tune-DB counters of one shard.
 ///
@@ -75,19 +55,18 @@ pub struct ShardTuneDbStats {
     pub tuner_runs: u64,
 }
 
-/// One device's slice of the fleet: its profile and its counters.
+/// One device's slice of the fleet: its profile and its series.
+/// `an5d_shard_requests_total` is the latency histogram's own count.
 pub struct FleetShard {
     id: DeviceId,
     device: GpuDevice,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    total_micros: AtomicU64,
-    max_micros: AtomicU64,
-    db_hits: AtomicU64,
-    db_misses: AtomicU64,
-    db_refreshes: AtomicU64,
-    db_warmed: AtomicU64,
-    tuner_runs: AtomicU64,
+    latency: Arc<Histogram>,
+    errors: Counter,
+    db_hits: Counter,
+    db_misses: Counter,
+    db_refreshes: Counter,
+    db_warmed: Gauge,
+    tuner_runs: Counter,
 }
 
 impl std::fmt::Debug for FleetShard {
@@ -100,6 +79,53 @@ impl std::fmt::Debug for FleetShard {
 }
 
 impl FleetShard {
+    fn new(id: &DeviceId, device: &GpuDevice, registry: &Registry) -> Self {
+        let labels = [("device", id.as_str())];
+        let latency = registry.histogram(
+            "an5d_shard_latency_us",
+            "Handler latency of requests counted on each device shard, microseconds.",
+            &labels,
+        );
+        let count = Arc::clone(&latency);
+        registry.sampled_counter(
+            "an5d_shard_requests_total",
+            "Requests counted on each device shard.",
+            &labels,
+            move || count.count(),
+        );
+        let counter = |name, help| registry.counter(name, help, &labels);
+        Self {
+            id: id.clone(),
+            device: device.clone(),
+            latency,
+            errors: counter(
+                "an5d_shard_errors_total",
+                "Failed requests per device shard.",
+            ),
+            db_hits: counter(
+                "an5d_tunedb_hits_total",
+                "/tune queries answered from the persisted DB.",
+            ),
+            db_misses: counter(
+                "an5d_tunedb_misses_total",
+                "/tune queries that missed the DB and ran the tuner.",
+            ),
+            db_refreshes: counter(
+                "an5d_tunedb_refreshes_total",
+                "/tune?refresh=true overwrites.",
+            ),
+            db_warmed: registry.gauge(
+                "an5d_tunedb_warmed",
+                "DB entries each shard warm-started from.",
+                &labels,
+            ),
+            tuner_runs: counter(
+                "an5d_tuner_runs_total",
+                "Tuner search invocations per shard.",
+            ),
+        }
+    }
+
     /// The shard's canonical device id.
     #[must_use]
     pub fn id(&self) -> &DeviceId {
@@ -116,57 +142,43 @@ impl FleetShard {
     pub fn observe<T>(&self, f: impl FnOnce() -> Result<T, ApiError>) -> Result<T, ApiError> {
         let started = Instant::now();
         let result = f();
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.latency.record_duration(started.elapsed());
         if result.is_err() {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.errors.inc();
         }
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
         result
-    }
-
-    /// Current request/latency counters.
-    #[must_use]
-    pub fn stats(&self) -> ShardStats {
-        ShardStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            total_micros: self.total_micros.load(Ordering::Relaxed),
-            max_micros: self.max_micros.load(Ordering::Relaxed),
-        }
     }
 
     /// Current tune-DB counters.
     #[must_use]
     pub fn tunedb_stats(&self) -> ShardTuneDbStats {
         ShardTuneDbStats {
-            hits: self.db_hits.load(Ordering::Relaxed),
-            misses: self.db_misses.load(Ordering::Relaxed),
-            refreshes: self.db_refreshes.load(Ordering::Relaxed),
-            warmed: self.db_warmed.load(Ordering::Relaxed),
-            tuner_runs: self.tuner_runs.load(Ordering::Relaxed),
+            hits: self.db_hits.get(),
+            misses: self.db_misses.get(),
+            refreshes: self.db_refreshes.get(),
+            warmed: self.db_warmed.get(),
+            tuner_runs: self.tuner_runs.get(),
         }
     }
 
     /// Record the outcome of one `/tune` query on this shard.
     pub(crate) fn record_tune(&self, from_db: bool, refresh: bool) {
         if refresh {
-            self.db_refreshes.fetch_add(1, Ordering::Relaxed);
+            self.db_refreshes.inc();
         } else if from_db {
-            self.db_hits.fetch_add(1, Ordering::Relaxed);
+            self.db_hits.inc();
         } else {
-            self.db_misses.fetch_add(1, Ordering::Relaxed);
+            self.db_misses.inc();
         }
         if !from_db {
-            self.tuner_runs.fetch_add(1, Ordering::Relaxed);
+            self.tuner_runs.inc();
         }
     }
 
     /// Record a `/tune` served without a configured DB (always a tuner
     /// invocation).
     pub(crate) fn record_dbless_tune(&self) {
-        self.tuner_runs.fetch_add(1, Ordering::Relaxed);
+        self.tuner_runs.inc();
     }
 }
 
@@ -174,7 +186,8 @@ impl FleetShard {
 /// plus the plan cache and batch driver every request shares.
 pub struct Fleet {
     registry: DeviceRegistry,
-    cache: PlanCache,
+    metrics: Arc<Registry>,
+    cache: Arc<PlanCache>,
     driver: BatchDriver,
     shards: BTreeMap<DeviceId, FleetShard>,
     tune_db: Option<Arc<TuneDb>>,
@@ -192,7 +205,8 @@ impl Fleet {
     /// A fleet with one shard per registry profile, one plan cache of
     /// `cache_capacity` and a single-worker batch driver on `backend`
     /// (request-level parallelism comes from the server's dispatch
-    /// workers).
+    /// workers). Every shard's series and the cache's are registered in
+    /// `metrics`.
     ///
     /// # Panics
     ///
@@ -202,32 +216,46 @@ impl Fleet {
         backend: &Arc<dyn ExecutionBackend>,
         registry: DeviceRegistry,
         cache_capacity: usize,
+        metrics: &Arc<Registry>,
     ) -> Self {
         assert!(!registry.is_empty(), "a fleet needs at least one device");
         let shards = registry
             .devices()
-            .map(|(id, device)| {
-                (
-                    id.clone(),
-                    FleetShard {
-                        id: id.clone(),
-                        device: device.clone(),
-                        requests: AtomicU64::new(0),
-                        errors: AtomicU64::new(0),
-                        total_micros: AtomicU64::new(0),
-                        max_micros: AtomicU64::new(0),
-                        db_hits: AtomicU64::new(0),
-                        db_misses: AtomicU64::new(0),
-                        db_refreshes: AtomicU64::new(0),
-                        db_warmed: AtomicU64::new(0),
-                        tuner_runs: AtomicU64::new(0),
-                    },
-                )
-            })
+            .map(|(id, device)| (id.clone(), FleetShard::new(id, device, metrics)))
             .collect();
+        let cache = Arc::new(PlanCache::new(cache_capacity));
+        let sampled = |read: fn(CacheStats) -> u64| {
+            let cache = Arc::clone(&cache);
+            move || read(cache.stats())
+        };
+        metrics.sampled_counter(
+            "an5d_plan_cache_hits_total",
+            "Plan-cache lookups answered without building.",
+            &[],
+            sampled(|stats| stats.hits),
+        );
+        metrics.sampled_counter(
+            "an5d_plan_cache_misses_total",
+            "Plan-cache lookups that built a plan.",
+            &[],
+            sampled(|stats| stats.misses),
+        );
+        metrics.sampled_gauge(
+            "an5d_plan_cache_entries",
+            "Plans currently cached.",
+            &[],
+            sampled(|stats| stats.entries as u64),
+        );
+        metrics.sampled_gauge(
+            "an5d_plan_cache_capacity",
+            "Most plans the cache holds.",
+            &[],
+            sampled(|stats| stats.capacity as u64),
+        );
         Self {
             registry,
-            cache: PlanCache::new(cache_capacity),
+            metrics: Arc::clone(metrics),
+            cache,
             driver: BatchDriver::new(Arc::clone(backend)).with_workers(1),
             shards,
             tune_db: None,
@@ -237,13 +265,64 @@ impl Fleet {
     /// Attach a persisted tuning database: `/tune` reads through it, and
     /// every device shard counts the stored entries it starts from
     /// (served from the DB's in-memory index from the first request on,
-    /// so a previously-tuned key never pays a tuner search again).
+    /// so a previously-tuned key never pays a tuner search again). The
+    /// database's own counts become series sampled at scrape, its path
+    /// the label of `an5d_tunedb_info`.
     #[must_use]
     pub fn with_tune_db(self, db: Arc<TuneDb>) -> Self {
         for shard in self.shards.values() {
             let entries = db.entries_for_device(&shard.id).len();
-            shard.db_warmed.store(entries as u64, Ordering::Relaxed);
+            shard.db_warmed.set(entries as u64);
         }
+        let sampled = |read: fn(TuneDbStats) -> u64| {
+            let db = Arc::clone(&db);
+            move || read(db.stats())
+        };
+        let gauge = |name, help, read| self.metrics.sampled_gauge(name, help, &[], sampled(read));
+        gauge(
+            "an5d_tunedb_live_records",
+            "Distinct keys stored in the tune DB.",
+            |stats| stats.live as u64,
+        );
+        gauge(
+            "an5d_tunedb_stale_records",
+            "Superseded records awaiting compaction.",
+            |stats| stats.stale as u64,
+        );
+        gauge(
+            "an5d_tunedb_recovered_records",
+            "Live records recovered when the tune DB was opened.",
+            |stats| stats.recovered as u64,
+        );
+        gauge(
+            "an5d_tunedb_skipped_corrupt_records",
+            "Records dropped at open for checksum or decode failures.",
+            |stats| stats.skipped_corrupt as u64,
+        );
+        gauge(
+            "an5d_tunedb_truncated_bytes",
+            "Torn tail bytes discarded when the tune DB was opened.",
+            |stats| stats.truncated_bytes as u64,
+        );
+        let counter =
+            |name, help, read| self.metrics.sampled_counter(name, help, &[], sampled(read));
+        counter(
+            "an5d_tunedb_appends_total",
+            "Records appended through this handle.",
+            |stats| stats.appends,
+        );
+        counter(
+            "an5d_tunedb_compactions_total",
+            "Log rewrites performed.",
+            |stats| stats.compactions,
+        );
+        self.metrics
+            .gauge(
+                "an5d_tunedb_info",
+                "Constant 1; the label is the path of the attached tune DB.",
+                &[("path", &db.path().display().to_string())],
+            )
+            .set(1);
         Self {
             tune_db: Some(db),
             ..self
@@ -317,63 +396,11 @@ impl Fleet {
         &self.driver
     }
 
-    /// Statistics of the plan cache (the top-level `"cache"` object of
-    /// `/stats`). `benchmark/` reads `backend.plan_cache_hit_rate`
-    /// through this name.
+    /// Statistics of the plan cache. `benchmark/` reads
+    /// `backend.plan_cache_hit_rate` through this name.
     #[must_use]
     pub fn aggregate_cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// The `"devices"` object of `/stats`: per-device profile, tune-DB
-    /// counters and request latency, in id order.
-    #[must_use]
-    pub fn stats_json(&self) -> Json {
-        Json::Obj(
-            self.shards
-                .iter()
-                .map(|(id, shard)| {
-                    let stats = shard.stats();
-                    (
-                        id.to_string(),
-                        Json::obj(vec![
-                            ("profile", Json::str(&shard.device.name)),
-                            (
-                                "tunedb",
-                                crate::api::shard_tunedb_json(&shard.tunedb_stats()),
-                            ),
-                            ("requests", Json::Int(i128::from(stats.requests))),
-                            ("errors", Json::Int(i128::from(stats.errors))),
-                            ("mean_us", Json::Int(i128::from(stats.mean_micros()))),
-                            ("max_us", Json::Int(i128::from(stats.max_micros))),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// The top-level `"tunedb"` object of `/stats`: whether persistence
-    /// is on, and the database-wide record/log counters.
-    #[must_use]
-    pub fn tunedb_json(&self) -> Json {
-        match &self.tune_db {
-            None => Json::obj(vec![("enabled", Json::Bool(false))]),
-            Some(db) => {
-                let stats = db.stats();
-                Json::obj(vec![
-                    ("enabled", Json::Bool(true)),
-                    ("path", Json::Str(db.path().display().to_string())),
-                    ("records", Json::Int(stats.live as i128)),
-                    ("stale", Json::Int(stats.stale as i128)),
-                    ("appends", Json::Int(i128::from(stats.appends))),
-                    ("compactions", Json::Int(i128::from(stats.compactions))),
-                    ("recovered", Json::Int(stats.recovered as i128)),
-                    ("skipped_corrupt", Json::Int(stats.skipped_corrupt as i128)),
-                    ("truncated_bytes", Json::Int(stats.truncated_bytes as i128)),
-                ])
-            }
-        }
     }
 }
 
@@ -387,7 +414,18 @@ mod tests {
             &(Arc::new(SerialBackend) as Arc<dyn ExecutionBackend>),
             DeviceRegistry::standard(),
             16,
+            &Arc::new(Registry::new()),
         )
+    }
+
+    /// The value of an unlabelled counter or gauge the fleet registered.
+    fn registered(fleet: &Fleet, family: &str) -> Option<u64> {
+        let families = fleet.metrics.snapshot();
+        let family = families.iter().find(|f| f.name == family)?;
+        match family.series[0].sample {
+            an5d_obs::Sample::Value(value) => Some(value),
+            an5d_obs::Sample::Histogram(_) => None,
+        }
     }
 
     #[test]
@@ -425,14 +463,14 @@ mod tests {
         assert_eq!(ok.unwrap(), 7);
         let err: Result<(), ApiError> = shard.observe(|| Err(ApiError::new("boom")));
         assert!(err.is_err());
-        let stats = shard.stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.errors, 1);
-        assert!(stats.max_micros >= stats.mean_micros());
+        let latency = shard.latency.snapshot();
+        assert_eq!(latency.count(), 2);
+        assert_eq!(shard.errors.get(), 1);
+        assert!(latency.max() >= latency.mean());
         let p100 = fleet.shard(&DeviceId::new("p100")).unwrap();
         assert_eq!(
-            p100.stats(),
-            ShardStats::default(),
+            (p100.latency.count(), p100.errors.get()),
+            (0, 0),
             "other shards untouched"
         );
     }
@@ -471,9 +509,9 @@ mod tests {
             "stored winners are not planned ahead of a request"
         );
         assert!(fleet.tune_db().is_some());
-        let rendered = fleet.tunedb_json().render();
-        assert!(rendered.contains("\"enabled\":true"), "{rendered}");
-        assert!(rendered.contains("\"records\":2"), "{rendered}");
+        assert_eq!(registered(&fleet, "an5d_tunedb_live_records"), Some(2));
+        assert_eq!(registered(&fleet, "an5d_tunedb_recovered_records"), Some(2));
+        assert_eq!(registered(&fleet, "an5d_tunedb_info"), Some(1));
 
         let _ = std::fs::remove_file(&path);
     }
@@ -482,7 +520,9 @@ mod tests {
     fn a_fleet_without_a_db_reports_persistence_disabled() {
         let fleet = fleet();
         assert!(fleet.tune_db().is_none());
-        assert_eq!(fleet.tunedb_json().render(), r#"{"enabled":false}"#);
+        assert_eq!(registered(&fleet, "an5d_tunedb_live_records"), None);
+        assert_eq!(registered(&fleet, "an5d_tunedb_info"), None);
+        assert_eq!(registered(&fleet, "an5d_plan_cache_capacity"), Some(16));
         let shard = fleet.shard(&DeviceId::new("v100")).unwrap();
         assert_eq!(shard.tunedb_stats(), ShardTuneDbStats::default());
     }

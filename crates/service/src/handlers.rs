@@ -5,10 +5,12 @@
 //! profile `/predict` and `/tune` answer for and the shard the request
 //! is counted on; `/plan`, `/predict` and `/codegen` plan through the
 //! fleet's one plan cache. Latency is recorded per endpoint in the
-//! shared [`Metrics`] and per named device in its shard. Handlers are plain
-//! functions over [`ServiceState`] — the integration tests and the
-//! `load_gen` harness call [`dispatch`] directly to compute the exact
-//! bytes the server must produce.
+//! shared [`Metrics`] and per named device in its shard — both handles
+//! into the state's one metrics [`Registry`], which `/stats` and
+//! `/metrics` render. Handlers are plain functions over
+//! [`ServiceState`] — the integration tests and `benchmark/` call
+//! [`dispatch`] directly to compute the exact bytes the server must
+//! produce.
 
 use crate::api::{self, ApiError};
 use crate::fleet::{Fleet, FleetShard};
@@ -20,7 +22,7 @@ use an5d::{
     generate_cuda_for_plan, parse_stencil, predict, BatchJob, DeviceRegistry, ExecutionBackend,
     GridInit,
 };
-use an5d_obs::{ActiveTrace, Span, TraceId, TraceRing};
+use an5d_obs::{ActiveTrace, Registry, Span, TraceId, TraceRing};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,8 +56,9 @@ pub const ENDPOINTS: &[(&str, &str)] = &[
 pub struct ServiceState {
     backend: Arc<dyn ExecutionBackend>,
     fleet: Fleet,
-    metrics: Arc<Metrics>,
-    traces: TraceRing,
+    registry: Arc<Registry>,
+    metrics: Metrics,
+    traces: Arc<TraceRing>,
     slow_threshold: Duration,
     stream_chunk: usize,
 }
@@ -89,18 +92,28 @@ impl ServiceState {
         cache_capacity: usize,
         registry: DeviceRegistry,
     ) -> Self {
-        let metrics = Arc::new(Metrics::new());
+        let metrics_registry = Arc::new(Registry::new());
+        let metrics = Metrics::new(&metrics_registry, ENDPOINTS.iter().map(|(_, path)| *path));
+        metrics_registry
+            .gauge(
+                "an5d_backend_info",
+                "Constant 1; the label describes the execution backend.",
+                &[("backend", &backend.describe())],
+            )
+            .set(1);
         // Meter every backend.execute so /stats and /metrics can report
         // execute latency per backend name; the wrapper delegates
         // verbatim, so results are unchanged.
         let backend: Arc<dyn ExecutionBackend> =
-            Arc::new(MeteredBackend::new(backend, Arc::clone(&metrics)));
-        let fleet = Fleet::new(&backend, registry, cache_capacity);
+            Arc::new(MeteredBackend::new(backend, &metrics_registry));
+        let fleet = Fleet::new(&backend, registry, cache_capacity, &metrics_registry);
+        register_pool_series(&metrics_registry);
         Self {
             backend,
             fleet,
+            traces: trace_ring(&metrics_registry, DEFAULT_TRACE_CAPACITY),
+            registry: metrics_registry,
             metrics,
-            traces: TraceRing::new(DEFAULT_TRACE_CAPACITY),
             slow_threshold: DEFAULT_SLOW_THRESHOLD,
             stream_chunk: DEFAULT_STREAM_CHUNK,
         }
@@ -109,7 +122,7 @@ impl ServiceState {
     /// Retain at most `capacity` completed traces for `GET /trace`.
     #[must_use]
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.traces = TraceRing::new(capacity);
+        self.traces = trace_ring(&self.registry, capacity);
         self
     }
 
@@ -129,9 +142,8 @@ impl ServiceState {
     }
 
     /// Attach a persisted tuning database (see [`Fleet::with_tune_db`]):
-    /// `/tune` reads through it and appends fresh results, and `/stats`
-    /// reports per-device hit/miss/warm counts plus the database-wide
-    /// log counters.
+    /// `/tune` reads through it and appends fresh results, and the
+    /// database-wide record and log counts join the metrics registry.
     #[must_use]
     pub fn with_tune_db(mut self, db: Arc<an5d::TuneDb>) -> Self {
         self.fleet = self.fleet.with_tune_db(db);
@@ -144,7 +156,15 @@ impl ServiceState {
         &self.fleet
     }
 
-    /// The shared metrics registry.
+    /// The metrics registry `/stats` and `/metrics` render. A series
+    /// registered here — by this crate or by an embedder — appears in
+    /// both.
+    #[must_use]
+    pub fn registry(&self) -> &Arc<Registry> {
+        &self.registry
+    }
+
+    /// Handles to the series the service itself records.
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -173,6 +193,62 @@ impl ServiceState {
     pub fn stream_chunk(&self) -> usize {
         self.stream_chunk
     }
+}
+
+/// A trace ring of `capacity` whose occupancy `registry` samples at
+/// scrape (replacing the series of any ring it samples already).
+fn trace_ring(registry: &Registry, capacity: usize) -> Arc<TraceRing> {
+    let traces = Arc::new(TraceRing::new(capacity));
+    let ring = Arc::clone(&traces);
+    registry.sampled_gauge(
+        "an5d_trace_ring_size",
+        "Completed traces currently retained.",
+        &[],
+        move || ring.len() as u64,
+    );
+    traces
+}
+
+/// The shared worker pool keeps its own counts and histograms; expose
+/// them as series sampled at scrape.
+fn register_pool_series(registry: &Registry) {
+    let pool = an5d::global_pool();
+    registry.sampled_gauge(
+        "an5d_pool_workers",
+        "Persistent pool worker threads.",
+        &[],
+        || pool.stats().workers as u64,
+    );
+    registry.sampled_gauge(
+        "an5d_pool_queued_batches",
+        "Batches registered with unclaimed work.",
+        &[],
+        || pool.stats().queued_batches as u64,
+    );
+    registry.sampled_counter(
+        "an5d_pool_items_executed_total",
+        "Items executed by completed batches.",
+        &[],
+        || pool.stats().items_executed,
+    );
+    registry.sampled_counter(
+        "an5d_pool_batches_executed_total",
+        "Batches fully completed.",
+        &[],
+        || pool.stats().batches_executed,
+    );
+    registry.sampled_histogram(
+        "an5d_pool_batch_wall_us",
+        "Completed-batch wall time, microseconds.",
+        &[],
+        || pool.batch_wall_snapshot(),
+    );
+    registry.sampled_histogram(
+        "an5d_pool_queue_wait_us",
+        "Batch publication to first helper claim, microseconds.",
+        &[],
+        || pool.queue_wait_snapshot(),
+    );
 }
 
 fn ok(body: Json) -> Response {
@@ -214,7 +290,7 @@ pub fn dispatch(state: &ServiceState, request: &Request) -> Response {
     let response = if request.deadline.is_some_and(|d| d.expired()) {
         // Expired between reactor admission and worker pickup: answer
         // without doing work the client has already given up on.
-        state.metrics.record_deadline_expired();
+        state.metrics.deadline_expired.inc();
         Response::new(
             504,
             api::deadline_error_body("deadline expired before processing began", 0, 0),
@@ -228,7 +304,8 @@ pub fn dispatch(state: &ServiceState, request: &Request) -> Response {
     // `metered_stream`): the handler only set up the chunk source here,
     // so `elapsed` would undercount them.
     if matches!(response.body, ResponseBody::Full(_)) {
-        state.metrics.record(path, elapsed, response.status < 300);
+        let ok = response.status < 300;
+        state.metrics.endpoint(path).record(elapsed, ok);
     }
     match trace {
         Some(trace) => {
@@ -250,8 +327,11 @@ pub fn dispatch(state: &ServiceState, request: &Request) -> Response {
 
 fn handle(state: &ServiceState, path: &str, request: &Request) -> Response {
     match path {
-        "/stats" => stats(state),
-        "/metrics" => Response::text(200, telemetry::render_prometheus(state)),
+        "/stats" => ok(telemetry::render_stats(&state.registry.snapshot())),
+        "/metrics" => Response::text(
+            200,
+            telemetry::render_prometheus(&state.registry.snapshot()),
+        ),
         "/trace" => trace_endpoint(state, request),
         "/devices" => ok(api::devices_response(state.fleet.registry())),
         "/shutdown" => ok(Json::obj(vec![("ok", Json::Bool(true))])),
@@ -276,7 +356,7 @@ fn handle(state: &ServiceState, path: &str, request: &Request) -> Response {
                 Ok(response) => response,
                 Err(e) => match e.deadline {
                     Some((completed, total)) => {
-                        state.metrics.record_deadline_expired();
+                        state.metrics.deadline_expired.inc();
                         Response::new(504, api::deadline_error_body(&e.message, completed, total))
                     }
                     None => bad_request(&e.message),
@@ -314,25 +394,6 @@ fn trace_endpoint(state: &ServiceState, request: &Request) -> Response {
             }
         }
     }
-}
-
-fn stats(state: &ServiceState) -> Response {
-    ok(Json::obj(vec![
-        ("backend", Json::Str(state.backend.describe())),
-        (
-            "cache",
-            api::cache_stats_json(&state.fleet.aggregate_cache_stats()),
-        ),
-        ("devices", state.fleet.stats_json()),
-        // backend.execute latency per backend name (fed by the metered
-        // wrapper around the backend).
-        ("backends", state.metrics.backends_json()),
-        ("tunedb", state.fleet.tunedb_json()),
-        ("pool", api::pool_stats_json(&an5d::global_pool().stats())),
-        ("endpoints", state.metrics.endpoints_json()),
-        ("connections", state.metrics.connections_json()),
-        ("rejected", Json::Int(i128::from(state.metrics.rejected()))),
-    ]))
 }
 
 fn parse_endpoint(body: &Json) -> Result<Json, ApiError> {
@@ -457,7 +518,7 @@ fn tune_endpoint(state: &ServiceState, body: &Json, refresh: bool) -> Result<Jso
                 if let Some(err) = &outcome.persist_error {
                     // Durability degraded, not correctness: the answer is
                     // still served; the failure is counted and logged.
-                    state.metrics.record_tunedb_append_failure();
+                    state.metrics.tunedb_append_failures.inc();
                     eprintln!("[an5d-serve] tunedb append failed (result still served): {err}");
                 }
                 outcome.result
@@ -478,7 +539,7 @@ fn batch_streams(request: &Request) -> bool {
     !matches!(request.query_param("stream"), Some("0" | "false"))
 }
 
-/// Wrap a chunk source so the shared [`Metrics`] see the stream: TTFB
+/// Wrap a chunk source so the endpoint's series see the stream: TTFB
 /// on the first chunk, per-chunk and per-byte counters as it flows, and
 /// the endpoint's latency/status record when it ends (dispatch skips
 /// the immediate record for streamed bodies — the handler only set the
@@ -488,7 +549,8 @@ fn metered_stream(
     path: &'static str,
     mut source: ChunkSource,
 ) -> ChunkSource {
-    let metrics = Arc::clone(&state.metrics);
+    let stream = state.metrics.stream(path).clone();
+    let requests = state.metrics.endpoint(path).clone();
     let started = Instant::now();
     let mut first = true;
     let mut finished = false;
@@ -496,22 +558,22 @@ fn metered_stream(
         Ok(Some(chunk)) => {
             if first {
                 first = false;
-                metrics.record_stream_ttfb(path, started.elapsed());
+                stream.ttfb.record_duration(started.elapsed());
             }
-            metrics.record_stream_chunk(path, chunk.len());
+            stream.record_chunk(chunk.len());
             Ok(Some(chunk))
         }
         Ok(None) => {
             if !finished {
                 finished = true;
-                metrics.record(path, started.elapsed(), true);
+                requests.record(started.elapsed(), true);
             }
             Ok(None)
         }
         Err(e) => {
             if !finished {
                 finished = true;
-                metrics.record(path, started.elapsed(), false);
+                requests.record(started.elapsed(), false);
             }
             Err(e)
         }
@@ -623,6 +685,30 @@ mod tests {
         dispatch(state, &Request::new("POST", path, body.as_bytes()))
     }
 
+    /// The `"value"` of one series in a fresh `GET /stats`: a number for
+    /// counters and gauges, the `{"count", "sum", "max", …}` object for
+    /// histograms. `None` when the family or the label set is absent.
+    fn stat(state: &ServiceState, family: &str, labels: &[(&str, &str)]) -> Option<Json> {
+        let response = dispatch(state, &Request::new("GET", "/stats", b""));
+        assert_eq!(response.status, 200);
+        let stats = json::parse(&response.body).unwrap();
+        let series = stats.get(family)?.get("series")?.as_array()?;
+        let wanted = Json::Obj(
+            labels
+                .iter()
+                .map(|(name, value)| ((*name).to_string(), Json::str(value)))
+                .collect(),
+        );
+        let found = series.iter().find(|s| s.get("labels") == Some(&wanted))?;
+        found.get("value").cloned()
+    }
+
+    /// Requests counted on one device's shard, read from `/stats`.
+    fn shard_requests(state: &ServiceState, device: &str) -> usize {
+        let value = stat(state, "an5d_shard_requests_total", &[("device", device)]);
+        value.and_then(|v| v.as_usize()).expect("every device")
+    }
+
     #[test]
     fn unknown_path_and_wrong_method_are_rejected() {
         let state = state();
@@ -675,13 +761,9 @@ mod tests {
         // A plan has no device in it: the one built for v100 answers p100.
         let cache = state.fleet().aggregate_cache_stats();
         assert_eq!((cache.misses, cache.hits, cache.entries), (1, 1, 1));
-        let requests = |id: &str| {
-            let shard = state.fleet().shard(&an5d::DeviceId::new(id));
-            shard.expect("registered").stats().requests
-        };
-        assert_eq!(requests("v100"), 1);
-        assert_eq!(requests("p100"), 1);
-        assert_eq!(requests("a100"), 0);
+        assert_eq!(shard_requests(&state, "v100"), 1);
+        assert_eq!(shard_requests(&state, "p100"), 1);
+        assert_eq!(shard_requests(&state, "a100"), 0);
         // Predictions differ across devices: the shard's profile was used.
         assert_ne!(v.body, p.body, "device-specific predictions");
     }
@@ -698,9 +780,11 @@ mod tests {
                                "config":{{"bt":2,"bs":[12],"precision":"double"}}}}]}}"#
             )
         };
-        let counted = || -> Vec<u64> {
+        let counted = || -> Vec<usize> {
             let shards = state.fleet().shards();
-            shards.map(|shard| shard.stats().requests).collect()
+            shards
+                .map(|shard| shard_requests(&state, shard.id().as_str()))
+                .collect()
         };
         // Shards in id order: a100, p100, small, v100.
         for path in ["/plan", "/codegen", "/execute", "/batch"] {
@@ -786,34 +870,40 @@ mod tests {
                        "config":{"bt":1,"bs":[16],"precision":"double"}}"#;
         post(&state, "/plan", body);
         post(&state, "/plan", body);
-        let stats = dispatch(&state, &Request::new("GET", "/stats", b""));
-        assert_eq!(stats.status, 200);
-        let parsed = json::parse(&stats.body).unwrap();
-        let plan = parsed
-            .get("endpoints")
-            .and_then(|e| e.get("/plan"))
+        let plan = stat(&state, "an5d_request_latency_us", &[("endpoint", "/plan")])
             .expect("/plan endpoint recorded");
         assert_eq!(plan.get("count").unwrap().as_usize(), Some(2));
-        let hit_rate = parsed
-            .get("cache")
-            .and_then(|c| c.get("hit_rate"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert!((hit_rate - 0.5).abs() < 1e-12, "hit rate {hit_rate}");
+        for field in ["sum", "max", "p50", "p95", "p99", "p999"] {
+            assert!(plan.get(field).is_some(), "{field}");
+        }
+        let count = |family: &str, labels: &[(&str, &str)]| {
+            let value = stat(&state, family, labels);
+            value
+                .and_then(|v| v.as_usize())
+                .unwrap_or_else(|| panic!("{family}"))
+        };
+        assert_eq!(
+            count("an5d_requests_total", &[("endpoint", "/plan")]),
+            2,
+            "the request counter is the histogram's count"
+        );
+        let (hits, misses) = (
+            count("an5d_plan_cache_hits_total", &[]),
+            count("an5d_plan_cache_misses_total", &[]),
+        );
+        assert_eq!((hits, misses), (1, 1), "hit rate 0.5");
+        assert_eq!(count("an5d_plan_cache_capacity", &[]), 64);
+        assert_eq!(count("an5d_backend_info", &[("backend", "serial")]), 1);
         // The fleet breakdown and pool observability ride along; plans
         // are not per device, so no device carries a cache of its own.
-        let devices = parsed.get("devices").expect("per-device stats");
         for shard in state.fleet().shards() {
-            let device = devices.get(shard.id().as_str()).expect("every device");
-            assert_eq!(device.get("requests").and_then(Json::as_usize), Some(0));
-            assert!(device.get("profile").is_some() && device.get("tunedb").is_some());
-            for gone in ["cache", "backend", "in_flight"] {
-                assert!(device.get(gone).is_none(), "{gone}");
-            }
+            let device = [("device", shard.id().as_str())];
+            assert_eq!(count("an5d_shard_requests_total", &device), 0);
+            assert_eq!(count("an5d_tunedb_warmed", &device), 0);
+            assert!(stat(&state, "an5d_plan_cache_entries", &device).is_none());
         }
-        let pool = parsed.get("pool").expect("pool stats");
-        assert!(pool.get("workers").is_some());
-        assert!(pool.get("queued_batches").is_some());
+        assert!(count("an5d_pool_workers", &[]) >= 1);
+        assert_eq!(count("an5d_pool_queued_batches", &[]), 0);
     }
 
     #[test]
@@ -823,14 +913,10 @@ mod tests {
                        "config":{"bt":2,"bs":[12],"precision":"double"}}"#;
         assert_eq!(post(&state, "/execute", body).status, 200);
 
-        let stats = dispatch(&state, &Request::new("GET", "/stats", b""));
-        let parsed = json::parse(&stats.body).unwrap();
-        let serial = parsed
-            .get("backends")
-            .and_then(|b| b.get("serial"))
+        let serial = stat(&state, "an5d_backend_execute_us", &[("backend", "serial")])
             .expect("backend.execute latency recorded under the backend name");
-        assert!(serial.get("executes").unwrap().as_usize().unwrap() >= 1);
-        assert!(serial.get("p99_us").is_some());
+        assert!(serial.get("count").unwrap().as_usize().unwrap() >= 1);
+        assert!(serial.get("p99").is_some());
 
         let metrics = dispatch(&state, &Request::new("GET", "/metrics", b""));
         assert!(
@@ -870,6 +956,6 @@ mod tests {
         assert!(parsed.get("best").is_some());
         let v100 = state.fleet().shard(&an5d::DeviceId::new("v100")).unwrap();
         assert_eq!(v100.tunedb_stats().tuner_runs, 1);
-        assert_eq!(v100.stats().requests, 1);
+        assert_eq!(shard_requests(&state, "v100"), 1);
     }
 }

@@ -8,7 +8,7 @@
 //! JSON-over-HTTP endpoints in front of a **device fleet**
 //! ([`fleet::Fleet`]): every GPU profile in the
 //! [`an5d::DeviceRegistry`] gets a shard holding what is per device —
-//! its profile, its tune-DB counters and its request counters — and a
+//! its profile and its `device`-labelled metric series — and a
 //! request naming a `"device"` is answered for, and counted on, that
 //! device. Plans do not depend on the device, so the fleet keeps one
 //! plan cache and one [`an5d::BatchDriver`] for all of them. Tuning
@@ -33,8 +33,8 @@
 //! | `/execute` | POST | blocked run: checksum + traffic counters (`?stream=1` chunked) |
 //! | `/batch` | POST | job list through the fleet's `BatchDriver`; streams NDJSON, one line per job as it finishes (`?stream=0` buffers) |
 //! | `/devices` | GET | registered GPU profiles + routing default |
-//! | `/stats` | GET | plan-cache stats, per-device counters, pool and endpoint latencies |
-//! | `/metrics` | GET | Prometheus text: latency histograms, cache/fleet/pool/tunedb series |
+//! | `/stats` | GET | every family of the metrics registry, as JSON |
+//! | `/metrics` | GET | the same registry as Prometheus text |
 //! | `/trace` | GET | recently completed request traces; `?id=` for one span tree |
 //! | `/shutdown` | POST | graceful shutdown (drains the queue) |
 //!
@@ -44,9 +44,10 @@
 //! request ran.
 //!
 //! Responses are deterministic byte-for-byte: the same request always
-//! produces the same body, bit-identical to a direct facade call (the
-//! `load_gen` harness in `an5d-bench` asserts this under concurrent
-//! mixed traffic). Overload is shed at admission: when the bounded
+//! produces the same body, bit-identical to a direct facade call
+//! (`tests/service_integration.rs` and the `serve` workload of
+//! `benchmark/` assert this under concurrent mixed traffic). Overload
+//! is shed at admission: when the bounded
 //! dispatch queue is full, the offending *request* gets an immediate
 //! `503` (idle connections are nearly free and are never shed).
 //!
@@ -67,7 +68,7 @@
 //! sheds carry `Retry-After`; [`client::RetryPolicy`] honors it with
 //! capped, seeded-jitter exponential backoff on idempotent requests. A
 //! deterministic fault-injection plan (`an5d-fault`; `--faults` /
-//! `AN5D_FAULTS`) drives the `load_gen --chaos` soak against exactly
+//! `AN5D_FAULTS`) drives the `tests/chaos.rs` soak against exactly
 //! this machinery.
 //!
 //! Connections are **persistent** (HTTP/1.1 keep-alive) and owned by a
@@ -77,12 +78,17 @@
 //! per-connection request bound is reached (both configurable through
 //! [`ServerConfig`]). Only connections with a *complete parsed request*
 //! (see [`RequestParser`]) occupy a dispatch worker, which is what lets
-//! `workers = 4` sustain 10k open keep-alive connections (`load_gen
-//! --connections 10000 --soak 30` measures exactly that; `/metrics`
-//! gauges `an5d_connections_{open,parked,active}` watch it live). The
-//! [`client::KeepAliveClient`] reuses one connection across requests —
-//! `load_gen --no-keep-alive` quantifies what that reuse is worth in
-//! requests/sec.
+//! `workers = 4` hold a mass of open keep-alive connections for free
+//! (`tests/connection_layer.rs` parks 400 and bounds what they cost
+//! the active ones; `/metrics` gauges
+//! `an5d_connections_{open,parked,active}` watch it live). The
+//! [`client::KeepAliveClient`] reuses one connection across requests.
+//!
+//! Every counter, gauge and histogram the process keeps lives in one
+//! typed [`an5d_obs::Registry`] ([`ServiceState::registry`]): a series
+//! is registered once, where it is recorded ([`metrics`], [`fleet`],
+//! [`handlers`]), and `/stats` and `/metrics` are two views over its
+//! snapshot ([`telemetry`]).
 //!
 //! # Example
 //!
@@ -129,7 +135,7 @@ pub use an5d_tunedb::json;
 pub use an5d_tunedb::TUNE_DB_ENV;
 
 pub use client::{HttpResponse, KeepAliveClient, RetryPolicy};
-pub use fleet::{Fleet, FleetShard, ShardStats, ShardTuneDbStats};
+pub use fleet::{Fleet, FleetShard, ShardTuneDbStats};
 pub use handlers::{
     dispatch, ServiceState, DEFAULT_SLOW_THRESHOLD, DEFAULT_STREAM_CHUNK, DEFAULT_TRACE_CAPACITY,
     ENDPOINTS,
@@ -140,6 +146,6 @@ pub use http::{
 };
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{
-    ConnectionSnapshot, ConnectionStats, EndpointStats, MeteredBackend, Metrics, StreamSnapshot,
+    ConnectionSnapshot, ConnectionStats, EndpointSeries, MeteredBackend, Metrics, StreamSeries,
 };
 pub use server::{banner, Server, ServerConfig};

@@ -1,94 +1,59 @@
-//! Per-endpoint latency and outcome metrics for `/stats` and `/metrics`.
+//! The series the service records itself: per-endpoint latency and
+//! errors, streaming, admission and deadline counters, the connection
+//! layer and `backend.execute` latency.
 //!
-//! Each endpoint owns an [`an5d_obs::Histogram`] plus atomic counters, so
-//! recording touches the registry mutex only to look the endpoint up —
-//! the hot path is wait-free atomics. Every lock recovers from poisoning
-//! with [`PoisonError::into_inner`]: a panicking handler thread must not
-//! take `/stats` or `/metrics` down with it (the map is only ever
-//! *inserted into* under the lock, so a poisoned guard still holds a
-//! structurally valid map).
+//! Everything here is a handle into the state's [`Registry`]: a series
+//! is registered in this file, next to the code that records it, and
+//! `/stats` and `/metrics` find it by iterating the registry (see
+//! [`crate::telemetry`]). Per-endpoint handles are resolved the first
+//! time an endpoint records — [`OnceLock`] slots sized from the static
+//! endpoint list — so the hot path is a lock-free slot read plus
+//! wait-free atomics, and an endpoint nobody called has no series.
 
-use crate::json::Json;
 use an5d::{BlockedRun, ExecutionBackend, Grid, KernelPlan, StencilProblem};
-use an5d_obs::{Histogram, HistogramSnapshot};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use an5d_obs::{Counter, Gauge, Histogram, Registry};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Aggregated statistics for one endpoint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EndpointStats {
-    /// Requests dispatched to the handler (including failed ones).
-    pub count: u64,
-    /// Requests answered with a non-2xx status.
-    pub errors: u64,
-    /// Total handler latency in microseconds.
-    pub total_micros: u64,
-    /// Worst handler latency in microseconds.
-    pub max_micros: u64,
-}
-
-impl EndpointStats {
-    /// Mean handler latency in microseconds (0 with no requests).
-    #[must_use]
-    pub fn mean_micros(&self) -> u64 {
-        self.total_micros.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// One endpoint's recorder: exact counters plus a latency histogram.
-#[derive(Debug, Default)]
-struct EndpointRecorder {
-    count: AtomicU64,
-    errors: AtomicU64,
-    total_micros: AtomicU64,
-    max_micros: AtomicU64,
-    latency: Histogram,
-}
-
-impl EndpointRecorder {
-    fn record(&self, micros: u64, ok: bool) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
-        self.latency.record(micros);
-    }
-
-    fn stats(&self) -> EndpointStats {
-        EndpointStats {
-            count: self.count.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            total_micros: self.total_micros.load(Ordering::Relaxed),
-            max_micros: self.max_micros.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of one endpoint's streaming counters.
+/// One endpoint's request series. `an5d_requests_total` is the
+/// histogram's own count, sampled at scrape.
 #[derive(Debug, Clone)]
-pub struct StreamSnapshot {
-    /// Streamed responses that produced at least one chunk.
-    pub streams: u64,
-    /// Chunks produced across all streams of the endpoint.
-    pub chunks: u64,
-    /// Payload bytes produced (before chunked framing).
-    pub bytes: u64,
-    /// Time-to-first-byte: handler start to first chunk produced.
-    pub ttfb: HistogramSnapshot,
+pub struct EndpointSeries {
+    /// Handler latency, microseconds (streamed responses: until the
+    /// stream ends).
+    pub latency: Arc<Histogram>,
+    /// Requests answered with a non-2xx status.
+    pub errors: Counter,
 }
 
-/// One endpoint's streaming recorder: chunk/byte counters plus a
-/// time-to-first-byte histogram.
-#[derive(Debug, Default)]
-struct StreamRecorder {
-    streams: AtomicU64,
-    chunks: AtomicU64,
-    bytes: AtomicU64,
-    ttfb: Histogram,
+impl EndpointSeries {
+    /// Record one handled request.
+    pub fn record(&self, latency: Duration, ok: bool) {
+        self.latency.record_duration(latency);
+        if !ok {
+            self.errors.inc();
+        }
+    }
+}
+
+/// One endpoint's streaming series (`?stream=1` and `/batch`).
+/// `an5d_streams_total` is the time-to-first-byte histogram's count.
+#[derive(Debug, Clone)]
+pub struct StreamSeries {
+    /// Chunks produced.
+    pub chunks: Counter,
+    /// Payload bytes produced (before chunked framing).
+    pub bytes: Counter,
+    /// Handler start to first chunk produced, microseconds.
+    pub ttfb: Arc<Histogram>,
+}
+
+impl StreamSeries {
+    /// Record one produced chunk of `bytes` payload bytes.
+    pub fn record_chunk(&self, bytes: usize) {
+        self.chunks.inc();
+        self.bytes.add(u64::try_from(bytes).unwrap_or(u64::MAX));
+    }
 }
 
 /// A point-in-time copy of the connection-layer gauges and counters.
@@ -116,48 +81,92 @@ impl ConnectionSnapshot {
     }
 }
 
-/// Connection-layer gauges maintained by the reactor thread.
+/// Connection-layer series maintained by the reactor thread.
 ///
 /// Only the reactor mutates these (single-threaded), but `/metrics` and
-/// `/stats` render them from worker threads, so they are atomics rather
-/// than plain fields.
-#[derive(Debug, Default)]
+/// `/stats` read them from worker threads, so they are registry cells
+/// rather than plain fields.
+#[derive(Debug)]
 pub struct ConnectionStats {
-    accepted: AtomicU64,
-    closed: AtomicU64,
-    aborted: AtomicU64,
-    open: AtomicU64,
-    parked: AtomicU64,
+    accepted: Counter,
+    closed: Counter,
+    aborted: Counter,
+    open: Gauge,
+    parked: Gauge,
     /// Busy time of one reactor loop iteration (poll-return to
-    /// poll-entry), microseconds. A growing tail here means the reactor
-    /// itself — not the workers — is the bottleneck.
-    loop_busy: Histogram,
+    /// poll-entry). A growing tail here means the reactor itself — not
+    /// the workers — is the bottleneck.
+    loop_busy: Arc<Histogram>,
 }
 
 impl ConnectionStats {
+    fn new(registry: &Registry) -> Self {
+        let stats = Self {
+            accepted: registry.counter(
+                "an5d_connections_accepted_total",
+                "Connections accepted since startup.",
+                &[],
+            ),
+            closed: registry.counter(
+                "an5d_connections_closed_total",
+                "Connections closed since startup.",
+                &[],
+            ),
+            aborted: registry.counter(
+                "an5d_connections_aborted",
+                "Connections that died mid-request or mid-response (truncated \
+                 head or body, or a response that failed while draining).",
+                &[],
+            ),
+            open: registry.gauge(
+                "an5d_connections_open",
+                "Currently open client connections.",
+                &[],
+            ),
+            parked: registry.gauge(
+                "an5d_connections_parked",
+                "Open connections idle between requests (parked in the reactor).",
+                &[],
+            ),
+            loop_busy: registry.histogram(
+                "an5d_reactor_loop_us",
+                "Reactor loop busy time per iteration, microseconds.",
+                &[],
+            ),
+        };
+        let (open, parked) = (stats.open.clone(), stats.parked.clone());
+        registry.sampled_gauge(
+            "an5d_connections_active",
+            "Open connections reading, executing, or writing a request.",
+            &[],
+            move || open.get().saturating_sub(parked.get()),
+        );
+        stats
+    }
+
     /// One connection accepted (opens it).
     pub fn on_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.open.fetch_add(1, Ordering::Relaxed);
+        self.accepted.inc();
+        self.open.inc();
     }
 
     /// One connection closed; `aborted` marks a mid-request death.
     pub fn on_closed(&self, aborted: bool) {
-        self.closed.fetch_add(1, Ordering::Relaxed);
-        self.open.fetch_sub(1, Ordering::Relaxed);
+        self.closed.inc();
+        self.open.dec();
         if aborted {
-            self.aborted.fetch_add(1, Ordering::Relaxed);
+            self.aborted.inc();
         }
     }
 
     /// A connection entered the parked (idle keep-alive) state.
     pub fn on_parked(&self) {
-        self.parked.fetch_add(1, Ordering::Relaxed);
+        self.parked.inc();
     }
 
     /// A parked connection became active again (or closed).
     pub fn on_unparked(&self) {
-        self.parked.fetch_sub(1, Ordering::Relaxed);
+        self.parked.dec();
     }
 
     /// Record the busy time of one reactor loop iteration.
@@ -165,307 +174,209 @@ impl ConnectionStats {
         self.loop_busy.record_duration(busy);
     }
 
-    /// Copy of the counters for rendering.
+    /// Copy of the counters and gauges.
     #[must_use]
     pub fn snapshot(&self) -> ConnectionSnapshot {
         ConnectionSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            closed: self.closed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-            open: self.open.load(Ordering::Relaxed),
-            parked: self.parked.load(Ordering::Relaxed),
+            accepted: self.accepted.get(),
+            closed: self.closed.get(),
+            aborted: self.aborted.get(),
+            open: self.open.get(),
+            parked: self.parked.get(),
         }
-    }
-
-    /// Snapshot of the reactor-loop busy-time histogram.
-    #[must_use]
-    pub fn loop_snapshot(&self) -> HistogramSnapshot {
-        self.loop_busy.snapshot()
     }
 }
 
-/// Thread-safe metrics registry shared by every connection worker.
-///
-/// Endpoints are keyed by path; the map is a `BTreeMap` so `/stats` and
-/// `/metrics` render endpoints in a stable (sorted) order.
-#[derive(Debug, Default)]
+/// The slots of one endpoint, resolved on first use.
+#[derive(Debug)]
+struct EndpointSlot {
+    path: &'static str,
+    requests: OnceLock<EndpointSeries>,
+    streams: OnceLock<StreamSeries>,
+}
+
+/// The service's own series, shared by the reactor and every dispatch
+/// worker.
+#[derive(Debug)]
 pub struct Metrics {
-    endpoints: Mutex<BTreeMap<String, Arc<EndpointRecorder>>>,
-    /// Streaming counters per endpoint (`?stream=1` and `/batch`).
-    streams: Mutex<BTreeMap<String, Arc<StreamRecorder>>>,
-    /// `backend.execute` latency per backend name, fed by
-    /// [`MeteredBackend`] wrappers around every backend the service
-    /// executes on.
-    backends: Mutex<BTreeMap<String, Arc<EndpointRecorder>>>,
+    registry: Arc<Registry>,
+    endpoints: Vec<EndpointSlot>,
     /// Requests turned away by admission control with a 503.
-    rejected: AtomicU64,
+    pub rejected: Counter,
     /// Requests shed with a 503 because their deadline was already
     /// expired at dispatch admission (never reached a worker).
-    deadline_shed: AtomicU64,
+    pub deadline_shed: Counter,
     /// Requests answered 504 because their deadline expired while a
     /// worker was processing them.
-    deadline_expired: AtomicU64,
+    pub deadline_expired: Counter,
     /// Tune results that could not be appended to the persisted DB
     /// (the response still carried the result — durability degraded).
-    tunedb_append_failures: AtomicU64,
-    /// Connection-layer gauges, fed by the reactor.
-    connections: ConnectionStats,
+    pub tunedb_append_failures: Counter,
+    /// Connection-layer series, fed by the reactor.
+    pub connections: ConnectionStats,
 }
 
 impl Metrics {
-    /// A fresh, empty registry.
+    /// Register the service's series in `registry`, with one lazily
+    /// resolved slot per path of `endpoints`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn recorder(&self, endpoint: &str) -> Arc<EndpointRecorder> {
-        let mut endpoints = self
-            .endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(endpoints.entry(endpoint.to_string()).or_default())
-    }
-
-    /// Record one handled request for an endpoint.
-    pub fn record(&self, endpoint: &str, latency: Duration, ok: bool) {
-        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.recorder(endpoint).record(micros, ok);
-    }
-
-    fn stream_recorder(&self, endpoint: &str) -> Arc<StreamRecorder> {
-        let mut streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(streams.entry(endpoint.to_string()).or_default())
-    }
-
-    /// Record a streamed response's time-to-first-byte (handler start
-    /// to first chunk produced); also counts the stream itself.
-    pub fn record_stream_ttfb(&self, endpoint: &str, latency: Duration) {
-        let recorder = self.stream_recorder(endpoint);
-        recorder.streams.fetch_add(1, Ordering::Relaxed);
-        recorder.ttfb.record_duration(latency);
-    }
-
-    /// Record one produced chunk of `bytes` payload bytes on a
-    /// streamed response.
-    pub fn record_stream_chunk(&self, endpoint: &str, bytes: usize) {
-        let recorder = self.stream_recorder(endpoint);
-        recorder.chunks.fetch_add(1, Ordering::Relaxed);
-        recorder
-            .bytes
-            .fetch_add(u64::try_from(bytes).unwrap_or(u64::MAX), Ordering::Relaxed);
-    }
-
-    /// Per-endpoint streaming snapshots, sorted by path — the data
-    /// source for the `an5d_stream_*` series of `/metrics`.
-    #[must_use]
-    pub fn stream_snapshots(&self) -> Vec<(String, StreamSnapshot)> {
-        let streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
-        streams
-            .iter()
-            .map(|(path, recorder)| {
-                (
-                    path.clone(),
-                    StreamSnapshot {
-                        streams: recorder.streams.load(Ordering::Relaxed),
-                        chunks: recorder.chunks.load(Ordering::Relaxed),
-                        bytes: recorder.bytes.load(Ordering::Relaxed),
-                        ttfb: recorder.ttfb.snapshot(),
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Record one `backend.execute` call on the named backend.
-    pub fn record_backend_execute(&self, backend: &str, latency: Duration) {
-        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let recorder = {
-            let mut backends = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(backends.entry(backend.to_string()).or_default())
-        };
-        recorder.record(micros, true);
-    }
-
-    /// Per-backend `(name, stats, latency histogram)` snapshots of
-    /// `backend.execute`, sorted by backend name.
-    #[must_use]
-    pub fn backend_snapshots(&self) -> Vec<(String, EndpointStats, HistogramSnapshot)> {
-        let backends = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
-        backends
-            .iter()
-            .map(|(name, recorder)| (name.clone(), recorder.stats(), recorder.latency.snapshot()))
-            .collect()
-    }
-
-    /// Render the `"backends"` object of `/stats`: `backend.execute`
-    /// latency per backend name.
-    #[must_use]
-    pub fn backends_json(&self) -> Json {
-        Json::Obj(
-            self.backend_snapshots()
+    pub fn new(
+        registry: &Arc<Registry>,
+        endpoints: impl IntoIterator<Item = &'static str>,
+    ) -> Self {
+        Self {
+            registry: Arc::clone(registry),
+            endpoints: endpoints
                 .into_iter()
-                .map(|(name, stats, histogram)| {
-                    (
-                        name,
-                        Json::obj(vec![
-                            ("executes", Json::Int(i128::from(stats.count))),
-                            ("mean_us", Json::Int(i128::from(stats.mean_micros()))),
-                            ("max_us", Json::Int(i128::from(stats.max_micros))),
-                            ("p50_us", Json::Int(i128::from(histogram.quantile(0.5)))),
-                            ("p95_us", Json::Int(i128::from(histogram.quantile(0.95)))),
-                            ("p99_us", Json::Int(i128::from(histogram.quantile(0.99)))),
-                        ]),
-                    )
+                .map(|path| EndpointSlot {
+                    path,
+                    requests: OnceLock::new(),
+                    streams: OnceLock::new(),
                 })
                 .collect(),
-        )
+            rejected: registry.counter(
+                "an5d_rejected_connections_total",
+                "Requests shed by admission control.",
+                &[],
+            ),
+            deadline_shed: registry.counter(
+                "an5d_deadline_shed_total",
+                "Requests shed with 503 at admission for an already-expired deadline.",
+                &[],
+            ),
+            deadline_expired: registry.counter(
+                "an5d_deadline_expired_total",
+                "Requests answered 504 after their deadline expired mid-processing.",
+                &[],
+            ),
+            tunedb_append_failures: registry.counter(
+                "an5d_tunedb_append_failures_total",
+                "Tune results served but not persisted (append to the tune DB failed).",
+                &[],
+            ),
+            connections: ConnectionStats::new(registry),
+        }
     }
 
-    /// Record one connection rejected by admission control.
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of admission-control rejections so far.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Record one request shed at admission because its deadline had
-    /// already expired.
-    pub fn record_deadline_shed(&self) {
-        self.deadline_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests shed at admission for an already-expired deadline.
-    #[must_use]
-    pub fn deadline_shed(&self) -> u64 {
-        self.deadline_shed.load(Ordering::Relaxed)
-    }
-
-    /// Record one request answered 504 after its deadline expired
-    /// mid-processing.
-    pub fn record_deadline_expired(&self) {
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests answered 504 for a deadline that expired mid-processing.
-    #[must_use]
-    pub fn deadline_expired(&self) -> u64 {
-        self.deadline_expired.load(Ordering::Relaxed)
-    }
-
-    /// Record one tune result that could not be persisted.
-    pub fn record_tunedb_append_failure(&self) {
-        self.tunedb_append_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tune results that were served but could not be persisted.
-    #[must_use]
-    pub fn tunedb_append_failures(&self) -> u64 {
-        self.tunedb_append_failures.load(Ordering::Relaxed)
-    }
-
-    /// The connection-layer gauges (written by the reactor).
-    #[must_use]
-    pub fn connections(&self) -> &ConnectionStats {
-        &self.connections
-    }
-
-    /// Render the `"connections"` object of `/stats`.
-    #[must_use]
-    pub fn connections_json(&self) -> Json {
-        let snap = self.connections.snapshot();
-        Json::obj(vec![
-            ("open", Json::Int(i128::from(snap.open))),
-            ("parked", Json::Int(i128::from(snap.parked))),
-            ("active", Json::Int(i128::from(snap.active()))),
-            ("accepted", Json::Int(i128::from(snap.accepted))),
-            ("closed", Json::Int(i128::from(snap.closed))),
-            ("aborted", Json::Int(i128::from(snap.aborted))),
-        ])
-    }
-
-    /// Snapshot of one endpoint's stats (zeroes when never hit).
-    #[must_use]
-    pub fn endpoint(&self, endpoint: &str) -> EndpointStats {
+    fn slot(&self, path: &str) -> &EndpointSlot {
         self.endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(endpoint)
-            .map(|recorder| recorder.stats())
-            .unwrap_or_default()
-    }
-
-    /// Latency histogram snapshot of one endpoint (`None` when never hit).
-    #[must_use]
-    pub fn histogram(&self, endpoint: &str) -> Option<HistogramSnapshot> {
-        self.endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(endpoint)
-            .map(|recorder| recorder.latency.snapshot())
-    }
-
-    /// Per-endpoint `(path, stats, latency histogram)` snapshots, sorted
-    /// by path — the data source for `/metrics`.
-    #[must_use]
-    pub fn snapshots(&self) -> Vec<(String, EndpointStats, HistogramSnapshot)> {
-        let endpoints = self
-            .endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        endpoints
             .iter()
-            .map(|(path, recorder)| (path.clone(), recorder.stats(), recorder.latency.snapshot()))
-            .collect()
+            .find(|slot| slot.path == path)
+            .unwrap_or_else(|| panic!("{path} is not a served endpoint"))
     }
 
-    /// Render the `"endpoints"` object of `/stats`.
-    #[must_use]
-    pub fn endpoints_json(&self) -> Json {
-        Json::Obj(
-            self.snapshots()
-                .into_iter()
-                .map(|(path, stats, histogram)| {
-                    (
-                        path,
-                        Json::obj(vec![
-                            ("count", Json::Int(i128::from(stats.count))),
-                            ("errors", Json::Int(i128::from(stats.errors))),
-                            ("mean_us", Json::Int(i128::from(stats.mean_micros()))),
-                            ("max_us", Json::Int(i128::from(stats.max_micros))),
-                            ("p50_us", Json::Int(i128::from(histogram.quantile(0.5)))),
-                            ("p95_us", Json::Int(i128::from(histogram.quantile(0.95)))),
-                            ("p99_us", Json::Int(i128::from(histogram.quantile(0.99)))),
-                            ("p999_us", Json::Int(i128::from(histogram.quantile(0.999)))),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
+    /// The request series of a served endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a path the metrics were not built for.
+    pub fn endpoint(&self, path: &str) -> &EndpointSeries {
+        self.slot(path).requests.get_or_init(|| {
+            let labels = [("endpoint", path)];
+            let latency = self.registry.histogram(
+                "an5d_request_latency_us",
+                "Handler latency by endpoint, microseconds.",
+                &labels,
+            );
+            let count = Arc::clone(&latency);
+            self.registry.sampled_counter(
+                "an5d_requests_total",
+                "Requests dispatched, by endpoint.",
+                &labels,
+                move || count.count(),
+            );
+            EndpointSeries {
+                latency,
+                errors: self.registry.counter(
+                    "an5d_request_errors_total",
+                    "Non-2xx responses, by endpoint.",
+                    &labels,
+                ),
+            }
+        })
+    }
+
+    /// The streaming series of a served endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a path the metrics were not built for.
+    pub fn stream(&self, path: &str) -> &StreamSeries {
+        self.slot(path).streams.get_or_init(|| {
+            let labels = [("endpoint", path)];
+            let ttfb = self.registry.histogram(
+                "an5d_stream_ttfb_us",
+                "Handler start to first streamed chunk, microseconds.",
+                &labels,
+            );
+            let count = Arc::clone(&ttfb);
+            self.registry.sampled_counter(
+                "an5d_streams_total",
+                "Streamed responses started, by endpoint.",
+                &labels,
+                move || count.count(),
+            );
+            StreamSeries {
+                chunks: self.registry.counter(
+                    "an5d_stream_chunks_total",
+                    "Chunks produced on streamed responses, by endpoint.",
+                    &labels,
+                ),
+                bytes: self.registry.counter(
+                    "an5d_stream_bytes_total",
+                    "Payload bytes streamed (before chunked framing), by endpoint.",
+                    &labels,
+                ),
+                ttfb,
+            }
+        })
     }
 }
 
 /// An [`ExecutionBackend`] decorator that records the wall-clock latency
-/// of every `backend.execute` call into the shared [`Metrics`] registry,
-/// keyed by the inner backend's name.
+/// of every `backend.execute` call under the inner backend's name.
 ///
 /// Transparent by construction: it delegates `name`/`describe` and the
 /// execute methods verbatim, so wrapping never changes results — only
 /// observability.
 pub struct MeteredBackend {
     inner: Arc<dyn ExecutionBackend>,
-    metrics: Arc<Metrics>,
+    registry: Arc<Registry>,
+    /// Resolved by the first execute, so a backend that never ran has
+    /// no series.
+    latency: OnceLock<Arc<Histogram>>,
 }
 
 impl MeteredBackend {
-    /// Wrap `inner`, recording its execute latency into `metrics`.
+    /// Wrap `inner`, recording its execute latency into `registry`.
     #[must_use]
-    pub fn new(inner: Arc<dyn ExecutionBackend>, metrics: Arc<Metrics>) -> Self {
-        Self { inner, metrics }
+    pub fn new(inner: Arc<dyn ExecutionBackend>, registry: &Arc<Registry>) -> Self {
+        Self {
+            inner,
+            registry: Arc::clone(registry),
+            latency: OnceLock::new(),
+        }
+    }
+
+    fn record(&self, latency: Duration) {
+        self.latency
+            .get_or_init(|| {
+                let labels = [("backend", self.inner.name())];
+                let histogram = self.registry.histogram(
+                    "an5d_backend_execute_us",
+                    "backend.execute latency by backend, microseconds.",
+                    &labels,
+                );
+                let count = Arc::clone(&histogram);
+                self.registry.sampled_counter(
+                    "an5d_backend_executes_total",
+                    "backend.execute calls, by backend.",
+                    &labels,
+                    move || count.count(),
+                );
+                histogram
+            })
+            .record_duration(latency);
     }
 }
 
@@ -494,8 +405,7 @@ impl ExecutionBackend for MeteredBackend {
     ) -> BlockedRun<f32> {
         let started = Instant::now();
         let run = self.inner.execute_f32(plan, problem, initial);
-        self.metrics
-            .record_backend_execute(self.inner.name(), started.elapsed());
+        self.record(started.elapsed());
         run
     }
 
@@ -507,8 +417,7 @@ impl ExecutionBackend for MeteredBackend {
     ) -> BlockedRun<f64> {
         let started = Instant::now();
         let run = self.inner.execute_f64(plan, problem, initial);
-        self.metrics
-            .record_backend_execute(self.inner.name(), started.elapsed());
+        self.record(started.elapsed());
         run
     }
 }
@@ -516,54 +425,110 @@ impl ExecutionBackend for MeteredBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use an5d_obs::Sample;
+
+    fn metrics() -> (Arc<Registry>, Metrics) {
+        let registry = Arc::new(Registry::new());
+        let metrics = Metrics::new(&registry, ["/plan", "/stats", "/tune"]);
+        (registry, metrics)
+    }
+
+    /// Every `(labels, sample)` of one family.
+    fn series(registry: &Registry, family: &str) -> Vec<(an5d_obs::Labels, Sample)> {
+        let families = registry.snapshot();
+        let family = families.iter().find(|f| f.name == family);
+        family.map_or_else(Vec::new, |f| {
+            let series = f.series.iter();
+            series
+                .map(|s| (s.labels.clone(), s.sample.clone()))
+                .collect()
+        })
+    }
 
     #[test]
     fn records_counts_errors_and_latency() {
-        let metrics = Metrics::new();
-        metrics.record("/tune", Duration::from_micros(100), true);
-        metrics.record("/tune", Duration::from_micros(300), false);
-        metrics.record("/stats", Duration::from_micros(5), true);
+        let (registry, metrics) = metrics();
+        metrics
+            .endpoint("/tune")
+            .record(Duration::from_micros(100), true);
+        metrics
+            .endpoint("/tune")
+            .record(Duration::from_micros(300), false);
+        metrics
+            .endpoint("/stats")
+            .record(Duration::from_micros(5), true);
 
         let tune = metrics.endpoint("/tune");
-        assert_eq!(tune.count, 2);
-        assert_eq!(tune.errors, 1);
-        assert_eq!(tune.mean_micros(), 200);
-        assert_eq!(tune.max_micros, 300);
-        assert_eq!(metrics.endpoint("/nope"), EndpointStats::default());
+        assert_eq!(tune.latency.count(), 2);
+        assert_eq!(tune.errors.get(), 1);
+        assert_eq!(tune.latency.snapshot().mean(), 200);
+        assert_eq!(tune.latency.max(), 300);
 
-        metrics.record_rejected();
-        assert_eq!(metrics.rejected(), 1);
+        metrics.rejected.inc();
+        assert_eq!(metrics.rejected.get(), 1);
 
-        let rendered = metrics.endpoints_json().render();
-        // Sorted by path: /stats before /tune.
-        let stats_at = rendered.find("/stats").unwrap();
-        let tune_at = rendered.find("/tune").unwrap();
-        assert!(stats_at < tune_at, "{rendered}");
+        // One series per endpoint that recorded, sorted by path; the
+        // request counter is the histogram's count.
+        let endpoint = |path: &str| vec![("endpoint".to_string(), path.to_string())];
+        assert_eq!(
+            series(&registry, "an5d_requests_total"),
+            [
+                (endpoint("/stats"), Sample::Value(1)),
+                (endpoint("/tune"), Sample::Value(2)),
+            ],
+            "/plan never recorded, so it has no series"
+        );
+    }
+
+    #[test]
+    fn recording_through_a_resolved_endpoint_never_takes_the_registry_lock() {
+        // A sampled closure runs under the registry lock; recording from
+        // inside one would deadlock if the hot path locked the registry
+        // (as the per-request `String` + map lookup it replaces did).
+        let (registry, metrics) = metrics();
+        let metrics = Arc::new(metrics);
+        metrics
+            .endpoint("/plan")
+            .record(Duration::from_micros(1), true);
+        let recorder = Arc::clone(&metrics);
+        registry.sampled_gauge("under_the_lock", "Records while sampled.", &[], move || {
+            let plan = recorder.endpoint("/plan");
+            plan.record(Duration::from_micros(2), false);
+            plan.latency.count()
+        });
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(series(&registry, "under_the_lock")));
+        let sampled = finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("snapshot deadlocked: recording took the registry lock");
+        assert_eq!(sampled[0].1, Sample::Value(2));
+        assert_eq!(metrics.endpoint("/plan").errors.get(), 1);
     }
 
     #[test]
     fn endpoint_histograms_answer_percentiles() {
-        let metrics = Metrics::new();
+        let (registry, metrics) = metrics();
         for i in 1..=100u64 {
-            metrics.record("/plan", Duration::from_micros(i * 10), true);
+            metrics
+                .endpoint("/plan")
+                .record(Duration::from_micros(i * 10), true);
         }
-        let histogram = metrics.histogram("/plan").expect("recorded");
+        let histogram = metrics.endpoint("/plan").latency.snapshot();
         assert_eq!(histogram.count(), 100);
         assert_eq!(histogram.max(), 1_000);
         let p50 = histogram.quantile(0.5);
         let p99 = histogram.quantile(0.99);
         assert!((500..=520).contains(&p50), "p50 {p50}");
         assert!((990..=1_000).contains(&p99), "p99 {p99}");
-        assert!(metrics.histogram("/nope").is_none());
-        let rendered = metrics.endpoints_json().render();
-        assert!(rendered.contains("\"p50_us\""), "{rendered}");
-        assert!(rendered.contains("\"p999_us\""), "{rendered}");
+        let registered = series(&registry, "an5d_request_latency_us");
+        assert_eq!(registered.len(), 1);
+        assert_eq!(registered[0].1, Sample::Histogram(histogram));
     }
 
     #[test]
     fn connection_gauges_track_the_lifecycle() {
-        let metrics = Metrics::new();
-        let conns = metrics.connections();
+        let (registry, metrics) = metrics();
+        let conns = &metrics.connections;
         for _ in 0..3 {
             conns.on_accepted();
             conns.on_parked();
@@ -574,6 +539,8 @@ mod tests {
         assert_eq!(snap.open, 3);
         assert_eq!(snap.parked, 2);
         assert_eq!(snap.active(), 1);
+        let value = |family: &str| series(&registry, family)[0].1.clone();
+        assert_eq!(value("an5d_connections_active"), Sample::Value(1));
 
         conns.on_closed(true); // the active one dies mid-request
         conns.on_unparked();
@@ -586,24 +553,21 @@ mod tests {
         assert_eq!(snap.active(), 0);
 
         conns.record_loop(Duration::from_micros(120));
-        assert_eq!(conns.loop_snapshot().count(), 1);
-
-        let rendered = metrics.connections_json().render();
-        assert!(rendered.contains("\"aborted\":1"), "{rendered}");
-        assert!(rendered.contains("\"parked\":1"), "{rendered}");
+        assert_eq!(conns.loop_busy.count(), 1);
+        assert_eq!(value("an5d_connections_aborted"), Sample::Value(1));
+        assert_eq!(value("an5d_connections_parked"), Sample::Value(1));
     }
 
     #[test]
     fn metered_backend_is_transparent_and_records_per_backend_latency() {
         use an5d::{An5d, BlockConfig, Precision, SerialBackend};
 
-        let metrics = Arc::new(Metrics::new());
-        let backend: Arc<dyn ExecutionBackend> = Arc::new(MeteredBackend::new(
-            Arc::new(SerialBackend),
-            Arc::clone(&metrics),
-        ));
+        let registry = Arc::new(Registry::new());
+        let backend: Arc<dyn ExecutionBackend> =
+            Arc::new(MeteredBackend::new(Arc::new(SerialBackend), &registry));
         assert_eq!(backend.name(), "serial");
         assert_eq!(backend.describe(), "serial");
+        assert!(registry.snapshot().is_empty(), "no execute, no series");
 
         let an5d = An5d::benchmark("j2d5pt")
             .unwrap()
@@ -613,37 +577,42 @@ mod tests {
         let report = an5d.verify(&problem, &config).unwrap();
         assert!(report.matches_reference, "metering must not change results");
 
-        let snapshots = metrics.backend_snapshots();
-        assert_eq!(snapshots.len(), 1);
-        assert_eq!(snapshots[0].0, "serial");
-        assert_eq!(snapshots[0].1.count, 1, "one execute, one sample");
-        let rendered = metrics.backends_json().render();
-        assert!(rendered.contains("\"serial\""), "{rendered}");
-        assert!(rendered.contains("\"executes\":1"), "{rendered}");
+        let serial = vec![("backend".to_string(), "serial".to_string())];
+        assert_eq!(
+            series(&registry, "an5d_backend_executes_total"),
+            [(serial, Sample::Value(1))],
+            "one execute, one sample"
+        );
+        assert_eq!(series(&registry, "an5d_backend_execute_us").len(), 1);
     }
 
     #[test]
     fn poisoned_registry_keeps_serving() {
         // Regression: a handler thread panicking while holding the
         // registry lock used to poison it and 500 every later /stats.
-        let metrics = Arc::new(Metrics::new());
-        metrics.record("/plan", Duration::from_micros(70), true);
-        let poisoner = Arc::clone(&metrics);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.endpoints.lock().unwrap();
-            panic!("poison the registry lock");
+        let (registry, metrics) = metrics();
+        metrics
+            .endpoint("/plan")
+            .record(Duration::from_micros(70), true);
+        let poisoner = Arc::clone(&registry);
+        let refused = std::thread::spawn(move || {
+            // Refused under the lock: the name is a counter family.
+            poisoner.gauge("an5d_requests_total", "poison the registry lock", &[]);
         })
         .join();
-        assert!(metrics.endpoints.lock().is_err(), "lock must be poisoned");
+        assert!(refused.is_err(), "the conflicting registration panics");
 
-        // Every read and write path still works.
-        metrics.record("/plan", Duration::from_micros(30), false);
+        // Recording, first-time registration and both reads still work.
+        metrics
+            .endpoint("/plan")
+            .record(Duration::from_micros(30), false);
+        metrics
+            .endpoint("/tune")
+            .record(Duration::from_micros(9), true);
         let plan = metrics.endpoint("/plan");
-        assert_eq!(plan.count, 2);
-        assert_eq!(plan.errors, 1);
-        assert_eq!(plan.max_micros, 70);
-        assert_eq!(metrics.histogram("/plan").unwrap().count(), 2);
-        let rendered = metrics.endpoints_json().render();
-        assert!(rendered.contains("/plan"), "{rendered}");
+        assert_eq!(plan.latency.count(), 2);
+        assert_eq!(plan.errors.get(), 1);
+        assert_eq!(plan.latency.max(), 70);
+        assert_eq!(series(&registry, "an5d_requests_total").len(), 2);
     }
 }

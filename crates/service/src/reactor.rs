@@ -206,16 +206,12 @@ impl Reactor {
                 }
             }
             self.fire_timers();
-            self.shared
-                .state
-                .metrics()
-                .connections()
-                .record_loop(busy_start.elapsed());
+            self.stats().record_loop(busy_start.elapsed());
         }
     }
 
     fn stats(&self) -> &crate::metrics::ConnectionStats {
-        self.shared.state.metrics().connections()
+        &self.shared.state.metrics().connections
     }
 
     /// Arm (or re-arm) the connection's single deadline.
@@ -438,7 +434,7 @@ impl Reactor {
         // never occupies a worker: 503 + Retry-After instead of a 504
         // from a worker that could do no useful work.
         if request.deadline.is_some_and(|d| d.expired()) {
-            self.shared.state.metrics().record_deadline_shed();
+            self.shared.state.metrics().deadline_shed.inc();
             let body = render_response(
                 &mut Response::new(503, api::error_body("deadline expired before dispatch"))
                     .with_retry_after(1),
@@ -454,7 +450,7 @@ impl Reactor {
             .expect("dispatch queue poisoned")
             .len();
         if depth >= self.shared.queue_depth {
-            self.shared.state.metrics().record_rejected();
+            self.shared.state.metrics().rejected.inc();
             let body = render_response(
                 &mut Response::new(503, api::error_body("server overloaded, retry later"))
                     .with_retry_after(1),

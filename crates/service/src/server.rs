@@ -457,7 +457,7 @@ impl Server {
         self.shared.addr
     }
 
-    /// The shared service state (cache statistics, metrics).
+    /// The shared service state (fleet, metrics registry, traces).
     #[must_use]
     pub fn state(&self) -> &ServiceState {
         &self.shared.state
@@ -660,7 +660,7 @@ mod tests {
         let addr = server.addr();
         let (status, body) = client::get(addr, "/stats").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"cache\""), "{body}");
+        assert!(body.contains("\"an5d_plan_cache_capacity\""), "{body}");
         let (status, body) = client::post(addr, "/shutdown", "").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, r#"{"ok":true}"#);
@@ -724,7 +724,7 @@ mod tests {
         for round in 0..10 {
             let (status, body) = client.get("/stats").unwrap();
             assert_eq!(status, 200, "round {round}: {body}");
-            assert!(body.contains("\"cache\""));
+            assert!(body.contains("\"an5d_plan_cache_capacity\""));
         }
         assert_eq!(
             client.reused(),
@@ -803,7 +803,7 @@ mod tests {
         // Sit idle past the server's keep-alive timeout; the reactor
         // reaps the parked connection (a clean close, not an abort)...
         std::thread::sleep(Duration::from_millis(200));
-        let snap = server.state().metrics().connections().snapshot();
+        let snap = server.state().metrics().connections.snapshot();
         assert_eq!(snap.open, 0, "idle connection must be reaped: {snap:?}");
         assert_eq!(snap.aborted, 0, "idle reap is clean: {snap:?}");
         let (status, _) = client::get(addr, "/stats").unwrap();
@@ -882,7 +882,7 @@ mod tests {
         let (status, body) =
             client::raw(addr, "GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"cache\""));
+        assert!(body.contains("\"an5d_plan_cache_capacity\""));
         assert_eq!(server.reused_requests(), 0);
         server.stop();
     }
@@ -900,7 +900,7 @@ mod tests {
         // All five connections are now idle between requests: parked.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            let snap = server.state().metrics().connections().snapshot();
+            let snap = server.state().metrics().connections.snapshot();
             if snap.parked == 5 && snap.open == 5 {
                 assert_eq!(snap.accepted, 5);
                 assert_eq!(snap.active(), 0);
@@ -941,7 +941,7 @@ mod tests {
         drop(stream); // FIN mid-request
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            let snap = server.state().metrics().connections().snapshot();
+            let snap = server.state().metrics().connections.snapshot();
             if snap.aborted == 1 {
                 break;
             }
@@ -958,7 +958,7 @@ mod tests {
         drop(client); // clean keep-alive teardown
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
-            let snap = server.state().metrics().connections().snapshot();
+            let snap = server.state().metrics().connections.snapshot();
             if snap.open == 0 {
                 assert_eq!(snap.aborted, 1, "clean EOF must not count: {snap:?}");
                 break;

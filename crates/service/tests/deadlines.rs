@@ -14,26 +14,23 @@
 //! budget), so these tests live in their own binary and serialize on a
 //! local mutex.
 
-use an5d::SerialBackend;
+mod common;
+
 use an5d_service::{client, Server, ServerConfig};
-use std::sync::{Arc, Mutex};
+use common::metric;
+use std::sync::Mutex;
 
 /// Serializes the tests that install (or must observe the absence of)
 /// the process-global fault plan.
 static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
 
 fn start_server() -> Server {
-    Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 16,
-            cache_capacity: 16,
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .expect("bind ephemeral port")
+    common::server(ServerConfig {
+        workers: 2,
+        queue_depth: 16,
+        cache_capacity: 16,
+        ..ServerConfig::default()
+    })
 }
 
 const PLAN_BODY: &str = r#"{"benchmark":"star2d1r","interior":[96,96],"steps":8,
@@ -62,11 +59,11 @@ fn expired_at_admission_is_shed_with_503_and_retry_after_without_occupying_a_wor
     );
 
     let metrics = server.state().metrics();
-    assert_eq!(metrics.deadline_shed(), 1, "shed must be counted");
+    assert_eq!(metrics.deadline_shed.get(), 1, "shed must be counted");
     // Never dispatched: the /plan handler saw zero requests, so no
     // worker time was spent on a request the client had abandoned.
     assert_eq!(
-        metrics.endpoint("/plan").count,
+        metrics.endpoint("/plan").latency.count(),
         0,
         "an expired request must not reach a worker"
     );
@@ -76,13 +73,14 @@ fn expired_at_admission_is_shed_with_503_and_retry_after_without_occupying_a_wor
     let response =
         client::post_with_deadline(addr, "/plan", PLAN_BODY, 30_000).expect("healthy response");
     assert_eq!(response.status, 200, "{}", response.body);
-    assert_eq!(metrics.endpoint("/plan").count, 1);
+    assert_eq!(metrics.endpoint("/plan").latency.count(), 1);
 
     // The shed is visible on /metrics for chaos harnesses to reconcile.
     let (status, metrics_text) = client::get(addr, "/metrics").unwrap();
     assert_eq!(status, 200);
-    assert!(
-        metrics_text.contains("an5d_deadline_shed_total 1"),
+    assert_eq!(
+        metric(&metrics_text, "an5d_deadline_shed_total", &[]),
+        Some(1),
         "/metrics must expose the shed counter"
     );
 
@@ -132,15 +130,15 @@ fn tune_with_a_short_deadline_returns_504_with_partial_progress() {
 
     let metrics = server.state().metrics();
     assert!(
-        metrics.deadline_expired() >= 1,
+        metrics.deadline_expired.get() >= 1,
         "mid-processing expiry must be counted"
     );
     // This was a dispatched request that timed out, not an admission
     // shed.
-    assert_eq!(metrics.deadline_shed(), 0);
-    assert_eq!(metrics.endpoint("/tune").count, 1);
+    assert_eq!(metrics.deadline_shed.get(), 0);
+    assert_eq!(metrics.endpoint("/tune").latency.count(), 1);
     assert_eq!(
-        metrics.endpoint("/tune").errors,
+        metrics.endpoint("/tune").errors.get(),
         1,
         "a 504 is an error on the endpoint's books"
     );

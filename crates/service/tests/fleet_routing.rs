@@ -8,10 +8,11 @@
 //! the service's one cache — while the two `/predict` bodies still
 //! differ, because the model reads the device profile.
 
-use an5d::SerialBackend;
-use an5d_service::{client, parse_json, Json, Server, ServerConfig};
+mod common;
+
+use an5d_service::{client, parse_json, ServerConfig};
+use common::{server, shutdown, stat, stats};
 use std::net::SocketAddr;
-use std::sync::Arc;
 
 const DEVICES: [&str; 4] = ["a100", "p100", "small", "v100"];
 
@@ -24,35 +25,28 @@ fn predict_body(device: &str, bt: usize) -> String {
     )
 }
 
-/// `(hits, misses, entries)` of the top-level `"cache"` object.
+/// `(hits, misses, entries)` of the one plan cache, from `/stats`.
 fn cache_stats(addr: SocketAddr) -> (u64, u64, u64) {
-    let (status, body) = client::get(addr, "/stats").unwrap();
-    assert_eq!(status, 200);
-    let stats = parse_json(&body).unwrap();
-    let field = |name: &str| {
-        stats
-            .get("cache")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_usize)
-            .unwrap_or_else(|| panic!("/stats must report cache.{name}: {body}")) as u64
+    let seen = stats(addr);
+    let series = |family: &str| {
+        stat(&seen, family, &[]).unwrap_or_else(|| panic!("/stats must report {family}"))
     };
-    (field("hits"), field("misses"), field("entries"))
+    (
+        series("an5d_plan_cache_hits_total"),
+        series("an5d_plan_cache_misses_total"),
+        series("an5d_plan_cache_entries"),
+    )
 }
 
 #[test]
 fn a_plan_built_for_one_device_is_a_hit_for_every_other() {
     const CAPACITY: u64 = 4;
-    let server = Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            queue_depth: 64,
-            cache_capacity: CAPACITY as usize,
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .expect("bind ephemeral port");
+    let server = server(ServerConfig {
+        workers: 4,
+        queue_depth: 64,
+        cache_capacity: CAPACITY as usize,
+        ..ServerConfig::default()
+    });
     let addr = server.addr();
 
     // The fleet is visible before any traffic.
@@ -118,24 +112,17 @@ fn a_plan_built_for_one_device_is_a_hit_for_every_other() {
         "every /predict is one lookup"
     );
 
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    server.wait();
+    shutdown(server);
 }
 
 #[test]
 fn device_agnostic_requests_are_routed_and_all_devices_are_tunable() {
-    let server = Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 32,
-            cache_capacity: 64,
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .expect("bind ephemeral port");
+    let server = server(ServerConfig {
+        workers: 2,
+        queue_depth: 32,
+        cache_capacity: 64,
+        ..ServerConfig::default()
+    });
     let addr = server.addr();
 
     // /plan without a device: no device enters the response, so the
@@ -165,7 +152,5 @@ fn device_agnostic_requests_are_routed_and_all_devices_are_tunable() {
     }
     assert!(tuned >= 4, "tuned {tuned} devices");
 
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    server.wait();
+    shutdown(server);
 }

@@ -1,14 +1,18 @@
 //! End-to-end test: start `an5d-serve` on an ephemeral port, hammer it
 //! with concurrent tune/codegen/execute traffic from multiple client
 //! threads, and assert that every response is byte-identical to a
-//! direct `An5d` facade call and that the `/stats` cache hit rate rises
+//! direct `An5d` facade call — on the serial backend and with tiles
+//! fanned out over the pool — and that the `/stats` cache hit rate rises
 //! as the shared plan cache warms up.
+
+mod common;
 
 use an5d::{
     generate_cuda_for_plan, An5d, BatchDriver, BlockConfig, GpuDevice, GridInit, Precision,
     SearchSpace, SerialBackend,
 };
-use an5d_service::{api, client, parse_json, Json, Server, ServerConfig};
+use an5d_service::{api, client, ServerConfig};
+use common::{server, shutdown, stat, stats};
 use std::sync::Arc;
 
 /// The mixed request set every client thread replays.
@@ -69,34 +73,38 @@ fn expected_bodies() -> Vec<String> {
     vec![tune, codegen, execute]
 }
 
+/// Plan-cache hits over lookups, from the two `/stats` counters.
 fn hit_rate(addr: std::net::SocketAddr) -> f64 {
-    let (status, body) = client::get(addr, "/stats").unwrap();
-    assert_eq!(status, 200);
-    parse_json(&body)
-        .unwrap()
-        .get("cache")
-        .and_then(|c| c.get("hit_rate"))
-        .and_then(Json::as_f64)
-        .expect("stats carries a cache hit rate")
+    let seen = stats(addr);
+    let count = |family| stat(&seen, family, &[]).expect("stats carries the cache counters");
+    let (hits, misses) = (
+        count("an5d_plan_cache_hits_total"),
+        count("an5d_plan_cache_misses_total"),
+    );
+    hits as f64 / (hits + misses) as f64
 }
 
 #[test]
 fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
-    let server = Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 4,
-            queue_depth: 64,
-            cache_capacity: 256,
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .expect("bind ephemeral port");
+    // The backend is semantically transparent: the expected bytes come
+    // from direct serial facade calls whichever spec serves them.
+    let expected = expected_bodies();
+    for (spec, name) in [("serial", "serial"), ("vector:2", "vector")] {
+        concurrent_clients_on(spec, name, &expected);
+    }
+}
+
+fn concurrent_clients_on(spec: &str, backend: &str, expected: &[String]) {
+    let server = server(ServerConfig {
+        workers: 4,
+        queue_depth: 64,
+        cache_capacity: 256,
+        backend: Some(spec.to_string()),
+        ..ServerConfig::default()
+    });
     let addr = server.addr();
 
     let workload = workload();
-    let expected = expected_bodies();
 
     // Round 1: 4 concurrent client threads × the full workload, each
     // over ONE persistent keep-alive connection. Every response must be
@@ -106,7 +114,6 @@ fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
     std::thread::scope(|scope| {
         for client_id in 0..CLIENTS {
             let workload = &workload;
-            let expected = &expected;
             scope.spawn(move || {
                 let mut client = client::KeepAliveClient::new(addr);
                 for round in 0..ROUNDS_PER_CLIENT {
@@ -155,21 +162,26 @@ fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
         "hit rate must keep rising on repeated traffic ({warm_rate} → {warmer_rate})"
     );
 
-    // /stats reflects the traffic the endpoints saw.
-    let (_, stats_body) = client::get(addr, "/stats").unwrap();
-    let stats = parse_json(&stats_body).unwrap();
-    let tune_count = stats
-        .get("endpoints")
-        .and_then(|e| e.get("/tune"))
-        .and_then(|t| t.get("count"))
-        .and_then(Json::as_usize)
-        .unwrap();
-    assert_eq!(tune_count, CLIENTS * ROUNDS_PER_CLIENT + 1);
+    // /stats reflects the traffic the endpoints saw, and the backend
+    // every /execute ran on.
+    let seen = stats(addr);
+    let requests = (CLIENTS * ROUNDS_PER_CLIENT + 1) as u64;
+    assert_eq!(
+        stat(&seen, "an5d_requests_total", &[("endpoint", "/tune")]),
+        Some(requests)
+    );
+    assert_eq!(
+        stat(
+            &seen,
+            "an5d_backend_executes_total",
+            &[("backend", backend)]
+        ),
+        Some(requests),
+        "{spec}"
+    );
 
     // Graceful shutdown over HTTP; wait() must return promptly.
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    server.wait();
+    shutdown(server);
 }
 
 #[test]
@@ -179,17 +191,12 @@ fn admission_control_sheds_load_with_503s_instead_of_queueing_unboundedly() {
     // half-sent connection parks in the reactor for nearly nothing and
     // is never rejected, but complete parsed requests beyond the queue
     // depth are shed with immediate per-request 503s.
-    let server = Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 1,
-            queue_depth: 1,
-            cache_capacity: 16,
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .unwrap();
+    let server = server(ServerConfig {
+        workers: 1,
+        queue_depth: 1,
+        cache_capacity: 16,
+        ..ServerConfig::default()
+    });
     let addr = server.addr();
 
     // Saturate the single worker with concurrent complete requests: at
@@ -234,7 +241,7 @@ fn admission_control_sheds_load_with_503s_instead_of_queueing_unboundedly() {
         verdicts.contains(&true),
         "admission control never shed a request"
     );
-    assert!(server.state().metrics().rejected() > 0);
+    assert!(server.state().metrics().rejected.get() > 0);
 
     // Meanwhile a half-sent request cannot pin the worker: it parks in
     // the reactor and fresh complete requests keep being answered.

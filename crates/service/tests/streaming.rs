@@ -6,12 +6,14 @@
 //! response that fails mid-stream aborts the connection (the
 //! keep-alive regression behind `an5d_connections_aborted`).
 
-use an5d::SerialBackend;
+mod common;
+
 use an5d_service::{client, encode_chunk, ChunkDecoder, Server, ServerConfig, CHUNK_TERMINATOR};
+use common::{metric, post_request, read_head, send_raw, shutdown};
 use proptest::prelude::*;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -183,17 +185,12 @@ proptest! {
 static FAULT_GATE: Mutex<()> = Mutex::new(());
 
 fn start_server() -> Server {
-    Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 64,
-            cache_capacity: 64,
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .expect("server starts")
+    common::server(ServerConfig {
+        workers: 2,
+        queue_depth: 64,
+        cache_capacity: 64,
+        ..ServerConfig::default()
+    })
 }
 
 fn install_plan(spec: &str) {
@@ -239,30 +236,20 @@ fn streamed_codegen_and_execute_match_their_buffered_twins() {
 
     // The streamed requests flowed through the stream metrics, not the
     // buffered counters alone.
-    let streams = server.state().metrics().stream_snapshots();
-    for path in ["/codegen", "/execute"] {
-        let (_, snap) = streams
-            .iter()
-            .find(|(p, _)| p == path)
-            .unwrap_or_else(|| panic!("{path} missing from stream snapshots"));
-        assert_eq!(snap.streams, 1, "{path}");
-        assert!(snap.chunks >= 1, "{path}");
-        assert!(snap.bytes > 0, "{path}");
-        assert_eq!(snap.ttfb.count(), 1, "{path}");
-    }
     let (status, metrics) = client::get(addr, "/metrics").expect("/metrics");
     assert_eq!(status, 200);
-    for series in [
-        "an5d_streams_total{endpoint=\"/codegen\"}",
-        "an5d_stream_chunks_total{endpoint=\"/codegen\"}",
-        "an5d_stream_bytes_total{endpoint=\"/execute\"}",
-        "an5d_stream_ttfb_us",
-    ] {
-        assert!(metrics.contains(series), "missing {series}");
+    for path in ["/codegen", "/execute"] {
+        let series = |family: &str| {
+            metric(&metrics, family, &[("endpoint", path)])
+                .unwrap_or_else(|| panic!("{family} missing for {path}"))
+        };
+        assert_eq!(series("an5d_streams_total"), 1, "{path}");
+        assert!(series("an5d_stream_chunks_total") >= 1, "{path}");
+        assert!(series("an5d_stream_bytes_total") > 0, "{path}");
+        assert_eq!(series("an5d_stream_ttfb_us_count"), 1, "{path}");
     }
 
-    let _ = client::post(addr, "/shutdown", "");
-    server.wait();
+    shutdown(server);
 }
 
 #[test]
@@ -287,34 +274,11 @@ fn streamed_batch_matches_buffered_and_orders_lines_by_index() {
         assert!(parsed.get("checksum").is_some(), "line {index}: {line}");
     }
 
-    let _ = client::post(addr, "/shutdown", "");
-    server.wait();
-}
-
-/// Read an HTTP response head byte by byte off a raw socket, returning
-/// the head text (everything through the blank line).
-fn read_head(stream: &mut TcpStream) -> String {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte).expect("head read");
-        assert!(n > 0, "connection closed mid-head");
-        head.push(byte[0]);
-    }
-    String::from_utf8(head).expect("ASCII head")
+    shutdown(server);
 }
 
 fn raw_post(addr: SocketAddr, path: &str, body: &str) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("timeout");
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: an5d\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send request");
-    stream
+    send_raw(addr, &post_request(path, body, true))
 }
 
 #[test]
@@ -347,8 +311,42 @@ fn streamed_responses_use_chunked_framing_on_the_wire() {
     let (_, buffered) = client::post(addr, "/codegen", CODEGEN_BODY).expect("buffered");
     assert_eq!(body, buffered);
 
-    let _ = client::post(addr, "/shutdown", "");
-    server.wait();
+    shutdown(server);
+}
+
+/// Drain a chunked response body off a raw socket (head included),
+/// returning it with the instant `arrived(&body)` first held and the
+/// instant the terminator arrived.
+fn drain_chunked(
+    stream: &mut TcpStream,
+    arrived: impl Fn(&[u8]) -> bool,
+) -> (String, Instant, Instant) {
+    let head = read_head(stream).to_ascii_lowercase();
+    assert!(head.contains("transfer-encoding: chunked"), "{head}");
+    let mut decoder = ChunkDecoder::new();
+    let mut body = Vec::new();
+    let mut buf = [0u8; 4096];
+    let mut first_at: Option<Instant> = None;
+    while !decoder.is_done() {
+        let n = stream.read(&mut buf).expect("body read");
+        assert!(n > 0, "connection closed before the terminator");
+        let mut offset = 0;
+        while offset < n {
+            let consumed = decoder
+                .decode(&buf[offset..n], &mut body)
+                .expect("valid chunks");
+            if consumed == 0 {
+                break;
+            }
+            offset += consumed;
+        }
+        if first_at.is_none() && arrived(&body) {
+            first_at = Some(Instant::now());
+        }
+    }
+    let done_at = Instant::now();
+    let body = String::from_utf8(body).expect("UTF-8 body");
+    (body, first_at.expect("the body never arrived"), done_at)
 }
 
 #[test]
@@ -363,48 +361,37 @@ fn batch_lines_arrive_before_the_batch_completes() {
     // server buffered the NDJSON body, the first line could not arrive
     // ~600ms before the last byte.
     install_plan("seed=1;stream.chunk=delay:600@every:2#1");
-
     let mut stream = raw_post(addr, "/batch", BATCH_BODY);
-    let head = read_head(&mut stream);
-    assert!(
-        head.to_ascii_lowercase()
-            .contains("transfer-encoding: chunked"),
-        "{head}"
-    );
-
-    let mut decoder = ChunkDecoder::new();
-    let mut body = Vec::new();
-    let mut buf = [0u8; 4096];
-    let mut first_line_at: Option<Instant> = None;
-    while !decoder.is_done() {
-        let n = stream.read(&mut buf).expect("body read");
-        assert!(n > 0, "connection closed before the terminator");
-        let mut offset = 0;
-        while offset < n {
-            let consumed = decoder
-                .decode(&buf[offset..n], &mut body)
-                .expect("valid chunks");
-            if consumed == 0 {
-                break;
-            }
-            offset += consumed;
-        }
-        if first_line_at.is_none() && body.contains(&b'\n') {
-            first_line_at = Some(Instant::now());
-        }
-    }
-    let done_at = Instant::now();
-    let first_line_at = first_line_at.expect("at least one NDJSON line");
+    let (body, first_line_at, done_at) = drain_chunked(&mut stream, |body| body.contains(&b'\n'));
     let gap = done_at.duration_since(first_line_at);
     assert!(
         gap >= Duration::from_millis(300),
         "first line arrived only {gap:?} before completion; expected an early line"
     );
-    assert_eq!(String::from_utf8(body).expect("UTF-8").lines().count(), 3);
+    assert_eq!(body.lines().count(), 3);
+
+    // The same first-byte-before-last-byte check on a lazily rendered
+    // body: every chunk pull of a ~78 KiB /codegen response (several
+    // 16 KiB chunks) sleeps 60ms, so production time dominates and the
+    // first byte is on the wire long before the body exists.
+    an5d_fault::uninstall();
+    let big = r#"{"benchmark":"j2d9pt","interior":[512,512],"steps":16,
+        "config":{"bt":16,"bs":[256],"hsn":256,"precision":"double"}}"#;
+    let (status, buffered) = client::post(addr, "/codegen", big).expect("buffered");
+    assert_eq!(status, 200, "{buffered}");
+    install_plan("seed=1;stream.chunk=delay:60");
+    let mut stream = raw_post(addr, "/codegen?stream=1", big);
+    let sent_at = Instant::now();
+    let (streamed, first_byte_at, done_at) = drain_chunked(&mut stream, |body| !body.is_empty());
+    let (ttfb, total) = (first_byte_at - sent_at, done_at - sent_at);
+    assert!(
+        ttfb * 3 <= total,
+        "/codegen TTFB {ttfb:?} not well below total {total:?}"
+    );
+    assert_eq!(streamed, buffered, "streamed bytes must match buffered");
 
     an5d_fault::uninstall();
-    let _ = client::post(addr, "/shutdown", "");
-    server.wait();
+    shutdown(server);
 }
 
 #[test]
@@ -428,8 +415,7 @@ fn batch_honors_the_request_deadline_per_job() {
     }
 
     an5d_fault::uninstall();
-    let _ = client::post(addr, "/shutdown", "");
-    server.wait();
+    shutdown(server);
 }
 
 #[test]
@@ -438,7 +424,7 @@ fn mid_stream_failure_aborts_the_connection() {
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
-    let aborted_before = server.state().metrics().connections().snapshot().aborted;
+    let aborted_before = server.state().metrics().connections.snapshot().aborted;
 
     // Fail the producer after the first chunk: the head and one chunk
     // reach the wire, then the terminator never arrives. A chunked
@@ -452,7 +438,7 @@ fn mid_stream_failure_aborts_the_connection() {
     // The reactor counts the severed connection as aborted.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let snapshot = server.state().metrics().connections().snapshot();
+        let snapshot = server.state().metrics().connections.snapshot();
         if snapshot.aborted > aborted_before {
             break;
         }
@@ -464,6 +450,5 @@ fn mid_stream_failure_aborts_the_connection() {
     let (status, body) = client::post(addr, "/batch", BATCH_BODY).expect("recovery");
     assert_eq!(status, 200, "{body}");
 
-    let _ = client::post(addr, "/shutdown", "");
-    server.wait();
+    shutdown(server);
 }

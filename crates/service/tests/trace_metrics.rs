@@ -1,55 +1,28 @@
 //! Observability integration tests: the `GET /metrics` Prometheus
 //! exposition, the `x-an5d-trace` → `GET /trace?id=` span-tree round
-//! trip for a `/tune` request, the trace-ring eviction order, and the
-//! client↔server latency-percentile cross-check at dispatch level.
+//! trip for a `/tune` request, the trace-ring eviction order, the
+//! client↔server latency-percentile cross-check at dispatch level, the
+//! parent-generated list of `/metrics` families and series
+//! (`metrics_families.txt`), and the rule that makes the list cheap to
+//! keep: a series registered once is visible in both views.
+
+mod common;
 
 use an5d::SerialBackend;
 use an5d_service::{
     client, dispatch, parse_json, Json, Request, Server, ServerConfig, ServiceState,
 };
-use std::net::SocketAddr;
-use std::path::PathBuf;
+use common::{metric, shutdown, stat, TempDb};
 use std::sync::Arc;
 
-struct TempDb(PathBuf);
-
-impl TempDb {
-    fn new(label: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "an5d-service-trace-{label}-{}.db",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
-}
-
-impl Drop for TempDb {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
-    }
-}
-
-fn start_server(tune_db: Option<&std::path::Path>) -> Server {
-    Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 16,
-            cache_capacity: 64,
-            tune_db: tune_db.map(|p| p.to_string_lossy().into_owned()),
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .expect("bind ephemeral port")
-}
-
-fn shutdown(addr: SocketAddr, server: Server) {
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    server.wait();
+fn start_server(tune_db: Option<&TempDb>) -> Server {
+    common::server(ServerConfig {
+        workers: 2,
+        queue_depth: 16,
+        cache_capacity: 64,
+        tune_db: tune_db.and_then(TempDb::config),
+        ..ServerConfig::default()
+    })
 }
 
 const TUNE_BODY: &str = r#"{"benchmark":"j2d5pt","interior":[512,512],"steps":50,
@@ -114,13 +87,13 @@ fn metrics_endpoint_serves_prometheus_histograms() {
         "cumulative buckets must be monotone: {counts:?}"
     );
 
-    shutdown(addr, server);
+    shutdown(server);
 }
 
 #[test]
 fn tune_trace_shows_nested_pipeline_spans() {
     let db = TempDb::new("tune-spans");
-    let server = start_server(Some(&db.0));
+    let server = start_server(Some(&db));
     let addr = server.addr();
 
     let (status, _, trace_id) = client::post_traced(addr, "/tune", TUNE_BODY).unwrap();
@@ -188,7 +161,7 @@ fn tune_trace_shows_nested_pipeline_spans() {
     let (status, _) = client::get(addr, "/trace?id=not-hex").unwrap();
     assert_eq!(status, 400);
 
-    shutdown(addr, server);
+    shutdown(server);
 }
 
 #[test]
@@ -255,7 +228,7 @@ fn server_histogram_percentiles_match_dispatched_latencies() {
     }
     observed.sort_unstable();
 
-    let histogram = state.metrics().histogram("/plan").expect("recorded");
+    let histogram = state.metrics().endpoint("/plan").latency.snapshot();
     assert_eq!(histogram.count(), 40);
     for (q, pct) in [(0.5, 50usize), (0.95, 95), (0.99, 99)] {
         let rank = (pct * observed.len())
@@ -286,4 +259,168 @@ fn server_histogram_percentiles_match_dispatched_latencies() {
         histogram.sum() <= elapsed_sum,
         "handler time must fit inside dispatch wall time"
     );
+}
+
+/// `GET` one of the two metrics views at dispatch level.
+fn view(state: &ServiceState, path: &str) -> String {
+    let response = dispatch(state, &Request::new("GET", path, b""));
+    assert_eq!(response.status, 200);
+    response.body.to_string()
+}
+
+#[test]
+fn metrics_families_and_series_match_the_parent_generated_list() {
+    // The script `metrics_families.txt` was generated from, at the
+    // parent of the commit that introduced the registry: /plan, /predict
+    // and /tune on two devices, one /execute, one streamed /codegen, one
+    // 400, a tune DB attached.
+    let db = TempDb::new("families");
+    let tune_db = Arc::new(an5d::TuneDb::open(&db.0).unwrap());
+    let state = ServiceState::new(Arc::new(SerialBackend), 64).with_tune_db(tune_db);
+    let post = |target: &str, body: &str| {
+        let mut response = dispatch(&state, &Request::new("POST", target, body.as_bytes()));
+        response.body.collect().expect("body drains");
+        response.status
+    };
+    for device in ["v100", "p100"] {
+        let planned = format!(
+            r#"{{"benchmark":"j2d5pt","interior":[64,64],"steps":8,"device":"{device}",
+                 "config":{{"bt":2,"bs":[32],"precision":"double"}}}}"#
+        );
+        assert_eq!(post("/plan", &planned), 200);
+        assert_eq!(post("/predict", &planned), 200);
+        let tune = format!(
+            r#"{{"benchmark":"j2d5pt","interior":[512,512],"steps":50,"device":"{device}",
+                 "precision":"single","space":"quick"}}"#
+        );
+        assert_eq!(post("/tune", &tune), 200);
+    }
+    let small = r#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
+                    "config":{"bt":2,"bs":[12],"precision":"double"}}"#;
+    assert_eq!(post("/execute", small), 200);
+    assert_eq!(post("/codegen?stream=1", small), 200);
+    assert_eq!(post("/plan", "{}"), 400);
+
+    // `# HELP` / `# TYPE` lines whole; sample lines without their value,
+    // those of one series that differ only in the view's own label folded
+    // into one (`…_bucket{…,le="50|100|…|+Inf"}`); the one run-dependent
+    // label value (the DB path) masked; sorted.
+    let text = view(&state, "/metrics").replace(&db.0.display().to_string(), "<tune-db>");
+    let mut lines: Vec<String> = Vec::new();
+    for line in text.lines() {
+        let series = match line.rsplit_once(' ') {
+            Some((series, _)) if !line.starts_with('#') => series,
+            _ => line,
+        };
+        let (head, value) = series.split_at(series.rfind("=\"").map_or(0, |at| at + 2));
+        let folds = ["{le=\"", ",le=\"", "quantile=\""]
+            .iter()
+            .any(|label| head.ends_with(label));
+        match lines
+            .last_mut()
+            .filter(|last| folds && last.starts_with(head))
+        {
+            Some(last) => {
+                last.insert_str(last.len() - 2, &format!("|{}", &value[..value.len() - 2]))
+            }
+            None => lines.push(series.to_string()),
+        }
+    }
+    lines.sort_unstable();
+    let golden: Vec<&str> = include_str!("metrics_families.txt").lines().collect();
+    let missing: Vec<&&str> = golden
+        .iter()
+        .filter(|l| !lines.contains(&(**l).to_string()))
+        .collect();
+    let added: Vec<&String> = lines
+        .iter()
+        .filter(|l| !golden.contains(&l.as_str()))
+        .collect();
+    assert!(
+        missing.is_empty() && added.is_empty(),
+        "/metrics drifted from metrics_families.txt\nmissing: {missing:#?}\nadded: {added:#?}"
+    );
+    assert_eq!(lines, golden, "same lines, same order");
+}
+
+#[test]
+fn a_series_registered_once_is_visible_in_both_views() {
+    let state = ServiceState::new(Arc::new(SerialBackend), 64);
+    let plan = r#"{"benchmark":"star2d1r","interior":[32,32],"steps":4,
+                   "config":{"bt":1,"bs":[16],"precision":"double"}}"#;
+    assert_eq!(
+        dispatch(&state, &Request::new("POST", "/plan", plan.as_bytes())).status,
+        200
+    );
+
+    // Throw-away series of each kind, registered by "someone else".
+    let registry = state.registry();
+    let jobs = registry.counter("test_jobs_total", "Jobs.", &[("queue", "q1")]);
+    jobs.add(7);
+    registry.gauge("test_depth", "Depth.", &[]).set(3);
+    let wall = registry.histogram("test_wall_us", "Wall.", &[("queue", "q1")]);
+    wall.record(30);
+    wall.record(20);
+
+    let text = view(&state, "/metrics");
+    let stats = parse_json(&view(&state, "/stats")).unwrap();
+    let q1 = [("queue", "q1")];
+    assert_eq!(metric(&text, "test_jobs_total", &q1), Some(7));
+    assert_eq!(stat(&stats, "test_jobs_total", &q1), Some(7));
+    assert_eq!(metric(&text, "test_depth", &[]), Some(3));
+    assert_eq!(stat(&stats, "test_depth", &[]), Some(3));
+    assert_eq!(metric(&text, "test_wall_us_count", &q1), Some(2));
+    assert_eq!(metric(&text, "test_wall_us_sum", &q1), Some(50));
+    assert_eq!(stat(&stats, "test_wall_us", &q1), Some(2));
+    let wall_value = stats
+        .get("test_wall_us")
+        .and_then(|f| f.get("series"))
+        .unwrap();
+    assert_eq!(
+        wall_value.as_array().unwrap()[0]
+            .get("value")
+            .unwrap()
+            .render(),
+        r#"{"count":2,"sum":50,"max":30,"p50":20,"p95":30,"p99":30,"p999":30}"#
+    );
+
+    // The two views list the same families, with the same types: a
+    // family one of them skipped would show up here.
+    let typed: Vec<(String, String)> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .map(|rest| {
+            let (name, kind) = rest.split_once(' ').unwrap();
+            (name.to_string(), kind.to_string())
+        })
+        .collect();
+    let Json::Obj(families) = &stats else {
+        panic!("/stats is an object of families")
+    };
+    let listed: Vec<(String, String)> = families
+        .iter()
+        .map(|(name, family)| {
+            let kind = family.get("type").and_then(Json::as_str).unwrap();
+            (name.clone(), kind.to_string())
+        })
+        .collect();
+    let only_in = |these: &[(String, String)], those: &[(String, String)]| -> Vec<String> {
+        let missing = these.iter().filter(|family| !those.contains(family));
+        missing
+            .map(|(name, kind)| format!("{name} ({kind})"))
+            .collect()
+    };
+    assert_eq!(
+        (only_in(&typed, &listed), only_in(&listed, &typed)),
+        (vec![], vec![]),
+        "families only on /metrics, only on /stats"
+    );
+    assert_eq!(typed, listed, "same order too");
+    assert!(typed.len() > 30, "the service's own families are there too");
+    for (name, _) in &typed {
+        let help = format!("# HELP {name} ");
+        let in_text = text.lines().find_map(|line| line.strip_prefix(&help));
+        let in_json = stats.get(name).and_then(|f| f.get("help"));
+        assert_eq!(in_text, in_json.and_then(Json::as_str), "{name}");
+    }
 }

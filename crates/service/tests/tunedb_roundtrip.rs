@@ -5,67 +5,29 @@
 //! and with **byte-identical** response bodies; `/tune?refresh=true`
 //! must bypass the stored record and force a re-tune.
 
-use an5d::SerialBackend;
-use an5d_service::{client, parse_json, Json, Server, ServerConfig};
-use std::net::SocketAddr;
-use std::path::PathBuf;
-use std::sync::Arc;
+mod common;
 
-struct TempDb(PathBuf);
+use an5d_service::{client, Json, Server, ServerConfig};
+use common::{shutdown, stat, stats, TempDb};
 
-impl TempDb {
-    fn new(label: &str) -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "an5d-service-tunedb-{label}-{}.db",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        Self(path)
-    }
+fn start_server(db: &TempDb) -> Server {
+    common::server(ServerConfig {
+        workers: 2,
+        queue_depth: 16,
+        cache_capacity: 64,
+        tune_db: db.config(),
+        ..ServerConfig::default()
+    })
 }
 
-impl Drop for TempDb {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
-    }
+/// One device's tune-DB counter from a parsed `/stats` body.
+fn shard(stats: &Json, family: &str, device: &str) -> u64 {
+    stat(stats, family, &[("device", device)]).unwrap_or_else(|| panic!("{family} of {device}"))
 }
 
-fn start_server(db_path: &std::path::Path) -> Server {
-    Server::start_with_backend(
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 16,
-            cache_capacity: 64,
-            tune_db: Some(db_path.display().to_string()),
-            ..ServerConfig::default()
-        },
-        Arc::new(SerialBackend),
-    )
-    .expect("bind ephemeral port")
-}
-
-/// The v100 shard's `"tunedb"` object plus the top-level one.
-fn tunedb_stats(addr: SocketAddr) -> (Json, Json) {
-    let (status, body) = client::get(addr, "/stats").unwrap();
-    assert_eq!(status, 200);
-    let parsed = parse_json(&body).unwrap();
-    let shard = parsed
-        .get("devices")
-        .and_then(|d| d.get("v100"))
-        .and_then(|d| d.get("tunedb"))
-        .expect("per-device tunedb stats")
-        .clone();
-    let top = parsed
-        .get("tunedb")
-        .expect("top-level tunedb stats")
-        .clone();
-    (shard, top)
-}
-
-fn counter(stats: &Json, key: &str) -> usize {
-    stats.get(key).and_then(Json::as_usize).unwrap()
+/// A database-wide tune-DB series from a parsed `/stats` body.
+fn top(stats: &Json, family: &str) -> u64 {
+    stat(stats, family, &[]).unwrap_or_else(|| panic!("{family}"))
 }
 
 const TUNE_BODY: &str = r#"{"benchmark":"j2d5pt","interior":[512,512],"steps":50,
@@ -76,38 +38,57 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     let db = TempDb::new("restart");
 
     // ---- First server: cold DB, the query must run the tuner. ----
-    let first = start_server(&db.0);
+    let first = start_server(&db);
     let addr = first.addr();
-    let (shard, top) = tunedb_stats(addr);
-    assert_eq!(counter(&top, "records"), 0, "DB starts empty");
-    assert_eq!(counter(&shard, "warmed"), 0);
+    let seen = stats(addr);
+    assert_eq!(top(&seen, "an5d_tunedb_live_records"), 0, "DB starts empty");
+    assert_eq!(shard(&seen, "an5d_tunedb_warmed", "v100"), 0);
 
     let (status, cold_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
     assert_eq!(status, 200, "{cold_body}");
-    let (shard, top) = tunedb_stats(addr);
-    assert_eq!(counter(&shard, "tuner_runs"), 1, "cold query tunes");
-    assert_eq!(counter(&shard, "misses"), 1);
-    assert_eq!(counter(&shard, "hits"), 0);
-    assert_eq!(counter(&top, "records"), 1, "result persisted");
+    let seen = stats(addr);
+    assert_eq!(
+        shard(&seen, "an5d_tuner_runs_total", "v100"),
+        1,
+        "cold query tunes"
+    );
+    assert_eq!(shard(&seen, "an5d_tunedb_misses_total", "v100"), 1);
+    assert_eq!(shard(&seen, "an5d_tunedb_hits_total", "v100"), 0);
+    assert_eq!(
+        top(&seen, "an5d_tunedb_live_records"),
+        1,
+        "result persisted"
+    );
 
     // A repeat on the same process is already a DB hit.
     let (_, repeat_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
     assert_eq!(repeat_body, cold_body);
-    let (shard, _) = tunedb_stats(addr);
-    assert_eq!(counter(&shard, "hits"), 1);
-    assert_eq!(counter(&shard, "tuner_runs"), 1, "no second search");
-
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    first.wait();
+    let seen = stats(addr);
+    assert_eq!(shard(&seen, "an5d_tunedb_hits_total", "v100"), 1);
+    assert_eq!(
+        shard(&seen, "an5d_tuner_runs_total", "v100"),
+        1,
+        "no second search"
+    );
+    shutdown(first);
 
     // ---- Second server: same DB file, fresh process. ----
-    let second = start_server(&db.0);
+    let second = start_server(&db);
     let addr = second.addr();
-    let (shard, top) = tunedb_stats(addr);
-    assert_eq!(counter(&shard, "warmed"), 1, "v100 warm-started");
-    assert_eq!(counter(&top, "records"), 1);
-    assert_eq!(counter(&top, "recovered"), 1);
+    let seen = stats(addr);
+    assert_eq!(
+        shard(&seen, "an5d_tunedb_warmed", "v100"),
+        1,
+        "v100 warm-started"
+    );
+    assert_eq!(top(&seen, "an5d_tunedb_live_records"), 1);
+    assert_eq!(top(&seen, "an5d_tunedb_recovered_records"), 1);
+    let path = db.0.display().to_string();
+    assert_eq!(
+        stat(&seen, "an5d_tunedb_info", &[("path", &path)]),
+        Some(1),
+        "the DB path is the info gauge's label"
+    );
 
     let (status, warm_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
     assert_eq!(status, 200, "{warm_body}");
@@ -115,14 +96,18 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
         warm_body, cold_body,
         "a DB-served response must be byte-identical to the cold one"
     );
-    let (shard, _) = tunedb_stats(addr);
+    let seen = stats(addr);
     assert_eq!(
-        counter(&shard, "tuner_runs"),
+        shard(&seen, "an5d_tuner_runs_total", "v100"),
         0,
         "the warm server must not invoke the tuner for a stored key"
     );
-    assert_eq!(counter(&shard, "hits"), 1, "answered from the DB");
-    assert_eq!(counter(&shard, "misses"), 0);
+    assert_eq!(
+        shard(&seen, "an5d_tunedb_hits_total", "v100"),
+        1,
+        "answered from the DB"
+    );
+    assert_eq!(shard(&seen, "an5d_tunedb_misses_total", "v100"), 0);
 
     // ---- refresh=true bypasses the DB and forces a re-tune. ----
     let (status, refreshed_body) = client::post(addr, "/tune?refresh=true", TUNE_BODY).unwrap();
@@ -131,25 +116,29 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
         refreshed_body, cold_body,
         "tuning is deterministic: the re-tuned bytes still match"
     );
-    let (shard, top) = tunedb_stats(addr);
-    assert_eq!(counter(&shard, "refreshes"), 1);
+    let seen = stats(addr);
+    assert_eq!(shard(&seen, "an5d_tunedb_refreshes_total", "v100"), 1);
     assert_eq!(
-        counter(&shard, "tuner_runs"),
+        shard(&seen, "an5d_tuner_runs_total", "v100"),
         1,
         "refresh re-ran the search"
     );
-    assert_eq!(counter(&top, "records"), 1, "overwrite, not a new key");
-    assert!(counter(&top, "appends") >= 1, "the overwrite was appended");
-
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    second.wait();
+    assert_eq!(
+        top(&seen, "an5d_tunedb_live_records"),
+        1,
+        "overwrite, not a new key"
+    );
+    assert!(
+        top(&seen, "an5d_tunedb_appends_total") >= 1,
+        "the overwrite was appended"
+    );
+    shutdown(second);
 }
 
 #[test]
 fn different_devices_tune_into_their_own_db_entries() {
     let db = TempDb::new("devices");
-    let server = start_server(&db.0);
+    let server = start_server(&db);
     let addr = server.addr();
 
     let body_for = |device: &str| {
@@ -164,48 +153,38 @@ fn different_devices_tune_into_their_own_db_entries() {
     assert_eq!(status, 200);
     assert_ne!(v100_body, p100_body, "device-specific tunings differ");
 
-    let (_, top) = tunedb_stats(addr);
-    assert_eq!(counter(&top, "records"), 2, "one record per device key");
+    assert_eq!(
+        top(&stats(addr), "an5d_tunedb_live_records"),
+        2,
+        "one record per device key"
+    );
 
     // Restart: each shard warms only from its own entries.
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    server.wait();
+    shutdown(server);
 
-    let server = start_server(&db.0);
+    let server = start_server(&db);
     let addr = server.addr();
-    let (status, body) = client::get(addr, "/stats").unwrap();
-    assert_eq!(status, 200);
-    let parsed = parse_json(&body).unwrap();
+    let seen = stats(addr);
     for (device, expect) in [("v100", 1), ("p100", 1), ("a100", 0)] {
-        let warmed = parsed
-            .get("devices")
-            .and_then(|d| d.get(device))
-            .and_then(|d| d.get("tunedb"))
-            .and_then(|t| t.get("warmed"))
-            .and_then(Json::as_usize)
-            .unwrap();
-        assert_eq!(warmed, expect, "{device}");
+        assert_eq!(
+            shard(&seen, "an5d_tunedb_warmed", device),
+            expect,
+            "{device}"
+        );
     }
     // Both warmed keys answer without the tuner.
     for device in ["v100", "p100"] {
         let (status, _) = client::post(addr, "/tune", &body_for(device)).unwrap();
         assert_eq!(status, 200);
     }
-    let (status, body) = client::get(addr, "/stats").unwrap();
-    assert_eq!(status, 200);
-    let parsed = parse_json(&body).unwrap();
+    let seen = stats(addr);
     for device in ["v100", "p100"] {
-        let tunedb = parsed
-            .get("devices")
-            .and_then(|d| d.get(device))
-            .and_then(|d| d.get("tunedb"))
-            .unwrap();
-        assert_eq!(counter(tunedb, "tuner_runs"), 0, "{device}");
-        assert_eq!(counter(tunedb, "hits"), 1, "{device}");
+        assert_eq!(shard(&seen, "an5d_tuner_runs_total", device), 0, "{device}");
+        assert_eq!(
+            shard(&seen, "an5d_tunedb_hits_total", device),
+            1,
+            "{device}"
+        );
     }
-
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
-    assert_eq!(status, 200);
-    server.wait();
+    shutdown(server);
 }

@@ -11,8 +11,8 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Environment variable naming the database file `an5d-serve` (and the
-/// `load_gen` harness) persist tuning results to.
+/// Environment variable naming the database file `an5d-serve` persists
+/// tuning results to.
 pub const TUNE_DB_ENV: &str = "AN5D_TUNE_DB";
 
 /// When to rewrite the log with only the live records.

@@ -11,9 +11,10 @@
 //!   Rust's shortest-round-trip formatting (which parses back to the
 //!   exact same bit pattern), so the same value always renders to the
 //!   same bytes and a tuning result survives a disk round-trip
-//!   bit-identically. The `load_gen` harness and the integration tests
-//!   rely on this to assert that server responses are *bit-identical* to
-//!   direct facade calls — including responses served from the tune DB.
+//!   bit-identically. The integration tests and the `serve` workload of
+//!   `benchmark/` rely on this to assert that server responses are
+//!   *bit-identical* to direct facade calls — including responses served
+//!   from the tune DB.
 //! * **Robustness** — the parser is a recursive-descent parser over bytes
 //!   with a depth limit, full string-escape handling (including surrogate
 //!   pairs) and precise error positions, so malformed request bodies (or
