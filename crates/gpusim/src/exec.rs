@@ -15,19 +15,39 @@
 //!
 //! The tiles of one temporal block are independent: each reads only the
 //! immutable input grid and writes a disjoint compute region of the output
-//! grid. [`TileContext`] exposes that seam: [`TileContext::tiles`]
-//! enumerates the tiles of one temporal block and
-//! [`TileContext::execute_tile_rows`] runs a single tile into a detached
-//! [`TileRun`] that is later applied to the output grid with
-//! [`TileRun::apply_to`] — one contiguous row copy per innermost row of
-//! the region. [`execute_plan_with`] is the one temporal-block driver built
-//! from those pieces: it ping-pongs two grids like the generated host loop
-//! ping-pongs `A[t % 2]` (one grid clone per run; a launch's write-backs
-//! overwrite the whole interior of the other grid and the boundary ring
-//! never changes), and its caller only chooses how the tiles of a block
-//! are mapped ([`execute_plan_on`] maps them inline, the `an5d-backend`
-//! crate over its worker pool), so every schedule produces bit-identical
-//! grids and counter totals by construction.
+//! grid. [`TileContext`] exposes that seam. [`TileContext::tiles`]
+//! enumerates the tiles of one temporal block, and there is **one tile
+//! kernel** — load the local box, run the block's steps, hand out the
+//! finished rows of the write-back region — with **two sinks**:
+//! [`TileContext::execute_tile_into`] stores the rows where they belong,
+//! into the tile's entry of [`TileContext::carve_rows`], and
+//! [`TileContext::execute_tile_rows`] collects them into a detached
+//! [`TileRun`] that [`TileRun::apply_to`] row-copies into a grid later (the
+//! form tests and the benchmark's stage-by-stage replay use). What a tile
+//! counts is a pure function of its geometry,
+//! [`TileContext::tile_counters`], so neither sink returns counters from
+//! the thread that ran the tile.
+//!
+//! **Carved rows.** The write-back regions of one launch tile the interior
+//! of the grid being written exactly once. `carve_rows` walks that grid's
+//! rows once and splits them, with safe `split_at_mut`, into one list of
+//! `&mut` rows per tile: ownership of every interior cell is handed to
+//! exactly one tile before the launch, so tiles store their results from
+//! whatever thread runs them with no lock, no detached copy and nothing
+//! left for the driving thread to apply.
+//!
+//! [`execute_plan_with`] is the one temporal-block driver built from those
+//! pieces: it ping-pongs two grids like the generated host loop ping-pongs
+//! `A[t % 2]`, and its caller only chooses how the `(tile, rows)` items of
+//! a block are mapped ([`execute_plan_on`] maps them inline, the
+//! `an5d-backend` crate over its worker pool), so every schedule produces
+//! bit-identical grids and counter totals by construction. Nothing is
+//! cloned: a launch overwrites the whole interior of the other grid, so
+//! that grid starts out zeroed and needs only the boundary ring, which
+//! never changes. The ring is copied **after the first launch** — before
+//! it, the strided copy would be the first touch of every page of a fresh
+//! 3D grid, serially on the driving thread, which costs what the clone it
+//! replaces did; after it, the tiles' own stores have faulted the pages in.
 //!
 //! # Row kernels
 //!
@@ -53,24 +73,47 @@
 //! each neighbour once and stores only the finished value (j2d5pt: ten
 //! passes → one, star3d1r: thirteen → one, no scratch row). The pass is
 //! const-generic in its term count up to eight; a longer chain (box3d4r has
-//! 729 terms) continues in place in groups of eight. Instructions that are
-//! not part of such a run (gradient2d's differences, squares, `sqrt`,
-//! `1/x`) are untouched, and there is no second, linear-only path: the
-//! chain is one more instruction of the one tape.
+//! 729 terms) continues in place in groups of eight. There is no second,
+//! linear-only path: the chain is one more instruction of the one tape.
 //!
-//! **Runs.** One tape evaluation covers not one row but a *run* of
-//! consecutive rows of a plane (about a thousand lanes, so the output and
-//! scratch rows stay in L1). The buffers are row-major and every operand a
-//! flat delta, so the `2·rad` cells between the updatable parts of two
-//! rows are simply computed along and then restored from the source
-//! buffer. This removes the per-pass overhead that dominated tiles with
-//! short rows (a 32×32 block of a 3D stencil has 32-lane rows).
+//! **Shared subtrees and pairs.** The non-associative stencil
+//! (gradient2d's `(f − fₙ)·(f − fₙ)` under `sqrt` and `1/x`) gets the same
+//! treatment at the leaf level. When both operands of an operation are the
+//! *same* non-leaf subtree, the subtree is compiled once and the
+//! instruction combines the top row with itself (`top ∘ dup`). A second
+//! peephole then fuses `xₐ ∘ x_b` over two neighbour rows, an immediately
+//! following square of it and an immediately following fold into the row
+//! below (`below ∘ v`) into one *pair* instruction whose value never
+//! leaves a register — the counterpart of a chain term where the
+//! operations do not associate. gradient2d goes from twenty passes and a
+//! four-row stack to nine passes and two rows. The remaining generic
+//! instructions (`1 + …`, `sqrt`, `1/x`, the final sum) are untouched.
+//!
+//! **Runs and the dependency cone.** One tape evaluation covers not one
+//! row but a *run* of consecutive rows of a plane (about a thousand lanes,
+//! so the output and scratch rows stay in L1). The buffers are row-major
+//! and every operand a flat delta, so the `2·rad` cells between the
+//! updatable parts of two rows are simply computed along and then restored
+//! from the source buffer. This removes the per-pass overhead that
+//! dominated tiles with short rows (a 32×32 block of a 3D stencil has
+//! 32-lane rows). Which rows a step covers shrinks as the block advances:
+//! with `k` steps still to come, a cell farther than `k·rad` from the
+//! write-back region cannot influence it, so in every *non-innermost*
+//! dimension a step updates only that dependency cone, clipped to the
+//! updatable box (on 34²-cell tiles at `bT = 4`, a fifth of the lanes fed
+//! nothing). The innermost dimension is exempt: trimming it would make
+//! rows of a run differ in length and start, which is exactly the per-row
+//! overhead runs exist to remove. The counters are *not* trimmed — they
+//! describe the paper's schedule, in which every step sweeps the whole
+//! box.
 //!
 //! All halo/bounds logic is hoisted out of the inner loops: the updatable
 //! box of a tile is `rad` cells in from every face of its local box, and
-//! because a temporal block updates the same box at every step, its two
-//! local buffers need no copy between steps — outside that box they never
-//! differ from the values loaded.
+//! because every step of a temporal block writes inside that box only, its
+//! two local buffers need no copy between steps — outside it they never
+//! differ from the values loaded. A cell outside a step's cone keeps a
+//! stale value in the buffer written; by construction no later step of
+//! the block reads it, and the write-back region is the last step's cone.
 //!
 //! **Bit-identity.** Every cell still goes through the exact scalar
 //! operations of [`an5d_stencil::exec::eval_expr`], operand for operand:
@@ -81,13 +124,21 @@
 //! exact in IEEE 754: `a − c·x` is evaluated as `a + (−c)·x` (negation is
 //! exact and subtraction *is* addition of the negated operand), a bare
 //! `± x` as `+ (±1)·x`, and a fresh chain starts from `c₀·x₀` itself, not
-//! from `0 + c₀·x₀` (which would lose the sign of a negative zero). That
-//! keeps the result bit-identical to the naive per-cell reference sweep for
-//! both `f32` and `f64`.
+//! from `0 + c₀·x₀` (which would lose the sign of a negative zero). A
+//! shared subtree is evaluated once where `eval_expr` evaluates it twice —
+//! the same operations on the same operands, hence the same bits, combined
+//! by the same operation. A pair performs the scalar operations of the
+//! instructions it replaces on the same operands in the same order
+//! (`xₐ ∘ x_b`, then `v·v`, then `below ∘ v` with `v` on the right as on
+//! the tape); only the store and reload of `v` between them is gone, and a
+//! value does not change by staying in a register (Rust floats are
+//! evaluated in their own precision). The cone changes which cells are
+//! computed, never how. That keeps the result bit-identical to the naive
+//! per-cell reference sweep for both `f32` and `f64`.
 
 use crate::TrafficCounters;
 use an5d_expr::{BinOp, Expr, UnOp};
-use an5d_grid::{DoubleBuffer, Element, Grid, GridInit};
+use an5d_grid::{Element, Grid, GridInit};
 use an5d_plan::{practical_shared_reads, KernelPlan};
 use an5d_stencil::StencilProblem;
 
@@ -186,6 +237,9 @@ impl<T: Element> TileRun<T> {
 pub struct TileContext<'a> {
     plan: &'a KernelPlan,
     shape: Vec<usize>,
+    /// Per-dimension tilings whose cartesian product, in row-major order,
+    /// is `tiles`.
+    dim_tiles: Vec<Vec<(usize, usize, usize)>>,
     tiles: Vec<TileSpec>,
     flops_per_update: u128,
     sm_reads_per_update: u128,
@@ -265,6 +319,7 @@ impl<'a> TileContext<'a> {
         Self {
             plan,
             shape: problem.grid_shape(),
+            dim_tiles,
             tiles,
             flops_per_update: def.flops_per_cell() as u128,
             sm_reads_per_update: practical_shared_reads(def) as u128,
@@ -294,17 +349,115 @@ impl<'a> TileContext<'a> {
             .unzip()
     }
 
-    /// Execute one tile for a temporal block of `chunk` combined time-steps.
+    /// A tile's write-back (compute) region as `(origin, shape)` in
+    /// stored-grid coordinates. It always lies in the interior.
+    fn write_back(&self, tile: &TileSpec) -> (Vec<usize>, Vec<usize>) {
+        let rad = self.plan.def().radius();
+        let dims = tile.dims.iter();
+        dims.map(|&(origin, len, _)| (origin + rad, len)).unzip()
+    }
+
+    /// What executing `tile` for a temporal block of `chunk` steps counts.
+    ///
+    /// The counters describe the paper's schedule — every step sweeps the
+    /// tile's whole updatable box — and are a pure function of the tile
+    /// geometry: they do not depend on the grid, on which thread runs the
+    /// tile, or on how much of the box the executor found it needed.
+    #[must_use]
+    pub fn tile_counters(&self, tile: &TileSpec, chunk: usize) -> TrafficCounters {
+        let (_, local_shape) = self.local_box(tile);
+        let updates_per_step: u128 = updatable_ranges(&local_shape, self.plan.def().radius())
+            .iter()
+            .map(|&(l, h)| h.saturating_sub(l) as u128)
+            .product();
+        let updates = updates_per_step * chunk as u128;
+        let written: u128 = tile.dims.iter().map(|&(_, len, _)| len as u128).product();
+        TrafficCounters {
+            gm_reads: local_shape.iter().map(|&e| e as u128).product(),
+            gm_writes: written,
+            sm_reads: updates * self.sm_reads_per_update,
+            sm_writes: updates * self.sm_writes_per_update,
+            flops: updates * self.flops_per_update,
+            cell_updates: updates,
+            valid_updates: written * chunk as u128,
+            syncs: self.syncs_per_plane * local_shape[0] as u128,
+            thread_blocks: 1,
+            kernel_launches: 0,
+        }
+    }
+
+    /// Carve the interior of `next` into the write-back rows of every tile:
+    /// entry `k` holds, in the region's row-major order, one `&mut` slice
+    /// per innermost row of the write-back region of `tiles()[k]`.
+    ///
+    /// The regions of one temporal block tile the interior exactly once, so
+    /// one walk over the grid's rows with `split_at_mut` hands every
+    /// interior cell to exactly one list and leaves the boundary ring out —
+    /// which is what lets any thread store a finished tile straight into
+    /// the grid with no further synchronisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` does not have the problem's padded grid shape.
+    pub fn carve_rows<'g, T: Element>(&self, next: &'g mut Grid<T>) -> Vec<Vec<&'g mut [T]>> {
+        assert_eq!(
+            next.shape(),
+            self.shape.as_slice(),
+            "tile output grid has shape {:?} but the problem's padded grid has shape {:?}",
+            next.shape(),
+            self.shape
+        );
+        let rad = self.plan.def().radius();
+        let inner = self.shape.len() - 1;
+        let strides = row_major_strides(&self.shape);
+        // Along every outer dimension, the tile that owns an interior
+        // coordinate; `tiles` is the row-major product of `dim_tiles`.
+        let owner: Vec<Vec<usize>> = self.dim_tiles[..inner]
+            .iter()
+            .map(|tiles| {
+                let lens = tiles.iter().enumerate();
+                lens.flat_map(|(t, &(_, len, _))| std::iter::repeat_n(t, len))
+                    .collect()
+            })
+            .collect();
+        let counts: Vec<usize> = self.dim_tiles.iter().map(Vec::len).collect();
+        let tile_strides = row_major_strides(&counts);
+        let mut lists: Vec<Vec<&'g mut [T]>> = self
+            .tiles
+            .iter()
+            .map(|tile| Vec::with_capacity(tile.dims[..inner].iter().map(|d| d.1).product()))
+            .collect();
+        // `rest` is the grid from flat index `taken` on.
+        let mut rest = next.as_mut_slice();
+        let mut taken = 0usize;
+        let bounds: Vec<(usize, usize)> = owner.iter().map(|o| (0, o.len())).collect();
+        for_each_row(&bounds, |outer| {
+            let mut first_tile = 0usize;
+            let mut row_start = rad;
+            for d in 0..inner {
+                first_tile += owner[d][outer[d]] * tile_strides[d];
+                row_start += (outer[d] + rad) * strides[d];
+            }
+            for (t, &(origin, len, _)) in self.dim_tiles[inner].iter().enumerate() {
+                let start = row_start + origin;
+                let (_, tail) = std::mem::take(&mut rest).split_at_mut(start - taken);
+                let (row, tail) = tail.split_at_mut(len);
+                lists[first_tile + t].push(row);
+                rest = tail;
+                taken = start + len;
+            }
+        });
+        lists
+    }
+
+    /// Execute one tile for a temporal block of `chunk` combined time-steps
+    /// into a detached [`TileRun`].
     ///
     /// The tile reads only `current`; its output (the values of its
-    /// write-back region plus its counter deltas) is returned detached so
-    /// the caller decides when and where to apply it.
-    ///
-    /// The stencil expression is compiled into a fused-operand tape over
-    /// flat neighbour offsets (see the module docs), halo/bounds checks
-    /// are hoisted into per-dimension updatable ranges, and every inner
-    /// loop (load, update, write-back extraction) runs over contiguous
-    /// stride-1 slices.
+    /// write-back region plus [`TileContext::tile_counters`]) is returned
+    /// detached so the caller decides when and where to apply it. This is
+    /// the tile kernel of [`TileContext::execute_tile_into`] with a
+    /// collecting sink instead of a storing one.
     ///
     /// # Panics
     ///
@@ -318,6 +471,58 @@ impl<'a> TileContext<'a> {
         tile: &TileSpec,
         chunk: usize,
     ) -> TileRun<T> {
+        let (origin, region) = self.write_back(tile);
+        let mut values = Vec::with_capacity(region.iter().product());
+        self.run_tile(current, tile, chunk, |row| values.extend_from_slice(row));
+        TileRun {
+            origin,
+            region,
+            values,
+            counters: self.tile_counters(tile, chunk),
+        }
+    }
+
+    /// Execute one tile for a temporal block of `chunk` combined time-steps
+    /// and store its write-back region straight into `rows` — the tile's
+    /// entry of [`TileContext::carve_rows`] over the grid being written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `current` does not have the problem's padded grid shape
+    /// or `rows` is not the tile's carved row list.
+    pub fn execute_tile_into<T: Element>(
+        &self,
+        current: &Grid<T>,
+        tile: &TileSpec,
+        chunk: usize,
+        rows: &mut [&mut [T]],
+    ) {
+        let mut rows = rows.iter_mut();
+        self.run_tile(current, tile, chunk, |row| {
+            let target = rows.next().expect("one carved row per write-back row");
+            target.copy_from_slice(row);
+        });
+        assert!(
+            rows.next().is_none(),
+            "more carved rows than write-back rows"
+        );
+    }
+
+    /// The one tile kernel: load the tile's local box from `current`, run
+    /// `chunk` time steps over its two buffers, and hand every finished
+    /// innermost row of the write-back region to `sink` in row-major order.
+    ///
+    /// The stencil expression is compiled into a fused-operand tape over
+    /// flat neighbour offsets (see the module docs), halo/bounds checks
+    /// are hoisted into per-dimension ranges, and every inner loop (load,
+    /// update, write-back) runs over contiguous stride-1 slices.
+    fn run_tile<T: Element>(
+        &self,
+        current: &Grid<T>,
+        tile: &TileSpec,
+        chunk: usize,
+        mut sink: impl FnMut(&[T]),
+    ) {
         assert_eq!(
             current.shape(),
             self.shape.as_slice(),
@@ -327,14 +532,11 @@ impl<'a> TileContext<'a> {
         );
         let def = self.plan.def();
         let rad = def.radius();
-        let shape = &self.shape;
-        let ndim = shape.len();
-        let inner = ndim - 1;
-        let mut counters = TrafficCounters::new();
+        let inner = self.shape.len() - 1;
 
         let (lo, local_shape) = self.local_box(tile);
         let local_strides = row_major_strides(&local_shape);
-        let global_strides = row_major_strides(shape);
+        let global_strides = row_major_strides(&self.shape);
         let total: usize = local_shape.iter().product();
 
         // Load the local box from global memory with one contiguous row
@@ -355,57 +557,42 @@ impl<'a> TileContext<'a> {
             src.extend_from_slice(&data[g..g + width]);
             dst.extend_from_slice(&data[g..g + width]);
         });
-        counters.gm_reads += total as u128;
-        counters.thread_blocks += 1;
-        counters.syncs += self.syncs_per_plane * local_shape[0] as u128;
 
-        let upd = updatable_ranges(&local_shape, rad);
-        let updates_per_step: u128 = upd
-            .iter()
-            .map(|&(l, h)| h.saturating_sub(l) as u128)
-            .product();
+        // The write-back region in local coordinates.
+        let (origin, region) = self.write_back(tile);
+        let first: Vec<usize> = origin.iter().zip(&lo).map(|(&o, &l)| o - l).collect();
 
         // Compile the stencil expression for this local geometry and run
-        // the temporal block over the two buffers. Every step writes the
-        // same updatable box and nothing else, so the buffers — equal at
-        // the start — stay equal outside it with no per-step copy.
+        // the temporal block over the two buffers. A step writes inside
+        // the updatable box and nothing else, so the buffers — equal at
+        // the start — stay equal outside it with no per-step copy. Only
+        // cells within `rad` per step still to come of the write-back
+        // region can reach it: the step covers that dependency cone in
+        // every non-innermost dimension (see the module docs).
         let kernel = RowKernel::compile(def.expr(), &local_strides);
-        if updates_per_step > 0 {
-            let mut scratch = Vec::new();
-            for _step in 0..chunk {
-                kernel.step(&src, &mut dst, &local_shape, rad, RUN_LANES, &mut scratch);
-                std::mem::swap(&mut src, &mut dst);
-            }
-        }
-        let steps = chunk as u128;
-        counters.cell_updates += updates_per_step * steps;
-        counters.flops += updates_per_step * steps * self.flops_per_update;
-        counters.sm_reads += updates_per_step * steps * self.sm_reads_per_update;
-        counters.sm_writes += updates_per_step * steps * self.sm_writes_per_update;
-
-        // Extract the compute region (which always lies in the interior)
-        // with contiguous row copies.
-        let origin: Vec<usize> = (0..ndim).map(|d| tile.dims[d].0 + rad).collect();
-        let region: Vec<usize> = (0..ndim).map(|d| tile.dims[d].1).collect();
-        let region_total: usize = region.iter().product();
-        let mut values = Vec::with_capacity(region_total);
-        let extract_bounds: Vec<(usize, usize)> = region[..inner].iter().map(|&e| (0, e)).collect();
-        for_each_row(&extract_bounds, |outer| {
-            let mut l = origin[inner] - lo[inner];
+        let upd = updatable_ranges(&local_shape, rad);
+        let mut scratch = Vec::new();
+        for step in 0..chunk {
+            let reach = (chunk - 1 - step) * rad;
+            let mut cone = upd.clone();
             for d in 0..inner {
-                l += (origin[d] + outer[d] - lo[d]) * local_strides[d];
+                cone[d].0 = cone[d].0.max(first[d].saturating_sub(reach));
+                cone[d].1 = cone[d].1.min(first[d] + region[d] + reach);
             }
-            values.extend_from_slice(&src[l..l + region[inner]]);
-        });
-        counters.gm_writes += region_total as u128;
-        counters.valid_updates += region_total as u128 * chunk as u128;
-
-        TileRun {
-            origin,
-            region,
-            values,
-            counters,
+            kernel.step(&src, &mut dst, &local_shape, &cone, RUN_LANES, &mut scratch);
+            std::mem::swap(&mut src, &mut dst);
         }
+
+        let rows: Vec<(usize, usize)> = (0..inner)
+            .map(|d| (first[d], first[d] + region[d]))
+            .collect();
+        for_each_row(&rows, |outer| {
+            let mut l = first[inner];
+            for d in 0..inner {
+                l += outer[d] * local_strides[d];
+            }
+            sink(&src[l..l + region[inner]]);
+        });
     }
 }
 
@@ -419,6 +606,9 @@ enum Operand {
     Cell(isize),
     /// The row on top of the operand stack, which the instruction pops.
     Top,
+    /// The row the instruction's left [`Operand::Top`] popped, once more:
+    /// both operands of the node are the same subtree, compiled once.
+    Dup,
 }
 
 /// One `± c·x` term of a [`TapeOp::Chain`], held as `+ coef·x`: a
@@ -459,6 +649,18 @@ enum TapeOp {
         terms: Vec<Term>,
         tail: Option<(BinOp, f64)>,
     },
+    /// `v = x_left ∘ x_right` over two neighbour rows at flat deltas, then
+    /// `v·v` in its place when `square`, then either pushed (`fold` is
+    /// `None`) or folded into the top row as `top ∘ v` — the
+    /// non-associative counterpart of a chain term: `v` lives in a
+    /// register, one pass instead of up to three.
+    Pair {
+        op: BinOp,
+        left: isize,
+        right: isize,
+        square: bool,
+        fold: Option<BinOp>,
+    },
 }
 
 impl TapeOp {
@@ -469,6 +671,7 @@ impl TapeOp {
             TapeOp::Leaf(a) | TapeOp::Unary(_, a) => popped(a),
             TapeOp::Binary(_, a, b) => popped(a) + popped(b),
             TapeOp::Chain { fresh, .. } => usize::from(!fresh),
+            TapeOp::Pair { fold, .. } => usize::from(fold.is_some()),
         }
     }
 }
@@ -537,6 +740,44 @@ fn fold_chains(ops: &[TapeOp]) -> Vec<TapeOp> {
     folded
 }
 
+/// Fuse every `x_a ∘ x_b` over two neighbour rows with an immediately
+/// following square of it (`v·v`, a [`Operand::Dup`] product) and an
+/// immediately following fold into the row below (`below ∘ v`) into one
+/// [`TapeOp::Pair`], when that replaces at least two instructions. Only a
+/// fold with `v` on the *right* exists on the tape (`top ∘ top` has the
+/// topmost row on the right), so operand order is untouched.
+fn fuse_pairs(ops: &[TapeOp]) -> Vec<TapeOp> {
+    let mut fused = Vec::with_capacity(ops.len());
+    let mut at = 0usize;
+    while at < ops.len() {
+        let mut end = at + 1;
+        if let TapeOp::Binary(op, Operand::Cell(left), Operand::Cell(right)) = ops[at] {
+            let square =
+                ops.get(end) == Some(&TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Dup));
+            end += usize::from(square);
+            let fold = match ops.get(end) {
+                Some(&TapeOp::Binary(fold, Operand::Top, Operand::Top)) => Some(fold),
+                _ => None,
+            };
+            end += usize::from(fold.is_some());
+            if end - at >= 2 {
+                fused.push(TapeOp::Pair {
+                    op,
+                    left,
+                    right,
+                    square,
+                    fold,
+                });
+                at = end;
+                continue;
+            }
+        }
+        fused.push(ops[at].clone());
+        at += 1;
+    }
+    fused
+}
+
 /// A resolved instruction input: a broadcast scalar or a row as long as
 /// the output row.
 enum Src<'a, T> {
@@ -580,6 +821,8 @@ enum Zip<'a, T> {
     Left(&'a mut [T], Src<'a, T>),
     /// `acc[i] = f(a[i], acc[i])`.
     Right(Src<'a, T>, &'a mut [T]),
+    /// `acc[i] = f(acc[i], acc[i])`.
+    Both(&'a mut [T]),
 }
 
 impl<T: Element> Zip<'_, T> {
@@ -622,6 +865,11 @@ impl<T: Element> Zip<'_, T> {
             Zip::Right(Src::Scalar(x), acc) => {
                 for y in acc {
                     *y = f(x, *y);
+                }
+            }
+            Zip::Both(acc) => {
+                for x in acc {
+                    *x = f(*x, *x);
                 }
             }
         }
@@ -697,6 +945,57 @@ fn chain_group<'s, T: Element>(
     }
 }
 
+/// One pass of a [`TapeOp::Pair`] whose value is `value(a[i], b[i])`:
+/// stored into `out` (a pushed row) without a `fold`, folded into it as
+/// `out[i] ∘ value` with one.
+#[inline]
+fn pair_pass<T: Element>(
+    out: &mut [T],
+    a: &[T],
+    b: &[T],
+    fold: Option<BinOp>,
+    value: impl Fn(T, T) -> T,
+) {
+    let lanes = out.iter_mut().zip(a.iter().zip(b));
+    match fold {
+        None => lanes.for_each(|(o, (&x, &y))| *o = value(x, y)),
+        Some(BinOp::Add) => lanes.for_each(|(o, (&x, &y))| *o += value(x, y)),
+        Some(BinOp::Sub) => lanes.for_each(|(o, (&x, &y))| *o = *o - value(x, y)),
+        Some(BinOp::Mul) => lanes.for_each(|(o, (&x, &y))| *o = *o * value(x, y)),
+        Some(BinOp::Div) => lanes.for_each(|(o, (&x, &y))| *o = *o / value(x, y)),
+    }
+}
+
+/// Dispatch a [`TapeOp::Pair`] to the [`pair_pass`] compiled for its pair
+/// operation, square and fold.
+fn pair_group<T: Element>(
+    out: &mut [T],
+    a: &[T],
+    b: &[T],
+    op: BinOp,
+    square: bool,
+    fold: Option<BinOp>,
+) {
+    macro_rules! with_square {
+        ($pair:expr) => {
+            if square {
+                pair_pass(out, a, b, fold, |x, y| {
+                    let v: T = $pair(x, y);
+                    v * v
+                })
+            } else {
+                pair_pass(out, a, b, fold, $pair)
+            }
+        };
+    }
+    match op {
+        BinOp::Add => with_square!(|x, y| x + y),
+        BinOp::Sub => with_square!(|x, y| x - y),
+        BinOp::Mul => with_square!(|x, y| x * y),
+        BinOp::Div => with_square!(|x, y| x / y),
+    }
+}
+
 /// A stencil expression compiled for one local-box geometry: one
 /// instruction per operation node, in postfix order, whose leaf inputs —
 /// constants and cells at flat deltas in the local row-major layout — are
@@ -736,9 +1035,14 @@ impl RowKernel {
                     Operand::Top
                 }
                 Expr::Binary(op, a, b) => {
-                    let a = emit(a, strides, ops);
-                    let b = emit(b, strides, ops);
-                    ops.push(TapeOp::Binary(*op, a, b));
+                    let a_is = emit(a, strides, ops);
+                    // The same non-leaf subtree on both sides has one
+                    // value: compile it once.
+                    let b_is = match a_is {
+                        Operand::Top if a == b => Operand::Dup,
+                        _ => emit(b, strides, ops),
+                    };
+                    ops.push(TapeOp::Binary(*op, a_is, b_is));
                     Operand::Top
                 }
             }
@@ -748,7 +1052,7 @@ impl RowKernel {
         if root != Operand::Top {
             ops.push(TapeOp::Leaf(root));
         }
-        let ops = fold_chains(&ops);
+        let ops = fuse_pairs(&fold_chains(&ops));
         let mut depth = 0usize;
         let mut max_depth = 0usize;
         for op in &ops {
@@ -761,12 +1065,15 @@ impl RowKernel {
         }
     }
 
-    /// One time step of a temporal block: update every cell of the
-    /// updatable box — `rad` cells in from every face of the row-major
-    /// local box `local_shape` — of `dst` from `src`.
+    /// One time step of a temporal block over the row-major local box
+    /// `local_shape`: update `dst` from `src` in the cells of the box
+    /// `ranges` (one half-open range per dimension), which must lie inside
+    /// the updatable box and span it in the innermost dimension — `rad`
+    /// cells in from either face.
     ///
-    /// One tape evaluation covers a *run* of consecutive rows of a plane,
-    /// about `run_lanes` lanes in all: the buffers are row-major and every
+    /// The innermost dimension is covered whole so that one tape
+    /// evaluation can cover a *run* of consecutive rows of a plane, about
+    /// `run_lanes` lanes in all: the buffers are row-major and every
     /// operand is a flat delta, so the `2·rad` non-updatable cells between
     /// two rows are computed like any lane (their neighbourhoods lie
     /// between those of the run's first and last cell, inside the buffer)
@@ -777,30 +1084,33 @@ impl RowKernel {
         src: &[T],
         dst: &mut [T],
         local_shape: &[usize],
-        rad: usize,
+        ranges: &[(usize, usize)],
         run_lanes: usize,
         scratch: &mut Vec<Vec<T>>,
     ) {
-        let inner = local_shape.len() - 1;
-        let width = local_shape[inner];
+        let (&(rad, end), outer) = ranges.split_last().expect("a box has a dimension");
+        let width = local_shape[outer.len()];
+        assert_eq!(rad + end, width, "runs need whole innermost rows");
         let strides = row_major_strides(local_shape);
-        let upd = updatable_ranges(local_shape, rad);
-        // Rows of one plane, and the first lane of a plane's first row.
-        let (rows, first_row) = match inner {
-            0 => (1, rad),
-            _ => (upd[inner - 1].1 - upd[inner - 1].0, rad * width + rad),
+        // The rows of one plane (a 1D box is a single row) and the planes.
+        let ((first_row, end_row), planes) = match outer.split_last() {
+            Some((&rows, planes)) => (rows, planes),
+            None => ((0, 1), outer),
         };
-        let rows_per_run = (run_lanes / width).clamp(1, rows);
+        if first_row >= end_row || rad >= end {
+            return;
+        }
+        let rows_per_run = (run_lanes / width).clamp(1, end_row - first_row);
         scratch.resize_with(self.depth - 1, Vec::new);
         for above in scratch.iter_mut() {
             above.resize(rows_per_run * width - 2 * rad, T::ZERO);
         }
-        for_each_row(&upd[..inner.saturating_sub(1)], |outer| {
-            let plane: usize = outer.iter().zip(&strides).map(|(&o, &s)| o * s).sum();
-            let mut row = 0usize;
-            while row < rows {
-                let count = rows_per_run.min(rows - row);
-                let base = plane + first_row + row * width;
+        for_each_row(planes, |plane| {
+            let plane: usize = plane.iter().zip(&strides).map(|(&o, &s)| o * s).sum();
+            let mut row = first_row;
+            while row < end_row {
+                let count = rows_per_run.min(end_row - row);
+                let base = plane + row * width + rad;
                 let lanes = count * width - 2 * rad;
                 self.eval_into(src, base, scratch, &mut dst[base..base + lanes]);
                 for gap in (1..count).map(|r| base + r * width - 2 * rad) {
@@ -828,7 +1138,7 @@ impl RowKernel {
         let leaf = |operand: Operand| match operand {
             Operand::Const(c) => Src::Scalar(T::from_f64(c)),
             Operand::Cell(delta) => Src::Row(cells(delta)),
-            Operand::Top => unreachable!("a popped row is not a leaf"),
+            Operand::Top | Operand::Dup => unreachable!("a popped row is not a leaf"),
         };
         // Stack row `k`: `out` for the bottom one, `scratch[k − 1]` above.
         fn row<'s, T>(out: &'s mut [T], scratch: &'s mut [Vec<T>], k: usize) -> &'s mut [T] {
@@ -869,6 +1179,7 @@ impl RowKernel {
                             };
                             Zip::Left(below, Src::Row(top))
                         }
+                        (Operand::Top, Operand::Dup) => Zip::Both(row(out, scratch, sp - 1)),
                         (Operand::Top, b) => Zip::Left(row(out, scratch, sp - 1), leaf(b)),
                         (a, Operand::Top) => Zip::Right(leaf(a), row(out, scratch, sp - 1)),
                         (a, b) => {
@@ -897,6 +1208,17 @@ impl RowKernel {
                         let tail = tail.filter(|_| g == last);
                         chain_group(acc, fresh && g == 0, group, &cells, tail);
                     }
+                }
+                TapeOp::Pair {
+                    op,
+                    left,
+                    right,
+                    square,
+                    fold,
+                } => {
+                    sp += usize::from(fold.is_none());
+                    let acc = row(out, scratch, sp - 1);
+                    pair_group(acc, cells(left), cells(right), op, square, fold);
                 }
             }
         }
@@ -994,26 +1316,57 @@ pub fn execute_plan_on<T: Element>(
     initial: Grid<T>,
 ) -> BlockedRun<T> {
     execute_plan_with(plan, problem, initial, |tiles, run_tile| {
-        (0..tiles).map(run_tile).collect()
+        for (k, mut rows) in tiles {
+            run_tile(k, &mut rows);
+        }
     })
+}
+
+/// Copy the `rad`-thick boundary ring of `from` into `to`: whole rows where
+/// an outer coordinate lies in the ring, the two row ends elsewhere.
+fn copy_boundary_ring<T: Element>(from: &Grid<T>, to: &mut Grid<T>, rad: usize) {
+    let (&width, outer) = from.shape().split_last().expect("a grid has a dimension");
+    let bounds: Vec<(usize, usize)> = outer.iter().map(|&e| (0, e)).collect();
+    let (src, dst) = (from.as_slice(), to.as_mut_slice());
+    let mut start = 0usize;
+    for_each_row(&bounds, |index| {
+        let mut copy = |cells: std::ops::Range<usize>| {
+            dst[cells.clone()].copy_from_slice(&src[cells]);
+        };
+        let ring = |(&i, &e): (&usize, &usize)| i < rad || i >= e - rad;
+        if index.iter().zip(outer).any(ring) {
+            copy(start..start + width);
+        } else {
+            copy(start..start + rad);
+            copy(start + width - rad..start + width);
+        }
+        start += width;
+    });
 }
 
 /// The temporal-block driver behind every blocked run: one kernel launch
 /// per temporal block over a pair of ping-pong grids (the host loop's
-/// `A[t % 2]`), each launch being map tiles → row-copy the write-backs into
-/// the other grid and sum the counters in canonical tile order → swap.
+/// `A[t % 2]`), each launch being carve the interior of the other grid
+/// into per-tile write-back rows → map the tiles, each storing its
+/// finished rows where they belong → swap.
 ///
-/// The grid is cloned once per run, not once per launch: the boundary
-/// ring never changes, so both grids hold it from the start, and the
-/// write-back regions of one launch tile the interior exactly once, so
-/// every other cell of the grid being written — whatever it held two
-/// launches ago — is overwritten before the swap.
+/// Nothing is cloned. The write-back regions of one launch tile the
+/// interior exactly once, so whatever the grid being written held — two
+/// launches ago, or nothing — is overwritten before the swap; the second
+/// grid is therefore allocated zeroed and only ever receives, besides the
+/// write-backs, the boundary ring, which never changes. The ring is copied
+/// *after* the first launch: the strided copy would otherwise be the first
+/// touch of every page of the fresh grid, on the driving thread, where the
+/// tiles' own stores fault them in wherever they run.
 ///
-/// `map_tiles(n, run_tile)` must return `run_tile(k)` for every `k < n`
-/// in index order; it is free to evaluate them on any threads, because the
-/// tiles of one temporal block only read the block's input grid. Applying
-/// and summing in index order on the calling thread is what makes grids
-/// and counter totals independent of that choice.
+/// `map_tiles(tiles, run_tile)` receives one `(k, rows)` item per tile —
+/// its index and its carved write-back rows — and must call
+/// `run_tile(k, &mut rows)` once for every item; it is free to do so on
+/// any threads, because the tiles of one temporal block only read the
+/// block's input grid and own disjoint rows of the other. Counters are a
+/// pure function of tile geometry ([`TileContext::tile_counters`]) and are
+/// summed here, in tile order, so grids and counter totals are independent
+/// of that choice.
 ///
 /// # Panics
 ///
@@ -1023,7 +1376,7 @@ pub fn execute_plan_with<T: Element>(
     plan: &KernelPlan,
     problem: &StencilProblem,
     initial: Grid<T>,
-    map_tiles: impl Fn(usize, &(dyn Fn(usize) -> TileRun<T> + Sync)) -> Vec<TileRun<T>>,
+    map_tiles: impl Fn(Vec<(usize, Vec<&mut [T]>)>, &(dyn Fn(usize, &mut [&mut [T]]) + Sync)),
 ) -> BlockedRun<T> {
     assert_eq!(
         initial.shape(),
@@ -1034,22 +1387,26 @@ pub fn execute_plan_with<T: Element>(
     let ctx = TileContext::new(plan, problem);
     let tiles = ctx.tiles();
     let mut counters = TrafficCounters::new();
-    let mut grids = DoubleBuffer::new(initial);
+    let mut current = initial;
+    let mut next: Option<Grid<T>> = None;
     for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
-        let current = grids.current();
-        let runs = map_tiles(tiles.len(), &|k| {
-            ctx.execute_tile_rows(current, &tiles[k], chunk)
+        let first_launch = next.is_none();
+        let target = next.get_or_insert_with(|| Grid::zeros(current.shape()));
+        let rows = ctx.carve_rows(target);
+        map_tiles(rows.into_iter().enumerate().collect(), &|k, rows| {
+            ctx.execute_tile_into(&current, &tiles[k], chunk, rows);
         });
-        let (_, next) = grids.split_mut();
-        for run in runs {
-            run.apply_to(next);
-            counters += run.counters;
+        if first_launch {
+            copy_boundary_ring(&current, target, plan.def().radius());
+        }
+        for tile in tiles {
+            counters += ctx.tile_counters(tile, chunk);
         }
         counters.kernel_launches += 1;
-        grids.swap();
+        std::mem::swap(&mut current, target);
     }
     BlockedRun {
-        grid: grids.into_current(),
+        grid: current,
         counters,
     }
 }
@@ -1465,11 +1822,77 @@ mod tests {
     }
 
     #[test]
+    fn carved_rows_are_the_write_back_regions_row_by_row() {
+        // What lets any thread store a finished tile with no lock: the
+        // carved `&mut` rows of a launch are the write-back regions
+        // themselves — every interior cell in exactly one list, in the
+        // region's row-major order, and no cell of the boundary ring. The
+        // two extra geometries end in a remainder tile in every dimension.
+        let mut geometries = tile_geometries();
+        geometries.push((suite::star3d(1), &[11, 13, 15], 2, 2, &[9, 10], Some(4)));
+        geometries.push((suite::star2d(2), &[19, 23], 3, 1, &[11], Some(7)));
+        for (def, interior, steps, bt, bs, hsn) in geometries {
+            let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
+            let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
+            let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+            let ctx = TileContext::new(&plan, &problem);
+            let shape = problem.grid_shape();
+            let inner = shape.len() - 1;
+            // Tile `k` marks its `n`-th cell (row-major in its region).
+            let mark = |k: usize, n: usize| (k * 1_000_000 + n + 1) as f64;
+
+            let mut carved = Grid::<f64>::zeros(&shape);
+            let mut expected = Grid::<f64>::zeros(&shape);
+            let lists = ctx.carve_rows(&mut carved);
+            assert_eq!(lists.len(), ctx.tiles().len(), "{}", def.name());
+            let mut cells = 0usize;
+            for (k, (tile, rows)) in ctx.tiles().iter().zip(lists).enumerate() {
+                let (origin, region) = ctx.write_back(tile);
+                let row_count: usize = region[..inner].iter().product();
+                assert_eq!(rows.len(), row_count, "{} tile {k}", def.name());
+                for (r, row) in rows.into_iter().enumerate() {
+                    assert_eq!(row.len(), region[inner], "{} tile {k}", def.name());
+                    for (i, cell) in row.iter_mut().enumerate() {
+                        *cell = mark(k, r * region[inner] + i);
+                    }
+                    cells += row.len();
+                }
+                let bounds: Vec<(usize, usize)> = origin
+                    .iter()
+                    .zip(&region)
+                    .map(|(&o, &e)| (o, o + e))
+                    .collect();
+                let mut n = 0usize;
+                for_each_row(&bounds, |index| {
+                    assert_eq!(expected.get(index), 0.0, "{}: regions overlap", def.name());
+                    expected.set(index, mark(k, n));
+                    n += 1;
+                });
+            }
+            assert_eq!(cells, carved.interior_len(def.radius()), "{}", def.name());
+            assert_eq!(carved, expected, "{}", def.name());
+            let rad = def.radius();
+            let all: Vec<(usize, usize)> = shape.iter().map(|&e| (0, e)).collect();
+            for_each_row(&all, |index| {
+                let ring = index
+                    .iter()
+                    .zip(&shape)
+                    .any(|(&i, &e)| i < rad || i >= e - rad);
+                assert_eq!(carved.get(index) == 0.0, ring, "{} {index:?}", def.name());
+            });
+        }
+    }
+
+    #[test]
     fn ping_pong_grids_match_reference_for_any_number_of_blocks() {
-        // 1 block (bT > steps), 2 (even), 3 (odd, with a remainder block)
-        // and 4: from the third launch on, the grid being written still
-        // holds the interior of two launches ago.
-        for (steps, bt, launches) in [(2, 3, 1), (6, 3, 2), (7, 3, 3), (8, 2, 4)] {
+        // No block (the input comes back untouched and no second grid is
+        // allocated), 1 block (bT > steps: the grid returned is the one
+        // that was allocated zeroed, so it holds the boundary ring only
+        // because the ring was copied — whole grids are compared, ring
+        // included), 2 (even), 3 (odd, with a remainder block) and 4: from
+        // the third launch on, the grid being written still holds the
+        // interior of two launches ago.
+        for (steps, bt, launches) in [(0, 3, 0), (2, 3, 1), (6, 3, 2), (7, 3, 3), (8, 2, 4)] {
             for (def, interior, bs, hsn) in [
                 (suite::j2d5pt(), &[20, 23][..], &[12][..], Some(8)),
                 (suite::gradient2d(), &[18, 18][..], &[14][..], None),
@@ -1504,27 +1927,43 @@ mod tests {
             0.5 + 2.0 * (self.next() >> 11) as f64 / (1u64 << 53) as f64
         }
 
+        fn cell(&mut self) -> Expr {
+            Expr::cell(&[self.below(5) as i32 - 2, self.below(5) as i32 - 2])
+        }
+
+        /// A random *non-leaf* tree of at most `depth + 1` operation levels.
+        fn node(&mut self, depth: usize) -> Expr {
+            match self.below(3) {
+                0 => Expr::sqrt(self.tree(depth)),
+                1 => self.tree(depth) * self.tree(depth),
+                _ => self.tree(depth) - self.tree(depth),
+            }
+        }
+
         fn leaf(&mut self) -> Expr {
             if self.below(3) == 0 {
                 Expr::constant(self.value())
             } else {
-                Expr::cell(&[self.below(5) as i32 - 2, self.below(5) as i32 - 2])
+                self.cell()
             }
         }
 
-        /// A random tree of at most `depth` operation levels over 2D
-        /// offsets of radius ≤ 2.
+        /// A random tree of about `depth` operation levels over 2D offsets
+        /// of radius ≤ 2.
         fn tree(&mut self, depth: usize) -> Expr {
             if depth == 0 || self.below(5) == 0 {
                 return self.leaf();
             }
-            match self.below(6) {
+            let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][self.below(4) as usize];
+            match self.below(7) {
                 0 => Expr::Unary(UnOp::Neg, self.tree(depth - 1).into()),
                 1 => Expr::Unary(UnOp::Sqrt, self.tree(depth - 1).into()),
-                k => {
-                    let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][k as usize - 2];
-                    Expr::Binary(op, self.tree(depth - 1).into(), self.tree(depth - 1).into())
+                2 => {
+                    // The same non-leaf subtree on both sides.
+                    let shared = self.node(depth - 1);
+                    Expr::Binary(op, shared.clone().into(), shared.into())
                 }
+                _ => Expr::Binary(op, self.tree(depth - 1).into(), self.tree(depth - 1).into()),
             }
         }
     }
@@ -1578,7 +2017,7 @@ mod tests {
     impl SplitMix {
         /// One chain term over a random cell: `c·x`, `x·c` or a bare `x`.
         fn term(&mut self) -> Expr {
-            let x = Expr::cell(&[self.below(5) as i32 - 2, self.below(5) as i32 - 2]);
+            let x = self.cell();
             match self.below(3) {
                 0 => Expr::constant(self.value()) * x,
                 1 => x * Expr::constant(self.value()),
@@ -1649,6 +2088,51 @@ mod tests {
                 exprs.push(Expr::sqrt(x()) - rng.term() + rng.chain(terms, mixed));
             }
         }
+        // One subtree on both sides of every operation (compiled once, the
+        // instruction combines the row with itself), nested too.
+        let binary = |op, a: Expr, b: Expr| Expr::Binary(op, a.into(), b.into());
+        const OPS: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
+        for op in OPS {
+            for depth in 0..3 {
+                let shared = rng.node(depth);
+                exprs.push(binary(op, shared.clone(), shared.clone()));
+                let twice = binary(BinOp::Mul, shared.clone(), shared);
+                exprs.push(binary(op, twice.clone(), twice.clone()));
+                exprs.push(binary(op, inner(), twice));
+            }
+        }
+        // Pairs `x_a ∘ x_b` of neighbour rows: alone; under every
+        // self-combination (only the square fuses); folded into a row
+        // below — a generic one, another pair, a chain — with every
+        // operation; and as the *left* operand of every operation, where
+        // the fold that follows is `pair ∘ row` and must not fuse.
+        for pair_op in OPS {
+            let mut pair = || binary(pair_op, rng.cell(), rng.cell());
+            let mut values = vec![pair()];
+            for own in OPS {
+                let v = pair();
+                values.push(binary(own, v.clone(), v));
+            }
+            for v in values {
+                exprs.push(v.clone());
+                for fold in OPS {
+                    exprs.push(binary(fold, Expr::sqrt(inner()), v.clone()));
+                    exprs.push(binary(fold, v.clone(), Expr::sqrt(inner())));
+                    exprs.push(binary(fold, v.clone(), v.clone()));
+                    exprs.push(binary(fold, v.clone() + c(), v.clone()));
+                    exprs.push(binary(fold, v.clone(), y()));
+                    exprs.push(binary(fold, y(), v.clone()));
+                }
+            }
+        }
+        for terms in [1, 3, 9] {
+            for fold in OPS {
+                let diff = x() - y();
+                let after_chain = binary(fold, rng.chain(terms, true), diff.clone() * diff);
+                exprs.push(binary(fold, after_chain, rng.cell() / rng.cell()));
+                exprs.push(binary(fold, x() * y(), rng.chain(terms, true)));
+            }
+        }
         for expr in &exprs {
             for lanes in [0, 1, 7, 32, 257] {
                 check_tape_against_eval_expr::<f64>(expr, lanes, &mut rng);
@@ -1715,30 +2199,33 @@ mod tests {
             ]
         );
 
-        // gradient2d: 0.5·f, the running sum, and the two differences of
-        // the square being formed — no sum of products, the generic
-        // instructions as they were.
+        // gradient2d: 0.5·f and the running sum are the only rows. Every
+        // difference is compiled once (`Dup`), squared in a register and —
+        // from the second on — folded into the sum in the same pass; only
+        // `1 + …`, `sqrt`, `1/x` and the final sum stay generic.
         let gradient2d = RowKernel::compile(suite::gradient2d().expr(), &strides);
-        let sub = |delta: isize| TapeOp::Binary(BinOp::Sub, Operand::Cell(0), Operand::Cell(delta));
-        let mul_tops = TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Top);
-        let add_tops = TapeOp::Binary(BinOp::Add, Operand::Top, Operand::Top);
-        let mut expected = vec![
-            TapeOp::Binary(BinOp::Mul, Operand::Const(0.5), Operand::Cell(0)),
-            sub(100),
-            sub(100),
-            mul_tops.clone(),
-            TapeOp::Binary(BinOp::Add, Operand::Const(1.0), Operand::Top),
-        ];
-        for delta in [-100, 1, -1] {
-            expected.extend([sub(delta), sub(delta), mul_tops.clone(), add_tops.clone()]);
-        }
-        expected.extend([
-            TapeOp::Unary(UnOp::Sqrt, Operand::Top),
-            TapeOp::Binary(BinOp::Div, Operand::Const(1.0), Operand::Top),
-            add_tops,
-        ]);
-        assert_eq!(gradient2d.ops, expected);
-        assert_eq!(gradient2d.depth, 4);
+        let diff_sq = |right: isize, fold: Option<BinOp>| TapeOp::Pair {
+            op: BinOp::Sub,
+            left: 0,
+            right,
+            square: true,
+            fold,
+        };
+        assert_eq!(
+            gradient2d.ops,
+            vec![
+                TapeOp::Binary(BinOp::Mul, Operand::Const(0.5), Operand::Cell(0)),
+                diff_sq(100, None),
+                TapeOp::Binary(BinOp::Add, Operand::Const(1.0), Operand::Top),
+                diff_sq(-100, Some(BinOp::Add)),
+                diff_sq(1, Some(BinOp::Add)),
+                diff_sq(-1, Some(BinOp::Add)),
+                TapeOp::Unary(UnOp::Sqrt, Operand::Top),
+                TapeOp::Binary(BinOp::Div, Operand::Const(1.0), Operand::Top),
+                TapeOp::Binary(BinOp::Add, Operand::Top, Operand::Top),
+            ]
+        );
+        assert_eq!(gradient2d.depth, 2);
     }
 
     #[test]
@@ -1764,9 +2251,9 @@ mod tests {
             let (mut by_row_src, mut by_row_dst) = (loaded.clone(), loaded.clone());
             let (mut scratch, mut by_row_scratch) = (Vec::new(), Vec::new());
             for step in 0..3 {
-                kernel.step(&src, &mut dst, local_shape, rad, 3 * width, &mut scratch);
+                kernel.step(&src, &mut dst, local_shape, &upd, 3 * width, &mut scratch);
                 let (from, to) = (&by_row_src, &mut by_row_dst);
-                kernel.step(from, to, local_shape, rad, 0, &mut by_row_scratch);
+                kernel.step(from, to, local_shape, &upd, 0, &mut by_row_scratch);
                 let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&dst), bits(&by_row_dst), "{} step {step}", def.name());
                 // Everything outside the updatable box — the gaps between
