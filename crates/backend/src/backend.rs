@@ -83,13 +83,15 @@ pub trait ExecutionBackend: Send + Sync {
     ) -> BlockedRun<f64>;
 }
 
-/// Run the blocked executor with at most `threads` threads — pool workers
-/// plus the driving thread — executing tiles at once.
+/// Run the blocked executor with at most `threads` threads — the driving
+/// thread plus scoped helpers — executing tiles at once.
 ///
-/// Within each temporal block the spatial tiles are independent, so they
-/// fan out across the shared persistent worker pool
-/// ([`an5d_runtime::global`]), claimed one at a time (dynamic scheduling,
-/// so an expensive tile never serialises a static chunk behind it). An
+/// Within each temporal block the spatial tiles are independent, so each
+/// block is one fork-join on the process-wide pool
+/// ([`an5d_runtime::global`]): tiles are claimed one at a time (dynamic
+/// scheduling, so an expensive tile never serialises a static chunk
+/// behind it) by the driver and by up to `threads − 1` helpers, fewer when
+/// the process-wide helper budget (one per CPU) is lent out elsewhere. An
 /// item is a tile index plus the rows of the other ping-pong grid that
 /// [`an5d_gpusim::execute_plan_with`] carved out for that tile: whichever
 /// thread claims it runs the tile and stores the finished rows straight
@@ -161,7 +163,8 @@ impl ExecutionBackend for SerialBackend {
     }
 }
 
-/// The blocked executor with its tiles fanned out over the worker pool.
+/// The blocked executor with its tiles fanned out over scoped helper
+/// threads.
 ///
 /// Each tile runs the row kernels of
 /// [`an5d_gpusim::TileContext::execute_tile_into`]: the stencil expression

@@ -1,5 +1,5 @@
 //! The batch driver: fan a suite of (stencil, config) jobs across a
-//! bounded worker pool, executing through any [`ExecutionBackend`].
+//! bounded number of threads, executing through any [`ExecutionBackend`].
 
 use crate::{BackendElement, ExecutionBackend, SerialBackend};
 use an5d_gpusim::TrafficCounters;
@@ -103,11 +103,12 @@ impl std::fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Fans batch jobs across the shared persistent worker pool
+/// Fans batch jobs across the process-wide pool
 /// ([`an5d_runtime::global`]), bounded by a per-driver concurrency cap.
 ///
-/// Jobs are claimed one at a time from the pool's dynamic queue, planned
-/// and executed on the configured [`ExecutionBackend`]; results are
+/// Jobs are claimed one at a time by the caller and its scoped helpers,
+/// planned and executed on the configured [`ExecutionBackend`] (whose own
+/// tile fan-out draws on the same helper budget); results are
 /// returned **in input order** regardless of completion order, so batch
 /// output is deterministic.
 ///
@@ -136,8 +137,8 @@ impl Default for BatchDriver {
 }
 
 impl BatchDriver {
-    /// A driver executing through `backend` with one pool worker per
-    /// available CPU.
+    /// A driver executing through `backend` with a concurrency cap of
+    /// one thread per available CPU.
     #[must_use]
     pub fn new(backend: Arc<dyn ExecutionBackend>) -> Self {
         let workers = std::thread::available_parallelism()
@@ -150,7 +151,8 @@ impl BatchDriver {
         }
     }
 
-    /// Bound the worker pool (clamped to ≥ 1).
+    /// Bound the threads running jobs at once, the caller included
+    /// (clamped to ≥ 1).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -223,19 +225,11 @@ impl BatchDriver {
     ///
     /// # Panics
     ///
-    /// Panics if a job panics on a pool thread (propagating the original
-    /// panic).
+    /// Panics if a job panics (propagating the original panic).
     pub fn run(&self, jobs: &[BatchJob]) -> Vec<Result<BatchOutcome, BatchError>> {
         let _span = an5d_obs::Span::enter("batch.run");
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.workers.min(jobs.len());
-        if workers <= 1 {
-            return jobs.iter().map(|job| self.run_job(job)).collect();
-        }
         an5d_runtime::global()
-            .map_indexed_limited(workers, jobs.len(), |index| self.run_job(&jobs[index]))
+            .map_indexed_limited(self.workers, jobs.len(), |index| self.run_job(&jobs[index]))
     }
 }
 

@@ -17,16 +17,16 @@
 //!   stride-1 row slices, the shape the compiler autovectorizes) under
 //!   one temporal-block driver — and the only choice is how many threads run
 //!   tiles at once: [`VectorCpuBackend`] fans the independent spatial
-//!   tiles of each temporal block out across the shared persistent
-//!   worker pool of `an5d-runtime` with a concurrency cap of N, and
+//!   tiles of each temporal block out over the scoped helper threads of
+//!   `an5d-runtime` with a concurrency cap of N, and
 //!   [`SerialBackend`] is the same backend with a cap of one (every tile
 //!   inline on the caller). Because each tile reads only the immutable
 //!   input grid, writes a disjoint region of the output grid, and
 //!   computes every cell through the scalar operation sequence of the
 //!   naive reference sweep, every thread count produces **bit-identical**
 //!   grids (for `f32` and `f64` alike) and identical counter totals;
-//! * [`BatchDriver`] — fans a whole suite of (stencil, config) jobs across
-//!   the shared pool (bounded by a per-driver concurrency cap), building
+//! * [`BatchDriver`] — fans a whole suite of (stencil, config) jobs out
+//!   the same way (bounded by a per-driver concurrency cap), building
 //!   each job's plan and executing it through any [`ExecutionBackend`];
 //! * [`PlanCache`] — a plain `Mutex`-guarded LRU over built plans, keyed
 //!   by (stencil name, problem extents, [`BlockConfig`],
@@ -42,9 +42,12 @@
 //!
 //! ```text
 //! AN5D_BACKEND=serial        # tiles inline on the caller (default)
-//! AN5D_BACKEND=vector        # tiles over the pool, one worker per CPU
-//! AN5D_BACKEND=vector:8      # tiles over the pool, exactly 8 workers
+//! AN5D_BACKEND=vector        # tiles on up to one thread per CPU
+//! AN5D_BACKEND=vector:8      # tiles on at most 8 threads
 //! ```
+//!
+//! `vector:N` is a cap, not a count: at most N threads run tiles, the
+//! caller included, and never more helpers than CPUs process-wide.
 //!
 //! # Example
 //!

@@ -7,7 +7,7 @@
 use an5d::{
     backend_from_env, measure_best_cap, predict, standard_registry, BlockConfig, DeviceRegistry,
     ExecutionBackend, FrameworkScheme, GpuDevice, KernelPlan, Measurement, ModelPrediction,
-    Precision, SearchSpace, StencilDef, StencilProblem, TrafficCounters, Tuner, TuningResult,
+    Precision, SearchSpace, StencilDef, StencilProblem, Tuner, TuningResult,
 };
 use std::sync::Arc;
 
@@ -25,26 +25,6 @@ pub fn an5d_plan(
     config: &BlockConfig,
 ) -> Option<KernelPlan> {
     KernelPlan::build(def, problem, config, FrameworkScheme::an5d()).ok()
-}
-
-/// Execute a plan functionally on the selected backend and return its
-/// counted work/traffic (used by backend-comparison harnesses).
-#[must_use]
-pub fn counted_run(
-    def: &StencilDef,
-    interior: &[usize],
-    time_steps: usize,
-    config: &BlockConfig,
-) -> Option<TrafficCounters> {
-    use an5d::{Grid, GridInit};
-    let problem = StencilProblem::new(def.clone(), interior, time_steps).ok()?;
-    let plan = an5d_plan(def, &problem, config)?;
-    let initial = Grid::<f64>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 0x5EED });
-    Some(
-        execution_backend()
-            .execute_f64(&plan, &problem, initial)
-            .counters,
-    )
 }
 
 /// The process-wide device registry every harness resolves GPUs through.

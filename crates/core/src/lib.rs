@@ -84,7 +84,7 @@ pub use an5d_backend::{
     VectorCpuBackend, BACKEND_ENV,
 };
 
-pub use an5d_runtime::{global as global_pool, PoolStats, WorkerPool, POOL_THREADS_ENV};
+pub use an5d_runtime::{global as global_pool, PoolStats, ScopedPool};
 
 /// Observability primitives (histograms, spans, trace ring) re-exported
 /// for facade users; see the `an5d-obs` crate docs.

@@ -58,12 +58,6 @@ pub enum CExpr {
 }
 
 impl CExpr {
-    /// Is this expression exactly the identifier `name`?
-    #[must_use]
-    pub fn is_ident(&self, name: &str) -> bool {
-        matches!(self, CExpr::Ident(s) if s == name)
-    }
-
     /// If the expression is `var`, `var + k`, `var - k` or `k + var` for the
     /// given variable, return the constant offset `k`.
     #[must_use]

@@ -40,7 +40,7 @@
 //! pieces: it ping-pongs two grids like the generated host loop ping-pongs
 //! `A[t % 2]`, and its caller only chooses how the `(tile, rows)` items of
 //! a block are mapped ([`execute_plan_on`] maps them inline, the
-//! `an5d-backend` crate over its worker pool), so every schedule produces
+//! `an5d-backend` crate over scoped threads), so every schedule produces
 //! bit-identical grids and counter totals by construction. Nothing is
 //! cloned: a launch overwrites the whole interior of the other grid, so
 //! that grid starts out zeroed and needs only the boundary ring, which

@@ -7,8 +7,8 @@
 //! trace is active, `Span::enter` is a no-op costing one TLS read, so
 //! leaf crates can instrument unconditionally.
 //!
-//! Fan-out work (e.g. a tile fan-out on the shared worker pool) captures
-//! the submitting thread's [`TraceContext`] and installs it on the worker
+//! Fan-out work (e.g. the backend's tile fan-out) captures
+//! the submitting thread's [`TraceContext`] and installs it on the helper
 //! via [`TraceContext::install`]; spans opened there attach under the
 //! submitting span, so a trace tree can cross threads.
 //!

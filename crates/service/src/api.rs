@@ -11,10 +11,10 @@
 use crate::http::ChunkSource;
 use crate::json::Json;
 use an5d::{
-    suite, An5d, BatchDriver, BatchError, BatchJob, BatchOutcome, BlockConfig, CudaCode,
-    DetectedStencil, DeviceId, DeviceRegistry, FrameworkScheme, GpuDevice, GridInit, KernelPlan,
-    ModelPrediction, Precision, RegisterCap, SearchSpace, StencilProblem, TrafficCounters,
-    TunedCandidate, TuningResult,
+    An5d, BatchDriver, BatchError, BatchJob, BatchOutcome, BlockConfig, CudaCode, DetectedStencil,
+    DeviceId, DeviceRegistry, FrameworkScheme, GpuDevice, GridInit, KernelPlan, ModelPrediction,
+    Precision, RegisterCap, SearchSpace, StencilProblem, TrafficCounters, TunedCandidate,
+    TuningResult,
 };
 use std::collections::VecDeque;
 
@@ -498,17 +498,6 @@ pub fn devices_response(registry: &DeviceRegistry) -> Json {
     ])
 }
 
-/// Lookup of the benchmark suite for `/parse` of a known benchmark is
-/// not needed — `/parse` takes DSL source. Exposed for the handlers'
-/// convenience: `suite::by_name` with an API-shaped error.
-///
-/// # Errors
-///
-/// Rejects unknown benchmark names.
-pub fn benchmark_def(name: &str) -> Result<an5d::StencilDef, ApiError> {
-    suite::by_name(name).ok_or_else(|| ApiError::new(format!("unknown benchmark \"{name}\"")))
-}
-
 // ---------------------------------------------------------------------
 // Streaming bodies and /batch
 // ---------------------------------------------------------------------
@@ -550,14 +539,17 @@ enum Piece {
     Escape(String),
 }
 
-fn pieces_chunk_source(pieces: Vec<Piece>, chunk: usize) -> ChunkSource {
-    let chunk = chunk.max(1);
+/// Payload bytes per chunk of a `?stream=1` body (before chunked
+/// framing).
+const STREAM_CHUNK: usize = 16 * 1024;
+
+fn pieces_chunk_source(pieces: Vec<Piece>) -> ChunkSource {
     let mut parts: VecDeque<Piece> = pieces.into();
     Box::new(move || {
         let mut out = Vec::new();
-        while out.len() < chunk {
+        while out.len() < STREAM_CHUNK {
             let Some(part) = parts.pop_front() else { break };
-            let budget = chunk - out.len();
+            let budget = STREAM_CHUNK - out.len();
             match part {
                 Piece::Lit(s) => {
                     let cut = char_floor(&s, budget);
@@ -580,12 +572,12 @@ fn pieces_chunk_source(pieces: Vec<Piece>, chunk: usize) -> ChunkSource {
 }
 
 /// A pull source producing the `/codegen` response body in chunks of
-/// roughly `chunk` bytes, byte-identical to
+/// roughly `STREAM_CHUNK` bytes, byte-identical to
 /// `codegen_response(&code).render()` — but rendered lazily, so the
 /// first chunk exists (and can hit the wire) before the rest of the
 /// body has been serialized.
 #[must_use]
-pub fn codegen_chunk_source(code: CudaCode, chunk: usize) -> ChunkSource {
+pub fn codegen_chunk_source(code: CudaCode) -> ChunkSource {
     // The literal skeleton mirrors `codegen_response` field for field
     // (same keys, same order); the big sources are spliced in as
     // lazily-escaped text. `total_lines` is computed up front — it
@@ -599,21 +591,20 @@ pub fn codegen_chunk_source(code: CudaCode, chunk: usize) -> ChunkSource {
         Piece::Escape(code.host_source),
         Piece::Lit(format!("\",\"total_lines\":{total}}}")),
     ];
-    pieces_chunk_source(pieces, chunk)
+    pieces_chunk_source(pieces)
 }
 
 /// A pull source slicing an already-rendered body into chunks of at
-/// most `chunk` bytes (used by `/execute?stream=1`).
+/// most `STREAM_CHUNK` bytes (used by `/execute?stream=1`).
 #[must_use]
-pub fn string_chunk_source(body: String, chunk: usize) -> ChunkSource {
-    let chunk = chunk.max(1);
+pub fn string_chunk_source(body: String) -> ChunkSource {
     let bytes = body.into_bytes();
     let mut pos = 0;
     Box::new(move || {
         if pos >= bytes.len() {
             return Ok(None);
         }
-        let end = (pos + chunk).min(bytes.len());
+        let end = (pos + STREAM_CHUNK).min(bytes.len());
         let piece = bytes[pos..end].to_vec();
         pos = end;
         Ok(Some(piece))

@@ -19,7 +19,7 @@
 //!
 //! `/execute` runs one tile executor; `--backend` only sets how many
 //! threads run tiles at once (`serial`: the request's worker alone,
-//! `vector[:threads]`: that many pool executors); an invalid
+//! `vector[:threads]`: at most that many, the worker included); an invalid
 //! `--backend` spec is a hard startup error. Without the flag the
 //! standard `AN5D_BACKEND` environment variable applies, where invalid
 //! specs fall back to serial with a note on stderr, exactly as in the
@@ -49,7 +49,7 @@ fn usage() -> ! {
          defaults: --addr 127.0.0.1:7845 --workers 4 --queue 64 --cache 256\n\
          \x20         --backend $AN5D_BACKEND (unset: serial); SPEC sets how many\n\
          \x20         threads run the tiles of one /execute: serial (one) or\n\
-         \x20         vector[:threads] (pool executors; default one per CPU)\n\
+         \x20         vector[:threads] (at most; default one per CPU)\n\
          \x20         --keep-alive-timeout 5 --max-requests 1000\n\
          \x20         --tune-db $AN5D_TUNE_DB (unset: no persistence)\n\
          \x20         --slow-threshold-ms 1000 --trace-capacity 256\n\

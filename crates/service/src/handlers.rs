@@ -32,9 +32,6 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 /// Default latency above which a request is logged as slow.
 pub const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_secs(1);
 
-/// Default payload size of one streamed chunk (before chunked framing).
-pub const DEFAULT_STREAM_CHUNK: usize = 16 * 1024;
-
 /// The endpoints served, with the method each accepts.
 pub const ENDPOINTS: &[(&str, &str)] = &[
     ("GET", "/devices"),
@@ -60,7 +57,6 @@ pub struct ServiceState {
     metrics: Metrics,
     traces: Arc<TraceRing>,
     slow_threshold: Duration,
-    stream_chunk: usize,
 }
 
 impl std::fmt::Debug for ServiceState {
@@ -115,7 +111,6 @@ impl ServiceState {
             registry: metrics_registry,
             metrics,
             slow_threshold: DEFAULT_SLOW_THRESHOLD,
-            stream_chunk: DEFAULT_STREAM_CHUNK,
         }
     }
 
@@ -130,14 +125,6 @@ impl ServiceState {
     #[must_use]
     pub fn with_slow_threshold(mut self, threshold: Duration) -> Self {
         self.slow_threshold = threshold;
-        self
-    }
-
-    /// Produce streamed response bodies in chunks of `bytes` (before
-    /// chunked framing). Zero is clamped to one byte.
-    #[must_use]
-    pub fn with_stream_chunk(mut self, bytes: usize) -> Self {
-        self.stream_chunk = bytes.max(1);
         self
     }
 
@@ -187,12 +174,6 @@ impl ServiceState {
     pub fn slow_threshold(&self) -> Duration {
         self.slow_threshold
     }
-
-    /// Payload size of one streamed chunk.
-    #[must_use]
-    pub fn stream_chunk(&self) -> usize {
-        self.stream_chunk
-    }
 }
 
 /// A trace ring of `capacity` whose occupancy `registry` samples at
@@ -209,22 +190,10 @@ fn trace_ring(registry: &Registry, capacity: usize) -> Arc<TraceRing> {
     traces
 }
 
-/// The shared worker pool keeps its own counts and histograms; expose
-/// them as series sampled at scrape.
+/// The process-wide pool keeps its own counts and histogram; expose them
+/// as series sampled at scrape.
 fn register_pool_series(registry: &Registry) {
     let pool = an5d::global_pool();
-    registry.sampled_gauge(
-        "an5d_pool_workers",
-        "Persistent pool worker threads.",
-        &[],
-        || pool.stats().workers as u64,
-    );
-    registry.sampled_gauge(
-        "an5d_pool_queued_batches",
-        "Batches registered with unclaimed work.",
-        &[],
-        || pool.stats().queued_batches as u64,
-    );
     registry.sampled_counter(
         "an5d_pool_items_executed_total",
         "Items executed by completed batches.",
@@ -242,12 +211,6 @@ fn register_pool_series(registry: &Registry) {
         "Completed-batch wall time, microseconds.",
         &[],
         || pool.batch_wall_snapshot(),
-    );
-    registry.sampled_histogram(
-        "an5d_pool_queue_wait_us",
-        "Batch publication to first helper claim, microseconds.",
-        &[],
-        || pool.queue_wait_snapshot(),
     );
 }
 
@@ -588,7 +551,7 @@ fn codegen_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<R
             // The JSON body is rendered lazily chunk by chunk — the
             // first chunk reaches the reactor (and the wire) before the
             // serialized body exists.
-            let source = api::codegen_chunk_source(code, state.stream_chunk);
+            let source = api::codegen_chunk_source(code);
             Ok(Response::stream(
                 200,
                 "application/json",
@@ -627,7 +590,7 @@ fn execute_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<R
             })?;
         let body = api::execute_response(&outcome).render();
         if stream {
-            let source = api::string_chunk_source(body, state.stream_chunk);
+            let source = api::string_chunk_source(body);
             Ok(Response::stream(
                 200,
                 "application/json",
@@ -902,8 +865,7 @@ mod tests {
             assert_eq!(count("an5d_tunedb_warmed", &device), 0);
             assert!(stat(&state, "an5d_plan_cache_entries", &device).is_none());
         }
-        assert!(count("an5d_pool_workers", &[]) >= 1);
-        assert_eq!(count("an5d_pool_queued_batches", &[]), 0);
+        assert!(stat(&state, "an5d_pool_batches_executed_total", &[]).is_some());
     }
 
     #[test]

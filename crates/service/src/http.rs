@@ -79,14 +79,6 @@ impl Request {
         }
     }
 
-    /// Attach a processing budget of `ms` milliseconds from now — what
-    /// parsing an `x-an5d-deadline-ms: ms` header would have stamped.
-    #[must_use]
-    pub fn with_deadline_ms(mut self, ms: u64) -> Self {
-        self.deadline = Some(an5d_fault::Deadline::in_ms(ms.min(MAX_DEADLINE_MS)));
-        self
-    }
-
     /// `true` when the query string carries `name` as a truthy flag:
     /// bare (`?refresh`), `=true` or `=1`. Any other value — including
     /// `=false` — is off, so a typo never silently forces a re-tune.

@@ -137,8 +137,7 @@ pub use an5d_tunedb::TUNE_DB_ENV;
 pub use client::{HttpResponse, KeepAliveClient, RetryPolicy};
 pub use fleet::{Fleet, FleetShard, ShardTuneDbStats};
 pub use handlers::{
-    dispatch, ServiceState, DEFAULT_SLOW_THRESHOLD, DEFAULT_STREAM_CHUNK, DEFAULT_TRACE_CAPACITY,
-    ENDPOINTS,
+    dispatch, ServiceState, DEFAULT_SLOW_THRESHOLD, DEFAULT_TRACE_CAPACITY, ENDPOINTS,
 };
 pub use http::{
     encode_chunk, ChunkDecoder, ChunkSource, Parse, Request, RequestParser, Response, ResponseBody,

@@ -103,11 +103,6 @@ pub struct ServerConfig {
     /// invalid spec here is a hard startup error, not a silent
     /// serial-with-a-note downgrade.
     pub backend: Option<String>,
-    /// Payload bytes per chunk on streamed responses (`/codegen` and
-    /// `/execute` with `?stream=1`, `/batch`). Smaller chunks lower
-    /// time-to-first-byte on slow producers; larger chunks amortize
-    /// framing overhead.
-    pub stream_chunk_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -125,7 +120,6 @@ impl Default for ServerConfig {
             slow_request_threshold: crate::handlers::DEFAULT_SLOW_THRESHOLD,
             trace_capacity: crate::handlers::DEFAULT_TRACE_CAPACITY,
             backend: None,
-            stream_chunk_bytes: crate::handlers::DEFAULT_STREAM_CHUNK,
         }
     }
 }
@@ -405,8 +399,7 @@ impl Server {
         }
         let mut state = ServiceState::new(backend, config.cache_capacity.max(1))
             .with_slow_threshold(config.slow_request_threshold)
-            .with_trace_capacity(config.trace_capacity)
-            .with_stream_chunk(config.stream_chunk_bytes);
+            .with_trace_capacity(config.trace_capacity);
         if let Some(path) = &config.tune_db {
             state = state.with_tune_db(Arc::new(
                 an5d::TuneDb::open(path)?.sync_on_append(config.sync_tune_db),

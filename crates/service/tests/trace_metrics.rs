@@ -68,7 +68,7 @@ fn metrics_endpoint_serves_prometheus_histograms() {
     // Fleet, cache, pool and ring gauges ride along.
     assert!(text.contains("\nan5d_plan_cache_hits_total "), "{text}");
     assert!(text.contains("an5d_shard_requests_total{device="), "{text}");
-    assert!(text.contains("an5d_pool_workers "), "{text}");
+    assert!(text.contains("an5d_pool_items_executed_total "), "{text}");
     assert!(text.contains("an5d_pool_batch_wall_us_bucket"), "{text}");
     assert!(text.contains("an5d_trace_ring_size "), "{text}");
 

@@ -288,16 +288,16 @@ pub fn result_from_json(value: &Json) -> Result<TuningResult, CodecError> {
 /// One persisted record: the key, the result, and a non-keying benchmark
 /// name *hint*.
 ///
-/// The hint lets a restarting server resolve the stencil definition (via
-/// `an5d_stencil::suite::by_name`) to pre-build plans into the device's
-/// cache shard. It is advisory only — lookups go through the fingerprint
-/// key, so a stale or unresolvable hint merely skips plan warming.
+/// Nothing reads the hint any more (it named the suite stencil a
+/// restarting server pre-built plans for; that warm-up is gone). It stays
+/// because it is part of the on-disk record format — lookups go through
+/// the fingerprint key alone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// The lookup key.
     pub key: TuneKey,
-    /// Benchmark-name hint for plan-cache warming (`None` for stencils
-    /// defined from raw DSL source).
+    /// Benchmark name the result was tuned under (`None` for stencils
+    /// defined from raw DSL source); written and round-tripped, never read.
     pub hint: Option<String>,
     /// The stored tuning result.
     pub result: TuningResult,

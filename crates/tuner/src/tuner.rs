@@ -237,14 +237,15 @@ impl MeasurementSource for SimulatedMeasurement {
 #[derive(Clone)]
 pub struct BackendMeasurement {
     backend: Arc<dyn ExecutionBackend>,
-    seed: u64,
 }
+
+/// Seed of the deterministic initial grid every measured run starts from.
+const GRID_SEED: u64 = 42;
 
 impl fmt::Debug for BackendMeasurement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BackendMeasurement")
             .field("backend", &self.backend.describe())
-            .field("seed", &self.seed)
             .finish()
     }
 }
@@ -253,14 +254,7 @@ impl BackendMeasurement {
     /// Measure candidates by running them on `backend`.
     #[must_use]
     pub fn new(backend: Arc<dyn ExecutionBackend>) -> Self {
-        Self { backend, seed: 42 }
-    }
-
-    /// Use a different deterministic initial-grid seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+        Self { backend }
     }
 
     /// The backend measurements run on.
@@ -271,7 +265,7 @@ impl BackendMeasurement {
 
     fn timed_run<T: BackendElement>(&self, plan: &KernelPlan, problem: &StencilProblem) -> f64 {
         let initial =
-            Grid::<T>::from_init(&problem.grid_shape(), GridInit::Hash { seed: self.seed });
+            Grid::<T>::from_init(&problem.grid_shape(), GridInit::Hash { seed: GRID_SEED });
         let started = std::time::Instant::now();
         let run = T::execute_on(self.backend.as_ref(), plan, problem, initial);
         let seconds = started.elapsed().as_secs_f64();
@@ -319,20 +313,19 @@ impl MeasurementSource for BackendMeasurement {
 #[derive(Debug, Clone)]
 pub struct Tuner {
     device: GpuDevice,
-    precision: Precision,
     scheme: FrameworkScheme,
     top_k: usize,
     source: Arc<dyn MeasurementSource>,
 }
 
 impl Tuner {
-    /// Create a tuner for a device and precision, using the AN5D scheme
-    /// and the default [`SimulatedMeasurement`] source.
+    /// Create a tuner for a device, using the AN5D scheme and the default
+    /// [`SimulatedMeasurement`] source. The precision tuned for is the
+    /// search space's (see [`Tuner::tune`]); `_precision` is not read.
     #[must_use]
-    pub fn new(device: GpuDevice, precision: Precision) -> Self {
+    pub fn new(device: GpuDevice, _precision: Precision) -> Self {
         Self {
             device,
-            precision,
             scheme: FrameworkScheme::an5d(),
             top_k: DEFAULT_TOP_K,
             source: Arc::new(SimulatedMeasurement),
@@ -534,17 +527,6 @@ impl Tuner {
             total_candidates,
             measured_on_backend: self.source.is_measured(),
         })
-    }
-
-    /// Tune at the paper's evaluation scale with the paper's search space.
-    ///
-    /// # Errors
-    ///
-    /// See [`Tuner::tune`].
-    pub fn tune_paper_scale(&self, def: &StencilDef) -> Result<TuningResult, TunerError> {
-        let problem = StencilProblem::paper_scale(def.clone());
-        let space = SearchSpace::paper(def.ndim(), self.precision);
-        self.tune(def, &problem, &space)
     }
 }
 
