@@ -499,117 +499,11 @@ pub fn devices_response(registry: &DeviceRegistry) -> Json {
 }
 
 // ---------------------------------------------------------------------
-// Streaming bodies and /batch
+// /batch
 // ---------------------------------------------------------------------
 
 /// Most jobs one `/batch` request may submit.
 pub const MAX_BATCH_JOBS: usize = 256;
-
-/// JSON-escape `piece` exactly as [`Json::render`] would inside a
-/// string literal (the surrounding quotes stripped). Escaping is
-/// char-local, so escaping a string piecewise at char boundaries is
-/// byte-identical to escaping it whole — the invariant the lazy
-/// `/codegen` stream rests on.
-fn escaped_fragment(piece: &str) -> String {
-    let rendered = Json::str(piece).render();
-    rendered[1..rendered.len() - 1].to_string()
-}
-
-/// The largest char-boundary cut of `s` at most `max` bytes (at least
-/// one char when `s` is non-empty, so progress is always made).
-fn char_floor(s: &str, max: usize) -> usize {
-    if max >= s.len() {
-        return s.len();
-    }
-    let mut cut = max;
-    while cut > 0 && !s.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    if cut == 0 {
-        s.chars().next().map_or(0, char::len_utf8)
-    } else {
-        cut
-    }
-}
-
-/// One piece of a lazily rendered body: either literal bytes or raw
-/// text that is JSON-escaped as it is emitted.
-enum Piece {
-    Lit(String),
-    Escape(String),
-}
-
-/// Payload bytes per chunk of a `?stream=1` body (before chunked
-/// framing).
-const STREAM_CHUNK: usize = 16 * 1024;
-
-fn pieces_chunk_source(pieces: Vec<Piece>) -> ChunkSource {
-    let mut parts: VecDeque<Piece> = pieces.into();
-    Box::new(move || {
-        let mut out = Vec::new();
-        while out.len() < STREAM_CHUNK {
-            let Some(part) = parts.pop_front() else { break };
-            let budget = STREAM_CHUNK - out.len();
-            match part {
-                Piece::Lit(s) => {
-                    let cut = char_floor(&s, budget);
-                    out.extend_from_slice(&s.as_bytes()[..cut]);
-                    if cut < s.len() {
-                        parts.push_front(Piece::Lit(s[cut..].to_string()));
-                    }
-                }
-                Piece::Escape(s) => {
-                    let cut = char_floor(&s, budget);
-                    out.extend_from_slice(escaped_fragment(&s[..cut]).as_bytes());
-                    if cut < s.len() {
-                        parts.push_front(Piece::Escape(s[cut..].to_string()));
-                    }
-                }
-            }
-        }
-        Ok(if out.is_empty() { None } else { Some(out) })
-    })
-}
-
-/// A pull source producing the `/codegen` response body in chunks of
-/// roughly `STREAM_CHUNK` bytes, byte-identical to
-/// `codegen_response(&code).render()` — but rendered lazily, so the
-/// first chunk exists (and can hit the wire) before the rest of the
-/// body has been serialized.
-#[must_use]
-pub fn codegen_chunk_source(code: CudaCode) -> ChunkSource {
-    // The literal skeleton mirrors `codegen_response` field for field
-    // (same keys, same order); the big sources are spliced in as
-    // lazily-escaped text. `total_lines` is computed up front — it
-    // derives from the sources this function consumes.
-    let name = Json::str(&code.kernel_name).render();
-    let total = int(code.total_lines()).render();
-    let pieces = vec![
-        Piece::Lit(format!("{{\"kernel_name\":{name},\"kernel_source\":\"")),
-        Piece::Escape(code.kernel_source),
-        Piece::Lit("\",\"host_source\":\"".to_string()),
-        Piece::Escape(code.host_source),
-        Piece::Lit(format!("\",\"total_lines\":{total}}}")),
-    ];
-    pieces_chunk_source(pieces)
-}
-
-/// A pull source slicing an already-rendered body into chunks of at
-/// most `STREAM_CHUNK` bytes (used by `/execute?stream=1`).
-#[must_use]
-pub fn string_chunk_source(body: String) -> ChunkSource {
-    let bytes = body.into_bytes();
-    let mut pos = 0;
-    Box::new(move || {
-        if pos >= bytes.len() {
-            return Ok(None);
-        }
-        let end = (pos + STREAM_CHUNK).min(bytes.len());
-        let piece = bytes[pos..end].to_vec();
-        pos = end;
-        Ok(Some(piece))
-    })
-}
 
 /// Extract the `/batch` job list: `"jobs"` is a non-empty array of at
 /// most [`MAX_BATCH_JOBS`] `/execute`-style specs (stencil + interior +
@@ -641,7 +535,15 @@ pub fn batch_jobs_from(body: &Json) -> Result<Vec<BatchJob>, ApiError> {
         .collect()
 }
 
-fn batch_job_from(spec: &Json) -> Result<BatchJob, ApiError> {
+/// Extract one `/execute`-style job spec — the `/execute` body and each
+/// entry of a `/batch` job list — into a [`BatchJob`] on the seeded
+/// deterministic initial grid.
+///
+/// # Errors
+///
+/// Rejects whatever [`pipeline_from`], [`problem_from`], [`config_from`]
+/// or [`seed_from`] rejects.
+pub fn batch_job_from(spec: &Json) -> Result<BatchJob, ApiError> {
     let pipeline = pipeline_from(spec)?;
     let problem = problem_from(spec, &pipeline)?;
     let config = config_from(spec)?;
@@ -686,8 +588,8 @@ pub fn batch_job_line(index: usize, result: &Result<BatchOutcome, BatchError>) -
 }
 
 /// A pull source running `jobs` through `driver` one at a time,
-/// yielding each job's NDJSON line as it completes — the streaming
-/// `/batch` body. Jobs run inside the source (on the server worker
+/// yielding each job's NDJSON line as it completes — the `/batch`
+/// body. Jobs run inside the source (on the server worker
 /// draining it), so earlier lines reach the client while later jobs
 /// are still executing; the ambient request deadline and fault plan
 /// apply to every job exactly as they do on `/execute`.

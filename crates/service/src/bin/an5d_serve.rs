@@ -5,7 +5,7 @@
 //! an5d-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
 //!            [--backend SPEC]
 //!            [--keep-alive-timeout SECS] [--max-requests N]
-//!            [--tune-db PATH] [--no-sync-tune-db]
+//!            [--tune-db PATH]
 //!            [--slow-threshold-ms N] [--trace-capacity N]
 //!            [--faults SPEC]
 //! ```
@@ -26,8 +26,7 @@
 //! library. The persisted tuning database
 //! defaults to the `AN5D_TUNE_DB` environment variable; `--tune-db`
 //! overrides it (and `--tune-db ""` disables persistence). Appends are
-//! fsync'd per record by default; `--no-sync-tune-db` trades that
-//! durability for append latency.
+//! fsync'd per record.
 //!
 //! `--faults` installs a deterministic fault-injection plan (spec
 //! grammar: `seed=N;point=action[@trigger][#limit];…`, e.g.
@@ -43,7 +42,7 @@ fn usage() -> ! {
         "usage: an5d-serve [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]\n\
          \x20                 [--backend SPEC]\n\
          \x20                 [--keep-alive-timeout SECS] [--max-requests N]\n\
-         \x20                 [--tune-db PATH] [--no-sync-tune-db]\n\
+         \x20                 [--tune-db PATH]\n\
          \x20                 [--slow-threshold-ms N] [--trace-capacity N]\n\
          \x20                 [--faults SPEC]\n\
          defaults: --addr 127.0.0.1:7845 --workers 4 --queue 64 --cache 256\n\
@@ -74,11 +73,6 @@ fn parse_args() -> ServerConfig {
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        // Boolean flags take no value.
-        if flag == "--no-sync-tune-db" {
-            config.sync_tune_db = false;
-            continue;
-        }
         let Some(value) = args.next() else { usage() };
         match flag.as_str() {
             "--addr" => config.addr = value,

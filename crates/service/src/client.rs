@@ -231,19 +231,8 @@ fn read_body(reader: &mut impl BufRead, head: &ResponseHead) -> io::Result<Strin
 ///
 /// Propagates connect/IO failures and malformed responses.
 pub fn raw(addr: SocketAddr, request: &str) -> io::Result<(u16, String)> {
-    let (status, body, _) = raw_traced(addr, request)?;
-    Ok((status, body))
-}
-
-/// Like [`raw`], also returning the `x-an5d-trace` response header
-/// (the id to feed `GET /trace?id=`), when the server sent one.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn raw_traced(addr: SocketAddr, request: &str) -> io::Result<(u16, String, Option<String>)> {
     let response = raw_response(addr, request)?;
-    Ok((response.status, response.body, response.trace))
+    Ok((response.status, response.body))
 }
 
 /// A complete one-shot response: status, body, and the headers the
@@ -262,11 +251,7 @@ pub struct HttpResponse {
 }
 
 /// Send raw request bytes and read one full [`HttpResponse`].
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn raw_response(addr: SocketAddr, request: &str) -> io::Result<HttpResponse> {
+fn raw_response(addr: SocketAddr, request: &str) -> io::Result<HttpResponse> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -391,15 +376,11 @@ pub struct KeepAliveClient {
     conn: Option<BufReader<TcpStream>>,
     /// Requests answered without opening a new connection.
     reused: u64,
-    /// `x-an5d-trace` header of the most recent response.
-    last_trace: Option<String>,
     /// Budgeted retry policy; `None` keeps the legacy
     /// stale-reconnect-only behavior.
     retry: Option<RetryPolicy>,
     /// Monotonic token feeding the jitter stream (one per pause).
     jitter_token: u64,
-    /// Total budgeted retries performed over the client's lifetime.
-    retries: u64,
     /// When set, every request carries `x-an5d-deadline-ms` with this
     /// budget.
     deadline_ms: Option<u64>,
@@ -413,10 +394,8 @@ impl KeepAliveClient {
             addr,
             conn: None,
             reused: 0,
-            last_trace: None,
             retry: None,
             jitter_token: 0,
-            retries: 0,
             deadline_ms: None,
         }
     }
@@ -432,20 +411,6 @@ impl KeepAliveClient {
     /// subsequent request.
     pub fn set_deadline_ms(&mut self, deadline_ms: Option<u64>) {
         self.deadline_ms = deadline_ms;
-    }
-
-    /// Budgeted retries performed so far (stale-connection reconnects
-    /// are not counted — nothing was re-sent unsafely there either).
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// The `x-an5d-trace` id of the most recent response, when the
-    /// server sent one (feed it to `GET /trace?id=`).
-    #[must_use]
-    pub fn last_trace(&self) -> Option<&str> {
-        self.last_trace.as_deref()
     }
 
     /// Requests served over an already-established connection (i.e. TCP
@@ -528,8 +493,8 @@ impl KeepAliveClient {
     }
 
     /// Spend one budgeted retry: pause per the policy (honoring
-    /// `Retry-After` when given), bump the counters, and report whether
-    /// a retry was available at all.
+    /// `Retry-After` when given) and report whether a retry was
+    /// available at all.
     fn spend_retry(&mut self, attempt: &mut u32, retry_after_secs: Option<u64>) -> bool {
         let Some(policy) = &self.retry else {
             return false;
@@ -540,7 +505,6 @@ impl KeepAliveClient {
         let pause = policy.backoff(*attempt, self.jitter_token, retry_after_secs);
         self.jitter_token += 1;
         *attempt += 1;
-        self.retries += 1;
         std::thread::sleep(pause);
         true
     }
@@ -571,7 +535,6 @@ impl KeepAliveClient {
                     if !head.close {
                         self.conn = Some(conn);
                     }
-                    self.last_trace = head.trace;
                     if head.status == 503
                         && may_retry
                         && self.retry.as_ref().is_some_and(|p| p.retry_on_503)

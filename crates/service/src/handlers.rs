@@ -18,10 +18,7 @@ use crate::http::{ChunkSource, Request, Response, ResponseBody};
 use crate::json::{self, Json};
 use crate::metrics::{MeteredBackend, Metrics};
 use crate::telemetry;
-use an5d::{
-    generate_cuda_for_plan, parse_stencil, predict, BatchJob, DeviceRegistry, ExecutionBackend,
-    GridInit,
-};
+use an5d::{generate_cuda_for_plan, parse_stencil, predict, DeviceRegistry, ExecutionBackend};
 use an5d_obs::{ActiveTrace, Registry, Span, TraceId, TraceRing};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -303,16 +300,17 @@ fn handle(state: &ServiceState, path: &str, request: &Request) -> Response {
                 Ok(parsed) => parsed,
                 Err(response) => return response,
             };
-            // `/codegen` and `/execute` stream on request (`?stream=1`);
-            // `/batch` streams NDJSON unless opted out (`?stream=0`).
+            // Every endpoint renders its body once and sends it whole,
+            // except `/batch`: its jobs run for milliseconds to seconds
+            // each, so it streams one NDJSON line per finished job.
             let result = match path {
                 "/parse" => parse_endpoint(&parsed).map(ok),
                 "/plan" => plan_endpoint(state, &parsed).map(ok),
                 "/predict" => predict_endpoint(state, &parsed).map(ok),
                 "/tune" => tune_endpoint(state, &parsed, request.query_flag("refresh")).map(ok),
-                "/codegen" => codegen_endpoint(state, &parsed, request.query_flag("stream")),
-                "/execute" => execute_endpoint(state, &parsed, request.query_flag("stream")),
-                "/batch" => batch_endpoint(state, &parsed, batch_streams(request)),
+                "/codegen" => codegen_endpoint(state, &parsed).map(ok),
+                "/execute" => execute_endpoint(state, &parsed).map(ok),
+                "/batch" => batch_endpoint(state, &parsed),
                 _ => unreachable!("ENDPOINTS and handle() cover the same paths"),
             };
             match result {
@@ -497,23 +495,14 @@ fn tune_endpoint(state: &ServiceState, body: &Json, refresh: bool) -> Result<Jso
     })
 }
 
-/// `/batch` streams by default; `?stream=0` (or `false`) buffers.
-fn batch_streams(request: &Request) -> bool {
-    !matches!(request.query_param("stream"), Some("0" | "false"))
-}
-
-/// Wrap a chunk source so the endpoint's series see the stream: TTFB
-/// on the first chunk, per-chunk and per-byte counters as it flows, and
-/// the endpoint's latency/status record when it ends (dispatch skips
-/// the immediate record for streamed bodies — the handler only set the
-/// stream up).
-fn metered_stream(
-    state: &ServiceState,
-    path: &'static str,
-    mut source: ChunkSource,
-) -> ChunkSource {
-    let stream = state.metrics.stream(path).clone();
-    let requests = state.metrics.endpoint(path).clone();
+/// Wrap the `/batch` chunk source so the endpoint's series see the
+/// stream: TTFB on the first chunk, per-chunk and per-byte counters as
+/// it flows, and the endpoint's latency/status record when it ends
+/// (dispatch skips the immediate record for streamed bodies — the
+/// handler only set the stream up).
+fn metered_stream(state: &ServiceState, mut source: ChunkSource) -> ChunkSource {
+    let stream = state.metrics.stream().clone();
+    let requests = state.metrics.endpoint("/batch").clone();
     let started = Instant::now();
     let mut first = true;
     let mut finished = false;
@@ -543,39 +532,16 @@ fn metered_stream(
     })
 }
 
-fn codegen_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<Response, ApiError> {
+fn codegen_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError> {
     observed(state, body, || {
         let (_, plan) = planned(state, body)?;
-        let code = generate_cuda_for_plan(&plan);
-        if stream {
-            // The JSON body is rendered lazily chunk by chunk — the
-            // first chunk reaches the reactor (and the wire) before the
-            // serialized body exists.
-            let source = api::codegen_chunk_source(code);
-            Ok(Response::stream(
-                200,
-                "application/json",
-                metered_stream(state, "/codegen", source),
-            ))
-        } else {
-            Ok(ok(api::codegen_response(&code)))
-        }
+        Ok(api::codegen_response(&generate_cuda_for_plan(&plan)))
     })
 }
 
-fn execute_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<Response, ApiError> {
+fn execute_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError> {
     observed(state, body, || {
-        let pipeline = api::pipeline_from(body)?;
-        let problem = api::problem_from(body, &pipeline)?;
-        let config = api::config_from(body)?;
-        let seed = api::seed_from(body)?;
-        let job = BatchJob::new(
-            pipeline.def().clone(),
-            problem.interior(),
-            problem.time_steps(),
-            config,
-        )
-        .with_init(GridInit::Hash { seed });
+        let job = api::batch_job_from(body)?;
         let mut results = state.fleet.driver().run(&[job]);
         let outcome = results
             .pop()
@@ -588,50 +554,24 @@ fn execute_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<R
                 }
                 _ => ApiError::new(e.to_string()),
             })?;
-        let body = api::execute_response(&outcome).render();
-        if stream {
-            let source = api::string_chunk_source(body);
-            Ok(Response::stream(
-                200,
-                "application/json",
-                metered_stream(state, "/execute", source),
-            ))
-        } else {
-            Ok(Response::new(200, body))
-        }
+        Ok(api::execute_response(&outcome))
     })
 }
 
 /// `POST /batch`: run a list of `/execute`-style jobs through the
-/// fleet's [`an5d::BatchDriver`]. Streaming (the default) emits
-/// one NDJSON line per job *as each job finishes* — jobs run one at a
-/// time inside the chunk source, so early results reach the client
-/// while later jobs are still executing. The buffered opt-out
-/// (`?stream=0`) produces byte-identical lines in one body.
-fn batch_endpoint(state: &ServiceState, body: &Json, stream: bool) -> Result<Response, ApiError> {
+/// fleet's [`an5d::BatchDriver`], one NDJSON line per job *as each job
+/// finishes* — jobs run one at a time inside the chunk source, so early
+/// results reach the client while later jobs are still executing, and
+/// the request's deadline is checked before every job.
+fn batch_endpoint(state: &ServiceState, body: &Json) -> Result<Response, ApiError> {
     observed(state, body, || {
         let jobs = api::batch_jobs_from(body)?;
-        let driver = state.fleet.driver().clone();
-        if stream {
-            let source = api::batch_chunk_source(driver, jobs);
-            Ok(Response::stream(
-                200,
-                "application/x-ndjson",
-                metered_stream(state, "/batch", source),
-            ))
-        } else {
-            let mut out = String::new();
-            for (index, job) in jobs.into_iter().enumerate() {
-                let result = driver
-                    .run(&[job])
-                    .pop()
-                    .expect("one job in yields one result out");
-                out.push_str(&api::batch_job_line(index, &result));
-            }
-            let mut response = Response::new(200, out);
-            response.content_type = "application/x-ndjson";
-            Ok(response)
-        }
+        let source = api::batch_chunk_source(state.fleet.driver().clone(), jobs);
+        Ok(Response::stream(
+            200,
+            "application/x-ndjson",
+            metered_stream(state, source),
+        ))
     })
 }
 

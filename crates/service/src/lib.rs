@@ -29,9 +29,9 @@
 //! | `/plan` | POST | blocking config → geometry/resource summary |
 //! | `/predict` | POST | Section 5 model prediction on a device |
 //! | `/tune` | POST | Section 6.3 tuner over a search space |
-//! | `/codegen` | POST | CUDA kernel + host source (`?stream=1` for a chunked body) |
-//! | `/execute` | POST | blocked run: checksum + traffic counters (`?stream=1` chunked) |
-//! | `/batch` | POST | job list through the fleet's `BatchDriver`; streams NDJSON, one line per job as it finishes (`?stream=0` buffers) |
+//! | `/codegen` | POST | CUDA kernel + host source |
+//! | `/execute` | POST | blocked run: checksum + traffic counters |
+//! | `/batch` | POST | job list through the fleet's `BatchDriver`; streams NDJSON, one line per job as it finishes |
 //! | `/devices` | GET | registered GPU profiles + routing default |
 //! | `/stats` | GET | every family of the metrics registry, as JSON |
 //! | `/metrics` | GET | the same registry as Prometheus text |
@@ -51,14 +51,15 @@
 //! dispatch queue is full, the offending *request* gets an immediate
 //! `503` (idle connections are nearly free and are never shed).
 //!
-//! Large bodies can **stream**: `?stream=1` on `/codegen` or `/execute`
-//! (and `/batch` by default) answers with `Transfer-Encoding: chunked`,
-//! the body produced chunk by chunk on the worker while the reactor
-//! writes segments under `POLLOUT` — first bytes reach the client
-//! before the body has finished rendering, and streamed bytes
-//! reassemble identical to the buffered response. `/metrics` watches
-//! the path via `an5d_stream_chunks_total`, `an5d_stream_bytes_total`
-//! and the `an5d_stream_ttfb_us` histogram.
+//! Each endpoint has one body path, fixed by what it is: every body is
+//! rendered once and sent whole with `Content-Length`, except
+//! `/batch`, whose jobs run for milliseconds to seconds each — it
+//! **streams** with `Transfer-Encoding: chunked`, each job's line
+//! produced on the worker while the reactor writes segments under
+//! `POLLOUT`, so early lines reach the client while later jobs are
+//! still running. `/metrics` watches the path via
+//! `an5d_stream_chunks_total`, `an5d_stream_bytes_total` and the
+//! `an5d_stream_ttfb_us` histogram.
 //!
 //! Requests may carry an `x-an5d-deadline-ms` budget ([`DEADLINE_HEADER`]):
 //! one that has already expired at dispatch is shed with `503` +

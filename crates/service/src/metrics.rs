@@ -19,8 +19,7 @@ use std::time::{Duration, Instant};
 /// histogram's own count, sampled at scrape.
 #[derive(Debug, Clone)]
 pub struct EndpointSeries {
-    /// Handler latency, microseconds (streamed responses: until the
-    /// stream ends).
+    /// Handler latency, microseconds (`/batch`: until its stream ends).
     pub latency: Arc<Histogram>,
     /// Requests answered with a non-2xx status.
     pub errors: Counter,
@@ -36,8 +35,8 @@ impl EndpointSeries {
     }
 }
 
-/// One endpoint's streaming series (`?stream=1` and `/batch`).
-/// `an5d_streams_total` is the time-to-first-byte histogram's count.
+/// The streaming series of `/batch`, the one endpoint that streams its
+/// body. `an5d_streams_total` is the time-to-first-byte histogram's count.
 #[derive(Debug, Clone)]
 pub struct StreamSeries {
     /// Chunks produced.
@@ -192,7 +191,6 @@ impl ConnectionStats {
 struct EndpointSlot {
     path: &'static str,
     requests: OnceLock<EndpointSeries>,
-    streams: OnceLock<StreamSeries>,
 }
 
 /// The service's own series, shared by the reactor and every dispatch
@@ -201,6 +199,8 @@ struct EndpointSlot {
 pub struct Metrics {
     registry: Arc<Registry>,
     endpoints: Vec<EndpointSlot>,
+    /// Resolved by the first `/batch` response.
+    streams: OnceLock<StreamSeries>,
     /// Requests turned away by admission control with a 503.
     pub rejected: Counter,
     /// Requests shed with a 503 because their deadline was already
@@ -231,9 +231,9 @@ impl Metrics {
                 .map(|path| EndpointSlot {
                     path,
                     requests: OnceLock::new(),
-                    streams: OnceLock::new(),
                 })
                 .collect(),
+            streams: OnceLock::new(),
             rejected: registry.counter(
                 "an5d_rejected_connections_total",
                 "Requests shed by admission control.",
@@ -296,14 +296,11 @@ impl Metrics {
         })
     }
 
-    /// The streaming series of a served endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a path the metrics were not built for.
-    pub fn stream(&self, path: &str) -> &StreamSeries {
-        self.slot(path).streams.get_or_init(|| {
-            let labels = [("endpoint", path)];
+    /// The streaming series, labelled with the one endpoint that
+    /// streams.
+    pub fn stream(&self) -> &StreamSeries {
+        self.streams.get_or_init(|| {
+            let labels = [("endpoint", "/batch")];
             let ttfb = self.registry.histogram(
                 "an5d_stream_ttfb_us",
                 "Handler start to first streamed chunk, microseconds.",

@@ -78,12 +78,9 @@ pub struct ServerConfig {
     /// persistence. The `an5d-serve` binary resolves the `AN5D_TUNE_DB`
     /// environment variable into this field; the library default stays
     /// `None` so embedders and tests never pick up a DB implicitly.
+    /// Appends are `fsync`ed per record: an acknowledged `/tune` result
+    /// must survive a crash, and tuning cost dwarfs the fsync.
     pub tune_db: Option<String>,
-    /// `fsync` the tuning database after every append. On by default:
-    /// on the service path an acknowledged `/tune` result must survive a
-    /// crash, and tuning cost dwarfs the fsync. Benchmarks and embedders
-    /// that only need OS-buffer durability can turn it off.
-    pub sync_tune_db: bool,
     /// Deterministic fault-injection plan
     /// (see [`an5d_fault::FaultPlan::parse`] for the spec grammar),
     /// installed process-wide at startup. `None` (the default) injects
@@ -115,7 +112,6 @@ impl Default for ServerConfig {
             keep_alive_timeout: Duration::from_secs(5),
             max_requests_per_connection: 1000,
             tune_db: None,
-            sync_tune_db: true,
             faults: None,
             slow_request_threshold: crate::handlers::DEFAULT_SLOW_THRESHOLD,
             trace_capacity: crate::handlers::DEFAULT_TRACE_CAPACITY,
@@ -401,9 +397,7 @@ impl Server {
             .with_slow_threshold(config.slow_request_threshold)
             .with_trace_capacity(config.trace_capacity);
         if let Some(path) = &config.tune_db {
-            state = state.with_tune_db(Arc::new(
-                an5d::TuneDb::open(path)?.sync_on_append(config.sync_tune_db),
-            ));
+            state = state.with_tune_db(Arc::new(an5d::TuneDb::open(path)?.sync_on_append(true)));
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;

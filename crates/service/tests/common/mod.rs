@@ -87,15 +87,10 @@ pub fn read_head(stream: &mut TcpStream) -> String {
     String::from_utf8(head).expect("ASCII head")
 }
 
-/// Send one keep-alive request on a raw socket and read its complete
-/// `200` response, so the reactor parks the connection afterwards.
-/// Returns the idle socket and the body. (The keep-alive client would
-/// transparently reconnect after a server-side close, hiding the EOF a
-/// test may want to observe.)
-pub fn park(addr: SocketAddr, request: &str) -> (TcpStream, String) {
-    let mut stream = send_raw(addr, request);
-    let head = read_head(&mut stream);
-    assert!(head.starts_with("HTTP/1.1 200"), "parked request: {head}");
+/// Read one `Content-Length`-framed response off a raw socket: the head
+/// (through the blank line) and exactly the announced body bytes.
+pub fn read_response(stream: &mut TcpStream) -> (String, String) {
+    let head = read_head(stream);
     let length: usize = head
         .lines()
         .find_map(|l| l.strip_prefix("Content-Length: "))
@@ -105,7 +100,19 @@ pub fn park(addr: SocketAddr, request: &str) -> (TcpStream, String) {
         .expect("numeric length");
     let mut body = vec![0u8; length];
     stream.read_exact(&mut body).expect("read body");
-    (stream, String::from_utf8(body).expect("UTF-8 body"))
+    (head, String::from_utf8(body).expect("UTF-8 body"))
+}
+
+/// Send one keep-alive request on a raw socket and read its complete
+/// `200` response, so the reactor parks the connection afterwards.
+/// Returns the idle socket and the body. (The keep-alive client would
+/// transparently reconnect after a server-side close, hiding the EOF a
+/// test may want to observe.)
+pub fn park(addr: SocketAddr, request: &str) -> (TcpStream, String) {
+    let mut stream = send_raw(addr, request);
+    let (head, body) = read_response(&mut stream);
+    assert!(head.starts_with("HTTP/1.1 200"), "parked request: {head}");
+    (stream, body)
 }
 
 /// The value of the sample line `family{labels} value` in a `/metrics`

@@ -1,19 +1,23 @@
 //! Streaming round-trip tests: the chunked transfer coding survives
 //! every byte split (mirroring `parser_incremental.rs` for the request
-//! parser), streamed `/codegen`, `/execute` and `/batch` bodies
-//! reassemble byte-identical to their buffered twins, `/batch` emits
-//! job lines incrementally while later jobs are still running, and a
-//! response that fails mid-stream aborts the connection (the
-//! keep-alive regression behind `an5d_connections_aborted`).
+//! parser), the streamed `/batch` body reassembles byte-identical to
+//! the `BatchDriver` facade's lines, `/batch` emits job lines
+//! incrementally while later jobs are still running, a response that
+//! fails mid-stream aborts the connection (the keep-alive regression
+//! behind `an5d_connections_aborted`) — and every other body, up to the
+//! largest `/codegen`, is sent whole with `Content-Length`.
 
 mod common;
 
-use an5d_service::{client, encode_chunk, ChunkDecoder, Server, ServerConfig, CHUNK_TERMINATOR};
-use common::{metric, post_request, read_head, send_raw, shutdown};
+use an5d::{An5d, BatchDriver, BatchJob, BlockConfig, GridInit, Precision, SerialBackend};
+use an5d_service::{
+    api, client, encode_chunk, ChunkDecoder, Server, ServerConfig, CHUNK_TERMINATOR,
+};
+use common::{metric, post_request, read_head, read_response, send_raw, shutdown};
 use proptest::prelude::*;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -214,56 +218,36 @@ const BATCH_BODY: &str = r#"{"jobs":[
      "config":{"bt":2,"bs":[8],"precision":"double"},"seed":7}
 ]}"#;
 
-#[test]
-fn streamed_codegen_and_execute_match_their_buffered_twins() {
-    let _gate = FAULT_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    an5d_fault::uninstall();
-    let server = start_server();
-    let addr = server.addr();
-
-    for (path, body) in [("/codegen", CODEGEN_BODY), ("/execute", EXECUTE_BODY)] {
-        let (status, buffered) = client::post(addr, path, body).expect("buffered request");
-        assert_eq!(status, 200, "{path}: {buffered}");
-        let streamed_path = format!("{path}?stream=1");
-        let (status, streamed) =
-            client::post(addr, &streamed_path, body).expect("streamed request");
-        assert_eq!(status, 200, "{streamed_path}: {streamed}");
-        assert_eq!(
-            streamed, buffered,
-            "{path}: streamed bytes must match buffered"
-        );
-    }
-
-    // The streamed requests flowed through the stream metrics, not the
-    // buffered counters alone.
-    let (status, metrics) = client::get(addr, "/metrics").expect("/metrics");
-    assert_eq!(status, 200);
-    for path in ["/codegen", "/execute"] {
-        let series = |family: &str| {
-            metric(&metrics, family, &[("endpoint", path)])
-                .unwrap_or_else(|| panic!("{family} missing for {path}"))
-        };
-        assert_eq!(series("an5d_streams_total"), 1, "{path}");
-        assert!(series("an5d_stream_chunks_total") >= 1, "{path}");
-        assert!(series("an5d_stream_bytes_total") > 0, "{path}");
-        assert_eq!(series("an5d_stream_ttfb_us_count"), 1, "{path}");
-    }
-
-    shutdown(server);
+/// `BATCH_BODY`'s lines as the facade produces them: a fresh
+/// `BatchDriver` (not the server's) over the same three jobs, rendered
+/// by the one line serializer.
+fn expected_batch_lines() -> String {
+    let job = |name: &str, interior: &[usize], steps, config: BlockConfig, seed| {
+        BatchJob::new(an5d::suite::by_name(name).unwrap(), interior, steps, config)
+            .with_init(GridInit::Hash { seed })
+    };
+    let double = |bt, bs| BlockConfig::new(bt, &[bs], None, Precision::Double).unwrap();
+    let single = BlockConfig::new(4, &[64], Some(64), Precision::Single).unwrap();
+    let jobs = [
+        job("j2d5pt", &[24, 24], 5, double(2, 12), 0x5EED),
+        job("star2d1r", &[128, 128], 8, single, 0x5EED),
+        job("j2d5pt", &[16, 16], 3, double(2, 8), 7),
+    ];
+    let results = BatchDriver::new(Arc::new(SerialBackend)).run(&jobs);
+    let lines = results.iter().enumerate();
+    lines.map(|(i, r)| api::batch_job_line(i, r)).collect()
 }
 
 #[test]
-fn streamed_batch_matches_buffered_and_orders_lines_by_index() {
+fn batch_stream_matches_the_facade_and_orders_lines_by_index() {
     let _gate = FAULT_GATE.lock().unwrap_or_else(|e| e.into_inner());
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
 
-    let (status, buffered) = client::post(addr, "/batch?stream=0", BATCH_BODY).expect("buffered");
-    assert_eq!(status, 200, "{buffered}");
     let (status, streamed) = client::post(addr, "/batch", BATCH_BODY).expect("streamed");
     assert_eq!(status, 200, "{streamed}");
-    assert_eq!(streamed, buffered, "streamed NDJSON must match buffered");
+    assert_eq!(streamed, expected_batch_lines());
 
     let lines: Vec<&str> = streamed.lines().collect();
     assert_eq!(lines.len(), 3);
@@ -273,6 +257,19 @@ fn streamed_batch_matches_buffered_and_orders_lines_by_index() {
         assert_eq!(got, Some(index as f64), "line {index}: {line}");
         assert!(parsed.get("checksum").is_some(), "line {index}: {line}");
     }
+
+    // The response flowed through the stream series: one stream, one
+    // chunk per job.
+    let (status, metrics) = client::get(addr, "/metrics").expect("/metrics");
+    assert_eq!(status, 200);
+    let series = |family: &str| {
+        metric(&metrics, family, &[("endpoint", "/batch")])
+            .unwrap_or_else(|| panic!("{family} missing"))
+    };
+    assert_eq!(series("an5d_streams_total"), 1);
+    assert_eq!(series("an5d_stream_chunks_total"), 3);
+    assert_eq!(series("an5d_stream_bytes_total"), streamed.len() as u64);
+    assert_eq!(series("an5d_stream_ttfb_us_count"), 1);
 
     shutdown(server);
 }
@@ -288,7 +285,7 @@ fn streamed_responses_use_chunked_framing_on_the_wire() {
     let server = start_server();
     let addr = server.addr();
 
-    let mut stream = raw_post(addr, "/codegen?stream=1", CODEGEN_BODY);
+    let mut stream = raw_post(addr, "/batch", BATCH_BODY);
     let head = read_head(&mut stream);
     let lower = head.to_ascii_lowercase();
     assert!(lower.starts_with("http/1.1 200"), "{head}");
@@ -307,9 +304,96 @@ fn streamed_responses_use_chunked_framing_on_the_wire() {
         assert!(consumed > 0, "truncated chunked body on the wire");
         offset += consumed;
     }
-    let body = String::from_utf8(body).expect("UTF-8 body");
-    let (_, buffered) = client::post(addr, "/codegen", CODEGEN_BODY).expect("buffered");
-    assert_eq!(body, buffered);
+    assert_eq!(String::from_utf8(body).unwrap(), expected_batch_lines());
+
+    shutdown(server);
+}
+
+/// The largest body the service can produce: 257,603 bytes of CUDA —
+/// many socket-buffer fills, just under the stream high-water mark.
+const LARGEST_CODEGEN_BODY: &str = r#"{"benchmark":"box2d4r","interior":[2048,2048],"steps":16,
+    "config":{"bt":16,"bs":[256],"hsn":256,"precision":"double"}}"#;
+
+fn assert_sent_whole(head: &str) {
+    let lower = head.to_ascii_lowercase();
+    assert!(lower.starts_with("http/1.1 200"), "{head}");
+    assert!(lower.contains("content-length: "), "{head}");
+    assert!(!lower.contains("transfer-encoding"), "{head}");
+}
+
+#[test]
+fn the_largest_body_arrives_whole_on_a_connection_that_stays_usable() {
+    let _gate = FAULT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    an5d_fault::uninstall();
+    let server = start_server();
+    let addr = server.addr();
+
+    let pipeline = An5d::benchmark("box2d4r").unwrap();
+    let problem = pipeline.problem(&[2048, 2048], 16).unwrap();
+    let config = BlockConfig::new(16, &[256], Some(256), Precision::Double).unwrap();
+    let code = pipeline.generate_cuda(&problem, &config).unwrap();
+    let expected = api::codegen_response(&code).render();
+    assert!(
+        (250_000..256 * 1024).contains(&expected.len()),
+        "{} bytes",
+        expected.len()
+    );
+    let (_, small) = client::post(addr, "/execute", EXECUTE_BODY).expect("/execute");
+
+    // Once plainly, once with every socket write capped at 4 KiB: the
+    // single-segment response then drains through the resumable
+    // `POLLOUT` path in ~63 pieces.
+    for plan in [None, Some("seed=1;reactor.write=short:4096")] {
+        if let Some(plan) = plan {
+            install_plan(plan);
+        }
+        let mut stream = send_raw(addr, &post_request("/codegen", LARGEST_CODEGEN_BODY, false));
+        let (head, body) = read_response(&mut stream);
+        assert_sent_whole(&head);
+        assert!(body == expected, "{plan:?}: /codegen bytes differ");
+
+        // The kept-alive connection serves a second request.
+        let reused_before = server.reused_requests();
+        stream
+            .write_all(post_request("/execute", EXECUTE_BODY, true).as_bytes())
+            .expect("second request");
+        let (head, body) = read_response(&mut stream);
+        assert_sent_whole(&head);
+        assert_eq!(body, small, "{plan:?}");
+        assert_eq!(server.reused_requests(), reused_before + 1, "{plan:?}");
+
+        if plan.is_some() {
+            let short_writes = an5d_fault::fired("reactor.write");
+            assert!(short_writes >= 60, "only {short_writes} short writes");
+            an5d_fault::uninstall();
+        }
+    }
+
+    shutdown(server);
+}
+
+#[test]
+fn a_leftover_stream_parameter_changes_nothing() {
+    let _gate = FAULT_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    an5d_fault::uninstall();
+    let server = start_server();
+    let addr = server.addr();
+
+    // The spellings that used to select the other body path.
+    for (path, body) in [("/codegen", CODEGEN_BODY), ("/execute", EXECUTE_BODY)] {
+        let (status, plain) = client::post(addr, path, body).expect("plain request");
+        assert_eq!(status, 200, "{path}: {plain}");
+        let mut stream = raw_post(addr, &format!("{path}?stream=true"), body);
+        let (head, flagged) = read_response(&mut stream);
+        assert_sent_whole(&head);
+        assert_eq!(flagged, plain, "{path}");
+    }
+    let head = read_head(&mut raw_post(addr, "/batch?stream=false", BATCH_BODY));
+    assert!(
+        head.to_ascii_lowercase()
+            .contains("transfer-encoding: chunked"),
+        "{head}"
+    );
 
     shutdown(server);
 }
@@ -369,26 +453,6 @@ fn batch_lines_arrive_before_the_batch_completes() {
         "first line arrived only {gap:?} before completion; expected an early line"
     );
     assert_eq!(body.lines().count(), 3);
-
-    // The same first-byte-before-last-byte check on a lazily rendered
-    // body: every chunk pull of a ~78 KiB /codegen response (several
-    // 16 KiB chunks) sleeps 60ms, so production time dominates and the
-    // first byte is on the wire long before the body exists.
-    an5d_fault::uninstall();
-    let big = r#"{"benchmark":"j2d9pt","interior":[512,512],"steps":16,
-        "config":{"bt":16,"bs":[256],"hsn":256,"precision":"double"}}"#;
-    let (status, buffered) = client::post(addr, "/codegen", big).expect("buffered");
-    assert_eq!(status, 200, "{buffered}");
-    install_plan("seed=1;stream.chunk=delay:60");
-    let mut stream = raw_post(addr, "/codegen?stream=1", big);
-    let sent_at = Instant::now();
-    let (streamed, first_byte_at, done_at) = drain_chunked(&mut stream, |body| !body.is_empty());
-    let (ttfb, total) = (first_byte_at - sent_at, done_at - sent_at);
-    assert!(
-        ttfb * 3 <= total,
-        "/codegen TTFB {ttfb:?} not well below total {total:?}"
-    );
-    assert_eq!(streamed, buffered, "streamed bytes must match buffered");
 
     an5d_fault::uninstall();
     shutdown(server);

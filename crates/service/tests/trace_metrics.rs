@@ -272,8 +272,8 @@ fn view(state: &ServiceState, path: &str) -> String {
 fn metrics_families_and_series_match_the_parent_generated_list() {
     // The script `metrics_families.txt` was generated from, at the
     // parent of the commit that introduced the registry: /plan, /predict
-    // and /tune on two devices, one /execute, one streamed /codegen, one
-    // 400, a tune DB attached.
+    // and /tune on two devices, one /execute, one /codegen, one one-job
+    // /batch (the streamed body), one 400, a tune DB attached.
     let db = TempDb::new("families");
     let tune_db = Arc::new(an5d::TuneDb::open(&db.0).unwrap());
     let state = ServiceState::new(Arc::new(SerialBackend), 64).with_tune_db(tune_db);
@@ -298,7 +298,8 @@ fn metrics_families_and_series_match_the_parent_generated_list() {
     let small = r#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
                     "config":{"bt":2,"bs":[12],"precision":"double"}}"#;
     assert_eq!(post("/execute", small), 200);
-    assert_eq!(post("/codegen?stream=1", small), 200);
+    assert_eq!(post("/codegen", small), 200);
+    assert_eq!(post("/batch", &format!(r#"{{"jobs":[{small}]}}"#)), 200);
     assert_eq!(post("/plan", "{}"), 400);
 
     // `# HELP` / `# TYPE` lines whole; sample lines without their value,
