@@ -1,5 +1,5 @@
-//! The batch driver: fan a suite of (stencil, config) jobs across a
-//! bounded number of threads, executing through any [`ExecutionBackend`].
+//! The batch driver: plan and execute (stencil, config) jobs, one after
+//! the other on the calling thread, through any [`ExecutionBackend`].
 
 use crate::{BackendElement, ExecutionBackend, SerialBackend};
 use an5d_gpusim::TrafficCounters;
@@ -9,8 +9,9 @@ use an5d_stencil::{StencilDef, StencilError, StencilProblem};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One unit of batch work: a stencil, its problem extents and a blocking
-/// configuration. The configuration's precision selects the element type.
+/// One unit of batch work: a stencil, its problem extents, a blocking
+/// configuration and the framework scheme to plan it under. The
+/// configuration's precision selects the element type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchJob {
     /// Label reported back in the [`BatchOutcome`].
@@ -25,10 +26,13 @@ pub struct BatchJob {
     pub config: BlockConfig,
     /// Deterministic initial state.
     pub init: GridInit,
+    /// Framework scheme the job is planned under.
+    pub scheme: FrameworkScheme,
 }
 
 impl BatchJob {
-    /// A job labelled with the stencil's suite name.
+    /// A job labelled with the stencil's suite name, planned under the
+    /// AN5D scheme.
     #[must_use]
     pub fn new(
         def: StencilDef,
@@ -43,6 +47,7 @@ impl BatchJob {
             time_steps,
             config,
             init: GridInit::Hash { seed: 0x5EED },
+            scheme: FrameworkScheme::an5d(),
         }
     }
 
@@ -50,6 +55,13 @@ impl BatchJob {
     #[must_use]
     pub fn with_init(mut self, init: GridInit) -> Self {
         self.init = init;
+        self
+    }
+
+    /// Plan under a different framework scheme.
+    #[must_use]
+    pub fn with_scheme(mut self, scheme: FrameworkScheme) -> Self {
+        self.scheme = scheme;
         self
     }
 }
@@ -103,29 +115,25 @@ impl std::fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Fans batch jobs across the process-wide pool
-/// ([`an5d_runtime::global`]), bounded by a per-driver concurrency cap.
+/// Plans and executes batch jobs on one [`ExecutionBackend`].
 ///
-/// Jobs are claimed one at a time by the caller and its scoped helpers,
-/// planned and executed on the configured [`ExecutionBackend`] (whose own
-/// tile fan-out draws on the same helper budget); results are
-/// returned **in input order** regardless of completion order, so batch
-/// output is deterministic.
+/// A job is a function call: [`BatchDriver::run_job`] plans and executes
+/// it on the calling thread, and the only threads it may start are the
+/// backend's, for the tiles of a temporal block. Everything about a job
+/// that can differ between requests — the scheme included — is on the
+/// [`BatchJob`]; the driver holds only the backend.
 ///
 /// Cloning is cheap and shares the backend, so a streamed `/batch` body
 /// can own a driver.
 #[derive(Clone)]
 pub struct BatchDriver {
     backend: Arc<dyn ExecutionBackend>,
-    scheme: FrameworkScheme,
-    workers: usize,
 }
 
 impl std::fmt::Debug for BatchDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchDriver")
             .field("backend", &self.backend.describe())
-            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -137,33 +145,10 @@ impl Default for BatchDriver {
 }
 
 impl BatchDriver {
-    /// A driver executing through `backend` with a concurrency cap of
-    /// one thread per available CPU.
+    /// A driver executing through `backend`.
     #[must_use]
     pub fn new(backend: Arc<dyn ExecutionBackend>) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self {
-            backend,
-            scheme: FrameworkScheme::an5d(),
-            workers,
-        }
-    }
-
-    /// Bound the threads running jobs at once, the caller included
-    /// (clamped to ≥ 1).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Plan under a different framework scheme.
-    #[must_use]
-    pub fn with_scheme(mut self, scheme: FrameworkScheme) -> Self {
-        self.scheme = scheme;
-        self
+        Self { backend }
     }
 
     /// The execution backend jobs run on.
@@ -172,10 +157,17 @@ impl BatchDriver {
         &self.backend
     }
 
-    fn run_job(&self, job: &BatchJob) -> Result<BatchOutcome, BatchError> {
-        // Per-item deadline checkpoint: a long batch under an expired
-        // request budget stops claiming work here — items already
-        // completed keep their results, unclaimed ones fail fast.
+    /// Plan and execute one job on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// Reports extents or a configuration the stencil rejects, and
+    /// refuses the job when the ambient request deadline has expired.
+    pub fn run_job(&self, job: &BatchJob) -> Result<BatchOutcome, BatchError> {
+        let _span = an5d_obs::Span::enter("batch.run");
+        // Per-job deadline checkpoint: a long batch under an expired
+        // request budget stops here — jobs already completed keep their
+        // results, the rest fail fast.
         if an5d_fault::deadline_expired() {
             return Err(BatchError {
                 name: job.name.clone(),
@@ -192,7 +184,7 @@ impl BatchDriver {
             })?;
         let plan = {
             let _span = an5d_obs::Span::enter("plan.build");
-            KernelPlan::build(&job.def, &problem, &job.config, self.scheme)
+            KernelPlan::build(&job.def, &problem, &job.config, job.scheme)
         }
         .map_err(|e| BatchError {
             name: job.name.clone(),
@@ -221,15 +213,9 @@ impl BatchDriver {
         })
     }
 
-    /// Run every job, returning per-job results in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job panics (propagating the original panic).
+    /// [`BatchDriver::run_job`] over every job, in input order.
     pub fn run(&self, jobs: &[BatchJob]) -> Vec<Result<BatchOutcome, BatchError>> {
-        let _span = an5d_obs::Span::enter("batch.run");
-        an5d_runtime::global()
-            .map_indexed_limited(self.workers, jobs.len(), |index| self.run_job(&jobs[index]))
+        jobs.iter().map(|job| self.run_job(job)).collect()
     }
 }
 
@@ -237,7 +223,10 @@ impl BatchDriver {
 mod tests {
     use super::*;
     use crate::VectorCpuBackend;
+    use an5d_gpusim::BlockedRun;
     use an5d_stencil::suite;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn jobs() -> Vec<BatchJob> {
         let config2d = |bt: usize| BlockConfig::new(bt, &[12], None, Precision::Double).unwrap();
@@ -250,9 +239,15 @@ mod tests {
         ]
     }
 
+    /// 3 extents for a 2D stencil.
+    fn rank_mismatch() -> BatchJob {
+        let config = BlockConfig::new(1, &[8], None, Precision::Double).unwrap();
+        BatchJob::new(suite::j2d5pt(), &[8, 8, 8], 2, config)
+    }
+
     #[test]
     fn batch_results_preserve_input_order() {
-        let driver = BatchDriver::new(Arc::new(SerialBackend)).with_workers(3);
+        let driver = BatchDriver::new(Arc::new(SerialBackend));
         let results = driver.run(&jobs());
         assert_eq!(results.len(), 4);
         let outcomes: Vec<&BatchOutcome> = results
@@ -269,8 +264,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_backends_agree_on_batch_checksums() {
-        let serial = BatchDriver::new(Arc::new(SerialBackend)).with_workers(1);
-        let parallel = BatchDriver::new(Arc::new(VectorCpuBackend::new(3))).with_workers(2);
+        let serial = BatchDriver::new(Arc::new(SerialBackend));
+        let parallel = BatchDriver::new(Arc::new(VectorCpuBackend::new(3)));
         let a = serial.run(&jobs());
         let b = parallel.run(&jobs());
         for (x, y) in a.iter().zip(&b) {
@@ -283,23 +278,88 @@ mod tests {
     #[test]
     fn invalid_jobs_report_errors_without_aborting_the_batch() {
         let mut all = jobs();
-        // Rank mismatch: 3 extents for a 2D stencil.
-        all.insert(
-            1,
-            BatchJob::new(
-                suite::j2d5pt(),
-                &[8, 8, 8],
-                2,
-                BlockConfig::new(1, &[8], None, Precision::Double).unwrap(),
-            ),
-        );
-        let driver = BatchDriver::default().with_workers(2);
+        all.insert(1, rank_mismatch());
+        let driver = BatchDriver::default();
         let results = driver.run(&all);
         assert_eq!(results.len(), 5);
         assert!(results[1].is_err());
         assert!(results[0].is_ok() && results[2].is_ok());
         let message = results[1].as_ref().unwrap_err().to_string();
         assert!(message.contains("j2d5pt"), "{message}");
+    }
+
+    /// [`SerialBackend`], except that the request's deadline runs out
+    /// while the `expire_in`-th execution is under way.
+    struct ExpiringBackend {
+        expire_in: AtomicUsize,
+        expired: Mutex<Option<an5d_fault::DeadlineGuard>>,
+    }
+
+    impl ExpiringBackend {
+        fn tick(&self) {
+            if self.expire_in.fetch_sub(1, Ordering::Relaxed) == 1 {
+                let guard = an5d_fault::Deadline::in_ms(0).install();
+                *self.expired.lock().unwrap() = Some(guard);
+            }
+        }
+    }
+
+    impl ExecutionBackend for ExpiringBackend {
+        fn name(&self) -> &'static str {
+            "expiring"
+        }
+        fn execute_f32(
+            &self,
+            plan: &KernelPlan,
+            problem: &StencilProblem,
+            initial: Grid<f32>,
+        ) -> BlockedRun<f32> {
+            self.tick();
+            SerialBackend.execute_f32(plan, problem, initial)
+        }
+        fn execute_f64(
+            &self,
+            plan: &KernelPlan,
+            problem: &StencilProblem,
+            initial: Grid<f64>,
+        ) -> BlockedRun<f64> {
+            self.tick();
+            SerialBackend.execute_f64(plan, problem, initial)
+        }
+    }
+
+    #[test]
+    fn an_expired_deadline_refuses_every_later_job_in_input_order() {
+        let mut all = jobs();
+        // Fails before it reaches the backend.
+        all.insert(1, rank_mismatch());
+        // The budget runs out during the second execution, i.e. job 2.
+        let backend = Arc::new(ExpiringBackend {
+            expire_in: AtomicUsize::new(2),
+            expired: Mutex::new(None),
+        });
+        let results = BatchDriver::new(Arc::clone(&backend) as _).run(&all);
+        drop(backend.expired.lock().unwrap().take());
+
+        let unhurried = BatchDriver::default().run(&all);
+        assert_eq!(results.len(), 5);
+        // Jobs up to the one the deadline caught mid-run keep their results…
+        for k in [0, 2] {
+            let (hurried, calm) = (results[k].as_ref().unwrap(), unhurried[k].as_ref().unwrap());
+            assert_eq!(
+                (&hurried.name, hurried.checksum),
+                (&calm.name, calm.checksum)
+            );
+        }
+        assert!(matches!(&results[1], Err(e) if matches!(e.error, BatchFailure::Problem(_))));
+        // …every later one is refused, under its own name.
+        for (job, result) in all.iter().zip(&results).skip(3) {
+            let e = result.as_ref().unwrap_err();
+            assert_eq!(
+                (&e.name, &e.error),
+                (&job.name, &BatchFailure::DeadlineExceeded)
+            );
+        }
     }
 
     #[test]

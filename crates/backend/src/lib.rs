@@ -25,9 +25,10 @@
 //!   computes every cell through the scalar operation sequence of the
 //!   naive reference sweep, every thread count produces **bit-identical**
 //!   grids (for `f32` and `f64` alike) and identical counter totals;
-//! * [`BatchDriver`] — fans a whole suite of (stencil, config) jobs out
-//!   the same way (bounded by a per-driver concurrency cap), building
-//!   each job's plan and executing it through any [`ExecutionBackend`];
+//! * [`BatchDriver`] — builds a job's plan under the job's scheme and
+//!   executes it through any [`ExecutionBackend`], on the calling thread;
+//!   a suite of jobs is a loop over them. The tiles of a launch are the
+//!   only thing that fans out;
 //! * [`PlanCache`] — a plain `Mutex`-guarded LRU over built plans, keyed
 //!   by (stencil name, problem extents, [`BlockConfig`],
 //!   [`FrameworkScheme`]). A plan costs microseconds to build, so nothing
@@ -37,13 +38,14 @@
 //! # Backend selection
 //!
 //! Backends are registered by name (see [`create_backend`] /
-//! [`available_backends`]). The `AN5D_BACKEND` environment variable picks
-//! the process-wide default consumed by [`backend_from_env`]:
+//! [`available_backends`]). The library reads no environment: the
+//! binaries that honour `AN5D_BACKEND` ([`BACKEND_ENV`]) resolve the spec
+//! in their `main` and pass the backend down.
 //!
 //! ```text
-//! AN5D_BACKEND=serial        # tiles inline on the caller (default)
-//! AN5D_BACKEND=vector        # tiles on up to one thread per CPU
-//! AN5D_BACKEND=vector:8      # tiles on at most 8 threads
+//! serial        # tiles inline on the caller (what `An5d` defaults to)
+//! vector        # tiles on up to one thread per CPU
+//! vector:8      # tiles on at most 8 threads
 //! ```
 //!
 //! `vector:N` is a cap, not a count: at most N threads run tiles, the
@@ -80,7 +82,7 @@ mod registry;
 pub use backend::{BackendElement, ExecutionBackend, SerialBackend, VectorCpuBackend};
 pub use batch::{BatchDriver, BatchError, BatchFailure, BatchJob, BatchOutcome};
 pub use cache::{CacheStats, PlanCache};
-pub use registry::{available_backends, backend_from_env, create_backend, BACKEND_ENV};
+pub use registry::{available_backends, create_backend, BACKEND_ENV};
 
 // Re-exported so backend users can name the key/config types without an
 // extra dependency edge.

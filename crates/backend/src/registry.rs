@@ -1,9 +1,11 @@
-//! Name-based backend registry and environment-variable selection.
+//! Name-based backend registry.
 
 use crate::{ExecutionBackend, SerialBackend, VectorCpuBackend};
 use std::sync::Arc;
 
-/// Environment variable consulted by [`backend_from_env`].
+/// Name of the environment variable binaries read a backend spec from.
+/// The library never consults it: a `main` resolves it with
+/// [`create_backend`] and hands the backend down.
 pub const BACKEND_ENV: &str = "AN5D_BACKEND";
 
 /// The registered backend family names.
@@ -20,8 +22,7 @@ pub fn available_backends() -> &'static [&'static str] {
 /// Accepted specs: `"serial"`, `"vector"` (one worker per CPU) and
 /// `"vector:<threads>"` with `threads ≥ 1`. Returns `None` for anything
 /// else — including `"vector:0"`: a zero worker count is an invalid spec
-/// and is rejected (with the stderr fallback note in
-/// [`backend_from_env`]) rather than silently clamped to one thread.
+/// and is rejected rather than silently clamped to one thread.
 #[must_use]
 pub fn create_backend(spec: &str) -> Option<Arc<dyn ExecutionBackend>> {
     match spec.trim() {
@@ -34,27 +35,6 @@ pub fn create_backend(spec: &str) -> Option<Arc<dyn ExecutionBackend>> {
                 .ok()?;
             Some(Arc::new(VectorCpuBackend::new(threads.get())))
         }
-    }
-}
-
-/// The process-wide default backend: the spec in `AN5D_BACKEND` when set
-/// and valid, otherwise [`SerialBackend`].
-///
-/// An invalid spec falls back to the serial backend (with a note on
-/// stderr) rather than failing, so experiment harnesses keep running
-/// under a typo'd environment.
-#[must_use]
-pub fn backend_from_env() -> Arc<dyn ExecutionBackend> {
-    match std::env::var(BACKEND_ENV) {
-        Ok(spec) => create_backend(&spec).unwrap_or_else(|| {
-            eprintln!(
-                "warning: {BACKEND_ENV}={spec} is not a registered backend \
-                 (expected one of {:?}, or vector:<threads>); using serial",
-                available_backends()
-            );
-            Arc::new(SerialBackend)
-        }),
-        Err(_) => Arc::new(SerialBackend),
     }
 }
 

@@ -1,21 +1,10 @@
 //! Shared helpers for the experiment harnesses.
-//!
-//! All functional execution goes through the [`ExecutionBackend`]
-//! selected by the `AN5D_BACKEND` environment variable — so every
-//! experiment, example and test switches backends without code changes.
 
 use an5d::{
-    backend_from_env, measure_best_cap, predict, standard_registry, BlockConfig, DeviceRegistry,
-    ExecutionBackend, FrameworkScheme, GpuDevice, KernelPlan, Measurement, ModelPrediction,
-    Precision, SearchSpace, StencilDef, StencilProblem, Tuner, TuningResult,
+    measure_best_cap, predict, standard_registry, BlockConfig, DeviceRegistry, FrameworkScheme,
+    GpuDevice, KernelPlan, Measurement, ModelPrediction, Precision, SearchSpace, StencilDef,
+    StencilProblem, Tuner, TuningResult,
 };
-use std::sync::Arc;
-
-/// The execution backend selected for this process (`AN5D_BACKEND`).
-#[must_use]
-pub fn execution_backend() -> Arc<dyn ExecutionBackend> {
-    backend_from_env()
-}
 
 /// Build a plan under the AN5D scheme.
 #[must_use]
@@ -97,9 +86,7 @@ pub fn sconf_measurement(
 pub fn tuned(def: &StencilDef, device: &GpuDevice, precision: Precision) -> Option<TuningResult> {
     let problem = paper_problem(def);
     let space = SearchSpace::paper(def.ndim(), precision);
-    Tuner::new(device.clone(), precision)
-        .tune(def, &problem, &space)
-        .ok()
+    Tuner::new(device.clone()).tune(def, &problem, &space).ok()
 }
 
 /// Model prediction for an explicit configuration at paper scale.

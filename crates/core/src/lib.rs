@@ -79,8 +79,8 @@ pub use an5d_gpusim::{
 };
 
 pub use an5d_backend::{
-    available_backends, backend_from_env, create_backend, BackendElement, BatchDriver, BatchError,
-    BatchFailure, BatchJob, BatchOutcome, CacheStats, ExecutionBackend, PlanCache, SerialBackend,
+    available_backends, create_backend, BackendElement, BatchDriver, BatchError, BatchFailure,
+    BatchJob, BatchOutcome, CacheStats, ExecutionBackend, PlanCache, SerialBackend,
     VectorCpuBackend, BACKEND_ENV,
 };
 

@@ -1,7 +1,7 @@
 //! The end-to-end AN5D pipeline.
 
 use crate::An5dError;
-use an5d_backend::{backend_from_env, ExecutionBackend};
+use an5d_backend::{ExecutionBackend, SerialBackend};
 use an5d_codegen::CudaCode;
 use an5d_frontend::{emit_c_source, parse_stencil};
 use an5d_gpusim::{DeviceId, GpuDevice, TrafficCounters};
@@ -49,9 +49,8 @@ pub struct VerificationReport {
 /// verification, prediction, measurement, tuning and code generation.
 ///
 /// Functional (blocked) execution goes through a pluggable
-/// [`ExecutionBackend`]; the default is selected by the `AN5D_BACKEND`
-/// environment variable (see [`an5d_backend::backend_from_env`]) and can
-/// be overridden per pipeline with [`An5d::with_backend`].
+/// [`ExecutionBackend`]: [`SerialBackend`] unless the pipeline is given
+/// another with [`An5d::with_backend`].
 #[derive(Clone)]
 pub struct An5d {
     def: StencilDef,
@@ -103,7 +102,7 @@ impl An5d {
         Self {
             def,
             scheme: FrameworkScheme::an5d(),
-            backend: backend_from_env(),
+            backend: Arc::new(SerialBackend),
             source: Arc::new(SimulatedMeasurement),
         }
     }
@@ -130,8 +129,14 @@ impl An5d {
         self
     }
 
+    /// The framework scheme plans are built under.
+    #[must_use]
+    pub fn scheme(&self) -> FrameworkScheme {
+        self.scheme
+    }
+
     /// Use an explicit execution backend for blocked (functional)
-    /// execution instead of the `AN5D_BACKEND` process default.
+    /// execution instead of [`SerialBackend`].
     #[must_use]
     pub fn with_backend(mut self, backend: Arc<dyn ExecutionBackend>) -> Self {
         self.backend = backend;
@@ -298,7 +303,7 @@ impl An5d {
         space: &SearchSpace,
     ) -> Result<TuningResult, An5dError> {
         let _span = an5d_obs::Span::enter("pipeline.tune");
-        let tuner = Tuner::new(device.clone(), space.precision())
+        let tuner = Tuner::new(device.clone())
             .with_scheme(self.scheme)
             .with_measurement_source(Arc::clone(&self.source));
         Ok(tuner.tune(&self.def, problem, space)?)

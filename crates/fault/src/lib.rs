@@ -31,6 +31,6 @@ mod plan;
 
 pub use deadline::{current_deadline, deadline_expired, Deadline, DeadlineGuard};
 pub use plan::{
-    check, fired, injected, install, install_from_env, installed, journal, point, uninstall,
-    FaultAction, FaultPlan, FaultyRead, FaultyWrite, FiredFault, FAULTS_ENV,
+    check, fired, injected, install, installed, journal, point, uninstall, FaultAction, FaultPlan,
+    FaultyRead, FaultyWrite, FiredFault, FAULTS_ENV,
 };

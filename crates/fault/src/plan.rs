@@ -304,15 +304,6 @@ pub fn install(plan: FaultPlan) -> Arc<FaultPlan> {
     plan
 }
 
-/// Parse and install a plan from the [`FAULTS_ENV`] environment
-/// variable. Returns `Ok(None)` when the variable is unset or empty.
-pub fn install_from_env() -> Result<Option<Arc<FaultPlan>>, String> {
-    match std::env::var(FAULTS_ENV) {
-        Ok(spec) if !spec.trim().is_empty() => FaultPlan::parse(&spec).map(|p| Some(install(p))),
-        _ => Ok(None),
-    }
-}
-
 /// Remove the installed plan; every probe returns to a no-op.
 pub fn uninstall() {
     ENABLED.store(false, Ordering::Release);

@@ -42,4 +42,4 @@ pub use exec::{
 pub use occupancy::{Occupancy, OccupancyLimit};
 pub use profile::WorkloadProfile;
 pub use registry::{standard_registry, DeviceId, DeviceRegistry};
-pub use timing::{simulate, Bottleneck, InfeasibleConfig, SimulatedTime};
+pub use timing::{simulate, wave_efficiency, Bottleneck, InfeasibleConfig, SimulatedTime};

@@ -87,24 +87,6 @@ impl Occupancy {
     pub fn is_feasible(&self) -> bool {
         self.blocks_per_sm > 0
     }
-
-    /// Device-level utilisation efficiency for a launch of
-    /// `total_thread_blocks`: the tail-effect factor `waves / ⌈waves⌉`
-    /// (clamped to 1), scaled down further when the launch is too small to
-    /// fill the device even once.
-    #[must_use]
-    pub fn launch_efficiency(&self, device: &GpuDevice, total_thread_blocks: u128) -> f64 {
-        if !self.is_feasible() || total_thread_blocks == 0 {
-            return 0.0;
-        }
-        let device_capacity = (self.blocks_per_sm * device.sm_count) as f64;
-        let waves = total_thread_blocks as f64 / device_capacity;
-        if waves <= 1.0 {
-            waves
-        } else {
-            waves / waves.ceil()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,22 +134,6 @@ mod tests {
         assert_eq!(occ.fraction, 1.0);
         let occ33 = Occupancy::compute(&device, 256, 2048, 33);
         assert!(occ33.fraction < 1.0);
-    }
-
-    #[test]
-    fn launch_efficiency_handles_small_and_tail_launches() {
-        let device = GpuDevice::tesla_v100();
-        let occ = Occupancy::compute(&device, 256, 2048, 32);
-        let capacity = (occ.blocks_per_sm * device.sm_count) as u128;
-        // Exactly one wave: full efficiency.
-        assert!((occ.launch_efficiency(&device, capacity) - 1.0).abs() < 1e-12);
-        // Half a wave: 50 % efficiency.
-        assert!((occ.launch_efficiency(&device, capacity / 2) - 0.5).abs() < 1e-12);
-        // One and a half waves: 75 % efficiency.
-        let eff = occ.launch_efficiency(&device, capacity + capacity / 2);
-        assert!((eff - 0.75).abs() < 1e-12);
-        // Degenerate cases.
-        assert_eq!(occ.launch_efficiency(&device, 0), 0.0);
     }
 
     #[test]

@@ -86,6 +86,29 @@ impl SimulatedTime {
     }
 }
 
+/// SM-utilisation efficiency of one kernel launch — the Section 5 model's
+/// `effSM`, which the simulated measurement applies too, so the two agree
+/// on *how* a launch underfills the device. A launch runs in waves of
+/// `nSM × (max_threads_per_sm / nthr)` thread blocks (the thread-count
+/// limit); less than one wave uses that share of the device, and a
+/// partially-filled last wave wastes its idle SMs: `waves / ⌈waves⌉`.
+/// (The paper writes the wave size without the `nSM` factor, which would
+/// make `effSM` ≈ 1 for every realistic launch; the SM count is clearly
+/// the intended quantity.)
+#[must_use]
+pub fn wave_efficiency(device: &GpuDevice, nthr: usize, blocks_per_launch: f64) -> f64 {
+    if nthr == 0 || blocks_per_launch <= 0.0 {
+        return 0.0;
+    }
+    let blocks_per_wave = (device.sm_count * (device.max_threads_per_sm / nthr).max(1)) as f64;
+    let waves = blocks_per_launch / blocks_per_wave;
+    if waves <= 1.0 {
+        waves
+    } else {
+        waves / waves.ceil()
+    }
+}
+
 /// Simulate the run time of a workload on a device.
 ///
 /// # Errors
@@ -146,26 +169,14 @@ pub fn simulate(
     };
 
     // Device utilisation: occupancy fraction (latency hiding) combined with
-    // the launch/tail efficiency. The wave size uses the thread-count limit
-    // (2048 / nthr per SM) so that the measurement and the Section 5 model
-    // agree on *how* a launch underfills the device; the measurement then
-    // applies the additional occupancy and bandwidth-efficiency derates the
-    // model ignores.
-    let blocks_per_wave =
-        (device.sm_count * (device.max_threads_per_sm / profile.nthr).max(1)) as f64;
-    // Tail effects apply per kernel launch (the host code launches one
-    // kernel per temporal block), so divide the run's total blocks by the
-    // number of launches.
+    // the model's launch/tail efficiency; the measurement then applies the
+    // additional occupancy and bandwidth-efficiency derates the model
+    // ignores. Tail effects apply per kernel launch (the host code launches
+    // one kernel per temporal block), so divide the run's total blocks by
+    // the number of launches.
     let blocks_per_launch =
         profile.total_thread_blocks as f64 / profile.kernel_launches.max(1) as f64;
-    let waves = blocks_per_launch / blocks_per_wave;
-    let launch_eff = if waves <= 0.0 {
-        0.0
-    } else if waves <= 1.0 {
-        waves
-    } else {
-        waves / waves.ceil()
-    };
+    let launch_eff = wave_efficiency(device, profile.nthr, blocks_per_launch);
     // Low occupancy hurts, but sub-linearly: even ~25 % occupancy hides most
     // latency for bandwidth-bound kernels.
     let occupancy_eff = occupancy.fraction.sqrt().clamp(0.05, 1.0);

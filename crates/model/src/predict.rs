@@ -1,7 +1,7 @@
 //! The roofline-style run-time prediction (Section 5, steps 2–3).
 
 use crate::traffic::analytic_counters;
-use an5d_gpusim::{Bottleneck, GpuDevice};
+use an5d_gpusim::{wave_efficiency, Bottleneck, GpuDevice};
 use an5d_plan::KernelPlan;
 use an5d_stencil::StencilProblem;
 
@@ -30,27 +30,6 @@ pub struct ModelPrediction {
     pub total_sm_bytes: u128,
     /// Total modelled floating-point operations.
     pub total_flops: u128,
-}
-
-/// SM-utilisation efficiency `effSM` (Section 5): the launch is executed in
-/// waves of `nSM × (2048 / nthr)` thread blocks; a partially-filled last
-/// wave wastes its idle SMs. (The paper writes the wave size without the
-/// `nSM` factor, which would make `effSM` ≈ 1 for every realistic launch;
-/// we include the SM count, which is clearly the intended quantity, and use
-/// the smooth `waves / ⌈waves⌉` tail formula.)
-#[must_use]
-pub fn sm_efficiency(device: &GpuDevice, nthr: usize, thread_blocks_per_launch: usize) -> f64 {
-    if nthr == 0 || thread_blocks_per_launch == 0 {
-        return 0.0;
-    }
-    let concurrent_per_sm = (device.max_threads_per_sm / nthr).max(1);
-    let per_wave = (device.sm_count * concurrent_per_sm) as f64;
-    let waves = thread_blocks_per_launch as f64 / per_wave;
-    if waves <= 1.0 {
-        waves
-    } else {
-        waves / waves.ceil()
-    }
 }
 
 /// Run the Section 5 model for a plan on a device.
@@ -83,10 +62,10 @@ pub fn predict(plan: &KernelPlan, problem: &StencilProblem, device: &GpuDevice) 
         (Bottleneck::Compute, time_compute)
     };
 
-    let eff_sm = sm_efficiency(
+    let eff_sm = wave_efficiency(
         device,
         plan.geometry().nthr,
-        plan.geometry().total_thread_blocks,
+        plan.geometry().total_thread_blocks as f64,
     )
     .max(1e-6);
     let seconds = raw / eff_sm;
@@ -184,12 +163,12 @@ mod tests {
     fn sm_efficiency_formula() {
         let device = GpuDevice::tesla_v100();
         // 256-thread blocks → 8 blocks per SM → 640 blocks per wave.
-        assert!((sm_efficiency(&device, 256, 640) - 1.0).abs() < 1e-12);
-        assert!((sm_efficiency(&device, 256, 320) - 0.5).abs() < 1e-12);
-        let eff = sm_efficiency(&device, 256, 960); // 1.5 waves
+        assert!((wave_efficiency(&device, 256, 640.0) - 1.0).abs() < 1e-12);
+        assert!((wave_efficiency(&device, 256, 320.0) - 0.5).abs() < 1e-12);
+        let eff = wave_efficiency(&device, 256, 960.0); // 1.5 waves
         assert!((eff - 0.75).abs() < 1e-12, "1.5 waves / ceil(1.5) = 0.75");
-        assert_eq!(sm_efficiency(&device, 0, 100), 0.0);
-        assert_eq!(sm_efficiency(&device, 256, 0), 0.0);
+        assert_eq!(wave_efficiency(&device, 0, 100.0), 0.0);
+        assert_eq!(wave_efficiency(&device, 256, 0.0), 0.0);
     }
 
     #[test]

@@ -2,31 +2,32 @@
 //!
 //! AN5D's host loop launches one kernel per temporal block, and the
 //! thread blocks of one launch are independent (§4.3.1): on the CPU that
-//! is one fork-join per launch. The workspace's two parallel sites — the
-//! CPU backend's tile fan-out and the `BatchDriver` job queue — both are
-//! that fork-join, written once as [`ScopedPool::for_each_limited`]:
-//! helper threads are started inside one `std::thread::scope` and are
-//! gone when the call returns. Nothing stays resident between calls,
-//! nothing is queued and there is nothing to configure; starting and
-//! joining a helper costs ≈ 15 µs against fan-outs of milliseconds.
+//! is one fork-join per launch, and it is the workspace's one parallel
+//! site — the CPU backend's tile fan-out (`execute_blocked` in
+//! `an5d-backend`), written as [`ScopedPool::for_each_limited`]: helper
+//! threads are started inside one `std::thread::scope` and are gone when
+//! the call returns. Nothing stays resident between calls, nothing is
+//! queued and there is nothing to configure; starting and joining a
+//! helper costs ≈ 15 µs against fan-outs of milliseconds.
 //!
 //! * **Dynamic per-item scheduling.** Work arrives as an iterator behind
 //!   a mutex, and every serving thread claims the next item as soon as it
 //!   has finished its previous one, so imbalance is bounded by one item.
 //! * **Caller participates.** The calling thread always executes items
 //!   itself; helpers merely help. Every call can therefore finish on its
-//!   caller alone, which makes nested use (a batch job that fans its
-//!   tiles out) deadlock-free and a cap of 1 a plain serial loop.
+//!   caller alone, and a cap of 1 is a plain serial loop.
 //! * **One helper budget.** Helpers are borrowed from a per-pool budget —
 //!   the machine's available parallelism for the [`global`] pool — and
-//!   returned when the call ends, so nested and concurrent fan-outs
-//!   together never run more helpers than that. A call that finds the
-//!   budget empty, or is capped at 1, runs inline and starts no thread.
+//!   returned when the call ends. No library code fans out from inside an
+//!   item, but callers do fan out side by side (the service's dispatch
+//!   workers each run an `/execute` on `vector:N`); together they never
+//!   run more helpers than the budget. A call that finds it empty, or is
+//!   capped at 1, runs inline and starts no thread.
 //! * **Determinism is the caller's contract.** The pool only changes
-//!   *which thread* runs an item and *when*; callers that need
-//!   deterministic output index their results (see
-//!   [`ScopedPool::map_indexed_limited`]) and aggregate in canonical
-//!   order, so results are bit-identical to a serial run.
+//!   *which thread* runs an item and *when*; a caller that needs
+//!   deterministic output gives every item its own place to write (the
+//!   backend hands each tile its carved output rows) and aggregates in
+//!   canonical order, so results are bit-identical to a serial run.
 //! * **Panic propagation.** A panicking item stops further claims, and
 //!   its payload resurfaces on the calling thread once every helper has
 //!   been joined.
@@ -213,41 +214,13 @@ impl ScopedPool {
             resume_unwind(payload);
         }
     }
-
-    /// Run `task(i)` for every `i < len` on at most `max_active` threads
-    /// (see [`ScopedPool::for_each_limited`]) and collect the results in
-    /// index order — a `map` over `0..len`, bit-identical to the serial
-    /// loop regardless of scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `task`.
-    #[must_use]
-    pub fn map_indexed_limited<T, F>(&self, max_active: usize, len: usize, task: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
-        self.for_each_limited(max_active, 0..len, |index| {
-            *slots[index].lock().expect("pool result slot poisoned") = Some(task(index));
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("pool result slot poisoned")
-                    .expect("every index was executed")
-            })
-            .collect()
-    }
 }
 
 static GLOBAL: OnceLock<ScopedPool> = OnceLock::new();
 
-/// The process-wide pool behind the CPU execution backend's tile fan-out
-/// and the batch driver: a helper budget of the machine's available
-/// parallelism (the caller of a fan-out comes on top).
+/// The process-wide pool behind the CPU execution backend's tile
+/// fan-out: a helper budget of the machine's available parallelism (the
+/// caller of a fan-out comes on top).
 #[must_use]
 pub fn global() -> &'static ScopedPool {
     GLOBAL.get_or_init(|| {
@@ -285,24 +258,15 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_preserves_input_order() {
-        let pool = ScopedPool::new(4);
-        let out = pool.map_indexed_limited(usize::MAX, 257, |i| i * i);
-        assert_eq!(out.len(), 257);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-    }
-
-    #[test]
     fn zero_worker_pool_runs_inline() {
         let pool = ScopedPool::new(0);
         let caller = std::thread::current().id();
-        let out = pool.map_indexed_limited(usize::MAX, 16, |i| {
+        let ran = AtomicUsize::new(0);
+        for_each(&pool, 0..16, |_| {
             assert_eq!(std::thread::current().id(), caller);
-            i + 1
+            ran.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(out[15], 16);
+        assert_eq!(ran.into_inner(), 16);
     }
 
     #[test]
@@ -371,7 +335,7 @@ mod tests {
         // both helpers each run an inner fan-out inline; their first items
         // meet at the barrier.
         let all_three = Barrier::new(3);
-        let _ = pool.map_indexed_limited(4, 8, |outer| {
+        pool.for_each_limited(4, 0..8, |outer| {
             pool.for_each_limited(4, 0..8, |inner| {
                 let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
@@ -400,7 +364,11 @@ mod tests {
             .unwrap_or_default();
         assert!(message.contains("boom at 57"), "{message}");
         // The pool stays usable after a panicking batch.
-        assert_eq!(pool.map_indexed_limited(usize::MAX, 4, |i| i).len(), 4);
+        let ran = AtomicUsize::new(0);
+        for_each(&pool, 0..4, |_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.into_inner(), 4);
     }
 
     #[test]
@@ -430,7 +398,6 @@ mod tests {
     fn empty_batches_are_a_no_op() {
         let pool = ScopedPool::new(2);
         for_each(&pool, std::iter::empty::<usize>(), |_| unreachable!());
-        assert!(pool.map_indexed_limited(usize::MAX, 0, |i| i).is_empty());
     }
 
     #[test]

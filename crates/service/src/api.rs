@@ -13,9 +13,9 @@ use crate::json::Json;
 use an5d::{
     An5d, BatchDriver, BatchError, BatchJob, BatchOutcome, BlockConfig, CudaCode, DetectedStencil,
     DeviceId, DeviceRegistry, FrameworkScheme, GpuDevice, GridInit, KernelPlan, ModelPrediction,
-    Precision, RegisterCap, SearchSpace, StencilProblem, TrafficCounters, TunedCandidate,
-    TuningResult,
+    Precision, SearchSpace, StencilProblem, TrafficCounters, TuningResult,
 };
+use an5d_tunedb::codec;
 use std::collections::VecDeque;
 
 /// A request-level problem: maps to a 400 with `{"error": …}` — unless
@@ -143,14 +143,14 @@ pub fn pipeline_from(body: &Json) -> Result<An5d, ApiError> {
 pub fn scheme_from(body: &Json) -> Result<FrameworkScheme, ApiError> {
     match body.get("scheme") {
         None => Ok(FrameworkScheme::an5d()),
-        Some(value) => match value.as_str() {
-            Some("an5d") => Ok(FrameworkScheme::an5d()),
-            Some("stencilgen") => Ok(FrameworkScheme::stencilgen()),
-            Some("an5d_no_associative") => Ok(FrameworkScheme::an5d_no_associative()),
-            _ => Err(ApiError::new(
-                "\"scheme\" must be \"an5d\", \"stencilgen\" or \"an5d_no_associative\"",
-            )),
-        },
+        Some(value) => value
+            .as_str()
+            .and_then(FrameworkScheme::by_name)
+            .ok_or_else(|| {
+                ApiError::new(
+                    "\"scheme\" must be \"an5d\", \"stencilgen\" or \"an5d_no_associative\"",
+                )
+            }),
     }
 }
 
@@ -318,28 +318,6 @@ pub fn parse_response(detected: &DetectedStencil) -> Json {
     ])
 }
 
-fn config_json(config: &BlockConfig) -> Json {
-    Json::obj(vec![
-        ("bt", int(config.bt())),
-        ("bs", Json::usize_array(config.bs())),
-        ("hsn", config.hsn().map_or(Json::Null, int)),
-        (
-            "precision",
-            Json::str(match config.precision() {
-                Precision::Single => "single",
-                Precision::Double => "double",
-            }),
-        ),
-    ])
-}
-
-fn register_cap_json(cap: RegisterCap) -> Json {
-    match cap {
-        RegisterCap::Limit(n) => int(n),
-        RegisterCap::Unlimited => Json::Null,
-    }
-}
-
 /// Response body for `/plan`.
 #[must_use]
 pub fn plan_response(plan: &KernelPlan) -> Json {
@@ -349,7 +327,7 @@ pub fn plan_response(plan: &KernelPlan) -> Json {
         ("stencil", Json::str(plan.def().name())),
         ("scheme", Json::str(plan.scheme().name)),
         ("kernel", Json::Str(an5d::kernel_name_for(plan))),
-        ("config", config_json(plan.config())),
+        ("config", codec::config_to_json(plan.config())),
         (
             "geometry",
             Json::obj(vec![
@@ -397,29 +375,11 @@ pub fn predict_response(prediction: &ModelPrediction) -> Json {
     ])
 }
 
-fn candidate_json(candidate: &TunedCandidate) -> Json {
-    Json::obj(vec![
-        ("config", config_json(&candidate.config)),
-        ("register_cap", register_cap_json(candidate.register_cap)),
-        ("predicted_gflops", Json::Num(candidate.predicted_gflops)),
-        ("measured_gflops", Json::Num(candidate.measured_gflops)),
-        ("measured_gcells", Json::Num(candidate.measured_gcells)),
-        ("seconds", Json::Num(candidate.seconds)),
-    ])
-}
-
-/// Response body for `/tune`.
+/// Response body for `/tune`: the object the tune DB stores, so a result
+/// read back from the database renders to the bytes the fresh one did.
 #[must_use]
 pub fn tune_response(result: &TuningResult) -> Json {
-    Json::obj(vec![
-        ("best", candidate_json(&result.best)),
-        (
-            "measured",
-            Json::Arr(result.measured.iter().map(candidate_json).collect()),
-        ),
-        ("ranked_candidates", int(result.ranked_candidates)),
-        ("total_candidates", int(result.total_candidates)),
-    ])
+    codec::result_to_json(result)
 }
 
 /// Response body for `/codegen`.
@@ -537,7 +497,7 @@ pub fn batch_jobs_from(body: &Json) -> Result<Vec<BatchJob>, ApiError> {
 
 /// Extract one `/execute`-style job spec — the `/execute` body and each
 /// entry of a `/batch` job list — into a [`BatchJob`] on the seeded
-/// deterministic initial grid.
+/// deterministic initial grid, planned under the spec's `"scheme"`.
 ///
 /// # Errors
 ///
@@ -554,7 +514,8 @@ pub fn batch_job_from(spec: &Json) -> Result<BatchJob, ApiError> {
         problem.time_steps(),
         config,
     )
-    .with_init(GridInit::Hash { seed }))
+    .with_init(GridInit::Hash { seed })
+    .with_scheme(pipeline.scheme()))
 }
 
 /// Render one `/batch` NDJSON line (newline included) for job `index`.
@@ -601,11 +562,7 @@ pub fn batch_chunk_source(driver: BatchDriver, jobs: Vec<BatchJob>) -> ChunkSour
         let Some(job) = queue.pop_front() else {
             return Ok(None);
         };
-        let result = driver
-            .run(&[job])
-            .pop()
-            .expect("one job in yields one result out");
-        let line = batch_job_line(index, &result);
+        let line = batch_job_line(index, &driver.run_job(&job));
         index += 1;
         Ok(Some(line.into_bytes()))
     })
@@ -641,7 +598,7 @@ mod tests {
         assert_eq!(config.bs(), &[128]);
         assert_eq!(config.hsn(), Some(256));
         assert_eq!(
-            config_json(&config).render(),
+            codec::config_to_json(&config).render(),
             r#"{"bt":4,"bs":[128],"hsn":256,"precision":"single"}"#
         );
 

@@ -19,11 +19,9 @@
 //!
 //! `/execute` runs one tile executor; `--backend` only sets how many
 //! threads run tiles at once (`serial`: the request's worker alone,
-//! `vector[:threads]`: at most that many, the worker included); an invalid
-//! `--backend` spec is a hard startup error. Without the flag the
-//! standard `AN5D_BACKEND` environment variable applies, where invalid
-//! specs fall back to serial with a note on stderr, exactly as in the
-//! library. The persisted tuning database
+//! `vector[:threads]`: at most that many, the worker included). It
+//! defaults to the `AN5D_BACKEND` environment variable; an invalid spec
+//! from either is a hard startup error. The persisted tuning database
 //! defaults to the `AN5D_TUNE_DB` environment variable; `--tune-db`
 //! overrides it (and `--tune-db ""` disables persistence). Appends are
 //! fsync'd per record.
@@ -59,16 +57,14 @@ fn usage() -> ! {
 }
 
 fn parse_args() -> ServerConfig {
-    // The env-var default is resolved here at the binary boundary (the
-    // library default is None so embedders never pick up a DB
-    // implicitly); --tune-db overrides it below.
+    // The env-var defaults are resolved here at the binary boundary (the
+    // library defaults are None so embedders never pick up a backend, a
+    // DB or a fault plan implicitly); the flags override them below.
+    let from_env = |name| std::env::var(name).ok().filter(|v| !v.trim().is_empty());
     let mut config = ServerConfig {
-        tune_db: std::env::var(an5d_service::TUNE_DB_ENV)
-            .ok()
-            .filter(|path| !path.trim().is_empty()),
-        faults: std::env::var(an5d_fault::FAULTS_ENV)
-            .ok()
-            .filter(|spec| !spec.trim().is_empty()),
+        backend: from_env(an5d::BACKEND_ENV),
+        tune_db: from_env(an5d_service::TUNE_DB_ENV),
+        faults: from_env(an5d_fault::FAULTS_ENV),
         ..ServerConfig::default()
     };
     let mut args = std::env::args().skip(1);

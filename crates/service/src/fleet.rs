@@ -203,10 +203,9 @@ impl std::fmt::Debug for Fleet {
 
 impl Fleet {
     /// A fleet with one shard per registry profile, one plan cache of
-    /// `cache_capacity` and a single-worker batch driver on `backend`
-    /// (request-level parallelism comes from the server's dispatch
-    /// workers). Every shard's series and the cache's are registered in
-    /// `metrics`.
+    /// `cache_capacity` and a batch driver on `backend` (request-level
+    /// parallelism comes from the server's dispatch workers). Every
+    /// shard's series and the cache's are registered in `metrics`.
     ///
     /// # Panics
     ///
@@ -256,7 +255,7 @@ impl Fleet {
             registry,
             metrics: Arc::clone(metrics),
             cache,
-            driver: BatchDriver::new(Arc::clone(backend)).with_workers(1),
+            driver: BatchDriver::new(Arc::clone(backend)),
             shards,
             tune_db: None,
         }

@@ -422,10 +422,9 @@ fn planned(
     let pipeline = api::pipeline_from(body)?;
     let problem = api::problem_from(body, &pipeline)?;
     let config = api::config_from(body)?;
-    let scheme = api::scheme_from(body)?;
     let plan = state
         .fleet
-        .plan(pipeline.def(), &problem, &config, scheme)
+        .plan(pipeline.def(), &problem, &config, pipeline.scheme())
         .map_err(|e| ApiError::new(e.to_string()))?;
     Ok((problem, plan))
 }
@@ -542,10 +541,10 @@ fn codegen_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError>
 fn execute_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError> {
     observed(state, body, || {
         let job = api::batch_job_from(body)?;
-        let mut results = state.fleet.driver().run(&[job]);
-        let outcome = results
-            .pop()
-            .expect("one job in yields one result out")
+        let outcome = state
+            .fleet
+            .driver()
+            .run_job(&job)
             .map_err(|e| match e.error {
                 an5d::BatchFailure::DeadlineExceeded => {
                     // The batch checkpoint refused the job: 0 of 1 items
@@ -630,6 +629,20 @@ mod tests {
             post(&state, "/execute", r#"{"benchmark":"nope"}"#).status,
             400
         );
+        // An unknown (or display-cased) scheme, on every pipeline endpoint.
+        for scheme in ["nope", "AN5D"] {
+            let spec = format!(
+                r#"{{"benchmark":"j2d5pt","interior":[24,24],"steps":5,"scheme":"{scheme}",
+                    "precision":"double","config":{{"bt":2,"bs":[12],"precision":"double"}}}}"#
+            );
+            for path in ["/plan", "/predict", "/codegen", "/tune", "/execute"] {
+                let response = post(&state, path, &spec);
+                assert_eq!(response.status, 400, "{path}: {}", response.body);
+                assert!(response.body.contains("scheme"), "{path}");
+            }
+            let response = post(&state, "/batch", &format!(r#"{{"jobs":[{spec}]}}"#));
+            assert_eq!(response.status, 400, "/batch: {}", response.body);
+        }
     }
 
     #[test]
@@ -764,6 +777,41 @@ mod tests {
         );
         assert!(first.body.contains("\"checksum\""));
         assert!(!first.body.contains("cache"), "{}", first.body);
+    }
+
+    #[test]
+    fn execute_and_batch_plan_under_the_requested_scheme() {
+        let state = state();
+        let spec = r#"{"benchmark":"box2d1r","interior":[24,24],"steps":4,
+                       "scheme":"an5d_no_associative",
+                       "config":{"bt":2,"bs":[16],"precision":"double"}}"#;
+        let config = an5d::BlockConfig::new(2, &[16], None, an5d::Precision::Double).unwrap();
+        let job = an5d::BatchJob::new(an5d::suite::box2d(1), &[24, 24], 4, config);
+        let associative = state.fleet.driver().run_job(&job).unwrap();
+        let job = job.with_scheme(an5d::FrameworkScheme::an5d_no_associative());
+        let outcome = state.fleet.driver().run_job(&job).unwrap();
+        // Without the associative optimisation a cell update stores all
+        // 2·rad + 1 = 3 partial rows instead of one; the grid is the same.
+        assert_eq!(
+            outcome.counters.sm_writes,
+            3 * outcome.counters.cell_updates
+        );
+        assert_eq!(
+            associative.counters.sm_writes,
+            associative.counters.cell_updates
+        );
+        assert_eq!(outcome.checksum, associative.checksum);
+
+        let executed = post(&state, "/execute", spec);
+        assert_eq!(executed.status, 200, "{}", executed.body);
+        assert_eq!(*executed.body, api::execute_response(&outcome).render());
+
+        let mut batch = post(&state, "/batch", &format!(r#"{{"jobs":[{spec},{spec}]}}"#));
+        assert_eq!(batch.status, 200);
+        let expected: String = (0..2)
+            .map(|index| api::batch_job_line(index, &Ok(outcome.clone())))
+            .collect();
+        assert_eq!(batch.body.collect().unwrap(), expected);
     }
 
     #[test]

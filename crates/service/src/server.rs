@@ -36,7 +36,7 @@ use crate::http::{
 };
 use crate::json::Json;
 use crate::reactor::Reactor;
-use an5d::{backend_from_env, ExecutionBackend};
+use an5d::ExecutionBackend;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -94,11 +94,10 @@ pub struct ServerConfig {
     /// Completed request traces retained for `GET /trace`.
     pub trace_capacity: usize,
     /// Execution backend spec (`serial`, `vector[:N]` —
-    /// see [`an5d::create_backend`]). `None` (the default) falls back to
-    /// the `AN5D_BACKEND` environment variable; the `an5d-serve` binary
-    /// resolves `--backend` into this field. Unlike the env fallback, an
-    /// invalid spec here is a hard startup error, not a silent
-    /// serial-with-a-note downgrade.
+    /// see [`an5d::create_backend`]). `None` (the default) is `serial`;
+    /// the `an5d-serve` binary resolves `--backend` / the `AN5D_BACKEND`
+    /// environment variable into this field. An invalid spec is a hard
+    /// startup error.
     pub backend: Option<String>,
 }
 
@@ -348,8 +347,7 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Bind and start serving on the backend [`ServerConfig::backend`]
-    /// names, falling back to the process default (`AN5D_BACKEND`) when
-    /// it is `None`.
+    /// names (`serial` when it is `None`).
     ///
     /// # Errors
     ///
@@ -357,19 +355,17 @@ impl Server {
     /// [`ServerConfig::backend`] spec (an explicitly requested backend
     /// must not silently degrade to serial).
     pub fn start(config: &ServerConfig) -> io::Result<Server> {
-        let backend = match &config.backend {
-            Some(spec) => an5d::create_backend(spec).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "unknown backend spec {spec:?} (expected one of {:?}, \
-                         or vector:<threads>)",
-                        an5d::available_backends()
-                    ),
-                )
-            })?,
-            None => backend_from_env(),
-        };
+        let spec = config.backend.as_deref().unwrap_or("serial");
+        let backend = an5d::create_backend(spec).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "unknown backend spec {spec:?} (expected one of {:?}, \
+                     or vector:<threads>)",
+                    an5d::available_backends()
+                ),
+            )
+        })?;
         Self::start_with_backend(config, backend)
     }
 

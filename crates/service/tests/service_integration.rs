@@ -67,7 +67,7 @@ fn expected_bodies() -> Vec<String> {
         let config = BlockConfig::new(2, &[12], None, Precision::Double).unwrap();
         let job = an5d::BatchJob::new(def, &[24, 24], 5, config)
             .with_init(GridInit::Hash { seed: 0x5EED });
-        let outcome = driver.run(&[job]).pop().unwrap().unwrap();
+        let outcome = driver.run_job(&job).unwrap();
         api::execute_response(&outcome).render()
     };
     vec![tune, codegen, execute]

@@ -8,6 +8,7 @@
 mod common;
 
 use an5d_service::{client, Json, Server, ServerConfig};
+use an5d_tunedb::codec::result_to_json;
 use common::{shutdown, stat, stats, TempDb};
 
 fn start_server(db: &TempDb) -> Server {
@@ -71,6 +72,12 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
         "no second search"
     );
     shutdown(first);
+
+    // The body is the stored result in the DB's own codec — which is why
+    // a record read back renders to the bytes the fresh result did.
+    let stored = an5d::TuneDb::open(&db.0).unwrap().entries();
+    assert_eq!(stored.len(), 1);
+    assert_eq!(result_to_json(&stored[0].result).render(), cold_body);
 
     // ---- Second server: same DB file, fresh process. ----
     let second = start_server(&db);

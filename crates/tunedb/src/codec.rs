@@ -175,7 +175,10 @@ pub fn key_from_json(value: &Json) -> Result<TuneKey, CodecError> {
     })
 }
 
-fn config_to_json(config: &BlockConfig) -> Json {
+/// Render a blocking configuration to its JSON object form (also the
+/// `"config"` of the service's `/plan` response).
+#[must_use]
+pub fn config_to_json(config: &BlockConfig) -> Json {
     Json::obj(vec![
         ("bt", Json::Int(config.bt() as i128)),
         ("bs", Json::usize_array(config.bs())),
@@ -369,7 +372,7 @@ mod tests {
         let def = suite::j2d5pt();
         let problem = StencilProblem::new(def.clone(), &[512, 512], 50).unwrap();
         let space = SearchSpace::quick(2, Precision::Single);
-        let result = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
+        let result = Tuner::new(GpuDevice::tesla_v100())
             .tune(&def, &problem, &space)
             .unwrap();
         Record {

@@ -194,19 +194,6 @@ impl TuneDb {
         self
     }
 
-    /// Open the database named by the `AN5D_TUNE_DB` environment
-    /// variable, or `None` when the variable is unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// See [`TuneDb::open`].
-    pub fn from_env() -> io::Result<Option<Self>> {
-        match std::env::var(TUNE_DB_ENV) {
-            Ok(path) if !path.trim().is_empty() => Self::open(path).map(Some),
-            _ => Ok(None),
-        }
-    }
-
     /// The backing file path.
     #[must_use]
     pub fn path(&self) -> &Path {
@@ -424,7 +411,7 @@ mod tests {
         let def = suite::j2d5pt();
         let problem = StencilProblem::new(def.clone(), &[512, 512], steps).unwrap();
         let space = SearchSpace::quick(2, Precision::Single);
-        let result = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
+        let result = Tuner::new(GpuDevice::tesla_v100())
             .tune(&def, &problem, &space)
             .unwrap();
         (
@@ -607,14 +594,5 @@ mod tests {
         assert_eq!(db.stats().stale, 0);
         assert_eq!(db.stats().compactions, 1);
         assert_eq!(db.get(&key), Some(result));
-    }
-
-    #[test]
-    fn from_env_requires_the_variable() {
-        // Only exercises the unset path: setting env vars in a threaded
-        // test runner races with other tests' reads.
-        if std::env::var(TUNE_DB_ENV).is_err() {
-            assert!(TuneDb::from_env().unwrap().is_none());
-        }
     }
 }

@@ -46,7 +46,7 @@ fn sample(device: &str, steps: usize) -> (TuneKey, TuningResult) {
     let def = suite::j2d5pt();
     let problem = StencilProblem::new(def.clone(), &[512, 512], steps).unwrap();
     let space = SearchSpace::quick(2, Precision::Single);
-    let result = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
+    let result = Tuner::new(GpuDevice::tesla_v100())
         .tune(&def, &problem, &space)
         .unwrap();
     (

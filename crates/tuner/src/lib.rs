@@ -24,7 +24,7 @@
 //! let def = suite::j2d5pt();
 //! let problem = StencilProblem::new(def.clone(), &[2048, 2048], 100).unwrap();
 //! let device = standard_registry().profile("v100").unwrap();
-//! let tuner = Tuner::new(device, Precision::Single);
+//! let tuner = Tuner::new(device);
 //! let space = SearchSpace::paper(def.ndim(), Precision::Single);
 //! let result = tuner.tune(&def, &problem, &space).unwrap();
 //! assert!(result.best.measured_gflops > 0.0);

@@ -321,9 +321,9 @@ pub struct Tuner {
 impl Tuner {
     /// Create a tuner for a device, using the AN5D scheme and the default
     /// [`SimulatedMeasurement`] source. The precision tuned for is the
-    /// search space's (see [`Tuner::tune`]); `_precision` is not read.
+    /// search space's (see [`Tuner::tune`]).
     #[must_use]
-    pub fn new(device: GpuDevice, _precision: Precision) -> Self {
+    pub fn new(device: GpuDevice) -> Self {
         Self {
             device,
             scheme: FrameworkScheme::an5d(),
@@ -561,7 +561,7 @@ mod tests {
     #[test]
     fn tuner_finds_a_configuration_for_2d_star() {
         let def = suite::star2d(1);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let space = SearchSpace::quick(2, Precision::Single);
         let result = tuner.tune(&def, &small_problem(&def), &space).unwrap();
         assert!(result.best.measured_gflops > 0.0);
@@ -581,7 +581,7 @@ mod tests {
         let def = suite::star2d(1);
         let problem = small_problem(&def);
         let space = SearchSpace::quick(2, Precision::Single);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let first = tuner.tune(&def, &problem, &space).unwrap();
         let second = tuner.tune(&def, &problem, &space).unwrap();
         assert_eq!(first, second);
@@ -593,7 +593,7 @@ mod tests {
         // should exceed 1 and beat the bT = 1 configuration.
         let def = suite::star2d(1);
         let problem = small_problem(&def);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let result = tuner
             .tune(&def, &problem, &SearchSpace::paper(2, Precision::Single))
             .unwrap();
@@ -613,7 +613,7 @@ mod tests {
     #[test]
     fn tuner_handles_3d_stencils() {
         let def = suite::star3d(1);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let space = SearchSpace::quick(3, Precision::Single);
         let result = tuner.tune(&def, &small_problem(&def), &space).unwrap();
         assert!(result.best.measured_gflops > 0.0);
@@ -625,7 +625,7 @@ mod tests {
         // Section 7.3: high-order 3D box stencils do not scale with temporal
         // blocking; the tuner should settle on bT = 1 (or at most 2).
         let def = suite::box3d(4);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let space = SearchSpace::paper(3, Precision::Single);
         let result = tuner.tune(&def, &small_problem(&def), &space).unwrap();
         assert!(
@@ -638,7 +638,7 @@ mod tests {
     #[test]
     fn model_accuracy_is_within_the_papers_band() {
         let def = suite::star2d(1);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let space = SearchSpace::quick(2, Precision::Single);
         let result = tuner.tune(&def, &small_problem(&def), &space).unwrap();
         let acc = result.best.model_accuracy();
@@ -648,7 +648,7 @@ mod tests {
     #[test]
     fn empty_space_reports_no_feasible_candidate() {
         let def = suite::j2d9pt();
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         // Blocks far too small for the requested bT: every candidate fails
         // plan validation.
         let space = SearchSpace::new(vec![16], vec![vec![32]], vec![None], Precision::Single);
@@ -660,7 +660,7 @@ mod tests {
     #[test]
     fn top_k_limits_number_of_measured_candidates() {
         let def = suite::star2d(1);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single).with_top_k(2);
+        let tuner = Tuner::new(GpuDevice::tesla_v100()).with_top_k(2);
         let space = SearchSpace::quick(2, Precision::Single);
         let result = tuner.tune(&def, &small_problem(&def), &space).unwrap();
         assert!(result.measured.len() <= 2);
@@ -737,7 +737,7 @@ mod tests {
             vec![None],
             Precision::Single,
         );
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let (result, builds) = counting_plan_builds(|| tuner.tune(&def, &problem, &space).unwrap());
         assert_eq!(result.total_candidates, 16);
         assert_eq!(result.ranked_candidates, 7, "bT 1..=7 survive");
@@ -760,7 +760,7 @@ mod tests {
         // whole paper space, the closed-form pre-prune accepts a
         // candidate exactly when its plan builds and passes the
         // plan-based register heuristic.
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         for def in [
             suite::star2d(1),
             suite::j2d9pt(),
@@ -790,7 +790,7 @@ mod tests {
         let def = suite::star3d(1);
         let problem = StencilProblem::new(def.clone(), &[128, 128, 128], 32).unwrap();
         let space = SearchSpace::paper(3, Precision::Single);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let result = tuner.tune(&def, &problem, &space).unwrap();
         assert_eq!(result.total_candidates, 64);
         assert!(result.ranked_candidates <= 64);
@@ -804,7 +804,7 @@ mod tests {
         let def = suite::star2d(1);
         let problem = small_problem(&def);
         let space = SearchSpace::quick(2, Precision::Single);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         let baseline = tuner.tune(&def, &problem, &space).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -819,7 +819,7 @@ mod tests {
     #[test]
     fn simulated_results_are_flagged_unmeasured() {
         let def = suite::star2d(1);
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+        let tuner = Tuner::new(GpuDevice::tesla_v100());
         assert!(!tuner.measurement_source().is_measured());
         let space = SearchSpace::quick(2, Precision::Single);
         let result = tuner.tune(&def, &small_problem(&def), &space).unwrap();
@@ -836,7 +836,7 @@ mod tests {
         let source = Arc::new(BackendMeasurement::new(Arc::new(VectorCpuBackend::new(2))));
         assert!(source.is_measured());
         assert!(source.describe().contains("vector"));
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
+        let tuner = Tuner::new(GpuDevice::tesla_v100())
             .with_top_k(2)
             .with_measurement_source(source);
         let result = tuner.tune(&def, &problem, &space).unwrap();
@@ -858,7 +858,7 @@ mod tests {
     #[test]
     fn stencilgen_scheme_can_be_tuned_too() {
         let def = suite::j2d5pt();
-        let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single)
+        let tuner = Tuner::new(GpuDevice::tesla_v100())
             .with_scheme(FrameworkScheme::stencilgen())
             .with_top_k(3);
         let space = SearchSpace::quick(2, Precision::Single);

@@ -26,7 +26,7 @@ fn problem(def: &StencilDef) -> StencilProblem {
 fn zero_budget_returns_deadline_error_without_building_a_single_plan() {
     let def = suite::star2d(1);
     let space = SearchSpace::quick(2, Precision::Single);
-    let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+    let tuner = Tuner::new(GpuDevice::tesla_v100());
 
     let trace = an5d_obs::ActiveTrace::begin();
     let _deadline = Deadline::in_ms(0).install();
@@ -51,7 +51,7 @@ fn mid_sweep_expiry_never_returns_a_partially_ranked_winner() {
     let _global = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let def = suite::star2d(1);
     let space = SearchSpace::quick(2, Precision::Single);
-    let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+    let tuner = Tuner::new(GpuDevice::tesla_v100());
 
     // Stretch every ranking candidate by 30ms under a 10ms budget: no
     // matter how the pool interleaves candidates, the budget is gone
@@ -82,7 +82,7 @@ fn expiry_between_topk_measurements_aborts_with_partial_progress() {
     let _global = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let def = suite::star2d(1);
     let space = SearchSpace::quick(2, Precision::Single);
-    let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single).with_top_k(5);
+    let tuner = Tuner::new(GpuDevice::tesla_v100()).with_top_k(5);
 
     // A budget generous enough for the ranking sweep, with every
     // top-k measurement stretched past the *whole* budget: the
@@ -109,7 +109,7 @@ fn expiry_between_topk_measurements_aborts_with_partial_progress() {
 fn without_a_deadline_the_tuner_is_unaffected() {
     let def = suite::star2d(1);
     let space = SearchSpace::quick(2, Precision::Single);
-    let tuner = Tuner::new(GpuDevice::tesla_v100(), Precision::Single);
+    let tuner = Tuner::new(GpuDevice::tesla_v100());
     let result = tuner.tune(&def, &problem(&def), &space).unwrap();
     assert!(result.best.measured_gflops > 0.0);
 }

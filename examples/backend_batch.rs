@@ -1,9 +1,9 @@
 //! Batch-execute a slice of the Table 3 suite across execution backends.
 //!
-//! Demonstrates the `an5d-backend` subsystem end to end: jobs fan out
-//! across a bounded worker pool, and the same suite runs with its tiles
-//! inline (`serial`) and fanned out over the pool (`vector`, `vector:3`)
-//! with bit-identical checksums.
+//! Demonstrates the `an5d-backend` subsystem end to end: the driver runs
+//! the jobs one after the other, and the same suite runs with its tiles
+//! inline (`serial`) and fanned out over scoped helper threads (`vector`,
+//! `vector:3`) with bit-identical checksums.
 //!
 //! Run with `cargo run --example backend_batch`.
 
@@ -28,7 +28,7 @@ fn main() {
     let mut checksums: Vec<Vec<f64>> = Vec::new();
     for spec in ["serial", "vector", "vector:3"] {
         let backend = create_backend(spec).expect("registered backend");
-        let driver = BatchDriver::new(backend).with_workers(2);
+        let driver = BatchDriver::new(backend);
         println!("backend = {}", driver.backend().describe());
         let mut sums = Vec::new();
         for result in driver.run(&jobs()) {

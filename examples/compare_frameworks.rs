@@ -67,7 +67,7 @@ fn main() -> Result<(), An5dError> {
         report("AN5D (Sconf)", sconf);
 
         // AN5D tuned with the paper's search space.
-        let tuner = Tuner::new(device.clone(), precision);
+        let tuner = Tuner::new(device.clone());
         let tuned = tuner
             .tune(&def, &problem, &SearchSpace::paper(def.ndim(), precision))
             .ok();

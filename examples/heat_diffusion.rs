@@ -3,15 +3,15 @@
 //! N.5D-blocked schedule, comparing results and counted memory traffic.
 //!
 //! Run with `cargo run --example heat_diffusion`. The blocked execution
-//! goes through the registered execution backend, so
-//! `AN5D_BACKEND=vector cargo run --example heat_diffusion` runs the
-//! tiles of each temporal block across all CPUs — with bit-identical
-//! output.
+//! goes through the execution backend this `main` resolves from
+//! `AN5D_BACKEND`, so `AN5D_BACKEND=vector cargo run --example
+//! heat_diffusion` runs the tiles of each temporal block across all CPUs
+//! — with bit-identical output.
 
 use an5d::reference::run_reference;
 use an5d::{
-    backend_from_env, An5dError, BlockConfig, Expr, FrameworkScheme, Grid, GridDiff, GridInit,
-    KernelPlan, Precision, StencilDef, StencilProblem,
+    create_backend, An5dError, BlockConfig, Expr, FrameworkScheme, Grid, GridDiff, GridInit,
+    KernelPlan, Precision, StencilDef, StencilProblem, BACKEND_ENV,
 };
 
 fn main() -> Result<(), An5dError> {
@@ -33,8 +33,12 @@ fn main() -> Result<(), An5dError> {
     let reference = run_reference::<f64>(&problem, init);
 
     // Blocked solution with bT = 6 temporal blocking, executed on the
-    // backend selected by AN5D_BACKEND (serial by default).
-    let backend = backend_from_env();
+    // backend named by AN5D_BACKEND (serial by default).
+    let spec = std::env::var(BACKEND_ENV).unwrap_or_else(|_| "serial".to_string());
+    let Some(backend) = create_backend(&spec) else {
+        eprintln!("{BACKEND_ENV}={spec}: expected serial, vector or vector:<threads>");
+        std::process::exit(2);
+    };
     let config = BlockConfig::new(6, &[96], Some(96), Precision::Double)?;
     let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d())?;
     let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);

@@ -79,9 +79,7 @@ fn cold_and_db_warmed_results_are_bit_identical_across_the_registry() {
             let job = BatchJob::new(an5d.def().clone(), &[256, 256], 4, config.clone())
                 .with_init(GridInit::Hash { seed: 0x5EED });
             BatchDriver::new(Arc::new(SerialBackend))
-                .run(&[job])
-                .pop()
-                .unwrap()
+                .run_job(&job)
                 .unwrap()
         };
         let cold_run = execute(&cold_result.best.config);
