@@ -102,6 +102,13 @@ impl Expr {
     /// NVPROF when deriving `effALU`.
     #[must_use]
     pub fn op_mix(&self) -> OpMix {
+        self.op_mix_and_associativity().0
+    }
+
+    /// [`Expr::op_mix`] and [`Expr::is_associative`] from one extraction of
+    /// the linear form, which both are read from.
+    #[must_use]
+    pub fn op_mix_and_associativity(&self) -> (OpMix, bool) {
         if let Some(form) = self.as_linear() {
             // k products accumulated into a sum: (k-1) FMAs + 1 leading MUL.
             let k = form.terms().len();
@@ -113,9 +120,9 @@ impl Expr {
             if form.constant() != 0.0 {
                 mix.add += 1;
             }
-            return mix;
+            return (mix, true);
         }
-        mix_of(self).1
+        (mix_of(self).1, false)
     }
 }
 

@@ -1,8 +1,5 @@
-//! Stencil pattern detection (Section 4.3.3 restrictions).
+//! What stencil pattern detection (Section 4.3.3 restrictions) returns.
 
-use crate::ast::{CAssignment, CExpr, CProgram};
-use crate::FrontendError;
-use an5d_expr::Expr;
 use an5d_stencil::StencilDef;
 use std::fmt;
 
@@ -42,165 +39,6 @@ pub struct DetectedStencil {
     pub time_extent: ExtentExpr,
     /// Extents of the spatial loops, outermost (streaming) first.
     pub space_extents: Vec<ExtentExpr>,
-}
-
-fn extent_of(expr: &CExpr) -> Result<ExtentExpr, FrontendError> {
-    match expr {
-        CExpr::Int(v) => Ok(ExtentExpr::Const(*v)),
-        CExpr::Ident(s) => Ok(ExtentExpr::Symbol(s.clone())),
-        _ => Err(FrontendError::unsupported(
-            "loop bounds must be integer constants or plain symbols",
-        )),
-    }
-}
-
-/// Detect the stencil pattern in a parsed loop nest.
-///
-/// # Errors
-///
-/// Returns [`FrontendError::UnsupportedStencil`] when the program violates
-/// one of the Section 4.3.3 restrictions (wrong buffer indices, non-static
-/// offsets, reads of a different array, unsupported operations, …).
-pub fn detect(program: &CProgram, name: &str) -> Result<DetectedStencil, FrontendError> {
-    let Some((loops, assignment)) = program.loop_nest() else {
-        return Err(FrontendError::unsupported(
-            "the loop nest is not perfectly nested",
-        ));
-    };
-    if loops.len() < 3 || loops.len() > 4 {
-        return Err(FrontendError::unsupported(format!(
-            "expected a time loop plus 2 or 3 spatial loops, found {} loops",
-            loops.len()
-        )));
-    }
-    if loops.iter().any(|l| l.step != 1) {
-        return Err(FrontendError::unsupported("all loops must advance by 1"));
-    }
-    let time_var = loops[0].var.clone();
-    let space_vars: Vec<String> = loops[1..].iter().map(|l| l.var.clone()).collect();
-    if space_vars.contains(&time_var) {
-        return Err(FrontendError::unsupported(
-            "loop variables must be distinct",
-        ));
-    }
-
-    let ndim = space_vars.len();
-    check_store(assignment, &time_var, &space_vars)?;
-
-    let expr = convert_expr(&assignment.value, &assignment.array, &time_var, &space_vars)?;
-    let def = StencilDef::new(name, expr)?;
-    if def.ndim() != ndim {
-        return Err(FrontendError::unsupported(format!(
-            "the update expression accesses {} dimensions but the loop nest has {ndim}",
-            def.ndim()
-        )));
-    }
-
-    Ok(DetectedStencil {
-        def,
-        array_name: assignment.array.clone(),
-        time_var,
-        space_vars,
-        time_extent: extent_of(&loops[0].bound)?,
-        space_extents: loops[1..]
-            .iter()
-            .map(|l| extent_of(&l.bound))
-            .collect::<Result<_, _>>()?,
-    })
-}
-
-fn check_store(
-    assignment: &CAssignment,
-    time_var: &str,
-    space_vars: &[String],
-) -> Result<(), FrontendError> {
-    let expected = space_vars.len() + 1;
-    if assignment.indices.len() != expected {
-        return Err(FrontendError::unsupported(format!(
-            "the store must have {expected} subscripts (buffer index plus one per spatial dimension)"
-        )));
-    }
-    if assignment.indices[0].as_parity_of(time_var) != Some(1) {
-        return Err(FrontendError::unsupported(
-            "the store must write to the (t + 1) % 2 buffer",
-        ));
-    }
-    for (index, var) in assignment.indices[1..].iter().zip(space_vars) {
-        if index.as_offset_of(var) != Some(0) {
-            return Err(FrontendError::unsupported(format!(
-                "the store subscript for '{var}' must be exactly '{var}'"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn convert_expr(
-    expr: &CExpr,
-    array: &str,
-    time_var: &str,
-    space_vars: &[String],
-) -> Result<Expr, FrontendError> {
-    match expr {
-        CExpr::Int(v) => Ok(Expr::constant(*v as f64)),
-        CExpr::Float(v) => Ok(Expr::constant(*v)),
-        CExpr::Ident(name) => Err(FrontendError::unsupported(format!(
-            "symbolic coefficient '{name}' is not supported; coefficients must be literal constants"
-        ))),
-        CExpr::ArrayAccess { name, indices } => {
-            if name != array {
-                return Err(FrontendError::unsupported(format!(
-                    "read of array '{name}' but the stencil stores to '{array}'"
-                )));
-            }
-            if indices.len() != space_vars.len() + 1 {
-                return Err(FrontendError::unsupported(format!(
-                    "read of '{name}' must have {} subscripts",
-                    space_vars.len() + 1
-                )));
-            }
-            if indices[0].as_parity_of(time_var) != Some(0) {
-                return Err(FrontendError::unsupported(
-                    "reads must come from the t % 2 buffer",
-                ));
-            }
-            let mut offsets = Vec::with_capacity(space_vars.len());
-            for (index, var) in indices[1..].iter().zip(space_vars) {
-                let Some(offset) = index.as_offset_of(var) else {
-                    return Err(FrontendError::unsupported(format!(
-                        "subscript for '{var}' must be '{var}' plus or minus a constant"
-                    )));
-                };
-                let offset = i32::try_from(offset).map_err(|_| {
-                    FrontendError::unsupported("neighbour offsets must fit in 32 bits")
-                })?;
-                offsets.push(offset);
-            }
-            Ok(Expr::cell(&offsets))
-        }
-        CExpr::Call { name, args } => {
-            if (name == "sqrt" || name == "sqrtf") && args.len() == 1 {
-                let inner = convert_expr(&args[0], array, time_var, space_vars)?;
-                Ok(Expr::sqrt(inner))
-            } else {
-                Err(FrontendError::unsupported(format!(
-                    "call to '{name}' is not supported (only sqrt/sqrtf)"
-                )))
-            }
-        }
-        CExpr::Neg(inner) => Ok(-convert_expr(inner, array, time_var, space_vars)?),
-        CExpr::Add(a, b) => Ok(convert_expr(a, array, time_var, space_vars)?
-            + convert_expr(b, array, time_var, space_vars)?),
-        CExpr::Sub(a, b) => Ok(convert_expr(a, array, time_var, space_vars)?
-            - convert_expr(b, array, time_var, space_vars)?),
-        CExpr::Mul(a, b) => Ok(convert_expr(a, array, time_var, space_vars)?
-            * convert_expr(b, array, time_var, space_vars)?),
-        CExpr::Div(a, b) => Ok(convert_expr(a, array, time_var, space_vars)?
-            / convert_expr(b, array, time_var, space_vars)?),
-        CExpr::Mod(_, _) => Err(FrontendError::unsupported(
-            "the modulo operator may only appear in the double-buffer index",
-        )),
-    }
 }
 
 #[cfg(test)]

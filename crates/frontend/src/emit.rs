@@ -79,7 +79,8 @@ where
     let body = match expr {
         Expr::Const(c) => format_literal(*c),
         Expr::Cell(offset) => access(*offset),
-        Expr::Unary(UnOp::Neg, a) => format!("(-{})", render_expr(a, 0, access)),
+        // Unary minus binds tighter than any binary operator.
+        Expr::Unary(UnOp::Neg, a) => format!("(-{})", render_expr(a, 3, access)),
         Expr::Unary(UnOp::Sqrt, a) => format!("sqrtf({})", render_expr(a, 0, access)),
         Expr::Binary(op, a, b) => {
             let symbol = match op {
@@ -88,16 +89,13 @@ where
                 BinOp::Mul => "*",
                 BinOp::Div => "/",
             };
-            // The right operand of a non-commutative operator needs strictly
-            // higher precedence to preserve grouping.
-            let right_min = match op {
-                BinOp::Sub | BinOp::Div => own + 1,
-                BinOp::Add | BinOp::Mul => own,
-            };
+            // The right operand needs strictly higher precedence to keep
+            // its grouping — under `+` and `*` too: floating-point
+            // `a + (b + c)` is not `(a + b) + c`.
             format!(
                 "{} {symbol} {}",
                 render_expr(a, own, access),
-                render_expr(b, right_min, access)
+                render_expr(b, own + 1, access)
             )
         }
     };

@@ -1,250 +1,366 @@
-//! Lexer for the supported C subset.
+//! Byte lexer for the supported C subset, pulled one token at a time.
 
-use crate::{FrontendError, Token, TokenKind};
+use crate::FrontendError;
+use std::fmt;
 
-/// Tokenize a C source snippet.
-///
-/// Line (`//`) and block (`/* … */`) comments are skipped; numeric literals
-/// may carry an `f`/`F` suffix (as in `5.1f`).
-///
-/// # Errors
-///
-/// Returns [`FrontendError::Lex`] on any character outside the supported
-/// subset.
-pub fn tokenize(source: &str) -> Result<Vec<Token>, FrontendError> {
-    let chars: Vec<char> = source.chars().collect();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut column = 1usize;
+/// A lexical token. Identifiers borrow from the source; a token's
+/// position is the byte offset [`Lexer::next_token`] returns beside it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Token<'a> {
+    /// An identifier or keyword (`for`, `t`, `A`, `I_S1`, `sqrtf`, …).
+    Ident(&'a str),
+    /// An integer literal.
+    Int(i64),
+    /// A floating-point literal (an optional `f`/`F` suffix is consumed).
+    Float(f64),
+    LParen,
+    RParen,
+    LBracket,
+    RBracket,
+    LBrace,
+    RBrace,
+    Semicolon,
+    Comma,
+    Assign,
+    Plus,
+    Minus,
+    Star,
+    Slash,
+    Percent,
+    Less,
+    LessEqual,
+    Greater,
+    GreaterEqual,
+    Increment,
+    PlusAssign,
+    /// The end of the source; returned again on every further pull.
+    Eof,
+}
 
-    let advance = |i: &mut usize, line: &mut usize, column: &mut usize, c: char| {
-        *i += 1;
-        if c == '\n' {
-            *line += 1;
-            *column = 1;
-        } else {
-            *column += 1;
-        }
-    };
-
-    while i < chars.len() {
-        let c = chars[i];
-        let tok_line = line;
-        let tok_column = column;
-
-        if c.is_whitespace() {
-            advance(&mut i, &mut line, &mut column, c);
-            continue;
-        }
-
-        // Comments.
-        if c == '/' && i + 1 < chars.len() && chars[i + 1] == '/' {
-            while i < chars.len() && chars[i] != '\n' {
-                let ch = chars[i];
-                advance(&mut i, &mut line, &mut column, ch);
-            }
-            continue;
-        }
-        if c == '/' && i + 1 < chars.len() && chars[i + 1] == '*' {
-            let ch = chars[i];
-            advance(&mut i, &mut line, &mut column, ch);
-            let ch = chars[i];
-            advance(&mut i, &mut line, &mut column, ch);
-            while i + 1 < chars.len() && !(chars[i] == '*' && chars[i + 1] == '/') {
-                let ch = chars[i];
-                advance(&mut i, &mut line, &mut column, ch);
-            }
-            if i + 1 < chars.len() {
-                let ch = chars[i];
-                advance(&mut i, &mut line, &mut column, ch);
-                let ch = chars[i];
-                advance(&mut i, &mut line, &mut column, ch);
-            }
-            continue;
-        }
-
-        if c.is_ascii_alphabetic() || c == '_' {
-            let mut ident = String::new();
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                ident.push(chars[i]);
-                let ch = chars[i];
-                advance(&mut i, &mut line, &mut column, ch);
-            }
-            tokens.push(Token {
-                kind: TokenKind::Ident(ident),
-                line: tok_line,
-                column: tok_column,
-            });
-            continue;
-        }
-
-        if c.is_ascii_digit() || (c == '.' && i + 1 < chars.len() && chars[i + 1].is_ascii_digit())
-        {
-            let mut text = String::new();
-            let mut is_float = false;
-            while i < chars.len()
-                && (chars[i].is_ascii_digit()
-                    || chars[i] == '.'
-                    || chars[i] == 'e'
-                    || chars[i] == 'E'
-                    || ((chars[i] == '+' || chars[i] == '-')
-                        && matches!(text.chars().last(), Some('e' | 'E'))))
-            {
-                if chars[i] == '.' || chars[i] == 'e' || chars[i] == 'E' {
-                    is_float = true;
-                }
-                text.push(chars[i]);
-                let ch = chars[i];
-                advance(&mut i, &mut line, &mut column, ch);
-            }
-            // Optional float suffix.
-            if i < chars.len() && (chars[i] == 'f' || chars[i] == 'F') {
-                is_float = true;
-                let ch = chars[i];
-                advance(&mut i, &mut line, &mut column, ch);
-            }
-            let kind = if is_float {
-                TokenKind::Float(text.parse::<f64>().map_err(|_| FrontendError::Lex {
-                    line: tok_line,
-                    column: tok_column,
-                    found: c,
-                })?)
-            } else {
-                TokenKind::Int(text.parse::<i64>().map_err(|_| FrontendError::Lex {
-                    line: tok_line,
-                    column: tok_column,
-                    found: c,
-                })?)
-            };
-            tokens.push(Token {
-                kind,
-                line: tok_line,
-                column: tok_column,
-            });
-            continue;
-        }
-
-        let two = if i + 1 < chars.len() {
-            Some((c, chars[i + 1]))
-        } else {
-            None
+impl fmt::Display for Token<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let text = match self {
+            Token::Ident(s) => return write!(f, "identifier '{s}'"),
+            Token::Int(v) => return write!(f, "integer {v}"),
+            Token::Float(v) => return write!(f, "float {v}"),
+            Token::LParen => "'('",
+            Token::RParen => "')'",
+            Token::LBracket => "'['",
+            Token::RBracket => "']'",
+            Token::LBrace => "'{'",
+            Token::RBrace => "'}'",
+            Token::Semicolon => "';'",
+            Token::Comma => "','",
+            Token::Assign => "'='",
+            Token::Plus => "'+'",
+            Token::Minus => "'-'",
+            Token::Star => "'*'",
+            Token::Slash => "'/'",
+            Token::Percent => "'%'",
+            Token::Less => "'<'",
+            Token::LessEqual => "'<='",
+            Token::Greater => "'>'",
+            Token::GreaterEqual => "'>='",
+            Token::Increment => "'++'",
+            Token::PlusAssign => "'+='",
+            Token::Eof => "end of input",
         };
-        let (kind, width) = match (c, two) {
-            ('+', Some(('+', '+'))) => (TokenKind::Increment, 2),
-            ('+', Some(('+', '='))) => (TokenKind::PlusAssign, 2),
-            ('<', Some(('<', '='))) => (TokenKind::LessEqual, 2),
-            ('>', Some(('>', '='))) => (TokenKind::GreaterEqual, 2),
-            ('(', _) => (TokenKind::LParen, 1),
-            (')', _) => (TokenKind::RParen, 1),
-            ('[', _) => (TokenKind::LBracket, 1),
-            (']', _) => (TokenKind::RBracket, 1),
-            ('{', _) => (TokenKind::LBrace, 1),
-            ('}', _) => (TokenKind::RBrace, 1),
-            (';', _) => (TokenKind::Semicolon, 1),
-            (',', _) => (TokenKind::Comma, 1),
-            ('=', _) => (TokenKind::Assign, 1),
-            ('+', _) => (TokenKind::Plus, 1),
-            ('-', _) => (TokenKind::Minus, 1),
-            ('*', _) => (TokenKind::Star, 1),
-            ('/', _) => (TokenKind::Slash, 1),
-            ('%', _) => (TokenKind::Percent, 1),
-            ('<', _) => (TokenKind::Less, 1),
-            ('>', _) => (TokenKind::Greater, 1),
-            _ => {
-                return Err(FrontendError::Lex {
-                    line: tok_line,
-                    column: tok_column,
-                    found: c,
-                })
-            }
-        };
-        for _ in 0..width {
-            let ch = chars[i];
-            advance(&mut i, &mut line, &mut column, ch);
-        }
-        tokens.push(Token {
-            kind,
-            line: tok_line,
-            column: tok_column,
-        });
+        f.write_str(text)
+    }
+}
+
+/// The lexer: a cursor over the source's bytes.
+///
+/// Line (`//`) and block (`/* … */`) comments and Unicode whitespace are
+/// skipped; numeric literals may carry an `f`/`F` suffix (as in `5.1f`).
+pub(crate) struct Lexer<'a> {
+    source: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(source: &'a str) -> Self {
+        Self { source, pos: 0 }
     }
 
-    Ok(tokens)
+    /// 1-based line and column (in characters, not bytes) of a byte
+    /// offset — worked out only when an error needs them.
+    pub(crate) fn line_column(&self, offset: usize) -> (usize, usize) {
+        let before = &self.source[..offset];
+        let line_start = before.rfind('\n').map_or(0, |newline| newline + 1);
+        let line = 1 + before.bytes().filter(|&b| b == b'\n').count();
+        (line, 1 + before[line_start..].chars().count())
+    }
+
+    fn unexpected(&self, offset: usize) -> FrontendError {
+        let (line, column) = self.line_column(offset);
+        let found = self.source[offset..]
+            .chars()
+            .next()
+            .expect("a lex error points at a character");
+        FrontendError::Lex {
+            line,
+            column,
+            found,
+        }
+    }
+
+    /// The next token and the byte offset it starts at.
+    ///
+    /// # Errors
+    ///
+    /// [`FrontendError::Lex`] on a character outside the supported subset
+    /// or a malformed number.
+    pub(crate) fn next_token(&mut self) -> Result<(Token<'a>, usize), FrontendError> {
+        let bytes = self.source.as_bytes();
+        loop {
+            let start = self.pos;
+            let Some(&byte) = bytes.get(start) else {
+                return Ok((Token::Eof, start));
+            };
+            let next = bytes.get(start + 1).copied();
+            let (token, width) = match (byte, next) {
+                (b' ' | b'\t'..=b'\r', _) => {
+                    self.pos += 1;
+                    continue;
+                }
+                (b'/', Some(b'/')) => {
+                    let line = &bytes[start..];
+                    self.pos = start + line.iter().position(|&b| b == b'\n').unwrap_or(line.len());
+                    continue;
+                }
+                (b'/', Some(b'*')) => {
+                    self.pos = match self.source[start + 2..].find("*/") {
+                        Some(close) => start + 2 + close + 2,
+                        // Unterminated: the two-pass lexer stopped one
+                        // character short of the end and lexed that
+                        // character as a token; so does this one.
+                        None => self.source[start + 2..]
+                            .char_indices()
+                            .next_back()
+                            .map_or(bytes.len(), |(last, _)| start + 2 + last),
+                    };
+                    continue;
+                }
+                (b'a'..=b'z' | b'A'..=b'Z' | b'_', _) => {
+                    let len = bytes[start..]
+                        .iter()
+                        .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+                        .unwrap_or(bytes.len() - start);
+                    (Token::Ident(&self.source[start..start + len]), len)
+                }
+                (b'0'..=b'9', _) | (b'.', Some(b'0'..=b'9')) => self.number(start)?,
+                (b'+', Some(b'+')) => (Token::Increment, 2),
+                (b'+', Some(b'=')) => (Token::PlusAssign, 2),
+                (b'<', Some(b'=')) => (Token::LessEqual, 2),
+                (b'>', Some(b'=')) => (Token::GreaterEqual, 2),
+                (b'(', _) => (Token::LParen, 1),
+                (b')', _) => (Token::RParen, 1),
+                (b'[', _) => (Token::LBracket, 1),
+                (b']', _) => (Token::RBracket, 1),
+                (b'{', _) => (Token::LBrace, 1),
+                (b'}', _) => (Token::RBrace, 1),
+                (b';', _) => (Token::Semicolon, 1),
+                (b',', _) => (Token::Comma, 1),
+                (b'=', _) => (Token::Assign, 1),
+                (b'+', _) => (Token::Plus, 1),
+                (b'-', _) => (Token::Minus, 1),
+                (b'*', _) => (Token::Star, 1),
+                (b'/', _) => (Token::Slash, 1),
+                (b'%', _) => (Token::Percent, 1),
+                (b'<', _) => (Token::Less, 1),
+                (b'>', _) => (Token::Greater, 1),
+                (0x80.., _) => {
+                    // Not ASCII: whitespace (U+00A0, U+2003, …) or an error.
+                    match self.source[start..].chars().next() {
+                        Some(c) if c.is_whitespace() => {
+                            self.pos += c.len_utf8();
+                            continue;
+                        }
+                        _ => return Err(self.unexpected(start)),
+                    }
+                }
+                _ => return Err(self.unexpected(start)),
+            };
+            self.pos = start + width;
+            return Ok((token, start));
+        }
+    }
+
+    /// A numeric literal starting at `start`: digits, `.`, an exponent with
+    /// an optional sign, then an optional `f`/`F`. Whatever `str::parse`
+    /// refuses (`1e+`, `1.2.3`, an integer past `i64`) is a lex error at
+    /// the literal's first character.
+    fn number(&self, start: usize) -> Result<(Token<'a>, usize), FrontendError> {
+        let bytes = self.source.as_bytes();
+        let mut end = start;
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(end) {
+            match b {
+                b'0'..=b'9' => {}
+                b'.' | b'e' | b'E' => is_float = true,
+                b'+' | b'-' if end > start && matches!(bytes[end - 1], b'e' | b'E') => {}
+                _ => break,
+            }
+            end += 1;
+        }
+        let text = &self.source[start..end];
+        if matches!(bytes.get(end), Some(b'f' | b'F')) {
+            is_float = true;
+            end += 1;
+        }
+        let token = if is_float {
+            text.parse().ok().map(Token::Float)
+        } else {
+            text.parse().ok().map(Token::Int)
+        };
+        match token {
+            Some(token) => Ok((token, end - start)),
+            None => Err(self.unexpected(start)),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(source: &str) -> Vec<TokenKind> {
-        tokenize(source)
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+    fn tokens(source: &str) -> Result<Vec<(Token<'_>, usize)>, FrontendError> {
+        let mut lexer = Lexer::new(source);
+        let mut tokens = Vec::new();
+        loop {
+            match lexer.next_token()? {
+                (Token::Eof, _) => return Ok(tokens),
+                token => tokens.push(token),
+            }
+        }
+    }
+
+    fn kinds(source: &str) -> Vec<Token<'_>> {
+        let tokens = tokens(source).unwrap();
+        tokens.into_iter().map(|(token, _)| token).collect()
     }
 
     #[test]
     fn lexes_for_loop_header() {
         let k = kinds("for (t = 0; t < I_T; t++)");
-        assert_eq!(k[0], TokenKind::Ident("for".into()));
-        assert_eq!(k[1], TokenKind::LParen);
-        assert_eq!(k[3], TokenKind::Assign);
-        assert_eq!(k[4], TokenKind::Int(0));
-        assert!(k.contains(&TokenKind::Less));
-        assert!(k.contains(&TokenKind::Increment));
+        assert_eq!(k[0], Token::Ident("for"));
+        assert_eq!(k[1], Token::LParen);
+        assert_eq!(k[3], Token::Assign);
+        assert_eq!(k[4], Token::Int(0));
+        assert!(k.contains(&Token::Less));
+        assert!(k.contains(&Token::Increment));
     }
 
     #[test]
     fn lexes_float_literals_with_suffix() {
-        assert_eq!(kinds("5.1f"), vec![TokenKind::Float(5.1)]);
-        assert_eq!(kinds("12.25F"), vec![TokenKind::Float(12.25)]);
-        assert_eq!(kinds("118"), vec![TokenKind::Int(118)]);
-        assert_eq!(kinds("2e3"), vec![TokenKind::Float(2000.0)]);
-        assert_eq!(kinds("1.5e-2"), vec![TokenKind::Float(0.015)]);
+        assert_eq!(kinds("5.1f"), vec![Token::Float(5.1)]);
+        assert_eq!(kinds("12.25F"), vec![Token::Float(12.25)]);
+        assert_eq!(kinds("118"), vec![Token::Int(118)]);
+        assert_eq!(kinds("2e3"), vec![Token::Float(2000.0)]);
+        assert_eq!(kinds("1.5e-2"), vec![Token::Float(0.015)]);
+        assert_eq!(kinds(".5"), vec![Token::Float(0.5)]);
+        assert_eq!(kinds("1f"), vec![Token::Float(1.0)]);
+        assert_eq!(kinds("5.1fx"), vec![Token::Float(5.1), Token::Ident("x")]);
     }
 
     #[test]
     fn lexes_two_character_operators() {
-        assert_eq!(kinds("<="), vec![TokenKind::LessEqual]);
-        assert_eq!(kinds(">="), vec![TokenKind::GreaterEqual]);
-        assert_eq!(kinds("+="), vec![TokenKind::PlusAssign]);
-        assert_eq!(kinds("++"), vec![TokenKind::Increment]);
-        assert_eq!(kinds("+ +"), vec![TokenKind::Plus, TokenKind::Plus]);
+        assert_eq!(kinds("<="), vec![Token::LessEqual]);
+        assert_eq!(kinds(">="), vec![Token::GreaterEqual]);
+        assert_eq!(kinds("+="), vec![Token::PlusAssign]);
+        assert_eq!(kinds("++"), vec![Token::Increment]);
+        assert_eq!(kinds("+ +"), vec![Token::Plus, Token::Plus]);
     }
 
     #[test]
     fn skips_comments() {
         let k = kinds("a // comment\n + /* block \n comment */ b");
+        assert_eq!(k, vec![Token::Ident("a"), Token::Plus, Token::Ident("b")]);
+        assert_eq!(kinds("a /*/ b */ c"), kinds("a c"));
+        assert_eq!(kinds("a // to the end"), kinds("a"));
+    }
+
+    #[test]
+    fn skips_unicode_whitespace() {
+        let k = kinds("a\u{a0}\u{2003}\u{b}\u{c}\r\n\u{3000}b");
+        assert_eq!(k, vec![Token::Ident("a"), Token::Ident("b")]);
+    }
+
+    #[test]
+    fn an_unterminated_comment_leaves_its_last_character() {
         assert_eq!(
-            k,
-            vec![
-                TokenKind::Ident("a".into()),
-                TokenKind::Plus,
-                TokenKind::Ident("b".into())
-            ]
+            kinds("a /* b c"),
+            vec![Token::Ident("a"), Token::Ident("c")]
         );
+        assert_eq!(kinds("a /* b *"), vec![Token::Ident("a"), Token::Star]);
+        assert_eq!(kinds("a /*"), vec![Token::Ident("a")]);
+        assert_eq!(kinds("a /*+"), vec![Token::Ident("a"), Token::Plus]);
+        let err = tokens("/* b é").unwrap_err();
+        assert!(matches!(err, FrontendError::Lex { found: 'é', .. }));
     }
 
     #[test]
     fn tracks_positions() {
-        let tokens = tokenize("a\n  b").unwrap();
-        assert_eq!((tokens[0].line, tokens[0].column), (1, 1));
-        assert_eq!((tokens[1].line, tokens[1].column), (2, 3));
+        let source = "a\n  b /* é */ c";
+        let tokens = tokens(source).unwrap();
+        let positions: Vec<_> = tokens
+            .iter()
+            .map(|&(_, offset)| Lexer::new(source).line_column(offset))
+            .collect();
+        assert_eq!(positions, vec![(1, 1), (2, 3), (2, 13)]);
     }
 
     #[test]
     fn rejects_unknown_characters() {
-        let err = tokenize("a @ b").unwrap_err();
-        assert!(matches!(err, FrontendError::Lex { found: '@', .. }));
+        let err = tokens("a @ b").unwrap_err();
+        assert_eq!(
+            err,
+            FrontendError::Lex {
+                line: 1,
+                column: 3,
+                found: '@'
+            }
+        );
+        let err = tokens("a\n é").unwrap_err();
+        assert_eq!(
+            err,
+            FrontendError::Lex {
+                line: 2,
+                column: 2,
+                found: 'é'
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_malformed_numbers_at_their_first_character() {
+        for source in ["1e+", "1.2.3", "99999999999999999999", "  2e"] {
+            let err = tokens(source).unwrap_err();
+            let first = source.trim_start().chars().next().unwrap();
+            assert!(
+                matches!(err, FrontendError::Lex { found, .. } if found == first),
+                "{source}: {err}"
+            );
+        }
     }
 
     #[test]
     fn lexes_array_access_with_modulo() {
         let k = kinds("A[(t+1)%2][i][j-1]");
-        assert!(k.contains(&TokenKind::Percent));
-        assert_eq!(k.iter().filter(|t| **t == TokenKind::LBracket).count(), 3);
-        assert!(k.contains(&TokenKind::Minus));
+        assert!(k.contains(&Token::Percent));
+        assert_eq!(k.iter().filter(|t| **t == Token::LBracket).count(), 3);
+        assert!(k.contains(&Token::Minus));
+    }
+
+    #[test]
+    fn token_kinds_display() {
+        assert_eq!(Token::Ident("for").to_string(), "identifier 'for'");
+        assert_eq!(Token::Int(42).to_string(), "integer 42");
+        assert_eq!(Token::Float(0.5).to_string(), "float 0.5");
+        assert_eq!(Token::LessEqual.to_string(), "'<='");
+        assert_eq!(Token::Increment.to_string(), "'++'");
+        assert_eq!(Token::LBrace.to_string(), "'{'");
+        assert_eq!(Token::Eof.to_string(), "end of input");
     }
 }

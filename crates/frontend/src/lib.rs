@@ -14,6 +14,43 @@
 //! * double-buffered array accesses via `t % 2` / `(t + 1) % 2`;
 //! * statically known neighbour offsets.
 //!
+//! # One pass
+//!
+//! [`parse_stencil`] reads the source once. A lexer over its bytes hands
+//! out `Copy` tokens — identifiers borrow from the source, a position is a
+//! byte offset that becomes `(line, column)` only when an error is built —
+//! and is pulled by a recursive-descent parser one token of look-ahead at
+//! a time. The loop headers come first, so at the assignment the parser
+//! knows the time variable, the space variables and the array: the update
+//! expression is checked and built straight into an `an5d_expr::Expr`,
+//! and subscripts and loop bounds are never built at all, only folded into
+//! the few forms the pattern gives a meaning (`var`, `var ± k`, `k + var`,
+//! `(…) % 2`, an integer, a symbol). There is no token vector and no C
+//! syntax tree.
+//!
+//! **Which error.** The parser stops at the first fault it meets reading
+//! left to right, whatever its kind: a loop's step, bound and variable are
+//! judged when its header closes, the number of loops where the nest ends,
+//! the store at the `=`, each read and call where it stands in the update,
+//! and what only the whole expression shows (no cell access, zero radius)
+//! after the last token. An input with one fault is answered exactly as
+//! the two-pass frontend this replaced answered it
+//! (`tests/errors_golden.txt`); that one reported any lexical error before
+//! any syntax error before any pattern error, wherever they stood, so an
+//! input with several faults may now be answered with a different one of
+//! them.
+//!
+//! **Two limits.** Parentheses, unary minuses, call arguments and
+//! subscripts may nest 64 levels deep, and the update expression may have
+//! 10,000 nodes (constants, reads and operations — a radius-6 3D box has
+//! 8,787); past either, the answer is
+//! [`FrontendError::UnsupportedStencil`]. The parser recurses once per
+//! nesting level and every later stage once per level of the expression,
+//! which a sum of `n` terms makes `n` deep: the limits are what keeps a
+//! hostile source from overflowing the 2 MiB stack of a service worker
+//! (the workspace's `tests/frontend_properties.rs` runs an input at each
+//! limit through the whole pipeline on such a stack, in release).
+//!
 //! # Example
 //!
 //! ```
@@ -36,36 +73,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod ast;
 mod detect;
 mod emit;
 mod error;
 mod lexer;
 mod parser;
-mod token;
 
-pub use ast::{CExpr, CForLoop, CProgram, CStatement, CompareOp};
-pub use detect::{detect, DetectedStencil};
+pub use detect::DetectedStencil;
 pub use emit::emit_c_source;
 pub use error::FrontendError;
-pub use lexer::tokenize;
-pub use parser::parse_program;
-pub use token::{Token, TokenKind};
+pub use parser::parse_stencil;
 
 use an5d_stencil::StencilError;
-
-/// End-to-end convenience: tokenize, parse and detect the stencil in a C
-/// source snippet.
-///
-/// # Errors
-///
-/// Returns a [`FrontendError`] if the source cannot be lexed/parsed or does
-/// not match the supported stencil pattern (Section 4.3.3 restrictions).
-pub fn parse_stencil(source: &str, name: &str) -> Result<DetectedStencil, FrontendError> {
-    let tokens = tokenize(source)?;
-    let program = parse_program(&tokens)?;
-    detect(&program, name)
-}
 
 impl From<StencilError> for FrontendError {
     fn from(e: StencilError) -> Self {

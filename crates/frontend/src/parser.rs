@@ -1,346 +1,591 @@
-//! Recursive-descent parser for the supported C subset.
+//! One-pass recursive-descent parser and stencil-pattern detection
+//! (Section 4.3.3 restrictions): C text in, [`DetectedStencil`] out.
+//!
+//! The loop headers come first in the source, so when the parser reaches
+//! the assignment it knows the time variable and the space variables, and
+//! from the left-hand side the array: the update expression is checked
+//! and built as an [`Expr`] while it is parsed. Subscripts and loop
+//! bounds are never built at all — they fold, operator by operator, into
+//! a [`Shape`].
 
-use crate::ast::{CAssignment, CExpr, CForLoop, CProgram, CStatement, CompareOp};
-use crate::{FrontendError, Token, TokenKind};
+use crate::detect::{DetectedStencil, ExtentExpr};
+use crate::lexer::{Lexer, Token};
+use crate::FrontendError;
+use an5d_expr::Expr;
+use an5d_stencil::StencilDef;
+
+/// Deepest nesting of parentheses, unary minuses, call arguments and
+/// subscripts. The parser recurses once per level, whatever it builds.
+const MAX_NESTING: usize = 64;
+
+/// Most nodes (constants, cell reads, operations) of the update
+/// expression. Every later stage recurses along the expression's spine,
+/// which `a + a + a + …` makes half as deep as it has nodes, and the
+/// hungriest of them (`emit_c_source`, ≈ 275 B a level in release) gets
+/// ≈ 7,600 levels out of a service worker's 2 MiB stack. A radius-6 3D box
+/// (2,197 terms) has 8,787 nodes and is 2,197 levels deep.
+/// `tests/frontend_properties.rs` drives an input at each limit through
+/// the pipeline on such a stack.
+const MAX_NODES: usize = 10_000;
+
+type Parsed<T> = Result<T, FrontendError>;
+
+fn unsupported<T>(reason: impl Into<String>) -> Parsed<T> {
+    Err(FrontendError::unsupported(reason))
+}
+
+/// The only calls the update may make are `sqrt(x)` and `sqrtf(x)`.
+fn unsupported_call<T>(name: &str) -> Parsed<T> {
+    unsupported(format!(
+        "call to '{name}' is not supported (only sqrt/sqrtf)"
+    ))
+}
+
+/// What a subscript or loop bound folds to: the forms the stencil pattern
+/// gives a meaning, and `Other` for everything else the grammar allows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape<'a> {
+    /// An integer literal.
+    Int(i64),
+    /// A bare identifier.
+    Var(&'a str),
+    /// `var + k`, `k + var` or `var - k` (as `-k`).
+    Offset(&'a str, i64),
+    /// `var % 2` or `(var ± k) % 2`, holding `k mod 2`.
+    Parity(&'a str, i64),
+    Other,
+}
+
+impl Shape<'_> {
+    /// The constant `k` if this is `var`, `var + k`, `k + var` or `var - k`.
+    fn offset_of(self, var: &str) -> Option<i64> {
+        match self {
+            Shape::Var(s) if s == var => Some(0),
+            Shape::Offset(s, k) if s == var => Some(k),
+            _ => None,
+        }
+    }
+
+    /// `k mod 2` if this is `(var + k) % 2` (or `var % 2`).
+    fn parity_of(self, var: &str) -> Option<i64> {
+        match self {
+            Shape::Parity(s, parity) if s == var => Some(parity),
+            _ => None,
+        }
+    }
+}
+
+/// The subscripts of one array access. The pattern allows four at most
+/// (buffer index plus three dimensions); further ones are only counted.
+struct Subscripts<'a> {
+    count: usize,
+    shapes: [Shape<'a>; 4],
+}
+
+/// What the expression grammar builds from its productions: a [`Shape`]
+/// in a subscript or loop header, the checked [`Expr`] in the update.
+trait Build<'a>: Sized {
+    fn int(p: &mut Parser<'a>, value: i64) -> Parsed<Self>;
+    fn float(p: &mut Parser<'a>, value: f64) -> Parsed<Self>;
+    fn ident(p: &mut Parser<'a>, name: &'a str) -> Parsed<Self>;
+    fn access(p: &mut Parser<'a>, name: &'a str, subscripts: &Subscripts<'a>) -> Parsed<Self>;
+    /// Called at `name(`, before the arguments are read.
+    fn callee(name: &str) -> Parsed<()>;
+    fn call(p: &mut Parser<'a>, name: &str, first_arg: Self, args: usize) -> Parsed<Self>;
+    fn neg(p: &mut Parser<'a>, operand: Self) -> Parsed<Self>;
+    /// `op` is one of `+ - * / %`.
+    fn binary(p: &mut Parser<'a>, op: Token<'a>, lhs: Self, rhs: Self) -> Parsed<Self>;
+}
+
+impl<'a> Build<'a> for Shape<'a> {
+    fn int(_: &mut Parser<'a>, value: i64) -> Parsed<Self> {
+        Ok(Shape::Int(value))
+    }
+
+    fn float(_: &mut Parser<'a>, _: f64) -> Parsed<Self> {
+        Ok(Shape::Other)
+    }
+
+    fn ident(_: &mut Parser<'a>, name: &'a str) -> Parsed<Self> {
+        Ok(Shape::Var(name))
+    }
+
+    fn access(_: &mut Parser<'a>, _: &'a str, _: &Subscripts<'a>) -> Parsed<Self> {
+        Ok(Shape::Other)
+    }
+
+    fn callee(_: &str) -> Parsed<()> {
+        Ok(())
+    }
+
+    fn call(_: &mut Parser<'a>, _: &str, _: Self, _: usize) -> Parsed<Self> {
+        Ok(Shape::Other)
+    }
+
+    fn neg(_: &mut Parser<'a>, _: Self) -> Parsed<Self> {
+        Ok(Shape::Other)
+    }
+
+    fn binary(_: &mut Parser<'a>, op: Token<'a>, lhs: Self, rhs: Self) -> Parsed<Self> {
+        Ok(match (op, lhs, rhs) {
+            (Token::Plus, Shape::Var(s), Shape::Int(k))
+            | (Token::Plus, Shape::Int(k), Shape::Var(s)) => Shape::Offset(s, k),
+            (Token::Minus, Shape::Var(s), Shape::Int(k)) => Shape::Offset(s, -k),
+            (Token::Percent, Shape::Var(s), Shape::Int(2)) => Shape::Parity(s, 0),
+            (Token::Percent, Shape::Offset(s, k), Shape::Int(2)) => {
+                Shape::Parity(s, k.rem_euclid(2))
+            }
+            _ => Shape::Other,
+        })
+    }
+}
+
+impl<'a> Build<'a> for Expr {
+    fn int(p: &mut Parser<'a>, value: i64) -> Parsed<Self> {
+        p.node(Expr::constant(value as f64))
+    }
+
+    fn float(p: &mut Parser<'a>, value: f64) -> Parsed<Self> {
+        p.node(Expr::constant(value))
+    }
+
+    fn ident(_: &mut Parser<'a>, name: &'a str) -> Parsed<Self> {
+        unsupported(format!(
+            "symbolic coefficient '{name}' is not supported; coefficients must be literal constants"
+        ))
+    }
+
+    fn access(p: &mut Parser<'a>, name: &'a str, subscripts: &Subscripts<'a>) -> Parsed<Self> {
+        let (time, space) = (&p.loops[0], &p.loops[1..]);
+        if name != p.array {
+            return unsupported(format!(
+                "read of array '{name}' but the stencil stores to '{}'",
+                p.array
+            ));
+        }
+        if subscripts.count != space.len() + 1 {
+            return unsupported(format!(
+                "read of '{name}' must have {} subscripts",
+                space.len() + 1
+            ));
+        }
+        if subscripts.shapes[0].parity_of(time.var) != Some(0) {
+            return unsupported("reads must come from the t % 2 buffer");
+        }
+        let mut offsets = [0i32; 3];
+        let ndim = space.len();
+        for ((offset, shape), Loop { var, .. }) in
+            offsets.iter_mut().zip(&subscripts.shapes[1..]).zip(space)
+        {
+            let Some(k) = shape.offset_of(var) else {
+                return unsupported(format!(
+                    "subscript for '{var}' must be '{var}' plus or minus a constant"
+                ));
+            };
+            *offset = i32::try_from(k)
+                .or_else(|_| unsupported("neighbour offsets must fit in 32 bits"))?;
+        }
+        p.node(Expr::cell(&offsets[..ndim]))
+    }
+
+    fn callee(name: &str) -> Parsed<()> {
+        if name == "sqrt" || name == "sqrtf" {
+            Ok(())
+        } else {
+            unsupported_call(name)
+        }
+    }
+
+    fn call(p: &mut Parser<'a>, name: &str, first_arg: Self, args: usize) -> Parsed<Self> {
+        if args != 1 {
+            return unsupported_call(name);
+        }
+        p.node(Expr::sqrt(first_arg))
+    }
+
+    fn neg(p: &mut Parser<'a>, operand: Self) -> Parsed<Self> {
+        p.node(-operand)
+    }
+
+    fn binary(p: &mut Parser<'a>, op: Token<'a>, lhs: Self, rhs: Self) -> Parsed<Self> {
+        p.node(match op {
+            Token::Plus => lhs + rhs,
+            Token::Minus => lhs - rhs,
+            Token::Star => lhs * rhs,
+            Token::Slash => lhs / rhs,
+            _ => {
+                return unsupported(
+                    "the modulo operator may only appear in the double-buffer index",
+                )
+            }
+        })
+    }
+}
+
+/// One loop of the nest: its variable and the extent its bound folds to.
+struct Loop<'a> {
+    var: &'a str,
+    extent: ExtentExpr,
+}
 
 struct Parser<'a> {
-    tokens: &'a [Token],
-    pos: usize,
+    lexer: Lexer<'a>,
+    /// The one token of look-ahead, and the byte offset it starts at.
+    tok: Token<'a>,
+    tok_at: usize,
+    /// Where the last consumed token starts (an error at the end of the
+    /// input points one column past it).
+    prev_at: Option<usize>,
+    depth: usize,
+    nodes: usize,
+    /// The loops read so far, the time loop first.
+    loops: Vec<Loop<'a>>,
+    /// The array the assignment stores to.
+    array: &'a str,
 }
 
 impl<'a> Parser<'a> {
-    fn new(tokens: &'a [Token]) -> Self {
-        Self { tokens, pos: 0 }
+    fn new(source: &'a str) -> Parsed<Self> {
+        let mut lexer = Lexer::new(source);
+        let (tok, tok_at) = lexer.next_token()?;
+        Ok(Self {
+            lexer,
+            tok,
+            tok_at,
+            prev_at: None,
+            depth: 0,
+            nodes: 0,
+            loops: Vec::new(),
+            array: "",
+        })
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn position(&self) -> (usize, usize) {
-        self.peek()
-            .map(|t| (t.line, t.column))
-            .or_else(|| self.tokens.last().map(|t| (t.line, t.column + 1)))
-            .unwrap_or((1, 1))
-    }
-
+    /// "expected … but found" the look-ahead token, at its position.
     fn error(&self, expected: &str) -> FrontendError {
-        let (line, column) = self.position();
-        let found = self
-            .peek()
-            .map_or_else(|| "end of input".to_string(), |t| t.kind.to_string());
-        FrontendError::parse(line, column, expected, found)
-    }
-
-    fn advance(&mut self) -> Option<&Token> {
-        let t = self.tokens.get(self.pos);
-        self.pos += 1;
-        t
-    }
-
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), FrontendError> {
-        match self.peek() {
-            Some(t) if &t.kind == kind => {
-                self.pos += 1;
-                Ok(())
+        let (line, column) = match (self.tok, self.prev_at) {
+            (Token::Eof, None) => (1, 1),
+            (Token::Eof, Some(prev)) => {
+                let (line, column) = self.lexer.line_column(prev);
+                (line, column + 1)
             }
-            _ => Err(self.error(what)),
+            _ => self.lexer.line_column(self.tok_at),
+        };
+        FrontendError::parse(line, column, expected, self.tok.to_string())
+    }
+
+    /// Consume the look-ahead token and pull the next one.
+    fn bump(&mut self) -> Parsed<Token<'a>> {
+        let tok = self.tok;
+        if tok != Token::Eof {
+            self.prev_at = Some(self.tok_at);
+            (self.tok, self.tok_at) = self.lexer.next_token()?;
         }
+        Ok(tok)
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, FrontendError> {
-        match self.peek() {
-            Some(Token {
-                kind: TokenKind::Ident(s),
-                ..
-            }) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.error(what)),
+    fn expect(&mut self, tok: Token<'a>, what: &str) -> Parsed<()> {
+        if self.tok != tok {
+            return Err(self.error(what));
         }
+        self.bump()?;
+        Ok(())
     }
 
-    fn eat_keyword(&mut self, keyword: &str) -> bool {
-        if let Some(Token {
-            kind: TokenKind::Ident(s),
-            ..
-        }) = self.peek()
-        {
-            if s == keyword {
-                self.pos += 1;
-                return true;
-            }
+    fn expect_ident(&mut self, what: &str) -> Parsed<&'a str> {
+        let Token::Ident(name) = self.tok else {
+            return Err(self.error(what));
+        };
+        self.bump()?;
+        Ok(name)
+    }
+
+    /// Count one node of the update expression.
+    fn node(&mut self, expr: Expr) -> Parsed<Expr> {
+        self.nodes += 1;
+        if self.nodes > MAX_NODES {
+            return unsupported(format!(
+                "the update expression has more than {MAX_NODES} nodes"
+            ));
         }
-        false
+        Ok(expr)
     }
 
-    fn parse_program(&mut self) -> Result<CProgram, FrontendError> {
-        // Tolerate leading scalar declarations such as `int t, i, j;` or
-        // `float A[2][N][N];` by skipping statements until the first `for`.
-        while let Some(t) = self.peek() {
-            if matches!(&t.kind, TokenKind::Ident(s) if s == "for") {
-                break;
-            }
-            // Skip to the next ';'.
-            while let Some(t) = self.advance() {
-                if t.kind == TokenKind::Semicolon {
-                    break;
+    /// The one place the expression grammar re-enters itself.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        if self.depth == MAX_NESTING {
+            return unsupported(format!(
+                "parentheses, unary minuses, call arguments and subscripts nest deeper than {MAX_NESTING} levels"
+            ));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
+    fn stencil(mut self, name: &str) -> Parsed<DetectedStencil> {
+        // Tolerate leading declarations such as `int t, i, j;` or
+        // `float A[2][N][N];`: skip statements until one starts with `for`.
+        while !matches!(self.tok, Token::Ident("for") | Token::Eof) {
+            while !matches!(self.bump()?, Token::Semicolon | Token::Eof) {}
+        }
+        // A perfect nest: every body is one loop, one braced body, or the
+        // assignment — so all closing braces follow the assignment.
+        self.for_header()?;
+        let mut braces = 0usize;
+        loop {
+            match self.tok {
+                Token::LBrace => {
+                    self.bump()?;
+                    braces += 1;
                 }
+                Token::Ident("for") => self.for_header()?,
+                _ => break,
             }
         }
-        let root = self.parse_for()?;
+        if !(3..=4).contains(&self.loops.len()) {
+            return unsupported(format!(
+                "expected a time loop plus 2 or 3 spatial loops, found {} loops",
+                self.loops.len()
+            ));
+        }
+        self.store()?;
+        self.expect(Token::Assign, "'=' in assignment")?;
+        let value = self.expr::<Expr>()?;
+        self.expect(Token::Semicolon, "';' after assignment")?;
+        for _ in 0..braces {
+            self.expect(Token::RBrace, "'}' after block")?;
+        }
         // Trailing tokens (e.g. a closing brace of an outer function) are
         // not supported: the input is expected to be the loop nest only.
-        if self.peek().is_some() {
+        if self.tok != Token::Eof {
             return Err(self.error("end of input after the loop nest"));
         }
-        Ok(CProgram { root })
+
+        let def = StencilDef::new(name, value)?;
+        let mut loops = self.loops.into_iter();
+        let time = loops.next().expect("the nest has three or four loops");
+        let (space_vars, space_extents) = loops.map(|l| (l.var.to_string(), l.extent)).unzip();
+        Ok(DetectedStencil {
+            def,
+            array_name: self.array.to_string(),
+            time_var: time.var.to_string(),
+            space_vars,
+            time_extent: time.extent,
+            space_extents,
+        })
     }
 
-    fn parse_for(&mut self) -> Result<CForLoop, FrontendError> {
-        if !self.eat_keyword("for") {
+    /// `for ([int] var = start; var </<= bound; var++ / var += step)`.
+    fn for_header(&mut self) -> Parsed<()> {
+        if self.tok != Token::Ident("for") {
             return Err(self.error("'for'"));
         }
-        self.expect(&TokenKind::LParen, "'(' after 'for'")?;
-        // Optional `int` in the init clause.
-        self.eat_keyword("int");
+        self.bump()?;
+        self.expect(Token::LParen, "'(' after 'for'")?;
+        if self.tok == Token::Ident("int") {
+            self.bump()?;
+        }
         let var = self.expect_ident("loop variable")?;
-        self.expect(&TokenKind::Assign, "'=' in loop initialiser")?;
-        let start = self.parse_expr()?;
-        self.expect(&TokenKind::Semicolon, "';' after loop initialiser")?;
+        self.expect(Token::Assign, "'=' in loop initialiser")?;
+        self.expr::<Shape>()?;
+        self.expect(Token::Semicolon, "';' after loop initialiser")?;
 
         let cond_var = self.expect_ident("loop variable in condition")?;
         if cond_var != var {
-            return Err(FrontendError::unsupported(format!(
+            return unsupported(format!(
                 "loop condition tests '{cond_var}' but the loop variable is '{var}'"
-            )));
+            ));
         }
-        let compare = match self.advance().map(|t| t.kind.clone()) {
-            Some(TokenKind::Less) => CompareOp::Less,
-            Some(TokenKind::LessEqual) => CompareOp::LessEqual,
-            _ => return Err(self.error("'<' or '<=' in loop condition")),
-        };
-        let bound = self.parse_expr()?;
-        self.expect(&TokenKind::Semicolon, "';' after loop condition")?;
+        // As in the two-pass parser, a wrong token here and in the
+        // increment is consumed and the message names the one after it.
+        if !matches!(self.bump()?, Token::Less | Token::LessEqual) {
+            return Err(self.error("'<' or '<=' in loop condition"));
+        }
+        let bound = self.expr::<Shape>()?;
+        self.expect(Token::Semicolon, "';' after loop condition")?;
 
         let inc_var = self.expect_ident("loop variable in increment")?;
         if inc_var != var {
-            return Err(FrontendError::unsupported(format!(
+            return unsupported(format!(
                 "loop increment updates '{inc_var}' but the loop variable is '{var}'"
-            )));
+            ));
         }
-        let step = match self.advance().map(|t| t.kind.clone()) {
-            Some(TokenKind::Increment) => 1,
-            Some(TokenKind::PlusAssign) => match self.advance().map(|t| t.kind.clone()) {
-                Some(TokenKind::Int(v)) if v > 0 => v,
+        let step = match self.bump()? {
+            Token::Increment => 1,
+            Token::PlusAssign => match self.bump()? {
+                Token::Int(step) if step > 0 => step,
                 _ => return Err(self.error("positive integer step after '+='")),
             },
             _ => return Err(self.error("'++' or '+=' in loop increment")),
         };
-        self.expect(&TokenKind::RParen, "')' after loop header")?;
+        self.expect(Token::RParen, "')' after loop header")?;
 
-        let body = self.parse_statement()?;
-        Ok(CForLoop {
-            var,
-            start,
-            compare,
-            bound,
-            step,
-            body: Box::new(body),
-        })
+        if step != 1 {
+            return unsupported("all loops must advance by 1");
+        }
+        if self.loops.first().is_some_and(|time| time.var == var) {
+            return unsupported("loop variables must be distinct");
+        }
+        let extent = match bound {
+            Shape::Int(value) => ExtentExpr::Const(value),
+            Shape::Var(symbol) => ExtentExpr::Symbol(symbol.to_string()),
+            _ => return unsupported("loop bounds must be integer constants or plain symbols"),
+        };
+        self.loops.push(Loop { var, extent });
+        Ok(())
     }
 
-    fn parse_statement(&mut self) -> Result<CStatement, FrontendError> {
-        if let Some(Token {
-            kind: TokenKind::LBrace,
-            ..
-        }) = self.peek()
-        {
-            self.pos += 1;
-            let inner = self.parse_statement()?;
-            self.expect(&TokenKind::RBrace, "'}' after block")?;
-            return Ok(inner);
-        }
-        if matches!(self.peek(), Some(Token { kind: TokenKind::Ident(s), .. }) if s == "for") {
-            return Ok(CStatement::For(self.parse_for()?));
-        }
-        // Assignment: array access '=' expr ';'
-        let target = self.parse_postfix()?;
-        let CExpr::ArrayAccess { name, indices } = target else {
+    /// The left-hand side: `array[(t+1)%2][i][j]…`, each space subscript
+    /// exactly its loop's variable.
+    fn store(&mut self) -> Parsed<()> {
+        let Token::Ident(array) = self.tok else {
+            self.postfix::<Shape>()?;
             return Err(self.error("array store on the left-hand side"));
         };
-        self.expect(&TokenKind::Assign, "'=' in assignment")?;
-        let value = self.parse_expr()?;
-        self.expect(&TokenKind::Semicolon, "';' after assignment")?;
-        Ok(CStatement::Assign(CAssignment {
-            array: name,
-            indices,
-            value,
-        }))
-    }
+        self.bump()?;
+        if self.tok != Token::LBracket {
+            self.after_ident::<Shape>(array)?;
+            return Err(self.error("array store on the left-hand side"));
+        }
+        self.array = array;
+        let subscripts = self.subscripts()?;
 
-    fn parse_expr(&mut self) -> Result<CExpr, FrontendError> {
-        self.parse_additive()
-    }
-
-    fn parse_additive(&mut self) -> Result<CExpr, FrontendError> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            match self.peek().map(|t| t.kind.clone()) {
-                Some(TokenKind::Plus) => {
-                    self.pos += 1;
-                    let rhs = self.parse_multiplicative()?;
-                    lhs = CExpr::Add(Box::new(lhs), Box::new(rhs));
-                }
-                Some(TokenKind::Minus) => {
-                    self.pos += 1;
-                    let rhs = self.parse_multiplicative()?;
-                    lhs = CExpr::Sub(Box::new(lhs), Box::new(rhs));
-                }
-                _ => return Ok(lhs),
+        let (time, space) = (&self.loops[0], &self.loops[1..]);
+        let expected = space.len() + 1;
+        if subscripts.count != expected {
+            return unsupported(format!(
+                "the store must have {expected} subscripts (buffer index plus one per spatial dimension)"
+            ));
+        }
+        if subscripts.shapes[0].parity_of(time.var) != Some(1) {
+            return unsupported("the store must write to the (t + 1) % 2 buffer");
+        }
+        for (shape, Loop { var, .. }) in subscripts.shapes[1..].iter().zip(space) {
+            if shape.offset_of(var) != Some(0) {
+                return unsupported(format!(
+                    "the store subscript for '{var}' must be exactly '{var}'"
+                ));
             }
         }
+        Ok(())
     }
 
-    fn parse_multiplicative(&mut self) -> Result<CExpr, FrontendError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            match self.peek().map(|t| t.kind.clone()) {
-                Some(TokenKind::Star) => {
-                    self.pos += 1;
-                    let rhs = self.parse_unary()?;
-                    lhs = CExpr::Mul(Box::new(lhs), Box::new(rhs));
-                }
-                Some(TokenKind::Slash) => {
-                    self.pos += 1;
-                    let rhs = self.parse_unary()?;
-                    lhs = CExpr::Div(Box::new(lhs), Box::new(rhs));
-                }
-                Some(TokenKind::Percent) => {
-                    self.pos += 1;
-                    let rhs = self.parse_unary()?;
-                    lhs = CExpr::Mod(Box::new(lhs), Box::new(rhs));
-                }
-                _ => return Ok(lhs),
+    /// `[expr][expr]…` after an identifier.
+    fn subscripts(&mut self) -> Parsed<Subscripts<'a>> {
+        let mut subscripts = Subscripts {
+            count: 0,
+            shapes: [Shape::Other; 4],
+        };
+        while self.tok == Token::LBracket {
+            self.bump()?;
+            let shape = self.nested(Self::expr::<Shape>)?;
+            self.expect(Token::RBracket, "']' after subscript")?;
+            if let Some(slot) = subscripts.shapes.get_mut(subscripts.count) {
+                *slot = shape;
             }
+            subscripts.count += 1;
         }
+        Ok(subscripts)
     }
 
-    fn parse_unary(&mut self) -> Result<CExpr, FrontendError> {
-        if let Some(Token {
-            kind: TokenKind::Minus,
-            ..
-        }) = self.peek()
-        {
-            self.pos += 1;
-            let inner = self.parse_unary()?;
-            return Ok(CExpr::Neg(Box::new(inner)));
+    /// `expr := term (('+' | '-') term)*`
+    fn expr<B: Build<'a>>(&mut self) -> Parsed<B> {
+        let mut lhs = self.term::<B>()?;
+        while let op @ (Token::Plus | Token::Minus) = self.tok {
+            self.bump()?;
+            let rhs = self.term::<B>()?;
+            lhs = B::binary(self, op, lhs, rhs)?;
         }
-        self.parse_postfix()
+        Ok(lhs)
     }
 
-    fn parse_postfix(&mut self) -> Result<CExpr, FrontendError> {
-        let primary = self.parse_primary()?;
-        // Array subscripts.
-        if let CExpr::Ident(name) = &primary {
-            if matches!(
-                self.peek(),
-                Some(Token {
-                    kind: TokenKind::LBracket,
-                    ..
-                })
-            ) {
-                let mut indices = Vec::new();
-                while matches!(
-                    self.peek(),
-                    Some(Token {
-                        kind: TokenKind::LBracket,
-                        ..
-                    })
-                ) {
-                    self.pos += 1;
-                    indices.push(self.parse_expr()?);
-                    self.expect(&TokenKind::RBracket, "']' after subscript")?;
-                }
-                return Ok(CExpr::ArrayAccess {
-                    name: name.clone(),
-                    indices,
-                });
-            }
+    /// `term := unary (('*' | '/' | '%') unary)*`
+    fn term<B: Build<'a>>(&mut self) -> Parsed<B> {
+        let mut lhs = self.unary::<B>()?;
+        while let op @ (Token::Star | Token::Slash | Token::Percent) = self.tok {
+            self.bump()?;
+            let rhs = self.unary::<B>()?;
+            lhs = B::binary(self, op, lhs, rhs)?;
         }
-        Ok(primary)
+        Ok(lhs)
     }
 
-    fn parse_primary(&mut self) -> Result<CExpr, FrontendError> {
-        match self.peek().map(|t| t.kind.clone()) {
-            Some(TokenKind::Int(v)) => {
-                self.pos += 1;
-                Ok(CExpr::Int(v))
+    /// `unary := '-' unary | postfix`
+    fn unary<B: Build<'a>>(&mut self) -> Parsed<B> {
+        if self.tok != Token::Minus {
+            return self.postfix();
+        }
+        self.bump()?;
+        let operand = self.nested(Self::unary::<B>)?;
+        B::neg(self, operand)
+    }
+
+    /// `postfix := literal | '(' expr ')' | name | name '(' args ')' | name subscripts`
+    fn postfix<B: Build<'a>>(&mut self) -> Parsed<B> {
+        match self.tok {
+            Token::Int(value) => {
+                self.bump()?;
+                B::int(self, value)
             }
-            Some(TokenKind::Float(v)) => {
-                self.pos += 1;
-                Ok(CExpr::Float(v))
+            Token::Float(value) => {
+                self.bump()?;
+                B::float(self, value)
             }
-            Some(TokenKind::LParen) => {
-                self.pos += 1;
-                let inner = self.parse_expr()?;
-                self.expect(&TokenKind::RParen, "')' after parenthesised expression")?;
+            Token::LParen => {
+                self.bump()?;
+                let inner = self.nested(Self::expr::<B>)?;
+                self.expect(Token::RParen, "')' after parenthesised expression")?;
                 Ok(inner)
             }
-            Some(TokenKind::Ident(name)) => {
-                self.pos += 1;
-                // Function call?
-                if matches!(
-                    self.peek(),
-                    Some(Token {
-                        kind: TokenKind::LParen,
-                        ..
-                    })
-                ) {
-                    self.pos += 1;
-                    let mut args = vec![self.parse_expr()?];
-                    while matches!(
-                        self.peek(),
-                        Some(Token {
-                            kind: TokenKind::Comma,
-                            ..
-                        })
-                    ) {
-                        self.pos += 1;
-                        args.push(self.parse_expr()?);
-                    }
-                    self.expect(&TokenKind::RParen, "')' after call arguments")?;
-                    return Ok(CExpr::Call { name, args });
-                }
-                Ok(CExpr::Ident(name))
+            Token::Ident(name) => {
+                self.bump()?;
+                self.after_ident(name)
             }
             _ => Err(self.error("an expression")),
         }
     }
+
+    /// What follows an identifier already consumed: call arguments,
+    /// subscripts, or nothing.
+    fn after_ident<B: Build<'a>>(&mut self, name: &'a str) -> Parsed<B> {
+        match self.tok {
+            Token::LParen => {
+                B::callee(name)?;
+                self.bump()?;
+                let first_arg = self.nested(Self::expr::<B>)?;
+                let mut args = 1;
+                while self.tok == Token::Comma {
+                    self.bump()?;
+                    self.nested(Self::expr::<B>)?;
+                    args += 1;
+                }
+                self.expect(Token::RParen, "')' after call arguments")?;
+                B::call(self, name, first_arg, args)
+            }
+            Token::LBracket => {
+                let subscripts = self.subscripts()?;
+                B::access(self, name, &subscripts)
+            }
+            _ => B::ident(self, name),
+        }
+    }
 }
 
-/// Parse a token stream into a loop-nest program.
+/// Parse a C source snippet and detect the stencil in it.
 ///
 /// # Errors
 ///
-/// Returns [`FrontendError::Parse`] (with source position) when the tokens
-/// do not match the supported grammar, or
-/// [`FrontendError::UnsupportedStencil`] for structurally unsupported loop
-/// forms.
-pub fn parse_program(tokens: &[Token]) -> Result<CProgram, FrontendError> {
-    Parser::new(tokens).parse_program()
+/// Returns a [`FrontendError`] if the source cannot be lexed/parsed or does
+/// not match the supported stencil pattern (Section 4.3.3 restrictions).
+/// Of several faults, the one the parser meets first is reported.
+pub fn parse_stencil(source: &str, name: &str) -> Result<DetectedStencil, FrontendError> {
+    Parser::new(source)?.stencil(name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize;
-
-    fn parse(source: &str) -> Result<CProgram, FrontendError> {
-        parse_program(&tokenize(source).unwrap())
-    }
 
     const J2D5PT: &str = r"
         for (t = 0; t < I_T; t++)
@@ -351,107 +596,189 @@ mod tests {
                 + 5.2f * A[t%2][i+1][j]) / 118;
     ";
 
+    /// A 2D nest around `statement`.
+    fn nest(statement: &str) -> String {
+        format!(
+            "for (t = 0; t < 4; t++) for (i = 1; i <= 4; i++) for (j = 1; j <= 4; j++) {statement}"
+        )
+    }
+
+    fn shape(source: &str) -> Shape<'_> {
+        let mut parser = Parser::new(source).unwrap();
+        let shape = parser.expr().unwrap();
+        assert_eq!(parser.tok, Token::Eof, "{source}");
+        shape
+    }
+
+    #[test]
+    fn offset_extraction() {
+        assert_eq!(shape("i").offset_of("i"), Some(0));
+        assert_eq!(shape("i + 2").offset_of("i"), Some(2));
+        assert_eq!(shape("i - 1").offset_of("i"), Some(-1));
+        assert_eq!(shape("3 + i").offset_of("i"), Some(3));
+        assert_eq!(shape("(i) + 3").offset_of("i"), Some(3));
+        assert_eq!(shape("j").offset_of("i"), None);
+        assert_eq!(shape("1").offset_of("i"), None);
+        // Anything the two-pass pattern did not match stays unmatched.
+        for other in [
+            "3 - i",
+            "i + 1 + 1",
+            "i + -1",
+            "-1 + i",
+            "i * 1",
+            "i + 1.0f",
+            "i[0] + 1",
+        ] {
+            assert_eq!(shape(other), Shape::Other, "{other}");
+        }
+    }
+
+    #[test]
+    fn parity_extraction() {
+        assert_eq!(shape("t % 2").parity_of("t"), Some(0));
+        assert_eq!(shape("(t + 1) % 2").parity_of("t"), Some(1));
+        assert_eq!(shape("(t - 1) % 2").parity_of("t"), Some(1));
+        assert_eq!(shape("(t + 2) % 2").parity_of("t"), Some(0));
+        assert_eq!(shape("(t + 1) % 2").parity_of("i"), None);
+        assert_eq!(shape("t % 3").parity_of("t"), None);
+        assert_eq!(shape("t + 1 % 2").parity_of("t"), None);
+        assert_eq!(shape("0").parity_of("t"), None);
+    }
+
     #[test]
     fn parses_fig4_loop_nest() {
-        let program = parse(J2D5PT).unwrap();
-        let (loops, assignment) = program.loop_nest().unwrap();
-        assert_eq!(loops.len(), 3);
-        assert_eq!(loops[0].var, "t");
-        assert_eq!(loops[1].var, "i");
-        assert_eq!(loops[2].var, "j");
-        assert_eq!(loops[0].compare, CompareOp::Less);
-        assert_eq!(loops[1].compare, CompareOp::LessEqual);
-        assert_eq!(assignment.array, "A");
-        assert_eq!(assignment.indices.len(), 3);
+        let detected = parse_stencil(J2D5PT, "j2d5pt").unwrap();
+        assert_eq!(detected.time_var, "t");
+        assert_eq!(detected.space_vars, ["i", "j"]);
+        assert_eq!(detected.array_name, "A");
+        assert_eq!(detected.def.expr().cell_access_count(), 5);
+        assert_eq!(detected.def.expr().node_count(), 21);
     }
 
     #[test]
     fn parses_braced_bodies_and_declarations() {
         let source = r"
             int t, i, j;
-            for (t = 0; t < 100; t++) {
-              for (i = 1; i <= 64; i++) {
+            float A[2][66][66];
+            for (int t = 0; t < 100; t++) {
+              for (i = 1; i <= 64; i++) { {
                 for (j = 1; j <= 64; j++) {
-                  A[(t+1)%2][i][j] = 0.25f * A[t%2][i][j];
+                  A[(t+1)%2][i][j] = 0.25f * A[t%2][i][j-1];
                 }
-              }
+              } }
             }
         ";
-        let program = parse(source).unwrap();
-        let (loops, _) = program.loop_nest().unwrap();
-        assert_eq!(loops.len(), 3);
-        assert_eq!(loops[0].bound, CExpr::Int(100));
+        let detected = parse_stencil(source, "braced").unwrap();
+        assert_eq!(detected.space_vars.len(), 2);
+        assert_eq!(detected.time_extent, ExtentExpr::Const(100));
+        assert_eq!(detected.space_extents[1], ExtentExpr::Const(64));
     }
 
     #[test]
     fn parses_calls_and_negation() {
-        let source = r"
-            for (t = 0; t < I_T; t++)
-              for (i = 1; i <= N; i++)
-                for (j = 1; j <= N; j++)
-                  A[(t+1)%2][i][j] = 1.0f / sqrtf(1.0f + -A[t%2][i][j]);
-        ";
-        let program = parse(source).unwrap();
-        let (_, assignment) = program.loop_nest().unwrap();
-        let CExpr::Div(_, rhs) = &assignment.value else {
-            panic!("expected division at top level");
-        };
-        assert!(matches!(rhs.as_ref(), CExpr::Call { name, .. } if name == "sqrtf"));
+        let source = nest("A[(t+1)%2][i][j] = 1.0f / sqrt(1.0f + -A[t%2][i][j+1]);");
+        let detected = parse_stencil(&source, "calls").unwrap();
+        let read = Expr::cell(&[0, 1]);
+        let expected = Expr::constant(1.0) / Expr::sqrt(Expr::constant(1.0) + -read);
+        assert_eq!(detected.def.expr(), &expected);
     }
 
     #[test]
     fn parses_step_increment() {
-        let source = r"
-            for (t = 0; t < 8; t += 2)
-              for (i = 1; i <= 4; i++)
-                for (j = 1; j <= 4; j++)
-                  A[(t+1)%2][i][j] = A[t%2][i][j];
-        ";
-        let program = parse(source).unwrap();
-        assert_eq!(program.root.step, 2);
+        // `+= k` is grammar; a step other than 1 is a pattern violation.
+        let unit = nest("A[(t+1)%2][i][j] = A[t%2][i][j-1];").replace("j++", "j += 1");
+        assert!(parse_stencil(&unit, "unit").is_ok());
+        let strided = unit.replace("t++", "t += 2");
+        let err = parse_stencil(&strided, "strided").unwrap_err();
+        assert!(err.to_string().contains("advance by 1"), "{err}");
     }
 
     #[test]
     fn reports_missing_semicolon_with_position() {
-        let source = "for (t = 0; t < 4; t++) for (i = 1; i <= 4; i++) for (j = 1; j <= 4; j++) A[(t+1)%2][i][j] = A[t%2][i][j]";
-        let err = parse(source).unwrap_err();
-        assert!(matches!(err, FrontendError::Parse { .. }));
-        assert!(err.to_string().contains("';'"));
+        let source = nest("A[(t+1)%2][i][j] = A[t%2][i][j-1]");
+        let err = parse_stencil(&source, "x").unwrap_err();
+        // One column past the last token, which is the last character.
+        let expected =
+            FrontendError::parse(1, source.len() + 1, "';' after assignment", "end of input");
+        assert_eq!(err, expected);
     }
 
     #[test]
     fn rejects_non_array_store() {
-        let source = r"
-            for (t = 0; t < 4; t++)
-              for (i = 1; i <= 4; i++)
-                for (j = 1; j <= 4; j++)
-                  x = A[t%2][i][j];
-        ";
-        let err = parse(source).unwrap_err();
+        let err = parse_stencil(&nest("x = A[t%2][i][j];"), "x").unwrap_err();
         assert!(err.to_string().contains("array store"));
     }
 
     #[test]
     fn rejects_mismatched_loop_variable() {
-        let source = r"
-            for (t = 0; i < 4; t++)
-              for (i = 1; i <= 4; i++)
-                for (j = 1; j <= 4; j++)
-                  A[(t+1)%2][i][j] = A[t%2][i][j];
-        ";
-        let err = parse(source).unwrap_err();
+        let source = nest("A[(t+1)%2][i][j] = A[t%2][i][j-1];").replace("t < 4", "i < 4");
+        let err = parse_stencil(&source, "x").unwrap_err();
         assert!(matches!(err, FrontendError::UnsupportedStencil { .. }));
     }
 
     #[test]
     fn rejects_trailing_tokens() {
-        let source = r"
-            for (t = 0; t < 4; t++)
-              for (i = 1; i <= 4; i++)
-                for (j = 1; j <= 4; j++)
-                  A[(t+1)%2][i][j] = A[t%2][i][j];
-            }
-        ";
-        assert!(parse(source).is_err());
+        let source = nest("A[(t+1)%2][i][j] = A[t%2][i][j-1]; }");
+        let err = parse_stencil(&source, "x").unwrap_err();
+        assert!(err.to_string().contains("end of input after the loop nest"));
+    }
+
+    #[test]
+    fn reports_the_first_fault_in_source_order() {
+        // The two-pass frontend answered the first with the lexical error
+        // and the second with the syntax error.
+        let source = nest("A[(t+1)%2][i][j] = c0 * A[t%2][i][j-1] @;");
+        let err = parse_stencil(&source, "x").unwrap_err();
+        assert!(
+            err.to_string().contains("symbolic coefficient 'c0'"),
+            "{err}"
+        );
+        let source = nest("A[t%2][i][j] = A[t%2][i][j-1]");
+        let err = parse_stencil(&source, "x").unwrap_err();
+        assert!(err.to_string().contains("(t + 1) % 2 buffer"), "{err}");
+    }
+
+    #[test]
+    fn limits_are_inclusive() {
+        let read = "A[t%2][i][j+1]";
+        // The read's subscripts are one level themselves.
+        let parens = |levels: usize| {
+            nest(&format!(
+                "A[(t+1)%2][i][j] = {}{read}{};",
+                "(".repeat(levels - 1),
+                ")".repeat(levels - 1)
+            ))
+        };
+        assert!(parse_stencil(&parens(MAX_NESTING), "x").is_ok());
+        let err = parse_stencil(&parens(MAX_NESTING + 1), "x").unwrap_err();
+        assert!(
+            err.to_string().contains("nest deeper than 64 levels"),
+            "{err}"
+        );
+
+        // A parser standing in the update of a 2D nest, `nodes` spent.
+        fn in_update(source: &str, nodes: usize) -> Parser<'_> {
+            let mut parser = Parser::new(source).unwrap();
+            let extent = ExtentExpr::Const(4);
+            parser.loops = ["t", "i", "j"]
+                .map(|var| Loop {
+                    var,
+                    extent: extent.clone(),
+                })
+                .into();
+            parser.array = "A";
+            parser.nodes = nodes;
+            parser
+        }
+        // 256 terms of four nodes and a last read: shallow enough for a
+        // debug build's test thread.
+        let source = format!("{}{read}", format!("0.5f * {read} + ").repeat(256));
+        let mut parser = in_update(&source, MAX_NODES - 4 * 256 - 1);
+        assert!(parser.expr::<Expr>().is_ok());
+        assert_eq!(parser.nodes, MAX_NODES);
+        let err = in_update(&source, MAX_NODES - 4 * 256)
+            .expr::<Expr>()
+            .unwrap_err();
+        assert!(err.to_string().contains("more than 10000 nodes"), "{err}");
     }
 }

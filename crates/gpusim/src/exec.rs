@@ -541,22 +541,27 @@ impl<'a> TileContext<'a> {
 
         // Load the local box from global memory with one contiguous row
         // copy per innermost row (one read per cell per temporal block —
-        // the defining property of N.5D blocking), into both buffers of
-        // the temporal block at once.
+        // the defining property of N.5D blocking), then copy it whole into
+        // the block's second buffer. The odometer walks planes only: the
+        // rows of a plane lie a fixed stride apart, and at 3D's short rows
+        // an odometer step per row costs more than the copy it addresses.
         let data = current.as_slice();
         let width = local_shape[inner];
+        let rows = inner - 1;
         let mut src: Vec<T> = Vec::with_capacity(total);
         let mut dst: Vec<T> = Vec::with_capacity(total);
-        let load_bounds: Vec<(usize, usize)> =
-            local_shape[..inner].iter().map(|&e| (0, e)).collect();
-        for_each_row(&load_bounds, |outer| {
-            let mut g = lo[inner];
-            for d in 0..inner {
-                g += (outer[d] + lo[d]) * global_strides[d];
+        let planes: Vec<(usize, usize)> = local_shape[..rows].iter().map(|&e| (0, e)).collect();
+        for_each_row(&planes, |plane| {
+            let mut g = lo[inner] + lo[rows] * global_strides[rows];
+            for d in 0..rows {
+                g += (plane[d] + lo[d]) * global_strides[d];
             }
-            src.extend_from_slice(&data[g..g + width]);
-            dst.extend_from_slice(&data[g..g + width]);
+            for _ in 0..local_shape[rows] {
+                src.extend_from_slice(&data[g..g + width]);
+                g += global_strides[rows];
+            }
         });
+        dst.extend_from_slice(&src);
 
         // The write-back region in local coordinates.
         let (origin, region) = self.write_back(tile);

@@ -84,8 +84,7 @@ impl StencilDef {
             return Err(StencilError::UnsupportedRank { ndim: shape.ndim });
         }
         let flops = expr.flop_count();
-        let op_mix = expr.op_mix();
-        let associative = expr.is_associative();
+        let (op_mix, associative) = expr.op_mix_and_associativity();
         Ok(Self {
             name: name.into(),
             expr: Arc::new(expr),

@@ -1,0 +1,338 @@
+//! Property-based tests of the C frontend: emitted source parses back to
+//! the definition it was emitted from, no input panics the parser, and the
+//! parser's two limits (nesting depth, nodes of the update expression) hold
+//! — an input at each limit runs the whole pipeline on the 2 MiB stack a
+//! service worker has, an input past either is an error, not a deep
+//! recursion.
+
+use an5d::{
+    emit_c_source, generate_cuda_for_plan, parse_stencil, suite, An5d, BlockConfig, Expr,
+    FrontendError, Precision, StencilDef,
+};
+use proptest::prelude::*;
+use proptest::TestRng;
+
+/// The parser's limits (`crates/frontend/src/parser.rs`, crate docs).
+const MAX_NESTING: usize = 64;
+const MAX_NODES: usize = 10_000;
+
+/// Strategy: a random update expression of rank 2 or 3 and radius 1–4
+/// with `sqrt`, `/`, unary minus and shared subtrees, as a definition.
+struct RandomStencil;
+
+struct TreeGen<'r> {
+    rng: &'r mut TestRng,
+    ndim: usize,
+    radius: i32,
+}
+
+impl TreeGen<'_> {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.rng.next_below(bound)
+    }
+
+    fn cell(&mut self) -> Expr {
+        let span = 2 * self.radius as u64 + 1;
+        let offset: Vec<i32> = (0..self.ndim)
+            .map(|_| self.below(span) as i32 - self.radius)
+            .collect();
+        Expr::cell(&offset)
+    }
+
+    /// Constants are non-negative: `-2.0f` is the negation of `2.0f` to a
+    /// C parser, so a negative literal cannot survive the round trip.
+    fn leaf(&mut self) -> Expr {
+        match self.below(4) {
+            0 => Expr::constant(self.below(1000) as f64 / 8.0),
+            1 => Expr::constant(self.rng.next_unit_f64() * 10.0),
+            _ => self.cell(),
+        }
+    }
+
+    fn tree(&mut self, depth: usize) -> Expr {
+        if depth == 0 || self.below(5) == 0 {
+            return self.leaf();
+        }
+        let kind = self.below(8);
+        let lhs = self.tree(depth - 1);
+        let rhs = match kind {
+            0 => return -lhs,
+            1 => return Expr::sqrt(lhs),
+            // The same subtree on both sides.
+            2 => lhs.clone(),
+            _ => self.tree(depth - 1),
+        };
+        match self.below(4) {
+            0 => lhs + rhs,
+            1 => lhs - rhs,
+            2 => lhs * rhs,
+            _ => lhs / rhs,
+        }
+    }
+}
+
+impl Strategy for RandomStencil {
+    type Value = StencilDef;
+
+    fn generate(&self, rng: &mut TestRng) -> StencilDef {
+        let ndim = 2 + rng.next_below(2) as usize;
+        let radius = 1 + rng.next_below(4) as i32;
+        let mut gen = TreeGen { rng, ndim, radius };
+        let depth = 1 + gen.below(5) as usize;
+        let tree = gen.tree(depth);
+        // One access at the full radius pins it (and guarantees a cell).
+        let mut extreme = vec![0; ndim];
+        extreme[gen.below(ndim as u64) as usize] = if gen.below(2) == 0 { radius } else { -radius };
+        let expr = match gen.below(3) {
+            0 => Expr::cell(&extreme) + tree,
+            1 => tree * Expr::cell(&extreme),
+            _ => tree - Expr::constant(0.5) * Expr::cell(&extreme),
+        };
+        StencilDef::new("random", expr).expect("a cell at radius 1-4 of rank 2-3")
+    }
+}
+
+fn assert_round_trip(def: &StencilDef) {
+    let source = emit_c_source(def, "A");
+    let detected = parse_stencil(&source, def.name()).unwrap_or_else(|e| panic!("{e}\n{source}"));
+    assert_eq!(&detected.def, def, "{source}");
+    assert_eq!(detected.array_name, "A");
+    assert_eq!(detected.time_var, "t");
+    assert_eq!(detected.space_vars, ["i", "j", "k"][..def.ndim()]);
+}
+
+/// Every lexeme of the grammar, the characters the lexer special-cases,
+/// and a few it refuses.
+const LEXEMES: &[&str] = &[
+    "for",
+    "int",
+    "t",
+    "i",
+    "j",
+    "k",
+    "A",
+    "B",
+    "I_T",
+    "sqrtf",
+    "sqrt",
+    "powf",
+    "0",
+    "1",
+    "2",
+    "118",
+    "0.25f",
+    "5.1F",
+    "2e3",
+    "1e+",
+    ".5",
+    "1.2.3",
+    "99999999999999999999",
+    "(",
+    ")",
+    "[",
+    "]",
+    "{",
+    "}",
+    ";",
+    ",",
+    "=",
+    "+",
+    "-",
+    "*",
+    "/",
+    "%",
+    "<",
+    "<=",
+    ">",
+    ">=",
+    "++",
+    "+=",
+    "//",
+    "/*",
+    "*/",
+    "\n",
+    "\u{a0}",
+    "\u{2003}",
+    "@",
+    "é",
+    "\0",
+    ".",
+];
+
+const NEST_2D: &str =
+    "for (t = 0; t < I_T; t++)\n for (i = 1; i <= I_S2; i++)\n  for (j = 1; j <= I_S1; j++)\n   ";
+
+fn soup() -> impl Strategy<Value = String> {
+    // A pick is a lexeme and whether a space follows it.
+    prop::collection::vec(0..2 * LEXEMES.len(), 0..160).prop_map(|picks| {
+        let mut text = String::new();
+        for pick in picks {
+            text.push_str(LEXEMES[pick / 2]);
+            if pick % 2 == 1 {
+                text.push(' ');
+            }
+        }
+        text
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn emitted_source_parses_back_to_the_definition(def in RandomStencil) {
+        assert_round_trip(&def);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
+        let _ = parse_stencil(&String::from_utf8_lossy(&bytes), "bytes");
+    }
+
+    #[test]
+    fn token_soup_never_panics(text in soup(), place in 0usize..4) {
+        // Bare, and after a valid prefix that takes the soup into the loop
+        // headers, the store or the update expression.
+        let source = match place {
+            0 => text,
+            1 => format!("for (t = 0; t < {text}"),
+            2 => format!("{NEST_2D}A[{text}"),
+            _ => format!("{NEST_2D}A[(t+1)%2][i][j] = 0.5f * A[t%2][i-1][j] + {text}"),
+        };
+        let _ = parse_stencil(&source, "soup");
+    }
+}
+
+#[test]
+fn suite_stencils_and_fig4_round_trip_exactly() {
+    for def in suite::all_benchmarks() {
+        assert_round_trip(&def);
+    }
+    let fig4 = include_str!("../benchmark/programs/fig4_j2d5pt.c");
+    let detected = parse_stencil(fig4, "j2d5pt").unwrap();
+    assert_eq!(detected.def, suite::j2d5pt());
+    assert_round_trip(&detected.def);
+}
+
+fn update(value: &str) -> String {
+    format!("{NEST_2D}A[(t+1)%2][i][j] = {value};\n")
+}
+
+/// `terms` bare reads joined by `+` (`2·terms − 1` nodes, `terms` levels
+/// deep — the deepest spine a node budget buys), the first one under
+/// `wraps` square roots (one node each).
+fn chain(terms: usize, wraps: usize) -> String {
+    let mut value = format!(
+        "{}A[t%2][i-1][j]{}",
+        "sqrtf(".repeat(wraps),
+        ")".repeat(wraps)
+    );
+    for term in 1..terms {
+        value.push_str(if term % 2 == 0 {
+            " + A[t%2][i-1][j]"
+        } else {
+            " + A[t%2][i][j+1]"
+        });
+    }
+    value
+}
+
+fn unsupported_reason(source: &str) -> String {
+    match parse_stencil(source, "limits") {
+        Err(FrontendError::UnsupportedStencil { reason }) => reason,
+        other => panic!("expected an unsupported-stencil error, got {other:?}"),
+    }
+}
+
+#[test]
+fn inputs_past_a_limit_are_errors_not_recursion() {
+    // On this test's own default-size stack: were the parser to follow
+    // them down, 100,000 levels would overflow it in any build.
+    let read = "A[t%2][i][j+1]";
+    for count in [MAX_NESTING + 1, 6_000, 100_000] {
+        for (open, close) in [
+            ("(", ")"),
+            ("-", ""),
+            ("sqrtf(", ")"),
+            ("A[t%2][i][", "]"),
+            ("-(", ")"),
+        ] {
+            let nested = format!("{}{read}{}", open.repeat(count), close.repeat(count));
+            for source in [
+                update(&nested),
+                update(&open.repeat(count)),
+                format!("for (t = {nested}; t < I_T; t++)"),
+                format!("for (t = 0; t < {nested}; t++)"),
+                format!("{NEST_2D}A[{nested}][i][j] = {read};"),
+            ] {
+                let reason = unsupported_reason(&source);
+                assert!(reason.contains("nest deeper than 64 levels"), "{reason}");
+            }
+        }
+    }
+    for terms in [MAX_NODES / 2 + 1, 80_000] {
+        let reason = unsupported_reason(&update(&chain(terms, 0)));
+        assert!(reason.contains("more than 10000 nodes"), "{reason}");
+    }
+    // Loops and braces nest without recursion: a count, not a limit.
+    let loops = "for (i = 0; i < N; i++) ".repeat(99_999);
+    let reason = unsupported_reason(&format!("for (t = 0; t < N; t++) {loops}A[0] = 1;"));
+    assert!(reason.contains("found 100000 loops"), "{reason}");
+    let braces = format!("{NEST_2D}{}", "{".repeat(100_000));
+    assert!(matches!(
+        parse_stencil(&braces, "limits"),
+        Err(FrontendError::Parse { .. })
+    ));
+}
+
+/// The stack a service worker runs a `"source"`-carrying request on.
+const WORKER_STACK: usize = 2 << 20;
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the limits are sized for the release build's frames"
+)]
+fn inputs_at_the_limits_run_the_pipeline_on_a_worker_stack() {
+    let at_node_limit = update(&chain(MAX_NODES / 2, 1));
+    let past_node_limit = update(&chain(MAX_NODES / 2, 2));
+    // Unary minuses, then parentheses; the subscripts of the read at the
+    // bottom are the last level.
+    let nest = |levels: usize| {
+        let parens = (levels - 1) / 2;
+        update(&format!(
+            "0.5f * {}{}A[t%2][i][j+1]{}",
+            "-".repeat(levels - 1 - parens),
+            "(".repeat(parens),
+            ")".repeat(parens)
+        ))
+    };
+    std::thread::Builder::new()
+        .stack_size(WORKER_STACK)
+        .spawn(move || {
+            for source in [&at_node_limit, &nest(MAX_NESTING)] {
+                let an5d = An5d::from_c_source(source, "limits").unwrap();
+                let problem = an5d.problem(&[32, 32], 4).unwrap();
+                let config = BlockConfig::new(2, &[16], None, Precision::Single).unwrap();
+                let plan = an5d.plan(&problem, &config).unwrap();
+                let cuda = generate_cuda_for_plan(&plan);
+                assert!(cuda.kernel_source.contains("__global__"));
+                assert!(emit_c_source(an5d.def(), "A").contains("A[(t+1)%2][i][j] = "));
+                let report = an5d.verify(&problem, &config).unwrap();
+                assert!(report.matches_reference);
+            }
+            assert_eq!(
+                An5d::from_c_source(&at_node_limit, "limits")
+                    .unwrap()
+                    .def()
+                    .expr()
+                    .node_count(),
+                MAX_NODES
+            );
+            assert!(unsupported_reason(&past_node_limit).contains("more than 10000 nodes"));
+            assert!(unsupported_reason(&nest(MAX_NESTING + 1)).contains("nest deeper than 64"));
+        })
+        .expect("spawn a worker-sized thread")
+        .join()
+        .expect("the pipeline overflowed or panicked at a limit");
+}
