@@ -41,12 +41,6 @@ pub fn gflops(value: f64) -> String {
     format!("{value:.0}")
 }
 
-/// Format a ratio as a percentage.
-#[must_use]
-pub fn percent(value: f64) -> String {
-    format!("{:.0}%", value * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -69,6 +63,5 @@ mod tests {
     #[test]
     fn numeric_formatting() {
         assert_eq!(gflops(6318.7), "6319");
-        assert_eq!(percent(0.67), "67%");
     }
 }

@@ -27,7 +27,7 @@ fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Re
     let ndim = def.ndim();
     let rad = def.radius();
     let nthr = plan.geometry().nthr;
-    let grid_dim = plan.geometry().total_thread_blocks;
+    let grid_dim = plan.geometry().total_thread_blocks();
 
     // `i_s{ndim}, …, i_s1`, each prefixed with `prefix`.
     let extents = |prefix: &'static str| {

@@ -96,13 +96,11 @@ pub use an5d_model::{
 };
 
 pub use an5d_tuner::{
-    problem_fingerprint, stencil_fingerprint, BackendMeasurement, CandidateIter, MeasurementSource,
-    SearchSpace, SimulatedMeasurement, TunedCandidate, Tuner, TunerError, TuningResult,
+    problem_fingerprint, stencil_fingerprint, BackendMeasurement, MeasurementSource, SearchSpace,
+    SimulatedMeasurement, TunedCandidate, Tuner, TunerError, TuningResult,
 };
 
-pub use an5d_tunedb::{
-    CompactionPolicy, Record as TuneRecord, TuneDb, TuneDbStats, TuneKey, TUNE_DB_ENV,
-};
+pub use an5d_tunedb::{Record as TuneRecord, TuneDb, TuneDbStats, TuneKey, TUNE_DB_ENV};
 
 pub use an5d_codegen::{generate as generate_cuda_for_plan, kernel_name_for, CudaCode};
 

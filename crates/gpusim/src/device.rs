@@ -180,12 +180,6 @@ impl GpuDevice {
         }
     }
 
-    /// Total resident-thread capacity of the device.
-    #[must_use]
-    pub fn total_thread_capacity(&self) -> usize {
-        self.sm_count * self.max_threads_per_sm
-    }
-
     /// Short identifier used in result tables ("V100", "P100", "A100",
     /// "Small").
     #[must_use]
@@ -240,7 +234,6 @@ mod tests {
         assert_eq!(p.sm_count, 56);
         assert_eq!(p.shared_mem_per_sm, 64 * 1024);
         assert_eq!(p.short_name(), "P100");
-        assert_eq!(p.total_thread_capacity(), 56 * 2048);
     }
 
     #[test]

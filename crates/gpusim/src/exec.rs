@@ -15,7 +15,11 @@
 //!
 //! The tiles of one temporal block are independent: each reads only the
 //! immutable input grid and writes a disjoint compute region of the output
-//! grid. [`TileContext`] exposes that seam. [`TileContext::tiles`]
+//! grid. [`TileContext`] exposes that seam. Where the tiles lie is the
+//! plan's business, not the executor's: a [`TileSpec`] is one
+//! [`an5d_plan::DimTile`] per dimension, taken from the tilings the plan's
+//! geometry was built with, so the boxes run here are the boxes the model
+//! prices. [`TileContext::tiles`]
 //! enumerates the tiles of one temporal block, and there is **one tile
 //! kernel** — load the local box, run the block's steps, hand out the
 //! finished rows of the write-back region — with **two sinks**:
@@ -139,7 +143,7 @@
 use crate::TrafficCounters;
 use an5d_expr::{BinOp, Expr, UnOp};
 use an5d_grid::{Element, Grid, GridInit};
-use an5d_plan::{practical_shared_reads, KernelPlan};
+use an5d_plan::{practical_shared_reads, DimTile, KernelPlan};
 use an5d_stencil::StencilProblem;
 
 /// Result of a blocked run: the final grid plus the work/traffic counters.
@@ -151,18 +155,17 @@ pub struct BlockedRun<T> {
     pub counters: TrafficCounters,
 }
 
-/// One spatial tile of a temporal block: per-dimension
-/// `(origin, length, halo)` triples in interior coordinates, streaming
-/// dimension first.
+/// One spatial tile of a temporal block: one [`DimTile`] of the plan's
+/// tiling per dimension, streaming dimension first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileSpec {
-    dims: Vec<(usize, usize, usize)>,
+    dims: Vec<DimTile>,
 }
 
 impl TileSpec {
-    /// Per-dimension `(origin, length, halo)` triples.
+    /// The tile's extent along each dimension.
     #[must_use]
-    pub fn dims(&self) -> &[(usize, usize, usize)] {
+    pub fn dims(&self) -> &[DimTile] {
         &self.dims
     }
 }
@@ -237,9 +240,9 @@ impl<T: Element> TileRun<T> {
 pub struct TileContext<'a> {
     plan: &'a KernelPlan,
     shape: Vec<usize>,
-    /// Per-dimension tilings whose cartesian product, in row-major order,
-    /// is `tiles`.
-    dim_tiles: Vec<Vec<(usize, usize, usize)>>,
+    /// The plan's per-dimension tile lists; their cartesian product, in
+    /// row-major order, is `tiles`.
+    dim_tiles: Vec<Vec<DimTile>>,
     tiles: Vec<TileSpec>,
     flops_per_update: u128,
     sm_reads_per_update: u128,
@@ -247,74 +250,31 @@ pub struct TileContext<'a> {
     syncs_per_plane: u128,
 }
 
-/// Tiling of one dimension: a list of `(origin, length, halo)` triples in
-/// interior coordinates.
-fn tiles_for_dim(extent: usize, tile_len: usize, halo: usize) -> Vec<(usize, usize, usize)> {
-    let mut out = Vec::new();
-    let mut origin = 0usize;
-    while origin < extent {
-        let len = tile_len.min(extent - origin);
-        out.push((origin, len, halo));
-        origin += tile_len;
-    }
-    out
-}
-
 impl<'a> TileContext<'a> {
-    /// Build the tile decomposition for one temporal block of the plan.
+    /// Lay out the tiles of one temporal block as the plan's geometry cuts
+    /// them ([`an5d_plan::BlockGeometry::tilings`]).
     ///
     /// # Panics
     ///
-    /// Panics if the plan and problem describe different stencils.
+    /// Panics if `problem` is not the one the plan was built for
+    /// ([`KernelPlan::assert_tiled_for`]).
     #[must_use]
     pub fn new(plan: &'a KernelPlan, problem: &StencilProblem) -> Self {
-        assert_eq!(
-            plan.def().name(),
-            problem.def().name(),
-            "plan and problem describe different stencils"
-        );
+        plan.assert_tiled_for(problem);
         let def = plan.def();
-        let halo = plan.geometry().halo_per_side;
-        let interior = problem.interior();
-        let ndim = interior.len();
+        let tilings = plan.geometry().tilings().iter();
+        let dim_tiles: Vec<Vec<DimTile>> = tilings.map(|t| t.tiles().collect()).collect();
 
-        // Per-dimension tilings: the streaming dimension is divided only
-        // when hS_N is set (then each stream block carries the bT·rad
-        // overlap); the blocked dimensions are tiled by the compute region.
-        let mut dim_tiles: Vec<Vec<(usize, usize, usize)>> = Vec::with_capacity(ndim);
-        match plan.config().hsn() {
-            Some(h) => dim_tiles.push(tiles_for_dim(interior[0], h, halo)),
-            None => dim_tiles.push(vec![(0, interior[0], 0)]),
-        }
-        for (d, &cr) in plan.geometry().compute_region.iter().enumerate() {
-            dim_tiles.push(tiles_for_dim(interior[d + 1], cr, halo));
-        }
-
-        // Odometer over the cartesian product of per-dimension tiles, in
-        // row-major order (the order the serial executor visits them).
-        let mut tiles = Vec::new();
-        let mut tile_idx = vec![0usize; ndim];
-        'odometer: loop {
+        // Row-major over the per-dimension lists: the order the serial
+        // executor visits the tiles in.
+        let counts: Vec<(usize, usize)> = dim_tiles.iter().map(|t| (0, t.len())).collect();
+        let mut tiles = Vec::with_capacity(counts.iter().map(|c| c.1).product());
+        for_each_row(&counts, |index| {
+            let dims = index.iter().zip(&dim_tiles);
             tiles.push(TileSpec {
-                dims: tile_idx
-                    .iter()
-                    .enumerate()
-                    .map(|(d, &i)| dim_tiles[d][i])
-                    .collect(),
+                dims: dims.map(|(&i, list)| list[i]).collect(),
             });
-            let mut d = ndim;
-            loop {
-                if d == 0 {
-                    break 'odometer;
-                }
-                d -= 1;
-                tile_idx[d] += 1;
-                if tile_idx[d] < dim_tiles[d].len() {
-                    break;
-                }
-                tile_idx[d] = 0;
-            }
-        }
+        });
 
         Self {
             plan,
@@ -334,27 +294,18 @@ impl<'a> TileContext<'a> {
         &self.tiles
     }
 
-    /// A tile's local box as `(low corner, shape)` in stored-grid
-    /// coordinates: the compute region plus the recomputation halo plus one
-    /// stencil radius of read-only data, clipped to the stored grid.
+    /// A tile's local box — everything it loads — as `(low corner, shape)`
+    /// in stored-grid coordinates.
     fn local_box(&self, tile: &TileSpec) -> (Vec<usize>, Vec<usize>) {
-        let rad = self.plan.def().radius();
-        let bounds = tile.dims.iter().zip(&self.shape);
-        bounds
-            .map(|(&(origin, len, halo), &extent)| {
-                let lo = origin.saturating_sub(halo);
-                let hi = (origin + len + halo + 2 * rad).min(extent);
-                (lo, hi - lo)
-            })
-            .unzip()
+        let dims = tile.dims.iter();
+        dims.map(|t| (t.lo, t.local().len())).unzip()
     }
 
     /// A tile's write-back (compute) region as `(origin, shape)` in
-    /// stored-grid coordinates. It always lies in the interior.
+    /// stored-grid coordinates.
     fn write_back(&self, tile: &TileSpec) -> (Vec<usize>, Vec<usize>) {
-        let rad = self.plan.def().radius();
         let dims = tile.dims.iter();
-        dims.map(|&(origin, len, _)| (origin + rad, len)).unzip()
+        dims.map(|t| (t.written().start, t.len)).unzip()
     }
 
     /// What executing `tile` for a temporal block of `chunk` steps counts.
@@ -365,22 +316,20 @@ impl<'a> TileContext<'a> {
     /// tile, or on how much of the box the executor found it needed.
     #[must_use]
     pub fn tile_counters(&self, tile: &TileSpec, chunk: usize) -> TrafficCounters {
-        let (_, local_shape) = self.local_box(tile);
-        let updates_per_step: u128 = updatable_ranges(&local_shape, self.plan.def().radius())
-            .iter()
-            .map(|&(l, h)| h.saturating_sub(l) as u128)
-            .product();
-        let updates = updates_per_step * chunk as u128;
-        let written: u128 = tile.dims.iter().map(|&(_, len, _)| len as u128).product();
+        let volume = |extent: fn(&DimTile) -> usize| -> u128 {
+            tile.dims.iter().map(|t| extent(t) as u128).product()
+        };
+        let updates = volume(|t| t.updatable().len()) * chunk as u128;
+        let written = volume(|t| t.len);
         TrafficCounters {
-            gm_reads: local_shape.iter().map(|&e| e as u128).product(),
+            gm_reads: volume(|t| t.local().len()),
             gm_writes: written,
             sm_reads: updates * self.sm_reads_per_update,
             sm_writes: updates * self.sm_writes_per_update,
             flops: updates * self.flops_per_update,
             cell_updates: updates,
             valid_updates: written * chunk as u128,
-            syncs: self.syncs_per_plane * local_shape[0] as u128,
+            syncs: self.syncs_per_plane * tile.dims[0].local().len() as u128,
             thread_blocks: 1,
             kernel_launches: 0,
         }
@@ -416,7 +365,7 @@ impl<'a> TileContext<'a> {
             .iter()
             .map(|tiles| {
                 let lens = tiles.iter().enumerate();
-                lens.flat_map(|(t, &(_, len, _))| std::iter::repeat_n(t, len))
+                lens.flat_map(|(t, tile)| std::iter::repeat_n(t, tile.len))
                     .collect()
             })
             .collect();
@@ -425,7 +374,7 @@ impl<'a> TileContext<'a> {
         let mut lists: Vec<Vec<&'g mut [T]>> = self
             .tiles
             .iter()
-            .map(|tile| Vec::with_capacity(tile.dims[..inner].iter().map(|d| d.1).product()))
+            .map(|tile| Vec::with_capacity(tile.dims[..inner].iter().map(|t| t.len).product()))
             .collect();
         // `rest` is the grid from flat index `taken` on.
         let mut rest = next.as_mut_slice();
@@ -438,13 +387,13 @@ impl<'a> TileContext<'a> {
                 first_tile += owner[d][outer[d]] * tile_strides[d];
                 row_start += (outer[d] + rad) * strides[d];
             }
-            for (t, &(origin, len, _)) in self.dim_tiles[inner].iter().enumerate() {
-                let start = row_start + origin;
+            for (t, tile) in self.dim_tiles[inner].iter().enumerate() {
+                let start = row_start + tile.origin;
                 let (_, tail) = std::mem::take(&mut rest).split_at_mut(start - taken);
-                let (row, tail) = tail.split_at_mut(len);
+                let (row, tail) = tail.split_at_mut(tile.len);
                 lists[first_tile + t].push(row);
                 rest = tail;
-                taken = start + len;
+                taken = start + tile.len;
             }
         });
         lists
@@ -575,7 +524,11 @@ impl<'a> TileContext<'a> {
         // region can reach it: the step covers that dependency cone in
         // every non-innermost dimension (see the module docs).
         let kernel = RowKernel::compile(def.expr(), &local_strides);
-        let upd = updatable_ranges(&local_shape, rad);
+        let updatable = tile.dims.iter().map(|t| t.updatable());
+        let upd: Vec<(usize, usize)> = updatable
+            .zip(&lo)
+            .map(|(u, &l)| (u.start - l, u.end - l))
+            .collect();
         let mut scratch = Vec::new();
         for step in 0..chunk {
             let reach = (chunk - 1 - step) * rad;
@@ -1228,18 +1181,6 @@ impl RowKernel {
             }
         }
     }
-}
-
-/// Updatable range per dimension of a tile's local box: the cell's whole
-/// neighbourhood must lie inside the box, i.e. `rad` cells in from either
-/// face. That also keeps the cell in the global interior (the boundary
-/// ring is never updated): the box is clipped to the stored grid, so
-/// `rad` in from its faces is at least `rad` in from the grid's.
-fn updatable_ranges(local_shape: &[usize], rad: usize) -> Vec<(usize, usize)> {
-    local_shape
-        .iter()
-        .map(|&extent| (rad, extent.saturating_sub(rad)))
-        .collect()
 }
 
 /// Row-major strides of a shape (innermost dimension has stride 1).
@@ -2248,7 +2189,7 @@ mod tests {
             let rad = def.radius();
             let width = local_shape[local_shape.len() - 1];
             let kernel = RowKernel::compile(def.expr(), &row_major_strides(local_shape));
-            let upd = updatable_ranges(local_shape, rad);
+            let upd: Vec<(usize, usize)> = local_shape.iter().map(|&e| (rad, e - rad)).collect();
             let mut rng = SplitMix(0xA11);
             let cells: usize = local_shape.iter().product();
             let loaded: Vec<f32> = (0..cells).map(|_| rng.value() as f32).collect();
@@ -2291,14 +2232,12 @@ mod tests {
             let ctx = TileContext::new(&plan, &problem);
             let rad = def.radius();
             for tile in ctx.tiles() {
-                let (lo, local_shape) = ctx.local_box(tile);
-                let upd = updatable_ranges(&local_shape, rad);
-                for (d, &(first, end)) in upd.iter().enumerate() {
-                    assert_eq!((first, end), (rad, local_shape[d] - rad));
-                    assert!(first < end, "{}: empty updatable range", def.name());
-                    assert!(lo[d] + first >= rad, "{}: updates the ring", def.name());
+                for (t, &extent) in tile.dims().iter().zip(&ctx.shape) {
+                    let (local, upd) = (t.local(), t.updatable());
+                    assert_eq!(upd, local.start + rad..local.end - rad);
+                    assert!(!upd.is_empty(), "{}: empty updatable range", def.name());
                     assert!(
-                        lo[d] + end <= ctx.shape[d] - rad,
+                        upd.start >= rad && upd.end <= extent - rad,
                         "{}: updates the ring",
                         def.name()
                     );
@@ -2319,6 +2258,21 @@ mod tests {
         let ctx = TileContext::new(&plan, &problem);
         let wrong = Grid::<f64>::zeros(&[18, 19]);
         let _ = ctx.execute_tile_rows(&wrong, &ctx.tiles()[0], 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "plan was tiled for interior [24, 30] but the problem's interior is [24, 32]"
+    )]
+    fn a_plan_tiled_for_other_extents_is_rejected() {
+        // Same stencil, same rank, other extents: the plan's tiles would
+        // carve the wrong rows of a 24 × 32 grid.
+        let def = suite::j2d5pt();
+        let tiled_for = StencilProblem::new(def.clone(), &[24, 30], 3).unwrap();
+        let config = BlockConfig::new(3, &[16], None, Precision::Double).unwrap();
+        let plan = KernelPlan::build(&def, &tiled_for, &config, FrameworkScheme::an5d()).unwrap();
+        let other = StencilProblem::new(def, &[24, 32], 3).unwrap();
+        let _ = TileContext::new(&plan, &other);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub fn predict(plan: &KernelPlan, problem: &StencilProblem, device: &GpuDevice) 
     let eff_sm = wave_efficiency(
         device,
         plan.geometry().nthr,
-        plan.geometry().total_thread_blocks as f64,
+        plan.geometry().total_thread_blocks() as f64,
     )
     .max(1e-6);
     let seconds = raw / eff_sm;

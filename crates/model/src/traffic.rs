@@ -12,9 +12,15 @@
 //! sum over all tiles is the product of per-dimension sums: the cost is
 //! O(Σ_d tiles_d) additions with no allocation — one pass over each
 //! dimension's tiles, never a visit to a tile — exact in `u128`.
+//!
+//! Which tiles those are is not decided here. The plan's
+//! [`an5d_plan::BlockGeometry::tilings`] yield, per dimension, the very
+//! [`an5d_plan::DimTile`]s the executor builds its thread blocks from;
+//! this module adds up their `local()`, `written()` and `updatable()`
+//! extents and never looks at the problem's grid shape.
 
 use an5d_gpusim::TrafficCounters;
-use an5d_plan::{practical_shared_reads, KernelPlan};
+use an5d_plan::{practical_shared_reads, DimTiling, KernelPlan};
 use an5d_stencil::StencilProblem;
 
 /// Thread classification of Section 5 (per temporal block, in units of
@@ -54,7 +60,7 @@ impl ThreadClasses {
 }
 
 /// Geometric per-temporal-block sums.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 struct BlockSums {
     gm_reads: u128,
     gm_writes: u128,
@@ -78,45 +84,30 @@ struct DimSums {
     tiles: u128,
 }
 
-/// Tile `extent` interior cells of a grid dimension of `shape` cells into
-/// `tile_len`-long tiles with `halo` extra cells per side.
-fn dim_sums(extent: usize, shape: usize, tile_len: usize, halo: usize, rad: usize) -> DimSums {
-    let mut sums = DimSums::default();
-    let mut origin = 0usize;
-    while origin < extent {
-        let len = tile_len.min(extent - origin);
-        let lo = origin.saturating_sub(halo);
-        let hi = (origin + len + halo + 2 * rad).min(shape);
-        // Updatable cells: global interior ∩ cells with all neighbours
-        // inside the local box.
-        let upd_lo = (lo + rad).max(rad);
-        let upd_hi = (hi - rad).min(shape - rad);
-        sums.local += (hi - lo) as u128;
-        sums.written += len as u128;
-        sums.updates += upd_hi.saturating_sub(upd_lo) as u128;
-        sums.tiles += 1;
-        origin += tile_len;
+impl DimSums {
+    fn over(tiling: &DimTiling) -> Self {
+        let mut sums = Self::default();
+        for tile in tiling.tiles() {
+            sums.local += tile.local().len() as u128;
+            sums.written += tile.len as u128;
+            sums.updates += tile.updatable().len() as u128;
+            sums.tiles += 1;
+        }
+        sums
     }
-    sums
 }
 
-fn per_block_sums(plan: &KernelPlan, problem: &StencilProblem) -> BlockSums {
-    let rad = plan.def().radius();
-    let halo = plan.geometry().halo_per_side;
-    let shape = problem.grid_shape();
-    let interior = problem.interior();
-
-    // Without stream division the streaming dimension is one halo-free tile.
-    let (stream_len, stream_halo) = match plan.config().hsn() {
-        Some(h) => (h, halo),
-        None => (interior[0], 0),
-    };
-    let mut product = dim_sums(interior[0], shape[0], stream_len, stream_halo, rad);
+fn per_block_sums(plan: &KernelPlan) -> BlockSums {
+    let (stream, blocked) = plan
+        .geometry()
+        .tilings()
+        .split_first()
+        .expect("a stencil has a streaming dimension");
+    let mut product = DimSums::over(stream);
     // Streamed planes of all thread blocks: Σ local planes of the streaming
     // dimension × the number of blocked tiles each stream chunk is cut into.
     let mut planes = product.local;
-    for (d, &cr) in plan.geometry().compute_region.iter().enumerate() {
-        let dim = dim_sums(interior[d + 1], shape[d + 1], cr, halo, rad);
+    for dim in blocked.iter().map(DimSums::over) {
         product.local *= dim.local;
         product.written *= dim.written;
         product.updates *= dim.updates;
@@ -136,9 +127,15 @@ fn per_block_sums(plan: &KernelPlan, problem: &StencilProblem) -> BlockSums {
 /// Analytically reproduce the counters of a full blocked run (identical to
 /// what [`an5d_gpusim::execute_plan`] would count, but without touching any
 /// grid data).
+///
+/// # Panics
+///
+/// Panics if `problem` is not the one the plan was built for
+/// ([`KernelPlan::assert_tiled_for`]).
 #[must_use]
 pub fn analytic_counters(plan: &KernelPlan, problem: &StencilProblem) -> TrafficCounters {
-    let sums = per_block_sums(plan, problem);
+    plan.assert_tiled_for(problem);
+    let sums = per_block_sums(plan);
     let def = plan.def();
     let bt = plan.config().bt();
     let it = problem.time_steps();
@@ -164,9 +161,15 @@ pub fn analytic_counters(plan: &KernelPlan, problem: &StencilProblem) -> Traffic
 }
 
 /// Classify the work items of one temporal block (Section 5).
+///
+/// # Panics
+///
+/// Panics if `problem` is not the one the plan was built for
+/// ([`KernelPlan::assert_tiled_for`]).
 #[must_use]
 pub fn thread_classes(plan: &KernelPlan, problem: &StencilProblem) -> ThreadClasses {
-    let sums = per_block_sums(plan, problem);
+    plan.assert_tiled_for(problem);
+    let sums = per_block_sums(plan);
     let valid = sums.gm_writes;
     let redundant = sums.per_step_updates.saturating_sub(valid);
     let boundary = sums.gm_reads.saturating_sub(sums.per_step_updates);
@@ -182,113 +185,25 @@ pub fn thread_classes(plan: &KernelPlan, problem: &StencilProblem) -> ThreadClas
 #[cfg(test)]
 mod tests {
     use super::*;
-    use an5d_gpusim::execute_plan;
+    use an5d_gpusim::{execute_plan, temporal_chunks, TileContext};
     use an5d_grid::{GridInit, Precision};
     use an5d_plan::{BlockConfig, FrameworkScheme};
     use an5d_stencil::{suite, StencilDef};
     use proptest::prelude::*;
 
-    /// Per-dimension tile description used by the enumerating oracle.
-    #[derive(Debug, Clone, Copy)]
-    struct DimTile {
-        origin: usize,
-        len: usize,
-        halo: usize,
-    }
-
-    fn tiles_for_dim(extent: usize, tile_len: usize, halo: usize) -> Vec<DimTile> {
-        let mut out = Vec::new();
-        let mut origin = 0usize;
-        while origin < extent {
-            let len = tile_len.min(extent - origin);
-            out.push(DimTile { origin, len, halo });
-            origin += tile_len;
-        }
-        out
-    }
-
-    /// The oracle for [`per_block_sums`]: an odometer over every tile of the
-    /// block, summing each tile's own contribution (what the functional
-    /// executor counts, minus the grid data). O(tiles).
-    fn per_block_sums_by_enumeration(plan: &KernelPlan, problem: &StencilProblem) -> BlockSums {
-        let def = plan.def();
-        let rad = def.radius();
-        let halo = plan.geometry().halo_per_side;
-        let shape = problem.grid_shape();
-        let ndim = shape.len();
-        let interior = problem.interior();
-        let nthr = plan.geometry().nthr as u128;
-        let syncs_per_plane = plan.schedule().syncs_per_plane() as u128;
-
-        let mut dim_tiles: Vec<Vec<DimTile>> = Vec::with_capacity(ndim);
-        match plan.config().hsn() {
-            Some(h) => dim_tiles.push(tiles_for_dim(interior[0], h, halo)),
-            None => dim_tiles.push(vec![DimTile {
-                origin: 0,
-                len: interior[0],
-                halo: 0,
-            }]),
-        }
-        for (d, &cr) in plan.geometry().compute_region.iter().enumerate() {
-            dim_tiles.push(tiles_for_dim(interior[d + 1], cr, halo));
-        }
-
-        let mut sums = BlockSums {
-            gm_reads: 0,
-            gm_writes: 0,
-            per_step_updates: 0,
-            thread_blocks: 0,
-            syncs: 0,
-            thread_instances: 0,
-        };
-
-        let mut tile_idx = vec![0usize; ndim];
-        'tiles: loop {
-            let tile: Vec<DimTile> = tile_idx
-                .iter()
-                .enumerate()
-                .map(|(d, &i)| dim_tiles[d][i])
-                .collect();
-
-            let mut local_volume: u128 = 1;
-            let mut written: u128 = 1;
-            let mut updates: u128 = 1;
-            let mut local_planes: u128 = 0;
-            for (d, t) in tile.iter().enumerate() {
-                let lo = t.origin.saturating_sub(t.halo);
-                let hi = (t.origin + t.len + t.halo + 2 * rad).min(shape[d]);
-                let local = (hi - lo) as u128;
-                local_volume *= local;
-                written *= t.len as u128;
-                let upd_lo = (lo + rad).max(rad);
-                let upd_hi = (hi - rad).min(shape[d] - rad);
-                updates *= upd_hi.saturating_sub(upd_lo) as u128;
-                if d == 0 {
-                    local_planes = local;
-                }
+    /// The oracle for [`analytic_counters`]: what the temporal-block driver
+    /// counts — every tile's own contribution, block by block — minus the
+    /// grid data. O(tiles).
+    fn counters_by_enumeration(plan: &KernelPlan, problem: &StencilProblem) -> TrafficCounters {
+        let ctx = TileContext::new(plan, problem);
+        let mut counters = TrafficCounters::new();
+        for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
+            for tile in ctx.tiles() {
+                counters += ctx.tile_counters(tile, chunk);
             }
-
-            sums.gm_reads += local_volume;
-            sums.gm_writes += written;
-            sums.per_step_updates += updates;
-            sums.thread_blocks += 1;
-            sums.syncs += syncs_per_plane * local_planes;
-            sums.thread_instances += nthr * local_planes;
-
-            let mut d = ndim;
-            loop {
-                if d == 0 {
-                    break 'tiles;
-                }
-                d -= 1;
-                tile_idx[d] += 1;
-                if tile_idx[d] < dim_tiles[d].len() {
-                    break;
-                }
-                tile_idx[d] = 0;
-            }
+            counters.kernel_launches += 1;
         }
-        sums
+        counters
     }
 
     fn plan_and_problem(
@@ -371,10 +286,20 @@ mod tests {
                 .collect();
             let (plan, problem) = plan_and_problem(def, &extents[..ndim], 5, bt, &bs, hsn);
             prop_assert_eq!(
-                per_block_sums(&plan, &problem),
-                per_block_sums_by_enumeration(&plan, &problem)
+                analytic_counters(&plan, &problem),
+                counters_by_enumeration(&plan, &problem)
             );
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "plan was tiled for interior [24, 30] but the problem's interior is [24, 32]"
+    )]
+    fn counters_of_a_plan_on_another_problems_extents_are_rejected() {
+        let (plan, _) = plan_and_problem(suite::j2d5pt(), &[24, 30], 7, 3, &[16], None);
+        let other = StencilProblem::new(suite::j2d5pt(), &[24, 32], 7).unwrap();
+        let _ = analytic_counters(&plan, &other);
     }
 
     #[test]

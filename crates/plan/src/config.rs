@@ -1,7 +1,13 @@
 //! Blocking configurations and derived execution geometry.
+//!
+//! [`BlockConfig::geometry`] is where a configuration meets a problem: it
+//! rejects what cannot run (`PlanError`) and hands the extents, `hS_N`,
+//! compute regions and halo to [`crate::DimTiling`], which owns how a
+//! dimension is cut into tiles.
 
+use crate::DimTiling;
 use an5d_grid::Precision;
-use an5d_stencil::{StencilDef, StencilProblem};
+use an5d_stencil::StencilProblem;
 use std::error::Error;
 use std::fmt;
 
@@ -180,7 +186,8 @@ impl BlockConfig {
             });
         }
         let rad = def.radius();
-        let halo = 2 * self.bt * rad;
+        let halo_per_side = self.bt * rad;
+        let halo = 2 * halo_per_side;
         let mut compute_region = Vec::with_capacity(self.bs.len());
         for (dim, &block) in self.bs.iter().enumerate() {
             if block <= halo {
@@ -188,46 +195,27 @@ impl BlockConfig {
             }
             compute_region.push(block - halo);
         }
-        let blocked_extents = problem.blocked_extents();
-        let tiles_per_dim: Vec<usize> = blocked_extents
-            .iter()
-            .zip(&compute_region)
-            .map(|(&extent, &region)| extent.div_ceil(region))
-            .collect();
-        let ntb: usize = tiles_per_dim.iter().product();
-        let stream_extent = problem.streaming_extent();
-        let stream_blocks = match self.hsn {
-            Some(h) => stream_extent.div_ceil(h),
-            None => 1,
-        };
-        let redundant_stream_planes = if stream_blocks > 1 {
-            // 2 · Σ_{T=0}^{bT−1} rad·(bT − T) per pair of adjacent stream
-            // blocks (Section 4.2.3).
-            2 * (0..self.bt).map(|t| rad * (self.bt - t)).sum::<usize>()
-        } else {
-            0
-        };
+        // Streaming dimension first, then the blocked dimensions cut by
+        // their compute regions.
+        let mut tilings = Vec::with_capacity(def.ndim());
+        tilings.push(DimTiling::streaming(
+            problem.streaming_extent(),
+            self.hsn,
+            halo_per_side,
+            rad,
+        ));
+        let blocked = problem.blocked_extents().iter().zip(&compute_region);
+        tilings.extend(
+            blocked.map(|(&extent, &region)| DimTiling::new(extent, region, halo_per_side, rad)),
+        );
         Ok(BlockGeometry {
             bt: self.bt,
             radius: rad,
             nthr: self.nthr(),
-            halo_per_side: self.bt * rad,
+            halo_per_side,
             compute_region,
-            tiles_per_dim,
-            thread_blocks: ntb,
-            stream_blocks,
-            total_thread_blocks: stream_blocks * ntb,
-            stream_extent,
-            stream_block_len: self.hsn.unwrap_or(stream_extent).min(stream_extent),
-            redundant_stream_planes,
+            tilings,
         })
-    }
-
-    /// Convenience: is this configuration valid for the given stencil at all
-    /// (ignoring the grid extents)?
-    #[must_use]
-    pub fn fits_stencil(&self, def: &StencilDef) -> bool {
-        self.bs.len() == def.ndim() - 1 && self.bs.iter().all(|&b| b > 2 * self.bt * def.radius())
     }
 }
 
@@ -244,7 +232,10 @@ impl fmt::Display for BlockConfig {
     }
 }
 
-/// Execution geometry derived from a [`BlockConfig`] and a problem.
+/// Execution geometry derived from a [`BlockConfig`] and a problem. It owns
+/// the tile decomposition: the thread-block counts below are the lengths
+/// of the same per-dimension tile lists the executor runs and the model
+/// sums over.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BlockGeometry {
     /// Temporal blocking degree `bT`.
@@ -257,50 +248,51 @@ pub struct BlockGeometry {
     pub halo_per_side: usize,
     /// Compute-region extent `bS_i − 2·bT·rad` per blocked dimension.
     pub compute_region: Vec<usize>,
-    /// Number of tiles along each blocked dimension.
-    pub tiles_per_dim: Vec<usize>,
-    /// Thread blocks before streaming division, `ntb`.
-    pub thread_blocks: usize,
-    /// Number of stream blocks `⌈I_SN / hS_N⌉` (1 when division is off).
-    pub stream_blocks: usize,
-    /// Total thread blocks `n'tb = stream_blocks × ntb`.
-    pub total_thread_blocks: usize,
-    /// Interior extent of the streaming dimension `I_SN`.
-    pub stream_extent: usize,
-    /// Length of one stream block along the streaming dimension.
-    pub stream_block_len: usize,
-    /// Redundant sub-planes recomputed between adjacent stream blocks,
-    /// `2·Σ_{T=0}^{bT−1} rad·(bT−T)` (0 when streaming division is off).
-    pub redundant_stream_planes: usize,
+    tilings: Vec<DimTiling>,
 }
 
 impl BlockGeometry {
-    /// Cells whose results are written back to global memory per block per
-    /// temporal block: the compute-region volume.
+    /// How each dimension is cut into tiles, streaming dimension first.
+    /// A thread block is one element of the cartesian product of the
+    /// per-dimension tile lists.
     #[must_use]
-    pub fn compute_cells_per_block(&self) -> usize {
-        self.compute_region.iter().product()
+    pub fn tilings(&self) -> &[DimTiling] {
+        &self.tilings
     }
 
-    /// Fraction of threads in a block that produce valid output
-    /// (compute-region volume over `nthr`). The redundancy of overlapped
-    /// tiling grows as this ratio shrinks.
+    /// Number of tiles along each blocked dimension.
     #[must_use]
-    pub fn valid_thread_fraction(&self) -> f64 {
-        self.compute_cells_per_block() as f64 / self.nthr as f64
+    pub fn tiles_per_dim(&self) -> Vec<usize> {
+        self.blocked_tile_counts().collect()
     }
 
-    /// Number of sub-planes each thread block streams over, including the
-    /// redundant overlap introduced by streaming division.
+    fn blocked_tile_counts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.tilings[1..].iter().map(|tiling| tiling.tiles().len())
+    }
+
+    /// Thread blocks before streaming division, `ntb`.
     #[must_use]
-    pub fn planes_per_stream_block(&self) -> usize {
-        self.stream_block_len + self.redundant_stream_planes + 2 * self.radius
+    pub fn thread_blocks(&self) -> usize {
+        self.blocked_tile_counts().product()
+    }
+
+    /// Number of stream blocks `⌈I_SN / hS_N⌉` (1 when division is off).
+    #[must_use]
+    pub fn stream_blocks(&self) -> usize {
+        self.tilings[0].tiles().len()
+    }
+
+    /// Total thread blocks `n'tb = stream_blocks × ntb`.
+    #[must_use]
+    pub fn total_thread_blocks(&self) -> usize {
+        self.stream_blocks() * self.thread_blocks()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DimTile;
     use an5d_stencil::suite;
 
     fn problem_2d() -> StencilProblem {
@@ -347,28 +339,36 @@ mod tests {
         let geom = config.geometry(&problem_2d()).unwrap();
         assert_eq!(geom.halo_per_side, 4);
         assert_eq!(geom.compute_region, vec![256 - 8]);
-        assert_eq!(geom.thread_blocks, 1024usize.div_ceil(248));
-        assert_eq!(geom.stream_blocks, 1);
-        assert_eq!(geom.total_thread_blocks, geom.thread_blocks);
+        assert_eq!(geom.thread_blocks(), 1024usize.div_ceil(248));
+        assert_eq!(geom.stream_blocks(), 1);
+        assert_eq!(geom.total_thread_blocks(), geom.thread_blocks());
     }
 
     #[test]
     fn stream_division_multiplies_thread_blocks() {
         let config = BlockConfig::new(2, &[256], Some(128), Precision::Single).unwrap();
         let geom = config.geometry(&problem_2d()).unwrap();
-        assert_eq!(geom.stream_blocks, 8);
-        assert_eq!(geom.total_thread_blocks, 8 * geom.thread_blocks);
-        // 2 · Σ_{T=0}^{bT−1} rad·(bT−T) = 2 · (2 + 1) = 6
-        assert_eq!(geom.redundant_stream_planes, 6);
-        assert_eq!(geom.stream_block_len, 128);
+        assert_eq!(geom.stream_blocks(), 8);
+        assert_eq!(geom.total_thread_blocks(), 8 * geom.thread_blocks());
+        // An inner stream block of 128 planes loads bT·rad = 2 more on
+        // either side to recompute, plus the radius beyond them.
+        let block = geom.tilings()[0].tiles().nth(3).unwrap();
+        assert_eq!((block.origin, block.len), (384, 128));
+        assert_eq!(block.written(), 385..513);
+        assert_eq!(block.updatable(), 383..515);
+        assert_eq!(block.local(), 382..516);
     }
 
     #[test]
     fn no_stream_division_has_no_redundant_planes() {
         let config = BlockConfig::new(4, &[256], None, Precision::Single).unwrap();
         let geom = config.geometry(&problem_2d()).unwrap();
-        assert_eq!(geom.redundant_stream_planes, 0);
-        assert_eq!(geom.stream_block_len, 1024);
+        // One tile spanning the dimension, with nothing to overlap with.
+        let blocks: Vec<DimTile> = geom.tilings()[0].tiles().collect();
+        assert_eq!(blocks.len(), 1);
+        assert_eq!(blocks[0].written(), 1..1025);
+        assert_eq!(blocks[0].updatable(), 1..1025);
+        assert_eq!(blocks[0].local(), 0..1026);
     }
 
     #[test]
@@ -377,10 +377,9 @@ mod tests {
         let geom = config.geometry(&problem_3d()).unwrap();
         assert_eq!(geom.nthr, 1024);
         assert_eq!(geom.compute_region, vec![24, 24]);
-        assert_eq!(geom.tiles_per_dim, vec![11, 11]);
-        assert_eq!(geom.thread_blocks, 121);
-        assert_eq!(geom.stream_blocks, 2);
-        assert!((geom.valid_thread_fraction() - (24.0 * 24.0) / 1024.0).abs() < 1e-12);
+        assert_eq!(geom.tiles_per_dim(), vec![11, 11]);
+        assert_eq!(geom.thread_blocks(), 121);
+        assert_eq!(geom.stream_blocks(), 2);
     }
 
     #[test]
@@ -392,8 +391,6 @@ mod tests {
             config.geometry(&problem),
             Err(PlanError::EmptyComputeRegion { .. })
         ));
-        assert!(!config.fits_stencil(&suite::j2d9pt()));
-        assert!(config.fits_stencil(&suite::j2d5pt()));
     }
 
     #[test]
@@ -433,13 +430,6 @@ mod tests {
         assert!(s.contains("64x16"));
         assert!(s.contains("128"));
         assert!(s.contains("double"));
-    }
-
-    #[test]
-    fn planes_per_stream_block_includes_boundary_planes() {
-        let config = BlockConfig::new(2, &[256], Some(128), Precision::Single).unwrap();
-        let geom = config.geometry(&problem_2d()).unwrap();
-        assert_eq!(geom.planes_per_stream_block(), 128 + 6 + 2);
     }
 
     #[test]

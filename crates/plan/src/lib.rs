@@ -5,8 +5,14 @@
 //! and a blocking configuration `(bT, bS_i, hS_N)` it derives
 //!
 //! * the execution geometry — thread-block size `nthr`, compute region,
-//!   halo widths, thread-block counts `ntb` / `n'tb`, streaming-division
-//!   overlap (Section 4.2.3);
+//!   halo widths and **the tile decomposition**: [`BlockGeometry`] carries
+//!   one [`DimTiling`] per dimension (streaming dimension first), whose
+//!   [`DimTiling::tiles`] are the [`DimTile`]s — what each writes back,
+//!   loads and updates — that the executor runs and the performance model
+//!   sums over. This crate is the only place that cuts a dimension into
+//!   tiles; the thread-block counts `ntb` / `n'tb` are the lengths of those
+//!   lists, and a plan remembers which extents it was tiled for
+//!   ([`KernelPlan::assert_tiled_for`]);
 //! * the on-chip resource usage — registers per thread (fixed vs shifting
 //!   allocation, Section 4.2.1 / Fig. 3), shared-memory footprint
 //!   (double buffering vs one buffer per combined time-step, Section 4.2.2 /
@@ -43,9 +49,11 @@ mod plan;
 mod resources;
 mod schedule;
 mod scheme;
+mod tiling;
 
 pub use config::{BlockConfig, BlockGeometry, PlanError};
 pub use plan::KernelPlan;
 pub use resources::{expected_shared_reads, practical_shared_reads, RegisterCap, ResourceUsage};
 pub use schedule::{KernelSchedule, MacroCall, MacroOp, Phase, RegSlot};
 pub use scheme::{FrameworkScheme, OptimizationClass, RegisterScheme, SharedMemoryScheme};
+pub use tiling::{DimTile, DimTiling};

@@ -7,8 +7,8 @@
 //! the tuner can afford a plan per candidate.
 
 use crate::{
-    BlockConfig, BlockGeometry, FrameworkScheme, KernelSchedule, OptimizationClass, PlanError,
-    ResourceUsage,
+    BlockConfig, BlockGeometry, DimTiling, FrameworkScheme, KernelSchedule, OptimizationClass,
+    PlanError, ResourceUsage,
 };
 use an5d_stencil::{StencilDef, StencilProblem};
 use std::fmt;
@@ -60,6 +60,30 @@ impl KernelPlan {
             resources,
             schedule,
         })
+    }
+
+    /// Check that `problem` is the one this plan's tiling was cut for.
+    /// Everything that pairs a plan with a problem again after
+    /// [`KernelPlan::build`] — the executor, the analytic counters — goes
+    /// through here, because a plan's tiles on another problem's grid are
+    /// silently the wrong cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stencil or the interior extents differ.
+    pub fn assert_tiled_for(&self, problem: &StencilProblem) {
+        assert_eq!(
+            self.def.name(),
+            problem.def().name(),
+            "plan and problem describe different stencils"
+        );
+        let tiled = self.geometry.tilings().iter().map(DimTiling::extent);
+        assert!(
+            tiled.clone().eq(problem.interior().iter().copied()),
+            "plan was tiled for interior {:?} but the problem's interior is {:?}",
+            tiled.collect::<Vec<_>>(),
+            problem.interior()
+        );
     }
 
     /// The stencil this plan executes.
@@ -115,7 +139,7 @@ impl fmt::Display for KernelPlan {
             self.def.name(),
             self.config,
             self.class,
-            self.geometry.total_thread_blocks,
+            self.geometry.total_thread_blocks(),
             self.geometry.nthr,
             self.resources.shared_bytes_per_block,
             self.resources.registers_per_thread
@@ -210,7 +234,7 @@ mod tests {
         let config = BlockConfig::new(3, &[32, 32], Some(128), Precision::Single).unwrap();
         let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
         assert_eq!(plan.geometry().nthr, 1024);
-        assert_eq!(plan.geometry().stream_blocks, 2);
+        assert_eq!(plan.geometry().stream_blocks(), 2);
         assert_eq!(plan.class(), OptimizationClass::Associative);
     }
 

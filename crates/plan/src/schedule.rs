@@ -23,14 +23,7 @@ pub struct RegSlot {
     pub slot: usize,
 }
 
-impl RegSlot {
-    /// CUDA identifier used by the code generator (`reg_T_M`).
-    #[must_use]
-    pub fn cuda_name(&self) -> String {
-        self.to_string()
-    }
-}
-
+/// The CUDA identifier the code generator prints (`reg_T_M`).
 impl fmt::Display for RegSlot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "reg_{}_{}", self.time_step, self.slot)
@@ -561,7 +554,7 @@ mod tests {
                 time_step: 2,
                 slot: 1
             }
-            .cuda_name(),
+            .to_string(),
             "reg_2_1"
         );
     }

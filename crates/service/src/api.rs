@@ -337,10 +337,13 @@ pub fn plan_response(plan: &KernelPlan) -> Json {
                     "compute_region",
                     Json::usize_array(&geometry.compute_region),
                 ),
-                ("tiles_per_dim", Json::usize_array(&geometry.tiles_per_dim)),
-                ("thread_blocks", int(geometry.thread_blocks)),
-                ("stream_blocks", int(geometry.stream_blocks)),
-                ("total_thread_blocks", int(geometry.total_thread_blocks)),
+                (
+                    "tiles_per_dim",
+                    Json::usize_array(&geometry.tiles_per_dim()),
+                ),
+                ("thread_blocks", int(geometry.thread_blocks())),
+                ("stream_blocks", int(geometry.stream_blocks())),
+                ("total_thread_blocks", int(geometry.total_thread_blocks())),
             ]),
         ),
         (

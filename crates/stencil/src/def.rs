@@ -163,13 +163,6 @@ impl StencilDef {
         self.op_mix
     }
 
-    /// Number of source sub-planes each cell update reads
-    /// (`1 + 2 · rad` for every paper benchmark).
-    #[must_use]
-    pub fn planes_per_update(&self) -> usize {
-        1 + 2 * self.radius()
-    }
-
     /// Does the update expression contain a division? (Relevant for the
     /// double-precision slow-down discussed in Section 7.1.)
     #[must_use]
@@ -216,7 +209,6 @@ mod tests {
         assert!(def.diagonal_access_free());
         assert!(def.is_associative());
         assert_eq!(def.flops_per_cell(), 10);
-        assert_eq!(def.planes_per_update(), 3);
         assert!(def.contains_division());
     }
 

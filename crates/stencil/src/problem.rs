@@ -142,17 +142,6 @@ impl StencilProblem {
         }
         self.total_cell_updates() as f64 / seconds / 1e9
     }
-
-    /// A smaller copy of this problem (same stencil, new extents/steps) —
-    /// used by tests and the quick-start example.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StencilError::UnsupportedRank`] if the extent rank does not
-    /// match the stencil rank.
-    pub fn resized(&self, interior: &[usize], time_steps: usize) -> Result<Self, StencilError> {
-        Self::new(self.def.clone(), interior, time_steps)
-    }
 }
 
 #[cfg(test)]
@@ -202,13 +191,5 @@ mod tests {
         let p = StencilProblem::new(suite::j2d5pt(), &[6, 6], 1).unwrap();
         assert_eq!(p.grid_bytes(Precision::Single), 8 * 8 * 4);
         assert_eq!(p.grid_bytes(Precision::Double), 8 * 8 * 8);
-    }
-
-    #[test]
-    fn resized_keeps_definition() {
-        let p = StencilProblem::paper_scale(suite::gradient2d());
-        let small = p.resized(&[16, 16], 3).unwrap();
-        assert_eq!(small.def().name(), "gradient2d");
-        assert_eq!(small.time_steps(), 3);
     }
 }

@@ -15,26 +15,13 @@ use std::sync::Mutex;
 /// tuning results to.
 pub const TUNE_DB_ENV: &str = "AN5D_TUNE_DB";
 
-/// When to rewrite the log with only the live records.
-///
-/// Overwrites (`/tune?refresh=true`, re-tuned keys) append a new record
-/// and leave the superseded one in the file as a *stale* record; the
-/// policy bounds how much of the file may be dead weight before a
-/// compaction rewrites it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Compact when `stale >= max(min_stale, live)` after an append —
-    /// i.e. once at least half the file is dead, but never for fewer
-    /// than `min_stale` stale records (tiny DBs are not worth
-    /// rewriting).
-    pub min_stale: usize,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        Self { min_stale: 64 }
-    }
-}
+/// Compaction threshold: the log is rewritten with only the live records
+/// when `stale >= max(MIN_STALE, live)` after an append — i.e. once at
+/// least half the file is dead, but never for fewer than `MIN_STALE` stale
+/// records (tiny DBs are not worth rewriting). Overwrites
+/// (`/tune?refresh=true`, re-tuned keys) append a new record and leave the
+/// superseded one in the file as a *stale* record.
+const MIN_STALE: usize = 64;
 
 /// Point-in-time database statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,7 +65,6 @@ struct Inner {
 /// records, and truncates the torn tail before appending again.
 pub struct TuneDb {
     path: PathBuf,
-    policy: CompactionPolicy,
     /// `fsync` after every append (see [`TuneDb::sync_on_append`]).
     sync_on_append: bool,
     inner: Mutex<Inner>,
@@ -96,19 +82,7 @@ impl std::fmt::Debug for TuneDb {
 }
 
 impl TuneDb {
-    /// Open (or create) a database at `path` with the default
-    /// [`CompactionPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors, and rejects files that are not tune
-    /// DBs at all (wrong magic). Damage *within* a valid DB — torn
-    /// appends, checksum-corrupt records — is recovered, not fatal.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(path, CompactionPolicy::default())
-    }
-
-    /// [`TuneDb::open`] with an explicit compaction policy.
+    /// Open (or create) a database at `path`.
     ///
     /// The database is **single-writer**: one process (one `TuneDb`)
     /// owns the file at a time. Appends go through an `O_APPEND` handle
@@ -119,8 +93,10 @@ impl TuneDb {
     ///
     /// # Errors
     ///
-    /// See [`TuneDb::open`].
-    pub fn open_with(path: impl AsRef<Path>, policy: CompactionPolicy) -> io::Result<Self> {
+    /// Propagates filesystem errors, and rejects files that are not tune
+    /// DBs at all (wrong magic). Damage *within* a valid DB — torn
+    /// appends, checksum-corrupt records — is recovered, not fatal.
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
@@ -164,7 +140,6 @@ impl TuneDb {
 
         Ok(Self {
             path,
-            policy,
             sync_on_append: false,
             inner: Mutex::new(Inner {
                 file,
@@ -213,7 +188,7 @@ impl TuneDb {
     }
 
     /// Store (or overwrite) the result for a key, appending one record
-    /// to the log and compacting if the policy says so.
+    /// to the log and compacting once enough of it is stale.
     ///
     /// # Errors
     ///
@@ -276,7 +251,7 @@ impl TuneDb {
         if inner.map.insert(record.key.clone(), record).is_some() {
             inner.stale += 1;
         }
-        if inner.stale >= self.policy.min_stale.max(inner.map.len()) {
+        if inner.stale >= MIN_STALE.max(inner.map.len()) {
             self.compact_locked(&mut inner)?;
         }
         Ok(())
@@ -555,16 +530,17 @@ mod tests {
     fn compaction_drops_stale_records_and_shrinks_the_file() {
         let path = temp_path("compact");
         let _cleanup = TempFile(path.clone());
-        let db = TuneDb::open_with(&path, CompactionPolicy { min_stale: 4 }).unwrap();
+        let db = TuneDb::open(&path).unwrap();
         let (key, result) = sample("v100", 50);
-        for _ in 0..3 {
+        for _ in 0..MIN_STALE {
             db.put(&key, None, &result).unwrap();
         }
         let before = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(db.stats().stale, MIN_STALE - 1);
         assert_eq!(db.stats().compactions, 0, "below the stale threshold");
 
-        // Two more overwrites push stale to 4 ≥ max(4, live=1): compact.
-        db.put(&key, None, &result).unwrap();
+        // One more overwrite — the 65th record of the key — pushes stale
+        // to 64 ≥ max(64, live = 1): compact.
         db.put(&key, None, &result).unwrap();
         let stats = db.stats();
         assert_eq!(stats.compactions, 1);

@@ -38,4 +38,4 @@ pub mod json;
 pub mod log;
 
 pub use codec::{CodecError, Record, TuneKey};
-pub use db::{CompactionPolicy, TuneDb, TuneDbStats, TUNE_DB_ENV};
+pub use db::{TuneDb, TuneDbStats, TUNE_DB_ENV};

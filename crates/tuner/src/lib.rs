@@ -1,10 +1,13 @@
 //! Model-guided parameter tuning for AN5D blocking configurations
 //! (Section 6.3 of the paper).
 //!
-//! The tuner enumerates the paper's parameter space (`bT`, `bS_i`, `hS_N`),
-//! prunes configurations whose expected register demand exceeds the
-//! hardware limits, ranks the survivors with the Section 5 performance
-//! model, "runs" the top-k candidates through a pluggable
+//! The tuner enumerates the paper's parameter space (`bT`, `bS_i`, `hS_N`)
+//! and builds a [`an5d_plan::KernelPlan`] for every candidate. A candidate
+//! is *valid* when the plan builds (no [`an5d_plan::PlanError`]: the
+//! blocked rank matches and the halo leaves a compute region) and the
+//! plan's own register estimate passes the hardware limits; nothing else
+//! decides validity. It ranks the valid candidates with the Section 5
+//! performance model, "runs" the top-k through a pluggable
 //! [`MeasurementSource`] and returns the configuration with the best
 //! measured performance — exactly the Tuned flow of the paper. The
 //! default [`SimulatedMeasurement`] source reproduces the paper's
@@ -38,7 +41,7 @@ mod space;
 mod tuner;
 
 pub use fingerprint::{fnv1a64, problem_fingerprint, stencil_fingerprint, Fnv1a};
-pub use space::{CandidateIter, SearchSpace};
+pub use space::SearchSpace;
 pub use tuner::{
     BackendMeasurement, MeasurementSource, SimulatedMeasurement, TunedCandidate, Tuner, TunerError,
     TuningResult,

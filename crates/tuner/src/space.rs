@@ -90,32 +90,17 @@ impl SearchSpace {
         self.precision
     }
 
-    /// Lazily enumerate every syntactically valid candidate
-    /// configuration, in the canonical nesting order (`bT` outermost,
-    /// then `bS`, then `hS_N`).
-    ///
-    /// This is the streaming counterpart of [`SearchSpace::candidates`]:
-    /// it allocates nothing up front, so paper-scale (and larger,
-    /// user-supplied) sweeps can be consumed one candidate at a time.
-    /// Both paths yield exactly the same sequence.
-    #[must_use]
-    pub fn iter(&self) -> CandidateIter<'_> {
-        CandidateIter {
-            space: self,
-            bt_index: 0,
-            bs_index: 0,
-            hsn_index: 0,
-        }
-    }
-
-    /// Enumerate every syntactically valid candidate configuration into
-    /// a `Vec`.
-    ///
-    /// Prefer [`SearchSpace::iter`] for large spaces; this eager form is
-    /// kept for call sites that genuinely need the whole set at once.
-    #[must_use]
-    pub fn candidates(&self) -> Vec<BlockConfig> {
-        self.iter().collect()
+    /// Every syntactically valid candidate configuration, in the canonical
+    /// nesting order (`bT` outermost, then `bS`, then `hS_N`); combinations
+    /// [`BlockConfig::new`] rejects are skipped.
+    pub fn iter(&self) -> impl Iterator<Item = BlockConfig> + '_ {
+        self.bt_values.iter().flat_map(move |&bt| {
+            self.bs_values.iter().flat_map(move |bs| {
+                let hsn_values = self.hsn_values.iter();
+                hsn_values
+                    .filter_map(move |&hsn| BlockConfig::new(bt, bs, hsn, self.precision).ok())
+            })
+        })
     }
 
     /// Number of candidate configurations the space yields — exactly
@@ -124,9 +109,7 @@ impl SearchSpace {
     /// Validity of a combination ([`BlockConfig::new`]) is decided
     /// per-axis (`bT ≥ 1`, non-empty `bS` without zero extents,
     /// `hS_N ≠ Some(0)`), so the count is the product of the per-axis
-    /// valid-value counts. Historically this method returned
-    /// [`SearchSpace::raw_len`], which overstated the space whenever an
-    /// axis carried invalid values.
+    /// valid-value counts.
     #[must_use]
     pub fn len(&self) -> usize {
         let bt = self.bt_values.iter().filter(|&&bt| bt > 0).count();
@@ -141,15 +124,6 @@ impl SearchSpace {
             .filter(|&&hsn| hsn != Some(0))
             .count();
         bt * bs * hsn
-    }
-
-    /// Number of raw axis combinations, including ones
-    /// [`BlockConfig::new`] rejects (and [`SearchSpace::iter`] therefore
-    /// never yields). `raw_len() ≥ len()`, with equality for all-valid
-    /// spaces such as [`SearchSpace::paper`] and [`SearchSpace::quick`].
-    #[must_use]
-    pub fn raw_len(&self) -> usize {
-        self.bt_values.len() * self.bs_values.len() * self.hsn_values.len()
     }
 
     /// `true` when the space yields no candidate at all.
@@ -211,61 +185,6 @@ impl SearchSpace {
     }
 }
 
-impl<'a> IntoIterator for &'a SearchSpace {
-    type Item = BlockConfig;
-    type IntoIter = CandidateIter<'a>;
-
-    fn into_iter(self) -> CandidateIter<'a> {
-        self.iter()
-    }
-}
-
-/// Lazy iterator over the valid candidates of a [`SearchSpace`] (see
-/// [`SearchSpace::iter`]).
-#[derive(Debug, Clone)]
-pub struct CandidateIter<'a> {
-    space: &'a SearchSpace,
-    bt_index: usize,
-    bs_index: usize,
-    hsn_index: usize,
-}
-
-impl CandidateIter<'_> {
-    /// Odometer step: `hS_N` fastest, then `bS`, then `bT`.
-    fn advance(&mut self) {
-        self.hsn_index += 1;
-        if self.hsn_index >= self.space.hsn_values.len() {
-            self.hsn_index = 0;
-            self.bs_index += 1;
-            if self.bs_index >= self.space.bs_values.len() {
-                self.bs_index = 0;
-                self.bt_index += 1;
-            }
-        }
-    }
-}
-
-impl Iterator for CandidateIter<'_> {
-    type Item = BlockConfig;
-
-    fn next(&mut self) -> Option<BlockConfig> {
-        // An empty inner axis means no combination can ever be formed.
-        if self.space.bs_values.is_empty() || self.space.hsn_values.is_empty() {
-            return None;
-        }
-        while self.bt_index < self.space.bt_values.len() {
-            let bt = self.space.bt_values[self.bt_index];
-            let bs = &self.space.bs_values[self.bs_index];
-            let hsn = self.space.hsn_values[self.hsn_index];
-            self.advance();
-            if let Ok(config) = BlockConfig::new(bt, bs, hsn, self.space.precision) {
-                return Some(config);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,10 +193,10 @@ mod tests {
     fn paper_space_sizes_match_section_6_3() {
         let s2 = SearchSpace::paper(2, Precision::Single);
         assert_eq!(s2.len(), 16 * 3 * 3);
-        assert_eq!(s2.candidates().len(), 144);
+        assert_eq!(s2.iter().count(), 144);
         let s3 = SearchSpace::paper(3, Precision::Double);
         assert_eq!(s3.len(), 8 * 4 * 2);
-        assert_eq!(s3.candidates().len(), 64);
+        assert_eq!(s3.iter().count(), 64);
     }
 
     #[test]
@@ -290,7 +209,7 @@ mod tests {
     #[test]
     fn candidates_carry_precision_and_parameters() {
         let s = SearchSpace::paper(3, Precision::Double);
-        let candidates = s.candidates();
+        let candidates: Vec<BlockConfig> = s.iter().collect();
         assert!(candidates
             .iter()
             .all(|c| c.precision() == Precision::Double));
@@ -313,11 +232,15 @@ mod tests {
             vec![None, Some(128)],
             Precision::Single,
         );
-        assert_eq!(s.candidates().len(), 4);
+        assert_eq!(s.iter().count(), 4);
     }
 
     #[test]
     fn iter_yields_exactly_the_candidates_sequence() {
+        // Every combination `BlockConfig::new` accepts, `bT` outermost and
+        // `hS_N` fastest, and `len()` of them — on the all-valid stock
+        // spaces and on axes that carry rejected values (bt = 0, an empty
+        // bs and a zero bs extent, hsn = Some(0)).
         let spaces = [
             SearchSpace::paper(2, Precision::Single),
             SearchSpace::paper(3, Precision::Double),
@@ -331,41 +254,28 @@ mod tests {
             ),
         ];
         for space in &spaces {
-            let eager = space.candidates();
-            let streamed: Vec<BlockConfig> = space.iter().collect();
-            assert_eq!(streamed, eager, "iter() and candidates() must agree");
-            // IntoIterator on &space is the same sequence.
-            let via_into: Vec<BlockConfig> = space.into_iter().collect();
-            assert_eq!(via_into, eager);
+            let mut expected = Vec::new();
+            for &bt in &space.bt_values {
+                for bs in &space.bs_values {
+                    for &hsn in &space.hsn_values {
+                        expected.extend(BlockConfig::new(bt, bs, hsn, space.precision));
+                    }
+                }
+            }
+            let yielded: Vec<BlockConfig> = space.iter().collect();
+            assert_eq!(yielded, expected);
+            assert_eq!(yielded.len(), space.len());
+            assert!(!space.is_empty());
         }
-    }
-
-    #[test]
-    fn iter_is_lazy_and_resumable() {
-        let space = SearchSpace::paper(2, Precision::Single);
-        let mut iter = space.iter();
-        let first = iter.next().unwrap();
-        assert_eq!(first, space.candidates()[0]);
-        // Consuming the rest yields the remaining 143 paper candidates.
-        assert_eq!(iter.count(), 143);
-    }
-
-    #[test]
-    fn len_counts_yielded_candidates_and_raw_len_counts_combinations() {
-        // bt=0, an empty bs and a zero bs extent, and hsn=Some(0) are all
-        // rejected by BlockConfig::new; len() must agree with what the
-        // iterator actually yields while raw_len() keeps the raw product.
-        let space = SearchSpace::new(
-            vec![0, 1, 3],
-            vec![vec![64], vec![], vec![32, 0]],
-            vec![None, Some(0), Some(16)],
-            Precision::Single,
-        );
-        assert_eq!(space.raw_len(), 3 * 3 * 3);
+        let [paper_2d, .., invalid_axes] = &spaces;
+        assert_eq!(paper_2d.len(), 144);
         // Valid per axis: bt {1, 3}, bs {[64]}, hsn {None, Some(16)}.
-        assert_eq!(space.len(), 4);
-        assert_eq!(space.iter().count(), space.len());
-        assert!(!space.is_empty());
+        assert_eq!(invalid_axes.len(), 4);
+        // An iterator, not a list: taking one candidate leaves the rest.
+        let mut iter = paper_2d.iter();
+        let first = BlockConfig::new(1, &[128], Some(256), Precision::Single).unwrap();
+        assert_eq!(iter.next(), Some(first));
+        assert_eq!(iter.count(), 143);
     }
 
     #[test]
@@ -373,25 +283,11 @@ mod tests {
         let space = SearchSpace::new(vec![0], vec![vec![64]], vec![None], Precision::Single);
         assert!(space.is_empty());
         assert_eq!(space.len(), 0);
-        assert_eq!(space.raw_len(), 1);
         assert_eq!(space.iter().count(), 0);
         // Empty axes short-circuit the iterator too.
         let no_bs = SearchSpace::new(vec![1], vec![], vec![None], Precision::Single);
         assert_eq!(no_bs.iter().count(), 0);
         assert_eq!(no_bs.len(), 0);
-    }
-
-    #[test]
-    fn valid_spaces_have_equal_len_and_raw_len() {
-        for space in [
-            SearchSpace::paper(2, Precision::Single),
-            SearchSpace::paper(3, Precision::Single),
-            SearchSpace::quick(2, Precision::Double),
-            SearchSpace::quick(3, Precision::Double),
-        ] {
-            assert_eq!(space.len(), space.raw_len());
-            assert_eq!(space.len(), space.iter().count());
-        }
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //!
 //! The paper tunes by model because a candidate's geometry, resources and
 //! traffic are closed-form, so ranking hundreds of them costs next to
-//! nothing. That holds here: a survivor is one `KernelPlan::build` plus one
-//! `predict` (a microsecond or two), so the ranking sweep runs inline on
-//! the calling thread, in candidate order, with a deadline checkpoint
-//! before every candidate.
+//! nothing. That holds here: a candidate is one `KernelPlan::build` — which
+//! is also the validity check, together with the register heuristic on the
+//! plan it returns — plus one `predict` (a microsecond or two), so the
+//! ranking sweep runs inline on the calling thread, in candidate order,
+//! with a deadline checkpoint before every candidate.
 
 use an5d_backend::{BackendElement, ExecutionBackend};
 use an5d_gpusim::GpuDevice;
 use an5d_grid::{Grid, GridInit, Precision};
 use an5d_model::{measure_each_cap, predict};
-use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, RegisterCap, ResourceUsage};
+use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, RegisterCap};
 use an5d_stencil::{StencilDef, StencilProblem};
 use std::error::Error;
 use std::fmt;
@@ -366,43 +367,16 @@ impl Tuner {
         &self.device
     }
 
-    /// Prune a candidate by the Section 6.3 register heuristic: the expected
-    /// per-thread register demand must not exceed 255 registers per thread
-    /// or the 65,536-register SM budget.
+    /// The Section 6.3 register heuristic, on the plan's own
+    /// [`an5d_plan::ResourceUsage`]: the expected per-thread register demand
+    /// must not exceed 255 registers per thread or the 65,536-register SM
+    /// budget.
     fn survives_register_pruning(&self, plan: &KernelPlan) -> bool {
         let regs = plan.resources().registers_per_thread;
         if regs > self.device.max_registers_per_thread {
             return false;
         }
         regs * plan.geometry().nthr <= self.device.registers_per_sm
-    }
-
-    /// Analytic pre-prune: decide — from the configuration, stencil and
-    /// device alone, without building a [`KernelPlan`] — whether a
-    /// candidate can survive plan validation *and* the Section 6.3
-    /// register heuristic.
-    ///
-    /// This is exact, not approximate: plan construction fails precisely
-    /// when the blocked rank mismatches or the `2·bT·rad` halo consumes a
-    /// whole block ([`BlockConfig::fits_stencil`] checks both), and the
-    /// register estimate is the same closed-form
-    /// [`ResourceUsage::compute`] the plan itself would carry. Candidates
-    /// rejected here therefore skip `KernelPlan::build` entirely with
-    /// zero effect on the surviving ranking.
-    fn survives_analytic_pruning(&self, def: &StencilDef, config: &BlockConfig) -> bool {
-        if !config.fits_stencil(def) {
-            return false;
-        }
-        let resources = ResourceUsage::compute(
-            config,
-            def.radius(),
-            self.scheme.classify(def),
-            self.scheme.registers,
-            self.scheme.shared_memory,
-        );
-        let regs = resources.registers_per_thread;
-        regs <= self.device.max_registers_per_thread
-            && regs * config.nthr() <= self.device.registers_per_sm
     }
 
     /// Run the full tuning flow for a stencil and problem.
@@ -431,18 +405,18 @@ impl Tuner {
             });
         }
 
-        // Step 1: stream the search space, analytically pre-prune, build
-        // plans only for survivors and rank them with the Section 5
-        // model. Candidates are generated lazily (no up-front
-        // materialisation of the space) and evaluated inline on the
-        // calling thread, in candidate order: a survivor costs a plan
-        // build plus a closed-form prediction (a microsecond or two),
+        // Step 1: rank every valid candidate with the Section 5 model. A
+        // candidate is valid when its plan builds (`PlanError` otherwise:
+        // wrong blocked rank, or a halo that leaves no compute region) and
+        // the plan passes the register heuristic. Candidates are evaluated
+        // inline on the calling thread, in candidate order: one costs a
+        // plan build plus a closed-form prediction (a microsecond or two),
         // which is less than handing it to another thread would.
         let mut ranked: Vec<(BlockConfig, Arc<KernelPlan>, f64)> = Vec::new();
         let sweep_span = an5d_obs::Span::enter("tuner.rank_sweep");
         for config in space.iter() {
-            // Deadline checkpoint per candidate, ahead of the analytic
-            // prune and the plan build: once the budget is gone the sweep
+            // Deadline checkpoint per candidate, ahead of the plan build:
+            // once the budget is gone the sweep
             // stops and the partial ranking becomes an error instead of a
             // winner. The fault point lets the chaos soak and tests
             // stretch individual candidates deterministically.
@@ -458,9 +432,6 @@ impl Tuner {
                     total: total_candidates,
                 });
             }
-            if !self.survives_analytic_pruning(def, &config) {
-                continue;
-            }
             let built = {
                 let _span = an5d_obs::Span::enter("plan.build");
                 KernelPlan::build(def, problem, &config, self.scheme)
@@ -468,10 +439,9 @@ impl Tuner {
             let Ok(plan) = built.map(Arc::new) else {
                 continue;
             };
-            debug_assert!(
-                self.survives_register_pruning(&plan),
-                "analytic pre-prune must subsume the plan-based register prune"
-            );
+            if !self.survives_register_pruning(&plan) {
+                continue;
+            }
             let prediction = predict(&plan, problem, &self.device);
             ranked.push((config, plan, prediction.gflops));
         }
@@ -541,21 +511,6 @@ mod tests {
             _ => vec![256, 256, 256],
         };
         StencilProblem::new(def.clone(), &interior, 100).unwrap()
-    }
-
-    /// Run `f` under a trace and count its `plan.build` spans: one per
-    /// `KernelPlan::build` the tuner performed.
-    fn counting_plan_builds<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        let trace = an5d_obs::ActiveTrace::begin();
-        let out = f();
-        let trace = trace.finish();
-        assert_eq!(trace.dropped, 0, "the trace must hold every span");
-        let builds = trace
-            .spans
-            .iter()
-            .filter(|span| span.name == "plan.build")
-            .count();
-        (out, builds)
     }
 
     #[test]
@@ -722,13 +677,10 @@ mod tests {
     }
 
     #[test]
-    fn analytically_pruned_candidates_never_build_plans() {
-        // j2d9pt has radius 2, so a 32-wide block fits only bT ≤ 7
-        // (halo 4·bT must stay below 32); bs=[512] with bT=30 passes the
-        // geometry check but busts the 65,536-register SM budget
-        // ((4·30+20+10)·512 regs). Every such candidate must be rejected
-        // *before* planning, which the `plan.build` span count observes
-        // directly: one span == one KernelPlan::build.
+    fn register_and_halo_busting_candidates_are_not_ranked() {
+        // j2d9pt has radius 2, so a 32-wide block keeps a compute region
+        // only for bT ≤ 7 (the halo 4·bT must stay below 32): the other
+        // nine plans do not build.
         let def = suite::j2d9pt();
         let problem = StencilProblem::new(def.clone(), &[2048, 2048], 50).unwrap();
         let space = SearchSpace::new(
@@ -738,49 +690,22 @@ mod tests {
             Precision::Single,
         );
         let tuner = Tuner::new(GpuDevice::tesla_v100());
-        let (result, builds) = counting_plan_builds(|| tuner.tune(&def, &problem, &space).unwrap());
+        let result = tuner.tune(&def, &problem, &space).unwrap();
         assert_eq!(result.total_candidates, 16);
         assert_eq!(result.ranked_candidates, 7, "bT 1..=7 survive");
-        assert_eq!(
-            builds, 7,
-            "analytically pruned candidates must skip KernelPlan::build"
-        );
+        assert!(result.measured.iter().all(|c| c.config.bt() <= 7));
 
-        // Register-budget pruning (not geometry) also skips planning.
+        // star2d1r at bS = 512, bT = 30 builds (halo 60) but busts the
+        // 65,536-register SM budget ((4·30+20+10)·512 registers).
         let def = suite::star2d(1);
+        let problem = StencilProblem::new(def.clone(), &[2048, 2048], 50).unwrap();
         let space = SearchSpace::new(vec![1, 30], vec![vec![512]], vec![None], Precision::Single);
-        let (result, builds) = counting_plan_builds(|| tuner.tune(&def, &problem, &space).unwrap());
+        let busting = BlockConfig::new(30, &[512], None, Precision::Single).unwrap();
+        assert!(KernelPlan::build(&def, &problem, &busting, FrameworkScheme::an5d()).is_ok());
+        let result = tuner.tune(&def, &problem, &space).unwrap();
+        assert_eq!(result.total_candidates, 2);
         assert_eq!(result.ranked_candidates, 1, "bT=30 busts the SM budget");
-        assert_eq!(builds, 1);
-    }
-
-    #[test]
-    fn analytic_pruning_is_exactly_plan_validity_and_register_pruning() {
-        // The property the build counter above only samples: over the
-        // whole paper space, the closed-form pre-prune accepts a
-        // candidate exactly when its plan builds and passes the
-        // plan-based register heuristic.
-        let tuner = Tuner::new(GpuDevice::tesla_v100());
-        for def in [
-            suite::star2d(1),
-            suite::j2d9pt(),
-            suite::box2d(4),
-            suite::star3d(1),
-            suite::star3d(2),
-            suite::box3d(4),
-        ] {
-            let problem = small_problem(&def);
-            for config in SearchSpace::paper(def.ndim(), Precision::Single).iter() {
-                let by_plan = KernelPlan::build(&def, &problem, &config, tuner.scheme)
-                    .is_ok_and(|plan| tuner.survives_register_pruning(&plan));
-                assert_eq!(
-                    tuner.survives_analytic_pruning(&def, &config),
-                    by_plan,
-                    "{} {config:?}",
-                    def.name()
-                );
-            }
-        }
+        assert_eq!(result.best.config.bt(), 1);
     }
 
     #[test]
