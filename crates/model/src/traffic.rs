@@ -9,15 +9,19 @@
 //!
 //! A block's tiling is a cartesian product of per-dimension tilings and
 //! every counted quantity is a product of per-dimension factors, so the
-//! sum over all tiles is the product of per-dimension sums: the cost is
-//! O(Σ_d tiles_d) additions with no allocation — one pass over each
-//! dimension's tiles, never a visit to a tile — exact in `u128`.
+//! sum over all tiles is the product of per-dimension sums. Each of those
+//! is closed-form ([`an5d_plan::DimTiling::local_sum`] and its siblings:
+//! clipped first tiles, an arithmetic series over the middle, clipped last
+//! tiles), so the cost is O(ndim) with no allocation and no visit to a
+//! tile, however many there are — exact in `u128`.
 //!
 //! Which tiles those are is not decided here. The plan's
-//! [`an5d_plan::BlockGeometry::tilings`] yield, per dimension, the very
-//! [`an5d_plan::DimTile`]s the executor builds its thread blocks from;
-//! this module adds up their `local()`, `written()` and `updatable()`
-//! extents and never looks at the problem's grid shape.
+//! [`an5d_plan::BlockGeometry::tilings`] define, per dimension, the very
+//! [`an5d_plan::DimTile`]s the executor builds its thread blocks from, and
+//! sum their `local()`, `written()` and `updatable()` extents; this module
+//! multiplies the sums and never looks at the problem's grid shape. The
+//! walk over `tiles()` survives only as the tests' oracle (the tiling
+//! proptest in `an5d-plan`, the `TileContext` enumeration below).
 
 use an5d_gpusim::TrafficCounters;
 use an5d_plan::{practical_shared_reads, DimTiling, KernelPlan};
@@ -72,7 +76,7 @@ struct BlockSums {
 
 /// Sums over the tiles of one dimension (the Σ f_d of
 /// Σ_tiles Π_d f_d(tile_d) = Π_d Σ f_d).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct DimSums {
     /// Σ local extents (tile + halo + boundary ring, clipped to the grid).
     local: u128,
@@ -86,14 +90,12 @@ struct DimSums {
 
 impl DimSums {
     fn over(tiling: &DimTiling) -> Self {
-        let mut sums = Self::default();
-        for tile in tiling.tiles() {
-            sums.local += tile.local().len() as u128;
-            sums.written += tile.len as u128;
-            sums.updates += tile.updatable().len() as u128;
-            sums.tiles += 1;
+        Self {
+            local: tiling.local_sum(),
+            written: tiling.written_sum(),
+            updates: tiling.updatable_sum(),
+            tiles: tiling.tiles().len() as u128,
         }
-        sums
     }
 }
 
@@ -315,15 +317,18 @@ mod tests {
         assert_eq!(counters.kernel_launches, 100);
         assert!(counters.gm_reads > 0 && counters.sm_reads > 0);
 
-        // Cheap means never visiting a tile: this interior is cut into
-        // 532,611 × 524,288 ≈ 2.8 · 10¹¹ tiles, which no walk finishes.
-        let side = 1usize << 26;
+        // Cheap means never visiting a tile, not even along one dimension:
+        // a 2⁴⁰ × 2⁴⁰ interior at bS 128 is ≈ 8.7 · 10⁹ tiles per dimension
+        // (≈ 7.5 · 10¹⁹ in all), which only a closed form finishes. Through
+        // `analytic_counters` only: `total_thread_blocks()` is a `usize`
+        // product and overflows here, so `predict` cannot take this case.
+        let side = 1usize << 40;
         let problem = StencilProblem::new(def.clone(), &[side, side], 3).unwrap();
         let config = BlockConfig::new(1, &[128], Some(128), Precision::Single).unwrap();
         let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
         let counters = analytic_counters(&plan, &problem);
-        let tiles = (side.div_ceil(126) * (side / 128)) as u128;
-        assert!(tiles >= 10_000_000_000);
+        let tiles = side.div_ceil(128) as u128 * side.div_ceil(126) as u128;
+        assert!(tiles > u128::from(u64::MAX));
         assert_eq!(counters.valid_updates, (side as u128) * (side as u128) * 3);
         assert_eq!(counters.thread_blocks, tiles * 3);
         assert_eq!(counters.kernel_launches, 3);

@@ -8,10 +8,26 @@
 //! grid (`extent + 2·rad` cells). The blocked dimensions are cut by the
 //! compute region `bS_i − 2·bT·rad`; the streaming dimension by `hS_N`
 //! (Section 4.2.3), and without `hS_N` it is one halo-free tile.
+//!
+//! The executor runs [`DimTiling::tiles`]; the model reads only the
+//! per-dimension sums of their extents, which are closed-form (O(1)
+//! however many tiles there are) and which the tests hold to the walk.
 
 use std::ops::Range;
 
 /// How one dimension is cut into tiles.
+///
+/// Tile `k` of the `n = ⌈extent / tile_len⌉` tiles writes back
+/// `[k·tile_len, min((k+1)·tile_len, extent))` and loads the stored-grid
+/// cells `[lo, hi)` with `lo = max(k·tile_len − halo, 0)` and
+/// `hi − 2·rad = min((k+1)·tile_len + halo, extent)`. Summed over the
+/// tiles in three regions — the first tiles, whose `lo` is clipped to 0;
+/// the middle ones, whose ends are linear in `k` (an arithmetic series);
+/// the last ones, whose `hi` is clipped to the grid:
+///
+/// * Σ `written` = `extent` (the tiles partition the interior);
+/// * Σ `local` = Σ `hi` − Σ `lo`;
+/// * Σ `updatable` = Σ `local` − 2·rad·n.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct DimTiling {
     extent: usize,
@@ -57,7 +73,7 @@ impl DimTiling {
             halo,
             rad,
         } = *self;
-        (0..extent.div_ceil(tile_len)).map(move |k| {
+        (0..self.count()).map(move |k| {
             let origin = k * tile_len;
             let len = tile_len.min(extent - origin);
             DimTile {
@@ -68,6 +84,50 @@ impl DimTiling {
                 rad,
             }
         })
+    }
+
+    /// Σ `written().len()` over the tiles: the tiles partition the interior.
+    #[must_use]
+    pub fn written_sum(&self) -> u128 {
+        self.extent as u128
+    }
+
+    /// Σ `local().len()` over the tiles, in closed form.
+    #[must_use]
+    pub fn local_sum(&self) -> u128 {
+        let n = self.count() as u128;
+        let [extent, len, halo, rad] =
+            [self.extent, self.tile_len, self.halo, self.rad].map(|v| v as u128);
+        // Σ (hi − 2·rad) = Σ_{j=1..=n} min(j·len + halo, extent): the first
+        // `m` tiles end inside the interior, the last `n − m` are clipped
+        // to it.
+        let m = (extent.saturating_sub(halo) / len).min(n);
+        let hi = len * series(1, m + 1) + halo * m + extent * (n - m);
+        // Σ lo = Σ_{k=0..n} max(k·len − halo, 0): the first tiles, up to
+        // k = ⌊halo / len⌋, are clipped to the grid face, the rest are not.
+        let k0 = (halo / len + 1).min(n);
+        let lo = len * series(k0, n) - halo * (n - k0);
+        hi + 2 * rad * n - lo
+    }
+
+    /// Σ `updatable().len()` over the tiles, in closed form: each tile
+    /// updates its local cells but `rad` at either end.
+    #[must_use]
+    pub fn updatable_sum(&self) -> u128 {
+        self.local_sum() - 2 * self.rad as u128 * self.count() as u128
+    }
+
+    fn count(&self) -> usize {
+        self.extent.div_ceil(self.tile_len)
+    }
+}
+
+/// Σ k over `a..b` (0 when the range is empty).
+fn series(a: u128, b: u128) -> u128 {
+    if a >= b {
+        0
+    } else {
+        (b - a) * (a + b - 1) / 2
     }
 }
 
@@ -118,6 +178,42 @@ mod tests {
     use an5d_stencil::{suite, StencilProblem};
     use proptest::prelude::*;
 
+    /// The closed-form sums against the walk over `tiles()`.
+    fn assert_sums_are_the_walk(tiling: &DimTiling) {
+        let walk = |len_of: fn(&DimTile) -> usize| -> u128 {
+            tiling.tiles().map(|tile| len_of(&tile) as u128).sum()
+        };
+        assert_eq!(
+            tiling.written_sum(),
+            walk(|t| t.written().len()),
+            "{tiling:?}"
+        );
+        assert_eq!(tiling.local_sum(), walk(|t| t.local().len()), "{tiling:?}");
+        assert_eq!(
+            tiling.updatable_sum(),
+            walk(|t| t.updatable().len()),
+            "{tiling:?}"
+        );
+    }
+
+    /// Every small tiling, so the corners are covered whatever the seed:
+    /// extent 0, `tile_len` above the extent or not dividing it, halos
+    /// longer than a tile, no `hS_N`.
+    #[test]
+    fn closed_form_sums_equal_the_walk_on_every_small_tiling() {
+        for extent in 0..=20 {
+            for tile_len in std::iter::once(None).chain((1..=24).map(Some)) {
+                for halo in 0..=9 {
+                    for rad in 1..=3 {
+                        assert_sums_are_the_walk(&DimTiling::streaming(
+                            extent, tile_len, halo, rad,
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -162,6 +258,8 @@ mod tests {
                 prop_assert!(upd.start <= written.start && written.end <= upd.end);
                 prop_assert!(rad <= upd.start && upd.end <= extent + rad);
             }
+
+            assert_sums_are_the_walk(&tiling);
         }
 
         /// The thread-block counts of a geometry are the lengths of its tile

@@ -55,17 +55,21 @@ impl From<ShapeError> for StencilError {
 
 /// A validated stencil: a named update expression plus derived metadata.
 ///
-/// `StencilDef` is cheap to clone (the expression and metadata are shared
-/// behind an `Arc`), which matters because the tuner evaluates hundreds of
-/// blocking configurations against the same definition.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// Everything is derived once, in [`StencilDef::new`]; every accessor
+/// reads a field. A clone shares the name, the expression tree and the
+/// shape summary (its tap list: 729 offsets for `box3d4r`) behind `Arc`s
+/// and copies only a few integers and flags, which matters because the
+/// tuner builds a plan — and so clones the definition — for each of
+/// hundreds of blocking configurations.
+#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StencilDef {
-    name: String,
+    name: Arc<str>,
     expr: Arc<Expr>,
-    shape: ShapeInfo,
+    shape: Arc<ShapeInfo>,
     flops: FlopCount,
     op_mix: OpMix,
     associative: bool,
+    division: bool,
 }
 
 impl StencilDef {
@@ -85,13 +89,15 @@ impl StencilDef {
         }
         let flops = expr.flop_count();
         let (op_mix, associative) = expr.op_mix_and_associativity();
+        let division = expr.contains_division();
         Ok(Self {
-            name: name.into(),
+            name: Arc::from(name.into()),
             expr: Arc::new(expr),
-            shape,
+            shape: Arc::new(shape),
             flops,
             op_mix,
             associative,
+            division,
         })
     }
 
@@ -164,10 +170,27 @@ impl StencilDef {
     }
 
     /// Does the update expression contain a division? (Relevant for the
-    /// double-precision slow-down discussed in Section 7.1.)
+    /// double-precision slow-down discussed in Section 7.1.) Not derivable
+    /// from [`StencilDef::flop_count`], which counts a `1.0 / sqrt(..)` pair
+    /// as no division.
     #[must_use]
     pub fn contains_division(&self) -> bool {
-        self.expr.contains_division()
+        self.division
+    }
+}
+
+/// The derived `Debug` without the division flag, which the printed
+/// `expr` already shows.
+impl fmt::Debug for StencilDef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StencilDef")
+            .field("name", &self.name)
+            .field("expr", &self.expr)
+            .field("shape", &self.shape)
+            .field("flops", &self.flops)
+            .field("op_mix", &self.op_mix)
+            .field("associative", &self.associative)
+            .finish()
     }
 }
 
@@ -261,5 +284,35 @@ mod tests {
         let def = StencilDef::new("j2d5pt", five_point()).unwrap();
         let copy = def.clone();
         assert_eq!(def, copy);
+        // Shared, not copied: the name, the tree and the tap list.
+        assert!(std::ptr::eq(def.name(), copy.name()));
+        assert!(std::ptr::eq(def.expr(), copy.expr()));
+        assert!(std::ptr::eq(def.shape(), copy.shape()));
+    }
+
+    #[test]
+    fn division_flag_is_the_tree_walk() {
+        for def in crate::suite::all_benchmarks() {
+            assert_eq!(
+                def.contains_division(),
+                def.expr().contains_division(),
+                "{}",
+                def.name()
+            );
+        }
+        // `1.0 / sqrt(..)` counts as no division in `FlopCount` (one rsqrt)
+        // but is one in the tree: the flag cannot come from the count.
+        let gradient = crate::suite::gradient2d();
+        assert_eq!(gradient.flop_count().div, 0);
+        assert!(gradient.contains_division());
+    }
+
+    #[test]
+    fn debug_is_the_derived_layout_without_the_division_flag() {
+        let def = StencilDef::new("j2d5pt", five_point()).unwrap();
+        let debug = format!("{def:?}");
+        assert!(debug.starts_with("StencilDef { name: \"j2d5pt\", expr: "));
+        assert!(debug.ends_with(", associative: true }"));
+        assert!(!debug.contains("division"));
     }
 }

@@ -4,7 +4,7 @@
 //! traffic are closed-form, so ranking hundreds of them costs next to
 //! nothing. That holds here: a candidate is one `KernelPlan::build` — which
 //! is also the validity check, together with the register heuristic on the
-//! plan it returns — plus one `predict` (a microsecond or two), so the
+//! plan it returns — plus one `predict` (O(ndim), under a microsecond), so the
 //! ranking sweep runs inline on the calling thread, in candidate order,
 //! with a deadline checkpoint before every candidate.
 
@@ -410,9 +410,9 @@ impl Tuner {
         // wrong blocked rank, or a halo that leaves no compute region) and
         // the plan passes the register heuristic. Candidates are evaluated
         // inline on the calling thread, in candidate order: one costs a
-        // plan build plus a closed-form prediction (a microsecond or two),
+        // plan build plus a closed-form prediction (under a microsecond),
         // which is less than handing it to another thread would.
-        let mut ranked: Vec<(BlockConfig, Arc<KernelPlan>, f64)> = Vec::new();
+        let mut ranked: Vec<(Arc<KernelPlan>, f64)> = Vec::new();
         let sweep_span = an5d_obs::Span::enter("tuner.rank_sweep");
         for config in space.iter() {
             // Deadline checkpoint per candidate, ahead of the plan build:
@@ -443,7 +443,7 @@ impl Tuner {
                 continue;
             }
             let prediction = predict(&plan, problem, &self.device);
-            ranked.push((config, plan, prediction.gflops));
+            ranked.push((plan, prediction.gflops));
         }
         drop(sweep_span);
         if ranked.is_empty() {
@@ -451,7 +451,7 @@ impl Tuner {
         }
         // Score-descending; the sort is stable, so candidate order breaks
         // ties.
-        ranked.sort_by(|a, b| cmp_scores_desc(a.2, b.2));
+        ranked.sort_by(|a, b| cmp_scores_desc(a.1, b.1));
         let ranked_candidates = ranked.len();
 
         // Step 2: "run" the model-ranked top-k through the measurement
@@ -461,7 +461,7 @@ impl Tuner {
         let mut measured: Vec<TunedCandidate> = Vec::new();
         let _measure_span = an5d_obs::Span::enter("tuner.measure_topk");
         let measure_count = ranked.len().min(self.top_k);
-        for (config, plan, predicted_gflops) in ranked.into_iter().take(self.top_k) {
+        for (plan, predicted_gflops) in ranked.into_iter().take(self.top_k) {
             // Checkpoint between top-k measurements: abort with the
             // partial count rather than measuring past the budget.
             if an5d_fault::deadline_expired() {
@@ -479,7 +479,7 @@ impl Tuner {
                 &plan,
                 problem,
                 &self.device,
-                &config,
+                plan.config(),
                 predicted_gflops,
             ) {
                 measured.push(c);

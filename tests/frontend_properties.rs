@@ -1,5 +1,6 @@
 //! Property-based tests of the C frontend: emitted source parses back to
-//! the definition it was emitted from, no input panics the parser, and the
+//! the definition it was emitted from (division flag included), no input
+//! panics the parser, and the
 //! parser's two limits (nesting depth, nodes of the update expression) hold
 //! — an input at each limit runs the whole pipeline on the 2 MiB stack a
 //! service worker has, an input past either is an error, not a deep
@@ -96,6 +97,15 @@ fn assert_round_trip(def: &StencilDef) {
     let source = emit_c_source(def, "A");
     let detected = parse_stencil(&source, def.name()).unwrap_or_else(|e| panic!("{e}\n{source}"));
     assert_eq!(&detected.def, def, "{source}");
+    // The flag `StencilDef::new` caches is the walk over the tree, on the
+    // built definition and on the parsed one.
+    for def in [def, &detected.def] {
+        assert_eq!(
+            def.contains_division(),
+            def.expr().contains_division(),
+            "{source}"
+        );
+    }
     assert_eq!(detected.array_name, "A");
     assert_eq!(detected.time_var, "t");
     assert_eq!(detected.space_vars, ["i", "j", "k"][..def.ndim()]);
