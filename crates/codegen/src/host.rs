@@ -1,6 +1,6 @@
 //! Host-side CUDA driver generation (Section 4.3.1).
 
-use crate::write_list;
+use crate::{kernel_name, write_list};
 use an5d_plan::KernelPlan;
 use std::fmt::{self, Write};
 
@@ -12,18 +12,18 @@ use std::fmt::{self, Write};
 /// driver statically emits conditional branches that shorten the final
 /// temporal block whenever `I_T mod bT ≠ 0` or the parity of the number of
 /// launches would leave the result in the wrong buffer.
-#[must_use]
-pub fn generate_host(plan: &KernelPlan, kernel_name: &str) -> String {
+pub(crate) fn generate_host(plan: &KernelPlan) -> String {
     let mut out = String::new();
-    write_host(&mut out, plan, kernel_name).expect("writing to a String cannot fail");
+    write_host(&mut out, plan).expect("writing to a String cannot fail");
     out
 }
 
-fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Result {
+fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     let def = plan.def();
     let config = plan.config();
     let scalar = config.precision().cuda_type();
     let bt = config.bt();
+    let name = kernel_name(plan, bt);
     let ndim = def.ndim();
     let rad = def.radius();
     let nthr = plan.geometry().nthr;
@@ -33,11 +33,12 @@ fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Re
     let extents = |prefix: &'static str| {
         (0..ndim).map(move |d| fmt::from_fn(move |f| write!(f, "{prefix}i_s{}", ndim - d)))
     };
-    // One launch advancing `steps` time-steps from buffer `t % 2`.
-    let launch = |out: &mut String, kernel: &str, steps: usize| -> fmt::Result {
+    // One launch of the kernel for `steps` time-steps, from buffer `t % 2`.
+    let launch = |out: &mut String, steps: usize| -> fmt::Result {
         write!(
             out,
-            "        {kernel}<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {steps}) % 2], "
+            "        {}<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {steps}) % 2], ",
+            kernel_name(plan, steps)
         )?;
         write_list(out, extents(""))?;
         writeln!(out, ", 0, i_s{ndim});")
@@ -52,7 +53,7 @@ fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Re
     out.push_str("#include <cuda_runtime.h>\n#include <cstdio>\n\n");
     write!(
         out,
-        "extern __global__ void {kernel_name}(const {scalar}*, {scalar}*, "
+        "extern __global__ void {name}(const {scalar}*, {scalar}*, "
     )?;
     write_list(out, (0..ndim).map(|_| "const int"))?;
     out.push_str(", const int, const int);\n\n");
@@ -60,7 +61,7 @@ fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Re
     write!(
         out,
         "/* Advances the solution by i_t time-steps; the result ends up in h_a,\n   exactly as the original double-buffered C code would leave it. */\n\
-         int {kernel_name}_host({scalar}* h_a, "
+         int {name}_host({scalar}* h_a, "
     )?;
     write_list(out, extents("const int "))?;
     out.push_str(", const int i_t)\n{\n");
@@ -96,7 +97,7 @@ fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Re
     )?;
     out.push_str("    int t = 0;\n");
     writeln!(out, "    for (; t + {bt} <= i_t; t += {bt}) {{")?;
-    launch(out, kernel_name, bt)?;
+    launch(out, bt)?;
     out.push_str("    }\n\n");
 
     out.push_str("    /* Remainder handling (Section 4.3.1): statically generated branches\n");
@@ -104,11 +105,7 @@ fn write_host(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Re
     out.push_str("       parity would leave the result in the wrong buffer. */\n");
     for remainder in 1..bt {
         writeln!(out, "    if (i_t - t == {remainder}) {{")?;
-        launch(
-            out,
-            &kernel_name.replace(&format!("_bt{bt}"), &format!("_bt{remainder}")),
-            remainder,
-        )?;
+        launch(out, remainder)?;
         write!(out, "        t += {remainder};\n    }}\n")?;
     }
     out.push('\n');
@@ -140,14 +137,14 @@ mod tests {
         let problem = StencilProblem::new(def.clone(), &interior, 100).unwrap();
         let config = BlockConfig::new(bt, &bs, Some(128), Precision::Single).unwrap();
         let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
-        generate_host(&plan, &format!("an5d_test_bt{bt}"))
+        generate_host(&plan)
     }
 
     #[test]
     fn host_launches_one_kernel_per_temporal_block() {
         let src = host_for(4, 2);
         assert!(src.contains("for (; t + 4 <= i_t; t += 4)"));
-        assert!(src.contains("an5d_test_bt4<<<grid, block>>>"));
+        assert!(src.contains("an5d_j2d5pt_bt4<<<grid, block>>>"));
         assert!(src.contains("d_buf[t % 2], d_buf[(t + 4) % 2]"));
     }
 
@@ -159,7 +156,7 @@ mod tests {
                 src.contains(&format!("if (i_t - t == {remainder})")),
                 "missing branch for remainder {remainder}"
             );
-            assert!(src.contains(&format!("an5d_test_bt{remainder}<<<grid, block>>>")));
+            assert!(src.contains(&format!("an5d_j2d5pt_bt{remainder}<<<grid, block>>>")));
         }
         // bT = 1 needs no remainder branch at all.
         let src1 = host_for(1, 2);

@@ -1,6 +1,6 @@
 //! Kernel-side CUDA code generation (Fig. 5 structure).
 
-use crate::write_list;
+use crate::{kernel_name_for, write_list};
 use an5d_expr::Offset;
 use an5d_plan::{KernelPlan, MacroOp, OptimizationClass, Phase, RegSlot};
 use std::fmt::{self, Write};
@@ -12,14 +12,13 @@ use std::fmt::{self, Write};
 /// accesses by routing every load through a device function), the `LOAD` /
 /// `CALC1..bT` / `STORE` macros, and the kernel body with its head, inner
 /// and tail phases.
-#[must_use]
-pub fn generate_kernel(plan: &KernelPlan, kernel_name: &str) -> String {
+pub(crate) fn generate_kernel(plan: &KernelPlan) -> String {
     let mut out = String::new();
-    write_kernel(&mut out, plan, kernel_name).expect("writing to a String cannot fail");
+    write_kernel(&mut out, plan).expect("writing to a String cannot fail");
     out
 }
 
-fn write_kernel(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::Result {
+fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     let def = plan.def();
     let config = plan.config();
     let scalar = config.precision().cuda_type();
@@ -63,7 +62,8 @@ fn write_kernel(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::
     // Kernel signature.
     write!(
         out,
-        "__global__ void {kernel_name}(const {scalar}* __restrict__ a_in, {scalar}* __restrict__ a_out, "
+        "__global__ void {}(const {scalar}* __restrict__ a_in, {scalar}* __restrict__ a_out, ",
+        kernel_name_for(plan)
     )?;
     write_list(
         out,
@@ -96,8 +96,8 @@ fn write_kernel(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::
 
     // Head phase.
     out.push_str("    /* Head phase: statically generated pipeline fill (Section 4.3.2) */\n");
-    for op in schedule.head() {
-        write_op(out, &op, Phase::Head)?;
+    for op in schedule.ops(Phase::Head) {
+        write_op(out, op, Phase::Head)?;
     }
     out.push('\n');
 
@@ -108,16 +108,16 @@ fn write_kernel(out: &mut String, plan: &KernelPlan, kernel_name: &str) -> fmt::
         "    int s = stream_begin + {};\n    for (; s + {unroll} <= stream_end; s += {unroll}) {{\n",
         schedule.head_planes()
     )?;
-    for op in schedule.inner() {
+    for op in schedule.ops(Phase::Inner) {
         out.push_str("    ");
-        write_op(out, &op, Phase::Inner)?;
+        write_op(out, op, Phase::Inner)?;
     }
     out.push_str("    }\n\n");
 
     // Tail phase.
     out.push_str("    /* Tail phase: statically generated pipeline drain */\n");
-    for op in schedule.tail() {
-        write_op(out, &op, Phase::Tail)?;
+    for op in schedule.ops(Phase::Tail) {
+        write_op(out, op, Phase::Tail)?;
     }
 
     out.push_str("}\n");
@@ -144,7 +144,7 @@ fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) -> fmt::Resul
         .map(|buffer| render_update_expression(plan, buffer))
         .collect();
     for t in 1..=bt {
-        let buffer = (t + 1) % 2;
+        let buffer = plan.schedule().shared_buffer(t);
         writeln!(
             out,
             "/* CALC{t}: compute one sub-plane of time-step {t} from the {unroll} source registers of time-step {} */",
@@ -194,11 +194,11 @@ fn render_update_expression(plan: &KernelPlan, buffer: usize) -> String {
             )
         }
     };
-    def.expr().to_c(&access).replace('\n', " ")
+    def.expr().to_c(&access)
 }
 
 /// Write one macro call of the schedule as a source line.
-fn write_op(out: &mut String, op: &MacroOp, phase: Phase) -> fmt::Result {
+fn write_op(out: &mut String, op: MacroOp, phase: Phase) -> fmt::Result {
     let plane = |p: i64| {
         fmt::from_fn(move |f| match phase {
             Phase::Inner if p == 0 => f.write_str("s"),
@@ -208,22 +208,13 @@ fn write_op(out: &mut String, op: &MacroOp, phase: Phase) -> fmt::Result {
         })
     };
     match op {
-        MacroOp::Load { dst, plane: p } => writeln!(out, "    LOAD({dst}, {});", plane(*p)),
+        MacroOp::Load { dst, plane: p } => writeln!(out, "    LOAD({dst}, {});", plane(p)),
         MacroOp::Calc {
             time_step,
             dst,
             srcs,
-            ..
-        } => {
-            write!(out, "    CALC{time_step}({dst}, ")?;
-            write_list(out, srcs)?;
-            out.write_str(");\n")
-        }
-        MacroOp::Store { plane: p, regs } => {
-            write!(out, "    STORE({}, ", plane(*p))?;
-            write_list(out, regs)?;
-            out.write_str(");\n")
-        }
+        } => writeln!(out, "    CALC{time_step}({dst}, {srcs});"),
+        MacroOp::Store { plane: p, regs } => writeln!(out, "    STORE({}, {regs});", plane(p)),
         MacroOp::Sync => out.write_str("    __syncthreads();\n"),
     }
 }
@@ -250,11 +241,45 @@ mod tests {
     }
 
     #[test]
+    fn printed_body_has_one_line_per_op_of_the_walk() {
+        for (def, bs) in [
+            (suite::j2d9pt(), &[512][..]),
+            (suite::star3d(1), &[32, 32][..]),
+        ] {
+            for bt in [1, 4, 10] {
+                let plan = plan_for(def.clone(), bt, bs, Precision::Single);
+                let src = generate_kernel(&plan);
+                let (_, body) = src.split_once("/* Head phase").unwrap();
+                let (head, rest) = body.split_once("/* Inner phase").unwrap();
+                let (inner, tail) = rest.split_once("/* Tail phase").unwrap();
+                for (phase, text) in [
+                    (Phase::Head, head),
+                    (Phase::Inner, inner),
+                    (Phase::Tail, tail),
+                ] {
+                    let printed = ["LOAD(", "CALC", "STORE(", "__syncthreads();"].map(|op| {
+                        text.lines()
+                            .filter(|line| line.trim_start().starts_with(op))
+                            .count()
+                    });
+                    let mut walked = [0; 4];
+                    for op in plan.schedule().ops(phase) {
+                        walked[match op {
+                            MacroOp::Load { .. } => 0,
+                            MacroOp::Calc { .. } => 1,
+                            MacroOp::Store { .. } => 2,
+                            MacroOp::Sync => 3,
+                        }] += 1;
+                    }
+                    assert_eq!(printed, walked, "{} bT={bt} {phase:?}", def.name());
+                }
+            }
+        }
+    }
+
+    #[test]
     fn kernel_has_double_buffered_shared_memory() {
-        let src = generate_kernel(
-            &plan_for(suite::j2d5pt(), 4, &[256], Precision::Single),
-            "k",
-        );
+        let src = generate_kernel(&plan_for(suite::j2d5pt(), 4, &[256], Precision::Single));
         assert_eq!(count(&src, "__shared__ float sm"), 2);
         assert!(src.contains("sm0["));
         assert!(src.contains("sm1["));
@@ -263,10 +288,7 @@ mod tests {
     #[test]
     fn kernel_defines_one_calc_macro_per_time_step() {
         for bt in [1usize, 4, 10] {
-            let src = generate_kernel(
-                &plan_for(suite::star2d(1), bt, &[512], Precision::Single),
-                "k",
-            );
+            let src = generate_kernel(&plan_for(suite::star2d(1), bt, &[512], Precision::Single));
             assert_eq!(count(&src, "#define CALC"), bt, "bT={bt}");
             assert!(src.contains(&format!("CALC{bt}(")), "bT={bt}");
         }
@@ -275,7 +297,7 @@ mod tests {
     #[test]
     fn kernel_declares_fixed_register_windows() {
         let plan = plan_for(suite::j2d9pt(), 3, &[256], Precision::Single);
-        let src = generate_kernel(&plan, "k");
+        let src = generate_kernel(&plan);
         // bT streams × (2·rad + 1) = 3 × 5 registers, all declared once.
         for t in 0..3 {
             for m in 0..5 {
@@ -289,10 +311,7 @@ mod tests {
 
     #[test]
     fn kernel_has_head_inner_tail_phases_and_barriers() {
-        let src = generate_kernel(
-            &plan_for(suite::j2d5pt(), 4, &[256], Precision::Single),
-            "k",
-        );
+        let src = generate_kernel(&plan_for(suite::j2d5pt(), 4, &[256], Precision::Single));
         assert!(src.contains("Head phase"));
         assert!(src.contains("Inner phase"));
         assert!(src.contains("Tail phase"));
@@ -302,25 +321,16 @@ mod tests {
 
     #[test]
     fn kernel_scalar_type_follows_precision() {
-        let single = generate_kernel(
-            &plan_for(suite::j2d5pt(), 2, &[256], Precision::Single),
-            "k",
-        );
+        let single = generate_kernel(&plan_for(suite::j2d5pt(), 2, &[256], Precision::Single));
         assert!(single.contains("const float* __restrict__ a_in"));
-        let double = generate_kernel(
-            &plan_for(suite::j2d5pt(), 2, &[256], Precision::Double),
-            "k",
-        );
+        let double = generate_kernel(&plan_for(suite::j2d5pt(), 2, &[256], Precision::Double));
         assert!(double.contains("const double* __restrict__ a_in"));
         assert!(double.contains("__shared__ double sm0"));
     }
 
     #[test]
     fn star_stencil_reads_streaming_column_from_registers_only() {
-        let src = generate_kernel(
-            &plan_for(suite::star3d(1), 2, &[32, 32], Precision::Single),
-            "k",
-        );
+        let src = generate_kernel(&plan_for(suite::star3d(1), 2, &[32, 32], Precision::Single));
         // CALC macro body: axial streaming neighbours are register params
         // r0/r2, the centre column r1; in-plane neighbours go through the
         // shared-memory wrapper.
@@ -331,19 +341,13 @@ mod tests {
 
     #[test]
     fn box_stencil_mentions_partial_summation() {
-        let src = generate_kernel(
-            &plan_for(suite::box2d(1), 2, &[256], Precision::Single),
-            "k",
-        );
+        let src = generate_kernel(&plan_for(suite::box2d(1), 2, &[256], Precision::Single));
         assert!(src.contains("partial summations"));
     }
 
     #[test]
     fn shared_memory_loads_go_through_wrapper_function() {
-        let src = generate_kernel(
-            &plan_for(suite::j2d9pt_gol(), 2, &[256], Precision::Single),
-            "k",
-        );
+        let src = generate_kernel(&plan_for(suite::j2d9pt_gol(), 2, &[256], Precision::Single));
         assert!(src.contains("__device__ __forceinline__ float an5d_sm_load"));
         // Every shared read in the CALC bodies uses the wrapper.
         assert!(count(&src, "an5d_sm_load(sm") >= 4);
@@ -351,20 +355,14 @@ mod tests {
 
     #[test]
     fn three_dimensional_kernel_uses_two_thread_dimensions() {
-        let src = generate_kernel(
-            &plan_for(suite::j3d27pt(), 2, &[32, 16], Precision::Single),
-            "k",
-        );
+        let src = generate_kernel(&plan_for(suite::j3d27pt(), 2, &[32, 16], Precision::Single));
         assert!(src.contains("const int ty = threadIdx.y;"));
         assert!(src.contains("AN5D_BS2"));
     }
 
     #[test]
     fn defines_reflect_configuration() {
-        let src = generate_kernel(
-            &plan_for(suite::j2d5pt(), 7, &[512], Precision::Single),
-            "k",
-        );
+        let src = generate_kernel(&plan_for(suite::j2d5pt(), 7, &[512], Precision::Single));
         assert!(src.contains("#define AN5D_BT 7"));
         assert!(src.contains("#define AN5D_RAD 1"));
         assert!(src.contains("#define AN5D_NTHR 512"));

@@ -13,12 +13,15 @@
 //!   block, including the shortened final block that handles
 //!   `I_T mod bT ≠ 0` and the buffer-parity adjustment of Section 4.3.1.
 //!
-//! There is no CUDA toolchain in this environment, so the generated code is
-//! validated structurally (tests assert the properties the paper describes:
-//! exactly two shared buffers, one store per sub-plane update, no register
-//! shifting, `2·rad + 1`-way unrolled steady state, per-time-step barriers)
-//! and semantically through the `an5d-gpusim` executor, which implements
-//! the same schedule the code expresses.
+//! The kernel body is printed straight from the schedule's lazy walk,
+//! [`an5d_plan::KernelSchedule::ops`]. Nothing in the workspace compiles or
+//! runs the generated code, and the `an5d-gpusim` executor reads only the
+//! schedule's `syncs_per_plane`, so the code is validated structurally
+//! (tests assert the properties the paper describes: exactly two shared
+//! buffers, one store per sub-plane update, no register shifting,
+//! `2·rad + 1`-way unrolled steady state, per-time-step barriers, one
+//! printed line per op of the walk) and pinned byte for byte by
+//! `tests/golden_cuda.txt`.
 //!
 //! # Example
 //!
@@ -42,9 +45,6 @@
 
 mod host;
 mod kernel;
-
-pub use host::generate_host;
-pub use kernel::generate_kernel;
 
 use an5d_plan::KernelPlan;
 use std::fmt::{self, Write};
@@ -85,22 +85,23 @@ impl CudaCode {
 /// Generate CUDA host and kernel code for a plan.
 #[must_use]
 pub fn generate(plan: &KernelPlan) -> CudaCode {
-    let kernel_name = kernel_name_for(plan);
     CudaCode {
-        kernel_source: generate_kernel(plan, &kernel_name),
-        host_source: generate_host(plan, &kernel_name),
-        kernel_name,
+        kernel_name: kernel_name_for(plan),
+        kernel_source: kernel::generate_kernel(plan),
+        host_source: host::generate_host(plan),
     }
 }
 
 /// The generated kernel's identifier, e.g. `an5d_j2d5pt_bt4`.
 #[must_use]
 pub fn kernel_name_for(plan: &KernelPlan) -> String {
-    format!(
-        "an5d_{}_bt{}",
-        plan.def().name().replace('-', "_"),
-        plan.config().bt()
-    )
+    kernel_name(plan, plan.config().bt())
+}
+
+/// The identifier of `plan`'s stencil compiled for `bt` time-steps per
+/// launch (the host's shortened final block launches `bt < bT`).
+fn kernel_name(plan: &KernelPlan, bt: usize) -> String {
+    format!("an5d_{}_bt{bt}", plan.def().name().replace('-', "_"))
 }
 
 #[cfg(test)]
@@ -108,7 +109,7 @@ mod tests {
     use super::*;
     use an5d_grid::Precision;
     use an5d_plan::{BlockConfig, FrameworkScheme};
-    use an5d_stencil::{suite, StencilProblem};
+    use an5d_stencil::{suite, StencilDef, StencilProblem};
 
     fn plan(bt: usize) -> KernelPlan {
         let def = suite::j2d5pt();
@@ -133,5 +134,24 @@ mod tests {
         let config = BlockConfig::new(2, &[256], None, Precision::Single).unwrap();
         let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
         assert_eq!(kernel_name_for(&plan), "an5d_j2d9pt_gol_bt2");
+    }
+
+    #[test]
+    fn remainder_launches_follow_the_naming_rule() {
+        // A stencil whose own name ends in `_bt2`: rewriting the `_bt2` of
+        // the full name would launch `an5d_heat_bt1_bt1` for the remainder.
+        let def = StencilDef::new("heat_bt2", suite::j2d5pt().expr().clone()).unwrap();
+        let problem = StencilProblem::new(def.clone(), &[1024, 1024], 10).unwrap();
+        let config = BlockConfig::new(2, &[256], None, Precision::Single).unwrap();
+        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+        let code = generate(&plan);
+        assert_eq!(code.kernel_name, "an5d_heat_bt2_bt2");
+        assert!(code.kernel_source.contains("void an5d_heat_bt2_bt2("));
+        assert!(code
+            .host_source
+            .contains("an5d_heat_bt2_bt2<<<grid, block>>>"));
+        assert!(code
+            .host_source
+            .contains("an5d_heat_bt2_bt1<<<grid, block>>>"));
     }
 }

@@ -277,7 +277,8 @@ impl Expr {
 }
 
 /// A C float literal: `2.0f`, `0.25f`.
-fn format_literal(value: f64) -> String {
+#[must_use]
+pub fn format_literal(value: f64) -> String {
     if value == value.trunc() && value.abs() < 1e15 {
         format!("{value:.1}f")
     } else {

@@ -89,7 +89,7 @@ impl Expr {
     #[must_use]
     pub fn flop_count(&self) -> FlopCount {
         let mut count = FlopCount::default();
-        count_into(self, &mut count);
+        tally_flops(self, &mut count);
         count
     }
 
@@ -126,13 +126,13 @@ impl Expr {
     }
 }
 
-fn count_into(expr: &Expr, count: &mut FlopCount) {
+fn tally_flops(expr: &Expr, count: &mut FlopCount) {
     match expr {
         Expr::Const(_) | Expr::Cell(_) => {}
-        Expr::Unary(UnOp::Neg, a) => count_into(a, count),
+        Expr::Unary(UnOp::Neg, a) => tally_flops(a, count),
         Expr::Unary(UnOp::Sqrt, a) => {
             count.sqrt += 1;
-            count_into(a, count);
+            tally_flops(a, count);
         }
         Expr::Binary(op, a, b) => {
             match op {
@@ -148,8 +148,8 @@ fn count_into(expr: &Expr, count: &mut FlopCount) {
                     }
                 }
             }
-            count_into(a, count);
-            count_into(b, count);
+            tally_flops(a, count);
+            tally_flops(b, count);
         }
     }
 }

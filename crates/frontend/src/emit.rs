@@ -7,7 +7,7 @@
 //! definition (round-trip property, covered by the crate tests and the
 //! cross-crate integration tests).
 
-use an5d_expr::{BinOp, Expr, Offset, UnOp};
+use an5d_expr::{format_literal, BinOp, Expr, Offset, UnOp};
 use an5d_stencil::StencilDef;
 
 /// Names of the spatial loop variables, outermost (streaming) first.
@@ -103,14 +103,6 @@ where
         format!("({body})")
     } else {
         body
-    }
-}
-
-fn format_literal(value: f64) -> String {
-    if value == value.trunc() && value.abs() < 1e15 {
-        format!("{value:.1}f")
-    } else {
-        format!("{value}f")
     }
 }
 

@@ -54,6 +54,6 @@ mod tiling;
 pub use config::{BlockConfig, BlockGeometry, PlanError};
 pub use plan::KernelPlan;
 pub use resources::{expected_shared_reads, practical_shared_reads, RegisterCap, ResourceUsage};
-pub use schedule::{KernelSchedule, MacroCall, MacroOp, Phase, RegSlot};
+pub use schedule::{KernelSchedule, MacroOp, Phase, RegSlot, RegWindow};
 pub use scheme::{FrameworkScheme, OptimizationClass, RegisterScheme, SharedMemoryScheme};
 pub use tiling::{DimTile, DimTiling};

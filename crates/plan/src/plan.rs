@@ -1,8 +1,8 @@
 //! The complete kernel plan: configuration + scheme + derived artefacts.
 //!
 //! Everything a plan carries is closed-form in `(stencil, problem, bT,
-//! bS, hS_N)` — geometry, resources, and a schedule that is three
-//! integers until the code generator asks for its macro listing — and the
+//! bS, hS_N)` — geometry, resources, and a schedule that is two integers
+//! `(bT, rad)`, whose macro calls the code generator walks as it prints — and the
 //! definition it keeps is shared, not copied (cloning a `StencilDef` bumps
 //! three reference counts; the tap list stays where it is), so building
 //! one costs a fraction of a microsecond and three small allocations (the
@@ -125,8 +125,8 @@ impl KernelPlan {
         &self.resources
     }
 
-    /// The head / inner / tail macro schedule (its listing is generated
-    /// when asked for, see [`KernelSchedule`]).
+    /// The head / inner / tail macro schedule (its macro calls are walked
+    /// when asked for, see [`KernelSchedule::ops`]).
     #[must_use]
     pub fn schedule(&self) -> &KernelSchedule {
         &self.schedule

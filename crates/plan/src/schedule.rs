@@ -1,9 +1,9 @@
 //! The head / inner / tail macro schedule of the generated kernel (Fig. 5).
 //!
-//! The schedule is determined by `(bT, rad)` alone. [`KernelSchedule`]
-//! stores just that; what the model and the executor need from it
-//! (`syncs_per_plane`, `head_planes`) is closed-form, and the O(bT²·rad)
-//! macro listing is generated when the code generator prints it.
+//! [`KernelSchedule`] stores `(bT, rad)` alone: what the model and the
+//! executor read (`syncs_per_plane`, `head_planes`) is closed-form, and the
+//! O(bT²·rad) macro sequence is a lazy walk of `Copy` ops
+//! ([`KernelSchedule::ops`]) that the code generator prints as it goes.
 
 use crate::BlockConfig;
 use serde::{Deserialize, Serialize};
@@ -30,30 +30,64 @@ impl fmt::Display for RegSlot {
     }
 }
 
+/// Every slot of stream `time_step`'s register window in macro-argument
+/// order: `first, first + 1, …`, modulo the window size `len = 2·rad + 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct RegWindow {
+    /// Combined time-step `T` of the stream the registers belong to.
+    pub time_step: usize,
+    /// Slot of the first register in argument order.
+    pub first: usize,
+    /// Window size `2·rad + 1`: the number of registers and the modulus.
+    pub len: usize,
+}
+
+impl RegWindow {
+    /// The registers in argument order.
+    pub fn slots(self) -> impl Iterator<Item = RegSlot> {
+        (0..self.len).map(move |m| RegSlot {
+            time_step: self.time_step,
+            slot: (self.first + m) % self.len,
+        })
+    }
+}
+
+/// The argument list the code generator prints (`reg_T_a, reg_T_b, …`).
+impl fmt::Display for RegWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (m, reg) in self.slots().enumerate() {
+            if m > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "{reg}")?;
+        }
+        Ok(())
+    }
+}
+
 /// One macro call of the generated kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MacroOp {
     /// `LOAD(reg_0_M, plane)`: read one sub-plane of the input grid from
     /// global memory into a register of the T = 0 stream.
     Load {
         /// Destination register.
         dst: RegSlot,
-        /// Streaming-dimension plane index (absolute in the head/tail
-        /// phases, relative to the loop variable in the inner phase).
+        /// Streaming-dimension plane index, relative to `stream_begin` (head),
+        /// the loop variable (inner) or `stream_end` (tail).
         plane: i64,
     },
     /// `CALC_T(dst, src…)`: compute one sub-plane of combined time-step `T`
     /// from the `2·rad + 1` source registers of time-step `T − 1`, going
-    /// through the shared-memory buffer for intra-plane neighbour exchange.
+    /// through shared buffer [`KernelSchedule::shared_buffer`] for the
+    /// intra-plane neighbour exchange.
     Calc {
         /// Combined time-step being computed (1-based, up to `bT`).
         time_step: usize,
-        /// Destination register (belongs to stream `T`).
+        /// Destination register.
         dst: RegSlot,
-        /// Source registers (belong to stream `T − 1`).
-        srcs: Vec<RegSlot>,
-        /// Which of the double buffers this step writes its plane into.
-        shared_buffer: usize,
+        /// Source registers (stream `T − 1`), centred on the computed plane.
+        srcs: RegWindow,
     },
     /// `STORE(plane, regs…)`: write one finished sub-plane (time-step `bT`)
     /// back to global memory from the last stream's registers.
@@ -61,40 +95,10 @@ pub enum MacroOp {
         /// Streaming-dimension plane index (see [`MacroOp::Load::plane`]).
         plane: i64,
         /// Registers holding the finished values.
-        regs: Vec<RegSlot>,
+        regs: RegWindow,
     },
     /// `__syncthreads()` — block-wide barrier between time-step stages.
     Sync,
-}
-
-impl MacroOp {
-    /// Is this a load from global memory?
-    #[must_use]
-    pub fn is_load(&self) -> bool {
-        matches!(self, MacroOp::Load { .. })
-    }
-
-    /// Is this a store to global memory?
-    #[must_use]
-    pub fn is_store(&self) -> bool {
-        matches!(self, MacroOp::Store { .. })
-    }
-
-    /// Is this a compute macro?
-    #[must_use]
-    pub fn is_calc(&self) -> bool {
-        matches!(self, MacroOp::Calc { .. })
-    }
-}
-
-/// A macro call tagged with the phase it belongs to (useful for flattened
-/// listings and debugging output).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MacroCall {
-    /// Phase of the kernel this call belongs to.
-    pub phase: Phase,
-    /// The macro operation.
-    pub op: MacroOp,
 }
 
 /// The three phases of the generated kernel (Section 4.3.2).
@@ -109,14 +113,13 @@ pub enum Phase {
     Tail,
 }
 
-/// The complete macro schedule of one AN5D kernel: `(bT, rad)` and the
-/// listing generated from them on demand ([`head`](Self::head) /
-/// [`inner`](Self::inner) / [`tail`](Self::tail)).
+/// The complete macro schedule of one AN5D kernel: `(bT, rad)`, and the
+/// macro calls of each phase walked from them on demand
+/// ([`ops`](Self::ops)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct KernelSchedule {
     bt: usize,
     radius: usize,
-    unroll: usize,
 }
 
 impl KernelSchedule {
@@ -130,26 +133,13 @@ impl KernelSchedule {
         Self {
             bt: config.bt(),
             radius,
-            unroll: 2 * radius + 1,
         }
     }
 
-    /// Temporal blocking degree this schedule was built for.
-    #[must_use]
-    pub fn bt(&self) -> usize {
-        self.bt
-    }
-
-    /// Stencil radius this schedule was built for.
-    #[must_use]
-    pub fn radius(&self) -> usize {
-        self.radius
-    }
-
-    /// Unroll factor of the inner loop (`2·rad + 1`).
+    /// Unroll factor of the inner loop: the register window `2·rad + 1`.
     #[must_use]
     pub fn unroll(&self) -> usize {
-        self.unroll
+        2 * self.radius + 1
     }
 
     /// Planes between the load front and the store front (`bT·rad`).
@@ -161,69 +151,7 @@ impl KernelSchedule {
     /// (`bT·rad + 2·rad + 1`): the pipeline lag plus one register window.
     #[must_use]
     pub fn head_planes(&self) -> usize {
-        self.lag() as usize + self.unroll
-    }
-
-    /// Macro calls of the head (pipeline fill) phase: load planes
-    /// `0 .. head_planes` and run every stream that already has its
-    /// dependencies available.
-    #[must_use]
-    pub fn head(&self) -> Vec<MacroOp> {
-        let mut head = Vec::new();
-        for s in 0..self.head_planes() as i64 {
-            self.push_plane_step(&mut head, s, true);
-        }
-        head
-    }
-
-    /// Macro calls of one steady-state loop iteration, unrolled over the
-    /// register window; plane indices are relative to the loop variable.
-    #[must_use]
-    pub fn inner(&self) -> Vec<MacroOp> {
-        let mut inner = Vec::new();
-        for u in 0..self.unroll as i64 {
-            self.push_plane_step(&mut inner, u, false);
-        }
-        inner
-    }
-
-    /// Macro calls of the tail (pipeline drain) phase: the last `bT·rad`
-    /// planes have been loaded already; streams T ≥ 1 still need to finish
-    /// and store.
-    #[must_use]
-    pub fn tail(&self) -> Vec<MacroOp> {
-        let mut tail = Vec::new();
-        for s in 0..self.lag() {
-            self.push_drain_step(&mut tail, s);
-        }
-        tail
-    }
-
-    fn phase(&self, phase: Phase) -> Vec<MacroOp> {
-        match phase {
-            Phase::Head => self.head(),
-            Phase::Inner => self.inner(),
-            Phase::Tail => self.tail(),
-        }
-    }
-
-    /// All macro calls tagged with their phase, in program order.
-    #[must_use]
-    pub fn flattened(&self) -> Vec<MacroCall> {
-        [Phase::Head, Phase::Inner, Phase::Tail]
-            .into_iter()
-            .flat_map(|phase| {
-                self.phase(phase)
-                    .into_iter()
-                    .map(move |op| MacroCall { phase, op })
-            })
-            .collect()
-    }
-
-    /// Count macro calls of a given kind across one phase.
-    #[must_use]
-    pub fn count_in(&self, phase: Phase, pred: impl Fn(&MacroOp) -> bool) -> usize {
-        self.phase(phase).iter().filter(|op| pred(op)).count()
+        self.lag() as usize + self.unroll()
     }
 
     /// Number of block synchronisations per streamed plane in the steady
@@ -234,97 +162,79 @@ impl KernelSchedule {
         self.bt + 1
     }
 
-    /// Emit the macro calls for advancing the pipeline by one plane at load
-    /// front `s` (absolute in the head, loop-relative in the inner phase).
-    fn push_plane_step(&self, out: &mut Vec<MacroOp>, s: i64, absolute: bool) {
-        let (bt, radius, unroll, lag) = (self.bt, self.radius, self.unroll, self.lag());
-        let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
-        out.push(MacroOp::Load {
-            dst: RegSlot {
-                time_step: 0,
-                slot: slot_of(s),
-            },
+    /// The shared buffer (`sm0` / `sm1`) that `CALC{time_step}` writes its
+    /// plane into and reads in-plane neighbours from: the two buffers
+    /// alternate between combined time-steps.
+    #[must_use]
+    pub fn shared_buffer(&self, time_step: usize) -> usize {
+        (time_step + 1) % 2
+    }
+
+    /// The macro calls of one phase in program order, made as they are
+    /// consumed: plane fronts `0 .. head_planes` in the head, one register
+    /// window in an inner-loop iteration, the last `bT·rad` in the tail.
+    pub fn ops(&self, phase: Phase) -> impl Iterator<Item = MacroOp> + '_ {
+        let fronts = match phase {
+            Phase::Head => self.head_planes() as i64,
+            Phase::Inner => self.unroll() as i64,
+            Phase::Tail => self.lag(),
+        };
+        (0..fronts).flat_map(move |s| self.step(phase, s))
+    }
+
+    /// What advancing the pipeline to plane front `s` emits in `phase`:
+    /// - the LOAD of plane `s` and its barrier, except in the tail;
+    /// - `CALC_T` of plane `s − T·rad` and its barrier, once stream `T`'s
+    ///   inputs are loaded in the head (`s ≥ T·rad`), always in the inner
+    ///   loop, and while stream `T` has planes left in the tail
+    ///   (`s < rad·(bT − T)`);
+    /// - the STORE of plane `s − bT·rad`, except in the head before the
+    ///   pipeline is full (`s < bT·rad`).
+    fn step(&self, phase: Phase, s: i64) -> impl Iterator<Item = MacroOp> + '_ {
+        let (bt, radius, lag) = (self.bt, self.radius, self.lag());
+        let load = MacroOp::Load {
+            dst: self.reg(0, s),
             plane: s,
+        };
+        let load = (phase != Phase::Tail).then_some([load, MacroOp::Sync]);
+        let calcs = (1..=bt)
+            .filter(move |&t| match phase {
+                Phase::Head => s >= (t * radius) as i64,
+                Phase::Inner => true,
+                Phase::Tail => s < (radius * (bt - t)) as i64,
+            })
+            .flat_map(move |t| {
+                let plane = s - (t * radius) as i64;
+                let calc = MacroOp::Calc {
+                    time_step: t,
+                    dst: self.reg(t.min(bt - 1), plane),
+                    srcs: self.window(t - 1, plane - radius as i64),
+                };
+                [calc, MacroOp::Sync]
+            });
+        let store = (phase != Phase::Head || s >= lag).then(|| MacroOp::Store {
+            plane: s - lag,
+            regs: self.window(bt - 1, s - lag),
         });
-        out.push(MacroOp::Sync);
-        for t in 1..=bt {
-            let dst_plane = s - (t * radius) as i64;
-            if absolute && dst_plane < 0 {
-                // This stream's dependencies are not yet available during the
-                // pipeline fill.
-                continue;
-            }
-            let srcs: Vec<RegSlot> = (-(radius as i64)..=radius as i64)
-                .map(|d| RegSlot {
-                    time_step: t - 1,
-                    slot: slot_of(dst_plane + d),
-                })
-                .collect();
-            out.push(MacroOp::Calc {
-                time_step: t,
-                dst: RegSlot {
-                    time_step: t.min(bt - 1),
-                    slot: slot_of(dst_plane),
-                },
-                srcs,
-                shared_buffer: (t + 1) % 2,
-            });
-            out.push(MacroOp::Sync);
-        }
-        let store_plane = s - lag;
-        if !absolute || store_plane >= 0 {
-            let regs: Vec<RegSlot> = (0..unroll)
-                .map(|m| RegSlot {
-                    time_step: bt - 1,
-                    slot: (slot_of(store_plane) + m) % unroll,
-                })
-                .collect();
-            out.push(MacroOp::Store {
-                plane: store_plane,
-                regs,
-            });
+        load.into_iter().flatten().chain(calcs).chain(store)
+    }
+
+    /// Stream `time_step`'s register that holds `plane`.
+    fn reg(&self, time_step: usize, plane: i64) -> RegSlot {
+        RegSlot {
+            time_step,
+            slot: plane.rem_euclid(self.unroll() as i64) as usize,
         }
     }
 
-    /// Emit the macro calls for one drain step: no more loads, the remaining
-    /// streams finish and store.
-    fn push_drain_step(&self, out: &mut Vec<MacroOp>, s: i64) {
-        let (bt, radius, unroll, lag) = (self.bt, self.radius, self.unroll, self.lag());
-        let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
-        for t in 1..=bt {
-            // Streams progressively run out of input; stream t has rad·(bT − t)
-            // planes left to compute after the last load.
-            let remaining = (radius * (bt - t)) as i64;
-            if s < remaining {
-                let dst_plane = s - (t * radius) as i64;
-                let srcs: Vec<RegSlot> = (-(radius as i64)..=radius as i64)
-                    .map(|d| RegSlot {
-                        time_step: t - 1,
-                        slot: slot_of(dst_plane + d),
-                    })
-                    .collect();
-                out.push(MacroOp::Calc {
-                    time_step: t,
-                    dst: RegSlot {
-                        time_step: t.min(bt - 1),
-                        slot: slot_of(dst_plane),
-                    },
-                    srcs,
-                    shared_buffer: (t + 1) % 2,
-                });
-                out.push(MacroOp::Sync);
-            }
+    /// Stream `time_step`'s register window, starting at the register that
+    /// holds `plane`.
+    fn window(&self, time_step: usize, plane: i64) -> RegWindow {
+        RegWindow {
+            time_step,
+            first: self.reg(time_step, plane).slot,
+            len: self.unroll(),
         }
-        let regs: Vec<RegSlot> = (0..unroll)
-            .map(|m| RegSlot {
-                time_step: bt - 1,
-                slot: (slot_of(s - lag) + m) % unroll,
-            })
-            .collect();
-        out.push(MacroOp::Store {
-            plane: s - lag,
-            regs,
-        });
     }
 }
 
@@ -338,9 +248,23 @@ mod tests {
         KernelSchedule::build(&config, radius)
     }
 
+    /// `[loads, calcs, stores, syncs]` of one phase.
+    fn counts(s: &KernelSchedule, phase: Phase) -> [usize; 4] {
+        let mut n = [0; 4];
+        for op in s.ops(phase) {
+            n[match op {
+                MacroOp::Load { .. } => 0,
+                MacroOp::Calc { .. } => 1,
+                MacroOp::Store { .. } => 2,
+                MacroOp::Sync => 3,
+            }] += 1;
+        }
+        n
+    }
+
     /// The listing (head, inner, tail) as the eager builder produced it
     /// while the schedule still stored its macro calls: the reference the
-    /// on-demand generators are compared against.
+    /// lazy walk is compared against.
     fn eager_reference(bt: usize, radius: usize) -> [Vec<MacroOp>; 3] {
         let unroll = 2 * radius + 1;
         let lag = (bt * radius) as i64;
@@ -351,22 +275,19 @@ mod tests {
                 time_step: t.min(bt - 1),
                 slot: slot_of(dst_plane),
             },
-            srcs: (-(radius as i64)..=radius as i64)
-                .map(|d| RegSlot {
-                    time_step: t - 1,
-                    slot: slot_of(dst_plane + d),
-                })
-                .collect(),
-            shared_buffer: (t + 1) % 2,
+            srcs: RegWindow {
+                time_step: t - 1,
+                first: slot_of(dst_plane - radius as i64),
+                len: unroll,
+            },
         };
         let store = |plane: i64| MacroOp::Store {
             plane,
-            regs: (0..unroll)
-                .map(|m| RegSlot {
-                    time_step: bt - 1,
-                    slot: (slot_of(plane) + m) % unroll,
-                })
-                .collect(),
+            regs: RegWindow {
+                time_step: bt - 1,
+                first: slot_of(plane),
+                len: unroll,
+            },
         };
         let plane_step = |out: &mut Vec<MacroOp>, s: i64, absolute: bool| {
             out.push(MacroOp::Load {
@@ -417,16 +338,14 @@ mod tests {
             for radius in 1..=4 {
                 let s = schedule(bt, radius);
                 let [head, inner, tail] = eager_reference(bt, radius);
-                assert_eq!(s.head(), head, "head bT={bt} rad={radius}");
-                assert_eq!(s.inner(), inner, "inner bT={bt} rad={radius}");
-                assert_eq!(s.tail(), tail, "tail bT={bt} rad={radius}");
-                let inner_syncs = inner
-                    .iter()
-                    .filter(|op| matches!(op, MacroOp::Sync))
-                    .count();
+                let walk = |phase| s.ops(phase).collect::<Vec<_>>();
+                assert_eq!(walk(Phase::Head), head, "head bT={bt} rad={radius}");
+                assert_eq!(walk(Phase::Inner), inner, "inner bT={bt} rad={radius}");
+                assert_eq!(walk(Phase::Tail), tail, "tail bT={bt} rad={radius}");
+                let inner_syncs = counts(&s, Phase::Inner)[3];
                 assert_eq!(s.syncs_per_plane(), inner_syncs / s.unroll());
                 assert_eq!(inner_syncs % s.unroll(), 0);
-                assert_eq!(s.head_planes(), s.count_in(Phase::Head, MacroOp::is_load));
+                assert_eq!(s.head_planes(), counts(&s, Phase::Head)[0]);
                 assert_eq!(s.head_planes(), bt * radius + 2 * radius + 1);
             }
         }
@@ -437,8 +356,9 @@ mod tests {
         for radius in 1..=4 {
             let s = schedule(4, radius);
             assert_eq!(s.unroll(), 2 * radius + 1);
-            assert_eq!(s.count_in(Phase::Inner, MacroOp::is_load), s.unroll());
-            assert_eq!(s.count_in(Phase::Inner, MacroOp::is_store), s.unroll());
+            let [loads, _, stores, _] = counts(&s, Phase::Inner);
+            assert_eq!(loads, s.unroll());
+            assert_eq!(stores, s.unroll());
         }
     }
 
@@ -446,7 +366,7 @@ mod tests {
     fn inner_loop_runs_every_stream_each_plane() {
         let s = schedule(4, 1);
         // Each of the 3 unrolled plane steps runs bT = 4 CALC macros.
-        assert_eq!(s.count_in(Phase::Inner, MacroOp::is_calc), 4 * 3);
+        assert_eq!(counts(&s, Phase::Inner)[1], 4 * 3);
         // One barrier per time-step per plane (plus the load barrier).
         assert_eq!(s.syncs_per_plane(), 4 + 1);
     }
@@ -455,21 +375,17 @@ mod tests {
     fn head_fills_pipeline_before_first_store() {
         let s = schedule(4, 1);
         // First store happens only once bT·rad = 4 planes have been loaded.
-        let first_store_pos = s
-            .head()
-            .iter()
-            .position(MacroOp::is_store)
-            .expect("head contains a store");
-        let loads_before: usize = s.head()[..first_store_pos]
-            .iter()
-            .filter(|op| op.is_load())
+        let loads_before = s
+            .ops(Phase::Head)
+            .take_while(|op| !matches!(op, MacroOp::Store { .. }))
+            .filter(|op| matches!(op, MacroOp::Load { .. }))
             .count();
         assert!(
             loads_before >= 5,
             "only {loads_before} loads before the first store"
         );
         // The head loads lag + unroll planes in total.
-        assert_eq!(s.count_in(Phase::Head, MacroOp::is_load), 4 + 3);
+        assert_eq!(counts(&s, Phase::Head)[0], 4 + 3);
     }
 
     #[test]
@@ -479,37 +395,45 @@ mod tests {
         // total number of CALCs in the head is Σ_T (head_planes − T·rad).
         let head_planes = 3 * 2 + 5; // lag + unroll
         let expected: usize = (1..=3).map(|t| head_planes - t * 2).sum();
-        assert_eq!(s.count_in(Phase::Head, MacroOp::is_calc), expected);
+        assert_eq!(counts(&s, Phase::Head)[1], expected);
     }
 
     #[test]
     fn tail_drains_remaining_planes_without_loads() {
         let s = schedule(4, 1);
-        assert_eq!(s.count_in(Phase::Tail, MacroOp::is_load), 0);
+        let [loads, calcs, stores, _] = counts(&s, Phase::Tail);
+        assert_eq!(loads, 0);
         // One store per drained plane; lag = bT·rad planes remain.
-        assert_eq!(s.count_in(Phase::Tail, MacroOp::is_store), 4);
+        assert_eq!(stores, 4);
         // Drain CALC count: Σ_s Σ_t [s < rad·(bT − t)] = Σ_t rad·(bT−t) for t=1..bT
         let expected: usize = (1..=4).map(|t| 4 - t).sum();
-        assert_eq!(s.count_in(Phase::Tail, MacroOp::is_calc), expected);
+        assert_eq!(calcs, expected);
     }
 
     #[test]
     fn register_slots_stay_within_window() {
+        // The windows spell the slot lists the eager builder wrote out:
+        // sources `slot_of(dst_plane + d)` for d in −rad..=rad, stored
+        // registers `(slot_of(plane) + m) mod (2·rad + 1)`.
         let s = schedule(5, 2);
-        for call in s.flattened() {
-            match call.op {
-                MacroOp::Load { dst, .. } => assert!(dst.slot < s.unroll()),
-                MacroOp::Calc { dst, srcs, .. } => {
-                    assert!(dst.slot < s.unroll());
-                    assert_eq!(srcs.len(), 2 * s.radius() + 1);
-                    for src in srcs {
-                        assert!(src.slot < s.unroll());
+        let (rad, unroll) = (2, s.unroll() as i64);
+        for phase in [Phase::Head, Phase::Inner, Phase::Tail] {
+            for op in s.ops(phase) {
+                match op {
+                    MacroOp::Load { dst, .. } => assert!(dst.slot < s.unroll()),
+                    MacroOp::Calc { dst, srcs, .. } => {
+                        assert!(dst.slot < s.unroll());
+                        assert_eq!(srcs.len, s.unroll());
+                        let want = (-rad..=rad).map(|d| (dst.slot as i64 + d).rem_euclid(unroll));
+                        assert!(srcs.slots().map(|r| r.slot as i64).eq(want), "{op:?}");
                     }
+                    MacroOp::Store { plane, regs } => {
+                        assert_eq!(regs.slots().count(), s.unroll());
+                        let want = (0..unroll).map(|m| (plane + m).rem_euclid(unroll));
+                        assert!(regs.slots().map(|r| r.slot as i64).eq(want), "{op:?}");
+                    }
+                    MacroOp::Sync => {}
                 }
-                MacroOp::Store { regs, .. } => {
-                    assert_eq!(regs.len(), s.unroll());
-                }
-                MacroOp::Sync => {}
             }
         }
     }
@@ -517,17 +441,18 @@ mod tests {
     #[test]
     fn calc_reads_previous_stream_and_writes_current() {
         let s = schedule(4, 1);
-        for call in s.flattened() {
-            if let MacroOp::Calc {
-                time_step,
-                dst,
-                srcs,
-                ..
-            } = call.op
-            {
-                assert!((1..=4).contains(&time_step));
-                assert!(srcs.iter().all(|r| r.time_step == time_step - 1));
-                assert!(dst.time_step <= 3);
+        for phase in [Phase::Head, Phase::Inner, Phase::Tail] {
+            for op in s.ops(phase) {
+                if let MacroOp::Calc {
+                    time_step,
+                    dst,
+                    srcs,
+                } = op
+                {
+                    assert!((1..=4).contains(&time_step));
+                    assert!(srcs.slots().all(|r| r.time_step == time_step - 1));
+                    assert!(dst.time_step <= 3);
+                }
             }
         }
     }
@@ -535,16 +460,8 @@ mod tests {
     #[test]
     fn shared_buffer_alternates_between_time_steps() {
         let s = schedule(4, 1);
-        let buffers: Vec<usize> = s
-            .inner()
-            .iter()
-            .filter_map(|op| match op {
-                MacroOp::Calc { shared_buffer, .. } => Some(*shared_buffer),
-                _ => None,
-            })
-            .collect();
-        assert!(buffers.contains(&0));
-        assert!(buffers.contains(&1));
+        let buffers: Vec<usize> = (1..=4).map(|t| s.shared_buffer(t)).collect();
+        assert_eq!(buffers, [0, 1, 0, 1]);
     }
 
     #[test]
@@ -557,15 +474,11 @@ mod tests {
             .to_string(),
             "reg_2_1"
         );
-    }
-
-    #[test]
-    fn flattened_preserves_phase_order() {
-        let s = schedule(2, 1);
-        let flat = s.flattened();
-        let first_inner = flat.iter().position(|c| c.phase == Phase::Inner).unwrap();
-        let first_tail = flat.iter().position(|c| c.phase == Phase::Tail).unwrap();
-        assert!(flat[..first_inner].iter().all(|c| c.phase == Phase::Head));
-        assert!(first_inner < first_tail);
+        let window = RegWindow {
+            time_step: 1,
+            first: 2,
+            len: 3,
+        };
+        assert_eq!(window.to_string(), "reg_1_2, reg_1_0, reg_1_1");
     }
 }
