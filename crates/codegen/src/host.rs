@@ -1,6 +1,6 @@
 //! Host-side CUDA driver generation (Section 4.3.1).
 
-use crate::{kernel_name, write_list};
+use crate::{push_comment_text, push_kernel_name, push_uint};
 use an5d_plan::KernelPlan;
 use std::fmt::{self, Write};
 
@@ -18,52 +18,58 @@ pub(crate) fn generate_host(plan: &KernelPlan) -> String {
     out
 }
 
+/// Append `{prefix}i_s{ndim}, …, {prefix}i_s1`.
+fn push_extents(out: &mut String, prefix: &str, ndim: usize) {
+    for d in (1..=ndim).rev() {
+        out.push_str(prefix);
+        out.push_str("i_s");
+        push_uint(out, d as u64);
+        if d > 1 {
+            out.push_str(", ");
+        }
+    }
+}
+
 fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     let def = plan.def();
     let config = plan.config();
     let scalar = config.precision().cuda_type();
     let bt = config.bt();
-    let name = kernel_name(plan, bt);
     let ndim = def.ndim();
     let rad = def.radius();
     let nthr = plan.geometry().nthr;
     let grid_dim = plan.geometry().total_thread_blocks();
 
-    // `i_s{ndim}, …, i_s1`, each prefixed with `prefix`.
-    let extents = |prefix: &'static str| {
-        (0..ndim).map(move |d| fmt::from_fn(move |f| write!(f, "{prefix}i_s{}", ndim - d)))
-    };
     // One launch of the kernel for `steps` time-steps, from buffer `t % 2`.
     let launch = |out: &mut String, steps: usize| -> fmt::Result {
+        out.push_str("        ");
+        push_kernel_name(out, plan, steps);
         write!(
             out,
-            "        {}<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {steps}) % 2], ",
-            kernel_name(plan, steps)
+            "<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {steps}) % 2], "
         )?;
-        write_list(out, extents(""))?;
+        push_extents(out, "", ndim);
         writeln!(out, ", 0, i_s{ndim});")
     };
 
-    writeln!(
-        out,
-        "// Generated by AN5D-rs: host driver for {} ({})",
-        def.name(),
-        config
-    )?;
+    out.push_str("// Generated by AN5D-rs: host driver for ");
+    push_comment_text(out, def.name());
+    writeln!(out, " ({config})")?;
     out.push_str("#include <cuda_runtime.h>\n#include <cstdio>\n\n");
-    write!(
-        out,
-        "extern __global__ void {name}(const {scalar}*, {scalar}*, "
-    )?;
-    write_list(out, (0..ndim).map(|_| "const int"))?;
-    out.push_str(", const int, const int);\n\n");
+    out.push_str("extern __global__ void ");
+    push_kernel_name(out, plan, bt);
+    write!(out, "(const {scalar}*, {scalar}*, ")?;
+    for _ in 0..ndim {
+        out.push_str("const int, ");
+    }
+    out.push_str("const int, const int);\n\n");
 
-    write!(
-        out,
-        "/* Advances the solution by i_t time-steps; the result ends up in h_a,\n   exactly as the original double-buffered C code would leave it. */\n\
-         int {name}_host({scalar}* h_a, "
-    )?;
-    write_list(out, extents("const int "))?;
+    out.push_str(
+        "/* Advances the solution by i_t time-steps; the result ends up in h_a,\n   exactly as the original double-buffered C code would leave it. */\nint ",
+    );
+    push_kernel_name(out, plan, bt);
+    write!(out, "_host({scalar}* h_a, ")?;
+    push_extents(out, "const int ", ndim);
     out.push_str(", const int i_t)\n{\n");
     out.push_str("    const size_t cells = ");
     for d in 0..ndim {

@@ -13,8 +13,15 @@
 //!   block, including the shortened final block that handles
 //!   `I_T mod bT ≠ 0` and the buffer-parity adjustment of Section 4.3.1.
 //!
-//! The kernel body is printed straight from the schedule's lazy walk,
-//! [`an5d_plan::KernelSchedule::ops`]. Nothing in the workspace compiles or
+//! The kernel file is printed in one pass into one buffer, sized up front
+//! from `(bT, rad)` and the update expression's flop count: the body
+//! straight from the schedule's lazy walk,
+//! [`an5d_plan::KernelSchedule::ops`], register names and plane indices
+//! through a small integer writer rather than `core::fmt`, and the update
+//! expression through [`an5d_expr::Expr::write_c`], which appends each leaf
+//! in place. Stencil names are free-form: the kernel identifier maps every
+//! byte outside `[A-Za-z0-9_]` to `_`, and the header comments print
+//! control characters as spaces. Nothing in the workspace compiles or
 //! runs the generated code, and the `an5d-gpusim` executor reads only the
 //! schedule's `syncs_per_plane`, so the code is validated structurally
 //! (tests assert the properties the paper describes: exactly two shared
@@ -47,20 +54,36 @@ mod host;
 mod kernel;
 
 use an5d_plan::KernelPlan;
-use std::fmt::{self, Write};
 
-/// Write `items` separated by `", "`.
-fn write_list<T: fmt::Display>(
-    out: &mut String,
-    items: impl IntoIterator<Item = T>,
-) -> fmt::Result {
-    for (index, item) in items.into_iter().enumerate() {
-        if index > 0 {
-            out.push_str(", ");
+/// Append the decimal digits of `n` (what `format!("{n}")` prints) without
+/// going through `core::fmt`.
+fn push_uint(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        write!(out, "{item}")?;
     }
-    Ok(())
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
+}
+
+/// Append `n` in decimal, with a leading `-` when negative.
+fn push_int(out: &mut String, n: i64) {
+    if n < 0 {
+        out.push('-');
+    }
+    push_uint(out, n.unsigned_abs());
+}
+
+/// Append a stencil name inside a `//` comment: control characters
+/// become spaces, so a name cannot end the comment line and start a source
+/// line of its own.
+fn push_comment_text(out: &mut String, text: &str) {
+    out.extend(text.chars().map(|c| if c.is_control() { ' ' } else { c }));
 }
 
 /// Generated CUDA sources for one stencil/configuration pair.
@@ -95,13 +118,26 @@ pub fn generate(plan: &KernelPlan) -> CudaCode {
 /// The generated kernel's identifier, e.g. `an5d_j2d5pt_bt4`.
 #[must_use]
 pub fn kernel_name_for(plan: &KernelPlan) -> String {
-    kernel_name(plan, plan.config().bt())
+    let mut name = String::new();
+    push_kernel_name(&mut name, plan, plan.config().bt());
+    name
 }
 
-/// The identifier of `plan`'s stencil compiled for `bt` time-steps per
-/// launch (the host's shortened final block launches `bt < bT`).
-fn kernel_name(plan: &KernelPlan, bt: usize) -> String {
-    format!("an5d_{}_bt{bt}", plan.def().name().replace('-', "_"))
+/// Append the identifier of `plan`'s stencil compiled for `bt` time-steps
+/// per launch (the host's shortened final block launches `bt < bT`). Every
+/// byte of the stencil name outside `[A-Za-z0-9_]` becomes `_`, so any name
+/// yields one C identifier.
+fn push_kernel_name(out: &mut String, plan: &KernelPlan, bt: usize) {
+    out.push_str("an5d_");
+    out.extend(plan.def().name().bytes().map(|b| {
+        if b.is_ascii_alphanumeric() || b == b'_' {
+            char::from(b)
+        } else {
+            '_'
+        }
+    }));
+    out.push_str("_bt");
+    push_uint(out, bt as u64);
 }
 
 #[cfg(test)]
@@ -153,5 +189,45 @@ mod tests {
         assert!(code
             .host_source
             .contains("an5d_heat_bt2_bt1<<<grid, block>>>"));
+    }
+
+    #[test]
+    fn integer_writer_prints_what_format_prints() {
+        for n in [0, 9, 10, 99, 100, u64::MAX] {
+            let mut out = String::new();
+            push_uint(&mut out, n);
+            assert_eq!(out, format!("{n}"));
+        }
+        for n in [0, 9, -1, -3, -10, i64::MIN, i64::MAX] {
+            let mut out = String::new();
+            push_int(&mut out, n);
+            assert_eq!(out, format!("{n}"));
+        }
+    }
+
+    #[test]
+    fn free_form_names_yield_one_identifier_and_one_comment_line() {
+        let def = StencilDef::new("a b\n#define X 1", suite::j2d5pt().expr().clone()).unwrap();
+        let problem = StencilProblem::new(def.clone(), &[1024, 1024], 10).unwrap();
+        let config = BlockConfig::new(2, &[256], None, Precision::Single).unwrap();
+        let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+        let code = generate(&plan);
+        let name = &code.kernel_name;
+        assert_eq!(name, "an5d_a_b__define_X_1_bt2");
+        assert!(name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'));
+        for source in [&code.kernel_source, &code.host_source] {
+            assert!(!source
+                .lines()
+                .any(|line| line.trim_start().starts_with("#define X")));
+        }
+        assert!(code
+            .kernel_source
+            .contains(&format!("__global__ void {name}(")));
+        assert!(code
+            .host_source
+            .contains(&format!("extern __global__ void {name}(")));
+        assert!(code
+            .host_source
+            .contains(&format!("        {name}<<<grid, block>>>")));
     }
 }

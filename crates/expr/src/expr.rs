@@ -1,7 +1,7 @@
 //! The stencil update-expression tree.
 
 use crate::Offset;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::Arc;
 
@@ -206,44 +206,36 @@ impl Expr {
         }
     }
 
-    /// Render the expression as C/CUDA source, using `access` to format each
-    /// neighbour access (e.g. as a register name or a shared-memory index).
-    pub fn to_c<F>(&self, access: &F) -> String
+    /// Append the expression to `out` as C/CUDA source: fully
+    /// parenthesised, constants as `float` literals, each neighbour access
+    /// appended by `access` (e.g. as a register name or a shared-memory
+    /// index). One buffer for the whole tree: a left-nested sum never
+    /// re-copies its prefix, and no leaf becomes a `String` of its own.
+    pub fn write_c<F>(&self, out: &mut String, access: &F)
     where
-        F: Fn(Offset) -> String,
-    {
-        let mut out = String::new();
-        self.render_into(&mut out, access);
-        out
-    }
-
-    /// Append the C rendering to `out` (one buffer for the whole tree: a
-    /// left-nested sum must not re-copy its prefix at every level).
-    fn render_into<F>(&self, out: &mut String, access: &F)
-    where
-        F: Fn(Offset) -> String,
+        F: Fn(&mut String, Offset),
     {
         match self {
-            Expr::Const(c) => out.push_str(&format_literal(*c)),
-            Expr::Cell(o) => out.push_str(&access(*o)),
+            Expr::Const(c) => write_literal(out, *c),
+            Expr::Cell(o) => access(out, *o),
             Expr::Unary(op, a) => {
                 out.push_str(match op {
                     UnOp::Neg => "(-",
                     UnOp::Sqrt => "sqrt(",
                 });
-                a.render_into(out, access);
+                a.write_c(out, access);
                 out.push(')');
             }
             Expr::Binary(op, a, b) => {
                 out.push('(');
-                a.render_into(out, access);
+                a.write_c(out, access);
                 out.push_str(match op {
                     BinOp::Add => " + ",
                     BinOp::Sub => " - ",
                     BinOp::Mul => " * ",
                     BinOp::Div => " / ",
                 });
-                b.render_into(out, access);
+                b.write_c(out, access);
                 out.push(')');
             }
         }
@@ -276,14 +268,14 @@ impl Expr {
     }
 }
 
-/// A C float literal: `2.0f`, `0.25f`.
-#[must_use]
-pub fn format_literal(value: f64) -> String {
-    if value == value.trunc() && value.abs() < 1e15 {
-        format!("{value:.1}f")
+/// Append a C float literal: `2.0f`, `0.25f`.
+fn write_literal(out: &mut String, value: f64) {
+    let written = if value == value.trunc() && value.abs() < 1e15 {
+        write!(out, "{value:.1}f")
     } else {
-        format!("{value}f")
-    }
+        write!(out, "{value}f")
+    };
+    written.expect("writing to a String cannot fail");
 }
 
 impl Add for Expr {
@@ -323,7 +315,11 @@ impl Neg for Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_c(&|o: Offset| format!("A{o}")))
+        let mut out = String::new();
+        self.write_c(&mut out, &|out: &mut String, o: Offset| {
+            write!(out, "A{o}").expect("writing to a String cannot fail");
+        });
+        f.write_str(&out)
     }
 }
 
@@ -403,9 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn to_c_renders_parenthesised_source() {
+    fn write_c_renders_parenthesised_source() {
         let e = Expr::constant(2.0) * Expr::cell(&[0, 1]);
-        let s = e.to_c(&|o| format!("A[i{:+}][j{:+}]", o.component(0), o.component(1)));
+        let mut s = String::new();
+        e.write_c(&mut s, &|out: &mut String, o: Offset| {
+            write!(out, "A[i{:+}][j{:+}]", o.component(0), o.component(1)).unwrap();
+        });
         assert_eq!(s, "(2.0f * A[i+0][j+1])");
     }
 

@@ -44,7 +44,7 @@ mod linear;
 mod offset;
 mod shape;
 
-pub use expr::{format_literal, BinOp, Expr, UnOp};
+pub use expr::{BinOp, Expr, UnOp};
 pub use flops::{FlopCount, OpMix};
 pub use linear::{LinearForm, LinearTerm};
 pub use offset::Offset;

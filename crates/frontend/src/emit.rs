@@ -7,7 +7,7 @@
 //! definition (round-trip property, covered by the crate tests and the
 //! cross-crate integration tests).
 
-use an5d_expr::{format_literal, BinOp, Expr, Offset, UnOp};
+use an5d_expr::{BinOp, Expr, Offset, UnOp};
 use an5d_stencil::StencilDef;
 
 /// Names of the spatial loop variables, outermost (streaming) first.
@@ -77,7 +77,11 @@ where
 {
     let own = precedence(expr);
     let body = match expr {
-        Expr::Const(c) => format_literal(*c),
+        Expr::Const(_) => {
+            let mut literal = String::new();
+            expr.write_c(&mut literal, &|_, _| {});
+            literal
+        }
         Expr::Cell(offset) => access(*offset),
         // Unary minus binds tighter than any binary operator.
         Expr::Unary(UnOp::Neg, a) => format!("(-{})", render_expr(a, 3, access)),
