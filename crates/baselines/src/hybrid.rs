@@ -53,7 +53,7 @@ pub fn hybrid_measurement(
     let rad = def.radius();
     let ndim = def.ndim();
     let bytes = precision.bytes() as u128;
-    let cells_per_step = problem.cells_per_step() as u128;
+    let cells_per_step = problem.cells_per_step();
     let steps = problem.time_steps() as u128;
     let flops_per_cell = def.flops_per_cell() as u128;
     let sm_per_update = (practical_shared_reads(def) + 1) as u128;

@@ -32,7 +32,7 @@ pub fn loop_tiling_measurement(
     let def = problem.def();
     let bytes = precision.bytes() as u128;
     let rad = def.radius();
-    let cells_per_step = problem.cells_per_step() as u128;
+    let cells_per_step = problem.cells_per_step();
     let steps = problem.time_steps() as u128;
 
     // Per tile and time-step: the tile plus its halo is read, the tile is

@@ -60,7 +60,9 @@ pub use an5d_grid::{
     default_tolerance, DoubleBuffer, Element, Grid, GridDiff, GridInit, Precision,
 };
 
-pub use an5d_expr::{Expr, FlopCount, LinearForm, Offset, OpMix, ShapeInfo, StencilShapeClass};
+pub use an5d_expr::{
+    BinOp, Expr, FlopCount, LinearForm, Offset, OpMix, ShapeInfo, StencilShapeClass, UnOp,
+};
 
 pub use an5d_stencil::{exec as reference, suite, StencilDef, StencilError, StencilProblem};
 

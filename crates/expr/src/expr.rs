@@ -1,5 +1,6 @@
 //! The stencil update-expression tree.
 
+use crate::facts::Walk;
 use crate::Offset;
 use std::fmt::{self, Write};
 use std::ops::{Add, Div, Mul, Neg, Sub};
@@ -104,23 +105,7 @@ impl Expr {
     /// All distinct neighbour offsets accessed by this expression, sorted.
     #[must_use]
     pub fn accessed_offsets(&self) -> Vec<Offset> {
-        let mut set = std::collections::BTreeSet::new();
-        self.collect_offsets(&mut set);
-        set.into_iter().collect()
-    }
-
-    fn collect_offsets(&self, out: &mut std::collections::BTreeSet<Offset>) {
-        match self {
-            Expr::Const(_) => {}
-            Expr::Cell(o) => {
-                out.insert(*o);
-            }
-            Expr::Unary(_, a) => a.collect_offsets(out),
-            Expr::Binary(_, a, b) => {
-                a.collect_offsets(out);
-                b.collect_offsets(out);
-            }
-        }
+        Walk::of(self).offsets
     }
 
     /// Total number of cell-access leaves (with multiplicity).

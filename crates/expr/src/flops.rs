@@ -1,5 +1,6 @@
 //! Floating-point operation counting for the Section 5 performance model.
 
+use crate::facts::Walk;
 use crate::{BinOp, Expr, UnOp};
 
 /// Raw floating-point operation count of a stencil update, "as written".
@@ -88,9 +89,7 @@ impl Expr {
     /// Count FLOPs per cell update with the Table 3 convention.
     #[must_use]
     pub fn flop_count(&self) -> FlopCount {
-        let mut count = FlopCount::default();
-        tally_flops(self, &mut count);
-        count
+        Walk::of(self).flops
     }
 
     /// Estimate the post-compilation instruction mix under fast math.
@@ -102,60 +101,33 @@ impl Expr {
     /// NVPROF when deriving `effALU`.
     #[must_use]
     pub fn op_mix(&self) -> OpMix {
-        self.op_mix_and_associativity().0
-    }
-
-    /// [`Expr::op_mix`] and [`Expr::is_associative`] from one extraction of
-    /// the linear form, which both are read from.
-    #[must_use]
-    pub fn op_mix_and_associativity(&self) -> (OpMix, bool) {
-        if let Some(form) = self.as_linear() {
-            // k products accumulated into a sum: (k-1) FMAs + 1 leading MUL.
-            let k = form.terms().len();
-            let mut mix = OpMix::default();
-            if k > 0 {
-                mix.fma = k - 1;
-                mix.mul = 1;
-            }
-            if form.constant() != 0.0 {
-                mix.add += 1;
-            }
-            return (mix, true);
-        }
-        (mix_of(self).1, false)
+        op_mix(self, &Walk::of(self))
     }
 }
 
-fn tally_flops(expr: &Expr, count: &mut FlopCount) {
-    match expr {
-        Expr::Const(_) | Expr::Cell(_) => {}
-        Expr::Unary(UnOp::Neg, a) => tally_flops(a, count),
-        Expr::Unary(UnOp::Sqrt, a) => {
-            count.sqrt += 1;
-            tally_flops(a, count);
-        }
-        Expr::Binary(op, a, b) => {
-            match op {
-                BinOp::Add | BinOp::Sub => count.add += 1,
-                BinOp::Mul => count.mul += 1,
-                BinOp::Div => {
-                    // `1.0 / sqrt(x)` fuses into a single rsqrt under fast math.
-                    if is_one(a) && matches!(**b, Expr::Unary(UnOp::Sqrt, _)) {
-                        // The sqrt will be counted when descending into `b`;
-                        // the division itself disappears.
-                    } else {
-                        count.div += 1;
-                    }
-                }
-            }
-            tally_flops(a, count);
-            tally_flops(b, count);
-        }
+/// The instruction mix of `expr`, whose walk is `walk`. A linear update
+/// with `k` terms — one per distinct offset — accumulates `k` products into
+/// a sum: `k − 1` FMAs and one leading MUL, plus one ADD for a non-zero
+/// constant. Only a non-linear update is matched greedily over the tree.
+pub(crate) fn op_mix(expr: &Expr, walk: &Walk) -> OpMix {
+    let Some(constant) = walk.linear_constant else {
+        return mix_of(expr).1;
+    };
+    let k = walk.offsets.len();
+    let mut mix = OpMix::default();
+    if k > 0 {
+        mix.fma = k - 1;
+        mix.mul = 1;
     }
+    if constant != 0.0 {
+        mix.add += 1;
+    }
+    mix
 }
 
-fn is_one(expr: &Expr) -> bool {
-    matches!(expr, Expr::Const(c) if *c == 1.0)
+/// `a / b` is `1.0 / sqrt(x)`, which fast math fuses into one rsqrt.
+pub(crate) fn is_rsqrt(a: &Expr, b: &Expr) -> bool {
+    matches!(a, Expr::Const(c) if *c == 1.0) && matches!(b, Expr::Unary(UnOp::Sqrt, _))
 }
 
 fn is_constant_subtree(expr: &Expr) -> bool {
@@ -211,7 +183,7 @@ fn mix_of(expr: &Expr) -> (bool, OpMix) {
                     }),
                 ),
                 BinOp::Div => {
-                    if is_one(a) && matches!(**b, Expr::Unary(UnOp::Sqrt, _)) {
+                    if is_rsqrt(a, b) {
                         // rsqrt: the sqrt was already counted as `other`.
                         (false, children)
                     } else if is_constant_subtree(b) {

@@ -14,6 +14,18 @@
 //! the "sum of coefficient × neighbour" normal form used by the associative
 //! stencil optimisation, and [`FlopCount`]/[`OpMix`] the operation counts.
 //!
+//! The classification, the operation counts and whether the linear form
+//! exists come from one private walk of the tree, which [`Expr::facts`]
+//! returns whole (and a stencil definition stores): it collects the cell offsets into a `Vec` that is then sorted
+//! and deduplicated, tallies the FLOPs, notes any division, and carries a
+//! scalar shadow of the linear-form extraction — per subtree, whether it
+//! reads a cell and its constant, computed with the extraction's own f64
+//! operations. A linear update's op mix follows from its tap count and that
+//! constant, so no [`LinearForm`] is built to count its terms; only a
+//! non-linear one (`gradient2d`) is walked again, for its greedy FMA match.
+//! [`Expr::shape_info`], [`Expr::flop_count`], [`Expr::op_mix`] and
+//! [`Expr::is_associative`] read the same walk.
+//!
 //! # Example
 //!
 //! ```
@@ -39,12 +51,14 @@
 #![warn(missing_docs)]
 
 mod expr;
+mod facts;
 mod flops;
 mod linear;
 mod offset;
 mod shape;
 
 pub use expr::{BinOp, Expr, UnOp};
+pub use facts::ExprFacts;
 pub use flops::{FlopCount, OpMix};
 pub use linear::{LinearForm, LinearTerm};
 pub use offset::Offset;

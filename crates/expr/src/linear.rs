@@ -1,5 +1,6 @@
 //! Extraction of the linear ("associative") normal form of a stencil.
 
+use crate::facts::Walk;
 use crate::{BinOp, Expr, Offset, UnOp};
 use std::collections::BTreeMap;
 
@@ -153,7 +154,7 @@ impl Expr {
     /// the paper's *associative stencil* condition.
     #[must_use]
     pub fn is_associative(&self) -> bool {
-        self.as_linear().is_some()
+        Walk::of(self).linear_constant.is_some()
     }
 }
 

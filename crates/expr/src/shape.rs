@@ -1,5 +1,6 @@
 //! Stencil shape classification (star / box / other).
 
+use crate::facts::Walk;
 use crate::{Expr, Offset};
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -105,40 +106,44 @@ impl Expr {
     /// neighbour at all, or [`ShapeError::MixedRank`] if accesses disagree on
     /// dimensionality.
     pub fn shape_info(&self) -> Result<ShapeInfo, ShapeError> {
-        let offsets = self.accessed_offsets();
-        if offsets.is_empty() {
-            return Err(ShapeError::NoCellAccess);
-        }
-        let ranks: BTreeSet<usize> = offsets.iter().map(Offset::ndim).collect();
-        if ranks.len() != 1 {
-            return Err(ShapeError::MixedRank {
-                ranks: ranks.into_iter().collect(),
-            });
-        }
-        let ndim = *ranks.iter().next().expect("non-empty rank set");
-        let radius = offsets
-            .iter()
-            .map(|o| o.radius() as usize)
-            .max()
-            .unwrap_or(0);
-        let diagonal_access_free = offsets.iter().all(Offset::is_axial);
-
-        let class = if diagonal_access_free {
-            StencilShapeClass::Star
-        } else if is_full_box(&offsets, ndim, radius) {
-            StencilShapeClass::Box
-        } else {
-            StencilShapeClass::Other
-        };
-
-        Ok(ShapeInfo {
-            ndim,
-            radius,
-            class,
-            offsets,
-            diagonal_access_free,
-        })
+        classify(Walk::of(self).offsets)
     }
+}
+
+/// Classify the distinct, sorted offsets an expression accesses.
+pub(crate) fn classify(offsets: Vec<Offset>) -> Result<ShapeInfo, ShapeError> {
+    let Some(first) = offsets.first() else {
+        return Err(ShapeError::NoCellAccess);
+    };
+    let ndim = first.ndim();
+    if offsets.iter().any(|o| o.ndim() != ndim) {
+        let ranks: BTreeSet<usize> = offsets.iter().map(Offset::ndim).collect();
+        return Err(ShapeError::MixedRank {
+            ranks: ranks.into_iter().collect(),
+        });
+    }
+    let radius = offsets
+        .iter()
+        .map(|o| o.radius() as usize)
+        .max()
+        .unwrap_or(0);
+    let diagonal_access_free = offsets.iter().all(Offset::is_axial);
+
+    let class = if diagonal_access_free {
+        StencilShapeClass::Star
+    } else if is_full_box(&offsets, ndim, radius) {
+        StencilShapeClass::Box
+    } else {
+        StencilShapeClass::Other
+    };
+
+    Ok(ShapeInfo {
+        ndim,
+        radius,
+        class,
+        offsets,
+        diagonal_access_free,
+    })
 }
 
 fn is_full_box(offsets: &[Offset], ndim: usize, radius: usize) -> bool {

@@ -187,18 +187,28 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// A numeric literal starting at `start`: digits, `.`, an exponent with
-    /// an optional sign, then an optional `f`/`F`. Whatever `str::parse`
-    /// refuses (`1e+`, `1.2.3`, an integer past `i64`) is a lex error at
-    /// the literal's first character.
+    /// A numeric literal starting at `start`. A run of digits not followed
+    /// by `.`, `e`, `E`, `f` or `F` is an integer, accumulated as it is
+    /// scanned; anything else is a float: digits, `.`, an exponent with an
+    /// optional sign, then an optional `f`/`F`. An integer past `i64`, or a
+    /// float `str::parse` refuses (`1e+`, `1.2.3`), is a lex error at the
+    /// literal's first character.
     fn number(&self, start: usize) -> Result<(Token<'a>, usize), FrontendError> {
         let bytes = self.source.as_bytes();
         let mut end = start;
-        let mut is_float = false;
+        let mut value = Some(0i64);
+        while let Some(&digit @ b'0'..=b'9') = bytes.get(end) {
+            value = value.and_then(|v| v.checked_mul(10)?.checked_add(i64::from(digit - b'0')));
+            end += 1;
+        }
+        if end > start && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E' | b'f' | b'F')) {
+            return value
+                .map(|value| (Token::Int(value), end - start))
+                .ok_or_else(|| self.unexpected(start));
+        }
         while let Some(&b) = bytes.get(end) {
             match b {
-                b'0'..=b'9' => {}
-                b'.' | b'e' | b'E' => is_float = true,
+                b'0'..=b'9' | b'.' | b'e' | b'E' => {}
                 b'+' | b'-' if end > start && matches!(bytes[end - 1], b'e' | b'E') => {}
                 _ => break,
             }
@@ -206,17 +216,11 @@ impl<'a> Lexer<'a> {
         }
         let text = &self.source[start..end];
         if matches!(bytes.get(end), Some(b'f' | b'F')) {
-            is_float = true;
             end += 1;
         }
-        let token = if is_float {
-            text.parse().ok().map(Token::Float)
-        } else {
-            text.parse().ok().map(Token::Int)
-        };
-        match token {
-            Some(token) => Ok((token, end - start)),
-            None => Err(self.unexpected(start)),
+        match text.parse() {
+            Ok(value) => Ok((Token::Float(value), end - start)),
+            Err(_) => Err(self.unexpected(start)),
         }
     }
 }
@@ -262,6 +266,30 @@ mod tests {
         assert_eq!(kinds(".5"), vec![Token::Float(0.5)]);
         assert_eq!(kinds("1f"), vec![Token::Float(1.0)]);
         assert_eq!(kinds("5.1fx"), vec![Token::Float(5.1), Token::Ident("x")]);
+    }
+
+    #[test]
+    fn lexes_integers_as_it_scans_them() {
+        assert_eq!(kinds("0"), vec![Token::Int(0)]);
+        assert_eq!(kinds("118"), vec![Token::Int(118)]);
+        assert_eq!(kinds("007;"), vec![Token::Int(7), Token::Semicolon]);
+        let max = i64::MAX.to_string();
+        assert_eq!(kinds(&max), vec![Token::Int(i64::MAX)]);
+        let past = (i64::MAX as u64 + 1).to_string();
+        assert_eq!(
+            tokens(&format!("a {past}")).unwrap_err(),
+            FrontendError::Lex {
+                line: 1,
+                column: 3,
+                found: '9'
+            }
+        );
+        // A run of digits that a float suffix, exponent or point follows is
+        // a float; any other byte ends the integer.
+        assert_eq!(kinds("1f"), vec![Token::Float(1.0)]);
+        assert_eq!(kinds("2e3"), vec![Token::Float(2000.0)]);
+        assert_eq!(kinds("3."), vec![Token::Float(3.0)]);
+        assert_eq!(kinds("0x1"), vec![Token::Int(0), Token::Ident("x1")]);
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! and subscripts and loop bounds are never built at all, only folded into
 //! the few forms the pattern gives a meaning (`var`, `var ± k`, `k + var`,
 //! `(…) % 2`, an integer, a symbol). There is no token vector and no C
-//! syntax tree.
+//! syntax tree. An integer literal is accumulated as its digits are
+//! scanned; only a float goes through `str::parse`.
 //!
 //! **Which error.** The parser stops at the first fault it meets reading
 //! left to right, whatever its kind: a loop's step, bound and variable are

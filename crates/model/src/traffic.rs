@@ -10,7 +10,8 @@
 //! A block's tiling is a cartesian product of per-dimension tilings and
 //! every counted quantity is a product of per-dimension factors, so the
 //! sum over all tiles is the product of per-dimension sums. Each of those
-//! is closed-form ([`an5d_plan::DimTiling::local_sum`] and its siblings:
+//! is closed-form ([`an5d_plan::DimTiling::local_and_updatable_sums`],
+//! [`an5d_plan::DimTiling::written_sum`]:
 //! clipped first tiles, an arithmetic series over the middle, clipped last
 //! tiles), so the cost is O(ndim) with no allocation and no visit to a
 //! tile, however many there are — exact in `u128`.
@@ -90,10 +91,11 @@ struct DimSums {
 
 impl DimSums {
     fn over(tiling: &DimTiling) -> Self {
+        let (local, updates) = tiling.local_and_updatable_sums();
         Self {
-            local: tiling.local_sum(),
+            local,
             written: tiling.written_sum(),
-            updates: tiling.updatable_sum(),
+            updates,
             tiles: tiling.tiles().len() as u128,
         }
     }
@@ -319,9 +321,7 @@ mod tests {
 
         // Cheap means never visiting a tile, not even along one dimension:
         // a 2⁴⁰ × 2⁴⁰ interior at bS 128 is ≈ 8.7 · 10⁹ tiles per dimension
-        // (≈ 7.5 · 10¹⁹ in all), which only a closed form finishes. Through
-        // `analytic_counters` only: `total_thread_blocks()` is a `usize`
-        // product and overflows here, so `predict` cannot take this case.
+        // (≈ 7.5 · 10¹⁹ in all), which only a closed form finishes.
         let side = 1usize << 40;
         let problem = StencilProblem::new(def.clone(), &[side, side], 3).unwrap();
         let config = BlockConfig::new(1, &[128], Some(128), Precision::Single).unwrap();
@@ -333,6 +333,16 @@ mod tests {
         assert_eq!(counters.thread_blocks, tiles * 3);
         assert_eq!(counters.kernel_launches, 3);
         assert!(counters.cell_updates > counters.valid_updates);
+        // The model takes it too: blocks per launch and the run's useful
+        // FLOPs are counted past 2⁶⁴.
+        let prediction = crate::predict(&plan, &problem, &an5d_gpusim::GpuDevice::tesla_v100());
+        assert_eq!(problem.total_cell_updates(), counters.valid_updates);
+        assert_eq!(prediction.total_flops, counters.flops);
+        assert!(prediction.eff_sm > 0.99, "{}", prediction.eff_sm);
+        assert!(
+            prediction.seconds > 0.0 && prediction.gflops > 100.0,
+            "{prediction:?}"
+        );
     }
 
     #[test]

@@ -282,10 +282,12 @@ impl BlockGeometry {
         self.tilings[0].tiles().len()
     }
 
-    /// Total thread blocks `n'tb = stream_blocks × ntb`.
+    /// Total thread blocks `n'tb = stream_blocks × ntb`, multiplied in
+    /// `u128`: past 2⁶⁴ tiles a `usize` product wraps.
     #[must_use]
-    pub fn total_thread_blocks(&self) -> usize {
-        self.stream_blocks() * self.thread_blocks()
+    pub fn total_thread_blocks(&self) -> u128 {
+        let tile_counts = self.tilings.iter().map(|tiling| tiling.tiles().len());
+        tile_counts.map(|count| count as u128).product()
     }
 }
 
@@ -341,7 +343,22 @@ mod tests {
         assert_eq!(geom.compute_region, vec![256 - 8]);
         assert_eq!(geom.thread_blocks(), 1024usize.div_ceil(248));
         assert_eq!(geom.stream_blocks(), 1);
-        assert_eq!(geom.total_thread_blocks(), geom.thread_blocks());
+        assert_eq!(geom.total_thread_blocks(), geom.thread_blocks() as u128);
+    }
+
+    #[test]
+    fn total_thread_blocks_are_counted_past_2_pow_64() {
+        // 2⁴⁰ × 2⁴⁰ at bS 128, hS_N 128: 2³³ stream blocks of
+        // ⌈2⁴⁰ / 126⌉ thread blocks, ≈ 7.5 · 10¹⁹ in all.
+        let side = 1usize << 40;
+        let problem = StencilProblem::new(suite::star2d(1), &[side, side], 3).unwrap();
+        let config = BlockConfig::new(1, &[128], Some(128), Precision::Single).unwrap();
+        let geom = config.geometry(&problem).unwrap();
+        assert_eq!(geom.stream_blocks(), 1 << 33);
+        assert_eq!(geom.thread_blocks(), side.div_ceil(126));
+        let total = (1u128 << 33) * side.div_ceil(126) as u128;
+        assert!(total > u128::from(u64::MAX));
+        assert_eq!(geom.total_thread_blocks(), total);
     }
 
     #[test]
@@ -349,7 +366,7 @@ mod tests {
         let config = BlockConfig::new(2, &[256], Some(128), Precision::Single).unwrap();
         let geom = config.geometry(&problem_2d()).unwrap();
         assert_eq!(geom.stream_blocks(), 8);
-        assert_eq!(geom.total_thread_blocks(), 8 * geom.thread_blocks());
+        assert_eq!(geom.total_thread_blocks(), 8 * geom.thread_blocks() as u128);
         // An inner stream block of 128 planes loads bT·rad = 2 more on
         // either side to recompute, plus the radius beyond them.
         let block = geom.tilings()[0].tiles().nth(3).unwrap();

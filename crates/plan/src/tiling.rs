@@ -92,29 +92,32 @@ impl DimTiling {
         self.extent as u128
     }
 
-    /// Σ `local().len()` over the tiles, in closed form.
+    /// Σ `local().len()` and Σ `updatable().len()` over the tiles, in
+    /// closed form: each tile updates its local cells but `rad` at either
+    /// end. The quotients fit in `usize` and are taken there; only the
+    /// products are widened.
     #[must_use]
-    pub fn local_sum(&self) -> u128 {
-        let n = self.count() as u128;
-        let [extent, len, halo, rad] =
-            [self.extent, self.tile_len, self.halo, self.rad].map(|v| v as u128);
+    pub fn local_and_updatable_sums(&self) -> (u128, u128) {
+        let Self {
+            extent,
+            tile_len,
+            halo,
+            rad,
+        } = *self;
+        let n = self.count();
         // Σ (hi − 2·rad) = Σ_{j=1..=n} min(j·len + halo, extent): the first
         // `m` tiles end inside the interior, the last `n − m` are clipped
         // to it.
-        let m = (extent.saturating_sub(halo) / len).min(n);
-        let hi = len * series(1, m + 1) + halo * m + extent * (n - m);
+        let m = (extent.saturating_sub(halo) / tile_len).min(n);
         // Σ lo = Σ_{k=0..n} max(k·len − halo, 0): the first tiles, up to
         // k = ⌊halo / len⌋, are clipped to the grid face, the rest are not.
-        let k0 = (halo / len + 1).min(n);
+        let k0 = (halo / tile_len + 1).min(n);
+        let [n, m, k0, extent, len, halo, rad] =
+            [n, m, k0, extent, tile_len, halo, rad].map(|v| v as u128);
+        let hi = len * series(1, m + 1) + halo * m + extent * (n - m);
         let lo = len * series(k0, n) - halo * (n - k0);
-        hi + 2 * rad * n - lo
-    }
-
-    /// Σ `updatable().len()` over the tiles, in closed form: each tile
-    /// updates its local cells but `rad` at either end.
-    #[must_use]
-    pub fn updatable_sum(&self) -> u128 {
-        self.local_sum() - 2 * self.rad as u128 * self.count() as u128
+        let local = hi + 2 * rad * n - lo;
+        (local, local - 2 * rad * n)
     }
 
     fn count(&self) -> usize {
@@ -188,12 +191,9 @@ mod tests {
             walk(|t| t.written().len()),
             "{tiling:?}"
         );
-        assert_eq!(tiling.local_sum(), walk(|t| t.local().len()), "{tiling:?}");
-        assert_eq!(
-            tiling.updatable_sum(),
-            walk(|t| t.updatable().len()),
-            "{tiling:?}"
-        );
+        let (local, updatable) = tiling.local_and_updatable_sums();
+        assert_eq!(local, walk(|t| t.local().len()), "{tiling:?}");
+        assert_eq!(updatable, walk(|t| t.updatable().len()), "{tiling:?}");
     }
 
     /// Every small tiling, so the corners are covered whatever the seed:
@@ -285,8 +285,8 @@ mod tests {
 
             let extent = geometry.tilings().iter().map(DimTiling::extent);
             prop_assert_eq!(extent.collect::<Vec<_>>(), problem.interior());
-            let lists = geometry.tilings().iter().map(|tiling| tiling.tiles().count());
-            prop_assert_eq!(lists.product::<usize>(), geometry.total_thread_blocks());
+            let lists = geometry.tilings().iter().map(|tiling| tiling.tiles().count() as u128);
+            prop_assert_eq!(lists.product::<u128>(), geometry.total_thread_blocks());
             let blocked = problem.blocked_extents().iter().zip(compute_region);
             let per_dim: Vec<usize> = blocked.map(|(&e, &cr)| e.div_ceil(cr)).collect();
             prop_assert_eq!(geometry.thread_blocks(), per_dim.iter().product::<usize>());

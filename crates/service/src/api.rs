@@ -343,7 +343,7 @@ pub fn plan_response(plan: &KernelPlan) -> Json {
                 ),
                 ("thread_blocks", int(geometry.thread_blocks())),
                 ("stream_blocks", int(geometry.stream_blocks())),
-                ("total_thread_blocks", int(geometry.total_thread_blocks())),
+                ("total_thread_blocks", big(geometry.total_thread_blocks())),
             ]),
         ),
         (

@@ -1,6 +1,6 @@
 //! Validated stencil definitions.
 
-use an5d_expr::{Expr, FlopCount, OpMix, ShapeError, ShapeInfo, StencilShapeClass};
+use an5d_expr::{Expr, ExprFacts, FlopCount, OpMix, ShapeError, ShapeInfo, StencilShapeClass};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -55,12 +55,13 @@ impl From<ShapeError> for StencilError {
 
 /// A validated stencil: a named update expression plus derived metadata.
 ///
-/// Everything is derived once, in [`StencilDef::new`]; every accessor
-/// reads a field. A clone shares the name, the expression tree and the
-/// shape summary (its tap list: 729 offsets for `box3d4r`) behind `Arc`s
-/// and copies only a few integers and flags, which matters because the
-/// tuner builds a plan — and so clones the definition — for each of
-/// hundreds of blocking configurations.
+/// Everything is derived once, in [`StencilDef::new`], from one walk of
+/// the expression ([`Expr::facts`]: offsets, FLOP tally, division flag and
+/// linearity together); every accessor reads a field. A clone shares the
+/// name, the expression tree and the shape summary (its tap list: 729
+/// offsets for `box3d4r`) behind `Arc`s and copies only a few integers and
+/// flags, which matters because the tuner builds a plan — and so clones
+/// the definition — for each of hundreds of blocking configurations.
 #[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StencilDef {
     name: Arc<str>,
@@ -80,16 +81,20 @@ impl StencilDef {
     /// Returns a [`StencilError`] if the expression accesses no cell, mixes
     /// dimensionalities, has zero radius, or is not 2D/3D.
     pub fn new(name: impl Into<String>, expr: Expr) -> Result<Self, StencilError> {
-        let shape = expr.shape_info()?;
+        let ExprFacts {
+            shape,
+            flops,
+            op_mix,
+            associative,
+            division,
+        } = expr.facts();
+        let shape = shape?;
         if shape.radius == 0 {
             return Err(StencilError::ZeroRadius);
         }
         if !(2..=3).contains(&shape.ndim) {
             return Err(StencilError::UnsupportedRank { ndim: shape.ndim });
         }
-        let flops = expr.flop_count();
-        let (op_mix, associative) = expr.op_mix_and_associativity();
-        let division = expr.contains_division();
         Ok(Self {
             name: Arc::from(name.into()),
             expr: Arc::new(expr),

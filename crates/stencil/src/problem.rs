@@ -94,16 +94,17 @@ impl StencilProblem {
         self.interior.iter().map(|&e| e + 2 * rad).collect()
     }
 
-    /// Number of interior cells updated per time-step.
+    /// Number of interior cells updated per time-step, multiplied in
+    /// `u128`: past 2⁶⁴ cells a `usize` product wraps.
     #[must_use]
-    pub fn cells_per_step(&self) -> usize {
-        self.interior.iter().product()
+    pub fn cells_per_step(&self) -> u128 {
+        self.interior.iter().map(|&e| e as u128).product()
     }
 
     /// Total cell updates over the whole run.
     #[must_use]
     pub fn total_cell_updates(&self) -> u128 {
-        self.cells_per_step() as u128 * self.time_steps as u128
+        self.cells_per_step() * self.time_steps as u128
     }
 
     /// Total floating-point operations over the whole run (Table 3

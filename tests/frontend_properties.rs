@@ -1,17 +1,19 @@
 //! Property-based tests of the C frontend: emitted source parses back to
-//! the definition it was emitted from (division flag included), no input
-//! panics the parser, and the
+//! the definition it was emitted from (division flag included), each fact
+//! `StencilDef::new` derives in its one walk equals a separate reference,
+//! no input panics the parser, and the
 //! parser's two limits (nesting depth, nodes of the update expression) hold
 //! — an input at each limit runs the whole pipeline on the 2 MiB stack a
 //! service worker has, an input past either is an error, not a deep
 //! recursion.
 
 use an5d::{
-    emit_c_source, generate_cuda_for_plan, parse_stencil, suite, An5d, BlockConfig, Expr,
-    FrontendError, Precision, StencilDef,
+    emit_c_source, generate_cuda_for_plan, parse_stencil, suite, An5d, BinOp, BlockConfig, Expr,
+    FlopCount, FrontendError, Offset, OpMix, Precision, StencilDef, UnOp,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
+use std::collections::BTreeSet;
 
 /// The parser's limits (`crates/frontend/src/parser.rs`, crate docs).
 const MAX_NESTING: usize = 64;
@@ -111,6 +113,68 @@ fn assert_round_trip(def: &StencilDef) {
     assert_eq!(detected.space_vars, ["i", "j", "k"][..def.ndim()]);
 }
 
+/// The references for what `StencilDef::new` derives in one walk: each
+/// fact recomputed on its own — offsets through a `BTreeSet`, the op mix
+/// of a linear update from its `LinearForm`, the FLOP tally and the
+/// division flag by separate recursions.
+fn assert_facts_match_references(def: &StencilDef) {
+    fn collect(expr: &Expr, offsets: &mut BTreeSet<Offset>, flops: &mut FlopCount) {
+        match expr {
+            Expr::Const(_) => {}
+            Expr::Cell(offset) => {
+                offsets.insert(*offset);
+            }
+            Expr::Unary(op, a) => {
+                if *op == UnOp::Sqrt {
+                    flops.sqrt += 1;
+                }
+                collect(a, offsets, flops);
+            }
+            Expr::Binary(op, a, b) => {
+                let rsqrt = matches!(**a, Expr::Const(c) if c == 1.0)
+                    && matches!(**b, Expr::Unary(UnOp::Sqrt, _));
+                match op {
+                    BinOp::Add | BinOp::Sub => flops.add += 1,
+                    BinOp::Mul => flops.mul += 1,
+                    BinOp::Div if rsqrt => {}
+                    BinOp::Div => flops.div += 1,
+                }
+                collect(a, offsets, flops);
+                collect(b, offsets, flops);
+            }
+        }
+    }
+    fn divides(expr: &Expr) -> bool {
+        match expr {
+            Expr::Const(_) | Expr::Cell(_) => false,
+            Expr::Unary(_, a) => divides(a),
+            Expr::Binary(op, a, b) => *op == BinOp::Div || divides(a) || divides(b),
+        }
+    }
+
+    let expr = def.expr();
+    let mut offsets = BTreeSet::new();
+    let mut flops = FlopCount::default();
+    collect(expr, &mut offsets, &mut flops);
+    let offsets: Vec<Offset> = offsets.into_iter().collect();
+    assert_eq!(def.shape().offsets, offsets, "{expr}");
+    assert_eq!(def.flop_count(), flops, "{expr}");
+    assert_eq!(def.contains_division(), divides(expr), "{expr}");
+
+    let form = expr.as_linear();
+    assert_eq!(def.is_associative(), form.is_some(), "{expr}");
+    if let Some(form) = form {
+        let k = form.terms().len();
+        let mix = OpMix {
+            fma: k.saturating_sub(1),
+            mul: usize::from(k > 0),
+            add: usize::from(form.constant() != 0.0),
+            other: 0,
+        };
+        assert_eq!(def.op_mix(), mix, "{expr}");
+    }
+}
+
 /// Every lexeme of the grammar, the characters the lexer special-cases,
 /// and a few it refuses.
 const LEXEMES: &[&str] = &[
@@ -195,6 +259,11 @@ proptest! {
     }
 
     #[test]
+    fn one_walk_derives_what_the_references_do(def in RandomStencil) {
+        assert_facts_match_references(&def);
+    }
+
+    #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
         let _ = parse_stencil(&String::from_utf8_lossy(&bytes), "bytes");
     }
@@ -217,6 +286,7 @@ proptest! {
 fn suite_stencils_and_fig4_round_trip_exactly() {
     for def in suite::all_benchmarks() {
         assert_round_trip(&def);
+        assert_facts_match_references(&def);
     }
     let fig4 = include_str!("../benchmark/programs/fig4_j2d5pt.c");
     let detected = parse_stencil(fig4, "j2d5pt").unwrap();
