@@ -15,9 +15,10 @@
 //! (traffic, compute, occupancy) priced by the same `an5d-gpusim` timing
 //! layer the AN5D measurements use, so the relative positions in Fig. 6
 //! come from the schemes' actual resource behaviour rather than hard-coded
-//! numbers. The STENCILGEN scheme reuses the real planner with the
-//! shifting-register / per-time-step-buffer strategy, so Table 1 and
-//! Fig. 7 comparisons are exact.
+//! numbers. The STENCILGEN baseline plans with the real planner under
+//! `FrameworkScheme::stencilgen()` (shifting registers, one buffer per
+//! time-step) at the paper's `Sconf`, so its resource usage is the one
+//! Table 1 and Fig. 7 report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,4 +44,4 @@ pub struct BaselineResult {
 
 pub use hybrid::hybrid_measurement;
 pub use loop_tiling::loop_tiling_measurement;
-pub use stencilgen::{stencilgen_measurement, stencilgen_registers_per_thread, stencilgen_sconf};
+pub use stencilgen::stencilgen_measurement;

@@ -8,26 +8,15 @@ use an5d_model::measure;
 use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, RegisterCap};
 use an5d_stencil::{StencilDef, StencilProblem};
 
-/// STENCILGEN's published kernel configuration (the paper's `Sconf`):
-/// `bT = 4`, `hS_N = 128`, 2D blocks of 128 threads, 3D blocks of 32 × 32.
-///
-/// # Panics
-///
-/// Panics if the stencil is not 2D or 3D (cannot happen for validated
-/// definitions).
-#[must_use]
-pub fn stencilgen_sconf(def: &StencilDef, precision: Precision) -> BlockConfig {
-    BlockConfig::sconf(def.ndim(), precision)
-}
-
-/// Build the STENCILGEN-style plan for a stencil at its published
-/// configuration.
+/// Build the STENCILGEN-style plan for a stencil at its published kernel
+/// configuration (the paper's `Sconf`: `bT = 4`, `hS_N = 128`, 2D blocks of
+/// 128 threads, 3D blocks of 32 × 32).
 fn stencilgen_plan(
     def: &StencilDef,
     problem: &StencilProblem,
     precision: Precision,
 ) -> Result<KernelPlan, InfeasibleConfig> {
-    let config = stencilgen_sconf(def, precision);
+    let config = BlockConfig::sconf(def.ndim(), precision);
     KernelPlan::build(def, problem, &config, FrameworkScheme::stencilgen()).map_err(|e| {
         InfeasibleConfig {
             reason: format!(
@@ -89,26 +78,9 @@ pub fn stencilgen_measurement(
     })
 }
 
-/// Registers per thread of the STENCILGEN scheme with no register limit
-/// (the Fig. 7 comparison).
-#[must_use]
-pub fn stencilgen_registers_per_thread(def: &StencilDef, precision: Precision) -> usize {
-    let config = stencilgen_sconf(def, precision);
-    let class = FrameworkScheme::stencilgen().classify(def);
-    an5d_plan::ResourceUsage::compute(
-        &config,
-        def.radius(),
-        class,
-        FrameworkScheme::stencilgen().registers,
-        FrameworkScheme::stencilgen().shared_memory,
-    )
-    .registers_per_thread
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use an5d_plan::ResourceUsage;
     use an5d_stencil::suite;
 
     fn problem(def: StencilDef) -> StencilProblem {
@@ -153,25 +125,6 @@ mod tests {
             an5d.gflops,
             sg.gflops
         );
-    }
-
-    #[test]
-    fn fig7_register_usage_exceeds_an5d() {
-        for def in suite::figure6_benchmarks() {
-            let sg = stencilgen_registers_per_thread(&def, Precision::Single);
-            let an5d_config = BlockConfig::sconf(def.ndim(), Precision::Single);
-            let an5d = ResourceUsage::compute(
-                &an5d_config,
-                def.radius(),
-                FrameworkScheme::an5d().classify(&def),
-                FrameworkScheme::an5d().registers,
-                FrameworkScheme::an5d().shared_memory,
-            )
-            .registers_per_thread;
-            assert!(sg > an5d, "{}: STENCILGEN {sg} vs AN5D {an5d}", def.name());
-            // Fig. 7's y-axis runs from ~25 to ~50 registers/thread.
-            assert!((20..=60).contains(&sg), "{}: {sg}", def.name());
-        }
     }
 
     #[test]

@@ -126,12 +126,12 @@ mod tests {
         assert_eq!(plan.config().bt(), 4);
         assert_eq!(plan.config().hsn(), Some(128));
         // 2D Sconf disables the associative optimisation.
-        assert!(!plan.scheme().allow_associative);
+        assert_eq!(plan.scheme(), FrameworkScheme::an5d_no_associative());
 
         let def3 = suite::star3d(1);
         let plan3 = sconf_plan(&def3, &paper_problem(&def3), Precision::Single);
         assert_eq!(plan3.config().hsn(), None);
-        assert!(plan3.scheme().allow_associative);
+        assert_eq!(plan3.scheme(), FrameworkScheme::an5d());
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Table 1: shared-memory comparison between STENCILGEN and AN5D.
 
 use crate::report::render_table;
-use an5d::{
-    BlockConfig, FrameworkScheme, OptimizationClass, Precision, RegisterScheme, ResourceUsage,
-    SharedMemoryScheme,
-};
+use an5d::{BlockConfig, FrameworkScheme, OptimizationClass, Precision, ResourceUsage};
 use serde::Serialize;
 
 /// One row of Table 1: a stencil class with the shared-memory footprint and
@@ -47,20 +44,8 @@ pub fn rows() -> Vec<Table1Row> {
     classes
         .into_iter()
         .map(|(label, class)| {
-            let sg = ResourceUsage::compute(
-                &config,
-                radius,
-                class,
-                RegisterScheme::Shifting,
-                SharedMemoryScheme::PerTimeStep,
-            );
-            let an5d = ResourceUsage::compute(
-                &config,
-                radius,
-                class,
-                RegisterScheme::Fixed,
-                SharedMemoryScheme::DoubleBuffered,
-            );
+            let sg = ResourceUsage::compute(&config, radius, class, FrameworkScheme::stencilgen());
+            let an5d = ResourceUsage::compute(&config, radius, class, FrameworkScheme::an5d());
             Table1Row {
                 class: label.to_string(),
                 stencilgen_words: sg.shared_words_per_block,
@@ -87,9 +72,7 @@ pub fn render() -> String {
     out.push_str("Shared Memory Use:        STENCILGEN = for streaming, AN5D = for calculation\n");
     out.push_str(&format!(
         "Shared Memory Buffers:    STENCILGEN = bT = {}, AN5D = 2 (double buffering)\n\n",
-        FrameworkScheme::stencilgen()
-            .shared_memory
-            .buffer_count(config.bt())
+        FrameworkScheme::stencilgen().shared_buffers(config.bt())
     ));
     let table_rows: Vec<Vec<String>> = rows()
         .into_iter()

@@ -111,7 +111,7 @@ fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     }
     out.push_str("const int stream_begin, const int stream_end)\n{\n");
 
-    // Shared memory: two buffers for AN5D, bT for the STENCILGEN scheme.
+    // Shared memory: AN5D's two buffers (double buffering, Table 1).
     for b in 0..buffers {
         writeln!(
             out,

@@ -13,6 +13,12 @@
 //!   block, including the shortened final block that handles
 //!   `I_T mod bT ≠ 0` and the buffer-parity adjustment of Section 4.3.1.
 //!
+//! It prints AN5D's kernel only — fixed registers and two shared buffers —
+//! which is the kernel of both AN5D schemes. A plan under the STENCILGEN
+//! scheme would come out as a hybrid (its `bT` buffers declared, AN5D's two
+//! used), so a caller that takes the scheme from outside (the service's
+//! `/codegen`) refuses it before calling [`generate`].
+//!
 //! The kernel file is printed in one pass into one buffer, sized up front
 //! from `(bT, rad)` and the update expression's flop count: the body
 //! straight from the schedule's lazy walk,

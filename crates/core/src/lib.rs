@@ -70,8 +70,7 @@ pub use an5d_frontend::{emit_c_source, parse_stencil, DetectedStencil, FrontendE
 
 pub use an5d_plan::{
     expected_shared_reads, practical_shared_reads, BlockConfig, BlockGeometry, FrameworkScheme,
-    KernelPlan, KernelSchedule, OptimizationClass, PlanError, RegisterCap, RegisterScheme,
-    ResourceUsage, SharedMemoryScheme,
+    KernelPlan, KernelSchedule, OptimizationClass, PlanError, RegisterCap, ResourceUsage,
 };
 
 pub use an5d_gpusim::{
@@ -107,6 +106,5 @@ pub use an5d_tunedb::{Record as TuneRecord, TuneDb, TuneDbStats, TuneKey, TUNE_D
 pub use an5d_codegen::{generate as generate_cuda_for_plan, kernel_name_for, CudaCode};
 
 pub use an5d_baselines::{
-    hybrid_measurement, loop_tiling_measurement, stencilgen_measurement,
-    stencilgen_registers_per_thread, BaselineResult,
+    hybrid_measurement, loop_tiling_measurement, stencilgen_measurement, BaselineResult,
 };

@@ -21,9 +21,13 @@
 //! * the kernel schedule — the head / inner / tail macro sequence of Fig. 5
 //!   that the code generator prints and whose structure the tests check.
 //!
-//! The same abstractions describe both AN5D's scheme and the
-//! STENCILGEN-style scheme, so the Table 1 / Fig. 7 comparisons are
-//! apples-to-apples.
+//! A [`FrameworkScheme`] is one of the paper's three — AN5D, AN5D without
+//! the associative optimisation (`Sconf`), and the STENCILGEN-style scheme
+//! — and answers Table 1's questions itself: whether it shifts registers,
+//! how many shared buffers `bT` time-steps take, and which
+//! [`OptimizationClass`] a stencil falls in. [`ResourceUsage::compute`]
+//! reads those answers, so the Table 1 / Fig. 7 comparisons run both
+//! frameworks through the same formulas.
 //!
 //! # Example
 //!
@@ -55,5 +59,5 @@ pub use config::{BlockConfig, BlockGeometry, PlanError};
 pub use plan::KernelPlan;
 pub use resources::{expected_shared_reads, practical_shared_reads, RegisterCap, ResourceUsage};
 pub use schedule::{KernelSchedule, MacroOp, Phase, RegSlot, RegWindow};
-pub use scheme::{FrameworkScheme, OptimizationClass, RegisterScheme, SharedMemoryScheme};
+pub use scheme::{FrameworkScheme, OptimizationClass};
 pub use tiling::{DimTile, DimTiling};

@@ -46,13 +46,7 @@ impl KernelPlan {
     ) -> Result<Self, PlanError> {
         let geometry = config.geometry(problem)?;
         let class = scheme.classify(def);
-        let resources = ResourceUsage::compute(
-            config,
-            def.radius(),
-            class,
-            scheme.registers,
-            scheme.shared_memory,
-        );
+        let resources = ResourceUsage::compute(config, def.radius(), class, scheme);
         let schedule = KernelSchedule::build(config, def.radius());
         Ok(Self {
             def: def.clone(),
@@ -138,7 +132,7 @@ impl fmt::Display for KernelPlan {
         write!(
             f,
             "{} plan for {}: {} [{}], {} thread blocks of {} threads, {} B shared/block, ~{} regs/thread",
-            self.scheme.name,
+            self.scheme.name(),
             self.def.name(),
             self.config,
             self.class,

@@ -1,6 +1,6 @@
 //! On-chip resource accounting: registers and shared memory (Table 1).
 
-use crate::{BlockConfig, OptimizationClass, RegisterScheme, SharedMemoryScheme};
+use crate::{BlockConfig, FrameworkScheme, OptimizationClass};
 use an5d_grid::Precision;
 use std::fmt;
 
@@ -78,34 +78,30 @@ pub struct ResourceUsage {
 }
 
 impl ResourceUsage {
-    /// Compute the resource usage of a configuration under a given register
-    /// and shared-memory scheme for a stencil of the given radius/class.
+    /// Compute the resource usage of a configuration under a scheme for a
+    /// stencil of the given radius/class.
     #[must_use]
     pub fn compute(
         config: &BlockConfig,
         radius: usize,
         class: OptimizationClass,
-        registers: RegisterScheme,
-        shared_memory: SharedMemoryScheme,
+        scheme: FrameworkScheme,
     ) -> Self {
         let bt = config.bt();
-        let nthr = config.nthr();
-        let nword = config.precision().nword();
+        let precision = config.precision();
+        let shifting = scheme.shifts_registers();
         let resident = class.resident_planes(radius);
-        let buffers = shared_memory.buffer_count(bt);
-        let shared_words = buffers * nthr * resident * nword;
-
-        let registers_per_thread = register_estimate(registers, bt, radius, config.precision());
-        let min_live = min_live_registers(registers, bt, radius, config.precision());
+        let buffers = scheme.shared_buffers(bt);
+        let shared_words = buffers * config.nthr() * resident * precision.nword();
 
         Self {
-            registers_per_thread,
-            min_live_registers: min_live,
+            registers_per_thread: register_estimate(shifting, bt, radius, precision),
+            min_live_registers: min_live_registers(shifting, bt, radius, precision),
             shared_buffers: buffers,
             shared_words_per_block: shared_words,
             shared_bytes_per_block: shared_words * 4,
-            shared_stores_per_cell: class.shared_stores_per_cell(radius),
-            register_stores_per_update: registers.stores_per_update(radius),
+            shared_stores_per_cell: resident,
+            register_stores_per_update: if shifting { 1 + 2 * radius } else { 1 },
         }
     }
 
@@ -158,21 +154,16 @@ pub fn practical_shared_reads(def: &an5d_stencil::StencilDef) -> usize {
 /// the shifted-out and shifted-in copies of `2·rad` sub-plane values alive
 /// across each update, which is what makes STENCILGEN's second-order
 /// kernels spill at a cap of 32 (Fig. 7 discussion).
-fn register_estimate(
-    scheme: RegisterScheme,
-    bt: usize,
-    radius: usize,
-    precision: Precision,
-) -> usize {
+fn register_estimate(shifting: bool, bt: usize, radius: usize, precision: Precision) -> usize {
     let window = bt * (2 * radius + 1);
     let base = match precision {
         Precision::Single => window + bt + 20,
         Precision::Double => 2 * window + bt + 30,
     };
-    let movement_overhead = match (scheme, precision) {
-        (RegisterScheme::Fixed, _) => 0,
-        (RegisterScheme::Shifting, Precision::Single) => 2 * radius + 2,
-        (RegisterScheme::Shifting, Precision::Double) => 4 * radius + 4,
+    let movement_overhead = match (shifting, precision) {
+        (false, _) => 0,
+        (true, Precision::Single) => 2 * radius + 2,
+        (true, Precision::Double) => 4 * radius + 4,
     };
     base + movement_overhead
 }
@@ -180,17 +171,9 @@ fn register_estimate(
 /// Minimum simultaneously-live registers: the sub-plane window itself plus a
 /// handful of scratch registers; the shifting scheme additionally keeps the
 /// in-flight shifted copies (`2·rad` per combined time-step) alive.
-fn min_live_registers(
-    scheme: RegisterScheme,
-    bt: usize,
-    radius: usize,
-    precision: Precision,
-) -> usize {
+fn min_live_registers(shifting: bool, bt: usize, radius: usize, precision: Precision) -> usize {
     let window = bt * (2 * radius + 1);
-    let shifting_extra = match scheme {
-        RegisterScheme::Fixed => 0,
-        RegisterScheme::Shifting => 2 * radius * bt,
-    };
+    let shifting_extra = if shifting { 2 * radius * bt } else { 0 };
     let words = match precision {
         Precision::Single => window + shifting_extra,
         Precision::Double => 2 * (window + shifting_extra),
@@ -215,8 +198,7 @@ mod tests {
             &c,
             1,
             OptimizationClass::DiagonalAccessFree,
-            RegisterScheme::Fixed,
-            SharedMemoryScheme::DoubleBuffered,
+            FrameworkScheme::an5d(),
         );
         assert_eq!(an5d.shared_words_per_block, 2 * 256);
         assert_eq!(an5d.shared_bytes_per_block, 2 * 256 * 4);
@@ -224,8 +206,7 @@ mod tests {
             &c,
             1,
             OptimizationClass::DiagonalAccessFree,
-            RegisterScheme::Shifting,
-            SharedMemoryScheme::PerTimeStep,
+            FrameworkScheme::stencilgen(),
         );
         assert_eq!(sg.shared_words_per_block, 256 * 4);
     }
@@ -234,20 +215,14 @@ mod tests {
     fn table1_shared_memory_footprint_general() {
         // General stencil, radius 2: the (1 + 2·rad) factor applies.
         let c = config(3, &[128], Precision::Double);
-        let an5d = ResourceUsage::compute(
-            &c,
-            2,
-            OptimizationClass::General,
-            RegisterScheme::Fixed,
-            SharedMemoryScheme::DoubleBuffered,
-        );
+        let an5d =
+            ResourceUsage::compute(&c, 2, OptimizationClass::General, FrameworkScheme::an5d());
         assert_eq!(an5d.shared_words_per_block, 2 * 128 * 5 * 2);
         let sg = ResourceUsage::compute(
             &c,
             2,
             OptimizationClass::General,
-            RegisterScheme::Shifting,
-            SharedMemoryScheme::PerTimeStep,
+            FrameworkScheme::stencilgen(),
         );
         assert_eq!(sg.shared_words_per_block, 128 * 3 * 5 * 2);
     }
@@ -261,15 +236,13 @@ mod tests {
                 &c,
                 1,
                 OptimizationClass::Associative,
-                RegisterScheme::Fixed,
-                SharedMemoryScheme::DoubleBuffered,
+                FrameworkScheme::an5d(),
             );
             let sg = ResourceUsage::compute(
                 &c,
                 1,
                 OptimizationClass::Associative,
-                RegisterScheme::Shifting,
-                SharedMemoryScheme::PerTimeStep,
+                FrameworkScheme::stencilgen(),
             );
             assert!(
                 an5d.shared_words_per_block < sg.shared_words_per_block,
@@ -286,13 +259,7 @@ mod tests {
             (OptimizationClass::Associative, 1),
             (OptimizationClass::General, 5),
         ] {
-            let usage = ResourceUsage::compute(
-                &c,
-                2,
-                class,
-                RegisterScheme::Fixed,
-                SharedMemoryScheme::DoubleBuffered,
-            );
+            let usage = ResourceUsage::compute(&c, 2, class, FrameworkScheme::an5d());
             assert_eq!(usage.shared_stores_per_cell, expected);
         }
     }
@@ -304,16 +271,14 @@ mod tests {
             &config(4, &[256], Precision::Single),
             1,
             OptimizationClass::DiagonalAccessFree,
-            RegisterScheme::Fixed,
-            SharedMemoryScheme::DoubleBuffered,
+            FrameworkScheme::an5d(),
         );
         assert_eq!(single.registers_per_thread, 4 * 3 + 4 + 20);
         let double = ResourceUsage::compute(
             &config(4, &[256], Precision::Double),
             1,
             OptimizationClass::DiagonalAccessFree,
-            RegisterScheme::Fixed,
-            SharedMemoryScheme::DoubleBuffered,
+            FrameworkScheme::an5d(),
         );
         assert_eq!(double.registers_per_thread, 2 * 12 + 4 + 30);
     }
@@ -327,15 +292,13 @@ mod tests {
                     &c,
                     radius,
                     OptimizationClass::DiagonalAccessFree,
-                    RegisterScheme::Fixed,
-                    SharedMemoryScheme::DoubleBuffered,
+                    FrameworkScheme::an5d(),
                 );
                 let shifting = ResourceUsage::compute(
                     &c,
                     radius,
                     OptimizationClass::DiagonalAccessFree,
-                    RegisterScheme::Shifting,
-                    SharedMemoryScheme::PerTimeStep,
+                    FrameworkScheme::stencilgen(),
                 );
                 assert!(shifting.registers_per_thread > fixed.registers_per_thread);
                 assert_eq!(fixed.register_stores_per_update, 1);
@@ -355,16 +318,14 @@ mod tests {
                 &c,
                 radius,
                 OptimizationClass::DiagonalAccessFree,
-                RegisterScheme::Fixed,
-                SharedMemoryScheme::DoubleBuffered,
+                FrameworkScheme::an5d(),
             );
             assert!(!fixed.spills_under(cap), "fixed spilled at rad={radius}");
             let shifting = ResourceUsage::compute(
                 &c,
                 radius,
                 OptimizationClass::DiagonalAccessFree,
-                RegisterScheme::Shifting,
-                SharedMemoryScheme::PerTimeStep,
+                FrameworkScheme::stencilgen(),
             );
             if radius == 1 {
                 assert!(!shifting.spills_under(cap));
@@ -421,8 +382,7 @@ mod tests {
             &config(10, &[256], Precision::Single),
             1,
             OptimizationClass::DiagonalAccessFree,
-            RegisterScheme::Fixed,
-            SharedMemoryScheme::DoubleBuffered,
+            FrameworkScheme::an5d(),
         );
         assert_eq!(usage.registers_per_thread, 10 * 3 + 10 + 20);
         assert_eq!(usage.registers_with_cap(RegisterCap::Limit(32)), 32);

@@ -1,73 +1,8 @@
-//! Framework schemes: how registers and shared memory are managed.
+//! Framework schemes: the three strategy sets the paper compares
+//! (Section 4.2, Table 1), and the stencil classes of Section 4.1.
 
 use an5d_stencil::StencilDef;
 use std::fmt;
-
-/// Register allocation strategy for the per-time-step sub-plane window
-/// (Section 4.2.1, Fig. 3 (b)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum RegisterScheme {
-    /// AN5D: a fixed register is assigned to each sub-plane slot; advancing
-    /// the stream rotates the *roles* of the registers (encoded statically
-    /// in the macro arguments), so each sub-plane update performs exactly
-    /// one register store.
-    Fixed,
-    /// Previous work (STENCILGEN, 3.5D blocking): values are shifted through
-    /// the registers to make room for the new sub-plane, costing
-    /// `1 + 2·rad` stores per sub-plane update.
-    Shifting,
-}
-
-impl RegisterScheme {
-    /// Register (data-movement) stores per sub-plane update per thread.
-    #[must_use]
-    pub fn stores_per_update(self, radius: usize) -> usize {
-        match self {
-            RegisterScheme::Fixed => 1,
-            RegisterScheme::Shifting => 1 + 2 * radius,
-        }
-    }
-}
-
-impl fmt::Display for RegisterScheme {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegisterScheme::Fixed => write!(f, "fixed"),
-            RegisterScheme::Shifting => write!(f, "shifting"),
-        }
-    }
-}
-
-/// Shared-memory buffering strategy (Section 4.2.2, Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum SharedMemoryScheme {
-    /// AN5D: two buffers shared by all combined time-steps (double
-    /// buffering removes the second block synchronisation).
-    DoubleBuffered,
-    /// STENCILGEN: one buffer per combined time-step (`bT` buffers), used
-    /// for streaming the sub-planes themselves.
-    PerTimeStep,
-}
-
-impl SharedMemoryScheme {
-    /// Number of shared-memory buffers allocated per thread block.
-    #[must_use]
-    pub fn buffer_count(self, bt: usize) -> usize {
-        match self {
-            SharedMemoryScheme::DoubleBuffered => 2,
-            SharedMemoryScheme::PerTimeStep => bt,
-        }
-    }
-}
-
-impl fmt::Display for SharedMemoryScheme {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SharedMemoryScheme::DoubleBuffered => write!(f, "double-buffered"),
-            SharedMemoryScheme::PerTimeStep => write!(f, "per-time-step"),
-        }
-    }
-}
 
 /// Which of the stencil-class-specific optimisations of Section 4.1 applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -86,36 +21,12 @@ pub enum OptimizationClass {
 }
 
 impl OptimizationClass {
-    /// Classify a stencil the way AN5D's code generator does.
-    ///
-    /// The `allow_associative` switch mirrors the compile-time flag the
-    /// paper uses to disable the associative optimisation (e.g. for the
-    /// `Sconf` configuration of 2D stencils, to match STENCILGEN).
-    #[must_use]
-    pub fn classify(def: &StencilDef, allow_associative: bool) -> Self {
-        if def.diagonal_access_free() {
-            OptimizationClass::DiagonalAccessFree
-        } else if allow_associative && def.is_associative() {
-            OptimizationClass::Associative
-        } else {
-            OptimizationClass::General
-        }
-    }
-
     /// Number of sub-planes that must be resident in one shared-memory
-    /// buffer at the same time (the `(1 + 2·rad)` factor of Table 1 applies
-    /// only to the general class).
+    /// buffer at the same time, which is also the number of shared-memory
+    /// stores per cell per time-step (Table 1: the `(1 + 2·rad)` factor
+    /// applies only to the general class).
     #[must_use]
     pub fn resident_planes(self, radius: usize) -> usize {
-        match self {
-            OptimizationClass::DiagonalAccessFree | OptimizationClass::Associative => 1,
-            OptimizationClass::General => 1 + 2 * radius,
-        }
-    }
-
-    /// Shared-memory stores per cell per time-step (Table 1, bottom).
-    #[must_use]
-    pub fn shared_stores_per_cell(self, radius: usize) -> usize {
         match self {
             OptimizationClass::DiagonalAccessFree | OptimizationClass::Associative => 1,
             OptimizationClass::General => 1 + 2 * radius,
@@ -133,19 +44,20 @@ impl fmt::Display for OptimizationClass {
     }
 }
 
-/// A complete framework scheme: register + shared-memory strategy plus
-/// whether the associative optimisation may be applied.
+/// One of the paper's three framework schemes; each answers the Table 1
+/// questions (register strategy, shared-memory buffers, stencil class)
+/// for itself. The constructors are the only way to name one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub struct FrameworkScheme {
-    /// Register allocation strategy.
-    pub registers: RegisterScheme,
-    /// Shared-memory buffering strategy.
-    pub shared_memory: SharedMemoryScheme,
-    /// Whether the associative-stencil (partial summation) optimisation is
-    /// enabled.
-    pub allow_associative: bool,
-    /// Human-readable name used in reports ("AN5D", "STENCILGEN", …).
-    pub name: &'static str,
+pub struct FrameworkScheme(Scheme);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+enum Scheme {
+    /// Fixed registers, two shared buffers, associative optimisation on.
+    An5d,
+    /// AN5D with the associative optimisation off.
+    An5dNoAssociative,
+    /// Shifting registers, one shared buffer per combined time-step.
+    Stencilgen,
 }
 
 impl FrameworkScheme {
@@ -153,57 +65,43 @@ impl FrameworkScheme {
     /// associative optimisation enabled.
     #[must_use]
     pub fn an5d() -> Self {
-        Self {
-            registers: RegisterScheme::Fixed,
-            shared_memory: SharedMemoryScheme::DoubleBuffered,
-            allow_associative: true,
-            name: "AN5D",
-        }
+        Self(Scheme::An5d)
     }
 
     /// AN5D with the associative optimisation disabled (used by the `Sconf`
     /// configuration for 2D stencils to mirror STENCILGEN).
     #[must_use]
     pub fn an5d_no_associative() -> Self {
-        Self {
-            allow_associative: false,
-            ..Self::an5d()
-        }
+        Self(Scheme::An5dNoAssociative)
     }
 
     /// The STENCILGEN-style scheme of Table 1: shifting registers and one
     /// shared-memory buffer per combined time-step.
     #[must_use]
     pub fn stencilgen() -> Self {
-        Self {
-            registers: RegisterScheme::Shifting,
-            shared_memory: SharedMemoryScheme::PerTimeStep,
-            allow_associative: true,
-            name: "STENCILGEN",
+        Self(Scheme::Stencilgen)
+    }
+
+    /// Human-readable name used in reports: "AN5D" for both AN5D variants,
+    /// "STENCILGEN".
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Scheme::An5d | Scheme::An5dNoAssociative => "AN5D",
+            Scheme::Stencilgen => "STENCILGEN",
         }
     }
 
-    /// Classify a stencil under this scheme's optimisation switches.
-    #[must_use]
-    pub fn classify(&self, def: &StencilDef) -> OptimizationClass {
-        OptimizationClass::classify(def, self.allow_associative)
-    }
-
     /// The canonical machine id of this scheme — unlike
-    /// [`FrameworkScheme::name`] (a display label shared by the AN5D
-    /// variants) this distinguishes every constructor, so it is safe to
-    /// use as a persistence key and round-trips through
+    /// [`FrameworkScheme::name`] this distinguishes every scheme, so it is
+    /// safe to use as a persistence key and round-trips through
     /// [`FrameworkScheme::by_name`].
     #[must_use]
-    pub fn canonical_name(&self) -> &'static str {
-        if *self == Self::an5d() {
-            "an5d"
-        } else if *self == Self::an5d_no_associative() {
-            "an5d_no_associative"
-        } else if *self == Self::stencilgen() {
-            "stencilgen"
-        } else {
-            "custom"
+    pub fn canonical_name(self) -> &'static str {
+        match self.0 {
+            Scheme::An5d => "an5d",
+            Scheme::An5dNoAssociative => "an5d_no_associative",
+            Scheme::Stencilgen => "stencilgen",
         }
     }
 
@@ -219,14 +117,59 @@ impl FrameworkScheme {
             _ => None,
         }
     }
+
+    /// Classify a stencil the way this scheme's code generator does: the
+    /// associative (partial-summation) optimisation is off only in
+    /// [`FrameworkScheme::an5d_no_associative`].
+    #[must_use]
+    pub fn classify(self, def: &StencilDef) -> OptimizationClass {
+        let associative = match self.0 {
+            Scheme::An5d | Scheme::Stencilgen => true,
+            Scheme::An5dNoAssociative => false,
+        };
+        if def.diagonal_access_free() {
+            OptimizationClass::DiagonalAccessFree
+        } else if associative && def.is_associative() {
+            OptimizationClass::Associative
+        } else {
+            OptimizationClass::General
+        }
+    }
+
+    /// Shared-memory buffers per thread block for `bt` combined time-steps
+    /// (Section 4.2.2, Table 1): two for AN5D's double buffering, one per
+    /// time-step for STENCILGEN.
+    #[must_use]
+    pub fn shared_buffers(self, bt: usize) -> usize {
+        match self.0 {
+            Scheme::An5d | Scheme::An5dNoAssociative => 2,
+            Scheme::Stencilgen => bt,
+        }
+    }
+
+    /// Whether values shift through the registers to make room for each
+    /// new sub-plane (STENCILGEN) instead of staying in a fixed register
+    /// per slot (AN5D; Section 4.2.1, Fig. 3 (b)).
+    #[must_use]
+    pub fn shifts_registers(self) -> bool {
+        match self.0 {
+            Scheme::An5d | Scheme::An5dNoAssociative => false,
+            Scheme::Stencilgen => true,
+        }
+    }
 }
 
 impl fmt::Display for FrameworkScheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (registers, shared_memory) = if self.shifts_registers() {
+            ("shifting", "per-time-step")
+        } else {
+            ("fixed", "double-buffered")
+        };
         write!(
             f,
-            "{} ({} registers, {} shared memory)",
-            self.name, self.registers, self.shared_memory
+            "{} ({registers} registers, {shared_memory} shared memory)",
+            self.name()
         )
     }
 }
@@ -234,43 +177,63 @@ impl fmt::Display for FrameworkScheme {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockConfig, ResourceUsage};
+    use an5d_grid::Precision;
     use an5d_stencil::suite;
+
+    const ALL: [FrameworkScheme; 3] = [
+        FrameworkScheme(Scheme::An5d),
+        FrameworkScheme(Scheme::An5dNoAssociative),
+        FrameworkScheme(Scheme::Stencilgen),
+    ];
 
     #[test]
     fn register_stores_per_update_match_paper() {
         // Section 4.2.1: fixed allocation reduces stores from 1+2·rad to 1.
-        assert_eq!(RegisterScheme::Fixed.stores_per_update(3), 1);
-        assert_eq!(RegisterScheme::Shifting.stores_per_update(3), 7);
-        assert_eq!(RegisterScheme::Shifting.stores_per_update(1), 3);
+        let stores = |scheme: FrameworkScheme, radius| {
+            let config = BlockConfig::new(4, &[256], None, Precision::Single).unwrap();
+            let class = OptimizationClass::DiagonalAccessFree;
+            ResourceUsage::compute(&config, radius, class, scheme).register_stores_per_update
+        };
+        assert_eq!(stores(FrameworkScheme::an5d(), 3), 1);
+        assert_eq!(stores(FrameworkScheme::an5d_no_associative(), 3), 1);
+        assert_eq!(stores(FrameworkScheme::stencilgen(), 3), 7);
+        assert_eq!(stores(FrameworkScheme::stencilgen(), 1), 3);
     }
 
     #[test]
     fn shared_buffer_counts_match_table1() {
-        assert_eq!(SharedMemoryScheme::DoubleBuffered.buffer_count(10), 2);
-        assert_eq!(SharedMemoryScheme::PerTimeStep.buffer_count(10), 10);
-        assert_eq!(SharedMemoryScheme::PerTimeStep.buffer_count(4), 4);
+        assert_eq!(FrameworkScheme::an5d().shared_buffers(10), 2);
+        assert_eq!(FrameworkScheme::an5d_no_associative().shared_buffers(10), 2);
+        assert_eq!(FrameworkScheme::stencilgen().shared_buffers(10), 10);
+        assert_eq!(FrameworkScheme::stencilgen().shared_buffers(4), 4);
     }
 
     #[test]
     fn classification_follows_stencil_properties() {
+        let an5d = FrameworkScheme::an5d();
+        let sconf = FrameworkScheme::an5d_no_associative();
         assert_eq!(
-            OptimizationClass::classify(&suite::star2d(2), true),
+            an5d.classify(&suite::star2d(2)),
             OptimizationClass::DiagonalAccessFree
         );
         assert_eq!(
-            OptimizationClass::classify(&suite::box2d(2), true),
+            an5d.classify(&suite::box2d(2)),
             OptimizationClass::Associative
         );
         assert_eq!(
-            OptimizationClass::classify(&suite::box2d(2), false),
-            OptimizationClass::General
+            FrameworkScheme::stencilgen().classify(&suite::box2d(2)),
+            OptimizationClass::Associative
         );
+        assert_eq!(sconf.classify(&suite::box2d(2)), OptimizationClass::General);
         // gradient2d is star-shaped, so it is diagonal-access free even
         // though it is non-associative.
-        assert_eq!(
-            OptimizationClass::classify(&suite::gradient2d(), true),
-            OptimizationClass::DiagonalAccessFree
-        );
+        for scheme in ALL {
+            assert_eq!(
+                scheme.classify(&suite::gradient2d()),
+                OptimizationClass::DiagonalAccessFree
+            );
+        }
     }
 
     #[test]
@@ -278,26 +241,16 @@ mod tests {
         assert_eq!(OptimizationClass::DiagonalAccessFree.resident_planes(3), 1);
         assert_eq!(OptimizationClass::Associative.resident_planes(3), 1);
         assert_eq!(OptimizationClass::General.resident_planes(3), 7);
-        assert_eq!(OptimizationClass::General.shared_stores_per_cell(2), 5);
-        assert_eq!(OptimizationClass::Associative.shared_stores_per_cell(2), 1);
+        assert_eq!(OptimizationClass::General.resident_planes(2), 5);
     }
 
     #[test]
     fn framework_presets() {
-        let an5d = FrameworkScheme::an5d();
-        assert_eq!(an5d.registers, RegisterScheme::Fixed);
-        assert_eq!(an5d.shared_memory, SharedMemoryScheme::DoubleBuffered);
-        assert!(an5d.allow_associative);
-
-        let sg = FrameworkScheme::stencilgen();
-        assert_eq!(sg.registers, RegisterScheme::Shifting);
-        assert_eq!(sg.shared_memory, SharedMemoryScheme::PerTimeStep);
-
-        let sconf = FrameworkScheme::an5d_no_associative();
-        assert_eq!(sconf.registers, RegisterScheme::Fixed);
-        assert!(!sconf.allow_associative);
+        assert!(!FrameworkScheme::an5d().shifts_registers());
+        assert!(!FrameworkScheme::an5d_no_associative().shifts_registers());
+        assert!(FrameworkScheme::stencilgen().shifts_registers());
         assert_eq!(
-            sconf.classify(&suite::j2d9pt_gol()),
+            FrameworkScheme::an5d_no_associative().classify(&suite::j2d9pt_gol()),
             OptimizationClass::General
         );
         assert_eq!(
@@ -308,11 +261,7 @@ mod tests {
 
     #[test]
     fn canonical_names_round_trip_and_distinguish_the_an5d_variants() {
-        for scheme in [
-            FrameworkScheme::an5d(),
-            FrameworkScheme::an5d_no_associative(),
-            FrameworkScheme::stencilgen(),
-        ] {
+        for scheme in ALL {
             assert_eq!(
                 FrameworkScheme::by_name(scheme.canonical_name()),
                 Some(scheme)
@@ -320,6 +269,10 @@ mod tests {
         }
         // The display name cannot tell the AN5D variants apart (both say
         // "AN5D"); the canonical id must.
+        assert_eq!(
+            FrameworkScheme::an5d().name(),
+            FrameworkScheme::an5d_no_associative().name()
+        );
         assert_ne!(
             FrameworkScheme::an5d().canonical_name(),
             FrameworkScheme::an5d_no_associative().canonical_name()
@@ -330,15 +283,18 @@ mod tests {
 
     #[test]
     fn display_strings() {
-        assert!(FrameworkScheme::an5d().to_string().contains("AN5D"));
-        assert!(FrameworkScheme::stencilgen()
-            .to_string()
-            .contains("shifting"));
-        assert_eq!(OptimizationClass::General.to_string(), "general");
-        assert_eq!(RegisterScheme::Fixed.to_string(), "fixed");
         assert_eq!(
-            SharedMemoryScheme::DoubleBuffered.to_string(),
-            "double-buffered"
+            FrameworkScheme::an5d().to_string(),
+            "AN5D (fixed registers, double-buffered shared memory)"
         );
+        assert_eq!(
+            FrameworkScheme::an5d_no_associative().to_string(),
+            "AN5D (fixed registers, double-buffered shared memory)"
+        );
+        assert_eq!(
+            FrameworkScheme::stencilgen().to_string(),
+            "STENCILGEN (shifting registers, per-time-step shared memory)"
+        );
+        assert_eq!(OptimizationClass::General.to_string(), "general");
     }
 }

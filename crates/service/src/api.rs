@@ -325,7 +325,7 @@ pub fn plan_response(plan: &KernelPlan) -> Json {
     let resources = plan.resources();
     Json::obj(vec![
         ("stencil", Json::str(plan.def().name())),
-        ("scheme", Json::str(plan.scheme().name)),
+        ("scheme", Json::str(plan.scheme().name())),
         ("kernel", Json::Str(an5d::kernel_name_for(plan))),
         ("config", codec::config_to_json(plan.config())),
         (

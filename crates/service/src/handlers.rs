@@ -18,7 +18,10 @@ use crate::http::{ChunkSource, Request, Response, ResponseBody};
 use crate::json::{self, Json};
 use crate::metrics::{MeteredBackend, Metrics};
 use crate::telemetry;
-use an5d::{generate_cuda_for_plan, parse_stencil, predict, DeviceRegistry, ExecutionBackend};
+use an5d::{
+    generate_cuda_for_plan, parse_stencil, predict, DeviceRegistry, ExecutionBackend,
+    FrameworkScheme,
+};
 use an5d_obs::{ActiveTrace, Registry, Span, TraceId, TraceRing};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -531,9 +534,19 @@ fn metered_stream(state: &ServiceState, mut source: ChunkSource) -> ChunkSource 
     })
 }
 
+/// `/codegen`: the code generator prints AN5D's kernel (fixed registers,
+/// two shared buffers) only, so a plan under another scheme is refused
+/// rather than printed as a kernel that scheme would not run.
 fn codegen_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError> {
     observed(state, body, || {
         let (_, plan) = planned(state, body)?;
+        let scheme = plan.scheme();
+        if scheme.name() != FrameworkScheme::an5d().name() {
+            return Err(ApiError::new(format!(
+                "the code generator prints AN5D's kernel only, not the \"{}\" scheme's",
+                scheme.canonical_name()
+            )));
+        }
         Ok(api::codegen_response(&generate_cuda_for_plan(&plan)))
     })
 }
@@ -642,6 +655,35 @@ mod tests {
             }
             let response = post(&state, "/batch", &format!(r#"{{"jobs":[{spec}]}}"#));
             assert_eq!(response.status, 400, "/batch: {}", response.body);
+        }
+    }
+
+    #[test]
+    fn codegen_prints_the_an5d_schemes_only() {
+        let state = state();
+        let body = |scheme: &str| {
+            format!(
+                r#"{{"benchmark":"j2d5pt","interior":[256,256],"steps":8,"scheme":"{scheme}",
+                     "precision":"double","space":"quick",
+                     "config":{{"bt":2,"bs":[32],"precision":"double"}}}}"#
+            )
+        };
+        for scheme in ["an5d", "an5d_no_associative"] {
+            let response = post(&state, "/codegen", &body(scheme));
+            assert_eq!(response.status, 200, "{scheme}: {}", response.body);
+            assert!(response.body.contains("__global__"), "{scheme}");
+        }
+        let response = post(&state, "/codegen", &body("stencilgen"));
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert!(
+            response.body.contains("AN5D's kernel only"),
+            "{}",
+            response.body
+        );
+        // The scheme itself is valid: the other endpoints still plan it.
+        for path in ["/plan", "/predict", "/tune"] {
+            let response = post(&state, path, &body("stencilgen"));
+            assert_eq!(response.status, 200, "{path}: {}", response.body);
         }
     }
 
