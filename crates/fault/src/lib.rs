@@ -6,9 +6,8 @@
 //! blocks live here:
 //!
 //! * [`FaultPlan`] — a seeded, process-wide table of named injection
-//!   points. Code under test calls [`point`] (or the [`check`] /
-//!   [`FaultyRead`] / [`FaultyWrite`] conveniences) with a registered
-//!   name such as `"tunedb.append"`; when a plan is installed and the
+//!   points. Code under test calls [`point`] with a registered name
+//!   such as `"tunedb.append"`; when a plan is installed and the
 //!   rule for that point triggers, the call yields a [`FaultAction`]
 //!   (an injected error, a delay, or a short read/write). Triggers are
 //!   either counter-based (`every:N`) or drawn from a seeded splitmix64
@@ -31,6 +30,6 @@ mod plan;
 
 pub use deadline::{current_deadline, deadline_expired, Deadline, DeadlineGuard};
 pub use plan::{
-    check, fired, injected, install, installed, journal, point, uninstall, FaultAction, FaultPlan,
-    FaultyRead, FaultyWrite, FiredFault, FAULTS_ENV,
+    fired, injected, install, installed, journal, point, uninstall, FaultAction, FaultPlan,
+    FiredFault, FAULTS_ENV,
 };

@@ -15,8 +15,8 @@
 //! * action — `error` (the operation fails with an injected
 //!   [`io::Error`]), `delay:MS` (the operation is stalled for MS
 //!   milliseconds, then proceeds), `short:N` (I/O is truncated to at
-//!   most N bytes: a short read/write through the wrappers, a torn
-//!   append at sites that honor it).
+//!   most N bytes: a short write at the reactor's socket, a torn
+//!   append at the tune DB).
 //! * trigger — `always` (default), `every:N` (fires on every Nth call,
 //!   counter-based), or `1/N` (fires with probability 1/N drawn from a
 //!   splitmix64 stream seeded by `(seed, point, call index)`).
@@ -28,7 +28,7 @@
 //! the decision stream directly so determinism is pinned by tests
 //! without going through the process-wide installation.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -329,20 +329,6 @@ pub fn point(name: &str) -> Option<FaultAction> {
     installed()?.evaluate(name)
 }
 
-/// Convenience for sites that only need fail-or-proceed semantics:
-/// sleeps through `Delay`, maps `Error`/`Short` to an injected
-/// [`io::Error`].
-pub fn check(name: &str) -> io::Result<()> {
-    match point(name) {
-        None => Ok(()),
-        Some(FaultAction::Delay(d)) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
-        Some(FaultAction::Error | FaultAction::Short(_)) => Err(injected(name)),
-    }
-}
-
 /// The error every injected fault surfaces as, tagged with its point
 /// name so test assertions (and operators reading logs) can tell
 /// injected failures from real ones.
@@ -358,91 +344,6 @@ pub fn fired(name: &str) -> u64 {
 /// Journal of fired faults on the installed plan (empty when none).
 pub fn journal() -> Vec<FiredFault> {
     installed().map_or_else(Vec::new, |p| p.journal())
-}
-
-// ---------------------------------------------------------------------------
-// Faulty I/O wrappers
-// ---------------------------------------------------------------------------
-
-/// A [`Read`] adapter that probes a fault point before every read:
-/// `Error` fails the read, `Delay` stalls it, `Short(n)` caps it to at
-/// most `n` bytes (a legitimate short read the caller must handle).
-#[derive(Debug)]
-pub struct FaultyRead<R> {
-    inner: R,
-    point: &'static str,
-}
-
-impl<R> FaultyRead<R> {
-    /// Wrap `inner`, probing `point` on every read.
-    pub fn new(inner: R, point: &'static str) -> Self {
-        FaultyRead { inner, point }
-    }
-
-    /// Unwrap back to the inner reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: Read> Read for FaultyRead<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match point(self.point) {
-            None => self.inner.read(buf),
-            Some(FaultAction::Error) => Err(injected(self.point)),
-            Some(FaultAction::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.read(buf)
-            }
-            Some(FaultAction::Short(n)) => {
-                let cap = n.clamp(1, buf.len().max(1)).min(buf.len());
-                self.inner.read(&mut buf[..cap])
-            }
-        }
-    }
-}
-
-/// A [`Write`] adapter that probes a fault point before every write:
-/// `Error` fails the write, `Delay` stalls it, `Short(n)` writes at
-/// most `n` bytes (a legitimate short write — `write_all` loops, raw
-/// `write` callers must handle the partial count).
-#[derive(Debug)]
-pub struct FaultyWrite<W> {
-    inner: W,
-    point: &'static str,
-}
-
-impl<W> FaultyWrite<W> {
-    /// Wrap `inner`, probing `point` on every write.
-    pub fn new(inner: W, point: &'static str) -> Self {
-        FaultyWrite { inner, point }
-    }
-
-    /// Unwrap back to the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FaultyWrite<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match point(self.point) {
-            None => self.inner.write(buf),
-            Some(FaultAction::Error) => Err(injected(self.point)),
-            Some(FaultAction::Delay(d)) => {
-                std::thread::sleep(d);
-                self.inner.write(buf)
-            }
-            Some(FaultAction::Short(n)) => {
-                let cap = n.clamp(1, buf.len().max(1)).min(buf.len());
-                self.inner.write(&buf[..cap])
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
 }
 
 #[cfg(test)]
@@ -518,36 +419,38 @@ mod tests {
         }
     }
 
+    /// Injection sites probe `point` directly: a short write and an
+    /// injected read error, answered from the installed plan.
     #[test]
     fn faulty_wrappers_inject_short_and_error_actions() {
         let _global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
-        let plan =
-            install(FaultPlan::parse("wrap.write=short:2@every:2;wrap.read=error#1").unwrap());
-        let mut out = Vec::new();
-        {
-            let mut w = FaultyWrite::new(&mut out, "wrap.write");
-            // Call 1 passes through, call 2 is capped at 2 bytes.
-            assert_eq!(w.write(b"abcd").unwrap(), 4);
-            assert_eq!(w.write(b"efgh").unwrap(), 2);
-        }
-        assert_eq!(out, b"abcdef");
-        let mut r = FaultyRead::new(&b"xyz"[..], "wrap.read");
-        let mut buf = [0u8; 3];
-        assert!(r.read(&mut buf).is_err(), "first read is injected");
-        assert_eq!(r.read(&mut buf).unwrap(), 3, "limit #1 restores reads");
-        assert_eq!(plan.fired("wrap.read"), 1);
+        let plan = install(FaultPlan::parse("io.write=short:2@every:2;io.read=error#1").unwrap());
+        // `every:2`: call 1 passes, call 2 is truncated to 2 bytes.
+        assert_eq!(point("io.write"), None);
+        assert_eq!(point("io.write"), Some(FaultAction::Short(2)));
+        // `#1`: the first call is injected, the limit restores the rest.
+        assert_eq!(point("io.read"), Some(FaultAction::Error));
+        assert_eq!(point("io.read"), None);
+        assert_eq!(plan.fired("io.read"), 1);
+        assert_eq!(fired("io.read"), 1);
         uninstall();
     }
 
+    /// Fail-or-proceed at a site: an `error` action surfaces as the
+    /// tagged [`injected`] error; an exhausted limit, an unregistered
+    /// point and an uninstalled plan all proceed.
     #[test]
     fn check_maps_actions_to_fail_or_proceed() {
         let _global = GLOBAL.lock().unwrap_or_else(|e| e.into_inner());
         install(FaultPlan::parse("gate=error#1").unwrap());
-        let err = check("gate").unwrap_err();
-        assert!(err.to_string().contains("injected fault at gate"));
-        assert!(check("gate").is_ok(), "limit exhausted");
-        assert!(check("unregistered").is_ok());
+        assert_eq!(point("gate"), Some(FaultAction::Error));
+        assert!(injected("gate")
+            .to_string()
+            .contains("injected fault at gate"));
+        assert_eq!(point("gate"), None, "limit exhausted");
+        assert_eq!(point("unregistered"), None);
         uninstall();
-        assert!(check("gate").is_ok(), "no plan installed → no-op");
+        assert_eq!(point("gate"), None, "no plan installed → no-op");
+        assert_eq!(fired("gate"), 0, "no plan installed → nothing fired");
     }
 }

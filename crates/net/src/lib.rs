@@ -1,8 +1,8 @@
 //! Event-loop primitives for the `an5d-serve` connection layer.
 //!
 //! The build environment has no crates.io access (no `mio`, no `libc`
-//! crate), so this crate carries the three small pieces a single-threaded
-//! reactor needs, on `std` alone:
+//! crate), so this crate carries the two pieces of a single-threaded
+//! reactor that need the OS, on `std` alone:
 //!
 //! * [`Poller`] — level-triggered readiness over `poll(2)` via a minimal
 //!   FFI declaration (std already links libc on unix). This is the only
@@ -11,24 +11,20 @@
 //!   keeps non-unix targets compiling.
 //! * [`wake()`] — a loopback-socket wake channel: worker threads nudge
 //!   the reactor out of `poll` without signals or pipes.
-//! * [`TimerWheel`] — a fixed-slot hashed timer wheel with lazy
-//!   (generation-checked) cancellation, driving keep-alive idle
-//!   deadlines for tens of thousands of parked connections in O(1) per
-//!   schedule/fire.
 //!
-//! Design rationale (ROADMAP "event-driven connection layer"): exactly
-//! like AN5D's temporal blocking holds registers only while useful work
-//! happens, the reactor holds a worker thread only while a *ready*,
-//! fully-parsed request needs CPU — parked idle connections cost one
-//! `pollfd` entry and one timer-wheel slot each, nothing more.
+//! Connection deadlines are plain data and live with the reactor in
+//! `an5d-service`. Design rationale (ROADMAP "event-driven connection
+//! layer"): exactly like AN5D's temporal blocking holds registers only
+//! while useful work happens, the reactor holds a worker thread only
+//! while a *ready*, fully-parsed request needs CPU — parked idle
+//! connections cost one `pollfd` entry and one deadline each, nothing
+//! more.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod poll;
-mod timer;
 mod wake;
 
 pub use poll::{fd_of_listener, fd_of_stream, Event, Interest, Poller, SourceFd};
-pub use timer::TimerWheel;
 pub use wake::{wake, WakeReceiver, Waker};

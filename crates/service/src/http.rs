@@ -753,24 +753,20 @@ pub fn write_response(
     response: &mut Response,
     keep_alive: bool,
 ) -> io::Result<()> {
+    let body_len = match &response.body {
+        ResponseBody::Full(body) => Some(body.len()),
+        ResponseBody::Stream(_) => None,
+    };
+    let mut head = render_head_bytes(response, keep_alive, body_len);
     match &mut response.body {
         ResponseBody::Full(body) => {
             // One buffered write per response: on a kept-alive connection
             // a header segment followed by a separate body segment would
             // trip Nagle + delayed-ACK (~40 ms per request).
-            let len = body.len();
-            let mut rendered = render_head_bytes(response, keep_alive, Some(len));
-            rendered.extend_from_slice(response.body.as_bytes());
-            writer.write_all(&rendered)?;
+            head.extend_from_slice(body.as_bytes());
+            writer.write_all(&head)?;
         }
         ResponseBody::Stream(source) => {
-            let head = render_head_bytes_streaming(
-                response.status,
-                response.content_type,
-                response.trace.as_deref(),
-                response.retry_after,
-                keep_alive,
-            );
             writer.write_all(&head)?;
             while let Some(chunk) = source()? {
                 if !chunk.is_empty() {
@@ -781,25 +777,6 @@ pub fn write_response(
         }
     }
     writer.flush()
-}
-
-/// [`render_head_bytes`] over exploded fields, for callers holding a
-/// mutable borrow of the response body.
-fn render_head_bytes_streaming(
-    status: u16,
-    content_type: &'static str,
-    trace: Option<&str>,
-    retry_after: Option<u32>,
-    keep_alive: bool,
-) -> Vec<u8> {
-    let probe = Response {
-        status,
-        body: ResponseBody::Full(String::new()),
-        content_type,
-        trace: trace.map(str::to_string),
-        retry_after,
-    };
-    render_head_bytes(&probe, keep_alive, None)
 }
 
 // ---------------------------------------------------------------------

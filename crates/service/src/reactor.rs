@@ -10,8 +10,8 @@
 //! dispatch half). The same shape as AN5D's temporal blocking: the
 //! scarce resource (a worker thread / a register) is held exactly while
 //! useful work happens, and an idle keep-alive connection costs one
-//! `pollfd` entry plus one timer-wheel slot — which is what makes 10k
-//! parked connections with 4 workers a non-event.
+//! `pollfd` entry plus one deadline — which is what makes 10k parked
+//! connections with 4 workers a non-event.
 //!
 //! Per-connection lifecycle:
 //!
@@ -26,14 +26,13 @@
 //! ```
 //!
 //! * **Parked** — idle between requests; read interest, keep-alive
-//!   deadline on the timer wheel. The cheap majority under C10K load.
+//!   deadline. The cheap majority under C10K load.
 //! * **Reading** — partial request buffered in the [`RequestParser`];
 //!   read interest, I/O deadline.
 //! * **InFlight** — request dispatched to a worker; **no** poll interest
 //!   at all, so a client pipelining ahead is backpressured by TCP
-//!   rather than by server memory. No deadline (the worker owns the
-//!   clock); the connection's timer generation is bumped so a stale
-//!   deadline firing late is ignored.
+//!   rather than by server memory. No deadline: the worker owns the
+//!   clock, so the connection's deadline is removed.
 //! * **Writing** — response bytes draining; write interest, I/O
 //!   deadline. `close_after_write` carries the `Connection: close` /
 //!   request-bound / error / 503 decision. Bytes live in a queue of
@@ -49,14 +48,17 @@
 //! or deadline while a request head or body was partially buffered —
 //! `RequestParser::is_clean` is the oracle), feeding the
 //! `an5d_connections_aborted` counter.
+//!
+//! Each connection holds at most one deadline ([`Deadlines`]):
+//! re-arming replaces it, dispatch and close remove it.
 
 use crate::api;
 use crate::http::{Parse, Request, RequestParser, Response};
 use crate::server::{
     render_response, CompletionBody, DispatchItem, ResponseStream, Shared, StreamStatus, IO_TIMEOUT,
 };
-use an5d_net::{fd_of_listener, fd_of_stream, Event, Interest, Poller, TimerWheel, WakeReceiver};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use an5d_net::{fd_of_listener, fd_of_stream, Event, Interest, Poller, WakeReceiver};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -68,7 +70,7 @@ const LISTENER: usize = 0;
 /// Poll token of the wake channel.
 const WAKE: usize = 1;
 /// First token handed to a connection; tokens are never reused, so a
-/// stale timer or completion can never alias a new connection.
+/// stale completion can never alias a new connection.
 const FIRST_CONN_TOKEN: usize = 2;
 
 /// Read syscall chunk size.
@@ -78,14 +80,65 @@ const READ_CHUNK: usize = 16 * 1024;
 /// the remainder up next iteration.
 const READ_BURST: usize = 256 * 1024;
 
-/// Timer wheel slot width. Keep-alive and I/O deadlines fire up to one
-/// granule late — noise against the multi-second budgets involved.
-const TIMER_GRANULARITY: Duration = Duration::from_millis(10);
-/// Timer wheel slot count (horizon ≈ 10 s; later deadlines lap).
-const TIMER_SLOTS: usize = 1024;
 /// Upper bound on one poll wait: a safety heartbeat so a lost wake can
 /// stall the loop by at most this much.
 const MAX_POLL_WAIT: Duration = Duration::from_millis(500);
+
+/// Each connection's one armed deadline, in firing order. Times are
+/// passed in, never read, so tests drive a synthetic clock.
+#[derive(Debug, Default)]
+struct Deadlines {
+    /// `(deadline, token)` in firing order; equal deadlines fire in
+    /// token order.
+    queue: BTreeSet<(Instant, usize)>,
+    /// Each armed token's current deadline: the key of its `queue` entry.
+    armed: HashMap<usize, Instant>,
+}
+
+impl Deadlines {
+    /// Arm `token` to fire at `at`, replacing its previous deadline.
+    fn arm(&mut self, token: usize, at: Instant) {
+        if let Some(old) = self.armed.insert(token, at) {
+            self.queue.remove(&(old, token));
+        }
+        self.queue.insert((at, token));
+    }
+
+    /// Cancel `token`'s deadline, if it has one.
+    fn disarm(&mut self, token: usize) {
+        if let Some(old) = self.armed.remove(&token) {
+            self.queue.remove(&(old, token));
+        }
+    }
+
+    /// Number of armed deadlines.
+    fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Time from `now` until the earliest deadline (zero if it is
+    /// already due); `None` when nothing is armed.
+    fn next_timeout(&self, now: Instant) -> Option<Duration> {
+        self.queue
+            .first()
+            .map(|&(at, _)| at.saturating_duration_since(now))
+    }
+
+    /// Remove and return every token whose deadline is at or before
+    /// `now`, in firing order.
+    fn expired(&mut self, now: Instant) -> Vec<usize> {
+        let mut due = Vec::new();
+        while let Some(&(at, token)) = self.queue.first() {
+            if at > now {
+                break;
+            }
+            self.queue.pop_first();
+            self.armed.remove(&token);
+            due.push(token);
+        }
+        due
+    }
+}
 
 /// What the reactor is doing with a connection right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,9 +171,6 @@ struct Conn {
     served: usize,
     state: ConnState,
     close_after_write: bool,
-    /// Timer generation: bumped on every deadline (re)arm or disarm, so
-    /// a previously scheduled wheel entry firing late is ignored.
-    gen: u64,
 }
 
 pub(crate) struct Reactor {
@@ -129,14 +179,13 @@ pub(crate) struct Reactor {
     listener: Option<TcpListener>,
     receiver: WakeReceiver,
     poller: Poller,
-    wheel: TimerWheel,
+    deadlines: Deadlines,
     conns: BTreeMap<usize, Conn>,
     /// Tokens with a live [`ResponseStream`]: visited after every wake
     /// so newly produced segments reach their sockets without waiting
     /// for a poll event (stale tokens are dropped lazily).
     streaming: BTreeSet<usize>,
     next_token: usize,
-    expired_scratch: Vec<(usize, u64)>,
 }
 
 impl Reactor {
@@ -159,11 +208,10 @@ impl Reactor {
             listener: Some(listener),
             receiver,
             poller,
-            wheel: TimerWheel::new(TIMER_GRANULARITY, TIMER_SLOTS, Instant::now()),
+            deadlines: Deadlines::default(),
             conns: BTreeMap::new(),
             streaming: BTreeSet::new(),
             next_token: FIRST_CONN_TOKEN,
-            expired_scratch: Vec::new(),
         })
     }
 
@@ -179,15 +227,14 @@ impl Reactor {
                     break;
                 }
             }
-            let now = Instant::now();
             let timeout = self
-                .wheel
-                .next_timeout(now)
+                .deadlines
+                .next_timeout(Instant::now())
                 .map_or(MAX_POLL_WAIT, |hint| hint.min(MAX_POLL_WAIT));
             if self.poller.poll(Some(timeout), &mut events).is_err() {
                 // Unrecoverable poll failure: back off instead of
                 // spinning; the heartbeat keeps shutdown responsive.
-                std::thread::sleep(TIMER_GRANULARITY);
+                std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
             let busy_start = Instant::now();
@@ -206,6 +253,12 @@ impl Reactor {
                 }
             }
             self.fire_timers();
+            debug_assert!(
+                self.deadlines.len() <= self.conns.len(),
+                "{} deadlines for {} connections",
+                self.deadlines.len(),
+                self.conns.len()
+            );
             self.stats().record_loop(busy_start.elapsed());
         }
     }
@@ -216,17 +269,8 @@ impl Reactor {
 
     /// Arm (or re-arm) the connection's single deadline.
     fn arm(&mut self, token: usize, budget: Duration) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.gen += 1;
-            let gen = conn.gen;
-            self.wheel.schedule(token, gen, Instant::now() + budget);
-        }
-    }
-
-    /// Invalidate any armed deadline (lazy cancellation).
-    fn disarm(&mut self, token: usize) {
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.gen += 1;
+        if self.conns.contains_key(&token) {
+            self.deadlines.arm(token, Instant::now() + budget);
         }
     }
 
@@ -243,6 +287,7 @@ impl Reactor {
     /// mid-response) death for the `an5d_connections_aborted` counter.
     fn close(&mut self, token: usize, aborted: bool) {
         self.streaming.remove(&token);
+        self.deadlines.disarm(token);
         if let Some(conn) = self.conns.remove(&token) {
             if let Some(stream) = &conn.body_stream {
                 // Unblock and stop the producing worker.
@@ -286,7 +331,6 @@ impl Reactor {
                             served: 0,
                             state: ConnState::Reading,
                             close_after_write: false,
-                            gen: 0,
                         },
                     );
                     self.stats().on_accepted();
@@ -474,7 +518,7 @@ impl Reactor {
         // No poll interest while a worker owns the request: a client
         // pipelining ahead is backpressured by TCP, not server memory.
         self.poller.set_interest(token, Interest::NONE);
-        self.disarm(token);
+        self.deadlines.disarm(token);
         let mut queue = self.shared.queue.lock().expect("dispatch queue poisoned");
         queue.push_back(DispatchItem {
             token,
@@ -630,7 +674,7 @@ impl Reactor {
             // spin) and no I/O deadline — there is no pending I/O. The
             // worker's wake re-enters via `pump_streams`.
             self.poller.set_interest(token, Interest::NONE);
-            self.disarm(token);
+            self.deadlines.disarm(token);
         } else {
             // Blocked on the socket: wait for POLLOUT under a fresh I/O
             // budget (re-armed so a slowly-draining client is judged per
@@ -703,18 +747,10 @@ impl Reactor {
         }
     }
 
-    /// Fire expired deadlines; stale generations are ignored.
+    /// Close every connection whose deadline is due.
     fn fire_timers(&mut self) {
-        let mut due = std::mem::take(&mut self.expired_scratch);
-        due.clear();
-        self.wheel.expired(Instant::now(), &mut due);
-        for &(token, gen) in &due {
-            let Some(conn) = self.conns.get(&token) else {
-                continue;
-            };
-            if conn.gen != gen {
-                continue; // re-armed or in flight since scheduling
-            }
+        for token in self.deadlines.expired(Instant::now()) {
+            let conn = &self.conns[&token];
             // Keep-alive expiry on a parked connection is a clean reap;
             // a deadline mid-request or mid-response (a response still
             // draining — buffered or streamed — when the I/O budget ran
@@ -722,7 +758,6 @@ impl Reactor {
             let aborted = !conn.parser.is_clean() || conn.state == ConnState::Writing;
             self.close(token, aborted);
         }
-        self.expired_scratch = due;
     }
 
     /// On shutdown: stop accepting, drop every idle connection, and let
@@ -742,5 +777,95 @@ impl Reactor {
             // Server-initiated: never counted as a peer abort.
             self.close(token, false);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    #[test]
+    fn fires_at_the_deadline_not_before() {
+        let start = Instant::now();
+        let mut deadlines = Deadlines::default();
+        deadlines.arm(1, start + ms(50));
+        assert!(deadlines.expired(start + ms(49)).is_empty());
+        assert_eq!(deadlines.expired(start + ms(50)), vec![1]);
+        assert_eq!(deadlines.len(), 0);
+        assert!(deadlines.expired(start + ms(100)).is_empty(), "fires once");
+    }
+
+    #[test]
+    fn past_deadlines_fire_on_the_next_sweep() {
+        let start = Instant::now();
+        let mut deadlines = Deadlines::default();
+        deadlines.arm(9, start);
+        assert_eq!(deadlines.next_timeout(start + ms(5)), Some(Duration::ZERO));
+        assert_eq!(deadlines.expired(start + ms(5)), vec![9]);
+    }
+
+    #[test]
+    fn rearming_replaces_the_old_deadline() {
+        let start = Instant::now();
+        let mut deadlines = Deadlines::default();
+        deadlines.arm(7, start + ms(20));
+        deadlines.arm(7, start + ms(30));
+        assert_eq!(deadlines.len(), 1);
+        assert!(deadlines.expired(start + ms(25)).is_empty(), "old deadline");
+        assert_eq!(deadlines.expired(start + ms(30)), vec![7]);
+
+        // Re-arming earlier replaces a later deadline just the same.
+        deadlines.arm(7, start + ms(100));
+        deadlines.arm(7, start + ms(40));
+        assert_eq!(deadlines.expired(start + ms(40)), vec![7]);
+        assert!(deadlines.expired(start + ms(200)).is_empty());
+    }
+
+    #[test]
+    fn disarm_cancels() {
+        let start = Instant::now();
+        let mut deadlines = Deadlines::default();
+        deadlines.arm(3, start + ms(10));
+        deadlines.arm(4, start + ms(10));
+        deadlines.disarm(3);
+        deadlines.disarm(3);
+        deadlines.disarm(99);
+        assert_eq!(deadlines.len(), 1);
+        assert_eq!(deadlines.expired(start + ms(10)), vec![4]);
+    }
+
+    #[test]
+    fn next_timeout_is_the_earliest_live_deadline() {
+        let start = Instant::now();
+        let mut deadlines = Deadlines::default();
+        assert_eq!(deadlines.next_timeout(start), None);
+        deadlines.arm(1, start + ms(200));
+        deadlines.arm(2, start + ms(30));
+        assert_eq!(deadlines.next_timeout(start), Some(ms(30)));
+        assert_eq!(deadlines.next_timeout(start + ms(10)), Some(ms(20)));
+        // A cancelled deadline no longer counts.
+        deadlines.disarm(2);
+        assert_eq!(deadlines.next_timeout(start), Some(ms(200)));
+        deadlines.disarm(1);
+        assert_eq!(deadlines.next_timeout(start), None);
+    }
+
+    #[test]
+    fn many_parked_deadlines_fire_in_one_sweep() {
+        let start = Instant::now();
+        let mut deadlines = Deadlines::default();
+        for token in (0..5000).rev() {
+            deadlines.arm(token, start + ms(100));
+        }
+        assert_eq!(deadlines.len(), 5000);
+        assert!(deadlines.expired(start + ms(99)).is_empty());
+        let fired = deadlines.expired(start + ms(100));
+        assert_eq!(fired, (0..5000).collect::<Vec<_>>(), "token order");
+        assert_eq!(deadlines.len(), 0);
+        assert_eq!(deadlines.next_timeout(start), None);
     }
 }

@@ -18,9 +18,9 @@
 //!   is at [`ServerConfig::queue_depth`] the reactor answers `503`
 //!   immediately (admission control sheds requests instead of growing
 //!   an unbounded backlog);
-//! * **keep-alive policy** is enforced by the reactor's timer wheel
-//!   ([`ServerConfig::keep_alive_timeout`] between requests, a fixed
-//!   I/O budget within one) and by the workers
+//! * **keep-alive policy** is enforced by the reactor's one deadline per
+//!   connection ([`ServerConfig::keep_alive_timeout`] between requests,
+//!   a fixed I/O budget within one) and by the workers
 //!   ([`ServerConfig::max_requests_per_connection`], `Connection:
 //!   close`);
 //! * **graceful shutdown** — `POST /shutdown` (or [`Server::stop`]) sets
@@ -794,6 +794,43 @@ mod tests {
         // ...and the idle client reconnects transparently.
         let (status, _) = client.get("/stats").unwrap();
         assert_eq!(status, 200);
+        server.stop();
+    }
+
+    #[test]
+    fn a_request_may_outlast_the_keep_alive_it_was_parked_under() {
+        let server = test_server_with(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_depth: 8,
+            cache_capacity: 64,
+            keep_alive_timeout: Duration::from_millis(50),
+            ..ServerConfig::default()
+        });
+        let addr = server.addr();
+        let mut client = client::KeepAliveClient::new(addr);
+        let (status, _) = client.get("/stats").unwrap();
+        assert_eq!(status, 200);
+        // The connection is parked under the 50 ms keep-alive; a request
+        // whose handling outlasts it must not be reaped by that deadline.
+        // The debug build's scalar executor is ~60× slower than release.
+        let steps = if cfg!(debug_assertions) { 8 } else { 256 };
+        let body = format!(
+            r#"{{"benchmark":"j2d5pt","interior":[512,512],"steps":{steps},
+                 "config":{{"bt":4,"bs":[128],"precision":"double"}}}}"#
+        );
+        let sent = std::time::Instant::now();
+        let (status, body) = client.post("/execute", &body).unwrap();
+        let took = sent.elapsed();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"checksum\""), "{body}");
+        assert_eq!(client.reused(), 1, "both requests on one connection");
+        assert!(
+            took > Duration::from_millis(50),
+            "/execute took only {took:?}: the test needs one slower than the keep-alive"
+        );
+        let snap = server.state().metrics().connections.snapshot();
+        assert_eq!(snap.aborted, 0, "{snap:?}");
         server.stop();
     }
 
