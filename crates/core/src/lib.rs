@@ -61,7 +61,7 @@ pub use an5d_grid::{
 };
 
 pub use an5d_expr::{
-    BinOp, Expr, FlopCount, LinearForm, Offset, OpMix, ShapeInfo, StencilShapeClass, UnOp,
+    BinOp, Expr, FlopCount, LinearForm, Node, Offset, OpMix, ShapeInfo, StencilShapeClass, UnOp,
 };
 
 pub use an5d_stencil::{exec as reference, suite, StencilDef, StencilError, StencilProblem};

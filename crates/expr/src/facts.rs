@@ -1,6 +1,7 @@
 //! Everything a stencil definition stores about its update expression,
-//! derived in one traversal of the tree.
+//! derived in one loop over its nodes.
 
+use crate::expr::Slot;
 use crate::flops::{is_rsqrt, op_mix};
 use crate::shape::classify;
 use crate::{BinOp, Expr, FlopCount, Offset, OpMix, ShapeError, ShapeInfo, UnOp};
@@ -20,16 +21,16 @@ pub struct ExprFacts {
     /// `true` when the update admits the linear form
     /// ([`Expr::as_linear`] is `Some`).
     pub associative: bool,
-    /// `true` when the tree contains a division anywhere.
+    /// `true` when the expression contains a division anywhere.
     pub division: bool,
 }
 
 impl Expr {
-    /// Derive every fact a stencil definition stores, in one traversal:
-    /// the distinct offsets (collected into a `Vec`, then sorted and
-    /// deduplicated), the FLOP tally, the division flag and whether the
-    /// update is linear. Only a non-linear update walks the tree a second
-    /// time, for its greedy FMA match.
+    /// Derive every fact a stencil definition stores, in one loop over the
+    /// nodes: the distinct offsets (collected into a `Vec`, then sorted
+    /// and deduplicated), the FLOP tally, the division flag and whether the
+    /// update is linear. Only a non-linear update is read a second time,
+    /// for its greedy FMA match.
     #[must_use]
     pub fn facts(&self) -> ExprFacts {
         let walk = Walk::of(self);
@@ -43,7 +44,7 @@ impl Expr {
     }
 }
 
-/// What one traversal of an expression tallies.
+/// What one loop over an expression's nodes tallies.
 pub(crate) struct Walk {
     /// The distinct cell offsets, sorted.
     pub(crate) offsets: Vec<Offset>,
@@ -63,88 +64,102 @@ struct Shadow {
 }
 
 impl Walk {
+    /// One loop over the nodes, with a stack of the operands' shadows
+    /// (`None` where the extraction gives up). The constant goes through
+    /// the extraction's own f64 operations, so it is bit-identical to
+    /// `as_linear()`'s, and a term is never dropped there, so the form has
+    /// one term per distinct offset.
     pub(crate) fn of(expr: &Expr) -> Self {
-        let mut walk = Walk {
-            offsets: Vec::new(),
-            flops: FlopCount::default(),
-            division: false,
-            linear_constant: None,
-        };
-        walk.linear_constant = walk.visit(expr).map(|shadow| shadow.constant);
-        walk.offsets.sort_unstable();
-        walk.offsets.dedup();
-        walk
-    }
-
-    /// Tally `expr` and return its shadow, `None` where the extraction
-    /// gives up. The constant goes through the extraction's own f64
-    /// operations, so it is bit-identical to `as_linear()`'s, and a term
-    /// is never dropped there, so the form has one term per distinct
-    /// offset.
-    fn visit(&mut self, expr: &Expr) -> Option<Shadow> {
-        match expr {
-            Expr::Const(c) => Some(Shadow {
-                has_cells: false,
-                constant: *c,
-            }),
-            Expr::Cell(offset) => {
-                self.offsets.push(*offset);
-                Some(Shadow {
-                    has_cells: true,
-                    constant: 0.0,
-                })
-            }
-            // The extraction's own operation, `scale(-1.0)`, not `-c`.
-            #[allow(clippy::neg_multiply)]
-            Expr::Unary(UnOp::Neg, a) => self.visit(a).map(|s| Shadow {
-                constant: s.constant * -1.0,
-                ..s
-            }),
-            Expr::Unary(UnOp::Sqrt, a) => {
-                self.flops.sqrt += 1;
-                self.visit(a).filter(|s| !s.has_cells).map(|s| Shadow {
+        const WELL_FORMED: &str = "a post-order expression has its operands on the stack";
+        let nodes = expr.slots();
+        let mut offsets = Vec::new();
+        let mut flops = FlopCount::default();
+        let mut division = false;
+        let mut shadows: Vec<Option<Shadow>> = Vec::with_capacity(expr.stack_depth());
+        for (i, slot) in nodes.iter().enumerate() {
+            match *slot {
+                Slot::Const(c) => shadows.push(Some(Shadow {
                     has_cells: false,
-                    constant: s.constant.sqrt(),
-                })
-            }
-            Expr::Binary(op, a, b) => {
-                match op {
-                    BinOp::Add | BinOp::Sub => self.flops.add += 1,
-                    BinOp::Mul => self.flops.mul += 1,
-                    BinOp::Div => {
-                        self.division = true;
-                        // `1.0 / sqrt(x)` is one rsqrt, counted at the sqrt.
-                        if !is_rsqrt(a, b) {
-                            self.flops.div += 1;
+                    constant: c,
+                })),
+                Slot::Cell(offset) => {
+                    offsets.push(offset);
+                    shadows.push(Some(Shadow {
+                        has_cells: true,
+                        constant: 0.0,
+                    }));
+                }
+                Slot::Unary(op, _) => {
+                    let top = shadows.last_mut().expect(WELL_FORMED);
+                    *top = match op {
+                        UnOp::Neg => top.map(|s| Shadow {
+                            constant: -s.constant,
+                            ..s
+                        }),
+                        UnOp::Sqrt => {
+                            flops.sqrt += 1;
+                            top.filter(|s| !s.has_cells).map(|s| Shadow {
+                                has_cells: false,
+                                constant: s.constant.sqrt(),
+                            })
+                        }
+                    };
+                }
+                Slot::Binary(op, _) => {
+                    match op {
+                        BinOp::Add | BinOp::Sub => flops.add += 1,
+                        BinOp::Mul => flops.mul += 1,
+                        BinOp::Div => {
+                            division = true;
+                            // `1.0 / sqrt(x)` is one rsqrt, counted at the sqrt.
+                            if !is_rsqrt(nodes, i) {
+                                flops.div += 1;
+                            }
                         }
                     }
-                }
-                let (sa, sb) = (self.visit(a), self.visit(b));
-                let (sa, sb) = (sa?, sb?);
-                match op {
-                    BinOp::Add | BinOp::Sub => {
-                        let sign = if *op == BinOp::Add { 1.0 } else { -1.0 };
-                        Some(Shadow {
-                            has_cells: sa.has_cells || sb.has_cells,
-                            constant: sa.constant + sign * sb.constant,
-                        })
-                    }
-                    BinOp::Mul if !sa.has_cells => Some(Shadow {
-                        constant: sb.constant * sa.constant,
-                        ..sb
-                    }),
-                    BinOp::Mul if !sb.has_cells => Some(Shadow {
-                        constant: sa.constant * sb.constant,
-                        ..sa
-                    }),
-                    BinOp::Mul => None,
-                    BinOp::Div => (!sb.has_cells && sb.constant != 0.0).then(|| Shadow {
-                        constant: sa.constant * (1.0 / sb.constant),
-                        ..sa
-                    }),
+                    let sb = shadows.pop().expect(WELL_FORMED);
+                    let top = shadows.last_mut().expect(WELL_FORMED);
+                    *top = match (*top, sb) {
+                        (Some(sa), Some(sb)) => combine(op, sa, sb),
+                        _ => None,
+                    };
                 }
             }
         }
+        offsets.sort_unstable();
+        offsets.dedup();
+        Walk {
+            offsets,
+            flops,
+            division,
+            linear_constant: shadows.pop().expect(WELL_FORMED).map(|s| s.constant),
+        }
+    }
+}
+
+/// The shadow of `a op b`, `None` where the extraction gives up.
+fn combine(op: BinOp, sa: Shadow, sb: Shadow) -> Option<Shadow> {
+    match op {
+        BinOp::Add | BinOp::Sub => {
+            let sign = if op == BinOp::Add { 1.0 } else { -1.0 };
+            Some(Shadow {
+                has_cells: sa.has_cells || sb.has_cells,
+                constant: sa.constant + sign * sb.constant,
+            })
+        }
+        BinOp::Mul if !sa.has_cells => Some(Shadow {
+            constant: sb.constant * sa.constant,
+            ..sb
+        }),
+        BinOp::Mul if !sb.has_cells => Some(Shadow {
+            constant: sa.constant * sb.constant,
+            ..sa
+        }),
+        BinOp::Mul => None,
+        BinOp::Div => (!sb.has_cells && sb.constant != 0.0).then(|| Shadow {
+            constant: sa.constant * (1.0 / sb.constant),
+            ..sa
+        }),
     }
 }
 

@@ -1,5 +1,6 @@
 //! Floating-point operation counting for the Section 5 performance model.
 
+use crate::expr::{operands, Slot};
 use crate::facts::Walk;
 use crate::{BinOp, Expr, UnOp};
 
@@ -97,7 +98,7 @@ impl Expr {
     /// For associative stencils the compiler merges every multiply-add chain
     /// into FMAs and lowers the trailing constant division to a
     /// multiplication; for other stencils a greedy `a*b + c → FMA` pattern
-    /// match over the tree is used. This mirrors what the paper observed with
+    /// match over the expression is used. This mirrors what the paper observed with
     /// NVPROF when deriving `effALU`.
     #[must_use]
     pub fn op_mix(&self) -> OpMix {
@@ -108,10 +109,10 @@ impl Expr {
 /// The instruction mix of `expr`, whose walk is `walk`. A linear update
 /// with `k` terms — one per distinct offset — accumulates `k` products into
 /// a sum: `k − 1` FMAs and one leading MUL, plus one ADD for a non-zero
-/// constant. Only a non-linear update is matched greedily over the tree.
+/// constant. Only a non-linear update is matched greedily over the nodes.
 pub(crate) fn op_mix(expr: &Expr, walk: &Walk) -> OpMix {
     let Some(constant) = walk.linear_constant else {
-        return mix_of(expr).1;
+        return mix_of(expr);
     };
     let k = walk.offsets.len();
     let mut mix = OpMix::default();
@@ -125,89 +126,92 @@ pub(crate) fn op_mix(expr: &Expr, walk: &Walk) -> OpMix {
     mix
 }
 
-/// `a / b` is `1.0 / sqrt(x)`, which fast math fuses into one rsqrt.
-pub(crate) fn is_rsqrt(a: &Expr, b: &Expr) -> bool {
-    matches!(a, Expr::Const(c) if *c == 1.0) && matches!(b, Expr::Unary(UnOp::Sqrt, _))
+/// The binary node at `i` is `1.0 / sqrt(x)`, which fast math fuses into
+/// one rsqrt.
+pub(crate) fn is_rsqrt(nodes: &[Slot], i: usize) -> bool {
+    let (a, b) = operands(nodes, i);
+    matches!(nodes[i], Slot::Binary(BinOp::Div, _))
+        && matches!(nodes[a], Slot::Const(c) if c == 1.0)
+        && matches!(nodes[b], Slot::Unary(UnOp::Sqrt, _))
 }
 
-fn is_constant_subtree(expr: &Expr) -> bool {
-    expr.cell_access_count() == 0
+/// What the greedy match knows of a subtree: its instruction mix, whether
+/// its value is a bare multiplication a parent addition could fuse into an
+/// FMA, and whether it reads a cell.
+#[derive(Clone, Copy)]
+struct Mixed {
+    mix: OpMix,
+    is_product: bool,
+    has_cells: bool,
 }
 
-/// Returns `(is_product, mix)` where `is_product` marks a node whose value is
-/// a bare multiplication that a parent addition could fuse into an FMA.
-fn mix_of(expr: &Expr) -> (bool, OpMix) {
-    match expr {
-        Expr::Const(_) | Expr::Cell(_) => (false, OpMix::default()),
-        Expr::Unary(UnOp::Neg, a) => {
-            let (_, mix) = mix_of(a);
-            (false, mix)
-        }
-        Expr::Unary(UnOp::Sqrt, a) => {
-            let (_, mix) = mix_of(a);
-            (
-                false,
-                mix.merge(OpMix {
-                    other: 1,
-                    ..OpMix::default()
-                }),
-            )
-        }
-        Expr::Binary(op, a, b) => {
-            let (a_is_mul, am) = mix_of(a);
-            let (b_is_mul, bm) = mix_of(b);
-            let children = am.merge(bm);
-            match op {
-                BinOp::Add | BinOp::Sub => {
-                    if a_is_mul || b_is_mul {
-                        // One child multiplication fuses with this addition.
-                        let mut mix = children;
-                        mix.mul -= 1;
-                        mix.fma += 1;
-                        (false, mix)
-                    } else {
-                        (
-                            false,
-                            children.merge(OpMix {
-                                add: 1,
-                                ..OpMix::default()
-                            }),
-                        )
-                    }
+/// The greedy `a*b + c → FMA` instruction mix of `expr`: one loop over the
+/// nodes with a stack of the operands' [`Mixed`].
+fn mix_of(expr: &Expr) -> OpMix {
+    const WELL_FORMED: &str = "a post-order expression has its operands on the stack";
+    let (add, mul, other) = (
+        OpMix {
+            add: 1,
+            ..OpMix::default()
+        },
+        OpMix {
+            mul: 1,
+            ..OpMix::default()
+        },
+        OpMix {
+            other: 1,
+            ..OpMix::default()
+        },
+    );
+    let nodes = expr.slots();
+    let mut stack: Vec<Mixed> = Vec::with_capacity(expr.stack_depth());
+    for (i, slot) in nodes.iter().enumerate() {
+        let leaf = |has_cells| Mixed {
+            mix: OpMix::default(),
+            is_product: false,
+            has_cells,
+        };
+        match *slot {
+            Slot::Const(_) => stack.push(leaf(false)),
+            Slot::Cell(_) => stack.push(leaf(true)),
+            Slot::Unary(op, _) => {
+                let top = stack.last_mut().expect(WELL_FORMED);
+                top.is_product = false;
+                if op == UnOp::Sqrt {
+                    top.mix = top.mix.merge(other);
                 }
-                BinOp::Mul => (
-                    true,
-                    children.merge(OpMix {
-                        mul: 1,
-                        ..OpMix::default()
-                    }),
-                ),
-                BinOp::Div => {
-                    if is_rsqrt(a, b) {
-                        // rsqrt: the sqrt was already counted as `other`.
-                        (false, children)
-                    } else if is_constant_subtree(b) {
-                        // Division by constant → multiplication by reciprocal.
-                        (
-                            true,
-                            children.merge(OpMix {
-                                mul: 1,
-                                ..OpMix::default()
-                            }),
-                        )
-                    } else {
-                        (
-                            false,
-                            children.merge(OpMix {
-                                other: 1,
-                                ..OpMix::default()
-                            }),
-                        )
-                    }
-                }
+            }
+            Slot::Binary(op, _) => {
+                let b = stack.pop().expect(WELL_FORMED);
+                let a = stack.last_mut().expect(WELL_FORMED);
+                let children = a.mix.merge(b.mix);
+                let (is_product, mix) = match op {
+                    // One child multiplication fuses with this addition.
+                    BinOp::Add | BinOp::Sub if a.is_product || b.is_product => (
+                        false,
+                        OpMix {
+                            mul: children.mul - 1,
+                            fma: children.fma + 1,
+                            ..children
+                        },
+                    ),
+                    BinOp::Add | BinOp::Sub => (false, children.merge(add)),
+                    BinOp::Mul => (true, children.merge(mul)),
+                    // rsqrt: the sqrt was already counted as `other`.
+                    BinOp::Div if is_rsqrt(nodes, i) => (false, children),
+                    // Division by constant → multiplication by reciprocal.
+                    BinOp::Div if !b.has_cells => (true, children.merge(mul)),
+                    BinOp::Div => (false, children.merge(other)),
+                };
+                *a = Mixed {
+                    mix,
+                    is_product,
+                    has_cells: a.has_cells || b.has_cells,
+                };
             }
         }
     }
+    stack.pop().expect(WELL_FORMED).mix
 }
 
 #[cfg(test)]

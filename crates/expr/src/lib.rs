@@ -9,20 +9,28 @@
 //! roofline performance model of Section 5 (ALU utilisation efficiency and
 //! total floating-point work).
 //!
-//! This crate provides all three: [`Expr`] is the expression tree,
-//! [`StencilShapeClass`]/[`ShapeInfo`] the classification, [`LinearForm`]
-//! the "sum of coefficient × neighbour" normal form used by the associative
-//! stencil optimisation, and [`FlopCount`]/[`OpMix`] the operation counts.
+//! This crate provides all three: [`Expr`] is the expression, one
+//! post-order vector of [`Node`]s (built by the operators or, a node at a
+//! time, by an [`ExprBuilder`]), [`StencilShapeClass`]/[`ShapeInfo`] the
+//! classification, [`LinearForm`] the "sum of coefficient × neighbour"
+//! normal form used by the associative stencil optimisation, and
+//! [`FlopCount`]/[`OpMix`] the operation counts.
+//!
+//! Nothing here recurses over an expression: every reader — evaluation,
+//! printing, the walk below, the linear extraction, the FMA match — is one
+//! loop over the nodes with an explicit stack of its operands' results, so
+//! how deep an expression nests bounds no stack frame.
 //!
 //! The classification, the operation counts and whether the linear form
-//! exists come from one private walk of the tree, which [`Expr::facts`]
-//! returns whole (and a stencil definition stores): it collects the cell offsets into a `Vec` that is then sorted
-//! and deduplicated, tallies the FLOPs, notes any division, and carries a
-//! scalar shadow of the linear-form extraction — per subtree, whether it
-//! reads a cell and its constant, computed with the extraction's own f64
-//! operations. A linear update's op mix follows from its tap count and that
-//! constant, so no [`LinearForm`] is built to count its terms; only a
-//! non-linear one (`gradient2d`) is walked again, for its greedy FMA match.
+//! exists come from one private loop over the nodes, which [`Expr::facts`]
+//! returns whole (and a stencil definition stores): it collects the cell
+//! offsets into a `Vec` that is then sorted and deduplicated, tallies the
+//! FLOPs, notes any division, and carries a scalar shadow of the
+//! linear-form extraction — per subtree, whether it reads a cell and its
+//! constant, computed with the extraction's own f64 operations. A linear
+//! update's op mix follows from its tap count and that constant, so no
+//! [`LinearForm`] is built to count its terms; only a non-linear one
+//! (`gradient2d`) is read again, for its greedy FMA match.
 //! [`Expr::shape_info`], [`Expr::flop_count`], [`Expr::op_mix`] and
 //! [`Expr::is_associative`] read the same walk.
 //!
@@ -57,7 +65,7 @@ mod linear;
 mod offset;
 mod shape;
 
-pub use expr::{BinOp, Expr, UnOp};
+pub use expr::{Arithmetic, BinOp, Expr, ExprBuilder, Node, UnOp};
 pub use facts::ExprFacts;
 pub use flops::{FlopCount, OpMix};
 pub use linear::{LinearForm, LinearTerm};

@@ -1,5 +1,6 @@
 //! Extraction of the linear ("associative") normal form of a stencil.
 
+use crate::expr::Slot;
 use crate::facts::Walk;
 use crate::{BinOp, Expr, Offset, UnOp};
 use std::collections::BTreeMap;
@@ -122,6 +123,17 @@ impl Poly {
         self
     }
 
+    /// Every coefficient and the constant negated — a sign flip, which
+    /// is `scale(-1.0)` on every value but a NaN, whose sign a
+    /// multiplication leaves unspecified.
+    fn neg(mut self) -> Poly {
+        for coeff in self.terms.values_mut() {
+            *coeff = -*coeff;
+        }
+        self.constant = -self.constant;
+        self
+    }
+
     fn scale(mut self, factor: f64) -> Poly {
         for coeff in self.terms.values_mut() {
             *coeff *= factor;
@@ -158,41 +170,54 @@ impl Expr {
     }
 }
 
+/// The polynomial of `expr`, `None` where it is not linear: one loop over
+/// the nodes with a stack of the operands' polynomials.
 fn extract(expr: &Expr) -> Option<Poly> {
-    match expr {
-        Expr::Const(c) => Some(Poly::constant(*c)),
-        Expr::Cell(offset) => Some(Poly::cell(*offset)),
-        Expr::Unary(UnOp::Neg, a) => Some(extract(a)?.scale(-1.0)),
-        Expr::Unary(UnOp::Sqrt, a) => {
-            let inner = extract(a)?;
-            if inner.is_constant() {
-                Some(Poly::constant(inner.constant.sqrt()))
+    const WELL_FORMED: &str = "a post-order expression has its operands on the stack";
+    let mut stack: Vec<Option<Poly>> = Vec::with_capacity(expr.stack_depth());
+    for slot in expr.slots() {
+        match *slot {
+            Slot::Const(c) => stack.push(Some(Poly::constant(c))),
+            Slot::Cell(offset) => stack.push(Some(Poly::cell(offset))),
+            Slot::Unary(op, _) => {
+                let top = stack.last_mut().expect(WELL_FORMED);
+                *top = top.take().and_then(|inner| match op {
+                    UnOp::Neg => Some(inner.neg()),
+                    UnOp::Sqrt if inner.is_constant() => {
+                        Some(Poly::constant(inner.constant.sqrt()))
+                    }
+                    UnOp::Sqrt => None,
+                });
+            }
+            Slot::Binary(op, _) => {
+                let pb = stack.pop().expect(WELL_FORMED);
+                let top = stack.last_mut().expect(WELL_FORMED);
+                *top = top.take().zip(pb).and_then(|(pa, pb)| combine(op, pa, pb));
+            }
+        }
+    }
+    stack.pop().expect(WELL_FORMED)
+}
+
+/// The polynomial of `a op b`, `None` where it is not linear.
+fn combine(op: BinOp, pa: Poly, pb: Poly) -> Option<Poly> {
+    match op {
+        BinOp::Add => Some(pa.add(pb, 1.0)),
+        BinOp::Sub => Some(pa.add(pb, -1.0)),
+        BinOp::Mul => {
+            if pa.is_constant() {
+                Some(pb.scale(pa.constant))
+            } else if pb.is_constant() {
+                Some(pa.scale(pb.constant))
             } else {
                 None
             }
         }
-        Expr::Binary(op, a, b) => {
-            let pa = extract(a)?;
-            let pb = extract(b)?;
-            match op {
-                BinOp::Add => Some(pa.add(pb, 1.0)),
-                BinOp::Sub => Some(pa.add(pb, -1.0)),
-                BinOp::Mul => {
-                    if pa.is_constant() {
-                        Some(pb.scale(pa.constant))
-                    } else if pb.is_constant() {
-                        Some(pa.scale(pb.constant))
-                    } else {
-                        None
-                    }
-                }
-                BinOp::Div => {
-                    if pb.is_constant() && pb.constant != 0.0 {
-                        Some(pa.scale(1.0 / pb.constant))
-                    } else {
-                        None
-                    }
-                }
+        BinOp::Div => {
+            if pb.is_constant() && pb.constant != 0.0 {
+                Some(pa.scale(1.0 / pb.constant))
+            } else {
+                None
             }
         }
     }

@@ -2,18 +2,19 @@
 //! built a `format!` `String` per node — on all 21 suite expressions and
 //! on one expression that uses every operator and both literal forms.
 
-use an5d_expr::{BinOp, Expr, Offset, UnOp};
+use an5d_expr::{BinOp, Expr, Node, Offset, UnOp};
 use an5d_stencil::suite;
 
-/// One `String` per node, as the renderer before `write_c` built it.
-fn reference(expr: &Expr, access: &dyn Fn(Offset) -> String) -> String {
-    match expr {
-        Expr::Const(c) if *c == c.trunc() && c.abs() < 1e15 => format!("{c:.1}f"),
-        Expr::Const(c) => format!("{c}f"),
-        Expr::Cell(o) => access(*o),
-        Expr::Unary(UnOp::Neg, a) => format!("(-{})", reference(a, access)),
-        Expr::Unary(UnOp::Sqrt, a) => format!("sqrt({})", reference(a, access)),
-        Expr::Binary(op, a, b) => {
+/// One `String` per node, as the renderer before `write_c` built it,
+/// recursing from node `i` through `view`.
+fn reference(expr: &Expr, i: usize, access: &dyn Fn(Offset) -> String) -> String {
+    match expr.view(i) {
+        Node::Const(c) if c == c.trunc() && c.abs() < 1e15 => format!("{c:.1}f"),
+        Node::Const(c) => format!("{c}f"),
+        Node::Cell(o) => access(o),
+        Node::Unary(UnOp::Neg, a) => format!("(-{})", reference(expr, a, access)),
+        Node::Unary(UnOp::Sqrt, a) => format!("sqrt({})", reference(expr, a, access)),
+        Node::Binary(op, a, b) => {
             let symbol = match op {
                 BinOp::Add => "+",
                 BinOp::Sub => "-",
@@ -22,8 +23,8 @@ fn reference(expr: &Expr, access: &dyn Fn(Offset) -> String) -> String {
             };
             format!(
                 "({} {symbol} {})",
-                reference(a, access),
-                reference(b, access)
+                reference(expr, a, access),
+                reference(expr, b, access)
             )
         }
     }
@@ -52,7 +53,10 @@ fn write_c_matches_the_per_node_renderer_on_every_suite_expression() {
     let suite = suite::all_benchmarks();
     assert_eq!(suite.len(), 21);
     for def in suite {
-        let expected = format!("prefix {}", reference(def.expr(), &access_name));
+        let expected = format!(
+            "prefix {}",
+            reference(def.expr(), def.expr().root(), &access_name)
+        );
         assert_eq!(written(def.expr()), expected, "{}", def.name());
     }
 }
@@ -65,7 +69,7 @@ fn write_c_matches_the_per_node_renderer_on_every_operator_and_literal() {
         + side * Expr::constant(-2.0)
         - Expr::constant(1e20) * Expr::constant(-0.0)
         + Expr::constant(f64::NAN);
-    let expected = format!("prefix {}", reference(&expr, &access_name));
+    let expected = format!("prefix {}", reference(&expr, expr.root(), &access_name));
     assert_eq!(written(&expr), expected);
     for literal in [
         "4.0f",

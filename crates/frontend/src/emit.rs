@@ -7,7 +7,7 @@
 //! definition (round-trip property, covered by the crate tests and the
 //! cross-crate integration tests).
 
-use an5d_expr::{BinOp, Expr, Offset, UnOp};
+use an5d_expr::{BinOp, Expr, Node, Offset, UnOp};
 use an5d_stencil::StencilDef;
 
 /// Names of the spatial loop variables, outermost (streaming) first.
@@ -53,61 +53,81 @@ pub fn emit_c_source(def: &StencilDef, array: &str) -> String {
     }
     out.push_str(&format!(
         "{indent}{store} = {};\n",
-        render_expr(def.expr(), 0, &access)
+        render_expr(def.expr(), &access)
     ));
     out
 }
 
 /// Operator precedence used by the emitter: additive = 1, multiplicative =
 /// 2, atoms = 3.
-fn precedence(expr: &Expr) -> u8 {
-    match expr {
-        Expr::Binary(BinOp::Add | BinOp::Sub, _, _) => 1,
-        Expr::Binary(BinOp::Mul | BinOp::Div, _, _) => 2,
+fn precedence(node: Node) -> u8 {
+    match node {
+        Node::Binary(BinOp::Add | BinOp::Sub, _, _) => 1,
+        Node::Binary(BinOp::Mul | BinOp::Div, _, _) => 2,
         _ => 3,
     }
 }
 
 /// Precedence-aware rendering: long sums stay flat (`a + b + c + …`) rather
 /// than deeply parenthesised, which keeps both the emitted code readable
-/// and the re-parse of wide box stencils shallow.
-fn render_expr<F>(expr: &Expr, min_prec: u8, access: &F) -> String
+/// and the re-parse of wide box stencils shallow. One loop with a stack of
+/// what is left to print: a node with the least precedence its place
+/// allows without parentheses, or text.
+fn render_expr<F>(expr: &Expr, access: &F) -> String
 where
     F: Fn(Offset) -> String,
 {
-    let own = precedence(expr);
-    let body = match expr {
-        Expr::Const(_) => {
-            let mut literal = String::new();
-            expr.write_c(&mut literal, &|_, _| {});
-            literal
-        }
-        Expr::Cell(offset) => access(*offset),
-        // Unary minus binds tighter than any binary operator.
-        Expr::Unary(UnOp::Neg, a) => format!("(-{})", render_expr(a, 3, access)),
-        Expr::Unary(UnOp::Sqrt, a) => format!("sqrtf({})", render_expr(a, 0, access)),
-        Expr::Binary(op, a, b) => {
-            let symbol = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Mul => "*",
-                BinOp::Div => "/",
-            };
-            // The right operand needs strictly higher precedence to keep
-            // its grouping — under `+` and `*` too: floating-point
-            // `a + (b + c)` is not `(a + b) + c`.
-            format!(
-                "{} {symbol} {}",
-                render_expr(a, own, access),
-                render_expr(b, own + 1, access)
-            )
-        }
-    };
-    if own < min_prec {
-        format!("({body})")
-    } else {
-        body
+    enum Step {
+        Node(usize, u8),
+        Text(&'static str),
     }
+    let mut out = String::new();
+    let mut todo = vec![Step::Node(expr.root(), 0)];
+    while let Some(step) = todo.pop() {
+        let (i, min_prec) = match step {
+            Step::Node(i, min_prec) => (i, min_prec),
+            Step::Text(text) => {
+                out.push_str(text);
+                continue;
+            }
+        };
+        let node = expr.view(i);
+        let own = precedence(node);
+        if own < min_prec {
+            out.push('(');
+            todo.push(Step::Text(")"));
+        }
+        match node {
+            Node::Const(c) => Expr::constant(c).write_c(&mut out, &|_, _| {}),
+            Node::Cell(offset) => out.push_str(&access(offset)),
+            // Unary minus binds tighter than any binary operator.
+            Node::Unary(UnOp::Neg, a) => {
+                out.push_str("(-");
+                todo.extend([Step::Text(")"), Step::Node(a, 3)]);
+            }
+            Node::Unary(UnOp::Sqrt, a) => {
+                out.push_str("sqrtf(");
+                todo.extend([Step::Text(")"), Step::Node(a, 0)]);
+            }
+            Node::Binary(op, a, b) => {
+                let symbol = match op {
+                    BinOp::Add => " + ",
+                    BinOp::Sub => " - ",
+                    BinOp::Mul => " * ",
+                    BinOp::Div => " / ",
+                };
+                // The right operand needs strictly higher precedence to keep
+                // its grouping — under `+` and `*` too: floating-point
+                // `a + (b + c)` is not `(a + b) + c`.
+                todo.extend([
+                    Step::Node(b, own + 1),
+                    Step::Text(symbol),
+                    Step::Node(a, own),
+                ]);
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -139,18 +159,6 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_every_benchmark() {
-        // Wide box stencils (box3d4r has 729 terms) produce deep expression
-        // trees; debug-build recursion needs more than the default 2 MiB
-        // test-thread stack.
-        std::thread::Builder::new()
-            .stack_size(64 * 1024 * 1024)
-            .spawn(round_trip_all)
-            .expect("spawn round-trip worker")
-            .join()
-            .expect("round-trip worker panicked");
-    }
-
-    fn round_trip_all() {
         for def in suite::all_benchmarks() {
             let src = emit_c_source(&def, "A");
             let detected = parse_stencil(&src, def.name())

@@ -92,17 +92,21 @@ impl<'a> Lexer<'a> {
         (line, 1 + before[line_start..].chars().count())
     }
 
-    fn unexpected(&self, offset: usize) -> FrontendError {
+    /// The error at the character at `offset`, boxed: what a token
+    /// returns on the path taken is only the token.
+    #[cold]
+    #[inline(never)]
+    fn unexpected(&self, offset: usize) -> Box<FrontendError> {
         let (line, column) = self.line_column(offset);
         let found = self.source[offset..]
             .chars()
             .next()
             .expect("a lex error points at a character");
-        FrontendError::Lex {
+        Box::new(FrontendError::Lex {
             line,
             column,
             found,
-        }
+        })
     }
 
     /// The next token and the byte offset it starts at.
@@ -111,7 +115,7 @@ impl<'a> Lexer<'a> {
     ///
     /// [`FrontendError::Lex`] on a character outside the supported subset
     /// or a malformed number.
-    pub(crate) fn next_token(&mut self) -> Result<(Token<'a>, usize), FrontendError> {
+    pub(crate) fn next_token(&mut self) -> Result<(Token<'a>, usize), Box<FrontendError>> {
         let bytes = self.source.as_bytes();
         loop {
             let start = self.pos;
@@ -190,10 +194,12 @@ impl<'a> Lexer<'a> {
     /// A numeric literal starting at `start`. A run of digits not followed
     /// by `.`, `e`, `E`, `f` or `F` is an integer, accumulated as it is
     /// scanned; anything else is a float: digits, `.`, an exponent with an
-    /// optional sign, then an optional `f`/`F`. An integer past `i64`, or a
-    /// float `str::parse` refuses (`1e+`, `1.2.3`), is a lex error at the
-    /// literal's first character.
-    fn number(&self, start: usize) -> Result<(Token<'a>, usize), FrontendError> {
+    /// optional sign, then an optional `f`/`F`. An integer past `i64`, a
+    /// float `str::parse` refuses (`1e+`, `1.2.3`), or one it makes infinite
+    /// (`1e999`, which no C compiler takes as a constant and no printed
+    /// literal would spell), is a lex error at the literal's first
+    /// character.
+    fn number(&self, start: usize) -> Result<(Token<'a>, usize), Box<FrontendError>> {
         let bytes = self.source.as_bytes();
         let mut end = start;
         let mut value = Some(0i64);
@@ -218,9 +224,9 @@ impl<'a> Lexer<'a> {
         if matches!(bytes.get(end), Some(b'f' | b'F')) {
             end += 1;
         }
-        match text.parse() {
-            Ok(value) => Ok((Token::Float(value), end - start)),
-            Err(_) => Err(self.unexpected(start)),
+        match text.parse::<f64>() {
+            Ok(value) if value.is_finite() => Ok((Token::Float(value), end - start)),
+            _ => Err(self.unexpected(start)),
         }
     }
 }
@@ -233,7 +239,7 @@ mod tests {
         let mut lexer = Lexer::new(source);
         let mut tokens = Vec::new();
         loop {
-            match lexer.next_token()? {
+            match lexer.next_token().map_err(|e| *e)? {
                 (Token::Eof, _) => return Ok(tokens),
                 token => tokens.push(token),
             }
@@ -371,6 +377,33 @@ mod tests {
                 "{source}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn rejects_floats_that_overflow_at_their_first_character() {
+        for (source, column) in [
+            ("1e999f", 1),
+            ("a * 1e999", 5),
+            ("-2.5e400F", 2),
+            (".9e309", 1),
+        ] {
+            assert_eq!(
+                tokens(source).unwrap_err(),
+                FrontendError::Lex {
+                    line: 1,
+                    column,
+                    found: source[column - 1..].chars().next().unwrap()
+                },
+                "{source}"
+            );
+        }
+        // The largest finite float, and one that underflows to zero, are
+        // literals.
+        assert_eq!(
+            kinds("1.7976931348623157e308"),
+            vec![Token::Float(f64::MAX)]
+        );
+        assert_eq!(kinds("1e-999f"), vec![Token::Float(0.0)]);
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //! and is pulled by a recursive-descent parser one token of look-ahead at
 //! a time. The loop headers come first, so at the assignment the parser
 //! knows the time variable, the space variables and the array: the update
-//! expression is checked and built straight into an `an5d_expr::Expr`,
-//! and subscripts and loop bounds are never built at all, only folded into
+//! expression is checked and pushed, one node at a time in post order,
+//! into the one vector an `an5d_expr::Expr` keeps (an `ExprBuilder`), and
+//! subscripts and loop bounds are never built at all, only folded into
 //! the few forms the pattern gives a meaning (`var`, `var ± k`, `k + var`,
 //! `(…) % 2`, an integer, a symbol). There is no token vector and no C
 //! syntax tree. An integer literal is accumulated as its digits are
-//! scanned; only a float goes through `str::parse`.
+//! scanned; only a float goes through `str::parse`. An error is boxed and
+//! built off the path taken, so a production returns only its value.
 //!
 //! **Which error.** The parser stops at the first fault it meets reading
 //! left to right, whatever its kind: a loop's step, bound and variable are
@@ -43,14 +45,15 @@
 //!
 //! **Two limits.** Parentheses, unary minuses, call arguments and
 //! subscripts may nest 64 levels deep, and the update expression may have
-//! 10,000 nodes (constants, reads and operations — a radius-6 3D box has
-//! 8,787); past either, the answer is
+//! 16,384 nodes (constants, reads and operations — a radius-7 3D box has
+//! 13,499); past either, the answer is
 //! [`FrontendError::UnsupportedStencil`]. The parser recurses once per
-//! nesting level and every later stage once per level of the expression,
-//! which a sum of `n` terms makes `n` deep: the limits are what keeps a
-//! hostile source from overflowing the 2 MiB stack of a service worker
-//! (the workspace's `tests/frontend_properties.rs` runs an input at each
-//! limit through the whole pipeline on such a stack, in release).
+//! nesting level, so the first limit is what keeps a hostile source from
+//! overflowing the 2 MiB stack of a service worker; no later stage
+//! recurses over the expression, so the second bounds the work one source
+//! can ask for, not a depth (the workspace's
+//! `tests/frontend_properties.rs` runs an input at each limit, and a
+//! radius-7 3D box, through the whole pipeline on such a stack).
 //!
 //! # Example
 //!

@@ -4,14 +4,20 @@
 //! The loop headers come first in the source, so when the parser reaches
 //! the assignment it knows the time variable and the space variables, and
 //! from the left-hand side the array: the update expression is checked
-//! and built as an [`Expr`] while it is parsed. Subscripts and loop
+//! while it is parsed and pushed, one node at a time and in the post order
+//! recursive descent meets them, into an [`ExprBuilder`] — the one vector
+//! the finished [`Expr`](an5d_expr::Expr) keeps. Subscripts and loop
 //! bounds are never built at all — they fold, operator by operator, into
 //! a [`Shape`].
+//!
+//! An error is boxed ([`Parsed`]), and built in `#[cold]` helpers: what a
+//! production or a token returns on the path taken is only the token, the
+//! [`Shape`] or nothing.
 
 use crate::detect::{DetectedStencil, ExtentExpr};
 use crate::lexer::{Lexer, Token};
 use crate::FrontendError;
-use an5d_expr::Expr;
+use an5d_expr::{BinOp, ExprBuilder, Offset, UnOp};
 use an5d_stencil::StencilDef;
 
 /// Deepest nesting of parentheses, unary minuses, call arguments and
@@ -19,22 +25,27 @@ use an5d_stencil::StencilDef;
 const MAX_NESTING: usize = 64;
 
 /// Most nodes (constants, cell reads, operations) of the update
-/// expression. Every later stage recurses along the expression's spine,
-/// which `a + a + a + …` makes half as deep as it has nodes, and the
-/// hungriest of them (`emit_c_source`, ≈ 275 B a level in release) gets
-/// ≈ 7,600 levels out of a service worker's 2 MiB stack. A radius-6 3D box
-/// (2,197 terms) has 8,787 nodes and is 2,197 levels deep.
+/// expression. No stage after the parser recurses over the expression —
+/// each reads its one post-order vector in a loop — so this bounds the
+/// work and the memory one source can ask for, not a stack depth. A
+/// radius-7 3D box (3,375 terms) has 13,499 nodes.
 /// `tests/frontend_properties.rs` drives an input at each limit through
-/// the pipeline on such a stack.
-const MAX_NODES: usize = 10_000;
+/// the pipeline on a service worker's 2 MiB stack.
+const MAX_NODES: usize = 16_384;
 
-type Parsed<T> = Result<T, FrontendError>;
+/// What a production returns: the error boxed, so that the path taken
+/// carries only the value.
+type Parsed<T> = Result<T, Box<FrontendError>>;
 
+#[cold]
+#[inline(never)]
 fn unsupported<T>(reason: impl Into<String>) -> Parsed<T> {
-    Err(FrontendError::unsupported(reason))
+    Err(Box::new(FrontendError::unsupported(reason)))
 }
 
 /// The only calls the update may make are `sqrt(x)` and `sqrtf(x)`.
+#[cold]
+#[inline(never)]
 fn unsupported_call<T>(name: &str) -> Parsed<T> {
     unsupported(format!(
         "call to '{name}' is not supported (only sqrt/sqrtf)"
@@ -83,7 +94,7 @@ struct Subscripts<'a> {
 }
 
 /// What the expression grammar builds from its productions: a [`Shape`]
-/// in a subscript or loop header, the checked [`Expr`] in the update.
+/// in a subscript or loop header, [`Pushed`] nodes in the update.
 trait Build<'a>: Sized {
     fn int(p: &mut Parser<'a>, value: i64) -> Parsed<Self>;
     fn float(p: &mut Parser<'a>, value: f64) -> Parsed<Self>;
@@ -140,13 +151,21 @@ impl<'a> Build<'a> for Shape<'a> {
     }
 }
 
-impl<'a> Build<'a> for Expr {
+/// An operand of the update expression, complete: its nodes are in the
+/// parser's [`ExprBuilder`] already, in post order, so nothing is handed
+/// from production to production.
+#[derive(Debug)]
+struct Pushed;
+
+impl<'a> Build<'a> for Pushed {
     fn int(p: &mut Parser<'a>, value: i64) -> Parsed<Self> {
-        p.node(Expr::constant(value as f64))
+        p.node()?.constant(value as f64);
+        Ok(Pushed)
     }
 
     fn float(p: &mut Parser<'a>, value: f64) -> Parsed<Self> {
-        p.node(Expr::constant(value))
+        p.node()?.constant(value);
+        Ok(Pushed)
     }
 
     fn ident(_: &mut Parser<'a>, name: &'a str) -> Parsed<Self> {
@@ -185,7 +204,8 @@ impl<'a> Build<'a> for Expr {
             *offset = i32::try_from(k)
                 .or_else(|_| unsupported("neighbour offsets must fit in 32 bits"))?;
         }
-        p.node(Expr::cell(&offsets[..ndim]))
+        p.node()?.cell(Offset::new(&offsets[..ndim]));
+        Ok(Pushed)
     }
 
     fn callee(name: &str) -> Parsed<()> {
@@ -196,29 +216,33 @@ impl<'a> Build<'a> for Expr {
         }
     }
 
-    fn call(p: &mut Parser<'a>, name: &str, first_arg: Self, args: usize) -> Parsed<Self> {
+    fn call(p: &mut Parser<'a>, name: &str, _: Self, args: usize) -> Parsed<Self> {
         if args != 1 {
             return unsupported_call(name);
         }
-        p.node(Expr::sqrt(first_arg))
+        p.node()?.unary(UnOp::Sqrt);
+        Ok(Pushed)
     }
 
-    fn neg(p: &mut Parser<'a>, operand: Self) -> Parsed<Self> {
-        p.node(-operand)
+    fn neg(p: &mut Parser<'a>, _: Self) -> Parsed<Self> {
+        p.node()?.unary(UnOp::Neg);
+        Ok(Pushed)
     }
 
-    fn binary(p: &mut Parser<'a>, op: Token<'a>, lhs: Self, rhs: Self) -> Parsed<Self> {
-        p.node(match op {
-            Token::Plus => lhs + rhs,
-            Token::Minus => lhs - rhs,
-            Token::Star => lhs * rhs,
-            Token::Slash => lhs / rhs,
+    fn binary(p: &mut Parser<'a>, op: Token<'a>, _: Self, _: Self) -> Parsed<Self> {
+        let op = match op {
+            Token::Plus => BinOp::Add,
+            Token::Minus => BinOp::Sub,
+            Token::Star => BinOp::Mul,
+            Token::Slash => BinOp::Div,
             _ => {
                 return unsupported(
                     "the modulo operator may only appear in the double-buffer index",
                 )
             }
-        })
+        };
+        p.node()?.binary(op);
+        Ok(Pushed)
     }
 }
 
@@ -237,7 +261,8 @@ struct Parser<'a> {
     /// input points one column past it).
     prev_at: Option<usize>,
     depth: usize,
-    nodes: usize,
+    /// The update expression's nodes so far.
+    update: ExprBuilder,
     /// The loops read so far, the time loop first.
     loops: Vec<Loop<'a>>,
     /// The array the assignment stores to.
@@ -254,14 +279,16 @@ impl<'a> Parser<'a> {
             tok_at,
             prev_at: None,
             depth: 0,
-            nodes: 0,
+            update: ExprBuilder::new(),
             loops: Vec::new(),
             array: "",
         })
     }
 
     /// "expected … but found" the look-ahead token, at its position.
-    fn error(&self, expected: &str) -> FrontendError {
+    #[cold]
+    #[inline(never)]
+    fn error(&self, expected: &str) -> Box<FrontendError> {
         let (line, column) = match (self.tok, self.prev_at) {
             (Token::Eof, None) => (1, 1),
             (Token::Eof, Some(prev)) => {
@@ -270,7 +297,12 @@ impl<'a> Parser<'a> {
             }
             _ => self.lexer.line_column(self.tok_at),
         };
-        FrontendError::parse(line, column, expected, self.tok.to_string())
+        Box::new(FrontendError::parse(
+            line,
+            column,
+            expected,
+            self.tok.to_string(),
+        ))
     }
 
     /// Consume the look-ahead token and pull the next one.
@@ -299,15 +331,14 @@ impl<'a> Parser<'a> {
         Ok(name)
     }
 
-    /// Count one node of the update expression.
-    fn node(&mut self, expr: Expr) -> Parsed<Expr> {
-        self.nodes += 1;
-        if self.nodes > MAX_NODES {
+    /// The builder, with room for one more node of the update expression.
+    fn node(&mut self) -> Parsed<&mut ExprBuilder> {
+        if self.update.node_count() == MAX_NODES {
             return unsupported(format!(
                 "the update expression has more than {MAX_NODES} nodes"
             ));
         }
-        Ok(expr)
+        Ok(&mut self.update)
     }
 
     /// The one place the expression grammar re-enters itself.
@@ -351,7 +382,7 @@ impl<'a> Parser<'a> {
         }
         self.store()?;
         self.expect(Token::Assign, "'=' in assignment")?;
-        let value = self.expr::<Expr>()?;
+        self.expr::<Pushed>()?;
         self.expect(Token::Semicolon, "';' after assignment")?;
         for _ in 0..braces {
             self.expect(Token::RBrace, "'}' after block")?;
@@ -362,7 +393,8 @@ impl<'a> Parser<'a> {
             return Err(self.error("end of input after the loop nest"));
         }
 
-        let def = StencilDef::new(name, value)?;
+        let def = StencilDef::new(name, self.update.finish())
+            .map_err(|e| Box::new(FrontendError::from(e)))?;
         let mut loops = self.loops.into_iter();
         let time = loops.next().expect("the nest has three or four loops");
         let (space_vars, space_extents) = loops.map(|l| (l.var.to_string(), l.extent)).unzip();
@@ -580,12 +612,15 @@ impl<'a> Parser<'a> {
 /// not match the supported stencil pattern (Section 4.3.3 restrictions).
 /// Of several faults, the one the parser meets first is reported.
 pub fn parse_stencil(source: &str, name: &str) -> Result<DetectedStencil, FrontendError> {
-    Parser::new(source)?.stencil(name)
+    Parser::new(source)
+        .and_then(|parser| parser.stencil(name))
+        .map_err(|e| *e)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use an5d_expr::Expr;
 
     const J2D5PT: &str = r"
         for (t = 0; t < I_T; t++)
@@ -767,18 +802,19 @@ mod tests {
                 })
                 .into();
             parser.array = "A";
-            parser.nodes = nodes;
+            for _ in 0..nodes {
+                parser.update.constant(0.0);
+            }
             parser
         }
-        // 256 terms of four nodes and a last read: shallow enough for a
-        // debug build's test thread.
+        // 256 terms of four nodes and a last read.
         let source = format!("{}{read}", format!("0.5f * {read} + ").repeat(256));
         let mut parser = in_update(&source, MAX_NODES - 4 * 256 - 1);
-        assert!(parser.expr::<Expr>().is_ok());
-        assert_eq!(parser.nodes, MAX_NODES);
+        assert!(parser.expr::<Pushed>().is_ok());
+        assert_eq!(parser.update.node_count(), MAX_NODES);
         let err = in_update(&source, MAX_NODES - 4 * 256)
-            .expr::<Expr>()
+            .expr::<Pushed>()
             .unwrap_err();
-        assert!(err.to_string().contains("more than 10000 nodes"), "{err}");
+        assert!(err.to_string().contains("more than 16384 nodes"), "{err}");
     }
 }

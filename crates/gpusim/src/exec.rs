@@ -141,7 +141,7 @@
 //! per-cell reference sweep for both `f32` and `f64`.
 
 use crate::TrafficCounters;
-use an5d_expr::{BinOp, Expr, UnOp};
+use an5d_expr::{BinOp, Expr, Node, UnOp};
 use an5d_grid::{Element, Grid, GridInit};
 use an5d_plan::{practical_shared_reads, DimTile, KernelPlan};
 use an5d_stencil::StencilProblem;
@@ -960,7 +960,7 @@ fn pair_group<T: Element>(
 /// operands of the instruction that consumes them rather than rows pushed
 /// on the stack first.
 ///
-/// Every lane goes through the scalar operations of the recursive
+/// Every lane goes through the scalar operations of
 /// [`an5d_stencil::exec::eval_expr`] with the same operands on the same
 /// sides (a subtree's value does not depend on when it is computed, and
 /// lanes never interact), so results are bit-identical for `f32` and `f64`
@@ -974,39 +974,46 @@ struct RowKernel {
 
 impl RowKernel {
     fn compile(expr: &Expr, local_strides: &[usize]) -> Self {
-        /// Emit the instructions of a subtree; returns how its consumer
-        /// refers to its value.
-        fn emit(expr: &Expr, strides: &[usize], ops: &mut Vec<TapeOp>) -> Operand {
-            match expr {
-                Expr::Const(c) => Operand::Const(*c),
-                Expr::Cell(offset) => Operand::Cell(
-                    offset
+        const WELL_FORMED: &str = "a post-order expression has its operands on the stack";
+        // One instruction per operation node, in the nodes' post order. The
+        // stack holds, per operand not yet consumed, how its consumer
+        // refers to its value and how long the tape was where its subtree
+        // began.
+        let mut ops = Vec::new();
+        let mut operands: Vec<(Operand, usize)> = Vec::with_capacity(expr.stack_depth());
+        for i in 0..expr.node_count() {
+            match expr.view(i) {
+                Node::Const(c) => operands.push((Operand::Const(c), ops.len())),
+                Node::Cell(offset) => {
+                    let delta = offset
                         .components()
                         .iter()
-                        .zip(strides)
+                        .zip(local_strides)
                         .map(|(&o, &s)| o as isize * s as isize)
-                        .sum(),
-                ),
-                Expr::Unary(op, a) => {
-                    let a = emit(a, strides, ops);
-                    ops.push(TapeOp::Unary(*op, a));
-                    Operand::Top
+                        .sum();
+                    operands.push((Operand::Cell(delta), ops.len()));
                 }
-                Expr::Binary(op, a, b) => {
-                    let a_is = emit(a, strides, ops);
+                Node::Unary(op, _) => {
+                    let (a_is, _) = operands.last_mut().expect(WELL_FORMED);
+                    ops.push(TapeOp::Unary(op, *a_is));
+                    *a_is = Operand::Top;
+                }
+                Node::Binary(op, a, b) => {
+                    let (mut b_is, b_began) = operands.pop().expect(WELL_FORMED);
+                    let (a_is, _) = operands.last_mut().expect(WELL_FORMED);
                     // The same non-leaf subtree on both sides has one
-                    // value: compile it once.
-                    let b_is = match a_is {
-                        Operand::Top if a == b => Operand::Dup,
-                        _ => emit(b, strides, ops),
-                    };
-                    ops.push(TapeOp::Binary(*op, a_is, b_is));
-                    Operand::Top
+                    // value: it is compiled once, the right copy's
+                    // instructions dropped.
+                    if *a_is == Operand::Top && expr.subtree_eq(a, b) {
+                        ops.truncate(b_began);
+                        b_is = Operand::Dup;
+                    }
+                    ops.push(TapeOp::Binary(op, *a_is, b_is));
+                    *a_is = Operand::Top;
                 }
             }
         }
-        let mut ops = Vec::new();
-        let root = emit(expr, local_strides, &mut ops);
+        let (root, _) = operands.pop().expect(WELL_FORMED);
         if root != Operand::Top {
             ops.push(TapeOp::Leaf(root));
         }
@@ -1902,15 +1909,25 @@ mod tests {
             }
             let op = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][self.below(4) as usize];
             match self.below(7) {
-                0 => Expr::Unary(UnOp::Neg, self.tree(depth - 1).into()),
-                1 => Expr::Unary(UnOp::Sqrt, self.tree(depth - 1).into()),
+                0 => -self.tree(depth - 1),
+                1 => Expr::sqrt(self.tree(depth - 1)),
                 2 => {
                     // The same non-leaf subtree on both sides.
                     let shared = self.node(depth - 1);
-                    Expr::Binary(op, shared.clone().into(), shared.into())
+                    binary(op, shared.clone(), shared)
                 }
-                _ => Expr::Binary(op, self.tree(depth - 1).into(), self.tree(depth - 1).into()),
+                _ => binary(op, self.tree(depth - 1), self.tree(depth - 1)),
             }
+        }
+    }
+
+    /// `a op b`, built by the operator overloads.
+    fn binary(op: BinOp, a: Expr, b: Expr) -> Expr {
+        match op {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            BinOp::Div => a / b,
         }
     }
 
@@ -2011,10 +2028,10 @@ mod tests {
             inner() - c(),
             inner() / inner(),
             inner() - Expr::sqrt(inner()),
-            Expr::Unary(UnOp::Neg, x().into()),
-            Expr::Unary(UnOp::Neg, c().into()),
+            -x(),
+            -c(),
             Expr::sqrt(x()),
-            Expr::Unary(UnOp::Neg, Expr::sqrt(inner()).into()),
+            -Expr::sqrt(inner()),
         ];
         let mut rng = SplitMix(0x5EED);
         exprs.extend((0..200).map(|k| rng.tree(1 + k % 5)));
@@ -2036,7 +2053,6 @@ mod tests {
         }
         // One subtree on both sides of every operation (compiled once, the
         // instruction combines the row with itself), nested too.
-        let binary = |op, a: Expr, b: Expr| Expr::Binary(op, a.into(), b.into());
         const OPS: [BinOp; 4] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div];
         for op in OPS {
             for depth in 0..3 {

@@ -44,7 +44,7 @@ fn deep_and_long_sources_are_refused_by_a_server_that_lives_on() {
         ),
         (
             vec!["A[t%2][i][j]"; 80_000].join("+"),
-            "more than 10000 nodes",
+            "more than 16384 nodes",
         ),
     ];
     for (value, reason) in &hostile {

@@ -9,39 +9,55 @@
 //! with boundary cells held constant.
 
 use crate::{StencilDef, StencilProblem};
-use an5d_expr::{BinOp, Expr, Offset, UnOp};
+use an5d_expr::{Arithmetic, BinOp, Expr, Offset, UnOp};
 use an5d_grid::{DoubleBuffer, Element, Grid, GridInit};
 
 /// Evaluate a stencil expression in the target element type `T`, with every
 /// intermediate rounded to `T` — exactly what a generated `float`/`double`
 /// CUDA kernel would compute. Both the reference executor and the blocked
-/// executors call this same function, so `f64` results are bit-identical
-/// across execution schemes.
+/// executors' tests call this same function, so `f64` results are
+/// bit-identical across execution schemes.
 pub fn eval_expr<T, F>(expr: &Expr, resolve: &F) -> T
 where
     T: Element,
     F: Fn(Offset) -> T,
 {
-    match expr {
-        Expr::Const(c) => T::from_f64(*c),
-        Expr::Cell(offset) => resolve(*offset),
-        Expr::Unary(op, a) => {
-            let v = eval_expr(a, resolve);
-            match op {
-                UnOp::Neg => -v,
-                UnOp::Sqrt => v.sqrt(),
-            }
-        }
-        Expr::Binary(op, a, b) => {
-            let x = eval_expr(a, resolve);
-            let y = eval_expr(b, resolve);
-            match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                BinOp::Div => x / y,
-            }
-        }
+    eval_in(expr, &mut Vec::new(), resolve)
+}
+
+/// [`eval_expr`] with `stack` as the value stack, kept across cells.
+fn eval_in<T, F>(expr: &Expr, stack: &mut Vec<Value<T>>, resolve: &F) -> T
+where
+    T: Element,
+    F: Fn(Offset) -> T,
+{
+    expr.evaluate(stack, &|offset| Value(resolve(offset))).0
+}
+
+/// An element as the arithmetic [`Expr::evaluate`] computes in: the
+/// element's own conversion and operators.
+#[derive(Clone, Copy)]
+struct Value<T>(T);
+
+impl<T: Element> Arithmetic for Value<T> {
+    fn constant(value: f64) -> Self {
+        Value(T::from_f64(value))
+    }
+
+    fn unary(op: UnOp, Value(x): Self) -> Self {
+        Value(match op {
+            UnOp::Neg => -x,
+            UnOp::Sqrt => x.sqrt(),
+        })
+    }
+
+    fn binary(op: BinOp, Value(x): Self, Value(y): Self) -> Self {
+        Value(match op {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+        })
     }
 }
 
@@ -62,6 +78,7 @@ pub fn reference_step<T: Element>(def: &StencilDef, src: &Grid<T>, dst: &mut Gri
     );
     let rad = def.radius();
     let expr = def.expr();
+    let mut stack = Vec::with_capacity(expr.stack_depth());
     for idx in src.interior_indices(rad) {
         let resolve = |offset: Offset| {
             let mut neighbour = [0isize; 3];
@@ -71,7 +88,7 @@ pub fn reference_step<T: Element>(def: &StencilDef, src: &Grid<T>, dst: &mut Gri
             src.at(&neighbour[..idx.len()])
                 .expect("interior neighbour access stays within the padded grid")
         };
-        let value = eval_expr(expr, &resolve);
+        let value = eval_in(expr, &mut stack, &resolve);
         dst.set(&idx, value);
     }
 }

@@ -24,7 +24,7 @@
 //!   stencils with the same update expression *are* the same
 //!   computation and share tuning results by design.
 
-use an5d_expr::{BinOp, Expr, UnOp};
+use an5d_expr::{BinOp, Expr, Node, UnOp};
 use an5d_stencil::{StencilDef, StencilProblem};
 
 /// A fixed-parameter FNV-1a 64-bit hasher.
@@ -110,52 +110,77 @@ fn canonical_expr(expr: &Expr) -> String {
     canonical_tree(expr)
 }
 
-/// Flatten a commutative operator chain into its leaf operands.
-fn flatten<'a>(expr: &'a Expr, op: BinOp, out: &mut Vec<&'a Expr>) {
-    match expr {
-        Expr::Binary(o, a, b) if *o == op => {
-            flatten(a, op, out);
-            flatten(b, op, out);
+/// A subtree's canonical encoding, or — for a `+`/`×` node — its chain's
+/// operand encodings, kept open while the parent is the same operator.
+enum Encoding {
+    Done(String),
+    Chain(BinOp, Vec<String>),
+}
+
+impl Encoding {
+    fn finish(self) -> String {
+        match self {
+            Encoding::Done(text) => text,
+            Encoding::Chain(op, mut operands) => {
+                operands.sort_unstable();
+                let name = if op == BinOp::Add { "add" } else { "mul" };
+                format!("{name}({})", operands.join(","))
+            }
         }
-        other => out.push(other),
     }
 }
 
+/// The tree rendering: one loop over the nodes with a stack of the
+/// operands' encodings. A `+` or `×` node joins its operands' chains of the
+/// same operator, so a whole commutative chain is one sorted list.
 fn canonical_tree(expr: &Expr) -> String {
-    match expr {
-        Expr::Const(c) => format!("c{:016x}", c.to_bits()),
-        Expr::Cell(offset) => {
-            let comps: Vec<String> = offset
-                .components()
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect();
-            format!("a[{}]", comps.join(","))
-        }
-        Expr::Unary(op, a) => {
-            let name = match op {
-                UnOp::Neg => "neg",
-                UnOp::Sqrt => "sqrt",
-            };
-            format!("{name}({})", canonical_tree(a))
-        }
-        Expr::Binary(op @ (BinOp::Add | BinOp::Mul), _, _) => {
-            let mut operands = Vec::new();
-            flatten(expr, *op, &mut operands);
-            let mut encoded: Vec<String> = operands.iter().map(|e| canonical_tree(e)).collect();
-            encoded.sort_unstable();
-            let name = if *op == BinOp::Add { "add" } else { "mul" };
-            format!("{name}({})", encoded.join(","))
-        }
-        Expr::Binary(op, a, b) => {
-            let name = match op {
-                BinOp::Sub => "sub",
-                BinOp::Div => "div",
-                BinOp::Add | BinOp::Mul => unreachable!("handled above"),
-            };
-            format!("{name}({},{})", canonical_tree(a), canonical_tree(b))
-        }
+    const WELL_FORMED: &str = "a post-order expression has its operands on the stack";
+    let mut stack: Vec<Encoding> = Vec::with_capacity(expr.stack_depth());
+    for i in 0..expr.node_count() {
+        let encoding = match expr.view(i) {
+            Node::Const(c) => Encoding::Done(format!("c{:016x}", c.to_bits())),
+            Node::Cell(offset) => {
+                let comps: Vec<String> = offset
+                    .components()
+                    .iter()
+                    .map(std::string::ToString::to_string)
+                    .collect();
+                Encoding::Done(format!("a[{}]", comps.join(",")))
+            }
+            Node::Unary(op, _) => {
+                let name = match op {
+                    UnOp::Neg => "neg",
+                    UnOp::Sqrt => "sqrt",
+                };
+                let a = stack.pop().expect(WELL_FORMED).finish();
+                Encoding::Done(format!("{name}({a})"))
+            }
+            Node::Binary(op @ (BinOp::Add | BinOp::Mul), _, _) => {
+                let b = stack.pop().expect(WELL_FORMED);
+                let a = stack.pop().expect(WELL_FORMED);
+                let mut operands = Vec::new();
+                for side in [a, b] {
+                    match side {
+                        Encoding::Chain(inner, chain) if inner == op => operands.extend(chain),
+                        other => operands.push(other.finish()),
+                    }
+                }
+                Encoding::Chain(op, operands)
+            }
+            Node::Binary(op, _, _) => {
+                let name = match op {
+                    BinOp::Sub => "sub",
+                    BinOp::Div => "div",
+                    BinOp::Add | BinOp::Mul => unreachable!("handled above"),
+                };
+                let b = stack.pop().expect(WELL_FORMED).finish();
+                let a = stack.pop().expect(WELL_FORMED).finish();
+                Encoding::Done(format!("{name}({a},{b})"))
+            }
+        };
+        stack.push(encoding);
     }
+    stack.pop().expect(WELL_FORMED).finish()
 }
 
 /// Canonical, order-insensitive fingerprint of a stencil definition.

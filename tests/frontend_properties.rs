@@ -3,97 +3,23 @@
 //! `StencilDef::new` derives in its one walk equals a separate reference,
 //! no input panics the parser, and the
 //! parser's two limits (nesting depth, nodes of the update expression) hold
-//! — an input at each limit runs the whole pipeline on the 2 MiB stack a
-//! service worker has, an input past either is an error, not a deep
-//! recursion.
+//! — an input at each limit, and a radius-7 3D box, runs the whole
+//! pipeline on the 2 MiB stack a service worker has, an input past either
+//! is an error, not a deep recursion.
 
 use an5d::{
     emit_c_source, generate_cuda_for_plan, parse_stencil, suite, An5d, BinOp, BlockConfig, Expr,
-    FlopCount, FrontendError, Offset, OpMix, Precision, StencilDef, UnOp,
+    FlopCount, FrontendError, Node, Offset, OpMix, Precision, StencilDef, UnOp,
 };
 use proptest::prelude::*;
-use proptest::TestRng;
 use std::collections::BTreeSet;
+use support::RandomStencil;
+
+mod support;
 
 /// The parser's limits (`crates/frontend/src/parser.rs`, crate docs).
 const MAX_NESTING: usize = 64;
-const MAX_NODES: usize = 10_000;
-
-/// Strategy: a random update expression of rank 2 or 3 and radius 1–4
-/// with `sqrt`, `/`, unary minus and shared subtrees, as a definition.
-struct RandomStencil;
-
-struct TreeGen<'r> {
-    rng: &'r mut TestRng,
-    ndim: usize,
-    radius: i32,
-}
-
-impl TreeGen<'_> {
-    fn below(&mut self, bound: u64) -> u64 {
-        self.rng.next_below(bound)
-    }
-
-    fn cell(&mut self) -> Expr {
-        let span = 2 * self.radius as u64 + 1;
-        let offset: Vec<i32> = (0..self.ndim)
-            .map(|_| self.below(span) as i32 - self.radius)
-            .collect();
-        Expr::cell(&offset)
-    }
-
-    /// Constants are non-negative: `-2.0f` is the negation of `2.0f` to a
-    /// C parser, so a negative literal cannot survive the round trip.
-    fn leaf(&mut self) -> Expr {
-        match self.below(4) {
-            0 => Expr::constant(self.below(1000) as f64 / 8.0),
-            1 => Expr::constant(self.rng.next_unit_f64() * 10.0),
-            _ => self.cell(),
-        }
-    }
-
-    fn tree(&mut self, depth: usize) -> Expr {
-        if depth == 0 || self.below(5) == 0 {
-            return self.leaf();
-        }
-        let kind = self.below(8);
-        let lhs = self.tree(depth - 1);
-        let rhs = match kind {
-            0 => return -lhs,
-            1 => return Expr::sqrt(lhs),
-            // The same subtree on both sides.
-            2 => lhs.clone(),
-            _ => self.tree(depth - 1),
-        };
-        match self.below(4) {
-            0 => lhs + rhs,
-            1 => lhs - rhs,
-            2 => lhs * rhs,
-            _ => lhs / rhs,
-        }
-    }
-}
-
-impl Strategy for RandomStencil {
-    type Value = StencilDef;
-
-    fn generate(&self, rng: &mut TestRng) -> StencilDef {
-        let ndim = 2 + rng.next_below(2) as usize;
-        let radius = 1 + rng.next_below(4) as i32;
-        let mut gen = TreeGen { rng, ndim, radius };
-        let depth = 1 + gen.below(5) as usize;
-        let tree = gen.tree(depth);
-        // One access at the full radius pins it (and guarantees a cell).
-        let mut extreme = vec![0; ndim];
-        extreme[gen.below(ndim as u64) as usize] = if gen.below(2) == 0 { radius } else { -radius };
-        let expr = match gen.below(3) {
-            0 => Expr::cell(&extreme) + tree,
-            1 => tree * Expr::cell(&extreme),
-            _ => tree - Expr::constant(0.5) * Expr::cell(&extreme),
-        };
-        StencilDef::new("random", expr).expect("a cell at radius 1-4 of rank 2-3")
-    }
-}
+const MAX_NODES: usize = 16_384;
 
 fn assert_round_trip(def: &StencilDef) {
     let source = emit_c_source(def, "A");
@@ -118,48 +44,52 @@ fn assert_round_trip(def: &StencilDef) {
 /// of a linear update from its `LinearForm`, the FLOP tally and the
 /// division flag by separate recursions.
 fn assert_facts_match_references(def: &StencilDef) {
-    fn collect(expr: &Expr, offsets: &mut BTreeSet<Offset>, flops: &mut FlopCount) {
-        match expr {
-            Expr::Const(_) => {}
-            Expr::Cell(offset) => {
-                offsets.insert(*offset);
+    fn collect(expr: &Expr, i: usize, offsets: &mut BTreeSet<Offset>, flops: &mut FlopCount) {
+        match expr.view(i) {
+            Node::Const(_) => {}
+            Node::Cell(offset) => {
+                offsets.insert(offset);
             }
-            Expr::Unary(op, a) => {
-                if *op == UnOp::Sqrt {
+            Node::Unary(op, a) => {
+                if op == UnOp::Sqrt {
                     flops.sqrt += 1;
                 }
-                collect(a, offsets, flops);
+                collect(expr, a, offsets, flops);
             }
-            Expr::Binary(op, a, b) => {
-                let rsqrt = matches!(**a, Expr::Const(c) if c == 1.0)
-                    && matches!(**b, Expr::Unary(UnOp::Sqrt, _));
+            Node::Binary(op, a, b) => {
+                let rsqrt = matches!(expr.view(a), Node::Const(c) if c == 1.0)
+                    && matches!(expr.view(b), Node::Unary(UnOp::Sqrt, _));
                 match op {
                     BinOp::Add | BinOp::Sub => flops.add += 1,
                     BinOp::Mul => flops.mul += 1,
                     BinOp::Div if rsqrt => {}
                     BinOp::Div => flops.div += 1,
                 }
-                collect(a, offsets, flops);
-                collect(b, offsets, flops);
+                collect(expr, a, offsets, flops);
+                collect(expr, b, offsets, flops);
             }
         }
     }
-    fn divides(expr: &Expr) -> bool {
-        match expr {
-            Expr::Const(_) | Expr::Cell(_) => false,
-            Expr::Unary(_, a) => divides(a),
-            Expr::Binary(op, a, b) => *op == BinOp::Div || divides(a) || divides(b),
+    fn divides(expr: &Expr, i: usize) -> bool {
+        match expr.view(i) {
+            Node::Const(_) | Node::Cell(_) => false,
+            Node::Unary(_, a) => divides(expr, a),
+            Node::Binary(op, a, b) => op == BinOp::Div || divides(expr, a) || divides(expr, b),
         }
     }
 
     let expr = def.expr();
     let mut offsets = BTreeSet::new();
     let mut flops = FlopCount::default();
-    collect(expr, &mut offsets, &mut flops);
+    collect(expr, expr.root(), &mut offsets, &mut flops);
     let offsets: Vec<Offset> = offsets.into_iter().collect();
     assert_eq!(def.shape().offsets, offsets, "{expr}");
     assert_eq!(def.flop_count(), flops, "{expr}");
-    assert_eq!(def.contains_division(), divides(expr), "{expr}");
+    assert_eq!(
+        def.contains_division(),
+        divides(expr, expr.root()),
+        "{expr}"
+    );
 
     let form = expr.as_linear();
     assert_eq!(def.is_associative(), form.is_some(), "{expr}");
@@ -254,12 +184,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn emitted_source_parses_back_to_the_definition(def in RandomStencil) {
+    fn emitted_source_parses_back_to_the_definition(def in RandomStencil::ROUND_TRIP) {
         assert_round_trip(&def);
     }
 
     #[test]
-    fn one_walk_derives_what_the_references_do(def in RandomStencil) {
+    fn one_walk_derives_what_the_references_do(def in RandomStencil::ROUND_TRIP) {
         assert_facts_match_references(&def);
     }
 
@@ -352,7 +282,7 @@ fn inputs_past_a_limit_are_errors_not_recursion() {
     }
     for terms in [MAX_NODES / 2 + 1, 80_000] {
         let reason = unsupported_reason(&update(&chain(terms, 0)));
-        assert!(reason.contains("more than 10000 nodes"), "{reason}");
+        assert!(reason.contains("more than 16384 nodes"), "{reason}");
     }
     // Loops and braces nest without recursion: a count, not a limit.
     let loops = "for (i = 0; i < N; i++) ".repeat(99_999);
@@ -368,10 +298,31 @@ fn inputs_past_a_limit_are_errors_not_recursion() {
 /// The stack a service worker runs a `"source"`-carrying request on.
 const WORKER_STACK: usize = 2 << 20;
 
+/// A 3D box stencil of `radius` as C source: `(2·radius + 1)³` weighted
+/// reads summed left to right — at radius 7, 3,375 reads and 13,499 nodes.
+fn box3d_source(radius: i32) -> String {
+    let mut value = String::new();
+    for i in -radius..=radius {
+        for j in -radius..=radius {
+            for k in -radius..=radius {
+                if !value.is_empty() {
+                    value.push_str(" + ");
+                }
+                value.push_str(&format!("0.0003f * A[t%2][i{i:+}][j{j:+}][k{k:+}]"));
+            }
+        }
+    }
+    format!(
+        "for (t = 0; t < I_T; t++)\n for (i = {radius}; i <= I_S3; i++)\n  \
+         for (j = {radius}; j <= I_S2; j++)\n   for (k = {radius}; k <= I_S1; k++)\n    \
+         A[(t+1)%2][i][j][k] = {value};\n"
+    )
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "the limits are sized for the release build's frames"
+    ignore = "verifying the radius-7 box takes a minute on the debug build's scalar loops"
 )]
 fn inputs_at_the_limits_run_the_pipeline_on_a_worker_stack() {
     let at_node_limit = update(&chain(MAX_NODES / 2, 1));
@@ -387,20 +338,36 @@ fn inputs_at_the_limits_run_the_pipeline_on_a_worker_stack() {
             ")".repeat(parens)
         ))
     };
+    let box3d7r = box3d_source(7);
     std::thread::Builder::new()
         .stack_size(WORKER_STACK)
         .spawn(move || {
-            for source in [&at_node_limit, &nest(MAX_NESTING)] {
+            let flat = (
+                &[32, 32][..],
+                BlockConfig::new(2, &[16], None, Precision::Single).unwrap(),
+            );
+            let wide = (
+                &[16, 20, 20][..],
+                BlockConfig::new(1, &[32, 32], None, Precision::Single).unwrap(),
+            );
+            for (source, (interior, config)) in [
+                (&at_node_limit, flat.clone()),
+                (&nest(MAX_NESTING), flat),
+                (&box3d7r, wide),
+            ] {
                 let an5d = An5d::from_c_source(source, "limits").unwrap();
-                let problem = an5d.problem(&[32, 32], 4).unwrap();
-                let config = BlockConfig::new(2, &[16], None, Precision::Single).unwrap();
+                let problem = an5d.problem(interior, 4).unwrap();
                 let plan = an5d.plan(&problem, &config).unwrap();
                 let cuda = generate_cuda_for_plan(&plan);
                 assert!(cuda.kernel_source.contains("__global__"));
-                assert!(emit_c_source(an5d.def(), "A").contains("A[(t+1)%2][i][j] = "));
+                assert!(emit_c_source(an5d.def(), "A").contains("A[(t+1)%2][i]"));
                 let report = an5d.verify(&problem, &config).unwrap();
                 assert!(report.matches_reference);
             }
+            let box3d7r = An5d::from_c_source(&box3d7r, "box3d7r").unwrap();
+            assert_eq!(box3d7r.def().radius(), 7);
+            assert_eq!(box3d7r.def().shape().offsets.len(), 3_375);
+            assert_eq!(box3d7r.def().expr().node_count(), 13_499);
             assert_eq!(
                 An5d::from_c_source(&at_node_limit, "limits")
                     .unwrap()
@@ -409,7 +376,7 @@ fn inputs_at_the_limits_run_the_pipeline_on_a_worker_stack() {
                     .node_count(),
                 MAX_NODES
             );
-            assert!(unsupported_reason(&past_node_limit).contains("more than 10000 nodes"));
+            assert!(unsupported_reason(&past_node_limit).contains("more than 16384 nodes"));
             assert!(unsupported_reason(&nest(MAX_NESTING + 1)).contains("nest deeper than 64"));
         })
         .expect("spawn a worker-sized thread")
