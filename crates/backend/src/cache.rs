@@ -120,7 +120,7 @@ impl PlanCache {
             def_name: def.name().to_string(),
             interior: problem.interior().to_vec(),
             time_steps: problem.time_steps(),
-            config: config.clone(),
+            config: *config,
             scheme,
         };
         {

@@ -349,9 +349,91 @@ pub fn journal() -> Vec<FiredFault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Tests that touch the process-wide plan must not interleave.
     static GLOBAL: Mutex<()> = Mutex::new(());
+
+    /// A rule's parsed fields, comparable across plans.
+    fn rules(plan: &FaultPlan) -> Vec<(String, FaultAction, Trigger, u64)> {
+        let fields = |r: &Rule| (r.point.clone(), r.action, r.trigger, r.limit);
+        plan.rules.iter().map(fields).collect()
+    }
+
+    /// A spec for `plan` in the grammar of the module docs. The space
+    /// before `=` keeps a point named `seed` a point.
+    fn render(plan: &FaultPlan) -> String {
+        let mut spec = format!("seed={}", plan.seed);
+        for rule in &plan.rules {
+            let trigger = match rule.trigger {
+                Trigger::Always => "always".to_string(),
+                Trigger::Every(n) => format!("every:{n}"),
+                Trigger::OneIn(n) => format!("1/{n}"),
+            };
+            let action = rule.action.describe();
+            spec += &format!(";{} ={action}@{trigger}#{}", rule.point, rule.limit);
+        }
+        spec
+    }
+
+    /// Parse `spec`, which must not panic; a spec it accepts must read
+    /// back, from its rendering, as the same seed and rules.
+    fn assert_parse_round_trips(spec: &str) {
+        let Ok(plan) = FaultPlan::parse(spec) else {
+            return;
+        };
+        let rendered = render(&plan);
+        let again = FaultPlan::parse(&rendered)
+            .unwrap_or_else(|e| panic!("{spec:?} rendered as {rendered:?}: {e}"));
+        assert_eq!(again.seed, plan.seed, "{spec:?} → {rendered:?}");
+        assert_eq!(rules(&again), rules(&plan), "{spec:?} → {rendered:?}");
+    }
+
+    /// Choices for each slot of `point=action@trigger#limit`, valid and
+    /// not, so that random specs are often accepted and often refused.
+    const POINTS: &[&str] = &["p", "tuner.x", "seed", " seed ", "", "a#b", "a@b", "é"];
+    const ACTIONS: &[&str] = &[
+        "error",
+        "delay:5",
+        " short:0 ",
+        "delay:+7",
+        "short:-1",
+        "nope",
+    ];
+    const TRIGGERS: &[&str] = &["", "@always", "@every:3", "@ 1/8 ", "@every:0", "@1/", "@"];
+    const LIMITS: &[&str] = &["", "#0", "#2", "#+3", "#18446744073709551615", "# 4", "#x"];
+    const SEEDS: &[&str] = &["seed=42", "seed= 7 ", "seed=-1", " ", ""];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_grammar(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            assert_parse_round_trips(&String::from_utf8_lossy(&bytes));
+        }
+
+        #[test]
+        fn accepted_specs_round_trip(
+            parts in prop::collection::vec(prop::collection::vec(0usize..64, 5), 0..5),
+            noise in prop::collection::vec(any::<u8>(), 0..3),
+        ) {
+            let part = |c: &[usize]| match c[4] % 4 {
+                0 => SEEDS[c[0] % SEEDS.len()].to_string(),
+                _ => format!(
+                    "{}={}{}{}",
+                    POINTS[c[0] % POINTS.len()],
+                    ACTIONS[c[1] % ACTIONS.len()],
+                    TRIGGERS[c[2] % TRIGGERS.len()],
+                    LIMITS[c[3] % LIMITS.len()],
+                ),
+            };
+            let mut spec = parts.iter().map(|c| part(c)).collect::<Vec<_>>().join(";");
+            spec += &String::from_utf8_lossy(&noise);
+            assert_parse_round_trips(&spec);
+        }
+    }
 
     #[test]
     fn empty_and_seed_only_specs_parse_to_no_rules() {

@@ -4,9 +4,15 @@
 //! rejects what cannot run (`PlanError`) and hands the extents, `hS_N`,
 //! compute regions and halo to [`crate::DimTiling`], which owns how a
 //! dimension is cut into tiles.
+//!
+//! Both are `Copy` values with no heap behind them: a configuration holds
+//! its `bS_i` inline, a geometry its compute regions and tilings, each in
+//! an array sized for a 3D stencil with the unused slots left zero (so the
+//! derived equality and hashing see only what was set). A tuning
+//! candidate is therefore a stack value from enumeration to ranking.
 
 use crate::DimTiling;
-use an5d_grid::Precision;
+use an5d_grid::{Precision, MAX_DIMS};
 use an5d_stencil::StencilProblem;
 use std::error::Error;
 use std::fmt;
@@ -41,6 +47,13 @@ pub enum PlanError {
     },
     /// The streaming-division length `hS_N` is zero.
     ZeroStreamDivision,
+    /// More spatial block extents than any stencil blocks: a 3D stencil,
+    /// the deepest there is, streams one dimension and blocks the other
+    /// [`MAX_BLOCKED_DIMS`].
+    TooManyBlockedDims {
+        /// Number of blocked extents supplied.
+        supplied: usize,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -57,11 +70,20 @@ impl fmt::Display for PlanError {
                 "blocked dimension {dim}: halo {halo} leaves no compute region in a block of {block}"
             ),
             PlanError::ZeroStreamDivision => write!(f, "stream division length hSN must be ≥ 1"),
+            PlanError::TooManyBlockedDims { supplied } => write!(
+                f,
+                "configuration blocks {supplied} spatial dimensions but at most \
+                 {MAX_BLOCKED_DIMS} can be blocked (one of a 3D stencil's three streams)"
+            ),
         }
     }
 }
 
 impl Error for PlanError {}
+
+/// Most spatial dimensions a configuration blocks: a grid's rank less the
+/// streaming dimension.
+pub const MAX_BLOCKED_DIMS: usize = MAX_DIMS - 1;
 
 /// An AN5D blocking configuration: the tunable parameters of Section 6.3.
 ///
@@ -72,10 +94,12 @@ impl Error for PlanError {}
 /// * `hsn` — optional division length of the streaming dimension
 ///   (Section 4.2.3); `None` disables streaming division;
 /// * `precision` — cell precision (affects `nword` and register demand).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct BlockConfig {
     bt: usize,
-    bs: Vec<usize>,
+    /// `bS_i` in `bs[..rank]`, zeros after.
+    bs: [usize; MAX_BLOCKED_DIMS],
+    rank: usize,
     hsn: Option<usize>,
     precision: Precision,
 }
@@ -87,8 +111,9 @@ impl BlockConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`PlanError`] if `bt` is zero, any block extent is zero, or
-    /// `hsn` is `Some(0)`.
+    /// Returns a [`PlanError`] if `bt` is zero, any block extent is zero,
+    /// more than [`MAX_BLOCKED_DIMS`] extents are given, or `hsn` is
+    /// `Some(0)`.
     pub fn new(
         bt: usize,
         bs: &[usize],
@@ -101,12 +126,18 @@ impl BlockConfig {
         if bs.is_empty() || bs.contains(&0) {
             return Err(PlanError::ZeroSpatialBlock);
         }
+        if bs.len() > MAX_BLOCKED_DIMS {
+            return Err(PlanError::TooManyBlockedDims { supplied: bs.len() });
+        }
         if hsn == Some(0) {
             return Err(PlanError::ZeroStreamDivision);
         }
+        let mut inline = [0; MAX_BLOCKED_DIMS];
+        inline[..bs.len()].copy_from_slice(bs);
         Ok(Self {
             bt,
-            bs: bs.to_vec(),
+            bs: inline,
+            rank: bs.len(),
             hsn,
             precision,
         })
@@ -138,7 +169,7 @@ impl BlockConfig {
     /// Spatial block extents `bS_i` of the non-streaming dimensions.
     #[must_use]
     pub fn bs(&self) -> &[usize] {
-        &self.bs
+        &self.bs[..self.rank]
     }
 
     /// Streaming-division length `hS_N`, if streaming division is enabled.
@@ -157,13 +188,13 @@ impl BlockConfig {
     /// sub-plane).
     #[must_use]
     pub fn nthr(&self) -> usize {
-        self.bs.iter().product()
+        self.bs().iter().product()
     }
 
     /// Label used in tables, e.g. `"256"` or `"32x16"`.
     #[must_use]
     pub fn bs_label(&self) -> String {
-        self.bs
+        self.bs()
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
@@ -179,35 +210,30 @@ impl BlockConfig {
     pub fn geometry(&self, problem: &StencilProblem) -> Result<BlockGeometry, PlanError> {
         let def = problem.def();
         let required = def.ndim() - 1;
-        if self.bs.len() != required {
+        if self.rank != required {
             return Err(PlanError::BlockedRankMismatch {
-                supplied: self.bs.len(),
+                supplied: self.rank,
                 required,
             });
         }
         let rad = def.radius();
         let halo_per_side = self.bt * rad;
         let halo = 2 * halo_per_side;
-        let mut compute_region = Vec::with_capacity(self.bs.len());
-        for (dim, &block) in self.bs.iter().enumerate() {
+        let mut compute_region = [0; MAX_BLOCKED_DIMS];
+        for (dim, &block) in self.bs().iter().enumerate() {
             if block <= halo {
                 return Err(PlanError::EmptyComputeRegion { dim, block, halo });
             }
-            compute_region.push(block - halo);
+            compute_region[dim] = block - halo;
         }
         // Streaming dimension first, then the blocked dimensions cut by
         // their compute regions.
-        let mut tilings = Vec::with_capacity(def.ndim());
-        tilings.push(DimTiling::streaming(
-            problem.streaming_extent(),
-            self.hsn,
-            halo_per_side,
-            rad,
-        ));
+        let mut tilings = [DimTiling::UNUSED; MAX_DIMS];
+        tilings[0] = DimTiling::streaming(problem.streaming_extent(), self.hsn, halo_per_side, rad);
         let blocked = problem.blocked_extents().iter().zip(&compute_region);
-        tilings.extend(
-            blocked.map(|(&extent, &region)| DimTiling::new(extent, region, halo_per_side, rad)),
-        );
+        for (tiling, (&extent, &region)) in tilings[1..].iter_mut().zip(blocked) {
+            *tiling = DimTiling::new(extent, region, halo_per_side, rad);
+        }
         Ok(BlockGeometry {
             bt: self.bt,
             radius: rad,
@@ -215,7 +241,20 @@ impl BlockConfig {
             halo_per_side,
             compute_region,
             tilings,
+            ndim: def.ndim(),
         })
+    }
+}
+
+/// Prints `bs` as the list of extents set, as a `Vec` field would.
+impl fmt::Debug for BlockConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BlockConfig")
+            .field("bt", &self.bt)
+            .field("bs", &self.bs())
+            .field("hsn", &self.hsn)
+            .field("precision", &self.precision)
+            .finish()
     }
 }
 
@@ -236,7 +275,7 @@ impl fmt::Display for BlockConfig {
 /// the tile decomposition: the thread-block counts below are the lengths
 /// of the same per-dimension tile lists the executor runs and the model
 /// sums over.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BlockGeometry {
     /// Temporal blocking degree `bT`.
     pub bt: usize,
@@ -246,34 +285,39 @@ pub struct BlockGeometry {
     pub nthr: usize,
     /// Halo width `bT·rad` on each side of each blocked dimension.
     pub halo_per_side: usize,
-    /// Compute-region extent `bS_i − 2·bT·rad` per blocked dimension.
-    pub compute_region: Vec<usize>,
-    tilings: Vec<DimTiling>,
+    /// `bS_i − 2·bT·rad` in `compute_region[..ndim − 1]`, zeros after.
+    compute_region: [usize; MAX_BLOCKED_DIMS],
+    /// One tiling per dimension in `tilings[..ndim]`, unused after.
+    tilings: [DimTiling; MAX_DIMS],
+    ndim: usize,
 }
 
 impl BlockGeometry {
+    /// Compute-region extent `bS_i − 2·bT·rad` per blocked dimension.
+    #[must_use]
+    pub fn compute_region(&self) -> &[usize] {
+        &self.compute_region[..self.ndim - 1]
+    }
+
     /// How each dimension is cut into tiles, streaming dimension first.
     /// A thread block is one element of the cartesian product of the
     /// per-dimension tile lists.
     #[must_use]
     pub fn tilings(&self) -> &[DimTiling] {
-        &self.tilings
+        &self.tilings[..self.ndim]
     }
 
     /// Number of tiles along each blocked dimension.
-    #[must_use]
-    pub fn tiles_per_dim(&self) -> Vec<usize> {
-        self.blocked_tile_counts().collect()
-    }
-
-    fn blocked_tile_counts(&self) -> impl Iterator<Item = usize> + '_ {
-        self.tilings[1..].iter().map(|tiling| tiling.tiles().len())
+    pub fn tiles_per_dim(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.tilings()[1..]
+            .iter()
+            .map(|tiling| tiling.tiles().len())
     }
 
     /// Thread blocks before streaming division, `ntb`.
     #[must_use]
     pub fn thread_blocks(&self) -> usize {
-        self.blocked_tile_counts().product()
+        self.tiles_per_dim().product()
     }
 
     /// Number of stream blocks `⌈I_SN / hS_N⌉` (1 when division is off).
@@ -286,8 +330,22 @@ impl BlockGeometry {
     /// `u128`: past 2⁶⁴ tiles a `usize` product wraps.
     #[must_use]
     pub fn total_thread_blocks(&self) -> u128 {
-        let tile_counts = self.tilings.iter().map(|tiling| tiling.tiles().len());
+        let tile_counts = self.tilings().iter().map(|tiling| tiling.tiles().len());
         tile_counts.map(|count| count as u128).product()
+    }
+}
+
+/// Prints the compute regions and tilings set, as `Vec` fields would.
+impl fmt::Debug for BlockGeometry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BlockGeometry")
+            .field("bt", &self.bt)
+            .field("radius", &self.radius)
+            .field("nthr", &self.nthr)
+            .field("halo_per_side", &self.halo_per_side)
+            .field("compute_region", &self.compute_region())
+            .field("tilings", &self.tilings())
+            .finish()
     }
 }
 
@@ -326,6 +384,49 @@ mod tests {
     }
 
     #[test]
+    fn more_than_two_blocked_extents_are_refused_at_new() {
+        let err = BlockConfig::new(1, &[64, 64, 64], None, Precision::Single).unwrap_err();
+        assert_eq!(err, PlanError::TooManyBlockedDims { supplied: 3 });
+        assert!(
+            err.to_string().contains("at most 2 can be blocked"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn equal_extents_give_equal_configs_and_hashes() {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        let extents = [32, 16, 8];
+        let a = BlockConfig::new(2, &[32, 16], Some(64), Precision::Single).unwrap();
+        let b = BlockConfig::new(2, &extents[..2], Some(64), Precision::Single).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
+        assert_eq!(b.bs(), &[32, 16]);
+        // The unused slot is no extent: one block of 32 is not 32 × 32.
+        let flat = BlockConfig::new(2, &[32], Some(64), Precision::Single).unwrap();
+        let square = BlockConfig::new(2, &[32, 32], Some(64), Precision::Single).unwrap();
+        assert_ne!(flat, square);
+        assert_eq!(flat.bs(), &[32]);
+        assert_eq!(flat.nthr(), 32);
+    }
+
+    #[test]
+    fn debug_prints_the_extents_set() {
+        let c = BlockConfig::new(4, &[128], Some(128), Precision::Single).unwrap();
+        assert_eq!(
+            format!("{c:?}"),
+            "BlockConfig { bt: 4, bs: [128], hsn: Some(128), precision: Single }"
+        );
+        let geom = c.geometry(&problem_2d()).unwrap();
+        assert!(
+            format!("{geom:?}").contains("compute_region: [120], tilings: [DimTiling {"),
+            "{geom:?}"
+        );
+        assert_eq!(geom.tilings().len(), 2);
+    }
+
+    #[test]
     fn nthr_is_product_of_block_extents() {
         let c = BlockConfig::new(3, &[32, 16], None, Precision::Double).unwrap();
         assert_eq!(c.nthr(), 512);
@@ -340,7 +441,7 @@ mod tests {
         let config = BlockConfig::new(4, &[256], None, Precision::Single).unwrap();
         let geom = config.geometry(&problem_2d()).unwrap();
         assert_eq!(geom.halo_per_side, 4);
-        assert_eq!(geom.compute_region, vec![256 - 8]);
+        assert_eq!(geom.compute_region(), [256 - 8]);
         assert_eq!(geom.thread_blocks(), 1024usize.div_ceil(248));
         assert_eq!(geom.stream_blocks(), 1);
         assert_eq!(geom.total_thread_blocks(), geom.thread_blocks() as u128);
@@ -393,8 +494,8 @@ mod tests {
         let config = BlockConfig::new(4, &[32, 32], Some(128), Precision::Single).unwrap();
         let geom = config.geometry(&problem_3d()).unwrap();
         assert_eq!(geom.nthr, 1024);
-        assert_eq!(geom.compute_region, vec![24, 24]);
-        assert_eq!(geom.tiles_per_dim(), vec![11, 11]);
+        assert_eq!(geom.compute_region(), [24, 24]);
+        assert!(geom.tiles_per_dim().eq([11, 11]));
         assert_eq!(geom.thread_blocks(), 121);
         assert_eq!(geom.stream_blocks(), 2);
     }

@@ -55,9 +55,23 @@ mod schedule;
 mod scheme;
 mod tiling;
 
-pub use config::{BlockConfig, BlockGeometry, PlanError};
+pub use config::{BlockConfig, BlockGeometry, PlanError, MAX_BLOCKED_DIMS};
 pub use plan::KernelPlan;
 pub use resources::{expected_shared_reads, practical_shared_reads, RegisterCap, ResourceUsage};
 pub use schedule::{KernelSchedule, MacroOp, Phase, RegSlot, RegWindow};
 pub use scheme::{FrameworkScheme, OptimizationClass};
 pub use tiling::{DimTile, DimTiling};
+
+/// A tuning candidate is a stack value: a configuration and everything a
+/// plan derives from it but the shared definition own no heap memory.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<BlockConfig>();
+    copy::<BlockGeometry>();
+    copy::<ResourceUsage>();
+    copy::<KernelSchedule>();
+    assert!(!std::mem::needs_drop::<BlockConfig>());
+    assert!(!std::mem::needs_drop::<BlockGeometry>());
+    assert!(!std::mem::needs_drop::<ResourceUsage>());
+    assert!(!std::mem::needs_drop::<KernelSchedule>());
+};

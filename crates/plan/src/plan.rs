@@ -2,12 +2,12 @@
 //!
 //! Everything a plan carries is closed-form in `(stencil, problem, bT,
 //! bS, hS_N)` — geometry, resources, and a schedule that is two integers
-//! `(bT, rad)`, whose macro calls the code generator walks as it prints — and the
-//! definition it keeps is shared, not copied (cloning a `StencilDef` bumps
-//! three reference counts; the tap list stays where it is), so building
-//! one costs a fraction of a microsecond and three small allocations (the
-//! configuration's `bS`, the compute regions, the tilings), and the tuner
-//! can afford a plan per candidate.
+//! `(bT, rad)`, whose macro calls the code generator walks as it prints —
+//! and all of it but the definition is `Copy`, held inline. The definition
+//! is shared, not copied (cloning a `StencilDef` bumps three reference
+//! counts; the tap list stays where it is). Building a plan therefore
+//! allocates nothing and costs a fraction of a microsecond, and the tuner
+//! can afford to build, price and drop one per candidate.
 
 use crate::{
     BlockConfig, BlockGeometry, DimTiling, FrameworkScheme, KernelSchedule, OptimizationClass,
@@ -50,7 +50,7 @@ impl KernelPlan {
         let schedule = KernelSchedule::build(config, def.radius());
         Ok(Self {
             def: def.clone(),
-            config: config.clone(),
+            config: *config,
             scheme,
             class,
             geometry,

@@ -37,10 +37,14 @@ pub struct DimTiling {
 }
 
 impl DimTiling {
+    /// A dimension of no cells, cut into no tiles: what a geometry holds in
+    /// the slots past its stencil's rank.
+    pub(crate) const UNUSED: Self = Self::new(0, 1, 0, 0);
+
     /// Cut `extent` interior cells into `tile_len`-long tiles (`tile_len`
     /// ≥ 1) with `halo` recomputed cells per side, for a stencil of radius
     /// `rad`.
-    pub(crate) fn new(extent: usize, tile_len: usize, halo: usize, rad: usize) -> Self {
+    pub(crate) const fn new(extent: usize, tile_len: usize, halo: usize, rad: usize) -> Self {
         Self {
             extent,
             tile_len,
@@ -290,7 +294,7 @@ mod tests {
             let blocked = problem.blocked_extents().iter().zip(compute_region);
             let per_dim: Vec<usize> = blocked.map(|(&e, &cr)| e.div_ceil(cr)).collect();
             prop_assert_eq!(geometry.thread_blocks(), per_dim.iter().product::<usize>());
-            prop_assert_eq!(geometry.tiles_per_dim(), per_dim);
+            prop_assert_eq!(geometry.tiles_per_dim().collect::<Vec<_>>(), per_dim);
             let stream = problem.streaming_extent();
             prop_assert_eq!(geometry.stream_blocks(), hsn.map_or(1, |h| stream.div_ceil(h)));
         }

@@ -335,11 +335,11 @@ pub fn plan_response(plan: &KernelPlan) -> Json {
                 ("halo_per_side", int(geometry.halo_per_side)),
                 (
                     "compute_region",
-                    Json::usize_array(&geometry.compute_region),
+                    Json::usize_array(geometry.compute_region()),
                 ),
                 (
                     "tiles_per_dim",
-                    Json::usize_array(&geometry.tiles_per_dim()),
+                    Json::Arr(geometry.tiles_per_dim().map(int).collect()),
                 ),
                 ("thread_blocks", int(geometry.thread_blocks())),
                 ("stream_blocks", int(geometry.stream_blocks())),
@@ -685,6 +685,26 @@ mod tests {
         assert_eq!(
             predict_response(&prediction).render(),
             predict_response(&prediction).render()
+        );
+    }
+
+    /// `/plan` bodies byte for byte: the geometry's inline compute
+    /// regions and tile counts render as the JSON arrays clients read.
+    #[test]
+    fn plan_bodies_are_pinned() {
+        let body = |name: &str, interior: &[usize], bs: &[usize]| {
+            let pipeline = An5d::benchmark(name).unwrap();
+            let problem = pipeline.problem(interior, 100).unwrap();
+            let config = BlockConfig::new(4, bs, Some(128), Precision::Double).unwrap();
+            plan_response(&pipeline.plan(&problem, &config).unwrap()).render()
+        };
+        assert_eq!(
+            body("j2d5pt", &[1000, 1000], &[256]),
+            r#"{"stencil":"j2d5pt","scheme":"AN5D","kernel":"an5d_j2d5pt_bt4","config":{"bt":4,"bs":[256],"hsn":128,"precision":"double"},"geometry":{"nthr":256,"halo_per_side":4,"compute_region":[248],"tiles_per_dim":[5],"thread_blocks":5,"stream_blocks":8,"total_thread_blocks":40},"resources":{"registers_per_thread":58,"shared_buffers":2,"shared_bytes_per_block":4096}}"#
+        );
+        assert_eq!(
+            body("star3d1r", &[200, 300, 250], &[32, 64]),
+            r#"{"stencil":"star3d1r","scheme":"AN5D","kernel":"an5d_star3d1r_bt4","config":{"bt":4,"bs":[32,64],"hsn":128,"precision":"double"},"geometry":{"nthr":2048,"halo_per_side":4,"compute_region":[24,56],"tiles_per_dim":[13,5],"thread_blocks":65,"stream_blocks":2,"total_thread_blocks":130},"resources":{"registers_per_thread":58,"shared_buffers":2,"shared_bytes_per_block":32768}}"#
         );
     }
 

@@ -659,6 +659,20 @@ mod tests {
     }
 
     #[test]
+    fn three_blocked_extents_get_a_400() {
+        let state = state();
+        for (name, interior) in [("j2d5pt", "[64,64]"), ("star3d1r", "[64,64,64]")] {
+            let body = format!(
+                r#"{{"benchmark":"{name}","interior":{interior},"steps":4,
+                    "config":{{"bt":1,"bs":[64,64,64],"precision":"single"}}}}"#
+            );
+            let response = post(&state, "/plan", &body);
+            assert_eq!(response.status, 400, "{name}: {}", response.body);
+            assert!(response.body.contains("at most 2"), "{}", response.body);
+        }
+    }
+
+    #[test]
     fn codegen_prints_the_an5d_schemes_only() {
         let state = state();
         let body = |scheme: &str| {

@@ -1,7 +1,7 @@
 //! Parameter search spaces.
 
 use an5d_grid::Precision;
-use an5d_plan::BlockConfig;
+use an5d_plan::{BlockConfig, MAX_BLOCKED_DIMS};
 
 /// A set of candidate blocking parameters to explore.
 ///
@@ -107,7 +107,7 @@ impl SearchSpace {
     /// `self.iter().count()`, computed in O(axes) time.
     ///
     /// Validity of a combination ([`BlockConfig::new`]) is decided
-    /// per-axis (`bT ≥ 1`, non-empty `bS` without zero extents,
+    /// per-axis (`bT ≥ 1`, one or two `bS` extents, none zero,
     /// `hS_N ≠ Some(0)`), so the count is the product of the per-axis
     /// valid-value counts.
     #[must_use]
@@ -116,7 +116,7 @@ impl SearchSpace {
         let bs = self
             .bs_values
             .iter()
-            .filter(|bs| !bs.is_empty() && !bs.contains(&0))
+            .filter(|bs| (1..=MAX_BLOCKED_DIMS).contains(&bs.len()) && !bs.contains(&0))
             .count();
         let hsn = self
             .hsn_values
@@ -240,7 +240,7 @@ mod tests {
         // Every combination `BlockConfig::new` accepts, `bT` outermost and
         // `hS_N` fastest, and `len()` of them — on the all-valid stock
         // spaces and on axes that carry rejected values (bt = 0, an empty
-        // bs and a zero bs extent, hsn = Some(0)).
+        // bs, a zero bs extent and three bs extents, hsn = Some(0)).
         let spaces = [
             SearchSpace::paper(2, Precision::Single),
             SearchSpace::paper(3, Precision::Double),
@@ -248,7 +248,7 @@ mod tests {
             SearchSpace::quick(3, Precision::Double),
             SearchSpace::new(
                 vec![0, 1, 3],
-                vec![vec![64], vec![], vec![32, 0]],
+                vec![vec![64], vec![], vec![32, 0], vec![16, 16, 16]],
                 vec![None, Some(0), Some(16)],
                 Precision::Single,
             ),

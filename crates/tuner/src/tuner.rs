@@ -4,9 +4,11 @@
 //! traffic are closed-form, so ranking hundreds of them costs next to
 //! nothing. That holds here: a candidate is one `KernelPlan::build` — which
 //! is also the validity check, together with the register heuristic on the
-//! plan it returns — plus one `predict` (O(ndim), under a microsecond), so the
-//! ranking sweep runs inline on the calling thread, in candidate order,
-//! with a deadline checkpoint before every candidate.
+//! plan it returns — plus one `predict` (O(ndim), under a microsecond), and
+//! neither allocates. The ranking sweep runs inline on the calling thread,
+//! in candidate order, with a deadline checkpoint before every candidate;
+//! it keeps each survivor's `Copy` [`BlockConfig`] and score and drops the
+//! plan on the spot, and only the top-k it measures are built again.
 
 use an5d_backend::{BackendElement, ExecutionBackend};
 use an5d_gpusim::GpuDevice;
@@ -165,14 +167,13 @@ pub trait MeasurementSource: fmt::Debug + Send + Sync {
     /// Human-readable description of the source.
     fn describe(&self) -> String;
 
-    /// Measure one ranked candidate, returning its best evaluation or
-    /// `None` when the candidate cannot execute at all.
+    /// Measure one ranked candidate, returning its best evaluation (for
+    /// `plan.config()`) or `None` when the candidate cannot execute at all.
     fn measure_candidate(
         &self,
-        plan: &Arc<KernelPlan>,
+        plan: &KernelPlan,
         problem: &StencilProblem,
         device: &GpuDevice,
-        config: &BlockConfig,
         predicted_gflops: f64,
     ) -> Option<TunedCandidate>;
 }
@@ -193,10 +194,9 @@ impl MeasurementSource for SimulatedMeasurement {
 
     fn measure_candidate(
         &self,
-        plan: &Arc<KernelPlan>,
+        plan: &KernelPlan,
         problem: &StencilProblem,
         device: &GpuDevice,
-        config: &BlockConfig,
         predicted_gflops: f64,
     ) -> Option<TunedCandidate> {
         // The simulated stand-in for executing the candidate on the
@@ -209,7 +209,7 @@ impl MeasurementSource for SimulatedMeasurement {
         let mut best_for_candidate: Option<TunedCandidate> = None;
         for m in measured_runs.into_iter().flatten() {
             let candidate = TunedCandidate {
-                config: config.clone(),
+                config: *plan.config(),
                 register_cap: m.register_cap,
                 predicted_gflops,
                 measured_gflops: m.gflops,
@@ -288,19 +288,19 @@ impl MeasurementSource for BackendMeasurement {
 
     fn measure_candidate(
         &self,
-        plan: &Arc<KernelPlan>,
+        plan: &KernelPlan,
         problem: &StencilProblem,
         _device: &GpuDevice,
-        config: &BlockConfig,
         predicted_gflops: f64,
     ) -> Option<TunedCandidate> {
         let _span = an5d_obs::Span::enter("tuner.measure");
+        let config = *plan.config();
         let seconds = match config.precision() {
             Precision::Single => self.timed_run::<f32>(plan, problem),
             Precision::Double => self.timed_run::<f64>(plan, problem),
         };
         Some(TunedCandidate {
-            config: config.clone(),
+            config,
             register_cap: RegisterCap::Unlimited,
             predicted_gflops,
             measured_gflops: problem.gflops(seconds),
@@ -410,9 +410,11 @@ impl Tuner {
         // wrong blocked rank, or a halo that leaves no compute region) and
         // the plan passes the register heuristic. Candidates are evaluated
         // inline on the calling thread, in candidate order: one costs a
-        // plan build plus a closed-form prediction (under a microsecond),
-        // which is less than handing it to another thread would.
-        let mut ranked: Vec<(Arc<KernelPlan>, f64)> = Vec::new();
+        // plan build plus a closed-form prediction (under a microsecond,
+        // no allocation), which is less than handing it to another thread
+        // would. The plan is dropped once priced; the ranking keeps the
+        // `Copy` configuration.
+        let mut ranked: Vec<(BlockConfig, f64)> = Vec::with_capacity(total_candidates);
         let sweep_span = an5d_obs::Span::enter("tuner.rank_sweep");
         for config in space.iter() {
             // Deadline checkpoint per candidate, ahead of the plan build:
@@ -436,14 +438,14 @@ impl Tuner {
                 let _span = an5d_obs::Span::enter("plan.build");
                 KernelPlan::build(def, problem, &config, self.scheme)
             };
-            let Ok(plan) = built.map(Arc::new) else {
+            let Ok(plan) = built else {
                 continue;
             };
             if !self.survives_register_pruning(&plan) {
                 continue;
             }
             let prediction = predict(&plan, problem, &self.device);
-            ranked.push((plan, prediction.gflops));
+            ranked.push((config, prediction.gflops));
         }
         drop(sweep_span);
         if ranked.is_empty() {
@@ -457,11 +459,12 @@ impl Tuner {
         // Step 2: "run" the model-ranked top-k through the measurement
         // source (simulated by default, wall-clock backend runs with
         // [`BackendMeasurement`]) and keep the best evaluation per
-        // candidate.
+        // candidate. Their plans are built again: k builds cost less than
+        // keeping every ranked plan alive through the sort.
         let mut measured: Vec<TunedCandidate> = Vec::new();
         let _measure_span = an5d_obs::Span::enter("tuner.measure_topk");
         let measure_count = ranked.len().min(self.top_k);
-        for (plan, predicted_gflops) in ranked.into_iter().take(self.top_k) {
+        for (config, predicted_gflops) in ranked.into_iter().take(self.top_k) {
             // Checkpoint between top-k measurements: abort with the
             // partial count rather than measuring past the budget.
             if an5d_fault::deadline_expired() {
@@ -475,13 +478,12 @@ impl Tuner {
             if let Some(an5d_fault::FaultAction::Delay(d)) = an5d_fault::point("tuner.measure") {
                 std::thread::sleep(d);
             }
-            if let Some(c) = self.source.measure_candidate(
-                &plan,
-                problem,
-                &self.device,
-                plan.config(),
-                predicted_gflops,
-            ) {
+            let plan = KernelPlan::build(def, problem, &config, self.scheme)
+                .expect("a ranked configuration's plan built in the sweep");
+            if let Some(c) =
+                self.source
+                    .measure_candidate(&plan, problem, &self.device, predicted_gflops)
+            {
                 measured.push(c);
             }
         }
@@ -629,7 +631,7 @@ mod tests {
         // depending on the sort's comparison sequence).
         let config = BlockConfig::new(2, &[32], None, Precision::Single).unwrap();
         let candidate = |gflops: f64| TunedCandidate {
-            config: config.clone(),
+            config,
             register_cap: RegisterCap::Unlimited,
             predicted_gflops: gflops,
             measured_gflops: gflops,

@@ -291,7 +291,7 @@ fn serial_tune_reference(
                 continue;
             };
             let candidate = an5d::TunedCandidate {
-                config: config.clone(),
+                config,
                 register_cap: cap,
                 predicted_gflops,
                 measured_gflops: m.gflops,

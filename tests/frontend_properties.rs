@@ -351,7 +351,7 @@ fn inputs_at_the_limits_run_the_pipeline_on_a_worker_stack() {
                 BlockConfig::new(1, &[32, 32], None, Precision::Single).unwrap(),
             );
             for (source, (interior, config)) in [
-                (&at_node_limit, flat.clone()),
+                (&at_node_limit, flat),
                 (&nest(MAX_NESTING), flat),
                 (&box3d7r, wide),
             ] {

@@ -76,7 +76,7 @@ fn cold_and_db_warmed_results_are_bit_identical_across_the_registry() {
         // …and executes to the identical grid (same tuned config, a
         // test-sized run).
         let execute = |config: &an5d::BlockConfig| {
-            let job = BatchJob::new(an5d.def().clone(), &[256, 256], 4, config.clone())
+            let job = BatchJob::new(an5d.def().clone(), &[256, 256], 4, *config)
                 .with_init(GridInit::Hash { seed: 0x5EED });
             BatchDriver::new(Arc::new(SerialBackend))
                 .run_job(&job)
