@@ -13,9 +13,27 @@ use std::fmt::{self, Write};
 /// temporal block whenever `I_T mod bT ≠ 0` or the parity of the number of
 /// launches would leave the result in the wrong buffer.
 pub(crate) fn generate_host(plan: &KernelPlan) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(estimated_len(plan));
     write_host(&mut out, plan).expect("writing to a String cannot fail");
     out
+}
+
+/// Bytes of the host file outside its launches and remainder branches.
+const PRELUDE_BYTES: usize = 1_450;
+/// Bytes of one launch outside the kernel name and the extents.
+const LAUNCH_BYTES: usize = 80;
+/// Bytes of one remainder branch outside its launch.
+const BRANCH_BYTES: usize = 50;
+/// Bytes of one extent argument (`i_sD, `).
+const EXTENT_BYTES: usize = 6;
+
+/// The host file's length: one launch per remainder `1..bT` besides the
+/// full block's, and the kernel name three times more.
+fn estimated_len(plan: &KernelPlan) -> usize {
+    let bt = plan.config().bt();
+    let name = "an5d__bt10".len() + plan.def().name().len();
+    let launch = LAUNCH_BYTES + name + EXTENT_BYTES * plan.def().ndim();
+    PRELUDE_BYTES + 3 * name + bt * launch + (bt - 1) * BRANCH_BYTES
 }
 
 /// Append `{prefix}i_s{ndim}, …, {prefix}i_s1`.
@@ -37,19 +55,19 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     let bt = config.bt();
     let ndim = def.ndim();
     let rad = def.radius();
-    let nthr = plan.geometry().nthr;
     let grid_dim = plan.geometry().total_thread_blocks();
 
     // One launch of the kernel for `steps` time-steps, from buffer `t % 2`.
-    let launch = |out: &mut String, steps: usize| -> fmt::Result {
+    let launch = |out: &mut String, steps: usize| {
         out.push_str("        ");
         push_kernel_name(out, plan, steps);
-        write!(
-            out,
-            "<<<grid, block>>>(d_buf[t % 2], d_buf[(t + {steps}) % 2], "
-        )?;
+        out.push_str("<<<grid, block>>>(d_buf[t % 2], d_buf[(t + ");
+        push_uint(out, steps as u64);
+        out.push_str(") % 2], ");
         push_extents(out, "", ndim);
-        writeln!(out, ", 0, i_s{ndim});")
+        out.push_str(", 0, i_s");
+        push_uint(out, ndim as u64);
+        out.push_str(");\n");
     };
 
     out.push_str("// Generated by AN5D-rs: host driver for ");
@@ -76,7 +94,11 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
         if d > 0 {
             out.push_str(" * ");
         }
-        write!(out, "(size_t)(i_s{} + {})", ndim - d, 2 * rad)?;
+        out.push_str("(size_t)(i_s");
+        push_uint(out, (ndim - d) as u64);
+        out.push_str(" + ");
+        push_uint(out, 2 * rad as u64);
+        out.push(')');
     }
     out.push_str(";\n");
     writeln!(out, "    const size_t bytes = cells * sizeof({scalar});")?;
@@ -86,15 +108,18 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     )?;
     out.push_str("    cudaMemcpy(d_buf[0], h_a, bytes, cudaMemcpyHostToDevice);\n");
     out.push_str("    cudaMemcpy(d_buf[1], h_a, bytes, cudaMemcpyHostToDevice);\n\n");
-    match config.bs() {
-        [bs1] => writeln!(out, "    dim3 block({bs1}, 1, 1);")?,
-        [bs2, bs1] => writeln!(out, "    dim3 block({bs1}, {bs2}, 1);")?,
-        other => writeln!(
-            out,
-            "    dim3 block({nthr}, 1, 1); // unexpected rank {}",
-            other.len()
-        )?,
+    // One thread per cell of the block: CUDA's x is the innermost blocked
+    // extent. The plan blocks the ndim − 1 ≤ 2 non-streaming dimensions,
+    // so z is 1.
+    let block = config.bs().iter().rev().copied().chain([1, 1]).take(3);
+    out.push_str("    dim3 block(");
+    for (d, extent) in block.enumerate() {
+        if d > 0 {
+            out.push_str(", ");
+        }
+        push_uint(out, extent as u64);
     }
+    out.push_str(");\n");
     write!(out, "    dim3 grid({grid_dim}, 1, 1);\n\n")?;
 
     writeln!(
@@ -103,16 +128,20 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     )?;
     out.push_str("    int t = 0;\n");
     writeln!(out, "    for (; t + {bt} <= i_t; t += {bt}) {{")?;
-    launch(out, bt)?;
+    launch(out, bt);
     out.push_str("    }\n\n");
 
     out.push_str("    /* Remainder handling (Section 4.3.1): statically generated branches\n");
     out.push_str("       shorten the final temporal block when (i_t % bT) != 0 or the launch\n");
     out.push_str("       parity would leave the result in the wrong buffer. */\n");
     for remainder in 1..bt {
-        writeln!(out, "    if (i_t - t == {remainder}) {{")?;
-        launch(out, remainder)?;
-        write!(out, "        t += {remainder};\n    }}\n")?;
+        out.push_str("    if (i_t - t == ");
+        push_uint(out, remainder as u64);
+        out.push_str(") {\n");
+        launch(out, remainder);
+        out.push_str("        t += ");
+        push_uint(out, remainder as u64);
+        out.push_str(";\n    }\n");
     }
     out.push('\n');
     out.push_str("    cudaMemcpy(h_a, d_buf[t % 2], bytes, cudaMemcpyDeviceToHost);\n");
@@ -152,6 +181,7 @@ mod tests {
         assert!(src.contains("for (; t + 4 <= i_t; t += 4)"));
         assert!(src.contains("an5d_j2d5pt_bt4<<<grid, block>>>"));
         assert!(src.contains("d_buf[t % 2], d_buf[(t + 4) % 2]"));
+        assert!(src.contains("dim3 block(256, 1, 1);"));
     }
 
     #[test]
@@ -176,6 +206,37 @@ mod tests {
         assert!(src.contains("cudaMemcpyHostToDevice"));
         assert!(src.contains("cudaMemcpy(h_a, d_buf[t % 2], bytes, cudaMemcpyDeviceToHost)"));
         assert_eq!(src.matches("cudaFree").count(), 2);
+    }
+
+    #[test]
+    fn estimated_length_covers_every_suite_host() {
+        let mut hosts = 0;
+        for def in suite::all_benchmarks() {
+            let (interior, bs, bts): (&[usize], &[usize], _) = match def.ndim() {
+                2 => (&[2048, 2048], &[512], 1..=16),
+                _ => (&[256, 256, 256], &[64, 32], 1..=8),
+            };
+            let problem = StencilProblem::new(def.clone(), interior, 100).unwrap();
+            for precision in [Precision::Single, Precision::Double] {
+                for bt in bts.clone() {
+                    let config = BlockConfig::new(bt, bs, None, precision).unwrap();
+                    let Ok(plan) =
+                        KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d())
+                    else {
+                        continue;
+                    };
+                    let len = generate_host(&plan).len();
+                    let estimate = estimated_len(&plan);
+                    assert!(
+                        (len..2 * len).contains(&estimate),
+                        "{} bT={bt}: {len} bytes, estimated {estimate}",
+                        def.name()
+                    );
+                    hosts += 1;
+                }
+            }
+        }
+        assert!(hosts > 400, "{hosts} hosts");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use crate::{push_comment_text, push_int, push_kernel_name, push_uint};
 use an5d_expr::Offset;
 use an5d_plan::{KernelPlan, MacroOp, OptimizationClass, Phase, RegSlot, RegWindow};
+use std::cell::RefCell;
 use std::fmt::{self, Write};
+use std::ops::Range;
 
 /// Generate the kernel source for a plan.
 ///
@@ -143,9 +145,10 @@ fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     out.push('\n');
 
     // Head phase.
+    let mut lines = OpLines::new(bt, unroll);
     out.push_str("    /* Head phase: statically generated pipeline fill (Section 4.3.2) */\n");
     for op in schedule.ops(Phase::Head) {
-        write_op(out, op, Phase::Head);
+        lines.write_op(out, op, Phase::Head);
     }
     out.push('\n');
 
@@ -158,14 +161,14 @@ fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     )?;
     for op in schedule.ops(Phase::Inner) {
         out.push_str("    ");
-        write_op(out, op, Phase::Inner);
+        lines.write_op(out, op, Phase::Inner);
     }
     out.push_str("    }\n\n");
 
     // Tail phase.
     out.push_str("    /* Tail phase: statically generated pipeline drain */\n");
     for op in schedule.ops(Phase::Tail) {
-        write_op(out, op, Phase::Tail);
+        lines.write_op(out, op, Phase::Tail);
     }
 
     out.push_str("}\n");
@@ -185,35 +188,44 @@ fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) -> fmt::Resul
 
     // One CALC macro per combined time-step; all go through the same
     // double-buffered shared memory, so the update expression differs only
-    // in which of the two buffers it reads: it is rendered at the first
-    // CALC reading each buffer and copied from there for the later ones.
-    let mut bodies = [0..0, 0..0];
+    // in which of the two buffers it reads. It is rendered once, at CALC1;
+    // the other buffer's body is that text with its buffer digits
+    // rewritten, and every later CALC copies the body of its buffer.
+    let mut bodies: [Option<Range<usize>>; 2] = [None, None];
+    let mut digits = Vec::new();
     for t in 1..=bt {
         let buffer = plan.schedule().shared_buffer(t);
-        writeln!(
-            out,
-            "/* CALC{t}: compute one sub-plane of time-step {t} from the {unroll} source registers of time-step {} */",
-            t - 1
-        )?;
+        out.push_str("/* CALC");
+        push_uint(out, t as u64);
+        out.push_str(": compute one sub-plane of time-step ");
+        push_uint(out, t as u64);
+        out.push_str(" from the ");
+        push_uint(out, unroll as u64);
+        out.push_str(" source registers of time-step ");
+        push_uint(out, t as u64 - 1);
+        out.push_str(" */\n");
         if plan.class() == OptimizationClass::Associative {
             out.push_str(
                 "/* associative stencil: evaluated as per-sub-plane partial summations */\n",
             );
         }
-        write!(out, "#define CALC{t}(dst, ")?;
+        out.push_str("#define CALC");
+        push_uint(out, t as u64);
+        out.push_str("(dst, ");
         push_params(out, unroll);
-        write!(out, ") do {{ \\\n    {scalar} an5d_result = ")?;
-        if bodies[buffer].is_empty() {
-            let start = out.len();
-            write_update_expression(out, plan, buffer);
-            bodies[buffer] = start..out.len();
-        } else {
-            out.extend_from_within(bodies[buffer].clone());
+        out.push_str(") do { \\\n    ");
+        out.push_str(scalar);
+        out.push_str(" an5d_result = ");
+        let start = out.len();
+        match (&bodies[buffer], &bodies[1 - buffer]) {
+            (Some(body), _) => out.extend_from_within(body.clone()),
+            (None, Some(other)) => copy_for_buffer(out, other.clone(), &digits, buffer),
+            (None, None) => digits = write_update_expression(out, plan, buffer),
         }
-        write!(
-            out,
-            "; \\\n    sm{buffer}[tx] = an5d_result; \\\n    dst = an5d_result; \\\n}} while (0)\n\n"
-        )?;
+        bodies[buffer].get_or_insert(start..out.len());
+        out.push_str("; \\\n    sm");
+        push_uint(out, buffer as u64);
+        out.push_str("[tx] = an5d_result; \\\n    dst = an5d_result; \\\n} while (0)\n\n");
     }
 
     out.push_str("/* STORE: write one finished sub-plane of time-step bT to global memory */\n");
@@ -228,10 +240,14 @@ fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) -> fmt::Resul
 /// Append the stencil update expression of a CALC macro reading shared
 /// buffer `sm{buffer}`: streaming-column neighbours come from the macro's
 /// register parameters `r0..`, in-plane neighbours from shared memory.
-fn write_update_expression(out: &mut String, plan: &KernelPlan, buffer: usize) {
+/// Returns the offsets in `out` of the buffer digits it printed, one per
+/// shared-memory leaf, for [`copy_for_buffer`].
+fn write_update_expression(out: &mut String, plan: &KernelPlan, buffer: usize) -> Vec<usize> {
     let def = plan.def();
     let rad = def.radius() as i64;
     let ndim = def.ndim();
+    let digit = buffer_digit(buffer);
+    let digits = RefCell::new(Vec::new());
     let access = |out: &mut String, offset: Offset| {
         if offset.in_plane_components().iter().all(|&c| c == 0) {
             out.push('r');
@@ -239,7 +255,8 @@ fn write_update_expression(out: &mut String, plan: &KernelPlan, buffer: usize) {
             return;
         }
         out.push_str("an5d_sm_load(sm");
-        push_uint(out, buffer as u64);
+        digits.borrow_mut().push(out.len());
+        out.push(digit);
         if ndim == 2 {
             out.push_str(", tx + (");
         } else {
@@ -251,6 +268,27 @@ fn write_update_expression(out: &mut String, plan: &KernelPlan, buffer: usize) {
         out.push_str("))");
     };
     def.expr().write_c(out, &access);
+    digits.into_inner()
+}
+
+/// The digit naming shared buffer `sm{buffer}`: AN5D has two.
+fn buffer_digit(buffer: usize) -> char {
+    assert!(buffer < 2, "shared buffer {buffer}: AN5D double-buffers");
+    char::from(b'0' + buffer as u8)
+}
+
+/// Append a copy of the update expression at `out[body]`, rendered for the
+/// other buffer, with each of its buffer digits (offsets in `out`, from
+/// [`write_update_expression`]) naming `sm{buffer}` instead.
+fn copy_for_buffer(out: &mut String, body: Range<usize>, digits: &[usize], buffer: usize) {
+    let digit = buffer_digit(buffer);
+    let mut from = body.start;
+    for &at in digits {
+        out.extend_from_within(from..at);
+        out.push(digit);
+        from = at + 1;
+    }
+    out.extend_from_within(from..body.end);
 }
 
 /// Append the macro parameter list `r0, r1, …, r{n − 1}`.
@@ -298,39 +336,73 @@ fn push_plane(out: &mut String, plane: i64, phase: Phase) {
     push_int(out, plane);
 }
 
-/// Write one macro call of the schedule as a source line.
-fn write_op(out: &mut String, op: MacroOp, phase: Phase) {
-    match op {
-        MacroOp::Load { dst, plane } => {
-            out.push_str("    LOAD(");
-            push_reg(out, dst);
-            out.push_str(", ");
-            push_plane(out, plane, phase);
-        }
-        MacroOp::Calc {
-            time_step,
-            dst,
-            srcs,
-        } => {
-            out.push_str("    CALC");
-            push_uint(out, time_step as u64);
-            out.push('(');
-            push_reg(out, dst);
-            out.push_str(", ");
-            push_window(out, srcs);
-        }
-        MacroOp::Store { plane, regs } => {
-            out.push_str("    STORE(");
-            push_plane(out, plane, phase);
-            out.push_str(", ");
-            push_window(out, regs);
-        }
-        MacroOp::Sync => {
-            out.push_str("    __syncthreads();\n");
-            return;
+/// The op-line printer of one kernel. A CALC line is a function of
+/// `(T, dst slot)` and repeats once per register window, in the head, the
+/// inner loop and the tail alike, so it is printed once and copied after
+/// that: one entry per `(T, slot)` holds the op printed last under that key
+/// and the byte range of its line in the output, indent excluded.
+struct OpLines {
+    unroll: usize,
+    calcs: Vec<Option<(MacroOp, Range<usize>)>>,
+}
+
+impl OpLines {
+    /// An empty table for `CALC1..=CALC{bt}` over `unroll` register slots.
+    fn new(bt: usize, unroll: usize) -> Self {
+        Self {
+            unroll,
+            calcs: vec![None; bt * unroll],
         }
     }
-    out.push_str(");\n");
+
+    /// Append one macro call of the schedule as a source line. The byte
+    /// ranges in the table index `out`, so every call of one table
+    /// appends to the same buffer.
+    fn write_op(&mut self, out: &mut String, op: MacroOp, phase: Phase) {
+        out.push_str("    ");
+        match op {
+            MacroOp::Load { dst, plane } => {
+                out.push_str("LOAD(");
+                push_reg(out, dst);
+                out.push_str(", ");
+                push_plane(out, plane, phase);
+            }
+            MacroOp::Calc {
+                time_step,
+                dst,
+                srcs,
+            } => {
+                let entry = &mut self.calcs[(time_step - 1) * self.unroll + dst.slot];
+                if let Some((printed, line)) = entry {
+                    if *printed == op {
+                        out.extend_from_within(line.clone());
+                        return;
+                    }
+                }
+                let start = out.len();
+                out.push_str("CALC");
+                push_uint(out, time_step as u64);
+                out.push('(');
+                push_reg(out, dst);
+                out.push_str(", ");
+                push_window(out, srcs);
+                out.push_str(");\n");
+                *entry = Some((op, start..out.len()));
+                return;
+            }
+            MacroOp::Store { plane, regs } => {
+                out.push_str("STORE(");
+                push_plane(out, plane, phase);
+                out.push_str(", ");
+                push_window(out, regs);
+            }
+            MacroOp::Sync => {
+                out.push_str("__syncthreads();\n");
+                return;
+            }
+        }
+        out.push_str(");\n");
+    }
 }
 
 #[cfg(test)]
@@ -514,17 +586,87 @@ mod tests {
         ] {
             for bt in [1, 4, 7] {
                 let plan = plan_for(def.clone(), bt, bs, Precision::Single);
+                // One table for the whole kernel, as the printer keeps it:
+                // most CALC lines are copies of a line printed earlier.
+                let mut lines = OpLines::new(bt, plan.schedule().unroll());
+                let (mut printed, mut reference) = (String::new(), String::new());
                 for phase in [Phase::Head, Phase::Inner, Phase::Tail] {
                     for op in plan.schedule().ops(phase) {
-                        let mut line = String::new();
-                        write_op(&mut line, op, phase);
-                        assert_eq!(line, formatted_op(op, phase), "{} bT={bt}", def.name());
-                        negative_tail_planes += usize::from(line.contains("stream_end + -"));
+                        lines.write_op(&mut printed, op, phase);
+                        reference.push_str(&formatted_op(op, phase));
                     }
                 }
+                assert_eq!(printed, reference, "{} bT={bt}", def.name());
+                negative_tail_planes += count(&printed, "stream_end + -");
             }
         }
         assert!(negative_tail_planes > 0);
+    }
+
+    #[test]
+    fn calc_ops_sharing_a_table_entry_print_their_own_text() {
+        let calc = |first| MacroOp::Calc {
+            time_step: 2,
+            dst: RegSlot {
+                time_step: 1,
+                slot: 1,
+            },
+            srcs: RegWindow {
+                time_step: 1,
+                first,
+                len: 3,
+            },
+        };
+        let (a, b) = (calc(0), calc(2));
+        let mut lines = OpLines::new(3, 3);
+        let mut printed = String::new();
+        for op in [a, b, a, a, b] {
+            lines.write_op(&mut printed, op, Phase::Head);
+        }
+        let reference: String = [a, b, a, a, b]
+            .map(|op| formatted_op(op, Phase::Head))
+            .concat();
+        assert_eq!(printed, reference);
+        assert!(printed.contains("CALC2(reg_1_1, reg_1_0, reg_1_1, reg_1_2);"));
+        assert!(printed.contains("CALC2(reg_1_1, reg_1_2, reg_1_0, reg_1_1);"));
+    }
+
+    /// The body of `#define CALC{t}`, between `an5d_result = ` and the
+    /// end of its line.
+    fn calc_body(src: &str, t: usize) -> &str {
+        let define = src.split_once(&format!("#define CALC{t}(")).unwrap().1;
+        let body = define.split_once(" an5d_result = ").unwrap().1;
+        body.split_once("; \\\n").unwrap().0
+    }
+
+    #[test]
+    fn the_second_buffers_body_differs_only_in_its_buffer_digit() {
+        for (def, bs) in [
+            (suite::j2d9pt_gol(), &[256][..]),
+            (suite::box2d(2), &[256][..]),
+            (suite::j3d27pt(), &[32, 32][..]),
+            (suite::gradient2d(), &[256][..]),
+        ] {
+            // bT = 1 renders CALC1 for sm0 alone; bT = 2 renders CALC1 for
+            // sm0 and copies it into CALC2 with every buffer digit sm1.
+            let one = generate_kernel(&plan_for(def.clone(), 1, bs, Precision::Single));
+            let two = generate_kernel(&plan_for(def.clone(), 2, bs, Precision::Single));
+            let (sm0, sm1) = (calc_body(&one, 1), calc_body(&two, 2));
+            assert_eq!(calc_body(&two, 1), sm0, "{}", def.name());
+            assert!(sm0.contains("an5d_sm_load(sm0") && !sm0.contains("sm1"));
+            assert_eq!(
+                sm1,
+                sm0.replace("an5d_sm_load(sm0", "an5d_sm_load(sm1"),
+                "{}",
+                def.name()
+            );
+            // … and the copy is what rendering for sm1 prints.
+            let mut direct = String::new();
+            let plan = plan_for(def.clone(), 2, bs, Precision::Single);
+            let digits = write_update_expression(&mut direct, &plan, 1);
+            assert_eq!(sm1, direct, "{}", def.name());
+            assert_eq!(digits.len(), count(sm1, "an5d_sm_load(sm1"));
+        }
     }
 
     #[test]

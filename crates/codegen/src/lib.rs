@@ -20,12 +20,25 @@
 //! `/codegen`) refuses it before calling [`generate`].
 //!
 //! The kernel file is printed in one pass into one buffer, sized up front
-//! from `(bT, rad)` and the update expression's flop count: the body
-//! straight from the schedule's lazy walk,
-//! [`an5d_plan::KernelSchedule::ops`], register names and plane indices
-//! through a small integer writer rather than `core::fmt`, and the update
-//! expression through [`an5d_expr::Expr::write_c`], which appends each leaf
-//! in place. Stencil names are free-form: the kernel identifier maps every
+//! from `(bT, rad)` and the update expression's flop count, and each
+//! distinct piece of text is printed once and copied after that:
+//!
+//! * the body comes straight from the schedule's lazy walk,
+//!   [`an5d_plan::KernelSchedule::ops`]. A CALC line is a function of
+//!   `(T, dst slot)`, so a line table of `bT × (2·rad + 1)` entries holds
+//!   the op printed under each key and the byte range of its line (indent
+//!   excluded); an equal op copies those bytes, a different one is printed
+//!   and replaces the entry;
+//! * the update expression is rendered once, through
+//!   [`an5d_expr::Expr::write_c`], which appends each leaf in place; the
+//!   other shared buffer's macro body is a copy with the recorded
+//!   `sm0`/`sm1` digits rewritten, and later CALC macros copy the body of
+//!   their buffer;
+//! * register names, plane indices and the host's per-`bT` launches go
+//!   through a small integer writer; `core::fmt` prints only lines that
+//!   occur once per file.
+//!
+//! Stencil names are free-form: the kernel identifier maps every
 //! byte outside `[A-Za-z0-9_]` to `_`, and the header comments print
 //! control characters as spaces. Nothing in the workspace compiles or
 //! runs the generated code, and the `an5d-gpusim` executor reads only the

@@ -4,6 +4,9 @@
 //! executor read (`syncs_per_plane`, `head_planes`) is closed-form, and the
 //! O(bT²·rad) macro sequence is a lazy walk of `Copy` ops
 //! ([`KernelSchedule::ops`]) that the code generator prints as it goes.
+//! The walk is one iterator, a small state machine over the plane front,
+//! its stage (LOAD, `CALC_1 ..= CALC_bT`, STORE) and a pending barrier,
+//! rather than a chain of iterator adaptors per front and per stream.
 
 use crate::BlockConfig;
 use serde::{Deserialize, Serialize};
@@ -171,18 +174,9 @@ impl KernelSchedule {
     }
 
     /// The macro calls of one phase in program order, made as they are
-    /// consumed: plane fronts `0 .. head_planes` in the head, one register
-    /// window in an inner-loop iteration, the last `bT·rad` in the tail.
-    pub fn ops(&self, phase: Phase) -> impl Iterator<Item = MacroOp> + '_ {
-        let fronts = match phase {
-            Phase::Head => self.head_planes() as i64,
-            Phase::Inner => self.unroll() as i64,
-            Phase::Tail => self.lag(),
-        };
-        (0..fronts).flat_map(move |s| self.step(phase, s))
-    }
-
-    /// What advancing the pipeline to plane front `s` emits in `phase`:
+    /// consumed by one hand-rolled iterator: plane fronts `0 .. head_planes`
+    /// in the head, one register window in an inner-loop iteration, the
+    /// last `bT·rad` in the tail. Advancing the pipeline to front `s` emits
     /// - the LOAD of plane `s` and its barrier, except in the tail;
     /// - `CALC_T` of plane `s − T·rad` and its barrier, once stream `T`'s
     ///   inputs are loaded in the head (`s ≥ T·rad`), always in the inner
@@ -190,33 +184,20 @@ impl KernelSchedule {
     ///   (`s < rad·(bT − T)`);
     /// - the STORE of plane `s − bT·rad`, except in the head before the
     ///   pipeline is full (`s < bT·rad`).
-    fn step(&self, phase: Phase, s: i64) -> impl Iterator<Item = MacroOp> + '_ {
-        let (bt, radius, lag) = (self.bt, self.radius, self.lag());
-        let load = MacroOp::Load {
-            dst: self.reg(0, s),
-            plane: s,
+    pub fn ops(&self, phase: Phase) -> impl Iterator<Item = MacroOp> + '_ {
+        let end = match phase {
+            Phase::Head => self.head_planes() as i64,
+            Phase::Inner => self.unroll() as i64,
+            Phase::Tail => self.lag(),
         };
-        let load = (phase != Phase::Tail).then_some([load, MacroOp::Sync]);
-        let calcs = (1..=bt)
-            .filter(move |&t| match phase {
-                Phase::Head => s >= (t * radius) as i64,
-                Phase::Inner => true,
-                Phase::Tail => s < (radius * (bt - t)) as i64,
-            })
-            .flat_map(move |t| {
-                let plane = s - (t * radius) as i64;
-                let calc = MacroOp::Calc {
-                    time_step: t,
-                    dst: self.reg(t.min(bt - 1), plane),
-                    srcs: self.window(t - 1, plane - radius as i64),
-                };
-                [calc, MacroOp::Sync]
-            });
-        let store = (phase != Phase::Head || s >= lag).then(|| MacroOp::Store {
-            plane: s - lag,
-            regs: self.window(bt - 1, s - lag),
-        });
-        load.into_iter().flatten().chain(calcs).chain(store)
+        Ops {
+            schedule: self,
+            phase,
+            s: 0,
+            end,
+            stage: 0,
+            sync: false,
+        }
     }
 
     /// Stream `time_step`'s register that holds `plane`.
@@ -235,6 +216,78 @@ impl KernelSchedule {
             first: self.reg(time_step, plane).slot,
             len: self.unroll(),
         }
+    }
+}
+
+/// The walk behind [`KernelSchedule::ops`]: plane front `s` steps through
+/// its stages — LOAD, `CALC_1 ..= CALC_bT`, STORE — and a barrier owed by
+/// the op just returned comes out on the next call.
+struct Ops<'a> {
+    schedule: &'a KernelSchedule,
+    phase: Phase,
+    /// The current plane front, and one past the phase's last.
+    s: i64,
+    end: i64,
+    /// Front `s`'s next stage: 0 its LOAD, `T` in `1..=bT` its `CALC_T`,
+    /// `bT + 1` its STORE.
+    stage: usize,
+    /// The op returned last is followed by a `Sync`.
+    sync: bool,
+}
+
+impl Iterator for Ops<'_> {
+    type Item = MacroOp;
+
+    fn next(&mut self) -> Option<MacroOp> {
+        if std::mem::take(&mut self.sync) {
+            return Some(MacroOp::Sync);
+        }
+        let schedule = self.schedule;
+        let (bt, radius) = (schedule.bt, schedule.radius);
+        while self.s < self.end {
+            let (s, t) = (self.s, self.stage);
+            if t == 0 {
+                self.stage = 1;
+                if self.phase != Phase::Tail {
+                    self.sync = true;
+                    return Some(MacroOp::Load {
+                        dst: schedule.reg(0, s),
+                        plane: s,
+                    });
+                }
+            } else if t <= bt {
+                let runs = match self.phase {
+                    Phase::Head => s >= (t * radius) as i64,
+                    Phase::Inner => true,
+                    Phase::Tail => s < (radius * (bt - t)) as i64,
+                };
+                if !runs {
+                    // Streams start in order in the head and run out in
+                    // reverse order in the tail: no later stream runs here.
+                    self.stage = bt + 1;
+                    continue;
+                }
+                self.stage = t + 1;
+                self.sync = true;
+                let plane = s - (t * radius) as i64;
+                return Some(MacroOp::Calc {
+                    time_step: t,
+                    dst: schedule.reg(t.min(bt - 1), plane),
+                    srcs: schedule.window(t - 1, plane - radius as i64),
+                });
+            } else {
+                self.stage = 0;
+                self.s += 1;
+                let lag = schedule.lag();
+                if self.phase != Phase::Head || s >= lag {
+                    return Some(MacroOp::Store {
+                        plane: s - lag,
+                        regs: schedule.window(bt - 1, s - lag),
+                    });
+                }
+            }
+        }
+        None
     }
 }
 

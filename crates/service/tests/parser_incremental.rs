@@ -291,3 +291,134 @@ proptest! {
         assert_equivalent(&format!("{name} cuts {cuts:?}"), &chunks, &expected);
     }
 }
+
+/// Feed `raw` to a fresh parser in the chunks its cut points make, and
+/// collect what it answers until it fails or runs out of bytes.
+fn parse_in_chunks(raw: &[u8], cuts: &[usize]) -> Vec<Result<Request, HttpError>> {
+    let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (raw.len() + 1)).collect();
+    cuts.sort_unstable();
+    cuts.push(raw.len());
+    let mut chunks = Vec::with_capacity(cuts.len());
+    let mut start = 0;
+    for cut in cuts {
+        chunks.push(&raw[start..cut]);
+        start = cut;
+    }
+    incremental(&chunks).0
+}
+
+/// The parser's two head limits, as the server documents them.
+const LINE_LIMIT: usize = 8 * 1024;
+const HEADER_LIMIT: usize = 64;
+
+/// `bytes` with every `\n` turned into another byte, so it stays on one
+/// line.
+fn one_line(bytes: &[u8]) -> Vec<u8> {
+    bytes
+        .iter()
+        .map(|&b| if b == b'\n' { b'x' } else { b })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes in arbitrary chunks, raw or behind a valid request
+    /// head, never panic the parser, and a request it accepts carries no
+    /// body over `MAX_BODY_BYTES`.
+    #[test]
+    fn arbitrary_bytes_never_panic_and_bodies_stay_bounded(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+        length in any::<u32>(),
+        framed in any::<bool>(),
+    ) {
+        let raw = if framed {
+            let mut raw = format!("POST /parse HTTP/1.1\r\nContent-Length: {length}\r\n\r\n")
+                .into_bytes();
+            raw.extend_from_slice(&bytes);
+            raw
+        } else {
+            bytes
+        };
+        for request in parse_in_chunks(&raw, &cuts).into_iter().flatten() {
+            prop_assert!(request.body.len() <= an5d_service::http::MAX_BODY_BYTES);
+        }
+    }
+
+    /// A line over the 8 KiB limit, request line or header, is refused
+    /// whatever it holds and however it arrives.
+    #[test]
+    fn an_overlong_line_is_an_http_error(
+        filler in prop::collection::vec(any::<u8>(), LINE_LIMIT + 1..LINE_LIMIT + 64),
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+        in_header in any::<bool>(),
+        terminated in any::<bool>(),
+    ) {
+        let mut raw = Vec::new();
+        if in_header {
+            raw.extend_from_slice(b"GET /stats HTTP/1.1\r\n");
+        }
+        raw.extend(one_line(&filler));
+        if terminated {
+            raw.extend_from_slice(b"\r\n\r\n");
+        }
+        let results = parse_in_chunks(&raw, &cuts);
+        prop_assert!(
+            matches!(results.last(), Some(Err(err)) if err.message == "header line too long"),
+            "{results:?}"
+        );
+    }
+
+    /// More than 64 headers are refused, whatever their values hold.
+    #[test]
+    fn too_many_headers_is_an_http_error(
+        headers in prop::collection::vec(
+            prop::collection::vec(any::<u8>(), 0..24),
+            HEADER_LIMIT + 1..HEADER_LIMIT + 16,
+        ),
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+    ) {
+        let mut raw = b"GET /stats HTTP/1.1\r\n".to_vec();
+        for value in &headers {
+            // A header the server reads no further than its name.
+            raw.extend_from_slice(b"x-filler: ");
+            raw.extend(one_line(value));
+            raw.extend_from_slice(b"\r\n");
+        }
+        raw.extend_from_slice(b"\r\n");
+        let results = parse_in_chunks(&raw, &cuts);
+        prop_assert!(
+            matches!(results.last(), Some(Err(err)) if err.message == "too many headers"),
+            "{results:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A body declared and sent at either side of the limit, in
+    /// arbitrary chunks: accepted whole up to `MAX_BODY_BYTES`, a 413
+    /// past it.
+    #[test]
+    fn bodies_past_the_limit_are_refused(
+        over in 0usize..8,
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+    ) {
+        let limit = an5d_service::http::MAX_BODY_BYTES;
+        let length = limit - 4 + over;
+        let mut raw = format!("POST /parse HTTP/1.1\r\nContent-Length: {length}\r\n\r\n")
+            .into_bytes();
+        raw.resize(raw.len() + length, b'a');
+        let results = parse_in_chunks(&raw, &cuts);
+        match results.as_slice() {
+            [Ok(request)] => {
+                prop_assert!(length <= limit);
+                prop_assert_eq!(request.body.len(), length);
+            }
+            [Err(err)] => prop_assert!(length > limit && err.status == 413, "{err:?}"),
+            other => panic!("{length} bytes: {other:?}"),
+        }
+    }
+}
