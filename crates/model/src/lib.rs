@@ -11,6 +11,11 @@
 //! 3. apply the SM-utilisation efficiency `effSM` and take the maximum of
 //!    the three bottleneck times ([`predict`]).
 //!
+//! Steps 1–3 read nothing of a plan but its per-dimension tile sums and a
+//! few scalars ([`PlanSums`]), and one function prices those ([`price`]):
+//! [`predict()`] feeds it a built plan's, the tuner's sweep sums it put
+//! together per axis without building a plan.
+//!
 //! The same traffic analysis also feeds the *simulated measurement* path
 //! ([`measure`]), which additionally applies the efficiency derates the
 //! paper only discovered empirically (shared-memory efficiency of the
@@ -27,5 +32,7 @@ pub mod predict;
 pub mod traffic;
 
 pub use measure::{measure, measure_best_cap, measure_each_cap, Measurement};
-pub use predict::{predict, ModelPrediction};
-pub use traffic::{analytic_counters, thread_classes, ThreadClasses};
+pub use predict::{predict, price, ModelPrediction};
+pub use traffic::{
+    analytic_counters, thread_classes, PlanSums, StencilCost, ThreadClasses, TileSums,
+};

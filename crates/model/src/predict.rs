@@ -1,6 +1,6 @@
 //! The roofline-style run-time prediction (Section 5, steps 2–3).
 
-use crate::traffic::analytic_counters;
+use crate::traffic::PlanSums;
 use an5d_gpusim::{wave_efficiency, Bottleneck, GpuDevice};
 use an5d_plan::KernelPlan;
 use an5d_stencil::StencilProblem;
@@ -39,17 +39,31 @@ pub struct ModelPrediction {
 /// the double-precision-division and register-spill effects — exactly the
 /// simplifications the paper's model makes, which is why its accuracy
 /// against measurements lands around 50–70 % (Section 7.2).
+///
+/// # Panics
+///
+/// Panics if `problem` is not the one the plan was built for
+/// ([`KernelPlan::assert_tiled_for`]).
 #[must_use]
 pub fn predict(plan: &KernelPlan, problem: &StencilProblem, device: &GpuDevice) -> ModelPrediction {
-    let counters = analytic_counters(plan, problem);
-    let precision = plan.config().precision();
+    plan.assert_tiled_for(problem);
+    price(&PlanSums::of(plan), problem, device)
+}
+
+/// The Section 5 formula: price a plan's sums on a device. [`predict`] is
+/// this on [`PlanSums::of`] a plan; a tuner sweep calls it on sums it put
+/// together per axis, which must be of this `problem`.
+#[must_use]
+pub fn price(sums: &PlanSums, problem: &StencilProblem, device: &GpuDevice) -> ModelPrediction {
+    let counters = sums.counters(problem.time_steps());
+    let precision = sums.config().precision();
     let bytes = precision.bytes();
 
     let total_gm_bytes = counters.gm_bytes(bytes);
     let total_sm_bytes = counters.sm_bytes(bytes);
     let total_flops = counters.flops;
 
-    let eff_alu = plan.def().op_mix().alu_efficiency();
+    let eff_alu = sums.eff_alu();
     let time_compute = total_flops as f64 / (device.peak_gflops(precision) * eff_alu * 1e9);
     let time_global = total_gm_bytes as f64 / (device.measured_mem_bw(precision) * 1e9);
     let time_shared = total_sm_bytes as f64 / (device.measured_shared_bw(precision) * 1e9);
@@ -62,12 +76,8 @@ pub fn predict(plan: &KernelPlan, problem: &StencilProblem, device: &GpuDevice) 
         (Bottleneck::Compute, time_compute)
     };
 
-    let eff_sm = wave_efficiency(
-        device,
-        plan.geometry().nthr,
-        plan.geometry().total_thread_blocks() as f64,
-    )
-    .max(1e-6);
+    let eff_sm =
+        wave_efficiency(device, sums.config().nthr(), sums.thread_blocks() as f64).max(1e-6);
     let seconds = raw / eff_sm;
     let gflops = problem.gflops(seconds);
 

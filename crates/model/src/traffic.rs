@@ -23,10 +23,17 @@
 //! multiplies the sums and never looks at the problem's grid shape. The
 //! walk over `tiles()` survives only as the tests' oracle (the tiling
 //! proptest in `an5d-plan`, the `TileContext` enumeration below).
+//!
+//! The sums of the streaming dimension depend on `(bT, hS_N)` alone and
+//! those of the blocked dimensions on `(bT, bS)` alone, so [`PlanSums`]
+//! keeps them apart ([`TileSums`] each) until the counters multiply them:
+//! a tuner sweep takes each once per pair of axis values it depends on.
 
 use an5d_gpusim::TrafficCounters;
-use an5d_plan::{practical_shared_reads, DimTiling, KernelPlan};
-use an5d_stencil::StencilProblem;
+use an5d_plan::{
+    practical_shared_reads, BlockConfig, DimTiling, KernelPlan, KernelSchedule, ResourceUsage,
+};
+use an5d_stencil::{StencilDef, StencilProblem};
 
 /// Thread classification of Section 5 (per temporal block, in units of
 /// "thread × streamed plane" work items).
@@ -64,21 +71,11 @@ impl ThreadClasses {
     }
 }
 
-/// Geometric per-temporal-block sums.
-#[derive(Debug)]
-struct BlockSums {
-    gm_reads: u128,
-    gm_writes: u128,
-    per_step_updates: u128,
-    thread_blocks: u128,
-    syncs: u128,
-    thread_instances: u128,
-}
-
-/// Sums over the tiles of one dimension (the Σ f_d of
-/// Σ_tiles Π_d f_d(tile_d) = Π_d Σ f_d).
-#[derive(Debug)]
-struct DimSums {
+/// Sums over the tiles of one dimension, or over the cartesian product of
+/// several dimensions' tiles, which is the product of their sums (the
+/// Σ f_d of Σ_tiles Π_d f_d(tile_d) = Π_d Σ f_d).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileSums {
     /// Σ local extents (tile + halo + boundary ring, clipped to the grid).
     local: u128,
     /// Σ tile lengths (the cells a tile writes back).
@@ -89,8 +86,18 @@ struct DimSums {
     tiles: u128,
 }
 
-impl DimSums {
-    fn over(tiling: &DimTiling) -> Self {
+impl TileSums {
+    /// The sums of no dimension: one tile, of one cell.
+    const ONE: Self = Self {
+        local: 1,
+        written: 1,
+        updates: 1,
+        tiles: 1,
+    };
+
+    /// The sums over one dimension's tiles, in closed form.
+    #[must_use]
+    pub fn over(tiling: &DimTiling) -> Self {
         let (local, updates) = tiling.local_and_updatable_sums();
         Self {
             local,
@@ -99,32 +106,160 @@ impl DimSums {
             tiles: tiling.tiles().len() as u128,
         }
     }
+
+    /// The sums over the tiles of the product of `tilings`.
+    #[must_use]
+    pub fn product(tilings: &[DimTiling]) -> Self {
+        tilings
+            .iter()
+            .map(Self::over)
+            .fold(Self::ONE, |acc, dim| Self {
+                local: acc.local * dim.local,
+                written: acc.written * dim.written,
+                updates: acc.updates * dim.updates,
+                tiles: acc.tiles * dim.tiles,
+            })
+    }
 }
 
-fn per_block_sums(plan: &KernelPlan) -> BlockSums {
-    let (stream, blocked) = plan
-        .geometry()
-        .tilings()
-        .split_first()
-        .expect("a stencil has a streaming dimension");
-    let mut product = DimSums::over(stream);
-    // Streamed planes of all thread blocks: Σ local planes of the streaming
-    // dimension × the number of blocked tiles each stream chunk is cut into.
-    let mut planes = product.local;
-    for dim in blocked.iter().map(DimSums::over) {
-        product.local *= dim.local;
-        product.written *= dim.written;
-        product.updates *= dim.updates;
-        product.tiles *= dim.tiles;
-        planes *= dim.tiles;
+/// What the Section 5 model charges a stencil under a scheme: the FLOPs,
+/// practical shared-memory reads and shared-memory stores of one cell
+/// update, the ALU-mix efficiency `effALU`, and the radius that, with
+/// `bT`, fixes the schedule. The same for every configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StencilCost {
+    flops: u128,
+    sm_reads: u128,
+    sm_writes: u128,
+    eff_alu: f64,
+    radius: usize,
+}
+
+impl StencilCost {
+    /// The costs of `def` under the scheme whose resource usage (of any
+    /// configuration) is `resources`.
+    #[must_use]
+    pub fn new(def: &StencilDef, resources: &ResourceUsage) -> Self {
+        Self {
+            flops: def.flops_per_cell() as u128,
+            sm_reads: practical_shared_reads(def) as u128,
+            sm_writes: resources.shared_stores_per_cell as u128,
+            eff_alu: def.op_mix().alu_efficiency(),
+            radius: def.radius(),
+        }
     }
-    BlockSums {
-        gm_reads: product.local,
-        gm_writes: product.written,
-        per_step_updates: product.updates,
-        thread_blocks: product.tiles,
-        syncs: plan.schedule().syncs_per_plane() as u128 * planes,
-        thread_instances: plan.geometry().nthr as u128 * planes,
+}
+
+/// Everything the Section 5 model reads of a plan: the tile sums of its
+/// streaming dimension and of its blocked dimensions, its stencil's
+/// costs, and `bT`, `nthr` and the precision of its configuration.
+///
+/// [`PlanSums::of`] takes them from a built plan. A tuner sweep puts them
+/// together itself ([`PlanSums::new`]), from sums it took once per
+/// `(bT, hS_N)` and once per `(bT, bS)`, so pricing a candidate multiplies
+/// and divides a few numbers and builds nothing. Either way one formula
+/// prices them ([`crate::price`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanSums {
+    stream: TileSums,
+    blocked: TileSums,
+    cost: StencilCost,
+    config: BlockConfig,
+}
+
+/// Per-temporal-block sums.
+#[derive(Debug)]
+struct BlockSums {
+    gm_reads: u128,
+    gm_writes: u128,
+    per_step_updates: u128,
+    /// Streamed planes of all thread blocks: Σ local planes of the
+    /// streaming dimension × the blocked tiles each stream chunk is cut
+    /// into.
+    planes: u128,
+}
+
+impl PlanSums {
+    /// The sums of `config` on a problem: `stream` over the tiles of its
+    /// [`BlockConfig::streaming_tiling`], `blocked` over the product of its
+    /// [`an5d_plan::BlockedGeometry::tilings`], and its stencil's `cost`.
+    #[must_use]
+    pub fn new(
+        config: &BlockConfig,
+        cost: StencilCost,
+        stream: TileSums,
+        blocked: TileSums,
+    ) -> Self {
+        Self {
+            stream,
+            blocked,
+            cost,
+            config: *config,
+        }
+    }
+
+    /// The sums of a built plan.
+    #[must_use]
+    pub fn of(plan: &KernelPlan) -> Self {
+        let (stream, blocked) = plan
+            .geometry()
+            .tilings()
+            .split_first()
+            .expect("a stencil has a streaming dimension");
+        Self::new(
+            plan.config(),
+            StencilCost::new(plan.def(), plan.resources()),
+            TileSums::over(stream),
+            TileSums::product(blocked),
+        )
+    }
+
+    /// The configuration these sums are of.
+    pub(crate) fn config(&self) -> &BlockConfig {
+        &self.config
+    }
+
+    /// `effALU`: the share of the peak the stencil's instruction mix
+    /// reaches.
+    pub(crate) fn eff_alu(&self) -> f64 {
+        self.cost.eff_alu
+    }
+
+    /// Thread blocks per launch, `n'tb`.
+    pub(crate) fn thread_blocks(&self) -> u128 {
+        self.stream.tiles * self.blocked.tiles
+    }
+
+    fn per_block(&self) -> BlockSums {
+        let (stream, blocked) = (self.stream, self.blocked);
+        BlockSums {
+            gm_reads: stream.local * blocked.local,
+            gm_writes: stream.written * blocked.written,
+            per_step_updates: stream.updates * blocked.updates,
+            planes: stream.local * blocked.tiles,
+        }
+    }
+
+    /// The counters of a full run of `time_steps` steps: what
+    /// [`analytic_counters`] returns for the plan these are the sums of.
+    pub(crate) fn counters(&self, time_steps: usize) -> TrafficCounters {
+        let sums = self.per_block();
+        let cost = &self.cost;
+        let syncs_per_plane = KernelSchedule::build(&self.config, cost.radius).syncs_per_plane();
+        let temporal_blocks = time_steps.div_ceil(self.config.bt()) as u128;
+        let total_steps = time_steps as u128;
+        TrafficCounters {
+            gm_reads: sums.gm_reads * temporal_blocks,
+            gm_writes: sums.gm_writes * temporal_blocks,
+            sm_reads: sums.per_step_updates * total_steps * cost.sm_reads,
+            sm_writes: sums.per_step_updates * total_steps * cost.sm_writes,
+            flops: sums.per_step_updates * total_steps * cost.flops,
+            cell_updates: sums.per_step_updates * total_steps,
+            valid_updates: sums.gm_writes * total_steps,
+            syncs: syncs_per_plane as u128 * sums.planes * temporal_blocks,
+            thread_blocks: self.thread_blocks() * temporal_blocks,
+            kernel_launches: temporal_blocks,
+        }
     }
 }
 
@@ -139,29 +274,7 @@ fn per_block_sums(plan: &KernelPlan) -> BlockSums {
 #[must_use]
 pub fn analytic_counters(plan: &KernelPlan, problem: &StencilProblem) -> TrafficCounters {
     plan.assert_tiled_for(problem);
-    let sums = per_block_sums(plan);
-    let def = plan.def();
-    let bt = plan.config().bt();
-    let it = problem.time_steps();
-    let temporal_blocks = it.div_ceil(bt) as u128;
-    let total_steps = it as u128;
-
-    let flops_per_update = def.flops_per_cell() as u128;
-    let sm_reads_per_update = practical_shared_reads(def) as u128;
-    let sm_writes_per_update = plan.resources().shared_stores_per_cell as u128;
-
-    TrafficCounters {
-        gm_reads: sums.gm_reads * temporal_blocks,
-        gm_writes: sums.gm_writes * temporal_blocks,
-        sm_reads: sums.per_step_updates * total_steps * sm_reads_per_update,
-        sm_writes: sums.per_step_updates * total_steps * sm_writes_per_update,
-        flops: sums.per_step_updates * total_steps * flops_per_update,
-        cell_updates: sums.per_step_updates * total_steps,
-        valid_updates: sums.gm_writes * total_steps,
-        syncs: sums.syncs * temporal_blocks,
-        thread_blocks: sums.thread_blocks * temporal_blocks,
-        kernel_launches: temporal_blocks,
-    }
+    PlanSums::of(plan).counters(problem.time_steps())
 }
 
 /// Classify the work items of one temporal block (Section 5).
@@ -173,11 +286,12 @@ pub fn analytic_counters(plan: &KernelPlan, problem: &StencilProblem) -> Traffic
 #[must_use]
 pub fn thread_classes(plan: &KernelPlan, problem: &StencilProblem) -> ThreadClasses {
     plan.assert_tiled_for(problem);
-    let sums = per_block_sums(plan);
+    let sums = PlanSums::of(plan).per_block();
     let valid = sums.gm_writes;
     let redundant = sums.per_step_updates.saturating_sub(valid);
     let boundary = sums.gm_reads.saturating_sub(sums.per_step_updates);
-    let out_of_bound = sums.thread_instances.saturating_sub(sums.gm_reads);
+    let thread_instances = plan.geometry().nthr as u128 * sums.planes;
+    let out_of_bound = thread_instances.saturating_sub(sums.gm_reads);
     ThreadClasses {
         out_of_bound,
         boundary,

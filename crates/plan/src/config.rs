@@ -3,7 +3,9 @@
 //! [`BlockConfig::geometry`] is where a configuration meets a problem: it
 //! rejects what cannot run (`PlanError`) and hands the extents, `hS_N`,
 //! compute regions and halo to [`crate::DimTiling`], which owns how a
-//! dimension is cut into tiles.
+//! dimension is cut into tiles. It is two halves, each public on its own:
+//! [`BlockConfig::blocked_geometry`] depends on `(bT, bS)` and decides
+//! validity; [`BlockConfig::streaming_tiling`] depends on `(bT, hS_N)`.
 //!
 //! Both are `Copy` values with no heap behind them: a configuration holds
 //! its `bS_i` inline, a geometry its compute regions and tilings, each in
@@ -160,6 +162,18 @@ impl BlockConfig {
         }
     }
 
+    /// This configuration with streaming-division length `hsn`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::ZeroStreamDivision`] if `hsn` is `Some(0)`.
+    pub fn with_hsn(self, hsn: Option<usize>) -> Result<Self, PlanError> {
+        if hsn == Some(0) {
+            return Err(PlanError::ZeroStreamDivision);
+        }
+        Ok(Self { hsn, ..self })
+    }
+
     /// Temporal blocking degree `bT`.
     #[must_use]
     pub fn bt(&self) -> usize {
@@ -201,13 +215,42 @@ impl BlockConfig {
             .join("x")
     }
 
-    /// Derive the full execution geometry for a given stencil problem.
+    /// Derive the full execution geometry for a given stencil problem: the
+    /// blocked part ([`BlockConfig::blocked_geometry`], which `hS_N` does
+    /// not change) with the streaming dimension's tiling
+    /// ([`BlockConfig::streaming_tiling`], which `bS` does not change) in
+    /// front of it.
     ///
     /// # Errors
     ///
     /// Returns a [`PlanError`] if the blocked rank does not match the
     /// stencil or the compute region would be empty.
     pub fn geometry(&self, problem: &StencilProblem) -> Result<BlockGeometry, PlanError> {
+        let blocked = self.blocked_geometry(problem)?;
+        let radius = problem.def().radius();
+        let mut tilings = [DimTiling::UNUSED; MAX_DIMS];
+        tilings[0] = self.streaming_tiling(problem);
+        tilings[1..].copy_from_slice(&blocked.tilings);
+        Ok(BlockGeometry {
+            bt: self.bt,
+            radius,
+            nthr: self.nthr(),
+            halo_per_side: self.bt * radius,
+            compute_region: blocked.compute_region,
+            tilings,
+            ndim: blocked.rank + 1,
+        })
+    }
+
+    /// The part of the geometry that `bT` and `bS` decide: whether the
+    /// configuration can run on the problem at all, and how the blocked
+    /// dimensions are cut by their compute regions `bS_i − 2·bT·rad`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PlanError`] if the blocked rank does not match the
+    /// stencil or the compute region would be empty.
+    pub fn blocked_geometry(&self, problem: &StencilProblem) -> Result<BlockedGeometry, PlanError> {
         let def = problem.def();
         let required = def.ndim() - 1;
         if self.rank != required {
@@ -226,23 +269,49 @@ impl BlockConfig {
             }
             compute_region[dim] = block - halo;
         }
-        // Streaming dimension first, then the blocked dimensions cut by
-        // their compute regions.
-        let mut tilings = [DimTiling::UNUSED; MAX_DIMS];
-        tilings[0] = DimTiling::streaming(problem.streaming_extent(), self.hsn, halo_per_side, rad);
+        let mut tilings = [DimTiling::UNUSED; MAX_BLOCKED_DIMS];
         let blocked = problem.blocked_extents().iter().zip(&compute_region);
-        for (tiling, (&extent, &region)) in tilings[1..].iter_mut().zip(blocked) {
+        for (tiling, (&extent, &region)) in tilings.iter_mut().zip(blocked) {
             *tiling = DimTiling::new(extent, region, halo_per_side, rad);
         }
-        Ok(BlockGeometry {
-            bt: self.bt,
-            radius: rad,
-            nthr: self.nthr(),
-            halo_per_side,
+        Ok(BlockedGeometry {
             compute_region,
             tilings,
-            ndim: def.ndim(),
+            rank: self.rank,
         })
+    }
+
+    /// How the streaming dimension is cut, which `bT` and `hS_N` decide:
+    /// stream blocks of `hS_N` planes carrying the `bT·rad` overlap, or
+    /// one tile spanning the dimension without streaming division. Every
+    /// configuration has one; whether it can run at all is the blocked
+    /// part's question.
+    #[must_use]
+    pub fn streaming_tiling(&self, problem: &StencilProblem) -> DimTiling {
+        let rad = problem.def().radius();
+        DimTiling::streaming(problem.streaming_extent(), self.hsn, self.bt * rad, rad)
+    }
+}
+
+/// The blocked part of a [`BlockGeometry`]: the compute regions and the
+/// tilings of the dimensions a thread block spans, which no `hS_N`
+/// changes. A tuner sweep derives it once per `(bT, bS)` and reuses it for
+/// every `hS_N`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockedGeometry {
+    /// `bS_i − 2·bT·rad` in `compute_region[..rank]`, zeros after.
+    compute_region: [usize; MAX_BLOCKED_DIMS],
+    /// One tiling per blocked dimension in `tilings[..rank]`, unused after.
+    tilings: [DimTiling; MAX_BLOCKED_DIMS],
+    rank: usize,
+}
+
+impl BlockedGeometry {
+    /// How each blocked dimension is cut into tiles, in the order of
+    /// [`StencilProblem::blocked_extents`].
+    #[must_use]
+    pub fn tilings(&self) -> &[DimTiling] {
+        &self.tilings[..self.rank]
     }
 }
 
@@ -427,6 +496,21 @@ mod tests {
     }
 
     #[test]
+    fn with_hsn_is_new_with_that_hsn() {
+        let config = BlockConfig::new(3, &[32, 16], None, Precision::Double).unwrap();
+        for hsn in [None, Some(1), Some(128)] {
+            assert_eq!(
+                config.with_hsn(hsn),
+                BlockConfig::new(3, &[32, 16], hsn, Precision::Double)
+            );
+        }
+        assert_eq!(
+            config.with_hsn(Some(0)).unwrap_err(),
+            PlanError::ZeroStreamDivision
+        );
+    }
+
+    #[test]
     fn nthr_is_product_of_block_extents() {
         let c = BlockConfig::new(3, &[32, 16], None, Precision::Double).unwrap();
         assert_eq!(c.nthr(), 512);
@@ -498,6 +582,35 @@ mod tests {
         assert!(geom.tiles_per_dim().eq([11, 11]));
         assert_eq!(geom.thread_blocks(), 121);
         assert_eq!(geom.stream_blocks(), 2);
+    }
+
+    #[test]
+    fn geometry_is_the_blocked_part_behind_the_streaming_tiling() {
+        let problem = problem_3d();
+        for hsn in [None, Some(1), Some(5), Some(128), Some(1000)] {
+            let config = BlockConfig::new(3, &[32, 16], hsn, Precision::Single).unwrap();
+            let geom = config.geometry(&problem).unwrap();
+            let blocked = config.blocked_geometry(&problem).unwrap();
+            assert_eq!(geom.tilings()[0], config.streaming_tiling(&problem));
+            assert_eq!(&geom.tilings()[1..], blocked.tilings());
+            assert_eq!(geom.compute_region(), [32 - 6, 16 - 6]);
+            // The blocked part does not see hS_N, the streaming tiling not bS.
+            let other_hsn = BlockConfig::new(3, &[32, 16], Some(7), Precision::Double).unwrap();
+            assert_eq!(other_hsn.blocked_geometry(&problem).unwrap(), blocked);
+            let other_bs = BlockConfig::new(3, &[64, 64], hsn, Precision::Double).unwrap();
+            assert_eq!(
+                other_bs.streaming_tiling(&problem),
+                config.streaming_tiling(&problem)
+            );
+        }
+        // Validity is the blocked part's alone.
+        let busting = BlockConfig::new(10, &[32], Some(64), Precision::Single).unwrap();
+        let j2d9pt = StencilProblem::new(suite::j2d9pt(), &[512, 512], 10).unwrap();
+        assert_eq!(
+            busting.blocked_geometry(&j2d9pt).map(|_| ()),
+            busting.geometry(&j2d9pt).map(|_| ())
+        );
+        assert_eq!(busting.streaming_tiling(&j2d9pt).extent(), 512);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   sums over. This crate is the only place that cuts a dimension into
 //!   tiles; the thread-block counts `ntb` / `n'tb` are the lengths of those
 //!   lists, and a plan remembers which extents it was tiled for
-//!   ([`KernelPlan::assert_tiled_for`]);
+//!   ([`KernelPlan::assert_tiled_for`]). The geometry is two halves: the
+//!   [`BlockedGeometry`] of `(bT, bS)`, which decides validity, and the
+//!   streaming tiling of `(bT, hS_N)`, so a sweep can derive each once;
 //! * the on-chip resource usage — registers per thread (fixed vs shifting
 //!   allocation, Section 4.2.1 / Fig. 3), shared-memory footprint
 //!   (double buffering vs one buffer per combined time-step, Section 4.2.2 /
@@ -55,7 +57,7 @@ mod schedule;
 mod scheme;
 mod tiling;
 
-pub use config::{BlockConfig, BlockGeometry, PlanError, MAX_BLOCKED_DIMS};
+pub use config::{BlockConfig, BlockGeometry, BlockedGeometry, PlanError, MAX_BLOCKED_DIMS};
 pub use plan::KernelPlan;
 pub use resources::{expected_shared_reads, practical_shared_reads, RegisterCap, ResourceUsage};
 pub use schedule::{KernelSchedule, MacroOp, Phase, RegSlot, RegWindow};
@@ -68,10 +70,12 @@ const _: () = {
     const fn copy<T: Copy>() {}
     copy::<BlockConfig>();
     copy::<BlockGeometry>();
+    copy::<BlockedGeometry>();
     copy::<ResourceUsage>();
     copy::<KernelSchedule>();
     assert!(!std::mem::needs_drop::<BlockConfig>());
     assert!(!std::mem::needs_drop::<BlockGeometry>());
+    assert!(!std::mem::needs_drop::<BlockedGeometry>());
     assert!(!std::mem::needs_drop::<ResourceUsage>());
     assert!(!std::mem::needs_drop::<KernelSchedule>());
 };

@@ -6,8 +6,11 @@
 //! and all of it but the definition is `Copy`, held inline. The definition
 //! is shared, not copied (cloning a `StencilDef` bumps three reference
 //! counts; the tap list stays where it is). Building a plan therefore
-//! allocates nothing and costs a fraction of a microsecond, and the tuner
-//! can afford to build, price and drop one per candidate.
+//! allocates nothing and costs a fraction of a microsecond. The tuner's
+//! sweep still builds none: it reads the two halves of the geometry
+//! ([`BlockConfig::blocked_geometry`], [`BlockConfig::streaming_tiling`])
+//! once per pair of axis values each depends on, and builds plans only
+//! for the candidates it measures.
 
 use crate::{
     BlockConfig, BlockGeometry, DimTiling, FrameworkScheme, KernelSchedule, OptimizationClass,

@@ -1,13 +1,16 @@
 //! Model-guided parameter tuning for AN5D blocking configurations
 //! (Section 6.3 of the paper).
 //!
-//! The tuner enumerates the paper's parameter space (`bT`, `bS_i`, `hS_N`)
-//! and builds a [`an5d_plan::KernelPlan`] for every candidate. A candidate
-//! is *valid* when the plan builds (no [`an5d_plan::PlanError`]: the
-//! blocked rank matches and the halo leaves a compute region) and the
-//! plan's own register estimate passes the hardware limits; nothing else
-//! decides validity. It ranks the valid candidates with the Section 5
-//! performance model, "runs" the top-k through a pluggable
+//! The tuner walks the paper's parameter space (`bT`, `bS_i`, `hS_N`)
+//! without building a plan per candidate. A candidate is *valid* when its
+//! `(bT, bS)` pair has a blocked geometry (no [`an5d_plan::PlanError`]:
+//! the blocked rank matches and the halo leaves a compute region) and the
+//! pair's register estimate passes the hardware limits; nothing else
+//! decides validity, and a [`an5d_plan::KernelPlan`] builds exactly for
+//! the valid ones. It ranks the valid candidates with the Section 5
+//! performance model, priced from per-dimension tile sums taken once per
+//! pair of axis values, builds plans for the top-k, "runs" them through a
+//! pluggable
 //! [`MeasurementSource`] and returns the configuration with the best
 //! measured performance — exactly the Tuned flow of the paper. The
 //! default [`SimulatedMeasurement`] source reproduces the paper's

@@ -90,6 +90,13 @@ impl SearchSpace {
         self.precision
     }
 
+    /// The `bT`, `bS` and `hS_N` axes, as given: [`SearchSpace::iter`]
+    /// nests them in this order and skips combinations
+    /// [`BlockConfig::new`] rejects.
+    pub(crate) fn axes(&self) -> (&[usize], &[Vec<usize>], &[Option<usize>]) {
+        (&self.bt_values, &self.bs_values, &self.hsn_values)
+    }
+
     /// Every syntactically valid candidate configuration, in the canonical
     /// nesting order (`bT` outermost, then `bS`, then `hS_N`); combinations
     /// [`BlockConfig::new`] rejects are skipped.

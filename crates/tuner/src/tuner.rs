@@ -2,20 +2,32 @@
 //!
 //! The paper tunes by model because a candidate's geometry, resources and
 //! traffic are closed-form, so ranking hundreds of them costs next to
-//! nothing. That holds here: a candidate is one `KernelPlan::build` — which
-//! is also the validity check, together with the register heuristic on the
-//! plan it returns — plus one `predict` (O(ndim), under a microsecond), and
-//! neither allocates. The ranking sweep runs inline on the calling thread,
-//! in candidate order, with a deadline checkpoint before every candidate;
-//! it keeps each survivor's `Copy` [`BlockConfig`] and score and drops the
-//! plan on the spot, and only the top-k it measures are built again.
+//! nothing. Here a candidate costs a few multiplies and one run of the §5
+//! formula, and the sweep builds no plan. It walks the space's axes
+//! `bT → bS → hS_N` and does each piece of work at the level that owns it:
+//!
+//! * once per `(bT, bS)`: validity — the blocked geometry
+//!   ([`BlockConfig::blocked_geometry`], a `PlanError` drops the pair) and
+//!   the §6.3 register rule on the pair's [`ResourceUsage`] — and the
+//!   blocked dimensions' tile sums;
+//! * once per `(bT, hS_N)`: the streaming dimension's tile sums;
+//! * per candidate: [`an5d_model::price`] on the sums put together, with a
+//!   deadline checkpoint and the `tuner.candidate` fault point before it.
+//!
+//! The sweep runs inline on the calling thread, in candidate order, and
+//! keeps the best k `(BlockConfig, score)` pairs in a k-slot buffer; only
+//! those k are built as plans, to be measured.
 
 use an5d_backend::{BackendElement, ExecutionBackend};
+use an5d_fault::FaultAction;
 use an5d_gpusim::GpuDevice;
 use an5d_grid::{Grid, GridInit, Precision};
-use an5d_model::{measure_each_cap, predict};
-use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan, RegisterCap};
+use an5d_model::{measure_each_cap, price, PlanSums, StencilCost, TileSums};
+use an5d_plan::{
+    BlockConfig, FrameworkScheme, KernelPlan, OptimizationClass, RegisterCap, ResourceUsage,
+};
 use an5d_stencil::{StencilDef, StencilProblem};
+use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -33,12 +45,49 @@ const DEFAULT_TOP_K: usize = 5;
 /// every real score (including −∞), so a poisoned candidate can never
 /// out-rank a finite one or scramble the order of its neighbours the way
 /// `partial_cmp(..).unwrap_or(Equal)` silently did.
-fn cmp_scores_desc(a: f64, b: f64) -> std::cmp::Ordering {
+fn cmp_scores_desc(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (false, false) => b.total_cmp(&a),
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Greater,
-        (false, true) => std::cmp::Ordering::Less,
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Greater,
+        (false, true) => Ordering::Less,
+    }
+}
+
+/// The best k `(config, score)` pairs offered so far, best first in
+/// [`cmp_scores_desc`] order. Among equal scores the pair offered first
+/// stays ahead, so the slots hold what a stable sort of every offer would
+/// put first.
+#[derive(Debug)]
+struct TopK {
+    slots: Vec<(BlockConfig, f64)>,
+    k: usize,
+}
+
+impl TopK {
+    /// Room for `k` pairs (k ≥ 1), allocated for at most `offers`.
+    fn new(k: usize, offers: usize) -> Self {
+        Self {
+            slots: Vec::with_capacity(k.min(offers)),
+            k,
+        }
+    }
+
+    fn offer(&mut self, config: BlockConfig, score: f64) {
+        let ranks_ahead = |a: f64, b: f64| cmp_scores_desc(a, b) == Ordering::Less;
+        if self.slots.len() < self.k {
+            self.slots.push((config, score));
+        } else if ranks_ahead(score, self.slots[self.k - 1].1) {
+            self.slots[self.k - 1] = (config, score);
+        } else {
+            return;
+        }
+        // Up past every kept pair it ranks strictly ahead of.
+        let mut at = self.slots.len() - 1;
+        while at > 0 && ranks_ahead(score, self.slots[at - 1].1) {
+            self.slots.swap(at, at - 1);
+            at -= 1;
+        }
     }
 }
 
@@ -53,9 +102,12 @@ pub enum TunerError {
     /// rather than returning a winner ranked over a partial sweep;
     /// `completed`/`total` report how far the interrupted stage got.
     DeadlineExceeded {
-        /// Candidates fully processed by the interrupted stage.
+        /// Candidates the interrupted stage had processed: in the ranking
+        /// sweep every candidate of the space, pruned or ranked; in the
+        /// top-k stage every measurement attempted.
         completed: usize,
-        /// Candidates the interrupted stage was asked to process.
+        /// Candidates the interrupted stage was asked to process: the
+        /// space's size, or the number of top-k measurements.
         total: usize,
     },
 }
@@ -367,16 +419,38 @@ impl Tuner {
         &self.device
     }
 
-    /// The Section 6.3 register heuristic, on the plan's own
-    /// [`an5d_plan::ResourceUsage`]: the expected per-thread register demand
-    /// must not exceed 255 registers per thread or the 65,536-register SM
-    /// budget.
-    fn survives_register_pruning(&self, plan: &KernelPlan) -> bool {
-        let regs = plan.resources().registers_per_thread;
+    /// The Section 6.3 register heuristic on a configuration's
+    /// [`ResourceUsage`]: the expected per-thread register demand must not
+    /// exceed 255 registers per thread or the 65,536-register SM budget.
+    fn survives_register_pruning(&self, resources: &ResourceUsage, nthr: usize) -> bool {
+        let regs = resources.registers_per_thread;
         if regs > self.device.max_registers_per_thread {
             return false;
         }
-        regs * plan.geometry().nthr <= self.device.registers_per_sm
+        regs * nthr <= self.device.registers_per_sm
+    }
+
+    /// What `(bT, bS)` decide for every `hS_N`: `None` when the pair
+    /// cannot run on the problem (a `PlanError`: wrong blocked rank, or a
+    /// halo that leaves no compute region) or fails the register
+    /// heuristic, else the stencil's costs and the blocked dimensions'
+    /// tile sums. `head` is the pair with any `hS_N`.
+    fn blocked_part(
+        &self,
+        def: &StencilDef,
+        problem: &StencilProblem,
+        class: OptimizationClass,
+        head: &BlockConfig,
+    ) -> Option<(StencilCost, TileSums)> {
+        let blocked = head.blocked_geometry(problem).ok()?;
+        let resources = ResourceUsage::compute(head, def.radius(), class, self.scheme);
+        if !self.survives_register_pruning(&resources, head.nthr()) {
+            return None;
+        }
+        Some((
+            StencilCost::new(def, &resources),
+            TileSums::product(blocked.tilings()),
+        ))
     }
 
     /// Run the full tuning flow for a stencil and problem.
@@ -405,81 +479,43 @@ impl Tuner {
             });
         }
 
-        // Step 1: rank every valid candidate with the Section 5 model. A
-        // candidate is valid when its plan builds (`PlanError` otherwise:
-        // wrong blocked rank, or a halo that leaves no compute region) and
-        // the plan passes the register heuristic. Candidates are evaluated
-        // inline on the calling thread, in candidate order: one costs a
-        // plan build plus a closed-form prediction (under a microsecond,
-        // no allocation), which is less than handing it to another thread
-        // would. The plan is dropped once priced; the ranking keeps the
-        // `Copy` configuration.
-        let mut ranked: Vec<(BlockConfig, f64)> = Vec::with_capacity(total_candidates);
+        // Step 1: rank every valid candidate with the Section 5 model.
         let sweep_span = an5d_obs::Span::enter("tuner.rank_sweep");
-        for config in space.iter() {
-            // Deadline checkpoint per candidate, ahead of the plan build:
-            // once the budget is gone the sweep
-            // stops and the partial ranking becomes an error instead of a
-            // winner. The fault point lets the chaos soak and tests
-            // stretch individual candidates deterministically.
-            if let Some(an5d_fault::FaultAction::Delay(d)) = an5d_fault::point("tuner.candidate") {
-                std::thread::sleep(d);
-            }
-            // A sweep the deadline interrupted is a *partial* ranking: the
-            // best candidate may be among the items that were skipped, so
-            // returning a winner from it would be silently wrong.
-            if an5d_fault::deadline_expired() {
-                return Err(TunerError::DeadlineExceeded {
-                    completed: ranked.len(),
-                    total: total_candidates,
-                });
-            }
-            let built = {
-                let _span = an5d_obs::Span::enter("plan.build");
-                KernelPlan::build(def, problem, &config, self.scheme)
-            };
-            let Ok(plan) = built else {
-                continue;
-            };
-            if !self.survives_register_pruning(&plan) {
-                continue;
-            }
-            let prediction = predict(&plan, problem, &self.device);
-            ranked.push((config, prediction.gflops));
-        }
+        let (ranked_candidates, shortlist) = self.rank(def, problem, space)?;
         drop(sweep_span);
-        if ranked.is_empty() {
+        if ranked_candidates == 0 {
             return Err(TunerError::NoFeasibleCandidate);
         }
-        // Score-descending; the sort is stable, so candidate order breaks
-        // ties.
-        ranked.sort_by(|a, b| cmp_scores_desc(a.1, b.1));
-        let ranked_candidates = ranked.len();
 
         // Step 2: "run" the model-ranked top-k through the measurement
         // source (simulated by default, wall-clock backend runs with
         // [`BackendMeasurement`]) and keep the best evaluation per
-        // candidate. Their plans are built again: k builds cost less than
-        // keeping every ranked plan alive through the sort.
-        let mut measured: Vec<TunedCandidate> = Vec::new();
+        // candidate. These are the only plans a tune builds.
         let _measure_span = an5d_obs::Span::enter("tuner.measure_topk");
-        let measure_count = ranked.len().min(self.top_k);
-        for (config, predicted_gflops) in ranked.into_iter().take(self.top_k) {
+        let measure_count = shortlist.len();
+        let mut measured: Vec<TunedCandidate> = Vec::with_capacity(measure_count);
+        for (attempted, (config, predicted_gflops)) in shortlist.into_iter().enumerate() {
             // Checkpoint between top-k measurements: abort with the
             // partial count rather than measuring past the budget.
             if an5d_fault::deadline_expired() {
                 return Err(TunerError::DeadlineExceeded {
-                    completed: measured.len(),
+                    completed: attempted,
                     total: measure_count,
                 });
             }
-            // Fault point stretching one candidate's measurement, so
-            // tests can trip the checkpoint above deterministically.
-            if let Some(an5d_fault::FaultAction::Delay(d)) = an5d_fault::point("tuner.measure") {
-                std::thread::sleep(d);
+            // Fault point stretching one candidate's measurement, so tests
+            // can trip the checkpoint above deterministically, or failing
+            // it as a source that cannot run the candidate would.
+            match an5d_fault::point("tuner.measure") {
+                Some(FaultAction::Delay(d)) => std::thread::sleep(d),
+                Some(FaultAction::Error) => continue,
+                _ => {}
             }
-            let plan = KernelPlan::build(def, problem, &config, self.scheme)
-                .expect("a ranked configuration's plan built in the sweep");
+            let plan = {
+                let _span = an5d_obs::Span::enter("plan.build");
+                KernelPlan::build(def, problem, &config, self.scheme)
+                    .expect("a ranked configuration's blocked geometry was valid")
+            };
             if let Some(c) =
                 self.source
                     .measure_candidate(&plan, problem, &self.device, predicted_gflops)
@@ -499,6 +535,75 @@ impl Tuner {
             total_candidates,
             measured_on_backend: self.source.is_measured(),
         })
+    }
+
+    /// The ranking sweep: walk the axes `bT → bS → hS_N` in candidate
+    /// order (that of [`SearchSpace::iter`]) and price every valid
+    /// candidate from sums taken once per `(bT, bS)` and once per
+    /// `(bT, hS_N)`. Returns how many were ranked and the best
+    /// `self.top_k` of them, best first.
+    fn rank(
+        &self,
+        def: &StencilDef,
+        problem: &StencilProblem,
+        space: &SearchSpace,
+    ) -> Result<(usize, Vec<(BlockConfig, f64)>), TunerError> {
+        let total = space.len();
+        let (bt_axis, bs_axis, hsn_axis) = space.axes();
+        let precision = space.precision();
+        let class = self.scheme.classify(def);
+        let mut top = TopK::new(self.top_k, total);
+        let mut ranked = 0;
+        let mut processed = 0;
+        // The streaming sums of the current bT, per hS_N, taken when a
+        // candidate first needs them.
+        let mut stream_sums: Vec<Option<TileSums>> = vec![None; hsn_axis.len()];
+        for &bt in bt_axis {
+            stream_sums.fill(None);
+            for bs in bs_axis {
+                // A (bT, bS) that BlockConfig::new rejects yields no
+                // candidate. `head` is the pair without streaming
+                // division; its candidates are `head` with each hS_N.
+                let Ok(head) = BlockConfig::new(bt, bs, None, precision) else {
+                    continue;
+                };
+                let blocked = self.blocked_part(def, problem, class, &head);
+                for (&hsn, stream) in hsn_axis.iter().zip(&mut stream_sums) {
+                    let Ok(config) = head.with_hsn(hsn) else {
+                        continue;
+                    };
+                    // Deadline checkpoint per candidate: once the budget
+                    // is gone the sweep stops, and the partial ranking
+                    // becomes an error instead of a winner (the best
+                    // candidate may be among those not reached). The fault
+                    // point lets the chaos soak and tests stretch a
+                    // candidate deterministically, or fail it.
+                    let fault = an5d_fault::point("tuner.candidate");
+                    if let Some(FaultAction::Delay(d)) = fault {
+                        std::thread::sleep(d);
+                    }
+                    if an5d_fault::deadline_expired() {
+                        return Err(TunerError::DeadlineExceeded {
+                            completed: processed,
+                            total,
+                        });
+                    }
+                    processed += 1;
+                    let Some((cost, blocked)) = blocked else {
+                        continue;
+                    };
+                    if fault == Some(FaultAction::Error) {
+                        continue;
+                    }
+                    let stream = *stream
+                        .get_or_insert_with(|| TileSums::over(&config.streaming_tiling(problem)));
+                    let sums = PlanSums::new(&config, cost, stream, blocked);
+                    ranked += 1;
+                    top.offer(config, price(&sums, problem, &self.device).gflops);
+                }
+            }
+        }
+        Ok((ranked, top.slots))
     }
 }
 
@@ -657,6 +762,51 @@ mod tests {
             !measured[0].measured_gflops.is_nan(),
             "a NaN-scoring candidate must never be picked as best"
         );
+    }
+
+    #[test]
+    fn top_k_keeps_what_a_stable_sort_puts_first() {
+        // Ties, NaNs and infinities, offered in an order that makes every
+        // kind of insertion happen: at the end, in front, between equals.
+        let scores = [
+            3.0,
+            f64::NAN,
+            5.0,
+            3.0,
+            f64::NEG_INFINITY,
+            7.0,
+            5.0,
+            f64::INFINITY,
+            3.0,
+            f64::NAN,
+            7.0,
+            -1.0,
+            0.0,
+            5.0,
+        ];
+        let offers: Vec<(BlockConfig, f64)> = scores
+            .iter()
+            .enumerate()
+            .map(|(i, &score)| {
+                let config = BlockConfig::new(i + 1, &[64], None, Precision::Single).unwrap();
+                (config, score)
+            })
+            .collect();
+        let mut sorted = offers.clone();
+        sorted.sort_by(|a, b| cmp_scores_desc(a.1, b.1));
+        for k in [1, 2, 3, 5, 8, scores.len(), usize::MAX] {
+            let mut top = TopK::new(k, offers.len());
+            for &(config, score) in &offers {
+                top.offer(config, score);
+            }
+            let expected = &sorted[..k.min(sorted.len())];
+            assert_eq!(top.slots.len(), expected.len(), "k = {k}");
+            for (kept, want) in top.slots.iter().zip(expected) {
+                assert_eq!(kept.0, want.0, "k = {k}");
+                assert_eq!(kept.1.to_bits(), want.1.to_bits(), "k = {k}");
+            }
+            assert!(top.slots.capacity() <= offers.len());
+        }
     }
 
     #[test]

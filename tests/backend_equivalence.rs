@@ -257,19 +257,23 @@ fn batch_driver_runs_a_suite_identically_on_both_backends() {
 }
 
 /// A from-scratch serial re-implementation of the Section 6.3 tuning
-/// flow: enumerate → plan → register-prune → rank by model → measure the
-/// top-5 under every register cap → pick the best. The streaming tuner
-/// must reproduce it bit for bit.
+/// flow: enumerate → build every plan → register-prune → rank by model
+/// (a stable sort of every survivor) → measure the top `top_k` under every
+/// register cap → pick the best. `None` when nothing could be measured.
+/// The tuner, which builds no plan in its sweep, must reproduce it bit
+/// for bit.
 fn serial_tune_reference(
     def: &an5d::StencilDef,
     problem: &StencilProblem,
     device: &an5d::GpuDevice,
     space: &an5d::SearchSpace,
-) -> an5d::TuningResult {
+    scheme: FrameworkScheme,
+    top_k: usize,
+) -> Option<an5d::TuningResult> {
     use an5d::{measure, predict, RegisterCap};
     let mut ranked: Vec<(BlockConfig, KernelPlan, f64)> = Vec::new();
     for config in space.iter() {
-        let Ok(plan) = KernelPlan::build(def, problem, &config, FrameworkScheme::an5d()) else {
+        let Ok(plan) = KernelPlan::build(def, problem, &config, scheme) else {
             continue;
         };
         let regs = plan.resources().registers_per_thread;
@@ -284,7 +288,7 @@ fn serial_tune_reference(
     ranked.sort_by(|a, b| b.2.total_cmp(&a.2));
     let ranked_candidates = ranked.len();
     let mut measured: Vec<an5d::TunedCandidate> = Vec::new();
-    for (config, plan, predicted_gflops) in ranked.into_iter().take(5) {
+    for (config, plan, predicted_gflops) in ranked.into_iter().take(top_k) {
         let mut best: Option<an5d::TunedCandidate> = None;
         for cap in RegisterCap::tuning_candidates() {
             let Ok(m) = measure(&plan, problem, device, cap) else {
@@ -308,18 +312,64 @@ fn serial_tune_reference(
         measured.extend(best);
     }
     measured.sort_by(|a, b| b.measured_gflops.total_cmp(&a.measured_gflops));
-    an5d::TuningResult {
-        best: measured[0].clone(),
+    Some(an5d::TuningResult {
+        best: measured.first()?.clone(),
         measured,
         ranked_candidates,
         total_candidates: space.len(),
         measured_on_backend: false,
-    }
+    })
 }
+
+/// The tuner against [`serial_tune_reference`] with the same scheme and
+/// `top_k`: the whole result, and every measured candidate's config and
+/// predicted score to the bit, in order.
+fn assert_tunes_like_the_reference(
+    def: &an5d::StencilDef,
+    problem: &StencilProblem,
+    device: &an5d::GpuDevice,
+    space: &an5d::SearchSpace,
+    scheme: FrameworkScheme,
+    top_k: usize,
+) {
+    let what = format!(
+        "{} under {} ({:?}, {} candidates)",
+        def.name(),
+        scheme.name(),
+        space.precision(),
+        space.len()
+    );
+    let result = an5d::Tuner::new(device.clone())
+        .with_scheme(scheme)
+        .with_top_k(top_k)
+        .tune(def, problem, space);
+    let Some(expected) = serial_tune_reference(def, problem, device, space, scheme, top_k) else {
+        assert!(
+            matches!(result, Err(an5d::TunerError::NoFeasibleCandidate)),
+            "{what}: {result:?}"
+        );
+        return;
+    };
+    let result = result.unwrap_or_else(|e| panic!("{what}: {e}"));
+    let bits = |r: &an5d::TuningResult| -> Vec<(BlockConfig, u64)> {
+        let measured = r.measured.iter();
+        measured
+            .map(|c| (c.config, c.predicted_gflops.to_bits()))
+            .collect()
+    };
+    assert_eq!(bits(&result), bits(&expected), "{what}");
+    assert_eq!(result, expected, "{what}");
+}
+
+const SCHEMES: [fn() -> FrameworkScheme; 3] = [
+    FrameworkScheme::an5d,
+    FrameworkScheme::an5d_no_associative,
+    FrameworkScheme::stencilgen,
+];
 
 #[test]
 fn streaming_tuner_matches_a_serial_reference_sweep() {
-    use an5d::{GpuDevice, SearchSpace, Tuner};
+    use an5d::{GpuDevice, SearchSpace};
     let device = GpuDevice::tesla_v100();
     for (def, space) in [
         (
@@ -336,50 +386,113 @@ fn streaming_tuner_matches_a_serial_reference_sweep() {
             _ => vec![128, 128, 128],
         };
         let problem = StencilProblem::new(def.clone(), &interior, 64).unwrap();
-        let expected = serial_tune_reference(&def, &problem, &device, &space);
-        let result = Tuner::new(device.clone())
-            .tune(&def, &problem, &space)
-            .unwrap();
-        assert_eq!(
-            result.measured,
-            expected.measured,
-            "{}: tuner diverged from the serial reference",
-            def.name()
-        );
-        assert_eq!(result.best, expected.best);
+        for top_k in [1, 5, usize::MAX] {
+            assert_tunes_like_the_reference(
+                &def,
+                &problem,
+                &device,
+                &space,
+                FrameworkScheme::an5d(),
+                top_k,
+            );
+        }
     }
 }
 
-/// The whole `TuningResult` — winner, `measured` order, `ranked_candidates`
-/// — equals the reference's for every Table-3 stencil (radius 1 to 4, 2D
-/// and 3D) on every registry device, in both precisions, over the quick
-/// and the paper search space at the paper's problem scale.
+/// The whole ranking — every ranked candidate measured, so `measured`
+/// holds each one's config and predicted score — and the rest of the
+/// `TuningResult` equal the reference's for every Table-3 stencil (radius
+/// 1 to 4, 2D and 3D) under each of the three schemes on every registry
+/// device, in both precisions, over the quick and the paper search space
+/// at the paper's problem scale.
 #[test]
 fn tuning_results_equal_the_reference_across_suite_devices_and_spaces() {
-    use an5d::{SearchSpace, Tuner};
+    use an5d::SearchSpace;
     let registry = an5d::standard_registry();
     assert!(registry.len() >= 4);
     for def in an5d::suite::all_benchmarks() {
         let problem = StencilProblem::paper_scale(def.clone());
-        for (id, device) in registry.devices() {
-            for precision in [Precision::Single, Precision::Double] {
-                for space in [
-                    SearchSpace::quick(def.ndim(), precision),
-                    SearchSpace::paper(def.ndim(), precision),
-                ] {
-                    let result = Tuner::new(device.clone())
-                        .tune(&def, &problem, &space)
-                        .unwrap();
-                    assert_eq!(
-                        result,
-                        serial_tune_reference(&def, &problem, device, &space),
-                        "{} on {} ({precision:?}, {} candidates)",
-                        def.name(),
-                        id.as_str(),
-                        space.len()
-                    );
+        for scheme in SCHEMES.map(|scheme| scheme()) {
+            for (_, device) in registry.devices() {
+                for precision in [Precision::Single, Precision::Double] {
+                    for space in [
+                        SearchSpace::quick(def.ndim(), precision),
+                        SearchSpace::paper(def.ndim(), precision),
+                    ] {
+                        assert_tunes_like_the_reference(
+                            &def,
+                            &problem,
+                            device,
+                            &space,
+                            scheme,
+                            usize::MAX,
+                        );
+                    }
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random axes on small problems: `bT` from 0 (which no configuration
+    /// takes) to 20; `bS` with no extent (refused), one, two (one of which
+    /// is the stencil's rank) or three (refused), zeros among them and
+    /// blocks no wider than the `2·bT·rad` halo; `hS_N` off, zero
+    /// (refused) or shorter than the halo. The sweep prunes, prices and
+    /// orders them as building every plan does.
+    #[test]
+    fn the_tuner_ranks_random_axes_like_building_every_plan(
+        three_d in any::<bool>(),
+        radius in 1usize..=3,
+        scheme in 0usize..3,
+        double in any::<bool>(),
+        extents in prop::collection::vec(1usize..=48, 3),
+        steps in 1usize..=12,
+        bt_values in prop::collection::vec(prop_oneof![0usize..=20, 1usize..=3, 1usize..=3], 1..=4),
+        bs_shapes in prop::collection::vec(0usize..6, 1..=4),
+        bs_extents in prop::collection::vec(
+            prop_oneof![
+                Just(0usize),
+                1usize..=12,
+                8usize..=64,
+                16usize..=128,
+                8usize..=200
+            ],
+            12,
+        ),
+        hsn_values in prop::collection::vec(
+            prop_oneof![
+                Just(None),
+                Just(Some(0usize)),
+                (1usize..=6).prop_map(Some),
+                (1usize..=64).prop_map(Some),
+                (7usize..=128).prop_map(Some)
+            ],
+            1..=3,
+        ),
+        top_k in prop_oneof![Just(1usize), Just(3), Just(usize::MAX)],
+    ) {
+        let ndim = if three_d { 3 } else { 2 };
+        let def = if three_d { an5d::suite::star3d(radius) } else { an5d::suite::box2d(radius) };
+        let problem = StencilProblem::new(def.clone(), &extents[..ndim], steps).unwrap();
+        let precision = if double { Precision::Double } else { Precision::Single };
+        // Mostly the stencil's blocked rank; sometimes none, the other
+        // rank, or three extents.
+        let bs_values = bs_shapes
+            .iter()
+            .zip(bs_extents.chunks(3))
+            .map(|(shape, extents)| match shape {
+                0 => Vec::new(),
+                1 => extents.to_vec(),
+                2 => extents[..4 - ndim].to_vec(),
+                _ => extents[..ndim - 1].to_vec(),
+            })
+            .collect();
+        let space = an5d::SearchSpace::new(bt_values, bs_values, hsn_values, precision);
+        let device = an5d::GpuDevice::tesla_v100();
+        assert_tunes_like_the_reference(&def, &problem, &device, &space, SCHEMES[scheme](), top_k);
     }
 }
