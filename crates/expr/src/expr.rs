@@ -1,7 +1,7 @@
 //! The stencil update expression: one post-order vector of nodes.
 
 use crate::facts::Walk;
-use crate::Offset;
+use crate::{push_literal, Offset};
 use std::fmt::{self, Write};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::Arc;
@@ -336,7 +336,7 @@ impl Expr {
                 }
             };
             match self.view(i) {
-                Node::Const(c) => write_literal(out, c),
+                Node::Const(c) => push_literal(out, c),
                 Node::Cell(offset) => access(out, offset),
                 Node::Unary(op, a) => {
                     out.push_str(match op {
@@ -516,16 +516,6 @@ impl ExprBuilder {
             depth: self.depth,
         }
     }
-}
-
-/// Append a C float literal: `2.0f`, `0.25f`.
-fn write_literal(out: &mut String, value: f64) {
-    let written = if value == value.trunc() && value.abs() < 1e15 {
-        write!(out, "{value:.1}f")
-    } else {
-        write!(out, "{value}f")
-    };
-    written.expect("writing to a String cannot fail");
 }
 
 impl Add for Expr {

@@ -62,6 +62,7 @@ mod expr;
 mod facts;
 mod flops;
 mod linear;
+mod literal;
 mod offset;
 mod shape;
 
@@ -69,5 +70,6 @@ pub use expr::{Arithmetic, BinOp, Expr, ExprBuilder, Node, UnOp};
 pub use facts::ExprFacts;
 pub use flops::{FlopCount, OpMix};
 pub use linear::{LinearForm, LinearTerm};
+pub use literal::push_literal;
 pub use offset::Offset;
 pub use shape::{ShapeError, ShapeInfo, StencilShapeClass};

@@ -262,6 +262,54 @@ mod tests {
         assert!(k.contains(&Token::Increment));
     }
 
+    /// Lex `an5d_expr::push_literal`'s text of `value ≥ 0` back.
+    fn lexed_literal(value: f64) -> f64 {
+        let mut text = String::new();
+        an5d_expr::push_literal(&mut text, value);
+        match kinds(&text)[..] {
+            [Token::Float(read)] => read,
+            ref tokens => panic!("{text} lexes as {tokens:?}"),
+        }
+    }
+
+    #[test]
+    fn printed_literals_lex_back_to_the_same_value() {
+        let suite_literals = an5d_stencil::suite::all_benchmarks()
+            .into_iter()
+            .flat_map(|def| {
+                let expr = def.expr().clone();
+                (0..expr.node_count()).filter_map(move |i| match expr.view(i) {
+                    an5d_expr::Node::Const(c) => Some(c.abs()),
+                    _ => None,
+                })
+            });
+        let powers_of_two = (0..52)
+            .map(|shift| 1u64 << shift)
+            .chain((1..2047).map(|e| e << 52))
+            .map(f64::from_bits);
+        let near_powers_of_ten = (-325..=308).flat_map(|k| {
+            let bits = format!("1e{k}").parse::<f64>().unwrap().to_bits();
+            (bits.saturating_sub(3)..=bits + 3).map(f64::from_bits)
+        });
+        // splitmix64 over the positive finite bit patterns.
+        let mut state = 17u64;
+        let random = std::iter::from_fn(|| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            Some(f64::from_bits((z ^ (z >> 31)) % 0x7ff0_0000_0000_0000))
+        })
+        .take(100_000);
+        let values = suite_literals
+            .chain(powers_of_two)
+            .chain(near_powers_of_ten)
+            .chain(random)
+            .chain([0.0, f64::MAX, f64::MIN_POSITIVE, f64::from_bits(1)]);
+        for value in values {
+            assert_eq!(lexed_literal(value).to_bits(), value.to_bits(), "{value:e}");
+        }
+    }
+
     #[test]
     fn lexes_float_literals_with_suffix() {
         assert_eq!(kinds("5.1f"), vec![Token::Float(5.1)]);
