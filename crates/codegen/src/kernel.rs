@@ -1,7 +1,8 @@
 //! Kernel-side CUDA code generation (Fig. 5 structure).
 
 use crate::{push_comment_text, push_int, push_kernel_name, push_uint};
-use an5d_expr::Offset;
+use an5d_expr::{LiteralType, Offset};
+use an5d_grid::Precision;
 use an5d_plan::{KernelPlan, MacroOp, OptimizationClass, Phase, RegSlot, RegWindow};
 use std::cell::RefCell;
 use std::fmt::{self, Write};
@@ -239,7 +240,9 @@ fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) -> fmt::Resul
 
 /// Append the stencil update expression of a CALC macro reading shared
 /// buffer `sm{buffer}`: streaming-column neighbours come from the macro's
-/// register parameters `r0..`, in-plane neighbours from shared memory.
+/// register parameters `r0..`, in-plane neighbours from shared memory;
+/// constants are literals of the kernel's scalar type, so a `double`
+/// kernel computes with the definition's own coefficients.
 /// Returns the offsets in `out` of the buffer digits it printed, one per
 /// shared-memory leaf, for [`copy_for_buffer`].
 fn write_update_expression(out: &mut String, plan: &KernelPlan, buffer: usize) -> Vec<usize> {
@@ -267,7 +270,11 @@ fn write_update_expression(out: &mut String, plan: &KernelPlan, buffer: usize) -
         push_int(out, i64::from(offset.component(ndim - 1)));
         out.push_str("))");
     };
-    def.expr().write_c(out, &access);
+    let literals = match plan.config().precision() {
+        Precision::Single => LiteralType::Float,
+        Precision::Double => LiteralType::Double,
+    };
+    def.expr().write_c(out, literals, &access);
     digits.into_inner()
 }
 
@@ -424,6 +431,67 @@ mod tests {
 
     fn count(haystack: &str, needle: &str) -> usize {
         haystack.matches(needle).count()
+    }
+
+    /// The floating literals of a kernel's CALC bodies, each with whether
+    /// an `f` suffix follows it.
+    fn calc_literals(kernel: &str) -> Vec<(&str, bool)> {
+        let mut literals = Vec::new();
+        for body in kernel.split("an5d_result = ").skip(1) {
+            let body = &body[..body.find("; \\").unwrap()];
+            let bytes = body.as_bytes();
+            let mut i = 0;
+            while i < bytes.len() {
+                let starts_number = bytes[i].is_ascii_digit()
+                    && (i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_'));
+                if !starts_number {
+                    i += 1;
+                    continue;
+                }
+                let start = i;
+                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+                    i += 1;
+                }
+                if body[start..i].contains('.') {
+                    literals.push((&body[start..i], bytes.get(i) == Some(&b'f')));
+                }
+            }
+        }
+        literals
+    }
+
+    #[test]
+    fn literals_are_the_definitions_coefficients_in_the_kernels_type() {
+        for def in suite::all_benchmarks() {
+            let expr = def.expr();
+            let magnitudes: Vec<u64> = (0..expr.node_count())
+                .filter_map(|i| match expr.view(i) {
+                    an5d_expr::Node::Const(c) => Some(c.abs().to_bits()),
+                    _ => None,
+                })
+                .collect();
+            let bs: &[usize] = if def.ndim() == 2 { &[256] } else { &[32, 32] };
+            for precision in Precision::all() {
+                let kernel = generate_kernel(&plan_for(def.clone(), 2, bs, precision));
+                let literals = calc_literals(&kernel);
+                // Both CALC macros print the whole expression.
+                assert_eq!(literals.len(), 2 * magnitudes.len(), "{}", def.name());
+                for (text, suffixed) in literals {
+                    assert_eq!(
+                        suffixed,
+                        precision == Precision::Single,
+                        "{}: {text}",
+                        def.name()
+                    );
+                    let value: f64 = text.parse().unwrap();
+                    assert!(
+                        magnitudes.contains(&value.to_bits()),
+                        "{} {precision}: {text} is no coefficient",
+                        def.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

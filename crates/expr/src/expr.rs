@@ -1,7 +1,7 @@
 //! The stencil update expression: one post-order vector of nodes.
 
 use crate::facts::Walk;
-use crate::{push_literal, Offset};
+use crate::{push_literal, LiteralType, Offset};
 use std::fmt::{self, Write};
 use std::ops::{Add, Div, Mul, Neg, Sub};
 use std::sync::Arc;
@@ -313,11 +313,12 @@ impl Expr {
     }
 
     /// Append the expression to `out` as C/CUDA source: fully
-    /// parenthesised, constants as `float` literals, each neighbour access
+    /// parenthesised, constants as literals of type `literals`, each
+    /// neighbour access
     /// appended by `access` (e.g. as a register name or a shared-memory
     /// index). One buffer for the whole expression: a left-nested sum never
     /// re-copies its prefix, and no leaf becomes a `String` of its own.
-    pub fn write_c<F>(&self, out: &mut String, access: &F)
+    pub fn write_c<F>(&self, out: &mut String, literals: LiteralType, access: &F)
     where
         F: Fn(&mut String, Offset),
     {
@@ -336,7 +337,7 @@ impl Expr {
                 }
             };
             match self.view(i) {
-                Node::Const(c) => push_literal(out, c),
+                Node::Const(c) => push_literal(out, c, literals),
                 Node::Cell(offset) => access(out, offset),
                 Node::Unary(op, a) => {
                     out.push_str(match op {
@@ -556,9 +557,13 @@ impl Neg for Expr {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut out = String::new();
-        self.write_c(&mut out, &|out: &mut String, o: Offset| {
-            write!(out, "A{o}").expect("writing to a String cannot fail");
-        });
+        self.write_c(
+            &mut out,
+            LiteralType::Float,
+            &|out: &mut String, o: Offset| {
+                write!(out, "A{o}").expect("writing to a String cannot fail");
+            },
+        );
         f.write_str(&out)
     }
 }
@@ -642,9 +647,13 @@ mod tests {
     fn write_c_renders_parenthesised_source() {
         let e = Expr::constant(2.0) * Expr::cell(&[0, 1]);
         let mut s = String::new();
-        e.write_c(&mut s, &|out: &mut String, o: Offset| {
-            write!(out, "A[i{:+}][j{:+}]", o.component(0), o.component(1)).unwrap();
-        });
+        e.write_c(
+            &mut s,
+            LiteralType::Float,
+            &|out: &mut String, o: Offset| {
+                write!(out, "A[i{:+}][j{:+}]", o.component(0), o.component(1)).unwrap();
+            },
+        );
         assert_eq!(s, "(2.0f * A[i+0][j+1])");
     }
 

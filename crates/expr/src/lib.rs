@@ -70,6 +70,6 @@ pub use expr::{Arithmetic, BinOp, Expr, ExprBuilder, Node, UnOp};
 pub use facts::ExprFacts;
 pub use flops::{FlopCount, OpMix};
 pub use linear::{LinearForm, LinearTerm};
-pub use literal::push_literal;
+pub use literal::{push_literal, LiteralType};
 pub use offset::Offset;
 pub use shape::{ShapeError, ShapeInfo, StencilShapeClass};

@@ -20,8 +20,28 @@ use scale::{
 
 include!(concat!(env!("OUT_DIR"), "/pow5.rs"));
 
-/// Append `value` as a C `float` literal: `2.0f`, `0.25f`, `-0.1f`.
-pub fn push_literal(out: &mut String, value: f64) {
+/// The C type a constant is printed as: a `float` literal carries an `f`
+/// suffix, a `double` one none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LiteralType {
+    /// `2.0f`, `0.25f`: the literals of a single-precision kernel.
+    Float,
+    /// `2.0`, `0.25`: the literals of a double-precision kernel.
+    Double,
+}
+
+/// Append `value` as a C floating literal of type `ty`: `2.0f`, `0.25f`,
+/// `-0.1f` as a `float`; `2.0`, `0.25`, `-0.1` as a `double`.
+pub fn push_literal(out: &mut String, value: f64, ty: LiteralType) {
+    push_decimal(out, value);
+    if ty == LiteralType::Float {
+        out.push('f');
+    }
+}
+
+/// Append the shortest round-trip decimal of `value`; an integral one
+/// below 10^15 with a `.0`.
+fn push_decimal(out: &mut String, value: f64) {
     if !value.is_finite() {
         return push_non_finite(out, value);
     }
@@ -31,23 +51,22 @@ pub fn push_literal(out: &mut String, value: f64) {
     let abs = value.abs();
     if abs < 1e15 && (abs as u64) as f64 == abs {
         push_digits(out, abs as u64);
-        out.push_str(".0f");
+        out.push_str(".0");
         return;
     }
     let (digits, exponent) = shortest(abs.to_bits());
     push_positional(out, digits, exponent);
-    out.push('f');
 }
 
-/// What core prints for an infinity or a NaN, with the suffix.
+/// What core prints for an infinity or a NaN.
 #[cold]
 fn push_non_finite(out: &mut String, value: f64) {
     out.push_str(if value.is_nan() {
-        "NaNf"
+        "NaN"
     } else if value > 0.0 {
-        "inff"
+        "inf"
     } else {
-        "-inff"
+        "-inf"
     });
 }
 
@@ -258,7 +277,7 @@ mod tests {
 
     fn printed(value: f64) -> String {
         let mut out = String::new();
-        push_literal(&mut out, value);
+        push_literal(&mut out, value, LiteralType::Float);
         out
     }
 
@@ -296,6 +315,15 @@ mod tests {
             9_007_199_254_740_993.0,
         ] {
             assert_eq!(printed(value), core(value), "{value:e}");
+        }
+    }
+
+    #[test]
+    fn a_double_literal_has_no_suffix() {
+        for value in [0.1, -2.0, 1e-300, f64::NAN] {
+            let mut double = String::new();
+            push_literal(&mut double, value, LiteralType::Double);
+            assert_eq!(format!("{double}f"), printed(value));
         }
     }
 

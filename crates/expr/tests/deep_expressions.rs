@@ -3,7 +3,7 @@
 //! walked and dropped on a 64 KiB thread. A reader — or a `Drop` — that
 //! recursed once per level would overflow it.
 
-use an5d_expr::{Expr, Offset};
+use an5d_expr::{Expr, LiteralType, Offset};
 
 const TERMS: usize = 200_000;
 const NEGATIONS: usize = 50_000;
@@ -38,7 +38,11 @@ fn a_long_sum_is_built_used_and_dropped_without_recursion() {
         assert_eq!(sum.eval_f32(&|_| 1.0), 1.5 * (TERMS / 2) as f32);
 
         let mut c = String::new();
-        sum.write_c(&mut c, &|out: &mut String, _: Offset| out.push('x'));
+        sum.write_c(
+            &mut c,
+            LiteralType::Float,
+            &|out: &mut String, _: Offset| out.push('x'),
+        );
         assert_eq!(
             c.len(),
             (TERMS - 1) * "( + )".len() + TERMS / 2 * ("x".len() + "0.5f".len())
@@ -73,7 +77,11 @@ fn a_deep_negation_chain_is_built_used_and_dropped_without_recursion() {
         assert_eq!(chain.eval_f32(&|_| -2.5), -2.5);
 
         let mut c = String::new();
-        chain.write_c(&mut c, &|out: &mut String, _: Offset| out.push('x'));
+        chain.write_c(
+            &mut c,
+            LiteralType::Float,
+            &|out: &mut String, _: Offset| out.push('x'),
+        );
         assert_eq!(
             c,
             format!("{}x{}", "(-".repeat(NEGATIONS), ")".repeat(NEGATIONS))

@@ -4,7 +4,7 @@
 //! neighbours of every power of ten, runs of integers and random bit
 //! patterns.
 
-use an5d_expr::{push_literal, Node};
+use an5d_expr::{push_literal, LiteralType, Node};
 use an5d_stencil::suite;
 use std::fmt::Write;
 
@@ -31,7 +31,7 @@ impl Oracle {
     fn check(&mut self, value: f64) {
         self.printed.clear();
         self.expected.clear();
-        push_literal(&mut self.printed, value);
+        push_literal(&mut self.printed, value, LiteralType::Float);
         core_literal(&mut self.expected, value);
         assert_eq!(
             self.printed,

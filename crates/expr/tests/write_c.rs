@@ -2,7 +2,7 @@
 //! built a `format!` `String` per node — on all 21 suite expressions and
 //! on one expression that uses every operator and both literal forms.
 
-use an5d_expr::{BinOp, Expr, Node, Offset, UnOp};
+use an5d_expr::{BinOp, Expr, LiteralType, Node, Offset, UnOp};
 use an5d_stencil::suite;
 
 /// One `String` per node, as the renderer before `write_c` built it,
@@ -42,9 +42,13 @@ fn access_name(o: Offset) -> String {
 
 fn written(expr: &Expr) -> String {
     let mut out = String::from("prefix ");
-    expr.write_c(&mut out, &|out: &mut String, o: Offset| {
-        out.push_str(&access_name(o));
-    });
+    expr.write_c(
+        &mut out,
+        LiteralType::Float,
+        &|out: &mut String, o: Offset| {
+            out.push_str(&access_name(o));
+        },
+    );
     out
 }
 

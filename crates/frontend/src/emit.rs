@@ -7,7 +7,7 @@
 //! definition (round-trip property, covered by the crate tests and the
 //! cross-crate integration tests).
 
-use an5d_expr::{push_literal, BinOp, Expr, Node, Offset, UnOp};
+use an5d_expr::{push_literal, BinOp, Expr, LiteralType, Node, Offset, UnOp};
 use an5d_stencil::StencilDef;
 
 /// Names of the spatial loop variables, outermost (streaming) first.
@@ -98,7 +98,7 @@ where
             todo.push(Step::Text(")"));
         }
         match node {
-            Node::Const(c) => push_literal(&mut out, c),
+            Node::Const(c) => push_literal(&mut out, c, LiteralType::Float),
             Node::Cell(offset) => out.push_str(&access(offset)),
             // Unary minus binds tighter than any binary operator.
             Node::Unary(UnOp::Neg, a) => {

@@ -265,7 +265,7 @@ mod tests {
     /// Lex `an5d_expr::push_literal`'s text of `value ≥ 0` back.
     fn lexed_literal(value: f64) -> f64 {
         let mut text = String::new();
-        an5d_expr::push_literal(&mut text, value);
+        an5d_expr::push_literal(&mut text, value, an5d_expr::LiteralType::Float);
         match kinds(&text)[..] {
             [Token::Float(read)] => read,
             ref tokens => panic!("{text} lexes as {tokens:?}"),
