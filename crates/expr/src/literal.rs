@@ -3,7 +3,8 @@
 //! [`push_literal`] appends the shortest decimal that reads back as the
 //! same `f64` — of those the nearest, a tie going to the even last digit:
 //! the digits core's `{}` chooses — in plain positional notation, never
-//! with an exponent. An integral value below 10^15 keeps a `.0`.
+//! with an exponent. An integral value ends in `.0`, so that every
+//! literal is a C floating literal.
 //!
 //! The digits come from Ryu (Adams, PLDI 2018): the interval of reals
 //! that round to the value is scaled by a power of ten, read off a
@@ -40,7 +41,7 @@ pub fn push_literal(out: &mut String, value: f64, ty: LiteralType) {
 }
 
 /// Append the shortest round-trip decimal of `value`; an integral one
-/// below 10^15 with a `.0`.
+/// with a `.0`.
 fn push_decimal(out: &mut String, value: f64) {
     if !value.is_finite() {
         return push_non_finite(out, value);
@@ -49,14 +50,21 @@ fn push_decimal(out: &mut String, value: f64) {
         out.push('-');
     }
     let abs = value.abs();
-    if abs < 1e15 && (abs as u64) as f64 == abs {
+    if abs < EXACT_INTEGERS && (abs as u64) as f64 == abs {
         push_digits(out, abs as u64);
         out.push_str(".0");
         return;
     }
+    // Beyond 2^53 every value is integral, and so is its shortest decimal.
     let (digits, exponent) = shortest(abs.to_bits());
     push_positional(out, digits, exponent);
+    if exponent >= 0 {
+        out.push_str(".0");
+    }
 }
+
+/// 2^53: below it an integral `f64` prints as its `u64`.
+const EXACT_INTEGERS: f64 = (1u64 << (MANTISSA_BITS + 1)) as f64;
 
 /// What core prints for an infinity or a NaN.
 #[cold]
@@ -281,9 +289,10 @@ mod tests {
         out
     }
 
+    /// Core's `{}`, with a `.0` after an integral value.
     fn core(value: f64) -> String {
-        if value == value.trunc() && value.abs() < 1e15 {
-            format!("{value:.1}f")
+        if value.is_finite() && value == value.trunc() {
+            format!("{value}.0f")
         } else {
             format!("{value}f")
         }

@@ -8,11 +8,11 @@ use an5d_expr::{push_literal, LiteralType, Node};
 use an5d_stencil::suite;
 use std::fmt::Write;
 
-/// What core prints for `value` as a C `float` literal: `{:.1}` for an
-/// integral value below 10^15, `{}` otherwise, then the suffix.
+/// `value` as a C `float` literal through core: `{}`, a `.0` after an
+/// integral value, then the suffix.
 fn core_literal(out: &mut String, value: f64) {
-    let written = if value == value.trunc() && value.abs() < 1e15 {
-        write!(out, "{value:.1}f")
+    let written = if value.is_finite() && value == value.trunc() {
+        write!(out, "{value}.0f")
     } else {
         write!(out, "{value}f")
     };

@@ -6,10 +6,12 @@ use an5d_expr::{BinOp, Expr, LiteralType, Node, Offset, UnOp};
 use an5d_stencil::suite;
 
 /// One `String` per node, as the renderer before `write_c` built it,
-/// recursing from node `i` through `view`.
+/// recursing from node `i` through `view` — except that an integral
+/// constant of 10^15 or more ends in `.0` too, as a C floating literal
+/// must (`100000000000000000000f` is no C literal).
 fn reference(expr: &Expr, i: usize, access: &dyn Fn(Offset) -> String) -> String {
     match expr.view(i) {
-        Node::Const(c) if c == c.trunc() && c.abs() < 1e15 => format!("{c:.1}f"),
+        Node::Const(c) if c.is_finite() && c == c.trunc() => format!("{c}.0f"),
         Node::Const(c) => format!("{c}f"),
         Node::Cell(o) => access(o),
         Node::Unary(UnOp::Neg, a) => format!("(-{})", reference(expr, a, access)),
@@ -79,7 +81,7 @@ fn write_c_matches_the_per_node_renderer_on_every_operator_and_literal() {
         "4.0f",
         "0.1f",
         "-2.0f",
-        "100000000000000000000f",
+        "100000000000000000000.0f",
         "-0.0f",
         "NaNf",
     ] {

@@ -121,3 +121,30 @@ fn deep_temporal_blocking_pays_off_for_first_order_2d_stencils() {
     let high = gflops_at(8);
     assert!(high > 1.5 * low, "bT=8 {high} vs bT=1 {low}");
 }
+
+#[test]
+fn an_integral_constant_past_1e15_prints_as_a_floating_literal() {
+    // `100000000000000000000f` is no C literal: a C++ compiler takes the
+    // `f` for a user-defined literal operator.
+    let source = "for (t = 0; t < I_T; t++)\n for (i = 1; i <= I_S2; i++)\n  \
+                  for (j = 1; j <= I_S1; j++)\n   A[(t+1)%2][i][j] = \
+                  1e20f * A[t%2][i][j+1] + 0.5f * A[t%2][i][j-1];\n";
+    let printed = "100000000000000000000.0f";
+
+    let an5d = An5d::from_c_source(source, "huge").unwrap();
+    let problem = an5d.problem(&[256, 256], 10).unwrap();
+    let config = BlockConfig::new(2, &[64], None, Precision::Single).unwrap();
+    let cuda = an5d.generate_cuda(&problem, &config).unwrap();
+    assert!(
+        cuda.kernel_source.contains(printed),
+        "{}",
+        cuda.kernel_source
+    );
+    assert!(!cuda.kernel_source.contains("00f"));
+
+    let def = parse_stencil(source, "huge").unwrap().def;
+    let emitted = emit_c_source(&def, "A");
+    assert!(emitted.contains(printed), "{emitted}");
+    let again = parse_stencil(&emitted, "huge").unwrap().def;
+    assert_eq!(again.expr(), def.expr());
+}
