@@ -76,7 +76,11 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     out.push_str("#include <cuda_runtime.h>\n#include <cstdio>\n\n");
     out.push_str("extern __global__ void ");
     push_kernel_name(out, plan, bt);
-    write!(out, "(const {scalar}*, {scalar}*, ")?;
+    out.push_str("(const ");
+    out.push_str(scalar);
+    out.push_str("*, ");
+    out.push_str(scalar);
+    out.push_str("*, ");
     for _ in 0..ndim {
         out.push_str("const int, ");
     }
@@ -86,7 +90,9 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
         "/* Advances the solution by i_t time-steps; the result ends up in h_a,\n   exactly as the original double-buffered C code would leave it. */\nint ",
     );
     push_kernel_name(out, plan, bt);
-    write!(out, "_host({scalar}* h_a, ")?;
+    out.push_str("_host(");
+    out.push_str(scalar);
+    out.push_str("* h_a, ");
     push_extents(out, "const int ", ndim);
     out.push_str(", const int i_t)\n{\n");
     out.push_str("    const size_t cells = ");
@@ -102,10 +108,11 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     }
     out.push_str(";\n");
     writeln!(out, "    const size_t bytes = cells * sizeof({scalar});")?;
-    write!(
-        out,
-        "    {scalar}* d_buf[2];\n    cudaMalloc(&d_buf[0], bytes);\n    cudaMalloc(&d_buf[1], bytes);\n"
-    )?;
+    out.push_str("    ");
+    out.push_str(scalar);
+    out.push_str(
+        "* d_buf[2];\n    cudaMalloc(&d_buf[0], bytes);\n    cudaMalloc(&d_buf[1], bytes);\n",
+    );
     out.push_str("    cudaMemcpy(d_buf[0], h_a, bytes, cudaMemcpyHostToDevice);\n");
     out.push_str("    cudaMemcpy(d_buf[1], h_a, bytes, cudaMemcpyHostToDevice);\n\n");
     // One thread per cell of the block: CUDA's x is the innermost blocked
@@ -120,7 +127,13 @@ fn write_host(out: &mut String, plan: &KernelPlan) -> fmt::Result {
         push_uint(out, extent as u64);
     }
     out.push_str(");\n");
-    write!(out, "    dim3 grid({grid_dim}, 1, 1);\n\n")?;
+    out.push_str("    dim3 grid(");
+    match u64::try_from(grid_dim) {
+        Ok(blocks) => push_uint(out, blocks),
+        // No device launches 2^64 blocks; the count still prints exactly.
+        Err(_) => out.push_str(&grid_dim.to_string()),
+    }
+    out.push_str(", 1, 1);\n\n");
 
     writeln!(
         out,

@@ -93,20 +93,22 @@ fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     out.push('\n');
 
     // Shared-memory access wrapper (disables NVCC's vectorised shared loads).
-    write!(
-        out,
-        "__device__ __forceinline__ {scalar} an5d_sm_load(const {scalar}* buf, int idx) {{\n    return buf[idx];\n}}\n\n"
-    )?;
+    out.push_str("__device__ __forceinline__ ");
+    out.push_str(scalar);
+    out.push_str(" an5d_sm_load(const ");
+    out.push_str(scalar);
+    out.push_str("* buf, int idx) {\n    return buf[idx];\n}\n\n");
 
-    write_macros(out, plan, scalar)?;
+    write_macros(out, plan, scalar);
 
     // Kernel signature.
     out.push_str("__global__ void ");
     push_kernel_name(out, plan, bt);
-    write!(
-        out,
-        "(const {scalar}* __restrict__ a_in, {scalar}* __restrict__ a_out, "
-    )?;
+    out.push_str("(const ");
+    out.push_str(scalar);
+    out.push_str("* __restrict__ a_in, ");
+    out.push_str(scalar);
+    out.push_str("* __restrict__ a_out, ");
     for d in (1..=def.ndim()).rev() {
         out.push_str("const int i_s");
         push_uint(out, d as u64);
@@ -155,11 +157,13 @@ fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
 
     // Inner phase.
     out.push_str("    /* Inner phase: steady state, unrolled by the register window */\n");
-    write!(
-        out,
-        "    int s = stream_begin + {};\n    for (; s + {unroll} <= stream_end; s += {unroll}) {{\n",
-        schedule.head_planes()
-    )?;
+    out.push_str("    int s = stream_begin + ");
+    push_uint(out, schedule.head_planes() as u64);
+    out.push_str(";\n    for (; s + ");
+    push_uint(out, unroll as u64);
+    out.push_str(" <= stream_end; s += ");
+    push_uint(out, unroll as u64);
+    out.push_str(") {\n");
     for op in schedule.ops(Phase::Inner) {
         out.push_str("    ");
         lines.write_op(out, op, Phase::Inner);
@@ -177,7 +181,7 @@ fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
 }
 
 /// Emit the `LOAD`, `CALC1..bT` and `STORE` macro definitions.
-fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) -> fmt::Result {
+fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) {
     let rad = plan.def().radius();
     let unroll = 2 * rad + 1;
     let bt = plan.config().bt();
@@ -232,10 +236,11 @@ fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) -> fmt::Resul
     out.push_str("/* STORE: write one finished sub-plane of time-step bT to global memory */\n");
     out.push_str("#define STORE(sidx, ");
     push_params(out, unroll);
-    write!(
-        out,
-        ") do {{ \\\n    if (an5d_in_compute_region(tx)) a_out[an5d_global_index((sidx), tx)] = r{rad}; \\\n}} while (0)\n\n"
-    )
+    out.push_str(
+        ") do { \\\n    if (an5d_in_compute_region(tx)) a_out[an5d_global_index((sidx), tx)] = r",
+    );
+    push_uint(out, rad as u64);
+    out.push_str("; \\\n} while (0)\n\n");
 }
 
 /// Append the stencil update expression of a CALC macro reading shared
