@@ -34,6 +34,14 @@
 //! [`Expr::shape_info`], [`Expr::flop_count`], [`Expr::op_mix`] and
 //! [`Expr::is_associative`] read the same walk.
 //!
+//! [`Expr::write_c`] prints an expression as C source. Its constants go
+//! through [`push_literal`], which prints the shortest decimal that reads
+//! back as the same `f64` (the digits of core's `{}`) without `core::fmt`:
+//! Ryu's interval scaling over power-of-five tables that the build script
+//! derives from exact integer arithmetic. A [`LiteralType::Float`]
+//! literal carries the `f` suffix, a [`LiteralType::Double`] one none, and
+//! an integral one ends in `.0`.
+//!
 //! # Example
 //!
 //! ```
