@@ -313,11 +313,11 @@ impl Expr {
     }
 
     /// Append the expression to `out` as C/CUDA source: fully
-    /// parenthesised, constants as literals of type `literals`, each
-    /// neighbour access
-    /// appended by `access` (e.g. as a register name or a shared-memory
-    /// index). One buffer for the whole expression: a left-nested sum never
-    /// re-copies its prefix, and no leaf becomes a `String` of its own.
+    /// parenthesised, constants as literals of type `literals` (through
+    /// [`push_literal`]), each neighbour access appended by `access` (e.g.
+    /// as a register name or a shared-memory index). One buffer for the
+    /// whole expression: a left-nested sum never re-copies its prefix, and
+    /// no leaf becomes a `String` of its own.
     pub fn write_c<F>(&self, out: &mut String, literals: LiteralType, access: &F)
     where
         F: Fn(&mut String, Offset),

@@ -50,20 +50,21 @@ fn push_decimal(out: &mut String, value: f64) {
         out.push('-');
     }
     let abs = value.abs();
-    if abs < EXACT_INTEGERS && (abs as u64) as f64 == abs {
-        push_digits(out, abs as u64);
-        out.push_str(".0");
-        return;
-    }
-    // Beyond 2^53 every value is integral, and so is its shortest decimal.
-    let (digits, exponent) = shortest(abs.to_bits());
+    let (digits, exponent) = if abs < EXACT_INTEGERS && (abs as u64) as f64 == abs {
+        (abs as u64, 0)
+    } else {
+        // Beyond 2^53 every value is integral, and so is its shortest
+        // decimal: the exponent is not negative.
+        shortest(abs.to_bits())
+    };
     push_positional(out, digits, exponent);
     if exponent >= 0 {
         out.push_str(".0");
     }
 }
 
-/// 2^53: below it an integral `f64` prints as its `u64`.
+/// 2^53: below it an integral `f64` is its own shortest decimal, as a
+/// `u64`.
 const EXACT_INTEGERS: f64 = (1u64 << (MANTISSA_BITS + 1)) as f64;
 
 /// What core prints for an infinity or a NaN.
@@ -83,7 +84,7 @@ fn push_non_finite(out: &mut String, value: f64) {
 /// when it is at most [`INLINE`] bytes long (every value from 10^-30 up
 /// to 10^48), and pushed in one piece.
 fn push_positional(out: &mut String, digits: u64, exponent: i32) {
-    let len = digits.ilog10() as usize + 1;
+    let len = digits.checked_ilog10().unwrap_or(0) as usize + 1;
     // Digits before the point, and the text's length.
     let whole = len as i32 + exponent;
     let text_len = if whole <= 0 {
@@ -147,13 +148,6 @@ fn push_positional_long(out: &mut String, digits: u64, len: usize, whole: i32) {
         out.push_str(text);
         out.extend((len as i32..whole).map(|_| '0'));
     }
-}
-
-/// Append `n` in decimal.
-fn push_digits(out: &mut String, n: u64) {
-    let len = n.checked_ilog10().unwrap_or(0) as usize + 1;
-    let group = digit_group(n);
-    out.push_str(std::str::from_utf8(&group[GROUP - len..]).expect("ASCII digits"));
 }
 
 /// `n` in decimal, zero-padded to [`GROUP`] digits.
