@@ -71,20 +71,6 @@ impl LinearForm {
         }
         acc
     }
-
-    /// Rebuild an [`Expr`] from the linear form (coefficient-folded).
-    #[must_use]
-    pub fn to_expr(&self) -> Expr {
-        let mut terms: Vec<Expr> = self
-            .terms
-            .iter()
-            .map(|t| Expr::constant(t.coeff) * Expr::cell_at(t.offset))
-            .collect();
-        if self.constant != 0.0 || terms.is_empty() {
-            terms.push(Expr::constant(self.constant));
-        }
-        Expr::sum(terms)
-    }
 }
 
 /// Internal polynomial-of-degree-≤1 representation during extraction.
@@ -259,8 +245,6 @@ mod tests {
         let direct = e.eval(&resolve);
         let via_form = form.eval(&resolve);
         assert!((direct - via_form).abs() < 1e-12);
-        let rebuilt = form.to_expr().eval(&resolve);
-        assert!((direct - rebuilt).abs() < 1e-12);
     }
 
     #[test]

@@ -71,24 +71,6 @@ impl WorkloadProfile {
             kernel_launches: counters.kernel_launches,
         }
     }
-
-    /// Arithmetic intensity against global memory (FLOP per byte).
-    #[must_use]
-    pub fn gm_intensity(&self) -> f64 {
-        if self.gm_bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.flops as f64 / self.gm_bytes as f64
-    }
-
-    /// Arithmetic intensity against shared memory (FLOP per byte).
-    #[must_use]
-    pub fn sm_intensity(&self) -> f64 {
-        if self.sm_bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.flops as f64 / self.sm_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -152,21 +134,5 @@ mod tests {
         let loose =
             WorkloadProfile::from_counters(&plan, &sample_counters(), RegisterCap::Unlimited);
         assert_eq!(loose.spill_bytes, 0);
-    }
-
-    #[test]
-    fn intensities() {
-        let plan = sample_plan(Precision::Single);
-        let profile =
-            WorkloadProfile::from_counters(&plan, &sample_counters(), RegisterCap::Unlimited);
-        assert!((profile.gm_intensity() - 15_000.0 / 6000.0).abs() < 1e-12);
-        assert!(profile.sm_intensity() < profile.gm_intensity());
-        let empty = WorkloadProfile {
-            gm_bytes: 0,
-            sm_bytes: 0,
-            ..profile
-        };
-        assert!(empty.gm_intensity().is_infinite());
-        assert!(empty.sm_intensity().is_infinite());
     }
 }

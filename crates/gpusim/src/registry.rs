@@ -140,18 +140,6 @@ impl DeviceRegistry {
         id
     }
 
-    /// Make an already-registered device the default. Returns `false`
-    /// (and changes nothing) when the name does not resolve.
-    pub fn set_default(&mut self, name: &str) -> bool {
-        match self.resolve_id(name) {
-            Some(id) => {
-                self.default_id = Some(id);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// The default device id (the paper's V100 in the standard registry).
     ///
     /// # Panics
@@ -353,9 +341,11 @@ mod tests {
         assert_eq!(id.as_str(), "p100");
         assert_eq!(registry.default_id().as_str(), "p100", "first in = default");
         registry.register_with_aliases(GpuDevice::tesla_v100(), "v100", &["volta"]);
-        assert!(registry.set_default("volta"));
-        assert_eq!(registry.default_id().as_str(), "v100");
-        assert!(!registry.set_default("nope"));
+        assert_eq!(
+            registry.default_id().as_str(),
+            "p100",
+            "the first device stays the default"
+        );
         assert_eq!(registry.accepted_names(), "\"p100\", \"v100\"");
     }
 

@@ -205,25 +205,6 @@ impl<T: Element> Grid<T> {
         Some(self.data[flat])
     }
 
-    /// Read the cell at `base + offset`, where `base` is unsigned and
-    /// `offset` is a signed stencil offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::OutOfBounds`] if the displaced index leaves the
-    /// grid.
-    pub fn get_offset(&self, base: &[usize], offset: &[isize]) -> Result<T, GridError> {
-        let idx: Vec<isize> = base
-            .iter()
-            .zip(offset)
-            .map(|(&b, &o)| b as isize + o)
-            .collect();
-        self.at(&idx).ok_or_else(|| GridError::OutOfBounds {
-            index: idx,
-            shape: self.shape.clone(),
-        })
-    }
-
     /// Iterate over all unsigned indices of the interior region, i.e. the
     /// cells at distance ≥ `radius` from every face. These are exactly the
     /// cells a `radius`-th order stencil updates.
@@ -357,13 +338,6 @@ mod tests {
         assert_eq!(g.at(&[0, 4]), None);
         assert_eq!(g.at(&[3, 3]), Some(0.0));
         assert_eq!(g.at(&[0]), None, "rank mismatch yields None");
-    }
-
-    #[test]
-    fn get_offset_reports_out_of_bounds() {
-        let g = Grid::<f64>::zeros(&[4, 4]);
-        assert!(g.get_offset(&[0, 0], &[-1, 0]).is_err());
-        assert_eq!(g.get_offset(&[1, 1], &[1, 1]).unwrap(), 0.0);
     }
 
     #[test]

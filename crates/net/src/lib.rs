@@ -2,15 +2,14 @@
 //!
 //! The build environment has no crates.io access (no `mio`, no `libc`
 //! crate), so this crate carries the two pieces of a single-threaded
-//! reactor that need the OS, on `std` alone:
+//! reactor that need the OS, on `std` alone. It builds on unix only:
 //!
 //! * [`Poller`] — level-triggered readiness over `poll(2)` via a minimal
 //!   FFI declaration (std already links libc on unix). This is the only
 //!   `unsafe` in the workspace, quarantined here so `an5d-service` can
-//!   keep its `#![forbid(unsafe_code)]`. A degraded busy-poll fallback
-//!   keeps non-unix targets compiling.
-//! * [`wake()`] — a loopback-socket wake channel: worker threads nudge
-//!   the reactor out of `poll` without signals or pipes.
+//!   keep its `#![forbid(unsafe_code)]`.
+//! * [`wake()`] — a wake channel over a unix socket pair: worker threads
+//!   nudge the reactor out of `poll` without signals.
 //!
 //! Connection deadlines are plain data and live with the reactor in
 //! `an5d-service`. Design rationale (ROADMAP "event-driven connection
@@ -26,5 +25,5 @@
 mod poll;
 mod wake;
 
-pub use poll::{fd_of_listener, fd_of_stream, Event, Interest, Poller, SourceFd};
+pub use poll::{Event, Interest, Poller};
 pub use wake::{wake, WakeReceiver, Waker};

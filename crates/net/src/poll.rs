@@ -7,51 +7,11 @@
 //! Entries whose [`Interest`] is empty are skipped entirely (a
 //! connection whose request is executing on a worker generates no
 //! events at all).
-//!
-//! On non-unix targets a degraded fallback sleeps a short slice and
-//! reports every registered entry ready at its declared interest
-//! (busy-poll): callers must already treat readiness as a hint and
-//! handle `WouldBlock`, so the fallback is slow but correct.
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::Duration;
-
-/// The OS-level identity of a pollable source.
-#[cfg(unix)]
-pub type SourceFd = std::os::unix::io::RawFd;
-/// The OS-level identity of a pollable source (unused by the fallback).
-#[cfg(not(unix))]
-pub type SourceFd = i32;
-
-/// The pollable identity of a `TcpStream`.
-#[must_use]
-pub fn fd_of_stream(stream: &TcpStream) -> SourceFd {
-    #[cfg(unix)]
-    {
-        std::os::unix::io::AsRawFd::as_raw_fd(stream)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = stream;
-        0
-    }
-}
-
-/// The pollable identity of a `TcpListener`.
-#[must_use]
-pub fn fd_of_listener(listener: &TcpListener) -> SourceFd {
-    #[cfg(unix)]
-    {
-        std::os::unix::io::AsRawFd::as_raw_fd(listener)
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = listener;
-        0
-    }
-}
 
 /// Which readiness a registration asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,7 +58,6 @@ pub struct Event {
     pub writable: bool,
 }
 
-#[cfg(unix)]
 mod sys {
     use std::os::raw::{c_int, c_short};
 
@@ -129,8 +88,7 @@ mod sys {
 /// A level-triggered readiness poller (see the module docs).
 #[derive(Debug, Default)]
 pub struct Poller {
-    entries: BTreeMap<usize, (SourceFd, Interest)>,
-    #[cfg(unix)]
+    entries: BTreeMap<usize, (RawFd, Interest)>,
     scratch_tokens: Vec<usize>,
 }
 
@@ -141,9 +99,11 @@ impl Poller {
         Self::default()
     }
 
-    /// Register (or re-register) a source under `token`.
-    pub fn register(&mut self, token: usize, fd: SourceFd, interest: Interest) {
-        self.entries.insert(token, (fd, interest));
+    /// Register (or re-register) a source under `token`. The poller
+    /// keeps only the descriptor number: the caller deregisters the token
+    /// before it drops the source.
+    pub fn register(&mut self, token: usize, source: &impl AsRawFd, interest: Interest) {
+        self.entries.insert(token, (source.as_raw_fd(), interest));
     }
 
     /// Change the interest of an existing registration; ignored for
@@ -178,7 +138,6 @@ impl Poller {
     /// # Errors
     ///
     /// Propagates OS poll failures other than `EINTR` (which retries).
-    #[cfg(unix)]
     pub fn poll(
         &mut self,
         timeout: Option<Duration>,
@@ -242,70 +201,27 @@ impl Poller {
         }
         Ok(events.len())
     }
-
-    /// Degraded non-unix fallback: sleep a short slice of `timeout` and
-    /// report every interested registration as ready (busy-poll).
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the signature matches the unix implementation.
-    #[cfg(not(unix))]
-    pub fn poll(
-        &mut self,
-        timeout: Option<Duration>,
-        events: &mut Vec<Event>,
-    ) -> io::Result<usize> {
-        events.clear();
-        let slice = timeout
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        if !slice.is_zero() {
-            std::thread::sleep(slice);
-        }
-        for (&token, &(_, interest)) in &self.entries {
-            if interest.is_none() {
-                continue;
-            }
-            events.push(Event {
-                token,
-                readable: interest.readable,
-                writable: interest.writable,
-            });
-        }
-        Ok(events.len())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-
-    fn pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
+    use std::os::unix::net::UnixStream;
 
     #[test]
     fn readable_only_when_bytes_are_pending() {
-        let (mut a, b) = pair();
+        let (mut a, b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
         let mut poller = Poller::new();
-        poller.register(7, fd_of_stream(&b), Interest::READABLE);
+        poller.register(7, &b, Interest::READABLE);
         let mut events = Vec::new();
 
-        // Nothing pending: the poll times out empty (unix); the fallback
-        // may busy-report, so only assert emptiness on unix.
-        #[cfg(unix)]
-        {
-            let n = poller
-                .poll(Some(Duration::from_millis(10)), &mut events)
-                .unwrap();
-            assert_eq!(n, 0, "{events:?}");
-        }
+        // Nothing pending: the poll times out empty.
+        let n = poller
+            .poll(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert_eq!(n, 0, "{events:?}");
 
         a.write_all(b"ping").unwrap();
         let n = poller
@@ -320,9 +236,9 @@ mod tests {
 
     #[test]
     fn peer_close_surfaces_as_readability() {
-        let (a, b) = pair();
+        let (a, b) = UnixStream::pair().unwrap();
         let mut poller = Poller::new();
-        poller.register(1, fd_of_stream(&b), Interest::READABLE);
+        poller.register(1, &b, Interest::READABLE);
         drop(a);
         let mut events = Vec::new();
         poller
@@ -336,10 +252,10 @@ mod tests {
 
     #[test]
     fn zero_interest_entries_generate_no_events() {
-        let (mut a, b) = pair();
+        let (mut a, b) = UnixStream::pair().unwrap();
         a.write_all(b"data").unwrap();
         let mut poller = Poller::new();
-        poller.register(3, fd_of_stream(&b), Interest::NONE);
+        poller.register(3, &b, Interest::NONE);
         assert_eq!(poller.len(), 1);
         let mut events = Vec::new();
         let n = poller
@@ -357,9 +273,9 @@ mod tests {
 
     #[test]
     fn writable_interest_reports_an_open_send_buffer() {
-        let (a, _b) = pair();
+        let (a, _b) = UnixStream::pair().unwrap();
         let mut poller = Poller::new();
-        poller.register(9, fd_of_stream(&a), Interest::WRITABLE);
+        poller.register(9, &a, Interest::WRITABLE);
         let mut events = Vec::new();
         poller
             .poll(Some(Duration::from_millis(1000)), &mut events)
@@ -369,10 +285,10 @@ mod tests {
 
     #[test]
     fn deregistered_tokens_disappear() {
-        let (mut a, b) = pair();
+        let (mut a, b) = UnixStream::pair().unwrap();
         a.write_all(b"x").unwrap();
         let mut poller = Poller::new();
-        poller.register(4, fd_of_stream(&b), Interest::READABLE);
+        poller.register(4, &b, Interest::READABLE);
         poller.deregister(4);
         assert!(poller.is_empty());
         let mut events = Vec::new();

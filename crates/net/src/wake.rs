@@ -1,20 +1,20 @@
 //! A wake channel for nudging a reactor out of `poll`.
 //!
-//! Built from a loopback TCP pair (std-only; no `pipe(2)` FFI needed):
-//! the receiving end registers with the [`crate::Poller`] as an ordinary
-//! readable source, and any thread holding the [`Waker`] writes one byte
-//! to fire it. Wakes coalesce naturally — once the socket buffer holds a
-//! pending byte, further `wake()` calls are free no-ops (`WouldBlock`
-//! simply means the reactor is already guaranteed to wake).
+//! Built from a connected unix socket pair: the receiving end registers
+//! with the [`crate::Poller`] as an ordinary readable source, and any
+//! thread holding the [`Waker`] writes one byte to fire it. Wakes
+//! coalesce naturally — once the socket buffer holds a pending byte,
+//! further `wake()` calls are free no-ops (`WouldBlock` simply means the
+//! reactor is already guaranteed to wake).
 
-use crate::poll::{fd_of_stream, SourceFd};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 
 /// The sending half: cheap, thread-safe (`&self`) wakes.
 #[derive(Debug)]
 pub struct Waker {
-    stream: TcpStream,
+    stream: UnixStream,
 }
 
 impl Waker {
@@ -25,19 +25,14 @@ impl Waker {
     }
 }
 
-/// The receiving half, owned by the reactor.
+/// The receiving half, owned by the reactor; register it with a
+/// [`crate::Poller`] for readability.
 #[derive(Debug)]
 pub struct WakeReceiver {
-    stream: TcpStream,
+    stream: UnixStream,
 }
 
 impl WakeReceiver {
-    /// The pollable identity to register with a [`crate::Poller`].
-    #[must_use]
-    pub fn fd(&self) -> SourceFd {
-        fd_of_stream(&self.stream)
-    }
-
     /// Swallow every pending wake byte so the next `poll` blocks again.
     pub fn drain(&self) {
         let mut sink = [0u8; 256];
@@ -52,26 +47,20 @@ impl WakeReceiver {
     }
 }
 
+impl AsRawFd for WakeReceiver {
+    fn as_raw_fd(&self) -> RawFd {
+        self.stream.as_raw_fd()
+    }
+}
+
 /// Create a connected wake channel.
 ///
 /// # Errors
 ///
-/// Propagates loopback bind/connect failures.
+/// Propagates `socketpair(2)` failures.
 pub fn wake() -> io::Result<(Waker, WakeReceiver)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let sender = TcpStream::connect(addr)?;
-    let local = sender.local_addr()?;
-    // Accept until we see our own connect: a foreign socket racing onto
-    // the ephemeral port must not become the wake channel.
-    let receiver = loop {
-        let (stream, peer) = listener.accept()?;
-        if peer == local {
-            break stream;
-        }
-    };
+    let (sender, receiver) = UnixStream::pair()?;
     sender.set_nonblocking(true)?;
-    sender.set_nodelay(true)?;
     receiver.set_nonblocking(true)?;
     Ok((Waker { stream: sender }, WakeReceiver { stream: receiver }))
 }
@@ -86,7 +75,7 @@ mod tests {
     fn wake_fires_poll_and_drain_quiets_it() {
         let (waker, receiver) = wake().unwrap();
         let mut poller = Poller::new();
-        poller.register(0, receiver.fd(), Interest::READABLE);
+        poller.register(0, &receiver, Interest::READABLE);
         let mut events = Vec::new();
 
         waker.wake();
@@ -97,20 +86,17 @@ mod tests {
         assert!(events.iter().any(|e| e.token == 0 && e.readable));
 
         receiver.drain();
-        #[cfg(unix)]
-        {
-            let n = poller
-                .poll(Some(Duration::from_millis(10)), &mut events)
-                .unwrap();
-            assert_eq!(n, 0, "drained channel must be quiet: {events:?}");
-        }
+        let n = poller
+            .poll(Some(Duration::from_millis(10)), &mut events)
+            .unwrap();
+        assert_eq!(n, 0, "drained channel must be quiet: {events:?}");
     }
 
     #[test]
     fn wake_from_another_thread_is_seen() {
         let (waker, receiver) = wake().unwrap();
         let mut poller = Poller::new();
-        poller.register(5, receiver.fd(), Interest::READABLE);
+        poller.register(5, &receiver, Interest::READABLE);
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             waker.wake();

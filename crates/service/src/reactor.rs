@@ -57,7 +57,7 @@ use crate::http::{Parse, Request, RequestParser, Response};
 use crate::server::{
     render_response, CompletionBody, DispatchItem, ResponseStream, Shared, StreamStatus, IO_TIMEOUT,
 };
-use an5d_net::{fd_of_listener, fd_of_stream, Event, Interest, Poller, WakeReceiver};
+use an5d_net::{Event, Interest, Poller, WakeReceiver};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -201,8 +201,8 @@ impl Reactor {
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new();
-        poller.register(LISTENER, fd_of_listener(&listener), Interest::READABLE);
-        poller.register(WAKE, receiver.fd(), Interest::READABLE);
+        poller.register(LISTENER, &listener, Interest::READABLE);
+        poller.register(WAKE, &receiver, Interest::READABLE);
         Ok(Self {
             shared,
             listener: Some(listener),
@@ -318,8 +318,7 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    self.poller
-                        .register(token, fd_of_stream(&stream), Interest::READABLE);
+                    self.poller.register(token, &stream, Interest::READABLE);
                     self.conns.insert(
                         token,
                         Conn {

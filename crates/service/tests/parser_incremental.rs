@@ -1,8 +1,9 @@
-//! Equivalence fuzzing for the resumable [`RequestParser`]: every
-//! fixture stream is replayed whole, split at **every** byte boundary,
-//! byte-by-byte, and in proptest-chosen random chunkings, and the
-//! incremental parse must produce exactly the requests (and errors) the
-//! one-shot [`read_request`] loop produces on the same bytes — including
+//! Replay fuzzing for the resumable [`RequestParser`]: every fixture
+//! stream is fed whole, split at **every** byte boundary, byte-by-byte,
+//! and in proptest-chosen random chunkings, and each replay must yield
+//! exactly the one-shot result the fixture writes out by hand — unit by
+//! unit, the request (method, path, query, body, keep-alive, whether a
+//! deadline was sent) or the error status it parses to — including
 //! pipelined back-to-back requests that share a chunk.
 //!
 //! Truncated streams are covered separately: cutting a stream anywhere
@@ -10,102 +11,273 @@
 //! (the reactor's abort oracle), while cutting exactly between requests
 //! must leave it clean.
 
-use an5d_service::http::{read_request, HttpError};
+use an5d_service::http::HttpError;
 use an5d_service::{Parse, Request, RequestParser};
 use proptest::prelude::*;
-use std::io::BufReader;
 
-/// One request's worth of bytes plus whether the one-shot parser treats
-/// the unit as well-formed (errors poison the rest of the stream).
+/// The fields a well-formed unit must parse to.
+#[derive(Debug, Clone, Copy)]
+struct Fields {
+    method: &'static str,
+    path: &'static str,
+    query: &'static str,
+    body: &'static [u8],
+    keep_alive: bool,
+    deadline: bool,
+}
+
+/// An HTTP/1.1 `GET /` with no headers; fixtures override what differs.
+const GET: Fields = Fields {
+    method: "GET",
+    path: "/",
+    query: "",
+    body: b"",
+    keep_alive: true,
+    deadline: false,
+};
+
+/// One request's worth of bytes plus what it must parse to: its fields,
+/// or the status of the framing error that poisons the rest of the
+/// stream.
 struct Unit {
     bytes: &'static [u8],
-    ok: bool,
+    expect: Result<Fields, u16>,
 }
 
-const fn ok(bytes: &'static [u8]) -> Unit {
-    Unit { bytes, ok: true }
+const fn ok(bytes: &'static [u8], fields: Fields) -> Unit {
+    Unit {
+        bytes,
+        expect: Ok(fields),
+    }
 }
 
-const fn bad(bytes: &'static [u8]) -> Unit {
-    Unit { bytes, ok: false }
+const fn bad(bytes: &'static [u8], status: u16) -> Unit {
+    Unit {
+        bytes,
+        expect: Err(status),
+    }
 }
 
 /// Fixture streams, each a concatenation of request units so the exact
 /// request boundaries are known by construction. Error units only ever
-/// appear last: both parsers stop at the first framing error.
+/// appear last: the parser stops at the first framing error.
 fn fixtures() -> Vec<(&'static str, Vec<Unit>)> {
     vec![
-        ("simple get", vec![ok(b"GET /stats HTTP/1.1\r\n\r\n")]),
+        (
+            "simple get",
+            vec![ok(
+                b"GET /stats HTTP/1.1\r\n\r\n",
+                Fields {
+                    path: "/stats",
+                    ..GET
+                },
+            )],
+        ),
         (
             "post with query and body",
             vec![ok(
                 b"POST /parse?verbose=1 HTTP/1.1\r\nContent-Length: 11\r\n\r\nhello world",
+                Fields {
+                    method: "POST",
+                    path: "/parse",
+                    query: "verbose=1",
+                    body: b"hello world",
+                    ..GET
+                },
             )],
         ),
         (
             "http/1.0 opting into keep-alive",
             vec![ok(
                 b"GET /devices HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                Fields {
+                    path: "/devices",
+                    ..GET
+                },
+            )],
+        ),
+        (
+            "http/1.0 closes by default",
+            vec![ok(
+                b"get /devices HTTP/1.0\r\n\r\n",
+                Fields {
+                    path: "/devices",
+                    keep_alive: false,
+                    ..GET
+                },
             )],
         ),
         (
             "close wins over later keep-alive",
             vec![ok(
                 b"GET /stats HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n",
+                Fields {
+                    path: "/stats",
+                    keep_alive: false,
+                    ..GET
+                },
             )],
         ),
         (
             "body containing CRLF noise",
             vec![ok(
                 b"POST /plan HTTP/1.1\r\nContent-Length: 14\r\n\r\nGET /x\r\n\r\nBODY",
+                Fields {
+                    method: "POST",
+                    path: "/plan",
+                    body: b"GET /x\r\n\r\nBODY",
+                    ..GET
+                },
             )],
         ),
         (
             "bare-LF line endings",
-            vec![ok(b"POST /parse HTTP/1.1\nContent-Length: 3\n\nabc")],
+            vec![ok(
+                b"POST /parse HTTP/1.1\nContent-Length: 3\n\nabc",
+                Fields {
+                    method: "POST",
+                    path: "/parse",
+                    body: b"abc",
+                    ..GET
+                },
+            )],
+        ),
+        (
+            "repeated equal content-length",
+            vec![ok(
+                b"POST /parse HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc",
+                Fields {
+                    method: "POST",
+                    path: "/parse",
+                    body: b"abc",
+                    ..GET
+                },
+            )],
+        ),
+        (
+            "deadline header",
+            vec![ok(
+                b"GET /stats HTTP/1.1\r\nx-an5d-deadline-ms: 60000\r\n\r\n",
+                Fields {
+                    path: "/stats",
+                    deadline: true,
+                    ..GET
+                },
+            )],
         ),
         (
             "pipelined trio sharing the stream",
             vec![
-                ok(b"POST /parse HTTP/1.1\r\nContent-Length: 5\r\n\r\nfirst"),
-                ok(b"GET /devices HTTP/1.1\r\n\r\n"),
-                ok(b"POST /stats HTTP/1.1\r\nConnection: close\r\nContent-Length: 6\r\n\r\nsecond"),
+                ok(
+                    b"POST /parse HTTP/1.1\r\nContent-Length: 5\r\n\r\nfirst",
+                    Fields {
+                        method: "POST",
+                        path: "/parse",
+                        body: b"first",
+                        ..GET
+                    },
+                ),
+                ok(
+                    b"GET /devices HTTP/1.1\r\n\r\n",
+                    Fields {
+                        path: "/devices",
+                        ..GET
+                    },
+                ),
+                ok(
+                    b"POST /stats HTTP/1.1\r\nConnection: close\r\nContent-Length: 6\r\n\r\nsecond",
+                    Fields {
+                        method: "POST",
+                        path: "/stats",
+                        body: b"second",
+                        keep_alive: false,
+                        ..GET
+                    },
+                ),
             ],
         ),
         (
             "request after an empty-bodied post",
             vec![
-                ok(b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n"),
-                ok(b"GET /metrics HTTP/1.1\r\n\r\n"),
+                ok(
+                    b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+                    Fields {
+                        method: "POST",
+                        path: "/shutdown",
+                        ..GET
+                    },
+                ),
+                ok(
+                    b"GET /metrics HTTP/1.1\r\n\r\n",
+                    Fields {
+                        path: "/metrics",
+                        ..GET
+                    },
+                ),
             ],
         ),
         (
             "malformed request line",
-            vec![bad(b"complete nonsense\r\n\r\n")],
+            vec![bad(b"complete nonsense\r\n\r\n", 400)],
         ),
         (
             "unsupported protocol version",
-            vec![bad(b"GET /stats SPDY/3\r\n\r\n")],
+            vec![bad(b"GET /stats SPDY/3\r\n\r\n", 400)],
         ),
         (
             "unparseable content-length",
-            vec![bad(b"POST /parse HTTP/1.1\r\nContent-Length: nope\r\n\r\n")],
+            vec![bad(
+                b"POST /parse HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+                400,
+            )],
+        ),
+        (
+            "signed content-length",
+            vec![bad(
+                b"POST /parse HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello",
+                400,
+            )],
+        ),
+        (
+            "conflicting content-lengths",
+            vec![bad(
+                b"POST /parse HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!",
+                400,
+            )],
+        ),
+        (
+            "signed deadline",
+            vec![bad(
+                b"GET /stats HTTP/1.1\r\nx-an5d-deadline-ms: +250\r\n\r\n",
+                400,
+            )],
         ),
         (
             "oversized content-length is a 413",
             vec![bad(
                 b"POST /parse HTTP/1.1\r\nContent-Length: 1073741824\r\n\r\n",
+                413,
             )],
         ),
         (
             "transfer-encoding is refused with 501",
             vec![bad(
                 b"POST /parse HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                501,
             )],
         ),
         (
             "good request then a poisoned one",
-            vec![ok(b"GET /stats HTTP/1.1\r\n\r\n"), bad(b"BLARG\r\n\r\n")],
+            vec![
+                ok(
+                    b"GET /stats HTTP/1.1\r\n\r\n",
+                    Fields {
+                        path: "/stats",
+                        ..GET
+                    },
+                ),
+                bad(b"BLARG\r\n\r\n", 400),
+            ],
         ),
     ]
 }
@@ -121,7 +293,7 @@ fn boundaries_of(units: &[Unit]) -> Vec<usize> {
     let mut at = 0;
     let mut out = vec![0];
     for unit in units {
-        if !unit.ok {
+        if unit.expect.is_err() {
             break;
         }
         at += unit.bytes.len();
@@ -130,22 +302,42 @@ fn boundaries_of(units: &[Unit]) -> Vec<usize> {
     out
 }
 
-/// Ground truth: loop the one-shot `read_request` over the whole stream.
-/// Stops at the first framing error (the server closes the connection
-/// there) or at end-of-stream.
-fn one_shot(raw: &[u8]) -> Vec<Result<Request, HttpError>> {
-    let mut reader = BufReader::new(raw);
+/// What a parse result is checked on: the request's fields (deadline
+/// reduced to whether one was sent), or the error's status.
+type Outcome = Result<(String, String, String, Vec<u8>, bool, bool), u16>;
+
+fn outcome_of(result: &Result<Request, HttpError>) -> Outcome {
+    match result {
+        Ok(request) => Ok((
+            request.method.clone(),
+            request.path.clone(),
+            request.query.clone(),
+            request.body.clone(),
+            request.keep_alive,
+            request.deadline.is_some(),
+        )),
+        Err(err) => Err(err.status),
+    }
+}
+
+/// The one-shot result: the fixture's table, up to and including the
+/// first error.
+fn one_shot(units: &[Unit]) -> Vec<Outcome> {
     let mut out = Vec::new();
-    loop {
-        match read_request(&mut reader) {
-            Ok(Ok(request)) => out.push(Ok(request)),
-            Ok(Err(err)) => {
-                out.push(Err(err));
-                break;
-            }
-            // Clean EOF between requests (or transport-level truncation,
-            // which the complete fixtures never hit).
-            Err(_) => break,
+    for unit in units {
+        out.push(match unit.expect {
+            Ok(f) => Ok((
+                f.method.to_string(),
+                f.path.to_string(),
+                f.query.to_string(),
+                f.body.to_vec(),
+                f.keep_alive,
+                f.deadline,
+            )),
+            Err(status) => Err(status),
+        });
+        if unit.expect.is_err() {
+            break;
         }
     }
     out
@@ -173,7 +365,7 @@ fn incremental(chunks: &[&[u8]]) -> (Vec<Result<Request, HttpError>>, bool) {
     (out, parser.is_clean())
 }
 
-fn assert_equivalent(name: &str, chunks: &[&[u8]], expected: &[Result<Request, HttpError>]) {
+fn assert_equivalent(name: &str, chunks: &[&[u8]], expected: &[Outcome]) {
     let (got, _) = incremental(chunks);
     assert_eq!(
         got.len(),
@@ -182,7 +374,7 @@ fn assert_equivalent(name: &str, chunks: &[&[u8]], expected: &[Result<Request, H
         chunks.len()
     );
     for (index, (got, want)) in got.iter().zip(expected).enumerate() {
-        assert_eq!(got, want, "{name}: request {index} diverged");
+        assert_eq!(&outcome_of(got), want, "{name}: request {index} diverged");
     }
 }
 
@@ -190,7 +382,7 @@ fn assert_equivalent(name: &str, chunks: &[&[u8]], expected: &[Result<Request, H
 fn whole_stream_matches_one_shot() {
     for (name, units) in fixtures() {
         let raw = stream_of(&units);
-        assert_equivalent(name, &[&raw], &one_shot(&raw));
+        assert_equivalent(name, &[&raw], &one_shot(&units));
     }
 }
 
@@ -198,7 +390,7 @@ fn whole_stream_matches_one_shot() {
 fn every_two_chunk_split_matches_one_shot() {
     for (name, units) in fixtures() {
         let raw = stream_of(&units);
-        let expected = one_shot(&raw);
+        let expected = one_shot(&units);
         for cut in 0..=raw.len() {
             let (a, b) = raw.split_at(cut);
             assert_equivalent(&format!("{name} @ split {cut}"), &[a, b], &expected);
@@ -210,7 +402,7 @@ fn every_two_chunk_split_matches_one_shot() {
 fn byte_by_byte_replay_matches_one_shot() {
     for (name, units) in fixtures() {
         let raw = stream_of(&units);
-        let expected = one_shot(&raw);
+        let expected = one_shot(&units);
         let chunks: Vec<&[u8]> = raw.chunks(1).collect();
         assert_equivalent(&format!("{name} byte-by-byte"), &chunks, &expected);
     }
@@ -220,8 +412,12 @@ fn byte_by_byte_replay_matches_one_shot() {
 fn pipelined_requests_arriving_in_one_chunk_all_complete() {
     // The reactor relies on a single feed() surfacing *every* pipelined
     // request already in the buffer, one parse() call at a time.
-    let (name, units) = ("pipelined trio in one chunk", &fixtures()[6].1);
-    let raw = stream_of(units);
+    let name = "pipelined trio sharing the stream";
+    let (_, units) = fixtures()
+        .into_iter()
+        .find(|(fixture, _)| *fixture == name)
+        .expect("fixture exists");
+    let raw = stream_of(&units);
     let (got, clean) = incremental(&[&raw]);
     assert_eq!(got.len(), 3, "{name}: all three requests must surface");
     assert!(got.iter().all(Result::is_ok));
@@ -232,7 +428,7 @@ fn pipelined_requests_arriving_in_one_chunk_all_complete() {
 fn truncation_is_clean_exactly_at_request_boundaries() {
     for (name, units) in fixtures() {
         let raw = stream_of(&units);
-        let expected = one_shot(&raw);
+        let expected = one_shot(&units);
         let boundaries = boundaries_of(&units);
         for cut in 0..=raw.len() {
             let prefix = &raw[..cut];
@@ -248,7 +444,11 @@ fn truncation_is_clean_exactly_at_request_boundaries() {
                 );
             }
             for (index, (got, want)) in got.iter().zip(&expected).enumerate() {
-                assert_eq!(got, want, "{name} cut at {cut}: request {index} diverged");
+                assert_eq!(
+                    &outcome_of(got),
+                    want,
+                    "{name} cut at {cut}: request {index} diverged"
+                );
             }
             // The reactor's abort oracle: a close is clean iff the
             // stream ends exactly between requests (and no framing
@@ -267,7 +467,7 @@ proptest! {
 
     /// Random chunkings of every fixture — arbitrary cut points, in any
     /// order and multiplicity (duplicates yield empty chunks, which the
-    /// parser must tolerate) — always match the one-shot parse.
+    /// parser must tolerate) — always match the one-shot result.
     #[test]
     fn random_chunkings_match_one_shot(
         fixture in 0usize..64,
@@ -276,7 +476,7 @@ proptest! {
         let fixtures = fixtures();
         let (name, units) = &fixtures[fixture % fixtures.len()];
         let raw = stream_of(units);
-        let expected = one_shot(&raw);
+        let expected = one_shot(units);
         for cut in &mut cuts {
             *cut %= raw.len() + 1;
         }

@@ -152,30 +152,124 @@ fn truncation_is_never_silently_done() {
     }
 }
 
+/// `bytes` cut at the given points (taken modulo its length + 1, in any
+/// order and multiplicity; duplicates yield empty pieces).
+fn pieces<'a>(bytes: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+    let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (bytes.len() + 1)).collect();
+    cuts.sort_unstable();
+    cuts.push(bytes.len());
+    let mut start = 0;
+    cuts.iter()
+        .map(|&cut| {
+            let piece = &bytes[start..cut];
+            start = cut;
+            piece
+        })
+        .collect()
+}
+
+/// The decoder's limit on one size or trailer line, as the client
+/// documents it.
+const LINE_LIMIT: usize = 8 * 1024;
+
+/// The bytes chunked framing is made of, drawn often so that random
+/// streams get past the first size line.
+const FRAMING: &[u8] = b"0123456789abcdefABCDEF;= \r\n\n\n+-";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random payloads delivered at random byte splits always decode
     /// to the concatenated payloads.
+    #[test]
     fn random_chunkings_match_one_shot(
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..64), 0..6),
-        mut cuts in prop::collection::vec(0usize..4096, 0..12),
+        cuts in prop::collection::vec(0usize..4096, 0..12),
     ) {
         let wire = wire_of(&payloads);
-        for cut in &mut cuts {
-            *cut %= wire.len() + 1;
-        }
-        cuts.sort_unstable();
-        let mut pieces: Vec<&[u8]> = Vec::new();
-        let mut prev = 0;
-        for &cut in &cuts {
-            pieces.push(&wire[prev..cut]);
-            prev = cut;
-        }
-        pieces.push(&wire[prev..]);
-        let (out, done) = incremental(&pieces);
+        let (out, done) = incremental(&pieces(&wire, &cuts));
         prop_assert_eq!(out, payloads.concat());
         prop_assert!(done);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes in arbitrary pieces never panic the decoder. A
+    /// call consumes no more than it was given, all of it until the body
+    /// is done, and outputs no more than it consumed; an error is
+    /// `InvalidData`.
+    #[test]
+    fn arbitrary_bytes_never_panic_or_overreach(
+        picks in prop::collection::vec(any::<u16>(), 0..512),
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+    ) {
+        let bytes: Vec<u8> = picks
+            .iter()
+            .map(|&pick| match pick.to_le_bytes() {
+                [byte, 0..=191] => FRAMING[usize::from(byte) % FRAMING.len()],
+                [byte, _] => byte,
+            })
+            .collect();
+        let mut decoder = ChunkDecoder::new();
+        let mut out = Vec::new();
+        for piece in pieces(&bytes, &cuts) {
+            let before = out.len();
+            match decoder.decode(piece, &mut out) {
+                Ok(consumed) => {
+                    prop_assert!(consumed <= piece.len());
+                    prop_assert!(consumed == piece.len() || decoder.is_done());
+                    prop_assert!(out.len() - before <= consumed);
+                }
+                Err(err) => {
+                    prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                    prop_assert!(out.len() - before <= piece.len());
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A size or trailer line longer than the limit is refused by the
+    /// call that delivers its first byte past the limit, whether or not
+    /// the line's end arrives in the same piece — never buffered whole.
+    #[test]
+    fn an_overlong_framing_line_is_refused(
+        extra in 1usize..64,
+        cuts in prop::collection::vec(any::<usize>(), 0..8),
+        trailer in any::<bool>(),
+        terminated in any::<bool>(),
+    ) {
+        // Leading zeros keep a size line well-formed at any length; a
+        // trailer line is a field the decoder otherwise ignores.
+        let (mut wire, filler) = if trailer {
+            (b"3\r\nabc\r\n0\r\n".to_vec(), b'x')
+        } else {
+            (Vec::new(), b'0')
+        };
+        let past_limit = wire.len() + LINE_LIMIT + 1;
+        wire.resize(wire.len() + LINE_LIMIT + extra, filler);
+        if terminated {
+            wire.extend_from_slice(b"\r\n");
+        }
+        let mut decoder = ChunkDecoder::new();
+        let mut out = Vec::new();
+        let mut fed = 0;
+        let mut refused = false;
+        for piece in pieces(&wire, &cuts) {
+            fed += piece.len();
+            match decoder.decode(piece, &mut out) {
+                Ok(_) => prop_assert!(fed < past_limit, "{fed} bytes accepted"),
+                Err(err) => {
+                    prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                    prop_assert!(fed >= past_limit, "refused at {fed} bytes");
+                    refused = true;
+                    break;
+                }
+            }
+        }
+        prop_assert!(refused);
     }
 }
 

@@ -280,11 +280,10 @@ impl Parser<'_> {
         }
     }
 
+    /// One value inside `depth` enclosing arrays and objects.
     fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
         match self.peek() {
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(self.err("nesting too deep")),
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
             Some(b'"') => self.string().map(Json::Str),
@@ -489,9 +488,13 @@ impl Parser<'_> {
                 return Ok(Json::Int(i));
             }
         }
+        // `str::parse` saturates an overflowing literal to infinity, which
+        // would render back as `null`.
         text.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
             .map(Json::Num)
-            .map_err(|_| self.err("number out of range"))
+            .ok_or_else(|| self.err("number out of range"))
     }
 }
 
