@@ -123,8 +123,7 @@ impl std::error::Error for BatchError {}
 /// that can differ between requests — the scheme included — is on the
 /// [`BatchJob`]; the driver holds only the backend.
 ///
-/// Cloning is cheap and shares the backend, so a streamed `/batch` body
-/// can own a driver.
+/// Cloning is cheap and shares the backend.
 #[derive(Clone)]
 pub struct BatchDriver {
     backend: Arc<dyn ExecutionBackend>,

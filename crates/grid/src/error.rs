@@ -17,6 +17,11 @@ pub enum GridError {
         /// Dimension index with a zero extent.
         dim: usize,
     },
+    /// The extents multiply to more cells than a `usize` can count.
+    TooManyCells {
+        /// The requested shape.
+        shape: Vec<usize>,
+    },
     /// Two grids that were expected to have the same shape do not.
     ShapeMismatch {
         /// Shape of the left-hand grid.
@@ -40,6 +45,12 @@ impl fmt::Display for GridError {
                 write!(f, "grid rank {ndim} is not in 1..={}", crate::MAX_DIMS)
             }
             GridError::ZeroExtent { dim } => write!(f, "grid extent for dimension {dim} is zero"),
+            GridError::TooManyCells { shape } => {
+                write!(
+                    f,
+                    "grid shape {shape:?} has more cells than usize can count"
+                )
+            }
             GridError::ShapeMismatch { left, right } => {
                 write!(f, "grid shapes differ: {left:?} vs {right:?}")
             }

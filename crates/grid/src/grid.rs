@@ -47,7 +47,8 @@ impl<T: Element> Grid<T> {
     /// # Errors
     ///
     /// Returns [`GridError::InvalidRank`] or [`GridError::ZeroExtent`] if the
-    /// shape is not usable.
+    /// shape is not usable, and [`GridError::TooManyCells`] if its extents
+    /// multiply past `usize::MAX`.
     pub fn try_new(shape: &[usize], fill: T) -> Result<Self, GridError> {
         if shape.is_empty() || shape.len() > MAX_DIMS {
             return Err(GridError::InvalidRank { ndim: shape.len() });
@@ -57,7 +58,12 @@ impl<T: Element> Grid<T> {
                 return Err(GridError::ZeroExtent { dim });
             }
         }
-        let len: usize = shape.iter().product();
+        let len = shape
+            .iter()
+            .try_fold(1usize, |len, &extent| len.checked_mul(extent))
+            .ok_or_else(|| GridError::TooManyCells {
+                shape: shape.to_vec(),
+            })?;
         let strides = row_major_strides(shape);
         Ok(Self {
             shape: shape.to_vec(),
@@ -310,6 +316,13 @@ mod tests {
         assert!(matches!(
             Grid::<f64>::try_new(&[3, 0], 0.0),
             Err(GridError::ZeroExtent { dim: 1 })
+        ));
+        // A product past `usize::MAX` is refused, never sized to the
+        // length it would wrap to.
+        let shape = [usize::MAX / 2 + 2, 3];
+        assert!(matches!(
+            Grid::<f64>::try_new(&shape, 0.0),
+            Err(GridError::TooManyCells { shape: s }) if s == shape
         ));
     }
 

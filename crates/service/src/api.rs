@@ -8,15 +8,13 @@
 //! `serve` workload of `benchmark/` exploit this to assert that server
 //! responses are bit-identical to direct [`An5d`] facade calls.
 
-use crate::http::ChunkSource;
 use crate::json::Json;
 use an5d::{
-    An5d, BatchDriver, BatchError, BatchJob, BatchOutcome, BlockConfig, CudaCode, DetectedStencil,
-    DeviceId, DeviceRegistry, FrameworkScheme, GpuDevice, GridInit, KernelPlan, ModelPrediction,
-    Precision, SearchSpace, StencilProblem, TrafficCounters, TuningResult,
+    An5d, BatchJob, BatchOutcome, BlockConfig, CudaCode, DetectedStencil, DeviceId, DeviceRegistry,
+    FrameworkScheme, GpuDevice, GridInit, KernelPlan, ModelPrediction, Precision, SearchSpace,
+    StencilProblem, TrafficCounters, TuningResult,
 };
 use an5d_tunedb::codec;
-use std::collections::VecDeque;
 
 /// A request-level problem: maps to a 400 with `{"error": …}` — unless
 /// `deadline` is set, in which case the dispatcher answers `504` with a
@@ -461,54 +459,33 @@ pub fn devices_response(registry: &DeviceRegistry) -> Json {
     ])
 }
 
-// ---------------------------------------------------------------------
-// /batch
-// ---------------------------------------------------------------------
+/// Most cells an `/execute` grid may hold, its boundary ring included
+/// (2^26: 512 MiB per double-precision copy). Checked before anything
+/// allocates, so an oversized interior is a 400 rather than an
+/// allocation the process cannot survive.
+pub const MAX_EXECUTE_CELLS: usize = 1 << 26;
 
-/// Most jobs one `/batch` request may submit.
-pub const MAX_BATCH_JOBS: usize = 256;
-
-/// Extract the `/batch` job list: `"jobs"` is a non-empty array of at
-/// most [`MAX_BATCH_JOBS`] `/execute`-style specs (stencil + interior +
-/// steps + config + optional seed). The top-level `"device"` routes the
-/// whole batch; per-job devices are not supported.
-///
-/// # Errors
-///
-/// Rejects a missing/empty/oversized list and any invalid job spec
-/// (prefixed with its index, so the client can tell which one).
-pub fn batch_jobs_from(body: &Json) -> Result<Vec<BatchJob>, ApiError> {
-    let jobs = require(body, "jobs")?
-        .as_array()
-        .ok_or_else(|| ApiError::new("\"jobs\" must be an array"))?;
-    if jobs.is_empty() {
-        return Err(ApiError::new("\"jobs\" must contain at least one job"));
-    }
-    if jobs.len() > MAX_BATCH_JOBS {
-        return Err(ApiError::new(format!(
-            "\"jobs\" lists {} jobs; at most {MAX_BATCH_JOBS} per request",
-            jobs.len()
-        )));
-    }
-    jobs.iter()
-        .enumerate()
-        .map(|(index, spec)| {
-            batch_job_from(spec).map_err(|e| ApiError::new(format!("jobs[{index}]: {}", e.message)))
-        })
-        .collect()
-}
-
-/// Extract one `/execute`-style job spec — the `/execute` body and each
-/// entry of a `/batch` job list — into a [`BatchJob`] on the seeded
-/// deterministic initial grid, planned under the spec's `"scheme"`.
+/// Extract an `/execute` body into a [`BatchJob`] on the seeded
+/// deterministic initial grid, planned under the body's `"scheme"`.
 ///
 /// # Errors
 ///
 /// Rejects whatever [`pipeline_from`], [`problem_from`], [`config_from`]
-/// or [`seed_from`] rejects.
+/// or [`seed_from`] rejects, and a padded grid of more than
+/// [`MAX_EXECUTE_CELLS`] cells.
 pub fn batch_job_from(spec: &Json) -> Result<BatchJob, ApiError> {
     let pipeline = pipeline_from(spec)?;
     let problem = problem_from(spec, &pipeline)?;
+    let ring = 2 * pipeline.def().radius() as u128;
+    let cells = problem.interior().iter().fold(1u128, |cells, &extent| {
+        cells.saturating_mul(extent as u128 + ring)
+    });
+    if cells > MAX_EXECUTE_CELLS as u128 {
+        return Err(ApiError::new(format!(
+            "the grid of \"interior\" plus its boundary ring exceeds the \
+             {MAX_EXECUTE_CELLS}-cell limit of /execute"
+        )));
+    }
     let config = config_from(spec)?;
     let seed = seed_from(spec)?;
     Ok(BatchJob::new(
@@ -519,56 +496,6 @@ pub fn batch_job_from(spec: &Json) -> Result<BatchJob, ApiError> {
     )
     .with_init(GridInit::Hash { seed })
     .with_scheme(pipeline.scheme()))
-}
-
-/// Render one `/batch` NDJSON line (newline included) for job `index`.
-/// Success lines carry the `/execute` response fields; failures carry
-/// the error message and, for deadline refusals, a
-/// `"deadline_exceeded":true` marker.
-#[must_use]
-pub fn batch_job_line(index: usize, result: &Result<BatchOutcome, BatchError>) -> String {
-    let line = match result {
-        Ok(outcome) => Json::obj(vec![
-            ("index", int(index)),
-            ("name", Json::str(&outcome.name)),
-            ("checksum", Json::Num(outcome.checksum)),
-            ("counters", counters_json(&outcome.counters)),
-        ]),
-        Err(e) => {
-            let mut fields = vec![
-                ("index", int(index)),
-                ("name", Json::str(&e.name)),
-                ("error", Json::str(&e.to_string())),
-            ];
-            if e.error == an5d::BatchFailure::DeadlineExceeded {
-                fields.push(("deadline_exceeded", Json::Bool(true)));
-            }
-            Json::obj(fields)
-        }
-    };
-    let mut rendered = line.render();
-    rendered.push('\n');
-    rendered
-}
-
-/// A pull source running `jobs` through `driver` one at a time,
-/// yielding each job's NDJSON line as it completes — the `/batch`
-/// body. Jobs run inside the source (on the server worker
-/// draining it), so earlier lines reach the client while later jobs
-/// are still executing; the ambient request deadline and fault plan
-/// apply to every job exactly as they do on `/execute`.
-#[must_use]
-pub fn batch_chunk_source(driver: BatchDriver, jobs: Vec<BatchJob>) -> ChunkSource {
-    let mut queue: VecDeque<BatchJob> = jobs.into();
-    let mut index = 0;
-    Box::new(move || {
-        let Some(job) = queue.pop_front() else {
-            return Ok(None);
-        };
-        let line = batch_job_line(index, &driver.run_job(&job));
-        index += 1;
-        Ok(Some(line.into_bytes()))
-    })
 }
 
 #[cfg(test)]

@@ -15,11 +15,9 @@
 //! hanging it; production consumers would use any real HTTP client.
 //!
 //! Framing is strict in both flavours: a response must carry
-//! `Content-Length` or `Transfer-Encoding: chunked`, and a body cut
-//! short mid-frame is an error — a truncated body is never silently
-//! returned as success.
+//! `Content-Length`, and a body shorter than announced is an error — a
+//! truncated body is never silently returned as success.
 
-use crate::http::ChunkDecoder;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -116,9 +114,6 @@ fn invalid(message: &str) -> io::Error {
 struct ResponseHead {
     status: u16,
     content_length: Option<usize>,
-    /// `Transfer-Encoding: chunked` was announced; wins over any
-    /// `Content-Length` per RFC 7230 §3.3.3.
-    chunked: bool,
     close: bool,
     /// The `x-an5d-trace` request id, when the server sent one.
     trace: Option<String>,
@@ -141,7 +136,6 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<ResponseHead> {
         .ok_or_else(|| invalid("malformed status line"))?;
 
     let mut content_length: Option<usize> = None;
-    let mut chunked = false;
     let mut close = false;
     let mut trace = None;
     let mut retry_after = None;
@@ -163,8 +157,6 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<ResponseHead> {
                         .parse()
                         .map_err(|_| invalid("bad Content-Length"))?,
                 );
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = value.to_ascii_lowercase().contains("chunked");
             } else if name.eq_ignore_ascii_case("connection")
                 && value.trim().eq_ignore_ascii_case("close")
             {
@@ -181,47 +173,28 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<ResponseHead> {
     Ok(ResponseHead {
         status,
         content_length,
-        chunked,
         close,
         trace,
         retry_after,
     })
 }
 
-/// Read one response body under strict framing: `Transfer-Encoding:
-/// chunked` when announced (it wins over `Content-Length`), else
-/// exactly `Content-Length` bytes. A response with neither is an
-/// error, and so is a body cut short mid-frame — truncation is never
-/// returned as success. Bytes past the body's end (the next pipelined
-/// response) are left in the reader.
+/// Read exactly the `Content-Length` bytes of one response body. A
+/// response without the header is an error, and so is a body cut short —
+/// truncation is never returned as success. Bytes past the body's end
+/// (the next pipelined response) are left in the reader.
 fn read_body(reader: &mut impl BufRead, head: &ResponseHead) -> io::Result<String> {
-    let bytes = if head.chunked {
-        let mut decoder = ChunkDecoder::new();
-        let mut bytes = Vec::new();
-        while !decoder.is_done() {
-            let buf = reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(invalid("truncated chunked body"));
-            }
-            let consumed = decoder.decode(buf, &mut bytes)?;
-            reader.consume(consumed);
-        }
-        bytes
-    } else if let Some(length) = head.content_length {
-        let mut bytes = vec![0u8; length];
-        // A truncated body must NOT surface as UnexpectedEof: that kind
-        // marks "no response bytes arrived" for the keep-alive retry
-        // logic, and a partially-received response may already have been
-        // acted upon server-side.
-        reader
-            .read_exact(&mut bytes)
-            .map_err(|e| invalid(&format!("truncated response body: {e}")))?;
-        bytes
-    } else {
-        return Err(invalid(
-            "response with neither Content-Length nor chunked framing",
-        ));
-    };
+    let length = head
+        .content_length
+        .ok_or_else(|| invalid("response without Content-Length"))?;
+    let mut bytes = vec![0u8; length];
+    // A truncated body must NOT surface as UnexpectedEof: that kind
+    // marks "no response bytes arrived" for the keep-alive retry logic,
+    // and a partially-received response may already have been acted
+    // upon server-side.
+    reader
+        .read_exact(&mut bytes)
+        .map_err(|e| invalid(&format!("truncated response body: {e}")))?;
     String::from_utf8(bytes).map_err(|_| invalid("non-UTF-8 body"))
 }
 
@@ -459,7 +432,7 @@ impl KeepAliveClient {
                 invalid(&format!("failed reading response head: {e}"))
             }
         })?;
-        // Strict framing, Content-Length or chunked; every body failure
+        // Strict Content-Length framing; every body failure
         // is remapped to InvalidData (never UnexpectedEof or a transport
         // kind), so the retry logic in `request` cannot silently re-send
         // after a response started arriving.
@@ -673,21 +646,18 @@ mod tests {
     }
 
     #[test]
-    fn head_parses_chunked_framing_and_unparseable_retry_after() {
-        let head =
-            head_of("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nRetry-After: soon\r\n\r\n");
-        assert!(head.chunked);
+    fn head_parses_content_length_and_unparseable_retry_after() {
+        let head = head_of("HTTP/1.1 503 Service Unavailable\r\nRetry-After: soon\r\n\r\n");
         assert_eq!(head.content_length, None);
         assert_eq!(head.retry_after, None, "unparseable hint is absent");
         assert!(head_of("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n").content_length == Some(2));
     }
 
     #[test]
-    fn read_body_decodes_chunked_and_leaves_the_surplus() {
-        let head = head_of("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n");
-        let wire = b"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\nNEXT".to_vec();
-        let mut reader = io::Cursor::new(wire);
-        assert_eq!(read_body(&mut reader, &head).unwrap(), "hello world");
+    fn read_body_leaves_the_next_response_in_the_reader() {
+        let head = head_of("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\n");
+        let mut reader = io::Cursor::new(b"helloNEXT".to_vec());
+        assert_eq!(read_body(&mut reader, &head).unwrap(), "hello");
         let mut rest = Vec::new();
         reader.read_to_end(&mut rest).unwrap();
         assert_eq!(rest, b"NEXT", "pipelined bytes stay in the reader");
@@ -695,11 +665,6 @@ mod tests {
 
     #[test]
     fn truncated_bodies_are_errors_not_success() {
-        // Chunked body cut off mid-chunk.
-        let chunked = head_of("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n");
-        let err = read_body(&mut io::Cursor::new(b"5\r\nhel".to_vec()), &chunked).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-
         // Content-Length body shorter than announced.
         let framed = head_of("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n");
         let err = read_body(&mut io::Cursor::new(b"short".to_vec()), &framed).unwrap_err();
@@ -710,17 +675,6 @@ mod tests {
         let unframed = head_of("HTTP/1.1 200 OK\r\n\r\n");
         let err = read_body(&mut io::Cursor::new(b"anything".to_vec()), &unframed).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-    }
-
-    #[test]
-    fn chunked_wins_over_content_length() {
-        let head =
-            head_of("HTTP/1.1 200 OK\r\nContent-Length: 999\r\nTransfer-Encoding: chunked\r\n\r\n");
-        let body = read_body(
-            &mut io::Cursor::new(b"2\r\nok\r\n0\r\n\r\n".to_vec()),
-            &head,
-        );
-        assert_eq!(body.unwrap(), "ok");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * `/predict` and `/tune` *results* depend on the device, so with no
 //!   `"device"` they use the registry's **default** device (V100 in the
 //!   standard fleet) — keeping responses deterministic byte-for-byte;
-//! * a device-*agnostic* `/plan`, `/codegen`, `/execute` or `/batch`
+//! * a device-*agnostic* `/plan`, `/codegen` or `/execute`
 //!   (whose responses do not depend on the device) touches no shard.
 
 use crate::api::ApiError;
@@ -389,7 +389,7 @@ impl Fleet {
         self.cache.get_or_build(def, problem, config, scheme)
     }
 
-    /// The batch driver `/execute` and `/batch` jobs run through.
+    /// The batch driver `/execute` jobs run through.
     #[must_use]
     pub fn driver(&self) -> &BatchDriver {
         &self.driver

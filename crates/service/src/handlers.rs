@@ -14,7 +14,7 @@
 
 use crate::api::{self, ApiError};
 use crate::fleet::{Fleet, FleetShard};
-use crate::http::{ChunkSource, Request, Response, ResponseBody};
+use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::metrics::{MeteredBackend, Metrics};
 use crate::telemetry;
@@ -44,7 +44,6 @@ pub const ENDPOINTS: &[(&str, &str)] = &[
     ("POST", "/tune"),
     ("POST", "/codegen"),
     ("POST", "/execute"),
-    ("POST", "/batch"),
     ("POST", "/shutdown"),
 ];
 
@@ -263,13 +262,10 @@ pub fn dispatch(state: &ServiceState, request: &Request) -> Response {
         handle(state, path, request)
     };
     let elapsed = started.elapsed();
-    // Streamed responses are recorded when the stream finishes (see
-    // `metered_stream`): the handler only set up the chunk source here,
-    // so `elapsed` would undercount them.
-    if matches!(response.body, ResponseBody::Full(_)) {
-        let ok = response.status < 300;
-        state.metrics.endpoint(path).record(elapsed, ok);
-    }
+    state
+        .metrics
+        .endpoint(path)
+        .record(elapsed, response.status < 300);
     match trace {
         Some(trace) => {
             let id = trace.id();
@@ -303,21 +299,17 @@ fn handle(state: &ServiceState, path: &str, request: &Request) -> Response {
                 Ok(parsed) => parsed,
                 Err(response) => return response,
             };
-            // Every endpoint renders its body once and sends it whole,
-            // except `/batch`: its jobs run for milliseconds to seconds
-            // each, so it streams one NDJSON line per finished job.
             let result = match path {
-                "/parse" => parse_endpoint(&parsed).map(ok),
-                "/plan" => plan_endpoint(state, &parsed).map(ok),
-                "/predict" => predict_endpoint(state, &parsed).map(ok),
-                "/tune" => tune_endpoint(state, &parsed, request.query_flag("refresh")).map(ok),
-                "/codegen" => codegen_endpoint(state, &parsed).map(ok),
-                "/execute" => execute_endpoint(state, &parsed).map(ok),
-                "/batch" => batch_endpoint(state, &parsed),
+                "/parse" => parse_endpoint(&parsed),
+                "/plan" => plan_endpoint(state, &parsed),
+                "/predict" => predict_endpoint(state, &parsed),
+                "/tune" => tune_endpoint(state, &parsed, request.query_flag("refresh")),
+                "/codegen" => codegen_endpoint(state, &parsed),
+                "/execute" => execute_endpoint(state, &parsed),
                 _ => unreachable!("ENDPOINTS and handle() cover the same paths"),
             };
             match result {
-                Ok(response) => response,
+                Ok(body) => ok(body),
                 Err(e) => match e.deadline {
                     Some((completed, total)) => {
                         state.metrics.deadline_expired.inc();
@@ -497,43 +489,6 @@ fn tune_endpoint(state: &ServiceState, body: &Json, refresh: bool) -> Result<Jso
     })
 }
 
-/// Wrap the `/batch` chunk source so the endpoint's series see the
-/// stream: TTFB on the first chunk, per-chunk and per-byte counters as
-/// it flows, and the endpoint's latency/status record when it ends
-/// (dispatch skips the immediate record for streamed bodies — the
-/// handler only set the stream up).
-fn metered_stream(state: &ServiceState, mut source: ChunkSource) -> ChunkSource {
-    let stream = state.metrics.stream().clone();
-    let requests = state.metrics.endpoint("/batch").clone();
-    let started = Instant::now();
-    let mut first = true;
-    let mut finished = false;
-    Box::new(move || match source() {
-        Ok(Some(chunk)) => {
-            if first {
-                first = false;
-                stream.ttfb.record_duration(started.elapsed());
-            }
-            stream.record_chunk(chunk.len());
-            Ok(Some(chunk))
-        }
-        Ok(None) => {
-            if !finished {
-                finished = true;
-                requests.record(started.elapsed(), true);
-            }
-            Ok(None)
-        }
-        Err(e) => {
-            if !finished {
-                finished = true;
-                requests.record(started.elapsed(), false);
-            }
-            Err(e)
-        }
-    })
-}
-
 /// `/codegen`: the code generator prints AN5D's kernel (fixed registers,
 /// two shared buffers) only, so a plan under another scheme is refused
 /// rather than printed as a kernel that scheme would not run.
@@ -567,23 +522,6 @@ fn execute_endpoint(state: &ServiceState, body: &Json) -> Result<Json, ApiError>
                 _ => ApiError::new(e.to_string()),
             })?;
         Ok(api::execute_response(&outcome))
-    })
-}
-
-/// `POST /batch`: run a list of `/execute`-style jobs through the
-/// fleet's [`an5d::BatchDriver`], one NDJSON line per job *as each job
-/// finishes* — jobs run one at a time inside the chunk source, so early
-/// results reach the client while later jobs are still executing, and
-/// the request's deadline is checked before every job.
-fn batch_endpoint(state: &ServiceState, body: &Json) -> Result<Response, ApiError> {
-    observed(state, body, || {
-        let jobs = api::batch_jobs_from(body)?;
-        let source = api::batch_chunk_source(state.fleet.driver().clone(), jobs);
-        Ok(Response::stream(
-            200,
-            "application/x-ndjson",
-            metered_stream(state, source),
-        ))
     })
 }
 
@@ -653,8 +591,6 @@ mod tests {
                 assert_eq!(response.status, 400, "{path}: {}", response.body);
                 assert!(response.body.contains("scheme"), "{path}");
             }
-            let response = post(&state, "/batch", &format!(r#"{{"jobs":[{spec}]}}"#));
-            assert_eq!(response.status, 400, "/batch: {}", response.body);
         }
     }
 
@@ -747,9 +683,7 @@ mod tests {
             format!(
                 r#"{{"benchmark":"j2d5pt","interior":[24,24],"steps":5,{device}
                      "precision":"single","space":"quick",
-                     "config":{{"bt":2,"bs":[12],"precision":"double"}},
-                     "jobs":[{{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
-                               "config":{{"bt":2,"bs":[12],"precision":"double"}}}}]}}"#
+                     "config":{{"bt":2,"bs":[12],"precision":"double"}}}}"#
             )
         };
         let counted = || -> Vec<usize> {
@@ -759,7 +693,7 @@ mod tests {
                 .collect()
         };
         // Shards in id order: a100, p100, small, v100.
-        for path in ["/plan", "/codegen", "/execute", "/batch"] {
+        for path in ["/plan", "/codegen", "/execute"] {
             assert_eq!(post(&state, path, &body("")).status, 200, "{path}");
         }
         assert_eq!(counted(), [0, 0, 0, 0], "device-agnostic requests");
@@ -767,16 +701,14 @@ mod tests {
             assert_eq!(post(&state, path, &body("")).status, 200, "{path}");
         }
         assert_eq!(counted(), [0, 0, 0, 2], "the default device answers");
-        let paths = [
-            "/plan", "/predict", "/tune", "/codegen", "/execute", "/batch",
-        ];
+        let paths = ["/plan", "/predict", "/tune", "/codegen", "/execute"];
         for path in paths {
             let named = body(r#""device":"P100","#);
             assert_eq!(post(&state, path, &named).status, 200, "{path}");
         }
         assert_eq!(
             counted(),
-            [0, 6, 0, 2],
+            [0, 5, 0, 2],
             "named requests count on their device"
         );
         for path in paths {
@@ -784,7 +716,7 @@ mod tests {
             assert_eq!(unknown.status, 400, "{path}");
             assert!(unknown.body.contains("a100"), "{}", unknown.body);
         }
-        assert_eq!(counted(), [0, 6, 0, 2], "a rejected device counts nowhere");
+        assert_eq!(counted(), [0, 5, 0, 2], "a rejected device counts nowhere");
     }
 
     #[test]
@@ -836,7 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_and_batch_plan_under_the_requested_scheme() {
+    fn execute_plans_under_the_requested_scheme() {
         let state = state();
         let spec = r#"{"benchmark":"box2d1r","interior":[24,24],"steps":4,
                        "scheme":"an5d_no_associative",
@@ -860,14 +792,29 @@ mod tests {
 
         let executed = post(&state, "/execute", spec);
         assert_eq!(executed.status, 200, "{}", executed.body);
-        assert_eq!(*executed.body, api::execute_response(&outcome).render());
+        assert_eq!(executed.body, api::execute_response(&outcome).render());
+    }
 
-        let mut batch = post(&state, "/batch", &format!(r#"{{"jobs":[{spec},{spec}]}}"#));
-        assert_eq!(batch.status, 200);
-        let expected: String = (0..2)
-            .map(|index| api::batch_job_line(index, &Ok(outcome.clone())))
-            .collect();
-        assert_eq!(batch.body.collect().unwrap(), expected);
+    #[test]
+    fn execute_refuses_its_job_once_the_deadline_has_passed() {
+        let state = state();
+        let request = Request::new(
+            "POST",
+            "/execute",
+            br#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
+                 "config":{"bt":2,"bs":[12],"precision":"double"}}"#,
+        );
+        // Installed the way `dispatch` installs a request's deadline; the
+        // handler is called directly because `dispatch` itself answers an
+        // already-expired request before any handler runs.
+        let _deadline = an5d_fault::Deadline::in_ms(0).install();
+        let response = handle(&state, "/execute", &request);
+        assert_eq!(response.status, 504, "{}", response.body);
+        let body = json::parse(&response.body).unwrap();
+        assert_eq!(body.get("deadline_exceeded"), Some(&Json::Bool(true)));
+        assert_eq!(body.get("completed").and_then(Json::as_usize), Some(0));
+        assert_eq!(body.get("total").and_then(Json::as_usize), Some(1));
+        assert_eq!(state.metrics.deadline_expired.get(), 1);
     }
 
     #[test]

@@ -7,13 +7,9 @@
 //! until the client sends `Connection: close`, the idle timeout expires,
 //! or the per-connection request bound is reached. `HTTP/1.0` requests
 //! default to close unless they carry `Connection: keep-alive`.
-//! Responses always carry either a `Content-Length` or
-//! `Transfer-Encoding: chunked` plus an explicit `Connection:` header,
-//! so clients never need read-to-EOF framing to reuse a connection.
-//! Streamed bodies ([`ResponseBody::Stream`]) are produced chunk by
-//! chunk from a pull-based [`ChunkSource`] and framed by
-//! [`encode_chunk`]; the matching incremental [`ChunkDecoder`] lets
-//! clients reassemble them from arbitrary byte splits.
+//! Every response is rendered whole and written as one buffer with a
+//! `Content-Length` and an explicit `Connection:` header, so clients
+//! never need read-to-EOF framing to reuse a connection.
 //!
 //! Requests are read by the resumable [`RequestParser`] the reactor
 //! drives: it consumes arbitrary byte chunks and yields
@@ -110,105 +106,14 @@ fn split_target(target: &str) -> (String, String) {
     }
 }
 
-/// A pull-based producer of response body chunks for
-/// [`ResponseBody::Stream`].
-///
-/// Each call returns `Ok(Some(bytes))` with the next raw payload chunk
-/// (not yet chunk-framed), `Ok(None)` when the body is complete, or
-/// `Err` when production failed mid-stream — in which case the
-/// connection is aborted, because a half-written chunked body cannot be
-/// resynchronized.
-pub type ChunkSource = Box<dyn FnMut() -> io::Result<Option<Vec<u8>>> + Send>;
-
-/// A response body: either fully materialized ([`ResponseBody::Full`],
-/// framed with `Content-Length`) or produced incrementally from a
-/// [`ChunkSource`] ([`ResponseBody::Stream`], framed with
-/// `Transfer-Encoding: chunked`).
-///
-/// Derefs to [`str`]: a `Full` body exposes its text, a `Stream` body
-/// derefs to `""` (the bytes do not exist yet). Equality follows the
-/// same rule — two `Full` bodies compare by text, anything involving a
-/// `Stream` is unequal.
-pub enum ResponseBody {
-    /// The whole body, rendered up front.
-    Full(String),
-    /// A lazily-produced body; pulled chunk by chunk at write time.
-    Stream(ChunkSource),
-}
-
-impl ResponseBody {
-    /// Drain this body into its full text: a `Full` body is returned
-    /// as-is, a `Stream` body is pulled to exhaustion — the blocking
-    /// equivalent of what the reactor write path does incrementally.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`ChunkSource`] failure.
-    pub fn collect(&mut self) -> io::Result<String> {
-        match self {
-            Self::Full(body) => Ok(body.clone()),
-            Self::Stream(source) => {
-                let mut bytes = Vec::new();
-                while let Some(chunk) = source()? {
-                    bytes.extend_from_slice(&chunk);
-                }
-                String::from_utf8(bytes)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 stream"))
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for ResponseBody {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Full(body) => f.debug_tuple("Full").field(body).finish(),
-            Self::Stream(_) => f.write_str("Stream(..)"),
-        }
-    }
-}
-
-impl std::fmt::Display for ResponseBody {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self)
-    }
-}
-
-impl PartialEq for ResponseBody {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Self::Full(a), Self::Full(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl std::ops::Deref for ResponseBody {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        match self {
-            Self::Full(body) => body,
-            Self::Stream(_) => "",
-        }
-    }
-}
-
-impl From<String> for ResponseBody {
-    fn from(body: String) -> Self {
-        Self::Full(body)
-    }
-}
-
 /// A response about to be written; the body is JSON unless built with
-/// [`Response::text`] (the Prometheus `/metrics` exposition) or
-/// [`Response::stream`] (whatever content type the handler declares).
+/// [`Response::text`] (the Prometheus `/metrics` exposition).
 #[derive(Debug, PartialEq)]
 pub struct Response {
     /// HTTP status code.
     pub status: u16,
-    /// Response body.
-    pub body: ResponseBody,
+    /// Response body, rendered whole.
+    pub body: String,
     /// `Content-Type` header value.
     pub content_type: &'static str,
     /// Trace ID echoed in the `x-an5d-trace` header, when assigned.
@@ -225,7 +130,7 @@ impl Response {
     pub fn new(status: u16, body: String) -> Self {
         Self {
             status,
-            body: ResponseBody::Full(body),
+            body,
             content_type: "application/json",
             trace: None,
             retry_after: None,
@@ -237,22 +142,8 @@ impl Response {
     pub fn text(status: u16, body: String) -> Self {
         Self {
             status,
-            body: ResponseBody::Full(body),
+            body,
             content_type: "text/plain; version=0.0.4",
-            trace: None,
-            retry_after: None,
-        }
-    }
-
-    /// A streamed response: the body is pulled chunk by chunk from
-    /// `source` at write time and framed with
-    /// `Transfer-Encoding: chunked`.
-    #[must_use]
-    pub fn stream(status: u16, content_type: &'static str, source: ChunkSource) -> Self {
-        Self {
-            status,
-            body: ResponseBody::Stream(source),
-            content_type,
             trace: None,
             retry_after: None,
         }
@@ -640,17 +531,18 @@ impl RequestParser {
     }
 }
 
-/// Render a response head (status line + headers + blank line) as raw
-/// bytes. `body_len: Some(n)` frames the body with `Content-Length: n`;
-/// `None` announces `Transfer-Encoding: chunked` — the caller then
-/// writes [`encode_chunk`]-framed chunks followed by
-/// [`CHUNK_TERMINATOR`].
-#[must_use]
-pub fn render_head_bytes(
+/// Write a response as one `Content-Length`-framed buffer and flush it,
+/// announcing whether the server will keep the connection open
+/// (`keep_alive`) or close it after this response.
+///
+/// # Errors
+///
+/// Propagates transport errors from the underlying stream.
+pub fn write_response(
+    writer: &mut impl Write,
     response: &Response,
     keep_alive: bool,
-    body_len: Option<usize>,
-) -> Vec<u8> {
+) -> io::Result<()> {
     let trace_header = match &response.trace {
         Some(id) => format!("x-an5d-trace: {id}\r\n"),
         None => String::new(),
@@ -659,250 +551,23 @@ pub fn render_head_bytes(
         Some(secs) => format!("Retry-After: {secs}\r\n"),
         None => String::new(),
     };
-    let framing = match body_len {
-        Some(len) => format!("Content-Length: {len}\r\n"),
-        None => "Transfer-Encoding: chunked\r\n".to_string(),
-    };
-    format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n{}{}{}Connection: {}\r\n\r\n",
+    let mut bytes = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: {}\r\n\r\n",
         response.status,
         reason_phrase(response.status),
         response.content_type,
-        framing,
+        response.body.len(),
         trace_header,
         retry_header,
         if keep_alive { "keep-alive" } else { "close" },
     )
-    .into_bytes()
-}
-
-/// Write a response and flush it, announcing whether the server will
-/// keep the connection open (`keep_alive`) or close it after this
-/// response. A [`ResponseBody::Full`] body is framed with
-/// `Content-Length` and written as one segment; a
-/// [`ResponseBody::Stream`] body is pulled to exhaustion and written as
-/// chunked segments — the blocking twin of the reactor's incremental
-/// write path.
-///
-/// # Errors
-///
-/// Propagates transport errors from the underlying stream and
-/// [`ChunkSource`] failures (after which the stream holds an unfinished
-/// chunked body — the caller must close the connection).
-pub fn write_response(
-    writer: &mut impl Write,
-    response: &mut Response,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let body_len = match &response.body {
-        ResponseBody::Full(body) => Some(body.len()),
-        ResponseBody::Stream(_) => None,
-    };
-    let mut head = render_head_bytes(response, keep_alive, body_len);
-    match &mut response.body {
-        ResponseBody::Full(body) => {
-            // One buffered write per response: on a kept-alive connection
-            // a header segment followed by a separate body segment would
-            // trip Nagle + delayed-ACK (~40 ms per request).
-            head.extend_from_slice(body.as_bytes());
-            writer.write_all(&head)?;
-        }
-        ResponseBody::Stream(source) => {
-            writer.write_all(&head)?;
-            while let Some(chunk) = source()? {
-                if !chunk.is_empty() {
-                    writer.write_all(&encode_chunk(&chunk))?;
-                }
-            }
-            writer.write_all(CHUNK_TERMINATOR)?;
-        }
-    }
+    .into_bytes();
+    // One write per response: on a kept-alive connection a header segment
+    // followed by a separate body segment would trip Nagle + delayed-ACK
+    // (~40 ms per request).
+    bytes.extend_from_slice(response.body.as_bytes());
+    writer.write_all(&bytes)?;
     writer.flush()
-}
-
-// ---------------------------------------------------------------------
-// Chunked transfer coding
-// ---------------------------------------------------------------------
-
-/// The terminal zero-length chunk closing a chunked body (no trailers).
-pub const CHUNK_TERMINATOR: &[u8] = b"0\r\n\r\n";
-
-/// Upper bound on a single decoded chunk (defense against a hostile
-/// size line allocating unbounded memory client-side).
-const MAX_CHUNK_BYTES: usize = 1 << 30;
-
-/// Frame one payload as a chunked-transfer chunk:
-/// `{len:x}\r\n{payload}\r\n`. Empty payloads must not be framed — an
-/// empty chunk is the body terminator ([`CHUNK_TERMINATOR`]).
-#[must_use]
-pub fn encode_chunk(payload: &[u8]) -> Vec<u8> {
-    debug_assert!(!payload.is_empty(), "an empty chunk is the terminator");
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(format!("{:x}\r\n", payload.len()).as_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(b"\r\n");
-    out
-}
-
-/// Decoder state between [`ChunkDecoder::decode`] calls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChunkPhase {
-    /// Accumulating a chunk-size line.
-    Size,
-    /// `remaining` payload bytes of the current chunk still to copy.
-    Data { remaining: usize },
-    /// Consuming the CRLF that closes a chunk's payload.
-    DataEnd,
-    /// Zero-size chunk seen; consuming (and discarding) trailer lines
-    /// until the blank line that ends the body.
-    Trailer,
-    /// The body is complete; no further input is consumed.
-    Done,
-}
-
-/// An incremental decoder for `Transfer-Encoding: chunked` bodies.
-///
-/// Feed it arbitrary byte slices ([`ChunkDecoder::decode`]) exactly as
-/// they come off the socket; it appends decoded payload bytes to the
-/// caller's buffer and reports how much input it consumed, suspending
-/// mid-size-line, mid-payload, or mid-trailer. Tolerates bare-`LF` line
-/// endings and ignores chunk extensions (`;`-suffixed) and trailer
-/// fields, per RFC 9112's lenient-receiver guidance.
-#[derive(Debug)]
-pub struct ChunkDecoder {
-    phase: ChunkPhase,
-    /// Partial size/trailer line carried across `decode` calls.
-    line: Vec<u8>,
-}
-
-impl Default for ChunkDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ChunkDecoder {
-    /// A decoder positioned before the first chunk-size line.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            phase: ChunkPhase::Size,
-            line: Vec::new(),
-        }
-    }
-
-    /// `true` once the terminal chunk (and its trailer section) has
-    /// been consumed — the body is complete.
-    #[must_use]
-    pub fn is_done(&self) -> bool {
-        self.phase == ChunkPhase::Done
-    }
-
-    /// Decode as much of `input` as possible, appending payload bytes
-    /// to `out`. Returns the number of input bytes consumed — always
-    /// `input.len()` until the body completes, after which surplus
-    /// bytes (e.g. a pipelined follow-up response) are left unread.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` on malformed size lines, oversized chunks, or
-    /// missing chunk delimiters. The decoder is then poisoned: the
-    /// byte stream cannot be resynchronized.
-    pub fn decode(&mut self, input: &[u8], out: &mut Vec<u8>) -> io::Result<usize> {
-        let mut consumed = 0;
-        while consumed < input.len() {
-            match self.phase {
-                ChunkPhase::Size => match self.take_line(input, &mut consumed)? {
-                    None => break,
-                    Some(line) => {
-                        let size = parse_chunk_size(&line)?;
-                        self.phase = if size == 0 {
-                            ChunkPhase::Trailer
-                        } else {
-                            ChunkPhase::Data { remaining: size }
-                        };
-                    }
-                },
-                ChunkPhase::Data { remaining } => {
-                    let take = remaining.min(input.len() - consumed);
-                    out.extend_from_slice(&input[consumed..consumed + take]);
-                    consumed += take;
-                    self.phase = if take == remaining {
-                        ChunkPhase::DataEnd
-                    } else {
-                        ChunkPhase::Data {
-                            remaining: remaining - take,
-                        }
-                    };
-                }
-                ChunkPhase::DataEnd => match self.take_line(input, &mut consumed)? {
-                    None => break,
-                    Some(line) if line.is_empty() => self.phase = ChunkPhase::Size,
-                    Some(_) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "chunk payload not followed by CRLF",
-                        ))
-                    }
-                },
-                ChunkPhase::Trailer => match self.take_line(input, &mut consumed)? {
-                    None => break,
-                    Some(line) if line.is_empty() => self.phase = ChunkPhase::Done,
-                    Some(_) => {} // trailer field: ignored
-                },
-                ChunkPhase::Done => break,
-            }
-        }
-        Ok(consumed)
-    }
-
-    /// Pull the next `\n`-terminated line (one trailing `\r` stripped)
-    /// out of `input[*consumed..]`, buffering partial lines across
-    /// calls. `None` means the line is incomplete; `consumed` has then
-    /// advanced past everything buffered.
-    /// A line longer than `MAX_LINE_BYTES` (the `\r` included) is an
-    /// error before any of it past the limit is buffered.
-    fn take_line(&mut self, input: &[u8], consumed: &mut usize) -> io::Result<Option<Vec<u8>>> {
-        let rest = &input[*consumed..];
-        let newline = rest.iter().position(|&b| b == b'\n');
-        let take = newline.unwrap_or(rest.len());
-        if self.line.len() + take > MAX_LINE_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "chunk framing line too long",
-            ));
-        }
-        self.line.extend_from_slice(&rest[..take]);
-        if newline.is_none() {
-            *consumed = input.len();
-            return Ok(None);
-        }
-        *consumed += take + 1;
-        if self.line.last() == Some(&b'\r') {
-            self.line.pop();
-        }
-        Ok(Some(std::mem::take(&mut self.line)))
-    }
-}
-
-/// Parse a chunk-size line: hex digits, optionally followed by a
-/// `;`-prefixed extension (ignored). A sign is refused, though
-/// `from_str_radix` would take a leading `+`.
-fn parse_chunk_size(line: &[u8]) -> io::Result<usize> {
-    let text = std::str::from_utf8(line)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-ASCII chunk size line"))?;
-    let digits = text.split(';').next().unwrap_or("").trim();
-    let size = Some(digits)
-        .filter(|digits| digits.bytes().all(|b| b.is_ascii_hexdigit()))
-        .and_then(|digits| usize::from_str_radix(digits, 16).ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "invalid chunk size"))?;
-    if size > MAX_CHUNK_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "chunk larger than the 1 GiB cap",
-        ));
-    }
-    Ok(size)
 }
 
 #[cfg(test)]
@@ -1013,12 +678,7 @@ mod tests {
     #[test]
     fn response_framing_includes_length_and_connection_state() {
         let mut out = Vec::new();
-        write_response(
-            &mut out,
-            &mut Response::new(200, "{\"ok\":true}".into()),
-            true,
-        )
-        .unwrap();
+        write_response(&mut out, &Response::new(200, "{\"ok\":true}".into()), true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
@@ -1026,7 +686,7 @@ mod tests {
         assert!(text.ends_with("{\"ok\":true}"));
 
         let mut out = Vec::new();
-        write_response(&mut out, &mut Response::new(200, "{}".into()), false).unwrap();
+        write_response(&mut out, &Response::new(200, "{}".into()), false).unwrap();
         assert!(String::from_utf8(out)
             .unwrap()
             .contains("Connection: close\r\n"));
@@ -1035,8 +695,8 @@ mod tests {
     #[test]
     fn trace_ids_and_content_types_are_framed() {
         let mut out = Vec::new();
-        let mut response = Response::new(200, "{}".into()).with_trace("00c0ffee00c0ffee".into());
-        write_response(&mut out, &mut response, true).unwrap();
+        let response = Response::new(200, "{}".into()).with_trace("00c0ffee00c0ffee".into());
+        write_response(&mut out, &response, true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(
             text.contains("x-an5d-trace: 00c0ffee00c0ffee\r\n"),
@@ -1045,12 +705,7 @@ mod tests {
         assert!(text.contains("Content-Type: application/json\r\n"));
 
         let mut out = Vec::new();
-        write_response(
-            &mut out,
-            &mut Response::text(200, "an5d_up 1\n".into()),
-            true,
-        )
-        .unwrap();
+        write_response(&mut out, &Response::text(200, "an5d_up 1\n".into()), true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Content-Type: text/plain; version=0.0.4\r\n"));
         assert!(!text.contains("x-an5d-trace"), "{text}");
@@ -1154,151 +809,6 @@ mod tests {
         assert_eq!(
             Request::new("GET", "/trace?id", b"").query_param("id"),
             Some("")
-        );
-    }
-
-    /// A chunk source yielding the given payloads in order.
-    fn source_of(chunks: Vec<&[u8]>) -> ChunkSource {
-        let mut queue: std::collections::VecDeque<Vec<u8>> =
-            chunks.into_iter().map(<[u8]>::to_vec).collect();
-        Box::new(move || Ok(queue.pop_front()))
-    }
-
-    #[test]
-    fn chunk_encoding_frames_length_payload_and_crlf() {
-        assert_eq!(encode_chunk(b"hello"), b"5\r\nhello\r\n");
-        let big = vec![b'x'; 0x1a3];
-        let framed = encode_chunk(&big);
-        assert!(framed.starts_with(b"1a3\r\n"));
-        assert!(framed.ends_with(b"\r\n"));
-        assert_eq!(framed.len(), 3 + 2 + big.len() + 2);
-    }
-
-    #[test]
-    fn chunk_decoder_round_trips_an_encoded_body() {
-        let payloads: &[&[u8]] = &[b"hello ", b"chunked ", b"world"];
-        let mut wire = Vec::new();
-        for payload in payloads {
-            wire.extend_from_slice(&encode_chunk(payload));
-        }
-        wire.extend_from_slice(CHUNK_TERMINATOR);
-
-        let mut decoder = ChunkDecoder::new();
-        let mut out = Vec::new();
-        assert_eq!(decoder.decode(&wire, &mut out).unwrap(), wire.len());
-        assert!(decoder.is_done());
-        assert_eq!(out, b"hello chunked world");
-    }
-
-    #[test]
-    fn chunk_decoder_resumes_at_any_byte_boundary() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&encode_chunk(b"first"));
-        wire.extend_from_slice(&encode_chunk(&vec![b'z'; 300]));
-        wire.extend_from_slice(CHUNK_TERMINATOR);
-        let mut expect = b"first".to_vec();
-        expect.extend_from_slice(&vec![b'z'; 300]);
-
-        for cut in 0..=wire.len() {
-            let mut decoder = ChunkDecoder::new();
-            let mut out = Vec::new();
-            let consumed = decoder.decode(&wire[..cut], &mut out).unwrap();
-            assert_eq!(consumed, cut, "pre-terminator input is fully consumed");
-            let rest = decoder.decode(&wire[cut..], &mut out).unwrap();
-            assert_eq!(rest, wire.len() - cut);
-            assert!(decoder.is_done(), "cut at {cut}");
-            assert_eq!(out, expect, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn chunk_decoder_stops_at_the_body_end_and_leaves_surplus() {
-        let mut wire = encode_chunk(b"ab");
-        wire.extend_from_slice(CHUNK_TERMINATOR);
-        wire.extend_from_slice(b"HTTP/1.1 200 OK\r\n"); // pipelined follow-up
-        let mut decoder = ChunkDecoder::new();
-        let mut out = Vec::new();
-        let consumed = decoder.decode(&wire, &mut out).unwrap();
-        assert_eq!(consumed, wire.len() - b"HTTP/1.1 200 OK\r\n".len());
-        assert!(decoder.is_done());
-        assert_eq!(out, b"ab");
-        // Once done, nothing further is consumed.
-        assert_eq!(decoder.decode(b"junk", &mut out).unwrap(), 0);
-    }
-
-    #[test]
-    fn chunk_decoder_tolerates_extensions_trailers_and_bare_lf() {
-        let wire = b"5;ext=1\r\nhello\r\n0\r\nX-Trailer: ignored\r\n\r\n";
-        let mut decoder = ChunkDecoder::new();
-        let mut out = Vec::new();
-        assert_eq!(decoder.decode(wire, &mut out).unwrap(), wire.len());
-        assert!(decoder.is_done());
-        assert_eq!(out, b"hello");
-
-        let bare_lf = b"3\nabc\n0\n\n";
-        let mut decoder = ChunkDecoder::new();
-        let mut out = Vec::new();
-        assert_eq!(decoder.decode(bare_lf, &mut out).unwrap(), bare_lf.len());
-        assert!(decoder.is_done());
-        assert_eq!(out, b"abc");
-    }
-
-    #[test]
-    fn chunk_decoder_rejects_malformed_framing() {
-        let mut out = Vec::new();
-        assert!(ChunkDecoder::new().decode(b"zz\r\n", &mut out).is_err());
-        // A sign is not a hex digit, though `from_str_radix` takes `+`.
-        assert!(ChunkDecoder::new()
-            .decode(b"+a\r\n0123456789\r\n0\r\n\r\n", &mut out)
-            .is_err());
-        assert!(ChunkDecoder::new()
-            .decode(b"40000001\r\n", &mut out)
-            .is_err());
-        // Payload not followed by its CRLF delimiter.
-        assert!(ChunkDecoder::new()
-            .decode(b"3\r\nabcX\r\n", &mut out)
-            .is_err());
-        // A truncated body is simply not done — truncation detection is
-        // the caller's job on EOF.
-        let mut decoder = ChunkDecoder::new();
-        assert_eq!(decoder.decode(b"5\r\nab", &mut out).unwrap(), 5);
-        assert!(!decoder.is_done());
-    }
-
-    #[test]
-    fn streamed_responses_write_chunked_framing() {
-        let mut response =
-            Response::stream(200, "application/json", source_of(vec![b"{\"a\":", b"1}"]));
-        let mut out = Vec::new();
-        write_response(&mut out, &mut response, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"), "{text}");
-        assert!(!text.contains("Content-Length"), "{text}");
-        assert!(text.contains("Connection: keep-alive\r\n"), "{text}");
-        let body_start = text.find("\r\n\r\n").unwrap() + 4;
-        let mut decoder = ChunkDecoder::new();
-        let mut body = Vec::new();
-        decoder
-            .decode(&text.as_bytes()[body_start..], &mut body)
-            .unwrap();
-        assert!(decoder.is_done());
-        assert_eq!(body, b"{\"a\":1}");
-    }
-
-    #[test]
-    fn response_body_derefs_and_collects() {
-        let mut full = Response::new(200, "{\"ok\":true}".into());
-        assert!(full.body.contains("ok"));
-        assert_eq!(full.body.collect().unwrap(), "{\"ok\":true}");
-
-        let mut streamed = Response::stream(200, "application/json", source_of(vec![b"a", b"b"]));
-        assert_eq!(&*streamed.body, "", "stream bytes do not exist yet");
-        assert_eq!(streamed.body.collect().unwrap(), "ab");
-        assert_ne!(
-            Response::new(200, "x".into()).body,
-            Response::stream(200, "application/json", source_of(vec![])).body,
-            "stream bodies never compare equal"
         );
     }
 }

@@ -31,7 +31,6 @@
 //! | `/tune` | POST | Section 6.3 tuner over a search space |
 //! | `/codegen` | POST | CUDA kernel + host source |
 //! | `/execute` | POST | blocked run: checksum + traffic counters |
-//! | `/batch` | POST | job list through the fleet's `BatchDriver`; streams NDJSON, one line per job as it finishes |
 //! | `/devices` | GET | registered GPU profiles + routing default |
 //! | `/stats` | GET | every family of the metrics registry, as JSON |
 //! | `/metrics` | GET | the same registry as Prometheus text |
@@ -51,15 +50,11 @@
 //! dispatch queue is full, the offending *request* gets an immediate
 //! `503` (idle connections are nearly free and are never shed).
 //!
-//! Each endpoint has one body path, fixed by what it is: every body is
-//! rendered once and sent whole with `Content-Length`, except
-//! `/batch`, whose jobs run for milliseconds to seconds each — it
-//! **streams** with `Transfer-Encoding: chunked`, each job's line
-//! produced on the worker while the reactor writes segments under
-//! `POLLOUT`, so early lines reach the client while later jobs are
-//! still running. `/metrics` watches the path via
-//! `an5d_stream_chunks_total`, `an5d_stream_bytes_total` and the
-//! `an5d_stream_ttfb_us` histogram.
+//! There is one body path: every response is rendered once on the
+//! worker and written as one `Content-Length` buffer. A list of jobs is
+//! a list of `/execute` requests pipelined on one keep-alive connection:
+//! the reactor answers them in order, each as soon as its job finishes,
+//! and each gets its own status, trace and deadline.
 //!
 //! Requests may carry an `x-an5d-deadline-ms` budget ([`DEADLINE_HEADER`]):
 //! one that has already expired at dispatch is shed with `503` +
@@ -140,12 +135,7 @@ pub use fleet::{Fleet, FleetShard, ShardTuneDbStats};
 pub use handlers::{
     dispatch, ServiceState, DEFAULT_SLOW_THRESHOLD, DEFAULT_TRACE_CAPACITY, ENDPOINTS,
 };
-pub use http::{
-    encode_chunk, ChunkDecoder, ChunkSource, Parse, Request, RequestParser, Response, ResponseBody,
-    CHUNK_TERMINATOR, DEADLINE_HEADER, MAX_DEADLINE_MS,
-};
+pub use http::{Parse, Request, RequestParser, Response, DEADLINE_HEADER, MAX_DEADLINE_MS};
 pub use json::{parse as parse_json, Json, JsonError};
-pub use metrics::{
-    ConnectionSnapshot, ConnectionStats, EndpointSeries, MeteredBackend, Metrics, StreamSeries,
-};
+pub use metrics::{ConnectionSnapshot, ConnectionStats, EndpointSeries, MeteredBackend, Metrics};
 pub use server::{banner, Server, ServerConfig};

@@ -1,6 +1,6 @@
 //! The series the service records itself: per-endpoint latency and
-//! errors, streaming, admission and deadline counters, the connection
-//! layer and `backend.execute` latency.
+//! errors, admission and deadline counters, the connection layer and
+//! `backend.execute` latency.
 //!
 //! Everything here is a handle into the state's [`Registry`]: a series
 //! is registered in this file, next to the code that records it, and
@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 /// histogram's own count, sampled at scrape.
 #[derive(Debug, Clone)]
 pub struct EndpointSeries {
-    /// Handler latency, microseconds (`/batch`: until its stream ends).
+    /// Handler latency, microseconds.
     pub latency: Arc<Histogram>,
     /// Requests answered with a non-2xx status.
     pub errors: Counter,
@@ -32,26 +32,6 @@ impl EndpointSeries {
         if !ok {
             self.errors.inc();
         }
-    }
-}
-
-/// The streaming series of `/batch`, the one endpoint that streams its
-/// body. `an5d_streams_total` is the time-to-first-byte histogram's count.
-#[derive(Debug, Clone)]
-pub struct StreamSeries {
-    /// Chunks produced.
-    pub chunks: Counter,
-    /// Payload bytes produced (before chunked framing).
-    pub bytes: Counter,
-    /// Handler start to first chunk produced, microseconds.
-    pub ttfb: Arc<Histogram>,
-}
-
-impl StreamSeries {
-    /// Record one produced chunk of `bytes` payload bytes.
-    pub fn record_chunk(&self, bytes: usize) {
-        self.chunks.inc();
-        self.bytes.add(u64::try_from(bytes).unwrap_or(u64::MAX));
     }
 }
 
@@ -199,8 +179,6 @@ struct EndpointSlot {
 pub struct Metrics {
     registry: Arc<Registry>,
     endpoints: Vec<EndpointSlot>,
-    /// Resolved by the first `/batch` response.
-    streams: OnceLock<StreamSeries>,
     /// Requests turned away by admission control with a 503.
     pub rejected: Counter,
     /// Requests shed with a 503 because their deadline was already
@@ -233,7 +211,6 @@ impl Metrics {
                     requests: OnceLock::new(),
                 })
                 .collect(),
-            streams: OnceLock::new(),
             rejected: registry.counter(
                 "an5d_rejected_connections_total",
                 "Requests shed by admission control.",
@@ -292,39 +269,6 @@ impl Metrics {
                     "Non-2xx responses, by endpoint.",
                     &labels,
                 ),
-            }
-        })
-    }
-
-    /// The streaming series, labelled with the one endpoint that
-    /// streams.
-    pub fn stream(&self) -> &StreamSeries {
-        self.streams.get_or_init(|| {
-            let labels = [("endpoint", "/batch")];
-            let ttfb = self.registry.histogram(
-                "an5d_stream_ttfb_us",
-                "Handler start to first streamed chunk, microseconds.",
-                &labels,
-            );
-            let count = Arc::clone(&ttfb);
-            self.registry.sampled_counter(
-                "an5d_streams_total",
-                "Streamed responses started, by endpoint.",
-                &labels,
-                move || count.count(),
-            );
-            StreamSeries {
-                chunks: self.registry.counter(
-                    "an5d_stream_chunks_total",
-                    "Chunks produced on streamed responses, by endpoint.",
-                    &labels,
-                ),
-                bytes: self.registry.counter(
-                    "an5d_stream_bytes_total",
-                    "Payload bytes streamed (before chunked framing), by endpoint.",
-                    &labels,
-                ),
-                ttfb,
             }
         })
     }

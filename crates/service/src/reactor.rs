@@ -35,13 +35,8 @@
 //!   clock, so the connection's deadline is removed.
 //! * **Writing** — response bytes draining; write interest, I/O
 //!   deadline. `close_after_write` carries the `Connection: close` /
-//!   request-bound / error / 503 decision. Bytes live in a queue of
-//!   segments drained front to back (scatter/gather): a buffered
-//!   response is one segment, a streamed one starts with its chunked
-//!   head and refills from the worker's `ResponseStream` as chunks are
-//!   produced — blocked on the *producer* the connection holds no
-//!   write interest and no I/O deadline, blocked on the *socket* it
-//!   waits for `POLLOUT` under the usual budget.
+//!   request-bound / error / 503 decision. The response is one rendered
+//!   buffer plus the offset written so far.
 //!
 //! Closes distinguish *clean* ends (EOF while parked between requests,
 //! idle timeout, shutdown) from *aborted* ones (EOF, transport error,
@@ -54,11 +49,9 @@
 
 use crate::api;
 use crate::http::{Parse, Request, RequestParser, Response};
-use crate::server::{
-    render_response, CompletionBody, DispatchItem, ResponseStream, Shared, StreamStatus, IO_TIMEOUT,
-};
+use crate::server::{render_response, DispatchItem, Shared, IO_TIMEOUT};
 use an5d_net::{Event, Interest, Poller, WakeReceiver};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -157,16 +150,11 @@ enum ConnState {
 struct Conn {
     stream: TcpStream,
     parser: RequestParser,
-    /// Pending response segments (write-backpressure buffer), drained
-    /// front to back under `POLLOUT` — scatter/gather style, so a
-    /// streamed body never gets copied into one contiguous buffer.
-    out: VecDeque<Vec<u8>>,
-    /// Bytes of the *front* segment already written.
+    /// The response being written (head and body), drained under
+    /// `POLLOUT`.
+    out: Vec<u8>,
+    /// Bytes of `out` already written.
     out_pos: usize,
-    /// Live body producer for a streamed response: when `out` runs dry
-    /// the reactor pulls freshly produced segments from here instead of
-    /// finishing the response.
-    body_stream: Option<Arc<ResponseStream>>,
     /// Requests served on this connection.
     served: usize,
     state: ConnState,
@@ -181,10 +169,6 @@ pub(crate) struct Reactor {
     poller: Poller,
     deadlines: Deadlines,
     conns: BTreeMap<usize, Conn>,
-    /// Tokens with a live [`ResponseStream`]: visited after every wake
-    /// so newly produced segments reach their sockets without waiting
-    /// for a poll event (stale tokens are dropped lazily).
-    streaming: BTreeSet<usize>,
     next_token: usize,
 }
 
@@ -210,7 +194,6 @@ impl Reactor {
             poller,
             deadlines: Deadlines::default(),
             conns: BTreeMap::new(),
-            streaming: BTreeSet::new(),
             next_token: FIRST_CONN_TOKEN,
         })
     }
@@ -242,9 +225,6 @@ impl Reactor {
             // Completions first: handing finished responses to their
             // sockets is what frees workers for the dispatch queue.
             self.apply_completions();
-            // Then streaming connections: a worker woke us after pushing
-            // fresh body segments; move them toward their sockets.
-            self.pump_streams();
             for event in events.iter().copied() {
                 match event.token {
                     LISTENER => self.do_accept(),
@@ -286,13 +266,8 @@ impl Reactor {
     /// Close and forget a connection. `aborted` marks a mid-request (or
     /// mid-response) death for the `an5d_connections_aborted` counter.
     fn close(&mut self, token: usize, aborted: bool) {
-        self.streaming.remove(&token);
         self.deadlines.disarm(token);
         if let Some(conn) = self.conns.remove(&token) {
-            if let Some(stream) = &conn.body_stream {
-                // Unblock and stop the producing worker.
-                stream.close();
-            }
             self.poller.deregister(token);
             if conn.state == ConnState::Parked {
                 self.stats().on_unparked();
@@ -312,9 +287,8 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue; // dropped: cannot safely poll it
                     }
-                    // Disable Nagle: buffered responses go out as one
-                    // segment, and a streamed chunk must hit the wire
-                    // when produced instead of waiting on a delayed ACK.
+                    // Disable Nagle: a response goes out as one segment
+                    // instead of waiting on a delayed ACK.
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
@@ -324,9 +298,8 @@ impl Reactor {
                         Conn {
                             stream,
                             parser: RequestParser::new(),
-                            out: VecDeque::new(),
+                            out: Vec::new(),
                             out_pos: 0,
-                            body_stream: None,
                             served: 0,
                             state: ConnState::Reading,
                             close_after_write: false,
@@ -418,7 +391,7 @@ impl Reactor {
                 // Framing errors poison the stream position; answer and
                 // close rather than guess where the next request starts.
                 let body = render_response(
-                    &mut Response::new(err.status, api::error_body(&err.message)),
+                    &Response::new(err.status, api::error_body(&err.message)),
                     false,
                 );
                 self.start_write(token, body, true);
@@ -479,7 +452,7 @@ impl Reactor {
         if request.deadline.is_some_and(|d| d.expired()) {
             self.shared.state.metrics().deadline_shed.inc();
             let body = render_response(
-                &mut Response::new(503, api::error_body("deadline expired before dispatch"))
+                &Response::new(503, api::error_body("deadline expired before dispatch"))
                     .with_retry_after(1),
                 false,
             );
@@ -495,7 +468,7 @@ impl Reactor {
         if depth >= self.shared.queue_depth {
             self.shared.state.metrics().rejected.inc();
             let body = render_response(
-                &mut Response::new(503, api::error_body("server overloaded, retry later"))
+                &Response::new(503, api::error_body("server overloaded, retry later"))
                     .with_retry_after(1),
                 false,
             );
@@ -529,15 +502,13 @@ impl Reactor {
     }
 
     /// Take ownership of fully-rendered response bytes and start
-    /// draining them as a single segment.
+    /// draining them.
     fn start_write(&mut self, token: usize, bytes: Vec<u8>, close_after: bool) {
         self.leave_parked(token);
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.state = ConnState::Writing;
-            conn.out.clear();
-            conn.out.push_back(bytes);
+            conn.out = bytes;
             conn.out_pos = 0;
-            conn.body_stream = None;
             conn.close_after_write = close_after;
             self.poller.set_interest(token, Interest::WRITABLE);
             self.arm(token, IO_TIMEOUT);
@@ -547,38 +518,8 @@ impl Reactor {
         }
     }
 
-    /// Start a streamed response: the chunked head drains now, body
-    /// segments follow from `stream` as the worker produces them.
-    fn start_stream(
-        &mut self,
-        token: usize,
-        head: Vec<u8>,
-        stream: Arc<ResponseStream>,
-        close_after: bool,
-    ) {
-        self.leave_parked(token);
-        let Some(conn) = self.conns.get_mut(&token) else {
-            stream.close(); // connection died first; stop the producer
-            return;
-        };
-        conn.state = ConnState::Writing;
-        conn.out.clear();
-        conn.out.push_back(head);
-        conn.out_pos = 0;
-        conn.body_stream = Some(stream);
-        conn.close_after_write = close_after;
-        self.streaming.insert(token);
-        self.poller.set_interest(token, Interest::WRITABLE);
-        self.arm(token, IO_TIMEOUT);
-        self.try_flush(token);
-    }
-
     fn try_flush(&mut self, token: usize) {
         let mut failed = false;
-        let mut done = false;
-        // Streaming only: ran out of segments while the producer is
-        // still running — nothing to write until the next worker wake.
-        let mut waiting = false;
         // Injected write faults: a kill aborts the connection mid-
         // response; a short write caps the bytes this call may drain
         // (the level-triggered poll resumes the rest), exercising the
@@ -590,94 +531,33 @@ impl Reactor {
             Some(an5d_fault::FaultAction::Error) => failed = true,
             Some(an5d_fault::FaultAction::Short(n)) => budget = n.max(1),
         }
-        if !failed {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            loop {
-                // Drop the front segment once fully written.
-                if conn
-                    .out
-                    .front()
-                    .is_some_and(|front| front.len() == conn.out_pos)
-                {
-                    conn.out.pop_front();
-                    conn.out_pos = 0;
-                    continue;
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        while !failed && conn.out_pos < conn.out.len() && budget > 0 {
+            let limit = conn.out.len().min(conn.out_pos.saturating_add(budget));
+            match (&conn.stream).write(&conn.out[conn.out_pos..limit]) {
+                Ok(0) => failed = true,
+                Ok(n) => {
+                    conn.out_pos += n;
+                    budget -= n;
                 }
-                if conn.out.is_empty() {
-                    // Queue dry: a buffered response is done; a streamed
-                    // one pulls whatever the producer has pushed since.
-                    let Some(stream) = &conn.body_stream else {
-                        done = true;
-                        break;
-                    };
-                    let (segments, status) = Arc::clone(stream).drain();
-                    match status {
-                        StreamStatus::Failed => {
-                            failed = true;
-                            break;
-                        }
-                        StreamStatus::Done => {
-                            conn.body_stream = None;
-                            if segments.is_empty() {
-                                done = true;
-                                break;
-                            }
-                        }
-                        StreamStatus::Open => {
-                            if segments.is_empty() {
-                                waiting = true;
-                                break;
-                            }
-                        }
-                    }
-                    conn.out.extend(segments);
-                    continue;
-                }
-                if budget == 0 {
-                    break; // short-write cap hit; poll picks it back up
-                }
-                let front = &conn.out[0];
-                let limit = front.len().min(conn.out_pos.saturating_add(budget));
-                match (&conn.stream).write(&front[conn.out_pos..limit]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.out_pos += n;
-                        budget = budget.saturating_sub(n);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => failed = true,
             }
         }
+        let done = conn.out_pos == conn.out.len();
         if failed {
-            // Any failure mid-response — transport error, injected kill,
-            // or a chunk source dying — is an abort: the client holds a
-            // truncated response, and on a kept-alive connection a
-            // half-written chunked body would desync every pipelined
-            // successor, so the connection must go down with it.
+            // Any failure mid-response — transport error or injected
+            // kill — is an abort: the client holds a truncated response.
             self.close(token, true);
         } else if done {
             self.on_response_written(token);
-        } else if waiting {
-            // Blocked on the producer, not the socket: no write interest
-            // (a level-triggered POLLOUT on an open send buffer would
-            // spin) and no I/O deadline — there is no pending I/O. The
-            // worker's wake re-enters via `pump_streams`.
-            self.poller.set_interest(token, Interest::NONE);
-            self.deadlines.disarm(token);
         } else {
-            // Blocked on the socket: wait for POLLOUT under a fresh I/O
-            // budget (re-armed so a slowly-draining client is judged per
-            // write step, not per response).
+            // Blocked on the socket (or the short-write cap): wait for
+            // POLLOUT under a fresh I/O budget (re-armed so a slowly-
+            // draining client is judged per write step, not per response).
             self.poller.set_interest(token, Interest::WRITABLE);
             self.arm(token, IO_TIMEOUT);
         }
@@ -686,7 +566,6 @@ impl Reactor {
     /// The response is fully on the wire: close, or look for the next
     /// request (which may already be buffered, pipelined).
     fn on_response_written(&mut self, token: usize) {
-        self.streaming.remove(&token);
         let close =
             self.conns[&token].close_after_write || self.shared.shutdown.load(Ordering::Acquire);
         if close {
@@ -694,15 +573,14 @@ impl Reactor {
             return;
         }
         if let Some(conn) = self.conns.get_mut(&token) {
-            conn.out.clear();
+            // A parked connection holds no response buffer.
+            conn.out = Vec::new();
             conn.out_pos = 0;
-            conn.body_stream = None;
         }
         self.advance_parser(token, false);
     }
 
-    /// Hand each finished (or starting-to-stream) response back to its
-    /// connection.
+    /// Hand each finished response back to its connection.
     fn apply_completions(&mut self) {
         let completed = std::mem::take(
             &mut *self
@@ -712,37 +590,8 @@ impl Reactor {
                 .expect("completion queue poisoned"),
         );
         for completion in completed {
-            if !self.conns.contains_key(&completion.token) {
-                if let CompletionBody::Stream { stream, .. } = &completion.body {
-                    stream.close(); // connection already gone: stop the producer
-                }
-                continue;
-            }
-            match completion.body {
-                CompletionBody::Full(bytes) => {
-                    self.start_write(completion.token, bytes, !completion.keep_alive);
-                }
-                CompletionBody::Stream { head, stream } => {
-                    self.start_stream(completion.token, head, stream, !completion.keep_alive);
-                }
-            }
-        }
-    }
-
-    /// Move freshly produced segments of every live streamed response
-    /// toward their sockets; stale tokens fall out of the set here.
-    fn pump_streams(&mut self) {
-        let tokens: Vec<usize> = self.streaming.iter().copied().collect();
-        for token in tokens {
-            let live = self
-                .conns
-                .get(&token)
-                .is_some_and(|conn| conn.state == ConnState::Writing);
-            if live {
-                self.try_flush(token);
-            } else {
-                self.streaming.remove(&token);
-            }
+            // A no-op when the connection closed while its request ran.
+            self.start_write(completion.token, completion.bytes, !completion.keep_alive);
         }
     }
 
@@ -752,8 +601,7 @@ impl Reactor {
             let conn = &self.conns[&token];
             // Keep-alive expiry on a parked connection is a clean reap;
             // a deadline mid-request or mid-response (a response still
-            // draining — buffered or streamed — when the I/O budget ran
-            // out) is an abort.
+            // draining when the I/O budget ran out) is an abort.
             let aborted = !conn.parser.is_clean() || conn.state == ConnState::Writing;
             self.close(token, aborted);
         }

@@ -30,10 +30,7 @@
 //!   every admitted request is answered.
 
 use crate::handlers::{dispatch, ServiceState};
-use crate::http::{
-    encode_chunk, render_head_bytes, write_response, ChunkSource, Request, Response, ResponseBody,
-    CHUNK_TERMINATOR,
-};
+use crate::http::{write_response, Request, Response};
 use crate::json::Json;
 use crate::reactor::Reactor;
 use an5d::ExecutionBackend;
@@ -129,134 +126,14 @@ pub(crate) struct DispatchItem {
     pub(crate) served: usize,
 }
 
-/// The payload of one [`Completion`]: either fully-rendered response
-/// bytes or a chunked head plus a live [`ResponseStream`] the worker is
-/// still feeding.
-pub(crate) enum CompletionBody {
-    /// The whole response (head + body), rendered up front.
-    Full(Vec<u8>),
-    /// A streamed response: the chunked head is ready now, framed body
-    /// segments arrive on `stream` as the worker produces them.
-    Stream {
-        head: Vec<u8>,
-        stream: Arc<ResponseStream>,
-    },
-}
-
 /// Rendered response bytes travelling worker → reactor.
 pub(crate) struct Completion {
     pub(crate) token: usize,
-    pub(crate) body: CompletionBody,
+    /// The whole response, head and body.
+    pub(crate) bytes: Vec<u8>,
     /// Whether the rendered `Connection:` header promised keep-alive;
     /// the reactor closes after the write when it did not.
     pub(crate) keep_alive: bool,
-}
-
-/// Bound on bytes queued inside one [`ResponseStream`] before the
-/// producing worker blocks — backpressure so a slow client cannot make
-/// a fast producer buffer the whole body anyway.
-const STREAM_HIGH_WATER: usize = 256 * 1024;
-
-/// Mutable half of a [`ResponseStream`].
-#[derive(Default)]
-struct StreamBuf {
-    /// Chunk-framed segments ready for the reactor to write.
-    segments: VecDeque<Vec<u8>>,
-    queued_bytes: usize,
-    /// Producer finished cleanly (terminator already queued).
-    done: bool,
-    /// Producer failed mid-body; the connection must be aborted.
-    failed: bool,
-    /// Consumer (reactor) is gone; pushes are pointless.
-    closed: bool,
-}
-
-/// Observed stream state after a [`ResponseStream::drain`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StreamStatus {
-    /// Producer still running: more segments may arrive.
-    Open,
-    /// Producer finished cleanly; drained segments are the last.
-    Done,
-    /// Producer failed mid-body: abort the connection (a half-written
-    /// chunked body cannot be resynchronized).
-    Failed,
-}
-
-/// A bounded worker→reactor byte channel carrying one streamed response
-/// body: the worker pushes chunk-framed segments (blocking at
-/// [`STREAM_HIGH_WATER`]), the reactor drains them under `POLLOUT`.
-pub(crate) struct ResponseStream {
-    buf: Mutex<StreamBuf>,
-    space: Condvar,
-}
-
-impl ResponseStream {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self {
-            buf: Mutex::new(StreamBuf::default()),
-            space: Condvar::new(),
-        })
-    }
-
-    /// Queue one framed segment, blocking while the buffered backlog
-    /// sits at the high-water mark. `Err(())` means the reactor closed
-    /// the connection — the producer should stop.
-    fn push(&self, segment: Vec<u8>) -> Result<(), ()> {
-        let mut buf = self.buf.lock().expect("response stream poisoned");
-        while buf.queued_bytes >= STREAM_HIGH_WATER && !buf.closed {
-            buf = self.space.wait(buf).expect("response stream poisoned");
-        }
-        if buf.closed {
-            return Err(());
-        }
-        buf.queued_bytes += segment.len();
-        buf.segments.push_back(segment);
-        Ok(())
-    }
-
-    /// Queue the body terminator and mark the stream complete — one
-    /// lock, so the reactor can never observe `done` without it.
-    fn finish(&self) {
-        let mut buf = self.buf.lock().expect("response stream poisoned");
-        if !buf.closed {
-            buf.queued_bytes += CHUNK_TERMINATOR.len();
-            buf.segments.push_back(CHUNK_TERMINATOR.to_vec());
-        }
-        buf.done = true;
-    }
-
-    /// Mark the stream failed mid-body.
-    fn fail(&self) {
-        self.buf.lock().expect("response stream poisoned").failed = true;
-    }
-
-    /// Reactor side: take every queued segment and observe the
-    /// producer's state, freeing backpressure space.
-    pub(crate) fn drain(&self) -> (Vec<Vec<u8>>, StreamStatus) {
-        let mut buf = self.buf.lock().expect("response stream poisoned");
-        let segments: Vec<Vec<u8>> = buf.segments.drain(..).collect();
-        buf.queued_bytes = 0;
-        let status = if buf.failed {
-            StreamStatus::Failed
-        } else if buf.done {
-            StreamStatus::Done
-        } else {
-            StreamStatus::Open
-        };
-        self.space.notify_all();
-        (segments, status)
-    }
-
-    /// Reactor side: the connection is gone; unblock and stop the
-    /// producer.
-    pub(crate) fn close(&self) {
-        let mut buf = self.buf.lock().expect("response stream poisoned");
-        buf.closed = true;
-        buf.segments.clear();
-        buf.queued_bytes = 0;
-        self.space.notify_all();
-    }
 }
 
 /// State shared between the reactor thread and the dispatch workers.
@@ -314,14 +191,10 @@ impl Shared {
     }
 }
 
-/// Render a buffered response to owned bytes exactly as it would hit
-/// the wire. Infallible for [`ResponseBody::Full`] bodies (the sink is
-/// a `Vec`); streamed bodies take the [`CompletionBody::Stream`] path
-/// instead.
-pub(crate) fn render_response(response: &mut Response, keep_alive: bool) -> Vec<u8> {
+/// Render a response to owned bytes exactly as it would hit the wire.
+pub(crate) fn render_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     let mut bytes = Vec::new();
-    write_response(&mut bytes, response, keep_alive)
-        .expect("rendering a buffered response cannot fail");
+    write_response(&mut bytes, response, keep_alive).expect("writing to a Vec cannot fail");
     bytes
 }
 
@@ -485,13 +358,10 @@ impl Server {
 }
 
 /// The dispatch-worker body: pop a parsed request, handle it, render
-/// the response, hand the bytes back to the reactor. A streamed
-/// response hands over its chunked head immediately and then keeps the
-/// worker producing body chunks until the source is exhausted — the
-/// reactor interleaves writes with other connections throughout.
+/// the response, hand the bytes back to the reactor.
 fn worker_loop(shared: &Shared) {
     while let Some(item) = shared.pop() {
-        let mut response = dispatch(&shared.state, &item.request);
+        let response = dispatch(&shared.state, &item.request);
         let shutting_down = item.request.method == "POST"
             && item.request.path == "/shutdown"
             && response.status == 200;
@@ -499,99 +369,20 @@ fn worker_loop(shared: &Shared) {
             && !shutting_down
             && item.served < shared.max_requests_per_connection
             && !shared.shutdown.load(Ordering::Acquire);
-        match std::mem::replace(&mut response.body, ResponseBody::Full(String::new())) {
-            ResponseBody::Stream(source) => {
-                let head = render_head_bytes(&response, keep_alive, None);
-                let stream = ResponseStream::new();
-                push_completion(
-                    shared,
-                    Completion {
-                        token: item.token,
-                        body: CompletionBody::Stream {
-                            head,
-                            stream: Arc::clone(&stream),
-                        },
-                        keep_alive,
-                    },
-                );
-                // Wake the reactor before producing: the first chunk can
-                // hit the wire while the rest of the body is still being
-                // computed (that gap is exactly the TTFB win).
-                shared.waker.wake();
-                stream_body(shared, source, &stream, item.request.deadline);
-            }
-            body @ ResponseBody::Full(_) => {
-                response.body = body;
-                let bytes = render_response(&mut response, keep_alive);
-                push_completion(
-                    shared,
-                    Completion {
-                        token: item.token,
-                        body: CompletionBody::Full(bytes),
-                        keep_alive,
-                    },
-                );
-            }
-        }
+        let completion = Completion {
+            token: item.token,
+            bytes: render_response(&response, keep_alive),
+            keep_alive,
+        };
+        shared
+            .completions
+            .lock()
+            .expect("completion queue poisoned")
+            .push(completion);
         if shutting_down {
             shared.begin_shutdown();
         }
         shared.waker.wake();
-    }
-}
-
-fn push_completion(shared: &Shared, completion: Completion) {
-    shared
-        .completions
-        .lock()
-        .expect("completion queue poisoned")
-        .push(completion);
-}
-
-/// Pull a [`ChunkSource`] to exhaustion on the dispatch worker, feeding
-/// chunk-framed segments to the reactor through `stream` and waking it
-/// after every handoff. The request's deadline is re-installed for the
-/// producer's lifetime so deadline checkpoints inside the source (e.g.
-/// per-job checks in a `/batch` run) keep honoring the client's budget
-/// after `dispatch` has returned.
-fn stream_body(
-    shared: &Shared,
-    mut source: ChunkSource,
-    stream: &ResponseStream,
-    deadline: Option<an5d_fault::Deadline>,
-) {
-    let _deadline_guard = deadline.map(an5d_fault::Deadline::install);
-    loop {
-        match an5d_fault::point("stream.chunk") {
-            None | Some(an5d_fault::FaultAction::Short(_)) => {}
-            Some(an5d_fault::FaultAction::Delay(d)) => std::thread::sleep(d),
-            Some(an5d_fault::FaultAction::Error) => {
-                stream.fail();
-                shared.waker.wake();
-                return;
-            }
-        }
-        match source() {
-            Ok(Some(chunk)) => {
-                if chunk.is_empty() {
-                    continue;
-                }
-                if stream.push(encode_chunk(&chunk)).is_err() {
-                    return; // connection gone; stop producing
-                }
-                shared.waker.wake();
-            }
-            Ok(None) => {
-                stream.finish();
-                shared.waker.wake();
-                return;
-            }
-            Err(_) => {
-                stream.fail();
-                shared.waker.wake();
-                return;
-            }
-        }
     }
 }
 

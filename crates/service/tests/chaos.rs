@@ -82,7 +82,7 @@ fn templates() -> Vec<Template> {
             assert_eq!(response.status, 200, "{path}: {}", response.body);
             Template {
                 path,
-                expected: response.body.to_string(),
+                expected: response.body,
                 body,
             }
         })

@@ -10,13 +10,22 @@
 //!   of the low-connection baseline, and the gauges show the reactor —
 //!   not the worker pool — holding the idle mass. 2 × 400 sockets (both
 //!   ends live in this process) fit the default 1,024-descriptor limit.
+//! * One body path: every response — the largest `/codegen` included,
+//!   also when every socket write is cut short — is one
+//!   `Content-Length` buffer on a connection that stays usable, and N
+//!   jobs are N `/execute`s pipelined on one connection, each answered
+//!   as soon as it finishes.
 
 mod common;
 
+use an5d::{
+    An5d, BatchDriver, BatchJob, BlockConfig, GpuDevice, GridInit, Precision, SearchSpace,
+    SerialBackend,
+};
 use an5d_service::{api, client, Json, ServerConfig};
-use common::{metric, park, post_request, server, shutdown};
-use std::io::Read;
-use std::net::TcpStream;
+use common::{metric, park, post_request, read_head, read_response, send_raw, server, shutdown};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -24,9 +33,10 @@ use std::time::{Duration, Instant};
 const PARKED: usize = 200;
 const IN_FLIGHT: usize = 6;
 
-/// One test at a time: together the two would hold 2 × 600 sockets —
-/// past the default descriptor limit — and the shutdown test's queued
-/// `/execute`s would sit in the soak's latency tail.
+/// One test at a time: the two parked-mass tests together would hold
+/// 2 × 600 sockets — past the default descriptor limit — and the
+/// shutdown test's queued `/execute`s would sit in the soak's latency
+/// tail; the others install process-wide fault plans.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -267,4 +277,170 @@ fn four_hundred_parked_connections_do_not_slow_the_active_ones() {
 
     shutdown(server);
     drop(parked);
+}
+
+fn install_plan(spec: &str) {
+    an5d_fault::install(an5d_fault::FaultPlan::parse(spec).expect("valid plan"));
+}
+
+fn small_server() -> an5d_service::Server {
+    server(ServerConfig {
+        workers: 2,
+        queue_depth: 64,
+        cache_capacity: 64,
+        ..ServerConfig::default()
+    })
+}
+
+const CODEGEN_BODY: &str = r#"{"benchmark":"star2d1r","interior":[128,128],"steps":16,
+    "config":{"bt":4,"bs":[64],"hsn":64,"precision":"single"}}"#;
+
+const EXECUTE_BODY: &str = r#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
+    "config":{"bt":2,"bs":[12],"precision":"double"}}"#;
+
+const TUNE_BODY: &str = r#"{"benchmark":"j2d5pt","interior":[512,512],"steps":50,
+    "device":"v100","precision":"single","space":"quick"}"#;
+
+/// The largest body the service can produce: 257,603 bytes of CUDA —
+/// many socket-buffer fills.
+const LARGEST_CODEGEN_BODY: &str = r#"{"benchmark":"box2d4r","interior":[2048,2048],"steps":16,
+    "config":{"bt":16,"bs":[256],"hsn":256,"precision":"double"}}"#;
+
+fn raw_post(addr: SocketAddr, path: &str, body: &str) -> TcpStream {
+    send_raw(addr, &post_request(path, body, true))
+}
+
+fn assert_sent_whole(head: &str) {
+    let lower = head.to_ascii_lowercase();
+    assert!(lower.starts_with("http/1.1 200"), "{head}");
+    assert!(lower.contains("content-length: "), "{head}");
+    assert!(!lower.contains("transfer-encoding"), "{head}");
+}
+
+#[test]
+fn the_largest_body_arrives_whole_on_a_connection_that_stays_usable() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    an5d_fault::uninstall();
+    let server = small_server();
+    let addr = server.addr();
+
+    let pipeline = An5d::benchmark("box2d4r").unwrap();
+    let problem = pipeline.problem(&[2048, 2048], 16).unwrap();
+    let config = BlockConfig::new(16, &[256], Some(256), Precision::Double).unwrap();
+    let code = pipeline.generate_cuda(&problem, &config).unwrap();
+    let expected = api::codegen_response(&code).render();
+    assert!(expected.len() > 250_000, "{} bytes", expected.len());
+    let (_, small) = client::post(addr, "/execute", EXECUTE_BODY).expect("/execute");
+
+    // Once plainly, once with every socket write capped at 4 KiB: the
+    // response then drains through the resumable `POLLOUT` path in ~63
+    // pieces.
+    for plan in [None, Some("seed=1;reactor.write=short:4096")] {
+        if let Some(plan) = plan {
+            install_plan(plan);
+        }
+        let mut stream = send_raw(addr, &post_request("/codegen", LARGEST_CODEGEN_BODY, false));
+        let (head, body) = read_response(&mut stream);
+        assert_sent_whole(&head);
+        assert!(body == expected, "{plan:?}: /codegen bytes differ");
+
+        // The kept-alive connection serves a second request.
+        let reused_before = server.reused_requests();
+        stream
+            .write_all(post_request("/execute", EXECUTE_BODY, true).as_bytes())
+            .expect("second request");
+        let (head, body) = read_response(&mut stream);
+        assert_sent_whole(&head);
+        assert_eq!(body, small, "{plan:?}");
+        assert_eq!(server.reused_requests(), reused_before + 1, "{plan:?}");
+
+        if plan.is_some() {
+            let short_writes = an5d_fault::fired("reactor.write");
+            assert!(short_writes >= 60, "only {short_writes} short writes");
+            an5d_fault::uninstall();
+        }
+    }
+
+    shutdown(server);
+}
+
+#[test]
+fn a_leftover_stream_parameter_changes_nothing() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    an5d_fault::uninstall();
+    let server = small_server();
+    let addr = server.addr();
+
+    // The spellings that used to select the other body path.
+    for (path, body) in [("/codegen", CODEGEN_BODY), ("/execute", EXECUTE_BODY)] {
+        let (status, plain) = client::post(addr, path, body).expect("plain request");
+        assert_eq!(status, 200, "{path}: {plain}");
+        let mut stream = raw_post(addr, &format!("{path}?stream=true"), body);
+        let (head, flagged) = read_response(&mut stream);
+        assert_sent_whole(&head);
+        assert_eq!(flagged, plain, "{path}");
+    }
+    // The endpoint that streamed is gone.
+    let jobs = format!(r#"{{"jobs":[{EXECUTE_BODY}]}}"#);
+    let head = read_head(&mut raw_post(addr, "/batch", &jobs));
+    assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+    assert!(
+        !head.to_ascii_lowercase().contains("transfer-encoding"),
+        "{head}"
+    );
+
+    shutdown(server);
+}
+
+#[test]
+fn a_pipelined_job_is_answered_before_the_next_one_finishes() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    an5d_fault::uninstall();
+    // Both bodies from direct facade calls, before the fault plan that
+    // would slow the facade's own tuner is installed.
+    let execute = {
+        let def = an5d::suite::by_name("j2d5pt").unwrap();
+        let config = BlockConfig::new(2, &[12], None, Precision::Double).unwrap();
+        let job =
+            BatchJob::new(def, &[24, 24], 5, config).with_init(GridInit::Hash { seed: 0x5EED });
+        let outcome = BatchDriver::new(Arc::new(SerialBackend))
+            .run_job(&job)
+            .unwrap();
+        api::execute_response(&outcome).render()
+    };
+    let tune = {
+        let pipeline = An5d::benchmark("j2d5pt").unwrap();
+        let problem = pipeline.problem(&[512, 512], 50).unwrap();
+        let space = SearchSpace::quick(2, Precision::Single);
+        let result = pipeline
+            .tune(&problem, &GpuDevice::tesla_v100(), &space)
+            .unwrap();
+        api::tune_response(&result).render()
+    };
+    let server = small_server();
+    let addr = server.addr();
+
+    // The `/tune` behind the `/execute` stalls 600 ms on its first
+    // candidate. Had the server held the first answer back until the
+    // second was ready, it could not arrive 300 ms before the second.
+    install_plan("seed=1;tuner.candidate=delay:600#1");
+    let pipelined =
+        post_request("/execute", EXECUTE_BODY, false) + &post_request("/tune", TUNE_BODY, true);
+    let mut stream = send_raw(addr, &pipelined);
+    let (head, first) = read_response(&mut stream);
+    let first_at = Instant::now();
+    assert_sent_whole(&head);
+    let (head, second) = read_response(&mut stream);
+    let gap = first_at.elapsed();
+    assert_sent_whole(&head);
+    an5d_fault::uninstall();
+
+    assert_eq!(first, execute, "/execute bytes diverged from the facade");
+    assert_eq!(second, tune, "/tune bytes diverged from the facade");
+    assert!(
+        gap >= Duration::from_millis(300),
+        "/execute arrived only {gap:?} before /tune ended"
+    );
+
+    shutdown(server);
 }
