@@ -13,8 +13,10 @@
 //! The library's own speed is measured by the repo benchmark
 //! (`benchmark/`), not here.
 //!
-//! Absolute numbers come from the simulated GPU substrate (see
-//! `DESIGN.md`); the quantities that are exact by construction are the
+//! Absolute numbers come from the simulated GPU substrate (`an5d-gpusim`:
+//! the blocked schedule run on the CPU, its counted work timed with the
+//! Table 4 device data) that stands in for the paper's P100 and V100; the
+//! quantities that are exact by construction are the
 //! resource tables (Tables 1 and 2), the benchmark definitions (Table 3)
 //! and the device table (Table 4). The performance figures reproduce the
 //! paper's *shape*: framework ordering, scaling trends and crossovers.

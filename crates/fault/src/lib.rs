@@ -31,5 +31,5 @@ mod plan;
 pub use deadline::{current_deadline, deadline_expired, Deadline, DeadlineGuard};
 pub use plan::{
     fired, injected, install, installed, journal, point, uninstall, FaultAction, FaultPlan,
-    FiredFault, FAULTS_ENV,
+    FiredFault,
 };

@@ -2,9 +2,9 @@
 //!
 //! # Plan specs
 //!
-//! A plan is parsed from a `;`-separated spec (the `AN5D_FAULTS`
-//! environment variable or a `ServerConfig` field — which is how the
-//! service's `chaos` test installs one):
+//! A plan is parsed from a `;`-separated spec and installed
+//! process-wide with [`install`] — which is how the service's `chaos`
+//! test installs one:
 //!
 //! ```text
 //! seed=42;reactor.write=error@1/40;tunedb.append=short:6@every:3;tuner.sweep=delay:2@1/8
@@ -32,9 +32,6 @@ use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Environment variable holding a fault-plan spec (see module docs).
-pub const FAULTS_ENV: &str = "AN5D_FAULTS";
 
 /// Cap on the fired-fault journal, so a long soak cannot grow memory
 /// without bound; the per-rule fired counters are never capped.

@@ -3,10 +3,10 @@
 //! The original AN5D is implemented as a dedicated backend inside the
 //! polyhedral compiler PPCG: PPCG normalises the input C code and AN5D then
 //! detects the stencil pattern under the restrictions listed in
-//! Section 4.3.3 of the paper. Reimplementing all of PPCG is out of scope
-//! (see `DESIGN.md`); this crate implements the part AN5D actually relies
-//! on — accepting Fig. 4-style C code and extracting the stencil pattern —
-//! with the same input restrictions:
+//! Section 4.3.3 of the paper. Reimplementing all of PPCG is out of scope:
+//! this crate implements the part AN5D actually relies on — accepting
+//! Fig. 4-style C code and extracting the stencil pattern — with the same
+//! input restrictions:
 //!
 //! * a perfect loop nest whose outermost loop is the time loop and whose
 //!   next loop is the streaming dimension;

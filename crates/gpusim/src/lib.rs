@@ -2,8 +2,8 @@
 //! of the AN5D reproduction.
 //!
 //! The original paper evaluates generated CUDA on NVIDIA Tesla P100/V100
-//! GPUs. This environment has no GPU, so this crate substitutes a two-level
-//! execution model (see `DESIGN.md`, substitution table):
+//! GPUs. The reproduction runs without a GPU, so this crate substitutes a
+//! two-level execution model for them:
 //!
 //! 1. **Functional execution** ([`exec`]): the N.5D-blocked schedule is run
 //!    thread-block by thread-block on the CPU, with the same overlapped

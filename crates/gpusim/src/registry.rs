@@ -20,8 +20,8 @@ use std::sync::OnceLock;
 ///
 /// Ids are lowercase; construction normalizes case so lookups and cache
 /// keys never depend on how a client spelled the name. `Ord` makes ids
-/// usable as deterministic `BTreeMap` keys (per-device cache shards,
-/// `/stats` sections rendered in stable order).
+/// usable as deterministic `BTreeMap` keys (per-device shards, their
+/// `/metrics` series rendered in stable order).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(String);
 

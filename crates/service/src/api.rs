@@ -4,7 +4,7 @@
 //! Every `*_response` function here is **pure and deterministic**: the
 //! same pipeline value always renders to the same bytes, and no
 //! per-call operational metadata (cache hits, latency) leaks into the
-//! body — that lives in `/stats`. The integration tests and the
+//! body — that lives in `/metrics`. The integration tests and the
 //! `serve` workload of `benchmark/` exploit this to assert that server
 //! responses are bit-identical to direct [`An5d`] facade calls.
 
@@ -412,7 +412,7 @@ fn counters_json(counters: &TrafficCounters) -> Json {
 /// Response body for `/execute`.
 ///
 /// Deliberately excludes the per-call elapsed time: it is operational
-/// metadata (visible in `/stats`), and including it would break the
+/// metadata (visible in `/metrics`), and including it would break the
 /// bit-identical-response guarantee.
 #[must_use]
 pub fn execute_response(outcome: &BatchOutcome) -> Json {

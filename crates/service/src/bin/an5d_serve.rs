@@ -6,8 +6,6 @@
 //!            [--backend SPEC]
 //!            [--keep-alive-timeout SECS] [--max-requests N]
 //!            [--tune-db PATH]
-//!            [--slow-threshold-ms N] [--trace-capacity N]
-//!            [--faults SPEC]
 //! ```
 //!
 //! `--workers` sizes the CPU-bound dispatch pool, not the connection
@@ -26,11 +24,9 @@
 //! overrides it (and `--tune-db ""` disables persistence). Appends are
 //! fsync'd per record.
 //!
-//! `--faults` installs a deterministic fault-injection plan (spec
-//! grammar: `seed=N;point=action[@trigger][#limit];…`, e.g.
-//! `seed=7;tunedb.append=error@1/20`); it defaults to the `AN5D_FAULTS`
-//! environment variable and `--faults ""` disables injection. Chaos
-//! testing only — never set it on a production instance.
+//! Requests slower than `DEFAULT_SLOW_THRESHOLD` (1 s) are logged to
+//! stderr with their trace id, and `GET /trace` keeps the last
+//! `DEFAULT_TRACE_CAPACITY` (256) request traces.
 
 use an5d_service::{banner, Server, ServerConfig};
 use std::process::ExitCode;
@@ -41,16 +37,12 @@ fn usage() -> ! {
          \x20                 [--backend SPEC]\n\
          \x20                 [--keep-alive-timeout SECS] [--max-requests N]\n\
          \x20                 [--tune-db PATH]\n\
-         \x20                 [--slow-threshold-ms N] [--trace-capacity N]\n\
-         \x20                 [--faults SPEC]\n\
          defaults: --addr 127.0.0.1:7845 --workers 4 --queue 64 --cache 256\n\
          \x20         --backend $AN5D_BACKEND (unset: serial); SPEC sets how many\n\
          \x20         threads run the tiles of one /execute: serial (one) or\n\
          \x20         vector[:threads] (at most; default one per CPU)\n\
          \x20         --keep-alive-timeout 5 --max-requests 1000\n\
          \x20         --tune-db $AN5D_TUNE_DB (unset: no persistence)\n\
-         \x20         --slow-threshold-ms 1000 --trace-capacity 256\n\
-         \x20         --faults $AN5D_FAULTS (unset: no fault injection)\n\
          stop with: curl -X POST http://HOST:PORT/shutdown"
     );
     std::process::exit(2);
@@ -58,13 +50,12 @@ fn usage() -> ! {
 
 fn parse_args() -> ServerConfig {
     // The env-var defaults are resolved here at the binary boundary (the
-    // library defaults are None so embedders never pick up a backend, a
-    // DB or a fault plan implicitly); the flags override them below.
+    // library defaults are None so embedders never pick up a backend or
+    // a DB implicitly); the flags override them below.
     let from_env = |name| std::env::var(name).ok().filter(|v| !v.trim().is_empty());
     let mut config = ServerConfig {
         backend: from_env(an5d::BACKEND_ENV),
         tune_db: from_env(an5d_service::TUNE_DB_ENV),
-        faults: from_env(an5d_fault::FAULTS_ENV),
         ..ServerConfig::default()
     };
     let mut args = std::env::args().skip(1);
@@ -100,19 +91,6 @@ fn parse_args() -> ServerConfig {
             "--tune-db" => {
                 config.tune_db = Some(value).filter(|path| !path.trim().is_empty());
             }
-            "--faults" => {
-                config.faults = Some(value).filter(|spec| !spec.trim().is_empty());
-            }
-            "--slow-threshold-ms" => match value.parse() {
-                Ok(n) if n > 0 => {
-                    config.slow_request_threshold = std::time::Duration::from_millis(n);
-                }
-                _ => usage(),
-            },
-            "--trace-capacity" => match value.parse() {
-                Ok(n) if n > 0 => config.trace_capacity = n,
-                _ => usage(),
-            },
             _ => usage(),
         }
     }

@@ -1,21 +1,18 @@
-//! Minimal blocking HTTP/1.1 clients for `an5d-serve`.
+//! A minimal blocking HTTP/1.1 client for `an5d-serve`.
 //!
-//! Two flavours:
+//! [`KeepAliveClient`] holds a persistent connection and reuses it
+//! across requests, reconnecting transparently when the server closes
+//! it (idle timeout, per-connection request bound, shutdown). This is
+//! the path the `serve` workload of `benchmark/` measures. The
+//! module-level [`get`]/[`post`]/[`raw`] helpers send one request on a
+//! fresh connection with `Connection: close`, through the same connect
+//! and exchange — fine for tests and one-off calls.
 //!
-//! * the module-level [`get`]/[`post`]/[`raw`] helpers open **one
-//!   connection per request** (they send `Connection: close`) — simple,
-//!   stateless, fine for tests and one-off calls;
-//! * [`KeepAliveClient`] holds a persistent connection and reuses it
-//!   across requests, reconnecting transparently when the server closes
-//!   it (idle timeout, per-connection request bound, shutdown). This is
-//!   the high-throughput path the `serve` workload of `benchmark/`
-//!   measures.
-//!
-//! Both use socket timeouts so a wedged server fails a test instead of
+//! Sockets carry timeouts so a wedged server fails a test instead of
 //! hanging it; production consumers would use any real HTTP client.
 //!
-//! Framing is strict in both flavours: a response must carry
-//! `Content-Length`, and a body shorter than announced is an error — a
+//! Framing is strict: a response must carry a `Content-Length` of at
+//! most 64 MiB, and a body shorter than announced is an error — a
 //! truncated body is never silently returned as success.
 
 use std::io::{self, BufRead, BufReader, Write};
@@ -24,6 +21,11 @@ use std::time::Duration;
 
 /// Client-side socket timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The largest `Content-Length` the client accepts; a larger one is
+/// refused before anything is allocated. The largest body the service
+/// sends, a `/codegen`, is about 258 KB.
+const MAX_BODY: usize = 64 << 20;
 
 /// Retry policy for [`KeepAliveClient`]: capped exponential backoff
 /// with **seeded** jitter, so a whole fleet of clients with distinct
@@ -180,13 +182,19 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<ResponseHead> {
 }
 
 /// Read exactly the `Content-Length` bytes of one response body. A
-/// response without the header is an error, and so is a body cut short —
+/// response without the header is an error, and so are a length over
+/// [`MAX_BODY`] (refused before allocating) and a body cut short —
 /// truncation is never returned as success. Bytes past the body's end
 /// (the next pipelined response) are left in the reader.
 fn read_body(reader: &mut impl BufRead, head: &ResponseHead) -> io::Result<String> {
     let length = head
         .content_length
         .ok_or_else(|| invalid("response without Content-Length"))?;
+    if length > MAX_BODY {
+        return Err(invalid(&format!(
+            "Content-Length {length} exceeds the {MAX_BODY}-byte limit"
+        )));
+    }
     let mut bytes = vec![0u8; length];
     // A truncated body must NOT surface as UnexpectedEof: that kind
     // marks "no response bytes arrived" for the keep-alive retry logic,
@@ -198,18 +206,8 @@ fn read_body(reader: &mut impl BufRead, head: &ResponseHead) -> io::Result<Strin
     String::from_utf8(bytes).map_err(|_| invalid("non-UTF-8 body"))
 }
 
-/// Send raw request bytes and read one `(status, body)` response.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn raw(addr: SocketAddr, request: &str) -> io::Result<(u16, String)> {
-    let response = raw_response(addr, request)?;
-    Ok((response.status, response.body))
-}
-
-/// A complete one-shot response: status, body, and the headers the
-/// tests and harnesses assert on.
+/// A complete response: status, body, and the headers the tests and
+/// harnesses assert on.
 #[derive(Debug, Clone)]
 pub struct HttpResponse {
     /// HTTP status code.
@@ -223,114 +221,91 @@ pub struct HttpResponse {
     pub retry_after: Option<u64>,
 }
 
-/// Send raw request bytes and read one full [`HttpResponse`].
-fn raw_response(addr: SocketAddr, request: &str) -> io::Result<HttpResponse> {
-    let mut stream = TcpStream::connect(addr)?;
+/// Open a connection with the client's socket timeouts.
+fn connect(addr: SocketAddr) -> io::Result<BufReader<TcpStream>> {
+    let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    stream.write_all(request.as_bytes())?;
-    stream.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let head = read_head(&mut reader)?;
-    let body = read_body(&mut reader, &head)?;
-    Ok(HttpResponse {
-        status: head.status,
-        body,
-        trace: head.trace,
-        retry_after: head.retry_after,
-    })
+    // Requests are single-segment writes; don't let Nagle hold one
+    // back waiting for the previous response's ACK.
+    stream.set_nodelay(true)?;
+    Ok(BufReader::new(stream))
 }
 
-fn one_shot(
+/// The wire text of one request: a JSON `body`, the optional
+/// `x-an5d-deadline-ms` budget, and `Connection: keep-alive` or
+/// `Connection: close`.
+fn request_text(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &str,
-    extra_headers: &str,
-) -> io::Result<HttpResponse> {
-    raw_response(
-        addr,
-        &format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n{body}",
-            body.len()
-        ),
+    deadline_ms: Option<u64>,
+    keep_alive: bool,
+) -> String {
+    let deadline_header = deadline_ms.map_or_else(String::new, |ms| {
+        format!("{}: {ms}\r\n", crate::http::DEADLINE_HEADER)
+    });
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{deadline_header}Connection: {connection}\r\n\r\n{body}",
+        body.len()
     )
 }
 
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> io::Result<(u16, String, Option<String>)> {
-    let response = one_shot(addr, method, path, body, "")?;
-    Ok((response.status, response.body, response.trace))
+/// Write one request and read its response over `conn`. Only
+/// closed-before-status-line (`UnexpectedEof` from the first read) keeps
+/// its kind and so stays retryable; any failure after response bytes
+/// started arriving is remapped to `InvalidData`, so the retry logic in
+/// [`KeepAliveClient::send`] cannot silently re-send it.
+fn exchange(conn: &mut BufReader<TcpStream>, request: &str) -> io::Result<(ResponseHead, String)> {
+    conn.get_mut().write_all(request.as_bytes())?;
+    conn.get_mut().flush()?;
+    let head = read_head(conn).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            e
+        } else {
+            invalid(&format!("failed reading response head: {e}"))
+        }
+    })?;
+    let body = read_body(conn, &head).map_err(|e| {
+        if e.kind() == io::ErrorKind::InvalidData {
+            e
+        } else {
+            invalid(&format!("failed reading response body: {e}"))
+        }
+    })?;
+    Ok((head, body))
 }
 
-/// `GET path` → `(status, body)` over a fresh one-shot connection.
+/// Send raw request bytes on a fresh connection and read one
+/// `(status, body)` response.
+///
+/// # Errors
+///
+/// Propagates connect/IO failures and malformed responses.
+pub fn raw(addr: SocketAddr, request: &str) -> io::Result<(u16, String)> {
+    let (head, body) = exchange(&mut connect(addr)?, request)?;
+    Ok((head.status, body))
+}
+
+/// `GET path` → `(status, body)` over a fresh connection.
 ///
 /// # Errors
 ///
 /// Propagates connect/IO failures and malformed responses.
 pub fn get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
-    let (status, body, _) = request(addr, "GET", path, "")?;
-    Ok((status, body))
+    raw(addr, &request_text(addr, "GET", path, "", None, false))
 }
 
 /// `POST path` with a JSON body → `(status, body)` over a fresh
-/// one-shot connection.
+/// connection.
 ///
 /// # Errors
 ///
 /// Propagates connect/IO failures and malformed responses.
 pub fn post(addr: SocketAddr, path: &str, body: &str) -> io::Result<(u16, String)> {
-    let (status, body, _) = request(addr, "POST", path, body)?;
-    Ok((status, body))
-}
-
-/// `POST path` returning `(status, body, trace id)` — the trace id is
-/// the `x-an5d-trace` header value, usable with `GET /trace?id=`.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn post_traced(
-    addr: SocketAddr,
-    path: &str,
-    body: &str,
-) -> io::Result<(u16, String, Option<String>)> {
-    request(addr, "POST", path, body)
-}
-
-/// `POST path` returning the full [`HttpResponse`] (including the
-/// `Retry-After` shed hint) over a fresh one-shot connection.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn post_response(addr: SocketAddr, path: &str, body: &str) -> io::Result<HttpResponse> {
-    one_shot(addr, "POST", path, body, "")
-}
-
-/// `POST path` carrying an `x-an5d-deadline-ms` request deadline.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn post_with_deadline(
-    addr: SocketAddr,
-    path: &str,
-    body: &str,
-    deadline_ms: u64,
-) -> io::Result<HttpResponse> {
-    one_shot(
-        addr,
-        "POST",
-        path,
-        body,
-        &format!("{}: {deadline_ms}\r\n", crate::http::DEADLINE_HEADER),
-    )
+    raw(addr, &request_text(addr, "POST", path, body, None, false))
 }
 
 /// A client that keeps one TCP connection to `an5d-serve` open and
@@ -387,63 +362,10 @@ impl KeepAliveClient {
     }
 
     /// Requests served over an already-established connection (i.e. TCP
-    /// connection setups saved versus the one-shot client).
+    /// connection setups saved versus a fresh connection per request).
     #[must_use]
     pub fn reused(&self) -> u64 {
         self.reused
-    }
-
-    fn connect(addr: SocketAddr) -> io::Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        // Requests are single-segment writes; don't let Nagle hold one
-        // back waiting for the previous response's ACK.
-        stream.set_nodelay(true)?;
-        Ok(BufReader::new(stream))
-    }
-
-    /// One request/response exchange over the current connection.
-    fn exchange(
-        conn: &mut BufReader<TcpStream>,
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: &str,
-        deadline_ms: Option<u64>,
-    ) -> io::Result<(String, ResponseHead)> {
-        let deadline_header = deadline_ms.map_or_else(String::new, |ms| {
-            format!("{}: {ms}\r\n", crate::http::DEADLINE_HEADER)
-        });
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{deadline_header}Connection: keep-alive\r\n\r\n{body}",
-            body.len()
-        );
-        conn.get_mut().write_all(head.as_bytes())?;
-        conn.get_mut().flush()?;
-        // Same principle for the head: only closed-before-status-line
-        // (UnexpectedEof from the first read) may keep its kind and thus
-        // remain retryable; any failure after response bytes started
-        // arriving is remapped so it cannot be silently re-sent.
-        let head = read_head(conn).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                e
-            } else {
-                invalid(&format!("failed reading response head: {e}"))
-            }
-        })?;
-        // Strict Content-Length framing; every body failure
-        // is remapped to InvalidData (never UnexpectedEof or a transport
-        // kind), so the retry logic in `request` cannot silently re-send
-        // after a response started arriving.
-        let body = read_body(conn, &head).map_err(|e| {
-            if e.kind() == io::ErrorKind::InvalidData {
-                e
-            } else {
-                invalid(&format!("failed reading response body: {e}"))
-            }
-        })?;
-        Ok((body, head))
     }
 
     /// `GET path` → `(status, body)`, reusing the connection.
@@ -452,7 +374,8 @@ impl KeepAliveClient {
     ///
     /// Propagates connect/IO failures and malformed responses.
     pub fn get(&mut self, path: &str) -> io::Result<(u16, String)> {
-        self.request("GET", path, "")
+        let response = self.send("GET", path, "")?;
+        Ok((response.status, response.body))
     }
 
     /// `POST path` with a JSON body → `(status, body)`, reusing the
@@ -462,7 +385,8 @@ impl KeepAliveClient {
     ///
     /// Propagates connect/IO failures and malformed responses.
     pub fn post(&mut self, path: &str, body: &str) -> io::Result<(u16, String)> {
-        self.request("POST", path, body)
+        let response = self.send("POST", path, body)?;
+        Ok((response.status, response.body))
     }
 
     /// Spend one budgeted retry: pause per the policy (honoring
@@ -482,7 +406,15 @@ impl KeepAliveClient {
         true
     }
 
-    fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
+    /// Send one request and read the whole [`HttpResponse`], with its
+    /// `x-an5d-trace` id (usable with `GET /trace?id=`) and `Retry-After`
+    /// hint, reusing the connection.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connect/IO failures and malformed responses.
+    pub fn send(&mut self, method: &str, path: &str, body: &str) -> io::Result<HttpResponse> {
+        let request = request_text(self.addr, method, path, body, self.deadline_ms, true);
         let may_retry = idempotent(method, path);
         // Budgeted retries spent so far on this call.
         let mut attempt: u32 = 0;
@@ -490,7 +422,7 @@ impl KeepAliveClient {
             let had_conn = self.conn.is_some();
             let mut conn = match self.conn.take() {
                 Some(conn) => conn,
-                None => match Self::connect(self.addr) {
+                None => match connect(self.addr) {
                     Ok(conn) => conn,
                     Err(error) => {
                         if may_retry && self.spend_retry(&mut attempt, None) {
@@ -500,8 +432,8 @@ impl KeepAliveClient {
                     }
                 },
             };
-            match Self::exchange(&mut conn, self.addr, method, path, body, self.deadline_ms) {
-                Ok((response_body, head)) => {
+            match exchange(&mut conn, &request) {
+                Ok((head, body)) => {
                     if had_conn {
                         self.reused += 1;
                     }
@@ -517,7 +449,12 @@ impl KeepAliveClient {
                             continue;
                         }
                     }
-                    return Ok((head.status, response_body));
+                    return Ok(HttpResponse {
+                        status: head.status,
+                        body,
+                        trace: head.trace,
+                        retry_after: head.retry_after,
+                    });
                 }
                 Err(error)
                     if had_conn
@@ -678,8 +615,37 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_content_length_is_refused_before_allocating() {
+        // Allocating `usize::MAX` bytes panics on "capacity overflow";
+        // the refusal must come before any allocation, at the limit's edge.
+        for length in [u64::MAX, MAX_BODY as u64 + 1] {
+            let head = head_of(&format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\n"
+            ));
+            let err = read_body(&mut io::Cursor::new(b"tiny".to_vec()), &head).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("exceeds"), "{length}: {err}");
+        }
+    }
+
+    #[test]
+    fn requests_carry_the_same_head_but_for_connection_and_deadline() {
+        let addr: SocketAddr = "127.0.0.1:7845".parse().unwrap();
+        assert_eq!(
+            request_text(addr, "POST", "/plan", "{}", None, true),
+            "POST /plan HTTP/1.1\r\nHost: 127.0.0.1:7845\r\nContent-Type: application/json\r\n\
+             Content-Length: 2\r\nConnection: keep-alive\r\n\r\n{}"
+        );
+        assert_eq!(
+            request_text(addr, "GET", "/metrics", "", Some(40), false),
+            "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1:7845\r\nContent-Type: application/json\r\n\
+             Content-Length: 0\r\nx-an5d-deadline-ms: 40\r\nConnection: close\r\n\r\n"
+        );
+    }
+
+    #[test]
     fn only_idempotent_requests_are_retryable() {
-        assert!(idempotent("GET", "/stats"));
+        assert!(idempotent("GET", "/metrics"));
         assert!(idempotent("POST", "/tune"));
         assert!(idempotent("POST", "/execute"));
         assert!(!idempotent("POST", "/shutdown"));

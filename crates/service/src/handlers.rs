@@ -6,11 +6,10 @@
 //! is counted on; `/plan`, `/predict` and `/codegen` plan through the
 //! fleet's one plan cache. Latency is recorded per endpoint in the
 //! shared [`Metrics`] and per named device in its shard — both handles
-//! into the state's one metrics [`Registry`], which `/stats` and
-//! `/metrics` render. Handlers are plain functions over
-//! [`ServiceState`] — the integration tests and `benchmark/` call
-//! [`dispatch`] directly to compute the exact bytes the server must
-//! produce.
+//! into the state's one metrics [`Registry`], which `/metrics` renders.
+//! Handlers are plain functions over [`ServiceState`] — the integration
+//! tests and `benchmark/` call [`dispatch`] directly to compute the
+//! exact bytes the server must produce.
 
 use crate::api::{self, ApiError};
 use crate::fleet::{Fleet, FleetShard};
@@ -26,17 +25,16 @@ use an5d_obs::{ActiveTrace, Registry, Span, TraceId, TraceRing};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Completed traces retained for `GET /trace` by default.
+/// Completed traces retained for `GET /trace`.
 pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 
-/// Default latency above which a request is logged as slow.
+/// Latency above which a request is logged as slow.
 pub const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_secs(1);
 
 /// The endpoints served, with the method each accepts.
 pub const ENDPOINTS: &[(&str, &str)] = &[
     ("GET", "/devices"),
     ("GET", "/metrics"),
-    ("GET", "/stats"),
     ("GET", "/trace"),
     ("POST", "/parse"),
     ("POST", "/plan"),
@@ -55,7 +53,6 @@ pub struct ServiceState {
     registry: Arc<Registry>,
     metrics: Metrics,
     traces: Arc<TraceRing>,
-    slow_threshold: Duration,
 }
 
 impl std::fmt::Debug for ServiceState {
@@ -72,21 +69,6 @@ impl ServiceState {
     /// (V100, P100, A100, small) with one plan cache of `cache_capacity`.
     #[must_use]
     pub fn new(backend: Arc<dyn ExecutionBackend>, cache_capacity: usize) -> Self {
-        Self::with_registry(backend, cache_capacity, DeviceRegistry::standard())
-    }
-
-    /// State serving an explicit device fleet.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty registry — the service needs at least one
-    /// device to route to.
-    #[must_use]
-    pub fn with_registry(
-        backend: Arc<dyn ExecutionBackend>,
-        cache_capacity: usize,
-        registry: DeviceRegistry,
-    ) -> Self {
         let metrics_registry = Arc::new(Registry::new());
         let metrics = Metrics::new(&metrics_registry, ENDPOINTS.iter().map(|(_, path)| *path));
         metrics_registry
@@ -96,35 +78,33 @@ impl ServiceState {
                 &[("backend", &backend.describe())],
             )
             .set(1);
-        // Meter every backend.execute so /stats and /metrics can report
-        // execute latency per backend name; the wrapper delegates
-        // verbatim, so results are unchanged.
+        // Meter every backend.execute so /metrics can report execute
+        // latency per backend name; the wrapper delegates verbatim, so
+        // results are unchanged.
         let backend: Arc<dyn ExecutionBackend> =
             Arc::new(MeteredBackend::new(backend, &metrics_registry));
-        let fleet = Fleet::new(&backend, registry, cache_capacity, &metrics_registry);
+        let fleet = Fleet::new(
+            &backend,
+            DeviceRegistry::standard(),
+            cache_capacity,
+            &metrics_registry,
+        );
         register_pool_series(&metrics_registry);
+        let traces = Arc::new(TraceRing::new(DEFAULT_TRACE_CAPACITY));
+        let ring = Arc::clone(&traces);
+        metrics_registry.sampled_gauge(
+            "an5d_trace_ring_size",
+            "Completed traces currently retained.",
+            &[],
+            move || ring.len() as u64,
+        );
         Self {
             backend,
             fleet,
-            traces: trace_ring(&metrics_registry, DEFAULT_TRACE_CAPACITY),
+            traces,
             registry: metrics_registry,
             metrics,
-            slow_threshold: DEFAULT_SLOW_THRESHOLD,
         }
-    }
-
-    /// Retain at most `capacity` completed traces for `GET /trace`.
-    #[must_use]
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.traces = trace_ring(&self.registry, capacity);
-        self
-    }
-
-    /// Log requests slower than `threshold` (and tag them in `/trace`).
-    #[must_use]
-    pub fn with_slow_threshold(mut self, threshold: Duration) -> Self {
-        self.slow_threshold = threshold;
-        self
     }
 
     /// Attach a persisted tuning database (see [`Fleet::with_tune_db`]):
@@ -142,9 +122,8 @@ impl ServiceState {
         &self.fleet
     }
 
-    /// The metrics registry `/stats` and `/metrics` render. A series
-    /// registered here — by this crate or by an embedder — appears in
-    /// both.
+    /// The metrics registry `/metrics` renders. A series registered
+    /// here — by this crate or by an embedder — appears there.
     #[must_use]
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
@@ -167,26 +146,6 @@ impl ServiceState {
     pub fn traces(&self) -> &TraceRing {
         &self.traces
     }
-
-    /// The slow-request log threshold.
-    #[must_use]
-    pub fn slow_threshold(&self) -> Duration {
-        self.slow_threshold
-    }
-}
-
-/// A trace ring of `capacity` whose occupancy `registry` samples at
-/// scrape (replacing the series of any ring it samples already).
-fn trace_ring(registry: &Registry, capacity: usize) -> Arc<TraceRing> {
-    let traces = Arc::new(TraceRing::new(capacity));
-    let ring = Arc::clone(&traces);
-    registry.sampled_gauge(
-        "an5d_trace_ring_size",
-        "Completed traces currently retained.",
-        &[],
-        move || ring.len() as u64,
-    );
-    traces
 }
 
 /// The process-wide pool keeps its own counts and histogram; expose them
@@ -270,12 +229,12 @@ pub fn dispatch(state: &ServiceState, request: &Request) -> Response {
         Some(trace) => {
             let id = trace.id();
             state.traces.push(trace.finish());
-            if elapsed >= state.slow_threshold {
+            if elapsed >= DEFAULT_SLOW_THRESHOLD {
                 eprintln!(
                     "[an5d-serve] slow request: {method} {path} took {}us \
                      (threshold {}us) trace={id}",
                     elapsed.as_micros(),
-                    state.slow_threshold.as_micros(),
+                    DEFAULT_SLOW_THRESHOLD.as_micros(),
                 );
             }
             response.with_trace(id.to_string())
@@ -286,7 +245,6 @@ pub fn dispatch(state: &ServiceState, request: &Request) -> Response {
 
 fn handle(state: &ServiceState, path: &str, request: &Request) -> Response {
     match path {
-        "/stats" => ok(telemetry::render_stats(&state.registry.snapshot())),
         "/metrics" => Response::text(
             200,
             telemetry::render_prometheus(&state.registry.snapshot()),
@@ -538,28 +496,20 @@ mod tests {
         dispatch(state, &Request::new("POST", path, body.as_bytes()))
     }
 
-    /// The `"value"` of one series in a fresh `GET /stats`: a number for
-    /// counters and gauges, the `{"count", "sum", "max", …}` object for
-    /// histograms. `None` when the family or the label set is absent.
-    fn stat(state: &ServiceState, family: &str, labels: &[(&str, &str)]) -> Option<Json> {
-        let response = dispatch(state, &Request::new("GET", "/stats", b""));
+    /// The value of the sample line `series` (`name{labels}`, as
+    /// printed) in a fresh `GET /metrics`; `None` when it is absent.
+    fn sample(state: &ServiceState, series: &str) -> Option<u64> {
+        let response = dispatch(state, &Request::new("GET", "/metrics", b""));
         assert_eq!(response.status, 200);
-        let stats = json::parse(&response.body).unwrap();
-        let series = stats.get(family)?.get("series")?.as_array()?;
-        let wanted = Json::Obj(
-            labels
-                .iter()
-                .map(|(name, value)| ((*name).to_string(), Json::str(value)))
-                .collect(),
-        );
-        let found = series.iter().find(|s| s.get("labels") == Some(&wanted))?;
-        found.get("value").cloned()
+        let prefix = format!("{series} ");
+        let mut lines = response.body.lines();
+        lines.find_map(|line| line.strip_prefix(&prefix)?.parse().ok())
     }
 
-    /// Requests counted on one device's shard, read from `/stats`.
+    /// Requests counted on one device's shard, read from `/metrics`.
     fn shard_requests(state: &ServiceState, device: &str) -> usize {
-        let value = stat(state, "an5d_shard_requests_total", &[("device", device)]);
-        value.and_then(|v| v.as_usize()).expect("every device")
+        let series = format!("an5d_shard_requests_total{{device=\"{device}\"}}");
+        sample(state, &series).expect("every device") as usize
     }
 
     #[test]
@@ -824,52 +774,54 @@ mod tests {
                        "config":{"bt":1,"bs":[16],"precision":"double"}}"#;
         post(&state, "/plan", body);
         post(&state, "/plan", body);
-        let plan = stat(&state, "an5d_request_latency_us", &[("endpoint", "/plan")])
-            .expect("/plan endpoint recorded");
-        assert_eq!(plan.get("count").unwrap().as_usize(), Some(2));
-        for field in ["sum", "max", "p50", "p95", "p99", "p999"] {
-            assert!(plan.get(field).is_some(), "{field}");
-        }
-        let count = |family: &str, labels: &[(&str, &str)]| {
-            let value = stat(&state, family, labels);
-            value
-                .and_then(|v| v.as_usize())
-                .unwrap_or_else(|| panic!("{family}"))
-        };
+        let count = |series: &str| sample(&state, series).unwrap_or_else(|| panic!("{series}"));
+        let plan = r#"endpoint="/plan""#;
         assert_eq!(
-            count("an5d_requests_total", &[("endpoint", "/plan")]),
+            count(&format!("an5d_request_latency_us_count{{{plan}}}")),
+            2
+        );
+        count(&format!("an5d_request_latency_us_sum{{{plan}}}"));
+        for q in ["0.5", "0.95", "0.99", "0.999"] {
+            count(&format!(
+                "an5d_request_latency_us_quantile{{{plan},quantile=\"{q}\"}}"
+            ));
+        }
+        assert_eq!(
+            count(&format!("an5d_requests_total{{{plan}}}")),
             2,
             "the request counter is the histogram's count"
         );
         let (hits, misses) = (
-            count("an5d_plan_cache_hits_total", &[]),
-            count("an5d_plan_cache_misses_total", &[]),
+            count("an5d_plan_cache_hits_total"),
+            count("an5d_plan_cache_misses_total"),
         );
         assert_eq!((hits, misses), (1, 1), "hit rate 0.5");
-        assert_eq!(count("an5d_plan_cache_capacity", &[]), 64);
-        assert_eq!(count("an5d_backend_info", &[("backend", "serial")]), 1);
+        assert_eq!(count("an5d_plan_cache_capacity"), 64);
+        assert_eq!(count(r#"an5d_backend_info{backend="serial"}"#), 1);
         // The fleet breakdown and pool observability ride along; plans
         // are not per device, so no device carries a cache of its own.
         for shard in state.fleet().shards() {
-            let device = [("device", shard.id().as_str())];
-            assert_eq!(count("an5d_shard_requests_total", &device), 0);
-            assert_eq!(count("an5d_tunedb_warmed", &device), 0);
-            assert!(stat(&state, "an5d_plan_cache_entries", &device).is_none());
+            let device = format!("{{device=\"{}\"}}", shard.id().as_str());
+            assert_eq!(count(&format!("an5d_shard_requests_total{device}")), 0);
+            assert_eq!(count(&format!("an5d_tunedb_warmed{device}")), 0);
+            let entries = format!("an5d_plan_cache_entries{device}");
+            assert!(sample(&state, &entries).is_none());
         }
-        assert!(stat(&state, "an5d_pool_batches_executed_total", &[]).is_some());
+        count("an5d_pool_batches_executed_total");
     }
 
     #[test]
-    fn stats_and_metrics_report_backend_execute_latency() {
+    fn metrics_report_backend_execute_latency() {
         let state = state();
         let body = r#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
                        "config":{"bt":2,"bs":[12],"precision":"double"}}"#;
         assert_eq!(post(&state, "/execute", body).status, 200);
 
-        let serial = stat(&state, "an5d_backend_execute_us", &[("backend", "serial")])
+        let serial = sample(&state, r#"an5d_backend_execute_us_count{backend="serial"}"#)
             .expect("backend.execute latency recorded under the backend name");
-        assert!(serial.get("count").unwrap().as_usize().unwrap() >= 1);
-        assert!(serial.get("p99").is_some());
+        assert!(serial >= 1);
+        let p99 = r#"an5d_backend_execute_us_quantile{backend="serial",quantile="0.99"}"#;
+        assert!(sample(&state, p99).is_some());
 
         let metrics = dispatch(&state, &Request::new("GET", "/metrics", b""));
         assert!(

@@ -616,28 +616,28 @@ mod tests {
 
     #[test]
     fn parses_a_get_without_body() {
-        let req = parse("get /stats HTTP/1.0\r\n\r\n").unwrap();
+        let req = parse("get /metrics HTTP/1.0\r\n\r\n").unwrap();
         assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/stats");
+        assert_eq!(req.path, "/metrics");
         assert!(req.body.is_empty());
         assert!(!req.keep_alive, "HTTP/1.0 defaults to close");
     }
 
     #[test]
     fn connection_header_overrides_the_version_default() {
-        let req = parse("GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
-        let req = parse("GET /stats HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
         assert!(req.keep_alive);
         // Token lists and mixed case are honoured.
-        let req = parse("GET /stats HTTP/1.1\r\nConnection: TE, Close\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\nConnection: TE, Close\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
         // Unrelated Connection tokens leave the version default alone.
-        let req = parse("GET /stats HTTP/1.1\r\nConnection: upgrade\r\n\r\n").unwrap();
+        let req = parse("GET /metrics HTTP/1.1\r\nConnection: upgrade\r\n\r\n").unwrap();
         assert!(req.keep_alive);
         // Close wins even when a later header line says keep-alive.
         let req =
-            parse("GET /stats HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n")
+            parse("GET /metrics HTTP/1.1\r\nConnection: close\r\nConnection: keep-alive\r\n\r\n")
                 .unwrap();
         assert!(!req.keep_alive, "close must win once seen");
     }
@@ -766,7 +766,7 @@ mod tests {
         };
         assert_eq!(err.status, 400);
         // Even a well-formed follow-up cannot resynchronize the stream.
-        parser.feed(b"GET /stats HTTP/1.1\r\n\r\n");
+        parser.feed(b"GET /metrics HTTP/1.1\r\n\r\n");
         assert!(matches!(parser.parse(), Parse::Failed(e) if e.status == 400));
         assert!(!parser.is_clean());
     }
@@ -774,7 +774,7 @@ mod tests {
     #[test]
     fn incremental_parser_enforces_line_and_body_limits() {
         let mut parser = RequestParser::new();
-        parser.feed(b"GET /stats HTTP/1.1\r\nX-Pad: ");
+        parser.feed(b"GET /metrics HTTP/1.1\r\nX-Pad: ");
         parser.feed(&vec![b'a'; MAX_LINE_BYTES + 1]);
         assert!(matches!(parser.parse(), Parse::Failed(e) if e.status == 400));
 

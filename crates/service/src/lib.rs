@@ -32,8 +32,7 @@
 //! | `/codegen` | POST | CUDA kernel + host source |
 //! | `/execute` | POST | blocked run: checksum + traffic counters |
 //! | `/devices` | GET | registered GPU profiles + routing default |
-//! | `/stats` | GET | every family of the metrics registry, as JSON |
-//! | `/metrics` | GET | the same registry as Prometheus text |
+//! | `/metrics` | GET | every family of the metrics registry, as Prometheus text |
 //! | `/trace` | GET | recently completed request traces; `?id=` for one span tree |
 //! | `/shutdown` | POST | graceful shutdown (drains the queue) |
 //!
@@ -63,9 +62,9 @@
 //! answered `504` with a structured partial-progress body. All `503`
 //! sheds carry `Retry-After`; [`client::RetryPolicy`] honors it with
 //! capped, seeded-jitter exponential backoff on idempotent requests. A
-//! deterministic fault-injection plan (`an5d-fault`; `--faults` /
-//! `AN5D_FAULTS`) drives the `tests/chaos.rs` soak against exactly
-//! this machinery.
+//! deterministic fault-injection plan, installed in process with
+//! `an5d_fault::install`, drives the `tests/chaos.rs` soak against
+//! exactly this machinery.
 //!
 //! Connections are **persistent** (HTTP/1.1 keep-alive) and owned by a
 //! single reactor thread: an idle connection parks in the reactor's
@@ -78,13 +77,15 @@
 //! (`tests/connection_layer.rs` parks 400 and bounds what they cost
 //! the active ones; `/metrics` gauges
 //! `an5d_connections_{open,parked,active}` watch it live). The
-//! [`client::KeepAliveClient`] reuses one connection across requests.
+//! [`client::KeepAliveClient`] reuses one connection across requests;
+//! the one-request [`client::get`]/[`client::post`] helpers go through
+//! the same exchange with `Connection: close`.
 //!
 //! Every counter, gauge and histogram the process keeps lives in one
 //! typed [`an5d_obs::Registry`] ([`ServiceState::registry`]): a series
 //! is registered once, where it is recorded ([`metrics`], [`fleet`],
-//! [`handlers`]), and `/stats` and `/metrics` are two views over its
-//! snapshot ([`telemetry`]).
+//! [`handlers`]), and `/metrics` is the one view of its snapshot
+//! ([`telemetry`]).
 //!
 //! # Example
 //!

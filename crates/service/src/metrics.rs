@@ -4,7 +4,7 @@
 //!
 //! Everything here is a handle into the state's [`Registry`]: a series
 //! is registered in this file, next to the code that records it, and
-//! `/stats` and `/metrics` find it by iterating the registry (see
+//! `/metrics` finds it by iterating the registry (see
 //! [`crate::telemetry`]). Per-endpoint handles are resolved the first
 //! time an endpoint records — [`OnceLock`] slots sized from the static
 //! endpoint list — so the hot path is a lock-free slot read plus
@@ -62,9 +62,9 @@ impl ConnectionSnapshot {
 
 /// Connection-layer series maintained by the reactor thread.
 ///
-/// Only the reactor mutates these (single-threaded), but `/metrics` and
-/// `/stats` read them from worker threads, so they are registry cells
-/// rather than plain fields.
+/// Only the reactor mutates these (single-threaded), but `/metrics`
+/// reads them from worker threads, so they are registry cells rather
+/// than plain fields.
 #[derive(Debug)]
 pub struct ConnectionStats {
     accepted: Counter,
@@ -370,7 +370,7 @@ mod tests {
 
     fn metrics() -> (Arc<Registry>, Metrics) {
         let registry = Arc::new(Registry::new());
-        let metrics = Metrics::new(&registry, ["/plan", "/stats", "/tune"]);
+        let metrics = Metrics::new(&registry, ["/plan", "/devices", "/tune"]);
         (registry, metrics)
     }
 
@@ -396,7 +396,7 @@ mod tests {
             .endpoint("/tune")
             .record(Duration::from_micros(300), false);
         metrics
-            .endpoint("/stats")
+            .endpoint("/devices")
             .record(Duration::from_micros(5), true);
 
         let tune = metrics.endpoint("/tune");
@@ -414,7 +414,7 @@ mod tests {
         assert_eq!(
             series(&registry, "an5d_requests_total"),
             [
-                (endpoint("/stats"), Sample::Value(1)),
+                (endpoint("/devices"), Sample::Value(1)),
                 (endpoint("/tune"), Sample::Value(2)),
             ],
             "/plan never recorded, so it has no series"
@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn poisoned_registry_keeps_serving() {
         // Regression: a handler thread panicking while holding the
-        // registry lock used to poison it and 500 every later /stats.
+        // registry lock used to poison it and 500 every later /metrics.
         let (registry, metrics) = metrics();
         metrics
             .endpoint("/plan")

@@ -33,7 +33,6 @@ use crate::handlers::{dispatch, ServiceState};
 use crate::http::{write_response, Request, Response};
 use crate::json::Json;
 use crate::reactor::Reactor;
-use an5d::ExecutionBackend;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -78,18 +77,6 @@ pub struct ServerConfig {
     /// Appends are `fsync`ed per record: an acknowledged `/tune` result
     /// must survive a crash, and tuning cost dwarfs the fsync.
     pub tune_db: Option<String>,
-    /// Deterministic fault-injection plan
-    /// (see [`an5d_fault::FaultPlan::parse`] for the spec grammar),
-    /// installed process-wide at startup. `None` (the default) injects
-    /// nothing and costs one relaxed atomic load per fault point. The
-    /// `an5d-serve` binary resolves `--faults` / the `AN5D_FAULTS`
-    /// environment variable into this field.
-    pub faults: Option<String>,
-    /// Requests slower than this are logged to stderr with their trace
-    /// id (see `GET /trace?id=`).
-    pub slow_request_threshold: Duration,
-    /// Completed request traces retained for `GET /trace`.
-    pub trace_capacity: usize,
     /// Execution backend spec (`serial`, `vector[:N]` —
     /// see [`an5d::create_backend`]). `None` (the default) is `serial`;
     /// the `an5d-serve` binary resolves `--backend` / the `AN5D_BACKEND`
@@ -108,9 +95,6 @@ impl Default for ServerConfig {
             keep_alive_timeout: Duration::from_secs(5),
             max_requests_per_connection: 1000,
             tune_db: None,
-            faults: None,
-            slow_request_threshold: crate::handlers::DEFAULT_SLOW_THRESHOLD,
-            trace_capacity: crate::handlers::DEFAULT_TRACE_CAPACITY,
             backend: None,
         }
     }
@@ -226,7 +210,11 @@ impl Server {
     ///
     /// Propagates bind failures; rejects an invalid
     /// [`ServerConfig::backend`] spec (an explicitly requested backend
-    /// must not silently degrade to serial).
+    /// must not silently degrade to serial) and a
+    /// [`ServerConfig::tune_db`] that names a file that exists but is not
+    /// a tune DB — starting *without* the operator's requested
+    /// persistence (silently re-tuning everything) would be worse than
+    /// not starting.
     pub fn start(config: &ServerConfig) -> io::Result<Server> {
         let spec = config.backend.as_deref().unwrap_or("serial");
         let backend = an5d::create_backend(spec).ok_or_else(|| {
@@ -239,32 +227,7 @@ impl Server {
                 ),
             )
         })?;
-        Self::start_with_backend(config, backend)
-    }
-
-    /// Bind and start serving on an explicit execution backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures, tune-DB open failures when
-    /// [`ServerConfig::tune_db`] names a file that exists but is not a
-    /// tune DB — starting *without* the operator's requested persistence
-    /// (silently re-tuning everything) would be worse than not starting —
-    /// and malformed [`ServerConfig::faults`] specs (a chaos run with a
-    /// typo'd plan silently injecting nothing would report a clean bill
-    /// of health it never earned).
-    pub fn start_with_backend(
-        config: &ServerConfig,
-        backend: Arc<dyn ExecutionBackend>,
-    ) -> io::Result<Server> {
-        if let Some(spec) = &config.faults {
-            let plan = an5d_fault::FaultPlan::parse(spec)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-            an5d_fault::install(plan);
-        }
-        let mut state = ServiceState::new(backend, config.cache_capacity.max(1))
-            .with_slow_threshold(config.slow_request_threshold)
-            .with_trace_capacity(config.trace_capacity);
+        let mut state = ServiceState::new(backend, config.cache_capacity.max(1));
         if let Some(path) = &config.tune_db {
             state = state.with_tune_db(Arc::new(an5d::TuneDb::open(path)?.sync_on_append(true)));
         }
@@ -412,10 +375,9 @@ pub fn banner(
 mod tests {
     use super::*;
     use crate::client;
-    use an5d::SerialBackend;
 
     fn test_server_with(config: ServerConfig) -> Server {
-        Server::start_with_backend(&config, Arc::new(SerialBackend)).expect("bind ephemeral port")
+        Server::start(&config).expect("bind ephemeral port")
     }
 
     fn test_server(workers: usize, queue_depth: usize) -> Server {
@@ -429,12 +391,12 @@ mod tests {
     }
 
     #[test]
-    fn serves_stats_and_shuts_down_cleanly() {
+    fn serves_metrics_and_shuts_down_cleanly() {
         let server = test_server(2, 16);
         let addr = server.addr();
-        let (status, body) = client::get(addr, "/stats").unwrap();
+        let (status, body) = client::get(addr, "/metrics").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"an5d_plan_cache_capacity\""), "{body}");
+        assert!(body.contains("\nan5d_plan_cache_capacity 64\n"), "{body}");
         let (status, body) = client::post(addr, "/shutdown", "").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, r#"{"ok":true}"#);
@@ -471,7 +433,7 @@ mod tests {
     fn stop_joins_without_outside_help() {
         let server = test_server(1, 4);
         let addr = server.addr();
-        let (status, _) = client::get(addr, "/stats").unwrap();
+        let (status, _) = client::get(addr, "/metrics").unwrap();
         assert_eq!(status, 200);
         server.stop();
     }
@@ -496,9 +458,9 @@ mod tests {
         let addr = server.addr();
         let mut client = client::KeepAliveClient::new(addr);
         for round in 0..10 {
-            let (status, body) = client.get("/stats").unwrap();
+            let (status, body) = client.get("/metrics").unwrap();
             assert_eq!(status, 200, "round {round}: {body}");
-            assert!(body.contains("\"an5d_plan_cache_capacity\""));
+            assert!(body.contains("\nan5d_plan_cache_capacity 64\n"));
         }
         assert_eq!(
             client.reused(),
@@ -521,8 +483,8 @@ mod tests {
         // Two back-to-back requests in one write; the second closes.
         stream
             .write_all(
-                b"GET /stats HTTP/1.1\r\n\r\n\
-                  GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n",
+                b"GET /metrics HTTP/1.1\r\n\r\n\
+                  GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
             )
             .unwrap();
         let mut raw = String::new();
@@ -550,7 +512,7 @@ mod tests {
         let addr = server.addr();
         let mut client = client::KeepAliveClient::new(addr);
         for round in 0..10 {
-            let (status, _) = client.get("/stats").unwrap();
+            let (status, _) = client.get("/metrics").unwrap();
             assert_eq!(status, 200, "round {round}");
         }
         // Connections are recycled every 3 requests, so fewer than 9
@@ -572,7 +534,7 @@ mod tests {
         });
         let addr = server.addr();
         let mut client = client::KeepAliveClient::new(addr);
-        let (status, _) = client.get("/stats").unwrap();
+        let (status, _) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         // Sit idle past the server's keep-alive timeout; the reactor
         // reaps the parked connection (a clean close, not an abort)...
@@ -580,10 +542,10 @@ mod tests {
         let snap = server.state().metrics().connections.snapshot();
         assert_eq!(snap.open, 0, "idle connection must be reaped: {snap:?}");
         assert_eq!(snap.aborted, 0, "idle reap is clean: {snap:?}");
-        let (status, _) = client::get(addr, "/stats").unwrap();
+        let (status, _) = client::get(addr, "/metrics").unwrap();
         assert_eq!(status, 200);
         // ...and the idle client reconnects transparently.
-        let (status, _) = client.get("/stats").unwrap();
+        let (status, _) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         server.stop();
     }
@@ -600,7 +562,7 @@ mod tests {
         });
         let addr = server.addr();
         let mut client = client::KeepAliveClient::new(addr);
-        let (status, _) = client.get("/stats").unwrap();
+        let (status, _) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         // The connection is parked under the 50 ms keep-alive; a request
         // whose handling outlasts it must not be reaped by that deadline.
@@ -639,7 +601,7 @@ mod tests {
         });
         let addr = server.addr();
         let mut idle = client::KeepAliveClient::new(addr);
-        let (status, _) = idle.get("/stats").unwrap();
+        let (status, _) = idle.get("/metrics").unwrap();
         assert_eq!(status, 200);
         // The connection now sits parked in the reactor.
         let started = std::time::Instant::now();
@@ -666,12 +628,12 @@ mod tests {
         });
         let addr = server.addr();
         let mut first = client::KeepAliveClient::new(addr);
-        let (status, _) = first.get("/stats").unwrap();
+        let (status, _) = first.get("/metrics").unwrap();
         assert_eq!(status, 200);
         // The first connection is now idle (parked).
         let mut second = client::KeepAliveClient::new(addr);
         let started = std::time::Instant::now();
-        let (status, _) = second.get("/stats").unwrap();
+        let (status, _) = second.get("/metrics").unwrap();
         assert_eq!(status, 200);
         assert!(
             started.elapsed() < Duration::from_secs(2),
@@ -680,8 +642,8 @@ mod tests {
         );
         // Both clients keep interleaving on the single worker.
         for _ in 0..5 {
-            assert_eq!(first.get("/stats").unwrap().0, 200);
-            assert_eq!(second.get("/stats").unwrap().0, 200);
+            assert_eq!(first.get("/metrics").unwrap().0, 200);
+            assert_eq!(second.get("/metrics").unwrap().0, 200);
         }
         server.stop();
     }
@@ -691,9 +653,9 @@ mod tests {
         let server = test_server(1, 8);
         let addr = server.addr();
         let (status, body) =
-            client::raw(addr, "GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            client::raw(addr, "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"an5d_plan_cache_capacity\""));
+        assert!(body.contains("\nan5d_plan_cache_capacity 64\n"));
         assert_eq!(server.reused_requests(), 0);
         server.stop();
     }
@@ -705,7 +667,7 @@ mod tests {
         let mut clients: Vec<client::KeepAliveClient> =
             (0..5).map(|_| client::KeepAliveClient::new(addr)).collect();
         for client in &mut clients {
-            let (status, _) = client.get("/stats").unwrap();
+            let (status, _) = client.get("/metrics").unwrap();
             assert_eq!(status, 200);
         }
         // All five connections are now idle between requests: parked.
@@ -764,7 +726,7 @@ mod tests {
         }
         // A clean EOF between requests is NOT an abort.
         let mut client = client::KeepAliveClient::new(addr);
-        let (status, _) = client.get("/stats").unwrap();
+        let (status, _) = client.get("/metrics").unwrap();
         assert_eq!(status, 200);
         drop(client); // clean keep-alive teardown
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -1,8 +1,7 @@
-//! Rendering for the observability endpoints: `GET /metrics` and
-//! `GET /stats` are two views over one [`Registry::snapshot`] — the
-//! Prometheus text exposition and a JSON object of the same families —
-//! and neither knows a metric by name, so a series registered anywhere
-//! in the process shows up in both. `GET /trace` renders the trace ring.
+//! Rendering for the observability endpoints: `GET /metrics` is the
+//! Prometheus text exposition of one [`Registry::snapshot`], and knows no
+//! metric by name, so a series registered anywhere in the process shows
+//! up there. `GET /trace` renders the trace ring.
 //!
 //! [`Registry::snapshot`]: an5d_obs::Registry::snapshot
 
@@ -12,7 +11,7 @@ use an5d_obs::{FamilySnapshot, FinishedTrace, HistogramSnapshot, Sample};
 use std::fmt::Write as _;
 
 /// Cumulative `le` bucket edges for latency histograms, microseconds.
-/// Chosen to bracket everything from a cache-hit `/stats` (tens of µs)
+/// Chosen to bracket everything from a cache-hit `/plan` (tens of µs)
 /// to a cold paper-scale `/tune` (seconds).
 const LE_BUCKETS_US: &[u64] = &[
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
@@ -20,15 +19,15 @@ const LE_BUCKETS_US: &[u64] = &[
 ];
 
 /// Quantiles exported per histogram series: the Prometheus `quantile`
-/// label, the JSON key, the rank.
-const QUANTILES: &[(&str, &str, f64)] = &[
-    ("0.5", "p50", 0.5),
-    ("0.95", "p95", 0.95),
-    ("0.99", "p99", 0.99),
-    ("0.999", "p999", 0.999),
+/// label and the rank.
+const QUANTILES: &[(&str, f64)] = &[
+    ("0.5", 0.5),
+    ("0.95", 0.95),
+    ("0.99", 0.99),
+    ("0.999", 0.999),
 ];
 
-/// `{name="value",…}` for a series' labels plus one view-specific label
+/// `{name="value",…}` for a series' labels plus one line-specific label
 /// (`le`, `quantile`); nothing at all for an empty set.
 fn label_set(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
     let labels = labels
@@ -68,7 +67,7 @@ fn write_histogram(
     let plain = label_set(labels, None);
     let _ = writeln!(out, "{name}_sum{plain} {}", snapshot.sum());
     let _ = writeln!(out, "{name}_count{plain} {}", snapshot.count());
-    for (text, _, q) in QUANTILES {
+    for (text, q) in QUANTILES {
         let quantile = label_set(labels, Some(("quantile", text)));
         let _ = writeln!(out, "{name}_quantile{quantile} {}", snapshot.quantile(*q));
     }
@@ -94,55 +93,6 @@ pub fn render_prometheus(families: &[FamilySnapshot]) -> String {
         }
     }
     out
-}
-
-/// The JSON rendering of a registry snapshot (`/stats`):
-/// `{family: {"type", "help", "series": [{"labels": {…}, "value": v}]}}`
-/// where `v` is a number for counters and gauges and
-/// `{"count","sum","max","p50","p95","p99","p999"}` for histograms.
-#[must_use]
-pub fn render_stats(families: &[FamilySnapshot]) -> Json {
-    let int = |value: u64| Json::Int(i128::from(value));
-    let series_json = |family: &FamilySnapshot| {
-        let series = family.series.iter().map(|series| {
-            let labels = series.labels.iter();
-            let value = match &series.sample {
-                Sample::Value(value) => int(*value),
-                Sample::Histogram(snapshot) => {
-                    let mut fields = vec![
-                        ("count".to_string(), int(snapshot.count())),
-                        ("sum".to_string(), int(snapshot.sum())),
-                        ("max".to_string(), int(snapshot.max())),
-                    ];
-                    for (_, key, q) in QUANTILES {
-                        fields.push(((*key).to_string(), int(snapshot.quantile(*q))));
-                    }
-                    Json::Obj(fields)
-                }
-            };
-            Json::obj(vec![
-                (
-                    "labels",
-                    Json::Obj(labels.map(|(k, v)| (k.clone(), Json::str(v))).collect()),
-                ),
-                ("value", value),
-            ])
-        });
-        Json::Arr(series.collect())
-    };
-    Json::Obj(
-        families
-            .iter()
-            .map(|family| {
-                let body = Json::obj(vec![
-                    ("type", Json::str(family.kind.as_str())),
-                    ("help", Json::str(&family.help)),
-                    ("series", series_json(family)),
-                ]);
-                (family.name.clone(), body)
-            })
-            .collect(),
-    )
 }
 
 /// Summary JSON for `GET /trace`: the retained traces, oldest first.
@@ -259,24 +209,5 @@ mod tests {
             );
         }
         assert!(!text.contains("{}"), "{text}");
-    }
-
-    #[test]
-    fn json_view_renders_the_same_families_with_typed_values() {
-        let families = snapshot();
-        let json = render_stats(&families);
-        let Json::Obj(fields) = &json else {
-            panic!("an object of families")
-        };
-        let names: Vec<&str> = fields.iter().map(|(name, _)| name.as_str()).collect();
-        assert_eq!(names, ["db_info", "jobs_total", "wall_us", "workers"]);
-        assert_eq!(
-            json.get("jobs_total").unwrap().render(),
-            r#"{"type":"counter","help":"Jobs run.","series":[{"labels":{"device":"v100"},"value":3}]}"#
-        );
-        assert_eq!(
-            json.get("wall_us").unwrap().get("series").unwrap().render(),
-            r#"[{"labels":{},"value":{"count":2,"sum":100,"max":60,"p50":40,"p95":60,"p99":60,"p999":60}}]"#
-        );
     }
 }

@@ -134,6 +134,7 @@ fn seeded_faults_never_corrupt_a_response_and_reconcile_with_the_metrics() {
          tunedb.append=error@1/3;tuner.candidate=delay:15@1/7"
     );
     let db = TempDb::new("chaos");
+    an5d_fault::install(an5d_fault::FaultPlan::parse(&spec).expect("valid plan"));
     let server = server(ServerConfig {
         workers: 4,
         queue_depth: 256,
@@ -141,7 +142,6 @@ fn seeded_faults_never_corrupt_a_response_and_reconcile_with_the_metrics() {
         keep_alive_timeout: SOAK + Duration::from_secs(60),
         max_requests_per_connection: 1_000_000,
         tune_db: db.config(),
-        faults: Some(spec),
         ..ServerConfig::default()
     });
     let addr = server.addr();

@@ -1,11 +1,11 @@
 //! The one harness the service integration tests share: an in-process
 //! server on an ephemeral port, a self-deleting tune-DB path, raw-socket
-//! request helpers and readers for the two metrics views.
+//! request helpers and a reader for the `/metrics` view.
 
 // Every test binary compiles this module and uses its own subset.
 #![allow(dead_code)]
 
-use an5d_service::{client, parse_json, Json, Server, ServerConfig};
+use an5d_service::{client, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -133,28 +133,9 @@ pub fn metric(text: &str, family: &str, labels: &[(&str, &str)]) -> Option<u64> 
         .and_then(|value| value.trim().parse().ok())
 }
 
-/// `GET /stats`, parsed.
-pub fn stats(addr: SocketAddr) -> Json {
-    let (status, body) = client::get(addr, "/stats").expect("/stats reachable");
+/// `GET /metrics`, as text.
+pub fn scrape(addr: SocketAddr) -> String {
+    let (status, text) = client::get(addr, "/metrics").expect("/metrics reachable");
     assert_eq!(status, 200);
-    parse_json(&body).expect("/stats is valid JSON")
-}
-
-/// The value of the series `family{labels}` in a parsed `/stats` body: a
-/// counter or gauge reading, or a histogram's `count`. `None` when the
-/// family or the label set is absent.
-pub fn stat(stats: &Json, family: &str, labels: &[(&str, &str)]) -> Option<u64> {
-    let wanted = Json::Obj(
-        labels
-            .iter()
-            .map(|(name, value)| ((*name).to_string(), Json::str(value)))
-            .collect(),
-    );
-    let series = stats.get(family)?.get("series")?.as_array()?;
-    let value = series
-        .iter()
-        .find(|s| s.get("labels") == Some(&wanted))?
-        .get("value")?;
-    let number = value.get("count").unwrap_or(value);
-    number.as_usize().map(|n| n as u64)
+    text
 }

@@ -16,7 +16,7 @@
 
 mod common;
 
-use an5d_service::{client, Server, ServerConfig};
+use an5d_service::{client, KeepAliveClient, Server, ServerConfig};
 use common::metric;
 use std::sync::Mutex;
 
@@ -45,8 +45,11 @@ fn expired_at_admission_is_shed_with_503_and_retry_after_without_occupying_a_wor
 
     // A 0 ms budget is stamped at header-parse time, so it is expired
     // with certainty by the time the reactor considers dispatching.
-    let response =
-        client::post_with_deadline(addr, "/plan", PLAN_BODY, 0).expect("shed response arrives");
+    let mut conn = KeepAliveClient::new(addr);
+    conn.set_deadline_ms(Some(0));
+    let response = conn
+        .send("POST", "/plan", PLAN_BODY)
+        .expect("shed response arrives");
     assert_eq!(response.status, 503, "{}", response.body);
     assert!(
         response.retry_after.is_some(),
@@ -70,8 +73,10 @@ fn expired_at_admission_is_shed_with_503_and_retry_after_without_occupying_a_wor
 
     // The same request with a generous budget sails through — proving
     // the shed above was the deadline, not the request.
-    let response =
-        client::post_with_deadline(addr, "/plan", PLAN_BODY, 30_000).expect("healthy response");
+    conn.set_deadline_ms(Some(30_000));
+    let response = conn
+        .send("POST", "/plan", PLAN_BODY)
+        .expect("healthy response");
     assert_eq!(response.status, 200, "{}", response.body);
     assert_eq!(metrics.endpoint("/plan").latency.count(), 1);
 
@@ -104,8 +109,11 @@ fn tune_with_a_short_deadline_returns_504_with_partial_progress() {
 
     let body = r#"{"benchmark":"j2d5pt","interior":[256,256],"steps":50,
                    "device":"v100","precision":"single","space":"quick"}"#;
-    let response =
-        client::post_with_deadline(addr, "/tune", body, 40).expect("504 response arrives");
+    let mut conn = KeepAliveClient::new(addr);
+    conn.set_deadline_ms(Some(40));
+    let response = conn
+        .send("POST", "/tune", body)
+        .expect("504 response arrives");
     an5d_fault::uninstall();
 
     assert_eq!(response.status, 504, "{}", response.body);

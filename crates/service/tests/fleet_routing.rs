@@ -11,7 +11,7 @@
 mod common;
 
 use an5d_service::{client, parse_json, ServerConfig};
-use common::{server, shutdown, stat, stats};
+use common::{metric, scrape, server, shutdown};
 use std::net::SocketAddr;
 
 const DEVICES: [&str; 4] = ["a100", "p100", "small", "v100"];
@@ -25,11 +25,11 @@ fn predict_body(device: &str, bt: usize) -> String {
     )
 }
 
-/// `(hits, misses, entries)` of the one plan cache, from `/stats`.
+/// `(hits, misses, entries)` of the one plan cache, from `/metrics`.
 fn cache_stats(addr: SocketAddr) -> (u64, u64, u64) {
-    let seen = stats(addr);
+    let seen = scrape(addr);
     let series = |family: &str| {
-        stat(&seen, family, &[]).unwrap_or_else(|| panic!("/stats must report {family}"))
+        metric(&seen, family, &[]).unwrap_or_else(|| panic!("/metrics must report {family}"))
     };
     (
         series("an5d_plan_cache_hits_total"),

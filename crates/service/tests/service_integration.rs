@@ -2,7 +2,7 @@
 //! with concurrent tune/codegen/execute traffic from multiple client
 //! threads, and assert that every response is byte-identical to a
 //! direct `An5d` facade call — on the serial backend and with tiles
-//! fanned out over the pool — and that the `/stats` cache hit rate rises
+//! fanned out over the pool — and that the `/metrics` cache hit rate rises
 //! as the shared plan cache warms up.
 
 mod common;
@@ -12,7 +12,7 @@ use an5d::{
     SearchSpace, SerialBackend,
 };
 use an5d_service::{api, client, ServerConfig};
-use common::{server, shutdown, stat, stats};
+use common::{metric, scrape, server, shutdown};
 use std::sync::Arc;
 
 /// The mixed request set every client thread replays.
@@ -73,10 +73,10 @@ fn expected_bodies() -> Vec<String> {
     vec![tune, codegen, execute]
 }
 
-/// Plan-cache hits over lookups, from the two `/stats` counters.
+/// Plan-cache hits over lookups, from the two `/metrics` counters.
 fn hit_rate(addr: std::net::SocketAddr) -> f64 {
-    let seen = stats(addr);
-    let count = |family| stat(&seen, family, &[]).expect("stats carries the cache counters");
+    let seen = scrape(addr);
+    let count = |family| metric(&seen, family, &[]).expect("/metrics carries the cache counters");
     let (hits, misses) = (
         count("an5d_plan_cache_hits_total"),
         count("an5d_plan_cache_misses_total"),
@@ -162,16 +162,16 @@ fn concurrent_clients_on(spec: &str, backend: &str, expected: &[String]) {
         "hit rate must keep rising on repeated traffic ({warm_rate} → {warmer_rate})"
     );
 
-    // /stats reflects the traffic the endpoints saw, and the backend
+    // /metrics reflects the traffic the endpoints saw, and the backend
     // every /execute ran on.
-    let seen = stats(addr);
+    let seen = scrape(addr);
     let requests = (CLIENTS * ROUNDS_PER_CLIENT + 1) as u64;
     assert_eq!(
-        stat(&seen, "an5d_requests_total", &[("endpoint", "/tune")]),
+        metric(&seen, "an5d_requests_total", &[("endpoint", "/tune")]),
         Some(requests)
     );
     assert_eq!(
-        stat(
+        metric(
             &seen,
             "an5d_backend_executes_total",
             &[("backend", backend)]
@@ -209,12 +209,13 @@ fn admission_control_sheds_load_with_503s_instead_of_queueing_unboundedly() {
     for _ in 0..8 {
         let stop = Arc::clone(&stop);
         clients.push(std::thread::spawn(move || {
+            let mut conn = client::KeepAliveClient::new(addr);
             let mut saw_503 = false;
             for _ in 0..200 {
                 if stop.load(std::sync::atomic::Ordering::Relaxed) {
                     break;
                 }
-                if let Ok(response) = client::post_response(addr, "/execute", body) {
+                if let Ok(response) = conn.send("POST", "/execute", body) {
                     if response.status == 503 {
                         // Every overload shed must tell well-behaved
                         // clients when to come back.
@@ -248,10 +249,10 @@ fn admission_control_sheds_load_with_503s_instead_of_queueing_unboundedly() {
     use std::io::Write;
     let mut parked = std::net::TcpStream::connect(addr).unwrap();
     parked
-        .write_all(b"POST /stats HTTP/1.1\r\nContent-Length: 4\r\n\r\n")
+        .write_all(b"POST /plan HTTP/1.1\r\nContent-Length: 4\r\n\r\n")
         .unwrap();
     parked.flush().unwrap();
-    let (status, _) = client::get(addr, "/stats").unwrap();
+    let (status, _) = client::get(addr, "/metrics").unwrap();
     assert_eq!(status, 200, "half-sent request must not block the worker");
     drop(parked);
     server.stop();

@@ -3,16 +3,19 @@
 //! trip for a `/tune` request, the trace-ring eviction order, the
 //! client↔server latency-percentile cross-check at dispatch level, the
 //! parent-generated list of `/metrics` families and series
-//! (`metrics_families.txt`), and the rule that makes the list cheap to
-//! keep: a series registered once is visible in both views.
+//! (`metrics_families.txt`), the rule that makes the list cheap to
+//! keep — a series registered once is visible on `/metrics` — and the
+//! rule that keeps the ring for the pipeline: observability reads are
+//! never traced.
 
 mod common;
 
 use an5d::SerialBackend;
 use an5d_service::{
-    client, dispatch, parse_json, Json, Request, Server, ServerConfig, ServiceState,
+    client, dispatch, parse_json, Json, KeepAliveClient, Request, Server, ServerConfig,
+    ServiceState, DEFAULT_TRACE_CAPACITY,
 };
-use common::{metric, shutdown, stat, TempDb};
+use common::{metric, shutdown, TempDb};
 use std::sync::Arc;
 
 fn start_server(tune_db: Option<&TempDb>) -> Server {
@@ -87,6 +90,10 @@ fn metrics_endpoint_serves_prometheus_histograms() {
         "cumulative buckets must be monotone: {counts:?}"
     );
 
+    // /metrics is the registry's one view: there is no JSON /stats.
+    let (status, _) = client::get(addr, "/stats").unwrap();
+    assert_eq!(status, 404);
+
     shutdown(server);
 }
 
@@ -96,9 +103,13 @@ fn tune_trace_shows_nested_pipeline_spans() {
     let server = start_server(Some(&db));
     let addr = server.addr();
 
-    let (status, _, trace_id) = client::post_traced(addr, "/tune", TUNE_BODY).unwrap();
-    assert_eq!(status, 200);
-    let trace_id = trace_id.expect("every /tune response carries x-an5d-trace");
+    let response = KeepAliveClient::new(addr)
+        .send("POST", "/tune", TUNE_BODY)
+        .unwrap();
+    assert_eq!(response.status, 200);
+    let trace_id = response
+        .trace
+        .expect("every /tune response carries x-an5d-trace");
 
     let (status, body) = client::get(addr, &format!("/trace?id={trace_id}")).unwrap();
     assert_eq!(status, 200, "{body}");
@@ -166,11 +177,11 @@ fn tune_trace_shows_nested_pipeline_spans() {
 
 #[test]
 fn trace_ring_lists_requests_and_evicts_oldest_first() {
-    let state = ServiceState::new(Arc::new(SerialBackend), 64).with_trace_capacity(3);
+    let state = ServiceState::new(Arc::new(SerialBackend), 64);
     let body = r#"{"benchmark":"star2d1r","interior":[32,32],"steps":4,
                    "config":{"bt":1,"bs":[16],"precision":"double"}}"#;
     let mut ids = Vec::new();
-    for _ in 0..5 {
+    for _ in 0..DEFAULT_TRACE_CAPACITY + 2 {
         let response = dispatch(&state, &Request::new("POST", "/plan", body.as_bytes()));
         assert_eq!(response.status, 200);
         ids.push(response.trace.clone().expect("traced response"));
@@ -179,7 +190,8 @@ fn trace_ring_lists_requests_and_evicts_oldest_first() {
     let listing = dispatch(&state, &Request::new("GET", "/trace", b""));
     assert_eq!(listing.status, 200);
     let parsed = parse_json(&listing.body).unwrap();
-    assert_eq!(parsed.get("capacity").and_then(Json::as_usize), Some(3));
+    let capacity = Some(DEFAULT_TRACE_CAPACITY);
+    assert_eq!(parsed.get("capacity").and_then(Json::as_usize), capacity);
     let listed: Vec<String> = parsed
         .get("traces")
         .unwrap()
@@ -188,25 +200,47 @@ fn trace_ring_lists_requests_and_evicts_oldest_first() {
         .iter()
         .map(|t| t.get("id").and_then(Json::as_str).unwrap().to_string())
         .collect();
-    // Only the newest 3 of the 5 requests survive, oldest first.
+    // The oldest 2 requests are evicted; the rest survive, oldest first.
     assert_eq!(listed, ids[2..].to_vec());
 
     // Evicted ids are gone; retained ids resolve.
     let gone = dispatch(
         &state,
-        &Request::new("GET", &format!("/trace?id={}", ids[0]), b""),
+        &Request::new("GET", &format!("/trace?id={}", ids[1]), b""),
     );
     assert_eq!(gone.status, 404);
     let kept = dispatch(
         &state,
-        &Request::new("GET", &format!("/trace?id={}", ids[4]), b""),
+        &Request::new("GET", &format!("/trace?id={}", ids[2]), b""),
     );
     assert_eq!(kept.status, 200);
+}
 
-    // /trace and /metrics requests themselves never enter the ring.
-    let listing = dispatch(&state, &Request::new("GET", "/trace", b""));
-    let parsed = parse_json(&listing.body).unwrap();
-    assert_eq!(parsed.get("count").and_then(Json::as_usize), Some(3));
+#[test]
+fn observability_reads_never_enter_the_trace_ring() {
+    let state = ServiceState::new(Arc::new(SerialBackend), 64);
+    let body = r#"{"benchmark":"star2d1r","interior":[32,32],"steps":4,
+                   "config":{"bt":1,"bs":[16],"precision":"double"}}"#;
+    let planned = dispatch(&state, &Request::new("POST", "/plan", body.as_bytes()));
+    assert_eq!(planned.status, 200);
+    let id = planned.trace.expect("a pipeline request is traced");
+
+    // More reads of each view than the ring holds: had any of them been
+    // traced, the /plan trace would have been evicted.
+    for _ in 0..=DEFAULT_TRACE_CAPACITY {
+        for path in ["/metrics", "/trace"] {
+            let response = dispatch(&state, &Request::new("GET", path, b""));
+            assert_eq!(response.status, 200, "{path}");
+            assert_eq!(response.trace, None, "{path} carries no trace id");
+        }
+    }
+    let kept = dispatch(
+        &state,
+        &Request::new("GET", &format!("/trace?id={id}"), b""),
+    );
+    assert_eq!(kept.status, 200, "{}", kept.body);
+    let listing = parse_json(&view(&state, "/trace")).unwrap();
+    assert_eq!(listing.get("count").and_then(Json::as_usize), Some(1));
 }
 
 #[test]
@@ -261,7 +295,7 @@ fn server_histogram_percentiles_match_dispatched_latencies() {
     );
 }
 
-/// `GET` one of the two metrics views at dispatch level.
+/// `GET` an observability view at dispatch level.
 fn view(state: &ServiceState, path: &str) -> String {
     let response = dispatch(state, &Request::new("GET", path, b""));
     assert_eq!(response.status, 200);
@@ -342,7 +376,7 @@ fn metrics_families_and_series_match_the_parent_generated_list() {
 }
 
 #[test]
-fn a_series_registered_once_is_visible_in_both_views() {
+fn a_series_registered_once_is_visible_on_metrics() {
     let state = ServiceState::new(Arc::new(SerialBackend), 64);
     let plan = r#"{"benchmark":"star2d1r","interior":[32,32],"steps":4,
                    "config":{"bt":1,"bs":[16],"precision":"double"}}"#;
@@ -361,64 +395,22 @@ fn a_series_registered_once_is_visible_in_both_views() {
     wall.record(20);
 
     let text = view(&state, "/metrics");
-    let stats = parse_json(&view(&state, "/stats")).unwrap();
     let q1 = [("queue", "q1")];
     assert_eq!(metric(&text, "test_jobs_total", &q1), Some(7));
-    assert_eq!(stat(&stats, "test_jobs_total", &q1), Some(7));
     assert_eq!(metric(&text, "test_depth", &[]), Some(3));
-    assert_eq!(stat(&stats, "test_depth", &[]), Some(3));
     assert_eq!(metric(&text, "test_wall_us_count", &q1), Some(2));
     assert_eq!(metric(&text, "test_wall_us_sum", &q1), Some(50));
-    assert_eq!(stat(&stats, "test_wall_us", &q1), Some(2));
-    let wall_value = stats
-        .get("test_wall_us")
-        .and_then(|f| f.get("series"))
-        .unwrap();
-    assert_eq!(
-        wall_value.as_array().unwrap()[0]
-            .get("value")
-            .unwrap()
-            .render(),
-        r#"{"count":2,"sum":50,"max":30,"p50":20,"p95":30,"p99":30,"p999":30}"#
-    );
-
-    // The two views list the same families, with the same types: a
-    // family one of them skipped would show up here.
-    let typed: Vec<(String, String)> = text
-        .lines()
-        .filter_map(|line| line.strip_prefix("# TYPE "))
-        .map(|rest| {
-            let (name, kind) = rest.split_once(' ').unwrap();
-            (name.to_string(), kind.to_string())
-        })
-        .collect();
-    let Json::Obj(families) = &stats else {
-        panic!("/stats is an object of families")
-    };
-    let listed: Vec<(String, String)> = families
-        .iter()
-        .map(|(name, family)| {
-            let kind = family.get("type").and_then(Json::as_str).unwrap();
-            (name.clone(), kind.to_string())
-        })
-        .collect();
-    let only_in = |these: &[(String, String)], those: &[(String, String)]| -> Vec<String> {
-        let missing = these.iter().filter(|family| !those.contains(family));
-        missing
-            .map(|(name, kind)| format!("{name} ({kind})"))
-            .collect()
-    };
-    assert_eq!(
-        (only_in(&typed, &listed), only_in(&listed, &typed)),
-        (vec![], vec![]),
-        "families only on /metrics, only on /stats"
-    );
-    assert_eq!(typed, listed, "same order too");
-    assert!(typed.len() > 30, "the service's own families are there too");
-    for (name, _) in &typed {
-        let help = format!("# HELP {name} ");
-        let in_text = text.lines().find_map(|line| line.strip_prefix(&help));
-        let in_json = stats.get(name).and_then(|f| f.get("help"));
-        assert_eq!(in_text, in_json.and_then(Json::as_str), "{name}");
+    for (name, kind) in [
+        ("test_jobs_total", "counter"),
+        ("test_depth", "gauge"),
+        ("test_wall_us", "histogram"),
+    ] {
+        let typed = format!("# TYPE {name} {kind}");
+        assert!(text.lines().any(|line| line == typed), "{typed}");
     }
+    let families = text.lines().filter(|line| line.starts_with("# TYPE "));
+    assert!(
+        families.count() > 30,
+        "the service's own families are there too"
+    );
 }

@@ -1,15 +1,15 @@
 //! Tune-DB durability across server restarts: a second `an5d-serve`
 //! process started against the DB written by a first one must answer
 //! `/tune` for a previously-tuned key **without invoking the tuner**
-//! (observed through the `/stats` tuner-invocation and DB-hit counters)
+//! (observed through the `/metrics` tuner-invocation and DB-hit counters)
 //! and with **byte-identical** response bodies; `/tune?refresh=true`
 //! must bypass the stored record and force a re-tune.
 
 mod common;
 
-use an5d_service::{client, Json, Server, ServerConfig};
+use an5d_service::{client, Server, ServerConfig};
 use an5d_tunedb::codec::result_to_json;
-use common::{shutdown, stat, stats, TempDb};
+use common::{metric, scrape, shutdown, TempDb};
 
 fn start_server(db: &TempDb) -> Server {
     common::server(ServerConfig {
@@ -21,14 +21,14 @@ fn start_server(db: &TempDb) -> Server {
     })
 }
 
-/// One device's tune-DB counter from a parsed `/stats` body.
-fn shard(stats: &Json, family: &str, device: &str) -> u64 {
-    stat(stats, family, &[("device", device)]).unwrap_or_else(|| panic!("{family} of {device}"))
+/// One device's tune-DB counter from a `/metrics` exposition.
+fn shard(text: &str, family: &str, device: &str) -> u64 {
+    metric(text, family, &[("device", device)]).unwrap_or_else(|| panic!("{family} of {device}"))
 }
 
-/// A database-wide tune-DB series from a parsed `/stats` body.
-fn top(stats: &Json, family: &str) -> u64 {
-    stat(stats, family, &[]).unwrap_or_else(|| panic!("{family}"))
+/// A database-wide tune-DB series from a `/metrics` exposition.
+fn top(text: &str, family: &str) -> u64 {
+    metric(text, family, &[]).unwrap_or_else(|| panic!("{family}"))
 }
 
 const TUNE_BODY: &str = r#"{"benchmark":"j2d5pt","interior":[512,512],"steps":50,
@@ -41,13 +41,13 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     // ---- First server: cold DB, the query must run the tuner. ----
     let first = start_server(&db);
     let addr = first.addr();
-    let seen = stats(addr);
+    let seen = scrape(addr);
     assert_eq!(top(&seen, "an5d_tunedb_live_records"), 0, "DB starts empty");
     assert_eq!(shard(&seen, "an5d_tunedb_warmed", "v100"), 0);
 
     let (status, cold_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
     assert_eq!(status, 200, "{cold_body}");
-    let seen = stats(addr);
+    let seen = scrape(addr);
     assert_eq!(
         shard(&seen, "an5d_tuner_runs_total", "v100"),
         1,
@@ -64,7 +64,7 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     // A repeat on the same process is already a DB hit.
     let (_, repeat_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
     assert_eq!(repeat_body, cold_body);
-    let seen = stats(addr);
+    let seen = scrape(addr);
     assert_eq!(shard(&seen, "an5d_tunedb_hits_total", "v100"), 1);
     assert_eq!(
         shard(&seen, "an5d_tuner_runs_total", "v100"),
@@ -82,7 +82,7 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     // ---- Second server: same DB file, fresh process. ----
     let second = start_server(&db);
     let addr = second.addr();
-    let seen = stats(addr);
+    let seen = scrape(addr);
     assert_eq!(
         shard(&seen, "an5d_tunedb_warmed", "v100"),
         1,
@@ -92,7 +92,7 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     assert_eq!(top(&seen, "an5d_tunedb_recovered_records"), 1);
     let path = db.0.display().to_string();
     assert_eq!(
-        stat(&seen, "an5d_tunedb_info", &[("path", &path)]),
+        metric(&seen, "an5d_tunedb_info", &[("path", &path)]),
         Some(1),
         "the DB path is the info gauge's label"
     );
@@ -103,7 +103,7 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
         warm_body, cold_body,
         "a DB-served response must be byte-identical to the cold one"
     );
-    let seen = stats(addr);
+    let seen = scrape(addr);
     assert_eq!(
         shard(&seen, "an5d_tuner_runs_total", "v100"),
         0,
@@ -123,7 +123,7 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
         refreshed_body, cold_body,
         "tuning is deterministic: the re-tuned bytes still match"
     );
-    let seen = stats(addr);
+    let seen = scrape(addr);
     assert_eq!(shard(&seen, "an5d_tunedb_refreshes_total", "v100"), 1);
     assert_eq!(
         shard(&seen, "an5d_tuner_runs_total", "v100"),
@@ -161,7 +161,7 @@ fn different_devices_tune_into_their_own_db_entries() {
     assert_ne!(v100_body, p100_body, "device-specific tunings differ");
 
     assert_eq!(
-        top(&stats(addr), "an5d_tunedb_live_records"),
+        top(&scrape(addr), "an5d_tunedb_live_records"),
         2,
         "one record per device key"
     );
@@ -171,7 +171,7 @@ fn different_devices_tune_into_their_own_db_entries() {
 
     let server = start_server(&db);
     let addr = server.addr();
-    let seen = stats(addr);
+    let seen = scrape(addr);
     for (device, expect) in [("v100", 1), ("p100", 1), ("a100", 0)] {
         assert_eq!(
             shard(&seen, "an5d_tunedb_warmed", device),
@@ -184,7 +184,7 @@ fn different_devices_tune_into_their_own_db_entries() {
         let (status, _) = client::post(addr, "/tune", &body_for(device)).unwrap();
         assert_eq!(status, 200);
     }
-    let seen = stats(addr);
+    let seen = scrape(addr);
     for device in ["v100", "p100"] {
         assert_eq!(shard(&seen, "an5d_tuner_runs_total", device), 0, "{device}");
         assert_eq!(
