@@ -52,8 +52,8 @@
 //! There is one body path: every response is rendered once on the
 //! worker and written as one `Content-Length` buffer. A list of jobs is
 //! a list of `/execute` requests pipelined on one keep-alive connection:
-//! the reactor answers them in order, each as soon as its job finishes,
-//! and each gets its own status, trace and deadline.
+//! they are answered in order, each by its worker as soon as its job
+//! finishes, and each gets its own status, trace and deadline.
 //!
 //! Requests may carry an `x-an5d-deadline-ms` budget ([`DEADLINE_HEADER`]):
 //! one that has already expired at dispatch is shed with `503` +

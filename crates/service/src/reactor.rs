@@ -6,12 +6,20 @@
 //! bounded concurrent clients. The reactor inverts that: connections
 //! live here as nonblocking sockets in an [`an5d_net::Poller`], and a
 //! worker is involved only between "a complete request is parsed" and
-//! "the response bytes are handed back" (see `server.rs` for the
-//! dispatch half). The same shape as AN5D's temporal blocking: the
-//! scarce resource (a worker thread / a register) is held exactly while
-//! useful work happens, and an idle keep-alive connection costs one
-//! `pollfd` entry plus one deadline — which is what makes 10k parked
-//! connections with 4 workers a non-event.
+//! "the response is written" (see `server.rs` for the dispatch half).
+//! The same shape as AN5D's temporal blocking: the scarce resource (a
+//! worker thread / a register) is held exactly while useful work
+//! happens, and an idle keep-alive connection costs one `pollfd` entry
+//! plus one deadline — which is what makes 10k parked connections with
+//! 4 workers a non-event.
+//!
+//! The worker that renders a response also puts it on the wire: it
+//! calls [`write_out`] once on the connection's shared stream and hands
+//! the connection back with the offset it reached, just as AN5D
+//! consumes a plane on-chip instead of sending it through slow memory.
+//! The reactor writes only what the socket could not take at once (and
+//! the 503 / framing-error answers it originates itself), through the
+//! same [`write_out`].
 //!
 //! Per-connection lifecycle:
 //!
@@ -19,9 +27,10 @@
 //!            accept                    bytes          complete request
 //!   listener ──────▶ Reading (first) ───────▶ Reading ───────────────▶ InFlight
 //!                       ▲                        ▲                        │
-//!                       │ first bytes            │                response│bytes
-//!                       │                        │ partial next           ▼
-//!                    Parked ◀──────────────── written ◀──────────── Writing
+//!                       │ first bytes            │        worker wrote all│ socket full
+//!                       │                        │ partial next    ┌──────┤
+//!                       │                        │                 ▼      ▼
+//!                    Parked ◀──────────────── written ◀────────────── Writing
 //!                       keep-alive, no buffered bytes
 //! ```
 //!
@@ -29,14 +38,17 @@
 //!   deadline. The cheap majority under C10K load.
 //! * **Reading** — partial request buffered in the [`RequestParser`];
 //!   read interest, I/O deadline.
-//! * **InFlight** — request dispatched to a worker; **no** poll interest
-//!   at all, so a client pipelining ahead is backpressured by TCP
-//!   rather than by server memory. No deadline: the worker owns the
-//!   clock, so the connection's deadline is removed.
-//! * **Writing** — response bytes draining; write interest, I/O
-//!   deadline. `close_after_write` carries the `Connection: close` /
-//!   request-bound / error / 503 decision. The response is one rendered
-//!   buffer plus the offset written so far.
+//! * **InFlight** — request dispatched to a worker, which handles it and
+//!   makes the response's first write; **no** poll interest at all, so
+//!   a client pipelining ahead is backpressured by TCP rather than by
+//!   server memory, and the next request is parsed only after the
+//!   worker's completion is applied — in order, no byte written twice.
+//!   No deadline: the worker owns the clock, so the connection's
+//!   deadline is removed.
+//! * **Writing** — the rest of a response the socket could not take at
+//!   once; write interest, I/O deadline. `close_after_write` carries the
+//!   `Connection: close` / request-bound / error / 503 decision. The
+//!   response is one rendered buffer plus the offset written so far.
 //!
 //! Closes distinguish *clean* ends (EOF while parked between requests,
 //! idle timeout, shutdown) from *aborted* ones (EOF, transport error,
@@ -49,7 +61,7 @@
 
 use crate::api;
 use crate::http::{Parse, Request, RequestParser, Response};
-use crate::server::{render_response, DispatchItem, Shared, IO_TIMEOUT};
+use crate::server::{render_response, Completion, DispatchItem, Shared, IO_TIMEOUT};
 use an5d_net::{Event, Interest, Poller, WakeReceiver};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Read, Write};
@@ -146,12 +158,61 @@ enum ConnState {
     Writing,
 }
 
+/// What one [`write_out`] call achieved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flush {
+    /// Every byte of the response is written.
+    Done,
+    /// The socket (or an injected short write) took only part of the
+    /// rest; resume from the advanced offset once it is writable.
+    Blocked,
+    /// A transport error or an injected kill: the peer holds a
+    /// truncated response.
+    Failed,
+}
+
+/// The one socket write: write `out[*pos..]` to `sink` without
+/// blocking, advancing `*pos` by what the sink took. The worker calls
+/// it once per response; the reactor calls it on every `POLLOUT`.
+///
+/// The `reactor.write` fault point is evaluated once per call: `error`
+/// fails it, `short:N` caps the bytes it may write, `delay:MS` stalls
+/// it.
+pub(crate) fn write_out(mut sink: impl Write, out: &[u8], pos: &mut usize) -> Flush {
+    let mut budget = usize::MAX;
+    match an5d_fault::point("reactor.write") {
+        None => {}
+        Some(an5d_fault::FaultAction::Delay(d)) => std::thread::sleep(d),
+        Some(an5d_fault::FaultAction::Error) => return Flush::Failed,
+        Some(an5d_fault::FaultAction::Short(n)) => budget = n.max(1),
+    }
+    while *pos < out.len() && budget > 0 {
+        let limit = out.len().min(pos.saturating_add(budget));
+        match sink.write(&out[*pos..limit]) {
+            Ok(0) => return Flush::Failed,
+            Ok(n) => {
+                *pos += n;
+                budget -= n;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return Flush::Failed,
+        }
+    }
+    if *pos == out.len() {
+        Flush::Done
+    } else {
+        Flush::Blocked
+    }
+}
+
 /// Everything the reactor holds per connection.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the worker that writes the connection's response.
+    stream: Arc<TcpStream>,
     parser: RequestParser,
-    /// The response being written (head and body), drained under
-    /// `POLLOUT`.
+    /// The response being written (head and body), resumed under
+    /// `POLLOUT` when the first write could not take all of it.
     out: Vec<u8>,
     /// Bytes of `out` already written.
     out_pos: usize,
@@ -221,10 +282,15 @@ impl Reactor {
                 continue;
             }
             let busy_start = Instant::now();
-            self.receiver.drain();
-            // Completions first: handing finished responses to their
-            // sockets is what frees workers for the dispatch queue.
-            self.apply_completions();
+            // A worker pushes its completion before it wakes, so after
+            // the drain every completion whose wake byte was swallowed
+            // is already in the list; one pushed later wakes the next
+            // poll. Completions first: they hand connections back for
+            // their next request.
+            if events.iter().any(|event| event.token == WAKE) {
+                self.receiver.drain();
+                self.apply_completions();
+            }
             for event in events.iter().copied() {
                 match event.token {
                     LISTENER => self.do_accept(),
@@ -296,7 +362,7 @@ impl Reactor {
                     self.conns.insert(
                         token,
                         Conn {
-                            stream,
+                            stream: Arc::new(stream),
                             parser: RequestParser::new(),
                             out: Vec::new(),
                             out_pos: 0,
@@ -354,7 +420,7 @@ impl Reactor {
             };
             let mut total = 0;
             loop {
-                match (&conn.stream).read(&mut chunk) {
+                match (&*conn.stream).read(&mut chunk) {
                     Ok(0) => {
                         peer_gone = true;
                         break;
@@ -459,13 +525,9 @@ impl Reactor {
             self.start_write(token, body, true);
             return;
         }
-        let depth = self
-            .shared
-            .queue
-            .lock()
-            .expect("dispatch queue poisoned")
-            .len();
-        if depth >= self.shared.queue_depth {
+        let mut queue = self.shared.queue.lock().expect("dispatch queue poisoned");
+        if queue.len() >= self.shared.queue_depth {
+            drop(queue);
             self.shared.state.metrics().rejected.inc();
             let body = render_response(
                 &Response::new(503, api::error_body("server overloaded, retry later"))
@@ -475,15 +537,16 @@ impl Reactor {
             self.start_write(token, body, true);
             return;
         }
-        self.leave_parked(token);
-        let served = {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            conn.state = ConnState::InFlight;
-            conn.served += 1;
-            conn.served
+        // Fields, not `&mut self` helpers, while the queue lock is held.
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
         };
+        if conn.state == ConnState::Parked {
+            self.shared.state.metrics().connections.on_unparked();
+        }
+        conn.state = ConnState::InFlight;
+        conn.served += 1;
+        let served = conn.served;
         if served > 1 {
             self.shared.reused_requests.fetch_add(1, Ordering::Relaxed);
         }
@@ -491,9 +554,9 @@ impl Reactor {
         // pipelining ahead is backpressured by TCP, not server memory.
         self.poller.set_interest(token, Interest::NONE);
         self.deadlines.disarm(token);
-        let mut queue = self.shared.queue.lock().expect("dispatch queue poisoned");
         queue.push_back(DispatchItem {
             token,
+            stream: Arc::clone(&conn.stream),
             request,
             served,
         });
@@ -501,8 +564,8 @@ impl Reactor {
         self.shared.available.notify_one();
     }
 
-    /// Take ownership of fully-rendered response bytes and start
-    /// draining them.
+    /// Take ownership of a response the reactor itself originates (a
+    /// 503 shed or a framing error) and write it.
     fn start_write(&mut self, token: usize, bytes: Vec<u8>, close_after: bool) {
         self.leave_parked(token);
         if let Some(conn) = self.conns.get_mut(&token) {
@@ -510,56 +573,40 @@ impl Reactor {
             conn.out = bytes;
             conn.out_pos = 0;
             conn.close_after_write = close_after;
-            self.poller.set_interest(token, Interest::WRITABLE);
-            self.arm(token, IO_TIMEOUT);
             // Optimistic first write: the send buffer is almost always
             // open, so most responses never wait for a poll round.
             self.try_flush(token);
         }
     }
 
+    /// Write more of the connection's response: the reactor's own first
+    /// write, or a resumed one under `POLLOUT`.
     fn try_flush(&mut self, token: usize) {
-        let mut failed = false;
-        // Injected write faults: a kill aborts the connection mid-
-        // response; a short write caps the bytes this call may drain
-        // (the level-triggered poll resumes the rest), exercising the
-        // resumable-write path deterministically.
-        let mut budget = usize::MAX;
-        match an5d_fault::point("reactor.write") {
-            None => {}
-            Some(an5d_fault::FaultAction::Delay(d)) => std::thread::sleep(d),
-            Some(an5d_fault::FaultAction::Error) => failed = true,
-            Some(an5d_fault::FaultAction::Short(n)) => budget = n.max(1),
-        }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        while !failed && conn.out_pos < conn.out.len() && budget > 0 {
-            let limit = conn.out.len().min(conn.out_pos.saturating_add(budget));
-            match (&conn.stream).write(&conn.out[conn.out_pos..limit]) {
-                Ok(0) => failed = true,
-                Ok(n) => {
-                    conn.out_pos += n;
-                    budget -= n;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => failed = true,
-            }
-        }
-        let done = conn.out_pos == conn.out.len();
-        if failed {
+        let flush = write_out(&*conn.stream, &conn.out, &mut conn.out_pos);
+        self.after_write(token, flush);
+    }
+
+    /// Act on what the latest write of `token`'s response reported.
+    fn after_write(&mut self, token: usize, flush: Flush) {
+        match flush {
             // Any failure mid-response — transport error or injected
             // kill — is an abort: the client holds a truncated response.
-            self.close(token, true);
-        } else if done {
-            self.on_response_written(token);
-        } else {
-            // Blocked on the socket (or the short-write cap): wait for
-            // POLLOUT under a fresh I/O budget (re-armed so a slowly-
-            // draining client is judged per write step, not per response).
-            self.poller.set_interest(token, Interest::WRITABLE);
-            self.arm(token, IO_TIMEOUT);
+            Flush::Failed => self.close(token, true),
+            Flush::Done => self.on_response_written(token),
+            Flush::Blocked => {
+                // Blocked on the socket (or the short-write cap): wait
+                // for POLLOUT under a fresh I/O budget (re-armed so a
+                // slowly-draining client is judged per write step, not
+                // per response).
+                if let Some(conn) = self.conns.get_mut(&token) {
+                    conn.state = ConnState::Writing;
+                }
+                self.poller.set_interest(token, Interest::WRITABLE);
+                self.arm(token, IO_TIMEOUT);
+            }
         }
     }
 
@@ -580,7 +627,8 @@ impl Reactor {
         self.advance_parser(token, false);
     }
 
-    /// Hand each finished response back to its connection.
+    /// Take back each connection whose worker has written (or started
+    /// writing) its response.
     fn apply_completions(&mut self) {
         let completed = std::mem::take(
             &mut *self
@@ -589,9 +637,23 @@ impl Reactor {
                 .lock()
                 .expect("completion queue poisoned"),
         );
-        for completion in completed {
-            // A no-op when the connection closed while its request ran.
-            self.start_write(completion.token, completion.bytes, !completion.keep_alive);
+        for Completion {
+            token,
+            keep_alive,
+            out,
+            out_pos,
+            flush,
+        } in completed
+        {
+            // An in-flight connection has no poll interest and no
+            // deadline, so nothing closes it while its request runs.
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            conn.out = out;
+            conn.out_pos = out_pos;
+            conn.close_after_write = !keep_alive;
+            self.after_write(token, flush);
         }
     }
 
@@ -630,9 +692,65 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::unix::net::UnixStream;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
+    }
+
+    /// Read everything the nonblocking `reader` holds right now.
+    fn drain_into(mut reader: &UnixStream, got: &mut Vec<u8>) {
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            match reader.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => got.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn write_out_blocks_resumes_and_delivers_every_byte_once() {
+        let (writer, reader) = UnixStream::pair().unwrap();
+        writer.set_nonblocking(true).unwrap();
+        reader.set_nonblocking(true).unwrap();
+        // Larger than any socket buffer: nobody reads, so it blocks.
+        let out: Vec<u8> = (0..4 << 20).map(|i: u32| (i % 251) as u8).collect();
+        let mut pos = 0;
+        assert_eq!(write_out(&writer, &out, &mut pos), Flush::Blocked);
+        let blocked_at = pos;
+        assert!(0 < blocked_at && blocked_at < out.len(), "{blocked_at}");
+
+        let mut got = Vec::new();
+        drain_into(&reader, &mut got);
+        assert_eq!(got.len(), blocked_at, "the offset is what the peer holds");
+        let mut resumes = 0;
+        while write_out(&writer, &out, &mut pos) == Flush::Blocked {
+            drain_into(&reader, &mut got);
+            resumes += 1;
+            assert!(resumes < 10_000, "no progress at {pos}");
+        }
+        assert_eq!(pos, out.len());
+        drain_into(&reader, &mut got);
+        assert!(got == out, "bytes lost, duplicated or reordered");
+
+        // Done is idempotent: nothing left to write.
+        assert_eq!(write_out(&writer, &out, &mut pos), Flush::Done);
+    }
+
+    #[test]
+    fn write_out_fails_once_the_peer_is_gone() {
+        let (writer, reader) = UnixStream::pair().unwrap();
+        writer.set_nonblocking(true).unwrap();
+        drop(reader);
+        let mut pos = 0;
+        assert_eq!(
+            write_out(&writer, b"HTTP/1.1 200 OK\r\n", &mut pos),
+            Flush::Failed
+        );
+        assert_eq!(pos, 0);
     }
 
     #[test]

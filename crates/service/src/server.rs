@@ -14,8 +14,12 @@
 //!   clients;
 //! * **worker threads** pop *complete parsed requests* from a bounded
 //!   dispatch queue, run [`crate::handlers::dispatch`], render the
-//!   response bytes, and hand them back to the reactor. When the queue
-//!   is at [`ServerConfig::queue_depth`] the reactor answers `503`
+//!   response bytes and write them to the connection's socket
+//!   themselves (one nonblocking write, shared with the reactor as an
+//!   `Arc<TcpStream>`), then hand the connection back to the reactor,
+//!   which resumes the write under `POLLOUT` only when the socket could
+//!   not take it all. When the queue is at
+//!   [`ServerConfig::queue_depth`] the reactor answers `503`
 //!   immediately (admission control sheds requests instead of growing
 //!   an unbounded backlog);
 //! * **keep-alive policy** is enforced by the reactor's one deadline per
@@ -32,10 +36,10 @@
 use crate::handlers::{dispatch, ServiceState};
 use crate::http::{write_response, Request, Response};
 use crate::json::Json;
-use crate::reactor::Reactor;
+use crate::reactor::{write_out, Flush, Reactor};
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -104,20 +108,31 @@ impl Default for ServerConfig {
 pub(crate) struct DispatchItem {
     /// The reactor's token for the owning connection.
     pub(crate) token: usize,
+    /// The connection's socket, shared with the reactor so the worker
+    /// can write the response itself. The `Arc` keeps the descriptor
+    /// open (and so never reused) while the worker holds it.
+    pub(crate) stream: Arc<TcpStream>,
     pub(crate) request: Request,
     /// Requests served on that connection including this one — the
     /// worker folds it into the keep-alive decision.
     pub(crate) served: usize,
 }
 
-/// Rendered response bytes travelling worker → reactor.
+/// A response the worker has rendered and started writing, travelling
+/// worker → reactor.
 pub(crate) struct Completion {
     pub(crate) token: usize,
-    /// The whole response, head and body.
-    pub(crate) bytes: Vec<u8>,
     /// Whether the rendered `Connection:` header promised keep-alive;
     /// the reactor closes after the write when it did not.
     pub(crate) keep_alive: bool,
+    /// The whole response, head and body.
+    pub(crate) out: Vec<u8>,
+    /// Bytes of `out` the worker's write put on the wire.
+    pub(crate) out_pos: usize,
+    /// What the worker's write reported: the reactor closes on
+    /// `Failed`, finishes on `Done` and resumes under `POLLOUT` on
+    /// `Blocked`.
+    pub(crate) flush: Flush,
 }
 
 /// State shared between the reactor thread and the dispatch workers.
@@ -126,7 +141,8 @@ pub(crate) struct Shared {
     /// Bounded dispatch queue (reactor pushes, workers pop).
     pub(crate) queue: Mutex<VecDeque<DispatchItem>>,
     pub(crate) available: Condvar,
-    /// Finished responses (workers push, reactor drains after a wake).
+    /// Responses the workers have written, or started to (workers
+    /// push, reactor drains after a wake).
     pub(crate) completions: Mutex<Vec<Completion>>,
     pub(crate) shutdown: AtomicBool,
     pub(crate) queue_depth: usize,
@@ -321,7 +337,8 @@ impl Server {
 }
 
 /// The dispatch-worker body: pop a parsed request, handle it, render
-/// the response, hand the bytes back to the reactor.
+/// the response and write as much of it as the socket takes at once,
+/// then hand the rest (usually nothing) back to the reactor.
 fn worker_loop(shared: &Shared) {
     while let Some(item) = shared.pop() {
         let response = dispatch(&shared.state, &item.request);
@@ -332,10 +349,17 @@ fn worker_loop(shared: &Shared) {
             && !shutting_down
             && item.served < shared.max_requests_per_connection
             && !shared.shutdown.load(Ordering::Acquire);
+        let out = render_response(&response, keep_alive);
+        let mut out_pos = 0;
+        let flush = write_out(&*item.stream, &out, &mut out_pos);
+        // The reactor owns the socket again from the push on.
+        drop(item.stream);
         let completion = Completion {
             token: item.token,
-            bytes: render_response(&response, keep_alive),
             keep_alive,
+            out,
+            out_pos,
+            flush,
         };
         shared
             .completions

@@ -15,6 +15,9 @@
 //!   `Content-Length` buffer on a connection that stays usable, and N
 //!   jobs are N `/execute`s pipelined on one connection, each answered
 //!   as soon as it finishes.
+//! * A kill on a response's first write — the worker's — aborts that
+//!   connection alone, counted once, and the next connection is served
+//!   as if nothing happened.
 
 mod common;
 
@@ -360,6 +363,46 @@ fn the_largest_body_arrives_whole_on_a_connection_that_stays_usable() {
             an5d_fault::uninstall();
         }
     }
+
+    shutdown(server);
+}
+
+#[test]
+fn a_kill_on_the_first_write_aborts_one_connection_and_no_more() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    an5d_fault::uninstall();
+    let server = small_server();
+    let addr = server.addr();
+    let aborted = || {
+        let (status, text) = client::get(addr, "/metrics").expect("/metrics");
+        assert_eq!(status, 200);
+        metric(&text, "an5d_connections_aborted", &[]).expect("aborted counter")
+    };
+    let (status, expected) = client::post(addr, "/codegen", CODEGEN_BODY).expect("/codegen");
+    assert_eq!(status, 200, "{expected}");
+    let aborted_before = aborted();
+
+    // The first write of the next response is the worker's; kill it.
+    install_plan("seed=1;reactor.write=error#1");
+    let mut stream = raw_post(addr, "/codegen", CODEGEN_BODY);
+    let mut got = Vec::new();
+    stream.read_to_end(&mut got).expect("EOF, not a reset");
+    assert_eq!(an5d_fault::fired("reactor.write"), 1);
+    an5d_fault::uninstall();
+    assert!(
+        got.is_empty(),
+        "a killed write sent {} bytes: {:?}",
+        got.len(),
+        String::from_utf8_lossy(&got[..got.len().min(80)])
+    );
+    assert_eq!(aborted(), aborted_before + 1, "one kill, one abort");
+
+    // A new connection is served byte for byte.
+    let mut stream = raw_post(addr, "/codegen", CODEGEN_BODY);
+    let (head, body) = read_response(&mut stream);
+    assert_sent_whole(&head);
+    assert_eq!(body, expected);
+    assert_eq!(aborted(), aborted_before + 1, "no further abort");
 
     shutdown(server);
 }
