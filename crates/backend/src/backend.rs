@@ -176,8 +176,10 @@ impl ExecutionBackend for SerialBackend {
 /// them, evaluated a run of rows at a time over contiguous stride-1 slices
 /// straight into the output, with all halo/bounds logic hoisted out of the
 /// inner loops — the shape the compiler autovectorizes, monomorphic per
-/// precision. A finished tile stores its write-back rows straight into
-/// the rows of the other ping-pong grid carved out for it, on the thread
+/// precision and compiled for the baseline target and with AVX2, the
+/// instance picked at run time ([`an5d_gpusim::row_kernel_isa`], which
+/// `describe` names). A finished tile stores its write-back rows straight
+/// into the rows of the other ping-pong grid carved out for it, on the thread
 /// that ran it: there are no detached tile runs, and nothing is applied
 /// or copied on the driving thread but the boundary ring, once.
 ///
@@ -235,7 +237,11 @@ impl ExecutionBackend for VectorCpuBackend {
     }
 
     fn describe(&self) -> String {
-        format!("vector ({} pool executors, row kernels)", self.threads)
+        format!(
+            "vector ({} pool executors, {} row kernels)",
+            self.threads,
+            an5d_gpusim::row_kernel_isa()
+        )
     }
 
     fn execute_f32(
@@ -390,7 +396,9 @@ mod tests {
 
     #[test]
     fn describe_mentions_the_worker_count() {
-        assert!(VectorCpuBackend::new(4).describe().contains('4'));
+        let vector = VectorCpuBackend::new(4).describe();
+        assert!(vector.contains('4'));
+        assert!(vector.contains(&format!("{} row kernels", an5d_gpusim::row_kernel_isa())));
         assert_eq!(SerialBackend.describe(), "serial");
     }
 

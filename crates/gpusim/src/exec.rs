@@ -139,6 +139,36 @@
 //! evaluated in their own precision). The cone changes which cells are
 //! computed, never how. That keeps the result bit-identical to the naive
 //! per-cell reference sweep for both `f32` and `f64`.
+//!
+//! # Two instances, picked at run time
+//!
+//! Once the tape has taken the row traffic away, the passes are bound by
+//! arithmetic throughput, so their vector width matters. The tape
+//! evaluator is one `#[inline(always)]` function compiled twice: inlined
+//! into the dispatcher, `RowKernel::eval_into`, at the target's baseline
+//! features (SSE2, 128-bit, on x86-64), and into
+//! `RowKernel::eval_into_avx2` under `#[target_feature(enable =
+//! "avx2")]`. The dispatcher calls the AVX2 instance when
+//! [`row_kernel_isa`] — `is_x86_feature_detected!("avx2")`, a cached
+//! flag — says the CPU has it, and the baseline instance on every other
+//! CPU and target. There is no option to choose: both give the same bits.
+//!
+//! **Where the dispatch sits.** At `eval_into`: one check per run of
+//! about a thousand lanes, and every pass (`Map::run`, `Zip::run`, the
+//! chain and pair passes and the closures they are monomorphic in) is
+//! force-inlined below it, so the AVX2 instance really contains 256-bit
+//! loops. One level up, at `RowKernel::step`, the row walk's closure was
+//! outlined and compiled at baseline width: that instance held a few
+//! dozen ymm instructions and gained nothing. CI disassembles a release
+//! binary and fails unless each `eval_into_avx2` is mostly ymm code.
+//!
+//! **Why the bits do not change.** Only `avx2` is enabled, not `fma`:
+//! Rust never contracts `a·b + c` anyway, and without FMA no fused
+//! instruction is even available. Each lane of either instance performs the
+//! same IEEE-754 operation on the same operands in the same order — no
+//! `mul_add`, no reassociation, a division stays a division — and SSE2
+//! and AVX instructions round and treat subnormals by the same MXCSR
+//! state. A wider vector only evaluates more independent lanes at once.
 
 use crate::TrafficCounters;
 use an5d_expr::{BinOp, Expr, Node, UnOp};
@@ -752,7 +782,7 @@ enum Map<'a, T> {
 }
 
 impl<T: Element> Map<'_, T> {
-    #[inline]
+    #[inline(always)]
     fn run(self, f: impl Fn(T) -> T) {
         match self {
             Map::Into(dst, Src::Row(a)) => {
@@ -786,7 +816,7 @@ enum Zip<'a, T> {
 impl<T: Element> Zip<'_, T> {
     /// Every arm is a stride-1 loop with no bounds logic over rows of one
     /// length, monomorphic in `f` — the shape the compiler vectorizes.
-    #[inline]
+    #[inline(always)]
     fn run(self, f: impl Fn(T, T) -> T) {
         match self {
             Zip::Into(dst, Src::Row(a), Src::Row(b)) => {
@@ -842,7 +872,7 @@ const CHAIN_GROUP: usize = 8;
 /// rounded before it is added, with `acc` the first product when `fresh`
 /// and `out[i]` otherwise. `cells` resolves a flat delta to its neighbour
 /// row, as long as `out`.
-#[inline]
+#[inline(always)]
 fn chain_pass<'s, T: Element, const N: usize>(
     out: &mut [T],
     fresh: bool,
@@ -872,6 +902,7 @@ fn chain_pass<'s, T: Element, const N: usize>(
 
 /// Dispatch one group of `1..=CHAIN_GROUP` terms to the [`chain_pass`]
 /// compiled for its term count and tail operation.
+#[inline(always)]
 fn chain_group<'s, T: Element>(
     out: &mut [T],
     fresh: bool,
@@ -906,7 +937,7 @@ fn chain_group<'s, T: Element>(
 /// One pass of a [`TapeOp::Pair`] whose value is `value(a[i], b[i])`:
 /// stored into `out` (a pushed row) without a `fold`, folded into it as
 /// `out[i] ∘ value` with one.
-#[inline]
+#[inline(always)]
 fn pair_pass<T: Element>(
     out: &mut [T],
     a: &[T],
@@ -926,6 +957,7 @@ fn pair_pass<T: Element>(
 
 /// Dispatch a [`TapeOp::Pair`] to the [`pair_pass`] compiled for its pair
 /// operation, square and fold.
+#[inline(always)]
 fn pair_group<T: Element>(
     out: &mut [T],
     a: &[T],
@@ -952,6 +984,23 @@ fn pair_group<T: Element>(
         BinOp::Mul => with_square!(|x, y| x * y),
         BinOp::Div => with_square!(|x, y| x / y),
     }
+}
+
+/// [`row_kernel_isa`]'s name for the instance compiled with AVX2 enabled.
+#[cfg(target_arch = "x86_64")]
+const AVX2: &str = "avx2";
+
+/// The instance of the row kernel this CPU runs: `"avx2"` on an x86-64
+/// CPU that has AVX2, `"baseline"` (the target's default features — SSE2
+/// on x86-64) everywhere else. Both give the same bits; only the vector
+/// width differs.
+#[must_use]
+pub fn row_kernel_isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return AVX2;
+    }
+    "baseline"
 }
 
 /// A stencil expression compiled for one local-box geometry: one
@@ -1087,14 +1136,46 @@ impl RowKernel {
     }
 
     /// Evaluate the tape for the run of cells whose first output lane sits
-    /// at flat index `base` in `src`, leaving `out.len()` results in `out`.
+    /// at flat index `base` in `src`, leaving `out.len()` results in `out`,
+    /// through the instance [`row_kernel_isa`] names: the AVX2 one where
+    /// the CPU has AVX2, the baseline one everywhere else.
+    fn eval_into<T: Element>(&self, src: &[T], base: usize, scratch: &mut [Vec<T>], out: &mut [T]) {
+        #[cfg(target_arch = "x86_64")]
+        if row_kernel_isa() == AVX2 {
+            // SAFETY: `row_kernel_isa` names AVX2 only when
+            // `is_x86_feature_detected!("avx2")` found it on this CPU, the
+            // one precondition of calling an `avx2` target-feature function.
+            #[allow(unsafe_code)]
+            return unsafe { self.eval_into_avx2(src, base, scratch, out) };
+        }
+        self.eval_any(src, base, scratch, out);
+    }
+
+    /// [`RowKernel::eval_any`] compiled with AVX2 enabled: every pass
+    /// inlined into it runs 256-bit vectors. FMA stays off, so each lane
+    /// performs the baseline instance's IEEE-754 operations.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn eval_into_avx2<T: Element>(
+        &self,
+        src: &[T],
+        base: usize,
+        scratch: &mut [Vec<T>],
+        out: &mut [T],
+    ) {
+        self.eval_any(src, base, scratch, out);
+    }
+
+    /// The tape evaluator, inlined into each instance so that every pass
+    /// is compiled for that instance's vector width.
     ///
     /// `out` is the bottom row of the operand stack and `scratch` (at
     /// least `depth − 1` rows of at least `out.len()` lanes) the rows
     /// above it, so the value of the whole expression — the one row left
     /// on the stack — is produced in `out` directly. Neighbour rows are
     /// slices of `src` at `base + delta`, read in place.
-    fn eval_into<T: Element>(&self, src: &[T], base: usize, scratch: &mut [Vec<T>], out: &mut [T]) {
+    #[inline(always)]
+    fn eval_any<T: Element>(&self, src: &[T], base: usize, scratch: &mut [Vec<T>], out: &mut [T]) {
         let lanes = out.len();
         let cells = |delta: isize| {
             let start = (base as isize + delta) as usize;
@@ -1944,8 +2025,11 @@ mod tests {
         f64::NAN,
     ];
 
-    /// `RowKernel` must give every lane the bits `eval_expr` gives it, on
-    /// ordinary values and — every fourth cell — on [`SPECIALS`].
+    /// Both instances of `RowKernel`'s evaluator — the baseline one
+    /// called directly and, where [`row_kernel_isa`] names another, the
+    /// one the dispatch picks — must give every lane the bits `eval_expr`
+    /// gives it, on ordinary values and — every fourth cell — on
+    /// [`SPECIALS`].
     fn check_tape_against_eval_expr<T: Element>(expr: &Expr, lanes: usize, rng: &mut SplitMix) {
         // A 5-row local box with two halo cells on every side.
         let rad = 2usize;
@@ -1958,22 +2042,36 @@ mod tests {
             .collect();
         let base = rad * strides[0] + rad;
         let kernel = RowKernel::compile(expr, &strides);
-        let mut scratch: Vec<Vec<T>> = (1..kernel.depth).map(|_| vec![T::ZERO; lanes]).collect();
-        // Poisoned: the tape must overwrite every lane of `out`.
-        let mut out = vec![T::from_f64(f64::NAN); lanes];
-        kernel.eval_into(&src, base, &mut scratch, &mut out);
-        for (lane, &got) in out.iter().enumerate() {
-            let want: T = eval_expr(expr, &|offset: an5d_expr::Offset| {
-                let delta = offset.component(0) as isize * strides[0] as isize
-                    + offset.component(1) as isize;
-                src[((base + lane) as isize + delta) as usize]
-            });
-            let (got, want) = (got.into_f64(), want.into_f64());
-            assert!(
-                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                "{:?} lane {lane}/{lanes}: tape {got:e}, eval_expr {want:e} for {expr:?}",
-                T::PRECISION
-            );
+        let run = |dispatched: bool| {
+            let mut scratch: Vec<Vec<T>> =
+                (1..kernel.depth).map(|_| vec![T::ZERO; lanes]).collect();
+            // Poisoned: the tape must overwrite every lane of `out`.
+            let mut out = vec![T::from_f64(f64::NAN); lanes];
+            if dispatched {
+                kernel.eval_into(&src, base, &mut scratch, &mut out);
+            } else {
+                kernel.eval_any(&src, base, &mut scratch, &mut out);
+            }
+            out
+        };
+        let mut instances = vec![("baseline", run(false))];
+        if row_kernel_isa() != "baseline" {
+            instances.push((row_kernel_isa(), run(true)));
+        }
+        for (instance, out) in instances {
+            for (lane, &got) in out.iter().enumerate() {
+                let want: T = eval_expr(expr, &|offset: an5d_expr::Offset| {
+                    let delta = offset.component(0) as isize * strides[0] as isize
+                        + offset.component(1) as isize;
+                    src[((base + lane) as isize + delta) as usize]
+                });
+                let (got, want) = (got.into_f64(), want.into_f64());
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "{:?} {instance} lane {lane}/{lanes}: tape {got:e}, eval_expr {want:e} for {expr:?}",
+                    T::PRECISION
+                );
+            }
         }
     }
 
@@ -2095,8 +2193,13 @@ mod tests {
                 exprs.push(binary(fold, x() * y(), rng.chain(terms, true)));
             }
         }
+        if row_kernel_isa() == "baseline" {
+            println!("no AVX2 on this CPU: only the baseline row-kernel instance was checked");
+        }
+        // Around every vector width and unrolled block of either instance,
+        // so each remainder loop runs too.
         for expr in &exprs {
-            for lanes in [0, 1, 7, 32, 257] {
+            for lanes in [0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 257] {
                 check_tape_against_eval_expr::<f64>(expr, lanes, &mut rng);
                 check_tape_against_eval_expr::<f32>(expr, lanes, &mut rng);
             }

@@ -22,7 +22,9 @@
 //! what lets the harness reproduce the paper's model-accuracy analysis
 //! (Section 7.2).
 
-#![forbid(unsafe_code)]
+// One `unsafe` block, allowed where it stands: the call of the AVX2 row
+// kernel after run-time detection (`exec::RowKernel::eval_into`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod counters;
@@ -36,8 +38,8 @@ pub mod timing;
 pub use counters::TrafficCounters;
 pub use device::GpuDevice;
 pub use exec::{
-    execute_plan, execute_plan_on, execute_plan_with, temporal_chunks, BlockedRun, TileContext,
-    TileRun, TileSpec,
+    execute_plan, execute_plan_on, execute_plan_with, row_kernel_isa, temporal_chunks, BlockedRun,
+    TileContext, TileRun, TileSpec,
 };
 pub use occupancy::{Occupancy, OccupancyLimit};
 pub use profile::WorkloadProfile;
