@@ -211,7 +211,7 @@ impl VectorCpuBackend {
 
     /// A backend with one executor per available CPU.
     #[must_use]
-    pub fn with_available_parallelism() -> Self {
+    pub(crate) fn with_available_parallelism() -> Self {
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);

@@ -18,7 +18,7 @@ pub fn an5d_plan(
 
 /// The process-wide device registry every harness resolves GPUs through.
 #[must_use]
-pub fn device_registry() -> &'static DeviceRegistry {
+pub(crate) fn device_registry() -> &'static DeviceRegistry {
     standard_registry()
 }
 
@@ -59,7 +59,11 @@ pub fn paper_problem(def: &StencilDef) -> StencilProblem {
 /// happens for stencils whose radius × bT exceeds the Sconf block — the
 /// paper never runs Sconf on those either.
 #[must_use]
-pub fn sconf_plan(def: &StencilDef, problem: &StencilProblem, precision: Precision) -> KernelPlan {
+pub(crate) fn sconf_plan(
+    def: &StencilDef,
+    problem: &StencilProblem,
+    precision: Precision,
+) -> KernelPlan {
     let config = BlockConfig::sconf(def.ndim(), precision);
     let scheme = if def.ndim() == 2 {
         FrameworkScheme::an5d_no_associative()
@@ -71,7 +75,7 @@ pub fn sconf_plan(def: &StencilDef, problem: &StencilProblem, precision: Precisi
 
 /// Simulated `Sconf` measurement.
 #[must_use]
-pub fn sconf_measurement(
+pub(crate) fn sconf_measurement(
     def: &StencilDef,
     problem: &StencilProblem,
     device: &GpuDevice,
@@ -91,7 +95,7 @@ pub fn tuned(def: &StencilDef, device: &GpuDevice, precision: Precision) -> Opti
 
 /// Model prediction for an explicit configuration at paper scale.
 #[must_use]
-pub fn prediction_for(
+pub(crate) fn prediction_for(
     def: &StencilDef,
     config: &BlockConfig,
     device: &GpuDevice,
@@ -103,7 +107,7 @@ pub fn prediction_for(
 
 /// Simulated measurement for an explicit configuration at paper scale.
 #[must_use]
-pub fn measurement_for(
+pub(crate) fn measurement_for(
     def: &StencilDef,
     config: &BlockConfig,
     device: &GpuDevice,

@@ -9,7 +9,7 @@ use serde::Serialize;
 
 /// One point of a Fig. 8 series.
 #[derive(Debug, Clone, Serialize)]
-pub struct Fig8Point {
+pub(crate) struct Fig8Point {
     /// Temporal blocking degree.
     pub bt: usize,
     /// Simulated measured performance of the star stencil (GFLOP/s).
@@ -63,13 +63,13 @@ fn series(
 
 /// The 2D series of Fig. 8 (left plot): `bT ∈ [1, 16]`, rad = 1.
 #[must_use]
-pub fn rows_2d() -> Vec<Fig8Point> {
+pub(crate) fn rows_2d() -> Vec<Fig8Point> {
     series(&suite::star2d(1), &suite::box2d(1), 16, &device("v100"))
 }
 
 /// The 3D series of Fig. 8 (right plot): `bT ∈ [1, 8]`, rad = 1.
 #[must_use]
-pub fn rows_3d() -> Vec<Fig8Point> {
+pub(crate) fn rows_3d() -> Vec<Fig8Point> {
     series(&suite::star3d(1), &suite::box3d(1), 8, &device("v100"))
 }
 

@@ -38,7 +38,7 @@ fn stencils() -> Vec<StencilDef> {
 
 /// Compute the Fig. 9 rows for one precision.
 #[must_use]
-pub fn rows_for(precision: Precision) -> Vec<Fig9Row> {
+pub(crate) fn rows_for(precision: Precision) -> Vec<Fig9Row> {
     let device = device("v100");
     stencils()
         .iter()

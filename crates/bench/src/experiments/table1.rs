@@ -24,7 +24,7 @@ pub struct Table1Row {
 /// Reference configuration used to instantiate the symbolic Table 1
 /// formulas: `nthr = 256`, `bT = 4`, `rad = 2`, single precision.
 #[must_use]
-pub fn reference_config() -> BlockConfig {
+pub(crate) fn reference_config() -> BlockConfig {
     BlockConfig::new(4, &[256], None, Precision::Single).expect("reference config is valid")
 }
 

@@ -41,7 +41,7 @@ impl Table5Row {
 
 /// Compute Table 5 for one device/precision pair.
 #[must_use]
-pub fn rows_for(device: &GpuDevice, precision: Precision) -> Vec<Table5Row> {
+pub(crate) fn rows_for(device: &GpuDevice, precision: Precision) -> Vec<Table5Row> {
     suite::all_benchmarks()
         .iter()
         .filter_map(|def| {

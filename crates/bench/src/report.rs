@@ -2,7 +2,7 @@
 
 /// Render a table with a header row, column alignment by width.
 #[must_use]
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

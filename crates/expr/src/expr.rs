@@ -127,12 +127,6 @@ impl Expr {
         Expr::leaf(Slot::Cell(Offset::new(offset)))
     }
 
-    /// A neighbour access leaf from an [`Offset`].
-    #[must_use]
-    pub fn cell_at(offset: Offset) -> Self {
-        Expr::leaf(Slot::Cell(offset))
-    }
-
     /// Square root of an expression.
     #[must_use]
     pub fn sqrt(inner: Expr) -> Self {
@@ -245,7 +239,7 @@ impl Expr {
 
     /// All distinct neighbour offsets accessed by this expression, sorted.
     #[must_use]
-    pub fn accessed_offsets(&self) -> Vec<Offset> {
+    pub(crate) fn accessed_offsets(&self) -> Vec<Offset> {
         Walk::of(self).offsets
     }
 

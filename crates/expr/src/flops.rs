@@ -57,7 +57,7 @@ pub struct OpMix {
 impl OpMix {
     /// Number of instructions issued.
     #[must_use]
-    pub fn instructions(&self) -> usize {
+    pub(crate) fn instructions(&self) -> usize {
         self.fma + self.mul + self.add + self.other
     }
 

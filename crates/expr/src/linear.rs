@@ -231,7 +231,7 @@ mod tests {
         let centre = form
             .terms()
             .iter()
-            .find(|t| t.offset.is_center())
+            .find(|t| t.offset.radius() == 0)
             .expect("centre term");
         assert!((centre.coeff - 15.0 / 118.0).abs() < 1e-12);
         assert!(j2d5pt().is_associative());
@@ -298,7 +298,11 @@ mod tests {
     fn subtraction_and_negation_handled() {
         let e = -(Expr::cell(&[0, 0]) - Expr::constant(0.5) * Expr::cell(&[0, 1]));
         let form = e.as_linear().unwrap();
-        let centre = form.terms().iter().find(|t| t.offset.is_center()).unwrap();
+        let centre = form
+            .terms()
+            .iter()
+            .find(|t| t.offset.radius() == 0)
+            .unwrap();
         assert_eq!(centre.coeff, -1.0);
         let right = form
             .terms()

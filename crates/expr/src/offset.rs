@@ -85,16 +85,10 @@ impl Offset {
             .unwrap_or(0)
     }
 
-    /// `true` for the centre cell.
-    #[must_use]
-    pub fn is_center(&self) -> bool {
-        self.components().iter().all(|&c| c == 0)
-    }
-
     /// `true` if the offset moves along at most one axis (no diagonal
     /// component) — the paper's "diagonal-access free" (star) condition.
     #[must_use]
-    pub fn is_axial(&self) -> bool {
+    pub(crate) fn is_axial(&self) -> bool {
         self.components().iter().filter(|&&c| c != 0).count() <= 1
     }
 
@@ -154,7 +148,6 @@ mod tests {
     #[test]
     fn zero_offset_is_center() {
         let o = Offset::zero(3);
-        assert!(o.is_center());
         assert!(o.is_axial());
         assert_eq!(o.radius(), 0);
         assert_eq!(o.ndim(), 3);

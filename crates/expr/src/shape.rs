@@ -83,18 +83,6 @@ impl ShapeInfo {
     pub fn tap_count(&self) -> usize {
         self.offsets.len()
     }
-
-    /// Number of distinct sub-planes (values of the streaming-dimension
-    /// offset) touched by the stencil: `1 + 2·rad` for all paper benchmarks.
-    #[must_use]
-    pub fn planes_touched(&self) -> usize {
-        let set: BTreeSet<i32> = self
-            .offsets
-            .iter()
-            .map(Offset::streaming_component)
-            .collect();
-        set.len()
-    }
 }
 
 impl Expr {
@@ -194,7 +182,6 @@ mod tests {
             assert_eq!(info.ndim, 2);
             assert_eq!(info.tap_count(), 4 * r as usize + 1);
             assert!(info.diagonal_access_free);
-            assert_eq!(info.planes_touched(), 2 * r as usize + 1);
         }
     }
 
@@ -238,7 +225,6 @@ mod tests {
         let info = e.shape_info().unwrap();
         assert_eq!(info.ndim, 3);
         assert_eq!(info.class, StencilShapeClass::Star);
-        assert_eq!(info.planes_touched(), 3);
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! blocks live here:
 //!
 //! * [`FaultPlan`] — a seeded, process-wide table of named injection
-//!   points. Code under test calls [`point`] with a registered name
-//!   such as `"tunedb.append"`; when a plan is installed and the
-//!   rule for that point triggers, the call yields a [`FaultAction`]
-//!   (an injected error, a delay, or a short read/write). Triggers are
-//!   either counter-based (`every:N`) or drawn from a seeded splitmix64
-//!   stream (`1/N`), so the fault sequence for a given seed and call
-//!   sequence is fully deterministic — the chaos soak runs the same
+//!   points, built as a value: [`FaultPlan::new`] takes the seed and
+//!   [`FaultPlan::rule`] adds one rule per point. Code under test calls
+//!   [`point`] with a registered name such as `"tunedb.append"`; when a
+//!   plan is installed and the rule for that point triggers, the call
+//!   yields a [`FaultAction`] (an injected error, a delay, or a short
+//!   read/write). A [`Trigger`] is either counter-based
+//!   ([`Trigger::Every`]) or drawn from a seeded splitmix64 stream
+//!   ([`Trigger::OneIn`]), so the fault sequence for a given seed and
+//!   call sequence is fully deterministic — the chaos soak runs the same
 //!   faults on every run with the same seed. When no plan is installed
 //!   every probe is a single relaxed atomic load.
 //! * [`Deadline`] — a wall-clock budget threaded through a request.
@@ -29,7 +31,4 @@ mod deadline;
 mod plan;
 
 pub use deadline::{current_deadline, deadline_expired, Deadline, DeadlineGuard};
-pub use plan::{
-    fired, injected, install, installed, journal, point, uninstall, FaultAction, FaultPlan,
-    FiredFault,
-};
+pub use plan::{fired, injected, install, point, uninstall, FaultAction, FaultPlan, Trigger};

@@ -6,7 +6,7 @@ use std::fmt;
 /// A loop extent: either a compile-time constant or a runtime symbol
 /// (the paper keeps `I_Si` and `I_T` as run-time parameters).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum ExtentExpr {
+pub(crate) enum ExtentExpr {
     /// Compile-time constant extent.
     Const(i64),
     /// Symbolic (run-time) extent, e.g. `I_S1`.
@@ -36,9 +36,9 @@ pub struct DetectedStencil {
     /// Names of the spatial loop variables, outermost (streaming) first.
     pub space_vars: Vec<String>,
     /// Extent of the time loop (`I_T`).
-    pub time_extent: ExtentExpr,
+    pub(crate) time_extent: ExtentExpr,
     /// Extents of the spatial loops, outermost (streaming) first.
-    pub space_extents: Vec<ExtentExpr>,
+    pub(crate) space_extents: Vec<ExtentExpr>,
 }
 
 #[cfg(test)]

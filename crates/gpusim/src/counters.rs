@@ -52,7 +52,7 @@ impl TrafficCounters {
 
     /// Redundant (recomputed) cell updates: computed but never written back.
     #[must_use]
-    pub fn redundant_updates(&self) -> u128 {
+    pub(crate) fn redundant_updates(&self) -> u128 {
         self.cell_updates.saturating_sub(self.valid_updates)
     }
 

@@ -101,7 +101,7 @@ impl GpuDevice {
     /// BabelStream runs achieved on Volta, and shared-memory bandwidth
     /// scaled from the V100 measurement by SM count and clock.
     #[must_use]
-    pub fn ampere_a100() -> Self {
+    pub(crate) fn ampere_a100() -> Self {
         Self {
             name: "Ampere A100 SXM4".to_string(),
             peak_gflops_f32: 19_500.0,
@@ -126,7 +126,7 @@ impl GpuDevice {
     /// ratios as the paper devices (measured global bandwidth ≈ 85 % of
     /// peak, `f64` slightly above `f32`, shared bandwidth ∝ SM count).
     #[must_use]
-    pub fn generic_small() -> Self {
+    pub(crate) fn generic_small() -> Self {
         Self {
             name: "Generic Small GPU".to_string(),
             peak_gflops_f32: 4_000.0,

@@ -23,8 +23,8 @@
 //! enumerates the tiles of one temporal block, and there is **one tile
 //! kernel** — load the local box, run the block's steps, hand out the
 //! finished rows of the write-back region — with **two sinks**:
-//! [`TileContext::execute_tile_into`] stores the rows where they belong,
-//! into the tile's entry of [`TileContext::carve_rows`], and
+//! `TileContext::execute_tile_into` stores the rows where they belong,
+//! into the tile's entry of `TileContext::carve_rows`, and
 //! [`TileContext::execute_tile_rows`] collects them into a detached
 //! [`TileRun`] that [`TileRun::apply_to`] row-copies into a grid later (the
 //! form tests and the benchmark's stage-by-stage replay use). What a tile
@@ -378,7 +378,10 @@ impl<'a> TileContext<'a> {
     /// # Panics
     ///
     /// Panics if `next` does not have the problem's padded grid shape.
-    pub fn carve_rows<'g, T: Element>(&self, next: &'g mut Grid<T>) -> Vec<Vec<&'g mut [T]>> {
+    pub(crate) fn carve_rows<'g, T: Element>(
+        &self,
+        next: &'g mut Grid<T>,
+    ) -> Vec<Vec<&'g mut [T]>> {
         assert_eq!(
             next.shape(),
             self.shape.as_slice(),
@@ -435,7 +438,7 @@ impl<'a> TileContext<'a> {
     /// The tile reads only `current`; its output (the values of its
     /// write-back region plus [`TileContext::tile_counters`]) is returned
     /// detached so the caller decides when and where to apply it. This is
-    /// the tile kernel of [`TileContext::execute_tile_into`] with a
+    /// the tile kernel of `TileContext::execute_tile_into` with a
     /// collecting sink instead of a storing one.
     ///
     /// # Panics
@@ -469,7 +472,7 @@ impl<'a> TileContext<'a> {
     ///
     /// Panics if `current` does not have the problem's padded grid shape
     /// or `rows` is not the tile's carved row list.
-    pub fn execute_tile_into<T: Element>(
+    pub(crate) fn execute_tile_into<T: Element>(
         &self,
         current: &Grid<T>,
         tile: &TileSpec,

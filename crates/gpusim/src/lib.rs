@@ -11,7 +11,7 @@
 //!    handling as the generated kernel — so its numerical output can be
 //!    compared bit-for-bit against the naive reference, and global/shared
 //!    traffic and redundant work are *counted* rather than estimated.
-//! 2. **Analytical timing** ([`timing`]): counted (or analytically derived)
+//! 2. **Analytical timing** (`timing`): counted (or analytically derived)
 //!    work is converted to a simulated run time using the device data of
 //!    Table 4 plus the efficiency derates the paper itself reports
 //!    (shared-memory efficiency, double-precision-division slow-down,
@@ -33,7 +33,7 @@ pub mod exec;
 mod occupancy;
 mod profile;
 mod registry;
-pub mod timing;
+pub(crate) mod timing;
 
 pub use counters::TrafficCounters;
 pub use device::GpuDevice;
@@ -41,7 +41,7 @@ pub use exec::{
     execute_plan, execute_plan_on, execute_plan_with, row_kernel_isa, temporal_chunks, BlockedRun,
     TileContext, TileRun, TileSpec,
 };
-pub use occupancy::{Occupancy, OccupancyLimit};
+pub use occupancy::Occupancy;
 pub use profile::WorkloadProfile;
 pub use registry::{standard_registry, DeviceId, DeviceRegistry};
 pub use timing::{simulate, wave_efficiency, Bottleneck, InfeasibleConfig, SimulatedTime};

@@ -5,7 +5,7 @@ use std::fmt;
 
 /// What limited the number of resident thread blocks per SM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum OccupancyLimit {
+pub(crate) enum OccupancyLimit {
     /// The 2048-resident-threads-per-SM hardware limit.
     Threads,
     /// The shared-memory capacity per SM.
@@ -35,7 +35,7 @@ pub struct Occupancy {
     /// Fraction of the 2048-thread capacity that is occupied.
     pub fraction: f64,
     /// The binding resource.
-    pub limited_by: OccupancyLimit,
+    pub(crate) limited_by: OccupancyLimit,
 }
 
 impl Occupancy {
@@ -84,7 +84,7 @@ impl Occupancy {
 
     /// `true` when at least one block fits on an SM.
     #[must_use]
-    pub fn is_feasible(&self) -> bool {
+    pub(crate) fn is_feasible(&self) -> bool {
         self.blocks_per_sm > 0
     }
 }

@@ -117,7 +117,7 @@ impl DeviceRegistry {
 
     /// Register a profile under an explicit id plus extra accepted
     /// aliases (all matched case-insensitively).
-    pub fn register_with_aliases(
+    pub(crate) fn register_with_aliases(
         &mut self,
         device: GpuDevice,
         id: &str,

@@ -1,6 +1,6 @@
 //! Double-buffered grid pair, matching the paper's `A[t % 2]` input form.
 
-use crate::{Element, Grid, GridError, GridInit};
+use crate::{Element, Grid, GridInit};
 
 /// A pair of equally-shaped grids used for Jacobi-style double buffering.
 ///
@@ -113,15 +113,6 @@ impl<T: Element> DoubleBuffer<T> {
         } else {
             b
         }
-    }
-
-    /// Check this buffer shares its shape with another grid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GridError::ShapeMismatch`] when shapes differ.
-    pub fn check_same_shape(&self, other: &Grid<T>) -> Result<(), GridError> {
-        self.current().check_same_shape(other)
     }
 }
 

@@ -74,15 +74,6 @@ pub fn max_abs_diff<T: Element>(a: &Grid<T>, b: &Grid<T>) -> Result<f64, GridErr
     GridDiff::compute(a, b).map(|d| d.max_abs)
 }
 
-/// Maximum relative difference between two equally-shaped grids.
-///
-/// # Errors
-///
-/// Returns [`GridError::ShapeMismatch`] if the grids differ in shape.
-pub fn max_rel_diff<T: Element>(a: &Grid<T>, b: &Grid<T>) -> Result<f64, GridError> {
-    GridDiff::compute(a, b).map(|d| d.max_rel)
-}
-
 /// Default comparison tolerance for a cell precision after `steps` stencil
 /// applications with fast-math-style reassociation allowed.
 ///
@@ -141,7 +132,6 @@ mod tests {
         let b = Grid::<f32>::zeros(&[3, 4]);
         assert!(GridDiff::compute(&a, &b).is_err());
         assert!(max_abs_diff(&a, &b).is_err());
-        assert!(max_rel_diff(&a, &b).is_err());
     }
 
     #[test]
@@ -150,7 +140,6 @@ mod tests {
         let b = Grid::<f64>::from_init(&[4, 4], GridInit::Hash { seed: 2 });
         let d = GridDiff::compute(&a, &b).unwrap();
         assert_eq!(max_abs_diff(&a, &b).unwrap(), d.max_abs);
-        assert_eq!(max_rel_diff(&a, &b).unwrap(), d.max_rel);
     }
 
     #[test]

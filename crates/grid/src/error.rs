@@ -29,13 +29,6 @@ pub enum GridError {
         /// Shape of the right-hand grid.
         right: Vec<usize>,
     },
-    /// An index was outside the grid.
-    OutOfBounds {
-        /// The offending index.
-        index: Vec<isize>,
-        /// The grid shape.
-        shape: Vec<usize>,
-    },
 }
 
 impl fmt::Display for GridError {
@@ -53,9 +46,6 @@ impl fmt::Display for GridError {
             }
             GridError::ShapeMismatch { left, right } => {
                 write!(f, "grid shapes differ: {left:?} vs {right:?}")
-            }
-            GridError::OutOfBounds { index, shape } => {
-                write!(f, "index {index:?} is out of bounds for shape {shape:?}")
             }
         }
     }
@@ -78,11 +68,6 @@ mod tests {
             right: vec![4],
         };
         assert!(e.to_string().contains("[2, 3]"));
-        let e = GridError::OutOfBounds {
-            index: vec![-1, 0],
-            shape: vec![4, 4],
-        };
-        assert!(e.to_string().contains("out of bounds"));
     }
 
     #[test]

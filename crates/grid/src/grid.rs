@@ -36,7 +36,7 @@ impl<T: Element> Grid<T> {
     /// # Panics
     ///
     /// Panics if the shape is invalid (empty, rank > [`MAX_DIMS`], or any
-    /// extent is zero). Use [`Grid::try_new`] for a fallible variant.
+    /// extent is zero).
     #[must_use]
     pub fn zeros(shape: &[usize]) -> Self {
         Self::try_new(shape, T::ZERO).expect("invalid grid shape")
@@ -49,7 +49,7 @@ impl<T: Element> Grid<T> {
     /// Returns [`GridError::InvalidRank`] or [`GridError::ZeroExtent`] if the
     /// shape is not usable, and [`GridError::TooManyCells`] if its extents
     /// multiply past `usize::MAX`.
-    pub fn try_new(shape: &[usize], fill: T) -> Result<Self, GridError> {
+    pub(crate) fn try_new(shape: &[usize], fill: T) -> Result<Self, GridError> {
         if shape.is_empty() || shape.len() > MAX_DIMS {
             return Err(GridError::InvalidRank { ndim: shape.len() });
         }
@@ -101,7 +101,7 @@ impl<T: Element> Grid<T> {
     }
 
     /// Overwrite every cell according to an initialisation pattern.
-    pub fn fill_with(&mut self, init: GridInit) {
+    pub(crate) fn fill_with(&mut self, init: GridInit) {
         let shape = self.shape.clone();
         let mut idx = vec![0usize; shape.len()];
         for flat in 0..self.len() {
@@ -259,7 +259,7 @@ impl<T: Element> Grid<T> {
     /// # Errors
     ///
     /// Returns [`GridError::ShapeMismatch`] when shapes differ.
-    pub fn check_same_shape(&self, other: &Self) -> Result<(), GridError> {
+    pub(crate) fn check_same_shape(&self, other: &Self) -> Result<(), GridError> {
         if self.shape == other.shape {
             Ok(())
         } else {

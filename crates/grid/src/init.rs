@@ -42,7 +42,7 @@ pub enum GridInit {
 impl GridInit {
     /// Evaluate the pattern at a cell index within a grid of the given shape.
     #[must_use]
-    pub fn value_at(&self, index: &[usize], shape: &[usize]) -> f64 {
+    pub(crate) fn value_at(&self, index: &[usize], shape: &[usize]) -> f64 {
         match *self {
             GridInit::Constant(c) => c,
             GridInit::Linear { scale, offset } => {

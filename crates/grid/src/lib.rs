@@ -29,7 +29,7 @@ mod grid;
 mod init;
 
 pub use buffer::DoubleBuffer;
-pub use compare::{default_tolerance, max_abs_diff, max_rel_diff, GridDiff};
+pub use compare::{default_tolerance, max_abs_diff, GridDiff};
 pub use element::{Element, Precision};
 pub use error::GridError;
 pub use grid::Grid;

@@ -58,12 +58,6 @@ impl ThreadClasses {
         self.out_of_bound + self.boundary + self.redundant + self.valid
     }
 
-    /// Work items that perform computation.
-    #[must_use]
-    pub fn computing(&self) -> u128 {
-        self.redundant + self.valid
-    }
-
     /// Work items that perform global-memory reads.
     #[must_use]
     pub fn reading(&self) -> u128 {
@@ -488,8 +482,7 @@ mod tests {
             classes.total(),
             classes.out_of_bound + classes.boundary + classes.redundant + classes.valid
         );
-        assert_eq!(classes.computing(), classes.redundant + classes.valid);
-        assert!(classes.reading() >= classes.computing());
+        assert!(classes.reading() >= classes.redundant + classes.valid);
         // Valid work items per temporal block cover the whole interior.
         assert_eq!(classes.valid, 128 * 128);
     }

@@ -19,9 +19,6 @@ const SUB: usize = 1 << PRECISION;
 /// Total bucket count covering the whole `u64` range.
 const BUCKETS: usize = ((64 - PRECISION + 1) as usize) << PRECISION;
 
-/// Quantiles overshoot the true value by at most `value / RELATIVE_ERROR_DENOM + 1`.
-pub const RELATIVE_ERROR_DENOM: u64 = SUB as u64;
-
 /// Bucket index for a recorded value.
 fn bucket_index(value: u64) -> usize {
     if value < SUB as u64 {
@@ -221,6 +218,10 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Quantiles overshoot the true value by at most
+    /// `value / RELATIVE_ERROR_DENOM + 1`.
+    const RELATIVE_ERROR_DENOM: u64 = SUB as u64;
     use std::sync::Arc;
 
     #[test]

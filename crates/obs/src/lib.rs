@@ -29,12 +29,12 @@ mod registry;
 mod ring;
 mod trace;
 
-pub use histogram::{Histogram, HistogramSnapshot, RELATIVE_ERROR_DENOM};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{
     Counter, FamilySnapshot, Gauge, Kind, Labels, Registry, Sample, SeriesSnapshot,
 };
 pub use ring::TraceRing;
 pub use trace::{
     current_context, ActiveTrace, ContextGuard, FinishedTrace, Span, SpanRecord, TraceContext,
-    TraceId, MAX_SPANS_PER_TRACE,
+    TraceId,
 };

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 /// Hard cap on recorded spans per trace; later spans are counted as
 /// dropped instead of growing the buffer without bound.
-pub const MAX_SPANS_PER_TRACE: usize = 512;
+pub(crate) const MAX_SPANS_PER_TRACE: usize = 512;
 
 /// A per-process-unique request/trace identifier, rendered as 16 hex digits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -247,7 +247,7 @@ pub struct FinishedTrace {
     pub id: TraceId,
     /// End-to-end duration in microseconds (the root duration).
     pub total_us: u64,
-    /// Spans that were dropped after [`MAX_SPANS_PER_TRACE`].
+    /// Spans that were dropped after the 512 a trace keeps.
     pub dropped: u64,
     /// Recorded spans in open order; `parent` indexes into this list.
     pub spans: Vec<SpanRecord>,
@@ -261,11 +261,6 @@ impl FinishedTrace {
             .iter()
             .find(|s| s.parent.is_none())
             .map(|s| s.name)
-    }
-
-    /// Spans whose parent is `parent` (`None` for top-level spans).
-    pub fn children_of(&self, parent: Option<u32>) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.parent == parent)
     }
 }
 
@@ -374,7 +369,12 @@ mod tests {
         );
         assert!(finished.spans[1].dur_us >= 1_000);
         assert!(finished.spans[0].dur_us >= finished.spans[1].dur_us);
-        let top_level: u64 = finished.children_of(None).map(|s| s.dur_us).sum();
+        let top_level: u64 = finished
+            .spans
+            .iter()
+            .filter(|s| s.parent.is_none())
+            .map(|s| s.dur_us)
+            .sum();
         assert!(top_level <= finished.total_us);
         assert_eq!(finished.root_name(), Some("outer"));
     }

@@ -32,7 +32,7 @@ impl RegisterCap {
     /// The effective per-thread register ceiling (255 when unlimited — the
     /// hardware maximum on Pascal/Volta).
     #[must_use]
-    pub fn ceiling(self) -> usize {
+    pub(crate) fn ceiling(self) -> usize {
         match self {
             RegisterCap::Limit(n) => n.min(255),
             RegisterCap::Unlimited => 255,

@@ -151,7 +151,7 @@ impl FrameworkScheme {
     /// new sub-plane (STENCILGEN) instead of staying in a fixed register
     /// per slot (AN5D; Section 4.2.1, Fig. 3 (b)).
     #[must_use]
-    pub fn shifts_registers(self) -> bool {
+    pub(crate) fn shifts_registers(self) -> bool {
         match self.0 {
             Scheme::An5d | Scheme::An5dNoAssociative => false,
             Scheme::Stencilgen => true,

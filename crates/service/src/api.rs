@@ -68,14 +68,14 @@ fn big(value: u128) -> Json {
 
 /// `{"error": message}` — the uniform error body.
 #[must_use]
-pub fn error_body(message: &str) -> String {
+pub(crate) fn error_body(message: &str) -> String {
     Json::obj(vec![("error", Json::str(message))]).render()
 }
 
 /// The structured `504 Gateway Timeout` body: the uniform error field
 /// plus how far processing got before the request's deadline expired.
 #[must_use]
-pub fn deadline_error_body(message: &str, completed: usize, total: usize) -> String {
+pub(crate) fn deadline_error_body(message: &str, completed: usize, total: usize) -> String {
     Json::obj(vec![
         ("error", Json::str(message)),
         ("deadline_exceeded", Json::Bool(true)),
@@ -102,7 +102,7 @@ fn require<'a>(body: &'a Json, key: &str) -> Result<&'a Json, ApiError> {
 ///
 /// Rejects bodies naming neither (or both) stencil forms, unknown
 /// benchmarks, unparsable DSL sources and unknown schemes.
-pub fn pipeline_from(body: &Json) -> Result<An5d, ApiError> {
+pub(crate) fn pipeline_from(body: &Json) -> Result<An5d, ApiError> {
     let pipeline = match (body.get("benchmark"), body.get("source")) {
         (Some(benchmark), None) => {
             let name = benchmark
@@ -138,7 +138,7 @@ pub fn pipeline_from(body: &Json) -> Result<An5d, ApiError> {
 /// # Errors
 ///
 /// Rejects unknown scheme names.
-pub fn scheme_from(body: &Json) -> Result<FrameworkScheme, ApiError> {
+pub(crate) fn scheme_from(body: &Json) -> Result<FrameworkScheme, ApiError> {
     match body.get("scheme") {
         None => Ok(FrameworkScheme::an5d()),
         Some(value) => value
@@ -171,7 +171,7 @@ fn usize_list(value: &Json, key: &str) -> Result<Vec<usize>, ApiError> {
 /// # Errors
 ///
 /// Rejects missing/ill-typed fields and extents invalid for the stencil.
-pub fn problem_from(body: &Json, pipeline: &An5d) -> Result<StencilProblem, ApiError> {
+pub(crate) fn problem_from(body: &Json, pipeline: &An5d) -> Result<StencilProblem, ApiError> {
     let interior = usize_list(require(body, "interior")?, "interior")?;
     let steps = require(body, "steps")?
         .as_usize()
@@ -206,7 +206,7 @@ pub fn precision_from(body: &Json) -> Result<Precision, ApiError> {
 ///
 /// Rejects missing/ill-typed fields and configurations the planner
 /// rejects outright (zero extents, rank mismatch).
-pub fn config_from(body: &Json) -> Result<BlockConfig, ApiError> {
+pub(crate) fn config_from(body: &Json) -> Result<BlockConfig, ApiError> {
     let config = require(body, "config")?;
     let bt = require(config, "bt")?
         .as_usize()
@@ -234,7 +234,10 @@ pub fn config_from(body: &Json) -> Result<BlockConfig, ApiError> {
 /// Rejects names the registry does not know; the error message lists
 /// the accepted set, so registering a new profile makes it usable (and
 /// self-documenting) here with no code change.
-pub fn device_from(body: &Json, registry: &DeviceRegistry) -> Result<Option<DeviceId>, ApiError> {
+pub(crate) fn device_from(
+    body: &Json,
+    registry: &DeviceRegistry,
+) -> Result<Option<DeviceId>, ApiError> {
     match body.get("device") {
         None => Ok(None),
         Some(value) => {
@@ -253,7 +256,7 @@ pub fn device_from(body: &Json, registry: &DeviceRegistry) -> Result<Option<Devi
 /// from the registry — the single source for this message, shared by
 /// request extraction and the fleet router.
 #[must_use]
-pub fn unknown_device_error(registry: &DeviceRegistry) -> ApiError {
+pub(crate) fn unknown_device_error(registry: &DeviceRegistry) -> ApiError {
     ApiError::new(format!(
         "\"device\" must be one of {}",
         registry.accepted_names()
@@ -266,7 +269,11 @@ pub fn unknown_device_error(registry: &DeviceRegistry) -> ApiError {
 /// # Errors
 ///
 /// Rejects unknown space names.
-pub fn space_from(body: &Json, ndim: usize, precision: Precision) -> Result<SearchSpace, ApiError> {
+pub(crate) fn space_from(
+    body: &Json,
+    ndim: usize,
+    precision: Precision,
+) -> Result<SearchSpace, ApiError> {
     match body.get("space") {
         None => Ok(SearchSpace::quick(ndim, precision)),
         Some(value) => match value.as_str() {
@@ -283,7 +290,7 @@ pub fn space_from(body: &Json, ndim: usize, precision: Precision) -> Result<Sear
 /// # Errors
 ///
 /// Rejects ill-typed seeds.
-pub fn seed_from(body: &Json) -> Result<u64, ApiError> {
+pub(crate) fn seed_from(body: &Json) -> Result<u64, ApiError> {
     match body.get("seed") {
         None => Ok(0x5EED),
         Some(value) => value
@@ -425,7 +432,7 @@ pub fn execute_response(outcome: &BatchOutcome) -> Json {
 
 /// One profile of the `/devices` listing.
 #[must_use]
-pub fn device_json(id: &DeviceId, device: &GpuDevice) -> Json {
+pub(crate) fn device_json(id: &DeviceId, device: &GpuDevice) -> Json {
     Json::obj(vec![
         ("id", Json::Str(id.to_string())),
         ("name", Json::str(&device.name)),
@@ -444,7 +451,7 @@ pub fn device_json(id: &DeviceId, device: &GpuDevice) -> Json {
 /// Response body for `/devices`: every registered profile, in id order,
 /// plus the default the router uses for device-defaulting endpoints.
 #[must_use]
-pub fn devices_response(registry: &DeviceRegistry) -> Json {
+pub(crate) fn devices_response(registry: &DeviceRegistry) -> Json {
     Json::obj(vec![
         ("default", Json::Str(registry.default_id().to_string())),
         (
@@ -463,7 +470,7 @@ pub fn devices_response(registry: &DeviceRegistry) -> Json {
 /// (2^26: 512 MiB per double-precision copy). Checked before anything
 /// allocates, so an oversized interior is a 400 rather than an
 /// allocation the process cannot survive.
-pub const MAX_EXECUTE_CELLS: usize = 1 << 26;
+pub(crate) const MAX_EXECUTE_CELLS: usize = 1 << 26;
 
 /// Extract an `/execute` body into a [`BatchJob`] on the seeded
 /// deterministic initial grid, planned under the body's `"scheme"`.
@@ -473,7 +480,7 @@ pub const MAX_EXECUTE_CELLS: usize = 1 << 26;
 /// Rejects whatever [`pipeline_from`], [`problem_from`], [`config_from`]
 /// or [`seed_from`] rejects, and a padded grid of more than
 /// [`MAX_EXECUTE_CELLS`] cells.
-pub fn batch_job_from(spec: &Json) -> Result<BatchJob, ApiError> {
+pub(crate) fn batch_job_from(spec: &Json) -> Result<BatchJob, ApiError> {
     let pipeline = pipeline_from(spec)?;
     let problem = problem_from(spec, &pipeline)?;
     let ring = 2 * pipeline.def().radius() as u128;

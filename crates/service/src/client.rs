@@ -75,7 +75,12 @@ impl RetryPolicy {
     /// [`cap`](Self::cap), so the policy's ceiling is the ceiling,
     /// whatever the server claims.
     #[must_use]
-    pub fn backoff(&self, attempt: u32, token: u64, retry_after_secs: Option<u64>) -> Duration {
+    pub(crate) fn backoff(
+        &self,
+        attempt: u32,
+        token: u64,
+        retry_after_secs: Option<u64>,
+    ) -> Duration {
         let exp = self
             .base
             .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))

@@ -139,7 +139,10 @@ impl FleetShard {
     }
 
     /// Run one request, counting it and its latency on this shard.
-    pub fn observe<T>(&self, f: impl FnOnce() -> Result<T, ApiError>) -> Result<T, ApiError> {
+    pub(crate) fn observe<T>(
+        &self,
+        f: impl FnOnce() -> Result<T, ApiError>,
+    ) -> Result<T, ApiError> {
         let started = Instant::now();
         let result = f();
         self.latency.record_duration(started.elapsed());
@@ -368,7 +371,7 @@ impl Fleet {
     /// The shard of the registry's default device, which answers
     /// `/predict` and `/tune` requests that name none.
     #[must_use]
-    pub fn default_shard(&self) -> &FleetShard {
+    pub(crate) fn default_shard(&self) -> &FleetShard {
         self.shards
             .get(self.registry.default_id())
             .expect("the default device is registered")

@@ -29,10 +29,10 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_TRACE_CAPACITY: usize = 256;
 
 /// Latency above which a request is logged as slow.
-pub const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_secs(1);
+pub(crate) const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_secs(1);
 
 /// The endpoints served, with the method each accepts.
-pub const ENDPOINTS: &[(&str, &str)] = &[
+pub(crate) const ENDPOINTS: &[(&str, &str)] = &[
     ("GET", "/devices"),
     ("GET", "/metrics"),
     ("GET", "/trace"),

@@ -26,10 +26,10 @@ const MAX_HEADERS: usize = 64;
 /// Cap on an `x-an5d-deadline-ms` budget (24 h): large enough to be
 /// "no practical limit", small enough that the arithmetic around
 /// `Instant + budget` can never overflow.
-pub const MAX_DEADLINE_MS: u64 = 24 * 60 * 60 * 1000;
+pub(crate) const MAX_DEADLINE_MS: u64 = 24 * 60 * 60 * 1000;
 /// The request header carrying the client's processing budget in
 /// milliseconds (see [`Request::deadline`]).
-pub const DEADLINE_HEADER: &str = "x-an5d-deadline-ms";
+pub(crate) const DEADLINE_HEADER: &str = "x-an5d-deadline-ms";
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,7 @@ impl Request {
     /// bare (`?refresh`), `=true` or `=1`. Any other value — including
     /// `=false` — is off, so a typo never silently forces a re-tune.
     #[must_use]
-    pub fn query_flag(&self, name: &str) -> bool {
+    pub(crate) fn query_flag(&self, name: &str) -> bool {
         self.query.split('&').any(|pair| {
             let (key, value) = match pair.split_once('=') {
                 Some((key, value)) => (key, value),
@@ -87,7 +87,7 @@ impl Request {
     /// The value of query parameter `name` (`/trace?id=abc` → `"abc"`);
     /// `None` when absent, `""` when bare or explicitly empty.
     #[must_use]
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query.split('&').find_map(|pair| {
             let (key, value) = match pair.split_once('=') {
                 Some((key, value)) => (key, value),
@@ -151,7 +151,7 @@ impl Response {
 
     /// Attach the request's trace ID, echoed as `x-an5d-trace`.
     #[must_use]
-    pub fn with_trace(mut self, trace: String) -> Self {
+    pub(crate) fn with_trace(mut self, trace: String) -> Self {
         self.trace = Some(trace);
         self
     }
@@ -159,7 +159,7 @@ impl Response {
     /// Attach a `Retry-After: secs` header (overload and deadline-shed
     /// 503s).
     #[must_use]
-    pub fn with_retry_after(mut self, secs: u32) -> Self {
+    pub(crate) fn with_retry_after(mut self, secs: u32) -> Self {
         self.retry_after = Some(secs);
         self
     }

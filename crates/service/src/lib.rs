@@ -55,14 +55,15 @@
 //! they are answered in order, each by its worker as soon as its job
 //! finishes, and each gets its own status, trace and deadline.
 //!
-//! Requests may carry an `x-an5d-deadline-ms` budget ([`DEADLINE_HEADER`]):
+//! Requests may carry an `x-an5d-deadline-ms` budget:
 //! one that has already expired at dispatch is shed with `503` +
 //! `Retry-After` without ever occupying a worker, and one that expires
 //! mid-processing (the tuner checkpoints between candidates) is
 //! answered `504` with a structured partial-progress body. All `503`
 //! sheds carry `Retry-After`; [`client::RetryPolicy`] honors it with
 //! capped, seeded-jitter exponential backoff on idempotent requests. A
-//! deterministic fault-injection plan, installed in process with
+//! deterministic fault-injection plan, built as a typed
+//! `an5d_fault::FaultPlan` value and installed in process with
 //! `an5d_fault::install`, drives the `tests/chaos.rs` soak against
 //! exactly this machinery.
 //!
@@ -84,8 +85,8 @@
 //! Every counter, gauge and histogram the process keeps lives in one
 //! typed [`an5d_obs::Registry`] ([`ServiceState::registry`]): a series
 //! is registered once, where it is recorded ([`metrics`], [`fleet`],
-//! [`handlers`]), and `/metrics` is the one view of its snapshot
-//! ([`telemetry`]).
+//! `handlers`), and `/metrics` is the one view of its snapshot
+//! (`telemetry`).
 //!
 //! # Example
 //!
@@ -119,12 +120,12 @@
 pub mod api;
 pub mod client;
 pub mod fleet;
-pub mod handlers;
+pub(crate) mod handlers;
 pub mod http;
 pub mod metrics;
 mod reactor;
 mod server;
-pub mod telemetry;
+pub(crate) mod telemetry;
 
 /// The deterministic JSON layer — owned by `an5d-tunedb` (the lowest
 /// crate that persists JSON) and re-exported here for the HTTP API.
@@ -133,10 +134,8 @@ pub use an5d_tunedb::TUNE_DB_ENV;
 
 pub use client::{HttpResponse, KeepAliveClient, RetryPolicy};
 pub use fleet::{Fleet, FleetShard, ShardTuneDbStats};
-pub use handlers::{
-    dispatch, ServiceState, DEFAULT_SLOW_THRESHOLD, DEFAULT_TRACE_CAPACITY, ENDPOINTS,
-};
-pub use http::{Parse, Request, RequestParser, Response, DEADLINE_HEADER, MAX_DEADLINE_MS};
+pub use handlers::{dispatch, ServiceState, DEFAULT_TRACE_CAPACITY};
+pub use http::{Parse, Request, RequestParser, Response};
 pub use json::{parse as parse_json, Json, JsonError};
-pub use metrics::{ConnectionSnapshot, ConnectionStats, EndpointSeries, MeteredBackend, Metrics};
+pub use metrics::{ConnectionSnapshot, ConnectionStats, EndpointSeries, Metrics};
 pub use server::{banner, Server, ServerConfig};

@@ -5,7 +5,7 @@
 //! Everything here is a handle into the state's [`Registry`]: a series
 //! is registered in this file, next to the code that records it, and
 //! `/metrics` finds it by iterating the registry (see
-//! [`crate::telemetry`]). Per-endpoint handles are resolved the first
+//! `telemetry`). Per-endpoint handles are resolved the first
 //! time an endpoint records — [`OnceLock`] slots sized from the static
 //! endpoint list — so the hot path is a lock-free slot read plus
 //! wait-free atomics, and an endpoint nobody called has no series.
@@ -124,13 +124,13 @@ impl ConnectionStats {
     }
 
     /// One connection accepted (opens it).
-    pub fn on_accepted(&self) {
+    pub(crate) fn on_accepted(&self) {
         self.accepted.inc();
         self.open.inc();
     }
 
     /// One connection closed; `aborted` marks a mid-request death.
-    pub fn on_closed(&self, aborted: bool) {
+    pub(crate) fn on_closed(&self, aborted: bool) {
         self.closed.inc();
         self.open.dec();
         if aborted {
@@ -139,17 +139,17 @@ impl ConnectionStats {
     }
 
     /// A connection entered the parked (idle keep-alive) state.
-    pub fn on_parked(&self) {
+    pub(crate) fn on_parked(&self) {
         self.parked.inc();
     }
 
     /// A parked connection became active again (or closed).
-    pub fn on_unparked(&self) {
+    pub(crate) fn on_unparked(&self) {
         self.parked.dec();
     }
 
     /// Record the busy time of one reactor loop iteration.
-    pub fn record_loop(&self, busy: Duration) {
+    pub(crate) fn record_loop(&self, busy: Duration) {
         self.loop_busy.record_duration(busy);
     }
 
@@ -280,7 +280,7 @@ impl Metrics {
 /// Transparent by construction: it delegates `name`/`describe` and the
 /// execute methods verbatim, so wrapping never changes results — only
 /// observability.
-pub struct MeteredBackend {
+pub(crate) struct MeteredBackend {
     inner: Arc<dyn ExecutionBackend>,
     registry: Arc<Registry>,
     /// Resolved by the first execute, so a backend that never ran has

@@ -175,8 +175,8 @@ pub(crate) enum Flush {
 /// blocking, advancing `*pos` by what the sink took. The worker calls
 /// it once per response; the reactor calls it on every `POLLOUT`.
 ///
-/// The `reactor.write` fault point is evaluated once per call: `error`
-/// fails it, `short:N` caps the bytes it may write, `delay:MS` stalls
+/// The `reactor.write` fault point is evaluated once per call: `Error`
+/// fails it, `Short(n)` caps the bytes it may write, `Delay(d)` stalls
 /// it.
 pub(crate) fn write_out(mut sink: impl Write, out: &[u8], pos: &mut usize) -> Flush {
     let mut budget = usize::MAX;
@@ -407,7 +407,7 @@ impl Reactor {
             Some(_) => {
                 // Injected transport kill. Always an abort (regardless of
                 // parser state) so a chaos soak can reconcile
-                // `an5d_connections_aborted` against the fault journal.
+                // `an5d_connections_aborted` against the plan's fires.
                 self.close(token, true);
                 return;
             }

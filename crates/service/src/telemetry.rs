@@ -75,7 +75,7 @@ fn write_histogram(
 
 /// The Prometheus text exposition of a registry snapshot (`/metrics`).
 #[must_use]
-pub fn render_prometheus(families: &[FamilySnapshot]) -> String {
+pub(crate) fn render_prometheus(families: &[FamilySnapshot]) -> String {
     let mut out = String::new();
     for family in families {
         let name = &family.name;
@@ -97,7 +97,7 @@ pub fn render_prometheus(families: &[FamilySnapshot]) -> String {
 
 /// Summary JSON for `GET /trace`: the retained traces, oldest first.
 #[must_use]
-pub fn traces_summary(state: &ServiceState) -> Json {
+pub(crate) fn traces_summary(state: &ServiceState) -> Json {
     let traces = state.traces().recent();
     Json::obj(vec![
         (
@@ -133,7 +133,7 @@ pub fn traces_summary(state: &ServiceState) -> Json {
 /// Detail JSON for `GET /trace?id=`: the flat span list with parent
 /// indices (a tree encoded by index).
 #[must_use]
-pub fn trace_detail(trace: &FinishedTrace) -> Json {
+pub(crate) fn trace_detail(trace: &FinishedTrace) -> Json {
     Json::obj(vec![
         ("id", Json::Str(trace.id.to_string())),
         ("total_us", Json::Int(i128::from(trace.total_us))),

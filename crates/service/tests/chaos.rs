@@ -14,6 +14,7 @@
 mod common;
 
 use an5d::SerialBackend;
+use an5d_fault::{FaultAction, FaultPlan, Trigger};
 use an5d_service::{client, dispatch, Json, Request, ServerConfig, ServiceState};
 use common::{metric, server, shutdown, TempDb};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -129,12 +130,33 @@ fn seeded_faults_never_corrupt_a_response_and_reconcile_with_the_metrics() {
     // path), fail one tune-DB append in 3, and stretch one tuner
     // candidate in 7 by 15 ms — enough to push short-budget `/tune`
     // requests into mid-sweep deadline expiry (504).
-    let spec = format!(
-        "seed={SEED};reactor.read=error@1/401;reactor.write=short:512@1/23;\
-         tunedb.append=error@1/3;tuner.candidate=delay:15@1/7"
-    );
+    let plan = FaultPlan::new(SEED)
+        .rule(
+            "reactor.read",
+            FaultAction::Error,
+            Trigger::one_in(401),
+            None,
+        )
+        .rule(
+            "reactor.write",
+            FaultAction::Short(512),
+            Trigger::one_in(23),
+            None,
+        )
+        .rule(
+            "tunedb.append",
+            FaultAction::Error,
+            Trigger::one_in(3),
+            None,
+        )
+        .rule(
+            "tuner.candidate",
+            FaultAction::Delay(Duration::from_millis(15)),
+            Trigger::one_in(7),
+            None,
+        );
     let db = TempDb::new("chaos");
-    an5d_fault::install(an5d_fault::FaultPlan::parse(&spec).expect("valid plan"));
+    an5d_fault::install(plan);
     let server = server(ServerConfig {
         workers: 4,
         queue_depth: 256,

@@ -25,6 +25,7 @@ use an5d::{
     An5d, BatchDriver, BatchJob, BlockConfig, GpuDevice, GridInit, Precision, SearchSpace,
     SerialBackend,
 };
+use an5d_fault::{FaultAction, FaultPlan, Trigger};
 use an5d_service::{api, client, Json, ServerConfig};
 use common::{metric, park, post_request, read_head, read_response, send_raw, server, shutdown};
 use std::io::{Read, Write};
@@ -282,8 +283,9 @@ fn four_hundred_parked_connections_do_not_slow_the_active_ones() {
     drop(parked);
 }
 
-fn install_plan(spec: &str) {
-    an5d_fault::install(an5d_fault::FaultPlan::parse(spec).expect("valid plan"));
+/// Install a seed-1 plan whose one rule acts at `point`.
+fn install_rule(point: &str, action: FaultAction, limit: Option<u64>) {
+    an5d_fault::install(FaultPlan::new(1).rule(point, action, Trigger::Always, limit));
 }
 
 fn small_server() -> an5d_service::Server {
@@ -338,14 +340,14 @@ fn the_largest_body_arrives_whole_on_a_connection_that_stays_usable() {
     // Once plainly, once with every socket write capped at 4 KiB: the
     // response then drains through the resumable `POLLOUT` path in ~63
     // pieces.
-    for plan in [None, Some("seed=1;reactor.write=short:4096")] {
-        if let Some(plan) = plan {
-            install_plan(plan);
+    for capped in [false, true] {
+        if capped {
+            install_rule("reactor.write", FaultAction::Short(4096), None);
         }
         let mut stream = send_raw(addr, &post_request("/codegen", LARGEST_CODEGEN_BODY, false));
         let (head, body) = read_response(&mut stream);
         assert_sent_whole(&head);
-        assert!(body == expected, "{plan:?}: /codegen bytes differ");
+        assert!(body == expected, "capped {capped}: /codegen bytes differ");
 
         // The kept-alive connection serves a second request.
         let reused_before = server.reused_requests();
@@ -354,10 +356,14 @@ fn the_largest_body_arrives_whole_on_a_connection_that_stays_usable() {
             .expect("second request");
         let (head, body) = read_response(&mut stream);
         assert_sent_whole(&head);
-        assert_eq!(body, small, "{plan:?}");
-        assert_eq!(server.reused_requests(), reused_before + 1, "{plan:?}");
+        assert_eq!(body, small, "capped {capped}");
+        assert_eq!(
+            server.reused_requests(),
+            reused_before + 1,
+            "capped {capped}"
+        );
 
-        if plan.is_some() {
+        if capped {
             let short_writes = an5d_fault::fired("reactor.write");
             assert!(short_writes >= 60, "only {short_writes} short writes");
             an5d_fault::uninstall();
@@ -383,7 +389,7 @@ fn a_kill_on_the_first_write_aborts_one_connection_and_no_more() {
     let aborted_before = aborted();
 
     // The first write of the next response is the worker's; kill it.
-    install_plan("seed=1;reactor.write=error#1");
+    install_rule("reactor.write", FaultAction::Error, Some(1));
     let mut stream = raw_post(addr, "/codegen", CODEGEN_BODY);
     let mut got = Vec::new();
     stream.read_to_end(&mut got).expect("EOF, not a reset");
@@ -466,7 +472,11 @@ fn a_pipelined_job_is_answered_before_the_next_one_finishes() {
     // The `/tune` behind the `/execute` stalls 600 ms on its first
     // candidate. Had the server held the first answer back until the
     // second was ready, it could not arrive 300 ms before the second.
-    install_plan("seed=1;tuner.candidate=delay:600#1");
+    install_rule(
+        "tuner.candidate",
+        FaultAction::Delay(Duration::from_millis(600)),
+        Some(1),
+    );
     let pipelined =
         post_request("/execute", EXECUTE_BODY, false) + &post_request("/tune", TUNE_BODY, true);
     let mut stream = send_raw(addr, &pipelined);

@@ -16,9 +16,11 @@
 
 mod common;
 
+use an5d_fault::{FaultAction, FaultPlan, Trigger};
 use an5d_service::{client, KeepAliveClient, Server, ServerConfig};
 use common::metric;
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Serializes the tests that install (or must observe the absence of)
 /// the process-global fault plan.
@@ -98,12 +100,15 @@ fn tune_with_a_short_deadline_returns_504_with_partial_progress() {
     // Stretch the first two tuner candidates by 150 ms each: with a
     // 40 ms budget the request clears admission comfortably (an idle
     // server dispatches in well under 40 ms) but can never finish the
-    // sweep — deterministic 504 regardless of host speed. The `#2`
-    // fire limit keeps the already-expired tail of the sweep from
+    // sweep — deterministic 504 regardless of host speed. The
+    // 2-fire limit keeps the already-expired tail of the sweep from
     // sleeping too (the checkpoint skips those candidates instantly).
-    an5d_fault::install(
-        an5d_fault::FaultPlan::parse("seed=1;tuner.candidate=delay:150#2").expect("valid plan"),
-    );
+    an5d_fault::install(FaultPlan::new(1).rule(
+        "tuner.candidate",
+        FaultAction::Delay(Duration::from_millis(150)),
+        Trigger::Always,
+        Some(2),
+    ));
     let server = start_server();
     let addr = server.addr();
 

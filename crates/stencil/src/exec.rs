@@ -70,7 +70,7 @@ impl<T: Element> Arithmetic for Value<T> {
 ///
 /// Panics if the grids are smaller than the stencil footprint or have
 /// mismatched shapes.
-pub fn reference_step<T: Element>(def: &StencilDef, src: &Grid<T>, dst: &mut Grid<T>) {
+pub(crate) fn reference_step<T: Element>(def: &StencilDef, src: &Grid<T>, dst: &mut Grid<T>) {
     assert_eq!(
         src.shape(),
         dst.shape(),

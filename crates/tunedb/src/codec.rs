@@ -17,7 +17,7 @@ use an5d_tuner::{SearchSpace, TunedCandidate, TuningResult};
 
 /// A malformed or semantically invalid persisted record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError(pub String);
+pub(crate) struct CodecError(pub String);
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -139,7 +139,7 @@ fn hex_u64_from(value: &Json, key: &str) -> Result<u64, CodecError> {
 
 /// Render a key to its JSON object form.
 #[must_use]
-pub fn key_to_json(key: &TuneKey) -> Json {
+pub(crate) fn key_to_json(key: &TuneKey) -> Json {
     Json::obj(vec![
         ("stencil", hex_u64(key.stencil)),
         ("interior", Json::usize_array(&key.interior)),
@@ -156,7 +156,7 @@ pub fn key_to_json(key: &TuneKey) -> Json {
 /// # Errors
 ///
 /// Rejects missing or ill-typed fields.
-pub fn key_from_json(value: &Json) -> Result<TuneKey, CodecError> {
+pub(crate) fn key_from_json(value: &Json) -> Result<TuneKey, CodecError> {
     Ok(TuneKey {
         stencil: hex_u64_from(field(value, "stencil")?, "stencil")?,
         interior: usize_list(field(value, "interior")?, "interior")?,
@@ -272,7 +272,7 @@ pub fn result_to_json(result: &TuningResult) -> Json {
 ///
 /// Rejects missing/ill-typed fields and configurations the planner
 /// rejects outright.
-pub fn result_from_json(value: &Json) -> Result<TuningResult, CodecError> {
+pub(crate) fn result_from_json(value: &Json) -> Result<TuningResult, CodecError> {
     let measured = field(value, "measured")?
         .as_array()
         .ok_or_else(|| bad("\"measured\" must be an array"))?
@@ -314,7 +314,7 @@ impl Record {
     /// runs, `false` for the simulated flow — so warm-start consumers can
     /// tell the two apart without decoding the whole result.
     #[must_use]
-    pub fn to_payload(&self) -> Vec<u8> {
+    pub(crate) fn to_payload(&self) -> Vec<u8> {
         Json::obj(vec![
             ("key", key_to_json(&self.key)),
             ("hint", self.hint.as_deref().map_or(Json::Null, Json::str)),
@@ -334,7 +334,7 @@ impl Record {
     /// # Errors
     ///
     /// Rejects payloads that are not UTF-8, not JSON, or not a record.
-    pub fn from_payload(payload: &[u8]) -> Result<Record, CodecError> {
+    pub(crate) fn from_payload(payload: &[u8]) -> Result<Record, CodecError> {
         let text = std::str::from_utf8(payload).map_err(|_| bad("record payload is not UTF-8"))?;
         let value = crate::json::parse(text).map_err(|e| bad(e.to_string()))?;
         let hint = match value.get("hint") {

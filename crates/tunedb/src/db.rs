@@ -55,7 +55,7 @@ struct Inner {
 }
 
 /// A persisted map from [`TuneKey`] to [`TuningResult`], backed by the
-/// checksummed record log of [`crate::log`].
+/// checksummed record log of the crate's `log` module.
 ///
 /// All reads are served from the in-memory index built at open; `put`
 /// appends one framed record and updates the index under the same lock,
@@ -255,22 +255,6 @@ impl TuneDb {
             self.compact_locked(&mut inner)?;
         }
         Ok(())
-    }
-
-    /// Rewrite the log with only the live records (atomic
-    /// write-temp-then-rename).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors; on failure the original log file is
-    /// left untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the database mutex was poisoned by a panicking thread.
-    pub fn compact(&self) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("tune DB poisoned");
-        self.compact_locked(&mut inner)
     }
 
     fn compact_locked(&self, inner: &mut Inner) -> io::Result<()> {
@@ -555,20 +539,5 @@ mod tests {
         let db = TuneDb::open(&path).unwrap();
         assert_eq!(db.get(&key), Some(result));
         assert_eq!(db.stats().recovered, 1);
-    }
-
-    #[test]
-    fn explicit_compaction_is_available() {
-        let path = temp_path("explicit");
-        let _cleanup = TempFile(path.clone());
-        let db = TuneDb::open(&path).unwrap();
-        let (key, result) = sample("v100", 50);
-        db.put(&key, None, &result).unwrap();
-        db.put(&key, None, &result).unwrap();
-        assert_eq!(db.stats().stale, 1);
-        db.compact().unwrap();
-        assert_eq!(db.stats().stale, 0);
-        assert_eq!(db.stats().compactions, 1);
-        assert_eq!(db.get(&key), Some(result));
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! # Architecture
 //!
-//! * [`log`] — the std-only on-disk format: an append-only,
+//! * `log` — the std-only on-disk format: an append-only,
 //!   length-prefixed JSON record log with a per-record FNV-1a 64
 //!   checksum, truncation-tolerant recovery (a crash-torn tail is
 //!   chopped; a flipped bit loses one record, not the file) and
@@ -35,7 +35,7 @@
 pub mod codec;
 pub mod db;
 pub mod json;
-pub mod log;
+pub(crate) mod log;
 
-pub use codec::{CodecError, Record, TuneKey};
+pub use codec::{Record, TuneKey};
 pub use db::{TuneDb, TuneDbStats, TUNE_DB_ENV};

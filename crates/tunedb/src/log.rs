@@ -42,17 +42,17 @@ use std::io;
 
 /// File magic, version-tagged; bump the version on incompatible layout
 /// changes.
-pub const MAGIC: &[u8] = b"an5dtunedb v1\n";
+pub(crate) const MAGIC: &[u8] = b"an5dtunedb v1\n";
 
 /// Upper bound on one record's payload (a tuning result is a few KiB; a
 /// length field beyond this bound is treated as framing corruption).
-pub const MAX_PAYLOAD_BYTES: usize = 16 << 20;
+pub(crate) const MAX_PAYLOAD_BYTES: usize = 16 << 20;
 
 /// Bytes of one frame header: `u32` length + `u64` checksum.
 const FRAME_HEADER_BYTES: usize = 4 + 8;
 
 /// Append one framed record to `out`.
-pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
     assert!(
         payload.len() <= MAX_PAYLOAD_BYTES,
         "record payload of {} bytes exceeds the {MAX_PAYLOAD_BYTES}-byte frame bound",
@@ -65,7 +65,7 @@ pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
 
 /// What a decoding pass recovered from a log image.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Recovered {
+pub(crate) struct Recovered {
     /// Payloads of every intact record, in append order.
     pub payloads: Vec<Vec<u8>>,
     /// Records dropped for a checksum mismatch (framing was intact, so
@@ -87,7 +87,7 @@ pub struct Recovered {
 /// tune DB at all (its first bytes disagree with the magic). Damage
 /// *after* a valid magic prefix — truncation, bit flips, torn appends —
 /// is recovered, never fatal.
-pub fn decode_log(bytes: &[u8]) -> io::Result<Recovered> {
+pub(crate) fn decode_log(bytes: &[u8]) -> io::Result<Recovered> {
     let magic_len = MAGIC.len().min(bytes.len());
     if bytes[..magic_len] != MAGIC[..magic_len] {
         return Err(io::Error::new(

@@ -13,7 +13,7 @@
 //! leak into unrelated tunedb tests; the tests here serialize on a
 //! local mutex.
 
-use an5d_fault::{uninstall, FaultPlan};
+use an5d_fault::{uninstall, FaultAction, FaultPlan, Trigger};
 use an5d_gpusim::{DeviceId, GpuDevice};
 use an5d_grid::Precision;
 use an5d_stencil::{suite, StencilProblem};
@@ -24,6 +24,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
+
+/// A plan that injects `action` into the next tune-DB append only.
+fn fail_once(action: FaultAction) -> FaultPlan {
+    FaultPlan::new(0).rule("tunedb.append", action, Trigger::Always, Some(1))
+}
 
 fn temp_path(label: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -72,7 +77,7 @@ fn torn_appends_at_every_cut_recover_the_longest_prefix() {
             let db = TuneDb::open(&path).unwrap();
             db.put(&key_a, Some("j2d5pt"), &result_a).unwrap();
 
-            an5d_fault::install(FaultPlan::parse(&format!("tunedb.append=short:{cut}#1")).unwrap());
+            an5d_fault::install(fail_once(FaultAction::Short(cut)));
             let err = db.put(&key_b, None, &result_b).unwrap_err();
             uninstall();
             assert!(
@@ -118,7 +123,7 @@ fn clean_append_failures_roll_back_and_leave_no_tail() {
 
     // An `error` action fails the append before any byte is written —
     // the process survives, the rollback logic keeps the file clean.
-    an5d_fault::install(FaultPlan::parse("tunedb.append=error#1").unwrap());
+    an5d_fault::install(fail_once(FaultAction::Error));
     assert!(db.put(&key_b, None, &result_b).is_err());
     uninstall();
     assert_eq!(db.get(&key_b), None);

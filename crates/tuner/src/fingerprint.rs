@@ -33,7 +33,7 @@ use an5d_stencil::{StencilDef, StencilProblem};
 /// stable across processes, platforms and Rust releases — the property
 /// an on-disk key (or checksum) needs.
 #[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {
@@ -57,13 +57,13 @@ impl Fnv1a {
     }
 
     /// Absorb a `u64` (little-endian).
-    pub fn write_u64(&mut self, value: u64) {
+    pub(crate) fn write_u64(&mut self, value: u64) {
         self.write(&value.to_le_bytes());
     }
 
     /// Absorb a `usize` (widened to `u64` so 32- and 64-bit hosts
     /// agree).
-    pub fn write_usize(&mut self, value: usize) {
+    pub(crate) fn write_usize(&mut self, value: usize) {
         self.write_u64(value as u64);
     }
 

@@ -43,7 +43,7 @@ pub mod fingerprint;
 mod space;
 mod tuner;
 
-pub use fingerprint::{fnv1a64, problem_fingerprint, stencil_fingerprint, Fnv1a};
+pub use fingerprint::{fnv1a64, problem_fingerprint, stencil_fingerprint};
 pub use space::SearchSpace;
 pub use tuner::{
     BackendMeasurement, MeasurementSource, SimulatedMeasurement, TunedCandidate, Tuner, TunerError,

@@ -144,7 +144,7 @@ impl SearchSpace {
     /// Two spaces that yield the same candidate *set* — the same axis
     /// values in any order, with duplicates — digest identically, so a
     /// persisted tuning key survives cosmetic reorderings of the axis
-    /// lists. Built on the pinned [`crate::fingerprint::Fnv1a`] (not
+    /// lists. Built on the pinned FNV-1a of [`crate::fnv1a64`] (not
     /// `DefaultHasher`), so the digest is stable across processes and
     /// Rust releases, as an on-disk key must be.
     #[must_use]

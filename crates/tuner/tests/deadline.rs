@@ -8,7 +8,7 @@
 //! candidates deterministically; the plan-installing tests serialize
 //! on a local mutex so their rules never interleave.
 
-use an5d_fault::{uninstall, Deadline, FaultPlan};
+use an5d_fault::{uninstall, Deadline, FaultAction, FaultPlan, Trigger};
 use an5d_gpusim::GpuDevice;
 use an5d_grid::Precision;
 use an5d_stencil::{suite, StencilDef, StencilProblem};
@@ -20,6 +20,12 @@ static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
 
 fn problem(def: &StencilDef) -> StencilProblem {
     StencilProblem::new(def.clone(), &[128, 128], 100).unwrap()
+}
+
+/// A plan that stalls every call at `point` by `ms` milliseconds.
+fn delay_every_call(point: &str, ms: u64) -> FaultPlan {
+    let delay = FaultAction::Delay(Duration::from_millis(ms));
+    FaultPlan::new(0).rule(point, delay, Trigger::Always, None)
 }
 
 #[test]
@@ -58,7 +64,7 @@ fn mid_sweep_expiry_never_returns_a_partially_ranked_winner() {
     // before any sleeper finishes, so the sweep is interrupted partway
     // and must surface as an error — never as a winner ranked over
     // whatever subset happened to finish.
-    an5d_fault::install(FaultPlan::parse("tuner.candidate=delay:30").unwrap());
+    an5d_fault::install(delay_every_call("tuner.candidate", 30));
     let _deadline = Deadline::after(Duration::from_millis(10)).install();
     let result = tuner.tune(&def, &problem(&def), &space);
     uninstall();
@@ -89,7 +95,7 @@ fn expiry_between_topk_measurements_aborts_with_partial_progress() {
     // checkpoint between candidates must trip before a second
     // measurement starts, and the partial measurements must surface as
     // an error, not a winner.
-    an5d_fault::install(FaultPlan::parse("tuner.measure=delay:400").unwrap());
+    an5d_fault::install(delay_every_call("tuner.measure", 400));
     let _deadline = Deadline::after(Duration::from_millis(300)).install();
     let result = tuner.tune(&def, &problem(&def), &space);
     uninstall();

@@ -10,7 +10,7 @@
 //! A fault plan is process-wide, so every test here holds one lock for its
 //! whole run, its fault-free baselines included.
 
-use an5d_fault::{uninstall, Deadline, FaultPlan};
+use an5d_fault::{uninstall, Deadline, FaultAction, FaultPlan, Trigger};
 use an5d_gpusim::GpuDevice;
 use an5d_grid::Precision;
 use an5d_plan::KernelPlan;
@@ -25,14 +25,23 @@ use std::time::Duration;
 
 static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
 
+/// A plan that fails the first call at `point`.
+fn fail_once(point: &str) -> FaultPlan {
+    FaultPlan::new(0).rule(point, FaultAction::Error, Trigger::Always, Some(1))
+}
+
 fn problem(def: &StencilDef) -> StencilProblem {
     StencilProblem::new(def.clone(), &[128, 128], 100).unwrap()
 }
 
-/// Tune star2d1r over `space` with `spec` installed for the call.
-fn tune_under(spec: &str, tuner: &Tuner, space: &SearchSpace) -> Result<TuningResult, TunerError> {
+/// Tune star2d1r over `space` with `plan` installed for the call.
+fn tune_under(
+    plan: FaultPlan,
+    tuner: &Tuner,
+    space: &SearchSpace,
+) -> Result<TuningResult, TunerError> {
     let def = suite::star2d(1);
-    an5d_fault::install(FaultPlan::parse(spec).unwrap());
+    an5d_fault::install(plan);
     let result = tuner.tune(&def, &problem(&def), space);
     uninstall();
     result
@@ -43,10 +52,10 @@ fn an_error_at_a_candidate_drops_it_from_the_ranking() {
     let _global = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let space = SearchSpace::quick(2, Precision::Single);
     let tuner = Tuner::new(GpuDevice::tesla_v100());
-    let baseline = tune_under("", &tuner, &space).unwrap();
+    let baseline = tune_under(FaultPlan::new(0), &tuner, &space).unwrap();
     // The first candidate (bT 1, bS 128, hS_N 256) is valid, so failing
     // it costs the ranking exactly one.
-    let faulted = tune_under("tuner.candidate=error#1", &tuner, &space).unwrap();
+    let faulted = tune_under(fail_once("tuner.candidate"), &tuner, &space).unwrap();
     assert_eq!(faulted.ranked_candidates, baseline.ranked_candidates - 1);
     assert_eq!(faulted.total_candidates, baseline.total_candidates);
     let first = space.iter().next().unwrap();
@@ -58,8 +67,8 @@ fn an_error_at_a_measurement_drops_that_measurement() {
     let _global = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let space = SearchSpace::quick(2, Precision::Single);
     let tuner = Tuner::new(GpuDevice::tesla_v100());
-    let baseline = tune_under("", &tuner, &space).unwrap();
-    let faulted = tune_under("tuner.measure=error#1", &tuner, &space).unwrap();
+    let baseline = tune_under(FaultPlan::new(0), &tuner, &space).unwrap();
+    let faulted = tune_under(fail_once("tuner.measure"), &tuner, &space).unwrap();
     assert_eq!(faulted.measured.len(), baseline.measured.len() - 1);
     assert_eq!(faulted.ranked_candidates, baseline.ranked_candidates);
     // The others are measured as before.
@@ -81,14 +90,19 @@ fn a_sweep_deadline_counts_pruned_candidates_as_processed() {
         Precision::Single,
     );
     let tuner = Tuner::new(GpuDevice::tesla_v100());
-    let baseline = tune_under("", &tuner, &space).unwrap();
+    let baseline = tune_under(FaultPlan::new(0), &tuner, &space).unwrap();
     assert_eq!(baseline.total_candidates, 6);
     assert_eq!(baseline.ranked_candidates, 4);
 
     // The third candidate is stretched past the whole budget: the
     // checkpoint after it trips with the two pruned candidates done.
     let def = suite::star2d(1);
-    an5d_fault::install(FaultPlan::parse("tuner.candidate=delay:300@every:3#1").unwrap());
+    an5d_fault::install(FaultPlan::new(0).rule(
+        "tuner.candidate",
+        FaultAction::Delay(Duration::from_millis(300)),
+        Trigger::every(3),
+        Some(1),
+    ));
     let deadline = Deadline::after(Duration::from_millis(100)).install();
     let result = tuner.tune(&def, &problem(&def), &space);
     drop(deadline);
