@@ -176,8 +176,10 @@ impl ExecutionBackend for SerialBackend {
 /// them, evaluated a run of rows at a time over contiguous stride-1 slices
 /// straight into the output, with all halo/bounds logic hoisted out of the
 /// inner loops — the shape the compiler autovectorizes, monomorphic per
-/// precision and compiled for the baseline target and with AVX2, the
-/// instance picked at run time ([`an5d_gpusim::row_kernel_isa`], which
+/// precision and compiled for the baseline target, with AVX2 and with
+/// AVX-512F (which divides a chain by its constant through a reciprocal
+/// and one FMA correction, bit-identical to `/`), the widest instance the
+/// CPU has picked at run time ([`an5d_gpusim::row_kernel_isa`], which
 /// `describe` names). A finished tile stores its write-back rows straight
 /// into the rows of the other ping-pong grid carved out for it, on the thread
 /// that ran it: there are no detached tile runs, and nothing is applied

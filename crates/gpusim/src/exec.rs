@@ -122,57 +122,72 @@
 //! **Bit-identity.** Every cell still goes through the exact scalar
 //! operations of [`an5d_stencil::exec::eval_expr`], operand for operand:
 //! the value of a subtree does not depend on when it is computed, lanes
-//! never interact, and a chain adds its terms in source order, each
-//! product rounded before it is added (no `mul_add`, no reassociation, a
-//! division stays a division). The two rewrites a chain does make are
-//! exact in IEEE 754: `a − c·x` is evaluated as `a + (−c)·x` (negation is
-//! exact and subtraction *is* addition of the negated operand), a bare
-//! `± x` as `+ (±1)·x`, and a fresh chain starts from `c₀·x₀` itself, not
-//! from `0 + c₀·x₀` (which would lose the sign of a negative zero). A
-//! shared subtree is evaluated once where `eval_expr` evaluates it twice —
-//! the same operations on the same operands, hence the same bits, combined
-//! by the same operation. A pair performs the scalar operations of the
-//! instructions it replaces on the same operands in the same order
-//! (`xₐ ∘ x_b`, then `v·v`, then `below ∘ v` with `v` on the right as on
-//! the tape); only the store and reload of `v` between them is gone, and a
-//! value does not change by staying in a register (Rust floats are
-//! evaluated in their own precision). The cone changes which cells are
+//! never interact, and a chain adds its terms in source order, each product
+//! rounded before it is added (no `mul_add`, no reassociation, a division
+//! gives the bits of `/`; "Why the bits do not change" below names the one
+//! place it is not a divide instruction). The two rewrites a chain does
+//! make are exact in IEEE 754: `a − c·x` is evaluated as `a + (−c)·x`
+//! (negation is exact and subtraction *is* addition of the negated
+//! operand), a bare `± x` as `+ (±1)·x`, and a fresh chain starts from
+//! `c₀·x₀` itself, not from `0 + c₀·x₀` (which would lose the sign of a
+//! negative zero). A shared subtree is evaluated once where `eval_expr`
+//! evaluates it twice — the same operations on the same operands, hence the
+//! same bits, combined by the same operation. A pair performs the scalar
+//! operations of the instructions it replaces on the same operands in the
+//! same order (`xₐ ∘ x_b`, then `v·v`, then `below ∘ v` with `v` on the
+//! right as on the tape); only the store and reload of `v` between them is
+//! gone, and a value does not change by staying in a register (Rust floats
+//! are evaluated in their own precision). The cone changes which cells are
 //! computed, never how. That keeps the result bit-identical to the naive
 //! per-cell reference sweep for both `f32` and `f64`.
 //!
-//! # Two instances, picked at run time
+//! # Three instances, picked at run time
 //!
 //! Once the tape has taken the row traffic away, the passes are bound by
 //! arithmetic throughput, so their vector width matters. The tape
-//! evaluator is one `#[inline(always)]` function compiled twice: inlined
-//! into the dispatcher, `RowKernel::eval_into`, at the target's baseline
-//! features (SSE2, 128-bit, on x86-64), and into
+//! evaluator is one `#[inline(always)]` function compiled three times: at
+//! the target's baseline features (SSE2, 128-bit, on x86-64), as
 //! `RowKernel::eval_into_avx2` under `#[target_feature(enable =
-//! "avx2")]`. The dispatcher calls the AVX2 instance when
-//! [`row_kernel_isa`] — `is_x86_feature_detected!("avx2")`, a cached
-//! flag — says the CPU has it, and the baseline instance on every other
-//! CPU and target. There is no option to choose: both give the same bits.
+//! "avx2")]`, and as `RowKernel::eval_into_avx512` under
+//! `#[target_feature(enable = "avx512f")]`, which implies AVX2 and FMA.
+//! The dispatcher, `RowKernel::eval_into`, calls the widest instance
+//! [`row_kernel_isa`] — `is_x86_feature_detected!` of `avx512f`, then
+//! `avx2`, a cached flag — says the CPU has, and the baseline instance on
+//! every other CPU and target. There is no option to choose: all three
+//! give the same bits.
 //!
 //! **Where the dispatch sits.** At `eval_into`: one check per run of
 //! about a thousand lanes, and every pass (`Map::run`, `Zip::run`, the
 //! chain and pair passes and the closures they are monomorphic in) is
-//! force-inlined below it, so the AVX2 instance really contains 256-bit
-//! loops. One level up, at `RowKernel::step`, the row walk's closure was
-//! outlined and compiled at baseline width: that instance held a few
-//! dozen ymm instructions and gained nothing. CI disassembles a release
-//! binary and fails unless each `eval_into_avx2` is mostly ymm code.
+//! force-inlined below it, so the AVX2 and AVX-512 instances really
+//! contain 256- and 512-bit loops. One level up, at `RowKernel::step`,
+//! the row walk's closure was outlined and compiled at baseline width:
+//! that instance held a few dozen ymm instructions and gained nothing. CI
+//! disassembles a release binary and fails unless each `eval_into_avx2`
+//! is mostly ymm code and each `eval_into_avx512` mostly zmm code.
 //!
-//! **Why the bits do not change.** Only `avx2` is enabled, not `fma`:
-//! Rust never contracts `a·b + c` anyway, and without FMA no fused
-//! instruction is even available. Each lane of either instance performs the
-//! same IEEE-754 operation on the same operands in the same order — no
-//! `mul_add`, no reassociation, a division stays a division — and SSE2
-//! and AVX instructions round and treat subnormals by the same MXCSR
+//! **Why the bits do not change.** Rust never contracts `a·b + c`, and the
+//! baseline and AVX2 instances have no FMA at all: each lane of them
+//! performs the same IEEE-754 operation on the same operands in the same
+//! order — no reassociation, a division stays a division — and SSE2, AVX
+//! and AVX-512 instructions round and treat subnormals by the same MXCSR
 //! state. A wider vector only evaluates more independent lanes at once.
+//! Fused operations appear in one place: the AVX-512 instance divides a
+//! fresh chain by its constant `c` as `q0 = acc·(1/c)`, then the remainder
+//! `r = acc − q0·c` and `q = q0 + r·(1/c)`, each one fused operation
+//! (`Reciprocal`), because at 512 bits the divider, whose per-lane rate
+//! no vector width changes, bounds j2d5pt's `/ 118`. That `q` is `acc / c`
+//! correctly rounded — the bits of `/` — by Markstein's theorem, for a
+//! positive `c` whose reciprocal meets its precondition and an `acc` for
+//! which nothing under- or overflows; any other `c` keeps `/`, a run with
+//! any other lane is summed again and divided with `/`. Written as
+//! `q0 − fma(q0, c, −acc)·(1/c)`, the correction leaves a zero `acc`'s
+//! sign in place for a positive `c`. GPUs divide the same way: their IEEE
+//! division is a reciprocal refined by FMA.
 
 use crate::TrafficCounters;
 use an5d_expr::{BinOp, Expr, Node, UnOp};
-use an5d_grid::{Element, Grid, GridInit};
+use an5d_grid::{Element, Grid, GridInit, Precision};
 use an5d_plan::{practical_shared_reads, DimTile, KernelPlan};
 use an5d_stencil::StencilProblem;
 
@@ -881,12 +896,12 @@ fn chain_pass<'s, T: Element, const N: usize>(
     fresh: bool,
     group: &[Term],
     cells: &impl Fn(isize) -> &'s [T],
-    tail: impl Fn(T) -> T,
+    mut tail: impl FnMut(T) -> T,
 ) {
     let lanes = out.len();
     let coefs: [T; N] = std::array::from_fn(|k| T::from_f64(group[k].coef));
     let rows: [&[T]; N] = std::array::from_fn(|k| &cells(group[k].delta)[..lanes]);
-    let finish = |mut acc: T, from: usize, i: usize| {
+    let mut finish = |mut acc: T, from: usize, i: usize| {
         for k in from..N {
             acc += coefs[k] * rows[k][i];
         }
@@ -904,15 +919,20 @@ fn chain_pass<'s, T: Element, const N: usize>(
 }
 
 /// Dispatch one group of `1..=CHAIN_GROUP` terms to the [`chain_pass`]
-/// compiled for its term count and tail operation.
+/// compiled for its term count and tail operation. With `FMA` (an
+/// instance that has fused multiply-add) and `reciprocal`, a tail `/ c`
+/// divides through [`Reciprocal`] when `c` allows it; the result is then
+/// whether a lane fell outside the reciprocal's range, in which case the
+/// caller must sum the chain again and divide with `/`.
 #[inline(always)]
-fn chain_group<'s, T: Element>(
+fn chain_group<'s, T: Element, const FMA: bool>(
     out: &mut [T],
     fresh: bool,
     group: &[Term],
     cells: &impl Fn(isize) -> &'s [T],
     tail: Option<(BinOp, f64)>,
-) {
+    reciprocal: bool,
+) -> bool {
     macro_rules! with_tail {
         ($tail:expr) => {
             match group.len() {
@@ -933,7 +953,88 @@ fn chain_group<'s, T: Element>(
         Some((BinOp::Add, c)) => with_tail!(|x| x + c),
         Some((BinOp::Sub, c)) => with_tail!(|x| x - c),
         Some((BinOp::Mul, c)) => with_tail!(|x| x * c),
-        Some((BinOp::Div, c)) => with_tail!(|x| x / c),
+        Some((BinOp::Div, c)) => {
+            // `FMA` is a constant: the other instances compile none of this.
+            match (FMA && reciprocal).then(|| Reciprocal::of(c)).flatten() {
+                Some(recip) => {
+                    let mut outside = false;
+                    with_tail!(|acc| {
+                        outside |= recip.outside(acc);
+                        recip.quotient(acc)
+                    });
+                    return outside;
+                }
+                None => with_tail!(|x| x / c),
+            }
+        }
+    }
+    false
+}
+
+/// Division by a chain's constant `c` as a product with its reciprocal and
+/// one correction (Markstein, IBM J. Res. Dev. 1990): with `zh = 1/c`,
+/// `q0 = acc·zh`, the remainder `r = acc − q0·c` and `q = q0 + r·zh`.
+///
+/// `q` is `acc / c` correctly rounded when `zh` is within half an ulp of
+/// `1/c` and `|fma(zh, c, −1)| < 2^-(p+1)` for a `p`-bit significand
+/// (Markstein's theorem), provided nothing under- or overflows: `q0` is
+/// then within an ulp of the quotient, `r` is exact, and the correction
+/// rounds `q0 + r·zh` to the nearest quotient. [`Reciprocal::of`] takes a
+/// `c` only if it meets that precondition and `2^-16 ≤ c ≤ 2^16`; a run
+/// with a lane that is not ±0 and lies outside `[2^-900, 2^900]` (f64) or
+/// `[2^-96, 2^96]` (f32) — subnormal, huge, infinite or NaN — is divided
+/// with `/` instead ([`Reciprocal::outside`]).
+///
+/// The correction is computed as `q0 − fma(q0, c, −acc)·zh`, two fused
+/// operations, so that a zero `acc` keeps its sign: `fma(q0, c, −acc)` is
+/// `+0` for either zero, and `q0 − (+0)·zh` is `q0`, the zero with `acc`'s
+/// sign. (`q0 + fma(−q0, c, acc)·zh` would give `+0` for `acc = −0`; for a
+/// negative `c` neither form would, which is why `c` must be positive.)
+#[derive(Debug, Clone, Copy)]
+struct Reciprocal<T> {
+    c: T,
+    zh: T,
+    /// The smallest and largest `|acc|` the correction is exact for.
+    lo: T,
+    hi: T,
+}
+
+impl<T: Element> Reciprocal<T> {
+    /// The reciprocal of `c`, if `c` meets Markstein's precondition and
+    /// lies within `[2^-16, 2^16]`. Inlined, like the other two methods,
+    /// so that `mul_add` is the calling instance's FMA instruction.
+    #[inline(always)]
+    fn of(c: T) -> Option<Self> {
+        let (significand, range) = match T::PRECISION {
+            Precision::Single => (24, 96),
+            Precision::Double => (53, 900),
+        };
+        let pow2 = |k: i32| T::from_f64(2f64.powi(k));
+        let zh = T::ONE / c;
+        let proven = zh.mul_add(c, -T::ONE).abs() < pow2(-(significand + 1));
+        (proven && c >= pow2(-16) && c <= pow2(16)).then(|| Self {
+            c,
+            zh,
+            lo: pow2(-range),
+            hi: pow2(range),
+        })
+    }
+
+    /// `acc / c`, correctly rounded unless [`Reciprocal::outside`] holds.
+    #[inline(always)]
+    fn quotient(self, acc: T) -> T {
+        let q0 = acc * self.zh;
+        let minus_r = q0.mul_add(self.c, -acc);
+        (-minus_r).mul_add(self.zh, q0)
+    }
+
+    /// Whether `acc` is neither ±0 nor inside `[lo, hi]` in magnitude
+    /// (NaN is outside).
+    #[inline(always)]
+    fn outside(self, acc: T) -> bool {
+        let magnitude = acc.abs();
+        let inside = (magnitude >= self.lo) & (magnitude <= self.hi);
+        !inside & (acc != T::ZERO)
     }
 }
 
@@ -989,21 +1090,52 @@ fn pair_group<T: Element>(
     }
 }
 
-/// [`row_kernel_isa`]'s name for the instance compiled with AVX2 enabled.
-#[cfg(target_arch = "x86_64")]
-const AVX2: &str = "avx2";
+/// The instances of the row kernel, narrowest first: each is compiled with
+/// more of the CPU's vector features enabled than the one before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Isa {
+    /// The target's default features: SSE2, 128-bit, on x86-64.
+    Baseline,
+    /// AVX2, 256-bit.
+    Avx2,
+    /// AVX-512F, 512-bit, which implies AVX2 and FMA.
+    Avx512,
+}
 
-/// The instance of the row kernel this CPU runs: `"avx2"` on an x86-64
-/// CPU that has AVX2, `"baseline"` (the target's default features — SSE2
-/// on x86-64) everywhere else. Both give the same bits; only the vector
-/// width differs.
+impl Isa {
+    /// The widest instance this CPU runs (`is_x86_feature_detected!` is a
+    /// cached flag).
+    fn detected() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Isa::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Isa::Avx2;
+            }
+        }
+        Isa::Baseline
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Isa::Baseline => "baseline",
+            Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The instance of the row kernel this CPU runs: `"avx512"` on an x86-64
+/// CPU that has AVX-512F, `"avx2"` on one that has AVX2, `"baseline"` (the
+/// target's default features — SSE2 on x86-64) everywhere else. All give
+/// the same bits; they differ in vector width, and `"avx512"` divides by a
+/// chain's constant through its reciprocal.
 #[must_use]
 pub fn row_kernel_isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return AVX2;
-    }
-    "baseline"
+    Isa::detected().name()
 }
 
 /// A stencil expression compiled for one local-box geometry: one
@@ -1140,18 +1272,39 @@ impl RowKernel {
 
     /// Evaluate the tape for the run of cells whose first output lane sits
     /// at flat index `base` in `src`, leaving `out.len()` results in `out`,
-    /// through the instance [`row_kernel_isa`] names: the AVX2 one where
-    /// the CPU has AVX2, the baseline one everywhere else.
+    /// through the instance [`row_kernel_isa`] names.
     fn eval_into<T: Element>(&self, src: &[T], base: usize, scratch: &mut [Vec<T>], out: &mut [T]) {
+        self.eval_upto(Isa::Avx512, src, base, scratch, out);
+    }
+
+    /// [`RowKernel::eval_into`] through the widest instance this CPU runs
+    /// that is no wider than `cap`.
+    fn eval_upto<T: Element>(
+        &self,
+        cap: Isa,
+        src: &[T],
+        base: usize,
+        scratch: &mut [Vec<T>],
+        out: &mut [T],
+    ) {
         #[cfg(target_arch = "x86_64")]
-        if row_kernel_isa() == AVX2 {
-            // SAFETY: `row_kernel_isa` names AVX2 only when
-            // `is_x86_feature_detected!("avx2")` found it on this CPU, the
-            // one precondition of calling an `avx2` target-feature function.
-            #[allow(unsafe_code)]
-            return unsafe { self.eval_into_avx2(src, base, scratch, out) };
+        // SAFETY: `Isa::detected` names an instance only when
+        // `is_x86_feature_detected!` found its feature (`avx512f`, `avx2`)
+        // on this CPU, and the instance called is no wider than that: the
+        // one precondition of calling a target-feature function.
+        #[allow(unsafe_code)]
+        unsafe {
+            match Isa::detected().min(cap) {
+                Isa::Avx512 => self.eval_into_avx512(src, base, scratch, out),
+                Isa::Avx2 => self.eval_into_avx2(src, base, scratch, out),
+                Isa::Baseline => self.eval_any::<T, false>(src, base, scratch, out),
+            }
         }
-        self.eval_any(src, base, scratch, out);
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = cap;
+            self.eval_any::<T, false>(src, base, scratch, out);
+        }
     }
 
     /// [`RowKernel::eval_any`] compiled with AVX2 enabled: every pass
@@ -1166,11 +1319,29 @@ impl RowKernel {
         scratch: &mut [Vec<T>],
         out: &mut [T],
     ) {
-        self.eval_any(src, base, scratch, out);
+        self.eval_any::<T, false>(src, base, scratch, out);
+    }
+
+    /// [`RowKernel::eval_any`] compiled with AVX-512F enabled, which
+    /// implies AVX2 and FMA: every pass inlined into it runs 512-bit
+    /// vectors, and a fresh chain that ends in `/ c` divides through
+    /// [`Reciprocal`], whose fused operations give each lane the bits of
+    /// `/` (the other passes perform the baseline instance's operations).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn eval_into_avx512<T: Element>(
+        &self,
+        src: &[T],
+        base: usize,
+        scratch: &mut [Vec<T>],
+        out: &mut [T],
+    ) {
+        self.eval_any::<T, true>(src, base, scratch, out);
     }
 
     /// The tape evaluator, inlined into each instance so that every pass
-    /// is compiled for that instance's vector width.
+    /// is compiled for that instance's vector width; `FMA` says whether the
+    /// instance has fused multiply-add (see [`chain_group`]).
     ///
     /// `out` is the bottom row of the operand stack and `scratch` (at
     /// least `depth − 1` rows of at least `out.len()` lanes) the rows
@@ -1178,7 +1349,13 @@ impl RowKernel {
     /// on the stack — is produced in `out` directly. Neighbour rows are
     /// slices of `src` at `base + delta`, read in place.
     #[inline(always)]
-    fn eval_any<T: Element>(&self, src: &[T], base: usize, scratch: &mut [Vec<T>], out: &mut [T]) {
+    fn eval_any<T: Element, const FMA: bool>(
+        &self,
+        src: &[T],
+        base: usize,
+        scratch: &mut [Vec<T>],
+        out: &mut [T],
+    ) {
         let lanes = out.len();
         let cells = |delta: isize| {
             let start = (base as isize + delta) as usize;
@@ -1252,10 +1429,24 @@ impl RowKernel {
                     let acc = row(out, scratch, sp - 1);
                     // Groups of at most `CHAIN_GROUP` terms, each one pass
                     // continuing the sum where the last left it in `acc`.
+                    // Only a fresh chain may divide through the reciprocal:
+                    // its sum can be taken again from its first term. (A
+                    // loop, not a closure: a closure here is outlined and
+                    // compiled at baseline width.)
                     let last = terms.len().div_ceil(CHAIN_GROUP) - 1;
-                    for (g, group) in terms.chunks(CHAIN_GROUP).enumerate() {
-                        let tail = tail.filter(|_| g == last);
-                        chain_group(acc, fresh && g == 0, group, &cells, tail);
+                    let mut reciprocal = fresh;
+                    loop {
+                        let mut outside = false;
+                        for (g, group) in terms.chunks(CHAIN_GROUP).enumerate() {
+                            let tail = tail.filter(|_| g == last);
+                            let first = fresh && g == 0;
+                            outside |=
+                                chain_group::<T, FMA>(acc, first, group, &cells, tail, reciprocal);
+                        }
+                        if !outside {
+                            break;
+                        }
+                        reciprocal = false;
                     }
                 }
                 TapeOp::Pair {
@@ -1451,9 +1642,9 @@ pub fn execute_plan_with<T: Element>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use an5d_grid::{GridDiff, Precision};
+    use an5d_grid::{DoubleBuffer, GridDiff};
     use an5d_plan::{BlockConfig, FrameworkScheme};
-    use an5d_stencil::exec::{eval_expr, run_reference};
+    use an5d_stencil::exec::{eval_expr, run_reference, run_reference_on};
     use an5d_stencil::{suite, StencilDef};
 
     /// Blocked execution in precision `T` must reproduce the naive
@@ -2028,11 +2219,17 @@ mod tests {
         f64::NAN,
     ];
 
-    /// Both instances of `RowKernel`'s evaluator — the baseline one
-    /// called directly and, where [`row_kernel_isa`] names another, the
-    /// one the dispatch picks — must give every lane the bits `eval_expr`
-    /// gives it, on ordinary values and — every fourth cell — on
-    /// [`SPECIALS`].
+    /// The row-kernel instances this CPU runs, narrowest first.
+    fn instances() -> Vec<Isa> {
+        [Isa::Baseline, Isa::Avx2, Isa::Avx512]
+            .into_iter()
+            .filter(|&isa| isa <= Isa::detected())
+            .collect()
+    }
+
+    /// Every instance of `RowKernel`'s evaluator this CPU runs must give
+    /// every lane the bits `eval_expr` gives it, on ordinary values and —
+    /// every fourth cell — on [`SPECIALS`].
     fn check_tape_against_eval_expr<T: Element>(expr: &Expr, lanes: usize, rng: &mut SplitMix) {
         // A 5-row local box with two halo cells on every side.
         let rad = 2usize;
@@ -2045,23 +2242,12 @@ mod tests {
             .collect();
         let base = rad * strides[0] + rad;
         let kernel = RowKernel::compile(expr, &strides);
-        let run = |dispatched: bool| {
+        for instance in instances() {
             let mut scratch: Vec<Vec<T>> =
                 (1..kernel.depth).map(|_| vec![T::ZERO; lanes]).collect();
             // Poisoned: the tape must overwrite every lane of `out`.
             let mut out = vec![T::from_f64(f64::NAN); lanes];
-            if dispatched {
-                kernel.eval_into(&src, base, &mut scratch, &mut out);
-            } else {
-                kernel.eval_any(&src, base, &mut scratch, &mut out);
-            }
-            out
-        };
-        let mut instances = vec![("baseline", run(false))];
-        if row_kernel_isa() != "baseline" {
-            instances.push((row_kernel_isa(), run(true)));
-        }
-        for (instance, out) in instances {
+            kernel.eval_upto(instance, &src, base, &mut scratch, &mut out);
             for (lane, &got) in out.iter().enumerate() {
                 let want: T = eval_expr(expr, &|offset: an5d_expr::Offset| {
                     let delta = offset.component(0) as isize * strides[0] as isize
@@ -2071,8 +2257,9 @@ mod tests {
                 let (got, want) = (got.into_f64(), want.into_f64());
                 assert!(
                     got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
-                    "{:?} {instance} lane {lane}/{lanes}: tape {got:e}, eval_expr {want:e} for {expr:?}",
-                    T::PRECISION
+                    "{:?} {} lane {lane}/{lanes}: tape {got:e}, eval_expr {want:e} for {expr:?}",
+                    T::PRECISION,
+                    instance.name()
                 );
             }
         }
@@ -2196,8 +2383,11 @@ mod tests {
                 exprs.push(binary(fold, x() * y(), rng.chain(terms, true)));
             }
         }
-        if row_kernel_isa() == "baseline" {
-            println!("no AVX2 on this CPU: only the baseline row-kernel instance was checked");
+        if row_kernel_isa() != "avx512" {
+            println!(
+                "row-kernel instances checked on this CPU: {:?}",
+                instances()
+            );
         }
         // Around every vector width and unrolled block of either instance,
         // so each remainder loop runs too.
@@ -2294,6 +2484,245 @@ mod tests {
             ]
         );
         assert_eq!(gradient2d.depth, 2);
+    }
+
+    /// The divisors of Table 3's chains: `j2d5pt`, `j2d9pt`, `j2d9pt-gol`
+    /// and `j3d27pt`.
+    const DIVISORS: [f64; 4] = [118.0, 9.5, 4.9, 33.0];
+
+    /// The divisors of [`DIVISORS`] whose reciprocal meets Markstein's
+    /// precondition in precision `T`.
+    fn proven_divisors<T: Element>() -> Vec<f64> {
+        DIVISORS
+            .into_iter()
+            .filter(|&c| Reciprocal::of(T::from_f64(c)).is_some())
+            .collect()
+    }
+
+    fn same_bits<T: Element>(a: T, b: T) -> bool {
+        let (a, b) = (a.into_f64(), b.into_f64());
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// `x / c` of every `x` of `xs` into `out`, computed by the widest
+    /// row-kernel instance of this CPU as the chain `(1·x) / c`, one run of
+    /// [`RUN_LANES`] lanes at a time.
+    fn kernel_quotients<T: Element>(c: f64, xs: &[T], out: &mut [T]) {
+        let expr = Expr::constant(1.0) * Expr::cell(&[0]) / Expr::constant(c);
+        let kernel = RowKernel::compile(&expr, &[1]);
+        assert_eq!(
+            kernel.ops,
+            [TapeOp::Chain {
+                fresh: true,
+                terms: vec![Term {
+                    coef: 1.0,
+                    delta: 0
+                }],
+                tail: Some((BinOp::Div, c)),
+            }]
+        );
+        for (x, o) in xs.chunks(RUN_LANES).zip(out.chunks_mut(RUN_LANES)) {
+            kernel.eval_into(x, 0, &mut [], o);
+        }
+    }
+
+    /// Every lane of the row kernel's `x / c` — and, for an `x` inside the
+    /// reciprocal's range, [`Reciprocal::quotient`] on its own — must have
+    /// the bits of `/`.
+    fn assert_divides_like_slash<T: Element>(c: f64, xs: &[T]) {
+        let mut got = vec![T::ZERO; xs.len()];
+        kernel_quotients(c, xs, &mut got);
+        let divisor = T::from_f64(c);
+        let recip = Reciprocal::of(divisor);
+        for (&x, &q) in xs.iter().zip(&got) {
+            let want = x / divisor;
+            let scalar = recip
+                .filter(|r| !r.outside(x))
+                .map_or(want, |r| r.quotient(x));
+            for (how, got) in [("row kernel", q), ("scalar", scalar)] {
+                assert!(
+                    same_bits(got, want),
+                    "{:?} {:e} / {c}: {how} {:e}, / {:e}",
+                    T::PRECISION,
+                    x.into_f64(),
+                    got.into_f64(),
+                    want.into_f64()
+                );
+            }
+        }
+    }
+
+    /// Every `stride`-th f32 of the binade `[2^e, 2^(e+1))`, and its first
+    /// and last 64.
+    fn f32_binade(e: i32, stride: usize) -> impl Iterator<Item = f32> {
+        let first = ((e + 127) as u32) << 23;
+        let last = first + (1 << 23) - 1;
+        (first..first + 64)
+            .chain((first..=last).step_by(stride))
+            .chain(last - 63..=last)
+            .map(f32::from_bits)
+    }
+
+    #[test]
+    fn reciprocals_are_taken_only_where_markstein_proves_them() {
+        assert_eq!(proven_divisors::<f32>(), [118.0, 9.5, 4.9]);
+        assert_eq!(proven_divisors::<f64>(), [118.0, 4.9, 33.0]);
+        for c in [1.0, 0.5, 2f64.powi(16), 2f64.powi(-16)] {
+            assert!(Reciprocal::of(c).is_some(), "{c}");
+        }
+        // Negative (a zero would lose its sign), outside 2^-16 ..= 2^16, or
+        // not a number: `/`.
+        for c in [
+            -118.0,
+            -1.0,
+            0.0,
+            -0.0,
+            2f64.powi(17),
+            2f64.powi(-17),
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            assert!(Reciprocal::of(c).is_none(), "{c}");
+            assert!(Reciprocal::of(c as f32).is_none(), "{c}");
+        }
+    }
+
+    #[test]
+    fn f32_division_by_a_reciprocal_matches_slash_across_every_binade() {
+        if row_kernel_isa() != "avx512" {
+            println!("no AVX-512 on this CPU: the row kernel divides with `/`");
+        }
+        let mut xs: Vec<f32> = (-96..96).flat_map(|e| f32_binade(e, 1 << 13)).collect();
+        xs.push(2f32.powi(96));
+        // Zeros of either sign ride the reciprocal with the rest.
+        for (k, x) in xs.iter_mut().enumerate().step_by(97) {
+            *x = if k % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        xs.extend(xs.clone().iter().map(|&x| -x));
+        for c in proven_divisors::<f32>() {
+            assert_divides_like_slash(c, &xs);
+        }
+    }
+
+    #[test]
+    #[ignore = "3.2·10⁹ values per divisor; run in release"]
+    fn f32_division_by_a_reciprocal_matches_slash_on_its_whole_range() {
+        const CHUNK: u32 = 1 << 16;
+        let (lo, hi) = (2f32.powi(-96).to_bits(), 2f32.powi(96).to_bits());
+        let mut xs = vec![0f32; CHUNK as usize];
+        let mut got = xs.clone();
+        for c in proven_divisors::<f32>() {
+            let divisor = c as f32;
+            for sign in [0, 1 << 31] {
+                for start in (lo..=hi).step_by(CHUNK as usize) {
+                    let len = (hi - start + 1).min(CHUNK) as usize;
+                    for (k, x) in xs[..len].iter_mut().enumerate() {
+                        *x = f32::from_bits(sign | (start + k as u32));
+                    }
+                    kernel_quotients(c, &xs[..len], &mut got[..len]);
+                    for (&x, &q) in xs[..len].iter().zip(&got) {
+                        assert_eq!(q.to_bits(), (x / divisor).to_bits(), "{x:e} / {c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn f64_division_by_a_reciprocal_matches_slash_on_seeded_values() {
+        let mut rng = SplitMix(0xD1F);
+        for c in proven_divisors::<f64>() {
+            let xs: Vec<f64> = (0..1usize << 20)
+                .map(|k| match k % 97 {
+                    0 => 0.0,
+                    48 => -0.0,
+                    _ => {
+                        // Exponents −900…899, any significand, either sign.
+                        let exponent = rng.below(1800) + 1023 - 900;
+                        let bits = (rng.next() >> 12) | exponent << 52 | (rng.next() >> 63) << 63;
+                        f64::from_bits(bits)
+                    }
+                })
+                .collect();
+            assert_divides_like_slash(c, &xs);
+        }
+    }
+
+    /// A run with one lane the reciprocal must not take — at its start,
+    /// inside or at its end — is divided with `/`, every lane of it.
+    fn check_out_of_range_runs<T: Element>(specials: &[T]) {
+        let ordinary = |k: usize| T::from_f64(1.0 + 0.37 * k as f64);
+        let mut xs = Vec::new();
+        for &special in specials {
+            for at in [0, 17, RUN_LANES - 1] {
+                xs.extend((0..RUN_LANES).map(|k| if k == at { special } else { ordinary(k) }));
+            }
+        }
+        for c in proven_divisors::<T>() {
+            assert_divides_like_slash(c, &xs);
+        }
+    }
+
+    #[test]
+    fn out_of_range_runs_divide_with_slash() {
+        let edges = |e: i32| [2f64.powi(-e - 1), 2f64.powi(e + 1)];
+        let mut specials = SPECIALS.to_vec();
+        specials.extend(edges(900));
+        specials.extend([f64::MAX, f64::MIN_POSITIVE]);
+        specials.extend(specials.clone().iter().map(|&x| -x));
+        check_out_of_range_runs::<f64>(&specials);
+        let mut specials: Vec<f32> = SPECIALS.iter().map(|&x| x as f32).collect();
+        specials.extend(edges(96).map(|x| x as f32));
+        specials.extend([f32::MAX, f32::MIN_POSITIVE, 1e-40]);
+        specials.extend(specials.clone().iter().map(|&x| -x));
+        check_out_of_range_runs::<f32>(&specials);
+    }
+
+    #[test]
+    fn chain_divisions_from_a_point_source_match_reference() {
+        // Mostly zeros: runs of zeros divide through the reciprocal, and a
+        // source small enough for the front to leave the reciprocal's range
+        // sends the runs it crosses to `/`. j2d5pt is one chain group;
+        // j2d9pt, j2d9pt-gol (9 terms) and j3d27pt (27) divide in their
+        // last group and are summed again from the first for `/`.
+        fn check<T: Element>(def: &StencilDef, source: f64) {
+            let (interior, bs, steps): (&[usize], &[usize], usize) = match def.ndim() {
+                2 => (&[40, 70], &[32], 30),
+                _ => (&[10, 12, 20], &[8, 12], 10),
+            };
+            let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
+            let config = BlockConfig::new(2, bs, None, T::PRECISION).unwrap();
+            let plan = KernelPlan::build(def, &problem, &config, FrameworkScheme::an5d()).unwrap();
+            let shape = problem.grid_shape();
+            let mut initial = Grid::<T>::zeros(&shape);
+            let at: Vec<usize> = shape
+                .iter()
+                .enumerate()
+                .map(|(d, &e)| e / (2 + d % 2))
+                .collect();
+            initial.set(&at, T::from_f64(source));
+            let mut reference = DoubleBuffer::new(initial.clone());
+            run_reference_on(def, &mut reference, steps);
+            let blocked = execute_plan_on(&plan, &problem, initial);
+            let diff = GridDiff::compute(&reference.into_current(), &blocked.grid).unwrap();
+            assert!(
+                diff.is_exact(),
+                "{} {:?} source {source:e}: {diff:?}",
+                def.name(),
+                T::PRECISION
+            );
+        }
+        for def in [
+            suite::j2d5pt(),
+            suite::j2d9pt(),
+            suite::j2d9pt_gol(),
+            suite::j3d27pt(),
+        ] {
+            check::<f32>(&def, 2f64.powi(60));
+            check::<f32>(&def, 1.0);
+            check::<f64>(&def, 1.0);
+            check::<f64>(&def, 2f64.powi(-860));
+        }
     }
 
     #[test]

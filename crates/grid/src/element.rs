@@ -110,9 +110,9 @@ pub trait Element:
     /// Absolute value.
     fn abs(self) -> Self;
 
-    /// Fused multiply-add semantics are *not* required to be exact here; the
-    /// reference executor and the blocked executor use the same expression
-    /// evaluation path, so results stay bit-identical regardless.
+    /// Fused multiply-add: `self · a + b` rounded once. Compiled with FMA
+    /// enabled this is one instruction; without it, a correctly rounded
+    /// library call.
     fn mul_add(self, a: Self, b: Self) -> Self;
 
     /// `true` if the value is finite (not NaN/Inf).
@@ -146,7 +146,7 @@ impl Element for f32 {
 
     #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
-        self * a + b
+        f32::mul_add(self, a, b)
     }
 
     #[inline]
@@ -182,7 +182,7 @@ impl Element for f64 {
 
     #[inline]
     fn mul_add(self, a: Self, b: Self) -> Self {
-        self * a + b
+        f64::mul_add(self, a, b)
     }
 
     #[inline]
@@ -238,6 +238,18 @@ mod tests {
         assert_eq!(<f64 as Element>::sqrt(9.0), 3.0);
         assert_eq!(<f32 as Element>::abs(-4.0), 4.0);
         assert_eq!(<f64 as Element>::mul_add(2.0, 3.0, 1.0), 7.0);
+        // (1 + 2⁻ᵖ)² − (1 + 2¹⁻ᵖ) is 2⁻²ᵖ exactly; the rounded square
+        // loses it, so only a fused multiply-add sees it.
+        let a = 1.0 + 2f64.powi(-30);
+        assert_eq!(
+            <f64 as Element>::mul_add(a, a, -(1.0 + 2f64.powi(-29))),
+            2f64.powi(-60)
+        );
+        let a = 1.0 + 2f32.powi(-12);
+        assert_eq!(
+            <f32 as Element>::mul_add(a, a, -(1.0 + 2f32.powi(-11))),
+            2f32.powi(-24)
+        );
         assert!(<f64 as Element>::is_finite(1.0));
         assert!(!<f64 as Element>::is_finite(f64::NAN));
     }

@@ -9,7 +9,7 @@
 //!    (adjusted by the ALU-mix efficiency `effALU`) and its *measured*
 //!    global/shared-memory bandwidths (Table 4);
 //! 3. apply the SM-utilisation efficiency `effSM` and take the maximum of
-//!    the three bottleneck times ([`predict`]).
+//!    the three bottleneck times ([`predict`](fn@predict)).
 //!
 //! Steps 1–3 read nothing of a plan but its per-dimension tile sums and a
 //! few scalars ([`PlanSums`]), and one function prices those ([`price`]):
@@ -17,7 +17,7 @@
 //! together per axis without building a plan.
 //!
 //! The same traffic analysis also feeds the *simulated measurement* path
-//! ([`measure`]), which additionally applies the efficiency derates the
+//! ([`measure`](fn@measure)), which additionally applies the efficiency derates the
 //! paper only discovered empirically (shared-memory efficiency of the
 //! device, double-precision-division slow-down, occupancy and spill
 //! effects). Keeping the two paths separate is what lets the harness
