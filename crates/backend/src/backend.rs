@@ -169,16 +169,19 @@ impl ExecutionBackend for SerialBackend {
 /// Each tile runs the row kernels of
 /// [`an5d_gpusim::TileContext::execute_tile_into`]: the stencil expression
 /// compiled into a tape of one instruction per operation (a whole sum of
-/// products, or a pair of neighbours with its square and its fold into the
-/// running row, being one instruction that keeps its value in a
-/// register), constants and neighbour rows (slices of the tile at flat
+/// products, or a sum of squared neighbour pairs, being one instruction
+/// that keeps its value in a register, and the lane-local operations after
+/// it — a root, `c/x`, a fold into the row below — running in the same
+/// pass, 32 lanes at a time, so the divider overlaps the arithmetic),
+/// constants and neighbour rows (slices of the tile at flat
 /// offsets, read in place) being operands of the instruction that consumes
 /// them, evaluated a run of rows at a time over contiguous stride-1 slices
 /// straight into the output, with all halo/bounds logic hoisted out of the
 /// inner loops — the shape the compiler autovectorizes, monomorphic per
 /// precision and compiled for the baseline target, with AVX2 and with
-/// AVX-512F (which divides a chain by its constant through a reciprocal
-/// and one FMA correction, bit-identical to `/`), the widest instance the
+/// AVX-512F (which divides a chain with no suffix by its constant through
+/// a reciprocal and one FMA correction, bit-identical to `/`), the widest
+/// instance the
 /// CPU has picked at run time ([`an5d_gpusim::row_kernel_isa`], which
 /// `describe` names). A finished tile stores its write-back rows straight
 /// into the rows of the other ping-pong grid carved out for it, on the thread

@@ -2,13 +2,13 @@
 //! (Fig. 6 and Fig. 7):
 //!
 //! * **Loop tiling** — PPCG's default spatial-only tiling: every time-step
-//!   round-trips through global memory ([`loop_tiling`]);
+//!   round-trips through global memory ([`loop_tiling_measurement`]);
 //! * **Hybrid tiling** — hexagonal tiling over time plus one spatial
 //!   dimension combined with classical wavefront tiling over the rest; it
 //!   avoids redundant computation but blocks *all* spatial dimensions (no
-//!   streaming), which limits its block sizes ([`hybrid`]);
+//!   streaming), which limits its block sizes ([`hybrid_measurement`]);
 //! * **STENCILGEN** — N.5D blocking with shifting register allocation and
-//!   one shared-memory buffer per combined time-step ([`stencilgen`]).
+//!   one shared-memory buffer per combined time-step ([`stencilgen_measurement`]).
 //!
 //! Because the original binaries/kernels cannot be run in this
 //! environment, each baseline is expressed as an analytic workload profile
@@ -23,9 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hybrid;
-pub mod loop_tiling;
-pub mod stencilgen;
+mod hybrid;
+mod loop_tiling;
+mod stencilgen;
 
 use serde::Serialize;
 

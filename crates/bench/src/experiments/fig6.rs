@@ -12,7 +12,7 @@ use serde::Serialize;
 /// the throughput of every framework (GFLOP/s; `None` when the framework
 /// cannot run the benchmark).
 #[derive(Debug, Clone, Serialize)]
-pub struct Fig6Row {
+pub(crate) struct Fig6Row {
     /// Benchmark name.
     pub stencil: String,
     /// Device short name.
@@ -35,7 +35,7 @@ pub struct Fig6Row {
 
 /// Compute one row of Fig. 6.
 #[must_use]
-pub fn row(stencil: &str, device: &GpuDevice, precision: Precision) -> Option<Fig6Row> {
+pub(crate) fn row(stencil: &str, device: &GpuDevice, precision: Precision) -> Option<Fig6Row> {
     let def = suite::by_name(stencil)?;
     let problem = paper_problem(&def);
 
@@ -72,7 +72,7 @@ pub fn row(stencil: &str, device: &GpuDevice, precision: Precision) -> Option<Fi
 /// Compute every bar group of Fig. 6 (7 stencils × 2 devices × 2
 /// precisions).
 #[must_use]
-pub fn rows() -> Vec<Fig6Row> {
+pub(crate) fn rows() -> Vec<Fig6Row> {
     let stencils = suite::figure6_benchmarks();
     let mut out = Vec::new();
     for device in devices() {

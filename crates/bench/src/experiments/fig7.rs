@@ -9,7 +9,7 @@ use serde::Serialize;
 
 /// One bar pair of Fig. 7.
 #[derive(Debug, Clone, Serialize)]
-pub struct Fig7Row {
+pub(crate) struct Fig7Row {
     /// Benchmark name.
     pub stencil: String,
     /// STENCILGEN registers per thread (no limit).
@@ -29,7 +29,7 @@ fn usage(def: &StencilDef, scheme: FrameworkScheme) -> ResourceUsage {
 
 /// Compute the Fig. 7 rows (the seven Fig. 6 stencils).
 #[must_use]
-pub fn rows() -> Vec<Fig7Row> {
+pub(crate) fn rows() -> Vec<Fig7Row> {
     suite::figure6_benchmarks()
         .iter()
         .map(|def| {

@@ -8,7 +8,7 @@ use serde::Serialize;
 
 /// One bar of Fig. 9.
 #[derive(Debug, Clone, Serialize)]
-pub struct Fig9Row {
+pub(crate) struct Fig9Row {
     /// Benchmark name (star/box, 2D/3D, order 1–4).
     pub stencil: String,
     /// Precision label.
@@ -56,7 +56,7 @@ pub(crate) fn rows_for(precision: Precision) -> Vec<Fig9Row> {
 
 /// Compute the full Fig. 9 (float and double).
 #[must_use]
-pub fn rows() -> Vec<Fig9Row> {
+pub(crate) fn rows() -> Vec<Fig9Row> {
     let mut out = rows_for(Precision::Single);
     out.extend(rows_for(Precision::Double));
     out

@@ -8,7 +8,7 @@ use serde::Serialize;
 /// store count of both frameworks, evaluated for a concrete configuration
 /// so the numbers are directly comparable.
 #[derive(Debug, Clone, Serialize)]
-pub struct Table1Row {
+pub(crate) struct Table1Row {
     /// Stencil class (diagonal-access free / associative / otherwise).
     pub class: String,
     /// STENCILGEN shared-memory words per block.
@@ -30,7 +30,7 @@ pub(crate) fn reference_config() -> BlockConfig {
 
 /// Compute the Table 1 rows.
 #[must_use]
-pub fn rows() -> Vec<Table1Row> {
+pub(crate) fn rows() -> Vec<Table1Row> {
     let config = reference_config();
     let radius = 2usize;
     let classes = [

@@ -6,7 +6,7 @@ use serde::Serialize;
 
 /// One row of Table 2.
 #[derive(Debug, Clone, Serialize)]
-pub struct Table2Row {
+pub(crate) struct Table2Row {
     /// Dimensionality and shape, e.g. `"2D star"`.
     pub shape: String,
     /// Stencil radius.
@@ -31,7 +31,7 @@ fn row(label: &str, def: &StencilDef) -> Table2Row {
 
 /// Compute the Table 2 rows for radii 1–4 of every shape class.
 #[must_use]
-pub fn rows() -> Vec<Table2Row> {
+pub(crate) fn rows() -> Vec<Table2Row> {
     let mut out = Vec::new();
     for rad in 1..=4 {
         out.push(row("2D star", &suite::star2d(rad)));

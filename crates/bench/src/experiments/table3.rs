@@ -6,7 +6,7 @@ use serde::Serialize;
 
 /// One row of Table 3.
 #[derive(Debug, Clone, Serialize)]
-pub struct Table3Row {
+pub(crate) struct Table3Row {
     /// Benchmark name.
     pub name: String,
     /// Dimensionality.
@@ -23,7 +23,7 @@ pub struct Table3Row {
 
 /// Compute the Table 3 rows for all 21 benchmarks.
 #[must_use]
-pub fn rows() -> Vec<Table3Row> {
+pub(crate) fn rows() -> Vec<Table3Row> {
     suite::all_benchmarks()
         .into_iter()
         .map(|def| Table3Row {

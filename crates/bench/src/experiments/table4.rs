@@ -7,7 +7,7 @@ use serde::Serialize;
 
 /// One row of Table 4.
 #[derive(Debug, Clone, Serialize)]
-pub struct Table4Row {
+pub(crate) struct Table4Row {
     /// Device name.
     pub gpu: String,
     /// Peak compute (GFLOP/s), float | double.
@@ -24,7 +24,7 @@ pub struct Table4Row {
 
 /// Compute the Table 4 rows.
 #[must_use]
-pub fn rows() -> Vec<Table4Row> {
+pub(crate) fn rows() -> Vec<Table4Row> {
     devices()
         .into_iter()
         .map(|d| Table4Row {

@@ -7,7 +7,7 @@ use serde::Serialize;
 
 /// One (stencil, device, precision) entry of Table 5.
 #[derive(Debug, Clone, Serialize)]
-pub struct Table5Row {
+pub(crate) struct Table5Row {
     /// Benchmark name.
     pub pattern: String,
     /// Device short name ("V100" / "P100").
@@ -70,7 +70,7 @@ pub(crate) fn rows_for(device: &GpuDevice, precision: Precision) -> Vec<Table5Ro
 
 /// Compute the full Table 5 (both devices, both precisions).
 #[must_use]
-pub fn rows() -> Vec<Table5Row> {
+pub(crate) fn rows() -> Vec<Table5Row> {
     let mut out = Vec::new();
     for device in devices() {
         for precision in precisions() {

@@ -25,6 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod report;
+mod report;
 
 pub use experiments::{fig6, fig7, fig8, fig9, table1, table2, table3, table4, table5};

@@ -37,7 +37,7 @@ pub(crate) fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -
 /// Format a GFLOP/s value the way the paper's tables do (no decimals,
 /// thousands separator omitted).
 #[must_use]
-pub fn gflops(value: f64) -> String {
+pub(crate) fn gflops(value: f64) -> String {
     format!("{value:.0}")
 }
 

@@ -87,11 +87,32 @@
 //! instruction combines the top row with itself (`top ∘ dup`). A second
 //! peephole then fuses `xₐ ∘ x_b` over two neighbour rows, an immediately
 //! following square of it and an immediately following fold into the row
-//! below (`below ∘ v`) into one *pair* instruction whose value never
-//! leaves a register — the counterpart of a chain term where the
-//! operations do not associate. gradient2d goes from twenty passes and a
-//! four-row stack to nine passes and two rows. The remaining generic
-//! instructions (`1 + …`, `sqrt`, `1/x`, the final sum) are untouched.
+//! below (`below ∘ v`) into one *pair* whose value never leaves a
+//! register — the counterpart of a chain term where the operations do not
+//! associate.
+//!
+//! **Pair sums and suffixes.** Two more peepholes run after those. A run
+//! of pairs of one operation and square, each folded into the row below
+//! by one operation, becomes one *pair sum* of up to eight pairs (a longer
+//! run goes on from the top row), its running value starting at the first
+//! pair, at the top row or — for `c ∘ v` right after the first pair, `∘`
+//! the run's fold — at `c`. Then every chain of at most eight terms and
+//! every pair sum absorbs the instructions after it that only map its
+//! value lane by lane (`op v`, `v ∘ c`, `c ∘ v`) and at most one fold of
+//! it into the row below, its *suffix*. Such a producer runs as one pass
+//! over chunks of 32 lanes held in a register array: terms or pairs, then
+//! one `match` per suffix operation per chunk, then one store or fold.
+//! When the suffix takes a root or a quotient, that pass is what lets the
+//! divider overlap the rest: row passes of their own ran the divider
+//! alone, one whole row after another, while in one pass the next chunk's
+//! loads, products and sums — and the integer work of the dispatch — run
+//! while the divider works on this chunk. gradient2d
+//! (`0.5·f + 1/sqrt(1 + Σ (f − fₙ)²)`) went from twenty passes and a
+//! four-row stack to nine passes and two rows with pairs, and is two
+//! instructions over one row with pair sums and suffixes: `0.5·f`, then
+//! the four squares summed from 1, the root, the reciprocal and the fold
+//! into `0.5·f` in one pass. A producer with an empty suffix keeps its row
+//! loop, so j2d5pt's and star3d1r's one-chain tapes run as before.
 //!
 //! **Runs and the dependency cone.** One tape evaluation covers not one
 //! row but a *run* of consecutive rows of a plane (about a thousand lanes,
@@ -132,14 +153,17 @@
 //! `c₀·x₀` itself, not from `0 + c₀·x₀` (which would lose the sign of a
 //! negative zero). A shared subtree is evaluated once where `eval_expr`
 //! evaluates it twice — the same operations on the same operands, hence the
-//! same bits, combined by the same operation. A pair performs the scalar
-//! operations of the instructions it replaces on the same operands in the
-//! same order (`xₐ ∘ x_b`, then `v·v`, then `below ∘ v` with `v` on the
-//! right as on the tape); only the store and reload of `v` between them is
-//! gone, and a value does not change by staying in a register (Rust floats
-//! are evaluated in their own precision). The cone changes which cells are
-//! computed, never how. That keeps the result bit-identical to the naive
-//! per-cell reference sweep for both `f32` and `f64`.
+//! same bits, combined by the same operation. A pair sum and a suffix
+//! perform the scalar operations of the instructions they replace on the
+//! same operands in the same order (`xₐ ∘ x_b`, then `v·v`, then
+//! `acc ∘ v`, then each map, then `below ∘ v` with `v` on the right as on
+//! the tape); only the stores and reloads between them are gone, and a
+//! value does not change by staying in a register (Rust floats are
+//! evaluated in their own precision). A lane a chunked pass computes twice
+//! (its last chunk overlaps the one before) is stored once. The cone
+//! changes which cells are computed, never how. That keeps the result
+//! bit-identical to the naive per-cell reference sweep for both `f32` and
+//! `f64`.
 //!
 //! # Three instances, picked at run time
 //!
@@ -173,9 +197,10 @@
 //! and AVX-512 instructions round and treat subnormals by the same MXCSR
 //! state. A wider vector only evaluates more independent lanes at once.
 //! Fused operations appear in one place: the AVX-512 instance divides a
-//! fresh chain by its constant `c` as `q0 = acc·(1/c)`, then the remainder
-//! `r = acc − q0·c` and `q = q0 + r·(1/c)`, each one fused operation
-//! (`Reciprocal`), because at 512 bits the divider, whose per-lane rate
+//! fresh chain with no suffix by its constant `c` as `q0 = acc·(1/c)`,
+//! then the remainder `r = acc − q0·c` and `q = q0 + r·(1/c)`, each one
+//! fused operation (`Reciprocal`), because at 512 bits the divider, whose
+//! per-lane rate
 //! no vector width changes, bounds j2d5pt's `/ 118`. That `q` is `acc / c`
 //! correctly rounded — the bits of `/` — by Markstein's theorem, for a
 //! positive `c` whose reciprocal meets its precondition and an `acc` for
@@ -634,8 +659,9 @@ struct Term {
 const RUN_LANES: usize = 1024;
 
 /// One instruction of a compiled row kernel: one operation node of the
-/// stencil expression — or one folded sum of products — applied to a whole
-/// row of independent cells, its result pushed on the operand stack.
+/// stencil expression — or one folded sum of products or of pairs, with the
+/// lane-local operations after it — applied to a whole row of independent
+/// cells, its result pushed on the operand stack.
 #[derive(Debug, Clone, PartialEq)]
 enum TapeOp {
     /// The expression is a single leaf. Only ever the sole instruction of
@@ -648,25 +674,67 @@ enum TapeOp {
     /// The left-to-right sum `((acc + t₀) + t₁) + …` of product terms,
     /// optionally followed by `∘ const`, with `acc` starting as the first
     /// term's product (`fresh`, pushes a row) or as the top row (updated
-    /// in place). The running sum lives in a register: one load per term
-    /// and one store per lane instead of a row pass per operation.
+    /// in place), then its `suffix`. The running sum lives in a register:
+    /// one load per term and one store per lane instead of a row pass per
+    /// operation. Only a chain of at most [`CHAIN_GROUP`] terms has a
+    /// suffix.
     Chain {
         fresh: bool,
         terms: Vec<Term>,
         tail: Option<(BinOp, f64)>,
+        suffix: Suffix,
     },
-    /// `v = x_left ∘ x_right` over two neighbour rows at flat deltas, then
-    /// `v·v` in its place when `square`, then either pushed (`fold` is
-    /// `None`) or folded into the top row as `top ∘ v` — the
-    /// non-associative counterpart of a chain term: `v` lives in a
-    /// register, one pass instead of up to three.
-    Pair {
+    /// Up to [`CHAIN_GROUP`] pair values `vₖ = x_left ∘ x_right` over two
+    /// neighbour rows at flat deltas, each squared in its place when
+    /// `square`, folded left to right into a running value `acc ∘ vₖ` that
+    /// starts at `start`, then its `suffix` — the non-associative
+    /// counterpart of a chain: no `v` and no partial sum leaves a register.
+    PairSum {
         op: BinOp,
-        left: isize,
-        right: isize,
         square: bool,
-        fold: Option<BinOp>,
+        start: PairStart,
+        /// How each pair after the start joins the running value; a sum
+        /// that is its first pair alone folds nothing (`Add` there).
+        fold: BinOp,
+        pairs: Vec<(isize, isize)>,
+        suffix: Suffix,
     },
+}
+
+/// Where the running value of a [`TapeOp::PairSum`] starts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum PairStart {
+    /// At the first pair's value; the instruction pushes a row.
+    First,
+    /// At a constant, every pair folded into it; pushes a row.
+    Const(f64),
+    /// At the top row, which the instruction pops.
+    Top,
+}
+
+/// A lane-by-lane operation on a producer's value `v` (see [`Suffix`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum LaneOp {
+    Unary(UnOp),
+    /// `v ∘ c`.
+    Right(BinOp, f64),
+    /// `c ∘ v`.
+    Left(BinOp, f64),
+}
+
+/// The instructions after a [`TapeOp::Chain`] or [`TapeOp::PairSum`] that
+/// only map its value lane by lane, then at most one fold of that value
+/// into the row below it (`below ∘ v`), absorbed into the producer's pass.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Suffix {
+    maps: Vec<LaneOp>,
+    fold: Option<BinOp>,
+}
+
+impl Suffix {
+    fn is_empty(&self) -> bool {
+        self.maps.is_empty() && self.fold.is_none()
+    }
 }
 
 impl TapeOp {
@@ -676,9 +744,24 @@ impl TapeOp {
         match self {
             TapeOp::Leaf(a) | TapeOp::Unary(_, a) => popped(a),
             TapeOp::Binary(_, a, b) => popped(a) + popped(b),
-            TapeOp::Chain { fresh, .. } => usize::from(!fresh),
-            TapeOp::Pair { fold, .. } => usize::from(fold.is_some()),
+            TapeOp::Chain { fresh, suffix, .. } => {
+                usize::from(!fresh) + usize::from(suffix.fold.is_some())
+            }
+            TapeOp::PairSum { start, suffix, .. } => {
+                usize::from(*start == PairStart::Top) + usize::from(suffix.fold.is_some())
+            }
         }
+    }
+
+    /// The suffix the instruction can still extend: a producer's, until it
+    /// folds.
+    fn open_suffix(&mut self) -> Option<&mut Suffix> {
+        match self {
+            TapeOp::Chain { terms, suffix, .. } if terms.len() <= CHAIN_GROUP => Some(suffix),
+            TapeOp::PairSum { suffix, .. } => Some(suffix),
+            _ => None,
+        }
+        .filter(|suffix| suffix.fold.is_none())
     }
 }
 
@@ -736,7 +819,12 @@ fn fold_chains(ops: &[TapeOp]) -> Vec<TapeOp> {
             _ => None,
         };
         if end - at >= 2 {
-            folded.push(TapeOp::Chain { fresh, terms, tail });
+            folded.push(TapeOp::Chain {
+                fresh,
+                terms,
+                tail,
+                suffix: Suffix::default(),
+            });
             at = end;
         } else {
             folded.push(ops[at].clone());
@@ -746,42 +834,116 @@ fn fold_chains(ops: &[TapeOp]) -> Vec<TapeOp> {
     folded
 }
 
-/// Fuse every `x_a ∘ x_b` over two neighbour rows with an immediately
-/// following square of it (`v·v`, a [`Operand::Dup`] product) and an
-/// immediately following fold into the row below (`below ∘ v`) into one
-/// [`TapeOp::Pair`], when that replaces at least two instructions. Only a
-/// fold with `v` on the *right* exists on the tape (`top ∘ top` has the
-/// topmost row on the right), so operand order is untouched.
-fn fuse_pairs(ops: &[TapeOp]) -> Vec<TapeOp> {
-    let mut fused = Vec::with_capacity(ops.len());
+/// Fuse every pair `x_a ∘ x_b` over two neighbour rows — with an
+/// immediately following square of it (`v·v`, a [`Operand::Dup`] product)
+/// — and the run of pairs of the same operation and square that follows
+/// it, each folded at once into the row below (`below ∘ v`, all by one
+/// operation), into one [`TapeOp::PairSum`] of at most [`CHAIN_GROUP`]
+/// pairs, when that replaces at least two instructions. A longer run goes
+/// on in a sum that starts from the top row. The run's start is the first
+/// pair's value, a `c ∘ v` of it whose `∘` is the run's fold (the sum then
+/// starts at `c`), or — when the first pair is folded too — the top row.
+/// Only a fold with `v` on the *right* exists on the tape (`top ∘ top` has
+/// the topmost row on the right), so operand order is untouched.
+fn sum_pairs(ops: &[TapeOp]) -> Vec<TapeOp> {
+    // The pair at `at`: its operation and square, its two deltas, and how
+    // many instructions it takes.
+    let pair = |at: usize| match ops.get(at) {
+        Some(&TapeOp::Binary(op, Operand::Cell(left), Operand::Cell(right))) => {
+            let square =
+                ops.get(at + 1) == Some(&TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Dup));
+            Some(((op, square), (left, right), 1 + usize::from(square)))
+        }
+        _ => None,
+    };
+    // The same, folded at once into the row below it, and the fold.
+    let folded = |at: usize| {
+        let (shape, cells, len) = pair(at)?;
+        match ops.get(at + len) {
+            Some(&TapeOp::Binary(fold, Operand::Top, Operand::Top)) => {
+                Some((shape, fold, cells, len + 1))
+            }
+            _ => None,
+        }
+    };
+    let mut summed = Vec::with_capacity(ops.len());
     let mut at = 0usize;
     while at < ops.len() {
-        let mut end = at + 1;
-        if let TapeOp::Binary(op, Operand::Cell(left), Operand::Cell(right)) = ops[at] {
-            let square =
-                ops.get(end) == Some(&TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Dup));
-            end += usize::from(square);
-            let fold = match ops.get(end) {
-                Some(&TapeOp::Binary(fold, Operand::Top, Operand::Top)) => Some(fold),
-                _ => None,
-            };
-            end += usize::from(fold.is_some());
-            if end - at >= 2 {
-                fused.push(TapeOp::Pair {
-                    op,
-                    left,
-                    right,
-                    square,
-                    fold,
-                });
-                at = end;
+        let (shape, start, fold, mut pairs, mut end) =
+            if let Some((shape, fold, cells, len)) = folded(at) {
+                (shape, PairStart::Top, fold, vec![cells], at + len)
+            } else if let Some((shape, cells, len)) = pair(at) {
+                let lead = match ops.get(at + len) {
+                    Some(&TapeOp::Binary(op, Operand::Const(c), Operand::Top)) => Some((op, c)),
+                    _ => None,
+                };
+                let next = at + len + usize::from(lead.is_some());
+                match (folded(next), lead) {
+                    (Some((same, fold, ..)), None) if same == shape => {
+                        (shape, PairStart::First, fold, vec![cells], next)
+                    }
+                    (Some((same, fold, ..)), Some((op, c))) if same == shape && op == fold => {
+                        (shape, PairStart::Const(c), fold, vec![cells], next)
+                    }
+                    _ => (shape, PairStart::First, BinOp::Add, vec![cells], at + len),
+                }
+            } else {
+                summed.push(ops[at].clone());
+                at += 1;
                 continue;
+            };
+        while pairs.len() < CHAIN_GROUP {
+            match folded(end) {
+                Some((same, by, cells, len)) if same == shape && by == fold => {
+                    pairs.push(cells);
+                    end += len;
+                }
+                _ => break,
             }
         }
-        fused.push(ops[at].clone());
-        at += 1;
+        if end - at >= 2 {
+            let (op, square) = shape;
+            summed.push(TapeOp::PairSum {
+                op,
+                square,
+                start,
+                fold,
+                pairs,
+                suffix: Suffix::default(),
+            });
+            at = end;
+        } else {
+            summed.push(ops[at].clone());
+            at += 1;
+        }
     }
-    fused
+    summed
+}
+
+/// Let every chain of at most [`CHAIN_GROUP`] terms and every pair sum
+/// absorb the instructions after it that only map its value lane by lane
+/// (`op v`, `v ∘ c`, `c ∘ v`), then at most one fold of it into the row
+/// below (`below ∘ v`), as its [`Suffix`].
+fn absorb_suffixes(ops: Vec<TapeOp>) -> Vec<TapeOp> {
+    let mut absorbed: Vec<TapeOp> = Vec::with_capacity(ops.len());
+    for op in ops {
+        if let Some(suffix) = absorbed.last_mut().and_then(TapeOp::open_suffix) {
+            match op {
+                TapeOp::Unary(op, Operand::Top) => suffix.maps.push(LaneOp::Unary(op)),
+                TapeOp::Binary(op, Operand::Top, Operand::Const(c)) => {
+                    suffix.maps.push(LaneOp::Right(op, c));
+                }
+                TapeOp::Binary(op, Operand::Const(c), Operand::Top) => {
+                    suffix.maps.push(LaneOp::Left(op, c));
+                }
+                TapeOp::Binary(op, Operand::Top, Operand::Top) => suffix.fold = Some(op),
+                op => absorbed.push(op),
+            }
+            continue;
+        }
+        absorbed.push(op);
+    }
+    absorbed
 }
 
 /// A resolved instruction input: a broadcast scalar or a row as long as
@@ -1038,55 +1200,243 @@ impl<T: Element> Reciprocal<T> {
     }
 }
 
-/// One pass of a [`TapeOp::Pair`] whose value is `value(a[i], b[i])`:
-/// stored into `out` (a pushed row) without a `fold`, folded into it as
-/// `out[i] ∘ value` with one.
+/// Lanes a producer with a suffix computes into a register array before it
+/// runs the suffix on them. gradient2d's pass alone, 512-bit, ns per lane:
+/// f32 1.55 / 0.98–1.08 / 0.52 / 0.61 at 8 / 16 / 32 / 64 lanes, f64
+/// 1.93–2.01 / 1.88 / 2.42 at 16 / 32 / 64 — narrower chunks pay the
+/// dispatch too often, wider ones run out of registers.
+const CHUNK: usize = 32;
+
+/// Lanes `at..at + N` of `row` in a register array.
 #[inline(always)]
-fn pair_pass<T: Element>(
-    out: &mut [T],
-    a: &[T],
-    b: &[T],
-    fold: Option<BinOp>,
-    value: impl Fn(T, T) -> T,
-) {
-    let lanes = out.iter_mut().zip(a.iter().zip(b));
-    match fold {
-        None => lanes.for_each(|(o, (&x, &y))| *o = value(x, y)),
-        Some(BinOp::Add) => lanes.for_each(|(o, (&x, &y))| *o += value(x, y)),
-        Some(BinOp::Sub) => lanes.for_each(|(o, (&x, &y))| *o = *o - value(x, y)),
-        Some(BinOp::Mul) => lanes.for_each(|(o, (&x, &y))| *o = *o * value(x, y)),
-        Some(BinOp::Div) => lanes.for_each(|(o, (&x, &y))| *o = *o / value(x, y)),
+fn load<T: Element, const N: usize>(row: &[T], at: usize) -> [T; N] {
+    let mut lanes = [T::ZERO; N];
+    lanes.copy_from_slice(&row[at..at + N]);
+    lanes
+}
+
+/// `$lanes` with `$f` bound to the scalar operation `op`: one `match` for
+/// all the lanes `$lanes` covers.
+macro_rules! with_op {
+    ($op:expr, $f:ident => $lanes:expr) => {
+        match $op {
+            BinOp::Add => {
+                let $f = |x: T, y: T| x + y;
+                $lanes
+            }
+            BinOp::Sub => {
+                let $f = |x: T, y: T| x - y;
+                $lanes
+            }
+            BinOp::Mul => {
+                let $f = |x: T, y: T| x * y;
+                $lanes
+            }
+            BinOp::Div => {
+                let $f = |x: T, y: T| x / y;
+                $lanes
+            }
+        }
+    };
+}
+
+/// `acc[j] = acc[j] ∘ rhs[j]` in every lane.
+#[inline(always)]
+fn zip_right<T: Element, const N: usize>(op: BinOp, acc: &mut [T; N], rhs: &[T; N]) {
+    with_op!(op, f => for j in 0..N {
+        acc[j] = f(acc[j], rhs[j]);
+    });
+}
+
+/// `acc[j] = c ∘ acc[j]` in every lane.
+#[inline(always)]
+fn zip_left<T: Element, const N: usize>(op: BinOp, c: T, acc: &mut [T; N]) {
+    with_op!(op, f => for x in acc {
+        *x = f(c, *x);
+    });
+}
+
+/// A producer's per-lane work, its operands resolved for one run: what a
+/// [`chunked_pass`] computes before it runs the producer's suffix.
+trait Produce<T: Element> {
+    /// Take the running values `acc` of lanes `at..at + N` through every
+    /// term or pair and the tail; a `fresh` sum starts at the first term
+    /// or pair instead.
+    fn run<const N: usize>(&self, acc: &mut [T; N], fresh: bool, at: usize);
+}
+
+/// `tail(acc + Σ cₖ·xₖ)` over `terms ≤ CHAIN_GROUP` terms, a fresh sum
+/// starting as `c₀·x₀`. A tail `/ c` is `/`: dividing through
+/// [`Reciprocal`] would need a `/` fallback per chunk, and the two register
+/// arrays it merges are split across narrower registers by the compiler.
+struct ChainLanes<'r, T> {
+    terms: usize,
+    coefs: [T; CHAIN_GROUP],
+    rows: [&'r [T]; CHAIN_GROUP],
+    tail: Option<(BinOp, T)>,
+}
+
+impl<T: Element> Produce<T> for ChainLanes<'_, T> {
+    #[inline(always)]
+    fn run<const N: usize>(&self, acc: &mut [T; N], fresh: bool, at: usize) {
+        let mut terms = self.coefs.iter().zip(&self.rows[..self.terms]);
+        if fresh {
+            let (&c, row) = terms.next().expect("a chain has a term");
+            let x = load::<T, N>(row, at);
+            for j in 0..N {
+                acc[j] = c * x[j];
+            }
+        }
+        for (&c, row) in terms {
+            let x = load::<T, N>(row, at);
+            for j in 0..N {
+                acc[j] += c * x[j];
+            }
+        }
+        if let Some((op, c)) = self.tail {
+            zip_right(op, acc, &[c; N]);
+        }
     }
 }
 
-/// Dispatch a [`TapeOp::Pair`] to the [`pair_pass`] compiled for its pair
-/// operation, square and fold.
-#[inline(always)]
-fn pair_group<T: Element>(
-    out: &mut [T],
-    a: &[T],
-    b: &[T],
+/// `acc ∘ vₖ` over `pairs ≤ CHAIN_GROUP` pairs `vₖ = aₖ ∘ bₖ`, each squared
+/// when `square`, a fresh sum starting as `v₀`.
+struct PairLanes<'r, T> {
     op: BinOp,
     square: bool,
-    fold: Option<BinOp>,
-) {
-    macro_rules! with_square {
-        ($pair:expr) => {
-            if square {
-                pair_pass(out, a, b, fold, |x, y| {
-                    let v: T = $pair(x, y);
-                    v * v
-                })
-            } else {
-                pair_pass(out, a, b, fold, $pair)
+    fold: BinOp,
+    pairs: usize,
+    rows: [(&'r [T], &'r [T]); CHAIN_GROUP],
+}
+
+impl<T: Element> Produce<T> for PairLanes<'_, T> {
+    #[inline(always)]
+    fn run<const N: usize>(&self, acc: &mut [T; N], fresh: bool, at: usize) {
+        for (k, &(a, b)) in self.rows[..self.pairs].iter().enumerate() {
+            let mut v = load::<T, N>(a, at);
+            zip_right(self.op, &mut v, &load(b, at));
+            if self.square {
+                for x in &mut v {
+                    *x = *x * *x;
+                }
             }
-        };
+            if fresh && k == 0 {
+                *acc = v;
+            } else {
+                zip_right(self.fold, acc, &v);
+            }
+        }
     }
-    match op {
-        BinOp::Add => with_square!(|x, y| x + y),
-        BinOp::Sub => with_square!(|x, y| x - y),
-        BinOp::Mul => with_square!(|x, y| x * y),
-        BinOp::Div => with_square!(|x, y| x / y),
+}
+
+/// Where the running values of a [`chunked_pass`] start.
+#[derive(Clone, Copy)]
+enum Start<'r, T> {
+    /// At the producer's first term or pair.
+    Fresh,
+    /// At a constant.
+    Const(T),
+    /// At the row the pass writes, updated in place.
+    Dst,
+    /// At the row above the one the pass folds into.
+    Above(&'r [T]),
+}
+
+/// One pass of a producer with a suffix over `dst`, [`CHUNK`] lanes at a
+/// time: the running values start at `start`, take the producer's terms or
+/// pairs and tail in a register array, go through every map of the suffix
+/// (one `match` per map per chunk) and are stored into `dst`, or folded
+/// into it as `dst[i] ∘ v` when the suffix folds. The integer work of that
+/// dispatch overlaps the divider when the suffix takes a root or a
+/// quotient.
+///
+/// Each arm is a copy of the pass with its start known: a register array
+/// merged from several starts — or producers — per chunk does not stay in
+/// vector registers.
+#[inline(always)]
+fn chunked_pass<T: Element>(
+    lanes: &impl Produce<T>,
+    start: Start<T>,
+    suffix: &Suffix,
+    dst: &mut [T],
+) {
+    match start {
+        Start::Fresh => chunks(lanes, Start::Fresh, suffix, dst),
+        Start::Const(c) => chunks(lanes, Start::Const(c), suffix, dst),
+        Start::Dst => chunks(lanes, Start::Dst, suffix, dst),
+        Start::Above(row) => chunks(lanes, Start::Above(row), suffix, dst),
+    }
+}
+
+/// [`chunked_pass`] for one start.
+///
+/// Every chunk is computed [`CHUNK`] lanes wide, the width the register
+/// arrays are compiled for. A row that is not a whole number of chunks
+/// ends in a chunk that overlaps the one before it: its first lanes were
+/// stored already, so they are computed again — from a `dst` that may hold
+/// their results by then — and dropped, while every lane stored reads only
+/// inputs no store has touched. A row shorter than one chunk is computed
+/// lane by lane.
+#[inline(always)]
+fn chunks<T: Element>(lanes: &impl Produce<T>, start: Start<T>, suffix: &Suffix, dst: &mut [T]) {
+    let len = dst.len();
+    if len < CHUNK {
+        for at in 0..len {
+            [dst[at]] = chunk(lanes, start, suffix, dst, at);
+        }
+        return;
+    }
+    let mut at = 0usize;
+    while at + CHUNK <= len {
+        let values: [T; CHUNK] = chunk(lanes, start, suffix, dst, at);
+        dst[at..at + CHUNK].copy_from_slice(&values);
+        at += CHUNK;
+    }
+    if at < len {
+        let values: [T; CHUNK] = chunk(lanes, start, suffix, dst, len - CHUNK);
+        dst[at..].copy_from_slice(&values[CHUNK - (len - at)..]);
+    }
+}
+
+/// The values of lanes `at..at + N` of [`chunks`].
+#[inline(always)]
+fn chunk<T: Element, const N: usize>(
+    lanes: &impl Produce<T>,
+    start: Start<T>,
+    suffix: &Suffix,
+    dst: &[T],
+    at: usize,
+) -> [T; N] {
+    let mut acc = match start {
+        Start::Fresh => [T::ZERO; N],
+        Start::Const(c) => [c; N],
+        Start::Dst => load(dst, at),
+        Start::Above(row) => load(row, at),
+    };
+    lanes.run(&mut acc, matches!(start, Start::Fresh), at);
+    for &map in &suffix.maps {
+        match map {
+            LaneOp::Unary(UnOp::Neg) => {
+                for x in &mut acc {
+                    *x = -*x;
+                }
+            }
+            LaneOp::Unary(UnOp::Sqrt) => {
+                for x in &mut acc {
+                    *x = x.sqrt();
+                }
+            }
+            LaneOp::Right(op, c) => zip_right(op, &mut acc, &[T::from_f64(c); N]),
+            LaneOp::Left(op, c) => zip_left(op, T::from_f64(c), &mut acc),
+        }
+    }
+    match suffix.fold {
+        None => acc,
+        Some(fold) => {
+            let mut below = load(dst, at);
+            zip_right(fold, &mut below, &acc);
+            below
+        }
     }
 }
 
@@ -1201,7 +1551,7 @@ impl RowKernel {
         if root != Operand::Top {
             ops.push(TapeOp::Leaf(root));
         }
-        let ops = fuse_pairs(&fold_chains(&ops));
+        let ops = absorb_suffixes(sum_pairs(&fold_chains(&ops)));
         let mut depth = 0usize;
         let mut max_depth = 0usize;
         for op in &ops {
@@ -1373,6 +1723,21 @@ impl RowKernel {
                 _ => &mut scratch[k - 1][..out.len()],
             }
         }
+        // Stack rows `k − 1` and `k`, the second to be folded into the first.
+        fn below_top<'s, T>(
+            out: &'s mut [T],
+            scratch: &'s mut [Vec<T>],
+            k: usize,
+        ) -> (&'s mut [T], &'s [T]) {
+            let lanes = out.len();
+            match k {
+                1 => (out, &scratch[0][..lanes]),
+                _ => {
+                    let (below, top) = scratch.split_at_mut(k - 1);
+                    (&mut below[k - 2][..lanes], &top[0][..lanes])
+                }
+            }
+        }
         let mut sp = 0usize;
         for op in &self.ops {
             match *op {
@@ -1396,13 +1761,7 @@ impl RowKernel {
                     let zip = match (a, b) {
                         (Operand::Top, Operand::Top) => {
                             sp -= 1;
-                            let (below, top) = match sp {
-                                1 => (&mut *out, &scratch[0][..lanes]),
-                                _ => {
-                                    let (below, top) = scratch.split_at_mut(sp - 1);
-                                    (&mut below[sp - 2][..lanes], &top[0][..lanes])
-                                }
-                            };
+                            let (below, top) = below_top(out, scratch, sp);
                             Zip::Left(below, Src::Row(top))
                         }
                         (Operand::Top, Operand::Dup) => Zip::Both(row(out, scratch, sp - 1)),
@@ -1424,7 +1783,8 @@ impl RowKernel {
                     fresh,
                     ref terms,
                     tail,
-                } => {
+                    ref suffix,
+                } if suffix.is_empty() => {
                     sp += usize::from(fresh);
                     let acc = row(out, scratch, sp - 1);
                     // Groups of at most `CHAIN_GROUP` terms, each one pass
@@ -1449,16 +1809,78 @@ impl RowKernel {
                         reciprocal = false;
                     }
                 }
-                TapeOp::Pair {
-                    op,
-                    left,
-                    right,
-                    square,
-                    fold,
+                TapeOp::Chain {
+                    fresh,
+                    ref terms,
+                    tail,
+                    ref suffix,
                 } => {
-                    sp += usize::from(fold.is_none());
-                    let acc = row(out, scratch, sp - 1);
-                    pair_group(acc, cells(left), cells(right), op, square, fold);
+                    // One group: `open_suffix` gives no longer chain a
+                    // suffix.
+                    let lanes = ChainLanes {
+                        terms: terms.len(),
+                        coefs: std::array::from_fn(|k| {
+                            T::from_f64(terms[k.min(terms.len() - 1)].coef)
+                        }),
+                        rows: std::array::from_fn(|k| cells(terms[k.min(terms.len() - 1)].delta)),
+                        tail: tail.map(|(op, c)| (op, T::from_f64(c))),
+                    };
+                    let own = fresh.then_some(Start::Fresh);
+                    let (dst, start) = producer_rows(out, scratch, &mut sp, own, suffix);
+                    chunked_pass(&lanes, start, suffix, dst);
+                }
+                TapeOp::PairSum {
+                    op,
+                    square,
+                    start,
+                    fold,
+                    ref pairs,
+                    ref suffix,
+                } => {
+                    let lanes = PairLanes {
+                        op,
+                        square,
+                        fold,
+                        pairs: pairs.len(),
+                        rows: std::array::from_fn(|k| {
+                            let (a, b) = pairs[k.min(pairs.len() - 1)];
+                            (cells(a), cells(b))
+                        }),
+                    };
+                    let own = match start {
+                        PairStart::First => Some(Start::Fresh),
+                        PairStart::Const(c) => Some(Start::Const(T::from_f64(c))),
+                        PairStart::Top => None,
+                    };
+                    let (dst, start) = producer_rows(out, scratch, &mut sp, own, suffix);
+                    chunked_pass(&lanes, start, suffix, dst);
+                }
+            }
+        }
+
+        /// The row a producer's pass writes and where its running value
+        /// starts: at `own` (`Start::Fresh` or `Start::Const`), or at the
+        /// top row for `None`. A suffix fold writes the row below the
+        /// value; without one the value is pushed or updates the top row.
+        #[inline(always)]
+        fn producer_rows<'s, T: Element>(
+            out: &'s mut [T],
+            scratch: &'s mut [Vec<T>],
+            sp: &mut usize,
+            own: Option<Start<'s, T>>,
+            suffix: &Suffix,
+        ) -> (&'s mut [T], Start<'s, T>) {
+            match (own, suffix.fold.is_some()) {
+                (Some(start), false) => {
+                    *sp += 1;
+                    (row(out, scratch, *sp - 1), start)
+                }
+                (Some(start), true) => (row(out, scratch, *sp - 1), start),
+                (None, false) => (row(out, scratch, *sp - 1), Start::Dst),
+                (None, true) => {
+                    *sp -= 1;
+                    let (below, top) = below_top(out, scratch, *sp);
+                    (below, Start::Above(top))
                 }
             }
         }
@@ -2383,6 +2805,64 @@ mod tests {
                 exprs.push(binary(fold, x() * y(), rng.chain(terms, true)));
             }
         }
+        // Suffixes: after a chain (one group, the longest that takes a
+        // suffix, and one that is too long), a lone pair and pair sums
+        // that start at their first pair, at a constant and at the top row
+        // (more than one group too), every lane-local map — `sqrt`, `neg`,
+        // each operation with the constant on either side — alone and two
+        // in a row, then no fold or each fold into a row below.
+        let mut square = || {
+            let d = rng.cell() - rng.cell();
+            d.clone() * d
+        };
+        let pair_sum = |first: Expr, squares: &mut dyn FnMut() -> Expr, pairs: usize| {
+            (0..pairs).fold(first, |sum, _| sum + squares())
+        };
+        let mut producers = vec![square(), x() / y() * c()];
+        for pairs in [2, 4, 9] {
+            let first = square();
+            producers.push(pair_sum(first, &mut square, pairs - 1));
+            producers.push(pair_sum(c(), &mut square, pairs));
+            producers.push(pair_sum(Expr::sqrt(inner()), &mut square, pairs));
+        }
+        for terms in [3, 8, 9] {
+            producers.push(rng.chain(terms, true));
+            producers.push(rng.chain(terms, true) / c());
+            producers.push(Expr::sqrt(x()) - rng.term() + rng.chain(terms, true));
+        }
+        let mut maps: Vec<Box<dyn Fn(Expr) -> Expr>> =
+            vec![Box::new(Expr::sqrt), Box::new(|e: Expr| -e)];
+        for op in OPS {
+            maps.push(Box::new(move |e| binary(op, e, Expr::constant(0.7))));
+            maps.push(Box::new(move |e| binary(op, Expr::constant(1.3), e)));
+        }
+        let mut suffixed = [0usize; 3];
+        let mut suffix_exprs = Vec::new();
+        for producer in &producers {
+            for (k, map) in maps.iter().enumerate() {
+                let then = &maps[(k * 7 + 3) % maps.len()];
+                let mut values = vec![map(producer.clone()), then(map(producer.clone()))];
+                for fold in OPS {
+                    values.push(binary(fold, Expr::sqrt(inner()), map(producer.clone())));
+                }
+                for value in values {
+                    for op in RowKernel::compile(&value, &[1000, 1]).ops {
+                        match op {
+                            TapeOp::Chain { suffix, .. } if !suffix.is_empty() => suffixed[0] += 1,
+                            TapeOp::PairSum { pairs, suffix, .. } if !suffix.is_empty() => {
+                                suffixed[1 + usize::from(pairs.len() > 1)] += 1;
+                            }
+                            _ => {}
+                        }
+                    }
+                    suffix_exprs.push(value);
+                }
+            }
+        }
+        assert!(
+            suffixed.iter().all(|&n| n > 0),
+            "suffixes after chains, pairs and pair sums: {suffixed:?}"
+        );
         if row_kernel_isa() != "avx512" {
             println!(
                 "row-kernel instances checked on this CPU: {:?}",
@@ -2393,6 +2873,14 @@ mod tests {
         // so each remainder loop runs too.
         for expr in &exprs {
             for lanes in [0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 257] {
+                check_tape_against_eval_expr::<f64>(expr, lanes, &mut rng);
+                check_tape_against_eval_expr::<f32>(expr, lanes, &mut rng);
+            }
+        }
+        // A suffixed pass runs lane by lane below one chunk, in whole
+        // chunks, and ends in a chunk that overlaps the one before it.
+        for expr in &suffix_exprs {
+            for lanes in [0, 5, 31, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {
                 check_tape_against_eval_expr::<f64>(expr, lanes, &mut rng);
                 check_tape_against_eval_expr::<f32>(expr, lanes, &mut rng);
             }
@@ -2419,6 +2907,7 @@ mod tests {
                     term(5.2, 100),
                 ],
                 tail: Some((BinOp::Div, 118.0)),
+                suffix: Suffix::default(),
             }]
         );
         assert_eq!(j2d5pt.depth, 1);
@@ -2430,7 +2919,8 @@ mod tests {
                 fresh: true,
                 terms,
                 tail: None,
-            }] => {
+                suffix,
+            }] if suffix.is_empty() => {
                 let mut deltas: Vec<isize> = terms.iter().map(|t| t.delta).collect();
                 deltas.sort_unstable();
                 assert_eq!(deltas, [-10_000, -100, -1, 0, 1, 100, 10_000]);
@@ -2452,38 +2942,35 @@ mod tests {
                     fresh: false,
                     terms: vec![term(-2.0, 1), term(1.0, 2), term(-1.0, 3)],
                     tail: None,
+                    suffix: Suffix::default(),
                 },
                 TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Cell(4)),
             ]
         );
 
-        // gradient2d: 0.5·f and the running sum are the only rows. Every
-        // difference is compiled once (`Dup`), squared in a register and —
-        // from the second on — folded into the sum in the same pass; only
-        // `1 + …`, `sqrt`, `1/x` and the final sum stay generic.
+        // gradient2d: 0.5·f is the only row. Every difference is compiled
+        // once (`Dup`) and squared in a register; the four squares are one
+        // pair sum that starts at the constant 1, and its root, its
+        // reciprocal and the fold into 0.5·f run in the same pass.
         let gradient2d = RowKernel::compile(suite::gradient2d().expr(), &strides);
-        let diff_sq = |right: isize, fold: Option<BinOp>| TapeOp::Pair {
-            op: BinOp::Sub,
-            left: 0,
-            right,
-            square: true,
-            fold,
-        };
         assert_eq!(
             gradient2d.ops,
             vec![
                 TapeOp::Binary(BinOp::Mul, Operand::Const(0.5), Operand::Cell(0)),
-                diff_sq(100, None),
-                TapeOp::Binary(BinOp::Add, Operand::Const(1.0), Operand::Top),
-                diff_sq(-100, Some(BinOp::Add)),
-                diff_sq(1, Some(BinOp::Add)),
-                diff_sq(-1, Some(BinOp::Add)),
-                TapeOp::Unary(UnOp::Sqrt, Operand::Top),
-                TapeOp::Binary(BinOp::Div, Operand::Const(1.0), Operand::Top),
-                TapeOp::Binary(BinOp::Add, Operand::Top, Operand::Top),
+                TapeOp::PairSum {
+                    op: BinOp::Sub,
+                    square: true,
+                    start: PairStart::Const(1.0),
+                    fold: BinOp::Add,
+                    pairs: vec![(0, 100), (0, -100), (0, 1), (0, -1)],
+                    suffix: Suffix {
+                        maps: vec![LaneOp::Unary(UnOp::Sqrt), LaneOp::Left(BinOp::Div, 1.0)],
+                        fold: Some(BinOp::Add),
+                    },
+                },
             ]
         );
-        assert_eq!(gradient2d.depth, 2);
+        assert_eq!(gradient2d.depth, 1);
     }
 
     /// The divisors of Table 3's chains: `j2d5pt`, `j2d9pt`, `j2d9pt-gol`
@@ -2519,6 +3006,7 @@ mod tests {
                     delta: 0
                 }],
                 tail: Some((BinOp::Div, c)),
+                suffix: Suffix::default(),
             }]
         );
         for (x, o) in xs.chunks(RUN_LANES).zip(out.chunks_mut(RUN_LANES)) {
@@ -2651,6 +3139,15 @@ mod tests {
     /// A run with one lane the reciprocal must not take — at its start,
     /// inside or at its end — is divided with `/`, every lane of it.
     fn check_out_of_range_runs<T: Element>(specials: &[T]) {
+        let xs = out_of_range_runs(specials);
+        for c in proven_divisors::<T>() {
+            assert_divides_like_slash(c, &xs);
+        }
+    }
+
+    /// Runs of [`RUN_LANES`] ordinary lanes, one of which — the first, one
+    /// inside or the last — is one of `specials`.
+    fn out_of_range_runs<T: Element>(specials: &[T]) -> Vec<T> {
         let ordinary = |k: usize| T::from_f64(1.0 + 0.37 * k as f64);
         let mut xs = Vec::new();
         for &special in specials {
@@ -2658,24 +3155,79 @@ mod tests {
                 xs.extend((0..RUN_LANES).map(|k| if k == at { special } else { ordinary(k) }));
             }
         }
-        for c in proven_divisors::<T>() {
-            assert_divides_like_slash(c, &xs);
-        }
+        xs
+    }
+
+    /// Lanes the reciprocal must not take in each precision: [`SPECIALS`],
+    /// the first magnitudes past its range, the extremes, either sign.
+    fn reciprocal_specials() -> (Vec<f64>, Vec<f32>) {
+        let edges = |e: i32| [2f64.powi(-e - 1), 2f64.powi(e + 1)];
+        let mut double = SPECIALS.to_vec();
+        double.extend(edges(900));
+        double.extend([f64::MAX, f64::MIN_POSITIVE]);
+        double.extend(double.clone().iter().map(|&x| -x));
+        let mut single: Vec<f32> = SPECIALS.iter().map(|&x| x as f32).collect();
+        single.extend(edges(96).map(|x| x as f32));
+        single.extend([f32::MAX, f32::MIN_POSITIVE, 1e-40]);
+        single.extend(single.clone().iter().map(|&x| -x));
+        (double, single)
     }
 
     #[test]
     fn out_of_range_runs_divide_with_slash() {
-        let edges = |e: i32| [2f64.powi(-e - 1), 2f64.powi(e + 1)];
-        let mut specials = SPECIALS.to_vec();
-        specials.extend(edges(900));
-        specials.extend([f64::MAX, f64::MIN_POSITIVE]);
-        specials.extend(specials.clone().iter().map(|&x| -x));
-        check_out_of_range_runs::<f64>(&specials);
-        let mut specials: Vec<f32> = SPECIALS.iter().map(|&x| x as f32).collect();
-        specials.extend(edges(96).map(|x| x as f32));
-        specials.extend([f32::MAX, f32::MIN_POSITIVE, 1e-40]);
-        specials.extend(specials.clone().iter().map(|&x| -x));
-        check_out_of_range_runs::<f32>(&specials);
+        let (double, single) = reciprocal_specials();
+        check_out_of_range_runs(&double);
+        check_out_of_range_runs(&single);
+    }
+
+    #[test]
+    fn a_suffix_after_a_chain_divided_by_a_proven_constant_sees_slash_quotients() {
+        // `sqrt(Σ/118)`: a chain whose `/ 118` the reciprocal takes where
+        // the chain has no suffix, and the root of it absorbed as one. On
+        // runs with a lane the reciprocal must not take and on ordinary
+        // runs, every instance must give every lane the bits of `eval_expr`.
+        fn check<T: Element>(specials: &[T]) {
+            let x = |j: i32| Expr::cell(&[j]);
+            let sum = Expr::constant(1.0) * x(0) + Expr::constant(0.25) * x(1) - x(-1);
+            let expr = Expr::sqrt(sum / Expr::constant(118.0));
+            let kernel = RowKernel::compile(&expr, &[1]);
+            match kernel.ops.as_slice() {
+                [TapeOp::Chain {
+                    tail: Some((BinOp::Div, c)),
+                    suffix,
+                    ..
+                }] => {
+                    assert!(*c == 118.0 && suffix.maps == [LaneOp::Unary(UnOp::Sqrt)]);
+                    assert!(Reciprocal::of(T::from_f64(*c)).is_some());
+                }
+                ops => panic!("one chain with a root as its suffix, not {ops:?}"),
+            }
+            let mut xs = out_of_range_runs(specials);
+            xs.extend((0..2 * RUN_LANES).map(|k| T::from_f64(0.5 + 0.01 * k as f64)));
+            let lanes = xs.len() - 2;
+            for instance in instances() {
+                let mut out = vec![T::ZERO; lanes];
+                for (run, o) in out.chunks_mut(RUN_LANES).enumerate() {
+                    kernel.eval_upto(instance, &xs, 1 + run * RUN_LANES, &mut [], o);
+                }
+                for (lane, &got) in out.iter().enumerate() {
+                    let want: T = eval_expr(&expr, &|offset: an5d_expr::Offset| {
+                        xs[(1 + lane as isize + offset.component(0) as isize) as usize]
+                    });
+                    assert!(
+                        same_bits(got, want),
+                        "{:?} {} lane {lane}: tape {:e}, eval_expr {:e}",
+                        T::PRECISION,
+                        instance.name(),
+                        got.into_f64(),
+                        want.into_f64()
+                    );
+                }
+            }
+        }
+        let (double, single) = reciprocal_specials();
+        check(&double);
+        check(&single);
     }
 
     #[test]

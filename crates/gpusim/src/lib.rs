@@ -5,7 +5,7 @@
 //! GPUs. The reproduction runs without a GPU, so this crate substitutes a
 //! two-level execution model for them:
 //!
-//! 1. **Functional execution** ([`exec`]): the N.5D-blocked schedule is run
+//! 1. **Functional execution** ([`execute_plan_with`]): the N.5D-blocked schedule is run
 //!    thread-block by thread-block on the CPU, with the same overlapped
 //!    halos, shrinking valid regions, stream-block overlap and remainder
 //!    handling as the generated kernel — so its numerical output can be
@@ -29,7 +29,7 @@
 
 mod counters;
 mod device;
-pub mod exec;
+mod exec;
 mod occupancy;
 mod profile;
 mod registry;

@@ -65,15 +65,6 @@ impl GridDiff {
     }
 }
 
-/// Maximum absolute difference between two equally-shaped grids.
-///
-/// # Errors
-///
-/// Returns [`GridError::ShapeMismatch`] if the grids differ in shape.
-pub fn max_abs_diff<T: Element>(a: &Grid<T>, b: &Grid<T>) -> Result<f64, GridError> {
-    GridDiff::compute(a, b).map(|d| d.max_abs)
-}
-
 /// Default comparison tolerance for a cell precision after `steps` stencil
 /// applications with fast-math-style reassociation allowed.
 ///
@@ -131,15 +122,6 @@ mod tests {
         let a = Grid::<f32>::zeros(&[3, 3]);
         let b = Grid::<f32>::zeros(&[3, 4]);
         assert!(GridDiff::compute(&a, &b).is_err());
-        assert!(max_abs_diff(&a, &b).is_err());
-    }
-
-    #[test]
-    fn helper_functions_agree_with_diff() {
-        let a = Grid::<f64>::from_init(&[4, 4], GridInit::Hash { seed: 1 });
-        let b = Grid::<f64>::from_init(&[4, 4], GridInit::Hash { seed: 2 });
-        let d = GridDiff::compute(&a, &b).unwrap();
-        assert_eq!(max_abs_diff(&a, &b).unwrap(), d.max_abs);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! 1. classify the launched threads (out-of-bound / boundary / redundant /
 //!    valid) and derive the global-memory, shared-memory and compute work
-//!    they perform ([`traffic`]);
+//!    they perform ([`analytic_counters`]);
 //! 2. price that work against the device's peak compute throughput
 //!    (adjusted by the ALU-mix efficiency `effALU`) and its *measured*
 //!    global/shared-memory bandwidths (Table 4);
@@ -29,7 +29,7 @@
 
 pub mod measure;
 pub mod predict;
-pub mod traffic;
+mod traffic;
 
 pub use measure::{measure, measure_best_cap, measure_each_cap, Measurement};
 pub use predict::{predict, price, ModelPrediction};

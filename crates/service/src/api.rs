@@ -20,7 +20,7 @@ use an5d_tunedb::codec;
 /// `deadline` is set, in which case the dispatcher answers `504` with a
 /// partial-progress body instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApiError {
+pub(crate) struct ApiError {
     /// Human-readable message rendered into the JSON error body.
     pub message: String,
     /// `Some((completed, total))` when the request's deadline expired
@@ -196,7 +196,7 @@ fn precision_value(value: &Json) -> Result<Precision, ApiError> {
 /// # Errors
 ///
 /// Rejects missing or unknown precisions.
-pub fn precision_from(body: &Json) -> Result<Precision, ApiError> {
+pub(crate) fn precision_from(body: &Json) -> Result<Precision, ApiError> {
     precision_value(require(body, "precision")?)
 }
 

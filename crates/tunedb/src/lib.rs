@@ -19,7 +19,7 @@
 //!   [`an5d_tuner::TuningResult`] (the vendored `serde` is a shim), via
 //!   the deterministic [`json`] layer whose `f64` rendering round-trips
 //!   bit-exactly.
-//! * [`db`] — [`TuneDb`]: an in-memory `BTreeMap` index over the log,
+//! * `db` — [`TuneDb`]: an in-memory `BTreeMap` index over the log,
 //!   shared behind a mutex by the service's connection workers.
 //!
 //! Keys use the canonical, order-insensitive fingerprints of
@@ -33,7 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod db;
+mod db;
 pub mod json;
 pub(crate) mod log;
 
