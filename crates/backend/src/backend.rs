@@ -171,7 +171,7 @@ impl ExecutionBackend for SerialBackend {
 /// compiled into a tape of one instruction per operation (a whole sum of
 /// products, or a sum of squared neighbour pairs, being one instruction
 /// that keeps its value in a register, and the lane-local operations after
-/// it — a root, `c/x`, a fold into the row below — running in the same
+/// a pair sum — a root, `c/x`, a fold into the row below — running in its
 /// pass, 32 lanes at a time, so the divider overlaps the arithmetic),
 /// constants and neighbour rows (slices of the tile at flat
 /// offsets, read in place) being operands of the instruction that consumes
@@ -179,7 +179,7 @@ impl ExecutionBackend for SerialBackend {
 /// straight into the output, with all halo/bounds logic hoisted out of the
 /// inner loops — the shape the compiler autovectorizes, monomorphic per
 /// precision and compiled for the baseline target, with AVX2 and with
-/// AVX-512F (which divides a chain with no suffix by its constant through
+/// AVX-512F (which divides a fresh chain by its constant through
 /// a reciprocal and one FMA correction, bit-identical to `/`), the widest
 /// instance the
 /// CPU has picked at run time ([`an5d_gpusim::row_kernel_isa`], which

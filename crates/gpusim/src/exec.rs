@@ -96,12 +96,12 @@
 //! by one operation, becomes one *pair sum* of up to eight pairs (a longer
 //! run goes on from the top row), its running value starting at the first
 //! pair, at the top row or — for `c ∘ v` right after the first pair, `∘`
-//! the run's fold — at `c`. Then every chain of at most eight terms and
-//! every pair sum absorbs the instructions after it that only map its
-//! value lane by lane (`op v`, `v ∘ c`, `c ∘ v`) and at most one fold of
-//! it into the row below, its *suffix*. Such a producer runs as one pass
-//! over chunks of 32 lanes held in a register array: terms or pairs, then
-//! one `match` per suffix operation per chunk, then one store or fold.
+//! the run's fold — at `c`. Then every pair sum absorbs the instructions
+//! after it that only map its value lane by lane (`op v`, `v ∘ c`,
+//! `c ∘ v`) and at most one fold of it into the row below, its *suffix*.
+//! A pair sum runs as one pass over chunks of 32 lanes held in a register
+//! array: pairs, then one `match` per suffix operation per chunk, then one
+//! store or fold.
 //! When the suffix takes a root or a quotient, that pass is what lets the
 //! divider overlap the rest: row passes of their own ran the divider
 //! alone, one whole row after another, while in one pass the next chunk's
@@ -111,8 +111,10 @@
 //! four-row stack to nine passes and two rows with pairs, and is two
 //! instructions over one row with pair sums and suffixes: `0.5·f`, then
 //! the four squares summed from 1, the root, the reciprocal and the fold
-//! into `0.5·f` in one pass. A producer with an empty suffix keeps its row
-//! loop, so j2d5pt's and star3d1r's one-chain tapes run as before.
+//! into `0.5·f` in one pass. A chain takes no suffix: it has one loop
+//! shape, the row loop above, and the instructions after it keep their own
+//! passes. (Through 32-lane chunks, j2d5pt's chain ran at about half the
+//! row loop's speed.)
 //!
 //! **Runs and the dependency cone.** One tape evaluation covers not one
 //! row but a *run* of consecutive rows of a plane (about a thousand lanes,
@@ -197,7 +199,7 @@
 //! and AVX-512 instructions round and treat subnormals by the same MXCSR
 //! state. A wider vector only evaluates more independent lanes at once.
 //! Fused operations appear in one place: the AVX-512 instance divides a
-//! fresh chain with no suffix by its constant `c` as `q0 = acc·(1/c)`,
+//! fresh chain by its constant `c` as `q0 = acc·(1/c)`,
 //! then the remainder `r = acc − q0·c` and `q = q0 + r·(1/c)`, each one
 //! fused operation (`Reciprocal`), because at 512 bits the divider, whose
 //! per-lane rate
@@ -674,15 +676,12 @@ enum TapeOp {
     /// The left-to-right sum `((acc + t₀) + t₁) + …` of product terms,
     /// optionally followed by `∘ const`, with `acc` starting as the first
     /// term's product (`fresh`, pushes a row) or as the top row (updated
-    /// in place), then its `suffix`. The running sum lives in a register:
-    /// one load per term and one store per lane instead of a row pass per
-    /// operation. Only a chain of at most [`CHAIN_GROUP`] terms has a
-    /// suffix.
+    /// in place). The running sum lives in a register: one load per term
+    /// and one store per lane instead of a row pass per operation.
     Chain {
         fresh: bool,
         terms: Vec<Term>,
         tail: Option<(BinOp, f64)>,
-        suffix: Suffix,
     },
     /// Up to [`CHAIN_GROUP`] pair values `vₖ = x_left ∘ x_right` over two
     /// neighbour rows at flat deltas, each squared in its place when
@@ -712,7 +711,7 @@ enum PairStart {
     Top,
 }
 
-/// A lane-by-lane operation on a producer's value `v` (see [`Suffix`]).
+/// A lane-by-lane operation on a pair sum's value `v` (see [`Suffix`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LaneOp {
     Unary(UnOp),
@@ -722,19 +721,13 @@ enum LaneOp {
     Left(BinOp, f64),
 }
 
-/// The instructions after a [`TapeOp::Chain`] or [`TapeOp::PairSum`] that
-/// only map its value lane by lane, then at most one fold of that value
-/// into the row below it (`below ∘ v`), absorbed into the producer's pass.
+/// The instructions after a [`TapeOp::PairSum`] that only map its value
+/// lane by lane, then at most one fold of that value into the row below it
+/// (`below ∘ v`), absorbed into the pair sum's pass.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Suffix {
     maps: Vec<LaneOp>,
     fold: Option<BinOp>,
-}
-
-impl Suffix {
-    fn is_empty(&self) -> bool {
-        self.maps.is_empty() && self.fold.is_none()
-    }
 }
 
 impl TapeOp {
@@ -744,24 +737,20 @@ impl TapeOp {
         match self {
             TapeOp::Leaf(a) | TapeOp::Unary(_, a) => popped(a),
             TapeOp::Binary(_, a, b) => popped(a) + popped(b),
-            TapeOp::Chain { fresh, suffix, .. } => {
-                usize::from(!fresh) + usize::from(suffix.fold.is_some())
-            }
+            TapeOp::Chain { fresh, .. } => usize::from(!fresh),
             TapeOp::PairSum { start, suffix, .. } => {
                 usize::from(*start == PairStart::Top) + usize::from(suffix.fold.is_some())
             }
         }
     }
 
-    /// The suffix the instruction can still extend: a producer's, until it
+    /// The suffix the instruction can still extend: a pair sum's, until it
     /// folds.
     fn open_suffix(&mut self) -> Option<&mut Suffix> {
         match self {
-            TapeOp::Chain { terms, suffix, .. } if terms.len() <= CHAIN_GROUP => Some(suffix),
-            TapeOp::PairSum { suffix, .. } => Some(suffix),
+            TapeOp::PairSum { suffix, .. } if suffix.fold.is_none() => Some(suffix),
             _ => None,
         }
-        .filter(|suffix| suffix.fold.is_none())
     }
 }
 
@@ -819,12 +808,7 @@ fn fold_chains(ops: &[TapeOp]) -> Vec<TapeOp> {
             _ => None,
         };
         if end - at >= 2 {
-            folded.push(TapeOp::Chain {
-                fresh,
-                terms,
-                tail,
-                suffix: Suffix::default(),
-            });
+            folded.push(TapeOp::Chain { fresh, terms, tail });
             at = end;
         } else {
             folded.push(ops[at].clone());
@@ -920,10 +904,10 @@ fn sum_pairs(ops: &[TapeOp]) -> Vec<TapeOp> {
     summed
 }
 
-/// Let every chain of at most [`CHAIN_GROUP`] terms and every pair sum
-/// absorb the instructions after it that only map its value lane by lane
-/// (`op v`, `v ∘ c`, `c ∘ v`), then at most one fold of it into the row
-/// below (`below ∘ v`), as its [`Suffix`].
+/// Let every pair sum absorb the instructions after it that only map its
+/// value lane by lane (`op v`, `v ∘ c`, `c ∘ v`), then at most one fold of
+/// it into the row below (`below ∘ v`), as its [`Suffix`]. A chain absorbs
+/// nothing: it keeps its row loop.
 fn absorb_suffixes(ops: Vec<TapeOp>) -> Vec<TapeOp> {
     let mut absorbed: Vec<TapeOp> = Vec::with_capacity(ops.len());
     for op in ops {
@@ -1200,8 +1184,8 @@ impl<T: Element> Reciprocal<T> {
     }
 }
 
-/// Lanes a producer with a suffix computes into a register array before it
-/// runs the suffix on them. gradient2d's pass alone, 512-bit, ns per lane:
+/// Lanes a pair sum computes into a register array before it runs its
+/// suffix on them. gradient2d's pass alone, 512-bit, ns per lane:
 /// f32 1.55 / 0.98–1.08 / 0.52 / 0.61 at 8 / 16 / 32 / 64 lanes, f64
 /// 1.93–2.01 / 1.88 / 2.42 at 16 / 32 / 64 — narrower chunks pay the
 /// dispatch too often, wider ones run out of registers.
@@ -1256,51 +1240,9 @@ fn zip_left<T: Element, const N: usize>(op: BinOp, c: T, acc: &mut [T; N]) {
     });
 }
 
-/// A producer's per-lane work, its operands resolved for one run: what a
-/// [`chunked_pass`] computes before it runs the producer's suffix.
-trait Produce<T: Element> {
-    /// Take the running values `acc` of lanes `at..at + N` through every
-    /// term or pair and the tail; a `fresh` sum starts at the first term
-    /// or pair instead.
-    fn run<const N: usize>(&self, acc: &mut [T; N], fresh: bool, at: usize);
-}
-
-/// `tail(acc + Σ cₖ·xₖ)` over `terms ≤ CHAIN_GROUP` terms, a fresh sum
-/// starting as `c₀·x₀`. A tail `/ c` is `/`: dividing through
-/// [`Reciprocal`] would need a `/` fallback per chunk, and the two register
-/// arrays it merges are split across narrower registers by the compiler.
-struct ChainLanes<'r, T> {
-    terms: usize,
-    coefs: [T; CHAIN_GROUP],
-    rows: [&'r [T]; CHAIN_GROUP],
-    tail: Option<(BinOp, T)>,
-}
-
-impl<T: Element> Produce<T> for ChainLanes<'_, T> {
-    #[inline(always)]
-    fn run<const N: usize>(&self, acc: &mut [T; N], fresh: bool, at: usize) {
-        let mut terms = self.coefs.iter().zip(&self.rows[..self.terms]);
-        if fresh {
-            let (&c, row) = terms.next().expect("a chain has a term");
-            let x = load::<T, N>(row, at);
-            for j in 0..N {
-                acc[j] = c * x[j];
-            }
-        }
-        for (&c, row) in terms {
-            let x = load::<T, N>(row, at);
-            for j in 0..N {
-                acc[j] += c * x[j];
-            }
-        }
-        if let Some((op, c)) = self.tail {
-            zip_right(op, acc, &[c; N]);
-        }
-    }
-}
-
 /// `acc ∘ vₖ` over `pairs ≤ CHAIN_GROUP` pairs `vₖ = aₖ ∘ bₖ`, each squared
-/// when `square`, a fresh sum starting as `v₀`.
+/// when `square`, a fresh sum starting as `v₀`: what a [`chunked_pass`]
+/// computes before it runs the suffix.
 struct PairLanes<'r, T> {
     op: BinOp,
     square: bool,
@@ -1309,7 +1251,9 @@ struct PairLanes<'r, T> {
     rows: [(&'r [T], &'r [T]); CHAIN_GROUP],
 }
 
-impl<T: Element> Produce<T> for PairLanes<'_, T> {
+impl<T: Element> PairLanes<'_, T> {
+    /// Take the running values `acc` of lanes `at..at + N` through every
+    /// pair; a `fresh` sum starts at the first pair instead.
     #[inline(always)]
     fn run<const N: usize>(&self, acc: &mut [T; N], fresh: bool, at: usize) {
         for (k, &(a, b)) in self.rows[..self.pairs].iter().enumerate() {
@@ -1332,7 +1276,7 @@ impl<T: Element> Produce<T> for PairLanes<'_, T> {
 /// Where the running values of a [`chunked_pass`] start.
 #[derive(Clone, Copy)]
 enum Start<'r, T> {
-    /// At the producer's first term or pair.
+    /// At the first pair.
     Fresh,
     /// At a constant.
     Const(T),
@@ -1342,24 +1286,17 @@ enum Start<'r, T> {
     Above(&'r [T]),
 }
 
-/// One pass of a producer with a suffix over `dst`, [`CHUNK`] lanes at a
-/// time: the running values start at `start`, take the producer's terms or
-/// pairs and tail in a register array, go through every map of the suffix
-/// (one `match` per map per chunk) and are stored into `dst`, or folded
-/// into it as `dst[i] ∘ v` when the suffix folds. The integer work of that
-/// dispatch overlaps the divider when the suffix takes a root or a
-/// quotient.
+/// One pass of a pair sum and its suffix over `dst`, [`CHUNK`] lanes at a
+/// time: the running values start at `start`, take the pairs in a register
+/// array, go through every map of the suffix (one `match` per map per
+/// chunk) and are stored into `dst`, or folded into it as `dst[i] ∘ v` when
+/// the suffix folds. The integer work of that dispatch overlaps the divider
+/// when the suffix takes a root or a quotient.
 ///
 /// Each arm is a copy of the pass with its start known: a register array
-/// merged from several starts — or producers — per chunk does not stay in
-/// vector registers.
+/// merged from several starts per chunk does not stay in vector registers.
 #[inline(always)]
-fn chunked_pass<T: Element>(
-    lanes: &impl Produce<T>,
-    start: Start<T>,
-    suffix: &Suffix,
-    dst: &mut [T],
-) {
+fn chunked_pass<T: Element>(lanes: &PairLanes<T>, start: Start<T>, suffix: &Suffix, dst: &mut [T]) {
     match start {
         Start::Fresh => chunks(lanes, Start::Fresh, suffix, dst),
         Start::Const(c) => chunks(lanes, Start::Const(c), suffix, dst),
@@ -1378,7 +1315,7 @@ fn chunked_pass<T: Element>(
 /// inputs no store has touched. A row shorter than one chunk is computed
 /// lane by lane.
 #[inline(always)]
-fn chunks<T: Element>(lanes: &impl Produce<T>, start: Start<T>, suffix: &Suffix, dst: &mut [T]) {
+fn chunks<T: Element>(lanes: &PairLanes<T>, start: Start<T>, suffix: &Suffix, dst: &mut [T]) {
     let len = dst.len();
     if len < CHUNK {
         for at in 0..len {
@@ -1401,7 +1338,7 @@ fn chunks<T: Element>(lanes: &impl Produce<T>, start: Start<T>, suffix: &Suffix,
 /// The values of lanes `at..at + N` of [`chunks`].
 #[inline(always)]
 fn chunk<T: Element, const N: usize>(
-    lanes: &impl Produce<T>,
+    lanes: &PairLanes<T>,
     start: Start<T>,
     suffix: &Suffix,
     dst: &[T],
@@ -1783,8 +1720,7 @@ impl RowKernel {
                     fresh,
                     ref terms,
                     tail,
-                    ref suffix,
-                } if suffix.is_empty() => {
+                } => {
                     sp += usize::from(fresh);
                     let acc = row(out, scratch, sp - 1);
                     // Groups of at most `CHAIN_GROUP` terms, each one pass
@@ -1809,26 +1745,6 @@ impl RowKernel {
                         reciprocal = false;
                     }
                 }
-                TapeOp::Chain {
-                    fresh,
-                    ref terms,
-                    tail,
-                    ref suffix,
-                } => {
-                    // One group: `open_suffix` gives no longer chain a
-                    // suffix.
-                    let lanes = ChainLanes {
-                        terms: terms.len(),
-                        coefs: std::array::from_fn(|k| {
-                            T::from_f64(terms[k.min(terms.len() - 1)].coef)
-                        }),
-                        rows: std::array::from_fn(|k| cells(terms[k.min(terms.len() - 1)].delta)),
-                        tail: tail.map(|(op, c)| (op, T::from_f64(c))),
-                    };
-                    let own = fresh.then_some(Start::Fresh);
-                    let (dst, start) = producer_rows(out, scratch, &mut sp, own, suffix);
-                    chunked_pass(&lanes, start, suffix, dst);
-                }
                 TapeOp::PairSum {
                     op,
                     square,
@@ -1852,35 +1768,24 @@ impl RowKernel {
                         PairStart::Const(c) => Some(Start::Const(T::from_f64(c))),
                         PairStart::Top => None,
                     };
-                    let (dst, start) = producer_rows(out, scratch, &mut sp, own, suffix);
+                    // The row the pass writes and where its running value
+                    // starts: at `own`, or at the top row for `None`. A
+                    // suffix fold writes the row below the value; without
+                    // one the value is pushed or updates the top row.
+                    let (dst, start) = match (own, suffix.fold.is_some()) {
+                        (Some(start), false) => {
+                            sp += 1;
+                            (row(out, scratch, sp - 1), start)
+                        }
+                        (Some(start), true) => (row(out, scratch, sp - 1), start),
+                        (None, false) => (row(out, scratch, sp - 1), Start::Dst),
+                        (None, true) => {
+                            sp -= 1;
+                            let (below, top) = below_top(out, scratch, sp);
+                            (below, Start::Above(top))
+                        }
+                    };
                     chunked_pass(&lanes, start, suffix, dst);
-                }
-            }
-        }
-
-        /// The row a producer's pass writes and where its running value
-        /// starts: at `own` (`Start::Fresh` or `Start::Const`), or at the
-        /// top row for `None`. A suffix fold writes the row below the
-        /// value; without one the value is pushed or updates the top row.
-        #[inline(always)]
-        fn producer_rows<'s, T: Element>(
-            out: &'s mut [T],
-            scratch: &'s mut [Vec<T>],
-            sp: &mut usize,
-            own: Option<Start<'s, T>>,
-            suffix: &Suffix,
-        ) -> (&'s mut [T], Start<'s, T>) {
-            match (own, suffix.fold.is_some()) {
-                (Some(start), false) => {
-                    *sp += 1;
-                    (row(out, scratch, *sp - 1), start)
-                }
-                (Some(start), true) => (row(out, scratch, *sp - 1), start),
-                (None, false) => (row(out, scratch, *sp - 1), Start::Dst),
-                (None, true) => {
-                    *sp -= 1;
-                    let (below, top) = below_top(out, scratch, *sp);
-                    (below, Start::Above(top))
                 }
             }
         }
@@ -2805,12 +2710,12 @@ mod tests {
                 exprs.push(binary(fold, x() * y(), rng.chain(terms, true)));
             }
         }
-        // Suffixes: after a chain (one group, the longest that takes a
-        // suffix, and one that is too long), a lone pair and pair sums
-        // that start at their first pair, at a constant and at the top row
-        // (more than one group too), every lane-local map — `sqrt`, `neg`,
-        // each operation with the constant on either side — alone and two
-        // in a row, then no fold or each fold into a row below.
+        // Suffixes: after a lone pair and pair sums that start at their
+        // first pair, at a constant and at the top row (more than one group
+        // too), every lane-local map — `sqrt`, `neg`, each operation with
+        // the constant on either side — alone and two in a row, then no
+        // fold or each fold into a row below. The same maps after chains
+        // (one group, eight terms, nine) stay passes of their own.
         let mut square = || {
             let d = rng.cell() - rng.cell();
             d.clone() * d
@@ -2836,7 +2741,7 @@ mod tests {
             maps.push(Box::new(move |e| binary(op, e, Expr::constant(0.7))));
             maps.push(Box::new(move |e| binary(op, Expr::constant(1.3), e)));
         }
-        let mut suffixed = [0usize; 3];
+        let mut suffixed = [0usize; 2];
         let mut suffix_exprs = Vec::new();
         for producer in &producers {
             for (k, map) in maps.iter().enumerate() {
@@ -2848,9 +2753,10 @@ mod tests {
                 for value in values {
                     for op in RowKernel::compile(&value, &[1000, 1]).ops {
                         match op {
-                            TapeOp::Chain { suffix, .. } if !suffix.is_empty() => suffixed[0] += 1,
-                            TapeOp::PairSum { pairs, suffix, .. } if !suffix.is_empty() => {
-                                suffixed[1 + usize::from(pairs.len() > 1)] += 1;
+                            TapeOp::PairSum { pairs, suffix, .. }
+                                if suffix != Suffix::default() =>
+                            {
+                                suffixed[usize::from(pairs.len() > 1)] += 1;
                             }
                             _ => {}
                         }
@@ -2861,7 +2767,7 @@ mod tests {
         }
         assert!(
             suffixed.iter().all(|&n| n > 0),
-            "suffixes after chains, pairs and pair sums: {suffixed:?}"
+            "suffixes after pairs and pair sums: {suffixed:?}"
         );
         if row_kernel_isa() != "avx512" {
             println!(
@@ -2907,7 +2813,6 @@ mod tests {
                     term(5.2, 100),
                 ],
                 tail: Some((BinOp::Div, 118.0)),
-                suffix: Suffix::default(),
             }]
         );
         assert_eq!(j2d5pt.depth, 1);
@@ -2919,8 +2824,7 @@ mod tests {
                 fresh: true,
                 terms,
                 tail: None,
-                suffix,
-            }] if suffix.is_empty() => {
+            }] => {
                 let mut deltas: Vec<isize> = terms.iter().map(|t| t.delta).collect();
                 deltas.sort_unstable();
                 assert_eq!(deltas, [-10_000, -100, -1, 0, 1, 100, 10_000]);
@@ -2942,7 +2846,6 @@ mod tests {
                     fresh: false,
                     terms: vec![term(-2.0, 1), term(1.0, 2), term(-1.0, 3)],
                     tail: None,
-                    suffix: Suffix::default(),
                 },
                 TapeOp::Binary(BinOp::Mul, Operand::Top, Operand::Cell(4)),
             ]
@@ -2971,6 +2874,36 @@ mod tests {
             ]
         );
         assert_eq!(gradient2d.depth, 1);
+
+        // Every associative stencil of Table 3 is one fresh chain of one
+        // term per tap, divided by its constant where the stencil divides
+        // (box3d4r: 729 terms in one instruction); gradient2d is the two
+        // instructions above.
+        let divided = ["j2d5pt", "j2d9pt", "j2d9pt-gol", "j3d27pt"];
+        for def in suite::all_benchmarks() {
+            let strides: &[usize] = match def.ndim() {
+                2 => &strides,
+                _ => &[10_000, 100, 1],
+            };
+            let kernel = RowKernel::compile(def.expr(), strides);
+            let name = def.name();
+            if !def.is_associative() {
+                assert_eq!((name, &kernel), ("gradient2d", &gradient2d));
+                continue;
+            }
+            let divisor = divided.iter().position(|&d| d == name).map(|k| DIVISORS[k]);
+            match kernel.ops.as_slice() {
+                [TapeOp::Chain {
+                    fresh: true,
+                    terms,
+                    tail,
+                }] => {
+                    assert_eq!(terms.len(), def.shape().tap_count(), "{name}");
+                    assert_eq!(*tail, divisor.map(|c| (BinOp::Div, c)), "{name}");
+                }
+                ops => panic!("{name} is one fresh chain, not {ops:?}"),
+            }
+        }
     }
 
     /// The divisors of Table 3's chains: `j2d5pt`, `j2d9pt`, `j2d9pt-gol`
@@ -3006,7 +2939,6 @@ mod tests {
                     delta: 0
                 }],
                 tail: Some((BinOp::Div, c)),
-                suffix: Suffix::default(),
             }]
         );
         for (x, o) in xs.chunks(RUN_LANES).zip(out.chunks_mut(RUN_LANES)) {
@@ -3181,11 +3113,12 @@ mod tests {
     }
 
     #[test]
-    fn a_suffix_after_a_chain_divided_by_a_proven_constant_sees_slash_quotients() {
-        // `sqrt(Σ/118)`: a chain whose `/ 118` the reciprocal takes where
-        // the chain has no suffix, and the root of it absorbed as one. On
-        // runs with a lane the reciprocal must not take and on ordinary
-        // runs, every instance must give every lane the bits of `eval_expr`.
+    fn a_root_after_a_chain_divided_by_a_proven_constant_sees_slash_quotients() {
+        // `sqrt(Σ/118)`: a chain whose `/ 118` the reciprocal takes, then a
+        // root pass of its own. On runs with a lane the reciprocal must not
+        // take — summed again and divided with `/` before the root — and on
+        // ordinary runs, every instance must give every lane the bits of
+        // `eval_expr`.
         fn check<T: Element>(specials: &[T]) {
             let x = |j: i32| Expr::cell(&[j]);
             let sum = Expr::constant(1.0) * x(0) + Expr::constant(0.25) * x(1) - x(-1);
@@ -3193,14 +3126,14 @@ mod tests {
             let kernel = RowKernel::compile(&expr, &[1]);
             match kernel.ops.as_slice() {
                 [TapeOp::Chain {
+                    fresh: true,
                     tail: Some((BinOp::Div, c)),
-                    suffix,
                     ..
-                }] => {
-                    assert!(*c == 118.0 && suffix.maps == [LaneOp::Unary(UnOp::Sqrt)]);
+                }, TapeOp::Unary(UnOp::Sqrt, Operand::Top)] => {
+                    assert_eq!(*c, 118.0);
                     assert!(Reciprocal::of(T::from_f64(*c)).is_some());
                 }
-                ops => panic!("one chain with a root as its suffix, not {ops:?}"),
+                ops => panic!("one chain, then a root, not {ops:?}"),
             }
             let mut xs = out_of_range_runs(specials);
             xs.extend((0..2 * RUN_LANES).map(|k| T::from_f64(0.5 + 0.01 * k as f64)));
