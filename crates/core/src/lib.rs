@@ -97,8 +97,8 @@ pub use an5d_model::{
 };
 
 pub use an5d_tuner::{
-    problem_fingerprint, stencil_fingerprint, BackendMeasurement, MeasurementSource, SearchSpace,
-    SimulatedMeasurement, TunedCandidate, Tuner, TunerError, TuningResult,
+    problem_fingerprint, stencil_fingerprint, SearchSpace, TunedCandidate, Tuner, TunerError,
+    TuningResult,
 };
 
 pub use an5d_tunedb::{Record as TuneRecord, TuneDb, TuneDbStats, TuneKey, TUNE_DB_ENV};

@@ -10,7 +10,7 @@ use an5d_model::{measure_best_cap, predict, Measurement, ModelPrediction};
 use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan};
 use an5d_stencil::{exec::run_reference, suite, StencilDef, StencilProblem};
 use an5d_tunedb::{TuneDb, TuneKey};
-use an5d_tuner::{MeasurementSource, SearchSpace, SimulatedMeasurement, Tuner, TuningResult};
+use an5d_tuner::{SearchSpace, Tuner, TuningResult};
 use std::sync::Arc;
 
 /// Result of a read-through tuning query against a persisted
@@ -56,7 +56,6 @@ pub struct An5d {
     def: StencilDef,
     scheme: FrameworkScheme,
     backend: Arc<dyn ExecutionBackend>,
-    source: Arc<dyn MeasurementSource>,
 }
 
 impl std::fmt::Debug for An5d {
@@ -65,7 +64,6 @@ impl std::fmt::Debug for An5d {
             .field("def", &self.def)
             .field("scheme", &self.scheme)
             .field("backend", &self.backend.describe())
-            .field("source", &self.source.describe())
             .finish()
     }
 }
@@ -73,12 +71,8 @@ impl std::fmt::Debug for An5d {
 impl PartialEq for An5d {
     fn eq(&self, other: &Self) -> bool {
         // Backends are semantically transparent (they never change the
-        // computed values), so pipeline equality ignores them. The
-        // measurement source *does* change tuning numbers, so it
-        // participates via its self-description.
-        self.def == other.def
-            && self.scheme == other.scheme
-            && self.source.describe() == other.source.describe()
+        // computed values), so pipeline equality ignores them.
+        self.def == other.def && self.scheme == other.scheme
     }
 }
 
@@ -103,7 +97,6 @@ impl An5d {
             def,
             scheme: FrameworkScheme::an5d(),
             backend: Arc::new(SerialBackend),
-            source: Arc::new(SimulatedMeasurement),
         }
     }
 
@@ -147,22 +140,6 @@ impl An5d {
     #[must_use]
     pub fn backend(&self) -> &Arc<dyn ExecutionBackend> {
         &self.backend
-    }
-
-    /// Use an explicit [`MeasurementSource`] for tuning instead of the
-    /// default [`SimulatedMeasurement`] — e.g.
-    /// [`an5d_tuner::BackendMeasurement`] to rank top-k candidates by
-    /// real wall-clock throughput on an execution backend.
-    #[must_use]
-    pub fn with_measurement_source(mut self, source: Arc<dyn MeasurementSource>) -> Self {
-        self.source = source;
-        self
-    }
-
-    /// The measurement source tuning queries run through.
-    #[must_use]
-    pub fn measurement_source(&self) -> &Arc<dyn MeasurementSource> {
-        &self.source
     }
 
     /// The stencil definition this pipeline operates on.
@@ -303,9 +280,7 @@ impl An5d {
         space: &SearchSpace,
     ) -> Result<TuningResult, An5dError> {
         let _span = an5d_obs::Span::enter("pipeline.tune");
-        let tuner = Tuner::new(device.clone())
-            .with_scheme(self.scheme)
-            .with_measurement_source(Arc::clone(&self.source));
+        let tuner = Tuner::new(device.clone()).with_scheme(self.scheme);
         Ok(tuner.tune(&self.def, problem, space)?)
     }
 
@@ -340,16 +315,8 @@ impl An5d {
     /// Stored and freshly-tuned results are bit-identical — tuning is
     /// deterministic and the record codec round-trips every `f64`
     /// exactly — so read-through never changes response bytes, only
-    /// whether the search ran. (Backend-measured results are *not*
-    /// deterministic run-to-run; there the round-trip guarantee is that
-    /// the *stored* winner is returned byte-identically without
-    /// re-measuring.)
-    ///
-    /// A stored record only hits when its provenance matches this
-    /// pipeline's measurement source: a simulated entry never answers a
-    /// backend-measured query (or vice versa) — the mismatch is treated
-    /// as a miss and the fresh result overwrites the entry, so
-    /// warm-start never silently mixes simulated and measured winners.
+    /// whether the search ran. A stored record therefore always answers
+    /// unless `refresh` is set.
     ///
     /// # Errors
     ///
@@ -371,16 +338,11 @@ impl An5d {
         let key = self.tune_key(problem, device_id, space);
         if !refresh {
             if let Some(result) = db.get(&key) {
-                if result.measured_on_backend == self.source.is_measured() {
-                    return Ok(DbTuneOutcome {
-                        result,
-                        from_db: true,
-                        persist_error: None,
-                    });
-                }
-                // Provenance mismatch: the stored winner came from the
-                // other measurement flow. Fall through to a fresh tune,
-                // which overwrites the entry.
+                return Ok(DbTuneOutcome {
+                    result,
+                    from_db: true,
+                    persist_error: None,
+                });
             }
         }
         let result = self.tune(problem, device, space)?;
@@ -525,56 +487,6 @@ mod tests {
         assert_eq!(refreshed.result, cold.result);
         assert_eq!(db.stats().appends, 2, "refresh re-appended");
         assert_eq!(db.len(), 1, "still one live key");
-
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn measured_tuning_persists_provenance_and_warm_starts_without_retuning() {
-        use an5d_backend::VectorCpuBackend;
-        use an5d_tuner::BackendMeasurement;
-
-        let path =
-            std::env::temp_dir().join(format!("an5d-measured-tunedb-{}.db", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let db = an5d_tunedb::TuneDb::open(&path).unwrap();
-
-        let measured_pipeline = An5d::benchmark("star2d1r")
-            .unwrap()
-            .with_measurement_source(Arc::new(BackendMeasurement::new(Arc::new(
-                VectorCpuBackend::new(2),
-            ))));
-        let problem = measured_pipeline.problem(&[48, 48], 6).unwrap();
-        let space = SearchSpace::quick(2, Precision::Single);
-        let device_id = DeviceId::new("v100");
-        let device = GpuDevice::tesla_v100();
-
-        let cold = measured_pipeline
-            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
-            .unwrap();
-        assert!(!cold.from_db);
-        assert!(
-            cold.result.measured_on_backend,
-            "entries tuned with a backend source must be flagged measured"
-        );
-        assert!(cold.result.best.seconds > 0.0, "real wall-clock time");
-
-        // Warm start: the stored measured winner comes back byte-identical
-        // without re-running the (non-deterministic) backend measurements.
-        let warm = measured_pipeline
-            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
-            .unwrap();
-        assert!(warm.from_db, "matching provenance answers from the DB");
-        assert_eq!(warm.result, cold.result, "byte-identical round trip");
-
-        // A simulated-flavoured pipeline must NOT be answered by the
-        // measured entry: provenance mismatch is a miss and overwrites.
-        let simulated_pipeline = An5d::benchmark("star2d1r").unwrap();
-        let sim = simulated_pipeline
-            .tune_with_db(&problem, &device_id, &device, &space, &db, false)
-            .unwrap();
-        assert!(!sim.from_db, "provenance mismatch re-tunes");
-        assert!(!sim.result.measured_on_backend);
 
         let _ = std::fs::remove_file(&path);
     }

@@ -31,7 +31,7 @@ pub mod measure;
 pub mod predict;
 mod traffic;
 
-pub use measure::{measure, measure_best_cap, measure_each_cap, Measurement};
+pub use measure::{measure, measure_best_cap, Measurement};
 pub use predict::{predict, price, ModelPrediction};
 pub use traffic::{
     analytic_counters, thread_classes, PlanSums, StencilCost, ThreadClasses, TileSums,

@@ -54,7 +54,7 @@ pub fn measure(
 /// [`RegisterCap::tuning_candidates`] order. The counters do not depend on
 /// the cap, so they are evaluated once and shared by the four profiles;
 /// each entry equals what [`measure`] returns for that cap.
-pub fn measure_each_cap(
+fn measure_each_cap(
     plan: &KernelPlan,
     problem: &StencilProblem,
     device: &GpuDevice,

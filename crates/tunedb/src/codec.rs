@@ -262,12 +262,6 @@ pub fn result_to_json(result: &TuningResult) -> Json {
 
 /// Parse a tuning result back from its JSON object form.
 ///
-/// The `measured_on_backend` provenance flag is stored at the *record*
-/// level (as the entry's `"measured"` key — the result object's own
-/// `"measured"` key is the candidate list), so a bare result decodes with
-/// the simulated default; [`Record::from_payload`] restores the stored
-/// provenance.
-///
 /// # Errors
 ///
 /// Rejects missing/ill-typed fields and configurations the planner
@@ -284,7 +278,6 @@ pub(crate) fn result_from_json(value: &Json) -> Result<TuningResult, CodecError>
         measured,
         ranked_candidates: usize_field(value, "ranked_candidates")?,
         total_candidates: usize_field(value, "total_candidates")?,
-        measured_on_backend: false,
     })
 }
 
@@ -308,17 +301,11 @@ pub struct Record {
 
 impl Record {
     /// Serialise to the payload bytes of one log record.
-    ///
-    /// The entry carries a top-level `"measured"` provenance flag — `true`
-    /// when the stored result was produced by real wall-clock backend
-    /// runs, `false` for the simulated flow — so warm-start consumers can
-    /// tell the two apart without decoding the whole result.
     #[must_use]
     pub(crate) fn to_payload(&self) -> Vec<u8> {
         Json::obj(vec![
             ("key", key_to_json(&self.key)),
             ("hint", self.hint.as_deref().map_or(Json::Null, Json::str)),
-            ("measured", Json::Bool(self.result.measured_on_backend)),
             ("result", result_to_json(&self.result)),
         ])
         .render()
@@ -327,9 +314,8 @@ impl Record {
 
     /// Parse from the payload bytes of one log record.
     ///
-    /// Records written before the `"measured"` provenance flag existed
-    /// decode as simulated (`measured_on_backend = false`) — exactly what
-    /// they were, since only the simulated flow existed then.
+    /// Keys it does not read are ignored, among them the entry-level
+    /// `"measured"` flag older files carry.
     ///
     /// # Errors
     ///
@@ -345,18 +331,10 @@ impl Record {
                     .to_string(),
             ),
         };
-        let measured = match value.get("measured") {
-            None => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| bad("\"measured\" must be a boolean"))?,
-        };
-        let mut result = result_from_json(field(&value, "result")?)?;
-        result.measured_on_backend = measured;
         Ok(Record {
             key: key_from_json(field(&value, "key")?)?,
             hint,
-            result,
+            result: result_from_json(field(&value, "result")?)?,
         })
     }
 }
@@ -393,41 +371,16 @@ mod tests {
     }
 
     #[test]
-    fn backend_measured_provenance_round_trips() {
-        let mut record = sample();
-        record.result.measured_on_backend = true;
-        let payload = record.to_payload();
-        assert!(
-            std::str::from_utf8(&payload)
-                .unwrap()
-                .contains("\"measured\":true"),
-            "the entry-level flag must be visible without decoding the result"
-        );
-        let decoded = Record::from_payload(&payload).unwrap();
-        assert!(decoded.result.measured_on_backend);
-        assert_eq!(decoded, record, "bit-identical round trip");
-        assert_eq!(decoded.to_payload(), payload, "re-encode is idempotent");
-    }
-
-    #[test]
-    fn legacy_payloads_without_the_measured_flag_decode_as_simulated() {
-        // A record written before the provenance flag existed: strip the
-        // entry-level "measured" key and decode.
+    fn an_entry_level_measured_flag_from_an_older_file_is_ignored() {
+        // Older files carry an entry-level "measured":false before the
+        // result; the decoder skips it like any key it does not read.
         let record = sample();
         let text = String::from_utf8(record.to_payload()).unwrap();
-        let legacy = text.replace("\"measured\":false,", "");
-        assert_ne!(legacy, text, "the flag must have been present");
-        let decoded = Record::from_payload(legacy.as_bytes()).unwrap();
-        assert!(!decoded.result.measured_on_backend);
+        let older = text.replace(",\"result\":", ",\"measured\":false,\"result\":");
+        assert_ne!(older, text, "the flag must have been inserted");
+        let decoded = Record::from_payload(older.as_bytes()).unwrap();
         assert_eq!(decoded, record);
-    }
-
-    #[test]
-    fn a_non_boolean_measured_flag_is_rejected() {
-        let record = sample();
-        let text = String::from_utf8(record.to_payload()).unwrap();
-        let mangled = text.replace("\"measured\":false,", "\"measured\":1,");
-        assert!(Record::from_payload(mangled.as_bytes()).is_err());
+        assert_eq!(decoded.to_payload(), text.as_bytes());
     }
 
     #[test]

@@ -9,15 +9,12 @@
 //! decides validity, and a [`an5d_plan::KernelPlan`] builds exactly for
 //! the valid ones. It ranks the valid candidates with the Section 5
 //! performance model, priced from per-dimension tile sums taken once per
-//! pair of axis values, builds plans for the top-k, "runs" them through a
-//! pluggable
-//! [`MeasurementSource`] and returns the configuration with the best
-//! measured performance — exactly the Tuned flow of the paper. The
-//! default [`SimulatedMeasurement`] source reproduces the paper's
-//! methodology (simulated GPU runs with every `-maxrregcount` cap);
-//! [`BackendMeasurement`] instead times real wall-clock runs on an
-//! execution backend, and [`TuningResult::measured_on_backend`] records
-//! which source produced the numbers.
+//! pair of axis values, builds plans for the top-k, "runs" them and
+//! returns the configuration with the best measured performance — exactly
+//! the Tuned flow of the paper. A run is the `gpusim` simulation of the
+//! target GPU under every `-maxrregcount` cap of the paper
+//! ([`an5d_model::measure_best_cap`]), so [`TunedCandidate::model_accuracy`]
+//! compares two descriptions of the same device.
 //!
 //! # Example
 //!
@@ -45,7 +42,4 @@ mod tuner;
 
 pub use fingerprint::{fnv1a64, problem_fingerprint, stencil_fingerprint};
 pub use space::SearchSpace;
-pub use tuner::{
-    BackendMeasurement, MeasurementSource, SimulatedMeasurement, TunedCandidate, Tuner, TunerError,
-    TuningResult,
-};
+pub use tuner::{TunedCandidate, Tuner, TunerError, TuningResult};

@@ -16,13 +16,12 @@
 //!
 //! The sweep runs inline on the calling thread, in candidate order, and
 //! keeps the best k `(BlockConfig, score)` pairs in a k-slot buffer; only
-//! those k are built as plans, to be measured.
+//! those k are built as plans and measured: simulated on the device under
+//! every register cap ([`an5d_model::measure_best_cap`]).
 
-use an5d_backend::{BackendElement, ExecutionBackend};
 use an5d_fault::FaultAction;
 use an5d_gpusim::GpuDevice;
-use an5d_grid::{Grid, GridInit, Precision};
-use an5d_model::{measure_each_cap, price, PlanSums, StencilCost, TileSums};
+use an5d_model::{measure_best_cap, price, PlanSums, StencilCost, TileSums};
 use an5d_plan::{
     BlockConfig, FrameworkScheme, KernelPlan, OptimizationClass, RegisterCap, ResourceUsage,
 };
@@ -30,7 +29,6 @@ use an5d_stencil::{StencilDef, StencilProblem};
 use std::cmp::Ordering;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::SearchSpace;
 
@@ -138,25 +136,17 @@ impl Error for TunerError {}
 pub struct TunedCandidate {
     /// The blocking configuration.
     pub config: BlockConfig,
-    /// Best register cap found for this configuration. Always
-    /// [`RegisterCap::Unlimited`] for backend-measured candidates (a CPU
-    /// run has no register-cap knob; the cap sweep is a GPU-simulation
-    /// concept).
+    /// The register cap of Section 6.3 (no limit, 32, 64 or 96 registers
+    /// per thread) under which the simulated run was fastest.
     pub register_cap: RegisterCap,
     /// Performance predicted by the Section 5 model (GFLOP/s).
     pub predicted_gflops: f64,
-    /// Measured performance (GFLOP/s). The provenance depends on the
-    /// tuner's [`MeasurementSource`]: the *simulated* GPU throughput from
-    /// `an5d_model::measure` (the default), or the real wall-clock
-    /// throughput of an [`ExecutionBackend`] run
-    /// ([`BackendMeasurement`]). [`TuningResult::measured_on_backend`]
-    /// records which.
+    /// Measured performance (GFLOP/s): the `gpusim` simulation of the
+    /// target GPU under `register_cap` (`an5d_model::measure_best_cap`).
     pub measured_gflops: f64,
-    /// Measured performance (GCell/s); same provenance as
-    /// `measured_gflops`.
+    /// Measured performance (GCell/s) of the same simulated run.
     pub measured_gcells: f64,
-    /// Measured run time (seconds); simulated device time or real
-    /// wall-clock time, per the measurement source.
+    /// Simulated kernel time (seconds) of the same run.
     pub seconds: f64,
 }
 
@@ -164,13 +154,9 @@ impl TunedCandidate {
     /// Model accuracy for this candidate: measured over predicted
     /// performance (the paper's Section 7.2 metric).
     ///
-    /// Under the default simulated source this compares the Section 5
-    /// analytic model against the `gpusim` simulation — both describe the
-    /// same GPU, so the paper's 0.2–1.0 band applies. Under a
-    /// backend-measured source it compares the *GPU* model prediction
-    /// against *CPU* wall-clock throughput, so the ratio is a cross-device
-    /// figure of merit (usually ≪ 1) rather than a model-validation
-    /// metric.
+    /// This compares the Section 5 analytic model against the `gpusim`
+    /// simulation; both describe the same GPU, so the paper's 0.2–1.0
+    /// band applies.
     #[must_use]
     pub fn model_accuracy(&self) -> f64 {
         if self.predicted_gflops <= 0.0 {
@@ -194,172 +180,6 @@ pub struct TuningResult {
     pub ranked_candidates: usize,
     /// Number of raw combinations in the search space.
     pub total_candidates: usize,
-    /// Provenance of the `measured_*` numbers: `true` when they are real
-    /// wall-clock measurements from an [`ExecutionBackend`] run
-    /// ([`BackendMeasurement`]), `false` when they come from the `gpusim`
-    /// simulation (the default). Persisted with the result so a warm
-    /// start never silently mixes simulated and measured winners.
-    pub measured_on_backend: bool,
-}
-
-/// Where the tuner's top-k "measurements" come from.
-///
-/// Step 2 of the tuning flow runs each model-ranked survivor through a
-/// measurement source and keeps the best [`TunedCandidate`] per
-/// configuration. The default [`SimulatedMeasurement`] reproduces the
-/// paper's flow against the `gpusim` device simulation;
-/// [`BackendMeasurement`] replaces it with real wall-clock runs on an
-/// [`ExecutionBackend`], giving the tuner a second, hardware-grounded
-/// ranking signal.
-pub trait MeasurementSource: fmt::Debug + Send + Sync {
-    /// `true` when measurements are real wall-clock backend runs; recorded
-    /// into [`TuningResult::measured_on_backend`].
-    fn is_measured(&self) -> bool;
-
-    /// Human-readable description of the source.
-    fn describe(&self) -> String;
-
-    /// Measure one ranked candidate, returning its best evaluation (for
-    /// `plan.config()`) or `None` when the candidate cannot execute at all.
-    fn measure_candidate(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        device: &GpuDevice,
-        predicted_gflops: f64,
-    ) -> Option<TunedCandidate>;
-}
-
-/// The paper's flow: "run" a candidate by simulating it on the GPU model
-/// with every register cap and keep the best simulated throughput.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimulatedMeasurement;
-
-impl MeasurementSource for SimulatedMeasurement {
-    fn is_measured(&self) -> bool {
-        false
-    }
-
-    fn describe(&self) -> String {
-        "simulated (gpusim)".to_string()
-    }
-
-    fn measure_candidate(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        device: &GpuDevice,
-        predicted_gflops: f64,
-    ) -> Option<TunedCandidate> {
-        // The simulated stand-in for executing the candidate on the
-        // backend device under every register cap (see
-        // `an5d_model::measure_each_cap`).
-        let measured_runs = {
-            let _span = an5d_obs::Span::enter("tuner.measure");
-            measure_each_cap(plan, problem, device)
-        };
-        let mut best_for_candidate: Option<TunedCandidate> = None;
-        for m in measured_runs.into_iter().flatten() {
-            let candidate = TunedCandidate {
-                config: *plan.config(),
-                register_cap: m.register_cap,
-                predicted_gflops,
-                measured_gflops: m.gflops,
-                measured_gcells: m.gcells,
-                seconds: m.seconds,
-            };
-            if best_for_candidate
-                .as_ref()
-                .is_none_or(|b| candidate.measured_gflops > b.measured_gflops)
-            {
-                best_for_candidate = Some(candidate);
-            }
-        }
-        best_for_candidate
-    }
-}
-
-/// Real measurements: execute the candidate's plan on an
-/// [`ExecutionBackend`] and report wall-clock GFLOP/s.
-///
-/// The run uses the configuration's own precision (monomorphic `f32` or
-/// `f64` through the [`BackendElement`] seal), a deterministic initial
-/// grid, and the problem's full time-step count, so the measured time is
-/// exactly the work the plan describes. The register cap is recorded as
-/// [`RegisterCap::Unlimited`] — a CPU run has no register-cap knob.
-#[derive(Clone)]
-pub struct BackendMeasurement {
-    backend: Arc<dyn ExecutionBackend>,
-}
-
-/// Seed of the deterministic initial grid every measured run starts from.
-const GRID_SEED: u64 = 42;
-
-impl fmt::Debug for BackendMeasurement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BackendMeasurement")
-            .field("backend", &self.backend.describe())
-            .finish()
-    }
-}
-
-impl BackendMeasurement {
-    /// Measure candidates by running them on `backend`.
-    #[must_use]
-    pub fn new(backend: Arc<dyn ExecutionBackend>) -> Self {
-        Self { backend }
-    }
-
-    /// The backend measurements run on.
-    #[must_use]
-    pub fn backend(&self) -> &Arc<dyn ExecutionBackend> {
-        &self.backend
-    }
-
-    fn timed_run<T: BackendElement>(&self, plan: &KernelPlan, problem: &StencilProblem) -> f64 {
-        let initial =
-            Grid::<T>::from_init(&problem.grid_shape(), GridInit::Hash { seed: GRID_SEED });
-        let started = std::time::Instant::now();
-        let run = T::execute_on(self.backend.as_ref(), plan, problem, initial);
-        let seconds = started.elapsed().as_secs_f64();
-        // Keep the run observable so the execution cannot be optimised
-        // away, then return the wall-clock time.
-        debug_assert!(!run.grid.is_empty());
-        seconds
-    }
-}
-
-impl MeasurementSource for BackendMeasurement {
-    fn is_measured(&self) -> bool {
-        true
-    }
-
-    fn describe(&self) -> String {
-        format!("measured ({})", self.backend.describe())
-    }
-
-    fn measure_candidate(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        _device: &GpuDevice,
-        predicted_gflops: f64,
-    ) -> Option<TunedCandidate> {
-        let _span = an5d_obs::Span::enter("tuner.measure");
-        let config = *plan.config();
-        let seconds = match config.precision() {
-            Precision::Single => self.timed_run::<f32>(plan, problem),
-            Precision::Double => self.timed_run::<f64>(plan, problem),
-        };
-        Some(TunedCandidate {
-            config,
-            register_cap: RegisterCap::Unlimited,
-            predicted_gflops,
-            measured_gflops: problem.gflops(seconds),
-            measured_gcells: problem.gcells(seconds),
-            seconds,
-        })
-    }
 }
 
 /// The Section 6.3 tuner: prune → rank by model → measure top-k → pick best.
@@ -368,20 +188,17 @@ pub struct Tuner {
     device: GpuDevice,
     scheme: FrameworkScheme,
     top_k: usize,
-    source: Arc<dyn MeasurementSource>,
 }
 
 impl Tuner {
-    /// Create a tuner for a device, using the AN5D scheme and the default
-    /// [`SimulatedMeasurement`] source. The precision tuned for is the
-    /// search space's (see [`Tuner::tune`]).
+    /// Create a tuner for a device, using the AN5D scheme. The precision
+    /// tuned for is the search space's (see [`Tuner::tune`]).
     #[must_use]
     pub fn new(device: GpuDevice) -> Self {
         Self {
             device,
             scheme: FrameworkScheme::an5d(),
             top_k: DEFAULT_TOP_K,
-            source: Arc::new(SimulatedMeasurement),
         }
     }
 
@@ -397,20 +214,6 @@ impl Tuner {
     pub fn with_top_k(mut self, top_k: usize) -> Self {
         self.top_k = top_k.max(1);
         self
-    }
-
-    /// Measure top-k candidates through a different [`MeasurementSource`]
-    /// (e.g. [`BackendMeasurement`] for real wall-clock runs).
-    #[must_use]
-    pub fn with_measurement_source(mut self, source: Arc<dyn MeasurementSource>) -> Self {
-        self.source = source;
-        self
-    }
-
-    /// The measurement source top-k candidates are evaluated with.
-    #[must_use]
-    pub fn measurement_source(&self) -> &Arc<dyn MeasurementSource> {
-        &self.source
     }
 
     /// The device this tuner targets.
@@ -487,10 +290,9 @@ impl Tuner {
             return Err(TunerError::NoFeasibleCandidate);
         }
 
-        // Step 2: "run" the model-ranked top-k through the measurement
-        // source (simulated by default, wall-clock backend runs with
-        // [`BackendMeasurement`]) and keep the best evaluation per
-        // candidate. These are the only plans a tune builds.
+        // Step 2: "run" the model-ranked top-k: simulate each on the
+        // device under every register cap and keep its fastest run. These
+        // are the only plans a tune builds.
         let _measure_span = an5d_obs::Span::enter("tuner.measure_topk");
         let measure_count = shortlist.len();
         let mut measured: Vec<TunedCandidate> = Vec::with_capacity(measure_count);
@@ -505,7 +307,7 @@ impl Tuner {
             }
             // Fault point stretching one candidate's measurement, so tests
             // can trip the checkpoint above deterministically, or failing
-            // it as a source that cannot run the candidate would.
+            // it as a candidate the device cannot launch is.
             match an5d_fault::point("tuner.measure") {
                 Some(FaultAction::Delay(d)) => std::thread::sleep(d),
                 Some(FaultAction::Error) => continue,
@@ -516,11 +318,20 @@ impl Tuner {
                 KernelPlan::build(def, problem, &config, self.scheme)
                     .expect("a ranked configuration's blocked geometry was valid")
             };
-            if let Some(c) =
-                self.source
-                    .measure_candidate(&plan, problem, &self.device, predicted_gflops)
-            {
-                measured.push(c);
+            let run = {
+                let _span = an5d_obs::Span::enter("tuner.measure");
+                measure_best_cap(&plan, problem, &self.device)
+            };
+            // A candidate no register cap can launch is not measured.
+            if let Ok(m) = run {
+                measured.push(TunedCandidate {
+                    config,
+                    register_cap: m.register_cap,
+                    predicted_gflops,
+                    measured_gflops: m.gflops,
+                    measured_gcells: m.gcells,
+                    seconds: m.seconds,
+                });
             }
         }
         if measured.is_empty() {
@@ -533,7 +344,6 @@ impl Tuner {
             measured,
             ranked_candidates,
             total_candidates,
-            measured_on_backend: self.source.is_measured(),
         })
     }
 
@@ -610,6 +420,7 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use an5d_grid::Precision;
     use an5d_stencil::suite;
 
     fn small_problem(def: &StencilDef) -> StencilProblem {
@@ -891,45 +702,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn simulated_results_are_flagged_unmeasured() {
-        let def = suite::star2d(1);
-        let tuner = Tuner::new(GpuDevice::tesla_v100());
-        assert!(!tuner.measurement_source().is_measured());
-        let space = SearchSpace::quick(2, Precision::Single);
-        let result = tuner.tune(&def, &small_problem(&def), &space).unwrap();
-        assert!(!result.measured_on_backend);
-    }
-
-    #[test]
-    fn backend_measurement_ranks_by_wall_clock_throughput() {
-        use an5d_backend::VectorCpuBackend;
-        // A problem small enough to execute for real, several times over.
-        let def = suite::star2d(1);
-        let problem = StencilProblem::new(def.clone(), &[48, 48], 6).unwrap();
-        let space = SearchSpace::quick(2, Precision::Single);
-        let source = Arc::new(BackendMeasurement::new(Arc::new(VectorCpuBackend::new(2))));
-        assert!(source.is_measured());
-        assert!(source.describe().contains("vector"));
-        let tuner = Tuner::new(GpuDevice::tesla_v100())
-            .with_top_k(2)
-            .with_measurement_source(source);
-        let result = tuner.tune(&def, &problem, &space).unwrap();
-        assert!(result.measured_on_backend);
-        assert!(result.measured.len() <= 2);
-        for candidate in &result.measured {
-            // Wall-clock runs have no register-cap sweep and must report
-            // real, positive time and throughput.
-            assert_eq!(candidate.register_cap, RegisterCap::Unlimited);
-            assert!(candidate.seconds > 0.0, "wall-clock time must be > 0");
-            assert!(candidate.measured_gflops > 0.0);
-            assert!(candidate.measured_gcells > 0.0);
-        }
-        // The winner heads the best-first measured list, as in the
-        // simulated flow.
-        assert_eq!(result.best, result.measured[0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! An `error` at `tuner.candidate` drops that candidate from the ranking,
 //! as a configuration that cannot run is dropped; an `error` at
-//! `tuner.measure` drops that measurement, as a source that cannot run the
-//! candidate does. `DeadlineExceeded { completed, total }` counts in one
+//! `tuner.measure` drops that measurement, as a candidate the device cannot
+//! launch under any register cap is dropped. `DeadlineExceeded { completed, total }` counts in one
 //! unit per stage: candidates of the space processed by the sweep, pruned
 //! or ranked, and measurements attempted by the top-k stage.
 //!
@@ -13,14 +13,9 @@
 use an5d_fault::{uninstall, Deadline, FaultAction, FaultPlan, Trigger};
 use an5d_gpusim::GpuDevice;
 use an5d_grid::Precision;
-use an5d_plan::KernelPlan;
 use an5d_stencil::{suite, StencilDef, StencilProblem};
-use an5d_tuner::{
-    MeasurementSource, SearchSpace, SimulatedMeasurement, TunedCandidate, Tuner, TunerError,
-    TuningResult,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use an5d_tuner::{SearchSpace, Tuner, TunerError, TuningResult};
+use std::sync::Mutex;
 use std::time::Duration;
 
 static GLOBAL_PLAN: Mutex<()> = Mutex::new(());
@@ -116,57 +111,31 @@ fn a_sweep_deadline_counts_pruned_candidates_as_processed() {
     );
 }
 
-/// The simulated source, except that it cannot run the first candidate
-/// it is given and takes `stall` over the second.
-#[derive(Debug)]
-struct FirstFailsSecondStalls {
-    calls: AtomicUsize,
-    stall: Duration,
-}
-
-impl MeasurementSource for FirstFailsSecondStalls {
-    fn is_measured(&self) -> bool {
-        false
-    }
-
-    fn describe(&self) -> String {
-        "first fails, second stalls".to_string()
-    }
-
-    fn measure_candidate(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        device: &GpuDevice,
-        predicted_gflops: f64,
-    ) -> Option<TunedCandidate> {
-        match self.calls.fetch_add(1, Ordering::Relaxed) {
-            0 => return None,
-            1 => std::thread::sleep(self.stall),
-            _ => {}
-        }
-        SimulatedMeasurement.measure_candidate(plan, problem, device, predicted_gflops)
-    }
-}
-
 #[test]
 fn a_top_k_deadline_counts_measurements_attempted() {
     let _global = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let def = suite::star2d(1);
     let space = SearchSpace::quick(2, Precision::Single);
-    let source = Arc::new(FirstFailsSecondStalls {
-        calls: AtomicUsize::new(0),
-        stall: Duration::from_millis(400),
-    });
-    let tuner = Tuner::new(GpuDevice::tesla_v100())
-        .with_top_k(5)
-        .with_measurement_source(source);
-    // The sweep takes well under the budget; the second measurement
-    // overruns it, so the checkpoint before the third trips with two
-    // attempted, of which one measured.
+    // No block fits in one byte of shared memory, so every measurement
+    // comes back infeasible: none of the attempts below is measured.
+    let device = GpuDevice {
+        shared_mem_per_sm: 1,
+        ..GpuDevice::tesla_v100()
+    };
+    let tuner = Tuner::new(device).with_top_k(5);
+    // The sweep takes well under the budget; the second measurement is
+    // stretched past it, so the checkpoint before the third trips with
+    // two attempted, of which none measured.
+    an5d_fault::install(FaultPlan::new(0).rule(
+        "tuner.measure",
+        FaultAction::Delay(Duration::from_millis(400)),
+        Trigger::every(2),
+        Some(1),
+    ));
     let deadline = Deadline::after(Duration::from_millis(200)).install();
     let result = tuner.tune(&def, &problem(&def), &space);
     drop(deadline);
+    uninstall();
     assert_eq!(
         result.unwrap_err(),
         TunerError::DeadlineExceeded {

@@ -317,7 +317,6 @@ fn serial_tune_reference(
         measured,
         ranked_candidates,
         total_candidates: space.len(),
-        measured_on_backend: false,
     })
 }
 
