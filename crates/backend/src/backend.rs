@@ -93,13 +93,16 @@ pub trait ExecutionBackend: Send + Sync {
 /// behind it) by the driver and by up to `threads − 1` helpers, fewer when
 /// the process-wide helper budget (one per CPU) is lent out elsewhere. An
 /// item is a tile index plus the rows of the other ping-pong grid that
-/// [`an5d_gpusim::execute_plan_with`] carved out for that tile: whichever
-/// thread claims it runs the tile and stores the finished rows straight
-/// into the grid. There are no detached tile runs and no result slots,
-/// nothing is applied on the driving thread, and the counters — a pure
-/// function of tile geometry — are summed by the driver in tile order, so
-/// grids and counter totals do not depend on `threads`; a cap of 1 runs
-/// every tile inline on the caller.
+/// [`an5d_gpusim::execute_plan_with`] carved out for that tile — its
+/// write-back region plus the boundary-ring cells next to it, so a launch
+/// writes the whole grid: whichever thread claims it runs the tile and
+/// stores the finished rows straight into the grid. The other grid is the
+/// one the previous run of this shape and precision left behind, when
+/// there is one. There are no detached tile runs and no result slots,
+/// nothing is applied, copied or zero-filled on the driving thread, and
+/// the counters — a pure function of tile geometry — are summed by the
+/// driver in tile order, so grids and counter totals do not depend on
+/// `threads`; a cap of 1 runs every tile inline on the caller.
 ///
 /// The items are handed out [`spread`] over `threads` blocks of the tile
 /// order, so tiles running at the same time lie far apart in the grid.
@@ -184,14 +187,14 @@ impl ExecutionBackend for SerialBackend {
 /// instance the
 /// CPU has picked at run time ([`an5d_gpusim::row_kernel_isa`], which
 /// `describe` names). A finished tile stores its write-back rows straight
-/// into the rows of the other ping-pong grid carved out for it, on the thread
-/// that ran it: there are no detached tile runs, and nothing is applied
-/// or copied on the driving thread but the boundary ring, once.
+/// into the rows of the other ping-pong grid carved out for it, ring cells
+/// included, on the thread that ran it: there are no detached tile runs,
+/// and nothing is applied or copied on the driving thread.
 ///
 /// Determinism: every cell value is produced by exactly one tile through
 /// the scalar operations of the naive reference sweep, operand for operand
-/// (lanes never interact), every interior cell is owned by exactly one
-/// tile's carved rows, and counters are a pure function of tile geometry
+/// (lanes never interact), every cell is owned by exactly one tile's
+/// carved rows, and counters are a pure function of tile geometry
 /// summed in canonical tile order — grids *and* counter totals are the
 /// same for any thread count. Temporal blocks stay sequential (block
 /// *k + 1* consumes the grid block *k* produced).

@@ -32,13 +32,20 @@
 //! [`TileContext::tile_counters`], so neither sink returns counters from
 //! the thread that ran the tile.
 //!
-//! **Carved rows.** The write-back regions of one launch tile the interior
-//! of the grid being written exactly once. `carve_rows` walks that grid's
-//! rows once and splits them, with safe `split_at_mut`, into one list of
-//! `&mut` rows per tile: ownership of every interior cell is handed to
-//! exactly one tile before the launch, so tiles store their results from
-//! whatever thread runs them with no lock, no detached copy and nothing
-//! left for the driving thread to apply.
+//! **Carved rows.** Every launch writes the whole grid it targets, ring
+//! included. A tile's *stored box* is its write-back region, widened over
+//! the boundary ring on every face of the grid the tile lies against; the
+//! stored boxes of one launch tile the grid exactly once. An edge tile's
+//! local box already holds the ring cells next to it, loaded and never
+//! updated, so storing them costs a few cells per row and no step.
+//! `carve_rows` walks the rows of the grid being written once and splits
+//! them, with safe `split_at_mut`, into one list of `&mut` rows per tile,
+//! after a plan [`TileContext::new`] works out once per run (the owning
+//! tile of each stored row and the innermost cut points): ownership of
+//! every cell is handed to exactly one tile before the launch, so tiles
+//! store their results from whatever thread runs them with no lock, no
+//! detached copy and nothing left for the driving thread to apply. The
+//! counters still describe the write-back region alone.
 //!
 //! [`execute_plan_with`] is the one temporal-block driver built from those
 //! pieces: it ping-pongs two grids like the generated host loop ping-pongs
@@ -46,12 +53,12 @@
 //! a block are mapped ([`execute_plan_on`] maps them inline, the
 //! `an5d-backend` crate over scoped threads), so every schedule produces
 //! bit-identical grids and counter totals by construction. Nothing is
-//! cloned: a launch overwrites the whole interior of the other grid, so
-//! that grid starts out zeroed and needs only the boundary ring, which
-//! never changes. The ring is copied **after the first launch** — before
-//! it, the strided copy would be the first touch of every page of a fresh
-//! 3D grid, serially on the driving thread, which costs what the clone it
-//! replaces did; after it, the tiles' own stores have faulted the pages in.
+//! cloned and nothing is prepared: a launch overwrites every cell of the
+//! other grid, so whatever that grid held does not matter. Like the
+//! generated host code, which allocates its two device buffers once, the
+//! process keeps the partner grid between runs: a run takes it from a
+//! one-grid slot when the shape and precision match (a fresh grid
+//! otherwise) and puts back, at its end, the grid it does not return.
 //!
 //! # Row kernels
 //!
@@ -217,6 +224,9 @@ use an5d_expr::{BinOp, Expr, Node, UnOp};
 use an5d_grid::{Element, Grid, GridInit, Precision};
 use an5d_plan::{practical_shared_reads, DimTile, KernelPlan};
 use an5d_stencil::StencilProblem;
+use std::any::Any;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Result of a blocked run: the final grid plus the work/traffic counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,27 +252,28 @@ impl TileSpec {
     }
 }
 
-/// The detached result of executing one tile: the values of its write-back
-/// (compute) region plus the counters the tile accumulated.
+/// The detached result of executing one tile: the values of its stored
+/// box — its write-back (compute) region plus the boundary-ring cells it
+/// owns — and the counters the tile accumulated.
 ///
-/// Tiles of one temporal block have pairwise-disjoint write-back regions,
-/// so a set of `TileRun`s can be produced on any number of threads and
-/// applied in any order without changing the resulting grid.
+/// Tiles of one temporal block have pairwise-disjoint stored boxes, so a
+/// set of `TileRun`s can be produced on any number of threads and applied
+/// in any order without changing the resulting grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileRun<T> {
-    /// Origin of the write-back region in stored-grid coordinates.
+    /// Origin of the stored box in stored-grid coordinates.
     origin: Vec<usize>,
-    /// Shape of the write-back region.
+    /// Shape of the stored box.
     region: Vec<usize>,
-    /// Row-major values of the write-back region.
+    /// Row-major values of the stored box.
     values: Vec<T>,
     /// Counters accumulated while executing this tile.
     pub counters: TrafficCounters,
 }
 
 impl<T: Element> TileRun<T> {
-    /// Write this tile's compute region into the output grid: one
-    /// contiguous row copy per innermost row of the region.
+    /// Write this tile's stored box into the output grid: one contiguous
+    /// row copy per innermost row of the box.
     ///
     /// # Panics
     ///
@@ -312,10 +323,14 @@ impl<T: Element> TileRun<T> {
 pub struct TileContext<'a> {
     plan: &'a KernelPlan,
     shape: Vec<usize>,
-    /// The plan's per-dimension tile lists; their cartesian product, in
-    /// row-major order, is `tiles`.
-    dim_tiles: Vec<Vec<DimTile>>,
     tiles: Vec<TileSpec>,
+    /// For every row of the stored grid (every index but the innermost, in
+    /// row-major order), the tile whose stored box holds the row's first
+    /// cell; the rest of the row belongs to the tiles after it in order.
+    row_owner: Vec<usize>,
+    /// The widths of the innermost tiles' stored boxes, in order: where
+    /// `carve_rows` cuts every row.
+    row_cuts: Vec<usize>,
     flops_per_update: u128,
     sm_reads_per_update: u128,
     sm_writes_per_update: u128,
@@ -348,11 +363,39 @@ impl<'a> TileContext<'a> {
             });
         });
 
+        // Where `carve_rows` cuts the grid: every row at the innermost
+        // tiles' stored widths, its first piece going to the row's owning
+        // tile — the index, in the row-major tile order, of the tile whose
+        // stored box holds the row, built up one outer dimension at a time.
+        let shape = problem.grid_shape();
+        let rad = def.radius();
+        let inner = shape.len() - 1;
+        let widths = |d: usize| -> Vec<usize> {
+            dim_tiles[d]
+                .iter()
+                .map(|t| stored_range(t, shape[d], rad).len())
+                .collect()
+        };
+        let tile_strides = row_major_strides(&dim_tiles.iter().map(Vec::len).collect::<Vec<_>>());
+        let mut row_owner = vec![0usize];
+        for (d, &stride) in tile_strides[..inner].iter().enumerate() {
+            let along = widths(d);
+            row_owner = row_owner
+                .iter()
+                .flat_map(|&above| {
+                    let rows = along.iter().enumerate();
+                    rows.flat_map(move |(t, &w)| std::iter::repeat_n(above + t * stride, w))
+                })
+                .collect();
+        }
+        let row_cuts = widths(inner);
+
         Self {
             plan,
-            shape: problem.grid_shape(),
-            dim_tiles,
+            shape,
             tiles,
+            row_owner,
+            row_cuts,
             flops_per_update: def.flops_per_cell() as u128,
             sm_reads_per_update: practical_shared_reads(def) as u128,
             sm_writes_per_update: plan.resources().shared_stores_per_cell as u128,
@@ -378,6 +421,19 @@ impl<'a> TileContext<'a> {
     fn write_back(&self, tile: &TileSpec) -> (Vec<usize>, Vec<usize>) {
         let dims = tile.dims.iter();
         dims.map(|t| (t.written().start, t.len)).unzip()
+    }
+
+    /// A tile's stored box — everything it stores: its write-back region
+    /// plus the boundary-ring cells next to it — as `(origin, shape)` in
+    /// stored-grid coordinates. The stored boxes of a launch tile the grid.
+    fn stored_box(&self, tile: &TileSpec) -> (Vec<usize>, Vec<usize>) {
+        let rad = self.plan.def().radius();
+        let dims = tile.dims.iter().zip(&self.shape);
+        dims.map(|(t, &extent)| {
+            let cells = stored_range(t, extent, rad);
+            (cells.start, cells.len())
+        })
+        .unzip()
     }
 
     /// What executing `tile` for a temporal block of `chunk` steps counts.
@@ -407,15 +463,16 @@ impl<'a> TileContext<'a> {
         }
     }
 
-    /// Carve the interior of `next` into the write-back rows of every tile:
-    /// entry `k` holds, in the region's row-major order, one `&mut` slice
-    /// per innermost row of the write-back region of `tiles()[k]`.
+    /// Carve all of `next` into the stored rows of every tile: entry `k`
+    /// holds, in the stored box's row-major order, one `&mut` slice per
+    /// innermost row of the stored box of `tiles()[k]`.
     ///
-    /// The regions of one temporal block tile the interior exactly once, so
-    /// one walk over the grid's rows with `split_at_mut` hands every
-    /// interior cell to exactly one list and leaves the boundary ring out —
-    /// which is what lets any thread store a finished tile straight into
-    /// the grid with no further synchronisation.
+    /// The stored boxes of one temporal block tile the grid exactly once,
+    /// so one walk over the grid's rows with `split_at_mut`, cutting each
+    /// at the same points, hands every cell to exactly one list — which is
+    /// what lets any thread store a finished tile straight into the grid
+    /// with no further synchronisation, and what leaves nothing of the
+    /// grid's previous contents behind.
     ///
     /// # Panics
     ///
@@ -431,54 +488,28 @@ impl<'a> TileContext<'a> {
             next.shape(),
             self.shape
         );
-        let rad = self.plan.def().radius();
         let inner = self.shape.len() - 1;
-        let strides = row_major_strides(&self.shape);
-        // Along every outer dimension, the tile that owns an interior
-        // coordinate; `tiles` is the row-major product of `dim_tiles`.
-        let owner: Vec<Vec<usize>> = self.dim_tiles[..inner]
-            .iter()
-            .map(|tiles| {
-                let lens = tiles.iter().enumerate();
-                lens.flat_map(|(t, tile)| std::iter::repeat_n(t, tile.len))
-                    .collect()
-            })
-            .collect();
-        let counts: Vec<usize> = self.dim_tiles.iter().map(Vec::len).collect();
-        let tile_strides = row_major_strides(&counts);
         let mut lists: Vec<Vec<&'g mut [T]>> = self
             .tiles
             .iter()
-            .map(|tile| Vec::with_capacity(tile.dims[..inner].iter().map(|t| t.len).product()))
+            .map(|tile| Vec::with_capacity(self.stored_box(tile).1[..inner].iter().product()))
             .collect();
-        // `rest` is the grid from flat index `taken` on.
         let mut rest = next.as_mut_slice();
-        let mut taken = 0usize;
-        let bounds: Vec<(usize, usize)> = owner.iter().map(|o| (0, o.len())).collect();
-        for_each_row(&bounds, |outer| {
-            let mut first_tile = 0usize;
-            let mut row_start = rad;
-            for d in 0..inner {
-                first_tile += owner[d][outer[d]] * tile_strides[d];
-                row_start += (outer[d] + rad) * strides[d];
-            }
-            for (t, tile) in self.dim_tiles[inner].iter().enumerate() {
-                let start = row_start + tile.origin;
-                let (_, tail) = std::mem::take(&mut rest).split_at_mut(start - taken);
-                let (row, tail) = tail.split_at_mut(tile.len);
+        for &first_tile in &self.row_owner {
+            for (t, &width) in self.row_cuts.iter().enumerate() {
+                let (row, tail) = std::mem::take(&mut rest).split_at_mut(width);
                 lists[first_tile + t].push(row);
                 rest = tail;
-                taken = start + tile.len;
             }
-        });
+        }
         lists
     }
 
     /// Execute one tile for a temporal block of `chunk` combined time-steps
     /// into a detached [`TileRun`].
     ///
-    /// The tile reads only `current`; its output (the values of its
-    /// write-back region plus [`TileContext::tile_counters`]) is returned
+    /// The tile reads only `current`; its output (the values of its stored
+    /// box plus [`TileContext::tile_counters`]) is returned
     /// detached so the caller decides when and where to apply it. This is
     /// the tile kernel of `TileContext::execute_tile_into` with a
     /// collecting sink instead of a storing one.
@@ -495,7 +526,7 @@ impl<'a> TileContext<'a> {
         tile: &TileSpec,
         chunk: usize,
     ) -> TileRun<T> {
-        let (origin, region) = self.write_back(tile);
+        let (origin, region) = self.stored_box(tile);
         let mut values = Vec::with_capacity(region.iter().product());
         self.run_tile(current, tile, chunk, |row| values.extend_from_slice(row));
         TileRun {
@@ -507,8 +538,8 @@ impl<'a> TileContext<'a> {
     }
 
     /// Execute one tile for a temporal block of `chunk` combined time-steps
-    /// and store its write-back region straight into `rows` — the tile's
-    /// entry of [`TileContext::carve_rows`] over the grid being written.
+    /// and store its stored box straight into `rows` — the tile's entry of
+    /// [`TileContext::carve_rows`] over the grid being written.
     ///
     /// # Panics
     ///
@@ -523,18 +554,17 @@ impl<'a> TileContext<'a> {
     ) {
         let mut rows = rows.iter_mut();
         self.run_tile(current, tile, chunk, |row| {
-            let target = rows.next().expect("one carved row per write-back row");
+            let target = rows.next().expect("one carved row per stored row");
             target.copy_from_slice(row);
         });
-        assert!(
-            rows.next().is_none(),
-            "more carved rows than write-back rows"
-        );
+        assert!(rows.next().is_none(), "more carved rows than stored rows");
     }
 
     /// The one tile kernel: load the tile's local box from `current`, run
     /// `chunk` time steps over its two buffers, and hand every finished
-    /// innermost row of the write-back region to `sink` in row-major order.
+    /// innermost row of its stored box to `sink` in row-major order: the
+    /// write-back region's rows, widened over the boundary-ring cells the
+    /// tile owns, whose loaded values no step changes.
     ///
     /// The stencil expression is compiled into a fused-operand tape over
     /// flat neighbour offsets (see the module docs), halo/bounds checks
@@ -616,15 +646,20 @@ impl<'a> TileContext<'a> {
             std::mem::swap(&mut src, &mut dst);
         }
 
+        // Hand out the stored box: the write-back region plus the ring
+        // cells the tile owns, outside the updatable box and so still
+        // holding their loaded values.
+        let (corner, stored) = self.stored_box(tile);
+        let start: Vec<usize> = corner.iter().zip(&lo).map(|(&c, &l)| c - l).collect();
         let rows: Vec<(usize, usize)> = (0..inner)
-            .map(|d| (first[d], first[d] + region[d]))
+            .map(|d| (start[d], start[d] + stored[d]))
             .collect();
         for_each_row(&rows, |outer| {
-            let mut l = first[inner];
+            let mut l = start[inner];
             for d in 0..inner {
                 l += outer[d] * local_strides[d];
             }
-            sink(&src[l..l + region[inner]]);
+            sink(&src[l..l + stored[inner]]);
         });
     }
 }
@@ -1792,6 +1827,17 @@ impl RowKernel {
     }
 }
 
+/// The stored-grid cells a tile stores along one dimension of `extent`
+/// cells: the cells it writes back, widened over the boundary ring where
+/// they meet a face of the grid. A tile's local box reaches `rad` past its
+/// written cells, so it always holds the ring cells it stores.
+fn stored_range(tile: &DimTile, extent: usize, rad: usize) -> Range<usize> {
+    let Range { start, end } = tile.written();
+    let start = if start == rad { 0 } else { start };
+    let end = if end == extent - rad { extent } else { end };
+    start..end
+}
+
 /// Row-major strides of a shape (innermost dimension has stride 1).
 fn row_major_strides(shape: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; shape.len()];
@@ -1877,45 +1923,46 @@ pub fn execute_plan_on<T: Element>(
     })
 }
 
-/// Copy the `rad`-thick boundary ring of `from` into `to`: whole rows where
-/// an outer coordinate lies in the ring, the two row ends elsewhere.
-fn copy_boundary_ring<T: Element>(from: &Grid<T>, to: &mut Grid<T>, rad: usize) {
-    let (&width, outer) = from.shape().split_last().expect("a grid has a dimension");
-    let bounds: Vec<(usize, usize)> = outer.iter().map(|&e| (0, e)).collect();
-    let (src, dst) = (from.as_slice(), to.as_mut_slice());
-    let mut start = 0usize;
-    for_each_row(&bounds, |index| {
-        let mut copy = |cells: std::ops::Range<usize>| {
-            dst[cells.clone()].copy_from_slice(&src[cells]);
-        };
-        let ring = |(&i, &e): (&usize, &usize)| i < rad || i >= e - rad;
-        if index.iter().zip(outer).any(ring) {
-            copy(start..start + width);
-        } else {
-            copy(start..start + rad);
-            copy(start + width - rad..start + width);
+/// The partner grid kept between runs: at most one, of any shape and
+/// precision, the grid a finished run did not return.
+static PARTNER: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+
+/// The grid the first launch of a run writes: the kept partner when its
+/// shape and precision match `shape` and `T`, a fresh grid otherwise (a
+/// kept grid that does not match is released first). Its contents do not
+/// matter: the launch overwrites every cell.
+fn take_partner<T: Element>(shape: &[usize]) -> Grid<T> {
+    let kept = PARTNER
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    if let Some(Ok(grid)) = kept.map(|grid| grid.downcast::<Grid<T>>()) {
+        if grid.shape() == shape {
+            return *grid;
         }
-        start += width;
-    });
+    }
+    Grid::zeros(shape)
 }
 
 /// The temporal-block driver behind every blocked run: one kernel launch
 /// per temporal block over a pair of ping-pong grids (the host loop's
-/// `A[t % 2]`), each launch being carve the interior of the other grid
-/// into per-tile write-back rows → map the tiles, each storing its
-/// finished rows where they belong → swap.
+/// `A[t % 2]`), each launch being carve the other grid into per-tile
+/// stored rows → map the tiles, each storing its finished rows where they
+/// belong → swap.
 ///
-/// Nothing is cloned. The write-back regions of one launch tile the
-/// interior exactly once, so whatever the grid being written held — two
-/// launches ago, or nothing — is overwritten before the swap; the second
-/// grid is therefore allocated zeroed and only ever receives, besides the
-/// write-backs, the boundary ring, which never changes. The ring is copied
-/// *after* the first launch: the strided copy would otherwise be the first
-/// touch of every page of the fresh grid, on the driving thread, where the
-/// tiles' own stores fault them in wherever they run.
+/// Nothing is cloned and nothing is prepared. The stored boxes of one
+/// launch tile the whole grid exactly once, boundary ring included, so
+/// whatever the grid being written held — two launches ago, in an earlier
+/// run, or nothing — is overwritten before the swap. The second grid is
+/// therefore taken from a one-grid slot the process keeps, when the grid
+/// there has this run's shape and precision (a fresh one otherwise), and
+/// the grid this run does not return goes back into the slot at its end;
+/// a run of zero steps takes nothing. Like the generated host code, which
+/// allocates its two device buffers once, consecutive runs of one shape
+/// then write pages that are already mapped.
 ///
 /// `map_tiles(tiles, run_tile)` receives one `(k, rows)` item per tile —
-/// its index and its carved write-back rows — and must call
+/// its index and its carved stored rows — and must call
 /// `run_tile(k, &mut rows)` once for every item; it is free to do so on
 /// any threads, because the tiles of one temporal block only read the
 /// block's input grid and own disjoint rows of the other. Counters are a
@@ -1945,20 +1992,19 @@ pub fn execute_plan_with<T: Element>(
     let mut current = initial;
     let mut next: Option<Grid<T>> = None;
     for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
-        let first_launch = next.is_none();
-        let target = next.get_or_insert_with(|| Grid::zeros(current.shape()));
+        let target = next.get_or_insert_with(|| take_partner(current.shape()));
         let rows = ctx.carve_rows(target);
         map_tiles(rows.into_iter().enumerate().collect(), &|k, rows| {
             ctx.execute_tile_into(&current, &tiles[k], chunk, rows);
         });
-        if first_launch {
-            copy_boundary_ring(&current, target, plan.def().radius());
-        }
         for tile in tiles {
             counters += ctx.tile_counters(tile, chunk);
         }
         counters.kernel_launches += 1;
         std::mem::swap(&mut current, target);
+    }
+    if let Some(partner) = next {
+        *PARTNER.lock().unwrap_or_else(PoisonError::into_inner) = Some(Box::new(partner));
     }
     BlockedRun {
         grid: current,
@@ -2248,9 +2294,9 @@ mod tests {
         }
     }
 
-    /// The half-open stored-grid index range of a run's write-back region
-    /// in every dimension.
-    fn write_back_bounds(run: &TileRun<f64>) -> Vec<(usize, usize)> {
+    /// The half-open stored-grid index range of a run's stored box in
+    /// every dimension.
+    fn box_bounds(run: &TileRun<f64>) -> Vec<(usize, usize)> {
         let extents = run.origin.iter().zip(&run.region);
         extents.map(|(&o, &e)| (o, o + e)).collect()
     }
@@ -2259,7 +2305,7 @@ mod tests {
     /// the region, in row-major order.
     fn apply_per_cell(run: &TileRun<f64>, next: &mut Grid<f64>) {
         let mut values = run.values.iter();
-        for_each_row(&write_back_bounds(run), |index| {
+        for_each_row(&box_bounds(run), |index| {
             next.set(index, *values.next().expect("one value per region cell"));
         });
         assert!(values.next().is_none());
@@ -2347,42 +2393,51 @@ mod tests {
     }
 
     #[test]
-    fn write_back_regions_of_a_block_tile_the_interior_exactly_once() {
-        // What lets the driver ping-pong two grids instead of cloning one
-        // per launch: a launch overwrites every interior cell, once.
+    fn stored_boxes_of_a_block_tile_the_grid_exactly_once() {
+        // What lets the driver reuse a partner grid with no preparation: a
+        // launch overwrites every cell, ring included, once. The stored
+        // cells past the write-back regions are exactly the ring, and
+        // hold the values loaded there.
         for (def, interior, steps, bt, bs, hsn) in tile_geometries() {
             let problem = StencilProblem::new(def.clone(), interior, steps).unwrap();
             let config = BlockConfig::new(bt, bs, hsn, Precision::Double).unwrap();
             let plan = KernelPlan::build(&def, &problem, &config, FrameworkScheme::an5d()).unwrap();
             let ctx = TileContext::new(&plan, &problem);
             let shape = problem.grid_shape();
+            let rad = def.radius();
+            let ring = |index: &[usize]| {
+                index
+                    .iter()
+                    .zip(&shape)
+                    .any(|(&i, &e)| i < rad || i >= e - rad)
+            };
             let current = Grid::<f64>::from_init(&shape, GridInit::Hash { seed: 2 });
             let mut writes = Grid::<f64>::zeros(&shape);
             for tile in ctx.tiles() {
                 let run = ctx.execute_tile_rows(&current, tile, bt);
-                for_each_row(&write_back_bounds(&run), |index| {
+                let mut values = run.values.iter();
+                for_each_row(&box_bounds(&run), |index| {
                     writes.set(index, writes.get(index) + 1.0);
+                    let value = *values.next().expect("one value per stored cell");
+                    if ring(index) {
+                        assert_eq!(value, current.get(index), "{}: ring {index:?}", def.name());
+                    }
                 });
             }
-            let rad = def.radius();
-            let expected = Grid::<f64>::from_fn(&shape, |index| {
-                let interior = index
-                    .iter()
-                    .zip(&shape)
-                    .all(|(&i, &extent)| i >= rad && i < extent - rad);
-                f64::from(u8::from(interior))
-            });
-            assert_eq!(writes, expected, "{}: writes per cell", def.name());
+            let once = Grid::<f64>::from_init(&shape, GridInit::Constant(1.0));
+            assert_eq!(writes, once, "{}: writes per cell", def.name());
         }
     }
 
     #[test]
-    fn carved_rows_are_the_write_back_regions_row_by_row() {
-        // What lets any thread store a finished tile with no lock: the
-        // carved `&mut` rows of a launch are the write-back regions
-        // themselves — every interior cell in exactly one list, in the
-        // region's row-major order, and no cell of the boundary ring. The
-        // two extra geometries end in a remainder tile in every dimension.
+    fn carved_rows_are_the_stored_boxes_row_by_row() {
+        // What lets any thread store a finished tile with no lock, and a
+        // reused grid need no preparation: the carved `&mut` rows of a
+        // launch are the stored boxes themselves — every cell of the grid,
+        // ring included, in exactly one list, in the box's row-major
+        // order — and a stored box is the write-back region widened over
+        // the ring on the faces the tile lies against. The two extra
+        // geometries end in a remainder tile in every dimension.
         let mut geometries = tile_geometries();
         geometries.push((suite::star3d(1), &[11, 13, 15], 2, 2, &[9, 10], Some(4)));
         geometries.push((suite::star2d(2), &[19, 23], 3, 1, &[11], Some(7)));
@@ -2393,7 +2448,8 @@ mod tests {
             let ctx = TileContext::new(&plan, &problem);
             let shape = problem.grid_shape();
             let inner = shape.len() - 1;
-            // Tile `k` marks its `n`-th cell (row-major in its region).
+            let rad = def.radius();
+            // Tile `k` marks its `n`-th cell (row-major in its box).
             let mark = |k: usize, n: usize| (k * 1_000_000 + n + 1) as f64;
 
             let mut carved = Grid::<f64>::zeros(&shape);
@@ -2402,7 +2458,20 @@ mod tests {
             assert_eq!(lists.len(), ctx.tiles().len(), "{}", def.name());
             let mut cells = 0usize;
             for (k, (tile, rows)) in ctx.tiles().iter().zip(lists).enumerate() {
-                let (origin, region) = ctx.write_back(tile);
+                let (origin, region) = ctx.stored_box(tile);
+                let (written_origin, written) = ctx.write_back(tile);
+                for d in 0..=inner {
+                    let at_low = written_origin[d] == rad;
+                    let at_high = written_origin[d] + written[d] == shape[d] - rad;
+                    let low = if at_low { 0 } else { written_origin[d] };
+                    let high = written_origin[d] + written[d] + if at_high { rad } else { 0 };
+                    assert_eq!(
+                        (origin[d], origin[d] + region[d]),
+                        (low, high),
+                        "{} tile {k}",
+                        def.name()
+                    );
+                }
                 let row_count: usize = region[..inner].iter().product();
                 assert_eq!(rows.len(), row_count, "{} tile {k}", def.name());
                 for (r, row) in rows.into_iter().enumerate() {
@@ -2419,34 +2488,30 @@ mod tests {
                     .collect();
                 let mut n = 0usize;
                 for_each_row(&bounds, |index| {
-                    assert_eq!(expected.get(index), 0.0, "{}: regions overlap", def.name());
+                    assert_eq!(expected.get(index), 0.0, "{}: boxes overlap", def.name());
                     expected.set(index, mark(k, n));
                     n += 1;
                 });
             }
-            assert_eq!(cells, carved.interior_len(def.radius()), "{}", def.name());
+            assert_eq!(cells, carved.len(), "{}", def.name());
             assert_eq!(carved, expected, "{}", def.name());
-            let rad = def.radius();
-            let all: Vec<(usize, usize)> = shape.iter().map(|&e| (0, e)).collect();
-            for_each_row(&all, |index| {
-                let ring = index
-                    .iter()
-                    .zip(&shape)
-                    .any(|(&i, &e)| i < rad || i >= e - rad);
-                assert_eq!(carved.get(index) == 0.0, ring, "{} {index:?}", def.name());
-            });
+            assert!(
+                carved.as_slice().iter().all(|&v| v != 0.0),
+                "{}: a cell was left out",
+                def.name()
+            );
         }
     }
 
     #[test]
     fn ping_pong_grids_match_reference_for_any_number_of_blocks() {
-        // No block (the input comes back untouched and no second grid is
-        // allocated), 1 block (bT > steps: the grid returned is the one
-        // that was allocated zeroed, so it holds the boundary ring only
-        // because the ring was copied — whole grids are compared, ring
+        // No block (the input comes back untouched and no partner grid is
+        // taken), 1 block (bT > steps: the grid returned is the partner,
+        // whose ring the launch stored — whole grids are compared, ring
         // included), 2 (even), 3 (odd, with a remainder block) and 4: from
         // the third launch on, the grid being written still holds the
-        // interior of two launches ago.
+        // values of two launches ago. Other tests of this process run
+        // alongside, so a partner may come from any earlier run.
         for (steps, bt, launches) in [(0, 3, 0), (2, 3, 1), (6, 3, 2), (7, 3, 3), (8, 2, 4)] {
             for (def, interior, bs, hsn) in [
                 (suite::j2d5pt(), &[20, 23][..], &[12][..], Some(8)),
