@@ -4,6 +4,7 @@ use an5d_gpusim::{execute_plan_with, BlockedRun};
 use an5d_grid::{Element, Grid};
 use an5d_plan::KernelPlan;
 use an5d_stencil::StencilProblem;
+use std::sync::{Mutex, PoisonError};
 
 mod sealed {
     pub trait Sealed {}
@@ -97,27 +98,35 @@ pub trait ExecutionBackend: Send + Sync {
 /// write-back region plus the boundary-ring cells next to it, so a launch
 /// writes the whole grid: whichever thread claims it runs the tile and
 /// stores the finished rows straight into the grid. The other grid is the
-/// one the previous run of this shape and precision left behind, when
-/// there is one. There are no detached tile runs and no result slots,
-/// nothing is applied, copied or zero-filled on the driving thread, and
-/// the counters — a pure function of tile geometry — are summed by the
-/// driver in tile order, so grids and counter totals do not depend on
-/// `threads`; a cap of 1 runs every tile inline on the caller.
+/// one kept in `partner` when its shape matches; the run leaves there the
+/// grid it does not return, and does not hold the lock while it runs.
+/// There are no detached tile runs and no result slots, nothing is
+/// applied, copied or zero-filled on the driving thread, and the counters
+/// — a pure function of tile geometry — are summed by the driver in tile
+/// order, so grids and counter totals do not depend on `threads`; a cap of
+/// 1 runs every tile inline on the caller.
 ///
 /// The items are handed out [`spread`] over `threads` blocks of the tile
 /// order, so tiles running at the same time lie far apart in the grid.
 fn execute_blocked<T: Element>(
     threads: usize,
+    partner: &Mutex<Option<Grid<T>>>,
     plan: &KernelPlan,
     problem: &StencilProblem,
     initial: Grid<T>,
 ) -> BlockedRun<T> {
     let _span = an5d_obs::Span::enter("backend.execute");
     let pool = an5d_runtime::global();
-    execute_plan_with(plan, problem, initial, |tiles, run_tile| {
+    let mut kept = partner
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take();
+    let run = execute_plan_with(plan, problem, initial, &mut kept, |tiles, run_tile| {
         let tiles = spread(tiles, threads);
         pool.for_each_limited(threads, tiles, |(k, mut rows)| run_tile(k, &mut rows));
-    })
+    });
+    *partner.lock().unwrap_or_else(PoisonError::into_inner) = kept;
+    run
 }
 
 /// Reorder `items` round-robin over `ways` contiguous blocks: the first of
@@ -138,7 +147,7 @@ fn spread<I>(items: Vec<I>, ways: usize) -> Vec<I> {
 }
 
 /// The blocked executor on the calling thread alone: [`VectorCpuBackend`]
-/// with a concurrency cap of one.
+/// with a concurrency cap of one that keeps no partner grid between runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SerialBackend;
 
@@ -153,7 +162,7 @@ impl ExecutionBackend for SerialBackend {
         problem: &StencilProblem,
         initial: Grid<f32>,
     ) -> BlockedRun<f32> {
-        execute_blocked(1, plan, problem, initial)
+        execute_blocked(1, &Mutex::new(None), plan, problem, initial)
     }
 
     fn execute_f64(
@@ -162,7 +171,7 @@ impl ExecutionBackend for SerialBackend {
         problem: &StencilProblem,
         initial: Grid<f64>,
     ) -> BlockedRun<f64> {
-        execute_blocked(1, plan, problem, initial)
+        execute_blocked(1, &Mutex::new(None), plan, problem, initial)
     }
 }
 
@@ -191,6 +200,12 @@ impl ExecutionBackend for SerialBackend {
 /// included, on the thread that ran it: there are no detached tile runs,
 /// and nothing is applied or copied on the driving thread.
 ///
+/// Like the generated host code, which allocates its two device buffers
+/// once, the backend keeps the ping-pong partner grid between runs, one
+/// per precision: a run writes into the grid an earlier run of its shape
+/// left (a fresh one otherwise) and leaves its own other grid in its
+/// place. Runs may overlap; each then writes into a grid of its own.
+///
 /// Determinism: every cell value is produced by exactly one tile through
 /// the scalar operations of the naive reference sweep, operand for operand
 /// (lanes never interact), every cell is owned by exactly one tile's
@@ -198,9 +213,10 @@ impl ExecutionBackend for SerialBackend {
 /// summed in canonical tile order — grids *and* counter totals are the
 /// same for any thread count. Temporal blocks stay sequential (block
 /// *k + 1* consumes the grid block *k* produced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorCpuBackend {
     threads: usize,
+    partner_f32: Mutex<Option<Grid<f32>>>,
+    partner_f64: Mutex<Option<Grid<f64>>>,
 }
 
 impl VectorCpuBackend {
@@ -214,6 +230,8 @@ impl VectorCpuBackend {
     pub fn new(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
+            partner_f32: Mutex::new(None),
+            partner_f64: Mutex::new(None),
         }
     }
 
@@ -258,7 +276,7 @@ impl ExecutionBackend for VectorCpuBackend {
         problem: &StencilProblem,
         initial: Grid<f32>,
     ) -> BlockedRun<f32> {
-        execute_blocked(self.threads, plan, problem, initial)
+        execute_blocked(self.threads, &self.partner_f32, plan, problem, initial)
     }
 
     fn execute_f64(
@@ -267,7 +285,7 @@ impl ExecutionBackend for VectorCpuBackend {
         problem: &StencilProblem,
         initial: Grid<f64>,
     ) -> BlockedRun<f64> {
-        execute_blocked(self.threads, plan, problem, initial)
+        execute_blocked(self.threads, &self.partner_f64, plan, problem, initial)
     }
 }
 
@@ -299,8 +317,20 @@ mod tests {
         plan: &KernelPlan,
         problem: &StencilProblem,
     ) {
-        let init = GridInit::Hash { seed: 77 };
+        run_checked::<T>(backend, plan, problem, 77);
+    }
+
+    /// [`assert_matches_oracles`] from the grid `seed` hashes to; returns
+    /// where that input grid lived and the grid the run returned.
+    fn run_checked<T: BackendElement>(
+        backend: &dyn ExecutionBackend,
+        plan: &KernelPlan,
+        problem: &StencilProblem,
+        seed: u64,
+    ) -> (*const T, Grid<T>) {
+        let init = GridInit::Hash { seed };
         let initial = Grid::<T>::from_init(&problem.grid_shape(), init);
+        let input = initial.as_slice().as_ptr();
         let run = T::execute_on(backend, plan, problem, initial);
         let what = backend.describe();
         assert_eq!(run.grid, run_reference::<T>(problem, init), "{what}: grid");
@@ -309,6 +339,7 @@ mod tests {
             analytic_counters(plan, problem),
             "{what}: counters"
         );
+        (input, run.grid)
     }
 
     #[test]
@@ -395,6 +426,54 @@ mod tests {
         let via_trait = f64::execute_on(backend, &plan, &problem, initial.clone());
         let direct = VectorCpuBackend::new(2).execute_f64(&plan, &problem, initial);
         assert_eq!(via_trait.grid, direct.grid);
+    }
+
+    #[test]
+    fn each_backend_keeps_its_own_partner() {
+        // A runs three launches, so the partner it keeps is its input; B
+        // runs a grid of another shape; A's next run of one launch writes
+        // into A's kept grid and returns it. Every grid is held until the
+        // end, so no address is reused by a later allocation.
+        let config = BlockConfig::new(3, &[12], None, Precision::Double).unwrap();
+        let (odd_plan, odd) = setup(suite::j2d5pt(), &[24, 30], 7, &config);
+        let (one_plan, one) = setup(suite::j2d5pt(), &[24, 30], 2, &config);
+        let (other_plan, other) = setup(suite::j2d5pt(), &[40, 18], 7, &config);
+        let (a, b) = (VectorCpuBackend::new(2), VectorCpuBackend::new(2));
+        let (a_input, a_first) = run_checked::<f64>(&a, &odd_plan, &odd, 1);
+        let _b_first = run_checked::<f64>(&b, &other_plan, &other, 2);
+        let (_, a_again) = run_checked::<f64>(&a, &one_plan, &one, 3);
+        assert_ne!(a_first.as_slice().as_ptr(), a_input);
+        assert_eq!(a_again.as_slice().as_ptr(), a_input, "A's kept grid");
+    }
+
+    #[test]
+    fn runs_at_once_on_two_backends_or_one_are_exact() {
+        fn four_runs(backend: &VectorCpuBackend, plan: &KernelPlan, problem: &StencilProblem) {
+            for seed in 0..4 {
+                run_checked::<f64>(backend, plan, problem, seed);
+            }
+        }
+        let config = BlockConfig::new(2, &[10], None, Precision::Double).unwrap();
+        let (small_plan, small) = setup(suite::j2d5pt(), &[20, 26], 5, &config);
+        let (large_plan, large) = setup(suite::j2d5pt(), &[34, 30], 5, &config);
+        let single = BlockConfig::new(2, &[10], None, Precision::Single).unwrap();
+        let (single_plan, single) = setup(suite::gradient2d(), &[26, 22], 5, &single);
+        let (a, b) = (VectorCpuBackend::new(2), VectorCpuBackend::new(2));
+        std::thread::scope(|scope| {
+            scope.spawn(|| four_runs(&a, &small_plan, &small));
+            scope.spawn(|| four_runs(&b, &large_plan, &large));
+        });
+        // Two threads on one backend: runs of both shapes and both
+        // precisions take and leave its partners as they overlap.
+        std::thread::scope(|scope| {
+            scope.spawn(|| four_runs(&a, &small_plan, &small));
+            scope.spawn(|| {
+                four_runs(&a, &large_plan, &large);
+                for seed in 0..4 {
+                    run_checked::<f32>(&a, &single_plan, &single, seed);
+                }
+            });
+        });
     }
 
     #[test]

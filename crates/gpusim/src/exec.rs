@@ -54,11 +54,11 @@
 //! `an5d-backend` crate over scoped threads), so every schedule produces
 //! bit-identical grids and counter totals by construction. Nothing is
 //! cloned and nothing is prepared: a launch overwrites every cell of the
-//! other grid, so whatever that grid held does not matter. Like the
-//! generated host code, which allocates its two device buffers once, the
-//! process keeps the partner grid between runs: a run takes it from a
-//! one-grid slot when the shape and precision match (a fresh grid
-//! otherwise) and puts back, at its end, the grid it does not return.
+//! other grid, so whatever that grid held does not matter. Like the host
+//! code, which allocates its two device buffers once, the caller keeps
+//! that partner grid between runs: a run writes into the one it is handed
+//! when the shape matches (a fresh grid otherwise) and leaves there, at
+//! its end, the grid it does not return.
 //!
 //! # Row kernels
 //!
@@ -224,9 +224,7 @@ use an5d_expr::{BinOp, Expr, Node, UnOp};
 use an5d_grid::{Element, Grid, GridInit, Precision};
 use an5d_plan::{practical_shared_reads, DimTile, KernelPlan};
 use an5d_stencil::StencilProblem;
-use std::any::Any;
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
 
 /// Result of a blocked run: the final grid plus the work/traffic counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -1916,32 +1914,11 @@ pub fn execute_plan_on<T: Element>(
     problem: &StencilProblem,
     initial: Grid<T>,
 ) -> BlockedRun<T> {
-    execute_plan_with(plan, problem, initial, |tiles, run_tile| {
+    execute_plan_with(plan, problem, initial, &mut None, |tiles, run_tile| {
         for (k, mut rows) in tiles {
             run_tile(k, &mut rows);
         }
     })
-}
-
-/// The partner grid kept between runs: at most one, of any shape and
-/// precision, the grid a finished run did not return.
-static PARTNER: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-/// The grid the first launch of a run writes: the kept partner when its
-/// shape and precision match `shape` and `T`, a fresh grid otherwise (a
-/// kept grid that does not match is released first). Its contents do not
-/// matter: the launch overwrites every cell.
-fn take_partner<T: Element>(shape: &[usize]) -> Grid<T> {
-    let kept = PARTNER
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take();
-    if let Some(Ok(grid)) = kept.map(|grid| grid.downcast::<Grid<T>>()) {
-        if grid.shape() == shape {
-            return *grid;
-        }
-    }
-    Grid::zeros(shape)
 }
 
 /// The temporal-block driver behind every blocked run: one kernel launch
@@ -1954,12 +1931,12 @@ fn take_partner<T: Element>(shape: &[usize]) -> Grid<T> {
 /// launch tile the whole grid exactly once, boundary ring included, so
 /// whatever the grid being written held — two launches ago, in an earlier
 /// run, or nothing — is overwritten before the swap. The second grid is
-/// therefore taken from a one-grid slot the process keeps, when the grid
-/// there has this run's shape and precision (a fresh one otherwise), and
-/// the grid this run does not return goes back into the slot at its end;
-/// a run of zero steps takes nothing. Like the generated host code, which
-/// allocates its two device buffers once, consecutive runs of one shape
-/// then write pages that are already mapped.
+/// therefore `partner` when its shape matches (a grid of another shape is
+/// dropped before a fresh one is allocated), and `partner` holds, at the
+/// end, the grid this run does not return; a run of zero steps leaves it
+/// untouched. Like the generated host code, which allocates its two
+/// device buffers once, consecutive runs of one shape handed the same
+/// `partner` then write pages that are already mapped.
 ///
 /// `map_tiles(tiles, run_tile)` receives one `(k, rows)` item per tile —
 /// its index and its carved stored rows — and must call
@@ -1978,6 +1955,7 @@ pub fn execute_plan_with<T: Element>(
     plan: &KernelPlan,
     problem: &StencilProblem,
     initial: Grid<T>,
+    partner: &mut Option<Grid<T>>,
     map_tiles: impl Fn(Vec<(usize, Vec<&mut [T]>)>, &(dyn Fn(usize, &mut [&mut [T]]) + Sync)),
 ) -> BlockedRun<T> {
     assert_eq!(
@@ -1990,9 +1968,14 @@ pub fn execute_plan_with<T: Element>(
     let tiles = ctx.tiles();
     let mut counters = TrafficCounters::new();
     let mut current = initial;
-    let mut next: Option<Grid<T>> = None;
     for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
-        let target = next.get_or_insert_with(|| take_partner(current.shape()));
+        if partner
+            .as_ref()
+            .is_some_and(|grid| grid.shape() != current.shape())
+        {
+            *partner = None;
+        }
+        let target = partner.get_or_insert_with(|| Grid::zeros(current.shape()));
         let rows = ctx.carve_rows(target);
         map_tiles(rows.into_iter().enumerate().collect(), &|k, rows| {
             ctx.execute_tile_into(&current, &tiles[k], chunk, rows);
@@ -2002,9 +1985,6 @@ pub fn execute_plan_with<T: Element>(
         }
         counters.kernel_launches += 1;
         std::mem::swap(&mut current, target);
-    }
-    if let Some(partner) = next {
-        *PARTNER.lock().unwrap_or_else(PoisonError::into_inner) = Some(Box::new(partner));
     }
     BlockedRun {
         grid: current,
@@ -2506,12 +2486,11 @@ mod tests {
     #[test]
     fn ping_pong_grids_match_reference_for_any_number_of_blocks() {
         // No block (the input comes back untouched and no partner grid is
-        // taken), 1 block (bT > steps: the grid returned is the partner,
+        // made), 1 block (bT > steps: the grid returned is the partner,
         // whose ring the launch stored — whole grids are compared, ring
         // included), 2 (even), 3 (odd, with a remainder block) and 4: from
         // the third launch on, the grid being written still holds the
-        // values of two launches ago. Other tests of this process run
-        // alongside, so a partner may come from any earlier run.
+        // values of two launches ago.
         for (steps, bt, launches) in [(0, 3, 0), (2, 3, 1), (6, 3, 2), (7, 3, 3), (8, 2, 4)] {
             for (def, interior, bs, hsn) in [
                 (suite::j2d5pt(), &[20, 23][..], &[12][..], Some(8)),

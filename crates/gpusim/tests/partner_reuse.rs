@@ -1,10 +1,8 @@
-//! The partner grid a blocked run keeps for the next run of its shape and
-//! precision: what a reused grid held never shows in a result.
-//!
-//! The slot is process-wide, so this file holds one test: no other test
-//! of its process touches the slot between the runs it makes.
+//! The partner grid a blocked run is handed and leaves behind: a run
+//! writes into it when the shape matches, and what it held — NaN
+//! everywhere here, ring included — never shows in a result.
 
-use an5d_gpusim::{execute_plan_on, BlockedRun};
+use an5d_gpusim::{execute_plan_with, BlockedRun};
 use an5d_grid::{Element, Grid, GridInit};
 use an5d_model::analytic_counters;
 use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan};
@@ -48,21 +46,32 @@ impl Case {
         KernelPlan::build(&self.def, problem, &config, FrameworkScheme::an5d()).unwrap()
     }
 
-    /// Run the case from `initial`, whatever it holds.
-    fn run_on<T: Element>(&self, initial: Grid<T>) -> BlockedRun<T> {
-        let problem = self.problem();
-        execute_plan_on(&self.plan::<T>(&problem), &problem, initial)
+    /// A NaN-filled grid of this case's shape.
+    fn nan_grid<T: Element>(&self) -> Grid<T> {
+        Grid::from_fn(&self.problem().grid_shape(), |_| T::from_f64(f64::NAN))
     }
 
-    /// Run the case from a seeded grid and check the result bit for bit
-    /// against the naive reference sweep, and its counters against the
-    /// model's; returns the grid, to tell which buffer came back.
-    fn run_exact<T: Element>(&self, seed: u64) -> Grid<T> {
+    /// Run the case from `initial`, one tile after the other, with
+    /// `partner` as the second grid.
+    fn run_on<T: Element>(&self, initial: Grid<T>, partner: &mut Option<Grid<T>>) -> BlockedRun<T> {
         let problem = self.problem();
         let plan = self.plan::<T>(&problem);
+        execute_plan_with(&plan, &problem, initial, partner, |tiles, run_tile| {
+            for (k, mut rows) in tiles {
+                run_tile(k, &mut rows);
+            }
+        })
+    }
+
+    /// Run the case from a seeded grid with `partner` and check the result
+    /// bit for bit against the naive reference sweep, and its counters
+    /// against the model's; returns the grid, to tell which buffer came
+    /// back.
+    fn run_exact<T: Element>(&self, seed: u64, partner: &mut Option<Grid<T>>) -> Grid<T> {
+        let problem = self.problem();
         let init = GridInit::Hash { seed };
         let initial = Grid::<T>::from_init(&problem.grid_shape(), init);
-        let run = execute_plan_on(&plan, &problem, initial);
+        let run = self.run_on(initial, partner);
         let reference = run_reference::<T>(&problem, init);
         let name = self.def.name();
         let mut cells = run.grid.as_slice().iter().zip(reference.as_slice());
@@ -73,104 +82,131 @@ impl Case {
             "{name} ({:?}): first cell off the reference",
             T::PRECISION
         );
+        let plan = self.plan::<T>(&problem);
         assert_eq!(run.counters, analytic_counters(&plan, &problem), "{name}");
         run.grid
     }
 
-    /// A run from a NaN-filled grid: its NaN input becomes the partner the
-    /// next run of its shape and precision writes into. Returns where that
-    /// buffer lives.
-    fn leave_nan_partner<T: Element>(&self) -> *const T {
-        let shape = self.problem().grid_shape();
-        let nan = Grid::<T>::from_fn(&shape, |_| T::from_f64(f64::NAN));
-        let nan_input = nan.as_slice().as_ptr();
-        let run = self.run_on(nan);
-        assert!(
-            run.grid.as_slice().iter().all(|v| v.into_f64().is_nan()),
-            "{}: a NaN grid gives NaN everywhere",
-            self.def.name()
-        );
-        nan_input
+    /// Run the case with a NaN-filled partner of its own shape, exactly,
+    /// and return the grid and where the partner lived.
+    fn run_on_nan<T: Element>(&self, seed: u64) -> (Grid<T>, *const T) {
+        let nan = self.nan_grid::<T>();
+        let nan_partner = nan.as_slice().as_ptr();
+        let grid = self.run_exact(seed, &mut Some(nan));
+        (grid, nan_partner)
     }
 }
 
-/// Stale values in a reused partner — NaN everywhere, ring included —
-/// must not reach a later run's result in either precision.
-fn stale_partner_never_leaks<T: Element>() {
-    // One launch each: the grid returned is the partner itself, written
-    // once, so every cell of it — ring included — must have been stored.
+/// One launch: the grid returned is the partner itself, written once, so
+/// every cell of it — ring included — must have been stored.
+fn one_launch_stores_every_cell<T: Element>() {
     let once = Case::new(suite::j2d5pt(), &[20, 23], 3, 3).divided(8);
-    let nan_input = once.leave_nan_partner::<T>();
-    let grid = once.run_exact::<T>(11);
+    let (grid, nan_partner) = once.run_on_nan::<T>(11);
     assert_eq!(
         grid.as_slice().as_ptr(),
-        nan_input,
-        "the NaN input was the partner"
+        nan_partner,
+        "the partner came back"
     );
+}
 
-    // Three launches, the last a remainder: the result is the partner
-    // again, written by the first and third launch.
+#[test]
+fn one_launch_stores_every_cell_of_the_partner() {
+    one_launch_stores_every_cell::<f32>();
+    one_launch_stores_every_cell::<f64>();
+}
+
+/// Three launches, the last a remainder: the result is the partner again,
+/// written by the first and third launch.
+fn three_launches_end_in_the_partner<T: Element>() {
     for case in [
         Case::new(suite::gradient2d(), &[18, 18], 7, 3),
         Case::new(suite::star3d(1), &[9, 10, 11], 7, 3),
         Case::new(suite::j3d27pt(), &[12, 10, 10], 5, 2).divided(6),
     ] {
-        let nan_input = case.leave_nan_partner::<T>();
-        let grid = case.run_exact::<T>(12);
-        assert_eq!(grid.as_slice().as_ptr(), nan_input, "{}", case.def.name());
+        let (grid, nan_partner) = case.run_on_nan::<T>(12);
+        assert_eq!(grid.as_slice().as_ptr(), nan_partner, "{}", case.def.name());
     }
 }
 
 #[test]
+fn three_launches_in_two_and_three_dimensions_end_in_the_partner() {
+    three_launches_end_in_the_partner::<f32>();
+    three_launches_end_in_the_partner::<f64>();
+}
+
+#[test]
 fn a_kept_partner_is_reused_and_never_leaks() {
-    // After a run of an odd number of launches, the partner kept is that
+    // After a run of an odd number of launches, the partner left is that
     // run's input buffer, and the next run of one launch returns it.
     let odd = Case::new(suite::j2d5pt(), &[24, 30], 7, 3);
-    let first_input = {
-        let problem = odd.problem();
-        let initial = Grid::<f64>::from_init(&problem.grid_shape(), GridInit::Hash { seed: 1 });
-        let pointer = initial.as_slice().as_ptr();
-        let run = odd.run_on(initial);
-        assert_eq!(run.counters.kernel_launches, 3);
-        assert_ne!(run.grid.as_slice().as_ptr(), pointer);
-        pointer
-    };
-    let one = Case::new(suite::j2d5pt(), &[24, 30], 2, 3);
-    let grid = one.run_exact::<f64>(2);
+    let mut partner = Some(odd.nan_grid::<f64>());
+    let problem = odd.problem();
+    let init = GridInit::Hash { seed: 1 };
+    let initial = Grid::<f64>::from_init(&problem.grid_shape(), init);
+    let input = initial.as_slice().as_ptr();
+    let run = odd.run_on(initial, &mut partner);
+    assert_eq!(run.grid, run_reference::<f64>(&problem, init));
+    assert_eq!(run.counters.kernel_launches, 3);
+    assert_ne!(run.grid.as_slice().as_ptr(), input);
     assert_eq!(
-        grid.as_slice().as_ptr(),
-        first_input,
-        "the next run reuses the kept grid"
+        partner.as_ref().map(|grid| grid.as_slice().as_ptr()),
+        Some(input)
     );
 
-    stale_partner_never_leaks::<f32>();
-    stale_partner_never_leaks::<f64>();
+    let one = Case::new(suite::j2d5pt(), &[24, 30], 2, 3);
+    let grid = one.run_exact::<f64>(2, &mut partner);
+    assert_eq!(grid.as_slice().as_ptr(), input, "the next run reuses it");
 
-    // A radius-2 stencil's partner, NaN-filled, reused by a radius-1
+    // A run of zero steps writes nothing and leaves the partner in place.
+    let kept = partner.as_ref().map(|grid| grid.as_slice().as_ptr());
+    let none = Case::new(suite::j2d5pt(), &[24, 30], 0, 3);
+    none.run_exact::<f64>(3, &mut partner);
+    assert_eq!(partner.as_ref().map(|grid| grid.as_slice().as_ptr()), kept);
+}
+
+#[test]
+fn a_radius_2_partner_serves_a_radius_1_run() {
+    // A radius-2 stencil's grid, NaN-filled, as the partner of a radius-1
     // stencil of the same stored shape (24 × 24): the rows the wider ring
     // covered are interior now, and the narrower ring is stored anew.
     let wide = Case::new(suite::star2d(2), &[20, 20], 2, 2);
     let narrow = Case::new(suite::j2d5pt(), &[22, 22], 4, 4);
     assert_eq!(wide.problem().grid_shape(), narrow.problem().grid_shape());
-    let nan_input = wide.leave_nan_partner::<f64>();
-    let grid = narrow.run_exact::<f64>(3);
+    let nan = wide.nan_grid::<f64>();
+    let nan_partner = nan.as_slice().as_ptr();
+    let grid = narrow.run_exact::<f64>(3, &mut Some(nan));
     assert_eq!(
         grid.as_slice().as_ptr(),
-        nan_input,
+        nan_partner,
         "radius 1 reuses radius 2's grid"
     );
+}
 
-    // Runs of another precision or another shape in between take a grid
-    // of their own and still give exact results, and so does the run
-    // after them.
+#[test]
+fn runs_of_other_shapes_in_between_replace_the_partner() {
+    // One partner per precision, carried through runs of other shapes and
+    // NaN-filled before each: a partner of the wrong shape is replaced by
+    // a grid of the run's own, which the run leaves behind, and every
+    // result is exact.
+    fn sequence<T: Element>(runs: &[(&Case, u64)]) {
+        let mut partner = Some(runs[1].0.nan_grid::<T>());
+        for &(case, seed) in runs {
+            for cell in partner.as_mut().into_iter().flat_map(Grid::as_mut_slice) {
+                *cell = T::from_f64(f64::NAN);
+            }
+            case.run_exact::<T>(seed, &mut partner);
+            let shape = partner.as_ref().map(|grid| grid.shape().to_vec());
+            assert_eq!(
+                shape,
+                Some(case.problem().grid_shape()),
+                "{}",
+                case.def.name()
+            );
+        }
+    }
     let a = Case::new(suite::j2d5pt(), &[20, 20], 5, 2);
     let b = Case::new(suite::j2d5pt(), &[20, 21], 5, 2);
     let c = Case::new(suite::star3d(1), &[8, 9, 10], 3, 2);
-    a.run_exact::<f64>(4);
-    a.run_exact::<f32>(5);
-    b.run_exact::<f64>(6);
-    c.run_exact::<f32>(7);
-    a.run_exact::<f64>(8);
-    b.run_exact::<f32>(9);
-    a.run_exact::<f32>(10);
+    sequence::<f64>(&[(&a, 4), (&b, 6), (&a, 8)]);
+    sequence::<f32>(&[(&a, 5), (&c, 7), (&b, 9), (&a, 10)]);
 }
