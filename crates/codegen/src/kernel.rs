@@ -3,7 +3,7 @@
 use crate::{push_comment_text, push_int, push_kernel_name, push_uint};
 use an5d_expr::{LiteralType, Offset};
 use an5d_grid::Precision;
-use an5d_plan::{KernelPlan, MacroOp, OptimizationClass, Phase, RegSlot, RegWindow};
+use an5d_plan::{KernelPlan, MacroOp, Phase, RegSlot, RegWindow};
 use std::cell::RefCell;
 use std::fmt::{self, Write};
 use std::ops::Range;
@@ -13,9 +13,9 @@ use std::ops::Range;
 /// The emitted file contains, in order: configuration defines, the
 /// shared-memory load wrapper (Section 4.3.2 disables vectorised shared
 /// accesses by routing every load through a device function), the `LOAD` /
-/// `CALC1..bT` / `STORE` macros, and the kernel body with its head, inner
-/// and tail phases. It is printed in one pass into one buffer sized up
-/// front ([`estimated_len`]).
+/// `CALC1..CALC{bT−1}` / `STORE` macros and the tail's guards, and the
+/// kernel body with its head, inner and tail phases, printed in one pass
+/// into one buffer sized up front ([`estimated_len`]).
 pub(crate) fn generate_kernel(plan: &KernelPlan) -> String {
     let mut out = String::with_capacity(estimated_len(plan));
     write_kernel(&mut out, plan).expect("writing to a String cannot fail");
@@ -32,11 +32,12 @@ const CALC_MACRO_BYTES: usize = 240;
 const BODY_BYTES_PER_FLOP: [usize; 2] = [30, 45];
 /// Bytes of one printed register argument (`reg_T_M, `).
 const REG_BYTES: usize = 10;
-/// Bytes of an op line outside its register arguments, by op kind.
+/// Bytes of an op line outside its register arguments, by op kind, and a tail line's extra.
 const SYNC_LINE_BYTES: usize = 25;
 const LOAD_LINE_BYTES: usize = 45;
 const CALC_LINE_BYTES: usize = 20;
 const STORE_LINE_BYTES: usize = 35;
+const TAIL_LINE_BYTES: usize = 125;
 
 /// The kernel file's length, closed-form in `(bT, rad)` and the update
 /// expression's flop count, so the output is allocated once: the walk
@@ -45,22 +46,22 @@ fn estimated_len(plan: &KernelPlan) -> usize {
     let def = plan.def();
     let (bt, rad) = (plan.config().bt(), def.radius());
     let unroll = 2 * rad + 1;
-    let lag = bt * rad;
-    let head = lag + unroll;
-    // Head and inner phase each load every plane front they advance to;
-    // CALC_T runs on `head − T·rad` fronts of the head, every front of the
-    // inner loop and `rad·(bT − T)` of the tail, which sums over T to:
-    let loads = head + unroll;
-    let calcs = bt * (head + unroll - rad);
-    let stores = 2 * unroll + lag;
+    let head = plan.schedule().head_planes();
+    // The head LOADs its planes and every other stream's `rad` first ones
+    // and runs stage T on its last `head − (T+1)·rad` fronts; the inner
+    // loop and the tail run every stage, and the tail adds guards and LOADs.
+    let loads = head + (bt - 1) * rad + 2 * unroll;
+    let calcs = (bt - 1) * (head - rad + 2 * unroll) - rad * bt * (bt - 1) / 2;
+    let stores = head - (bt + 1) * rad + 2 * unroll;
     let window = REG_BYTES * unroll;
     let body = BODY_BYTES_PER_FLOP[def.ndim() - 2] * def.flops_per_cell();
     PRELUDE_BYTES
         + bt * (CALC_MACRO_BYTES + window + body)
-        + (loads + calcs) * SYNC_LINE_BYTES
+        + (loads + calcs + stores) * SYNC_LINE_BYTES
         + loads * (LOAD_LINE_BYTES + REG_BYTES)
         + calcs * (CALC_LINE_BYTES + REG_BYTES + window)
         + stores * (STORE_LINE_BYTES + window)
+        + (bt + 1) * unroll * TAIL_LINE_BYTES
 }
 
 fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
@@ -147,76 +148,85 @@ fn write_kernel(out: &mut String, plan: &KernelPlan) -> fmt::Result {
     }
     out.push('\n');
 
-    // Head phase.
+    // A stream of `head_planes` or more runs the head and the inner loop.
+    let head = schedule.head_planes() as u64;
     let mut lines = OpLines::new(bt, unroll);
     out.push_str("    /* Head phase: statically generated pipeline fill (Section 4.3.2) */\n");
+    out.push_str("    int s = stream_begin;\n    if (stream_end - stream_begin >= ");
+    push_uint(out, head);
+    out.push_str(") {\n");
     for op in schedule.ops(Phase::Head) {
+        out.push_str("    ");
         lines.write_op(out, op, Phase::Head);
     }
-    out.push('\n');
-
-    // Inner phase.
-    out.push_str("    /* Inner phase: steady state, unrolled by the register window */\n");
-    out.push_str("    int s = stream_begin + ");
-    push_uint(out, schedule.head_planes() as u64);
-    out.push_str(";\n    for (; s + ");
-    push_uint(out, unroll as u64);
-    out.push_str(" <= stream_end; s += ");
+    out.push_str("\n        /* Inner phase: steady state, unrolled by the register window */\n");
+    out.push_str("        for (s += ");
+    push_uint(out, head);
+    out.push_str("; ");
+    push_plane(out, unroll as i64 - 1, Phase::Inner);
+    out.push_str(" < stream_end; s += ");
     push_uint(out, unroll as u64);
     out.push_str(") {\n");
     for op in schedule.ops(Phase::Inner) {
-        out.push_str("    ");
+        out.push_str("        ");
         lines.write_op(out, op, Phase::Inner);
     }
-    out.push_str("    }\n\n");
-
-    // Tail phase.
-    out.push_str("    /* Tail phase: statically generated pipeline drain */\n");
+    out.push_str(
+        "        }\n    }\n\n    /* Tail phase: pipeline drain, guarded by the stream's ends */\n",
+    );
+    out.push_str("    for (; ");
+    push_plane(out, -(schedule.drain_planes() as i64), Phase::Tail);
+    out.push_str(" < stream_end; s += ");
+    push_uint(out, unroll as u64);
+    out.push_str(") {\n");
     for op in schedule.ops(Phase::Tail) {
+        out.push_str("    ");
         lines.write_op(out, op, Phase::Tail);
     }
-
-    out.push_str("}\n");
+    out.push_str("    }\n}\n");
     Ok(())
 }
 
-/// Emit the `LOAD`, `CALC1..bT` and `STORE` macro definitions.
+/// Emit the `LOAD`, `CALC1..CALC{bT−1}` and `STORE` macros and the guards.
 fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) {
     let rad = plan.def().radius();
     let unroll = 2 * rad + 1;
     let bt = plan.config().bt();
 
-    out.push_str("/* LOAD: fetch one sub-plane cell of the T = 0 stream from global memory */\n");
-    out.push_str(
+    out.push_str("/* LOAD: fetch one sub-plane cell of a stream from global memory */\n");
+    out.push_str(concat!(
         "#define LOAD(reg, sidx) do { reg = a_in[an5d_global_index((sidx), tx)]; } while (0)\n\n",
-    );
+        "/* Guards of the tail: a plane of the stream, and one that\n",
+        "   every time-step updates (the AN5D_RAD planes at either end are frozen) */\n",
+        "#define IN_STREAM(sidx) ((sidx) >= stream_begin && (sidx) < stream_end)\n",
+        "#define UPDATABLE(sidx) ((sidx) >= stream_begin + AN5D_RAD && (sidx) < stream_end - AN5D_RAD)\n\n",
+    ));
 
-    // One CALC macro per combined time-step; all go through the same
-    // double-buffered shared memory, so the update expression differs only
-    // in which of the two buffers it reads. It is rendered once, at CALC1;
-    // the other buffer's body is that text with its buffer digits
-    // rewritten, and every later CALC copies the body of its buffer.
+    // CALC_T computes time-step T < bT, STORE bT. The update expression is
+    // rendered once; the other shared buffer's body is a copy with its
+    // buffer digits rewritten, and later macros copy their buffer's body.
     let mut bodies: [Option<Range<usize>>; 2] = [None, None];
     let mut digits = Vec::new();
     for t in 1..=bt {
         let buffer = plan.schedule().shared_buffer(t);
-        out.push_str("/* CALC");
-        push_uint(out, t as u64);
+        let store = t == bt;
+        out.push_str(if store { "/* STORE" } else { "/* CALC" });
+        if !store {
+            push_uint(out, t as u64);
+        }
         out.push_str(": compute one sub-plane of time-step ");
         push_uint(out, t as u64);
         out.push_str(" from the ");
         push_uint(out, unroll as u64);
         out.push_str(" source registers of time-step ");
         push_uint(out, t as u64 - 1);
-        out.push_str(" */\n");
-        if plan.class() == OptimizationClass::Associative {
-            out.push_str(
-                "/* associative stencil: evaluated as per-sub-plane partial summations */\n",
-            );
+        if store {
+            out.push_str(" and write it to global memory */\n#define STORE(sidx, ");
+        } else {
+            out.push_str(" */\n#define CALC");
+            push_uint(out, t as u64);
+            out.push_str("(dst, ");
         }
-        out.push_str("#define CALC");
-        push_uint(out, t as u64);
-        out.push_str("(dst, ");
         push_params(out, unroll);
         out.push_str(") do { \\\n    ");
         out.push_str(scalar);
@@ -228,19 +238,14 @@ fn write_macros(out: &mut String, plan: &KernelPlan, scalar: &str) {
             (None, None) => digits = write_update_expression(out, plan, buffer),
         }
         bodies[buffer].get_or_insert(start..out.len());
-        out.push_str("; \\\n    sm");
-        push_uint(out, buffer as u64);
-        out.push_str("[tx] = an5d_result; \\\n    dst = an5d_result; \\\n} while (0)\n\n");
+        if store {
+            out.push_str("; \\\n    if (an5d_in_compute_region(tx)) a_out[an5d_global_index((sidx), tx)] = an5d_result; \\\n} while (0)\n\n");
+        } else {
+            out.push_str("; \\\n    sm");
+            push_uint(out, buffer as u64);
+            out.push_str("[tx] = an5d_result; \\\n    dst = an5d_result; \\\n} while (0)\n\n");
+        }
     }
-
-    out.push_str("/* STORE: write one finished sub-plane of time-step bT to global memory */\n");
-    out.push_str("#define STORE(sidx, ");
-    push_params(out, unroll);
-    out.push_str(
-        ") do { \\\n    if (an5d_in_compute_region(tx)) a_out[an5d_global_index((sidx), tx)] = r",
-    );
-    push_uint(out, rad as u64);
-    out.push_str("; \\\n} while (0)\n\n");
 }
 
 /// Append the stencil update expression of a CALC macro reading shared
@@ -333,87 +338,109 @@ fn push_window(out: &mut String, window: RegWindow) {
 }
 
 /// Append a plane index as the phase addresses it: relative to
-/// `stream_begin` in the head, the loop variable `s` in the inner loop and
-/// `stream_end` in the tail.
+/// `stream_begin` in the head and the loop variable `s` in the inner loop
+/// and the tail.
 fn push_plane(out: &mut String, plane: i64, phase: Phase) {
-    if phase == Phase::Inner && plane == 0 {
-        out.push('s');
-        return;
+    let base = if phase == Phase::Head {
+        "stream_begin"
+    } else {
+        "s"
+    };
+    out.push_str(base);
+    if plane != 0 {
+        out.push_str(if plane < 0 { " - " } else { " + " });
+        push_uint(out, plane.unsigned_abs());
     }
-    out.push_str(match phase {
-        Phase::Inner => "s + ",
-        Phase::Head => "stream_begin + ",
-        Phase::Tail => "stream_end + ",
-    });
-    push_int(out, plane);
 }
 
-/// The op-line printer of one kernel. A CALC line is a function of
-/// `(T, dst slot)` and repeats once per register window, in the head, the
-/// inner loop and the tail alike, so it is printed once and copied after
-/// that: one entry per `(T, slot)` holds the op printed last under that key
-/// and the byte range of its line in the output, indent excluded.
+/// Append a tail op's guard, `if (GUARD(plane)) `; the head and the inner
+/// loop have none.
+fn push_guard(out: &mut String, guard: &str, plane: i64, phase: Phase) {
+    if phase != Phase::Tail {
+        return;
+    }
+    out.push_str("if (");
+    out.push_str(guard);
+    out.push('(');
+    push_plane(out, plane, phase);
+    out.push_str(")) ");
+}
+
+/// Append `LOAD(reg, plane);`, guarded by the plane being in the stream.
+fn push_load(out: &mut String, dst: RegSlot, plane: i64, phase: Phase) {
+    push_guard(out, "IN_STREAM", plane, phase);
+    out.push_str("LOAD(");
+    push_reg(out, dst);
+    out.push_str(", ");
+    push_plane(out, plane, phase);
+    out.push_str(");");
+}
+
+/// The op-line printer of one kernel. A CALC call is a function of
+/// `(T, dst slot)` and its sources, and repeats once per register window
+/// in every phase, so it is printed once and copied after that: one entry
+/// per `(T, slot)` holds the sources printed last and the call's bytes.
 struct OpLines {
     unroll: usize,
-    calcs: Vec<Option<(MacroOp, Range<usize>)>>,
+    calcs: Vec<Option<(RegWindow, Range<usize>)>>,
 }
 
 impl OpLines {
-    /// An empty table for `CALC1..=CALC{bt}` over `unroll` register slots.
+    /// An empty table for `CALC1..CALC{bt − 1}` over `unroll` register slots.
     fn new(bt: usize, unroll: usize) -> Self {
         Self {
             unroll,
-            calcs: vec![None; bt * unroll],
+            calcs: vec![None; (bt - 1) * unroll],
         }
     }
 
-    /// Append one macro call of the schedule as a source line. The byte
-    /// ranges in the table index `out`, so every call of one table
-    /// appends to the same buffer.
+    /// Append one macro call of the schedule as a source line, guarded in
+    /// the tail: a LOAD by its plane being in the stream, a CALC or STORE
+    /// by its plane being updatable, and a CALC of a frozen plane LOADs it
+    /// instead. The byte ranges in the table index `out`,
+    /// so every call of one table appends to the same buffer.
     fn write_op(&mut self, out: &mut String, op: MacroOp, phase: Phase) {
         out.push_str("    ");
         match op {
-            MacroOp::Load { dst, plane } => {
-                out.push_str("LOAD(");
-                push_reg(out, dst);
-                out.push_str(", ");
-                push_plane(out, plane, phase);
-            }
+            MacroOp::Load { dst, plane } => push_load(out, dst, plane, phase),
             MacroOp::Calc {
                 time_step,
                 dst,
                 srcs,
+                plane,
             } => {
+                push_guard(out, "UPDATABLE", plane, phase);
                 let entry = &mut self.calcs[(time_step - 1) * self.unroll + dst.slot];
-                if let Some((printed, line)) = entry {
-                    if *printed == op {
-                        out.extend_from_within(line.clone());
-                        return;
+                match entry {
+                    Some((printed, at)) if *printed == srcs => out.extend_from_within(at.clone()),
+                    _ => {
+                        let start = out.len();
+                        out.push_str("CALC");
+                        push_uint(out, time_step as u64);
+                        out.push('(');
+                        push_reg(out, dst);
+                        out.push_str(", ");
+                        push_window(out, srcs);
+                        out.push_str(");");
+                        *entry = Some((srcs, start..out.len()));
                     }
                 }
-                let start = out.len();
-                out.push_str("CALC");
-                push_uint(out, time_step as u64);
-                out.push('(');
-                push_reg(out, dst);
-                out.push_str(", ");
-                push_window(out, srcs);
-                out.push_str(");\n");
-                *entry = Some((op, start..out.len()));
-                return;
+                if phase == Phase::Tail {
+                    out.push_str(" else ");
+                    push_load(out, dst, plane, phase);
+                }
             }
             MacroOp::Store { plane, regs } => {
+                push_guard(out, "UPDATABLE", plane, phase);
                 out.push_str("STORE(");
                 push_plane(out, plane, phase);
                 out.push_str(", ");
                 push_window(out, regs);
+                out.push_str(");");
             }
-            MacroOp::Sync => {
-                out.push_str("__syncthreads();\n");
-                return;
-            }
+            MacroOp::Sync => out.push_str("__syncthreads();"),
         }
-        out.push_str(");\n");
+        out.push('\n');
     }
 }
 
@@ -516,11 +543,19 @@ mod tests {
                     (Phase::Inner, inner),
                     (Phase::Tail, tail),
                 ] {
-                    let printed = ["LOAD(", "CALC", "STORE(", "__syncthreads();"].map(|op| {
-                        text.lines()
-                            .filter(|line| line.trim_start().starts_with(op))
-                            .count()
-                    });
+                    // A line is the op it calls first: a guarded CALC's
+                    // LOAD of a frozen plane comes after it.
+                    let mut printed = [0; 4];
+                    for line in text.lines() {
+                        let first = ["LOAD(", "CALC", "STORE(", "__syncthreads();"]
+                            .map(|op| line.find(op).unwrap_or(usize::MAX));
+                        if let Some(op) = (0..4)
+                            .filter(|&op| first[op] < usize::MAX)
+                            .min_by_key(|&op| first[op])
+                        {
+                            printed[op] += 1;
+                        }
+                    }
                     let mut walked = [0; 4];
                     for op in plan.schedule().ops(phase) {
                         walked[match op {
@@ -546,10 +581,12 @@ mod tests {
 
     #[test]
     fn kernel_defines_one_calc_macro_per_time_step() {
+        // CALC1 ..= CALC{bT − 1}; the STORE computes time-step bT.
         for bt in [1usize, 4, 10] {
             let src = generate_kernel(&plan_for(suite::star2d(1), bt, &[512], Precision::Single));
-            assert_eq!(count(&src, "#define CALC"), bt, "bT={bt}");
-            assert!(src.contains(&format!("CALC{bt}(")), "bT={bt}");
+            assert_eq!(count(&src, "#define CALC"), bt - 1, "bT={bt}");
+            assert!(!src.contains(&format!("CALC{bt}(")), "bT={bt}");
+            assert_eq!(count(&src, " an5d_result = "), bt, "bT={bt}");
         }
     }
 
@@ -565,7 +602,7 @@ mod tests {
         }
         // Fixed allocation: CALC writes its destination exactly once per
         // macro (`dst = an5d_result`), never shifting other registers.
-        assert_eq!(count(&src, "dst = an5d_result"), 3);
+        assert_eq!(count(&src, "dst = an5d_result"), 2);
     }
 
     #[test]
@@ -574,7 +611,13 @@ mod tests {
         assert!(src.contains("Head phase"));
         assert!(src.contains("Inner phase"));
         assert!(src.contains("Tail phase"));
-        assert!(src.contains("for (; s + 3 <= stream_end; s += 3)"));
+        // The head runs (bT + 1)·rad = 5 fronts rounded up to windows of 3;
+        // the inner loop runs while its window's last front is in the
+        // stream, the tail while the pipeline is: bT = 4, rad = 1 stores
+        // the last plane (bT − 1)·rad = 3 fronts past the stream's end.
+        assert!(src.contains("if (stream_end - stream_begin >= 6) {"));
+        assert!(src.contains("for (s += 6; s + 2 < stream_end; s += 3)"));
+        assert!(src.contains("for (; s - 3 < stream_end; s += 3)"));
         assert!(count(&src, "__syncthreads()") > 10);
     }
 
@@ -596,12 +639,6 @@ mod tests {
         assert!(src.contains("an5d_sm_load(sm"));
         assert!(src.contains("r0"));
         assert!(src.contains("r2"));
-    }
-
-    #[test]
-    fn box_stencil_mentions_partial_summation() {
-        let src = generate_kernel(&plan_for(suite::box2d(1), 2, &[256], Precision::Single));
-        assert!(src.contains("partial summations"));
     }
 
     #[test]
@@ -631,27 +668,52 @@ mod tests {
     /// An op line as the printer wrote it through `format!` and the
     /// schedule's `Display` impls.
     fn formatted_op(op: MacroOp, phase: Phase) -> String {
-        let plane = |p: i64| match phase {
-            Phase::Inner if p == 0 => "s".to_owned(),
-            Phase::Inner => format!("s + {p}"),
-            Phase::Head => format!("stream_begin + {p}"),
-            Phase::Tail => format!("stream_end + {p}"),
+        let base = if phase == Phase::Head {
+            "stream_begin"
+        } else {
+            "s"
         };
-        match op {
-            MacroOp::Load { dst, plane: p } => format!("    LOAD({dst}, {});\n", plane(p)),
+        let plane = |p: i64| match p {
+            0 => base.to_owned(),
+            ..0 => format!("{base} - {}", -p),
+            _ => format!("{base} + {p}"),
+        };
+        let guard = |name: &str, p: i64| match phase {
+            Phase::Tail => format!("if ({name}({})) ", plane(p)),
+            _ => String::new(),
+        };
+        let line = match op {
+            MacroOp::Load { dst, plane: p } => {
+                format!("{}LOAD({dst}, {});", guard("IN_STREAM", p), plane(p))
+            }
             MacroOp::Calc {
                 time_step,
                 dst,
                 srcs,
-            } => format!("    CALC{time_step}({dst}, {srcs});\n"),
-            MacroOp::Store { plane: p, regs } => format!("    STORE({}, {regs});\n", plane(p)),
-            MacroOp::Sync => "    __syncthreads();\n".to_owned(),
-        }
+                plane: p,
+            } => {
+                let frozen = match phase {
+                    Phase::Tail => {
+                        format!(" else {}LOAD({dst}, {});", guard("IN_STREAM", p), plane(p))
+                    }
+                    _ => String::new(),
+                };
+                format!(
+                    "{}CALC{time_step}({dst}, {srcs});{frozen}",
+                    guard("UPDATABLE", p)
+                )
+            }
+            MacroOp::Store { plane: p, regs } => {
+                format!("{}STORE({}, {regs});", guard("UPDATABLE", p), plane(p))
+            }
+            MacroOp::Sync => "__syncthreads();".to_owned(),
+        };
+        format!("    {line}\n")
     }
 
     #[test]
     fn op_lines_match_the_formatted_reference() {
-        let mut negative_tail_planes = 0;
+        let mut planes_below_s = 0;
         for (def, bs) in [
             (suite::j2d5pt(), &[512][..]),
             (suite::star2d(4), &[512][..]),
@@ -670,10 +732,11 @@ mod tests {
                     }
                 }
                 assert_eq!(printed, reference, "{} bT={bt}", def.name());
-                negative_tail_planes += count(&printed, "stream_end + -");
+                assert!(!printed.contains("stream_end") && !printed.contains("+ -"));
+                planes_below_s += count(&printed, "(s - ");
             }
         }
-        assert!(negative_tail_planes > 0);
+        assert!(planes_below_s > 0);
     }
 
     #[test]
@@ -681,7 +744,7 @@ mod tests {
         let calc = |first| MacroOp::Calc {
             time_step: 2,
             dst: RegSlot {
-                time_step: 1,
+                time_step: 2,
                 slot: 1,
             },
             srcs: RegWindow {
@@ -689,6 +752,7 @@ mod tests {
                 first,
                 len: 3,
             },
+            plane: 4,
         };
         let (a, b) = (calc(0), calc(2));
         let mut lines = OpLines::new(3, 3);
@@ -700,8 +764,8 @@ mod tests {
             .map(|op| formatted_op(op, Phase::Head))
             .concat();
         assert_eq!(printed, reference);
-        assert!(printed.contains("CALC2(reg_1_1, reg_1_0, reg_1_1, reg_1_2);"));
-        assert!(printed.contains("CALC2(reg_1_1, reg_1_2, reg_1_0, reg_1_1);"));
+        assert!(printed.contains("CALC2(reg_2_1, reg_1_0, reg_1_1, reg_1_2);"));
+        assert!(printed.contains("CALC2(reg_2_1, reg_1_2, reg_1_0, reg_1_1);"));
     }
 
     /// The body of `#define CALC{t}`, between `an5d_result = ` and the
@@ -720,10 +784,10 @@ mod tests {
             (suite::j3d27pt(), &[32, 32][..]),
             (suite::gradient2d(), &[256][..]),
         ] {
-            // bT = 1 renders CALC1 for sm0 alone; bT = 2 renders CALC1 for
+            // bT = 2 renders CALC1 for sm0 alone; bT = 3 renders CALC1 for
             // sm0 and copies it into CALC2 with every buffer digit sm1.
-            let one = generate_kernel(&plan_for(def.clone(), 1, bs, Precision::Single));
-            let two = generate_kernel(&plan_for(def.clone(), 2, bs, Precision::Single));
+            let one = generate_kernel(&plan_for(def.clone(), 2, bs, Precision::Single));
+            let two = generate_kernel(&plan_for(def.clone(), 3, bs, Precision::Single));
             let (sm0, sm1) = (calc_body(&one, 1), calc_body(&two, 2));
             assert_eq!(calc_body(&two, 1), sm0, "{}", def.name());
             assert!(sm0.contains("an5d_sm_load(sm0") && !sm0.contains("sm1"));

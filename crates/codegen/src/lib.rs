@@ -4,11 +4,12 @@
 //! The generator turns a [`an5d_plan::KernelPlan`] into the two source
 //! files the original framework emits:
 //!
-//! * a **kernel** file containing the macro definitions (`LOAD`, `CALC1…N`,
-//!   `STORE`), the double-buffered shared-memory declarations, the fixed
-//!   register file, and the three phases (statically unrolled head, the
-//!   register-window-unrolled steady-state loop, statically unrolled tail)
-//!   of Fig. 5;
+//! * a **kernel** file containing the macro definitions (`LOAD`,
+//!   `CALC1 … CALC{bT−1}`, and a `STORE` that computes time-step `bT` and
+//!   writes it), the double-buffered shared-memory declarations, the fixed
+//!   register file, and the three phases of Fig. 5 (statically unrolled
+//!   head, the register-window-unrolled steady-state loop, and a tail loop
+//!   of guarded register windows);
 //! * a **host** file with the repeated kernel invocations, one per temporal
 //!   block, including the shortened final block that handles
 //!   `I_T mod bT ≠ 0` and the buffer-parity adjustment of Section 4.3.1.
@@ -24,11 +25,11 @@
 //! distinct piece of text is printed once and copied after that:
 //!
 //! * the body comes straight from the schedule's lazy walk,
-//!   [`an5d_plan::KernelSchedule::ops`]. A CALC line is a function of
-//!   `(T, dst slot)`, so a line table of `bT × (2·rad + 1)` entries holds
-//!   the op printed under each key and the byte range of its line (indent
-//!   excluded); an equal op copies those bytes, a different one is printed
-//!   and replaces the entry;
+//!   [`an5d_plan::KernelSchedule::ops`]. A CALC call is a function of
+//!   `(T, dst slot)` and its sources, so a table of `bT × (2·rad + 1)`
+//!   entries holds the sources printed under each key and the byte range
+//!   of the call; equal sources copy those bytes, different ones are
+//!   printed and replace the entry;
 //! * the update expression is rendered once, through
 //!   [`an5d_expr::Expr::write_c`], which appends each leaf in place; the
 //!   other shared buffer's macro body is a copy with the recorded
@@ -40,14 +41,17 @@
 //!
 //! Stencil names are free-form: the kernel identifier maps every
 //! byte outside `[A-Za-z0-9_]` to `_`, and the header comments print
-//! control characters as spaces. Nothing in the workspace compiles or
-//! runs the generated code, and the `an5d-gpusim` executor reads only the
-//! schedule's `syncs_per_plane`, so the code is validated structurally
-//! (tests assert the properties the paper describes: exactly two shared
-//! buffers, one store per sub-plane update, no register shifting,
-//! `2·rad + 1`-way unrolled steady state, per-time-step barriers, one
-//! printed line per op of the walk) and pinned byte for byte by
-//! `tests/golden_cuda.txt`.
+//! control characters as spaces. The walk it prints is checked by a
+//! dataflow oracle (`an5d-plan`'s `tests/schedule_oracle.rs`): over
+//! concrete streams, every CALC and STORE reads the previous time step's
+//! `2·rad + 1` planes around its own, and every written plane is stored
+//! once. Nothing in the workspace compiles or runs the generated code, and
+//! the `an5d-gpusim` executor reads only the schedule's `syncs_per_plane`,
+//! so the text itself is checked structurally (tests assert exactly two
+//! shared buffers, `bT − 1` CALC macros and a computing STORE, no register
+//! shifting, a `2·rad + 1`-way unrolled steady state, per-time-step
+//! barriers and one printed line per op of the walk) and pinned byte for
+//! byte by `tests/golden_cuda.txt`.
 //!
 //! # Example
 //!

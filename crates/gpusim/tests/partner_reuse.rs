@@ -1,6 +1,8 @@
 //! The partner grid a blocked run is handed and leaves behind: a run
 //! writes into it when the shape matches, and what it held — NaN
-//! everywhere here, ring included — never shows in a result.
+//! everywhere here, ring included — never shows in a result. A counting
+//! allocator tells reuse from reallocation: a run handed a partner of its
+//! shape allocates no grid.
 
 use an5d_gpusim::{execute_plan_with, BlockedRun};
 use an5d_grid::{Element, Grid, GridInit};
@@ -8,6 +10,71 @@ use an5d_model::analytic_counters;
 use an5d_plan::{BlockConfig, FrameworkScheme, KernelPlan};
 use an5d_stencil::exec::run_reference;
 use an5d_stencil::{suite, StencilDef, StencilProblem};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting on each thread that asks the
+/// allocations of at least a given size ([`grid_allocations`]).
+struct CountLarge;
+
+thread_local! {
+    /// The size an allocation must reach to count (0: not counting), and
+    /// the count. Const-initialised and without a destructor, so reading
+    /// it allocates nothing.
+    static LARGE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+impl CountLarge {
+    fn note(size: usize) {
+        // During thread teardown the slot may be gone; nothing counts then.
+        let _ = LARGE.try_with(|large| {
+            let (at_least, count) = large.get();
+            if at_least > 0 && size >= at_least {
+                large.set((at_least, count + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; `note` only
+// reads and writes a thread-local `Cell`.
+unsafe impl GlobalAlloc for CountLarge {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: the caller's contract for `alloc`, passed on.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size());
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed on.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size);
+        // SAFETY: the caller's contract for `realloc`, passed on.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc`, passed on.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountLarge = CountLarge;
+
+/// Run `f` and count the allocations of at least one `T` grid of `shape`
+/// that it makes on this thread: the tests run their tiles inline, and
+/// nothing else a run allocates is that large.
+fn grid_allocations<T, R>(shape: &[usize], f: impl FnOnce() -> R) -> (R, usize) {
+    let bytes = shape.iter().product::<usize>() * std::mem::size_of::<T>();
+    LARGE.with(|large| large.set((bytes, 0)));
+    let result = f();
+    (result, LARGE.with(|large| large.replace((0, 0))).1)
+}
 
 /// One blocked run: stencil, interior, steps, `bT`, `bS`, `hS_N`.
 struct Case {
@@ -209,4 +276,40 @@ fn runs_of_other_shapes_in_between_replace_the_partner() {
     let c = Case::new(suite::star3d(1), &[8, 9, 10], 3, 2);
     sequence::<f64>(&[(&a, 4), (&b, 6), (&a, 8)]);
     sequence::<f32>(&[(&a, 5), (&c, 7), (&b, 9), (&a, 10)]);
+}
+
+#[test]
+fn a_partner_of_the_runs_shape_spares_it_every_grid_allocation() {
+    // Three launches: handed a partner of its shape, the run allocates no
+    // grid; handed none, it allocates exactly one and leaves it behind.
+    let case = Case::new(suite::j2d5pt(), &[24, 30], 7, 3);
+    let problem = case.problem();
+    let shape = problem.grid_shape();
+    let initial = || Grid::<f64>::from_init(&shape, GridInit::Hash { seed: 13 });
+    let mut partner = Some(case.nan_grid::<f64>());
+    let (input, kept) = (
+        initial(),
+        partner.as_ref().map(|grid| grid.as_slice().as_ptr()),
+    );
+    let (run, grids) = grid_allocations::<f64, _>(&shape, || case.run_on(input, &mut partner));
+    assert_eq!(run.counters.kernel_launches, 3);
+    assert_eq!(
+        grids, 0,
+        "a run handed a partner of its shape allocated {grids} grids"
+    );
+    assert_eq!(
+        run.grid.as_slice().as_ptr(),
+        kept.unwrap(),
+        "the partner came back"
+    );
+
+    let mut none = None;
+    let input = initial();
+    let (run, grids) = grid_allocations::<f64, _>(&shape, || case.run_on(input, &mut none));
+    assert_eq!(grids, 1, "a run handed no partner allocated {grids} grids");
+    assert_eq!(
+        run.grid,
+        run_reference::<f64>(&problem, GridInit::Hash { seed: 13 })
+    );
+    assert!(none.is_some(), "the allocated grid is left behind");
 }

@@ -4,9 +4,10 @@
 //! executor read (`syncs_per_plane`, `head_planes`) is closed-form, and the
 //! O(bT²·rad) macro sequence is a lazy walk of `Copy` ops
 //! ([`KernelSchedule::ops`]) that the code generator prints as it goes.
-//! The walk is one iterator, a small state machine over the plane front,
-//! its stage (LOAD, `CALC_1 ..= CALC_bT`, STORE) and a pending barrier,
-//! rather than a chain of iterator adaptors per front and per stream.
+//! The walk is one iterator, a state machine over the plane front, its
+//! stage (LOAD, `CALC_1 ..= CALC_{bT−1}`, STORE) and a pending barrier;
+//! every front follows one rule, and `tests/schedule_oracle.rs` checks
+//! over concrete streams that the walk computes the stencil.
 
 use crate::BlockConfig;
 use serde::{Deserialize, Serialize};
@@ -16,8 +17,8 @@ use std::fmt;
 /// computational stream (combined time-step) `T`.
 ///
 /// With AN5D's fixed allocation the slot index is simply the sub-plane's
-/// streaming index modulo the window size `2·rad + 1`; no values ever move
-/// between slots (Fig. 3 (b)).
+/// streaming index, counted from `stream_begin`, modulo the window size
+/// `2·rad + 1`; no values ever move between slots (Fig. 3 (b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RegSlot {
     /// Combined time-step `T` (0 = the stream that loads from global memory).
@@ -68,36 +69,43 @@ impl fmt::Display for RegWindow {
     }
 }
 
-/// One macro call of the generated kernel.
+/// One macro call of the generated kernel. The tail guards it by where its
+/// plane lies in the stream `[stream_begin, stream_end)`, whose `rad`
+/// planes at either end are frozen; the head and the inner loop need none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MacroOp {
-    /// `LOAD(reg_0_M, plane)`: read one sub-plane of the input grid from
-    /// global memory into a register of the T = 0 stream.
+    /// `LOAD(reg_T_M, plane)`: read one sub-plane of the input grid from
+    /// global memory into a register of stream 0, or of stream `T` if the
+    /// plane is frozen.
     Load {
         /// Destination register.
         dst: RegSlot,
-        /// Streaming-dimension plane index, relative to `stream_begin` (head),
-        /// the loop variable (inner) or `stream_end` (tail).
+        /// Streaming-dimension plane index, relative to `stream_begin` (head)
+        /// or the loop variable `s`, whole windows past it (inner, tail).
         plane: i64,
     },
-    /// `CALC_T(dst, src…)`: compute one sub-plane of combined time-step `T`
-    /// from the `2·rad + 1` source registers of time-step `T − 1`, going
-    /// through shared buffer [`KernelSchedule::shared_buffer`] for the
-    /// intra-plane neighbour exchange.
+    /// `CALC_T(dst, src…)`, `T < bT`: compute one updatable sub-plane of
+    /// combined time-step `T` from the `2·rad + 1` source registers of
+    /// time-step `T − 1`, going through shared buffer
+    /// [`KernelSchedule::shared_buffer`] for the intra-plane neighbour
+    /// exchange. The tail `LOAD`s a frozen plane into `dst` instead.
     Calc {
-        /// Combined time-step being computed (1-based, up to `bT`).
+        /// Combined time-step being computed (1-based, below `bT`).
         time_step: usize,
         /// Destination register.
         dst: RegSlot,
         /// Source registers (stream `T − 1`), centred on the computed plane.
         srcs: RegWindow,
-    },
-    /// `STORE(plane, regs…)`: write one finished sub-plane (time-step `bT`)
-    /// back to global memory from the last stream's registers.
-    Store {
-        /// Streaming-dimension plane index (see [`MacroOp::Load::plane`]).
+        /// The computed plane (see [`MacroOp::Load::plane`]).
         plane: i64,
-        /// Registers holding the finished values.
+    },
+    /// `STORE(plane, regs…)`: compute the last time-step `bT` of one
+    /// updatable sub-plane from stream `bT − 1`'s registers and write it
+    /// back to global memory.
+    Store {
+        /// The stored plane (see [`MacroOp::Load::plane`]).
+        plane: i64,
+        /// Source registers (stream `bT − 1`), centred on the stored plane.
         regs: RegWindow,
     },
     /// `__syncthreads()` — block-wide barrier between time-step stages.
@@ -107,12 +115,12 @@ pub enum MacroOp {
 /// The three phases of the generated kernel (Section 4.3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Phase {
-    /// Pipeline fill: statically generated straight-line code.
+    /// Pipeline fill: straight-line code for a stream of `head_planes` or more.
     Head,
     /// Steady state: a loop whose body is unrolled by the register-window
     /// size `2·rad + 1` so register indices stay static.
     Inner,
-    /// Pipeline drain: statically generated straight-line code.
+    /// Pipeline drain: a loop of guarded register windows (all of a short stream).
     Tail,
 }
 
@@ -130,7 +138,7 @@ impl KernelSchedule {
     ///
     /// The schedule realises the pipeline of Fig. 1: after the T = 0 stream
     /// has loaded `T·rad` planes, stream `T` starts computing; a finished
-    /// plane of stream `bT` is stored `bT·rad` planes behind the load front.
+    /// plane of time-step `bT` is stored `bT·rad` planes behind the loads.
     #[must_use]
     pub fn build(config: &BlockConfig, radius: usize) -> Self {
         Self {
@@ -145,16 +153,19 @@ impl KernelSchedule {
         2 * self.radius + 1
     }
 
-    /// Planes between the load front and the store front (`bT·rad`).
-    fn lag(&self) -> i64 {
-        (self.bt * self.radius) as i64
-    }
-
-    /// Planes the head phase loads before the steady state takes over
-    /// (`bT·rad + 2·rad + 1`): the pipeline lag plus one register window.
+    /// Plane fronts the head runs: `(bT + 1)·rad`, from which on every
+    /// stage of a front works on an updatable plane of a stream at least
+    /// that long, rounded up to whole register windows.
     #[must_use]
     pub fn head_planes(&self) -> usize {
-        self.lag() as usize + self.unroll()
+        ((self.bt + 1) * self.radius).next_multiple_of(self.unroll())
+    }
+
+    /// Plane fronts the pipeline runs past the stream's last plane,
+    /// `(bT − 1)·rad`: the last STORE's, `rad` planes below the end.
+    #[must_use]
+    pub fn drain_planes(&self) -> usize {
+        (self.bt - 1) * self.radius
     }
 
     /// Number of block synchronisations per streamed plane in the steady
@@ -165,9 +176,9 @@ impl KernelSchedule {
         self.bt + 1
     }
 
-    /// The shared buffer (`sm0` / `sm1`) that `CALC{time_step}` writes its
-    /// plane into and reads in-plane neighbours from: the two buffers
-    /// alternate between combined time-steps.
+    /// The shared buffer (`sm0` / `sm1`) that `CALC{time_step}` (the STORE
+    /// at `bT`) writes its plane into and reads in-plane neighbours from:
+    /// the two buffers alternate between combined time-steps.
     #[must_use]
     pub fn shared_buffer(&self, time_step: usize) -> usize {
         (time_step + 1) % 2
@@ -175,64 +186,67 @@ impl KernelSchedule {
 
     /// The macro calls of one phase in program order, made as they are
     /// consumed by one hand-rolled iterator: plane fronts `0 .. head_planes`
-    /// in the head, one register window in an inner-loop iteration, the
-    /// last `bT·rad` in the tail. Advancing the pipeline to front `s` emits
-    /// - the LOAD of plane `s` and its barrier, except in the tail;
-    /// - `CALC_T` of plane `s − T·rad` and its barrier, once stream `T`'s
-    ///   inputs are loaded in the head (`s ≥ T·rad`), always in the inner
-    ///   loop, and while stream `T` has planes left in the tail
-    ///   (`s < rad·(bT − T)`);
-    /// - the STORE of plane `s − bT·rad`, except in the head before the
-    ///   pipeline is full (`s < bT·rad`).
+    /// in the head, one register window from the loop variable `s` in an
+    /// iteration of the inner loop or the tail. Advancing the pipeline to
+    /// front `s` runs stage `T` on plane `s − T·rad`, each followed by a
+    /// barrier:
+    /// - `T = 0` LOADs the plane;
+    /// - `0 < T < bT` CALCs it, or LOADs it into stream `T`'s window if it
+    ///   is frozen;
+    /// - `T = bT` STOREs it if it is updatable.
+    ///
+    /// The head decides this on the stream's first planes and skips the
+    /// stages whose plane lies below them; the tail's guards decide it.
     pub fn ops(&self, phase: Phase) -> impl Iterator<Item = MacroOp> + '_ {
         let end = match phase {
-            Phase::Head => self.head_planes() as i64,
-            Phase::Inner => self.unroll() as i64,
-            Phase::Tail => self.lag(),
+            Phase::Head => self.head_planes(),
+            Phase::Inner | Phase::Tail => self.unroll(),
         };
         Ops {
             schedule: self,
-            phase,
+            head: phase == Phase::Head,
             s: 0,
-            end,
+            end: end as i64,
             stage: 0,
             sync: false,
-        }
-    }
-
-    /// Stream `time_step`'s register that holds `plane`.
-    fn reg(&self, time_step: usize, plane: i64) -> RegSlot {
-        RegSlot {
-            time_step,
-            slot: plane.rem_euclid(self.unroll() as i64) as usize,
-        }
-    }
-
-    /// Stream `time_step`'s register window, starting at the register that
-    /// holds `plane`.
-    fn window(&self, time_step: usize, plane: i64) -> RegWindow {
-        RegWindow {
-            time_step,
-            first: self.reg(time_step, plane).slot,
-            len: self.unroll(),
         }
     }
 }
 
 /// The walk behind [`KernelSchedule::ops`]: plane front `s` steps through
-/// its stages — LOAD, `CALC_1 ..= CALC_bT`, STORE — and a barrier owed by
-/// the op just returned comes out on the next call.
+/// its stages `0 ..= bT`, and a barrier owed by the op just returned comes
+/// out on the next call.
 struct Ops<'a> {
     schedule: &'a KernelSchedule,
-    phase: Phase,
+    /// Planes count from `stream_begin` (the head), not from `s`.
+    head: bool,
     /// The current plane front, and one past the phase's last.
     s: i64,
     end: i64,
-    /// Front `s`'s next stage: 0 its LOAD, `T` in `1..=bT` its `CALC_T`,
-    /// `bT + 1` its STORE.
+    /// Front `s`'s next stage, `0 ..= bT`.
     stage: usize,
     /// The op returned last is followed by a `Sync`.
     sync: bool,
+}
+
+impl Ops<'_> {
+    /// Stream `time_step`'s register that holds `plane`.
+    fn reg(&self, time_step: usize, plane: i64) -> RegSlot {
+        RegSlot {
+            time_step,
+            slot: plane.rem_euclid(self.schedule.unroll() as i64) as usize,
+        }
+    }
+
+    /// Stream `time_step`'s register window centred on `plane`.
+    fn window(&self, time_step: usize, plane: i64) -> RegWindow {
+        let first = self.reg(time_step, plane - self.schedule.radius as i64);
+        RegWindow {
+            time_step,
+            first: first.slot,
+            len: self.schedule.unroll(),
+        }
+    }
 }
 
 impl Iterator for Ops<'_> {
@@ -242,50 +256,37 @@ impl Iterator for Ops<'_> {
         if std::mem::take(&mut self.sync) {
             return Some(MacroOp::Sync);
         }
-        let schedule = self.schedule;
-        let (bt, radius) = (schedule.bt, schedule.radius);
+        let (bt, radius) = (self.schedule.bt, self.schedule.radius as i64);
         while self.s < self.end {
-            let (s, t) = (self.s, self.stage);
-            if t == 0 {
-                self.stage = 1;
-                if self.phase != Phase::Tail {
-                    self.sync = true;
-                    return Some(MacroOp::Load {
-                        dst: schedule.reg(0, s),
-                        plane: s,
-                    });
-                }
-            } else if t <= bt {
-                let runs = match self.phase {
-                    Phase::Head => s >= (t * radius) as i64,
-                    Phase::Inner => true,
-                    Phase::Tail => s < (radius * (bt - t)) as i64,
-                };
-                if !runs {
-                    // Streams start in order in the head and run out in
-                    // reverse order in the tail: no later stream runs here.
-                    self.stage = bt + 1;
-                    continue;
-                }
-                self.stage = t + 1;
-                self.sync = true;
-                let plane = s - (t * radius) as i64;
-                return Some(MacroOp::Calc {
-                    time_step: t,
-                    dst: schedule.reg(t.min(bt - 1), plane),
-                    srcs: schedule.window(t - 1, plane - radius as i64),
-                });
-            } else {
+            let t = self.stage;
+            let plane = self.s - t as i64 * radius;
+            if t == bt {
                 self.stage = 0;
                 self.s += 1;
-                let lag = schedule.lag();
-                if self.phase != Phase::Head || s >= lag {
-                    return Some(MacroOp::Store {
-                        plane: s - lag,
-                        regs: schedule.window(bt - 1, s - lag),
-                    });
-                }
+            } else {
+                self.stage += 1;
             }
+            let frozen = self.head && plane < radius;
+            if self.head && plane < 0 || frozen && t == bt {
+                continue;
+            }
+            self.sync = true;
+            return Some(match t {
+                _ if t == 0 || frozen => MacroOp::Load {
+                    dst: self.reg(t, plane),
+                    plane,
+                },
+                _ if t == bt => MacroOp::Store {
+                    plane,
+                    regs: self.window(bt - 1, plane),
+                },
+                _ => MacroOp::Calc {
+                    time_step: t,
+                    dst: self.reg(t, plane),
+                    srcs: self.window(t - 1, plane),
+                    plane,
+                },
+            });
         }
         None
     }
@@ -315,73 +316,58 @@ mod tests {
         n
     }
 
-    /// The listing (head, inner, tail) as the eager builder produced it
-    /// while the schedule still stored its macro calls: the reference the
-    /// lazy walk is compared against.
+    /// The listing (head, inner, tail) written out eagerly, front by
+    /// front and stage by stage: the reference the lazy walk is compared
+    /// against. Stage `T` of front `s` works on plane `s − T·rad`, held in
+    /// slot `plane mod (2·rad + 1)`; the head LOADs the stream's `rad`
+    /// frozen first planes into every stream and stores none of them.
     fn eager_reference(bt: usize, radius: usize) -> [Vec<MacroOp>; 3] {
         let unroll = 2 * radius + 1;
-        let lag = (bt * radius) as i64;
-        let slot_of = |plane: i64| -> usize { plane.rem_euclid(unroll as i64) as usize };
-        let calc = |t: usize, dst_plane: i64| MacroOp::Calc {
-            time_step: t,
-            dst: RegSlot {
-                time_step: t.min(bt - 1),
-                slot: slot_of(dst_plane),
-            },
-            srcs: RegWindow {
-                time_step: t - 1,
-                first: slot_of(dst_plane - radius as i64),
-                len: unroll,
-            },
+        let rad = radius as i64;
+        let slot_of = |plane: i64| plane.rem_euclid(unroll as i64) as usize;
+        let window = |time_step: usize, plane: i64| RegWindow {
+            time_step,
+            first: slot_of(plane - rad),
+            len: unroll,
         };
-        let store = |plane: i64| MacroOp::Store {
-            plane,
-            regs: RegWindow {
-                time_step: bt - 1,
-                first: slot_of(plane),
-                len: unroll,
-            },
-        };
-        let plane_step = |out: &mut Vec<MacroOp>, s: i64, absolute: bool| {
-            out.push(MacroOp::Load {
-                dst: RegSlot {
-                    time_step: 0,
-                    slot: slot_of(s),
-                },
-                plane: s,
-            });
-            out.push(MacroOp::Sync);
-            for t in 1..=bt {
-                let dst_plane = s - (t * radius) as i64;
-                if absolute && dst_plane < 0 {
+        let front = |out: &mut Vec<MacroOp>, s: i64, head: bool| {
+            for t in 0..=bt {
+                let plane = s - t as i64 * rad;
+                let frozen = head && plane < rad;
+                if head && plane < 0 || frozen && t == bt {
                     continue;
                 }
-                out.push(calc(t, dst_plane));
+                let dst = RegSlot {
+                    time_step: t,
+                    slot: slot_of(plane),
+                };
+                out.push(if t == 0 || frozen {
+                    MacroOp::Load { dst, plane }
+                } else if t == bt {
+                    MacroOp::Store {
+                        plane,
+                        regs: window(bt - 1, plane),
+                    }
+                } else {
+                    MacroOp::Calc {
+                        time_step: t,
+                        dst,
+                        srcs: window(t - 1, plane),
+                        plane,
+                    }
+                });
                 out.push(MacroOp::Sync);
             }
-            if !absolute || s - lag >= 0 {
-                out.push(store(s - lag));
-            }
         };
-
-        let mut head = Vec::new();
-        for s in 0..lag + unroll as i64 {
-            plane_step(&mut head, s, true);
+        let head_planes = ((bt + 1) * radius).div_ceil(unroll) * unroll;
+        let (mut head, mut inner) = (Vec::new(), Vec::new());
+        for s in 0..head_planes as i64 {
+            front(&mut head, s, true);
         }
-        let mut inner = Vec::new();
-        for u in 0..unroll as i64 {
-            plane_step(&mut inner, u, false);
+        for s in 0..unroll as i64 {
+            front(&mut inner, s, false);
         }
-        let mut tail = Vec::new();
-        for s in 0..lag {
-            for t in 1..=bt {
-                if s < (radius * (bt - t)) as i64 {
-                    tail.push(calc(t, s - (t * radius) as i64));
-                    tail.push(MacroOp::Sync);
-                }
-            }
-            tail.push(store(s - lag));
-        }
+        let tail = inner.clone();
         [head, inner, tail]
     }
 
@@ -398,8 +384,13 @@ mod tests {
                 let inner_syncs = counts(&s, Phase::Inner)[3];
                 assert_eq!(s.syncs_per_plane(), inner_syncs / s.unroll());
                 assert_eq!(inner_syncs % s.unroll(), 0);
-                assert_eq!(s.head_planes(), counts(&s, Phase::Head)[0]);
-                assert_eq!(s.head_planes(), bt * radius + 2 * radius + 1);
+                // Stream 0 loads every head front's plane, and every other
+                // stream its `rad` frozen first planes.
+                let head_loads = counts(&s, Phase::Head)[0];
+                assert_eq!(s.head_planes(), head_loads - (bt - 1) * radius);
+                assert!(s.head_planes() >= (bt + 1) * radius);
+                assert_eq!(s.head_planes() % s.unroll(), 0);
+                assert_eq!(s.drain_planes(), (bt - 1) * radius);
             }
         }
     }
@@ -418,8 +409,9 @@ mod tests {
     #[test]
     fn inner_loop_runs_every_stream_each_plane() {
         let s = schedule(4, 1);
-        // Each of the 3 unrolled plane steps runs bT = 4 CALC macros.
-        assert_eq!(counts(&s, Phase::Inner)[1], 4 * 3);
+        // Each of the 3 unrolled plane steps runs CALC1..=CALC3; the
+        // STORE computes time-step 4.
+        assert_eq!(counts(&s, Phase::Inner)[1], 3 * 3);
         // One barrier per time-step per plane (plus the load barrier).
         assert_eq!(s.syncs_per_plane(), 4 + 1);
     }
@@ -427,63 +419,62 @@ mod tests {
     #[test]
     fn head_fills_pipeline_before_first_store() {
         let s = schedule(4, 1);
-        // First store happens only once bT·rad = 4 planes have been loaded.
+        // The first store (of plane rad = 1, the first updatable one)
+        // comes once stream 0 has loaded planes 0 ..= 1 + bT·rad = 5.
+        let loads = |op: &MacroOp| matches!(op, MacroOp::Load { dst, .. } if dst.time_step == 0);
         let loads_before = s
             .ops(Phase::Head)
             .take_while(|op| !matches!(op, MacroOp::Store { .. }))
-            .filter(|op| matches!(op, MacroOp::Load { .. }))
+            .filter(loads)
             .count();
-        assert!(
-            loads_before >= 5,
-            "only {loads_before} loads before the first store"
-        );
-        // The head loads lag + unroll planes in total.
-        assert_eq!(counts(&s, Phase::Head)[0], 4 + 3);
+        assert_eq!(loads_before, 6);
+        // The head runs (bT + 1)·rad fronts rounded up to whole windows.
+        assert_eq!(s.ops(Phase::Head).filter(loads).count(), 6);
     }
 
     #[test]
     fn head_calcs_respect_dependencies() {
         let s = schedule(3, 2);
-        // Stream T cannot compute before T·rad planes are loaded, so the
-        // total number of CALCs in the head is Σ_T (head_planes − T·rad).
-        let head_planes = 3 * 2 + 5; // lag + unroll
-        let expected: usize = (1..=3).map(|t| head_planes - t * 2).sum();
+        // Stream T cannot compute before T·rad planes are loaded, and its
+        // first rad planes are frozen, so the head runs
+        // Σ_{T < bT} (head_planes − T·rad − rad) CALCs.
+        let head_planes = 10; // (bT + 1)·rad = 8, rounded up to windows of 5
+        let expected: usize = (1..3).map(|t| head_planes - t * 2 - 2).sum();
         assert_eq!(counts(&s, Phase::Head)[1], expected);
     }
 
     #[test]
-    fn tail_drains_remaining_planes_without_loads() {
+    fn tail_is_one_register_window_of_whole_fronts() {
         let s = schedule(4, 1);
-        let [loads, calcs, stores, _] = counts(&s, Phase::Tail);
-        assert_eq!(loads, 0);
-        // One store per drained plane; lag = bT·rad planes remain.
-        assert_eq!(stores, 4);
-        // Drain CALC count: Σ_s Σ_t [s < rad·(bT − t)] = Σ_t rad·(bT−t) for t=1..bT
-        let expected: usize = (1..=4).map(|t| 4 - t).sum();
-        assert_eq!(calcs, expected);
+        let [loads, calcs, stores, syncs] = counts(&s, Phase::Tail);
+        // Its guards end the stream: the window's fronts load, calc and
+        // store as the inner loop's do, while their planes are in it.
+        assert_eq!([loads, calcs, stores], [3, 3 * 3, 3]);
+        assert_eq!(syncs, 3 * s.syncs_per_plane());
     }
 
     #[test]
     fn register_slots_stay_within_window() {
-        // The windows spell the slot lists the eager builder wrote out:
-        // sources `slot_of(dst_plane + d)` for d in −rad..=rad, stored
-        // registers `(slot_of(plane) + m) mod (2·rad + 1)`.
+        // A plane's register is its index from `stream_begin` modulo the
+        // window, and every phase starts a whole number of windows past
+        // it. CALC sources and STORE registers are centred on their plane.
         let s = schedule(5, 2);
         let (rad, unroll) = (2, s.unroll() as i64);
+        let slots = |plane: i64| (-rad..=rad).map(move |d| (plane + d).rem_euclid(unroll) as usize);
         for phase in [Phase::Head, Phase::Inner, Phase::Tail] {
             for op in s.ops(phase) {
                 match op {
-                    MacroOp::Load { dst, .. } => assert!(dst.slot < s.unroll()),
-                    MacroOp::Calc { dst, srcs, .. } => {
-                        assert!(dst.slot < s.unroll());
-                        assert_eq!(srcs.len, s.unroll());
-                        let want = (-rad..=rad).map(|d| (dst.slot as i64 + d).rem_euclid(unroll));
-                        assert!(srcs.slots().map(|r| r.slot as i64).eq(want), "{op:?}");
+                    MacroOp::Load { dst, plane } => {
+                        assert_eq!(dst.slot as i64, plane.rem_euclid(unroll));
+                    }
+                    MacroOp::Calc {
+                        dst, srcs, plane, ..
+                    } => {
+                        assert_eq!(dst.slot as i64, plane.rem_euclid(unroll));
+                        assert!(srcs.slots().map(|r| r.slot).eq(slots(plane)), "{op:?}");
                     }
                     MacroOp::Store { plane, regs } => {
-                        assert_eq!(regs.slots().count(), s.unroll());
-                        let want = (0..unroll).map(|m| (plane + m).rem_euclid(unroll));
-                        assert!(regs.slots().map(|r| r.slot as i64).eq(want), "{op:?}");
+                        assert!(regs.slots().map(|r| r.slot).eq(slots(plane)), "{op:?}");
                     }
                     MacroOp::Sync => {}
                 }
@@ -500,11 +491,12 @@ mod tests {
                     time_step,
                     dst,
                     srcs,
+                    ..
                 } = op
                 {
-                    assert!((1..=4).contains(&time_step));
+                    assert!((1..4).contains(&time_step));
                     assert!(srcs.slots().all(|r| r.time_step == time_step - 1));
-                    assert!(dst.time_step <= 3);
+                    assert_eq!(dst.time_step, time_step);
                 }
             }
         }

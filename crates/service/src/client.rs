@@ -23,8 +23,8 @@ use std::time::Duration;
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The largest `Content-Length` the client accepts; a larger one is
-/// refused before anything is allocated. The largest body the service
-/// sends, a `/codegen`, is about 258 KB.
+/// refused before anything is allocated. The largest `/codegen` of the
+/// paper's search space is about 216 KB.
 const MAX_BODY: usize = 64 << 20;
 
 /// Retry policy for [`KeepAliveClient`]: capped exponential backoff

@@ -65,9 +65,10 @@ fn generated_cuda_reflects_the_tuned_configuration() {
         .contains(&format!("#define AN5D_BT {bt}")));
     assert_eq!(
         cuda.kernel_source.matches("#define CALC").count(),
-        bt,
-        "one CALC macro per combined time-step"
+        bt - 1,
+        "one CALC macro per combined time-step but the last, which the STORE computes"
     );
+    assert_eq!(cuda.kernel_source.matches("#define STORE(").count(), 1);
     assert!(cuda.host_source.contains(&format!("t += {bt}")));
 }
 
